@@ -7,14 +7,20 @@
 //! rows that `scripts/bench_snapshot.sh` snapshots into
 //! BENCH_net_throughput.json. The headline claims (DESIGN.md §3.15):
 //!
-//! * at 1k connections the reactor sustains ~3× the threaded backend's
-//!   reports/sec in wall clock and ~40× fewer syscalls per report
-//!   (coalesced reads amortize the wakeup + 2-read cost the threaded
-//!   backend pays per frame). Wall clock understates the gap here:
+//! * at 1k connections the reactor sustains ~4× the threaded backend's
+//!   reports/sec in wall clock and ~10× fewer syscalls per report
+//!   (one event loop coalesces across connections; a reader thread
+//!   coalesces only what its own connection holds when it wakes).
+//!   Wall clock understates the gap here:
 //!   the load generator shares this container's single core with the
 //!   server, so identical client cost is added to both denominators;
 //! * at 10k connections the reactor still runs in one event-loop thread
 //!   (the threaded backend would need 10k reader threads and is skipped).
+//!
+//! Two `node_transport` rows time the node side of one connection to a
+//! reactor in this process: `try_recv_idle` (a poll that finds nothing
+//! — the cost a node loop pays per update in the steady state) and
+//! `roundtrip` (report up, pull request back down).
 //!
 //! Topology: the parent process hosts the coordinator transport; client
 //! connections live in re-exec'd child processes (`AUTOMON_NET_CHILD`)
@@ -31,7 +37,7 @@ use std::time::{Duration, Instant};
 
 use automon_core::{CommCause, CoordinatorMessage, NodeMessage, Outbound, ViolationKind};
 use automon_net::reactor::ReactorCoordinatorTransport;
-use automon_net::tcp::{self, TcpCoordinatorTransport};
+use automon_net::tcp::{TcpCoordinatorTransport, TcpNodeTransport};
 use automon_net::{wire, SyscallStats};
 
 const CHILD_ENV: &str = "AUTOMON_NET_CHILD";
@@ -147,7 +153,7 @@ impl Server {
 
     fn syscalls(&self) -> SyscallStats {
         match self {
-            Server::Threaded(_) => tcp::threaded_syscalls(),
+            Server::Threaded(t) => t.syscall_stats(),
             Server::Reactor(t) => t.syscall_stats(),
         }
     }
@@ -252,6 +258,60 @@ fn blast_best(backend: &str, conns: usize, reports_per_conn: usize, reps: usize)
     best.expect("reps >= 1")
 }
 
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+/// Node side of one loopback connection to a reactor: median cost of an
+/// idle `try_recv` in ns (timed in batches of 64 so the clock reads
+/// don't dominate) and of a report-up/request-down round trip in µs.
+fn node_transport() -> (f64, f64) {
+    let probe = TcpListener::bind("127.0.0.1:0").expect("probe bind");
+    let addr = probe.local_addr().expect("probe addr");
+    drop(probe);
+    let binder = std::thread::spawn(move || {
+        ReactorCoordinatorTransport::bind(addr, 1)
+            .map(|(t, _)| t)
+            .expect("reactor bind")
+    });
+    let mut node = TcpNodeTransport::connect(addr, 0).expect("node connect");
+    let coord = binder.join().expect("binder");
+
+    const BATCH: usize = 64;
+    let idle_ns = median(
+        (0..2000)
+            .map(|_| {
+                let t = Instant::now();
+                for _ in 0..BATCH {
+                    assert!(node.try_recv().expect("idle poll").is_none());
+                }
+                t.elapsed().as_nanos() as f64 / BATCH as f64
+            })
+            .collect(),
+    );
+
+    let pull = Outbound::new(
+        0,
+        CoordinatorMessage::RequestLocalVector { epoch: 1 },
+        CommCause::FullSync,
+    );
+    let up = report(0);
+    let roundtrip_us = median(
+        (0..5000)
+            .map(|_| {
+                let t = Instant::now();
+                node.send(&up).expect("report up");
+                coord.recv_timeout(BLAST_DEADLINE).expect("report arrives");
+                coord.send(&pull).expect("request down");
+                node.recv().expect("request arrives");
+                t.elapsed().as_nanos() as f64 / 1e3
+            })
+            .collect(),
+    );
+    (idle_ns, roundtrip_us)
+}
+
 fn emit(key: &str, value: f64) {
     println!("NETLINE {key} value {value}");
 }
@@ -291,6 +351,18 @@ fn main() {
         reactor_10k.reports_per_sec, reactor_10k.syscalls_per_report, reactor_10k.elapsed
     );
 
+    eprintln!("net_throughput: node transport, one connection ...");
+    let (idle_ns, roundtrip_us) = node_transport();
+    eprintln!("  idle try_recv {idle_ns:.0} ns, round trip {roundtrip_us:.1} us");
+
+    emit(
+        "net_throughput/node_transport/try_recv_idle/median_ns",
+        idle_ns,
+    );
+    emit(
+        "net_throughput/node_transport/roundtrip/median_us",
+        roundtrip_us,
+    );
     emit(
         "net_throughput/threaded/conns1000/reports_per_sec",
         threaded.reports_per_sec,

@@ -29,7 +29,7 @@ use automon_chaos::FaultPlan;
 use automon_core::{Coordinator, MonitorConfig, MonitoredFunction, Node, NodeMessage, Outbound};
 use automon_linalg::vector;
 use automon_net::reactor::ReactorCoordinatorTransport;
-use automon_net::tcp::{self, TcpCoordinatorTransport, TcpNodeTransport};
+use automon_net::tcp::{TcpCoordinatorTransport, TcpNodeTransport};
 use automon_net::SyscallStats;
 use automon_sim::{NetSimulation, Workload};
 use serde::{Serialize, Value};
@@ -40,6 +40,11 @@ use crate::run::build_function;
 /// Per-resolution deadline on the socket paths: a wedged sync is a bug,
 /// not something to wait out.
 const RESOLVE_DEADLINE: Duration = Duration::from_secs(20);
+
+/// How long a node worker waits on its socket between looks at its
+/// command channel: the latency of a command that arrives while the
+/// worker is idle, and the only timer in its loop.
+const COMMAND_POLL: Duration = Duration::from_millis(1);
 
 /// Deterministic drifting workload shared by every backend: per-node
 /// phase offsets and a slow upward drift — enough motion to exercise
@@ -96,9 +101,7 @@ impl CoordTransport {
 
     fn syscalls(&self) -> SyscallStats {
         match self {
-            // The threaded transport counts process-wide; the driver owns
-            // the process, so the totals are this run's.
-            CoordTransport::Threaded(_) => tcp::threaded_syscalls(),
+            CoordTransport::Threaded(t) => t.syscall_stats(),
             CoordTransport::Reactor(t) => t.syscall_stats(),
         }
     }
@@ -111,6 +114,18 @@ enum Cmd {
     /// the next update see every constraint install already sent.
     Sync(usize),
     Shutdown,
+}
+
+/// Wait up to `wait` for one coordinator frame and serve it; `false`
+/// when none came or the connection is gone.
+fn serve_one(tp: &mut TcpNodeTransport, node: &mut Node, wait: Duration) -> bool {
+    let Ok(Some(cm)) = tp.recv_timeout(wait) else {
+        return false;
+    };
+    if let Some(reply) = node.handle(cm) {
+        let _ = tp.send(&reply);
+    }
+    true
 }
 
 /// Run `net-smoke` per the parsed arguments.
@@ -268,25 +283,23 @@ fn run_socket_backend(
                         let _ = ack.send((i, violated));
                     }
                     Ok(Cmd::Sync(target)) => {
+                        // The frames are already on their way: wait for
+                        // them on the socket. No ack if they never come —
+                        // the driver's own deadline reports that.
                         while seen < target {
-                            if let Ok(Some(cm)) = tp.try_recv() {
-                                seen += 1;
-                                if let Some(reply) = node.handle(cm) {
-                                    let _ = tp.send(&reply);
-                                }
+                            if !serve_one(&mut tp, &mut node, RESOLVE_DEADLINE) {
+                                return;
                             }
+                            seen += 1;
                         }
                         let _ = ack.send((i, false));
                     }
                     Ok(Cmd::Shutdown) | Err(mpsc::TryRecvError::Disconnected) => return,
-                    Err(mpsc::TryRecvError::Empty) => {}
-                }
-                // try_recv polls with a short read timeout, so this loop
-                // alternates between command and socket work.
-                if let Ok(Some(cm)) = tp.try_recv() {
-                    seen += 1;
-                    if let Some(reply) = node.handle(cm) {
-                        let _ = tp.send(&reply);
+                    // Idle: sleep on the socket, where sync traffic for
+                    // another node's violation shows up, and look at the
+                    // command channel again after at most COMMAND_POLL.
+                    Err(mpsc::TryRecvError::Empty) => {
+                        seen += usize::from(serve_one(&mut tp, &mut node, COMMAND_POLL));
                     }
                 }
             }

@@ -1259,17 +1259,11 @@ impl Coordinator {
         let (f0, grad0) = self.f.eval_grad(&x0);
         let (l, u) = self.thresholds(f0);
 
-        let zone = if self.cfg.disable_adcd {
-            SafeZone {
-                x0: x0.clone(),
-                f0,
-                grad0,
-                l,
-                u,
-                dc: DcKind::AdmissibleOnly,
-                curvature: Curvature::Scalar(0.0),
-                neighborhood: None,
-            }
+        let mut old = self.zone.take();
+        // Set where the new zone's penalty is the old zone's own matrix.
+        let mut reused = false;
+        let (dc, curvature, neighborhood) = if self.cfg.disable_adcd {
+            (DcKind::AdmissibleOnly, Curvature::Scalar(0.0), None)
         } else {
             let use_e = self
                 .cfg
@@ -1280,49 +1274,45 @@ impl Coordinator {
                 // Constant Hessian: decomposition computed once, then
                 // cached (paper §4.4: "eigendecomposition is done only
                 // once at initialization").
-                if self.e_cache.is_none() {
-                    self.e_cache = Some(adcd::decompose_observed(
-                        self.f.as_ref(),
-                        &x0,
-                        None,
-                        &self.cfg,
-                        &self.tel.tel,
-                    ));
-                }
-                let dec = self.e_cache.as_ref().expect("just cached");
-                SafeZone {
-                    x0: x0.clone(),
-                    f0,
-                    grad0,
-                    l,
-                    u,
-                    dc: dec.dc,
-                    curvature: dec.curvature.clone(),
-                    neighborhood: None,
+                let cached = self.e_cache.is_some();
+                let dec = self.e_cache.get_or_insert_with(|| {
+                    adcd::decompose_observed(self.f.as_ref(), &x0, None, &self.cfg, &self.tel.tel)
+                });
+                // Every zone built since the cache was filled took its
+                // penalty from it, so the old zone's matrix *is* the
+                // cached one: move it across instead of copying d²
+                // entries and then comparing them to learn as much. (A
+                // zone restored from a snapshot predates the cache and
+                // takes the copy-and-compare path once.)
+                match old.take_if(|_| cached) {
+                    Some(old) => {
+                        reused = true;
+                        (dec.dc, old.curvature, None)
+                    }
+                    None => (dec.dc, dec.curvature.clone(), None),
                 }
             } else {
                 let b = self.domain.neighborhood(&x0, self.r);
                 let dec = self.decompose_x_cached(&x0, &b);
-                SafeZone {
-                    x0: x0.clone(),
-                    f0,
-                    grad0,
-                    l,
-                    u,
-                    dc: dec.dc,
-                    curvature: dec.curvature.clone(),
-                    neighborhood: Some(b),
-                }
+                (dec.dc, dec.curvature, Some(b))
             }
+        };
+        let zone = SafeZone {
+            x0: x0.clone(),
+            f0,
+            grad0,
+            l,
+            u,
+            dc,
+            curvature,
+            neighborhood,
         };
 
         // A node that already holds this exact curvature gets the
         // matrix-free form — for ADCD-E the O(d²) penalty never crosses
         // the wire after the first sync (paper §4.4).
-        let curvature_unchanged = self
-            .zone
-            .as_ref()
-            .is_some_and(|old| old.curvature == zone.curvature && old.dc == zone.dc);
+        let curvature_unchanged =
+            reused || old.is_some_and(|old| old.curvature == zone.curvature && old.dc == zone.dc);
         // A completed full sync opens a new epoch; the installs below
         // carry it, and anything still in flight from before is stale.
         self.epoch += 1;

@@ -229,7 +229,9 @@ impl Node {
                 if epoch > self.epoch + 1 {
                     return self.reregister();
                 }
-                let Some(curvature) = self.zone.as_ref().map(|z| z.curvature.clone()) else {
+                // The d×d penalty moves from the old zone to the new one;
+                // nothing else of the old zone survives the install.
+                let Some(curvature) = self.zone.take().map(|z| z.curvature) else {
                     return self.reregister();
                 };
                 self.zone = Some(SafeZone {

@@ -346,6 +346,7 @@ fn constant_hessian_syncs_reuse_curvature_after_first() {
     let outs = coord.handle(m);
     assert!(matches!(outs[0].msg, CoordinatorMessage::NewConstraints { .. }));
     assert!(node.handle(outs[0].msg.clone()).is_none());
+    let penalty = coord.zone().unwrap().curvature.clone();
 
     // Violation → second sync: cached constraints.
     let m = node.update_data(vec![1.0]).expect("violation");
@@ -356,9 +357,12 @@ fn constant_hessian_syncs_reuse_curvature_after_first() {
         outs[0].msg
     );
     assert!(node.handle(outs[0].msg.clone()).is_none());
-    // The node's zone carries the reused curvature and new reference.
+    // The node's zone carries the reused curvature and new reference;
+    // both sides moved the first sync's penalty across, neither lost it.
     let z = node.zone().unwrap();
     assert_eq!(z.f0, 1.0);
+    assert_eq!(z.curvature, penalty);
+    assert_eq!(coord.zone().unwrap().curvature, penalty);
     // Monitoring continues correctly on the reused curvature.
     assert!(node.update_data(vec![1.01]).is_none());
     assert!(node.update_data(vec![2.0]).is_some());

@@ -1,19 +1,22 @@
 //! Streaming frame assembly and batched outbound queues.
 //!
-//! The blocking transport reads one frame per pair of `read_exact`
-//! calls: two syscalls per frame, regardless of how many frames the
-//! kernel already buffered. The reactor instead drains everything a
-//! readiness event promises into a reusable buffer and feeds it to a
-//! [`FrameAssembler`], which peels off *every* complete length-prefixed
-//! frame — frame coalescing: many frames per `read` syscall, with
-//! partial frames (even a split length prefix) carried over to the next
-//! chunk byte-for-byte.
+//! The one framing implementation under every socket transport. The
+//! reactor drains everything a readiness event promises into a reusable
+//! buffer and feeds it to a [`FrameAssembler`], which peels off *every*
+//! complete length-prefixed frame — frame coalescing: many frames per
+//! `read` syscall, with partial frames (even a split length prefix)
+//! carried over to the next chunk byte-for-byte. The blocking transport
+//! ([`crate::tcp`]) reads straight into the assembler's own buffer
+//! ([`FrameAssembler::recv_buf`]) and borrows each frame out of it
+//! ([`FrameAssembler::next_frame_ref`]).
 //!
 //! The write side mirrors it: [`OutQueue`] holds encoded frames with
 //! their 4-byte prefixes and lays the whole backlog out as an iovec
 //! list for one `writev` — scatter-gather: many frames per syscall,
 //! zero copies into a staging buffer, and the iovec storage is reused
 //! across rounds so steady-state flushing does not allocate per frame.
+//! The blocking transport sends each frame through the same queue, so
+//! prefix and payload leave in one segment there too.
 
 use std::collections::VecDeque;
 
@@ -40,6 +43,13 @@ pub struct FrameAssembler {
     pos: usize,
 }
 
+/// Smallest read a transport offers the kernel through
+/// [`FrameAssembler::recv_buf`].
+const MIN_READ: usize = 4096;
+/// Most that one advertised length reserves ahead of its bytes; a
+/// longer frame grows the buffer as it actually arrives.
+const MAX_RESERVE: usize = 1 << 20;
+
 impl FrameAssembler {
     /// An empty assembler.
     pub fn new() -> Self {
@@ -52,28 +62,62 @@ impl FrameAssembler {
         self.buf.extend_from_slice(chunk);
     }
 
+    /// The buffer itself, for a transport that reads into it directly:
+    /// appending to it is [`FrameAssembler::feed`] without the staging
+    /// copy. It comes back with spare capacity sized to the traffic —
+    /// the rest of the frame whose prefix already arrived, so a large
+    /// frame completes in one more read, and never less than a 4 KiB
+    /// floor; the capacity, never zeroed, stays at the largest frame
+    /// seen. Callers only append.
+    pub(crate) fn recv_buf(&mut self) -> &mut Vec<u8> {
+        self.compact();
+        let rest = self.prefix().map_or(0, |len| {
+            (4 + len as usize).saturating_sub(self.pending_bytes())
+        });
+        self.buf.reserve(rest.clamp(MIN_READ, MAX_RESERVE));
+        &mut self.buf
+    }
+
+    /// The next frame's length prefix, unvalidated, once all four of
+    /// its bytes are buffered.
+    fn prefix(&self) -> Option<u32> {
+        match self.buf[self.pos..] {
+            [a, b, c, d, ..] => Some(u32::from_le_bytes([a, b, c, d])),
+            _ => None,
+        }
+    }
+
     /// Bytes buffered but not yet returned as frames.
     pub fn pending_bytes(&self) -> usize {
         self.buf.len() - self.pos
+    }
+
+    /// Payload length of the next frame when all of it is buffered.
+    pub(crate) fn ready_len(&self) -> Result<Option<usize>, WireError> {
+        let Some(len) = self.prefix() else {
+            return Ok(None);
+        };
+        let n = check_frame_len(len)?;
+        Ok((self.pending_bytes() >= 4 + n).then_some(n))
     }
 
     /// Pop the next complete frame payload (the length prefix is
     /// stripped), `Ok(None)` when more bytes are needed. An empty
     /// payload — a heartbeat — is returned as an empty `Vec`.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
-        let avail = &self.buf[self.pos..];
-        if avail.len() < 4 {
+        Ok(self.next_frame_ref()?.map(<[u8]>::to_vec))
+    }
+
+    /// [`FrameAssembler::next_frame`] without the copy: the payload is
+    /// borrowed from the buffer, valid until the next call that takes
+    /// `&mut self`.
+    pub fn next_frame_ref(&mut self) -> Result<Option<&[u8]>, WireError> {
+        let Some(n) = self.ready_len()? else {
             return Ok(None);
-        }
-        let n = check_frame_len(u32::from_le_bytes([
-            avail[0], avail[1], avail[2], avail[3],
-        ]))?;
-        if avail.len() < 4 + n {
-            return Ok(None);
-        }
-        let frame = avail[4..4 + n].to_vec();
-        self.pos += 4 + n;
-        Ok(Some(frame))
+        };
+        let start = self.pos + 4;
+        self.pos = start + n;
+        Ok(Some(&self.buf[start..self.pos]))
     }
 
     /// Drop consumed bytes once they dominate the buffer, keeping the

@@ -12,6 +12,11 @@
 //! Every syscall the poller issues is counted in [`SyscallStats`] —
 //! the bench reports *syscalls per update*, not just wall time, so the
 //! coalescing/batching claims are measured directly.
+//!
+//! The blocking transport ([`crate::tcp`]) shares the FFI through three
+//! free functions: [`recv_append`] (one `recv`, optionally
+//! `MSG_DONTWAIT`), [`wait_readable`] (`poll` up to a deadline) and
+//! [`write_vectored`].
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -173,12 +178,24 @@ const EPOLLERR: u32 = 0x008;
 const EPOLLHUP: u32 = 0x010;
 const EPOLLRDHUP: u32 = 0x2000;
 const EPOLLET: u32 = 1 << 31;
+const MSG_DONTWAIT: i32 = 0x40;
+const POLLIN: i16 = 0x001;
+
+/// `struct pollfd`.
+#[repr(C)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
 
 extern "C" {
     fn epoll_create1(flags: i32) -> i32;
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
     fn writev(fd: i32, iov: *const IoVec, iovcnt: i32) -> isize;
+    fn recv(fd: i32, buf: *mut u8, len: usize, flags: i32) -> isize;
+    fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: i32) -> i32;
     fn close(fd: i32) -> i32;
 }
 
@@ -187,6 +204,81 @@ fn cvt(ret: i32) -> io::Result<i32> {
         Err(io::Error::last_os_error())
     } else {
         Ok(ret)
+    }
+}
+
+/// One `recv(2)` on `sock`, appended to `buf` in its spare capacity (no
+/// staging copy, nothing zeroed first). With `dontwait` the call carries
+/// `MSG_DONTWAIT`: non-blocking for this call only, on a socket that
+/// stays blocking — no `O_NONBLOCK` toggle, no `SO_RCVTIMEO`. `Ok(0)` is
+/// end of stream; the caller guarantees spare capacity.
+pub fn recv_append(sock: &TcpStream, buf: &mut Vec<u8>, dontwait: bool) -> io::Result<usize> {
+    let spare = buf.spare_capacity_mut();
+    debug_assert!(!spare.is_empty(), "recv_append needs spare capacity");
+    let flags = if dontwait { MSG_DONTWAIT } else { 0 };
+    loop {
+        // SAFETY: `spare` is a live, exclusively borrowed region of
+        // `spare.len()` bytes; the kernel only writes into it.
+        let n = unsafe {
+            recv(
+                sock.as_raw_fd(),
+                spare.as_mut_ptr().cast(),
+                spare.len(),
+                flags,
+            )
+        };
+        if n >= 0 {
+            let n = n as usize;
+            // SAFETY: the kernel initialized the first `n <= spare.len()`
+            // bytes past the old length.
+            unsafe { buf.set_len(buf.len() + n) };
+            return Ok(n);
+        }
+        let e = io::Error::last_os_error();
+        if e.kind() != io::ErrorKind::Interrupted {
+            return Err(e);
+        }
+    }
+}
+
+/// Block in `poll(2)` until `sock` is readable (data, end of stream or
+/// a socket error) or `deadline` passes; `false` on the deadline. The
+/// wait is an hrtimer, not the jiffy-rounded socket timeout, and never
+/// ends early: the timeout is rounded up to poll's whole milliseconds.
+pub fn wait_readable(sock: &TcpStream, deadline: Instant) -> io::Result<bool> {
+    let mut pfd = PollFd {
+        fd: sock.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        let ms = left.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32;
+        // SAFETY: `pfd` is one valid pollfd for the duration of the call.
+        let n = unsafe { poll(&mut pfd, 1, ms) };
+        if n >= 0 {
+            return Ok(n > 0);
+        }
+        let e = io::Error::last_os_error();
+        if e.kind() != io::ErrorKind::Interrupted {
+            return Err(e);
+        }
+    }
+}
+
+/// One `writev(2)` of `bufs` on `sock`; returns the bytes accepted.
+pub fn write_vectored(sock: &TcpStream, bufs: &[IoVec]) -> io::Result<usize> {
+    // IOV_MAX is 1024 on Linux; one truncated call is fine — the
+    // caller's queue resumes where the written bytes stopped.
+    let cnt = bufs.len().min(1024) as i32;
+    // SAFETY: `bufs` is a live slice of `cnt` iovec-layout segments whose
+    // memory the caller keeps alive and unmoved across the call (the
+    // `IoVec` contract).
+    let n = unsafe { writev(sock.as_raw_fd(), bufs.as_ptr(), cnt) };
+    if n < 0 {
+        Err(io::Error::last_os_error())
+    } else {
+        Ok(n as usize)
     }
 }
 
@@ -314,15 +406,7 @@ impl Poller for EpollPoller {
 
     fn writev(&mut self, c: &mut TcpStream, bufs: &[IoVec]) -> io::Result<usize> {
         self.counters.writevs.fetch_add(1, Ordering::Relaxed);
-        // IOV_MAX is 1024 on Linux; one truncated call is fine — the
-        // caller's queue resumes where the written bytes stopped.
-        let cnt = bufs.len().min(1024) as i32;
-        let n = unsafe { writev(c.as_raw_fd(), bufs.as_ptr(), cnt) };
-        if n < 0 {
-            Err(io::Error::last_os_error())
-        } else {
-            Ok(n as usize)
-        }
+        write_vectored(c, bufs)
     }
 
     fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {

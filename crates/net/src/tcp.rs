@@ -12,11 +12,16 @@
 //! node can reconnect; a reader thread per connection decodes frames into
 //! one mpsc channel, and replies are written to per-node writer slots. A
 //! slot empties when its connection dies and refills when the node dials
-//! back in. Nodes use a plain blocking or polling read on their single
-//! connection, with bounded connect-retry and reconnect-on-send-failure
-//! (see [`RetryPolicy`]).
+//! back in. Nodes read their single connection blocking, polling or up
+//! to a deadline, with bounded connect-retry and
+//! reconnect-on-send-failure (see [`RetryPolicy`]).
+//!
+//! Framing is [`crate::frame`]'s, the same code the reactor runs: every
+//! read side is a `FrameReader` (one buffered `recv` yields every
+//! frame it carried; a poll that finds nothing costs one
+//! `recv(MSG_DONTWAIT)` and arms no timer), every send is one `writev`
+//! of prefix and payload through an [`OutQueue`] (`FrameWriter`).
 
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -26,29 +31,12 @@ use std::time::{Duration, Instant};
 use automon_core::{CoordinatorMessage, NodeId, NodeMessage, Outbound};
 use automon_obs::{Counter, SpanId, Telemetry};
 
+use bytes::Bytes;
+
 use crate::backoff::Backoff;
-use crate::poller::SyscallStats;
+use crate::frame::{FrameAssembler, OutQueue};
+use crate::poller::{self, SyscallStats};
 use crate::wire;
-
-// Process-wide syscall tally for the threaded backend's frame I/O, the
-// comparison point for the reactor's per-poller [`SyscallStats`]. The
-// threaded transport has no central object every reader thread can
-// reach cheaply, so the count is global — fine for the bench, which
-// runs one transport per process.
-static THREADED_READS: AtomicU64 = AtomicU64::new(0);
-static THREADED_WRITES: AtomicU64 = AtomicU64::new(0);
-
-/// Syscalls issued by this process's threaded frame I/O so far: two
-/// `read`s per inbound frame (length prefix, then payload), and up to
-/// two `write`s per outbound frame.
-pub fn threaded_syscalls() -> SyscallStats {
-    SyscallStats {
-        waits: 0,
-        reads: THREADED_READS.load(Ordering::Relaxed),
-        writevs: THREADED_WRITES.load(Ordering::Relaxed),
-        accepts: 0,
-    }
-}
 
 /// Transport failure.
 #[derive(Debug)]
@@ -143,38 +131,116 @@ impl RetryPolicy {
     }
 }
 
-/// Write one length-prefixed frame. Frames over the wire cap are
-/// refused outright — a silent `as u32` truncation here would desync
-/// the whole byte stream for the peer.
-fn write_frame(stream: &mut TcpStream, frame: &[u8]) -> Result<(), TcpError> {
-    let prefix = wire::frame_len_prefix(frame.len()).map_err(TcpError::Wire)?;
-    THREADED_WRITES.fetch_add(1 + u64::from(!frame.is_empty()), Ordering::Relaxed);
-    stream.write_all(&prefix.to_le_bytes())?;
-    stream.write_all(frame)?;
-    stream.flush()?;
-    Ok(())
+/// Write side of one blocking connection.
+#[derive(Debug)]
+struct FrameWriter {
+    /// Holds the one frame in flight, prefix included.
+    out: OutQueue,
+    /// `writev` calls issued.
+    writes: u64,
 }
 
-/// Read one length-prefixed frame.
-fn read_frame(stream: &mut TcpStream) -> Result<Vec<u8>, TcpError> {
-    let mut len = [0u8; 4];
-    THREADED_READS.fetch_add(1, Ordering::Relaxed);
-    if let Err(e) = stream.read_exact(&mut len) {
-        return if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            Err(TcpError::Disconnected)
-        } else {
-            Err(TcpError::Io(e))
-        };
+impl FrameWriter {
+    fn new() -> Self {
+        Self {
+            out: OutQueue::new(1),
+            writes: 0,
+        }
     }
-    // Validate the advertised length before allocating: a corrupt or
-    // hostile prefix must not OOM the receiver.
-    let n = wire::check_frame_len(u32::from_le_bytes(len)).map_err(TcpError::Wire)?;
-    let mut buf = vec![0u8; n];
-    if n > 0 {
-        THREADED_READS.fetch_add(1, Ordering::Relaxed);
-        stream.read_exact(&mut buf)?;
+
+    /// Write one length-prefixed frame: prefix and payload leave in one
+    /// `writev`, hence one segment under `TCP_NODELAY`. Frames over the
+    /// wire cap are refused outright — a silent `as u32` truncation here
+    /// would desync the whole byte stream for the peer.
+    fn write(&mut self, stream: &TcpStream, frame: Bytes) -> Result<(), TcpError> {
+        wire::frame_len_prefix(frame.len()).map_err(TcpError::Wire)?;
+        // Only a send that failed mid-frame leaves the queue occupied,
+        // and the stream it was bound for is out of step for good.
+        self.out.push(frame).map_err(|_| TcpError::Disconnected)?;
+        while !self.out.is_empty() {
+            self.writes += 1;
+            match self
+                .out
+                .flush_with(|iov| poller::write_vectored(stream, iov))
+            {
+                Ok(0) => return Err(std::io::Error::from(std::io::ErrorKind::WriteZero).into()),
+                Ok(_) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        Ok(())
     }
-    Ok(buf)
+}
+
+/// How long a [`FrameReader`] read may wait for bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Wait {
+    /// Until a frame or an error.
+    Forever,
+    /// Not at all: at most one non-blocking read.
+    No,
+    /// Until the instant passes.
+    Until(Instant),
+}
+
+/// Buffered read side of one blocking connection.
+///
+/// Every `recv` lands in a [`FrameAssembler`], so one syscall yields all
+/// the frames it carried and a partial frame — even a split length
+/// prefix — waits there for the next read instead of being lost. The
+/// socket stays in blocking mode with no timeout option throughout:
+/// non-blocking reads are per-call (`MSG_DONTWAIT`) and timed waits are
+/// a `poll`.
+#[derive(Debug, Default)]
+struct FrameReader {
+    asm: FrameAssembler,
+    /// `recv` calls issued.
+    reads: u64,
+    /// `poll` calls issued.
+    waits: u64,
+}
+
+impl FrameReader {
+    /// The next frame's payload, borrowed until the next read. A frame
+    /// already buffered costs no syscall. `Ok(None)` when `wait` ran out
+    /// first; end of stream is [`TcpError::Disconnected`].
+    fn read(&mut self, stream: &TcpStream, wait: Wait) -> Result<Option<&[u8]>, TcpError> {
+        while self.asm.ready_len().map_err(TcpError::Wire)?.is_none() {
+            if !self.fill(stream, wait)? {
+                return Ok(None);
+            }
+            if wait == Wait::No {
+                break;
+            }
+        }
+        self.asm.next_frame_ref().map_err(TcpError::Wire)
+    }
+
+    /// One `recv` into the assembler; `false` when `wait` ran out with
+    /// nothing read.
+    fn fill(&mut self, stream: &TcpStream, wait: Wait) -> Result<bool, TcpError> {
+        loop {
+            if let Wait::Until(deadline) = wait {
+                self.waits += 1;
+                if !poller::wait_readable(stream, deadline)? {
+                    return Ok(false);
+                }
+            }
+            self.reads += 1;
+            match poller::recv_append(stream, self.asm.recv_buf(), wait != Wait::Forever) {
+                Ok(0) => return Err(TcpError::Disconnected),
+                Ok(_) => return Ok(true),
+                Err(e) if wait != Wait::Forever && e.kind() == std::io::ErrorKind::WouldBlock => {
+                    if wait == Wait::No {
+                        return Ok(false);
+                    }
+                    // Readiness without bytes: wait out the rest.
+                }
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
 }
 
 /// Wire cost of a frame: payload plus the 4-byte length prefix.
@@ -290,6 +356,7 @@ impl NodeNetTel {
 /// late avoid clearing a slot a reconnect already refilled.
 struct WriterSlot {
     stream: Option<TcpStream>,
+    writer: FrameWriter,
     generation: u64,
 }
 
@@ -299,6 +366,10 @@ struct Shared {
     writers: Vec<Mutex<WriterSlot>>,
     last_seen: Vec<Mutex<Instant>>,
     shutdown: AtomicBool,
+    /// `recv` calls by the reader threads and `writev` calls by
+    /// [`TcpCoordinatorTransport::send`].
+    reads: AtomicU64,
+    writes: AtomicU64,
     tel: CoordNetTel,
 }
 
@@ -319,25 +390,33 @@ fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 fn admit(
     shared: &Arc<Shared>,
     tx: &Sender<(SpanId, NodeMessage)>,
-    mut stream: TcpStream,
+    stream: TcpStream,
     n: usize,
 ) -> Result<NodeId, TcpError> {
     stream.set_nonblocking(false)?;
     stream.set_nodelay(true)?;
+    let mut reader = FrameReader::default();
     // A connection that never completes its hello must not wedge accepts.
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    let hello = read_frame(&mut stream)?;
-    let msg = wire::decode_node_message(&hello).map_err(TcpError::Wire)?;
+    let hello = reader
+        .read(
+            &stream,
+            Wait::Until(Instant::now() + Duration::from_secs(2)),
+        )?
+        .ok_or_else(|| std::io::Error::from(std::io::ErrorKind::TimedOut))?;
+    let msg = wire::decode_node_message(hello).map_err(TcpError::Wire)?;
+    shared
+        .reads
+        .fetch_add(std::mem::take(&mut reader.reads), Ordering::Relaxed);
     let id = msg.sender();
     if id >= n {
         return Err(TcpError::UnknownNode(id));
     }
-    stream.set_read_timeout(None)?;
     let writer = stream.try_clone()?;
     let generation = {
         let mut slot = lock_clean(&shared.writers[id]);
         slot.generation += 1;
         slot.stream = Some(writer);
+        slot.writer = FrameWriter::new();
         slot.generation
     };
     shared.touch(id);
@@ -345,21 +424,31 @@ fn admit(
     let shared = shared.clone();
     let tx = tx.clone();
     std::thread::spawn(move || {
+        // `reader` comes along: it may already hold frames that arrived
+        // behind the hello.
         loop {
             if shared.shutdown.load(Ordering::Relaxed) {
                 break;
             }
-            let Ok(frame) = read_frame(&mut stream) else {
+            let Ok(Some(frame)) = reader.read(&stream, Wait::Forever) else {
                 break;
             };
+            let len = frame.len();
+            // An empty frame is a heartbeat: nothing to decode.
+            let decoded = (len > 0).then(|| wire::decode_node_message_ctx(frame));
+            // Counted before the frame is handed over, so a caller that
+            // has the frame also sees the reads that fetched it.
+            shared
+                .reads
+                .fetch_add(std::mem::take(&mut reader.reads), Ordering::Relaxed);
             shared.touch(id);
             shared.tel.frames_in.inc();
-            shared.tel.bytes_in.add(frame_bytes(frame.len()));
-            if frame.is_empty() {
+            shared.tel.bytes_in.add(frame_bytes(len));
+            let Some(decoded) = decoded else {
                 shared.tel.heartbeats.inc();
-                continue; // heartbeat
-            }
-            let Ok((span, msg)) = wire::decode_node_message_ctx(&frame) else {
+                continue;
+            };
+            let Ok((span, msg)) = decoded else {
                 // Framing is byte-synchronized; a corrupt frame means the
                 // stream can no longer be trusted. Drop the connection
                 // and let the node reconnect.
@@ -424,12 +513,15 @@ impl TcpCoordinatorTransport {
                 .map(|_| {
                     Mutex::new(WriterSlot {
                         stream: None,
+                        writer: FrameWriter::new(),
                         generation: 0,
                     })
                 })
                 .collect(),
             last_seen: (0..n).map(|_| Mutex::new(Instant::now())).collect(),
             shutdown: AtomicBool::new(false),
+            reads: AtomicU64::new(0),
+            writes: AtomicU64::new(0),
             tel: CoordNetTel::new(&tel),
         });
         let deadline = hello_timeout.map(|t| Instant::now() + t);
@@ -513,14 +605,20 @@ impl TcpCoordinatorTransport {
     /// retransmit later or evict.
     pub fn send(&self, out: &Outbound) -> Result<(), TcpError> {
         let frame = wire::encode_coordinator_message_ctx(&out.msg, out.span);
-        let mut slot = lock_clean(&self.shared.writers[out.to]);
-        let Some(stream) = slot.stream.as_mut() else {
+        let len = frame.len();
+        let mut guard = lock_clean(&self.shared.writers[out.to]);
+        let slot = &mut *guard;
+        let Some(stream) = slot.stream.as_ref() else {
             return Err(TcpError::NotConnected(out.to));
         };
-        match write_frame(stream, &frame) {
+        let sent = slot.writer.write(stream, frame);
+        self.shared
+            .writes
+            .fetch_add(std::mem::take(&mut slot.writer.writes), Ordering::Relaxed);
+        match sent {
             Ok(()) => {
                 self.shared.tel.frames_out.inc();
-                self.shared.tel.bytes_out.add(frame_bytes(frame.len()));
+                self.shared.tel.bytes_out.add(frame_bytes(len));
                 Ok(())
             }
             Err(e) => {
@@ -530,6 +628,18 @@ impl TcpCoordinatorTransport {
                 self.shared.tel.send_failures.inc();
                 Err(e)
             }
+        }
+    }
+
+    /// Frame I/O syscalls so far — the reader threads' `recv`s and this
+    /// handle's `writev`s — the comparison point for the reactor's
+    /// [`crate::reactor::ReactorCoordinatorTransport::syscall_stats`].
+    pub fn syscall_stats(&self) -> SyscallStats {
+        SyscallStats {
+            waits: 0,
+            reads: self.shared.reads.load(Ordering::Relaxed),
+            writevs: self.shared.writes.load(Ordering::Relaxed),
+            accepts: 0,
         }
     }
 
@@ -561,6 +671,8 @@ pub struct TcpNodeTransport {
     id: NodeId,
     addr: SocketAddr,
     stream: TcpStream,
+    reader: FrameReader,
+    writer: FrameWriter,
     retry: RetryPolicy,
     tel: NodeNetTel,
 }
@@ -596,6 +708,8 @@ impl TcpNodeTransport {
             id,
             addr,
             stream,
+            reader: FrameReader::default(),
+            writer: FrameWriter::new(),
             retry,
             tel,
         })
@@ -632,14 +746,14 @@ impl TcpNodeTransport {
     }
 
     fn dial_once(addr: SocketAddr, id: NodeId) -> Result<TcpStream, TcpError> {
-        let mut stream = TcpStream::connect(addr)?;
+        let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         let hello = wire::encode_node_message(&NodeMessage::LocalVector {
             node: id,
             vector: Vec::new(),
             epoch: 0,
         });
-        write_frame(&mut stream, &hello)?;
+        FrameWriter::new().write(&stream, hello)?;
         Ok(stream)
     }
 
@@ -654,6 +768,10 @@ impl TcpNodeTransport {
     pub fn reconnect(&mut self) -> Result<(), TcpError> {
         self.tel.reconnects.inc();
         self.stream = Self::dial(self.addr, self.id, self.retry, &self.tel)?;
+        // Bytes buffered from the dead connection, in either direction,
+        // are no part of the new one's stream.
+        self.reader.asm = FrameAssembler::new();
+        self.writer.out = OutQueue::new(1);
         Ok(())
     }
 
@@ -667,10 +785,14 @@ impl TcpNodeTransport {
     /// handler spans will parent on.
     pub fn send_traced(&mut self, msg: &NodeMessage, span: SpanId) -> Result<(), TcpError> {
         debug_assert_eq!(msg.sender(), self.id, "sending as the wrong node");
-        let frame = wire::encode_node_message_ctx(msg, span);
-        write_frame(&mut self.stream, &frame)?;
+        self.write(wire::encode_node_message_ctx(msg, span))
+    }
+
+    fn write(&mut self, frame: Bytes) -> Result<(), TcpError> {
+        let len = frame.len();
+        self.writer.write(&self.stream, frame)?;
         self.tel.frames_out.inc();
-        self.tel.bytes_out.add(frame_bytes(frame.len()));
+        self.tel.bytes_out.add(frame_bytes(len));
         Ok(())
     }
 
@@ -686,10 +808,7 @@ impl TcpNodeTransport {
     /// Send a heartbeat (empty frame): refreshes this node's liveness
     /// clock on the coordinator without touching the protocol.
     pub fn send_heartbeat(&mut self) -> Result<(), TcpError> {
-        write_frame(&mut self.stream, &[])?;
-        self.tel.frames_out.inc();
-        self.tel.bytes_out.add(frame_bytes(0));
-        Ok(())
+        self.write(Bytes::new())
     }
 
     /// Blocking receive of the next coordinator message.
@@ -700,36 +819,72 @@ impl TcpNodeTransport {
     /// Like [`TcpNodeTransport::recv`], also yielding the coordinator
     /// span carried in the frame header.
     pub fn recv_traced(&mut self) -> Result<(SpanId, CoordinatorMessage), TcpError> {
-        let frame = read_frame(&mut self.stream)?;
-        self.tel.frames_in.inc();
-        self.tel.bytes_in.add(frame_bytes(frame.len()));
-        wire::decode_coordinator_message_ctx(&frame).map_err(TcpError::Wire)
+        // An unbounded wait ends with a frame or an error, never `None`.
+        self.read(Wait::Forever)?.ok_or(TcpError::Disconnected)
     }
 
     /// Non-blocking poll: `Ok(None)` when no complete frame is ready.
     ///
-    /// Uses a short read timeout under the hood; call it from the node's
-    /// update loop.
+    /// A frame already buffered (it arrived behind an earlier one)
+    /// returns with no syscall; otherwise the call makes at most one
+    /// non-blocking read — no timer, no socket option, the cost of one
+    /// `recv` when idle — and a frame received in part, even a split
+    /// length prefix, is kept for the next call. This is the
+    /// `message_received` drain at the top of the node's update loop; a
+    /// loop with nothing else to do waits in
+    /// [`TcpNodeTransport::recv_timeout`] instead of spinning on this.
     pub fn try_recv(&mut self) -> Result<Option<CoordinatorMessage>, TcpError> {
-        self.stream.set_read_timeout(Some(Duration::from_millis(1)))?;
-        let result = match read_frame(&mut self.stream) {
-            Ok(frame) => {
-                self.tel.frames_in.inc();
-                self.tel.bytes_in.add(frame_bytes(frame.len()));
-                wire::decode_coordinator_message(&frame)
-                    .map(Some)
-                    .map_err(TcpError::Wire)
-            }
-            Err(TcpError::Io(e))
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                Ok(None)
-            }
-            Err(e) => Err(e),
+        Ok(self.try_recv_traced()?.map(|(_, m)| m))
+    }
+
+    /// Like [`TcpNodeTransport::try_recv`], also yielding the
+    /// coordinator span carried in the frame header.
+    pub fn try_recv_traced(&mut self) -> Result<Option<(SpanId, CoordinatorMessage)>, TcpError> {
+        self.read(Wait::No)
+    }
+
+    /// Receive with a timeout: the next coordinator message, or
+    /// `Ok(None)` once `timeout` has passed without a complete one. The
+    /// wait is a `poll` on the socket (never shorter than `timeout`, and
+    /// over by scheduling latency only); a frame received in part is
+    /// kept for the next call.
+    pub fn recv_timeout(
+        &mut self,
+        timeout: Duration,
+    ) -> Result<Option<CoordinatorMessage>, TcpError> {
+        Ok(self.recv_timeout_traced(timeout)?.map(|(_, m)| m))
+    }
+
+    /// Like [`TcpNodeTransport::recv_timeout`], also yielding the
+    /// coordinator span carried in the frame header.
+    pub fn recv_timeout_traced(
+        &mut self,
+        timeout: Duration,
+    ) -> Result<Option<(SpanId, CoordinatorMessage)>, TcpError> {
+        self.read(Wait::Until(Instant::now() + timeout))
+    }
+
+    fn read(&mut self, wait: Wait) -> Result<Option<(SpanId, CoordinatorMessage)>, TcpError> {
+        let Some(frame) = self.reader.read(&self.stream, wait)? else {
+            return Ok(None);
         };
-        self.stream.set_read_timeout(None)?;
-        result
+        self.tel.frames_in.inc();
+        self.tel.bytes_in.add(frame_bytes(frame.len()));
+        wire::decode_coordinator_message_ctx(frame)
+            .map(Some)
+            .map_err(TcpError::Wire)
+    }
+
+    /// Syscalls this transport has issued on established connections:
+    /// `recv`s (`reads`), `poll`s (`waits`) and `writev`s — there is no
+    /// other kind.
+    pub fn syscall_stats(&self) -> SyscallStats {
+        SyscallStats {
+            waits: self.reader.waits,
+            reads: self.reader.reads,
+            writevs: self.writer.writes,
+            accepts: 0,
+        }
     }
 }
 
@@ -791,27 +946,24 @@ mod tests {
             workers.push(std::thread::spawn(move || {
                 let mut tp = TcpNodeTransport::connect(addr, id).expect("connect");
                 let mut node = Node::new(id, f);
-                for t in 0..30 {
-                    while let Ok(Some(msg)) = tp.try_recv() {
+                // Serve coordinator traffic until `quiet` passes without any.
+                let serve = |node: &mut Node, tp: &mut TcpNodeTransport, quiet| {
+                    while let Ok(Some(msg)) = tp.recv_timeout(quiet) {
                         if let Some(reply) = node.handle(msg) {
                             tp.send(&reply).unwrap();
                         }
                     }
+                };
+                for t in 0..30 {
+                    // A sample every 2 ms; the wait for it is the socket's.
+                    serve(&mut node, &mut tp, Duration::from_millis(2));
                     let x = vec![t as f64 * 0.01 + id as f64 * 0.1];
                     if let Some(report) = node.update_data(x) {
                         tp.send(&report).unwrap();
                     }
-                    std::thread::sleep(Duration::from_millis(2));
                 }
                 // Serve any last sync traffic.
-                for _ in 0..20 {
-                    if let Ok(Some(msg)) = tp.try_recv() {
-                        if let Some(reply) = node.handle(msg) {
-                            tp.send(&reply).unwrap();
-                        }
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
+                serve(&mut node, &mut tp, Duration::from_millis(200));
                 node.current_value()
             }));
         }
@@ -957,6 +1109,21 @@ mod tests {
         let (span, msg) = tp.recv_traced().expect("reply");
         assert_eq!(span, SpanId(7));
         assert_eq!(msg, out.msg);
+
+        // A polled or timed receive keeps the span too.
+        coord_tp.send(&out).expect("send down");
+        let polled = loop {
+            if let Some(got) = tp.try_recv_traced().expect("poll") {
+                break got;
+            }
+            std::thread::yield_now();
+        };
+        assert_eq!(polled, (SpanId(7), out.msg.clone()));
+        coord_tp.send(&out).expect("send down");
+        let timed = tp
+            .recv_timeout_traced(Duration::from_secs(5))
+            .expect("timed receive");
+        assert_eq!(timed, Some((SpanId(7), out.msg.clone())));
 
         // The plain hello path still decodes as span NONE on the reader.
         tp.send(&report).expect("untraced send");

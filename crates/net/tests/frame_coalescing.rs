@@ -3,21 +3,12 @@
 //! payload or inside a length prefix — the assembler must recover
 //! exactly the frame sequence that was sent.
 
+mod common;
+
 use automon_net::wire::{self, WireError};
 use automon_net::FrameAssembler;
+use common::to_wire;
 use proptest::prelude::*;
-
-/// Encode payloads the way both transports do: u32 LE length prefix
-/// then the payload bytes.
-fn to_wire(frames: &[Vec<u8>]) -> Vec<u8> {
-    let mut stream = Vec::new();
-    for f in frames {
-        let prefix = wire::frame_len_prefix(f.len()).expect("test frames under cap");
-        stream.extend_from_slice(&prefix.to_le_bytes());
-        stream.extend_from_slice(f);
-    }
-    stream
-}
 
 /// Feed `stream` to an assembler in chunks cut at `cuts` and collect
 /// every decoded frame.

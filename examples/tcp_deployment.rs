@@ -7,12 +7,38 @@
 //! vector, and serves sync traffic. Swap the localhost address for a
 //! real one and the same code runs across machines.
 //!
+//! The node loop is the paper's (Algorithm 1, §3.8): until the next
+//! sample is due, wait on the socket and apply what arrives
+//! (`message_received`), then `update_data`. The wait is
+//! `recv_timeout`; `try_recv` is for a loop that is paced by something
+//! else and only wants to drain.
+//!
 //! Run with: `cargo run --release --example tcp_deployment`
 
 use automon::net::tcp::{TcpCoordinatorTransport, TcpNodeTransport};
 use automon::prelude::*;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Each node's sampling period.
+const SAMPLE_EVERY: Duration = Duration::from_millis(2);
+
+/// Apply coordinator traffic until `until`, sleeping on the socket in
+/// between.
+fn serve_until(tp: &mut TcpNodeTransport, node: &mut Node, until: Instant) {
+    loop {
+        let left = until.saturating_duration_since(Instant::now());
+        match tp.recv_timeout(left) {
+            Ok(Some(msg)) => {
+                if let Some(reply) = node.handle(msg) {
+                    tp.send(&reply).expect("send reply");
+                }
+            }
+            Ok(None) => return,
+            Err(e) => panic!("coordinator connection lost: {e}"),
+        }
+    }
+}
 
 struct Energy;
 impl ScalarFn for Energy {
@@ -67,11 +93,7 @@ fn main() {
             let mut tp = TcpNodeTransport::connect(addr, id).expect("connect");
             let mut node = Node::new(id, f);
             for t in 0..rounds {
-                while let Ok(Some(msg)) = tp.try_recv() {
-                    if let Some(reply) = node.handle(msg) {
-                        tp.send(&reply).expect("send reply");
-                    }
-                }
+                serve_until(&mut tp, &mut node, Instant::now() + SAMPLE_EVERY);
                 let phase = t as f64 / 120.0 + id as f64 * 0.5;
                 let x = vec![phase.sin() * 0.4, phase.cos() * 0.3, 0.2];
                 if let Some(report) = node.update_data(x) {
@@ -79,14 +101,11 @@ fn main() {
                 }
             }
             // Serve trailing sync traffic before hanging up.
-            let deadline = std::time::Instant::now() + Duration::from_millis(300);
-            while std::time::Instant::now() < deadline {
-                if let Ok(Some(msg)) = tp.try_recv() {
-                    if let Some(reply) = node.handle(msg) {
-                        let _ = tp.send(&reply);
-                    }
-                }
-            }
+            serve_until(
+                &mut tp,
+                &mut node,
+                Instant::now() + Duration::from_millis(300),
+            );
             node.current_value()
         }));
     }

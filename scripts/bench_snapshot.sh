@@ -33,11 +33,23 @@
 # The net_throughput bench (NETLINE rows, BENCH_net_throughput.json)
 # blasts real frames over real sockets: reports/sec and syscalls/report
 # for the epoll reactor vs the thread-per-connection transport at 1k
-# and 10k connections (DESIGN.md §3.15). The bench takes best-of-2
-# internally; the snapshot gate requires the reactor to hold ≥2.5×
-# threaded reports/sec and ≥10× fewer syscalls/report at 1k conns —
-# regression floors under the 3–4× wall-clock the shared-core container
-# typically measures.
+# and 10k connections (DESIGN.md §3.15), plus the node side of one
+# connection (`node_transport/*`: an idle `try_recv`, and a report-up /
+# request-down round trip). The bench takes best-of-2 internally; the
+# snapshot gate requires the reactor to hold ≥2.5× threaded reports/sec
+# at 1k conns — a regression floor under the 3–5× wall-clock the
+# shared-core container typically measures — to stay at ≤0.1
+# syscalls/report there, and to keep ≥3× fewer syscalls/report than the
+# threaded backend. The ratio floor was 10× while the threaded reader
+# paid two `read`s per frame (2.02 syscalls/report); since it shares the
+# reactor's buffered framing it pays 0.4–0.9 (one `recv` per burst it
+# wakes up to), so the ratio narrowed from the threaded side — the
+# reactor's own numbers (`current` vs `previous` in the snapshot that
+# first carries `node_transport` rows: 0.060 vs 0.051 syscalls/report,
+# 498k vs 323k reports/sec at 1k conns) are no worse, and the absolute
+# ≤0.1 gate now guards them directly.
+# An idle `try_recv` must stay ≤2 µs: it is one non-blocking `recv`
+# (~0.2 µs), and the regression it guards against was an 8 ms timer.
 #
 # Usage: scripts/bench_snapshot.sh
 set -euo pipefail
@@ -195,12 +207,24 @@ speedup = current.get("net_throughput/reactor_over_threaded/conns1000/speedup", 
 syscall_ratio = current.get(
     "net_throughput/reactor_over_threaded/conns1000/syscall_ratio", 0.0
 )
+reactor_syscalls = current.get(
+    "net_throughput/reactor/conns1000/syscalls_per_report", float("inf")
+)
+idle_ns = current.get(
+    "net_throughput/node_transport/try_recv_idle/median_ns", float("inf")
+)
 if speedup < 2.5:
     sys.exit(f"bench_snapshot: reactor speedup {speedup:.2f}x below 2.5x floor")
-if syscall_ratio < 10.0:
+if reactor_syscalls > 0.1:
     sys.exit(
-        f"bench_snapshot: reactor syscall advantage {syscall_ratio:.1f}x below 10x floor"
+        f"bench_snapshot: reactor at {reactor_syscalls:.3f} syscalls/report, above 0.1"
     )
+if syscall_ratio < 3.0:
+    sys.exit(
+        f"bench_snapshot: reactor syscall advantage {syscall_ratio:.1f}x below 3x floor"
+    )
+if idle_ns > 2000.0:
+    sys.exit(f"bench_snapshot: idle try_recv {idle_ns:.0f} ns, above 2 us")
 
 previous = None
 try:
@@ -211,7 +235,7 @@ except (FileNotFoundError, json.JSONDecodeError):
 
 snapshot = {
     "unit": "reports/sec, syscalls/report, and ratios",
-    "protocol": "best-of-2 socket blasts; speedup >= 2.5 and syscall_ratio >= 10 at 1k conns",
+    "protocol": "best-of-2 socket blasts; at 1k conns speedup >= 2.5, reactor <= 0.1 syscalls/report, syscall_ratio >= 3; idle try_recv <= 2 us",
     "captured_at": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
     "host": {
         "uname": os.environ.get("BENCH_HOST_UNAME", "unknown"),
@@ -226,7 +250,8 @@ with open(out_path, "w") as fh:
     fh.write("\n")
 print(
     f"wrote {out_path}: {len(current)} values, "
-    f"speedup {speedup:.2f}x, syscall ratio {syscall_ratio:.1f}x"
+    f"speedup {speedup:.2f}x, syscall ratio {syscall_ratio:.1f}x, "
+    f"idle try_recv {idle_ns:.0f} ns"
     + (" (rotated previous snapshot)" if previous else "")
 )
 PYEOF

@@ -51,6 +51,12 @@
 #      identical protocol stats for the same workload seed — the
 #      transport must not change what the monitor computes
 #      (DESIGN.md §3.15).
+#  13. benchmark package — the repository's benchmark (BENCHMARK.json,
+#      crates/bench/src/bin/benchmark/) is a package outside the
+#      workspace, so steps 1–3 never compile it and a public-API break
+#      in core/net/linalg would first show when the pipeline runs it.
+#      Build it, run its unit tests, and run its `--smoke` (all five
+#      workloads at tiny sizes, untraced and traced, checks only).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -339,5 +345,10 @@ print(f"    threaded == reactor: {thr['reports']} reports, "
       f"{thr['full_syncs']} full syncs, {thr['lazy_syncs']} lazy syncs")
 PYEOF
 echo "    socket backends protocol-identical for the same seed"
+
+echo "==> benchmark package (tests + smoke)"
+BENCHMARK_MANIFEST=crates/bench/src/bin/benchmark/Cargo.toml
+cargo test --offline -q --manifest-path "$BENCHMARK_MANIFEST"
+cargo run --release --offline -q --manifest-path "$BENCHMARK_MANIFEST" -- --smoke
 
 echo "==> CI green"
