@@ -15,7 +15,7 @@
 //!   (tiny ε on fast data) the fallback must cap communication.
 
 use automon_core::{AdcdKind, DcKind, MonitorConfig};
-use automon_sim::{run_hybrid, HybridConfig, Simulation};
+use automon_sim::{HybridConfig, Simulation};
 
 use crate::funcs;
 use crate::{f, Scale, Table};
@@ -160,10 +160,8 @@ fn hybrid_fallback(scale: Scale) -> Table {
         "0".into(),
         f(plain.max_error),
     ]);
-    let hybrid = run_hybrid(
-        &bench.f,
+    let hybrid = Simulation::new(bench.f.clone(), MonitorConfig::builder(eps).build()).run_hybrid(
         &bench.workload,
-        MonitorConfig::builder(eps).build(),
         HybridConfig {
             switch_threshold: 0.7,
             rate_window: 20,

@@ -68,9 +68,9 @@ pub struct FaultPlan {
     /// Timed partitions.
     pub partitions: Vec<Partition>,
     /// Rounds at which the *coordinator* crashes and is rebuilt from
-    /// its durable store (WAL + snapshot; requires a store-enabled
-    /// runner, see `sim::ChaosSimulation`). Absent in plans serialized
-    /// by older versions.
+    /// its durable store (WAL + snapshot; see
+    /// `sim::Simulation::with_store`). Absent in plans serialized by
+    /// older versions.
     #[serde(default)]
     pub coordinator_crashes: Vec<usize>,
 }

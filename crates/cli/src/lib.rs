@@ -161,7 +161,8 @@ NET BACKENDS (net-smoke; DESIGN.md §3.15):
     --net-backend sim       the reactor over a simulated poller: seeded
                             byte chunking, chaos flags inject faults at
                             the frame boundary, same seed replays the
-                            --trace-out JSONL byte for byte
+                            --trace-out JSONL byte for byte (the standard
+                            telemetry trace: `trace summarize|diff` read it)
     Output is one JSON object: `stats` (protocol outcome, identical
     across backends for a given --seed) and `transport` (syscalls,
     timing — backend-specific). Chaos flags require the sim backend.

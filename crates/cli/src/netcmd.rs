@@ -8,7 +8,8 @@
 //!   coalesced reads, writev batching).
 //! * `sim`      — `Reactor<SimPoller>`: no sockets, seeded byte
 //!   chunking, optional chaos at the frame boundary, byte-identical
-//!   replay (`--trace-out` dumps the JSONL event trace).
+//!   replay (`--trace-out` writes the standard telemetry JSONL, so
+//!   `automon trace summarize|diff` read it).
 //!
 //! Output is one JSON object split into a `stats` block (protocol
 //! outcome — identical across backends for the same workload seed; CI
@@ -31,7 +32,8 @@ use automon_linalg::vector;
 use automon_net::reactor::ReactorCoordinatorTransport;
 use automon_net::tcp::{TcpCoordinatorTransport, TcpNodeTransport};
 use automon_net::SyscallStats;
-use automon_sim::{NetSimulation, Workload};
+use automon_obs::Telemetry;
+use automon_sim::{Simulation, Workload};
 use serde::{Serialize, Value};
 
 use crate::args::{Args, CliError};
@@ -185,13 +187,21 @@ fn run_sim_backend(
     }
 
     let w = dense_workload(seed, n, rounds, dim);
-    let report = NetSimulation::new(f, cfg)
+    let tel = match args.get("trace-out") {
+        Some(_) => Telemetry::enabled(),
+        None => Telemetry::disabled(),
+    };
+    let report = Simulation::new(f, cfg)
         .with_plan(plan)
         .with_net_seed(seed)
-        .run(&w);
+        .with_telemetry(tel.clone())
+        .run_report(&w);
+    let net = report
+        .transport
+        .expect("the reactor link reports its transport");
 
     if let Some(path) = args.get("trace-out") {
-        std::fs::write(path, &report.trace)
+        tel.write_trace(std::path::Path::new(path))
             .map_err(|e| CliError::new(format!("writing {path}: {e}")))?;
     }
     if !report.quiesced {
@@ -206,12 +216,12 @@ fn run_sim_backend(
             "transport",
             obj(vec![
                 ("backend", Value::Str("sim".to_string())),
-                ("syscalls", syscalls_json(&report.syscalls)),
-                ("frames_in", Value::UInt(report.traffic.frames_in)),
-                ("frames_out", Value::UInt(report.traffic.frames_out)),
-                ("bytes_in", Value::UInt(report.traffic.bytes_in)),
-                ("bytes_out", Value::UInt(report.traffic.bytes_out)),
-                ("injected_faults", Value::UInt(report.faults.injected())),
+                ("syscalls", syscalls_json(&net.syscalls)),
+                ("frames_in", Value::UInt(net.traffic.frames_in)),
+                ("frames_out", Value::UInt(net.traffic.frames_out)),
+                ("bytes_in", Value::UInt(net.traffic.bytes_in)),
+                ("bytes_out", Value::UInt(net.traffic.bytes_out)),
+                ("injected_faults", Value::UInt(net.faults.injected())),
                 // No elapsed_ms: the sim backend's output is part of the
                 // determinism contract — wall time would break
                 // byte-identity between same-seed runs.

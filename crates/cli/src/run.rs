@@ -14,9 +14,7 @@ use automon_functions::{train_mlp_d, InnerProduct, KlDivergence, QuadraticForm, 
 use automon_chaos::FaultPlan;
 use automon_fleet::{FleetConfig, FleetFaultPlan, LeafCrash, NodeCrash};
 use automon_obs::{MetricsServer, Telemetry};
-use automon_sim::{
-    run_centralization, run_periodic, ChaosSimulation, FleetSimulation, Simulation, Workload,
-};
+use automon_sim::{run_centralization, run_periodic, FleetSimulation, Simulation, Workload};
 use automon_store::{DynDisk, FileDisk, MemDisk};
 use serde::{Serialize, Value};
 
@@ -485,73 +483,69 @@ pub fn run_simulate(args: &Args) -> Result<String, CliError> {
         .build();
 
     let sinks = ObsSinks::from_args(args)?;
+    let json = args.flag("json");
 
-    if let Some((fleet_cfg, plan)) = parse_fleet(args, nodes)? {
+    let mut out = if let Some((fleet_cfg, plan)) = parse_fleet(args, nodes)? {
         let shards = fleet_cfg.shards;
         let sim = FleetSimulation::new(f, cfg, fleet_cfg)
             .with_fault_plan(plan.clone())
             .with_telemetry(sinks.telemetry.clone());
         let report = sim.run(&workload);
-        if args.flag("json") {
-            let json = serde_json::to_string(&report)
-                .map_err(|e| CliError::new(format!("JSON encoding failed: {e}")))?;
-            sinks.finish(args)?;
-            return Ok(json);
-        }
-        let s = &report.stats;
-        let per_update = |msgs: usize| {
-            if report.updates == 0 {
-                0.0
-            } else {
-                msgs as f64 / report.updates as f64
-            }
-        };
-        let mut out = format!(
-            "function {function} (d = {dim}), {nodes} streams over {shards} shards (fleet), \
-             {} rounds, ε = {epsilon}\n",
-            workload.rounds()
-        );
-        out.push_str(&format!(
-            "fleet totals   : {:>8} msgs, max error {:.5}, full/lazy syncs {}/{}\n",
-            s.messages, s.max_error, s.full_syncs, s.lazy_syncs
-        ));
-        out.push_str(&format!(
-            "root tier      : {:>8} msgs ({:.4}/update), {} leaf report(s)\n",
-            report.root_messages,
-            per_update(report.root_messages),
-            report.leaf_reports
-        ));
-        out.push_str(&format!(
-            "leaf tier      : {:>8} msgs ({:.4}/update)\n",
-            report.leaf_messages,
-            per_update(report.leaf_messages)
-        ));
-        if !plan.is_empty() {
+        if json {
+            serde_json::to_string(&report)
+                .map_err(|e| CliError::new(format!("JSON encoding failed: {e}")))?
+        } else {
+            let s = &report.stats;
+            let per_update = |msgs: usize| {
+                if report.updates == 0 {
+                    0.0
+                } else {
+                    msgs as f64 / report.updates as f64
+                }
+            };
+            let mut out = format!(
+                "function {function} (d = {dim}), {nodes} streams over {shards} shards (fleet), \
+                 {} rounds, ε = {epsilon}\n",
+                workload.rounds()
+            );
             out.push_str(&format!(
-                "faults         : {} node crash(es), {} restart(s), {} leaf crash(es), \
-                 {} rebalance(s), evictions/rejoins {}/{}\n",
-                report.node_crashes,
-                report.restarts,
-                report.leaf_crashes,
-                report.rebalances,
-                s.evictions,
-                s.rejoins
+                "fleet totals   : {:>8} msgs, max error {:.5}, full/lazy syncs {}/{}\n",
+                s.messages, s.max_error, s.full_syncs, s.lazy_syncs
             ));
+            out.push_str(&format!(
+                "root tier      : {:>8} msgs ({:.4}/update), {} leaf report(s)\n",
+                report.root_messages,
+                per_update(report.root_messages),
+                report.leaf_reports
+            ));
+            out.push_str(&format!(
+                "leaf tier      : {:>8} msgs ({:.4}/update)\n",
+                report.leaf_messages,
+                per_update(report.leaf_messages)
+            ));
+            if !plan.is_empty() {
+                out.push_str(&format!(
+                    "faults         : {} node crash(es), {} restart(s), {} leaf crash(es), \
+                     {} rebalance(s), evictions/rejoins {}/{}\n",
+                    report.node_crashes,
+                    report.restarts,
+                    report.leaf_crashes,
+                    report.rebalances,
+                    s.evictions,
+                    s.rejoins
+                ));
+            }
+            out
         }
-        for note in sinks.finish(args)? {
-            out.push_str(&note);
-            out.push('\n');
-        }
-        return Ok(out);
-    }
-
-    if let Some(plan) = parse_chaos_plan(args, nodes)? {
+    } else {
+        // One flat simulation; the plan and the store attach when the
+        // flags ask for them.
+        let plan = parse_chaos_plan(args, nodes)?;
         let snapshot_every = args.num("snapshot-every", 16usize)?;
         if snapshot_every == 0 {
             return Err(CliError::new("--snapshot-every must be positive"));
         }
-        let mut sim = ChaosSimulation::new(f.clone(), cfg, plan.clone())
-            .with_telemetry(sinks.telemetry.clone());
+        let mut sim = Simulation::new(f.clone(), cfg).with_telemetry(sinks.telemetry.clone());
         if let Some(dir) = args.get("wal-dir") {
             let dir = dir.to_string();
             sim = sim.with_store(
@@ -561,110 +555,104 @@ pub fn run_simulate(args: &Args) -> Result<String, CliError> {
                 },
                 snapshot_every,
             );
-        } else if !plan.coordinator_crashes.is_empty() || args.get("snapshot-every").is_some() {
+        } else if plan
+            .as_ref()
+            .is_some_and(|p| !p.coordinator_crashes.is_empty())
+            || args.get("snapshot-every").is_some()
+        {
             // Coordinator durability without a directory: deterministic
             // in-memory backend (replays identically to the file one).
             sim = sim.with_store(|| Box::new(MemDisk::new()) as DynDisk, snapshot_every);
         }
-        let report = sim.run(&workload);
-        let s = &report.stats;
-        if args.flag("json") {
-            let json = stats_json(s, &[("quiesced", Value::Bool(report.quiesced))])?;
-            sinks.finish(args)?;
-            return Ok(json);
-        }
-        let mut out = format!(
-            "function {function} (d = {dim}), {nodes} nodes, {} rounds, ε = {epsilon}\n\
-             chaos: seed {}, drop rate {}, {} crash(es), {} partition(s)\n",
-            workload.rounds(),
-            plan.seed,
-            plan.drop_rate,
-            plan.crashes.len(),
-            plan.partitions.len(),
-        );
-        out.push_str(&format!(
-            "AutoMon (chaos): {:>8} msgs, max error {:.5} (quiescent rounds), \
-             final error {:.5}\n",
-            s.messages, s.max_error, s.final_error
-        ));
-        out.push_str(&format!(
-            "faults injected : {:>8}, retransmits {}, evictions {}, rejoins {}\n",
-            s.injected_faults, s.retransmits, s.evictions, s.rejoins
-        ));
-        out.push_str(&format!(
-            "recovery        : {:>8} drain rounds, max degraded error {:.5}, {}\n",
-            s.recovery_rounds,
-            s.max_error_during_partition,
-            if report.quiesced {
-                "quiesced"
-            } else {
-                "DEADLOCKED"
+        // Only the fault-free path tunes the neighborhood radius.
+        let r = (plan.is_none() && !f.has_constant_hessian())
+            .then(|| sim.tune_r(&workload.prefix((workload.rounds() / 10).clamp(20, 200))));
+        let (stats, quiesced) = match &plan {
+            Some(plan) => {
+                let report = sim.with_plan(plan.clone()).run_report(&workload);
+                (report.stats, Some(report.quiesced))
             }
-        ));
-        if s.coordinator_recoveries > 0 {
+            None => (sim.run_with_r(&workload, r), None),
+        };
+        let s = &stats;
+        let mut out = format!(
+            "function {function} (d = {dim}), {nodes} nodes, {} rounds, ε = {epsilon}\n",
+            workload.rounds()
+        );
+        if json {
+            let extra = quiesced.map(|q| ("quiesced", Value::Bool(q)));
+            out = stats_json(s, extra.as_slice())?;
+        } else if let (Some(plan), Some(quiesced)) = (&plan, quiesced) {
             out.push_str(&format!(
-                "durability      : {:>8} coordinator crash/recovery cycle(s) replayed from the WAL\n",
-                s.coordinator_recoveries
+                "chaos: seed {}, drop rate {}, {} crash(es), {} partition(s)\n",
+                plan.seed,
+                plan.drop_rate,
+                plan.crashes.len(),
+                plan.partitions.len(),
             ));
+            out.push_str(&format!(
+                "AutoMon (chaos): {:>8} msgs, max error {:.5} (quiescent rounds), \
+                 final error {:.5}\n",
+                s.messages, s.max_error, s.final_error
+            ));
+            out.push_str(&format!(
+                "faults injected : {:>8}, retransmits {}, evictions {}, rejoins {}\n",
+                s.injected_faults, s.retransmits, s.evictions, s.rejoins
+            ));
+            out.push_str(&format!(
+                "recovery        : {:>8} drain rounds, max degraded error {:.5}, {}\n",
+                s.recovery_rounds,
+                s.max_error_during_partition,
+                if quiesced { "quiesced" } else { "DEADLOCKED" }
+            ));
+            if s.coordinator_recoveries > 0 {
+                out.push_str(&format!(
+                    "durability      : {:>8} coordinator crash/recovery cycle(s) replayed from the WAL\n",
+                    s.coordinator_recoveries
+                ));
+            }
+        } else {
+            if let Some(r) = r {
+                out.push_str(&format!("tuned neighborhood r̂ = {r:.4}\n"));
+            }
+            out.push_str(&format!(
+                "AutoMon        : {:>8} msgs, max error {:.5}, full/lazy syncs {}/{}\n",
+                s.messages, s.max_error, s.full_syncs, s.lazy_syncs
+            ));
+            for spec in args.get_all("baseline") {
+                if spec == "centralization" {
+                    let c = run_centralization(&f, &workload);
+                    out.push_str(&format!(
+                        "Centralization : {:>8} msgs, max error {:.5}\n",
+                        c.messages, c.max_error
+                    ));
+                } else if let Some(p) = spec.strip_prefix("periodic:") {
+                    let period: usize = p
+                        .parse()
+                        .map_err(|_| CliError::new(format!("bad baseline `{spec}`")))?;
+                    let s = run_periodic(&f, &workload, period);
+                    out.push_str(&format!(
+                        "Periodic({period})    : {:>8} msgs, max error {:.5}\n",
+                        s.messages, s.max_error
+                    ));
+                } else {
+                    return Err(CliError::new(format!(
+                        "unknown baseline `{spec}` (centralization | periodic:<P>)"
+                    )));
+                }
+            }
         }
-        for note in sinks.finish(args)? {
+        out
+    };
+
+    // One epilogue for every path: flush the sinks; their notes join the
+    // text report, while `--json` keeps stdout pure JSON.
+    let notes = sinks.finish(args)?;
+    if !json {
+        for note in notes {
             out.push_str(&note);
             out.push('\n');
         }
-        return Ok(out);
-    }
-
-    let sim = Simulation::new(f.clone(), cfg).with_telemetry(sinks.telemetry.clone());
-    let r = if f.has_constant_hessian() {
-        None
-    } else {
-        Some(sim.tune_r(&workload.prefix((workload.rounds() / 10).clamp(20, 200))))
-    };
-    let stats = sim.run_with_r(&workload, r);
-
-    if args.flag("json") {
-        let json = stats_json(&stats, &[])?;
-        sinks.finish(args)?;
-        return Ok(json);
-    }
-
-    let mut out = String::new();
-    out.push_str(&format!(
-        "function {function} (d = {dim}), {nodes} nodes, {} rounds, ε = {epsilon}\n",
-        workload.rounds()
-    ));
-    if let Some(r) = r {
-        out.push_str(&format!("tuned neighborhood r̂ = {r:.4}\n"));
-    }
-    out.push_str(&format!(
-        "AutoMon        : {:>8} msgs, max error {:.5}, full/lazy syncs {}/{}\n",
-        stats.messages, stats.max_error, stats.full_syncs, stats.lazy_syncs
-    ));
-    for spec in args.get_all("baseline") {
-        if spec == "centralization" {
-            let c = run_centralization(&f, &workload);
-            out.push_str(&format!(
-                "Centralization : {:>8} msgs, max error {:.5}\n",
-                c.messages, c.max_error
-            ));
-        } else if let Some(p) = spec.strip_prefix("periodic:") {
-            let period: usize = p
-                .parse()
-                .map_err(|_| CliError::new(format!("bad baseline `{spec}`")))?;
-            let s = run_periodic(&f, &workload, period);
-            out.push_str(&format!(
-                "Periodic({period})    : {:>8} msgs, max error {:.5}\n",
-                s.messages, s.max_error
-            ));
-        } else {
-            return Err(CliError::new(format!(
-                "unknown baseline `{spec}` (centralization | periodic:<P>)"
-            )));
-        }
-    }
-    for note in sinks.finish(args)? {
-        out.push_str(&note);
-        out.push('\n');
     }
     Ok(out)
 }

@@ -39,6 +39,16 @@ impl Baseline {
     }
 }
 
+/// Wire size of one baseline report: the `LocalVector` frame carrying `x`.
+pub(crate) fn report_bytes(node: usize, x: &[f64]) -> usize {
+    let report = NodeMessage::LocalVector {
+        node,
+        vector: x.to_vec(),
+        epoch: 0,
+    };
+    wire::encode_node_message(&report).len()
+}
+
 /// Centralization: every node forwards every local-vector update; the
 /// coordinator always holds the exact aggregate (error 0 for dense
 /// workloads; for event-driven workloads the estimate is exact by
@@ -53,13 +63,8 @@ pub fn run_centralization(f: &Arc<dyn MonitoredFunction>, workload: &Workload) -
     for t in 0..workload.rounds() {
         for (node, x) in workload.updates(t) {
             current[*node] = Some(x.clone());
-            let frame = wire::encode_node_message(&NodeMessage::LocalVector {
-                node: *node,
-                vector: x.clone(),
-                epoch: 0,
-            });
             messages += 1;
-            payload += frame.len();
+            payload += report_bytes(*node, x);
         }
         if current.iter().all(Option::is_some) {
             // The coordinator re-evaluates on the exact aggregate.
@@ -101,13 +106,8 @@ pub fn run_periodic(
         if t % period == 0 {
             for (i, cur) in current.iter().enumerate() {
                 if let Some(x) = cur {
-                    let frame = wire::encode_node_message(&NodeMessage::LocalVector {
-                        node: i,
-                        vector: x.clone(),
-                        epoch: 0,
-                    });
                     messages += 1;
-                    payload += frame.len();
+                    payload += report_bytes(i, x);
                     received[i] = Some(x.clone());
                 }
             }

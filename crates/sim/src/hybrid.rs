@@ -3,7 +3,8 @@
 //! The paper's §6 suggests "switching on the fly to other monitoring
 //! approaches (e.g. Periodic)" when AutoMon's constraints thrash — e.g.
 //! when extreme curvature makes safe zones so small that every round
-//! violates. This runner implements that policy:
+//! violates. [`Simulation::run_hybrid`] runs the one round driver with
+//! this policy hooked into each round:
 //!
 //! * run AutoMon normally, tracking the violation rate over a sliding
 //!   window of rounds;
@@ -13,12 +14,12 @@
 //! * after the cooldown, re-enter AutoMon with a fresh full sync.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-use automon_core::{Coordinator, MonitorConfig, MonitoredFunction, Node, NodeMessage};
+use automon_core::{MonitoredFunction, NodeMessage};
 use automon_linalg::vector;
-use automon_net::{wire, CountingFabric};
 
+use crate::baselines::report_bytes;
+use crate::runner::Simulation;
 use crate::stats::RunStats;
 use crate::workload::Workload;
 
@@ -58,145 +59,120 @@ pub struct HybridStats {
     pub periodic_rounds: usize,
 }
 
-/// Run the hybrid policy over a workload.
-pub fn run_hybrid(
-    f: &Arc<dyn MonitoredFunction>,
-    workload: &Workload,
-    cfg: MonitorConfig,
-    hybrid: HybridConfig,
-) -> HybridStats {
-    assert!(hybrid.period > 0, "run_hybrid: period must be positive");
-    let n = workload.nodes();
-    let mut coord = Coordinator::new(f.clone(), n, cfg.clone());
-    let mut nodes: Vec<Node> = (0..n).map(|i| Node::new(i, f.clone())).collect();
-    let mut fabric = CountingFabric::new().with_parallelism(coord.parallelism());
+/// The per-round hook the driver consults: whether the nodes are silent
+/// this round, which estimate is the active one, and when to resync.
+#[derive(Debug, Default)]
+pub(crate) struct HybridPolicy {
+    cfg: HybridConfig,
+    recent_violations: VecDeque<usize>,
+    round_violations: usize,
+    periodic_until: Option<usize>,
+    in_fallback: bool,
+    periodic_estimate: Option<f64>,
+    fallbacks: usize,
+    periodic_rounds: usize,
+    /// Periodic-mode traffic, which never crosses the link.
+    extra_msgs: usize,
+    extra_bytes: usize,
+}
 
-    let mut current: Vec<Option<Vec<f64>>> = vec![None; n];
-    let mut errors = Vec::new();
-    let mut recent_violations: VecDeque<usize> = VecDeque::new();
-    let mut fallbacks = 0usize;
-    let mut periodic_rounds = 0usize;
-    let mut periodic_until: Option<usize> = None;
-    // Extra (periodic-mode) traffic accounted separately from the fabric.
-    let mut extra_msgs = 0usize;
-    let mut extra_bytes = 0usize;
-    let mut periodic_estimate: Option<f64> = None;
-    let mut missed = 0usize;
+impl HybridPolicy {
+    /// Start round `t`. `true` while in fallback: nodes stay silent and
+    /// the periodic shipper in [`HybridPolicy::end_updates`] reports.
+    pub fn begin_round(&mut self, t: usize) -> bool {
+        self.round_violations = 0;
+        self.in_fallback = self.periodic_until.is_some_and(|until| t < until);
+        self.in_fallback
+    }
 
-    for t in 0..workload.rounds() {
-        let mut round_violations = 0usize;
-        let in_fallback = periodic_until.is_some_and(|until| t < until);
-
-        for (node, x) in workload.updates(t) {
-            current[*node] = Some(x.clone());
-            if in_fallback {
-                // Nodes stay silent; the periodic shipper below reports.
-                continue;
-            }
-            if let Some(m) = nodes[*node].update_data(x.clone()) {
-                if matches!(m, NodeMessage::Violation { .. }) {
-                    round_violations += 1;
-                }
-                fabric.route(&mut coord, &mut nodes, m);
-            }
-        }
-
-        if in_fallback {
-            periodic_rounds += 1;
-            if t % hybrid.period == 0 {
-                for (i, cur) in current.iter().enumerate() {
-                    if let Some(x) = cur {
-                        let frame = wire::encode_node_message(&NodeMessage::LocalVector {
-                            node: i,
-                            vector: x.clone(),
-                            epoch: 0,
-                        });
-                        extra_msgs += 1;
-                        extra_bytes += frame.len();
-                    }
-                }
-                if current.iter().all(Option::is_some) {
-                    let xs: Vec<Vec<f64>> =
-                        current.iter().map(|x| x.clone().expect("present")).collect();
-                    periodic_estimate = Some(f.eval(&vector::mean(&xs).expect("n > 0")));
-                }
-            }
-            if periodic_until == Some(t + 1) {
-                // Cooldown over: resync AutoMon on fresh vectors by
-                // replaying the current state as data updates.
-                periodic_until = None;
-                for i in 0..n {
-                    if let Some(x) = current[i].clone() {
-                        if let Some(m) = nodes[i].update_data(x) {
-                            fabric.route(&mut coord, &mut nodes, m);
-                        }
-                    }
-                }
-            }
-        } else {
-            // Violation-rate bookkeeping and switch decision.
-            recent_violations.push_back(round_violations);
-            if recent_violations.len() > hybrid.rate_window {
-                recent_violations.pop_front();
-            }
-            if recent_violations.len() == hybrid.rate_window {
-                let rate = recent_violations.iter().sum::<usize>() as f64
-                    / hybrid.rate_window as f64;
-                if rate > hybrid.switch_threshold {
-                    periodic_until = Some(t + 1 + hybrid.cooldown);
-                    fallbacks += 1;
-                    recent_violations.clear();
-                }
-            }
-        }
-
-        // Error measurement against the active estimate.
-        let estimate = if in_fallback {
-            periodic_estimate
-        } else {
-            coord.current_value()
-        };
-        if let (true, Some(est)) = (current.iter().all(Option::is_some), estimate) {
-            let xs: Vec<Vec<f64>> =
-                current.iter().map(|x| x.clone().expect("present")).collect();
-            let truth = f.eval(&vector::mean(&xs).expect("n > 0"));
-            errors.push((est - truth).abs());
-            if !in_fallback {
-                if let Some(zone) = coord.zone() {
-                    if !zone.admissible(truth) {
-                        missed += 1;
-                    }
-                }
-            }
+    /// Count a report a workload update produced this round.
+    pub fn observe(&mut self, m: &NodeMessage) {
+        if matches!(m, NodeMessage::Violation { .. }) {
+            self.round_violations += 1;
         }
     }
 
-    let st = coord.stats();
-    let traffic = fabric.stats();
-    let mut run = RunStats {
-        messages: traffic.total_msgs() + extra_msgs,
-        payload_bytes: traffic.total_payload() + extra_bytes,
-        missed_violation_rounds: missed,
-        neighborhood_violations: st.neighborhood_violations,
-        safezone_violations: st.safezone_violations,
-        faulty_reports: st.faulty_reports,
-        full_syncs: st.full_syncs,
-        lazy_syncs: st.lazy_syncs,
-        trace: None,
-        ..RunStats::default()
-    };
-    run.set_errors(errors);
-    HybridStats {
-        run,
-        fallbacks,
-        periodic_rounds,
+    /// Close round `t`'s updates. In fallback, ship the periodic reports;
+    /// otherwise do the violation-rate bookkeeping and the switch
+    /// decision. `true` when the cooldown just ended and the driver must
+    /// resync AutoMon by replaying every node's current vector.
+    pub fn end_updates(
+        &mut self,
+        t: usize,
+        f: &dyn MonitoredFunction,
+        current: &[Option<Vec<f64>>],
+    ) -> bool {
+        if !self.in_fallback {
+            self.recent_violations.push_back(self.round_violations);
+            if self.recent_violations.len() > self.cfg.rate_window {
+                self.recent_violations.pop_front();
+            }
+            if self.recent_violations.len() == self.cfg.rate_window {
+                let rate = self.recent_violations.iter().sum::<usize>() as f64
+                    / self.cfg.rate_window as f64;
+                if rate > self.cfg.switch_threshold {
+                    self.periodic_until = Some(t + 1 + self.cfg.cooldown);
+                    self.fallbacks += 1;
+                    self.recent_violations.clear();
+                }
+            }
+            return false;
+        }
+        self.periodic_rounds += 1;
+        if t.is_multiple_of(self.cfg.period) {
+            for (i, x) in current.iter().enumerate() {
+                if let Some(x) = x {
+                    self.extra_msgs += 1;
+                    self.extra_bytes += report_bytes(i, x);
+                }
+            }
+            if let Some(xs) = current.iter().cloned().collect::<Option<Vec<_>>>() {
+                self.periodic_estimate = Some(f.eval(&vector::mean(&xs).expect("n > 0")));
+            }
+        }
+        if self.periodic_until == Some(t + 1) {
+            self.periodic_until = None;
+            return true;
+        }
+        false
+    }
+
+    /// While in fallback, the estimate in force (`None` inside until the
+    /// first periodic report lands); `None` in AutoMon mode.
+    pub fn fallback_estimate(&self) -> Option<Option<f64>> {
+        self.in_fallback.then_some(self.periodic_estimate)
+    }
+}
+
+impl Simulation {
+    /// Run the hybrid policy over a workload.
+    pub fn run_hybrid(&self, workload: &Workload, hybrid: HybridConfig) -> HybridStats {
+        assert!(hybrid.period > 0, "run_hybrid: period must be positive");
+        let mut policy = HybridPolicy {
+            cfg: hybrid,
+            ..HybridPolicy::default()
+        };
+        let mut run = self.drive(workload, None, Some(&mut policy)).stats;
+        // Periodic-mode reports are accounted beside the link, so the
+        // per-cause ledger would no longer conserve the totals.
+        run.messages += policy.extra_msgs;
+        run.payload_bytes += policy.extra_bytes;
+        run.ledger = None;
+        HybridStats {
+            run,
+            fallbacks: policy.fallbacks,
+            periodic_rounds: policy.periodic_rounds,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use automon_autodiff::{AutoDiffFn, Scalar, ScalarFn};
+    use automon_core::MonitorConfig;
 
     struct Mean1;
     impl ScalarFn for Mean1 {
@@ -208,20 +184,18 @@ mod tests {
         }
     }
 
-    fn f() -> Arc<dyn MonitoredFunction> {
-        Arc::new(AutoDiffFn::new(Mean1))
+    fn sim(eps: f64) -> Simulation {
+        Simulation::new(
+            Arc::new(AutoDiffFn::new(Mean1)),
+            MonitorConfig::builder(eps).build(),
+        )
     }
 
     #[test]
     fn quiet_data_never_falls_back() {
         let series: Vec<Vec<Vec<f64>>> = (0..3).map(|_| vec![vec![1.0]; 100]).collect();
         let w = Workload::from_dense(&series);
-        let stats = run_hybrid(
-            &f(),
-            &w,
-            MonitorConfig::builder(0.5).build(),
-            HybridConfig::default(),
-        );
+        let stats = sim(0.5).run_hybrid(&w, HybridConfig::default());
         assert_eq!(stats.fallbacks, 0);
         assert_eq!(stats.periodic_rounds, 0);
         assert_eq!(stats.run.max_error, 0.0);
@@ -231,11 +205,7 @@ mod tests {
     fn thrashing_data_triggers_fallback() {
         // ε tiny + rapidly moving aggregate → violation every round.
         let series: Vec<Vec<Vec<f64>>> = (0..3)
-            .map(|i| {
-                (0..200)
-                    .map(|t| vec![t as f64 * 0.5 + i as f64])
-                    .collect()
-            })
+            .map(|i| (0..200).map(|t| vec![t as f64 * 0.5 + i as f64]).collect())
             .collect();
         let w = Workload::from_dense(&series);
         let hybrid = HybridConfig {
@@ -244,7 +214,7 @@ mod tests {
             period: 1,
             cooldown: 40,
         };
-        let stats = run_hybrid(&f(), &w, MonitorConfig::builder(1e-3).build(), hybrid);
+        let stats = sim(1e-3).run_hybrid(&w, hybrid);
         assert!(stats.fallbacks >= 1, "{stats:?}");
         assert!(stats.periodic_rounds > 0);
         // With period 1 the fallback estimate is exact, so error stays
@@ -275,13 +245,10 @@ mod tests {
             period: 1,
             cooldown: 30,
         };
-        let stats = run_hybrid(&f(), &w, MonitorConfig::builder(0.01).build(), hybrid);
+        let stats = sim(0.01).run_hybrid(&w, hybrid);
         assert!(stats.fallbacks >= 1);
         // After the quiet stretch begins, AutoMon resumes: periodic
         // rounds must be far fewer than the total.
-        assert!(
-            stats.periodic_rounds < 200,
-            "stuck in fallback: {stats:?}"
-        );
+        assert!(stats.periodic_rounds < 200, "stuck in fallback: {stats:?}");
     }
 }

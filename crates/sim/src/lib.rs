@@ -9,10 +9,17 @@
 //! * [`Workload`] — per-round local-vector updates, either dense (every
 //!   node updates every round, the synthetic datasets) or event-driven
 //!   (one node per round, the DNN intrusion stream).
-//! * [`Simulation`] — runs AutoMon (or any `MonitorConfig` ablation)
-//!   over a workload through the byte-accounting fabric, recording
-//!   communication, approximation error, violation counts, and optional
-//!   per-round traces.
+//! * [`Simulation`] — the one Algorithm-1 round driver for the flat
+//!   topology: it runs AutoMon (or any `MonitorConfig` ablation) over a
+//!   workload, recording communication, approximation error, violation
+//!   counts, and optional per-round traces. What the caller supplies picks
+//!   the link the frames cross — nothing: the byte-accounting fabric; a
+//!   fault plan: the fault-injecting fabric; a network seed: the reactor
+//!   transport — and [`RunStats`], ledger and trace do not depend on it.
+//!   [`RunReport`] adds the fault trace, the quiescence verdict and the
+//!   reactor's [`TransportReport`].
+//! * [`hybrid`] — the §6 Periodic fallback, a per-round policy hook on
+//!   that driver ([`Simulation::run_hybrid`]).
 //! * [`baselines`] — Centralization, Periodic(P), and the hand-crafted
 //!   Convex Bound (CB) arm for inner-product monitoring.
 //! * [`RunStats`] — max/p99/mean error, message and payload totals, and
@@ -22,19 +29,17 @@
 //!   message split and the combined leaf+root ledger.
 
 pub mod baselines;
-pub mod chaos;
 mod fleet_runner;
 pub mod hybrid;
-pub mod netsim;
+mod link;
 mod runner;
 mod stats;
 mod workload;
 
 pub use baselines::{run_centralization, run_convex_bound, run_periodic, Baseline};
-pub use chaos::{ChaosReport, ChaosSimulation};
 pub use fleet_runner::{FleetReport, FleetSimulation};
-pub use hybrid::{run_hybrid, HybridConfig, HybridStats};
-pub use netsim::{NetRunReport, NetSimulation};
-pub use runner::Simulation;
+pub use hybrid::{HybridConfig, HybridStats};
+pub use link::TransportReport;
+pub use runner::{RunReport, Simulation};
 pub use stats::{RunStats, TracePoint};
 pub use workload::Workload;

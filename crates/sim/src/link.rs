@@ -1,0 +1,349 @@
+//! The link seam: everything the round driver needs from a transport.
+//!
+//! Three things implement [`Link`], and the driver never branches on which
+//! one it holds: the bare [`CountingFabric`] (reliable and synchronous, so
+//! every recovery phase of the driver is a no-op over it), [`ChaosFabric`]
+//! (the same fabric behind a seeded fault plan), and [`ReactorLink`] (the
+//! real transport state machines over a simulated poller, with the plan's
+//! fault ladder gating the coordinator's inbound frame boundary). All three
+//! charge every *delivered* frame through the one
+//! [`CountingFabric::account_up`]/[`CountingFabric::account_down`] pair, so
+//! traffic totals, the ledger, `comm` events and span propagation cannot
+//! differ by transport.
+
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
+use automon_chaos::{ChaosFabric, DeliveryFailure, FaultEvent, FaultPlan, GateCounts, LadderGate};
+use automon_core::{CommCause, CommLedger, Coordinator, Node, NodeId, NodeMessage, Outbound};
+use automon_net::reactor::{Reactor, ReactorConfig, ReactorTraffic};
+use automon_net::sim_poller::{SimClient, SimNet, SimPoller};
+use automon_net::tcp::TcpError;
+use automon_net::{wire, CountingFabric, FrameGate, GateVerdict, SyscallStats, TrafficStats};
+use automon_obs::{SpanId, TraceCtx};
+
+/// The protocol endpoints a link delivers to. The driver swaps the
+/// coordinator on a crash/recover and a node on a restart, so links borrow
+/// the pair per call instead of holding it.
+pub(crate) struct Peers {
+    pub coord: Coordinator,
+    pub nodes: Vec<Node>,
+}
+
+/// Transport-level cost of a reactor-link run (absent on the fabrics).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TransportReport {
+    /// Simulated-syscall counts from the poller (reads, writevs, waits).
+    pub syscalls: SyscallStats,
+    /// Frame/byte counts from the reactor core.
+    pub traffic: ReactorTraffic,
+    /// Faults the ladder injected at the inbound frame boundary.
+    pub faults: GateCounts,
+}
+
+/// What the round driver calls on a transport. Every exchange cascades to
+/// quiescence before the call returns (FIFO, like an ordered transport).
+pub(crate) trait Link {
+    /// Advance to `round`: fire its timed faults and return the nodes
+    /// restarted, which the driver must replace with fresh processes before
+    /// anything else is delivered.
+    fn begin_round(&mut self, round: usize) -> Vec<NodeId>;
+    /// Deliver frames whose delay matured by the current round and outbounds
+    /// held back by backpressure.
+    fn release_matured(&mut self, _peers: &mut Peers) {}
+    /// Send one node report, charged to `cause` with `span` riding its
+    /// header, and cascade every reply.
+    fn report(&mut self, peers: &mut Peers, msg: NodeMessage, cause: CommCause, span: SpanId);
+    /// Send coordinator-initiated frames (re-issued pulls, an eviction's or
+    /// a recovery's resync), all charged to `cause`, and cascade.
+    fn push(&mut self, peers: &mut Peers, outs: Vec<Outbound>, cause: CommCause);
+    /// `true` while `node`'s process is down.
+    fn node_down(&self, _node: NodeId) -> bool {
+        false
+    }
+    /// Frames parked somewhere in the transport; quiescence needs zero.
+    fn frames_in_flight(&self) -> usize {
+        0
+    }
+    /// Dead-connection send failures observed since the last call.
+    fn take_delivery_failures(&mut self) -> Vec<DeliveryFailure> {
+        Vec::new()
+    }
+    /// Delivered-frame counters.
+    fn stats(&self) -> &TrafficStats;
+    /// Per-cause ledger, charged at exactly the counter-bump points.
+    fn ledger(&self) -> &CommLedger;
+    /// Every fault injected as a replayable event, in injection order.
+    fn fault_trace(&self) -> &[FaultEvent] {
+        &[]
+    }
+    /// Transport cost, for links that have one.
+    fn transport(&self) -> Option<TransportReport> {
+        None
+    }
+}
+
+impl Link for CountingFabric {
+    fn begin_round(&mut self, round: usize) -> Vec<NodeId> {
+        self.set_round(round as u64);
+        Vec::new()
+    }
+    fn report(&mut self, p: &mut Peers, msg: NodeMessage, cause: CommCause, span: SpanId) {
+        self.route_as(&mut p.coord, &mut p.nodes, msg, cause, span);
+    }
+    fn push(&mut self, p: &mut Peers, outs: Vec<Outbound>, cause: CommCause) {
+        self.route_outbounds_as(&mut p.coord, &mut p.nodes, outs, cause);
+    }
+    fn stats(&self) -> &TrafficStats {
+        CountingFabric::stats(self)
+    }
+    fn ledger(&self) -> &CommLedger {
+        CountingFabric::ledger(self)
+    }
+}
+
+impl Link for ChaosFabric {
+    fn begin_round(&mut self, round: usize) -> Vec<NodeId> {
+        ChaosFabric::begin_round(self, round)
+    }
+    fn release_matured(&mut self, p: &mut Peers) {
+        self.release_delayed(&mut p.coord, &mut p.nodes);
+    }
+    fn report(&mut self, p: &mut Peers, msg: NodeMessage, cause: CommCause, span: SpanId) {
+        self.route_as(&mut p.coord, &mut p.nodes, msg, cause, span);
+    }
+    fn push(&mut self, p: &mut Peers, outs: Vec<Outbound>, cause: CommCause) {
+        self.route_outbounds_as(&mut p.coord, &mut p.nodes, outs, cause);
+    }
+    fn node_down(&self, node: NodeId) -> bool {
+        self.is_crashed(node)
+    }
+    fn frames_in_flight(&self) -> usize {
+        self.delayed_frames()
+    }
+    fn take_delivery_failures(&mut self) -> Vec<DeliveryFailure> {
+        ChaosFabric::take_delivery_failures(self)
+    }
+    fn stats(&self) -> &TrafficStats {
+        ChaosFabric::stats(self)
+    }
+    fn ledger(&self) -> &CommLedger {
+        ChaosFabric::ledger(self)
+    }
+    fn fault_trace(&self) -> &[FaultEvent] {
+        self.trace()
+    }
+}
+
+/// The reactor transport's knobs: chunking seed, largest simulated read,
+/// client buffer capacity.
+pub(crate) type NetOptions = (u64, usize, usize);
+
+/// Idle pump iterations that count as in-exchange quiescence.
+const IDLE_ITERS: usize = 4;
+
+/// A [`LadderGate`] that mirrors its fault tally into a shared cell the link
+/// can read after the gate is boxed into the reactor.
+struct SharedLadder {
+    inner: LadderGate,
+    counts: Arc<Mutex<GateCounts>>,
+}
+
+impl FrameGate for SharedLadder {
+    fn gate(&mut self, immune: bool) -> GateVerdict {
+        let v = self.inner.gate(immune);
+        *self.counts.lock().unwrap_or_else(|e| e.into_inner()) = self.inner.counts();
+        v
+    }
+}
+
+/// The reactor transport as a [`Link`]: one simulated connection per node
+/// into a `Reactor<SimPoller>`. Every report is encoded to wire bytes, pushed
+/// down a duplex pipe with seeded read-chunking and short writes, reassembled
+/// by the reactor's frame coalescer, gated by the plan's ladder, and only
+/// then handled; replies take the mirrored path back through `writev`
+/// batching. Protocol-visible outcomes depend only on frame contents and
+/// order, never on how the bytes were chunked in transit.
+pub(crate) struct ReactorLink {
+    reactor: Reactor<SimPoller>,
+    clients: Vec<SimClient>,
+    /// Accounting only: nothing is routed through it.
+    fabric: CountingFabric,
+    faults: Arc<Mutex<GateCounts>>,
+    /// Outbounds refused by a backpressured queue, retried every pump.
+    pending_out: VecDeque<Outbound>,
+    /// Causes of the frames queued toward each node, in wire order. The down
+    /// direction is reliable and ordered but the cause is not on the wire; a
+    /// node's reply is charged to the frame that elicited it.
+    down_causes: Vec<VecDeque<CommCause>>,
+    /// Cause each up frame was sent under, by encoded frame. The gate may
+    /// drop, duplicate or hold a frame between send and delivery, so the tag
+    /// is looked up (never consumed) at delivery; a byte-identical re-send
+    /// overwrites it.
+    up_causes: BTreeMap<Vec<u8>, CommCause>,
+}
+
+impl ReactorLink {
+    /// Connect `n` nodes over a network built from `net`, gating inbound
+    /// frames with `plan`'s ladder; `fabric` does the accounting.
+    ///
+    /// # Panics
+    /// Panics when `plan` schedules node crashes or partitions: this link
+    /// gates frames and has no process or partition model, and running a
+    /// weaker plan than the one given would be silent.
+    pub fn new(fabric: CountingFabric, plan: &FaultPlan, net: NetOptions, n: usize) -> Self {
+        assert!(
+            plan.crashes.is_empty() && plan.partitions.is_empty(),
+            "the reactor transport gates frames only: node crashes and partitions \
+             need the in-process fabric"
+        );
+        let net = SimNet::with_limits(net.0, net.1, net.2);
+        let mut reactor = Reactor::new(net.poller(), Some(net.listener()), ReactorConfig::new(n))
+            .expect("sim reactor never fails to build");
+        let faults = Arc::new(Mutex::new(GateCounts::default()));
+        let gate = SharedLadder {
+            inner: LadderGate::new(plan),
+            counts: faults.clone(),
+        };
+        reactor.set_gate(Box::new(gate));
+
+        // Connect + hello each node, in id order. The reactor consumes
+        // hellos pre-gate, so they never hit the fault ladder.
+        let clients: Vec<SimClient> = (0..n).map(|_| net.connect()).collect();
+        for (node, c) in clients.iter().enumerate() {
+            let hello = NodeMessage::LocalVector {
+                node,
+                vector: Vec::new(),
+                epoch: 0,
+            };
+            let sent = c.send_frame(&wire::encode_node_message(&hello));
+            assert!(sent, "fresh connection accepts the hello");
+        }
+        while reactor.connected_count() < n {
+            reactor
+                .poll_once(Some(Duration::ZERO))
+                .expect("sim poll never fails");
+        }
+        Self {
+            reactor,
+            clients,
+            fabric,
+            faults,
+            pending_out: VecDeque::new(),
+            down_causes: vec![VecDeque::new(); n],
+            up_causes: BTreeMap::new(),
+        }
+    }
+
+    /// Put one node frame on the wire. A send on a connection the server
+    /// dropped is lost, like a send on a dead socket; retransmission
+    /// recovers it.
+    fn send_up(&mut self, msg: &NodeMessage, cause: CommCause, span: SpanId) {
+        let frame = wire::encode_node_message_ctx(msg, span);
+        if self.clients[msg.sender()].send_frame(&frame) {
+            self.up_causes.insert(frame.to_vec(), cause);
+        }
+    }
+
+    /// Queue one coordinator frame; `true` when the reactor took it.
+    fn send_down(&mut self, out: Outbound) -> bool {
+        match self.reactor.enqueue(&out) {
+            Ok(()) => {
+                let len = wire::encode_coordinator_message_ctx(&out.msg, out.span).len();
+                self.fabric.account_down(out.to, out.cause, len, out.span);
+                self.down_causes[out.to].push_back(out.cause);
+                true
+            }
+            Err(TcpError::Backpressured(_)) => {
+                self.pending_out.push_back(out);
+                false
+            }
+            // Node gone: drop; the retransmit path recovers.
+            Err(_) => false,
+        }
+    }
+
+    /// Exchange frames until quiescent: reactor inbound → coordinator →
+    /// reactor outbound → clients → node replies → back in, with queued
+    /// outbounds retried as backpressure relieves.
+    fn pump(&mut self, Peers { coord, nodes }: &mut Peers) {
+        let mut idle = 0usize;
+        while idle < IDLE_ITERS {
+            self.reactor
+                .poll_once(Some(Duration::ZERO))
+                .expect("sim poll never fails");
+            let mut progress = false;
+            // Mirror transport backpressure into the protocol layer so
+            // lazy-sync growth prefers responsive nodes.
+            for i in 0..nodes.len() {
+                coord.set_backpressured(i, self.reactor.node_backpressured(i));
+            }
+            for _ in 0..self.pending_out.len() {
+                let out = self.pending_out.pop_front().expect("len checked");
+                progress |= self.send_down(out);
+            }
+            while let Some((span, msg)) = self.reactor.pop_inbound() {
+                progress = true;
+                let frame = wire::encode_node_message_ctx(&msg, span);
+                let sent_as = self.up_causes.get(&frame[..]).copied();
+                let cause = sent_as.unwrap_or_else(|| CommCause::of_node_message(&msg));
+                self.fabric
+                    .account_up(msg.sender(), cause, frame.len(), span);
+                let ctx = TraceCtx::new(span, msg.epoch());
+                for out in coord.handle_with_context(msg, ctx) {
+                    self.send_down(out);
+                }
+            }
+            self.reactor.flush_all();
+            for (i, node) in nodes.iter_mut().enumerate() {
+                for frame in self.clients[i].recv_frames() {
+                    progress = true;
+                    let (span, cm) = wire::decode_coordinator_message_ctx(&frame)
+                        .expect("reactor emits valid frames");
+                    let cause = self.down_causes[i].pop_front().expect("delivered ⇒ queued");
+                    if let Some(reply) = node.handle(cm) {
+                        self.send_up(&reply, cause, span);
+                    }
+                }
+            }
+            idle = if progress { 0 } else { idle + 1 };
+        }
+    }
+}
+
+impl Link for ReactorLink {
+    fn begin_round(&mut self, round: usize) -> Vec<NodeId> {
+        self.fabric.set_round(round as u64);
+        self.reactor.begin_round(round);
+        Vec::new()
+    }
+    fn release_matured(&mut self, peers: &mut Peers) {
+        self.pump(peers);
+    }
+    fn report(&mut self, peers: &mut Peers, msg: NodeMessage, cause: CommCause, span: SpanId) {
+        self.send_up(&msg, cause, span);
+        self.pump(peers);
+    }
+    fn push(&mut self, peers: &mut Peers, outs: Vec<Outbound>, cause: CommCause) {
+        self.pending_out
+            .extend(outs.into_iter().map(|out| Outbound { cause, ..out }));
+        self.pump(peers);
+    }
+    fn frames_in_flight(&self) -> usize {
+        self.reactor.delayed_frames() + self.pending_out.len()
+    }
+    fn stats(&self) -> &TrafficStats {
+        self.fabric.stats()
+    }
+    fn ledger(&self) -> &CommLedger {
+        self.fabric.ledger()
+    }
+    fn transport(&self) -> Option<TransportReport> {
+        Some(TransportReport {
+            syscalls: self.reactor.syscalls(),
+            traffic: self.reactor.traffic(),
+            faults: *self.faults.lock().unwrap_or_else(|e| e.into_inner()),
+        })
+    }
+}

@@ -33,10 +33,11 @@ pub struct RunStats {
     pub mean_error: f64,
     /// 99th-percentile absolute error.
     pub p99_error: f64,
-    /// Rounds where error was measured.
+    /// Rounds where a finite error was measured.
     pub measured_rounds: usize,
     /// Rounds where the true value escaped `[L, U]` while every local
-    /// constraint held — the *missed violations* of paper §2/§4.6.
+    /// constraint held — the *missed violations* of paper §2/§4.6 — plus
+    /// rounds whose error was not finite (nothing was shown to hold).
     pub missed_violation_rounds: usize,
     /// Neighborhood violations reported to the coordinator.
     pub neighborhood_violations: usize,
@@ -82,7 +83,15 @@ pub struct RunStats {
 
 impl RunStats {
     /// Finalize error aggregates from raw per-round errors.
+    ///
+    /// A non-finite error (e.g. KLD or entropy evaluating `0 · ln 0` at
+    /// a zero bin) is not a measurement: the ε contract was not shown to
+    /// hold that round, so it counts as a missed-violation round and
+    /// stays out of every aggregate.
     pub(crate) fn set_errors(&mut self, mut errors: Vec<f64>) {
+        let reported = errors.len();
+        errors.retain(|e| e.is_finite());
+        self.missed_violation_rounds += reported - errors.len();
         self.measured_rounds = errors.len();
         if errors.is_empty() {
             return;
@@ -90,7 +99,7 @@ impl RunStats {
         self.final_error = *errors.last().expect("non-empty");
         self.max_error = errors.iter().fold(0.0f64, |m, e| m.max(*e));
         self.mean_error = errors.iter().sum::<f64>() / errors.len() as f64;
-        errors.sort_by(|a, b| a.partial_cmp(b).expect("no NaN errors"));
+        errors.sort_by(f64::total_cmp);
         let idx = ((errors.len() as f64) * 0.99).ceil() as usize;
         self.p99_error = errors[idx.saturating_sub(1).min(errors.len() - 1)];
     }
@@ -118,6 +127,29 @@ mod tests {
         s.set_errors(Vec::new());
         assert_eq!(s.max_error, 0.0);
         assert_eq!(s.measured_rounds, 0);
+    }
+
+    #[test]
+    fn non_finite_errors_count_as_missed_and_stay_out_of_aggregates() {
+        let mut s = RunStats {
+            missed_violation_rounds: 1,
+            ..RunStats::default()
+        };
+        s.set_errors(vec![0.5, f64::NAN, 0.25, f64::INFINITY, f64::NAN]);
+        assert_eq!(
+            s.missed_violation_rounds, 4,
+            "1 from the zone + 3 non-finite"
+        );
+        assert_eq!(s.measured_rounds, 2);
+        assert_eq!(s.max_error, 0.5);
+        assert_eq!(s.mean_error, 0.375);
+        assert_eq!(s.p99_error, 0.5);
+        assert_eq!(s.final_error, 0.25, "last finite measurement");
+
+        let mut s = RunStats::default();
+        s.set_errors(vec![f64::NAN]);
+        assert_eq!((s.missed_violation_rounds, s.measured_rounds), (1, 0));
+        assert_eq!(s.max_error, 0.0);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use automon_data::synthetic::{InnerProductDataset, RozenbrockDataset};
 use automon_data::windowed_mean_series;
 use automon_functions::{InnerProduct, Rozenbrock};
 use automon_obs::Telemetry;
-use automon_sim::{ChaosSimulation, Simulation, Workload};
+use automon_sim::{Simulation, Workload};
 
 const POLICIES: [CachePolicy; 3] = [CachePolicy::LruK, CachePolicy::Slru, CachePolicy::Arc];
 
@@ -75,9 +75,10 @@ fn chaos_run_with_cache_is_byte_identical_under_fixed_seed() {
         let (f, w) = rozenbrock_setup();
         let cfg = cfg_with(Some(CachePolicy::Arc));
         let tel = Telemetry::enabled();
-        let report = ChaosSimulation::new(f, cfg, plan())
+        let report = Simulation::new(f, cfg)
+            .with_plan(plan())
             .with_telemetry(tel.clone())
-            .run(&w);
+            .run_report(&w);
         (report, tel.trace_jsonl(), tel.prometheus())
     };
     let (report_a, trace_a, metrics_a) = run();
@@ -92,13 +93,11 @@ fn chaos_run_with_cache_is_byte_identical_under_fixed_seed() {
 #[test]
 fn chaos_with_cache_matches_chaos_without_cache() {
     let (f, w) = rozenbrock_setup();
-    let plain = ChaosSimulation::new(f.clone(), cfg_with(None), FaultPlan::none()).run(&w);
-    let cached = ChaosSimulation::new(
-        f,
-        cfg_with(Some(CachePolicy::Slru)),
-        FaultPlan::none(),
-    )
-    .run(&w);
-    assert_eq!(cached.stats, plain.stats);
-    assert_eq!(cached.quiesced, plain.quiesced);
+    let plain = Simulation::new(f.clone(), cfg_with(None))
+        .with_plan(FaultPlan::none())
+        .run_report(&w);
+    let cached = Simulation::new(f, cfg_with(Some(CachePolicy::Slru)))
+        .with_plan(FaultPlan::none())
+        .run_report(&w);
+    assert_eq!(cached, plain);
 }

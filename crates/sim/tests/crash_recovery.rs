@@ -16,7 +16,7 @@ use automon_data::synthetic::InnerProductDataset;
 use automon_data::windowed_mean_series;
 use automon_functions::InnerProduct;
 use automon_obs::Telemetry;
-use automon_sim::{ChaosSimulation, Workload};
+use automon_sim::{Simulation, Workload};
 use automon_store::{DynDisk, FileDisk, MemDisk};
 
 const EPSILON: f64 = 0.25;
@@ -36,15 +36,16 @@ fn crashing_plan() -> FaultPlan {
         .with_coordinator_crash(60)
 }
 
-fn sim(f: Arc<dyn MonitoredFunction>, cfg: MonitorConfig, plan: FaultPlan) -> ChaosSimulation {
-    ChaosSimulation::new(f, cfg, plan)
+fn sim(f: Arc<dyn MonitoredFunction>, cfg: MonitorConfig, plan: FaultPlan) -> Simulation {
+    Simulation::new(f, cfg)
+        .with_plan(plan)
         .with_recovery(RecoveryConfig { retransmit_after: 2, evict_after: 4 })
 }
 
 #[test]
 fn fleet_converges_after_coordinator_crashes() {
     let (f, cfg, w) = setup(11);
-    let report = sim(f, cfg, crashing_plan()).run(&w);
+    let report = sim(f, cfg, crashing_plan()).run_report(&w);
     assert!(report.quiesced, "protocol must drain after recovery");
     assert_eq!(report.stats.coordinator_recoveries, 2, "both scheduled crashes recover");
     // The ε-guarantee holds once the fleet re-converges.
@@ -75,7 +76,7 @@ fn crash_recovery_is_deterministic() {
         let tel = Telemetry::enabled();
         let report = sim(f.clone(), cfg.clone(), crashing_plan())
             .with_telemetry(tel.clone())
-            .run(&w);
+            .run_report(&w);
         (report, tel.trace_jsonl())
     };
     let (a, trace_a) = run();
@@ -95,7 +96,7 @@ fn memory_and_file_backends_replay_identically() {
     let (f, cfg, w) = setup(11);
     let mem = sim(f.clone(), cfg.clone(), crashing_plan())
         .with_store(|| Box::new(MemDisk::new()) as DynDisk, 16)
-        .run(&w);
+        .run_report(&w);
     let dir = std::env::temp_dir().join(format!("automon-crash-recovery-{}", std::process::id()));
     let dir2 = dir.clone();
     let file = sim(f, cfg, crashing_plan())
@@ -103,7 +104,7 @@ fn memory_and_file_backends_replay_identically() {
             move || Box::new(FileDisk::open(&dir2).expect("temp wal dir")) as DynDisk,
             16,
         )
-        .run(&w);
+        .run_report(&w);
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(mem.stats, file.stats, "backends must be behaviorally indistinguishable");
     assert_eq!(mem.fault_trace, file.fault_trace);
@@ -117,11 +118,11 @@ fn snapshot_cadence_does_not_change_results() {
     let (f, cfg, w) = setup(11);
     let base = sim(f.clone(), cfg.clone(), crashing_plan())
         .with_store(|| Box::new(MemDisk::new()) as DynDisk, 1)
-        .run(&w);
+        .run_report(&w);
     for interval in [4usize, 16, 1000] {
         let got = sim(f.clone(), cfg.clone(), crashing_plan())
             .with_store(|| Box::new(MemDisk::new()) as DynDisk, interval)
-            .run(&w);
+            .run_report(&w);
         assert_eq!(got.stats, base.stats, "snapshot interval {interval} changed the run");
         assert_eq!(got.fault_trace, base.fault_trace);
     }
@@ -133,7 +134,7 @@ fn crash_before_initialization_recovers() {
     // recovery must not panic and the run must still converge.
     let (f, cfg, w) = setup(3);
     let plan = FaultPlan::seeded(3).with_coordinator_crash(0);
-    let report = sim(f, cfg, plan).run(&w);
+    let report = sim(f, cfg, plan).run_report(&w);
     assert!(report.quiesced);
     assert_eq!(report.stats.coordinator_recoveries, 1);
     assert!(report.stats.final_error <= EPSILON);
@@ -149,8 +150,8 @@ fn crashes_compose_with_node_faults() {
         .with_drop_rate(0.1)
         .with_crash(2, 25, Some(45))
         .with_coordinator_crash(35);
-    let a = sim(f.clone(), cfg.clone(), plan.clone()).run(&w);
-    let b = sim(f, cfg, plan).run(&w);
+    let a = sim(f.clone(), cfg.clone(), plan.clone()).run_report(&w);
+    let b = sim(f, cfg, plan).run_report(&w);
     assert!(a.quiesced, "composite faults must still drain");
     assert_eq!(a.stats.coordinator_recoveries, 1);
     assert_eq!(a.stats, b.stats, "composite runs stay deterministic");

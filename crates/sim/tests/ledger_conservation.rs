@@ -13,7 +13,7 @@ use automon_core::{MonitorConfig, MonitoredFunction, Parallelism};
 use automon_data::synthetic::InnerProductDataset;
 use automon_data::windowed_mean_series;
 use automon_functions::InnerProduct;
-use automon_sim::{ChaosSimulation, RunStats, Simulation, Workload};
+use automon_sim::{RunStats, Simulation, Workload};
 use proptest::prelude::*;
 
 fn setup(seed: u64) -> (Arc<dyn MonitoredFunction>, Workload) {
@@ -75,9 +75,10 @@ proptest! {
             .with_delay(0.03, 2)
             .with_crash(2, 20, Some(40))
             .with_partition(vec![1], 10, 18);
-        let report = ChaosSimulation::new(f, MonitorConfig::builder(0.3).build(), plan)
+        let report = Simulation::new(f, MonitorConfig::builder(0.3).build())
+            .with_plan(plan)
             .with_recovery(RecoveryConfig { retransmit_after: 2, evict_after: 3 })
-            .run(&w);
+            .run_report(&w);
         prop_assert!(report.quiesced);
         assert_conserved(&report.stats);
     }
@@ -97,9 +98,10 @@ fn recovery_traffic_is_charged_to_recovery_causes() {
 
     let (f, w) = setup(7);
     let plan = FaultPlan::seeded(7).with_drop_rate(0.15);
-    let report = ChaosSimulation::new(f, MonitorConfig::builder(0.3).build(), plan)
+    let report = Simulation::new(f, MonitorConfig::builder(0.3).build())
+        .with_plan(plan)
         .with_recovery(recovery)
-        .run(&w);
+        .run_report(&w);
     assert!(report.quiesced, "{:?}", report.stats);
     assert_conserved(&report.stats);
     let rows = report.stats.ledger.as_deref().unwrap();
@@ -111,9 +113,10 @@ fn recovery_traffic_is_charged_to_recovery_causes() {
 
     let (f, w) = setup(7);
     let plan = FaultPlan::seeded(7).with_crash(2, 20, Some(45));
-    let report = ChaosSimulation::new(f, MonitorConfig::builder(0.3).build(), plan)
+    let report = Simulation::new(f, MonitorConfig::builder(0.3).build())
+        .with_plan(plan)
         .with_recovery(recovery)
-        .run(&w);
+        .run_report(&w);
     assert!(report.quiesced, "{:?}", report.stats);
     assert_conserved(&report.stats);
     let rows = report.stats.ledger.as_deref().unwrap();

@@ -1,16 +1,17 @@
 //! The reactor-path determinism contract: a run over `Reactor<SimPoller>`
 //! is a pure function of `(net_seed, plan, workload)` — same inputs ⇒
-//! byte-identical JSONL trace and identical serialized `RunStats`, with
-//! chaos faults injected at the decoded-frame boundary. Plus backend
-//! parity: a fault-free reactor run reaches the same protocol decisions
-//! as the in-process fabric the threaded backend shares its logic with.
+//! byte-identical telemetry trace and identical serialized `RunStats`,
+//! with chaos faults injected at the decoded-frame boundary. (Parity of
+//! the fault-free reactor link with the in-process fabrics is
+//! `link_parity.rs`.)
 
 use std::sync::Arc;
 
 use automon_autodiff::{AutoDiffFn, Scalar, ScalarFn};
 use automon_chaos::FaultPlan;
 use automon_core::{MonitorConfig, MonitoredFunction};
-use automon_sim::{NetSimulation, Simulation, Workload};
+use automon_obs::Telemetry;
+use automon_sim::{RunReport, Simulation, TransportReport, Workload};
 
 struct Mean1;
 impl ScalarFn for Mean1 {
@@ -51,35 +52,50 @@ fn plan() -> FaultPlan {
         .with_delay(0.05, 3)
 }
 
+/// Run `sim` with a fresh telemetry handle; the report, its transport
+/// block, and the JSONL trace.
+fn traced(sim: Simulation, w: &Workload) -> (RunReport, TransportReport, String) {
+    let tel = Telemetry::enabled();
+    let report = sim.with_telemetry(tel.clone()).run_report(w);
+    let transport = report
+        .transport
+        .expect("reactor runs report their transport");
+    (report, transport, tel.trace_jsonl())
+}
+
 #[test]
 fn same_seed_is_byte_identical_under_faults() {
     let w = workload(4, 60);
     let cfg = MonitorConfig::builder(0.4).build();
     let run = || {
-        NetSimulation::new(f(), cfg.clone())
-            .with_plan(plan())
-            .with_net_seed(7)
-            .with_limits(23, 512)
-            .run(&w)
+        traced(
+            Simulation::new(f(), cfg.clone())
+                .with_plan(plan())
+                .with_net_seed(7)
+                .with_limits(23, 512),
+            &w,
+        )
     };
-    let a = run();
-    let b = run();
+    let (a, net_a, trace_a) = run();
+    let (b, net_b, trace_b) = run();
 
     assert!(a.quiesced, "protocol must drain after the workload");
     assert!(
-        a.faults.injected() > 0,
+        net_a.faults.injected() > 0,
         "rates this high over {} gated frames must fire",
-        a.faults.gated
+        net_a.faults.gated
     );
-    assert_eq!(a.trace, b.trace, "same seed must replay byte-identically");
+    assert_eq!(a.stats.injected_faults as u64, net_a.faults.injected());
+    assert_eq!(trace_a, trace_b, "same seed must replay byte-identically");
     assert_eq!(
         serde_json::to_string(&a.stats).unwrap(),
         serde_json::to_string(&b.stats).unwrap(),
         "RunStats must be identical under replay"
     );
-    assert_eq!(a.syscalls, b.syscalls);
-    assert_eq!(a.traffic, b.traffic);
-    assert_eq!(a.faults, b.faults);
+    assert_eq!(
+        net_a, net_b,
+        "syscalls, traffic and fault tally must replay"
+    );
 }
 
 #[test]
@@ -90,24 +106,24 @@ fn different_net_seed_changes_the_byte_schedule_not_the_outcome() {
     let w = workload(3, 40);
     let cfg = MonitorConfig::builder(0.4).build();
     let run = |seed| {
-        NetSimulation::new(f(), cfg.clone())
-            .with_net_seed(seed)
-            .with_limits(17, 256)
-            .run(&w)
+        traced(
+            Simulation::new(f(), cfg.clone())
+                .with_net_seed(seed)
+                .with_limits(17, 256),
+            &w,
+        )
     };
-    let a = run(1);
-    let b = run(2);
+    let (a, net_a, trace_a) = run(1);
+    let (b, net_b, trace_b) = run(2);
     assert!(a.quiesced && b.quiesced);
     assert_eq!(
-        a.trace, b.trace,
+        trace_a, trace_b,
         "fault-free protocol events must not depend on byte chunking"
     );
-    assert_eq!(
-        serde_json::to_string(&a.stats).unwrap(),
-        serde_json::to_string(&b.stats).unwrap()
-    );
+    assert_eq!(a.stats, b.stats);
+    assert_eq!(a.stats.retransmits, 0, "no faults, no retransmits");
     assert_ne!(
-        a.syscalls, b.syscalls,
+        net_a.syscalls, net_b.syscalls,
         "different chunk schedules should change the simulated syscall mix"
     );
 }
@@ -120,41 +136,19 @@ fn different_fault_seed_diverges() {
         let p = FaultPlan::seeded(seed)
             .with_drop_rate(0.15)
             .with_delay(0.1, 3);
-        NetSimulation::new(f(), cfg.clone())
-            .with_plan(p)
-            .with_net_seed(7)
-            .run(&w)
+        traced(
+            Simulation::new(f(), cfg.clone())
+                .with_plan(p)
+                .with_net_seed(7),
+            &w,
+        )
+        .2
     };
-    let a = run(1);
-    let b = run(99);
     assert_ne!(
-        a.trace, b.trace,
+        run(1),
+        run(99),
         "different fault seeds must produce different traces"
     );
-}
-
-#[test]
-fn fault_free_reactor_matches_in_process_fabric() {
-    // Backend parity: with no faults, the reactor path (wire encoding,
-    // frame reassembly, writev batching) must reach exactly the protocol
-    // decisions the in-process fabric reaches — sync counts, violation
-    // counts, and errors — because the transport only moves bytes.
-    let w = workload(4, 80);
-    let cfg = MonitorConfig::builder(0.4).build();
-
-    let net = NetSimulation::new(f(), cfg.clone()).with_net_seed(3).run(&w);
-    assert!(net.quiesced);
-    let fabric = Simulation::new(f(), cfg).run(&w);
-
-    assert_eq!(net.stats.full_syncs, fabric.full_syncs);
-    assert_eq!(net.stats.lazy_syncs, fabric.lazy_syncs);
-    assert_eq!(net.stats.neighborhood_violations, fabric.neighborhood_violations);
-    assert_eq!(net.stats.safezone_violations, fabric.safezone_violations);
-    assert_eq!(net.stats.missed_violation_rounds, fabric.missed_violation_rounds);
-    assert_eq!(net.stats.max_error.to_bits(), fabric.max_error.to_bits());
-    assert_eq!(net.stats.mean_error.to_bits(), fabric.mean_error.to_bits());
-    assert_eq!(net.stats.retransmits, 0, "no faults, no retransmits");
-    assert_eq!(net.stats.injected_faults, 0);
 }
 
 #[test]
@@ -162,11 +156,26 @@ fn drops_are_recovered_by_retransmission() {
     let w = workload(3, 50);
     let cfg = MonitorConfig::builder(0.4).build();
     let p = FaultPlan::seeded(5).with_drop_rate(0.2);
-    let r = NetSimulation::new(f(), cfg).with_plan(p).with_net_seed(11).run(&w);
+    let (r, net, _) = traced(Simulation::new(f(), cfg).with_plan(p).with_net_seed(11), &w);
     assert!(r.quiesced, "dropped frames must not wedge the protocol");
-    assert!(r.faults.drops > 0, "a 20% drop rate must fire");
+    assert!(net.faults.drops > 0, "a 20% drop rate must fire");
     assert!(
         r.stats.retransmits > 0,
         "dropped frames must force retransmissions"
+    );
+    // Delivered frames only, charged once each: the ledger conserves the
+    // totals under faults on this link too.
+    let rows = r.stats.ledger.as_deref().expect("ledger attached");
+    assert_eq!(
+        rows.iter().map(|r| r.msgs).sum::<u64>() as usize,
+        r.stats.messages
+    );
+    assert_eq!(
+        rows.iter().map(|r| r.bytes).sum::<u64>() as usize,
+        r.stats.payload_bytes
+    );
+    assert!(
+        rows.iter().any(|r| r.cause == "retransmit" && r.msgs > 0),
+        "{rows:?}"
     );
 }

@@ -13,7 +13,7 @@ use automon_data::synthetic::InnerProductDataset;
 use automon_data::windowed_mean_series;
 use automon_functions::InnerProduct;
 use automon_obs::Telemetry;
-use automon_sim::{ChaosSimulation, Simulation, Workload};
+use automon_sim::{Simulation, Workload};
 
 fn setup() -> (Arc<dyn MonitoredFunction>, MonitorConfig, Workload) {
     let (nodes, rounds, dim, seed) = (4, 100, 4, 7);
@@ -44,7 +44,8 @@ fn plain_run() -> (String, String) {
 fn chaos_run() -> (String, String) {
     let (f, cfg, w) = setup();
     let tel = Telemetry::enabled();
-    ChaosSimulation::new(f, cfg, noisy_plan())
+    Simulation::new(f, cfg)
+        .with_plan(noisy_plan())
         .with_telemetry(tel.clone())
         .run(&w);
     (tel.trace_jsonl(), tel.prometheus())

@@ -8,9 +8,13 @@
 #   1. release build of the whole workspace
 #   2. full test suite
 #   3. clippy, warnings denied
-#   4. chaos determinism smoke — the same --chaos-seed must produce a
-#      byte-identical report (DESIGN.md §3.8); catches any accidental
-#      nondeterminism (HashMap iteration, extra RNG draws, time).
+#   4. chaos determinism + link parity smoke — (a) the same --chaos-seed
+#      must produce a byte-identical report (DESIGN.md §3.8); catches
+#      any accidental nondeterminism (HashMap iteration, extra RNG
+#      draws, time). (b) One round driver serves every link: a plain run
+#      and the same run under a zero-rate fault plan (--chaos-seed 1,
+#      which swaps the bare fabric for the chaos fabric) must agree on
+#      every stats key they share.
 #   5. zero-overhead bench smoke — decompose_observed with
 #      Telemetry::disabled() must stay within BENCH_SMOKE_TOLERANCE
 #      (default 10%) of the bare decompose on the same machine and run
@@ -46,11 +50,13 @@
 #      than the leaf tier (DESIGN.md §3.14).
 #  12. net runtime smoke — (a) reactor determinism: the sim-poller
 #      backend under frame-level chaos must give a byte-identical
-#      --trace-out and identical stats for the same seeds; (b) backend
-#      parity: the threaded and reactor socket backends must produce
-#      identical protocol stats for the same workload seed — the
-#      transport must not change what the monitor computes
-#      (DESIGN.md §3.15).
+#      --trace-out and identical stats for the same seeds, and that
+#      trace must be the standard telemetry JSONL (`automon trace diff`
+#      exits 0 on the pair, `trace summarize` renders its by-cause
+#      table); (b) backend parity: the threaded and reactor socket
+#      backends must produce identical protocol stats for the same
+#      workload seed — the transport must not change what the monitor
+#      computes (DESIGN.md §3.15).
 #  13. benchmark package — the repository's benchmark (BENCHMARK.json,
 #      crates/bench/src/bin/benchmark/) is a package outside the
 #      workspace, so steps 1–3 never compile it and a public-API break
@@ -69,7 +75,7 @@ cargo test -q --workspace
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> chaos determinism smoke"
+echo "==> chaos determinism + link parity smoke"
 CHAOS_ARGS=(simulate --function inner-product --dim 4 --nodes 4
     --rounds 90 --epsilon 0.3
     --chaos-seed 7 --drop-rate 0.1 --crash-node 2:30:60 --partition 1:10:20)
@@ -86,6 +92,24 @@ if ! grep -q "quiesced" <<<"$run_a"; then
     exit 1
 fi
 echo "    deterministic, quiesced"
+PARITY_ARGS=(simulate --function inner-product --dim 4 --nodes 4
+    --rounds 90 --epsilon 0.3 --json)
+plain=$(cargo run --release -q -p automon-cli -- "${PARITY_ARGS[@]}")
+zero=$(cargo run --release -q -p automon-cli -- "${PARITY_ARGS[@]}" --chaos-seed 1)
+python3 - <<PYEOF
+import json, sys
+
+plain = json.loads("""${plain}""")
+zero = json.loads("""${zero}""")
+shared = sorted(set(plain) & set(zero))
+bad = [k for k in shared if plain[k] != zero[k]]
+if bad or "ledger" not in shared or zero.get("quiesced") is not True:
+    print("FAIL: a zero-rate fault plan changed the run", file=sys.stderr)
+    for k in bad:
+        print(f"  {k}: plain={plain[k]!r} zero-rate={zero[k]!r}", file=sys.stderr)
+    sys.exit(1)
+print(f"    plain == zero-rate chaos on all {len(shared)} shared stats keys")
+PYEOF
 
 echo "==> zero-overhead bench smoke (tolerance ${BENCH_SMOKE_TOLERANCE:-0.10})"
 # Three repetitions, per-key minimum: the parallel eigen search makes a
@@ -321,7 +345,18 @@ if ! cmp -s "$TDIR/net-a.jsonl" "$TDIR/net-b.jsonl"; then
     diff "$TDIR/net-a.jsonl" "$TDIR/net-b.jsonl" >&2 || true
     exit 1
 fi
-echo "    sim backend byte-deterministic under frame-level chaos"
+cargo run --release -q -p automon-cli -- trace diff \
+    --left "$TDIR/net-a.jsonl" --right "$TDIR/net-b.jsonl" >/dev/null
+NET_SUMMARY=$(cargo run --release -q -p automon-cli -- trace summarize \
+    --input "$TDIR/net-a.jsonl")
+if ! grep -q "comm by cause (bytes/update" <<<"$NET_SUMMARY" \
+    || ! grep -q "retransmit" <<<"$NET_SUMMARY"; then
+    echo "FAIL: sim-backend trace is not the standard telemetry JSONL" >&2
+    printf '%s\n' "$NET_SUMMARY" >&2
+    exit 1
+fi
+echo "    sim backend byte-deterministic under frame-level chaos;" \
+    "trace diff clean, summarize renders"
 
 NET_PAR_ARGS=(net-smoke --nodes 4 --rounds 40 --dim 2 --seed 3 --epsilon 0.4)
 net_thr=$(cargo run --release -q -p automon-cli -- "${NET_PAR_ARGS[@]}" \

@@ -6,7 +6,7 @@ use automon::data::regression::{drifting_slope_streams, moment_series};
 use automon::data::sketch::AmsSketch;
 use automon::functions::{F2FromSketch, RegressionSlope};
 use automon::prelude::*;
-use automon::sim::{run_centralization, run_hybrid, HybridConfig, Workload};
+use automon::sim::{run_centralization, HybridConfig, Workload};
 use std::sync::Arc;
 
 #[test]
@@ -126,10 +126,8 @@ fn hybrid_caps_communication_under_thrashing() {
     let eps = 0.01;
     let plain =
         Simulation::new(f.clone(), MonitorConfig::builder(eps).build()).run(&w);
-    let hybrid = run_hybrid(
-        &f,
+    let hybrid = Simulation::new(f.clone(), MonitorConfig::builder(eps).build()).run_hybrid(
         &w,
-        MonitorConfig::builder(eps).build(),
         HybridConfig {
             switch_threshold: 0.6,
             rate_window: 15,
