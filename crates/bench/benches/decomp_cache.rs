@@ -2,12 +2,12 @@
 //! workload whose reference point cycles through a small lattice of
 //! exact `x0` values. `cache_off` pays the full ADCD-X eigen search on
 //! every full sync; `cache_hit` replays pre-warmed entries (BTreeMap
-//! probe + clone); `warm_start` seeds Lanczos with cached Ritz vectors
-//! from an adjacent radius bucket. The acceptance bar for the cache is
+//! probe + clone); `churn_slru` is the eviction bookkeeping under a
+//! working set twice the capacity. The acceptance bar for the cache is
 //! `cache_hit` ≥ 3× faster than `cache_off` at identical results.
 
 use automon_core::{
-    adcd, CacheLookup, CachePolicy, DecompCache, DecompCacheConfig, EigenSearch, MonitorConfig,
+    adcd, CacheLookup, DecompCache, DecompCacheConfig, EigenSearch, MonitorConfig,
     NeighborhoodBox, Parallelism,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -54,8 +54,8 @@ fn warmed_cache(
 ) -> DecompCache {
     let mut cache = DecompCache::new(cache_cfg);
     for (x0, b) in points {
-        let (dec, ritz) = adcd::decompose_with_seeds(f, x0, Some(b), cfg, None);
-        cache.insert(FN_ID, x0, r, b.clone(), dec, ritz);
+        let dec = adcd::decompose(f, x0, Some(b), cfg);
+        cache.insert(FN_ID, x0, r, b.clone(), dec, None);
     }
     cache
 }
@@ -95,62 +95,27 @@ fn bench_decomp_cache(c: &mut Criterion) {
             })
         });
 
-        // Near-hit path: same cell, adjacent radius bucket ⇒ Ritz
-        // warm-start for the Lanczos extremes.
-        group.bench_with_input(BenchmarkId::new("warm_start", d), &d, |bch, _| {
+        // Eviction bookkeeping under a working set 2× capacity.
+        group.bench_with_input(BenchmarkId::new("churn_slru", d), &d, |bch, _| {
             let cache_cfg = DecompCacheConfig {
-                warm_start: true,
+                capacity: LATTICE / 2,
                 ..DecompCacheConfig::default()
             };
             let mut cache = warmed_cache(f, &points, r, &cfg, cache_cfg);
-            // Querying at half the radius lands in the adjacent bucket:
-            // never an exact hit, always a Ritz-seeded decomposition.
-            let near_r = r / 2.0;
+            let dec0 = adcd::decompose(f, &points[0].0, Some(&points[0].1), &cfg);
             let mut j = 0usize;
             bch.iter(|| {
                 let (x0, b) = &points[j % LATTICE];
                 j += 1;
-                let seeds = match cache.lookup(FN_ID, x0, near_r, b) {
-                    CacheLookup::Near(s) => s,
-                    other => panic!("expected near hit, got {other:?}"),
-                };
-                std::hint::black_box(adcd::decompose_with_seeds(
-                    f,
-                    std::hint::black_box(x0),
-                    Some(b),
-                    &cfg,
-                    Some(&seeds),
-                ))
+                match cache.lookup(FN_ID, x0, r, b) {
+                    CacheLookup::Exact(dec) => std::hint::black_box(dec),
+                    CacheLookup::Miss => {
+                        cache.insert(FN_ID, x0, r, b.clone(), dec0.clone(), None);
+                        std::hint::black_box(dec0.clone())
+                    }
+                }
             })
         });
-
-        // Eviction-policy overhead under a working set 2× capacity:
-        // the policies differ only in bookkeeping, not correctness.
-        for policy in [CachePolicy::LruK, CachePolicy::Slru, CachePolicy::Arc] {
-            let name = format!("churn_{}", policy.name());
-            group.bench_with_input(BenchmarkId::new(&name, d), &d, |bch, _| {
-                let cache_cfg = DecompCacheConfig {
-                    policy,
-                    capacity: LATTICE / 2,
-                    ..DecompCacheConfig::default()
-                };
-                let mut cache = warmed_cache(f, &points, r, &cfg, cache_cfg);
-                let (dec0, ritz0) =
-                    adcd::decompose_with_seeds(f, &points[0].0, Some(&points[0].1), &cfg, None);
-                let mut j = 0usize;
-                bch.iter(|| {
-                    let (x0, b) = &points[j % LATTICE];
-                    j += 1;
-                    match cache.lookup(FN_ID, x0, r, b) {
-                        CacheLookup::Exact(dec) => std::hint::black_box(dec),
-                        _ => {
-                            cache.insert(FN_ID, x0, r, b.clone(), dec0.clone(), ritz0.clone());
-                            std::hint::black_box(dec0.clone())
-                        }
-                    }
-                })
-            });
-        }
     }
     group.finish();
 }

@@ -54,6 +54,23 @@ impl Args {
         Ok(Self { values })
     }
 
+    /// [`Self::parse`], then reject the first flag not in `allowed` (the
+    /// subcommand's declared list), so a typo or a retired flag fails
+    /// loudly instead of silently running something else.
+    pub fn parse_known(argv: &[String], allowed: &[&str]) -> Result<Self, CliError> {
+        let args = Self::parse(argv)?;
+        match args.values.keys().find(|k| !allowed.contains(&k.as_str())) {
+            None => Ok(args),
+            Some(key) if key == "decomp-cache-warm" => Err(CliError::new(
+                "`--decomp-cache-warm` was removed: the decomposition cache's warm \
+                 start is no longer selectable (exact hits only; DESIGN.md §3.11)",
+            )),
+            Some(key) => Err(CliError::new(format!(
+                "unknown flag `--{key}` (see `automon help`)"
+            ))),
+        }
+    }
+
     /// Boolean flag: present (or explicitly anything but `false`/`0`).
     pub fn flag(&self, key: &str) -> bool {
         self.get(key).is_some_and(|v| v != "false" && v != "0")
@@ -119,6 +136,16 @@ mod tests {
         assert!(Args::parse(&sv(&["naked"])).is_err());
         let a = Args::parse(&[]).unwrap();
         assert!(a.require("anything").is_err());
+    }
+
+    #[test]
+    fn unknown_and_retired_flags_are_named() {
+        let allowed = ["x", "json"];
+        assert!(Args::parse_known(&sv(&["--x", "1", "--json"]), &allowed).is_ok());
+        let err = Args::parse_known(&sv(&["--x", "1", "--bogus-flag", "7"]), &allowed).unwrap_err();
+        assert!(err.to_string().contains("unknown flag `--bogus-flag`"), "{err}");
+        let err = Args::parse_known(&sv(&["--decomp-cache-warm"]), &allowed).unwrap_err();
+        assert!(err.to_string().contains("no longer selectable"), "{err}");
     }
 
     #[test]

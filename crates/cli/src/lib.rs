@@ -26,14 +26,17 @@ pub use trace::run_trace;
 
 /// Entry point shared by `main.rs` and the tests.
 ///
-/// Returns the text to print on success.
+/// Each subcommand declares the flags it reads next to its `run_*`;
+/// any other flag is rejected here, before anything runs. Returns the
+/// text to print on success.
 pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
+    let known = |flags| Args::parse_known(&argv[1..], flags);
     match argv.first().map(String::as_str) {
-        Some("simulate") => run_simulate(&Args::parse(&argv[1..])?),
-        Some("monitor") => run_monitor(&Args::parse(&argv[1..])?),
-        Some("tune") => run_tune(&Args::parse(&argv[1..])?),
-        Some("spectral-smoke") => run_spectral_smoke(&Args::parse(&argv[1..])?),
-        Some("net-smoke") => run_net_smoke(&Args::parse(&argv[1..])?),
+        Some("simulate") => run_simulate(&known(run::SIMULATE_FLAGS)?),
+        Some("monitor") => run_monitor(&known(run::MONITOR_FLAGS)?),
+        Some("tune") => run_tune(&known(run::TUNE_FLAGS)?),
+        Some("spectral-smoke") => run_spectral_smoke(&known(run::SPECTRAL_SMOKE_FLAGS)?),
+        Some("net-smoke") => run_net_smoke(&known(netcmd::NET_SMOKE_FLAGS)?),
         Some("trace") => run_trace(&argv[1..]),
         Some("help") | None => Ok(usage().to_string()),
         Some(other) => Err(CliError::new(format!(
@@ -56,20 +59,22 @@ USAGE:
                      [--crash-coordinator R] [--wal-dir DIR]
                      [--snapshot-every N] [--json]
                      [--metrics-out FILE] [--trace-out FILE]
-                     [--serve-metrics ADDR] [--decomp-cache POLICY]
-                     [--decomp-cache-capacity N] [--decomp-cache-warm]
+                     [--serve-metrics ADDR] [--decomp-cache]
+                     [--decomp-cache-capacity N]
                      [--fleet] [--shards S] [--leaf-epsilon-frac F]
                      [--crash-leaf SPEC]
     automon monitor  --function <NAME> --input <FILE.csv> --nodes N
-                     [--epsilon E] [--output FILE.csv] [--parallelism P]
-                     [--spectral-backend B] [--decomp-cache POLICY]
+                     [--epsilon E] [--dim D] [--output FILE.csv]
+                     [--parallelism P] [--spectral-backend B]
+                     [--decomp-cache] [--decomp-cache-capacity N]
     automon tune     --function <NAME> --input <FILE.csv> --nodes N
                      [--epsilon E]
     automon spectral-smoke [--dim D] [--seed S] [--tol T]
     automon net-smoke [--net-backend B] [--nodes N] [--rounds R]
                      [--dim D] [--seed S] [--epsilon E] [--function NAME]
                      [--chaos-seed S] [--drop-rate P] [--duplicate-rate P]
-                     [--reorder-rate P] [--delay-rate P] [--trace-out FILE]
+                     [--reorder-rate P] [--delay-rate P]
+                     [--max-delay-rounds N] [--trace-out FILE]
     automon trace summarize --input FILE.jsonl
     automon trace diff --left A.jsonl --right B.jsonl
     automon help
@@ -114,15 +119,13 @@ DURABILITY (simulate only; docs/DURABILITY.md):
                             round instead of being skipped
 
 DECOMPOSITION CACHE (off by default; DESIGN.md §3.11):
-    --decomp-cache POLICY       memoize full-sync decompositions at the
-                                coordinator; POLICY is lru-k | slru | arc.
-                                Exact hits require bitwise-equal inputs,
-                                so output is identical to a cache-off run
-    --decomp-cache-capacity N   max resident entries (default 64)
-    --decomp-cache-warm         let near hits (same cell, adjacent radius
-                                bucket) warm-start the Lanczos eigen
-                                search from cached Ritz vectors; results
-                                then agree to tolerance, not bitwise
+    --decomp-cache              memoize full-sync decompositions at the
+                                coordinator. A hit requires bitwise-equal
+                                inputs, so output is identical to a
+                                cache-off run; it pays off only when
+                                reference points recur exactly
+    --decomp-cache-capacity N   max resident entries (default 64);
+                                eviction is segmented LRU
 
 FLEET (simulate only; two-tier sharded hierarchy, DESIGN.md §3.14):
     --fleet                 shard the streams over leaf coordinators and
@@ -206,6 +209,65 @@ mod tests {
         assert!(dispatch(&[]).unwrap().contains("USAGE"));
         let err = dispatch(&sv(&["frobnicate"])).unwrap_err();
         assert!(err.to_string().contains("unknown subcommand"));
+    }
+
+    /// Help and parser cannot drift: every subcommand's declared flag
+    /// list is exactly the `--flag` tokens of its USAGE synopsis.
+    #[test]
+    fn declared_flags_match_the_usage_synopsis() {
+        let text = usage();
+        let start = text.find("USAGE:\n").expect("USAGE block") + "USAGE:\n".len();
+        let block = &text[start..start + text[start..].find("\n\n").expect("blank line")];
+        let mut synopsis = std::collections::BTreeMap::new();
+        for entry in block.split("    automon ").skip(1) {
+            // Brackets off; `--` tokens are the flags, whatever precedes
+            // the first one is the subcommand name.
+            let tokens: Vec<&str> = entry
+                .split_whitespace()
+                .map(|t| t.trim_matches(|c| c == '[' || c == ']'))
+                .collect();
+            let name_len = tokens
+                .iter()
+                .position(|t| t.starts_with("--"))
+                .unwrap_or(tokens.len());
+            let mut flags: Vec<&str> = tokens.iter().filter_map(|t| t.strip_prefix("--")).collect();
+            flags.sort_unstable();
+            synopsis.insert(tokens[..name_len].join(" "), flags);
+        }
+        let declared = [
+            ("simulate", run::SIMULATE_FLAGS),
+            ("monitor", run::MONITOR_FLAGS),
+            ("tune", run::TUNE_FLAGS),
+            ("spectral-smoke", run::SPECTRAL_SMOKE_FLAGS),
+            ("net-smoke", netcmd::NET_SMOKE_FLAGS),
+            ("trace summarize", trace::SUMMARIZE_FLAGS),
+            ("trace diff", trace::DIFF_FLAGS),
+        ];
+        assert_eq!(synopsis.remove("help"), Some(vec![]));
+        for (name, flags) in declared {
+            let mut flags = flags.to_vec();
+            flags.sort_unstable();
+            assert_eq!(synopsis.remove(name), Some(flags), "`automon {name}`");
+        }
+        assert!(synopsis.is_empty(), "synopsis without a flag list: {synopsis:?}");
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_before_running() {
+        let err = dispatch(&sv(&[
+            "simulate", "--function", "variance", "--rounds", "50", "--bogus-flag", "7",
+        ]))
+        .unwrap_err();
+        assert!(err.to_string().contains("--bogus-flag"), "{err}");
+        let err = dispatch(&sv(&["trace", "diff", "--left", "a", "--rihgt", "b"])).unwrap_err();
+        assert!(err.to_string().contains("--rihgt"), "{err}");
+        // Retired cache knobs fail with a pointer, not a silent default.
+        for retired in [&["--decomp-cache", "arc"][..], &["--decomp-cache-warm"]] {
+            let mut argv = sv(&["simulate", "--function", "rozenbrock", "--rounds", "30"]);
+            argv.extend(sv(retired));
+            let err = dispatch(&argv).unwrap_err();
+            assert!(err.to_string().contains("no longer selectable"), "{err}");
+        }
     }
 
     #[test]

@@ -130,6 +130,12 @@ fn serve_one(tp: &mut TcpNodeTransport, node: &mut Node, wait: Duration) -> bool
     true
 }
 
+/// Flags `automon net-smoke` reads; `dispatch` rejects any other.
+pub(crate) const NET_SMOKE_FLAGS: &[&str] = &[
+    "net-backend", "nodes", "rounds", "dim", "seed", "epsilon", "function", "chaos-seed",
+    "drop-rate", "duplicate-rate", "reorder-rate", "delay-rate", "max-delay-rounds", "trace-out",
+];
+
 /// Run `net-smoke` per the parsed arguments.
 pub fn run_net_smoke(args: &Args) -> Result<String, CliError> {
     let backend = args.get("net-backend").unwrap_or("reactor");

@@ -5,8 +5,8 @@ use std::sync::Arc;
 
 use automon_autodiff::AutoDiffFn;
 use automon_core::{
-    CachePolicy, Coordinator, DecompCacheConfig, MonitorConfig, MonitoredFunction, Node,
-    Parallelism, SpectralBackend,
+    Coordinator, DecompCacheConfig, MonitorConfig, MonitoredFunction, Node, Parallelism,
+    SpectralBackend,
 };
 use automon_data::synthetic::{InnerProductDataset, QuadraticDataset, RozenbrockDataset};
 use automon_data::windowed_mean_series;
@@ -56,30 +56,30 @@ fn parse_spectral_backend(args: &Args) -> Result<SpectralBackend, CliError> {
     }
 }
 
-/// Parse `--decomp-cache <lru-k|slru|arc>` plus its companions
-/// `--decomp-cache-capacity <n>` and `--decomp-cache-warm` (warm-start
-/// Lanczos from cached Ritz vectors; trades bit-parity with cache-off
-/// runs for fewer iterations). Absent flag ⇒ cache off (the default).
+/// Parse the bare switch `--decomp-cache` plus its companion
+/// `--decomp-cache-capacity <n>`. Absent flag ⇒ cache off (the default).
 fn parse_decomp_cache(args: &Args) -> Result<Option<DecompCacheConfig>, CliError> {
-    let Some(name) = args.get("decomp-cache") else {
-        if args.get("decomp-cache-capacity").is_some() || args.flag("decomp-cache-warm") {
-            return Err(CliError::new(
-                "--decomp-cache-capacity/--decomp-cache-warm require --decomp-cache",
-            ));
+    let on = match args.get("decomp-cache") {
+        None | Some("false") => false,
+        Some("true") => true,
+        Some(other) => {
+            return Err(CliError::new(format!(
+                "`--decomp-cache {other}`: the eviction policy is no longer selectable; \
+                 pass a bare `--decomp-cache` (DESIGN.md §3.11)"
+            )))
+        }
+    };
+    if !on {
+        if args.get("decomp-cache-capacity").is_some() {
+            return Err(CliError::new("--decomp-cache-capacity requires --decomp-cache"));
         }
         return Ok(None);
-    };
-    let policy = CachePolicy::parse(name).ok_or_else(|| {
-        CliError::new(format!(
-            "unknown decomposition-cache policy `{name}` (lru-k | slru | arc)"
-        ))
-    })?;
-    let mut cache = DecompCacheConfig::with_policy(policy);
+    }
+    let mut cache = DecompCacheConfig::default();
     cache.capacity = args.num("decomp-cache-capacity", cache.capacity)?;
     if cache.capacity == 0 {
         return Err(CliError::new("--decomp-cache-capacity must be ≥ 1"));
     }
-    cache.warm_start = args.flag("decomp-cache-warm");
     Ok(Some(cache))
 }
 
@@ -462,6 +462,15 @@ fn stats_json(stats: &automon_sim::RunStats, extra: &[(&str, Value)]) -> Result<
     serde_json::to_string(&v).map_err(|e| CliError::new(format!("JSON encoding failed: {e}")))
 }
 
+/// Flags `automon simulate` reads; `dispatch` rejects any other.
+pub(crate) const SIMULATE_FLAGS: &[&str] = &[
+    "function", "epsilon", "nodes", "rounds", "dim", "seed", "baseline",
+    "parallelism", "spectral-backend", "chaos-seed", "drop-rate", "crash-node",
+    "partition", "crash-coordinator", "wal-dir", "snapshot-every", "json",
+    "metrics-out", "trace-out", "serve-metrics", "decomp-cache",
+    "decomp-cache-capacity", "fleet", "shards", "leaf-epsilon-frac", "crash-leaf",
+];
+
 /// `automon simulate …`
 pub fn run_simulate(args: &Args) -> Result<String, CliError> {
     let function = args.require("function")?;
@@ -656,6 +665,12 @@ pub fn run_simulate(args: &Args) -> Result<String, CliError> {
     }
     Ok(out)
 }
+
+/// Flags `automon monitor` reads; `dispatch` rejects any other.
+pub(crate) const MONITOR_FLAGS: &[&str] = &[
+    "function", "input", "nodes", "epsilon", "dim", "output", "parallelism",
+    "spectral-backend", "decomp-cache", "decomp-cache-capacity",
+];
 
 /// `automon monitor …` — run the real protocol over CSV updates.
 pub fn run_monitor(args: &Args) -> Result<String, CliError> {
@@ -992,29 +1007,16 @@ mod tests {
             argv.extend(extra.iter().map(|s| s.to_string()));
             Args::parse(&argv).unwrap()
         };
-        // Off by default, and every policy is selectable.
+        // Off by default; switching it on must not change the output.
         let baseline = run_simulate(&base(&[])).unwrap();
-        for policy in ["lru-k", "slru", "arc"] {
-            let out = run_simulate(&base(&["--decomp-cache", policy])).unwrap();
-            // Cache on must not change the monitoring output.
-            assert_eq!(out, baseline, "--decomp-cache {policy} changed results");
-        }
-        let with_caps = run_simulate(&base(&[
-            "--decomp-cache",
-            "arc",
-            "--decomp-cache-capacity",
-            "8",
-            "--decomp-cache-warm",
-        ]))
-        .unwrap();
-        assert!(with_caps.contains("AutoMon"));
-        let err = run_simulate(&base(&["--decomp-cache", "fifo"])).unwrap_err();
-        assert!(
-            err.to_string().contains("unknown decomposition-cache policy"),
-            "{err}"
-        );
+        assert_eq!(run_simulate(&base(&["--decomp-cache"])).unwrap(), baseline);
+        let with_cap =
+            run_simulate(&base(&["--decomp-cache", "--decomp-cache-capacity", "8"])).unwrap();
+        assert_eq!(with_cap, baseline);
+        let err = run_simulate(&base(&["--decomp-cache", "arc"])).unwrap_err();
+        assert!(err.to_string().contains("no longer selectable"), "{err}");
         let err = run_simulate(&base(&["--decomp-cache-capacity", "8"])).unwrap_err();
-        assert!(err.to_string().contains("require --decomp-cache"), "{err}");
+        assert!(err.to_string().contains("requires --decomp-cache"), "{err}");
     }
 
     #[test]
@@ -1236,6 +1238,9 @@ mod tests {
     }
 }
 
+/// Flags `automon spectral-smoke` reads; `dispatch` rejects any other.
+pub(crate) const SPECTRAL_SMOKE_FLAGS: &[&str] = &["dim", "seed", "tol"];
+
 /// `automon spectral-smoke …` — fixed-seed parity check between the QL
 /// solver, the Jacobi oracle, and the matrix-free Lanczos extremes on
 /// one deterministic symmetric matrix.
@@ -1325,6 +1330,9 @@ pub fn run_spectral_smoke(args: &Args) -> Result<String, CliError> {
         stats.iterations, stats.reorth_passes
     ))
 }
+
+/// Flags `automon tune` reads; `dispatch` rejects any other.
+pub(crate) const TUNE_FLAGS: &[&str] = &["function", "input", "nodes", "epsilon"];
 
 /// `automon tune …` — run Algorithm 2 over a recorded CSV prefix and
 /// report the recommended neighborhood size with its violation grid.

@@ -19,8 +19,8 @@ use crate::args::{Args, CliError};
 /// Entry point for the `trace` subcommand family.
 pub fn run_trace(argv: &[String]) -> Result<String, CliError> {
     match argv.first().map(String::as_str) {
-        Some("summarize") => summarize(&Args::parse(&argv[1..])?),
-        Some("diff") => diff(&Args::parse(&argv[1..])?),
+        Some("summarize") => summarize(&Args::parse_known(&argv[1..], SUMMARIZE_FLAGS)?),
+        Some("diff") => diff(&Args::parse_known(&argv[1..], DIFF_FLAGS)?),
         Some(other) => Err(CliError::new(format!(
             "unknown trace command `{other}` (summarize | diff)"
         ))),
@@ -45,6 +45,9 @@ struct SpanAgg {
     total_ops: u64,
     max_ops: u64,
 }
+
+/// Flags `automon trace summarize` reads.
+pub(crate) const SUMMARIZE_FLAGS: &[&str] = &["input"];
 
 /// `automon trace summarize --input FILE`
 fn summarize(args: &Args) -> Result<String, CliError> {
@@ -197,6 +200,9 @@ fn summarize(args: &Args) -> Result<String, CliError> {
     }
     Ok(out)
 }
+
+/// Flags `automon trace diff` reads.
+pub(crate) const DIFF_FLAGS: &[&str] = &["left", "right"];
 
 /// `automon trace diff --left FILE --right FILE`
 fn diff(args: &Args) -> Result<String, CliError> {

@@ -95,47 +95,16 @@ pub fn decompose(
     neighborhood: Option<&NeighborhoodBox>,
     cfg: &MonitorConfig,
 ) -> DcDecomposition {
-    decompose_with_seeds(f, x0, neighborhood, cfg, None).0
-}
-
-/// Ritz vectors captured from the two Lanczos extreme streams of an
-/// ADCD-X search, usable to warm-start a later search at a nearby
-/// reference point (see [`crate::cache::DecompCache`]).
-///
-/// Warm starts change the Lanczos trajectory: the converged extremes
-/// agree with a cold start only to solver tolerance, not bitwise.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RitzSeeds {
-    /// Ritz vector from the λ_min stream.
-    pub min: Vec<f64>,
-    /// Ritz vector from the λ_max stream.
-    pub max: Vec<f64>,
-}
-
-/// [`decompose`], optionally warm-starting the matrix-free Lanczos
-/// streams from `seeds` and returning the Ritz vectors the search
-/// ended on (None on the ADCD-E and materialized ADCD-X paths).
-///
-/// With `seeds: None` the computed decomposition is bit-identical to
-/// [`decompose`] — capturing the outgoing Ritz vectors reads solver
-/// state without perturbing it.
-pub fn decompose_with_seeds(
-    f: &dyn MonitoredFunction,
-    x0: &[f64],
-    neighborhood: Option<&NeighborhoodBox>,
-    cfg: &MonitorConfig,
-    seeds: Option<&RitzSeeds>,
-) -> (DcDecomposition, Option<RitzSeeds>) {
     let kind = cfg.adcd_override.unwrap_or(if f.has_constant_hessian() {
         AdcdKind::E
     } else {
         AdcdKind::X
     });
     match kind {
-        AdcdKind::E => (decompose_e(f, x0, cfg), None),
+        AdcdKind::E => decompose_e(f, x0, cfg),
         AdcdKind::X => {
             let b = neighborhood.expect("ADCD-X requires a neighborhood");
-            decompose_x(f, x0, b, cfg, seeds)
+            decompose_x(f, x0, b, cfg)
         }
     }
 }
@@ -156,24 +125,11 @@ pub fn decompose_observed(
     cfg: &MonitorConfig,
     tel: &automon_obs::Telemetry,
 ) -> DcDecomposition {
-    decompose_observed_with_seeds(f, x0, neighborhood, cfg, None, tel).0
-}
-
-/// [`decompose_observed`] threading warm-start seeds through (see
-/// [`decompose_with_seeds`]).
-pub fn decompose_observed_with_seeds(
-    f: &dyn MonitoredFunction,
-    x0: &[f64],
-    neighborhood: Option<&NeighborhoodBox>,
-    cfg: &MonitorConfig,
-    seeds: Option<&RitzSeeds>,
-    tel: &automon_obs::Telemetry,
-) -> (DcDecomposition, Option<RitzSeeds>) {
     if !tel.is_enabled() {
-        return decompose_with_seeds(f, x0, neighborhood, cfg, seeds);
+        return decompose(f, x0, neighborhood, cfg);
     }
     let span = tel.span("adcd_decompose");
-    let (dec, ritz) = decompose_with_seeds(f, x0, neighborhood, cfg, seeds);
+    let dec = decompose(f, x0, neighborhood, cfg);
     let es = &cfg.eigen_search;
     // Deterministic work accounting, read off the decomposition's own
     // spectral counters: exact on the matrix-free Lanczos path,
@@ -230,7 +186,7 @@ pub fn decompose_observed_with_seeds(
         ],
     );
     drop(span);
-    (dec, ritz)
+    dec
 }
 
 /// ADCD-E (paper Lemma 2).
@@ -277,13 +233,11 @@ fn decompose_x(
     x0: &[f64],
     neighborhood: &NeighborhoodBox,
     cfg: &MonitorConfig,
-    seeds: Option<&RitzSeeds>,
-) -> (DcDecomposition, Option<RitzSeeds>) {
+) -> DcDecomposition {
     let bounds = neighborhood.to_bounds();
     let workers = cfg.parallelism.workers();
     let backend = cfg.spectral_backend;
     let mut spectral = SpectralStats::default();
-    let mut ritz_out = None;
     let (lambda_min_hat, lambda_max_hat, lambda0_min, lambda0_max) = if backend
         == SpectralBackend::Ql
         && cfg.eigen_objective == EigenObjective::Exact
@@ -292,10 +246,7 @@ fn decompose_x(
         // per-stream code runs for every `Parallelism` setting, so
         // results are bit-identical across worker counts by
         // construction.
-        let (lmin, lmax, l0min, l0max, ritz) =
-            search_extremes_lanczos(f, x0, &bounds, &cfg.eigen_search, workers, seeds, &mut spectral);
-        ritz_out = Some(ritz);
-        (lmin, lmax, l0min, l0max)
+        search_extremes_lanczos(f, x0, &bounds, &cfg.eigen_search, workers, &mut spectral)
     } else {
         let probes = 2 * cfg.eigen_search.probes as u64;
         spectral.eigen_probes = probes;
@@ -356,17 +307,14 @@ fn decompose_x(
         DcKind::ConcaveDiff => Curvature::Scalar(lambda_plus * cfg.eigen_margin),
         DcKind::AdmissibleOnly => unreachable!("ablation bypasses decompose"),
     };
-    (
-        DcDecomposition {
-            kind: AdcdKind::X,
-            dc,
-            curvature,
-            lambda_min_hat,
-            lambda_max_hat,
-            spectral,
-        },
-        ritz_out,
-    )
+    DcDecomposition {
+        kind: AdcdKind::X,
+        dc,
+        curvature,
+        lambda_min_hat,
+        lambda_max_hat,
+        spectral,
+    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -658,9 +606,8 @@ fn search_extremes_lanczos(
     bounds: &Bounds,
     es: &EigenSearch,
     workers: usize,
-    seeds: Option<&RitzSeeds>,
     stats: &mut SpectralStats,
-) -> (f64, f64, f64, f64, RitzSeeds) {
+) -> (f64, f64, f64, f64) {
     let d = bounds.dim();
     let center = bounds.center();
     let h0 = f.hessian(x0);
@@ -673,7 +620,7 @@ fn search_extremes_lanczos(
     let shift = 0.5 * (glo + ghi);
     let scale = 0.5 * (ghi - glo);
 
-    let run_stream = |which: Extreme| -> (f64, LanczosStats, u64, Vec<f64>) {
+    let run_stream = |which: Extreme| -> (f64, LanczosStats, u64) {
         let mut ls = LanczosStats::default();
         let mut evals = 0u64;
         let (side, col) = match which {
@@ -681,20 +628,7 @@ fn search_extremes_lanczos(
             Extreme::Max => (RitzSide::Largest, d - 1),
         };
         let mut ws = LanczosWorkspace::new();
-        // A cached warm-start seed (from a prior search in the same
-        // cell) replaces the center eigenvector as the initial Krylov
-        // direction; H(center) is still materialized — the incumbent
-        // and the Gershgorin shift/scale anchor correctness.
-        let seed = seeds
-            .map(|s| match which {
-                Extreme::Min => &s.min,
-                Extreme::Max => &s.max,
-            })
-            .filter(|v| v.len() == d);
-        let start: Vec<f64> = match seed {
-            Some(v) => v.clone(),
-            None => (0..d).map(|i| eigc.vectors[(i, col)]).collect(),
-        };
+        let start: Vec<f64> = (0..d).map(|i| eigc.vectors[(i, col)]).collect();
         ws.set_start(&start);
         let mut he = f.hvp_eval();
         let lopts = LanczosOptions::default();
@@ -744,10 +678,7 @@ fn search_extremes_lanczos(
                 best_v = r.value;
             }
         }
-        // After the last evaluation the workspace start vector is the
-        // chosen side's converged Ritz vector (or the untouched seed if
-        // nothing was evaluated) — capture it for the cache.
-        (best_v, ls, evals, ws.start_vector().to_vec())
+        (best_v, ls, evals)
     };
 
     let (min_res, max_res) = if workers >= 2 {
@@ -766,23 +697,14 @@ fn search_extremes_lanczos(
     };
 
     // Merge counters in fixed min-then-max order.
-    let (min_v, min_ls, min_evals, min_ritz) = min_res;
-    let (max_v, max_ls, max_evals, max_ritz) = max_res;
+    let (min_v, min_ls, min_evals) = min_res;
+    let (max_v, max_ls, max_evals) = max_res;
     stats.eigen_probes = min_evals + max_evals;
     stats.lanczos_iterations = min_ls.iterations + max_ls.iterations;
     stats.reorth_passes = min_ls.reorth_passes + max_ls.reorth_passes;
     stats.hvp_applies = min_ls.applies + max_ls.applies;
 
-    (
-        min_v,
-        -max_v,
-        eig0.lambda_min(),
-        eig0.lambda_max(),
-        RitzSeeds {
-            min: min_ritz,
-            max: max_ritz,
-        },
-    )
+    (min_v, -max_v, eig0.lambda_min(), eig0.lambda_max())
 }
 
 #[cfg(test)]

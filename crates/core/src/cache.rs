@@ -1,142 +1,73 @@
-//! Coordinator-side decomposition cache with pluggable eviction.
+//! Coordinator-side decomposition cache: an exact-hit memo with one
+//! eviction order.
 //!
 //! ADCD decomposition is the full-sync hot path: every violation that
 //! lazy sync cannot absorb pays a QL or Lanczos eigendecomposition at
-//! the new reference point `x0`. Under drifting-mean workloads the
-//! reference points recur — the mean oscillates through a small set of
-//! cells — so the coordinator can remember `(x0, r) → Decomposition`
-//! and skip the eigensolve entirely when an identical sync recurs.
+//! the new reference point `x0`. The coordinator can remember
+//! `(x0, r) → Decomposition` and skip the eigensolve entirely when an
+//! identical sync recurs — a periodic stream, or a fleet whose leaves
+//! share one cache — at ~0.2 µs against 0.6–2.5 ms.
 //!
 //! # Keying and the bit-identity contract
 //!
 //! Entries are indexed by [`CacheKey`]: the function id, the quantized
 //! `x0` cell (`floor(x0_i / cell)` per coordinate), and the radius
 //! bucket (`floor(log2 r)`). The key is only an *index*; correctness
-//! never depends on the quantization. An **exact hit** additionally
-//! requires the stored `x0`, `r`, and neighborhood box to be
-//! bit-identical to the query — and since [`crate::adcd::decompose`]
-//! is deterministic, replaying the stored [`DcDecomposition`] is
-//! bit-for-bit what a fresh decomposition would have produced. This is
-//! what makes cache-on runs byte-identical to cache-off runs.
-//!
-//! A **near hit** (same cell, same or adjacent radius bucket, but
-//! different exact inputs) cannot reuse the result, but it can seed
-//! the Lanczos extreme-eigenvalue streams with the cached Ritz vectors
-//! ([`crate::adcd::RitzSeeds`]). Warm starts change the Lanczos
-//! trajectory — the converged values agree only to solver tolerance,
-//! not bitwise — so they are **off by default** and gated behind
-//! [`DecompCacheConfig::warm_start`]; enabling them trades strict
-//! cache-on/off bit parity for fewer Lanczos iterations.
+//! never depends on the quantization. A **hit** additionally requires
+//! the stored `x0`, `r`, and neighborhood box to be bit-identical to
+//! the query — and since [`crate::adcd::decompose`] is deterministic,
+//! replaying the stored [`DcDecomposition`] is bit-for-bit what a fresh
+//! decomposition would have produced. This is what makes cache-on runs
+//! byte-identical to cache-off runs. Nothing but an exact hit is ever
+//! reused.
 //!
 //! # Eviction
 //!
-//! Eviction is pluggable via [`EvictionPolicy`], with three
-//! deterministic implementations selected by [`CachePolicy`]:
+//! One order, segmented LRU: new entries land in a probationary
+//! segment and only a hit promotes them into the protected segment
+//! (capped at 4/5 of capacity); victims come from the probationary LRU
+//! end, so one-shot violation probes wash through without displacing a
+//! key that has recurred. It is built on ordered structures only
+//! (`BTreeMap`-backed recency lists, no `HashMap` iteration), so the
+//! same operation sequence always produces the same eviction sequence,
+//! keeping the simulator's determinism contract intact.
 //!
-//! * **LRU-K** — evicts the entry with the greatest backward-K
-//!   distance (entries with fewer than K recorded accesses count as
-//!   infinitely distant and go first, oldest last-access breaking
-//!   ties). Retains a bounded history for recently evicted keys so a
-//!   re-inserted recurring cell keeps its access record.
-//! * **SLRU** — segmented LRU: new entries land in a probationary
-//!   segment and only a hit promotes them into the protected segment
-//!   (capped at 4/5 of capacity); one-shot violation probes therefore
-//!   wash through probation without displacing recurring cells.
-//! * **ARC** — adaptive replacement: resident lists T1 (seen once)
-//!   and T2 (seen twice+) plus ghost lists B1/B2 remembering recently
-//!   evicted keys. Ghost hits steer the adaptation target `p` toward
-//!   recency or frequency, self-tuning between the two.
-//!
-//! All three use ordered structures only (`BTreeMap`-backed recency
-//! lists) — no `HashMap` iteration anywhere — so the same operation
-//! sequence always produces the same eviction sequence, keeping the
-//! simulator's determinism contract intact.
+//! Why one order and exact hits only: on every trace measured so far
+//! a drifting stream never returns to a bit-identical reference point,
+//! so there is no recurrence for a smarter policy or a near-hit seed
+//! to exploit (DESIGN.md §3.11 has the numbers).
 //!
 //! This module also hosts [`SlotList`], the intrusive slot-index
 //! recency list backing the coordinator's lazy-sync node LRU (§3.5):
 //! same iteration order as the `VecDeque` it replaces, but touch is
 //! O(1) instead of an O(n) scan.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::{Arc, MutexGuard};
 
 use parking_lot::Mutex;
 
-use crate::adcd::{DcDecomposition, RitzSeeds};
+use crate::adcd::DcDecomposition;
 use crate::safezone::NeighborhoodBox;
 
 // ---------------------------------------------------------------------------
 // Configuration
 // ---------------------------------------------------------------------------
 
-/// Which eviction policy a [`DecompCache`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CachePolicy {
-    /// LRU-K (backward-K-distance) eviction.
-    LruK,
-    /// Segmented LRU with probationary/protected segments.
-    #[default]
-    Slru,
-    /// Adaptive Replacement Cache with T1/T2/B1/B2 ghost lists.
-    Arc,
-}
-
-impl CachePolicy {
-    /// Parse a CLI/config spelling (`lru-k`, `slru`, `arc`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "lru-k" | "lruk" | "lru_k" => Some(Self::LruK),
-            "slru" => Some(Self::Slru),
-            "arc" => Some(Self::Arc),
-            _ => None,
-        }
-    }
-
-    /// Canonical name, used in metric labels.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Self::LruK => "lru-k",
-            Self::Slru => "slru",
-            Self::Arc => "arc",
-        }
-    }
-}
-
 /// Configuration for the coordinator decomposition cache.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecompCacheConfig {
-    /// Eviction policy.
-    pub policy: CachePolicy,
     /// Maximum resident entries (≥ 1).
     pub capacity: usize,
     /// Quantization cell width for the `x0` grid (> 0).
     pub cell: f64,
-    /// `K` for the LRU-K policy.
-    pub lru_k: usize,
-    /// Seed Lanczos with cached Ritz vectors on near hits. Off by
-    /// default: warm starts keep the spectral-oracle tolerances but
-    /// break bit-identity between cache-on and cache-off runs.
-    pub warm_start: bool,
 }
 
 impl Default for DecompCacheConfig {
     fn default() -> Self {
         Self {
-            policy: CachePolicy::default(),
             capacity: 64,
             cell: 1e-3,
-            lru_k: 2,
-            warm_start: false,
-        }
-    }
-}
-
-impl DecompCacheConfig {
-    /// Default configuration for `policy`.
-    pub fn with_policy(policy: CachePolicy) -> Self {
-        Self {
-            policy,
-            ..Self::default()
         }
     }
 }
@@ -173,23 +104,15 @@ impl CacheKey {
             radius_bucket: crate::quant::radius_bucket(r),
         }
     }
-
-    fn with_bucket(&self, bucket: i32) -> Self {
-        Self {
-            fn_id: self.fn_id,
-            cell: self.cell.clone(),
-            radius_bucket: bucket,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Deterministic recency list
+// Eviction order
 // ---------------------------------------------------------------------------
 
 /// An ordered set with O(log n) LRU→MRU operations, backed by
 /// `BTreeMap`s so iteration order is deterministic.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct RecencyList {
     /// seq → key, ascending seq = LRU → MRU.
     order: BTreeMap<u64, CacheKey>,
@@ -201,10 +124,6 @@ struct RecencyList {
 impl RecencyList {
     fn len(&self) -> usize {
         self.order.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.order.is_empty()
     }
 
     fn contains(&self, key: &CacheKey) -> bool {
@@ -242,180 +161,22 @@ impl RecencyList {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Eviction policies
-// ---------------------------------------------------------------------------
-
-/// A pluggable, deterministic eviction policy.
-///
-/// The policy tracks residency metadata only; the [`DecompCache`] owns
-/// the entries. Contract: `on_insert` is called for keys not currently
-/// resident and returns at most one victim, which must be resident;
-/// `on_hit` is called for resident keys.
-pub trait EvictionPolicy: std::fmt::Debug + Send {
-    /// Canonical policy name (metric label).
-    fn name(&self) -> &'static str;
-
-    /// A resident key was accessed.
-    fn on_hit(&mut self, key: &CacheKey);
-
-    /// A non-resident key is being inserted; returns the key to evict,
-    /// if the cache is at capacity.
-    fn on_insert(&mut self, key: &CacheKey) -> Option<CacheKey>;
-
-    /// A resident key was removed out-of-band (invalidation).
-    fn on_remove(&mut self, key: &CacheKey);
-
-    /// Hits on remembered-but-evicted ("ghost") keys, for policies
-    /// that keep ghost state (ARC).
-    fn ghost_hits(&self) -> u64 {
-        0
-    }
-
-    /// Per-policy adaptation signal: ARC's target `p`, SLRU's
-    /// protected-segment occupancy, LRU-K's count of fully-observed
-    /// (≥ K accesses) resident keys.
-    fn adaptation(&self) -> f64 {
-        0.0
-    }
-}
-
-/// Build the policy implementation selected by `cfg`.
-pub fn build_policy(cfg: &DecompCacheConfig) -> Box<dyn EvictionPolicy> {
-    let capacity = cfg.capacity.max(1);
-    match cfg.policy {
-        CachePolicy::LruK => Box::new(LruKPolicy::new(capacity, cfg.lru_k.max(1))),
-        CachePolicy::Slru => Box::new(SlruPolicy::new(capacity)),
-        CachePolicy::Arc => Box::new(ArcPolicy::new(capacity)),
-    }
-}
-
-/// LRU-K (O'Neil et al.): evict the resident key with the greatest
-/// backward-K distance. Keys with fewer than K recorded accesses have
-/// infinite distance and are evicted first, oldest last-access
-/// breaking ties. Access history is retained for up to `2 × capacity`
-/// keys total, so recently evicted recurring keys keep their record.
+/// Segmented LRU over the resident keys: a probationary segment
+/// absorbs first-time entries; a hit promotes into the protected
+/// segment (capped at 4/5 of capacity, overflow demoting back to
+/// probationary MRU). Victims come from the probationary LRU end, so
+/// scan traffic cannot displace the protected working set. Tracks
+/// residency order only; [`DecompCache`] owns the entries.
 #[derive(Debug)]
-pub struct LruKPolicy {
-    capacity: usize,
-    k: usize,
-    clock: u64,
-    /// Most-recent-first access timestamps, truncated to K.
-    history: BTreeMap<CacheKey, VecDeque<u64>>,
-    resident: BTreeSet<CacheKey>,
-}
-
-impl LruKPolicy {
-    /// A policy over `capacity` resident slots with parameter `k`.
-    pub fn new(capacity: usize, k: usize) -> Self {
-        Self {
-            capacity: capacity.max(1),
-            k: k.max(1),
-            clock: 0,
-            history: BTreeMap::new(),
-            resident: BTreeSet::new(),
-        }
-    }
-
-    fn record_access(&mut self, key: &CacheKey) {
-        self.clock += 1;
-        let h = self.history.entry(key.clone()).or_default();
-        h.push_front(self.clock);
-        h.truncate(self.k);
-    }
-
-    /// (has_full_k_history, sort_key): victims sort before survivors.
-    /// Infinite backward-K distance (< K accesses) loses to any finite
-    /// one; within a class, the older timestamp loses.
-    fn victim(&self) -> Option<CacheKey> {
-        self.resident
-            .iter()
-            .map(|key| {
-                let h = self.history.get(key);
-                let full = h.is_some_and(|h| h.len() >= self.k);
-                // Kth-most-recent access when full, last access otherwise.
-                let stamp = h
-                    .and_then(|h| if full { h.back() } else { h.front() })
-                    .copied()
-                    .unwrap_or(0);
-                (full, stamp, key.clone())
-            })
-            .min()
-            .map(|(_, _, key)| key)
-    }
-
-    fn prune_ghost_history(&mut self) {
-        while self.history.len() > 2 * self.capacity {
-            let ghost = self
-                .history
-                .iter()
-                .filter(|(k, _)| !self.resident.contains(k))
-                .map(|(k, h)| (h.front().copied().unwrap_or(0), k.clone()))
-                .min();
-            match ghost {
-                Some((_, key)) => {
-                    self.history.remove(&key);
-                }
-                None => break,
-            }
-        }
-    }
-}
-
-impl EvictionPolicy for LruKPolicy {
-    fn name(&self) -> &'static str {
-        "lru-k"
-    }
-
-    fn on_hit(&mut self, key: &CacheKey) {
-        debug_assert!(self.resident.contains(key));
-        self.record_access(key);
-    }
-
-    fn on_insert(&mut self, key: &CacheKey) -> Option<CacheKey> {
-        debug_assert!(!self.resident.contains(key));
-        let victim = if self.resident.len() >= self.capacity {
-            let v = self.victim().expect("resident non-empty at capacity");
-            self.resident.remove(&v);
-            Some(v)
-        } else {
-            None
-        };
-        self.resident.insert(key.clone());
-        self.record_access(key);
-        self.prune_ghost_history();
-        victim
-    }
-
-    fn on_remove(&mut self, key: &CacheKey) {
-        self.resident.remove(key);
-    }
-
-    fn adaptation(&self) -> f64 {
-        self.resident
-            .iter()
-            .filter(|k| self.history.get(*k).is_some_and(|h| h.len() >= self.k))
-            .count() as f64
-    }
-}
-
-/// Segmented LRU: a probationary segment absorbs first-time entries; a
-/// hit promotes into the protected segment (capped at 4/5 of
-/// capacity, overflow demoting back to probationary MRU). Victims come
-/// from the probationary LRU end, so scan traffic cannot displace the
-/// protected working set.
-#[derive(Debug)]
-pub struct SlruPolicy {
+struct SegmentedLru {
     capacity: usize,
     protected_cap: usize,
     probationary: RecencyList,
     protected: RecencyList,
 }
 
-impl SlruPolicy {
-    /// A policy over `capacity` resident slots.
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
+impl SegmentedLru {
+    fn new(capacity: usize) -> Self {
         Self {
             capacity,
             protected_cap: capacity * 4 / 5,
@@ -424,33 +185,21 @@ impl SlruPolicy {
         }
     }
 
-    fn demote_protected_overflow(&mut self) {
-        while self.protected.len() > self.protected_cap {
-            let demoted = self.protected.pop_lru().expect("overflowing");
-            self.probationary.push_mru(&demoted);
-        }
-    }
-
-    /// (probationary, protected) segment sizes, for tests.
-    pub fn segments(&self) -> (usize, usize) {
-        (self.probationary.len(), self.protected.len())
-    }
-}
-
-impl EvictionPolicy for SlruPolicy {
-    fn name(&self) -> &'static str {
-        "slru"
-    }
-
+    /// A resident key was accessed.
     fn on_hit(&mut self, key: &CacheKey) {
         if self.probationary.remove(key) {
             self.protected.push_mru(key);
-            self.demote_protected_overflow();
+            while self.protected.len() > self.protected_cap {
+                let demoted = self.protected.pop_lru().expect("overflowing");
+                self.probationary.push_mru(&demoted);
+            }
         } else if self.protected.contains(key) {
             self.protected.push_mru(key);
         }
     }
 
+    /// A non-resident key is being inserted; returns the resident key
+    /// to evict when that overflows the capacity.
     fn on_insert(&mut self, key: &CacheKey) -> Option<CacheKey> {
         self.probationary.push_mru(key);
         if self.probationary.len() + self.protected.len() > self.capacity {
@@ -464,156 +213,6 @@ impl EvictionPolicy for SlruPolicy {
             None
         }
     }
-
-    fn on_remove(&mut self, key: &CacheKey) {
-        if !self.probationary.remove(key) {
-            self.protected.remove(key);
-        }
-    }
-
-    fn adaptation(&self) -> f64 {
-        self.protected.len() as f64
-    }
-}
-
-/// ARC (Megiddo & Modha): resident lists T1 (seen once) and T2 (seen
-/// twice or more) plus ghost lists B1/B2 remembering recently evicted
-/// keys. A ghost hit in B1 grows the recency target `p`; one in B2
-/// shrinks it — the policy self-tunes between LRU-like and LFU-like
-/// behavior.
-#[derive(Debug)]
-pub struct ArcPolicy {
-    c: usize,
-    /// Target size for T1, `0 ≤ p ≤ c`.
-    p: usize,
-    t1: RecencyList,
-    t2: RecencyList,
-    b1: RecencyList,
-    b2: RecencyList,
-    ghost_hits: u64,
-}
-
-impl ArcPolicy {
-    /// A policy over `c` resident slots.
-    pub fn new(c: usize) -> Self {
-        Self {
-            c: c.max(1),
-            p: 0,
-            t1: RecencyList::default(),
-            t2: RecencyList::default(),
-            b1: RecencyList::default(),
-            b2: RecencyList::default(),
-            ghost_hits: 0,
-        }
-    }
-
-    fn resident(&self) -> usize {
-        self.t1.len() + self.t2.len()
-    }
-
-    /// REPLACE from the paper: evict T1's LRU into B1 when T1 exceeds
-    /// the target (or ties it on a B2 ghost hit), else T2's LRU into
-    /// B2. Only called when the resident set is at capacity.
-    fn replace(&mut self, in_b2: bool) -> CacheKey {
-        let from_t1 = !self.t1.is_empty()
-            && (self.t1.len() > self.p || (in_b2 && self.t1.len() == self.p));
-        if from_t1 {
-            let v = self.t1.pop_lru().expect("t1 non-empty");
-            self.b1.push_mru(&v);
-            v
-        } else {
-            let v = self.t2.pop_lru().expect("t2 non-empty when t1 is");
-            self.b2.push_mru(&v);
-            v
-        }
-    }
-
-    fn replace_if_full(&mut self, in_b2: bool) -> Option<CacheKey> {
-        (self.resident() >= self.c).then(|| self.replace(in_b2))
-    }
-
-    /// `(|T1|, |T2|, |B1|, |B2|, p)`, for invariant checks in tests.
-    pub fn lists(&self) -> (usize, usize, usize, usize, usize) {
-        (
-            self.t1.len(),
-            self.t2.len(),
-            self.b1.len(),
-            self.b2.len(),
-            self.p,
-        )
-    }
-}
-
-impl EvictionPolicy for ArcPolicy {
-    fn name(&self) -> &'static str {
-        "arc"
-    }
-
-    fn on_hit(&mut self, key: &CacheKey) {
-        if self.t1.remove(key) || self.t2.contains(key) {
-            self.t2.push_mru(key);
-        }
-    }
-
-    fn on_insert(&mut self, key: &CacheKey) -> Option<CacheKey> {
-        debug_assert!(!self.t1.contains(key) && !self.t2.contains(key));
-        if self.b1.remove(key) {
-            // Case II: ghost hit in B1 — favor recency.
-            self.ghost_hits += 1;
-            let delta = (self.b2.len() / self.b1.len().max(1)).max(1);
-            self.p = (self.p + delta).min(self.c);
-            let victim = self.replace_if_full(false);
-            self.t2.push_mru(key);
-            return victim;
-        }
-        if self.b2.remove(key) {
-            // Case III: ghost hit in B2 — favor frequency.
-            self.ghost_hits += 1;
-            let delta = (self.b1.len() / self.b2.len().max(1)).max(1);
-            self.p = self.p.saturating_sub(delta);
-            let victim = self.replace_if_full(true);
-            self.t2.push_mru(key);
-            return victim;
-        }
-        // Case IV: brand-new key.
-        let l1 = self.t1.len() + self.b1.len();
-        let victim = if l1 == self.c {
-            if self.t1.len() < self.c {
-                self.b1.pop_lru();
-                self.replace_if_full(false)
-            } else {
-                // B1 empty and T1 full: drop T1's LRU without ghosting.
-                let v = self.t1.pop_lru().expect("t1 full");
-                Some(v)
-            }
-        } else {
-            let total = l1 + self.t2.len() + self.b2.len();
-            if total >= self.c {
-                if total >= 2 * self.c {
-                    self.b2.pop_lru();
-                }
-                self.replace_if_full(false)
-            } else {
-                None
-            }
-        };
-        self.t1.push_mru(key);
-        victim
-    }
-
-    fn on_remove(&mut self, key: &CacheKey) {
-        if !self.t1.remove(key) {
-            self.t2.remove(key);
-        }
-    }
-
-    fn ghost_hits(&self) -> u64 {
-        self.ghost_hits
-    }
-
-    fn adaptation(&self) -> f64 {
-        self.p as f64
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -625,33 +224,24 @@ impl EvictionPolicy for ArcPolicy {
 /// monitoring output stays bit-identical with the cache on or off.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Exact hits (decomposition reused outright).
+    /// Hits (decomposition reused outright).
     pub hits: u64,
-    /// Near hits (Ritz warm-start seeds reused).
-    pub near_hits: u64,
     /// Lookups that found nothing reusable.
     pub misses: u64,
     /// Entries inserted.
     pub insertions: u64,
-    /// Entries evicted by the policy.
+    /// Entries evicted.
     pub evictions: u64,
-    /// Ghost-list hits (ARC only).
-    pub ghost_hits: u64,
 }
 
 /// One cached decomposition with the exact inputs that produced it.
-#[derive(Debug, Clone)]
-pub struct CacheEntry {
-    /// Exact reference point.
-    pub x0: Vec<f64>,
-    /// Exact neighborhood radius.
-    pub r: f64,
-    /// Exact neighborhood box (captures domain clamping).
-    pub neighborhood: NeighborhoodBox,
-    /// The full decomposition result.
-    pub dec: DcDecomposition,
-    /// Ritz vectors from the Lanczos extremes, when that path ran.
-    pub ritz: Option<RitzSeeds>,
+#[derive(Debug)]
+struct CacheEntry {
+    x0: Vec<f64>,
+    r: f64,
+    /// Captures domain clamping.
+    neighborhood: NeighborhoodBox,
+    dec: DcDecomposition,
 }
 
 /// Outcome of a [`DecompCache::lookup`].
@@ -659,27 +249,25 @@ pub struct CacheEntry {
 pub enum CacheLookup {
     /// Stored inputs are bit-identical: reuse the decomposition.
     Exact(DcDecomposition),
-    /// Same cell / adjacent radius bucket: warm-start Lanczos.
-    Near(RitzSeeds),
     /// Nothing reusable.
     Miss,
 }
 
-/// What an insert did, for metric deltas.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct InsertReport {
-    /// Entries evicted to make room (0 or 1).
-    pub evicted: usize,
-    /// The inserted key was remembered in a ghost list (ARC).
-    pub ghost_hit: bool,
-}
+/// Type of [`DecompCache::insert`]'s vestigial sixth parameter. The
+/// cross-sync Lanczos warm start it carried is gone, but the frozen
+/// benchmark package (`crates/bench/src/bin/benchmark/src/layers.rs`)
+/// still passes `None` there; uninhabited, so `None` is all a caller
+/// can pass. Goes away with the parameter once a `benchmark` PR drops
+/// the argument.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RitzSeeds {}
 
 /// The coordinator decomposition cache. See the module docs for the
 /// keying scheme and the bit-identity contract.
 #[derive(Debug)]
 pub struct DecompCache {
     cfg: DecompCacheConfig,
-    policy: Box<dyn EvictionPolicy>,
+    order: SegmentedLru,
     entries: BTreeMap<CacheKey, CacheEntry>,
     /// Tuned neighborhood radii remembered per function id
     /// (`tuning::tune_neighborhood_size` results ride along so a
@@ -691,24 +279,14 @@ pub struct DecompCache {
 impl DecompCache {
     /// An empty cache under `cfg`.
     pub fn new(cfg: DecompCacheConfig) -> Self {
-        let policy = build_policy(&cfg);
+        let order = SegmentedLru::new(cfg.capacity.max(1));
         Self {
             cfg,
-            policy,
+            order,
             entries: BTreeMap::new(),
             tuned_r: BTreeMap::new(),
             stats: CacheStats::default(),
         }
-    }
-
-    /// The configuration this cache was built with.
-    pub fn config(&self) -> &DecompCacheConfig {
-        &self.cfg
-    }
-
-    /// Canonical name of the active eviction policy.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
     }
 
     /// Resident entry count.
@@ -723,28 +301,16 @@ impl DecompCache {
 
     /// Maximum resident entries.
     pub fn capacity(&self) -> usize {
-        self.cfg.capacity.max(1)
+        self.order.capacity
     }
 
-    /// Hit/miss counters (ghost hits refreshed from the policy).
+    /// Hit/miss counters.
     pub fn stats(&self) -> CacheStats {
-        let mut s = self.stats.clone();
-        s.ghost_hits = self.policy.ghost_hits();
-        s
+        self.stats.clone()
     }
 
-    /// The policy's adaptation signal (see
-    /// [`EvictionPolicy::adaptation`]).
-    pub fn adaptation(&self) -> f64 {
-        self.policy.adaptation()
-    }
-
-    /// Look up `(fn_id, x0, r)` with neighborhood `b`.
-    ///
-    /// Exact hits require the stored `x0`, `r`, and box to be
-    /// bit-identical. Near hits (same cell; same or adjacent radius
-    /// bucket; Ritz vectors available) are only reported when
-    /// [`DecompCacheConfig::warm_start`] is set.
+    /// Look up `(fn_id, x0, r)` with neighborhood `b`. A hit requires
+    /// the stored `x0`, `r`, and box to be bit-identical.
     pub fn lookup(
         &mut self,
         fn_id: u64,
@@ -756,20 +322,9 @@ impl DecompCache {
         if let Some(e) = self.entries.get(&key) {
             if bits_eq(&e.x0, x0) && e.r.to_bits() == r.to_bits() && e.neighborhood == *b {
                 let dec = e.dec.clone();
-                self.policy.on_hit(&key);
+                self.order.on_hit(&key);
                 self.stats.hits += 1;
                 return CacheLookup::Exact(dec);
-            }
-        }
-        if self.cfg.warm_start {
-            // Same cell first, then the adjacent radius buckets.
-            for bucket in [key.radius_bucket, key.radius_bucket - 1, key.radius_bucket + 1] {
-                let probe = key.with_bucket(bucket);
-                if let Some(ritz) = self.entries.get(&probe).and_then(|e| e.ritz.clone()) {
-                    self.policy.on_hit(&probe);
-                    self.stats.near_hits += 1;
-                    return CacheLookup::Near(ritz);
-                }
             }
         }
         self.stats.misses += 1;
@@ -777,7 +332,9 @@ impl DecompCache {
     }
 
     /// Insert (or refresh) the decomposition computed for
-    /// `(fn_id, x0, r, b)`.
+    /// `(fn_id, x0, r, b)`; reports whether a resident entry was
+    /// evicted to make room. The last parameter is ignored (see
+    /// [`RitzSeeds`]).
     pub fn insert(
         &mut self,
         fn_id: u64,
@@ -785,34 +342,31 @@ impl DecompCache {
         r: f64,
         b: NeighborhoodBox,
         dec: DcDecomposition,
-        ritz: Option<RitzSeeds>,
-    ) -> InsertReport {
+        _: Option<RitzSeeds>,
+    ) -> bool {
         let key = CacheKey::quantize(fn_id, x0, r, self.cfg.cell);
         let entry = CacheEntry {
             x0: x0.to_vec(),
             r,
             neighborhood: b,
             dec,
-            ritz,
         };
-        let mut report = InsertReport::default();
+        let mut evicted = false;
         if self.entries.contains_key(&key) {
             // Same cell, fresher exact inputs: refresh in place.
-            self.policy.on_hit(&key);
+            self.order.on_hit(&key);
         } else {
-            let ghosts_before = self.policy.ghost_hits();
-            if let Some(victim) = self.policy.on_insert(&key) {
-                let evicted = self.entries.remove(&victim);
-                debug_assert!(evicted.is_some(), "policy evicted a non-resident key");
+            if let Some(victim) = self.order.on_insert(&key) {
+                let removed = self.entries.remove(&victim);
+                debug_assert!(removed.is_some(), "evicted a non-resident key");
                 self.stats.evictions += 1;
-                report.evicted = 1;
+                evicted = true;
             }
-            report.ghost_hit = self.policy.ghost_hits() > ghosts_before;
             self.stats.insertions += 1;
         }
         self.entries.insert(key, entry);
         debug_assert!(self.entries.len() <= self.capacity());
-        report
+        evicted
     }
 
     /// Remember a tuned neighborhood radius for `fn_id`.
@@ -823,15 +377,6 @@ impl DecompCache {
     /// A previously remembered tuned radius for `fn_id`.
     pub fn tuned_r(&self, fn_id: u64) -> Option<f64> {
         self.tuned_r.get(&fn_id).copied()
-    }
-
-    /// Drop every entry (tuned radii and counters are kept).
-    pub fn clear(&mut self) {
-        let keys: Vec<CacheKey> = self.entries.keys().cloned().collect();
-        for key in &keys {
-            self.policy.on_remove(key);
-        }
-        self.entries.clear();
     }
 }
 
@@ -1008,20 +553,11 @@ impl Iterator for SlotIter<'_> {
         Some(slot)
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adcd::{AdcdKind, SpectralStats};
     use crate::safezone::{Curvature, DcKind};
-
-    fn key(id: i64) -> CacheKey {
-        CacheKey {
-            fn_id: 0,
-            cell: vec![id],
-            radius_bucket: 0,
-        }
-    }
 
     fn dummy_dec(tag: f64) -> DcDecomposition {
         DcDecomposition {
@@ -1076,87 +612,37 @@ mod tests {
     }
 
     #[test]
-    fn near_hit_needs_warm_start_and_ritz() {
-        let mut cold = DecompCache::new(DecompCacheConfig::default());
-        let mut warm = DecompCache::new(DecompCacheConfig {
-            warm_start: true,
+    fn capacity_is_enforced() {
+        let mut cache = DecompCache::new(DecompCacheConfig {
+            capacity: 4,
             ..DecompCacheConfig::default()
         });
-        let x0 = [0.5001];
-        let ritz = RitzSeeds {
-            min: vec![1.0],
-            max: vec![-1.0],
-        };
-        for cache in [&mut cold, &mut warm] {
-            cache.insert(1, &x0, 0.25, nb(&x0, 0.25), dummy_dec(1.0), Some(ritz.clone()));
+        for i in 0..32 {
+            let x0 = [i as f64];
+            cache.insert(1, &x0, 0.5, nb(&x0, 0.5), dummy_dec(i as f64), None);
+            assert!(cache.len() <= 4);
         }
-        let x1 = [0.5002]; // same 1e-3 cell, different point
-        assert!(matches!(
-            cold.lookup(1, &x1, 0.25, &nb(&x1, 0.25)),
-            CacheLookup::Miss
-        ));
-        assert!(matches!(
-            warm.lookup(1, &x1, 0.25, &nb(&x1, 0.25)),
-            CacheLookup::Near(_)
-        ));
-        // Adjacent radius bucket also warm-starts: r 0.25 → bucket -2,
-        // r 0.4 → bucket -2? no: log2(0.4)=-1.32 → -2. Use 0.6 → -1.
-        assert!(matches!(
-            warm.lookup(1, &x1, 0.6, &nb(&x1, 0.6)),
-            CacheLookup::Near(_)
-        ));
-        assert_eq!(warm.stats().near_hits, 2);
+        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.stats().evictions, 32 - 4);
     }
 
     #[test]
-    fn capacity_is_enforced_for_every_policy() {
-        for policy in [CachePolicy::LruK, CachePolicy::Slru, CachePolicy::Arc] {
-            let mut cache = DecompCache::new(DecompCacheConfig {
-                policy,
-                capacity: 4,
-                ..DecompCacheConfig::default()
-            });
-            for i in 0..32 {
-                let x0 = [i as f64];
-                cache.insert(1, &x0, 0.5, nb(&x0, 0.5), dummy_dec(i as f64), None);
-                assert!(cache.len() <= 4, "{policy:?} exceeded capacity");
-            }
-            assert_eq!(cache.len(), 4);
-            assert_eq!(cache.stats().evictions, 32 - 4, "{policy:?}");
-        }
-    }
-
-    #[test]
-    fn slru_protects_recurring_entries_from_scans() {
-        let mut p = SlruPolicy::new(5); // protected cap 4
-        let hot = key(100);
-        assert!(p.on_insert(&hot).is_none());
-        p.on_hit(&hot); // promoted to protected
-        assert_eq!(p.segments(), (0, 1));
-        // A scan of one-shot keys must never evict the protected key.
+    fn recurring_entry_survives_a_scan() {
+        let mut cache = DecompCache::new(DecompCacheConfig {
+            capacity: 5, // protected cap 4
+            ..DecompCacheConfig::default()
+        });
+        let hot = [100.0];
+        let b = nb(&hot, 0.5);
+        cache.insert(1, &hot, 0.5, b.clone(), dummy_dec(1.0), None);
+        // One hit promotes it out of the probationary segment.
+        assert!(matches!(cache.lookup(1, &hot, 0.5, &b), CacheLookup::Exact(_)));
+        // A scan of one-shot keys ten capacities long must not evict it.
         for i in 0..50 {
-            if let Some(v) = p.on_insert(&key(i)) {
-                assert_ne!(v, hot, "scan evicted the protected entry");
-            }
+            let x0 = [i as f64];
+            cache.insert(1, &x0, 0.5, nb(&x0, 0.5), dummy_dec(0.0), None);
         }
-    }
-
-    #[test]
-    fn arc_adapts_on_ghost_hits() {
-        let mut p = ArcPolicy::new(3);
-        p.on_insert(&key(0));
-        p.on_hit(&key(0)); // 0 promoted to T2, so REPLACE can ghost T1
-        for i in 1..4 {
-            p.on_insert(&key(i)); // T1 overflows: 1 evicted into B1
-        }
-        assert_eq!(p.lists(), (2, 1, 1, 0, 0), "expected B1 = [1]");
-        let before = p.adaptation();
-        // Ghost hit in B1 grows p toward recency.
-        p.on_insert(&key(1));
-        assert!(p.adaptation() > before, "{:?}", p.lists());
-        assert_eq!(p.ghost_hits(), 1);
-        let (t1, t2, b1, b2, pp) = p.lists();
-        assert!(t1 + t2 <= 3 && t1 + b1 <= 3 && t1 + t2 + b1 + b2 <= 6 && pp <= 3);
+        assert!(matches!(cache.lookup(1, &hot, 0.5, &b), CacheLookup::Exact(_)));
     }
 
     #[test]

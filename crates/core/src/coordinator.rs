@@ -158,13 +158,8 @@ struct CoordTel {
     /// node because no unpressured candidate existed.
     backpressure_fallbacks: Counter,
     cache_hits: Counter,
-    cache_near_hits: Counter,
     cache_misses: Counter,
     cache_evictions: Counter,
-    cache_ghost_hits: Counter,
-    /// Per-policy adaptation gauge, labeled with the active policy;
-    /// only registered when the decomposition cache is configured.
-    cache_adaptation: Option<Gauge>,
     snap_taken: Counter,
     snap_deferred: Counter,
     epoch: Gauge,
@@ -173,21 +168,7 @@ struct CoordTel {
 }
 
 impl CoordTel {
-    /// `cache_policy` is the active decomposition-cache policy name,
-    /// when the cache is configured; it labels the per-policy gauges.
-    fn new(tel: Telemetry, cache_policy: Option<&'static str>) -> Self {
-        let cache_adaptation = cache_policy.map(|p| {
-            let g = tel.gauge(
-                &format!("automon_coord_decomp_cache_policy{{policy=\"{p}\"}}"),
-                "Active decomposition-cache eviction policy (1 = active)",
-            );
-            g.set(1.0);
-            tel.gauge(
-                &format!("automon_coord_decomp_cache_adaptation{{policy=\"{p}\"}}"),
-                "Policy adaptation signal (ARC target p, SLRU protected \
-                 occupancy, LRU-K fully-observed residents)",
-            )
-        });
+    fn new(tel: Telemetry) -> Self {
         Self {
             full_syncs: tel.counter(
                 "automon_coord_full_syncs_total",
@@ -241,10 +222,6 @@ impl CoordTel {
                 "automon_coord_decomp_cache_hits_total",
                 "Decomposition-cache exact hits (eigendecomposition skipped)",
             ),
-            cache_near_hits: tel.counter(
-                "automon_coord_decomp_cache_near_hits_total",
-                "Decomposition-cache near hits (Lanczos warm-started)",
-            ),
             cache_misses: tel.counter(
                 "automon_coord_decomp_cache_misses_total",
                 "Decomposition-cache misses",
@@ -253,11 +230,6 @@ impl CoordTel {
                 "automon_coord_decomp_cache_evictions_total",
                 "Decomposition-cache entries evicted",
             ),
-            cache_ghost_hits: tel.counter(
-                "automon_coord_decomp_cache_ghost_hits_total",
-                "Decomposition-cache ghost-list hits (ARC)",
-            ),
-            cache_adaptation,
             snap_taken: tel.counter(
                 "automon_coord_snapshot_taken_total",
                 "Durable snapshots captured (including retried deferrals)",
@@ -357,7 +329,6 @@ impl Coordinator {
             .decomp_cache
             .as_ref()
             .map(|c| SharedDecompCache::from_config(c.clone()));
-        let cache_policy = cfg.decomp_cache.as_ref().map(|c| c.policy.name());
         Self {
             f,
             n,
@@ -381,7 +352,7 @@ impl Coordinator {
             backpressured: vec![false; n],
             journal: None,
             snapshot_deferred: false,
-            tel: CoordTel::new(Telemetry::disabled(), cache_policy),
+            tel: CoordTel::new(Telemetry::disabled()),
         }
     }
 
@@ -398,7 +369,7 @@ impl Coordinator {
     /// loop, so its trace events satisfy the sequential-context contract
     /// of [`automon_obs::trace`].
     pub fn set_telemetry(&mut self, tel: Telemetry) {
-        let t = CoordTel::new(tel, self.cfg.decomp_cache.as_ref().map(|c| c.policy.name()));
+        let t = CoordTel::new(tel);
         t.epoch.set(self.epoch as f64);
         t.radius.set(self.r);
         t.alive.set(self.alive_count() as f64);
@@ -823,7 +794,6 @@ impl Coordinator {
             .decomp_cache
             .as_ref()
             .map(|c| SharedDecompCache::from_config(c.clone()));
-        let cache_policy = cfg.decomp_cache.as_ref().map(|c| c.policy.name());
         Self {
             f,
             n: snap.n,
@@ -847,7 +817,7 @@ impl Coordinator {
             alive,
             journal: None,
             snapshot_deferred: false,
-            tel: CoordTel::new(Telemetry::disabled(), cache_policy),
+            tel: CoordTel::new(Telemetry::disabled()),
         }
     }
 
@@ -1191,55 +1161,32 @@ impl Coordinator {
     /// ADCD-X decomposition for a full sync, consulting the
     /// decomposition cache when one is configured.
     ///
-    /// An exact hit (stored inputs bitwise equal) replays the cached
+    /// A hit (stored inputs bitwise equal) replays the cached
     /// decomposition — bit-identical to recomputing, since `decompose`
-    /// is deterministic — and skips the eigendecomposition entirely. A
-    /// near hit (same quantized cell, warm starts enabled) seeds the
-    /// Lanczos streams with the cached Ritz vectors. Everything else
-    /// decomposes cold and populates the cache.
+    /// is deterministic — and skips the eigendecomposition entirely.
+    /// Everything else decomposes and populates the cache.
     fn decompose_x_cached(&mut self, x0: &[f64], b: &NeighborhoodBox) -> DcDecomposition {
-        let Some(shared) = self.decomp_cache.clone() else {
-            return adcd::decompose_observed(self.f.as_ref(), x0, Some(b), &self.cfg, &self.tel.tel);
-        };
-        let lookup = shared.lock().lookup(self.cache_fn_id, x0, self.r, b);
-        let seeds = match lookup {
-            CacheLookup::Exact(dec) => {
+        if let Some(cache) = &self.decomp_cache {
+            let lookup = cache.lock().lookup(self.cache_fn_id, x0, self.r, b);
+            if let CacheLookup::Exact(dec) = lookup {
                 self.tel.cache_hits.inc();
                 self.tel
                     .tel
                     .event("decomp_cache", &[("outcome", "hit".into())]);
                 return dec;
             }
-            CacheLookup::Near(s) => {
-                self.tel.cache_near_hits.inc();
-                self.tel
-                    .tel
-                    .event("decomp_cache", &[("outcome", "near".into())]);
-                Some(s)
-            }
-            CacheLookup::Miss => {
-                self.tel.cache_misses.inc();
-                None
-            }
-        };
-        let (dec, ritz) = adcd::decompose_observed_with_seeds(
-            self.f.as_ref(),
-            x0,
-            Some(b),
-            &self.cfg,
-            seeds.as_ref(),
-            &self.tel.tel,
-        );
-        let mut cache = shared.lock();
-        let report = cache.insert(self.cache_fn_id, x0, self.r, b.clone(), dec.clone(), ritz);
-        if report.evicted > 0 {
-            self.tel.cache_evictions.add(report.evicted as u64);
+            self.tel.cache_misses.inc();
         }
-        if report.ghost_hit {
-            self.tel.cache_ghost_hits.inc();
-        }
-        if let Some(g) = &self.tel.cache_adaptation {
-            g.set(cache.adaptation());
+        let dec =
+            adcd::decompose_observed(self.f.as_ref(), x0, Some(b), &self.cfg, &self.tel.tel);
+        if let Some(cache) = &self.decomp_cache {
+            let evicted =
+                cache
+                    .lock()
+                    .insert(self.cache_fn_id, x0, self.r, b.clone(), dec.clone(), None);
+            if evicted {
+                self.tel.cache_evictions.inc();
+            }
         }
         dec
     }

@@ -41,10 +41,10 @@ pub mod quant;
 pub mod safezone;
 pub mod tuning;
 
-pub use adcd::{AdcdKind, DcDecomposition, RitzSeeds, SpectralStats};
+pub use adcd::{AdcdKind, DcDecomposition, SpectralStats};
 pub use cache::{
-    CacheKey, CacheLookup, CachePolicy, CacheStats, DecompCache, DecompCacheConfig,
-    EvictionPolicy, SharedDecompCache,
+    CacheKey, CacheLookup, CacheStats, DecompCache, DecompCacheConfig, RitzSeeds,
+    SharedDecompCache,
 };
 pub use config::{ApproximationKind, EigenObjective, EigenSearch, MonitorConfig, MonitorConfigBuilder, NeighborhoodMode, Parallelism};
 pub use automon_linalg::SpectralBackend;

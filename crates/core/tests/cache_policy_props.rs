@@ -1,217 +1,106 @@
-//! Property tests shared by the three decomposition-cache eviction
-//! policies (LRU-K, SLRU, ARC): capacity is never exceeded, hit/miss
-//! bookkeeping matches a naive oracle map, evictions always name
-//! resident keys, the same operation sequence always produces the same
-//! eviction sequence, and ARC's ghost-list invariants hold after every
-//! operation.
+//! Property tests for the decomposition cache's eviction order, driven
+//! through `DecompCache`'s public API only: residency never exceeds
+//! capacity and the counters stay consistent, the same operation
+//! sequence always produces the same outcomes, and a key that has
+//! recurred survives a scan of one-shot inserts — the property a plain
+//! LRU lacks, and the reason segmented LRU is the order that was kept.
 
-use std::collections::BTreeSet;
-
-use automon_core::cache::{
-    build_policy, ArcPolicy, CacheKey, CachePolicy, CacheStats, DecompCache, DecompCacheConfig,
-    EvictionPolicy,
-};
-use automon_core::{CacheLookup, NeighborhoodBox};
+use automon_core::{CacheLookup, CacheStats, DecompCache, DecompCacheConfig, NeighborhoodBox};
 use proptest::prelude::*;
 
-fn key(id: usize) -> CacheKey {
-    CacheKey {
-        fn_id: 0,
-        cell: vec![id as i64],
-        radius_bucket: 0,
-    }
+const FN_ID: u64 = 7;
+const R: f64 = 0.5;
+
+fn cache(capacity: usize) -> DecompCache {
+    DecompCache::new(DecompCacheConfig {
+        capacity,
+        ..DecompCacheConfig::default()
+    })
 }
 
-/// Drives a policy the way `DecompCache` does, mirroring residency in
-/// a naive oracle set and recording the eviction sequence.
-struct Harness {
-    policy: Box<dyn EvictionPolicy>,
-    capacity: usize,
-    /// The naive oracle: exactly the keys a store honoring the
-    /// policy's eviction decisions would hold.
-    resident: BTreeSet<CacheKey>,
-    evictions: Vec<CacheKey>,
-    hits: u64,
-    misses: u64,
+/// Key `id`: one exact reference point per 1e-3 cell.
+fn point(id: usize) -> ([f64; 1], NeighborhoodBox) {
+    let x = id as f64;
+    let b = NeighborhoodBox {
+        lo: vec![x - R],
+        hi: vec![x + R],
+    };
+    ([x], b)
 }
 
-impl Harness {
-    fn new(policy: CachePolicy, capacity: usize) -> Self {
-        let cfg = DecompCacheConfig {
-            policy,
-            capacity,
-            ..DecompCacheConfig::default()
-        };
-        Self {
-            policy: build_policy(&cfg),
-            capacity,
-            resident: BTreeSet::new(),
-            evictions: Vec::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    fn access(&mut self, id: usize) {
-        let k = key(id);
-        if self.resident.contains(&k) {
-            self.policy.on_hit(&k);
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-            if let Some(victim) = self.policy.on_insert(&k) {
-                assert!(
-                    self.resident.remove(&victim),
-                    "policy evicted non-resident {victim:?}"
-                );
-                self.evictions.push(victim);
-            }
-            self.resident.insert(k);
-        }
-        assert!(
-            self.resident.len() <= self.capacity,
-            "capacity exceeded: {} > {}",
-            self.resident.len(),
-            self.capacity
-        );
-    }
-
-    fn remove(&mut self, id: usize) {
-        let k = key(id);
-        if self.resident.remove(&k) {
-            self.policy.on_remove(&k);
-        }
-    }
+fn is_resident(cache: &mut DecompCache, id: usize) -> bool {
+    let (x0, b) = point(id);
+    matches!(cache.lookup(FN_ID, &x0, R, &b), CacheLookup::Exact(_))
 }
 
-const POLICIES: [CachePolicy; 3] = [CachePolicy::LruK, CachePolicy::Slru, CachePolicy::Arc];
+/// The coordinator's access pattern: look up, and on a miss insert.
+/// Returns `(hit, evicted)`.
+fn access(cache: &mut DecompCache, id: usize) -> (bool, bool) {
+    if is_resident(cache, id) {
+        return (true, false);
+    }
+    let (x0, b) = point(id);
+    (false, cache.insert(FN_ID, &x0, R, b, dummy_dec(), None))
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Capacity bound, victim residency, and hit/miss bookkeeping vs.
-    /// the oracle, under a mixed access/invalidate workload.
     #[test]
-    fn policies_respect_capacity_and_oracle(
-        ops in proptest::collection::vec(0u64..1u64 << 32, 1..160),
-        cap in 1usize..10,
-    ) {
-        for policy in POLICIES {
-            let mut h = Harness::new(policy, cap);
-            let key_space = 3 * cap;
-            let mut accesses = 0u64;
-            for &op in &ops {
-                let id = (op as usize) % key_space;
-                if op % 13 == 0 {
-                    h.remove(id);
-                } else {
-                    h.access(id);
-                    accesses += 1;
-                }
-            }
-            // Every access was classified exactly once, consistently
-            // with the oracle's residency at the time.
-            prop_assert_eq!(h.hits + h.misses, accesses, "{:?}", policy);
-            // Evicted keys left the oracle; whatever remains resident
-            // was never double-evicted.
-            prop_assert!(h.resident.len() <= cap, "{:?}", policy);
-        }
-    }
-
-    /// Same operation sequence ⇒ same eviction sequence, hit counts,
-    /// and final residency, for every policy.
-    #[test]
-    fn policies_are_deterministic(
-        ops in proptest::collection::vec(0usize..48, 1..128),
-        cap in 1usize..8,
-    ) {
-        for policy in POLICIES {
-            let mut a = Harness::new(policy, cap);
-            let mut b = Harness::new(policy, cap);
-            for &id in &ops {
-                a.access(id);
-                b.access(id);
-            }
-            prop_assert_eq!(&a.evictions, &b.evictions, "{:?}", policy);
-            prop_assert_eq!(a.hits, b.hits, "{:?}", policy);
-            prop_assert_eq!(&a.resident, &b.resident, "{:?}", policy);
-        }
-    }
-
-    /// ARC's structural invariants (paper §I.B) hold after every
-    /// operation: |T1|+|T2| ≤ c, |T1|+|B1| ≤ c, total ≤ 2c, p ≤ c.
-    #[test]
-    fn arc_ghost_list_invariants(
-        ops in proptest::collection::vec(0u64..1u64 << 32, 1..200),
-        cap in 1usize..10,
-    ) {
-        let mut arc = ArcPolicy::new(cap);
-        let mut resident: BTreeSet<CacheKey> = BTreeSet::new();
-        let key_space = 4 * cap;
-        for &op in &ops {
-            let k = key((op as usize) % key_space);
-            if resident.contains(&k) {
-                arc.on_hit(&k);
-            } else if op % 17 == 0 {
-                if resident.remove(&k) {
-                    arc.on_remove(&k);
-                }
-            } else {
-                if let Some(v) = arc.on_insert(&k) {
-                    prop_assert!(resident.remove(&v), "victim not resident");
-                }
-                resident.insert(k);
-            }
-            let (t1, t2, b1, b2, p) = arc.lists();
-            prop_assert!(t1 + t2 <= cap, "|T1|+|T2| = {} > c = {cap}", t1 + t2);
-            prop_assert!(t1 + b1 <= cap, "|T1|+|B1| = {} > c = {cap}", t1 + b1);
-            prop_assert!(
-                t1 + t2 + b1 + b2 <= 2 * cap,
-                "total = {} > 2c = {}",
-                t1 + t2 + b1 + b2,
-                2 * cap
-            );
-            prop_assert!(p <= cap, "adaptation p = {p} > c = {cap}");
-            prop_assert_eq!(t1 + t2, resident.len());
-        }
-    }
-
-    /// The full `DecompCache` (not just the bare policy) keeps its
-    /// stats consistent and its residency bounded under random
-    /// lookup/insert interleavings, for every policy.
-    #[test]
-    fn decomp_cache_bookkeeping(
+    fn residency_is_bounded_and_counters_agree(
         ops in proptest::collection::vec(0usize..32, 1..96),
         cap in 1usize..8,
     ) {
-        for policy in POLICIES {
-            let mut cache = DecompCache::new(DecompCacheConfig {
-                policy,
-                capacity: cap,
-                ..DecompCacheConfig::default()
-            });
-            let mut lookups = 0u64;
-            for &id in &ops {
-                let x0 = [id as f64];
-                let b = NeighborhoodBox {
-                    lo: vec![id as f64 - 0.5],
-                    hi: vec![id as f64 + 0.5],
-                };
-                lookups += 1;
-                match cache.lookup(7, &x0, 0.5, &b) {
-                    CacheLookup::Exact(_) => {}
-                    _ => {
-                        // Simulate the miss path: decompose then insert.
-                        let dec = dummy_dec();
-                        cache.insert(7, &x0, 0.5, b, dec, None);
-                    }
-                }
-                prop_assert!(cache.len() <= cap, "{:?}", policy);
-            }
-            let CacheStats { hits, near_hits, misses, insertions, evictions, .. } = cache.stats();
-            prop_assert_eq!(hits + near_hits + misses, lookups, "{:?}", policy);
-            prop_assert_eq!(insertions - evictions, cache.len() as u64, "{:?}", policy);
+        let mut cache = cache(cap);
+        let mut reported_evictions = 0u64;
+        for &id in &ops {
+            let (_, evicted) = access(&mut cache, id);
+            reported_evictions += u64::from(evicted);
+            prop_assert!(cache.len() <= cap);
         }
+        let CacheStats { hits, misses, insertions, evictions } = cache.stats();
+        prop_assert_eq!(hits + misses, ops.len() as u64);
+        prop_assert_eq!(insertions - evictions, cache.len() as u64);
+        prop_assert_eq!(evictions, reported_evictions);
+    }
+
+    /// Same operation sequence ⇒ same hit/eviction outcome at every
+    /// step and the same keys resident at the end.
+    #[test]
+    fn same_ops_give_the_same_eviction_sequence(
+        ops in proptest::collection::vec(0usize..48, 1..128),
+        cap in 1usize..8,
+    ) {
+        let (mut a, mut b) = (cache(cap), cache(cap));
+        for &id in &ops {
+            prop_assert_eq!(access(&mut a, id), access(&mut b, id));
+        }
+        for id in 0..48 {
+            prop_assert_eq!(is_resident(&mut a, id), is_resident(&mut b, id), "key {}", id);
+        }
+    }
+
+    /// Scan resistance: whatever came before, a key hit twice is still
+    /// resident after `capacity` one-shot inserts. (Capacity 1 has no
+    /// protected segment to resist with.)
+    #[test]
+    fn twice_hit_key_survives_a_capacity_long_scan(
+        warmup in proptest::collection::vec(0usize..32, 0..64),
+        cap in 2usize..10,
+    ) {
+        let mut cache = cache(cap);
+        for &id in &warmup {
+            access(&mut cache, id);
+        }
+        let hot = 1000;
+        access(&mut cache, hot);
+        prop_assert!(is_resident(&mut cache, hot));
+        prop_assert!(is_resident(&mut cache, hot));
+        for one_shot in 0..cap {
+            let (hit, _) = access(&mut cache, 2000 + one_shot);
+            prop_assert!(!hit);
+        }
+        prop_assert!(is_resident(&mut cache, hot), "scan evicted the recurring key");
     }
 }
 

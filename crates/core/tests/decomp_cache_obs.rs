@@ -1,18 +1,15 @@
 //! Decomposition-cache observability round trip: drive a coordinator
 //! whose reference point recurs bitwise, render the registry to
 //! Prometheus exposition text, parse it back, and check the
-//! `automon_coord_decomp_cache_*` counters and the per-policy gauge.
-//! Also checks the warm-start contract: Ritz-seeded decompositions
-//! agree with cold ones to tight tolerance.
+//! `automon_coord_decomp_cache_*` counters.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use automon_autodiff::{AutoDiffFn, Scalar, ScalarFn};
-use automon_core::adcd::decompose_with_seeds;
 use automon_core::{
-    CachePolicy, Coordinator, DecompCacheConfig, MonitorConfig, MonitoredFunction,
-    NeighborhoodBox, NeighborhoodMode, Node, NodeMessage,
+    Coordinator, DecompCacheConfig, MonitorConfig, MonitoredFunction, NeighborhoodMode, Node,
+    NodeMessage,
 };
 use automon_obs::{parse_prometheus, value_of, Telemetry};
 
@@ -23,17 +20,6 @@ impl ScalarFn for Sin1 {
     }
     fn call<S: Scalar>(&self, x: &[S]) -> S {
         x[0].sin()
-    }
-}
-
-/// Non-quadratic in three dimensions, so ADCD-X runs the eigen search.
-struct Wavy3;
-impl ScalarFn for Wavy3 {
-    fn dim(&self) -> usize {
-        3
-    }
-    fn call<S: Scalar>(&self, x: &[S]) -> S {
-        x[0].sin() * x[1].cos() + x[2] * x[2] * x[0] + x[1] * x[2]
     }
 }
 
@@ -53,7 +39,7 @@ fn cache_counters_round_trip_through_exposition() {
     let f: Arc<dyn MonitoredFunction> = Arc::new(AutoDiffFn::new(Sin1));
     let cfg = MonitorConfig::builder(0.05)
         .neighborhood(NeighborhoodMode::Fixed(1.0))
-        .decomp_cache(DecompCacheConfig::with_policy(CachePolicy::Slru))
+        .decomp_cache(DecompCacheConfig::default())
         .build();
     let mut coord = Coordinator::new(f.clone(), 1, cfg);
     let tel = Telemetry::enabled();
@@ -86,22 +72,10 @@ fn cache_counters_round_trip_through_exposition() {
         Some(0.0),
         "capacity 64 never evicts here"
     );
-    let policy_gauge = value_of(
-        &samples,
-        "automon_coord_decomp_cache_policy",
-        &[("policy", "slru")],
-    );
-    assert_eq!(policy_gauge, Some(1.0), "policy gauge with label: {text}");
-    let adaptation = value_of(
-        &samples,
-        "automon_coord_decomp_cache_adaptation",
-        &[("policy", "slru")],
-    );
-    assert!(adaptation.is_some(), "adaptation gauge exported: {text}");
 }
 
 #[test]
-fn cache_metrics_absent_when_cache_disabled_gauge_stays_zero() {
+fn cache_counters_stay_zero_when_cache_disabled() {
     let f: Arc<dyn MonitoredFunction> = Arc::new(AutoDiffFn::new(Sin1));
     let mut coord = Coordinator::new(f.clone(), 1, MonitorConfig::builder(0.05).build());
     let tel = Telemetry::enabled();
@@ -120,48 +94,5 @@ fn cache_metrics_absent_when_cache_disabled_gauge_stays_zero() {
     assert_eq!(
         value_of(&samples, "automon_coord_decomp_cache_misses_total", &[]),
         Some(0.0)
-    );
-    // No policy ⇒ no policy gauge at all.
-    assert_eq!(
-        value_of(&samples, "automon_coord_decomp_cache_policy", &[("policy", "slru")]),
-        None
-    );
-}
-
-#[test]
-fn warm_start_seeds_match_cold_decomposition() {
-    let f: Arc<dyn MonitoredFunction> = Arc::new(AutoDiffFn::new(Wavy3));
-    let cfg = MonitorConfig::builder(0.05).build();
-    let x0 = [0.3, -0.2, 0.5];
-    let b = NeighborhoodBox {
-        lo: vec![-0.7, -1.2, -0.5],
-        hi: vec![1.3, 0.8, 1.5],
-    };
-
-    let (cold, seeds) = decompose_with_seeds(f.as_ref(), &x0, Some(&b), &cfg, None);
-    let seeds = seeds.expect("ADCD-X must surface Ritz seeds");
-    assert_eq!(seeds.min.len(), 3);
-    assert_eq!(seeds.max.len(), 3);
-
-    // Seeding with the converged Ritz vectors from the same problem
-    // must land on the same extreme-eigenvalue estimates.
-    let (warm, _) = decompose_with_seeds(f.as_ref(), &x0, Some(&b), &cfg, Some(&seeds));
-    assert!(
-        (warm.lambda_min_hat - cold.lambda_min_hat).abs() <= 1e-6,
-        "min: warm {} vs cold {}",
-        warm.lambda_min_hat,
-        cold.lambda_min_hat
-    );
-    assert!(
-        (warm.lambda_max_hat - cold.lambda_max_hat).abs() <= 1e-6,
-        "max: warm {} vs cold {}",
-        warm.lambda_max_hat,
-        cold.lambda_max_hat
-    );
-    assert!(
-        warm.spectral.lanczos_iterations <= cold.spectral.lanczos_iterations,
-        "warm start must not iterate more: warm {} vs cold {}",
-        warm.spectral.lanczos_iterations,
-        cold.spectral.lanczos_iterations
     );
 }

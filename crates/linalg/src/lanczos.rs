@@ -156,14 +156,6 @@ impl LanczosWorkspace {
         self.start.extend_from_slice(v);
     }
 
-    /// The current start vector: after an [`Self::extremes`] run this
-    /// holds the chosen side's normalized Ritz vector, so callers can
-    /// capture it to warm-start a later search (empty before any run
-    /// or seed).
-    pub fn start_vector(&self) -> &[f64] {
-        &self.start
-    }
-
     /// Extreme eigenvalues `(λ_min, λ_max)` of `op`, matrix-free.
     ///
     /// `shift` is subtracted from the operator during the iteration and

@@ -24,9 +24,12 @@
 #      fixed-seed d=40 symmetric matrix (DESIGN.md §3.10); catches any
 #      drift between the production QL/Lanczos kernels and the Jacobi
 #      oracle before the proptest suite would.
-#   7. decomposition-cache parity smoke — enabling --decomp-cache under
-#      each eviction policy must leave the simulate output byte-identical
-#      to the cache-off run (DESIGN.md §3.11's bit-identity contract).
+#   7. decomposition-cache parity smoke — enabling --decomp-cache must
+#      leave the simulate output byte-identical to the cache-off run
+#      (DESIGN.md §3.11's bit-identity contract), and the cached run's
+#      --metrics-out must show cache misses, i.e. the cache really was
+#      consulted; the retired knobs (`--decomp-cache arc`,
+#      `--decomp-cache-warm`) must exit non-zero, not run something else.
 #   8. trace determinism + diff smoke — same-seed runs must emit
 #      byte-identical --trace-out files (`automon trace diff` exits 0);
 #      a perturbed run must be pinpointed with its first divergent seq
@@ -159,24 +162,38 @@ if ! grep -q "PASS" <<<"$SMOKE_OUT"; then
 fi
 echo "    $SMOKE_OUT"
 
+TDIR=$(mktemp -d)
+trap 'rm -rf "$TDIR"' EXIT
+
 echo "==> decomposition-cache parity smoke"
 CACHE_ARGS=(simulate --function rozenbrock --nodes 4 --rounds 90
     --epsilon 0.2 --json)
 base=$(cargo run --release -q -p automon-cli -- "${CACHE_ARGS[@]}")
-for policy in lru-k slru arc; do
-    cached=$(cargo run --release -q -p automon-cli -- "${CACHE_ARGS[@]}" \
-        --decomp-cache "$policy")
-    if [[ "$cached" != "$base" ]]; then
-        echo "FAIL: --decomp-cache $policy changed the monitoring output" >&2
-        diff <(printf '%s\n' "$base") <(printf '%s\n' "$cached") >&2 || true
+cached=$(cargo run --release -q -p automon-cli -- "${CACHE_ARGS[@]}" \
+    --decomp-cache --metrics-out "$TDIR/cache-metrics.txt")
+if [[ "$cached" != "$base" ]]; then
+    echo "FAIL: --decomp-cache changed the monitoring output" >&2
+    diff <(printf '%s\n' "$base") <(printf '%s\n' "$cached") >&2 || true
+    exit 1
+fi
+misses=$(awk '$1 == "automon_coord_decomp_cache_misses_total" { print $2 }' \
+    "$TDIR/cache-metrics.txt")
+if [[ -z "$misses" || "$misses" -le 0 ]]; then
+    echo "FAIL: the cached run never consulted the cache (misses: '${misses}')" >&2
+    exit 1
+fi
+echo "    bit-identical to cache-off; cache consulted ($misses misses)"
+for retired in "--decomp-cache arc" "--decomp-cache-warm"; do
+    # shellcheck disable=SC2086  # word-split into flag + value on purpose
+    if cargo run --release -q -p automon-cli -- "${CACHE_ARGS[@]}" $retired \
+        >/dev/null 2>&1; then
+        echo "FAIL: retired flag '$retired' was accepted" >&2
         exit 1
     fi
-    echo "    $policy: bit-identical to cache-off"
+    echo "    $retired: rejected"
 done
 
 echo "==> trace determinism + diff smoke"
-TDIR=$(mktemp -d)
-trap 'rm -rf "$TDIR"' EXIT
 TRACE_ARGS=(simulate --function inner-product --dim 4 --nodes 3
     --rounds 80 --epsilon 0.2)
 cargo run --release -q -p automon-cli -- "${TRACE_ARGS[@]}" \
