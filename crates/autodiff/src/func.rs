@@ -123,13 +123,19 @@ pub trait DifferentiableFn: Send + Sync {
     /// A reusable Hessian-vector-product evaluator for repeated queries.
     ///
     /// The matrix-free counterpart of [`Self::hessian_eval`]: the
-    /// Lanczos eigen search applies `H(x)·v` dozens of times per probe
-    /// point and must never pay for materializing `H`. The default
-    /// delegates to [`Self::hvp`] (re-tracing per call);
-    /// [`AutoDiffFn`] overrides it with a record-once/replay-many graph
-    /// workspace whose products are bit-identical to the tape path.
+    /// Lanczos eigen search applies `H(x)·v` several times per probe
+    /// point and must never pay for materializing `H`, nor redo the
+    /// point's primal work per product — hence [`HvpEvaluator::at`] once
+    /// per point, [`HvpEvaluator::apply`] once per direction. The
+    /// default delegates to [`Self::hvp`] (re-tracing per product);
+    /// [`AutoDiffFn`] overrides it with a record-once graph workspace
+    /// whose products are bit-identical to the tape path.
     fn hvp_eval(&self) -> Box<dyn HvpEvaluator + '_> {
-        Box::new(FallbackHvpEval { f: self })
+        Box::new(FallbackHvpEval {
+            f: self,
+            x: Vec::new(),
+            point_sweeps: 0,
+        })
     }
 }
 
@@ -170,13 +176,30 @@ pub trait HvpEvaluator: Send {
     /// Input dimension `d`.
     fn dim(&self) -> usize;
 
-    /// Write `H(x)·v` into `out` (all slices length `d`).
-    fn hvp_into(&mut self, x: &[f64], v: &[f64], out: &mut [f64]);
+    /// Fix the point `x` (length `d`) of the products that follow, doing
+    /// all work that depends on `x` alone. The caller says when the
+    /// point changes; evaluators never compare points.
+    fn at(&mut self, x: &[f64]);
+
+    /// Write `H(x)·v` into `out` (both length `d`) for the point of the
+    /// last [`Self::at`].
+    ///
+    /// # Panics
+    /// Panics when no point has been fixed.
+    fn apply(&mut self, v: &[f64], out: &mut [f64]);
+
+    /// How many times the point-dependent work has run (one per
+    /// [`Self::at`]). Read by tests that pin "one primal sweep per probe
+    /// point"; not an input to anything.
+    fn point_sweeps(&self) -> u64;
 }
 
-/// Default evaluator: delegates to [`DifferentiableFn::hvp`].
+/// Default evaluator: remembers the point and delegates every product to
+/// [`DifferentiableFn::hvp`].
 struct FallbackHvpEval<'a, F: DifferentiableFn + ?Sized> {
     f: &'a F,
+    x: Vec<f64>,
+    point_sweeps: u64,
 }
 
 impl<F: DifferentiableFn + ?Sized> HvpEvaluator for FallbackHvpEval<'_, F> {
@@ -184,8 +207,22 @@ impl<F: DifferentiableFn + ?Sized> HvpEvaluator for FallbackHvpEval<'_, F> {
         self.f.dim()
     }
 
-    fn hvp_into(&mut self, x: &[f64], v: &[f64], out: &mut [f64]) {
-        out.copy_from_slice(&self.f.hvp(x, v));
+    fn at(&mut self, x: &[f64]) {
+        self.x.clear();
+        self.x.extend_from_slice(x);
+        self.point_sweeps += 1;
+    }
+
+    fn apply(&mut self, v: &[f64], out: &mut [f64]) {
+        assert!(
+            self.point_sweeps > 0,
+            "apply: no point fixed — call `at` first"
+        );
+        out.copy_from_slice(&self.f.hvp(&self.x, v));
+    }
+
+    fn point_sweeps(&self) -> u64 {
+        self.point_sweeps
     }
 }
 
@@ -207,7 +244,7 @@ impl<F: ScalarFn> HessianEvaluator for GraphHessianEval<'_, F> {
 }
 
 /// Graph-workspace HVP evaluator used by [`AutoDiffFn`]: one recorded
-/// graph, one tangent lane per product.
+/// graph, one primal sweep per point, one tangent lane per product.
 struct GraphHvpEval<'a, F: ScalarFn> {
     f: &'a F,
     ws: GraphWorkspace,
@@ -218,8 +255,16 @@ impl<F: ScalarFn> HvpEvaluator for GraphHvpEval<'_, F> {
         self.f.dim()
     }
 
-    fn hvp_into(&mut self, x: &[f64], v: &[f64], out: &mut [f64]) {
-        self.ws.hvp_into(self.f, x, v, out);
+    fn at(&mut self, x: &[f64]) {
+        self.ws.at(self.f, x);
+    }
+
+    fn apply(&mut self, v: &[f64], out: &mut [f64]) {
+        self.ws.apply(v, out);
+    }
+
+    fn point_sweeps(&self) -> u64 {
+        self.ws.point_sweeps()
     }
 }
 
@@ -520,6 +565,54 @@ mod tests {
         let hv = f.hvp(&x, &[1.0, 2.0]);
         assert!((hv[0] - (h[(0, 0)] + 2.0 * h[(0, 1)])).abs() < 1e-12);
         assert!((hv[1] - (h[(1, 0)] + 2.0 * h[(1, 1)])).abs() < 1e-12);
+    }
+
+    /// Forwards only the required methods, so `hvp_eval` is the trait's
+    /// default: the evaluator every hand-written `DifferentiableFn` gets.
+    struct Plain(AutoDiffFn<SinProd>);
+    impl DifferentiableFn for Plain {
+        fn dim(&self) -> usize {
+            2
+        }
+        fn eval(&self, x: &[f64]) -> f64 {
+            self.0.eval(x)
+        }
+        fn eval_grad(&self, x: &[f64]) -> (f64, Vec<f64>) {
+            self.0.grad(x)
+        }
+        fn hvp(&self, x: &[f64], v: &[f64]) -> Vec<f64> {
+            self.0.hvp(x, v)
+        }
+        fn has_constant_hessian(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn hvp_evaluators_apply_at_the_last_fixed_point() {
+        let graph = AutoDiffFn::new(SinProd);
+        let plain = Plain(AutoDiffFn::new(SinProd));
+        let (a, b) = ([0.3, 0.9], [-1.1, 0.2]);
+        let (v1, v2) = ([1.0, 2.0], [-0.5, 0.25]);
+        for mut he in [graph.hvp_eval(), plain.hvp_eval()] {
+            let mut out = [0.0; 2];
+            for (x, v) in [(a, v1), (a, v2), (b, v1), (a, v2)] {
+                he.at(&x);
+                he.apply(&v, &mut out);
+                assert_eq!(out.to_vec(), graph.hvp(&x, &v));
+                // A second product needs no second `at`.
+                he.apply(&v1, &mut out);
+                assert_eq!(out.to_vec(), graph.hvp(&x, &v1));
+            }
+            assert_eq!(he.point_sweeps(), 4);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no point fixed")]
+    fn fallback_hvp_evaluator_panics_before_at() {
+        let plain = Plain(AutoDiffFn::new(SinProd));
+        plain.hvp_eval().apply(&[1.0, 0.0], &mut [0.0; 2]);
     }
 
     #[test]

@@ -1,47 +1,68 @@
-//! Record-once / replay-many computation graphs for batched Hessians
-//! and matrix-free Hessian-vector products.
+//! Record-once computation graphs for batched Hessians and matrix-free
+//! Hessian-vector products.
 //!
 //! The tape in [`crate::Tape`] re-traces the monitored function from
 //! scratch for every derivative query: a full Hessian via
 //! forward-over-reverse costs `d` traces of `f`, each paying `RefCell`
 //! borrows, node pushes, and fresh adjoint allocations. For the ADCD-X
-//! eigenvalue search — dozens of Hessians per full sync — that tracing
-//! overhead dominates.
+//! eigenvalue search — hundreds of probe points and well over a thousand
+//! Hessian-vector products per full sync — that overhead dominates.
 //!
-//! This module records the *op structure* of `f` once per evaluation
-//! point into a flat [`GraphWorkspace`] arena and then replays a single
-//! **batched** forward-over-reverse pass over the frozen graph carrying
-//! all `d` seed tangents side by side ("lanes"), writing the Hessian
-//! straight into a caller-owned matrix. Primal values, op dispatch, and
-//! the adjoint-primal chain are shared across lanes — only the tangent
-//! arithmetic is per-lane — and no allocation happens after the
-//! workspace has warmed up. The same machinery replayed with a *single*
-//! lane seeded by an arbitrary direction yields a Hessian-vector
-//! product ([`GraphWorkspace::hvp_into`]) at O(graph) cost without ever
-//! materializing the Hessian — the substrate for the Lanczos eigen
-//! search.
+//! A [`GraphWorkspace`] splits forward-over-reverse by what each part
+//! depends on, and runs each part only when its input changes:
+//!
+//! 1. **Structure** (`record`) — the op sequence of `f`, the row every
+//!    node's tangents occupy, and the list of reverse accumulations
+//!    ("edges"). Recorded once per workspace, or once per point for
+//!    point-dependent graphs (below).
+//! 2. **Point** (`prime`, behind [`GraphWorkspace::at`]) — everything
+//!    that is a function of `x` alone: forward primal values, the primal
+//!    of every local partial, each op's reciprocals, transcendentals and
+//!    powers, and the whole reverse sweep of adjoint *primals*. One
+//!    primal-only sweep per point; no tangent is touched.
+//! 3. **Direction** (`tangents`, behind [`GraphWorkspace::apply`]) — the
+//!    tangent lanes: value tangents and local-partial tangents forward,
+//!    adjoint tangents backward, reading the frozen point state. This is
+//!    the only work a further product at the same point pays, which is
+//!    what the Lanczos eigen search needs: it applies `H(x)·v` several
+//!    times per probe point and only `v` changes.
+//!
+//! The split is exact because tangents never feed back into primals:
+//! the one-pass forward-over-reverse sweep interleaves two computations
+//! of which the first (primals) is independent of the second (tangents),
+//! so it can run ahead once and be reused. A full Hessian
+//! ([`GraphWorkspace::hessian_into`]) is the same two phases with all
+//! `d` unit seed tangents carried side by side ("lanes") through one
+//! tangent sweep, written straight into a caller-owned matrix; primal
+//! values, op dispatch and the point scalars are shared across lanes. No
+//! allocation happens after the workspace has warmed up.
+//!
+//! The caller says when the point changes (`at`); nothing here compares
+//! points. A `hessian_into` moves the workspace to its own point, so it
+//! un-primes it: `apply` panics until the next `at`.
 //!
 //! # Bit-identity contract
 //!
-//! The replay reproduces the results of the tape path **bit for bit**:
+//! The sweeps reproduce the results of the tape path **bit for bit**:
 //! lane `j` performs exactly the scalar arithmetic that a `Tape<Dual>`
-//! run seeded with tangent `e_j` performs, expanded from the `Var<Dual>`
-//! token sequences (e.g. division computes `a * (1/b)` with the
-//! reciprocal materialized first, because that is what `Var::div`
+//! run seeded with tangent `e_j` (or `v`) performs, expanded from the
+//! `Var<Dual>` token sequences (e.g. division computes `a * (1/b)` with
+//! the reciprocal materialized first, because that is what `Var::div`
 //! records; a subtraction's right partial carries the `-0.0` tangent of
 //! `-one`), and the reverse sweep accumulates adjoints in the same
-//! operand order as [`crate::Tape::gradient`]. Sharing the primal work
-//! is sound because tangents never feed back into primals. The tests at
-//! the bottom of this file assert exact `f64::to_bits` equality against
-//! the tape-based Hessian across op coverage and probe points; the
-//! ADCD parallel pipeline relies on this to keep `Parallelism` settings
-//! protocol-equivalent.
+//! operand order as [`crate::Tape::gradient`]. Phasing changes *when* a
+//! scalar is computed, never which operation computes it or in what
+//! order a lane's operations run. The tests at the bottom of this file
+//! assert exact `f64::to_bits` equality against the tape-based Hessian
+//! and Hessian-vector product across op coverage, probe points and
+//! `at`/`apply`/`hessian_into` interleavings; the ADCD parallel pipeline
+//! relies on this to keep `Parallelism` settings protocol-equivalent.
 //!
 //! Functions whose recorded structure depends on the evaluation point —
 //! `abs`/`max` branches (and thus `relu`/`min`) or data-dependent
 //! control flow through [`Scalar::value`] — are detected during
-//! recording and re-recorded at every new point; everything else is
-//! recorded exactly once per workspace lifetime.
+//! recording and re-recorded at every `at`/`hessian_into`; everything
+//! else is recorded exactly once per workspace lifetime.
 
 use crate::{Scalar, ScalarFn};
 use automon_linalg::Matrix;
@@ -59,7 +80,7 @@ enum Operand {
 
 /// One recorded operation. Branches (`abs`, `max`) are resolved at
 /// record time: the chosen side is baked into the opcode, which is valid
-/// because replay happens at the same evaluation point.
+/// because the sweeps run at the same evaluation point.
 #[derive(Debug, Clone, Copy)]
 enum GOp {
     /// An independent input variable.
@@ -87,6 +108,45 @@ enum GOp {
 }
 
 impl GOp {
+    /// The op's operands in the tape's parent order (`self`, then
+    /// `other`).
+    fn operands(&self) -> (Option<Operand>, Option<Operand>) {
+        match *self {
+            GOp::Input => (None, None),
+            GOp::Add(a, b)
+            | GOp::Sub(a, b)
+            | GOp::Mul(a, b)
+            | GOp::Div(a, b)
+            | GOp::MaxLeft(a, b)
+            | GOp::MaxRight(a, b) => (Some(a), Some(b)),
+            GOp::Neg(a)
+            | GOp::Exp(a)
+            | GOp::Ln(a)
+            | GOp::Tanh(a)
+            | GOp::Sin(a)
+            | GOp::Cos(a)
+            | GOp::Sqrt(a)
+            | GOp::Powi(a, _)
+            | GOp::AbsPos(a)
+            | GOp::AbsNeg(a) => (Some(a), None),
+        }
+    }
+
+    /// Local partials whose tangent is a freshly materialized expression
+    /// rather than a constant or a row that exists anyway.
+    fn slots(&self) -> u32 {
+        match self {
+            GOp::Div(..) => 2,
+            GOp::Ln(_)
+            | GOp::Tanh(_)
+            | GOp::Sin(_)
+            | GOp::Cos(_)
+            | GOp::Sqrt(_)
+            | GOp::Powi(..) => 1,
+            _ => 0,
+        }
+    }
+
     /// Whether this op's opcode depends on the evaluation point.
     fn is_branch(&self) -> bool {
         matches!(
@@ -304,48 +364,93 @@ impl<'t> Scalar for GVar<'t> {
     }
 }
 
-/// Where a local partial's tangent lanes live: a constant broadcast to
-/// every lane (`Add`'s `one` has tangent `0.0`, `Sub`'s `-one` has
-/// `-0.0` — the sign matters for bit-identity), the value tangents of an
-/// already-computed node (`Mul` partials are the operand values, `Exp`'s
-/// is its own output), or a scratch slot holding a freshly materialized
-/// expression (`Div`, `Ln`, `Tanh`, …).
+/// Rows `0` and `1` of every tangent buffer hold the two constants a
+/// local partial's tangent can be: `Add`'s `one` has tangent `0.0`,
+/// `Sub`'s `-one` has `-0.0` (the sign matters for bit-identity). Row
+/// `ZERO` doubles as the value tangent of every constant operand
+/// (`Dual::from_f64`). From row `2` on, each node owns its value-tangent
+/// row and, right behind it, one row per local partial that needs
+/// materializing ([`GOp::slots`]); the other partials' tangents are rows
+/// that exist anyway (`Mul` partials are the operand values, `Exp`'s is
+/// its own output, the rest are constants).
+const ZERO: u32 = 0;
+const NEG_ZERO: u32 = 1;
+const FIRST_NODE_ROW: u32 = 2;
+
+/// Tangent-buffer rows of one node: its operands' value tangents (`ZERO`
+/// for a constant or absent operand) and its own.
 #[derive(Debug, Clone, Copy)]
-enum Tan {
-    Const(f64),
-    Node(u32),
-    Slot(u32),
+struct Rows {
+    a: u32,
+    b: u32,
+    own: u32,
 }
 
-/// Reusable arena for batched Hessian evaluation: record the graph of a
-/// [`ScalarFn`] once per point, then replay one forward-over-reverse
-/// pass carrying all `d` unit seed tangents into caller-owned storage.
+/// One accumulation of the reverse sweep, `adj[dst] += partial *
+/// adj[from]` in Dual arithmetic — the tape's `adj[p] = adj[p] + partial
+/// * a`. The rows are graph structure, fixed at record time; the primal
+/// sweep does the primal half and freezes the partial's primal `pv` and
+/// the consumer's adjoint primal `a_v`, and the tangent sweep runs the
+/// tangent half `adj_d[dst] += t[src] * a_v + pv * adj_d[from]` per lane.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    /// Row of the operand the adjoint flows to.
+    dst: u32,
+    /// Row of the local partial's tangent.
+    src: u32,
+    /// Row of the consuming node.
+    from: u32,
+    /// Index of the local partial's primal in `parts`.
+    part: u32,
+    pv: f64,
+    a_v: f64,
+}
+
+/// Reusable arena for Hessians and Hessian-vector products. Work is
+/// split by what it depends on: the op structure is recorded once (per
+/// point only for point-dependent graphs), the primal state is swept
+/// once per point, and a tangent sweep runs per query — `d` unit lanes
+/// for a Hessian, one lane per direction for a product.
 pub struct GraphWorkspace {
+    // Structure: written by `record`.
     nodes: Vec<GOp>,
-    /// Index of the output node of the last recording.
-    out: usize,
+    /// Row of the output node.
+    out_row: usize,
     n_inputs: usize,
     /// Recording captured point-dependent structure (resolved branches or
     /// `value()` observations) and must be redone at each new point.
     point_dependent: bool,
-    /// The point of the last recording (compared only when
-    /// `point_dependent`).
-    recorded_at: Vec<f64>,
-    /// Per-node forward primal values (lane-independent).
-    vals_v: Vec<f64>,
-    /// Per-node forward value tangents, `n_inputs` lanes per node.
-    lanes: Vec<f64>,
-    /// Per-node local partial primals `[∂/∂a, ∂/∂b]`.
-    part_v: Vec<[f64; 2]>,
-    /// Per-node local partial tangent sources.
-    part_t: Vec<[Tan; 2]>,
-    /// Scratch lanes for [`Tan::Slot`] partials.
-    slots: Vec<f64>,
-    /// Reverse adjoint primals and tangent lanes.
+    /// Per-node tangent-buffer rows.
+    rows: Vec<Rows>,
+    /// The reverse sweep in order: consumers descending, the `self`
+    /// partial before `other`, constants skipped — exactly
+    /// `Tape::gradient`'s compacted-parent order.
+    rev: Vec<Edge>,
+    /// Rows of a tangent buffer: the two constants, then every node's.
+    n_rows: usize,
+
+    // Point state: written by `prime` (which also fills `rev`'s `pv` and
+    // `a_v`), read-only to `tangents`.
+    /// Per-node forward primal values.
+    vals: Vec<f64>,
+    /// Per-node local partial primals `∂/∂a, ∂/∂b`, flattened.
+    parts: Vec<f64>,
+    /// Per-node scalars of the point that the tangent sweep would
+    /// otherwise re-evaluate per lane and per direction: `Mul [a, b]`,
+    /// `Div [a, b, 1/b]`, `Exp [eᵃ]`, `Ln [a, a·a]`, `Tanh [t, 1 − t·t]`,
+    /// `Sin`/`Cos [sin a, cos a]`, `Sqrt [s, s·s]`, `Powi [aᵖ⁻¹, aᵖ⁻²]`.
+    point: Vec<[f64; 3]>,
+    /// Reverse adjoint primals, by row.
     adj_v: Vec<f64>,
+    /// `apply` may run: `at` primed a point and no `hessian_into` has
+    /// moved the workspace since.
+    primed: bool,
+    point_sweeps: u64,
+
+    // Direction state, rewritten by every tangent sweep: forward tangent
+    // rows and reverse adjoint tangent rows, one value per lane.
+    t: Vec<f64>,
     adj_d: Vec<f64>,
-    /// All-zero lane row standing in for constant operands' tangents.
-    zero_lane: Vec<f64>,
 }
 
 impl Default for GraphWorkspace {
@@ -359,18 +464,20 @@ impl GraphWorkspace {
     pub fn new() -> Self {
         Self {
             nodes: Vec::new(),
-            out: 0,
+            out_row: 0,
             n_inputs: 0,
             point_dependent: true,
-            recorded_at: Vec::new(),
-            vals_v: Vec::new(),
-            lanes: Vec::new(),
-            part_v: Vec::new(),
-            part_t: Vec::new(),
-            slots: Vec::new(),
+            rows: Vec::new(),
+            rev: Vec::new(),
+            n_rows: 0,
+            vals: Vec::new(),
+            parts: Vec::new(),
+            point: Vec::new(),
             adj_v: Vec::new(),
+            primed: false,
+            point_sweeps: 0,
+            t: Vec::new(),
             adj_d: Vec::new(),
-            zero_lane: Vec::new(),
         }
     }
 
@@ -380,7 +487,15 @@ impl GraphWorkspace {
         self.nodes.len()
     }
 
-    /// Record the computation graph of `f` at `x`.
+    /// Primal sweeps run so far: one per [`Self::at`], one per
+    /// [`Self::hessian_into`], none per [`Self::apply`]. Tests pin the
+    /// eigen search's "one sweep per probe point" with it.
+    pub fn point_sweeps(&self) -> u64 {
+        self.point_sweeps
+    }
+
+    /// Record the computation graph of `f` at `x` and lay out its
+    /// tangent rows and reverse edges.
     ///
     /// # Panics
     /// Panics if the output does not depend on the inputs (constant
@@ -398,404 +513,386 @@ impl GraphWorkspace {
             out.arena.is_some(),
             "gradient: output is a constant"
         );
-        self.out = out.idx as usize;
+        let out = out.idx as usize;
         self.n_inputs = x.len();
         self.nodes = arena.nodes.into_inner();
         self.point_dependent =
             arena.value_observed.get() || self.nodes.iter().any(GOp::is_branch);
-        self.recorded_at.clear();
-        self.recorded_at.extend_from_slice(x);
+
+        let Self {
+            nodes, rows, rev, ..
+        } = self;
+        rows.clear();
+        let mut next = FIRST_NODE_ROW;
+        for op in nodes.iter() {
+            // Operands precede their consumers, so their rows are known.
+            let value_tangent = |o| match o {
+                Some(Operand::Var(k)) => rows[k as usize].own,
+                _ => ZERO,
+            };
+            let (a, b) = op.operands();
+            let (a, b) = (value_tangent(a), value_tangent(b));
+            rows.push(Rows { a, b, own: next });
+            next += 1 + op.slots();
+        }
+        self.n_rows = next as usize;
+        self.out_row = rows[out].own as usize;
+
+        rev.clear();
+        for i in (0..=out).rev() {
+            let Rows { a, b, own } = rows[i];
+            // Rows of the tangents of the two local partials.
+            let src = match nodes[i] {
+                GOp::Sub(..) => [ZERO, NEG_ZERO],
+                GOp::Mul(..) => [b, a],
+                GOp::Div(..) => [own + 1, own + 2],
+                GOp::Exp(_) => [own, ZERO],
+                op if op.slots() == 1 => [own + 1, ZERO],
+                _ => [ZERO, ZERO],
+            };
+            let (oa, ob) = nodes[i].operands();
+            for (which, (o, dst)) in [(oa, a), (ob, b)].into_iter().enumerate() {
+                if let Some(Operand::Var(_)) = o {
+                    rev.push(Edge {
+                        dst,
+                        src: src[which],
+                        from: own,
+                        part: (2 * i + which) as u32,
+                        pv: 0.0,
+                        a_v: 0.0,
+                    });
+                }
+            }
+        }
     }
 
     /// The full symmetrized Hessian of `f` at `x`, written into `h`.
     ///
     /// Bit-identical to assembling `d` tape Hessian-vector products and
     /// symmetrizing (the [`crate::DifferentiableFn::hessian`] default).
+    /// Leaves no point primed: an [`Self::apply`] must follow a fresh
+    /// [`Self::at`].
     pub fn hessian_into<F: ScalarFn + ?Sized>(&mut self, f: &F, x: &[f64], h: &mut Matrix) {
         let d = f.dim();
         assert_eq!(x.len(), d, "hessian_into: dimension mismatch");
         assert_eq!(h.rows(), d, "hessian_into: output rows");
         assert_eq!(h.cols(), d, "hessian_into: output cols");
-        self.ensure_recorded(f, x, d);
-        self.replay(x, Seeds::Unit, h.as_mut_slice());
+        self.prime(f, x);
+        self.primed = false;
+        self.tangents(d, Seeds::Unit, h.as_mut_slice());
         h.symmetrize();
     }
 
-    /// The Hessian-vector product `H(x)·v` of `f` at `x`, written into
-    /// `out` — one single-lane replay instead of `d` lanes, so a probe
-    /// costs O(graph) rather than O(d·graph) and the Hessian is never
-    /// materialized. Bit-identical to [`crate::AutoDiffFn::hvp`] on the
-    /// same point and direction (lane 0 computes exactly the `Dual`
-    /// sequence a tape run seeded with `v` performs).
-    pub fn hvp_into<F: ScalarFn + ?Sized>(&mut self, f: &F, x: &[f64], v: &[f64], out: &mut [f64]) {
-        let d = f.dim();
-        assert_eq!(x.len(), d, "hvp_into: dimension mismatch");
-        assert_eq!(v.len(), d, "hvp_into: direction length");
-        assert_eq!(out.len(), d, "hvp_into: output length");
-        self.ensure_recorded(f, x, d);
-        self.replay(x, Seeds::Vector(v), out);
+    /// Fix the point of the Hessian-vector products that follow: one
+    /// primal sweep (forward values and local partials, reverse adjoint
+    /// primals, every scalar that depends on `x` alone), no tangent work.
+    /// The caller says when the point changes; nothing here compares
+    /// points.
+    pub fn at<F: ScalarFn + ?Sized>(&mut self, f: &F, x: &[f64]) {
+        assert_eq!(x.len(), f.dim(), "at: dimension mismatch");
+        self.prime(f, x);
+        self.primed = true;
     }
 
-    /// Re-record iff the cached graph cannot serve (`f`, `x`): never
-    /// recorded, dimension change, or point-dependent structure at a new
-    /// point.
-    fn ensure_recorded<F: ScalarFn + ?Sized>(&mut self, f: &F, x: &[f64], d: usize) {
-        if self.nodes.is_empty()
-            || self.n_inputs != d
-            || (self.point_dependent && self.recorded_at != x)
-        {
+    /// The Hessian-vector product `H(x)·v` at the point of the last
+    /// [`Self::at`], written into `out` — one single-lane tangent sweep
+    /// over the frozen point state, so a product costs O(graph) without
+    /// the primal work and the Hessian is never materialized.
+    /// Bit-identical to [`crate::AutoDiffFn::hvp`] on the same point and
+    /// direction (the lane computes exactly the `Dual` tangent sequence
+    /// of a tape run seeded with `v`).
+    ///
+    /// # Panics
+    /// Panics when no point is primed: before the first [`Self::at`], or
+    /// after a [`Self::hessian_into`] moved the workspace.
+    pub fn apply(&mut self, v: &[f64], out: &mut [f64]) {
+        assert!(
+            self.primed,
+            "apply: no point primed — call `at` first (and again after `hessian_into`)"
+        );
+        assert_eq!(v.len(), self.n_inputs, "apply: direction length");
+        assert_eq!(out.len(), self.n_inputs, "apply: output length");
+        self.tangents(1, Seeds::Vector(v), out);
+    }
+
+    /// The point-dependent half of forward-over-reverse. Re-records first
+    /// when the cached graph cannot serve `x` (never recorded, dimension
+    /// change, or point-dependent structure — every call is a new point
+    /// by contract), then sweeps forward for values, local partials and
+    /// the `point` scalars, and backward for the adjoint primals.
+    ///
+    /// `adj_v[i]` is final once the backward sweep reaches node `i`:
+    /// operands precede their consumers, so every contribution to it
+    /// comes from a node `j > i`, visited earlier, and no later step
+    /// writes it. The `a_v` frozen into node `i`'s edges is therefore the
+    /// value a fused one-pass sweep reads at step `i`, and the tangent
+    /// sweep can run against it later with no change in any lane's
+    /// arithmetic.
+    fn prime<F: ScalarFn + ?Sized>(&mut self, f: &F, x: &[f64]) {
+        if self.nodes.is_empty() || self.n_inputs != x.len() || self.point_dependent {
             self.record(f, x);
+        }
+        self.point_sweeps += 1;
+        let n = self.nodes.len();
+        let Self {
+            nodes,
+            rev,
+            vals,
+            parts,
+            point,
+            adj_v,
+            ..
+        } = self;
+        // Every entry a sweep reads is written first.
+        vals.resize(n, 0.0);
+        parts.resize(2 * n, 0.0);
+        point.resize(n, [0.0; 3]);
+
+        // Forward: primals in the exact `Var<Dual>` token sequences.
+        let val = |o: Operand, vals: &[f64]| match o {
+            Operand::Var(k) => vals[k as usize],
+            Operand::Const(c) => c,
+        };
+        let mut input = 0usize;
+        for (i, &op) in nodes.iter().enumerate() {
+            let (v, pa, pb) = match op {
+                GOp::Input => {
+                    input += 1;
+                    (x[input - 1], 0.0, 0.0)
+                }
+                GOp::Add(a, b) => (val(a, vals) + val(b, vals), 1.0, 1.0),
+                GOp::Sub(a, b) => (val(a, vals) - val(b, vals), 1.0, -1.0),
+                GOp::Mul(a, b) => {
+                    let (av, bv) = (val(a, vals), val(b, vals));
+                    point[i] = [av, bv, 0.0];
+                    (av * bv, bv, av)
+                }
+                GOp::Div(a, b) => {
+                    let (av, bv) = (val(a, vals), val(b, vals));
+                    // inv = one / bv; value = av * inv; pb = -av*inv*inv.
+                    let inv_v = 1.0 / bv;
+                    point[i] = [av, bv, inv_v];
+                    (av * inv_v, inv_v, (-av) * inv_v * inv_v)
+                }
+                GOp::Neg(a) | GOp::AbsNeg(a) => (-val(a, vals), -1.0, 0.0),
+                GOp::Exp(a) => {
+                    let e_v = val(a, vals).exp();
+                    point[i] = [e_v, 0.0, 0.0];
+                    // pa is the output itself.
+                    (e_v, e_v, 0.0)
+                }
+                GOp::Ln(a) => {
+                    let av = val(a, vals);
+                    point[i] = [av, av * av, 0.0];
+                    // pa = one / av.
+                    (av.ln(), 1.0 / av, 0.0)
+                }
+                GOp::Tanh(a) => {
+                    let t_v = val(a, vals).tanh();
+                    // pa = one - t*t.
+                    let pa = 1.0 - t_v * t_v;
+                    point[i] = [t_v, pa, 0.0];
+                    (t_v, pa, 0.0)
+                }
+                GOp::Sin(a) => {
+                    let av = val(a, vals);
+                    let (sin_v, cos_v) = (av.sin(), av.cos());
+                    point[i] = [sin_v, cos_v, 0.0];
+                    (sin_v, cos_v, 0.0)
+                }
+                GOp::Cos(a) => {
+                    let av = val(a, vals);
+                    let (sin_v, cos_v) = (av.sin(), av.cos());
+                    point[i] = [sin_v, cos_v, 0.0];
+                    (cos_v, -sin_v, 0.0)
+                }
+                GOp::Sqrt(a) => {
+                    let s_v = val(a, vals).sqrt();
+                    point[i] = [s_v, s_v * s_v, 0.0];
+                    // pa = Dual::from_f64(0.5) / s.
+                    (s_v, 0.5 / s_v, 0.0)
+                }
+                GOp::Powi(a, p) => {
+                    let av = val(a, vals);
+                    let (q_v, r_v) = (av.powi(p - 1), av.powi(p - 2));
+                    point[i] = [q_v, r_v, 0.0];
+                    // pa = Dual::from_f64(p) * av.powi(p - 1).
+                    (av.powi(p), f64::from(p) * q_v, 0.0)
+                }
+                GOp::AbsPos(a) | GOp::MaxLeft(a, _) => (val(a, vals), 1.0, 0.0),
+                GOp::MaxRight(_, b) => (val(b, vals), 0.0, 1.0),
+            };
+            vals[i] = v;
+            parts[2 * i] = pa;
+            parts[2 * i + 1] = pb;
+        }
+
+        // Backward: the primal half of every edge.
+        adj_v.clear();
+        adj_v.resize(self.n_rows, 0.0);
+        adj_v[self.out_row] = 1.0;
+        for e in rev.iter_mut() {
+            e.a_v = adj_v[e.from as usize];
+            e.pv = parts[e.part as usize];
+            adj_v[e.dst as usize] += e.pv * e.a_v;
         }
     }
 
-    /// One batched forward-over-reverse pass; the seed mode picks the
-    /// lane count `d` (all `n_inputs` unit tangents for a Hessian, one
-    /// arbitrary direction for an HVP) and `out` receives the
-    /// `n_inputs × lanes` adjoint-tangent block row-major. Lane `j` of
-    /// every tangent buffer computes the exact scalar sequence of a
-    /// `Dual` replay seeded with that lane's seed — see the module docs
-    /// for the contract.
-    fn replay(&mut self, x: &[f64], seeds: Seeds<'_>, out: &mut [f64]) {
-        let n = self.nodes.len();
-        let d = match seeds {
-            Seeds::Unit => self.n_inputs,
-            Seeds::Vector(_) => 1,
-        };
+    /// The direction-dependent half of forward-over-reverse over the
+    /// state [`Self::prime`] froze, `d` lanes wide: value tangents and
+    /// partial slots forward, adjoint tangents backward, with `out`
+    /// receiving the `n_inputs × d` adjoint-tangent block row-major.
+    /// Lane `j` computes the exact tangent sequence of a `Dual` replay
+    /// seeded with that lane's seed — see the module docs for the
+    /// contract. Inlined into its two callers so the single-lane product
+    /// compiles with `d = 1` folded in.
+    #[inline(always)]
+    fn tangents(&mut self, d: usize, seeds: Seeds<'_>, out: &mut [f64]) {
         let Self {
             nodes,
-            vals_v,
-            lanes,
-            part_v,
-            part_t,
-            slots,
-            zero_lane,
-            adj_v,
+            rows,
+            rev,
+            point,
+            t,
             adj_d,
             ..
         } = self;
-        vals_v.clear();
-        vals_v.resize(n, 0.0);
-        lanes.clear();
-        lanes.resize(n * d, 0.0);
-        part_v.clear();
-        part_v.resize(n, [0.0; 2]);
-        part_t.clear();
-        part_t.resize(n, [Tan::Const(0.0); 2]);
-        slots.clear();
-        zero_lane.clear();
-        zero_lane.resize(d, 0.0);
+        // Every other row is written before it is read.
+        t.resize(self.n_rows * d, 0.0);
+        t[ZERO as usize * d..][..d].fill(0.0);
+        t[NEG_ZERO as usize * d..][..d].fill(-0.0);
 
-        // Operand → (primal, value-tangent lanes). Operand indices always
-        // precede the consuming node, so their rows live in `prev`.
-        fn res<'a>(
-            o: Operand,
-            vals_v: &[f64],
-            prev: &'a [f64],
-            zero: &'a [f64],
-            d: usize,
-        ) -> (f64, &'a [f64]) {
-            match o {
-                Operand::Var(k) => {
-                    let k = k as usize;
-                    (vals_v[k], &prev[k * d..(k + 1) * d])
-                }
-                Operand::Const(c) => (c, zero),
-            }
-        }
-        // Operand → tangent source for a `Mul`-style partial (the partial
-        // *is* the operand value, so its tangents are that node's lanes;
-        // constants have the zero tangent of `Dual::from_f64`).
-        fn tan_of(o: Operand) -> Tan {
-            match o {
-                Operand::Var(k) => Tan::Node(k),
-                Operand::Const(_) => Tan::Const(0.0),
-            }
-        }
-
-        // Forward pass: primal once per node, tangents per lane, in the
-        // exact `Var<Dual>` token sequences.
+        // Forward: tangents per lane, in the exact `Var<Dual>` token
+        // sequences.
         let mut input = 0usize;
-        for i in 0..n {
-            let (prev, rest) = lanes.split_at_mut(i * d);
-            let prev = &prev[..];
-            let row = &mut rest[..d];
-            match nodes[i] {
+        for (i, op) in nodes.iter().enumerate() {
+            // Operand rows always precede the node's own.
+            let Rows { a, b, own } = rows[i];
+            let (prev, rest) = t.split_at_mut(own as usize * d);
+            let at = &prev[a as usize * d..][..d];
+            let bt = &prev[b as usize * d..][..d];
+            let (val, slots) = rest.split_at_mut(d);
+            match *op {
                 GOp::Input => {
-                    vals_v[i] = x[input];
                     match seeds {
                         Seeds::Unit => {
-                            for (l, r) in row.iter_mut().enumerate() {
+                            for (l, r) in val.iter_mut().enumerate() {
                                 *r = if l == input { 1.0 } else { 0.0 };
                             }
                         }
-                        Seeds::Vector(v) => row[0] = v[input],
+                        Seeds::Vector(v) => val[0] = v[input],
                     }
                     input += 1;
                 }
-                GOp::Add(a, b) => {
-                    let (av, at) = res(a, vals_v, prev, zero_lane, d);
-                    let (bv, bt) = res(b, vals_v, prev, zero_lane, d);
-                    vals_v[i] = av + bv;
+                GOp::Add(..) => {
                     for l in 0..d {
-                        row[l] = at[l] + bt[l];
+                        val[l] = at[l] + bt[l];
                     }
-                    part_v[i] = [1.0, 1.0];
                 }
-                GOp::Sub(a, b) => {
-                    let (av, at) = res(a, vals_v, prev, zero_lane, d);
-                    let (bv, bt) = res(b, vals_v, prev, zero_lane, d);
-                    vals_v[i] = av - bv;
+                GOp::Sub(..) => {
                     for l in 0..d {
-                        row[l] = at[l] - bt[l];
+                        val[l] = at[l] - bt[l];
                     }
-                    part_v[i] = [1.0, -1.0];
-                    // `-one` carries a `-0.0` tangent (negated zero).
-                    part_t[i] = [Tan::Const(0.0), Tan::Const(-0.0)];
                 }
-                GOp::Mul(a, b) => {
-                    let (av, at) = res(a, vals_v, prev, zero_lane, d);
-                    let (bv, bt) = res(b, vals_v, prev, zero_lane, d);
-                    vals_v[i] = av * bv;
+                GOp::Mul(..) => {
+                    let [av, bv, _] = point[i];
                     for l in 0..d {
-                        row[l] = at[l] * bv + av * bt[l];
+                        val[l] = at[l] * bv + av * bt[l];
                     }
-                    part_v[i] = [bv, av];
-                    part_t[i] = [tan_of(b), tan_of(a)];
                 }
-                GOp::Div(a, b) => {
-                    let (av, at) = res(a, vals_v, prev, zero_lane, d);
-                    let (bv, bt) = res(b, vals_v, prev, zero_lane, d);
-                    // inv = one / bv; value = av * inv; pb = -av*inv*inv.
-                    let inv_v = 1.0 / bv;
-                    let s0 = slots.len();
-                    slots.resize(s0 + 2 * d, 0.0);
-                    for l in 0..d {
-                        slots[s0 + l] = (0.0 * bv - 1.0 * bt[l]) / (bv * bv);
-                    }
-                    vals_v[i] = av * inv_v;
+                GOp::Div(..) => {
+                    let [av, bv, inv_v] = point[i];
                     let m1_v = (-av) * inv_v;
                     for l in 0..d {
-                        let inv_d = slots[s0 + l];
-                        row[l] = at[l] * inv_v + av * inv_d;
+                        let inv_d = (0.0 * bv - 1.0 * bt[l]) / (bv * bv);
+                        slots[l] = inv_d;
+                        val[l] = at[l] * inv_v + av * inv_d;
                         let m1_d = (-at[l]) * inv_v + (-av) * inv_d;
-                        slots[s0 + d + l] = m1_d * inv_v + m1_v * inv_d;
+                        slots[d + l] = m1_d * inv_v + m1_v * inv_d;
                     }
-                    part_v[i] = [inv_v, m1_v * inv_v];
-                    part_t[i] = [
-                        Tan::Slot((s0 / d) as u32),
-                        Tan::Slot((s0 / d + 1) as u32),
-                    ];
                 }
-                GOp::Neg(a) => {
-                    let (av, at) = res(a, vals_v, prev, zero_lane, d);
-                    vals_v[i] = -av;
+                GOp::Neg(_) | GOp::AbsNeg(_) => {
                     for l in 0..d {
-                        row[l] = -at[l];
+                        val[l] = -at[l];
                     }
-                    part_v[i] = [-1.0, 0.0];
                 }
-                GOp::Exp(a) => {
-                    let (av, at) = res(a, vals_v, prev, zero_lane, d);
-                    let e_v = av.exp();
-                    vals_v[i] = e_v;
+                GOp::Exp(_) => {
+                    let [e_v, ..] = point[i];
                     for l in 0..d {
-                        row[l] = at[l] * e_v;
+                        val[l] = at[l] * e_v;
                     }
-                    // pa is the output itself.
-                    part_v[i] = [e_v, 0.0];
-                    part_t[i] = [Tan::Node(i as u32), Tan::Const(0.0)];
                 }
-                GOp::Ln(a) => {
-                    let (av, at) = res(a, vals_v, prev, zero_lane, d);
-                    vals_v[i] = av.ln();
-                    let s0 = slots.len();
-                    slots.resize(s0 + d, 0.0);
-                    // pa = one / av.
+                GOp::Ln(_) => {
+                    let [av, aa, _] = point[i];
                     for l in 0..d {
-                        row[l] = at[l] / av;
-                        slots[s0 + l] = (0.0 * av - 1.0 * at[l]) / (av * av);
+                        val[l] = at[l] / av;
+                        slots[l] = (0.0 * av - 1.0 * at[l]) / aa;
                     }
-                    part_v[i] = [1.0 / av, 0.0];
-                    part_t[i] = [Tan::Slot((s0 / d) as u32), Tan::Const(0.0)];
                 }
-                GOp::Tanh(a) => {
-                    let (av, at) = res(a, vals_v, prev, zero_lane, d);
-                    let t_v = av.tanh();
-                    vals_v[i] = t_v;
-                    let s0 = slots.len();
-                    slots.resize(s0 + d, 0.0);
-                    // pa = one - t*t, with t's tangent in `row`.
+                GOp::Tanh(_) => {
+                    let [t_v, pa, _] = point[i];
+                    // The partial is `one - t*t`, with t's tangent in `val`.
                     for l in 0..d {
-                        row[l] = at[l] * (1.0 - t_v * t_v);
-                        slots[s0 + l] = 0.0 - (row[l] * t_v + t_v * row[l]);
+                        val[l] = at[l] * pa;
+                        slots[l] = 0.0 - (val[l] * t_v + t_v * val[l]);
                     }
-                    part_v[i] = [1.0 - t_v * t_v, 0.0];
-                    part_t[i] = [Tan::Slot((s0 / d) as u32), Tan::Const(0.0)];
                 }
-                GOp::Sin(a) => {
-                    let (av, at) = res(a, vals_v, prev, zero_lane, d);
-                    vals_v[i] = av.sin();
-                    let s0 = slots.len();
-                    slots.resize(s0 + d, 0.0);
-                    // pa = av.cos().
+                GOp::Sin(_) => {
+                    let [sin_v, cos_v, _] = point[i];
                     for l in 0..d {
-                        row[l] = at[l] * av.cos();
-                        slots[s0 + l] = -at[l] * av.sin();
+                        val[l] = at[l] * cos_v;
+                        slots[l] = -at[l] * sin_v;
                     }
-                    part_v[i] = [av.cos(), 0.0];
-                    part_t[i] = [Tan::Slot((s0 / d) as u32), Tan::Const(0.0)];
                 }
-                GOp::Cos(a) => {
-                    let (av, at) = res(a, vals_v, prev, zero_lane, d);
-                    vals_v[i] = av.cos();
-                    let s0 = slots.len();
-                    slots.resize(s0 + d, 0.0);
-                    // pa = -av.sin().
+                GOp::Cos(_) => {
+                    let [sin_v, cos_v, _] = point[i];
                     for l in 0..d {
-                        row[l] = -at[l] * av.sin();
-                        slots[s0 + l] = -(at[l] * av.cos());
+                        val[l] = -at[l] * sin_v;
+                        slots[l] = -(at[l] * cos_v);
                     }
-                    part_v[i] = [-av.sin(), 0.0];
-                    part_t[i] = [Tan::Slot((s0 / d) as u32), Tan::Const(0.0)];
                 }
-                GOp::Sqrt(a) => {
-                    let (av, at) = res(a, vals_v, prev, zero_lane, d);
-                    let s_v = av.sqrt();
-                    vals_v[i] = s_v;
-                    let s0 = slots.len();
-                    slots.resize(s0 + d, 0.0);
-                    // pa = Dual::from_f64(0.5) / s, with s's tangent in `row`.
+                GOp::Sqrt(_) => {
+                    let [s_v, ss, _] = point[i];
+                    // The partial is `0.5 / s`, with s's tangent in `val`.
                     for l in 0..d {
-                        row[l] = at[l] * 0.5 / s_v;
-                        slots[s0 + l] = (0.0 * s_v - 0.5 * row[l]) / (s_v * s_v);
+                        val[l] = at[l] * 0.5 / s_v;
+                        slots[l] = (0.0 * s_v - 0.5 * val[l]) / ss;
                     }
-                    part_v[i] = [0.5 / s_v, 0.0];
-                    part_t[i] = [Tan::Slot((s0 / d) as u32), Tan::Const(0.0)];
                 }
-                GOp::Powi(a, p) => {
-                    let (av, at) = res(a, vals_v, prev, zero_lane, d);
-                    vals_v[i] = av.powi(p);
-                    let s0 = slots.len();
-                    slots.resize(s0 + d, 0.0);
-                    // pa = Dual::from_f64(p) * av.powi(p - 1).
-                    let q_v = av.powi(p - 1);
+                GOp::Powi(_, p) => {
+                    let [q_v, r_v, _] = point[i];
                     for l in 0..d {
-                        row[l] = at[l] * f64::from(p) * q_v;
-                        let q_d = at[l] * f64::from(p - 1) * av.powi(p - 2);
-                        slots[s0 + l] = 0.0 * q_v + f64::from(p) * q_d;
+                        val[l] = at[l] * f64::from(p) * q_v;
+                        let q_d = at[l] * f64::from(p - 1) * r_v;
+                        slots[l] = 0.0 * q_v + f64::from(p) * q_d;
                     }
-                    part_v[i] = [f64::from(p) * q_v, 0.0];
-                    part_t[i] = [Tan::Slot((s0 / d) as u32), Tan::Const(0.0)];
                 }
-                GOp::AbsPos(a) => {
-                    let (av, at) = res(a, vals_v, prev, zero_lane, d);
-                    vals_v[i] = av;
-                    row.copy_from_slice(at);
-                    part_v[i] = [1.0, 0.0];
-                }
-                GOp::AbsNeg(a) => {
-                    let (av, at) = res(a, vals_v, prev, zero_lane, d);
-                    vals_v[i] = -av;
-                    for l in 0..d {
-                        row[l] = -at[l];
-                    }
-                    part_v[i] = [-1.0, 0.0];
-                }
-                GOp::MaxLeft(a, _) => {
-                    let (av, at) = res(a, vals_v, prev, zero_lane, d);
-                    vals_v[i] = av;
-                    row.copy_from_slice(at);
-                    part_v[i] = [1.0, 0.0];
-                }
-                GOp::MaxRight(_, b) => {
-                    let (bv, bt) = res(b, vals_v, prev, zero_lane, d);
-                    vals_v[i] = bv;
-                    row.copy_from_slice(bt);
-                    part_v[i] = [0.0, 1.0];
-                }
+                GOp::AbsPos(_) | GOp::MaxLeft(..) => val.copy_from_slice(at),
+                GOp::MaxRight(..) => val.copy_from_slice(bt),
             }
         }
 
-        // Reverse sweep, accumulating in the tape's operand order: the
-        // `self` partial first, then `other`, skipping constants —
-        // exactly `Tape::gradient`'s compacted-parent order. Each
-        // accumulation mirrors `adj[p] = adj[p] + partial * a` in Dual
-        // arithmetic: primal once, tangents per lane.
-        adj_v.clear();
-        adj_v.resize(n, 0.0);
+        // Reverse: the tangent half of every edge. A consumer's row
+        // always follows its operands'.
         adj_d.clear();
-        adj_d.resize(n * d, 0.0);
-        adj_v[self.out] = 1.0;
-        for i in (0..=self.out).rev() {
-            let (aprev, arest) = adj_d.split_at_mut(i * d);
-            let a_row = &arest[..d];
-            let a_v = adj_v[i];
-            let [pav, pbv] = part_v[i];
-            let [pat, pbt] = part_t[i];
-            let mut accumulate = |aprev: &mut [f64], p: u32, pv: f64, pt: Tan| {
-                let p = p as usize;
-                adj_v[p] += pv * a_v;
-                let dst = &mut aprev[p * d..(p + 1) * d];
-                match pt {
-                    Tan::Const(c) => {
-                        for (l, t) in dst.iter_mut().enumerate() {
-                            *t += c * a_v + pv * a_row[l];
-                        }
-                    }
-                    Tan::Node(k) => {
-                        let k = k as usize;
-                        let src = &lanes[k * d..(k + 1) * d];
-                        for (l, t) in dst.iter_mut().enumerate() {
-                            *t += src[l] * a_v + pv * a_row[l];
-                        }
-                    }
-                    Tan::Slot(s) => {
-                        let s = s as usize;
-                        let src = &slots[s * d..(s + 1) * d];
-                        for (l, t) in dst.iter_mut().enumerate() {
-                            *t += src[l] * a_v + pv * a_row[l];
-                        }
-                    }
-                }
-            };
-            match nodes[i] {
-                GOp::Input => {}
-                GOp::Add(oa, ob)
-                | GOp::Sub(oa, ob)
-                | GOp::Mul(oa, ob)
-                | GOp::Div(oa, ob)
-                | GOp::MaxLeft(oa, ob)
-                | GOp::MaxRight(oa, ob) => {
-                    if let Operand::Var(p) = oa {
-                        accumulate(aprev, p, pav, pat);
-                    }
-                    if let Operand::Var(p) = ob {
-                        accumulate(aprev, p, pbv, pbt);
-                    }
-                }
-                GOp::Neg(oa)
-                | GOp::Exp(oa)
-                | GOp::Ln(oa)
-                | GOp::Tanh(oa)
-                | GOp::Sin(oa)
-                | GOp::Cos(oa)
-                | GOp::Sqrt(oa)
-                | GOp::Powi(oa, _)
-                | GOp::AbsPos(oa)
-                | GOp::AbsNeg(oa) => {
-                    if let Operand::Var(p) = oa {
-                        accumulate(aprev, p, pav, pat);
-                    }
-                }
+        adj_d.resize(self.n_rows * d, 0.0);
+        for e in rev.iter() {
+            let (operands, consumers) = adj_d.split_at_mut(e.from as usize * d);
+            let dst = &mut operands[e.dst as usize * d..][..d];
+            let a_row = &consumers[..d];
+            let src = &t[e.src as usize * d..][..d];
+            for l in 0..d {
+                dst[l] += src[l] * e.a_v + e.pv * a_row[l];
             }
         }
 
-        out.copy_from_slice(&adj_d[..self.n_inputs * d]);
+        // Inputs are recorded first and own no slots.
+        out.copy_from_slice(&adj_d[FIRST_NODE_ROW as usize * d..][..self.n_inputs * d]);
     }
 }
 
-/// Seed tangents for a replay: one unit lane per input (full Hessian)
-/// or a single lane carrying an arbitrary direction (HVP).
+/// Seed tangents for a tangent sweep: one unit lane per input (full
+/// Hessian) or a single lane carrying an arbitrary direction (HVP).
 #[derive(Clone, Copy)]
 enum Seeds<'a> {
     Unit,
@@ -954,64 +1051,113 @@ mod tests {
         assert_eq!(ws.op_count(), ops);
     }
 
-    fn assert_hvp_bit_identical<F: ScalarFn>(f: F, points: &[Vec<f64>]) {
-        let d = f.dim();
-        let wrapped = AutoDiffFn::new(f);
-        let mut ws = GraphWorkspace::new();
-        let mut out = vec![0.0; d];
-        for (k, x) in points.iter().enumerate() {
-            // A deterministic non-axis direction per point.
-            let v: Vec<f64> = (0..d)
-                .map(|i| 0.3 + 0.7 * i as f64 - 0.11 * k as f64)
-                .collect();
-            let reference = wrapped.hvp(x, &v);
-            ws.hvp_into(wrapped.inner(), x, &v, &mut out);
-            for i in 0..d {
-                assert_eq!(
-                    out[i].to_bits(),
-                    reference[i].to_bits(),
-                    "hvp[{i}] at {x:?}: graph {} vs tape {}",
-                    out[i],
-                    reference[i]
-                );
-            }
+    /// Three fixed non-axis directions of length `d`.
+    fn directions(d: usize) -> [Vec<f64>; 3] {
+        [0.0, 1.0, 2.0].map(|k| (0..d).map(|i| 0.3 + 0.7 * i as f64 - 0.11 * k).collect())
+    }
+
+    /// `apply(v)` at the already-primed point `x` against the tape
+    /// oracle, bit for bit.
+    fn assert_apply_matches_tape<F: ScalarFn>(
+        ws: &mut GraphWorkspace,
+        wrapped: &AutoDiffFn<F>,
+        x: &[f64],
+        v: &[f64],
+    ) {
+        let reference = wrapped.hvp(x, v);
+        let mut out = vec![f64::NAN; x.len()];
+        ws.apply(v, &mut out);
+        for i in 0..x.len() {
+            assert_eq!(
+                out[i].to_bits(),
+                reference[i].to_bits(),
+                "hvp[{i}] at {x:?} along {v:?}: graph {} vs tape {}",
+                out[i],
+                reference[i]
+            );
         }
     }
 
-    #[test]
-    fn hvp_bit_identical_across_op_coverage() {
-        assert_hvp_bit_identical(
-            Poly,
-            &[vec![0.3, -0.8, 1.7], vec![-0.137, 0.952, -2.5]],
-        );
-        assert_hvp_bit_identical(DivLog, &[vec![0.3, 0.8], vec![1.7, 0.21]]);
-        assert_hvp_bit_identical(Transcendental, &[vec![0.4, 0.9], vec![2.2, 1.6]]);
-        assert_hvp_bit_identical(
-            Branchy,
-            &[vec![0.5, 0.25], vec![-0.5, 0.25], vec![-0.7, -0.2]],
-        );
-        assert_hvp_bit_identical(ValueBranch, &[vec![0.9, 0.4], vec![0.1, 0.4]]);
+    /// (A,v1) (A,v2) (B,v1) (A,v3) with one `at` per point change, then a
+    /// `hessian_into` wedged between two products at one point: any state
+    /// left over from another point, direction or lane count shows up as
+    /// a bit difference against the tape.
+    fn assert_interleavings_bit_identical<F: ScalarFn>(f: F, a: &[f64], b: &[f64]) {
+        let d = f.dim();
+        let wrapped = AutoDiffFn::new(f);
+        let [v1, v2, v3] = directions(d);
+        let mut ws = GraphWorkspace::new();
+
+        ws.at(wrapped.inner(), a);
+        assert_apply_matches_tape(&mut ws, &wrapped, a, &v1);
+        assert_apply_matches_tape(&mut ws, &wrapped, a, &v2);
+        ws.at(wrapped.inner(), b);
+        assert_apply_matches_tape(&mut ws, &wrapped, b, &v1);
+        ws.at(wrapped.inner(), a);
+        assert_apply_matches_tape(&mut ws, &wrapped, a, &v3);
+        // One primal sweep per `at`, none per `apply`.
+        assert_eq!(ws.point_sweeps(), 3);
+
+        let mut h = Matrix::zeros(d, d);
+        ws.hessian_into(wrapped.inner(), b, &mut h);
+        let reference = DifferentiableFn::hessian(&wrapped, b);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&h), bits(&reference), "hessian_into at {b:?}");
+        ws.at(wrapped.inner(), a);
+        assert_apply_matches_tape(&mut ws, &wrapped, a, &v2);
     }
 
     #[test]
-    fn hvp_and_hessian_share_one_recording() {
+    fn at_apply_bit_identical_across_op_coverage_and_interleavings() {
+        assert_interleavings_bit_identical(Poly, &[0.3, -0.8, 1.7], &[-0.137, 0.952, -2.5]);
+        assert_interleavings_bit_identical(DivLog, &[0.3, 0.8], &[1.7, 0.21]);
+        assert_interleavings_bit_identical(Transcendental, &[0.4, 0.9], &[2.2, 1.6]);
+        // Point-dependent graphs: A and B sit on opposite sides of every
+        // `Branchy` kink and of `ValueBranch`'s `value()` test, so each
+        // `at` must re-record before it re-primes.
+        assert_interleavings_bit_identical(Branchy, &[0.5, 0.25], &[-0.7, -0.2]);
+        assert_interleavings_bit_identical(Branchy, &[-0.5, 0.25], &[0.5, -0.9]);
+        assert_interleavings_bit_identical(ValueBranch, &[0.9, 0.4], &[0.1, 0.4]);
+    }
+
+    #[test]
+    fn products_and_hessians_share_one_recording() {
         let mut ws = GraphWorkspace::new();
         let mut h = Matrix::zeros(3, 3);
         let mut out = vec![0.0; 3];
         ws.hessian_into(&Poly, &[0.1, 0.2, 0.3], &mut h);
         let ops = ws.op_count();
-        // Interleaved HVPs at other points reuse the same graph.
-        ws.hvp_into(&Poly, &[0.9, -0.4, 0.5], &[1.0, 0.0, 2.0], &mut out);
-        ws.hvp_into(&Poly, &[0.2, 0.2, 0.2], &[0.5, -1.0, 0.0], &mut out);
+        // Interleaved products at other points reuse the same graph.
+        ws.at(&Poly, &[0.9, -0.4, 0.5]);
+        ws.apply(&[1.0, 0.0, 2.0], &mut out);
+        ws.at(&Poly, &[0.2, 0.2, 0.2]);
+        ws.apply(&[0.5, -1.0, 0.0], &mut out);
         assert_eq!(ws.op_count(), ops);
-        // And the HVP matches H·v from the full Hessian (same quadratic
-        // graph, so equality is exact up to symmetrization).
+        // And the product matches H·v from the full Hessian.
         ws.hessian_into(&Poly, &[0.2, 0.2, 0.2], &mut h);
         let hv = h.matvec(&[0.5, -1.0, 0.0]);
-        ws.hvp_into(&Poly, &[0.2, 0.2, 0.2], &[0.5, -1.0, 0.0], &mut out);
         for i in 0..3 {
             assert!((out[i] - hv[i]).abs() < 1e-12, "{} vs {}", out[i], hv[i]);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "no point primed")]
+    fn apply_before_any_at_panics() {
+        let mut out = vec![0.0; 3];
+        GraphWorkspace::new().apply(&[1.0, 0.0, 2.0], &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "no point primed")]
+    fn hessian_into_invalidates_the_primed_point() {
+        let mut ws = GraphWorkspace::new();
+        let mut h = Matrix::zeros(3, 3);
+        let mut out = vec![0.0; 3];
+        ws.at(&Poly, &[0.1, 0.2, 0.3]);
+        ws.apply(&[1.0, 0.0, 2.0], &mut out);
+        ws.hessian_into(&Poly, &[0.1, 0.2, 0.3], &mut h);
+        ws.apply(&[1.0, 0.0, 2.0], &mut out);
     }
 
     #[test]

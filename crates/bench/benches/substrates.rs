@@ -1,9 +1,11 @@
-//! Microbenchmarks of the substrates: AD gradients/Hessians, the
-//! spectral kernels (QL default, Jacobi oracle, matrix-free Lanczos
-//! extremes), the box-constrained optimizer, and the wire codec.
+//! Microbenchmarks of the substrates: AD gradients/Hessians, primed
+//! Hessian-vector products, the spectral kernels (QL default, Jacobi
+//! oracle, matrix-free Lanczos extremes), the box-constrained optimizer,
+//! and the wire codec.
 
-use automon_autodiff::{AutoDiffFn, Scalar, ScalarFn};
+use automon_autodiff::{AutoDiffFn, DifferentiableFn, Scalar, ScalarFn};
 use automon_core::{CoordinatorMessage, Curvature, DcKind, NodeMessage, SafeZone, ViolationKind};
+use automon_functions::KlDivergence;
 use automon_linalg::{
     JacobiOptions, LanczosOptions, LanczosStats, LanczosWorkspace, Matrix, MatrixOperator,
     RitzSide, SymEigen,
@@ -38,6 +40,40 @@ fn bench_autodiff(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("hessian", d), &d, |b, _| {
             b.iter(|| std::hint::black_box(f.hessian(std::hint::black_box(&x))))
+        });
+    }
+    group.finish();
+}
+
+/// The two costs of a matrix-free Hessian-vector product on the
+/// `kld_fullsync` function: `kld_first` is the first product at a new
+/// point (`at` + `apply`: primal sweep, then one tangent lane),
+/// `kld_repeat` every further product there (`apply` alone). A Lanczos
+/// run pays one of the former and ~5 of the latter per probe point;
+/// `scripts/bench_snapshot.sh` fails when a repeat costs more than 0.7
+/// of a first, i.e. when the primed path has fallen back to redoing the
+/// primal sweep per product.
+fn bench_hvp(c: &mut Criterion) {
+    let mut group = c.benchmark_group("hvp");
+    for d in [20usize, 40] {
+        let f = AutoDiffFn::new(KlDivergence::with_paper_tau(d, 12, 200));
+        let x: Vec<f64> = (0..d).map(|i| (1.0 + 0.01 * i as f64) / d as f64).collect();
+        let v: Vec<f64> = (0..d).map(|i| 0.3 - 0.07 * i as f64).collect();
+        let mut out = vec![0.0; d];
+        let mut he = f.hvp_eval();
+        group.bench_with_input(BenchmarkId::new("kld_first", d), &d, |b, _| {
+            b.iter(|| {
+                he.at(std::hint::black_box(&x));
+                he.apply(std::hint::black_box(&v), &mut out);
+                std::hint::black_box(out[0])
+            })
+        });
+        he.at(&x);
+        group.bench_with_input(BenchmarkId::new("kld_repeat", d), &d, |b, _| {
+            b.iter(|| {
+                he.apply(std::hint::black_box(&v), &mut out);
+                std::hint::black_box(out[0])
+            })
         });
     }
     group.finish();
@@ -164,5 +200,5 @@ fn bench_wire(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_autodiff, bench_eigen, bench_optimizer, bench_wire);
+criterion_group!(benches, bench_autodiff, bench_hvp, bench_eigen, bench_optimizer, bench_wire);
 criterion_main!(benches);

@@ -323,6 +323,26 @@ enum Extreme {
     Max,
 }
 
+impl Extreme {
+    /// The search stream's probe generator: every search path draws its
+    /// probes from this one seeded stream, in order.
+    fn probe_rng(self, es: &EigenSearch) -> SmallRng {
+        SmallRng::seed_from_u64(es.seed ^ (self == Extreme::Max) as u64)
+    }
+}
+
+/// Draw the next probe point of a search stream, uniform over the box,
+/// into `p`.
+fn draw_probe(rng: &mut SmallRng, bounds: &Bounds, p: &mut [f64]) {
+    for (i, pi) in p.iter_mut().enumerate() {
+        *pi = if bounds.lo[i] < bounds.hi[i] {
+            rng.gen_range(bounds.lo[i]..=bounds.hi[i])
+        } else {
+            bounds.lo[i]
+        };
+    }
+}
+
 /// Gershgorin disc bounds on the spectrum of a symmetric matrix:
 /// `(min_i h_ii - R_i, max_i h_ii + R_i)` with `R_i = Σ_{j≠i} |h_ij|`.
 fn gershgorin_bounds(h: &automon_linalg::Matrix) -> (f64, f64) {
@@ -376,22 +396,15 @@ fn search_extreme(
 
     let mut best_x = bounds.center();
     let mut best_v = eval(&best_x);
-    let mut rng = SmallRng::seed_from_u64(es.seed ^ (which == Extreme::Max) as u64);
+    let mut rng = which.probe_rng(es);
     let d = bounds.dim();
+    let mut p = vec![0.0; d];
     for _ in 0..es.probes {
-        let p: Vec<f64> = (0..d)
-            .map(|i| {
-                if bounds.lo[i] < bounds.hi[i] {
-                    rng.gen_range(bounds.lo[i]..=bounds.hi[i])
-                } else {
-                    bounds.lo[i]
-                }
-            })
-            .collect();
+        draw_probe(&mut rng, bounds, &mut p);
         let v = eval(&p);
         if v < best_v {
             best_v = v;
-            best_x = p;
+            best_x.copy_from_slice(&p);
         }
     }
     if es.nm_iters > 0 && d <= es.nm_dim_cap {
@@ -444,21 +457,14 @@ fn search_extremes_batched(
     workers: usize,
 ) -> (f64, f64, f64, f64) {
     let d = bounds.dim();
-    let gen_probes = |which: Extreme| -> Vec<Vec<f64>> {
-        let mut rng = SmallRng::seed_from_u64(es.seed ^ (which == Extreme::Max) as u64);
-        (0..es.probes)
-            .map(|_| {
-                (0..d)
-                    .map(|i| {
-                        if bounds.lo[i] < bounds.hi[i] {
-                            rng.gen_range(bounds.lo[i]..=bounds.hi[i])
-                        } else {
-                            bounds.lo[i]
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
+    // One flat buffer per stream, `d` coordinates per probe.
+    let gen_probes = |which: Extreme| -> Vec<f64> {
+        let mut rng = which.probe_rng(es);
+        let mut flat = vec![0.0; es.probes * d];
+        for p in flat.chunks_exact_mut(d) {
+            draw_probe(&mut rng, bounds, p);
+        }
+        flat
     };
     let min_probes = gen_probes(Extreme::Min);
     let max_probes = gen_probes(Extreme::Max);
@@ -467,8 +473,8 @@ fn search_extremes_batched(
     let mut points: Vec<&[f64]> = Vec::with_capacity(2 + 2 * es.probes);
     points.push(&center);
     points.push(x0);
-    points.extend(min_probes.iter().map(Vec::as_slice));
-    points.extend(max_probes.iter().map(Vec::as_slice));
+    points.extend(min_probes.chunks_exact(d));
+    points.extend(max_probes.chunks_exact(d));
 
     let extremes: Vec<(f64, f64)> = par_map_with(
         &points,
@@ -507,8 +513,8 @@ fn search_extremes_batched(
     };
     let (min_v, min_i) = reduce(Extreme::Min, &extremes[2..2 + es.probes]);
     let (max_v, max_i) = reduce(Extreme::Max, &extremes[2 + es.probes..]);
-    let min_x: &[f64] = min_i.map_or(&center, |i| &min_probes[i]);
-    let max_x: &[f64] = max_i.map_or(&center, |i| &max_probes[i]);
+    let min_x: &[f64] = min_i.map_or(&center, |i| &min_probes[i * d..(i + 1) * d]);
+    let max_x: &[f64] = max_i.map_or(&center, |i| &max_probes[i * d..(i + 1) * d]);
 
     // Nelder–Mead is adaptive, so each polish stays sequential
     // internally; the two extremes' polishes are independent and run
@@ -565,7 +571,16 @@ fn search_extremes_batched(
 /// backed by a reusable [`HvpEvaluator`].
 struct HvpProbeOp<'a> {
     he: &'a mut (dyn HvpEvaluator + 'a),
-    x: &'a [f64],
+}
+
+impl<'a> HvpProbeOp<'a> {
+    /// Prime `he` at the probe point `x`: the point's primal work runs
+    /// here, once, and every product of the Lanczos run that follows is
+    /// a tangent sweep over it.
+    fn at(he: &'a mut (dyn HvpEvaluator + 'a), x: &[f64]) -> Self {
+        he.at(x);
+        Self { he }
+    }
 }
 
 impl SymOperator for HvpProbeOp<'_> {
@@ -573,7 +588,7 @@ impl SymOperator for HvpProbeOp<'_> {
         self.he.dim()
     }
     fn apply(&mut self, v: &[f64], out: &mut [f64]) {
-        self.he.hvp_into(self.x, v, out);
+        self.he.apply(v, out);
     }
 }
 
@@ -582,10 +597,12 @@ impl SymOperator for HvpProbeOp<'_> {
 /// `(λ̂_min, λ̂_max, λ_min(H(x0)), λ_max(H(x0)))`.
 ///
 /// Materializes exactly two Hessians — `H(x0)` for the DC heuristic and
-/// `H(center)` to seed everything else — and then never touches a dense
-/// Hessian again: each probe point's extreme eigenvalues come from a
-/// [`LanczosWorkspace`] driven by Hessian-vector products through
-/// [`HvpEvaluator`] (record-once/replay-many on `AutoDiffFn`). The
+/// `H(center)` to seed everything else, both off one
+/// [`MonitoredFunction::hessian_eval`] workspace — and then never touches
+/// a dense Hessian again: each probe point's extreme eigenvalues come
+/// from a [`LanczosWorkspace`] driven by Hessian-vector products through
+/// [`HvpEvaluator`], primed once per probe point ([`HvpProbeOp::at`]) so
+/// the Lanczos run's products pay only their tangent sweeps. The
 /// center decomposition supplies each search stream's incumbent value
 /// and initial Ritz vector; its Gershgorin enclosure supplies the
 /// Lanczos shift (midpoint) and convergence scale (half-width), both
@@ -610,13 +627,16 @@ fn search_extremes_lanczos(
 ) -> (f64, f64, f64, f64) {
     let d = bounds.dim();
     let center = bounds.center();
-    let h0 = f.hessian(x0);
-    let eig0 = SymEigen::new(&h0);
-    let hc = f.hessian(&center);
-    let eigc = SymEigen::new(&hc);
+    // Bit-identical to two `f.hessian` calls by the graph contract.
+    let mut he = f.hessian_eval();
+    let mut h = Matrix::zeros(d, d);
+    he.hessian_into(x0, &mut h);
+    let eig0 = SymEigen::new(&h);
+    he.hessian_into(&center, &mut h);
+    let eigc = SymEigen::new(&h);
     stats.hessian_materializations = 2;
 
-    let (glo, ghi) = gershgorin_bounds(&hc);
+    let (glo, ghi) = gershgorin_bounds(&h);
     let shift = 0.5 * (glo + ghi);
     let scale = 0.5 * (ghi - glo);
 
@@ -634,7 +654,7 @@ fn search_extremes_lanczos(
         let lopts = LanczosOptions::default();
         let mut eval = |x: &[f64]| -> f64 {
             evals += 1;
-            let mut op = HvpProbeOp { he: &mut *he, x };
+            let mut op = HvpProbeOp::at(&mut *he, x);
             let (lo, hi) = ws.extremes(&mut op, shift, scale, side, &lopts, &mut ls);
             match which {
                 Extreme::Min => lo,
@@ -650,21 +670,14 @@ fn search_extremes_lanczos(
             Extreme::Max => -eigc.lambda_max(),
         };
         let mut best_x = center.clone();
-        let mut rng = SmallRng::seed_from_u64(es.seed ^ (which == Extreme::Max) as u64);
+        let mut rng = which.probe_rng(es);
+        let mut p = vec![0.0; d];
         for _ in 0..es.probes {
-            let p: Vec<f64> = (0..d)
-                .map(|i| {
-                    if bounds.lo[i] < bounds.hi[i] {
-                        rng.gen_range(bounds.lo[i]..=bounds.hi[i])
-                    } else {
-                        bounds.lo[i]
-                    }
-                })
-                .collect();
+            draw_probe(&mut rng, bounds, &mut p);
             let v = eval(&p);
             if v < best_v {
                 best_v = v;
-                best_x = p;
+                best_x.copy_from_slice(&p);
             }
         }
         if es.nm_iters > 0 && d <= es.nm_dim_cap {
@@ -962,6 +975,110 @@ mod tests {
             xq.lambda_max_hat,
             xj.lambda_max_hat
         );
+    }
+
+    /// Forwards to `inner`; every HVP evaluator it hands out adds its
+    /// primal-sweep count to `sweeps` when the search drops it.
+    struct CountSweeps<'f> {
+        inner: &'f dyn MonitoredFunction,
+        sweeps: std::sync::atomic::AtomicU64,
+    }
+
+    impl MonitoredFunction for CountSweeps<'_> {
+        fn dim(&self) -> usize {
+            self.inner.dim()
+        }
+        fn eval(&self, x: &[f64]) -> f64 {
+            self.inner.eval(x)
+        }
+        fn eval_grad(&self, x: &[f64]) -> (f64, Vec<f64>) {
+            self.inner.eval_grad(x)
+        }
+        fn hvp(&self, x: &[f64], v: &[f64]) -> Vec<f64> {
+            self.inner.hvp(x, v)
+        }
+        fn has_constant_hessian(&self) -> bool {
+            self.inner.has_constant_hessian()
+        }
+        fn hessian_eval(&self) -> Box<dyn automon_autodiff::HessianEvaluator + '_> {
+            self.inner.hessian_eval()
+        }
+        fn hvp_eval(&self) -> Box<dyn HvpEvaluator + '_> {
+            Box::new(ReportSweeps {
+                he: self.inner.hvp_eval(),
+                sweeps: &self.sweeps,
+            })
+        }
+    }
+
+    struct ReportSweeps<'a> {
+        he: Box<dyn HvpEvaluator + 'a>,
+        sweeps: &'a std::sync::atomic::AtomicU64,
+    }
+
+    impl HvpEvaluator for ReportSweeps<'_> {
+        fn dim(&self) -> usize {
+            self.he.dim()
+        }
+        fn at(&mut self, x: &[f64]) {
+            self.he.at(x);
+        }
+        fn apply(&mut self, v: &[f64], out: &mut [f64]) {
+            self.he.apply(v, out);
+        }
+        fn point_sweeps(&self) -> u64 {
+            self.he.point_sweeps()
+        }
+    }
+
+    impl Drop for ReportSweeps<'_> {
+        fn drop(&mut self) {
+            self.sweeps
+                .fetch_add(self.he.point_sweeps(), std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn eigen_search_primes_once_per_probe_point() {
+        /// τ-smoothed KLD over two `d/2`-bin histograms, as in
+        /// `automon_functions::KlDivergence`.
+        struct Kld;
+        impl ScalarFn for Kld {
+            fn dim(&self) -> usize {
+                20
+            }
+            fn call<S: Scalar>(&self, x: &[S]) -> S {
+                let tau = S::from_f64(1.0 / 60.0);
+                let mut acc = S::from_f64(0.0);
+                for i in 0..10 {
+                    let (p, q) = (x[i] + tau, x[10 + i] + tau);
+                    acc = acc + p * (p.ln() - q.ln());
+                }
+                acc
+            }
+        }
+        // Point 0 of the `decompose_lattice` d = 20 lattice, default
+        // search budget.
+        let x0: Vec<f64> = (0..20).map(|i| 0.05 + 1e-5 * i as f64).collect();
+        let b = NeighborhoodBox {
+            lo: x0.iter().map(|v| (v - 0.05).max(1e-6)).collect(),
+            hi: x0.iter().map(|v| (v + 0.05).min(1.0)).collect(),
+        };
+        let kld = AutoDiffFn::new(Kld);
+        let f = CountSweeps {
+            inner: &kld,
+            sweeps: Default::default(),
+        };
+        let dec = decompose(&f, &x0, Some(&b), &cfg());
+        let sweeps = f.sweeps.into_inner();
+        // One primal sweep per probe point, however many products the
+        // Lanczos run at that point applies. The counts and the extremes
+        // are those of the evaluator that swept the primal per product.
+        assert_eq!(sweeps, dec.spectral.eigen_probes);
+        assert_eq!(dec.spectral.hvp_applies, 1413);
+        assert_eq!(dec.spectral.eigen_probes, 273);
+        assert_eq!(dec.lambda_min_hat.to_bits(), 0xbd00000000000000);
+        assert_eq!(dec.lambda_max_hat.to_bits(), 0x40725a21bdfe77ee);
     }
 
     #[test]

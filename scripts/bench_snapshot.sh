@@ -21,6 +21,15 @@
 # smoke uses. The snapshot also records the host kernel and core count,
 # since absolute nanoseconds are only comparable on like machines.
 #
+# The substrates bench carries one gate of its own: `hvp/kld_repeat/20`
+# (a further Hessian-vector product at a primed point: the tangent sweep
+# alone) must stay at or below 0.7x `hvp/kld_first/20` (the first product
+# at a new point: primal sweep + tangent sweep). A healthy tree sits at
+# 0.40-0.48 — the primal sweep costs about one tangent sweep — and an
+# `apply` that fell back to redoing the primal work per product would sit
+# at 1.0, so 0.7 separates the two with room for this box's noise on
+# either side. A failing gate leaves the snapshot file untouched.
+#
 # The fleet_scaling bench is snapshotted separately into
 # BENCH_fleet_scaling.json: it measures message/byte *volume* of the
 # two-tier hierarchy against the flat baseline, not wall time. The
@@ -91,6 +100,17 @@ with open(raw_path) as fh:
 
 if not current:
     sys.exit("bench_snapshot: no BENCHLINE output captured")
+
+if "substrates" in benches:
+    first = current.get("hvp/kld_first/20")
+    repeat = current.get("hvp/kld_repeat/20")
+    if first is None or repeat is None:
+        sys.exit("bench_snapshot: substrates printed no hvp/kld_{first,repeat}/20")
+    if repeat > 0.7 * first:
+        sys.exit(
+            f"bench_snapshot: hvp/kld_repeat/20 {repeat:.0f} ns is above 0.7x "
+            f"hvp/kld_first/20 {first:.0f} ns: apply is redoing the primal sweep"
+        )
 
 previous = None
 try:
