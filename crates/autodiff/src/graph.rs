@@ -55,8 +55,9 @@
 //! order a lane's operations run. The tests at the bottom of this file
 //! assert exact `f64::to_bits` equality against the tape-based Hessian
 //! and Hessian-vector product across op coverage, probe points and
-//! `at`/`apply`/`hessian_into` interleavings; the ADCD parallel pipeline
-//! relies on this to keep `Parallelism` settings protocol-equivalent.
+//! `at`/`apply`/`hessian_into` interleavings; the ADCD-X eigen search
+//! relies on this for its workspace evaluators to reproduce the
+//! `hessian`/`hvp` oracles exactly.
 //!
 //! Functions whose recorded structure depends on the evaluation point —
 //! `abs`/`max` branches (and thus `relu`/`min`) or data-dependent

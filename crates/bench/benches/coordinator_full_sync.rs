@@ -2,10 +2,10 @@
 //! extreme-eigenvalue search and grows with dimension; ADCD-E performs
 //! its eigendecomposition once, so full syncs stay cheap and flat.
 
-use automon_core::{adcd, EigenSearch, MonitorConfig, NeighborhoodBox, Parallelism};
+use automon_core::{adcd, EigenSearch, MonitorConfig, NeighborhoodBox};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-fn cfg(par: Parallelism) -> MonitorConfig {
+fn cfg() -> MonitorConfig {
     MonitorConfig::builder(0.1)
         .eigen_search(EigenSearch {
             probes: 4,
@@ -13,7 +13,6 @@ fn cfg(par: Parallelism) -> MonitorConfig {
             seed: 2,
             ..Default::default()
         })
-        .parallelism(par)
         .build()
 }
 
@@ -21,10 +20,11 @@ fn bench_full_sync(c: &mut Criterion) {
     let mut group = c.benchmark_group("full_sync_decompose");
     group.sample_size(10);
 
-    // ADCD-X on KLD (non-constant Hessian): λ search over the box.
-    // `adcd_x_kld` runs the default (batched, machine-sized) pipeline;
-    // `adcd_x_kld_seq` pins the sequential reference path — the pair
-    // measures the hot-path speedup at identical results.
+    // ADCD-X on KLD (non-constant Hessian): λ search over the box, on
+    // the default configuration. The `_seq` in the key dates from when
+    // a threaded variant ran beside it; it is kept so the snapshot
+    // trajectory (ROADMAP "Perf trajectory") stays comparable.
+    let cfg = cfg();
     for d in [10usize, 20, 40] {
         let bench = automon_bench::funcs::kld(d, 2, 30, 1);
         let x0 = vec![1.0 / d as f64; d];
@@ -32,29 +32,22 @@ fn bench_full_sync(c: &mut Criterion) {
             lo: x0.iter().map(|v| (v - 0.05).max(0.0)).collect(),
             hi: x0.iter().map(|v| (v + 0.05).min(1.0)).collect(),
         };
-        for (name, par) in [
-            ("adcd_x_kld", Parallelism::Auto),
-            ("adcd_x_kld_seq", Parallelism::Sequential),
-        ] {
-            let cfg = cfg(par);
-            group.bench_with_input(BenchmarkId::new(name, d), &d, |bch, _| {
-                bch.iter(|| {
-                    std::hint::black_box(adcd::decompose(
-                        bench.f.as_ref(),
-                        std::hint::black_box(&x0),
-                        Some(&b),
-                        &cfg,
-                    ))
-                })
-            });
-        }
+        group.bench_with_input(BenchmarkId::new("adcd_x_kld_seq", d), &d, |bch, _| {
+            bch.iter(|| {
+                std::hint::black_box(adcd::decompose(
+                    bench.f.as_ref(),
+                    std::hint::black_box(&x0),
+                    Some(&b),
+                    &cfg,
+                ))
+            })
+        });
     }
 
     // ADCD-E on the inner product: one eigendecomposition.
     for d in [10usize, 40, 100] {
         let bench = automon_bench::funcs::inner_product(d, 2, 30, 1);
         let x0 = vec![0.1; d];
-        let cfg = cfg(Parallelism::Auto);
         group.bench_with_input(BenchmarkId::new("adcd_e_inner_product", d), &d, |bch, _| {
             bch.iter(|| {
                 std::hint::black_box(adcd::decompose(

@@ -8,7 +8,7 @@
 
 use automon_core::{
     adcd, CacheLookup, DecompCache, DecompCacheConfig, EigenSearch, MonitorConfig,
-    NeighborhoodBox, Parallelism,
+    NeighborhoodBox,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -23,7 +23,6 @@ fn cfg() -> MonitorConfig {
             seed: 2,
             ..Default::default()
         })
-        .parallelism(Parallelism::Sequential)
         .build()
 }
 

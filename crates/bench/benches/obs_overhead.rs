@@ -1,13 +1,13 @@
 //! Telemetry overhead on the ADCD hot path (DESIGN §3.9).
 //!
-//! `decompose_bare` is the exact `full_sync_decompose/adcd_x_kld`
+//! `decompose_bare` is the exact `full_sync_decompose/adcd_x_kld_seq`
 //! configuration from `coordinator_full_sync.rs`; `decompose_disabled_tel`
 //! routes through `decompose_observed` with `Telemetry::disabled()` — the
 //! zero-overhead claim CI enforces (`scripts/ci.sh`, BENCH_SMOKE_TOLERANCE)
 //! — and `decompose_enabled_tel` prices live counters + one trace event
 //! per decomposition. The micro group isolates the per-call primitives.
 
-use automon_core::{adcd, EigenSearch, MonitorConfig, NeighborhoodBox, Parallelism};
+use automon_core::{adcd, EigenSearch, MonitorConfig, NeighborhoodBox};
 use automon_obs::Telemetry;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -19,7 +19,6 @@ fn cfg() -> MonitorConfig {
             seed: 2,
             ..Default::default()
         })
-        .parallelism(Parallelism::Auto)
         .build()
 }
 

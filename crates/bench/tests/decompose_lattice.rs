@@ -5,9 +5,7 @@
 //! no decomposition. The lattice and config mirror
 //! `benches/decomp_cache.rs`.
 
-use automon_core::{
-    adcd, Curvature, DcKind, EigenSearch, MonitorConfig, NeighborhoodBox, Parallelism,
-};
+use automon_core::{adcd, Curvature, DcKind, EigenSearch, MonitorConfig, NeighborhoodBox};
 
 /// Per lattice point: `λ̂_min` bits, `λ̂_max` bits, Lanczos iterations,
 /// eigen probes.
@@ -44,7 +42,6 @@ fn decompose_is_bitwise_unchanged_on_the_bench_lattice() {
             seed: 2,
             ..Default::default()
         })
-        .parallelism(Parallelism::Sequential)
         .build();
     for (d, rows) in [(10usize, D10), (20, D20)] {
         let bench = automon_bench::funcs::kld(d, 2, 30, 1);

@@ -53,7 +53,7 @@ pub fn usage() -> &'static str {
 USAGE:
     automon simulate --function <NAME> [--epsilon E] [--nodes N]
                      [--rounds R] [--dim D] [--seed S] [--baseline SPEC]
-                     [--parallelism P] [--spectral-backend B]
+                     [--spectral-backend B]
                      [--chaos-seed S] [--drop-rate P]
                      [--crash-node SPEC] [--partition SPEC]
                      [--crash-coordinator R] [--wal-dir DIR]
@@ -65,7 +65,7 @@ USAGE:
                      [--crash-leaf SPEC]
     automon monitor  --function <NAME> --input <FILE.csv> --nodes N
                      [--epsilon E] [--dim D] [--output FILE.csv]
-                     [--parallelism P] [--spectral-backend B]
+                     [--spectral-backend B]
                      [--decomp-cache] [--decomp-cache-capacity N]
     automon tune     --function <NAME> --input <FILE.csv> --nodes N
                      [--epsilon E]
@@ -85,11 +85,6 @@ FUNCTIONS (built-in):
 
 BASELINES (simulate only, repeatable):
     centralization | periodic:<P>
-
-PARALLELISM:
-    --parallelism 0 sizes the full-sync pipeline to the machine
-    (default); 1 forces the sequential reference path; N uses N
-    worker threads. Results are identical for every setting.
 
 SPECTRAL BACKEND:
     --spectral-backend ql (default) uses the two-tier kernel:
@@ -261,8 +256,12 @@ mod tests {
         assert!(err.to_string().contains("--bogus-flag"), "{err}");
         let err = dispatch(&sv(&["trace", "diff", "--left", "a", "--rihgt", "b"])).unwrap_err();
         assert!(err.to_string().contains("--rihgt"), "{err}");
-        // Retired cache knobs fail with a pointer, not a silent default.
-        for retired in [&["--decomp-cache", "arc"][..], &["--decomp-cache-warm"]] {
+        // Retired knobs fail with a pointer, not a silent default.
+        for retired in [
+            &["--decomp-cache", "arc"][..],
+            &["--decomp-cache-warm"],
+            &["--parallelism", "2"],
+        ] {
             let mut argv = sv(&["simulate", "--function", "rozenbrock", "--rounds", "30"]);
             argv.extend(sv(retired));
             let err = dispatch(&argv).unwrap_err();

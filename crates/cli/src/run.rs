@@ -5,8 +5,7 @@ use std::sync::Arc;
 
 use automon_autodiff::AutoDiffFn;
 use automon_core::{
-    Coordinator, DecompCacheConfig, MonitorConfig, MonitoredFunction, Node, Parallelism,
-    SpectralBackend,
+    Coordinator, DecompCacheConfig, MonitorConfig, MonitoredFunction, Node, SpectralBackend,
 };
 use automon_data::synthetic::{InnerProductDataset, QuadraticDataset, RozenbrockDataset};
 use automon_data::windowed_mean_series;
@@ -36,12 +35,6 @@ pub fn build_function(name: &str, dim: usize) -> Result<Arc<dyn MonitoredFunctio
             )))
         }
     })
-}
-
-/// Parse `--parallelism` (0 = auto-size to the machine, 1 = the
-/// sequential reference path, n ≥ 2 = that many workers).
-fn parse_parallelism(args: &Args) -> Result<Parallelism, CliError> {
-    Ok(Parallelism::from(args.num("parallelism", 0usize)?))
 }
 
 /// Parse `--spectral-backend` (`ql` is the default two-tier kernel,
@@ -465,10 +458,10 @@ fn stats_json(stats: &automon_sim::RunStats, extra: &[(&str, Value)]) -> Result<
 /// Flags `automon simulate` reads; `dispatch` rejects any other.
 pub(crate) const SIMULATE_FLAGS: &[&str] = &[
     "function", "epsilon", "nodes", "rounds", "dim", "seed", "baseline",
-    "parallelism", "spectral-backend", "chaos-seed", "drop-rate", "crash-node",
-    "partition", "crash-coordinator", "wal-dir", "snapshot-every", "json",
-    "metrics-out", "trace-out", "serve-metrics", "decomp-cache",
-    "decomp-cache-capacity", "fleet", "shards", "leaf-epsilon-frac", "crash-leaf",
+    "spectral-backend", "chaos-seed", "drop-rate", "crash-node", "partition",
+    "crash-coordinator", "wal-dir", "snapshot-every", "json", "metrics-out",
+    "trace-out", "serve-metrics", "decomp-cache", "decomp-cache-capacity", "fleet",
+    "shards", "leaf-epsilon-frac", "crash-leaf",
 ];
 
 /// `automon simulate …`
@@ -486,7 +479,6 @@ pub fn run_simulate(args: &Args) -> Result<String, CliError> {
     let f = build_function(function, dim)?;
     let workload = build_workload(function, nodes, rounds, dim, seed)?;
     let cfg = MonitorConfig::builder(epsilon)
-        .parallelism(parse_parallelism(args)?)
         .spectral_backend(parse_spectral_backend(args)?)
         .decomp_cache_opt(parse_decomp_cache(args)?)
         .build();
@@ -668,8 +660,8 @@ pub fn run_simulate(args: &Args) -> Result<String, CliError> {
 
 /// Flags `automon monitor` reads; `dispatch` rejects any other.
 pub(crate) const MONITOR_FLAGS: &[&str] = &[
-    "function", "input", "nodes", "epsilon", "dim", "output", "parallelism",
-    "spectral-backend", "decomp-cache", "decomp-cache-capacity",
+    "function", "input", "nodes", "epsilon", "dim", "output", "spectral-backend",
+    "decomp-cache", "decomp-cache-capacity",
 ];
 
 /// `automon monitor …` — run the real protocol over CSV updates.
@@ -694,7 +686,6 @@ pub fn run_monitor(args: &Args) -> Result<String, CliError> {
     let f = build_function(function, dim)?;
 
     let cfg = MonitorConfig::builder(epsilon)
-        .parallelism(parse_parallelism(args)?)
         .spectral_backend(parse_spectral_backend(args)?)
         .decomp_cache_opt(parse_decomp_cache(args)?)
         .build();

@@ -23,7 +23,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::{EigenObjective, EigenSearch, MonitorConfig};
-use crate::par::par_map_with;
 use crate::safezone::{Curvature, DcKind, NeighborhoodBox};
 use crate::MonitoredFunction;
 
@@ -39,25 +38,23 @@ pub enum AdcdKind {
 /// Deterministic counters describing the spectral work one
 /// decomposition performed.
 ///
-/// On the matrix-free Lanczos path ([`SpectralBackend::Ql`] with
-/// `EigenObjective::Exact` ADCD-X) every field is an exact count. The
-/// materialized paths (the Jacobi backend, or the Gershgorin probe
-/// objective) report the structural estimates PR 3's telemetry used —
-/// Hessian evaluations derived from the probe budget, Nelder–Mead
-/// polish evaluations excluded. Either way the numbers are functions of
-/// the configuration and the algorithm's structure, never of timers, so
-/// same-seed runs produce identical stats.
+/// Every field is an exact count, incremented where the work happens,
+/// on every search path; the numbers are functions of the configuration
+/// and the inputs, never of timers, so same-seed runs produce identical
+/// stats.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpectralStats {
-    /// Dense Hessians materialized. On the Lanczos path this stays at
-    /// the record-once baseline (2: the reference point and the box
-    /// center) no matter how many probe points the search evaluates.
+    /// Dense Hessians materialized. On the matrix-free path
+    /// ([`SpectralBackend::Ql`] with `EigenObjective::Exact`) this stays
+    /// at 2 (the reference point and the box center) no matter how many
+    /// points the search evaluates; the dense paths (the Jacobi backend,
+    /// or the Gershgorin probe objective) pay one more per evaluation.
     pub hessian_materializations: u64,
-    /// Eigen-search objective evaluations (probe points; on the Lanczos
-    /// path, polish evaluations too).
+    /// Eigen-search objective evaluations: probe points plus
+    /// Nelder–Mead polish evaluations, both streams.
     pub eigen_probes: u64,
-    /// Lanczos iterations across all probe evaluations (0 on the
-    /// materialized paths).
+    /// Lanczos iterations across all probe evaluations (0 on the dense
+    /// paths).
     pub lanczos_iterations: u64,
     /// Gram-Schmidt reorthogonalization passes inside Lanczos.
     pub reorth_passes: u64,
@@ -132,9 +129,7 @@ pub fn decompose_observed(
     let dec = decompose(f, x0, neighborhood, cfg);
     let es = &cfg.eigen_search;
     // Deterministic work accounting, read off the decomposition's own
-    // spectral counters: exact on the matrix-free Lanczos path,
-    // structural estimates on the materialized paths (see
-    // [`SpectralStats`]).
+    // spectral counters (see [`SpectralStats`]).
     let sp = dec.spectral;
     let nm_budget = match dec.kind {
         AdcdKind::E => 0u64,
@@ -235,58 +230,9 @@ fn decompose_x(
     cfg: &MonitorConfig,
 ) -> DcDecomposition {
     let bounds = neighborhood.to_bounds();
-    let workers = cfg.parallelism.workers();
-    let backend = cfg.spectral_backend;
     let mut spectral = SpectralStats::default();
-    let (lambda_min_hat, lambda_max_hat, lambda0_min, lambda0_max) = if backend
-        == SpectralBackend::Ql
-        && cfg.eigen_objective == EigenObjective::Exact
-    {
-        // Matrix-free two-stream search: the same strictly-sequential
-        // per-stream code runs for every `Parallelism` setting, so
-        // results are bit-identical across worker counts by
-        // construction.
-        search_extremes_lanczos(f, x0, &bounds, &cfg.eigen_search, workers, &mut spectral)
-    } else {
-        let probes = 2 * cfg.eigen_search.probes as u64;
-        spectral.eigen_probes = probes;
-        if workers == 0 {
-            // Legacy one-probe-at-a-time path, kept verbatim: the
-            // batched pipeline below is proptested bit-identical
-            // against it.
-            spectral.hessian_materializations = 3 + probes;
-            let lmin = search_extreme(
-                f,
-                &bounds,
-                &cfg.eigen_search,
-                cfg.eigen_objective,
-                backend,
-                Extreme::Min,
-            );
-            let lmax = search_extreme(
-                f,
-                &bounds,
-                &cfg.eigen_search,
-                cfg.eigen_objective,
-                backend,
-                Extreme::Max,
-            );
-            let h0 = f.hessian(x0);
-            let eig0 = SymEigen::with_backend(&h0, backend);
-            (lmin, lmax, eig0.lambda_min(), eig0.lambda_max())
-        } else {
-            spectral.hessian_materializations = 2 + probes;
-            search_extremes_batched(
-                f,
-                x0,
-                &bounds,
-                &cfg.eigen_search,
-                cfg.eigen_objective,
-                backend,
-                workers,
-            )
-        }
-    };
+    let (lambda_min_hat, lambda_max_hat, lambda0_min, lambda0_max) =
+        search_extremes(f, x0, &bounds, cfg, &mut spectral);
     // λ⁻ = min(0, λ̂_min), λ⁺ = max(0, λ̂_max).
     let lambda_minus_abs = (-lambda_min_hat).max(0.0);
     let lambda_plus = lambda_max_hat.max(0.0);
@@ -324,10 +270,18 @@ enum Extreme {
 }
 
 impl Extreme {
-    /// The search stream's probe generator: every search path draws its
-    /// probes from this one seeded stream, in order.
+    /// The search stream's probe generator: one seeded stream per
+    /// extreme, consumed in order.
     fn probe_rng(self, es: &EigenSearch) -> SmallRng {
         SmallRng::seed_from_u64(es.seed ^ (self == Extreme::Max) as u64)
+    }
+
+    /// This extreme of a `(lo, hi)` spectrum bound, in minimization form.
+    fn signed(self, (lo, hi): (f64, f64)) -> f64 {
+        match self {
+            Extreme::Min => lo,
+            Extreme::Max => -hi,
+        }
     }
 }
 
@@ -362,42 +316,31 @@ fn gershgorin_bounds(h: &automon_linalg::Matrix) -> (f64, f64) {
     (lo, hi)
 }
 
-/// Numerically bound an extreme eigenvalue of `H(x)` over a box:
-/// seeded probing of the box (always including its center) followed by a
-/// box-projected Nelder–Mead polish from the incumbent.
-fn search_extreme(
-    f: &dyn MonitoredFunction,
+/// One search stream: numerically bound the `which` extreme eigenvalue
+/// of `H(x)` over the box. The box center (already evaluated by the
+/// caller, `center_lohi`) is the incumbent; seeded probes are drawn and
+/// evaluated in order under a strict `<`, and a box-projected
+/// Nelder–Mead polish continues from the best of them. `lohi_at` maps a
+/// point to the `(lo, hi)` spectrum bound of its Hessian and is the only
+/// thing that differs between the search paths. Returns the bound in
+/// minimization form (`-λ̂_max` for [`Extreme::Max`]) and the number of
+/// `lohi_at` evaluations, polish included.
+fn search_stream(
+    which: Extreme,
+    center_lohi: (f64, f64),
     bounds: &Bounds,
     es: &EigenSearch,
-    objective: crate::config::EigenObjective,
-    backend: SpectralBackend,
-    which: Extreme,
-) -> f64 {
-    // Objective in minimization form.
-    let eval = |x: &[f64]| -> f64 {
-        let h = f.hessian(x);
-        match objective {
-            crate::config::EigenObjective::Exact => {
-                let eig = SymEigen::with_backend(&h, backend);
-                match which {
-                    Extreme::Min => eig.lambda_min(),
-                    Extreme::Max => -eig.lambda_max(),
-                }
-            }
-            crate::config::EigenObjective::Gershgorin => {
-                let (lo, hi) = gershgorin_bounds(&h);
-                match which {
-                    Extreme::Min => lo,
-                    Extreme::Max => -hi,
-                }
-            }
-        }
+    mut lohi_at: impl FnMut(&[f64]) -> (f64, f64),
+) -> (f64, u64) {
+    let mut evals = 0u64;
+    let mut eval = |x: &[f64]| -> f64 {
+        evals += 1;
+        which.signed(lohi_at(x))
     };
-
-    let mut best_x = bounds.center();
-    let mut best_v = eval(&best_x);
-    let mut rng = which.probe_rng(es);
     let d = bounds.dim();
+    let mut best_v = which.signed(center_lohi);
+    let mut best_x = bounds.center();
+    let mut rng = which.probe_rng(es);
     let mut p = vec![0.0; d];
     for _ in 0..es.probes {
         draw_probe(&mut rng, bounds, &mut p);
@@ -413,158 +356,12 @@ fn search_extreme(
             tol: 1e-10,
             ..Default::default()
         };
-        let mut obj = eval;
-        let r = nelder_mead(&mut obj, &best_x, bounds, &opts);
+        let r = nelder_mead(&mut eval, &best_x, bounds, &opts);
         if r.value < best_v {
             best_v = r.value;
         }
     }
-    match which {
-        Extreme::Min => best_v,
-        Extreme::Max => -best_v,
-    }
-}
-
-/// Both extreme-eigenvalue searches plus the DC heuristic's
-/// reference-point spectrum, batched and fanned across `workers`
-/// threads. Returns `(λ̂_min, λ̂_max, λ_min(H(x0)), λ_max(H(x0)))`.
-///
-/// Bit-identical to running [`search_extreme`] for each extreme followed
-/// by `SymEigen::new(&f.hessian(x0))`, for every `workers ≥ 1`:
-///
-/// * probe points are pre-generated from the same per-search seeded
-///   streams the sequential loop consumes (generation never depends on
-///   evaluation results, so hoisting it is exact);
-/// * per-point Hessians come from [`HessianEvaluator`] replays and
-///   eigenvalues from [`EigenWorkspace`], both bit-identical to the
-///   `f.hessian` + [`SymEigen`] pair they replace — and allocation-free
-///   across points, which is where the single-thread speedup lives;
-/// * [`par_map_with`] pins each result to its item's slot, and the
-///   argmin reductions then replay the sequential order (center first,
-///   probes in stream order, strict `<`);
-/// * the center Hessian is decomposed once and shared by both searches —
-///   the sequential path decomposes the same matrix twice and Jacobi is
-///   deterministic, so the shared values match both uses exactly.
-///
-/// [`HessianEvaluator`]: automon_autodiff::HessianEvaluator
-fn search_extremes_batched(
-    f: &dyn MonitoredFunction,
-    x0: &[f64],
-    bounds: &Bounds,
-    es: &EigenSearch,
-    objective: EigenObjective,
-    backend: SpectralBackend,
-    workers: usize,
-) -> (f64, f64, f64, f64) {
-    let d = bounds.dim();
-    // One flat buffer per stream, `d` coordinates per probe.
-    let gen_probes = |which: Extreme| -> Vec<f64> {
-        let mut rng = which.probe_rng(es);
-        let mut flat = vec![0.0; es.probes * d];
-        for p in flat.chunks_exact_mut(d) {
-            draw_probe(&mut rng, bounds, p);
-        }
-        flat
-    };
-    let min_probes = gen_probes(Extreme::Min);
-    let max_probes = gen_probes(Extreme::Max);
-    let center = bounds.center();
-
-    let mut points: Vec<&[f64]> = Vec::with_capacity(2 + 2 * es.probes);
-    points.push(&center);
-    points.push(x0);
-    points.extend(min_probes.chunks_exact(d));
-    points.extend(max_probes.chunks_exact(d));
-
-    let extremes: Vec<(f64, f64)> = par_map_with(
-        &points,
-        workers,
-        || (f.hessian_eval(), EigenWorkspace::new(), Matrix::zeros(d, d)),
-        |(he, ws, h), idx, &x| {
-            he.hessian_into(x, h);
-            // x0 (index 1) feeds the DC heuristic, which reads exact
-            // eigenvalues regardless of the probe objective.
-            if idx == 1 || objective == EigenObjective::Exact {
-                ws.extreme_eigenvalues_backend(h, backend)
-            } else {
-                gershgorin_bounds(h)
-            }
-        },
-    );
-    let (lambda0_min, lambda0_max) = extremes[1];
-
-    let signed = |which: Extreme, (lo, hi): (f64, f64)| match which {
-        Extreme::Min => lo,
-        Extreme::Max => -hi,
-    };
-    // The argmin replays the sequential order: center first, then
-    // probes in stream order under strict `<`. `None` keeps the center.
-    let reduce = |which: Extreme, probe_vals: &[(f64, f64)]| {
-        let mut best_v = signed(which, extremes[0]);
-        let mut best_i: Option<usize> = None;
-        for (i, &lohi) in probe_vals.iter().enumerate() {
-            let v = signed(which, lohi);
-            if v < best_v {
-                best_v = v;
-                best_i = Some(i);
-            }
-        }
-        (best_v, best_i)
-    };
-    let (min_v, min_i) = reduce(Extreme::Min, &extremes[2..2 + es.probes]);
-    let (max_v, max_i) = reduce(Extreme::Max, &extremes[2 + es.probes..]);
-    let min_x: &[f64] = min_i.map_or(&center, |i| &min_probes[i * d..(i + 1) * d]);
-    let max_x: &[f64] = max_i.map_or(&center, |i| &max_probes[i * d..(i + 1) * d]);
-
-    // Nelder–Mead is adaptive, so each polish stays sequential
-    // internally; the two extremes' polishes are independent and run
-    // concurrently when a second worker is available.
-    let polish = |which: Extreme, start: &[f64], incumbent: f64| -> f64 {
-        let mut he = f.hessian_eval();
-        let mut ws = EigenWorkspace::new();
-        let mut h = Matrix::zeros(d, d);
-        let mut eval = |x: &[f64]| -> f64 {
-            he.hessian_into(x, &mut h);
-            match objective {
-                EigenObjective::Exact => signed(which, ws.extreme_eigenvalues_backend(&h, backend)),
-                EigenObjective::Gershgorin => signed(which, gershgorin_bounds(&h)),
-            }
-        };
-        let opts = OptimizeOptions {
-            max_iters: es.nm_iters,
-            tol: 1e-10,
-            ..Default::default()
-        };
-        let r = nelder_mead(&mut eval, start, bounds, &opts);
-        if r.value < incumbent {
-            r.value
-        } else {
-            incumbent
-        }
-    };
-    let (min_v, max_v) = if es.nm_iters > 0 && d <= es.nm_dim_cap {
-        if workers >= 2 {
-            let polish = &polish;
-            crossbeam::scope(|s| {
-                let hmin = s.spawn(move |_| polish(Extreme::Min, min_x, min_v));
-                let hmax = s.spawn(move |_| polish(Extreme::Max, max_x, max_v));
-                (
-                    hmin.join().unwrap_or_else(|e| std::panic::resume_unwind(e)),
-                    hmax.join().unwrap_or_else(|e| std::panic::resume_unwind(e)),
-                )
-            })
-            .unwrap_or_else(|e| std::panic::resume_unwind(e))
-        } else {
-            (
-                polish(Extreme::Min, min_x, min_v),
-                polish(Extreme::Max, max_x, max_v),
-            )
-        }
-    } else {
-        (min_v, max_v)
-    };
-
-    (min_v, -max_v, lambda0_min, lambda0_max)
+    (best_v, evals)
 }
 
 /// [`SymOperator`] view of `v ↦ H(x)·v` at a fixed probe point,
@@ -592,131 +389,100 @@ impl SymOperator for HvpProbeOp<'_> {
     }
 }
 
-/// ADCD-X extreme search, matrix-free (the [`SpectralBackend::Ql`] +
-/// [`EigenObjective::Exact`] path). Returns
+/// The ADCD-X extreme search (eq. 3) plus the DC heuristic's
+/// reference-point spectrum. Returns
 /// `(λ̂_min, λ̂_max, λ_min(H(x0)), λ_max(H(x0)))`.
 ///
-/// Materializes exactly two Hessians — `H(x0)` for the DC heuristic and
-/// `H(center)` to seed everything else, both off one
-/// [`MonitoredFunction::hessian_eval`] workspace — and then never touches
-/// a dense Hessian again: each probe point's extreme eigenvalues come
-/// from a [`LanczosWorkspace`] driven by Hessian-vector products through
-/// [`HvpEvaluator`], primed once per probe point ([`HvpProbeOp::at`]) so
-/// the Lanczos run's products pay only their tangent sweeps. The
-/// center decomposition supplies each search stream's incumbent value
-/// and initial Ritz vector; its Gershgorin enclosure supplies the
-/// Lanczos shift (midpoint) and convergence scale (half-width), both
-/// valid across the neighborhood to the extent the Hessian varies
-/// smoothly — and only used for seeding/scaling, never correctness.
+/// Two Hessians are materialized up front off one
+/// [`MonitoredFunction::hessian_eval`] workspace — `H(x0)` for the DC
+/// heuristic (exact eigenvalues whatever the probe objective) and
+/// `H(center)`, whose spectrum bound is both streams' incumbent. Then
+/// two [`search_stream`]s run one after the other on the caller's
+/// thread, `Min` first, each over its own seeded probe stream; they
+/// differ between configurations only in the per-point evaluator:
 ///
-/// The search runs as two independent streams, one per extreme. Within
-/// a stream everything is strictly sequential: probes are drawn from
-/// the same seeded generator [`search_extreme`] uses and evaluated in
-/// order, each Lanczos run warm-starting from the previous run's Ritz
-/// vector, and the Nelder–Mead polish continues the same chain.
-/// Parallelism only ever places the two whole streams on two threads,
-/// so results are bit-identical for every [`crate::Parallelism`]
-/// setting — including `Sequential` — by construction.
-fn search_extremes_lanczos(
+/// * **matrix-free** ([`SpectralBackend::Ql`] + [`EigenObjective::Exact`],
+///   the default): no dense Hessian is touched again. Each point's
+///   extremes come from a [`LanczosWorkspace`] driven by Hessian-vector
+///   products through [`HvpEvaluator`], primed once per point
+///   ([`HvpProbeOp::at`]) so the Lanczos run's products pay only their
+///   tangent sweeps. The center decomposition supplies each stream's
+///   initial Ritz vector, every run warm-starts from the previous run's,
+///   and the center's Gershgorin enclosure supplies the Lanczos shift
+///   (midpoint) and convergence scale (half-width) — valid across the
+///   neighborhood to the extent the Hessian varies smoothly, and only
+///   used for seeding/scaling, never correctness.
+/// * **dense** (the Jacobi backend, or the §6 Gershgorin objective):
+///   `H(x)` is written into the shared workspace matrix and bounded by
+///   [`EigenWorkspace`] (bit-identical to [`SymEigen`] on the same
+///   input) or [`gershgorin_bounds`].
+///
+/// Every counter in `stats` is incremented where the work happens.
+fn search_extremes(
     f: &dyn MonitoredFunction,
     x0: &[f64],
     bounds: &Bounds,
-    es: &EigenSearch,
-    workers: usize,
+    cfg: &MonitorConfig,
     stats: &mut SpectralStats,
 ) -> (f64, f64, f64, f64) {
+    let (es, objective, backend) = (&cfg.eigen_search, cfg.eigen_objective, cfg.spectral_backend);
     let d = bounds.dim();
-    let center = bounds.center();
-    // Bit-identical to two `f.hessian` calls by the graph contract.
     let mut he = f.hessian_eval();
     let mut h = Matrix::zeros(d, d);
     he.hessian_into(x0, &mut h);
-    let eig0 = SymEigen::new(&h);
-    he.hessian_into(&center, &mut h);
-    let eigc = SymEigen::new(&h);
+    let eig0 = SymEigen::with_backend(&h, backend);
+    he.hessian_into(&bounds.center(), &mut h);
     stats.hessian_materializations = 2;
 
     let (glo, ghi) = gershgorin_bounds(&h);
-    let shift = 0.5 * (glo + ghi);
-    let scale = 0.5 * (ghi - glo);
+    let eigc = (objective == EigenObjective::Exact).then(|| SymEigen::with_backend(&h, backend));
+    let center_lohi = eigc
+        .as_ref()
+        .map_or((glo, ghi), |e| (e.lambda_min(), e.lambda_max()));
+    // The matrix-free path starts Lanczos from the center's eigenvectors.
+    let lanczos_seed = eigc.as_ref().filter(|_| backend == SpectralBackend::Ql);
 
-    let run_stream = |which: Extreme| -> (f64, LanczosStats, u64) {
-        let mut ls = LanczosStats::default();
-        let mut evals = 0u64;
-        let (side, col) = match which {
-            Extreme::Min => (RitzSide::Smallest, 0),
-            Extreme::Max => (RitzSide::Largest, d - 1),
-        };
-        let mut ws = LanczosWorkspace::new();
-        let start: Vec<f64> = (0..d).map(|i| eigc.vectors[(i, col)]).collect();
-        ws.set_start(&start);
-        let mut he = f.hvp_eval();
-        let lopts = LanczosOptions::default();
-        let mut eval = |x: &[f64]| -> f64 {
-            evals += 1;
-            let mut op = HvpProbeOp::at(&mut *he, x);
-            let (lo, hi) = ws.extremes(&mut op, shift, scale, side, &lopts, &mut ls);
-            match which {
-                Extreme::Min => lo,
-                Extreme::Max => -hi,
+    let mut stream = |which: Extreme| -> f64 {
+        let (v, evals) = match lanczos_seed {
+            Some(eigc) => {
+                let (side, col) = match which {
+                    Extreme::Min => (RitzSide::Smallest, 0),
+                    Extreme::Max => (RitzSide::Largest, d - 1),
+                };
+                let mut ws = LanczosWorkspace::new();
+                let start: Vec<f64> = (0..d).map(|i| eigc.vectors[(i, col)]).collect();
+                ws.set_start(&start);
+                let (shift, scale) = (0.5 * (glo + ghi), 0.5 * (ghi - glo));
+                let mut hv = f.hvp_eval();
+                let lopts = LanczosOptions::default();
+                let mut ls = LanczosStats::default();
+                let r = search_stream(which, center_lohi, bounds, es, |x| {
+                    let mut op = HvpProbeOp::at(&mut *hv, x);
+                    ws.extremes(&mut op, shift, scale, side, &lopts, &mut ls)
+                });
+                stats.lanczos_iterations += ls.iterations;
+                stats.reorth_passes += ls.reorth_passes;
+                stats.hvp_applies += ls.applies;
+                r
+            }
+            None => {
+                let mut ws = EigenWorkspace::new();
+                let (v, evals) = search_stream(which, center_lohi, bounds, es, |x| {
+                    he.hessian_into(x, &mut h);
+                    match objective {
+                        EigenObjective::Exact => ws.extreme_eigenvalues_backend(&h, backend),
+                        EigenObjective::Gershgorin => gershgorin_bounds(&h),
+                    }
+                });
+                stats.hessian_materializations += evals;
+                (v, evals)
             }
         };
-
-        // The center's exact eigenvalue is the incumbent: the center was
-        // already decomposed to seed the stream, so the probe loop never
-        // re-evaluates it.
-        let mut best_v = match which {
-            Extreme::Min => eigc.lambda_min(),
-            Extreme::Max => -eigc.lambda_max(),
-        };
-        let mut best_x = center.clone();
-        let mut rng = which.probe_rng(es);
-        let mut p = vec![0.0; d];
-        for _ in 0..es.probes {
-            draw_probe(&mut rng, bounds, &mut p);
-            let v = eval(&p);
-            if v < best_v {
-                best_v = v;
-                best_x.copy_from_slice(&p);
-            }
-        }
-        if es.nm_iters > 0 && d <= es.nm_dim_cap {
-            let opts = OptimizeOptions {
-                max_iters: es.nm_iters,
-                tol: 1e-10,
-                ..Default::default()
-            };
-            let r = nelder_mead(&mut eval, &best_x, bounds, &opts);
-            if r.value < best_v {
-                best_v = r.value;
-            }
-        }
-        (best_v, ls, evals)
+        stats.eigen_probes += evals;
+        v
     };
-
-    let (min_res, max_res) = if workers >= 2 {
-        let run = &run_stream;
-        crossbeam::scope(|s| {
-            let hmin = s.spawn(move |_| run(Extreme::Min));
-            let hmax = s.spawn(move |_| run(Extreme::Max));
-            (
-                hmin.join().unwrap_or_else(|e| std::panic::resume_unwind(e)),
-                hmax.join().unwrap_or_else(|e| std::panic::resume_unwind(e)),
-            )
-        })
-        .unwrap_or_else(|e| std::panic::resume_unwind(e))
-    } else {
-        (run_stream(Extreme::Min), run_stream(Extreme::Max))
-    };
-
-    // Merge counters in fixed min-then-max order.
-    let (min_v, min_ls, min_evals) = min_res;
-    let (max_v, max_ls, max_evals) = max_res;
-    stats.eigen_probes = min_evals + max_evals;
-    stats.lanczos_iterations = min_ls.iterations + max_ls.iterations;
-    stats.reorth_passes = min_ls.reorth_passes + max_ls.reorth_passes;
-    stats.hvp_applies = min_ls.applies + max_ls.applies;
-
+    let min_v = stream(Extreme::Min);
+    let max_v = stream(Extreme::Max);
     (min_v, -max_v, eig0.lambda_min(), eig0.lambda_max())
 }
 
@@ -880,52 +646,291 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batched_search_bit_identical_to_sequential() {
-        use crate::config::Parallelism;
-        use automon_linalg::SpectralBackend;
-        let f = AutoDiffFn::new(Coupled);
-        let x0 = [0.3, -0.2, 0.1];
-        let b = coupled_box();
-        for backend in [SpectralBackend::Ql, SpectralBackend::Jacobi] {
-            for objective in [false, true] {
-                let build = |p: Parallelism| {
-                    let mut c = MonitorConfig::builder(0.1)
-                        .parallelism(p)
-                        .spectral_backend(backend);
-                    if objective {
-                        c = c.gershgorin_bounds();
-                    }
-                    c.build()
-                };
-                let seq = decompose(&f, &x0, Some(&b), &build(Parallelism::Sequential));
-                for workers in [1usize, 2, 5] {
-                    let par = decompose(&f, &x0, Some(&b), &build(Parallelism::Threads(workers)));
-                    assert_eq!(
-                        par.lambda_min_hat.to_bits(),
-                        seq.lambda_min_hat.to_bits(),
-                        "λ̂_min diverged at {workers} workers (gershgorin={objective}, {backend:?})"
-                    );
-                    assert_eq!(
-                        par.lambda_max_hat.to_bits(),
-                        seq.lambda_max_hat.to_bits(),
-                        "λ̂_max diverged at {workers} workers (gershgorin={objective}, {backend:?})"
-                    );
-                    assert_eq!(par.dc, seq.dc);
-                    if backend == SpectralBackend::Ql && !objective {
-                        // The Lanczos path runs identical code for every
-                        // parallelism setting, counters included. The
-                        // legacy paths' estimates legitimately differ by
-                        // one (the sequential path decomposes the center
-                        // twice).
-                        assert_eq!(
-                            par.spectral, seq.spectral,
-                            "spectral stats diverged at {workers} workers"
-                        );
-                    } else {
-                        assert_eq!(par.spectral.eigen_probes, seq.spectral.eigen_probes);
+    /// The pre-unification one-probe-at-a-time search, kept verbatim as
+    /// the dense paths' oracle: a fresh `f.hessian` and a full
+    /// [`SymEigen`] per point, its own probe loop and polish.
+    fn search_extreme(
+        f: &dyn MonitoredFunction,
+        bounds: &Bounds,
+        es: &EigenSearch,
+        objective: crate::config::EigenObjective,
+        backend: SpectralBackend,
+        which: Extreme,
+    ) -> f64 {
+        // Objective in minimization form.
+        let eval = |x: &[f64]| -> f64 {
+            let h = f.hessian(x);
+            match objective {
+                crate::config::EigenObjective::Exact => {
+                    let eig = SymEigen::with_backend(&h, backend);
+                    match which {
+                        Extreme::Min => eig.lambda_min(),
+                        Extreme::Max => -eig.lambda_max(),
                     }
                 }
+                crate::config::EigenObjective::Gershgorin => {
+                    let (lo, hi) = gershgorin_bounds(&h);
+                    match which {
+                        Extreme::Min => lo,
+                        Extreme::Max => -hi,
+                    }
+                }
+            }
+        };
+
+        let mut best_x = bounds.center();
+        let mut best_v = eval(&best_x);
+        let mut rng = which.probe_rng(es);
+        let d = bounds.dim();
+        let mut p = vec![0.0; d];
+        for _ in 0..es.probes {
+            draw_probe(&mut rng, bounds, &mut p);
+            let v = eval(&p);
+            if v < best_v {
+                best_v = v;
+                best_x.copy_from_slice(&p);
+            }
+        }
+        if es.nm_iters > 0 && d <= es.nm_dim_cap {
+            let opts = OptimizeOptions {
+                max_iters: es.nm_iters,
+                tol: 1e-10,
+                ..Default::default()
+            };
+            let mut obj = eval;
+            let r = nelder_mead(&mut obj, &best_x, bounds, &opts);
+            if r.value < best_v {
+                best_v = r.value;
+            }
+        }
+        match which {
+            Extreme::Min => best_v,
+            Extreme::Max => -best_v,
+        }
+    }
+
+    /// The dense configurations: every `(backend, objective)` pair but
+    /// the matrix-free default.
+    fn dense_cfgs(es: EigenSearch) -> Vec<MonitorConfig> {
+        let b = || MonitorConfig::builder(0.1).eigen_search(es);
+        vec![
+            b().spectral_backend(SpectralBackend::Jacobi).build(),
+            b().gershgorin_bounds().build(),
+            b().spectral_backend(SpectralBackend::Jacobi)
+                .gershgorin_bounds()
+                .build(),
+        ]
+    }
+
+    /// The unified search equals the oracle `to_bits` on every dense
+    /// configuration, and — on those and the matrix-free default, which
+    /// has no second implementation to compare against — a repeat
+    /// decomposition reproduces values and counters exactly.
+    fn assert_matches_oracle(f: &dyn MonitoredFunction, x0: &[f64], b: &NeighborhoodBox, es: EigenSearch) {
+        let bounds = b.to_bounds();
+        for cfg in dense_cfgs(es) {
+            let (objective, backend) = (cfg.eigen_objective, cfg.spectral_backend);
+            let eig0 = SymEigen::with_backend(&f.hessian(x0), backend);
+            let oracle = [
+                search_extreme(f, &bounds, &es, objective, backend, Extreme::Min),
+                search_extreme(f, &bounds, &es, objective, backend, Extreme::Max),
+                eig0.lambda_min(),
+                eig0.lambda_max(),
+            ];
+            let (lmin, lmax, l0min, l0max) =
+                search_extremes(f, x0, &bounds, &cfg, &mut SpectralStats::default());
+            assert_eq!(
+                [lmin, lmax, l0min, l0max].map(f64::to_bits),
+                oracle.map(f64::to_bits),
+                "{objective:?} on {backend:?}, {es:?}"
+            );
+        }
+        let default = MonitorConfig::builder(0.1).adcd(AdcdKind::X).eigen_search(es).build();
+        for cfg in dense_cfgs(es).into_iter().chain([default]) {
+            let (a, b) = (decompose(f, x0, Some(b), &cfg), decompose(f, x0, Some(b), &cfg));
+            assert_eq!(a.lambda_min_hat.to_bits(), b.lambda_min_hat.to_bits());
+            assert_eq!(a.lambda_max_hat.to_bits(), b.lambda_max_hat.to_bits());
+            assert_eq!((a.dc, a.spectral), (b.dc, b.spectral));
+        }
+    }
+
+    #[test]
+    fn unified_search_bit_identical_to_dense_oracle() {
+        let f = AutoDiffFn::new(Coupled);
+        for nm_iters in [0, 40] {
+            let es = EigenSearch {
+                nm_iters,
+                ..EigenSearch::default()
+            };
+            assert_matches_oracle(&f, &[0.3, -0.2, 0.1], &coupled_box(), es);
+        }
+    }
+
+    /// A dense random polynomial: per-coordinate cubics plus all
+    /// pairwise cross terms, so the Hessian varies over the neighborhood
+    /// and has off-diagonal structure.
+    #[derive(Debug, Clone)]
+    struct RandomPoly {
+        cubic: Vec<f64>,
+        quad: Vec<f64>,
+        cross: Vec<f64>,
+    }
+
+    impl ScalarFn for RandomPoly {
+        fn dim(&self) -> usize {
+            self.cubic.len()
+        }
+
+        fn call<S: Scalar>(&self, x: &[S]) -> S {
+            let d = x.len();
+            let mut acc = S::from_f64(0.0);
+            for (i, &xi) in x.iter().enumerate() {
+                acc = acc
+                    + S::from_f64(self.cubic[i]) * xi * xi * xi
+                    + S::from_f64(self.quad[i]) * xi * xi;
+            }
+            let mut k = 0;
+            for i in 0..d {
+                for j in (i + 1)..d {
+                    acc = acc + S::from_f64(self.cross[k]) * x[i] * x[j];
+                    k += 1;
+                }
+            }
+            acc
+        }
+    }
+
+    /// `(1 − x)² + 100·(y − x²)²` (the paper's neighborhood-tuning stress
+    /// case: steep curved valley).
+    struct Rozenbrock;
+    impl ScalarFn for Rozenbrock {
+        fn dim(&self) -> usize {
+            2
+        }
+        fn call<S: Scalar>(&self, x: &[S]) -> S {
+            let a = S::from_f64(1.0) - x[0];
+            let b = x[1] - x[0] * x[0];
+            a * a + S::from_f64(100.0) * b * b
+        }
+    }
+
+    fn small_search(seed: u64) -> EigenSearch {
+        EigenSearch {
+            probes: 5,
+            nm_iters: 8,
+            seed,
+            ..Default::default()
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn random_polynomial_search_matches_oracle(
+            cubic in proptest::collection::vec(-2.0f64..2.0, 3),
+            quad in proptest::collection::vec(-3.0f64..3.0, 3),
+            cross in proptest::collection::vec(-1.5f64..1.5, 3),
+            x0 in proptest::collection::vec(-1.0f64..1.0, 3),
+            half in 0.05f64..0.6,
+            seed in 0u64..1000,
+        ) {
+            let f = AutoDiffFn::new(RandomPoly { cubic, quad, cross });
+            let b = NeighborhoodBox {
+                lo: x0.iter().map(|v| v - half).collect(),
+                hi: x0.iter().map(|v| v + half).collect(),
+            };
+            assert_matches_oracle(&f, &x0, &b, small_search(seed));
+        }
+
+        #[test]
+        fn rozenbrock_search_matches_oracle(
+            x0 in proptest::collection::vec(-1.5f64..1.5, 2),
+            half in 0.05f64..0.8,
+            seed in 0u64..1000,
+        ) {
+            let f = AutoDiffFn::new(Rozenbrock);
+            let b = NeighborhoodBox {
+                lo: x0.iter().map(|v| v - half).collect(),
+                hi: x0.iter().map(|v| v + half).collect(),
+            };
+            assert_matches_oracle(&f, &x0, &b, small_search(seed));
+        }
+    }
+
+    /// Forwards to `inner`, counting every dense Hessian its evaluators
+    /// materialize.
+    struct CountHessians<'f> {
+        inner: &'f dyn MonitoredFunction,
+        hessians: std::sync::atomic::AtomicU64,
+    }
+
+    impl MonitoredFunction for CountHessians<'_> {
+        fn dim(&self) -> usize {
+            self.inner.dim()
+        }
+        fn eval(&self, x: &[f64]) -> f64 {
+            self.inner.eval(x)
+        }
+        fn eval_grad(&self, x: &[f64]) -> (f64, Vec<f64>) {
+            self.inner.eval_grad(x)
+        }
+        fn hvp(&self, x: &[f64], v: &[f64]) -> Vec<f64> {
+            self.inner.hvp(x, v)
+        }
+        fn has_constant_hessian(&self) -> bool {
+            self.inner.has_constant_hessian()
+        }
+        fn hessian_eval(&self) -> Box<dyn automon_autodiff::HessianEvaluator + '_> {
+            struct Counting<'a>(
+                Box<dyn automon_autodiff::HessianEvaluator + 'a>,
+                &'a std::sync::atomic::AtomicU64,
+            );
+            impl automon_autodiff::HessianEvaluator for Counting<'_> {
+                fn dim(&self) -> usize {
+                    self.0.dim()
+                }
+                fn hessian_into(&mut self, x: &[f64], out: &mut Matrix) {
+                    self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    self.0.hessian_into(x, out);
+                }
+            }
+            Box::new(Counting(self.inner.hessian_eval(), &self.hessians))
+        }
+    }
+
+    #[test]
+    fn dense_path_spectral_stats_are_counted() {
+        let coupled = AutoDiffFn::new(Coupled);
+        let x0 = [0.3, -0.2, 0.1];
+        let b = coupled_box();
+        // (nm_iters, evaluations per configuration): 2·probes without
+        // the polish; with it, whatever Nelder–Mead spent on top.
+        for (nm_iters, evals) in [(0, [16u64; 3]), (40, [125, 170, 170])] {
+            let es = EigenSearch {
+                nm_iters,
+                ..EigenSearch::default()
+            };
+            for (cfg, evals) in dense_cfgs(es).into_iter().zip(evals) {
+                let f = CountHessians {
+                    inner: &coupled,
+                    hessians: Default::default(),
+                };
+                let sp = decompose(&f, &x0, Some(&b), &cfg).spectral;
+                let what = format!(
+                    "{:?} on {:?}, nm_iters {nm_iters}",
+                    cfg.eigen_objective, cfg.spectral_backend
+                );
+                // Two up-front Hessians (x0, center) plus one per
+                // evaluation, polish included.
+                assert_eq!(sp.hessian_materializations, f.hessians.into_inner(), "{what}");
+                assert_eq!(sp.hessian_materializations, 2 + sp.eigen_probes, "{what}");
+                assert_eq!(sp.eigen_probes, evals, "{what}");
+                assert_eq!(
+                    (sp.lanczos_iterations, sp.reorth_passes, sp.hvp_applies),
+                    (0, 0, 0),
+                    "{what}"
+                );
             }
         }
     }

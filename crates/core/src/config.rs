@@ -57,52 +57,16 @@ pub enum EigenObjective {
     Gershgorin,
 }
 
-/// Degree of parallelism for the full-sync hot path (ADCD-X eigen
-/// search, per-node constraint checks).
-///
-/// The batched pipeline (`Threads`/`Auto`) is deterministic: probe
-/// points are pre-generated from the same seeded streams as the
-/// sequential path and reductions happen in a fixed order, so results
-/// are bit-identical for every worker count `≥ 1`. `Sequential` instead
-/// runs the original one-probe-at-a-time code path verbatim, byte for
-/// byte — kept both as the reference the batched path is tested
-/// against and as a rollback switch.
+/// Inert residue of the retired full-sync thread-placement knob: the
+/// full sync runs on the caller's thread whatever this says. It survives
+/// only because the frozen benchmark package
+/// (`crates/bench/src/bin/benchmark`) names it; nothing reads it.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
-    /// Legacy single-threaded code path (pre-batching behavior).
     Sequential,
-    /// Batched pipeline on `n` worker threads (`n = 1` runs the batched
-    /// pipeline inline, without spawning).
-    Threads(usize),
-    /// Batched pipeline sized to `std::thread::available_parallelism()`.
     #[default]
     Auto,
-}
-
-impl Parallelism {
-    /// Number of worker threads the batched pipeline will use; `0` means
-    /// the legacy sequential path.
-    pub fn workers(&self) -> usize {
-        match *self {
-            Parallelism::Sequential => 0,
-            Parallelism::Threads(n) => n.max(1),
-            Parallelism::Auto => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        }
-    }
-}
-
-impl From<usize> for Parallelism {
-    /// CLI-friendly conversion: `0` → `Auto`, `1` → `Sequential`,
-    /// `n ≥ 2` → `Threads(n)`.
-    fn from(n: usize) -> Self {
-        match n {
-            0 => Parallelism::Auto,
-            1 => Parallelism::Sequential,
-            n => Parallelism::Threads(n),
-        }
-    }
 }
 
 /// Budget for the extreme-eigenvalue search of ADCD-X (paper eq. 3).
@@ -180,7 +144,8 @@ pub struct MonitorConfig {
     /// [`SpectralBackend::Jacobi`] is the original cyclic-Jacobi path,
     /// kept as a rollback switch and test oracle.
     pub spectral_backend: SpectralBackend,
-    /// Degree of parallelism for the full-sync hot path.
+    /// Inert; see [`Parallelism`].
+    #[doc(hidden)]
     pub parallelism: Parallelism,
     /// Options for the general-purpose optimizer (tuning procedures).
     pub opt: OptimizeOptions,
@@ -304,7 +269,8 @@ impl MonitorConfigBuilder {
         self
     }
 
-    /// Set the full-sync parallelism policy.
+    /// Inert; see [`Parallelism`].
+    #[doc(hidden)]
     pub fn parallelism(mut self, p: Parallelism) -> Self {
         self.cfg.parallelism = p;
         self
@@ -362,24 +328,6 @@ mod tests {
         assert!(!cfg.enable_lazy_sync);
         assert!(cfg.disable_adcd);
         assert_eq!(cfg.eigen_margin, 1.5);
-    }
-
-    #[test]
-    fn parallelism_mapping() {
-        assert_eq!(Parallelism::from(0), Parallelism::Auto);
-        assert_eq!(Parallelism::from(1), Parallelism::Sequential);
-        assert_eq!(Parallelism::from(4), Parallelism::Threads(4));
-        assert_eq!(Parallelism::Sequential.workers(), 0);
-        assert_eq!(Parallelism::Threads(3).workers(), 3);
-        assert!(Parallelism::Auto.workers() >= 1);
-        let cfg = MonitorConfig::builder(0.1)
-            .parallelism(Parallelism::Threads(2))
-            .build();
-        assert_eq!(cfg.parallelism, Parallelism::Threads(2));
-        assert_eq!(
-            MonitorConfig::builder(0.1).build().parallelism,
-            Parallelism::Auto
-        );
     }
 
     #[test]

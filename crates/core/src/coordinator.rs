@@ -647,12 +647,6 @@ impl Coordinator {
         out
     }
 
-    /// The configured full-sync parallelism policy, for fabrics that
-    /// fan deliveries out on the coordinator's behalf.
-    pub fn parallelism(&self) -> crate::config::Parallelism {
-        self.cfg.parallelism
-    }
-
     /// Override the neighborhood radius (e.g. from offline tuning,
     /// Algorithm 2). Takes effect at the next full sync.
     pub fn set_neighborhood_r(&mut self, r: f64) {

@@ -36,7 +36,6 @@ pub mod journal;
 pub mod ledger;
 pub mod messages;
 pub mod node;
-pub mod par;
 pub mod quant;
 pub mod safezone;
 pub mod tuning;

@@ -56,10 +56,10 @@ impl Node {
 
     /// Install shared observability counters.
     ///
-    /// Node handlers may run on parallel worker threads (the chaos
-    /// fabric fans deliveries out), so nodes touch only commutative
-    /// counters and never emit trace events — see the determinism
-    /// contract in [`automon_obs::trace`]. Every node registers the same
+    /// In a deployment every node is its own thread or process, so
+    /// nodes touch only commutative counters and never emit trace
+    /// events — see the determinism contract in [`automon_obs::trace`].
+    /// Every node registers the same
     /// metric names, so the registry hands them the same cells and the
     /// counters aggregate across the fleet.
     pub fn set_telemetry(&mut self, tel: &Telemetry) {

@@ -1,17 +1,15 @@
 //! Snapshot/restore round-trip property: cutting a coordinator's life
 //! at ANY quiescent point with `restore(snapshot())` must be
 //! undetectable — the subsequent outbound trace and the final protocol
-//! state are byte-identical to the uninterrupted run, under every
-//! `Parallelism` setting. This is the fidelity contract the durable
-//! store's crash recovery builds on (docs/DURABILITY.md).
+//! state are byte-identical to the uninterrupted run. This is the
+//! fidelity contract the durable store's crash recovery builds on
+//! (docs/DURABILITY.md).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use automon_autodiff::{AutoDiffFn, Scalar, ScalarFn};
-use automon_core::{
-    Coordinator, MonitorConfig, MonitoredFunction, Node, NodeMessage, Parallelism,
-};
+use automon_core::{Coordinator, MonitorConfig, MonitoredFunction, Node, NodeMessage};
 use proptest::prelude::*;
 
 /// A genuinely curved dim-2 function (x·y), so full syncs ship real
@@ -31,8 +29,8 @@ fn prod2() -> Arc<dyn MonitoredFunction> {
     Arc::new(AutoDiffFn::new(Prod2))
 }
 
-fn cfg(parallelism: Parallelism) -> MonitorConfig {
-    MonitorConfig::builder(0.5).parallelism(parallelism).build()
+fn cfg() -> MonitorConfig {
+    MonitorConfig::builder(0.5).build()
 }
 
 /// Feed one data update through the protocol, FIFO-routing every
@@ -66,14 +64,13 @@ fn step(
 /// coordinator is snapshot + restored right before that update.
 /// Returns the recorded trace plus the final protocol snapshot.
 fn run(
-    parallelism: Parallelism,
     n: usize,
     updates: &[(usize, Vec<f64>)],
     record_from: usize,
     restore_at: Option<usize>,
 ) -> (Vec<String>, automon_core::CoordinatorSnapshot) {
     let f = prod2();
-    let mut coord = Coordinator::new(f.clone(), n, cfg(parallelism));
+    let mut coord = Coordinator::new(f.clone(), n, cfg());
     let mut nodes: Vec<Node> = (0..n).map(|i| Node::new(i, f.clone())).collect();
     let mut trace = Vec::new();
     for (i, (node, x)) in updates.iter().enumerate() {
@@ -81,7 +78,7 @@ fn run(
             // Every update boundary is quiescent (routing drains the
             // cascade), so the snapshot must exist.
             let snap = coord.snapshot().expect("quiescent between updates");
-            coord = Coordinator::restore(f.clone(), cfg(parallelism), snap);
+            coord = Coordinator::restore(f.clone(), cfg(), snap);
         }
         let rec = (i >= record_from).then_some(&mut trace);
         step(&mut coord, &mut nodes, *node, x.clone(), rec);
@@ -112,27 +109,23 @@ proptest! {
         let seq: Vec<(usize, Vec<f64>)> =
             ops.iter().map(|&op| decode_op(op, n)).collect();
         let cut = (cut_sel as usize) % seq.len();
-        for parallelism in [Parallelism::Sequential, Parallelism::Threads(2), Parallelism::Auto] {
-            // Control: uninterrupted run, trace recorded from `cut` so
-            // the comparison covers identical ground.
-            let (control_suffix, control_final) = run(parallelism, n, &seq, cut, None);
-            let (restored_suffix, restored_final) = run(parallelism, n, &seq, cut, Some(cut));
+        // Control: uninterrupted run, trace recorded from `cut` so the
+        // comparison covers identical ground.
+        let (control_suffix, control_final) = run(n, &seq, cut, None);
+        let (restored_suffix, restored_final) = run(n, &seq, cut, Some(cut));
 
-            prop_assert_eq!(
-                &restored_suffix,
-                &control_suffix,
-                "trace diverged after restore at update {} ({:?})",
-                cut,
-                parallelism
-            );
-            prop_assert_eq!(
-                &restored_final,
-                &control_final,
-                "final state diverged after restore at update {} ({:?})",
-                cut,
-                parallelism
-            );
-        }
+        prop_assert_eq!(
+            &restored_suffix,
+            &control_suffix,
+            "trace diverged after restore at update {}",
+            cut
+        );
+        prop_assert_eq!(
+            &restored_final,
+            &control_final,
+            "final state diverged after restore at update {}",
+            cut
+        );
     }
 
     #[test]
@@ -143,7 +136,7 @@ proptest! {
         let seq: Vec<(usize, Vec<f64>)> =
             ops.iter().map(|&op| decode_op(op, n)).collect();
         let f = prod2();
-        let mut coord = Coordinator::new(f.clone(), n, cfg(Parallelism::Sequential));
+        let mut coord = Coordinator::new(f.clone(), n, cfg());
         let mut nodes: Vec<Node> = (0..n).map(|i| Node::new(i, f.clone())).collect();
         for (node, x) in &seq {
             step(&mut coord, &mut nodes, *node, x.clone(), None);

@@ -196,7 +196,7 @@ impl Fleet {
         if let Some(cache) = &shared_cache {
             root.set_decomp_cache(cache.clone(), ROOT_CACHE_FN_ID);
         }
-        let fabric = ShardedFabric::new(shards).with_parallelism(cfg.parallelism);
+        let fabric = ShardedFabric::new(shards);
         let tel = Telemetry::disabled();
         let ftel = FleetTel::new(&tel);
         Self {

@@ -18,7 +18,7 @@
 //! cross it.
 
 use automon_core::{
-    CommCause, CommLedger, Coordinator, Node, NodeMessage, Outbound, Parallelism, TierMessage,
+    CommCause, CommLedger, Coordinator, Node, NodeMessage, Outbound, TierMessage,
 };
 use automon_obs::{SpanId, Telemetry, TraceCtx};
 
@@ -40,17 +40,6 @@ impl ShardedFabric {
             leaves: (0..shards).map(|_| CountingFabric::new()).collect(),
             root: CountingFabric::new().with_cause_map(CommCause::at_root),
         }
-    }
-
-    /// Forward one fan-out policy to every tier's fabric.
-    pub fn with_parallelism(mut self, par: Parallelism) -> Self {
-        self.leaves = self
-            .leaves
-            .into_iter()
-            .map(|f| f.with_parallelism(par))
-            .collect();
-        self.root = self.root.with_parallelism(par);
-        self
     }
 
     /// Attach one telemetry handle to every tier's fabric; `comm`

@@ -252,10 +252,8 @@ impl Simulation {
     }
 
     /// The transport the supplied options select (see the type docs).
-    fn open_link(&self, n: usize, coord: &Coordinator) -> Box<dyn Link> {
-        let fabric = CountingFabric::new()
-            .with_parallelism(coord.parallelism())
-            .with_telemetry(self.telemetry.clone());
+    fn open_link(&self, n: usize) -> Box<dyn Link> {
+        let fabric = CountingFabric::new().with_telemetry(self.telemetry.clone());
         match (self.net, &self.plan) {
             (Some(net), plan) => {
                 let plan = plan.clone().unwrap_or_else(FaultPlan::none);
@@ -326,7 +324,7 @@ impl Simulation {
             coord.set_neighborhood_r(r);
         }
         coord.set_telemetry(tel.clone());
-        let link = self.open_link(n, &coord);
+        let link = self.open_link(n);
         let nodes = (0..n).map(|i| self.new_node(i)).collect();
         let mut w = Wiring {
             tel,

@@ -5,14 +5,14 @@
 //! ordered, shard routing hashes are pinned — so the full report
 //! (errors, per-tier message split, combined ledger), the telemetry
 //! trace, and the metrics exposition must be *byte-identical* across
-//! repeated runs, across every `Parallelism` setting, with and without
-//! a membership-fault schedule. The combined two-tier ledger must
-//! conserve the fleet's traffic totals in every case.
+//! repeated runs, with and without a membership-fault schedule. The
+//! combined two-tier ledger must conserve the fleet's traffic totals in
+//! every case.
 
 use std::sync::Arc;
 
 use automon_autodiff::AutoDiffFn;
-use automon_core::{MonitorConfig, MonitoredFunction, Parallelism};
+use automon_core::{MonitorConfig, MonitoredFunction};
 use automon_data::synthetic::InnerProductDataset;
 use automon_data::windowed_mean_series;
 use automon_fleet::{FleetConfig, FleetFaultPlan, LeafCrash, NodeCrash};
@@ -23,12 +23,12 @@ use automon_sim::{FleetReport, FleetSimulation, Workload};
 const STREAMS: usize = 12;
 const SHARDS: usize = 4;
 
-fn setup(par: Parallelism) -> (Arc<dyn MonitoredFunction>, MonitorConfig, Workload) {
+fn setup() -> (Arc<dyn MonitoredFunction>, MonitorConfig, Workload) {
     let (rounds, dim, seed) = (60, 4, 11);
     let raw = InnerProductDataset::generate(STREAMS, rounds + 19, dim, seed);
     let w = Workload::from_dense(&windowed_mean_series(&raw, 20));
     let f: Arc<dyn MonitoredFunction> = Arc::new(AutoDiffFn::new(InnerProduct::new(dim)));
-    let cfg = MonitorConfig::builder(0.3).parallelism(par).build();
+    let cfg = MonitorConfig::builder(0.3).build();
     (f, cfg, w)
 }
 
@@ -50,8 +50,8 @@ fn faults() -> FleetFaultPlan {
     }
 }
 
-fn run(par: Parallelism, plan: Option<FleetFaultPlan>) -> (FleetReport, String, String) {
-    let (f, cfg, w) = setup(par);
+fn run(plan: Option<FleetFaultPlan>) -> (FleetReport, String, String) {
+    let (f, cfg, w) = setup();
     let tel = Telemetry::enabled();
     let mut sim =
         FleetSimulation::new(f, cfg, FleetConfig::new(SHARDS)).with_telemetry(tel.clone());
@@ -68,8 +68,8 @@ fn report_json(report: &FleetReport) -> String {
 
 #[test]
 fn plain_fleet_run_is_byte_identical() {
-    let (ra, ta, ma) = run(Parallelism::Sequential, None);
-    let (rb, tb, mb) = run(Parallelism::Sequential, None);
+    let (ra, ta, ma) = run(None);
+    let (rb, tb, mb) = run(None);
     assert!(!ta.is_empty(), "instrumented run must emit events");
     assert_eq!(report_json(&ra), report_json(&rb));
     assert_eq!(ta, tb);
@@ -78,8 +78,8 @@ fn plain_fleet_run_is_byte_identical() {
 
 #[test]
 fn faulted_fleet_run_is_byte_identical() {
-    let (ra, ta, ma) = run(Parallelism::Sequential, Some(faults()));
-    let (rb, tb, mb) = run(Parallelism::Sequential, Some(faults()));
+    let (ra, ta, ma) = run(Some(faults()));
+    let (rb, tb, mb) = run(Some(faults()));
     assert_eq!(ra.node_crashes, 2);
     assert_eq!(ra.leaf_crashes, 1);
     assert_eq!(ra.rebalances, 1);
@@ -90,20 +90,9 @@ fn faulted_fleet_run_is_byte_identical() {
 }
 
 #[test]
-fn parallelism_is_a_latency_knob_not_a_semantics_knob() {
-    let (reference, ref_trace, ref_metrics) = run(Parallelism::Sequential, Some(faults()));
-    for par in [Parallelism::Threads(2), Parallelism::Threads(5), Parallelism::Auto] {
-        let (got, trace, metrics) = run(par, Some(faults()));
-        assert_eq!(report_json(&reference), report_json(&got), "{par:?}");
-        assert_eq!(ref_trace, trace, "{par:?}");
-        assert_eq!(ref_metrics, metrics, "{par:?}");
-    }
-}
-
-#[test]
 fn combined_ledger_conserves_two_tier_totals() {
     for plan in [None, Some(faults())] {
-        let (report, _, _) = run(Parallelism::Sequential, plan.clone());
+        let (report, _, _) = run(plan.clone());
         let entries = report.stats.ledger.as_deref().expect("ledger recorded");
         let msgs: u64 = entries.iter().map(|e| e.msgs).sum();
         let bytes: u64 = entries.iter().map(|e| e.bytes).sum();
@@ -129,7 +118,7 @@ fn combined_ledger_conserves_two_tier_totals() {
 
 #[test]
 fn root_tier_carries_only_tier_causes_and_stays_sublinear() {
-    let (report, _, _) = run(Parallelism::Sequential, None);
+    let (report, _, _) = run(None);
     assert!(report.leaf_reports > 0, "drifting data must reach the root");
     assert!(
         report.root_messages < report.leaf_messages,

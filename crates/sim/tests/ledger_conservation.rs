@@ -1,15 +1,15 @@
 //! Conservation of the communication ledger (DESIGN.md §3.12): the
 //! fabric charges the ledger at exactly the points where it bumps its
 //! traffic counters, so the per-cause rollup must sum to the
-//! `RunStats` message and byte totals *exactly* — for every parallelism
-//! setting, and under chaos, where dropped and swallowed frames are
-//! deliberately uncharged on both sides of the equation.
+//! `RunStats` message and byte totals *exactly* — on a plain run and
+//! under chaos, where dropped and swallowed frames are deliberately
+//! uncharged on both sides of the equation.
 
 use std::sync::Arc;
 
 use automon_autodiff::AutoDiffFn;
 use automon_chaos::{FaultPlan, RecoveryConfig};
-use automon_core::{MonitorConfig, MonitoredFunction, Parallelism};
+use automon_core::{MonitorConfig, MonitoredFunction};
 use automon_data::synthetic::InnerProductDataset;
 use automon_data::windowed_mean_series;
 use automon_functions::InnerProduct;
@@ -39,24 +39,15 @@ fn assert_conserved(stats: &RunStats) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Conservation holds for every parallelism setting, and the rollup
-    /// itself is identical to the sequential reference (the ledger is
-    /// charged in the fabric's sequential accounting section, so worker
-    /// count must not perturb it).
+    /// Conservation holds on a plain run, and a repeat run charges the
+    /// identical rollup.
     #[test]
-    fn plain_run_conserves_under_any_parallelism(seed in 0u64..500) {
+    fn plain_run_conserves(seed in 0u64..500) {
         let (f, w) = setup(seed);
-        let run = |par: Parallelism| {
-            let cfg = MonitorConfig::builder(0.2).parallelism(par).build();
-            Simulation::new(f.clone(), cfg).run(&w)
-        };
-        let reference = run(Parallelism::Sequential);
+        let run = || Simulation::new(f.clone(), MonitorConfig::builder(0.2).build()).run(&w);
+        let reference = run();
         assert_conserved(&reference);
-        for par in [Parallelism::Threads(2), Parallelism::Threads(5), Parallelism::Auto] {
-            let got = run(par);
-            assert_conserved(&got);
-            prop_assert_eq!(&reference.ledger, &got.ledger);
-        }
+        prop_assert_eq!(&reference.ledger, &run().ledger);
     }
 
     /// Conservation holds under injected faults: drops, duplicates,

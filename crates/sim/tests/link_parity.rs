@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use automon_autodiff::{AutoDiffFn, Scalar, ScalarFn};
 use automon_chaos::FaultPlan;
-use automon_core::{MonitorConfig, MonitoredFunction, Parallelism};
+use automon_core::{MonitorConfig, MonitoredFunction};
 use automon_data::synthetic::InnerProductDataset;
 use automon_data::windowed_mean_series;
 use automon_functions::InnerProduct;
@@ -76,9 +76,9 @@ const LINKS: [(&str, OnLink); 3] = [
     ("fault-free reactor", |sim| sim.with_net_seed(3)),
 ];
 
-fn run(case: &Case, on_link: OnLink, par: Parallelism, tel: Telemetry) -> RunReport {
+fn run(case: &Case, on_link: OnLink, tel: Telemetry) -> RunReport {
     let (_, f, eps, w) = case;
-    let cfg = MonitorConfig::builder(*eps).parallelism(par).build();
+    let cfg = MonitorConfig::builder(*eps).build();
     on_link(Simulation::new(f.clone(), cfg))
         .with_telemetry(tel)
         .run_report(w)
@@ -89,7 +89,7 @@ fn every_link_gives_the_same_stats_ledger_and_trace() {
     for case in cases() {
         let name = case.0;
         let tel = Telemetry::enabled();
-        let reference = run(&case, LINKS[0].1, Parallelism::Sequential, tel.clone());
+        let reference = run(&case, LINKS[0].1, tel.clone());
         let reference_trace = tel.trace_jsonl();
         assert!(
             reference.stats.full_syncs > 0 && reference.stats.lazy_syncs > 0,
@@ -103,17 +103,15 @@ fn every_link_gives_the_same_stats_ledger_and_trace() {
         assert!(reference_trace.contains("\"kind\":\"comm\""));
 
         for (link, on_link) in LINKS {
-            for par in [Parallelism::Sequential, Parallelism::Threads(3)] {
-                let tel = Telemetry::enabled();
-                let got = run(&case, on_link, par, tel.clone());
-                let at = format!("{name} over {link}, {par:?}");
-                assert!(got.quiesced, "{at}");
-                assert!(got.fault_trace.is_empty(), "{at}");
-                assert_eq!(got.stats, reference.stats, "{at}: RunStats diverged");
-                assert_eq!(got.transport.is_some(), link == LINKS[2].0, "{at}");
-                if let Some(line) = first_difference(&tel.trace_jsonl(), &reference_trace) {
-                    panic!("{at}: telemetry trace diverged at {line}");
-                }
+            let tel = Telemetry::enabled();
+            let got = run(&case, on_link, tel.clone());
+            let at = format!("{name} over {link}");
+            assert!(got.quiesced, "{at}");
+            assert!(got.fault_trace.is_empty(), "{at}");
+            assert_eq!(got.stats, reference.stats, "{at}: RunStats diverged");
+            assert_eq!(got.transport.is_some(), link == LINKS[2].0, "{at}");
+            if let Some(line) = first_difference(&tel.trace_jsonl(), &reference_trace) {
+                panic!("{at}: telemetry trace diverged at {line}");
             }
         }
     }
@@ -124,18 +122,8 @@ fn every_link_gives_the_same_stats_ledger_and_trace() {
 fn telemetry_does_not_perturb_the_protocol() {
     for case in cases() {
         for (link, on_link) in LINKS {
-            let bare = run(
-                &case,
-                on_link,
-                Parallelism::Sequential,
-                Telemetry::disabled(),
-            );
-            let observed = run(
-                &case,
-                on_link,
-                Parallelism::Sequential,
-                Telemetry::enabled(),
-            );
+            let bare = run(&case, on_link, Telemetry::disabled());
+            let observed = run(&case, on_link, Telemetry::enabled());
             assert_eq!(observed, bare, "{} over {link}", case.0);
         }
     }

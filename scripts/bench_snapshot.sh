@@ -17,9 +17,9 @@
 # Measurement protocol: each bench binary runs REPS times (default 3)
 # and the snapshot keeps the per-key MINIMUM of the per-run medians.
 # Scheduler and cache noise only ever inflate a timing, so min-of-medians
-# is the stable lower envelope — the same rule the CI zero-overhead
-# smoke uses. The snapshot also records the host kernel and core count,
-# since absolute nanoseconds are only comparable on like machines.
+# is the stable lower envelope. The snapshot also records the host
+# kernel and core count, since absolute nanoseconds are only comparable
+# on like machines.
 #
 # The substrates bench carries one gate of its own: `hvp/kld_repeat/20`
 # (a further Hessian-vector product at a primed point: the tangent sweep

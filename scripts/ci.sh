@@ -16,10 +16,14 @@
 #      which swaps the bare fabric for the chaos fabric) must agree on
 #      every stats key they share.
 #   5. zero-overhead bench smoke — decompose_observed with
-#      Telemetry::disabled() must stay within BENCH_SMOKE_TOLERANCE
-#      (default 10%) of the bare decompose on the same machine and run
-#      (DESIGN.md §3.9's near-no-op contract). Same-run comparison, so
-#      machine drift doesn't produce false alarms.
+#      Telemetry::disabled() must cost what the bare decompose costs
+#      (DESIGN.md §3.9's near-no-op contract). The bench runs three
+#      times; each repetition yields its own disabled/bare ratio from two
+#      timings taken seconds apart in one process, and the step fails
+#      only if the *smallest* ratio exceeds 1 + BENCH_SMOKE_TOLERANCE
+#      (default 10%). A real overhead inflates every repetition's ratio;
+#      a busy sibling core inflates one of a repetition's two timings and
+#      so only some of the ratios.
 #   6. spectral parity smoke — Jacobi, QL, and Lanczos must agree on a
 #      fixed-seed d=40 symmetric matrix (DESIGN.md §3.10); catches any
 #      drift between the production QL/Lanczos kernels and the Jacobi
@@ -115,8 +119,6 @@ print(f"    plain == zero-rate chaos on all {len(shared)} shared stats keys")
 PYEOF
 
 echo "==> zero-overhead bench smoke (tolerance ${BENCH_SMOKE_TOLERANCE:-0.10})"
-# Three repetitions, per-key minimum: the parallel eigen search makes a
-# single median noisy, and scheduler noise only ever inflates timings.
 BENCH_OUT=$(for _ in 1 2 3; do
     cargo bench -q -p automon-bench --bench obs_overhead 2>&1 | grep '^BENCHLINE' || true
 done)
@@ -124,27 +126,27 @@ python3 - <<PYEOF
 import os, sys
 
 tol = float(os.environ.get("BENCH_SMOKE_TOLERANCE", "0.10"))
+# One list of medians per key, in repetition order.
 medians = {}
 for line in """${BENCH_OUT}""".splitlines():
     parts = line.split()
     if len(parts) == 4 and parts[0] == "BENCHLINE" and parts[2] == "median_ns":
-        key, v = parts[1], float(parts[3])
-        medians[key] = min(medians.get(key, v), v)
+        medians.setdefault(parts[1], []).append(float(parts[3]))
 
 failures = []
 for d in (10, 40):
-    bare = medians.get(f"obs_overhead/decompose_bare/{d}")
-    off = medians.get(f"obs_overhead/decompose_disabled_tel/{d}")
-    if bare is None or off is None:
+    bare = medians.get(f"obs_overhead/decompose_bare/{d}", [])
+    off = medians.get(f"obs_overhead/decompose_disabled_tel/{d}", [])
+    if not bare or len(bare) != len(off):
         failures.append(f"d={d}: missing BENCHLINE output")
         continue
-    ratio = off / bare
-    print(f"    d={d}: bare {bare:.0f} ns, disabled telemetry {off:.0f} ns "
-          f"(ratio {ratio:.3f})")
-    if ratio > 1.0 + tol:
+    ratios = [o / b for o, b in zip(off, bare)]
+    print(f"    d={d}: disabled/bare per repetition "
+          + " ".join(f"{r:.3f}" for r in ratios) + f" (min {min(ratios):.3f})")
+    if min(ratios) > 1.0 + tol:
         failures.append(
-            f"d={d}: disabled telemetry {off:.0f} ns exceeds bare "
-            f"{bare:.0f} ns by more than {tol:.0%}")
+            f"d={d}: disabled telemetry exceeds bare by more than {tol:.0%} "
+            f"in every repetition (smallest ratio {min(ratios):.3f})")
 if failures:
     print("FAIL: disabled telemetry is not zero-overhead", file=sys.stderr)
     for f in failures:
