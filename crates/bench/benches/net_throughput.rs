@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 use automon_core::{CommCause, CoordinatorMessage, NodeMessage, Outbound, ViolationKind};
 use automon_net::reactor::ReactorCoordinatorTransport;
 use automon_net::tcp::{TcpCoordinatorTransport, TcpNodeTransport};
-use automon_net::{wire, SyscallStats};
+use automon_net::{wire, CoordinatorTransport};
 
 const CHILD_ENV: &str = "AUTOMON_NET_CHILD";
 /// Client connections per child process (fd budget per child).
@@ -131,41 +131,13 @@ fn run_child(spec: &str) -> ! {
     unreachable!()
 }
 
-enum Server {
-    Threaded(TcpCoordinatorTransport),
-    Reactor(ReactorCoordinatorTransport),
-}
-
-impl Server {
-    fn recv_timeout(&self, d: Duration) -> Option<NodeMessage> {
-        match self {
-            Server::Threaded(t) => t.recv_timeout(d),
-            Server::Reactor(t) => t.recv_timeout(d),
-        }
-    }
-
-    fn send(&self, out: &Outbound) {
-        match self {
-            Server::Threaded(t) => t.send(out).expect("go send"),
-            Server::Reactor(t) => t.send(out).expect("go send"),
-        }
-    }
-
-    fn syscalls(&self) -> SyscallStats {
-        match self {
-            Server::Threaded(t) => t.syscall_stats(),
-            Server::Reactor(t) => t.syscall_stats(),
-        }
-    }
-}
-
 struct BlastResult {
     reports_per_sec: f64,
     syscalls_per_report: f64,
     elapsed: Duration,
 }
 
-fn blast(backend: &str, conns: usize, reports_per_conn: usize) -> BlastResult {
+fn blast<T: CoordinatorTransport>(conns: usize, reports_per_conn: usize) -> BlastResult {
     let probe = TcpListener::bind("127.0.0.1:0").expect("probe bind");
     let addr = probe.local_addr().expect("probe addr");
     drop(probe);
@@ -188,21 +160,10 @@ fn blast(backend: &str, conns: usize, reports_per_conn: usize) -> BlastResult {
         start += count;
     }
 
-    let tp = match backend {
-        "threaded" => Server::Threaded(
-            TcpCoordinatorTransport::bind(addr, conns)
-                .map(|(t, _)| t)
-                .expect("threaded bind"),
-        ),
-        _ => Server::Reactor(
-            ReactorCoordinatorTransport::bind(addr, conns)
-                .map(|(t, _)| t)
-                .expect("reactor bind"),
-        ),
-    };
+    let tp = T::bind(addr, conns, None).expect("bind");
 
     // Hello syscalls are setup cost, not blast cost.
-    let base = tp.syscalls();
+    let base = tp.syscall_stats();
     let total = conns * reports_per_conn;
     let started = Instant::now();
     for id in 0..conns {
@@ -210,27 +171,29 @@ fn blast(backend: &str, conns: usize, reports_per_conn: usize) -> BlastResult {
             id,
             CoordinatorMessage::RequestLocalVector { epoch: 1 },
             CommCause::FullSync,
-        ));
+        ))
+        .expect("go send");
     }
     let deadline = started + BLAST_DEADLINE;
     let mut got = 0usize;
     while got < total {
-        if tp.recv_timeout(Duration::from_millis(500)).is_some() {
+        if tp.recv_timeout_traced(Duration::from_millis(500)).is_some() {
             got += 1;
             // Drain whatever else is already queued without re-arming
             // the timeout machinery per frame.
-            while got < total && tp.recv_timeout(Duration::ZERO).is_some() {
+            while got < total && tp.recv_timeout_traced(Duration::ZERO).is_some() {
                 got += 1;
             }
         } else {
             assert!(
                 Instant::now() < deadline,
-                "{backend}/{conns}: blast stalled at {got}/{total} frames"
+                "{}/{conns}: blast stalled at {got}/{total} frames",
+                std::any::type_name::<T>()
             );
         }
     }
     let elapsed = started.elapsed();
-    let end = tp.syscalls();
+    let end = tp.syscall_stats();
     drop(tp);
     for mut c in children {
         let _ = c.kill();
@@ -247,10 +210,10 @@ fn blast(backend: &str, conns: usize, reports_per_conn: usize) -> BlastResult {
 /// Best of `reps` blasts: one-shot wall-clock measurements on a busy
 /// box are noisy in one direction only (descheduling), so max is the
 /// honest aggregate.
-fn blast_best(backend: &str, conns: usize, reports_per_conn: usize, reps: usize) -> BlastResult {
+fn blast_best<T: CoordinatorTransport>(conns: usize, per_conn: usize, reps: usize) -> BlastResult {
     let mut best: Option<BlastResult> = None;
     for _ in 0..reps {
-        let r = blast(backend, conns, reports_per_conn);
+        let r = blast::<T>(conns, per_conn);
         if best.as_ref().is_none_or(|b| r.reports_per_sec > b.reports_per_sec) {
             best = Some(r);
         }
@@ -331,21 +294,21 @@ fn main() {
     let reports_10k = if full { 20 } else { 10 };
 
     eprintln!("net_throughput: threaded @ {conns_1k} conns ...");
-    let threaded = blast_best("threaded", conns_1k, reports_1k, 2);
+    let threaded = blast_best::<TcpCoordinatorTransport>(conns_1k, reports_1k, 2);
     eprintln!(
         "  threaded: {:.0} reports/s, {:.2} syscalls/report, {:?}",
         threaded.reports_per_sec, threaded.syscalls_per_report, threaded.elapsed
     );
 
     eprintln!("net_throughput: reactor @ {conns_1k} conns ...");
-    let reactor = blast_best("reactor", conns_1k, reports_1k, 2);
+    let reactor = blast_best::<ReactorCoordinatorTransport>(conns_1k, reports_1k, 2);
     eprintln!(
         "  reactor:  {:.0} reports/s, {:.2} syscalls/report, {:?}",
         reactor.reports_per_sec, reactor.syscalls_per_report, reactor.elapsed
     );
 
     eprintln!("net_throughput: reactor @ {conns_10k} conns ...");
-    let reactor_10k = blast_best("reactor", conns_10k, reports_10k, 2);
+    let reactor_10k = blast_best::<ReactorCoordinatorTransport>(conns_10k, reports_10k, 2);
     eprintln!(
         "  reactor:  {:.0} reports/s, {:.2} syscalls/report, {:?}",
         reactor_10k.reports_per_sec, reactor_10k.syscalls_per_report, reactor_10k.elapsed

@@ -21,7 +21,7 @@ mod trace;
 pub use args::{Args, CliError};
 pub use csvio::{parse_csv_updates, render_estimates};
 pub use netcmd::run_net_smoke;
-pub use run::{build_function, run_monitor, run_simulate, run_spectral_smoke, run_tune, MonitorOutcome};
+pub use run::{build_function, run_monitor, run_simulate, run_spectral_smoke, run_tune};
 pub use trace::run_trace;
 
 /// Entry point shared by `main.rs` and the tests.
@@ -152,18 +152,25 @@ OBSERVABILITY (simulate only):
     --serve-metrics ADDR  serve live metrics at http://ADDR/metrics
                         while the run executes (e.g. 127.0.0.1:9100)
 
-NET BACKENDS (net-smoke; DESIGN.md §3.15):
-    --net-backend threaded  blocking TCP transport, reader thread per node
-    --net-backend reactor   epoll event loop: coalesced reads, writev
-                            batching, bounded outbound queues (default)
+NET BACKENDS (net-smoke; DESIGN.md §3.15) — three links of the one round
+driver:
+    --net-backend threaded  real loopback sockets, blocking TCP transport
+                            (reader thread per node) at the coordinator
+    --net-backend reactor   real loopback sockets, epoll event loop:
+                            coalesced reads, writev batching, bounded
+                            outbound queues (default)
     --net-backend sim       the reactor over a simulated poller: seeded
                             byte chunking, chaos flags inject faults at
                             the frame boundary, same seed replays the
-                            --trace-out JSONL byte for byte (the standard
-                            telemetry trace: `trace summarize|diff` read it)
-    Output is one JSON object: `stats` (protocol outcome, identical
-    across backends for a given --seed) and `transport` (syscalls,
-    timing — backend-specific). Chaos flags require the sim backend.
+                            run byte for byte
+    Output is one JSON object: `stats` (the same schema as `simulate
+    --json`, ledger included; identical across backends for a given
+    --seed) and `transport` (syscalls, timing — backend-specific).
+    --trace-out works on every backend and writes the standard
+    telemetry trace (`trace summarize|diff` read it; fault-free, the
+    three files are equal). Chaos flags require the sim backend, and
+    --max-delay-rounds requires --delay-rate. A socket failure or a
+    frame missing after 20 s exits non-zero naming the stage.
 
 TRACE ANALYSIS (offline, over --trace-out files):
     trace summarize     span tree, per-span durations in deterministic

@@ -1,36 +1,30 @@
-//! `automon net-smoke` — drive the monitoring protocol over a real
-//! network transport and report protocol outcome + transport cost.
+//! `automon net-smoke` — drive the monitoring protocol over a network
+//! transport and report protocol outcome + transport cost.
 //!
-//! Three backends behind `--net-backend`:
+//! Three backends behind `--net-backend`, all of them links of the one
+//! round driver (`automon_sim::Simulation`):
 //!
-//! * `threaded` — the blocking TCP transport (reader thread per node).
-//! * `reactor`  — the epoll reactor (single event-loop thread,
-//!   coalesced reads, writev batching).
+//! * `threaded` — real loopback sockets, the blocking TCP transport
+//!   (reader thread per node) on the coordinator end.
+//! * `reactor`  — real loopback sockets, the epoll reactor (single
+//!   event-loop thread, coalesced reads, writev batching).
 //! * `sim`      — `Reactor<SimPoller>`: no sockets, seeded byte
 //!   chunking, optional chaos at the frame boundary, byte-identical
-//!   replay (`--trace-out` writes the standard telemetry JSONL, so
-//!   `automon trace summarize|diff` read it).
+//!   replay.
 //!
-//! Output is one JSON object split into a `stats` block (protocol
-//! outcome — identical across backends for the same workload seed; CI
-//! diffs it between `threaded` and `reactor`) and a `transport` block
-//! (syscalls, timing — backend-specific by design).
-//!
-//! The socket drivers serialize rounds node-by-node and handle
-//! same-sync replies in node-id order, so the protocol's decision
-//! sequence depends only on the workload — never on socket scheduling.
+//! Output is one JSON object split into a `stats` block (the driver's
+//! `RunStats`, ledger included — identical across backends for the same
+//! workload seed; CI diffs it three ways) and a `transport` block
+//! (syscalls, timing — backend-specific by design). `--trace-out` writes
+//! the standard telemetry JSONL on every backend, so `automon trace
+//! summarize|diff` read it.
 
-use std::collections::HashSet;
-use std::net::{SocketAddr, TcpListener};
-use std::sync::mpsc;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use automon_chaos::FaultPlan;
-use automon_core::{Coordinator, MonitorConfig, MonitoredFunction, Node, NodeMessage, Outbound};
-use automon_linalg::vector;
+use automon_core::MonitorConfig;
 use automon_net::reactor::ReactorCoordinatorTransport;
-use automon_net::tcp::{TcpCoordinatorTransport, TcpNodeTransport};
+use automon_net::tcp::TcpCoordinatorTransport;
 use automon_net::SyscallStats;
 use automon_obs::Telemetry;
 use automon_sim::{Simulation, Workload};
@@ -38,15 +32,6 @@ use serde::{Serialize, Value};
 
 use crate::args::{Args, CliError};
 use crate::run::build_function;
-
-/// Per-resolution deadline on the socket paths: a wedged sync is a bug,
-/// not something to wait out.
-const RESOLVE_DEADLINE: Duration = Duration::from_secs(20);
-
-/// How long a node worker waits on its socket between looks at its
-/// command channel: the latency of a command that arrives while the
-/// worker is idle, and the only timer in its loop.
-const COMMAND_POLL: Duration = Duration::from_millis(1);
 
 /// Deterministic drifting workload shared by every backend: per-node
 /// phase offsets and a slow upward drift — enough motion to exercise
@@ -79,62 +64,33 @@ fn dense_workload(seed: u64, n: usize, rounds: usize, dim: usize) -> Workload {
     Workload::from_dense(&series)
 }
 
-/// One abstraction over the two socket-backed coordinator transports so
-/// the lockstep driver below is written once.
-enum CoordTransport {
-    Threaded(TcpCoordinatorTransport),
-    Reactor(ReactorCoordinatorTransport),
-}
-
-impl CoordTransport {
-    fn recv_timeout(&self, d: Duration) -> Option<NodeMessage> {
-        match self {
-            CoordTransport::Threaded(t) => t.recv_timeout(d),
-            CoordTransport::Reactor(t) => t.recv_timeout(d),
-        }
-    }
-
-    fn send(&self, out: &Outbound) -> Result<(), automon_net::tcp::TcpError> {
-        match self {
-            CoordTransport::Threaded(t) => t.send(out),
-            CoordTransport::Reactor(t) => t.send(out),
-        }
-    }
-
-    fn syscalls(&self) -> SyscallStats {
-        match self {
-            CoordTransport::Threaded(t) => t.syscall_stats(),
-            CoordTransport::Reactor(t) => t.syscall_stats(),
-        }
-    }
-}
-
-enum Cmd {
-    Update(Vec<f64>),
-    /// Drain the socket until `target` coordinator frames have been
-    /// consumed since connect, then ack — the causal barrier that makes
-    /// the next update see every constraint install already sent.
-    Sync(usize),
-    Shutdown,
-}
-
-/// Wait up to `wait` for one coordinator frame and serve it; `false`
-/// when none came or the connection is gone.
-fn serve_one(tp: &mut TcpNodeTransport, node: &mut Node, wait: Duration) -> bool {
-    let Ok(Some(cm)) = tp.recv_timeout(wait) else {
-        return false;
-    };
-    if let Some(reply) = node.handle(cm) {
-        let _ = tp.send(&reply);
-    }
-    true
-}
-
 /// Flags `automon net-smoke` reads; `dispatch` rejects any other.
 pub(crate) const NET_SMOKE_FLAGS: &[&str] = &[
     "net-backend", "nodes", "rounds", "dim", "seed", "epsilon", "function", "chaos-seed",
     "drop-rate", "duplicate-rate", "reorder-rate", "delay-rate", "max-delay-rounds", "trace-out",
 ];
+
+/// The flags that ask for frame-level faults, which only the simulated
+/// frame boundary can inject.
+const CHAOS_FLAGS: [&str; 6] = [
+    "chaos-seed", "drop-rate", "duplicate-rate", "reorder-rate", "delay-rate", "max-delay-rounds",
+];
+
+/// The `sim` backend's fault plan; without chaos flags it injects nothing.
+fn chaos_plan(args: &Args, seed: u64) -> Result<FaultPlan, CliError> {
+    if args.get("max-delay-rounds").is_some() && args.get("delay-rate").is_none() {
+        return Err(CliError::new("--max-delay-rounds requires --delay-rate"));
+    }
+    let mut plan = FaultPlan::seeded(args.num("chaos-seed", seed)?)
+        .with_drop_rate(args.num("drop-rate", 0.0f64)?)
+        .with_duplicate_rate(args.num("duplicate-rate", 0.0f64)?)
+        .with_reorder_rate(args.num("reorder-rate", 0.0f64)?);
+    let delay: f64 = args.num("delay-rate", 0.0f64)?;
+    if delay > 0.0 {
+        plan = plan.with_delay(delay, args.num("max-delay-rounds", 3usize)?);
+    }
+    Ok(plan)
+}
 
 /// Run `net-smoke` per the parsed arguments.
 pub fn run_net_smoke(args: &Args) -> Result<String, CliError> {
@@ -151,358 +107,76 @@ pub fn run_net_smoke(args: &Args) -> Result<String, CliError> {
     let f = build_function(fname, dim)?;
     let cfg = MonitorConfig::builder(epsilon).build();
 
-    let chaotic = args.get("chaos-seed").is_some()
-        || ["drop-rate", "duplicate-rate", "reorder-rate", "delay-rate"]
-            .iter()
-            .any(|k| args.get(k).is_some());
-
-    match backend {
-        "sim" => run_sim_backend(args, f, cfg, seed, n, rounds, dim),
-        "threaded" | "reactor" => {
-            if chaotic {
-                return Err(CliError::new(
-                    "chaos flags need --net-backend sim (faults inject at the \
-                     simulated frame boundary, not on real sockets)",
-                ));
-            }
-            run_socket_backend(backend, f, cfg, seed, n, rounds, dim)
-        }
-        other => Err(CliError::new(format!(
-            "unknown --net-backend `{other}` (threaded | reactor | sim)"
-        ))),
-    }
-}
-
-fn run_sim_backend(
-    args: &Args,
-    f: Arc<dyn MonitoredFunction>,
-    cfg: MonitorConfig,
-    seed: u64,
-    n: usize,
-    rounds: usize,
-    dim: usize,
-) -> Result<String, CliError> {
-    let mut plan = FaultPlan::seeded(args.num("chaos-seed", seed)?);
-    plan = plan
-        .with_drop_rate(args.num("drop-rate", 0.0f64)?)
-        .with_duplicate_rate(args.num("duplicate-rate", 0.0f64)?)
-        .with_reorder_rate(args.num("reorder-rate", 0.0f64)?);
-    let delay: f64 = args.num("delay-rate", 0.0f64)?;
-    if delay > 0.0 {
-        plan = plan.with_delay(delay, args.num("max-delay-rounds", 3usize)?);
-    }
-
-    let w = dense_workload(seed, n, rounds, dim);
+    // Telemetry goes to the driver and its protocol endpoints only: the
+    // socket transports bump their counters from other threads, which
+    // would break the trace's byte-identity across backends.
     let tel = match args.get("trace-out") {
         Some(_) => Telemetry::enabled(),
         None => Telemetry::disabled(),
     };
-    let report = Simulation::new(f, cfg)
-        .with_plan(plan)
-        .with_net_seed(seed)
-        .with_telemetry(tel.clone())
-        .run_report(&w);
-    let net = report
-        .transport
-        .expect("the reactor link reports its transport");
+    let sockets = matches!(backend, "threaded" | "reactor");
+    if sockets && CHAOS_FLAGS.iter().any(|k| args.get(k).is_some()) {
+        return Err(CliError::new(
+            "chaos flags need --net-backend sim (faults inject at the \
+             simulated frame boundary, not on real sockets)",
+        ));
+    }
+    let sim = Simulation::new(f, cfg).with_telemetry(tel.clone());
+    let sim = match backend {
+        "sim" => sim.with_plan(chaos_plan(args, seed)?).with_net_seed(seed),
+        "threaded" => sim.over_sockets::<TcpCoordinatorTransport>(),
+        "reactor" => sim.over_sockets::<ReactorCoordinatorTransport>(),
+        other => {
+            return Err(CliError::new(format!(
+                "unknown --net-backend `{other}` (threaded | reactor | sim)"
+            )))
+        }
+    };
+    let started = Instant::now();
+    let report = sim.run_report(&dense_workload(seed, n, rounds, dim));
+    let elapsed = started.elapsed();
 
     if let Some(path) = args.get("trace-out") {
         tel.write_trace(std::path::Path::new(path))
             .map_err(|e| CliError::new(format!("writing {path}: {e}")))?;
+    }
+    if let Some(stage) = &report.transport_failure {
+        return Err(CliError::new(format!(
+            "{backend} transport failed at {stage}"
+        )));
     }
     if !report.quiesced {
         return Err(CliError::new(
             "protocol failed to quiesce inside the recovery budget",
         ));
     }
+    let net = report
+        .transport
+        .expect("every net-smoke link reports its transport");
 
+    let mut transport = vec![
+        ("backend", Value::Str(backend.to_string())),
+        ("syscalls", syscalls_json(&net.syscalls)),
+    ];
+    if backend == "sim" {
+        // No elapsed_ms: the sim backend's output is part of the
+        // determinism contract — wall time would break byte-identity
+        // between same-seed runs.
+        transport.extend([
+            ("frames_in", Value::UInt(net.traffic.frames_in)),
+            ("frames_out", Value::UInt(net.traffic.frames_out)),
+            ("bytes_in", Value::UInt(net.traffic.bytes_in)),
+            ("bytes_out", Value::UInt(net.traffic.bytes_out)),
+            ("injected_faults", Value::UInt(net.faults.injected())),
+        ]);
+    } else {
+        transport.push(("elapsed_ms", Value::UInt(elapsed.as_millis() as u64)));
+    }
     let out = obj(vec![
         ("stats", report.stats.to_value()),
-        (
-            "transport",
-            obj(vec![
-                ("backend", Value::Str("sim".to_string())),
-                ("syscalls", syscalls_json(&net.syscalls)),
-                ("frames_in", Value::UInt(net.traffic.frames_in)),
-                ("frames_out", Value::UInt(net.traffic.frames_out)),
-                ("bytes_in", Value::UInt(net.traffic.bytes_in)),
-                ("bytes_out", Value::UInt(net.traffic.bytes_out)),
-                ("injected_faults", Value::UInt(net.faults.injected())),
-                // No elapsed_ms: the sim backend's output is part of the
-                // determinism contract — wall time would break
-                // byte-identity between same-seed runs.
-            ]),
-        ),
+        ("transport", obj(transport)),
     ]);
     serde_json::to_string(&out).map_err(|e| CliError::new(format!("JSON encoding failed: {e}")))
-}
-
-fn run_socket_backend(
-    backend: &str,
-    f: Arc<dyn MonitoredFunction>,
-    cfg: MonitorConfig,
-    seed: u64,
-    n: usize,
-    rounds: usize,
-    dim: usize,
-) -> Result<String, CliError> {
-    // Pick a free port, then bind the coordinator transport while the
-    // node workers dial it (their connect path retries with backoff).
-    let probe = TcpListener::bind("127.0.0.1:0")
-        .map_err(|e| CliError::new(format!("binding probe socket: {e}")))?;
-    let addr: SocketAddr = probe
-        .local_addr()
-        .map_err(|e| CliError::new(format!("probe addr: {e}")))?;
-    drop(probe);
-
-    let binder = {
-        let backend = backend.to_string();
-        std::thread::spawn(move || -> Result<CoordTransport, String> {
-            match backend.as_str() {
-                "threaded" => TcpCoordinatorTransport::bind(addr, n)
-                    .map(|(t, _)| CoordTransport::Threaded(t))
-                    .map_err(|e| e.to_string()),
-                _ => ReactorCoordinatorTransport::bind(addr, n)
-                    .map(|(t, _)| CoordTransport::Reactor(t))
-                    .map_err(|e| e.to_string()),
-            }
-        })
-    };
-
-    // Node workers: apply pushed updates, answer pulls, ack each round.
-    let mut cmd_txs = Vec::with_capacity(n);
-    let (ack_tx, ack_rx) = mpsc::channel::<(usize, bool)>();
-    let mut workers = Vec::with_capacity(n);
-    for i in 0..n {
-        let (tx, rx) = mpsc::channel::<Cmd>();
-        cmd_txs.push(tx);
-        let ack = ack_tx.clone();
-        let f = f.clone();
-        workers.push(std::thread::spawn(move || {
-            let mut tp = match TcpNodeTransport::connect(addr, i) {
-                Ok(tp) => tp,
-                Err(e) => {
-                    eprintln!("node {i}: connect failed: {e}");
-                    return;
-                }
-            };
-            let mut node = Node::new(i, f);
-            let mut seen = 0usize;
-            loop {
-                match rx.try_recv() {
-                    Ok(Cmd::Update(x)) => {
-                        let report = node.update_data(x);
-                        let violated = report.is_some();
-                        if let Some(m) = report {
-                            let _ = tp.send(&m);
-                        }
-                        let _ = ack.send((i, violated));
-                    }
-                    Ok(Cmd::Sync(target)) => {
-                        // The frames are already on their way: wait for
-                        // them on the socket. No ack if they never come —
-                        // the driver's own deadline reports that.
-                        while seen < target {
-                            if !serve_one(&mut tp, &mut node, RESOLVE_DEADLINE) {
-                                return;
-                            }
-                            seen += 1;
-                        }
-                        let _ = ack.send((i, false));
-                    }
-                    Ok(Cmd::Shutdown) | Err(mpsc::TryRecvError::Disconnected) => return,
-                    // Idle: sleep on the socket, where sync traffic for
-                    // another node's violation shows up, and look at the
-                    // command channel again after at most COMMAND_POLL.
-                    Err(mpsc::TryRecvError::Empty) => {
-                        seen += usize::from(serve_one(&mut tp, &mut node, COMMAND_POLL));
-                    }
-                }
-            }
-        }));
-    }
-    drop(ack_tx);
-
-    let tp = binder
-        .join()
-        .map_err(|_| CliError::new("coordinator bind thread panicked"))?
-        .map_err(|e| CliError::new(format!("binding {backend} transport: {e}")))?;
-
-    let mut coord = Coordinator::new(f.clone(), n, cfg);
-    let mut messages = 0usize;
-    let mut current: Vec<Option<Vec<f64>>> = vec![None; n];
-    let mut errors = Vec::with_capacity(rounds);
-    let started = Instant::now();
-    let mut reports = 0usize;
-    let mut sent_to = vec![0usize; n];
-
-    let result: Result<(), CliError> = (|| {
-        for t in 0..rounds {
-            for i in 0..n {
-                // Barrier: node i must have consumed every frame the
-                // coordinator has sent it before producing its next
-                // update, or the update races the constraint install and
-                // the protocol's decision sequence depends on socket
-                // timing instead of the workload.
-                cmd_txs[i]
-                    .send(Cmd::Sync(sent_to[i]))
-                    .map_err(|_| CliError::new(format!("node {i} worker died")))?;
-                ack_rx
-                    .recv_timeout(RESOLVE_DEADLINE)
-                    .map_err(|_| CliError::new(format!("node {i}: no sync ack")))?;
-                let x = sample(seed, t, i, dim);
-                current[i] = Some(x.clone());
-                cmd_txs[i]
-                    .send(Cmd::Update(x))
-                    .map_err(|_| CliError::new(format!("node {i} worker died")))?;
-                let (_, violated) = ack_rx
-                    .recv_timeout(RESOLVE_DEADLINE)
-                    .map_err(|_| CliError::new(format!("node {i}: no round ack")))?;
-                if violated {
-                    reports += 1;
-                    resolve(&tp, &mut coord, &mut messages, &mut sent_to)?;
-                }
-            }
-            if current.iter().all(Option::is_some) {
-                if let Some(est) = coord.current_value() {
-                    let xs: Vec<Vec<f64>> =
-                        current.iter().map(|x| x.clone().expect("present")).collect();
-                    let truth = f.eval(&vector::mean(&xs).expect("n > 0"));
-                    errors.push((est - truth).abs());
-                }
-            }
-        }
-        Ok(())
-    })();
-
-    let elapsed = started.elapsed();
-    for tx in &cmd_txs {
-        let _ = tx.send(Cmd::Shutdown);
-    }
-    for w in workers {
-        let _ = w.join();
-    }
-    result?;
-
-    let st = coord.stats();
-    let syscalls = tp.syscalls();
-    let max_error = errors.iter().cloned().fold(0.0f64, f64::max);
-    let mean_error = if errors.is_empty() {
-        0.0
-    } else {
-        errors.iter().sum::<f64>() / errors.len() as f64
-    };
-    let out = obj(vec![
-        (
-            "stats",
-            obj(vec![
-                ("nodes", Value::UInt(n as u64)),
-                ("rounds", Value::UInt(rounds as u64)),
-                ("messages", Value::UInt(messages as u64)),
-                ("reports", Value::UInt(reports as u64)),
-                (
-                    "neighborhood_violations",
-                    Value::UInt(st.neighborhood_violations as u64),
-                ),
-                (
-                    "safezone_violations",
-                    Value::UInt(st.safezone_violations as u64),
-                ),
-                ("full_syncs", Value::UInt(st.full_syncs as u64)),
-                ("lazy_syncs", Value::UInt(st.lazy_syncs as u64)),
-                ("max_error", Value::Str(format!("{max_error:.12e}"))),
-                ("mean_error", Value::Str(format!("{mean_error:.12e}"))),
-            ]),
-        ),
-        (
-            "transport",
-            obj(vec![
-                ("backend", Value::Str(backend.to_string())),
-                ("syscalls", syscalls_json(&syscalls)),
-                (
-                    "syscalls_per_report",
-                    Value::F64(if reports > 0 {
-                        syscalls.total() as f64 / reports as f64
-                    } else {
-                        0.0
-                    }),
-                ),
-                ("elapsed_ms", Value::UInt(elapsed.as_millis() as u64)),
-            ]),
-        ),
-    ]);
-    serde_json::to_string(&out).map_err(|e| CliError::new(format!("JSON encoding failed: {e}")))
-}
-
-/// Pump the transport until the coordinator's sync resolves, handling
-/// same-sync replies in node-id order so the decision sequence is
-/// independent of socket arrival order.
-fn resolve(
-    tp: &CoordTransport,
-    coord: &mut Coordinator,
-    messages: &mut usize,
-    sent_to: &mut [usize],
-) -> Result<(), CliError> {
-    let deadline = Instant::now() + RESOLVE_DEADLINE;
-    // First frame: the violation report itself.
-    loop {
-        if Instant::now() > deadline {
-            return Err(CliError::new("timed out waiting for a violation report"));
-        }
-        let Some(m) = tp.recv_timeout(Duration::from_millis(100)) else {
-            continue;
-        };
-        *messages += 1;
-        for out in coord.handle(m) {
-            *messages += 1;
-            sent_to[out.to] += 1;
-            tp.send(&out)
-                .map_err(|e| CliError::new(format!("send failed: {e}")))?;
-        }
-        break;
-    }
-    while coord.is_resolving() {
-        if Instant::now() > deadline {
-            return Err(CliError::new("sync failed to resolve before deadline"));
-        }
-        let expect: HashSet<usize> = coord
-            .outstanding_requests()
-            .iter()
-            .map(|o| o.to)
-            .collect();
-        let mut buf: Vec<NodeMessage> = Vec::with_capacity(expect.len());
-        while buf.len() < expect.len() {
-            if Instant::now() > deadline {
-                return Err(CliError::new("sync replies missing before deadline"));
-            }
-            let Some(m) = tp.recv_timeout(Duration::from_millis(100)) else {
-                continue;
-            };
-            *messages += 1;
-            if expect.contains(&m.sender()) {
-                buf.push(m);
-            } else {
-                // Not part of this sync (e.g. a straggler): hand it to
-                // the coordinator immediately.
-                for out in coord.handle(m) {
-                    *messages += 1;
-                    sent_to[out.to] += 1;
-                    tp.send(&out)
-                        .map_err(|e| CliError::new(format!("send failed: {e}")))?;
-                }
-            }
-        }
-        buf.sort_by_key(NodeMessage::sender);
-        for m in buf {
-            for out in coord.handle(m) {
-                *messages += 1;
-                sent_to[out.to] += 1;
-                tp.send(&out)
-                    .map_err(|e| CliError::new(format!("send failed: {e}")))?;
-            }
-        }
-    }
-    Ok(())
 }
 
 fn obj(entries: Vec<(&str, Value)>) -> Value {
@@ -517,4 +191,54 @@ fn syscalls_json(s: &SyscallStats) -> Value {
         ("accepts", Value::UInt(s.accepts)),
         ("total", Value::UInt(s.total())),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// ci.sh step 12(b)'s workload on `backend`, plus `extra` flags.
+    fn smoke(backend: &str, extra: &[&str]) -> Result<String, CliError> {
+        let base = [
+            "--nodes", "4", "--rounds", "40", "--dim", "2", "--seed", "3", "--net-backend", backend,
+        ];
+        let argv: Vec<String> = base.iter().chain(extra).map(|s| s.to_string()).collect();
+        run_net_smoke(&Args::parse(&argv).unwrap())
+    }
+
+    #[test]
+    fn every_backend_reports_the_same_stats_and_trace() {
+        let dir = std::env::temp_dir().join("automon_cli_net_smoke_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace_of = |backend: &str| dir.join(format!("{backend}.jsonl")).display().to_string();
+        let stats: Vec<Value> = ["sim", "threaded", "reactor"]
+            .iter()
+            .map(|backend| {
+                let out = smoke(backend, &["--trace-out", &trace_of(backend)]).unwrap();
+                let v: Value = serde_json::from_str(&out).expect("valid JSON");
+                Value::get_field(v.as_map().expect("object"), "stats").clone()
+            })
+            .collect();
+        let lazy = Value::get_field(stats[0].as_map().expect("object"), "lazy_syncs");
+        assert!(matches!(lazy, Value::UInt(n) if *n > 0), "{stats:?}");
+        for (i, backend) in ["threaded", "reactor"].iter().enumerate() {
+            assert_eq!(stats[i + 1], stats[0], "{backend} vs sim");
+            let argv = ["diff", "--left", &trace_of("sim"), "--right", &trace_of(backend)];
+            crate::run_trace(&argv.map(str::to_string))
+                .unwrap_or_else(|e| panic!("{backend} trace diverges from sim's: {e}"));
+        }
+    }
+
+    #[test]
+    fn chaos_flags_need_the_sim_backend_and_a_delay_bound_needs_a_rate() {
+        for backend in ["threaded", "reactor"] {
+            for flags in [&["--drop-rate", "0.1"], &["--max-delay-rounds", "2"]] {
+                let err = smoke(backend, flags).unwrap_err().to_string();
+                assert!(err.contains("--net-backend sim"), "{backend} {flags:?}: {err}");
+            }
+        }
+        let err = smoke("sim", &["--max-delay-rounds", "2"]).unwrap_err();
+        assert!(err.to_string().contains("requires --delay-rate"), "{err}");
+        smoke("sim", &["--max-delay-rounds", "2", "--delay-rate", "0.05"]).unwrap();
+    }
 }

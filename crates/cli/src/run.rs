@@ -1,12 +1,9 @@
 //! Subcommand implementations.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use automon_autodiff::AutoDiffFn;
-use automon_core::{
-    Coordinator, DecompCacheConfig, MonitorConfig, MonitoredFunction, Node, SpectralBackend,
-};
+use automon_core::{DecompCacheConfig, MonitorConfig, MonitoredFunction, SpectralBackend};
 use automon_data::synthetic::{InnerProductDataset, QuadraticDataset, RozenbrockDataset};
 use automon_data::windowed_mean_series;
 use automon_functions::{train_mlp_d, InnerProduct, KlDivergence, QuadraticForm, Rozenbrock, Variance};
@@ -127,6 +124,46 @@ fn build_workload(
     Ok(Workload::from_dense(&windowed_mean_series(&raw, window)))
 }
 
+/// Parse the node id `raw` of a fault `spec` for a run with `nodes` nodes.
+fn parse_node_id(raw: &str, spec: &str, nodes: usize) -> Result<usize, CliError> {
+    let id: usize = raw
+        .parse()
+        .map_err(|_| CliError::new(format!("bad node id `{raw}` in `{spec}`")))?;
+    if id >= nodes {
+        return Err(CliError::new(format!(
+            "node {id} in `{spec}` out of range (nodes = {nodes})"
+        )));
+    }
+    Ok(id)
+}
+
+/// Parse one `--crash-node` spec `node:at[:restart]` (rounds; the restart
+/// must come after the crash) for a run with `nodes` nodes.
+fn parse_crash_spec(spec: &str, nodes: usize) -> Result<(usize, usize, Option<usize>), CliError> {
+    let parts: Vec<&str> = spec.split(':').collect();
+    if !(2..=3).contains(&parts.len()) {
+        return Err(CliError::new(format!(
+            "--crash-node wants `node:at[:restart]`, got `{spec}`"
+        )));
+    }
+    let field = |raw: &str, what: &str| -> Result<usize, CliError> {
+        raw.parse()
+            .map_err(|_| CliError::new(format!("bad {what} `{raw}` in `{spec}`")))
+    };
+    let node = parse_node_id(parts[0], spec, nodes)?;
+    let at = field(parts[1], "crash round")?;
+    let restart = parts
+        .get(2)
+        .map(|raw| field(raw, "restart round"))
+        .transpose()?;
+    if restart.is_some_and(|r| r <= at) {
+        return Err(CliError::new(format!(
+            "restart must come after the crash in `{spec}`"
+        )));
+    }
+    Ok((node, at, restart))
+}
+
 /// Parse the chaos flags into a [`FaultPlan`], or `None` when no chaos
 /// flag was given. Crash specs are `node:at[:restart]`, partition specs
 /// `n1[,n2,…]:from:until` (rounds; `until` exclusive).
@@ -144,40 +181,8 @@ fn parse_chaos_plan(args: &Args, nodes: usize) -> Result<Option<FaultPlan>, CliE
         return Err(CliError::new("--drop-rate must be in [0, 1]"));
     }
     let mut plan = FaultPlan::seeded(args.num("chaos-seed", 1u64)?).with_drop_rate(drop_rate);
-    let node_id = |raw: &str, spec: &str| -> Result<usize, CliError> {
-        let id: usize = raw
-            .parse()
-            .map_err(|_| CliError::new(format!("bad node id `{raw}` in `{spec}`")))?;
-        if id >= nodes {
-            return Err(CliError::new(format!(
-                "node {id} in `{spec}` out of range (nodes = {nodes})"
-            )));
-        }
-        Ok(id)
-    };
     for spec in args.get_all("crash-node") {
-        let parts: Vec<&str> = spec.split(':').collect();
-        if !(2..=3).contains(&parts.len()) {
-            return Err(CliError::new(format!(
-                "--crash-node wants `node:at[:restart]`, got `{spec}`"
-            )));
-        }
-        let node = node_id(parts[0], spec)?;
-        let at: usize = parts[1]
-            .parse()
-            .map_err(|_| CliError::new(format!("bad crash round in `{spec}`")))?;
-        let restart = match parts.get(2) {
-            None => None,
-            Some(raw) => Some(
-                raw.parse::<usize>()
-                    .map_err(|_| CliError::new(format!("bad restart round in `{spec}`")))?,
-            ),
-        };
-        if restart.is_some_and(|r| r <= at) {
-            return Err(CliError::new(format!(
-                "restart must come after the crash in `{spec}`"
-            )));
-        }
+        let (node, at, restart) = parse_crash_spec(spec, nodes)?;
         plan = plan.with_crash(node, at, restart);
     }
     for spec in args.get_all("crash-coordinator") {
@@ -195,7 +200,7 @@ fn parse_chaos_plan(args: &Args, nodes: usize) -> Result<Option<FaultPlan>, CliE
         };
         let members = ids
             .split(',')
-            .map(|raw| node_id(raw, spec))
+            .map(|raw| parse_node_id(raw, spec, nodes))
             .collect::<Result<Vec<_>, _>>()?;
         let from: usize = from
             .parse()
@@ -266,36 +271,12 @@ fn parse_fleet(
 
     let mut plan = FleetFaultPlan::default();
     for spec in args.get_all("crash-node") {
-        let parts: Vec<&str> = spec.split(':').collect();
-        if !(2..=3).contains(&parts.len()) {
-            return Err(CliError::new(format!(
-                "--crash-node wants `node:at[:restart]`, got `{spec}`"
-            )));
-        }
-        let stream: usize = parts[0]
-            .parse()
-            .map_err(|_| CliError::new(format!("bad node id in `{spec}`")))?;
-        if stream >= streams {
-            return Err(CliError::new(format!(
-                "node {stream} in `{spec}` out of range (nodes = {streams})"
-            )));
-        }
-        let at: u64 = parts[1]
-            .parse()
-            .map_err(|_| CliError::new(format!("bad crash round in `{spec}`")))?;
-        let restart = match parts.get(2) {
-            None => None,
-            Some(raw) => Some(
-                raw.parse::<u64>()
-                    .map_err(|_| CliError::new(format!("bad restart round in `{spec}`")))?,
-            ),
-        };
-        if restart.is_some_and(|r| r <= at) {
-            return Err(CliError::new(format!(
-                "restart must come after the crash in `{spec}`"
-            )));
-        }
-        plan.node_crashes.push(NodeCrash { stream, at, restart });
+        let (stream, at, restart) = parse_crash_spec(spec, streams)?;
+        plan.node_crashes.push(NodeCrash {
+            stream,
+            at: at as u64,
+            restart: restart.map(|r| r as u64),
+        });
     }
     for spec in args.get_all("crash-leaf") {
         let [leaf, at] = spec.split(':').collect::<Vec<_>>()[..] else {
@@ -317,15 +298,6 @@ fn parse_fleet(
         plan.leaf_crashes.push(LeafCrash { leaf, at });
     }
     Ok(Some((fleet_cfg, plan)))
-}
-
-/// Outcome summary of a monitor/simulate run.
-#[derive(Debug, Clone)]
-pub struct MonitorOutcome {
-    /// Protocol messages exchanged.
-    pub messages: usize,
-    /// Maximum observed `|estimate - truth|`.
-    pub max_error: f64,
 }
 
 /// The observability sinks a run was asked for: an enabled [`Telemetry`]
@@ -689,43 +661,28 @@ pub fn run_monitor(args: &Args) -> Result<String, CliError> {
         .spectral_backend(parse_spectral_backend(args)?)
         .decomp_cache_opt(parse_decomp_cache(args)?)
         .build();
-    let mut coord = Coordinator::new(f.clone(), nodes, cfg);
-    let mut node_actors: Vec<Node> = (0..nodes).map(|i| Node::new(i, f.clone())).collect();
-    let mut current: Vec<Option<Vec<f64>>> = vec![None; nodes];
-    let mut messages = 0usize;
-    let mut rows = Vec::new();
-    let mut max_error = 0.0f64;
-
-    let mut idx = 0usize;
-    while idx < updates.len() {
-        let round = updates[idx].0;
-        while idx < updates.len() && updates[idx].0 == round {
-            let (_, node, vector) = &updates[idx];
-            current[*node] = Some(vector.clone());
-            if let Some(m) = node_actors[*node].update_data(vector.clone()) {
-                let mut inbox = VecDeque::from([m]);
-                while let Some(msg) = inbox.pop_front() {
-                    messages += 1;
-                    for out in coord.handle(msg) {
-                        messages += 1;
-                        if let Some(reply) = node_actors[out.to].handle(out.msg) {
-                            inbox.push_back(reply);
-                        }
-                    }
-                }
-            }
-            idx += 1;
+    // One driver round per distinct CSV round label, in file order; the
+    // labels go back on the rows. The driver measures a round once every
+    // node has reported (the coordinator has no estimate before that).
+    let mut labels = Vec::new();
+    let mut rounds: Vec<Vec<(usize, Vec<f64>)>> = Vec::new();
+    for (label, node, vector) in updates {
+        if labels.last() != Some(&label) {
+            labels.push(label);
+            rounds.push(Vec::new());
         }
-        if let (true, Some(est)) = (current.iter().all(Option::is_some), coord.current_value()) {
-            let xs: Vec<Vec<f64>> = current.iter().map(|x| x.clone().expect("present")).collect();
-            let mean: Vec<f64> = (0..dim)
-                .map(|j| xs.iter().map(|x| x[j]).sum::<f64>() / nodes as f64)
-                .collect();
-            let truth = f.eval(&mean);
-            max_error = max_error.max((est - truth).abs());
-            rows.push((round, est, truth));
-        }
+        rounds.last_mut().expect("just pushed").push((node, vector));
     }
+    let stats = Simulation::new(f, cfg)
+        .with_trace(1)
+        .run(&Workload::from_rounds(nodes, rounds));
+    let rows: Vec<(usize, f64, f64)> = stats
+        .trace
+        .iter()
+        .flatten()
+        .filter_map(|p| Some((*labels.get(p.round)?, p.estimate, p.truth)))
+        .collect();
+    let (messages, max_error) = (stats.messages, stats.max_error);
 
     let csv = render_estimates(&rows);
     if let Some(path) = args.get("output") {
@@ -792,6 +749,46 @@ mod tests {
             let err: f64 = line.rsplit(',').next().unwrap().parse().unwrap();
             assert!(err <= 0.2 + 1e-9, "{line}");
         }
+    }
+
+    /// Round labels with gaps, a node that skips rounds, and a node whose
+    /// first report comes late: the rows carry the CSV's labels and start
+    /// at the first round by which every node has reported.
+    #[test]
+    fn monitor_keeps_csv_round_labels_and_waits_for_every_node() {
+        let dir = std::env::temp_dir().join("automon_cli_monitor_gaps_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let input = dir.join("gaps.csv");
+        let labels = [3, 4, 7, 8, 9, 15, 16, 20, 21, 22, 30, 31, 32, 33, 40, 41, 50, 60, 61, 62];
+        let mut text = String::new();
+        for (k, label) in labels.iter().enumerate() {
+            for node in 0..3 {
+                let late = node == 2 && k < 4;
+                let skips = node == 1 && k % 5 == 3;
+                if !late && !skips {
+                    let v = 0.05 * k as f64 + 0.2 * ((k * 7 + node * 3) % 5) as f64 / 5.0;
+                    let w = 0.5 * v + 0.1 * node as f64;
+                    text.push_str(&format!("{label},{node},{v},{w},1.0,{}\n", 1.0 + 0.01 * k as f64));
+                }
+            }
+        }
+        std::fs::write(&input, text).unwrap();
+        let output = dir.join("estimates.csv");
+        let argv = [
+            "--function", "inner-product", "--nodes", "3", "--epsilon", "0.2",
+            "--input", &input.display().to_string(),
+            "--output", &output.display().to_string(),
+        ];
+        let summary = run_monitor(&Args::parse(&argv.map(str::to_string)).unwrap()).unwrap();
+        // What the hand-written delivery loop this replaced counted here.
+        assert!(summary.starts_with("monitored 16 rounds: 122 messages"), "{summary}");
+        let rows = std::fs::read_to_string(&output).unwrap();
+        let got: Vec<usize> = rows
+            .lines()
+            .skip(1)
+            .map(|line| line.split(',').next().unwrap().parse().unwrap())
+            .collect();
+        assert_eq!(got, labels[4..], "{rows}");
     }
 
     #[test]

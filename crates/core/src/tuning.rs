@@ -8,6 +8,7 @@
 //! a recorded prefix of the streams via [`replay`], a synchronous
 //! in-process execution of the full protocol.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::config::{MonitorConfig, NeighborhoodMode};
@@ -92,16 +93,18 @@ pub fn replay(
     }
 }
 
-/// Deliver `first` and all cascading replies; returns messages exchanged.
+/// Deliver `first` and all cascading replies, FIFO like every transport
+/// the protocol runs on (a stack here once replayed a different protocol
+/// than the one deployed); returns messages exchanged.
 fn route(coord: &mut Coordinator, nodes: &mut [Node], first: NodeMessage) -> usize {
-    let mut inbox = vec![first];
+    let mut inbox = VecDeque::from([first]);
     let mut count = 0usize;
-    while let Some(m) = inbox.pop() {
+    while let Some(m) = inbox.pop_front() {
         count += 1; // node → coordinator
         for out in coord.handle(m) {
             count += 1; // coordinator → node
             if let Some(reply) = nodes[out.to].handle(out.msg) {
-                inbox.push(reply);
+                inbox.push_back(reply);
             }
         }
     }

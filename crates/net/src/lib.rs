@@ -22,7 +22,8 @@
 //! * [`tcp`] — the protocol over real `std::net` sockets with
 //!   length-prefixed frames: the dependency-free ZeroMQ replacement for
 //!   actual multi-process deployments. One reader thread per
-//!   connection; the baseline (`--net-backend threaded`).
+//!   connection; the baseline (`--net-backend threaded`). Its coordinator
+//!   end and the reactor's share the [`CoordinatorTransport`] trait.
 //! * [`reactor`] — the nonblocking runtime (`--net-backend reactor`):
 //!   an edge-triggered epoll event loop ([`poller`]) over a slab of
 //!   per-connection state machines, with frame coalescing and `writev`
@@ -58,3 +59,4 @@ pub use poller::{EpollPoller, Event, Poller, SyscallStats, Token};
 pub use reactor::{Reactor, ReactorConfig, ReactorCoordinatorTransport, ReactorTraffic};
 pub use sharded::ShardedFabric;
 pub use sim_poller::{SimClient, SimNet, SimPoller};
+pub use tcp::CoordinatorTransport;

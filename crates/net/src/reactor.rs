@@ -44,7 +44,7 @@ use bytes::Bytes;
 use crate::frame::{FrameAssembler, OutQueue};
 use crate::gate::{FrameGate, GateVerdict};
 use crate::poller::{EpollPoller, Event, Poller, PollWaker, SyscallStats, LISTENER_TOKEN};
-use crate::tcp::TcpError;
+use crate::tcp::{CoordinatorTransport, TcpError};
 use crate::wire;
 
 /// Tuning for a [`Reactor`].
@@ -874,6 +874,21 @@ impl Drop for ReactorCoordinatorTransport {
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
+    }
+}
+
+impl CoordinatorTransport for ReactorCoordinatorTransport {
+    fn bind(addr: SocketAddr, n: usize, hello_timeout: Option<Duration>) -> Result<Self, TcpError> {
+        Self::bind_with_timeout(addr, n, hello_timeout).map(|(tp, _)| tp)
+    }
+    fn recv_timeout_traced(&self, timeout: Duration) -> Option<(SpanId, NodeMessage)> {
+        ReactorCoordinatorTransport::recv_timeout_traced(self, timeout)
+    }
+    fn send(&self, out: &Outbound) -> Result<(), TcpError> {
+        ReactorCoordinatorTransport::send(self, out)
+    }
+    fn syscall_stats(&self) -> SyscallStats {
+        ReactorCoordinatorTransport::syscall_stats(self)
     }
 }
 

@@ -666,6 +666,39 @@ impl Drop for TcpCoordinatorTransport {
     }
 }
 
+/// The coordinator end of a socket transport, as a driver that serves
+/// both backends sees it: [`TcpCoordinatorTransport`] and
+/// [`crate::reactor::ReactorCoordinatorTransport`] forward to their
+/// inherent methods of the same names, and a test substitutes an end that
+/// never delivers.
+pub trait CoordinatorTransport: Sized + Send {
+    /// Bind `addr` and block until `n` nodes said hello, or
+    /// [`TcpError::HelloTimeout`] once `hello_timeout` has passed.
+    fn bind(addr: SocketAddr, n: usize, hello_timeout: Option<Duration>) -> Result<Self, TcpError>;
+    /// The next node frame with the span its header carried; `None` when
+    /// `timeout` passes first.
+    fn recv_timeout_traced(&self, timeout: Duration) -> Option<(SpanId, NodeMessage)>;
+    /// Send one outbound frame to its node.
+    fn send(&self, out: &Outbound) -> Result<(), TcpError>;
+    /// Frame I/O syscalls issued so far.
+    fn syscall_stats(&self) -> SyscallStats;
+}
+
+impl CoordinatorTransport for TcpCoordinatorTransport {
+    fn bind(addr: SocketAddr, n: usize, hello_timeout: Option<Duration>) -> Result<Self, TcpError> {
+        Self::bind_with_timeout(addr, n, hello_timeout).map(|(tp, _)| tp)
+    }
+    fn recv_timeout_traced(&self, timeout: Duration) -> Option<(SpanId, NodeMessage)> {
+        TcpCoordinatorTransport::recv_timeout_traced(self, timeout)
+    }
+    fn send(&self, out: &Outbound) -> Result<(), TcpError> {
+        TcpCoordinatorTransport::send(self, out)
+    }
+    fn syscall_stats(&self) -> SyscallStats {
+        TcpCoordinatorTransport::syscall_stats(self)
+    }
+}
+
 /// Node side of the TCP transport.
 pub struct TcpNodeTransport {
     id: NodeId,

@@ -15,9 +15,10 @@
 //!   counts, and optional per-round traces. What the caller supplies picks
 //!   the link the frames cross — nothing: the byte-accounting fabric; a
 //!   fault plan: the fault-injecting fabric; a network seed: the reactor
-//!   transport — and [`RunStats`], ledger and trace do not depend on it.
-//!   [`RunReport`] adds the fault trace, the quiescence verdict and the
-//!   reactor's [`TransportReport`].
+//!   transport; a coordinator transport type: real loopback sockets — and
+//!   [`RunStats`], ledger and trace do not depend on it. [`RunReport`]
+//!   adds the fault trace, the quiescence verdict, the reactor's or
+//!   sockets' [`TransportReport`] and a socket transport's failure.
 //! * [`hybrid`] — the §6 Periodic fallback, a per-round policy hook on
 //!   that driver ([`Simulation::run_hybrid`]).
 //! * [`baselines`] — Centralization, Periodic(P), and the hand-crafted

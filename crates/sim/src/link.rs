@@ -1,17 +1,26 @@
 //! The link seam: everything the round driver needs from a transport.
 //!
-//! Three things implement [`Link`], and the driver never branches on which
+//! Four things implement [`Link`], and the driver never branches on which
 //! one it holds: the bare [`CountingFabric`] (reliable and synchronous, so
 //! every recovery phase of the driver is a no-op over it), [`ChaosFabric`]
-//! (the same fabric behind a seeded fault plan), and [`ReactorLink`] (the
+//! (the same fabric behind a seeded fault plan), [`ReactorLink`] (the
 //! real transport state machines over a simulated poller, with the plan's
-//! fault ladder gating the coordinator's inbound frame boundary). All three
+//! fault ladder gating the coordinator's inbound frame boundary), and
+//! [`SocketLink`] (real loopback sockets, one frame in flight). All four
 //! charge every *delivered* frame through the one
 //! [`CountingFabric::account_up`]/[`CountingFabric::account_down`] pair, so
 //! traffic totals, the ledger, `comm` events and span propagation cannot
 //! differ by transport.
+//!
+//! [`SocketLink`] runs the same FIFO cascade as
+//! [`CountingFabric::route_as`] but does not share its code: the fabric's
+//! hop is an infallible `encode → decode` that `Fleet::update` pays once
+//! per update, the socket's is two fallible calls with a deadline, and a
+//! cascade parameterised over both would branch on its caller in the
+//! fabric's hot loop.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::net::TcpListener;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -19,8 +28,10 @@ use automon_chaos::{ChaosFabric, DeliveryFailure, FaultEvent, FaultPlan, GateCou
 use automon_core::{CommCause, CommLedger, Coordinator, Node, NodeId, NodeMessage, Outbound};
 use automon_net::reactor::{Reactor, ReactorConfig, ReactorTraffic};
 use automon_net::sim_poller::{SimClient, SimNet, SimPoller};
-use automon_net::tcp::TcpError;
-use automon_net::{wire, CountingFabric, FrameGate, GateVerdict, SyscallStats, TrafficStats};
+use automon_net::tcp::{TcpError, TcpNodeTransport};
+use automon_net::{
+    wire, CoordinatorTransport, CountingFabric, FrameGate, GateVerdict, SyscallStats, TrafficStats,
+};
 use automon_obs::{SpanId, TraceCtx};
 
 /// The protocol endpoints a link delivers to. The driver swaps the
@@ -31,14 +42,18 @@ pub(crate) struct Peers {
     pub nodes: Vec<Node>,
 }
 
-/// Transport-level cost of a reactor-link run (absent on the fabrics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Transport-level cost of a run over the reactor or socket link (absent
+/// on the fabrics).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportReport {
-    /// Simulated-syscall counts from the poller (reads, writevs, waits).
+    /// Syscall counts (reads, writevs, waits): the poller's simulated ones
+    /// on the reactor link, the coordinator end's real ones on sockets.
     pub syscalls: SyscallStats,
-    /// Frame/byte counts from the reactor core.
+    /// Frame/byte counts from the reactor core; zero on sockets, where no
+    /// core this process can read moves the bytes.
     pub traffic: ReactorTraffic,
-    /// Faults the ladder injected at the inbound frame boundary.
+    /// Faults the ladder injected at the inbound frame boundary; sockets
+    /// inject none.
     pub faults: GateCounts,
 }
 
@@ -69,6 +84,11 @@ pub(crate) trait Link {
     /// Dead-connection send failures observed since the last call.
     fn take_delivery_failures(&mut self) -> Vec<DeliveryFailure> {
         Vec::new()
+    }
+    /// The stage at which the transport itself broke, once it has: the
+    /// link delivers nothing afterwards and the driver ends the run.
+    fn failure(&self) -> Option<&str> {
+        None
     }
     /// Delivered-frame counters.
     fn stats(&self) -> &TrafficStats;
@@ -344,6 +364,146 @@ impl Link for ReactorLink {
             syscalls: self.reactor.syscalls(),
             traffic: self.reactor.traffic(),
             faults: *self.faults.lock().unwrap_or_else(|e| e.into_inner()),
+        })
+    }
+}
+
+/// Longest a socket hop may take, connect included: a frame that is not
+/// there by then is a wedged transport, not something to wait out.
+const HOP_DEADLINE: Duration = Duration::from_secs(20);
+const LATE: &str = "no frame before the deadline";
+
+/// Names the stage a socket call failed at: `stage (node i): why`.
+fn at<E: std::fmt::Display>(stage: &'static str, node: NodeId) -> impl Fn(E) -> String {
+    move |why| format!("{stage} (node {node}): {why}")
+}
+
+/// A node frame queued for the coordinator with the span and cause it
+/// inherits from the frame that elicited it.
+type Tagged = (NodeMessage, SpanId, CommCause);
+
+/// Real loopback sockets as a [`Link`]: `T` on the coordinator end, one
+/// [`TcpNodeTransport`] per node, all driven from the caller's thread with
+/// one frame in flight — the sender's `send` and the receiver's `recv` of
+/// every hop run back to back, so the protocol's decision sequence depends
+/// on the workload only, never on socket scheduling.
+pub(crate) struct SocketLink<T> {
+    /// The coordinator end and the node ends by id. The first transport
+    /// failure replaces them with the stage that failed, closing every
+    /// socket; the link is inert from then on.
+    ends: Result<(T, Vec<TcpNodeTransport>), String>,
+    /// Accounting only: nothing is routed through it.
+    fabric: CountingFabric,
+}
+
+impl<T: CoordinatorTransport> SocketLink<T> {
+    /// Bind a free loopback port and connect `n` nodes to it; `fabric`
+    /// does the accounting. A failure to connect latches like any other.
+    pub fn open(fabric: CountingFabric, n: usize) -> Self {
+        // `bind` returns only after every hello, so the port is chosen
+        // first and the nodes dial it (retrying until the listener is up)
+        // while a scoped thread binds.
+        let ends = TcpListener::bind("127.0.0.1:0")
+            .and_then(|probe| probe.local_addr())
+            .map_err(|e| format!("choosing a loopback port: {e}"))
+            .and_then(|addr| {
+                std::thread::scope(|s| {
+                    let binder = s.spawn(move || T::bind(addr, n, Some(HOP_DEADLINE)));
+                    let nodes: Result<Vec<_>, String> = (0..n)
+                        .map(|i| TcpNodeTransport::connect(addr, i).map_err(at("connect", i)))
+                        .collect();
+                    let bound = binder.join().map_err(|_| "coordinator bind panicked")?;
+                    Ok((bound.map_err(|e| format!("coordinator bind: {e}"))?, nodes?))
+                })
+            });
+        Self { ends, fabric }
+    }
+
+    /// Deliver `outs`, then `first` and every cascading reply, to
+    /// quiescence; a transport failure latches and ends the exchange.
+    fn cascade(&mut self, peers: &mut Peers, first: Option<Tagged>, outs: Vec<Outbound>) {
+        let Ok((coord_end, node_ends)) = &mut self.ends else {
+            return;
+        };
+        if let Err(stage) = route(coord_end, node_ends, &mut self.fabric, peers, first, outs) {
+            self.ends = Err(stage);
+        }
+    }
+}
+
+/// The fabric's FIFO cascade with every hop on a socket: a coordinator
+/// batch goes down frame by frame in batch order, each reply queueing
+/// behind the node frames already waiting; then the oldest waiting frame
+/// goes up and its replies are the next batch.
+fn route<T: CoordinatorTransport>(
+    coord_end: &T,
+    node_ends: &mut [TcpNodeTransport],
+    fabric: &mut CountingFabric,
+    Peers { coord, nodes }: &mut Peers,
+    first: Option<Tagged>,
+    mut outs: Vec<Outbound>,
+) -> Result<(), String> {
+    let mut inbox = VecDeque::from_iter(first);
+    loop {
+        for out in outs {
+            let to = out.to;
+            coord_end.send(&out).map_err(at("coordinator send", to))?;
+            let (span, msg) = node_ends[to]
+                .recv_timeout_traced(HOP_DEADLINE)
+                .map_err(at("node receive", to))?
+                .ok_or_else(|| at("node receive", to)(LATE))?;
+            let len = wire::encode_coordinator_message_ctx(&msg, span).len();
+            fabric.account_down(to, out.cause, len, span);
+            if let Some(reply) = nodes[to].handle(msg) {
+                inbox.push_back((reply, span, out.cause));
+            }
+        }
+        let Some((msg, span, cause)) = inbox.pop_front() else {
+            return Ok(());
+        };
+        let from = msg.sender();
+        node_ends[from]
+            .send_traced(&msg, span)
+            .map_err(at("node send", from))?;
+        let (span, msg) = coord_end
+            .recv_timeout_traced(HOP_DEADLINE)
+            .ok_or_else(|| at("coordinator receive", from)(LATE))?;
+        let len = wire::encode_node_message_ctx(&msg, span).len();
+        fabric.account_up(msg.sender(), cause, len, span);
+        let ctx = TraceCtx::new(span, msg.epoch());
+        outs = coord.handle_with_context(msg, ctx);
+    }
+}
+
+impl<T: CoordinatorTransport> Link for SocketLink<T> {
+    fn begin_round(&mut self, round: usize) -> Vec<NodeId> {
+        self.fabric.set_round(round as u64);
+        Vec::new()
+    }
+    fn report(&mut self, peers: &mut Peers, msg: NodeMessage, cause: CommCause, span: SpanId) {
+        self.cascade(peers, Some((msg, span, cause)), Vec::new());
+    }
+    fn push(&mut self, peers: &mut Peers, outs: Vec<Outbound>, cause: CommCause) {
+        let outs = outs
+            .into_iter()
+            .map(|out| Outbound { cause, ..out })
+            .collect();
+        self.cascade(peers, None, outs);
+    }
+    fn failure(&self) -> Option<&str> {
+        self.ends.as_ref().err().map(String::as_str)
+    }
+    fn stats(&self) -> &TrafficStats {
+        self.fabric.stats()
+    }
+    fn ledger(&self) -> &CommLedger {
+        self.fabric.ledger()
+    }
+    fn transport(&self) -> Option<TransportReport> {
+        let (coord_end, _) = self.ends.as_ref().ok()?;
+        Some(TransportReport {
+            syscalls: coord_end.syscall_stats(),
+            ..TransportReport::default()
         })
     }
 }

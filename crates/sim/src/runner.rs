@@ -15,12 +15,12 @@ use std::sync::Arc;
 use automon_chaos::{ChaosFabric, Direction, FaultEvent, FaultPlan, RecoveryConfig};
 use automon_core::{CommCause, Coordinator, MonitorConfig, MonitoredFunction, Node, NodeMessage};
 use automon_linalg::vector;
-use automon_net::CountingFabric;
+use automon_net::{CoordinatorTransport, CountingFabric};
 use automon_obs::{SpanId, Telemetry};
 use automon_store::{DiskManager, DynDisk, MemDisk, SharedStore, StoreOptions};
 
 use crate::hybrid::HybridPolicy;
-use crate::link::{Link, NetOptions, Peers, ReactorLink, TransportReport};
+use crate::link::{Link, NetOptions, Peers, ReactorLink, SocketLink, TransportReport};
 use crate::stats::{RunStats, TracePoint};
 use crate::workload::Workload;
 
@@ -50,8 +50,12 @@ pub struct RunReport {
     pub fault_trace: Vec<FaultEvent>,
     /// `false` when the protocol failed to quiesce within the drain cap.
     pub quiesced: bool,
-    /// Syscall, frame and fault counts of the reactor transport.
+    /// Syscall, frame and fault counts of the reactor or socket transport.
     pub transport: Option<TransportReport>,
+    /// The stage at which a socket transport broke (a refused connect, a
+    /// dead connection, a frame that missed its deadline). The run ended
+    /// there: `stats` cover what was delivered before it.
+    pub transport_failure: Option<String>,
 }
 
 /// A configured AutoMon simulation (paper §4.1's harness).
@@ -59,7 +63,8 @@ pub struct RunReport {
 /// The transport follows from what is supplied: nothing — the in-process
 /// fabric; [`Simulation::with_plan`] — the same fabric under seeded fault
 /// injection; [`Simulation::with_net_seed`] or [`Simulation::with_limits`] —
-/// the reactor transport, gated by the plan's per-frame ladder. The loop is
+/// the reactor transport, gated by the plan's per-frame ladder;
+/// [`Simulation::over_sockets`] — real loopback sockets. The loop is
 /// sequential and everything is seeded: same workload, config, plan and
 /// seeds ⇒ identical [`RunReport`] and byte-identical telemetry trace.
 pub struct Simulation {
@@ -69,12 +74,17 @@ pub struct Simulation {
     telemetry: Telemetry,
     plan: Option<FaultPlan>,
     net: Option<NetOptions>,
+    sockets: Option<OpenSockets>,
     recovery: Option<RecoveryConfig>,
     max_recovery_rounds: usize,
     /// Disk factory and checkpoint cadence. `run` may be called more than
     /// once, so each run opens (and clears) a fresh disk.
     durability: Option<(Box<dyn Fn() -> DynDisk>, usize)>,
 }
+
+/// Opens the socket link over `n` nodes for the coordinator transport
+/// [`Simulation::over_sockets`] was given; the fabric does its accounting.
+type OpenSockets = fn(CountingFabric, usize) -> Box<dyn Link>;
 
 /// Exponential retransmit backoff for one endpoint, in rounds: wait `base`,
 /// then 2×, 4×, … that, up to [`MAX_BACKOFF`].
@@ -158,6 +168,7 @@ impl Simulation {
             telemetry: Telemetry::disabled(),
             plan: None,
             net: None,
+            sockets: None,
             recovery: None,
             max_recovery_rounds: 256,
             durability: None,
@@ -197,6 +208,17 @@ impl Simulation {
     pub fn with_limits(mut self, max_read_chunk: usize, client_buf_cap: usize) -> Self {
         let seed = self.net.map_or(NET_DEFAULTS.0, |net| net.0);
         self.net = Some((seed, max_read_chunk, client_buf_cap));
+        self
+    }
+
+    /// Run over real loopback sockets: `T` on the coordinator end, one
+    /// `TcpNodeTransport` per node, one frame in flight. Sockets inject no
+    /// faults and have no simulated network: a run panics on a plan that
+    /// is not [`FaultPlan::is_none`] or on reactor-transport options
+    /// rather than ignore them. A transport failure ends the run and is
+    /// reported in [`RunReport::transport_failure`].
+    pub fn over_sockets<T: CoordinatorTransport + 'static>(mut self) -> Self {
+        self.sockets = Some(|fabric, n| Box::new(SocketLink::<T>::open(fabric, n)));
         self
     }
 
@@ -254,6 +276,14 @@ impl Simulation {
     /// The transport the supplied options select (see the type docs).
     fn open_link(&self, n: usize) -> Box<dyn Link> {
         let fabric = CountingFabric::new().with_telemetry(self.telemetry.clone());
+        if let Some(open) = self.sockets {
+            assert!(
+                self.net.is_none() && self.plan.as_ref().is_none_or(FaultPlan::is_none),
+                "real sockets inject no faults and have no simulated network: a fault \
+                 plan needs the in-process fabric or the reactor transport"
+            );
+            return open(fabric, n);
+        }
         match (self.net, &self.plan) {
             (Some(net), plan) => {
                 let plan = plan.clone().unwrap_or_else(FaultPlan::none);
@@ -399,6 +429,9 @@ impl Simulation {
         let mut recovery_rounds = 0usize;
         let mut t = 0usize;
         let quiesced = loop {
+            if w.link.failure().is_some() {
+                break false;
+            }
             if t >= total {
                 let quiet = !w.peers.coord.is_resolving()
                     && w.link.frames_in_flight() == 0
@@ -609,6 +642,7 @@ impl Simulation {
             "ledger must conserve traffic totals"
         );
         let transport = w.link.transport();
+        let transport_failure = w.link.failure().map(str::to_string);
         let fault_trace = w.link.fault_trace().to_vec();
         let mut stats = RunStats {
             messages: traffic.total_msgs(),
@@ -636,6 +670,7 @@ impl Simulation {
             fault_trace,
             quiesced,
             transport,
+            transport_failure,
         }
     }
 }

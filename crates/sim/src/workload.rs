@@ -79,6 +79,23 @@ impl Workload {
         Self { n, dim, rounds }
     }
 
+    /// Round-major workload: `rounds[t]` lists round `t`'s `(node, vector)`
+    /// updates in the order they are applied — a recorded stream, where
+    /// any subset of the `n` nodes may report in a round.
+    ///
+    /// # Panics
+    /// Panics when no round has an update, on node ids ≥ `n`, or on
+    /// dimension mismatches.
+    pub fn from_rounds(n: usize, rounds: Vec<Vec<(usize, Vec<f64>)>>) -> Self {
+        let first = rounds.iter().flatten().next();
+        let dim = first.expect("Workload: no updates").1.len();
+        for (node, x) in rounds.iter().flatten() {
+            assert!(*node < n, "Workload: node {node} out of range");
+            assert_eq!(x.len(), dim, "Workload: dimension mismatch");
+        }
+        Self { n, dim, rounds }
+    }
+
     /// Number of nodes.
     pub fn nodes(&self) -> usize {
         self.n
@@ -145,6 +162,21 @@ mod tests {
         let w = Workload::from_events(3, &events);
         assert_eq!(w.rounds(), 2);
         assert_eq!(w.updates(1), &[(2, vec![3.0, 4.0])]);
+    }
+
+    #[test]
+    fn round_major_workload_keeps_order_and_sparse_rounds() {
+        let w = Workload::from_rounds(
+            3,
+            vec![
+                vec![(2, vec![1.0]), (0, vec![2.0])],
+                vec![],
+                vec![(1, vec![3.0])],
+            ],
+        );
+        assert_eq!((w.nodes(), w.dim(), w.rounds()), (3, 1, 3));
+        assert_eq!(w.updates(0), &[(2, vec![1.0]), (0, vec![2.0])]);
+        assert!(w.updates(1).is_empty());
     }
 
     #[test]

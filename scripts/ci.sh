@@ -55,15 +55,20 @@
 #      exits 0), the combined two-tier ledger must conserve the fleet's
 #      message/byte totals, and the root tier must carry fewer messages
 #      than the leaf tier (DESIGN.md §3.14).
-#  12. net runtime smoke — (a) reactor determinism: the sim-poller
-#      backend under frame-level chaos must give a byte-identical
-#      --trace-out and identical stats for the same seeds, and that
-#      trace must be the standard telemetry JSONL (`automon trace diff`
-#      exits 0 on the pair, `trace summarize` renders its by-cause
-#      table); (b) backend parity: the threaded and reactor socket
-#      backends must produce identical protocol stats for the same
-#      workload seed — the transport must not change what the monitor
-#      computes (DESIGN.md §3.15).
+#  12. net runtime smoke — every net-smoke backend is a link of the one
+#      round driver (sim::Simulation); the socket backends carry each hop
+#      of its FIFO cascade over real loopback sockets. (a) reactor
+#      determinism: the sim-poller backend under frame-level chaos must
+#      give a byte-identical --trace-out and identical stats for the
+#      same seeds, and that trace must be the standard telemetry JSONL
+#      (`automon trace diff` exits 0 on the pair, `trace summarize`
+#      renders its by-cause table); (b) backend parity: the threaded and
+#      reactor socket backends and the fault-free sim backend must print
+#      the same whole `stats` object (the driver's RunStats, ledger
+#      included) for the same workload seed, and the socket backends'
+#      --trace-out must pass `trace diff` against the sim backend's —
+#      the transport must not change what the monitor computes
+#      (DESIGN.md §3.15).
 #  13. benchmark package — the repository's benchmark (BENCHMARK.json,
 #      crates/bench/src/bin/benchmark/) is a package outside the
 #      workspace, so steps 1–3 never compile it and a public-API break
@@ -346,7 +351,7 @@ print(f"    two-tier ledger conserves {msgs} msgs / {nbytes} bytes; "
 PYEOF
 echo "    fleet run byte-deterministic under faults; trace diff clean"
 
-echo "==> net runtime smoke (sim determinism + threaded/reactor parity)"
+echo "==> net runtime smoke (sim determinism + threaded/reactor/sim parity)"
 NET_SIM_ARGS=(net-smoke --net-backend sim --nodes 4 --rounds 60
     --dim 2 --seed 5 --epsilon 0.4
     --chaos-seed 9 --drop-rate 0.1 --duplicate-rate 0.05 --delay-rate 0.05)
@@ -379,26 +384,40 @@ echo "    sim backend byte-deterministic under frame-level chaos;" \
 
 NET_PAR_ARGS=(net-smoke --nodes 4 --rounds 40 --dim 2 --seed 3 --epsilon 0.4)
 net_thr=$(cargo run --release -q -p automon-cli -- "${NET_PAR_ARGS[@]}" \
-    --net-backend threaded)
+    --net-backend threaded --trace-out "$TDIR/net-thr.jsonl")
 net_rea=$(cargo run --release -q -p automon-cli -- "${NET_PAR_ARGS[@]}" \
-    --net-backend reactor)
+    --net-backend reactor --trace-out "$TDIR/net-rea.jsonl")
+net_sim=$(cargo run --release -q -p automon-cli -- "${NET_PAR_ARGS[@]}" \
+    --net-backend sim --trace-out "$TDIR/net-sim.jsonl")
 python3 - <<PYEOF
 import json, sys
 
-thr = json.loads("""${net_thr}""")["stats"]
-rea = json.loads("""${net_rea}""")["stats"]
-if thr != rea:
-    print("FAIL: threaded and reactor backends disagree on protocol stats",
-          file=sys.stderr)
-    for k in sorted(set(thr) | set(rea)):
-        if thr.get(k) != rea.get(k):
-            print(f"  {k}: threaded={thr.get(k)!r} reactor={rea.get(k)!r}",
-                  file=sys.stderr)
-    sys.exit(1)
-print(f"    threaded == reactor: {thr['reports']} reports, "
-      f"{thr['full_syncs']} full syncs, {thr['lazy_syncs']} lazy syncs")
+runs = {
+    "threaded": json.loads("""${net_thr}""")["stats"],
+    "reactor": json.loads("""${net_rea}""")["stats"],
+    "sim": json.loads("""${net_sim}""")["stats"],
+}
+ref = runs["sim"]
+for name, stats in runs.items():
+    if stats != ref:
+        print(f"FAIL: {name} and sim backends disagree on protocol stats",
+              file=sys.stderr)
+        for k in sorted(set(stats) | set(ref)):
+            if stats.get(k) != ref.get(k):
+                print(f"  {k}: {name}={stats.get(k)!r} sim={ref.get(k)!r}",
+                      file=sys.stderr)
+        sys.exit(1)
+print(f"    threaded == reactor == sim: {ref['messages']} messages, "
+      f"{ref['safezone_violations']} safe-zone violations, "
+      f"{ref['full_syncs']} full syncs, {ref['lazy_syncs']} lazy syncs, "
+      f"{len(ref['ledger'])} ledger rows")
 PYEOF
-echo "    socket backends protocol-identical for the same seed"
+for backend in thr rea; do
+    cargo run --release -q -p automon-cli -- trace diff \
+        --left "$TDIR/net-sim.jsonl" --right "$TDIR/net-$backend.jsonl" >/dev/null
+done
+echo "    socket backends protocol-identical to the driver's sim link;" \
+    "traces diff clean"
 
 echo "==> benchmark package (tests + smoke)"
 BENCHMARK_MANIFEST=crates/bench/src/bin/benchmark/Cargo.toml
