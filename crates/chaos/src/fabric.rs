@@ -26,7 +26,7 @@ use crate::gate::LadderGate;
 use automon_net::{FrameGate, GateVerdict};
 use serde::{Deserialize, Serialize};
 
-use crate::plan::FaultPlan;
+use crate::plan::{Executor, FaultPlan, PlanPart, TimedFault};
 
 /// Which way a frame was travelling when a fault hit it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -233,21 +233,27 @@ pub struct ChaosFabric {
 }
 
 impl ChaosFabric {
+    /// What this fabric executes of a plan. Coordinator crashes are
+    /// recorded here and carried out by the round driver.
+    pub const EXECUTOR: Executor = Executor {
+        name: "in-process fabric",
+        runs: &[
+            PlanPart::FrameFaults,
+            PlanPart::NodeCrashes,
+            PlanPart::Partitions,
+            PlanPart::CoordinatorCrashes,
+        ],
+    };
+
     /// Wrap `inner`, injecting faults per `plan` over `n` nodes.
     ///
     /// # Panics
-    /// Panics when the plan violates [`FaultPlan::validate`] or schedules
-    /// a crash/partition for a node id `>= n`.
+    /// Panics with [`Executor::admit`]'s message when the plan uses a part
+    /// this fabric does not run or is invalid for `n` nodes.
     pub fn new(inner: CountingFabric, plan: FaultPlan, n: usize) -> Self {
-        plan.validate();
-        for c in &plan.crashes {
-            assert!(c.node < n, "crash scheduled for unknown node {}", c.node);
-        }
-        for p in &plan.partitions {
-            for &node in &p.nodes {
-                assert!(node < n, "partition names unknown node {node}");
-            }
-        }
+        Self::EXECUTOR
+            .admit(&plan, n, 0)
+            .unwrap_or_else(|refusal| panic!("{refusal}"));
         let ladder = LadderGate::new(&plan);
         Self {
             inner,
@@ -281,24 +287,9 @@ impl ChaosFabric {
         self.inner.ledger()
     }
 
-    /// Messages involving each node, delegated from the inner fabric.
-    pub fn per_node_messages(&self) -> &[usize] {
-        self.inner.per_node_messages()
-    }
-
-    /// The plan this fabric is executing.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Every fault injected so far, in injection order.
     pub fn trace(&self) -> &[FaultEvent] {
         &self.trace
-    }
-
-    /// Number of injected faults (the trace length).
-    pub fn injected_faults(&self) -> usize {
-        self.trace.len()
     }
 
     /// `true` while `node`'s process is down.
@@ -318,31 +309,34 @@ impl ChaosFabric {
         self.delayed.values().map(Vec::len).sum()
     }
 
-    /// Advance to `round`: fire scheduled crashes, then restarts.
-    /// Returns the ids restarted *this* round — the caller must replace
-    /// each with a fresh, state-less [`Node`] before delivering anything
-    /// (in particular before [`ChaosFabric::release_delayed`]).
+    /// Advance to `round`: fire its timed faults in [`FaultPlan::timed_at`]
+    /// order. Returns the ids restarted *this* round — the caller must
+    /// replace each with a fresh, state-less [`Node`] before delivering
+    /// anything (in particular before [`ChaosFabric::release_delayed`]).
     pub fn begin_round(&mut self, round: usize) -> Vec<NodeId> {
         self.round = round;
         self.inner.set_round(round as u64);
-        if self.plan.coordinator_crashes.contains(&round) {
-            // The coordinator has no NodeId; by convention its fault
-            // events carry node 0 with the NodeToCoord direction.
-            self.record(Direction::NodeToCoord, 0, FaultKind::CoordinatorCrash);
-        }
-        let crashes = self.plan.crashes.clone();
-        for c in &crashes {
-            if c.at == round && !self.crashed[c.node] {
-                self.crashed[c.node] = true;
-                self.record(Direction::NodeToCoord, c.node, FaultKind::Crash);
-            }
-        }
+        let due: Vec<TimedFault> = self.plan.timed_at(round).collect();
         let mut restarted = Vec::new();
-        for c in &crashes {
-            if c.restart == Some(round) && self.crashed[c.node] {
-                self.crashed[c.node] = false;
-                self.record(Direction::NodeToCoord, c.node, FaultKind::Restart);
-                restarted.push(c.node);
+        for fault in due {
+            match fault {
+                // The coordinator has no NodeId; by convention its fault
+                // events carry node 0 with the NodeToCoord direction.
+                TimedFault::CoordinatorCrash => {
+                    self.record(Direction::NodeToCoord, 0, FaultKind::CoordinatorCrash);
+                }
+                TimedFault::NodeCrash(node) if !self.crashed[node] => {
+                    self.crashed[node] = true;
+                    self.record(Direction::NodeToCoord, node, FaultKind::Crash);
+                }
+                TimedFault::NodeRestart(node) if self.crashed[node] => {
+                    self.crashed[node] = false;
+                    self.record(Direction::NodeToCoord, node, FaultKind::Restart);
+                    restarted.push(node);
+                }
+                // Already down, or already up.
+                TimedFault::NodeCrash(_) | TimedFault::NodeRestart(_) => {}
+                TimedFault::LeafCrash(_) => unreachable!("refused by `new`"),
             }
         }
         restarted
@@ -377,16 +371,10 @@ impl ChaosFabric {
     }
 
     /// Deliver a node report to the coordinator and cascade every reply
-    /// to quiescence, gating each frame. The chaos analogue of
-    /// [`CountingFabric::route`].
-    pub fn route(&mut self, coord: &mut Coordinator, nodes: &mut [Node], first: NodeMessage) {
-        let cause = CommCause::of_node_message(&first);
-        self.route_as(coord, nodes, first, cause, SpanId::NONE);
-    }
-
-    /// [`ChaosFabric::route`] with an explicit ledger cause and trace
-    /// span for the first frame — e.g. `CommCause::Rejoin` for a
-    /// restarted node's re-registration, or the sim's violation span.
+    /// to quiescence, gating each frame: the chaos analogue of
+    /// [`CountingFabric::route_as`]. The first frame is charged to `cause`
+    /// (e.g. `CommCause::Rejoin` for a restarted node's re-registration)
+    /// and carries `span` (the sim's violation span).
     pub fn route_as(
         &mut self,
         coord: &mut Coordinator,
@@ -408,24 +396,8 @@ impl ChaosFabric {
     }
 
     /// Inject coordinator-initiated frames (retransmitted pulls, evictions'
-    /// fresh syncs) and cascade to quiescence.
-    pub fn route_outbounds(
-        &mut self,
-        coord: &mut Coordinator,
-        nodes: &mut [Node],
-        outs: Vec<Outbound>,
-    ) {
-        self.drain(
-            coord,
-            nodes,
-            outs.into_iter()
-                .map(|out| Pending::ToNode { out, immune: false })
-                .collect(),
-        );
-    }
-
-    /// [`ChaosFabric::route_outbounds`] with every frame's ledger cause
-    /// overridden — recovery traffic (`Retransmit`, `Eviction`) is
+    /// fresh syncs) and cascade to quiescence, with every frame's ledger
+    /// cause overridden — recovery traffic (`Retransmit`, `Eviction`) is
     /// charged separably from the steady-state cause the coordinator
     /// stamped on the outbound.
     pub fn route_outbounds_as(
@@ -579,6 +551,12 @@ mod tests {
         Arc::new(AutoDiffFn::new(Mean))
     }
 
+    /// Route a report under its intrinsic cause, outside any span.
+    fn route(fabric: &mut ChaosFabric, coord: &mut Coordinator, nodes: &mut [Node], m: NodeMessage) {
+        let cause = CommCause::of_node_message(&m);
+        fabric.route_as(coord, nodes, m, cause, SpanId::NONE);
+    }
+
     fn setup(n: usize) -> (Coordinator, Vec<Node>) {
         let f = f();
         let coord = Coordinator::new(f.clone(), n, MonitorConfig::builder(0.5).build());
@@ -603,7 +581,7 @@ mod tests {
                 }
                 let drift = (round as f64) * 0.37 + i as f64;
                 if let Some(m) = nodes[i].update_data(vec![drift.sin(), drift.cos()]) {
-                    fabric.route(&mut coord, &mut nodes, m);
+                    route(&mut fabric, &mut coord, &mut nodes, m);
                 }
             }
         }
@@ -647,10 +625,11 @@ mod tests {
             for i in 0..n {
                 let x = vec![(round * 7 + i) as f64 * 0.11, (round + i) as f64 * -0.3];
                 if let Some(m) = nodes_a[i].update_data(x.clone()) {
-                    bare.route(&mut coord_a, &mut nodes_a, m);
+                    let cause = CommCause::of_node_message(&m);
+                    bare.route_as(&mut coord_a, &mut nodes_a, m, cause, SpanId::NONE);
                 }
                 if let Some(m) = nodes_b[i].update_data(x) {
-                    chaos.route(&mut coord_b, &mut nodes_b, m);
+                    route(&mut chaos, &mut coord_b, &mut nodes_b, m);
                 }
             }
         }
@@ -660,7 +639,7 @@ mod tests {
             bare.stats(),
             "FaultPlan::none must be byte-identical to the unwrapped fabric"
         );
-        assert_eq!(chaos.per_node_messages(), bare.per_node_messages());
+        assert_eq!(chaos.ledger().entries(), bare.ledger().entries());
     }
 
     #[test]
@@ -673,14 +652,14 @@ mod tests {
         assert!(fabric.begin_round(0).is_empty());
         for i in 0..n {
             if let Some(m) = nodes[i].update_data(vec![0.1 * i as f64, 0.2]) {
-                fabric.route(&mut coord, &mut nodes, m);
+                route(&mut fabric, &mut coord, &mut nodes, m);
             }
         }
 
         assert!(fabric.begin_round(1).is_empty());
         assert!(fabric.is_crashed(1));
         // A pull addressed to the dead node must fail observably.
-        fabric.route_outbounds(
+        fabric.route_outbounds_as(
             &mut coord,
             &mut nodes,
             vec![Outbound::new(
@@ -688,6 +667,7 @@ mod tests {
                 automon_core::CoordinatorMessage::RequestLocalVector { epoch: 0 },
                 CommCause::FullSync,
             )],
+            CommCause::Retransmit,
         );
         let failures = fabric.take_delivery_failures();
         assert_eq!(
@@ -718,7 +698,7 @@ mod tests {
         let mut fabric = ChaosFabric::new(CountingFabric::new(), plan, n);
         fabric.begin_round(0);
         let m = nodes[0].update_data(vec![1.0, 2.0]).expect("first report");
-        fabric.route(&mut coord, &mut nodes, m);
+        route(&mut fabric, &mut coord, &mut nodes, m);
         assert_eq!(fabric.stats().node_to_coord_msgs, 0, "frame swallowed");
         assert!(fabric.take_delivery_failures().is_empty());
         assert_eq!(fabric.trace().len(), 1);
@@ -728,7 +708,7 @@ mod tests {
         // still-outstanding report goes through.
         fabric.begin_round(5);
         let m = nodes[0].retransmit_report().expect("outstanding report");
-        fabric.route(&mut coord, &mut nodes, m);
+        route(&mut fabric, &mut coord, &mut nodes, m);
         assert_eq!(fabric.stats().node_to_coord_msgs, 1);
     }
 
@@ -741,7 +721,7 @@ mod tests {
         let mut fabric = ChaosFabric::new(CountingFabric::new(), plan, n);
         fabric.begin_round(0);
         let m = nodes[0].update_data(vec![0.5, 0.5]).expect("report");
-        fabric.route(&mut coord, &mut nodes, m);
+        route(&mut fabric, &mut coord, &mut nodes, m);
         assert_eq!(fabric.stats().node_to_coord_msgs, 0);
         assert_eq!(fabric.delayed_frames(), 1);
 
@@ -763,7 +743,7 @@ mod tests {
         let mut fabric = ChaosFabric::new(CountingFabric::new(), plan, n);
         fabric.begin_round(0);
         let m = nodes[0].update_data(vec![0.5, 0.5]).expect("report");
-        fabric.route(&mut coord, &mut nodes, m);
+        route(&mut fabric, &mut coord, &mut nodes, m);
         // The report is duplicated (2 deliveries); the coordinator's
         // replies are gated too but the immune copies are not re-split,
         // so the cascade terminates.
@@ -781,7 +761,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown node")]
+    #[should_panic(expected = "node 9 out of range (nodes = 2)")]
     fn plan_naming_unknown_node_rejected() {
         let plan = FaultPlan::seeded(0).with_crash(9, 1, None);
         let _ = ChaosFabric::new(CountingFabric::new(), plan, 2);

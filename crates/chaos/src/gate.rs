@@ -59,9 +59,10 @@ pub struct LadderGate {
 
 impl LadderGate {
     /// The ladder of `plan`, seeded from `plan.seed` exactly as
-    /// [`ChaosFabric`](crate::ChaosFabric) seeds its own.
+    /// [`ChaosFabric`](crate::ChaosFabric) seeds its own. The plan's rates
+    /// are taken as given: the executor installing the gate has
+    /// [admitted](crate::Executor::admit) the plan.
     pub fn new(plan: &FaultPlan) -> Self {
-        plan.validate();
         Self {
             drop_rate: plan.drop_rate,
             duplicate_rate: plan.duplicate_rate,

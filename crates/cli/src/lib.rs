@@ -94,12 +94,15 @@ SPECTRAL BACKEND:
     `automon spectral-smoke` cross-checks the three kernels on one
     deterministic matrix and exits non-zero on disagreement.
 
-CHAOS (simulate only; any chaos flag switches to the fault-injecting
-runner with retransmission, eviction, and rejoin enabled):
+CHAOS (the fault flags of every subcommand build one schedule, DESIGN.md
+§3.8; on `simulate` any of them switches to the fault-injecting fabric
+with retransmission, eviction, and rejoin enabled):
     --chaos-seed S      RNG seed; same seed replays the same faults
     --drop-rate P       drop each frame with probability P in [0, 1]
     --crash-node SPEC   `node:at[:restart]`, repeatable
     --partition SPEC    `n1[,n2,…]:from:until` (until exclusive), repeatable
+    A runner refuses, by name, the parts of a schedule it cannot execute
+    (real sockets run none), and invalid rates, rounds or ids are errors.
 
 DURABILITY (simulate only; docs/DURABILITY.md):
     --crash-coordinator R   crash the coordinator at round R and rebuild
@@ -132,15 +135,15 @@ FLEET (simulate only; two-tier sharded hierarchy, DESIGN.md §3.14):
     --shards S              leaf coordinators (default 8); requires --fleet
     --leaf-epsilon-frac F   fraction of ε given to the leaf tier, in
                             (0, 1) (default 0.5); the root gets the rest
-    --crash-node SPEC       `node:at[:restart]`, repeatable — here a
-                            deterministic membership schedule, not a
-                            seeded chaos fault
+    --crash-node SPEC       `node:at[:restart]`, repeatable — here the
+                            node is a global stream id
     --crash-leaf SPEC       `leaf:at`, repeatable — permanently crash a
                             leaf coordinator; the next alive leaf adopts
                             its surviving streams (shard rebalance)
-    Frame-level chaos (--chaos-seed/--drop-rate/--partition), coordinator
-    durability (--crash-coordinator/--wal-dir/--snapshot-every), and
-    --baseline are flat-runner features and are rejected with --fleet.
+    The fleet runs the node- and leaf-crash parts of the schedule and
+    refuses the others (--drop-rate, --partition, --crash-coordinator);
+    --wal-dir, --snapshot-every and --baseline are flat-runner features
+    and are rejected with --fleet.
 
 OBSERVABILITY (simulate only):
     --json              print the run statistics as one JSON object
@@ -168,7 +171,8 @@ driver:
     --seed) and `transport` (syscalls, timing — backend-specific).
     --trace-out works on every backend and writes the standard
     telemetry trace (`trace summarize|diff` read it; fault-free, the
-    three files are equal). Chaos flags require the sim backend, and
+    three files are equal). Only the sim backend runs frame faults (the
+    socket backends refuse a schedule that has any), and
     --max-delay-rounds requires --delay-rate. A socket failure or a
     frame missing after 20 s exits non-zero naming the stage.
 
@@ -273,6 +277,51 @@ mod tests {
             argv.extend(sv(retired));
             let err = dispatch(&argv).unwrap_err();
             assert!(err.to_string().contains("no longer selectable"), "{err}");
+        }
+    }
+
+    /// One validator behind one parser: an invalid schedule ends in the
+    /// same `CliError` on every subcommand that takes the flag — never in
+    /// a panic, which `net-smoke --net-backend sim` used to do on rows 1–3.
+    #[test]
+    fn invalid_fault_schedules_are_cli_errors_on_every_subcommand() {
+        let simulate = &["simulate", "--function", "inner-product", "--nodes", "12", "--rounds", "20"];
+        let fleet = &[
+            "simulate", "--function", "inner-product", "--nodes", "12", "--rounds", "20",
+            "--fleet", "--shards", "4",
+        ];
+        let net_sim = &["net-smoke", "--net-backend", "sim", "--rounds", "20"];
+        /// The flags, the subcommands that take them, the error.
+        type Row<'a> = (&'a [&'a str], &'a [&'a [&'a str]], &'a str);
+        let rows: [Row; 5] = [
+            (
+                &["--drop-rate", "2"],
+                &[simulate, net_sim],
+                "drop rate must be in [0, 1], got 2",
+            ),
+            (
+                &["--drop-rate", "0.7", "--duplicate-rate", "0.7"],
+                &[net_sim],
+                "fault rates must sum to at most 1, got 1.4",
+            ),
+            (
+                &["--delay-rate", "0.2", "--max-delay-rounds", "0"],
+                &[net_sim],
+                "a delay rate needs a delay bound of at least 1 round",
+            ),
+            (&["--crash-leaf", "9:3"], &[fleet], "leaf 9 out of range (shards = 4)"),
+            (
+                &["--crash-node", "1:5:3"],
+                &[simulate, fleet],
+                "node 1 must restart after its crash at round 5, not at round 3",
+            ),
+        ];
+        for (flags, subcommands, message) in rows {
+            for base in subcommands {
+                let argv: Vec<&str> = base.iter().chain(flags).copied().collect();
+                let err = dispatch(&sv(&argv)).expect_err("invalid schedule");
+                assert_eq!(err.to_string(), message, "{argv:?}");
+            }
         }
     }
 

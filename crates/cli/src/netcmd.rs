@@ -21,7 +21,6 @@
 
 use std::time::Instant;
 
-use automon_chaos::FaultPlan;
 use automon_core::MonitorConfig;
 use automon_net::reactor::ReactorCoordinatorTransport;
 use automon_net::tcp::TcpCoordinatorTransport;
@@ -31,7 +30,7 @@ use automon_sim::{Simulation, Workload};
 use serde::{Serialize, Value};
 
 use crate::args::{Args, CliError};
-use crate::run::build_function;
+use crate::run::{build_function, fault_plan};
 
 /// Deterministic drifting workload shared by every backend: per-node
 /// phase offsets and a slow upward drift — enough motion to exercise
@@ -70,28 +69,6 @@ pub(crate) const NET_SMOKE_FLAGS: &[&str] = &[
     "drop-rate", "duplicate-rate", "reorder-rate", "delay-rate", "max-delay-rounds", "trace-out",
 ];
 
-/// The flags that ask for frame-level faults, which only the simulated
-/// frame boundary can inject.
-const CHAOS_FLAGS: [&str; 6] = [
-    "chaos-seed", "drop-rate", "duplicate-rate", "reorder-rate", "delay-rate", "max-delay-rounds",
-];
-
-/// The `sim` backend's fault plan; without chaos flags it injects nothing.
-fn chaos_plan(args: &Args, seed: u64) -> Result<FaultPlan, CliError> {
-    if args.get("max-delay-rounds").is_some() && args.get("delay-rate").is_none() {
-        return Err(CliError::new("--max-delay-rounds requires --delay-rate"));
-    }
-    let mut plan = FaultPlan::seeded(args.num("chaos-seed", seed)?)
-        .with_drop_rate(args.num("drop-rate", 0.0f64)?)
-        .with_duplicate_rate(args.num("duplicate-rate", 0.0f64)?)
-        .with_reorder_rate(args.num("reorder-rate", 0.0f64)?);
-    let delay: f64 = args.num("delay-rate", 0.0f64)?;
-    if delay > 0.0 {
-        plan = plan.with_delay(delay, args.num("max-delay-rounds", 3usize)?);
-    }
-    Ok(plan)
-}
-
 /// Run `net-smoke` per the parsed arguments.
 pub fn run_net_smoke(args: &Args) -> Result<String, CliError> {
     let backend = args.get("net-backend").unwrap_or("reactor");
@@ -114,16 +91,12 @@ pub fn run_net_smoke(args: &Args) -> Result<String, CliError> {
         Some(_) => Telemetry::enabled(),
         None => Telemetry::disabled(),
     };
-    let sockets = matches!(backend, "threaded" | "reactor");
-    if sockets && CHAOS_FLAGS.iter().any(|k| args.get(k).is_some()) {
-        return Err(CliError::new(
-            "chaos flags need --net-backend sim (faults inject at the \
-             simulated frame boundary, not on real sockets)",
-        ));
+    let mut sim = Simulation::new(f, cfg).with_telemetry(tel.clone());
+    if let Some(plan) = fault_plan(args, seed)? {
+        sim = sim.with_plan(plan);
     }
-    let sim = Simulation::new(f, cfg).with_telemetry(tel.clone());
     let sim = match backend {
-        "sim" => sim.with_plan(chaos_plan(args, seed)?).with_net_seed(seed),
+        "sim" => sim.with_net_seed(seed),
         "threaded" => sim.over_sockets::<TcpCoordinatorTransport>(),
         "reactor" => sim.over_sockets::<ReactorCoordinatorTransport>(),
         other => {
@@ -132,6 +105,9 @@ pub fn run_net_smoke(args: &Args) -> Result<String, CliError> {
             )))
         }
     };
+    // Faults inject at the simulated frame boundary, not on real sockets:
+    // the socket link refuses any.
+    sim.check_plan(n).map_err(CliError::new)?;
     let started = Instant::now();
     let report = sim.run_report(&dense_workload(seed, n, rounds, dim));
     let elapsed = started.elapsed();
@@ -230,11 +206,17 @@ mod tests {
     }
 
     #[test]
-    fn chaos_flags_need_the_sim_backend_and_a_delay_bound_needs_a_rate() {
+    fn sockets_refuse_frame_faults_and_a_delay_bound_needs_a_rate() {
         for backend in ["threaded", "reactor"] {
-            for flags in [&["--drop-rate", "0.1"], &["--max-delay-rounds", "2"]] {
+            for flags in [
+                &["--drop-rate", "0.1"][..],
+                &["--delay-rate", "0.1", "--max-delay-rounds", "2"][..],
+            ] {
                 let err = smoke(backend, flags).unwrap_err().to_string();
-                assert!(err.contains("--net-backend sim"), "{backend} {flags:?}: {err}");
+                assert_eq!(
+                    err, "the socket link does not run frame faults (it runs no faults)",
+                    "{backend} {flags:?}"
+                );
             }
         }
         let err = smoke("sim", &["--max-delay-rounds", "2"]).unwrap_err();

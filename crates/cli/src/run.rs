@@ -8,7 +8,7 @@ use automon_data::synthetic::{InnerProductDataset, QuadraticDataset, RozenbrockD
 use automon_data::windowed_mean_series;
 use automon_functions::{train_mlp_d, InnerProduct, KlDivergence, QuadraticForm, Rozenbrock, Variance};
 use automon_chaos::FaultPlan;
-use automon_fleet::{FleetConfig, FleetFaultPlan, LeafCrash, NodeCrash};
+use automon_fleet::FleetConfig;
 use automon_obs::{MetricsServer, Telemetry};
 use automon_sim::{run_centralization, run_periodic, FleetSimulation, Simulation, Workload};
 use automon_store::{DynDisk, FileDisk, MemDisk};
@@ -124,132 +124,93 @@ fn build_workload(
     Ok(Workload::from_dense(&windowed_mean_series(&raw, window)))
 }
 
-/// Parse the node id `raw` of a fault `spec` for a run with `nodes` nodes.
-fn parse_node_id(raw: &str, spec: &str, nodes: usize) -> Result<usize, CliError> {
-    let id: usize = raw
-        .parse()
-        .map_err(|_| CliError::new(format!("bad node id `{raw}` in `{spec}`")))?;
-    if id >= nodes {
-        return Err(CliError::new(format!(
-            "node {id} in `{spec}` out of range (nodes = {nodes})"
-        )));
-    }
-    Ok(id)
-}
-
-/// Parse one `--crash-node` spec `node:at[:restart]` (rounds; the restart
-/// must come after the crash) for a run with `nodes` nodes.
-fn parse_crash_spec(spec: &str, nodes: usize) -> Result<(usize, usize, Option<usize>), CliError> {
-    let parts: Vec<&str> = spec.split(':').collect();
-    if !(2..=3).contains(&parts.len()) {
-        return Err(CliError::new(format!(
-            "--crash-node wants `node:at[:restart]`, got `{spec}`"
-        )));
-    }
-    let field = |raw: &str, what: &str| -> Result<usize, CliError> {
-        raw.parse()
-            .map_err(|_| CliError::new(format!("bad {what} `{raw}` in `{spec}`")))
-    };
-    let node = parse_node_id(parts[0], spec, nodes)?;
-    let at = field(parts[1], "crash round")?;
-    let restart = parts
-        .get(2)
-        .map(|raw| field(raw, "restart round"))
-        .transpose()?;
-    if restart.is_some_and(|r| r <= at) {
-        return Err(CliError::new(format!(
-            "restart must come after the crash in `{spec}`"
-        )));
-    }
-    Ok((node, at, restart))
-}
-
-/// Parse the chaos flags into a [`FaultPlan`], or `None` when no chaos
-/// flag was given. Crash specs are `node:at[:restart]`, partition specs
-/// `n1[,n2,…]:from:until` (rounds; `until` exclusive).
-fn parse_chaos_plan(args: &Args, nodes: usize) -> Result<Option<FaultPlan>, CliError> {
-    let requested = args.get("chaos-seed").is_some()
-        || args.get("drop-rate").is_some()
-        || !args.get_all("crash-node").is_empty()
-        || !args.get_all("crash-coordinator").is_empty()
-        || !args.get_all("partition").is_empty();
-    if !requested {
+/// Read every fault flag of every subcommand into the run's
+/// [`FaultPlan`], or `None` when none was given; `default_seed` stands in
+/// for `--chaos-seed`. Crash specs are `node:at[:restart]` and `leaf:at`,
+/// partition specs `n1[,n2,…]:from:until` (rounds; `until` exclusive).
+/// Only the grammar is checked here: ranges, and whether the run's
+/// transport can execute the plan at all, are the plan's own checks
+/// (`Simulation::check_plan` / `FleetSimulation::check_plan`).
+pub(crate) fn fault_plan(args: &Args, default_seed: u64) -> Result<Option<FaultPlan>, CliError> {
+    const FAULT_FLAGS: [&str; 10] = [
+        "chaos-seed", "drop-rate", "duplicate-rate", "reorder-rate", "delay-rate",
+        "max-delay-rounds", "crash-node", "crash-leaf", "crash-coordinator", "partition",
+    ];
+    if FAULT_FLAGS.iter().all(|key| args.get(key).is_none()) {
         return Ok(None);
     }
-    let drop_rate = args.num("drop-rate", 0.0f64)?;
-    if !(0.0..=1.0).contains(&drop_rate) {
-        return Err(CliError::new("--drop-rate must be in [0, 1]"));
+    if args.get("max-delay-rounds").is_some() && args.get("delay-rate").is_none() {
+        return Err(CliError::new("--max-delay-rounds requires --delay-rate"));
     }
-    let mut plan = FaultPlan::seeded(args.num("chaos-seed", 1u64)?).with_drop_rate(drop_rate);
+    let mut plan = FaultPlan::seeded(args.num("chaos-seed", default_seed)?)
+        .with_drop_rate(args.num("drop-rate", 0.0f64)?)
+        .with_duplicate_rate(args.num("duplicate-rate", 0.0f64)?)
+        .with_reorder_rate(args.num("reorder-rate", 0.0f64)?);
+    let delay = args.num("delay-rate", 0.0f64)?;
+    if delay != 0.0 {
+        plan = plan.with_delay(delay, args.num("max-delay-rounds", 3usize)?);
+    }
+    let wants = |flag: &str, shape: &str, spec: &str| {
+        CliError::new(format!("--{flag} wants {shape}, got `{spec}`"))
+    };
+    let numbers = |part: &str, sep: char| -> Option<Vec<usize>> {
+        part.split(sep).map(|raw| raw.parse().ok()).collect()
+    };
     for spec in args.get_all("crash-node") {
-        let (node, at, restart) = parse_crash_spec(spec, nodes)?;
-        plan = plan.with_crash(node, at, restart);
+        plan = match numbers(spec, ':').as_deref() {
+            Some(&[node, at]) => plan.with_crash(node, at, None),
+            Some(&[node, at, restart]) => plan.with_crash(node, at, Some(restart)),
+            _ => return Err(wants("crash-node", "`node:at[:restart]`", spec)),
+        };
+    }
+    for spec in args.get_all("crash-leaf") {
+        plan = match numbers(spec, ':').as_deref() {
+            Some(&[leaf, at]) => plan.with_leaf_crash(leaf, at),
+            _ => return Err(wants("crash-leaf", "`leaf:at`", spec)),
+        };
     }
     for spec in args.get_all("crash-coordinator") {
-        let round: usize = spec.parse().map_err(|_| {
-            CliError::new(format!("--crash-coordinator wants a round number, got `{spec}`"))
-        })?;
+        let round = spec
+            .parse()
+            .map_err(|_| wants("crash-coordinator", "a round number", spec))?;
         plan = plan.with_coordinator_crash(round);
     }
     for spec in args.get_all("partition") {
-        let parts: Vec<&str> = spec.split(':').collect();
-        let [ids, from, until] = parts.as_slice() else {
-            return Err(CliError::new(format!(
-                "--partition wants `n1[,n2,…]:from:until`, got `{spec}`"
-            )));
+        let fields = spec
+            .split_once(':')
+            .and_then(|(ids, window)| Some((numbers(ids, ',')?, numbers(window, ':')?)));
+        plan = match fields {
+            Some((nodes, window)) if window.len() == 2 => {
+                plan.with_partition(nodes, window[0], window[1])
+            }
+            _ => return Err(wants("partition", "`n1[,n2,…]:from:until`", spec)),
         };
-        let members = ids
-            .split(',')
-            .map(|raw| parse_node_id(raw, spec, nodes))
-            .collect::<Result<Vec<_>, _>>()?;
-        let from: usize = from
-            .parse()
-            .map_err(|_| CliError::new(format!("bad `from` round in `{spec}`")))?;
-        let until: usize = until
-            .parse()
-            .map_err(|_| CliError::new(format!("bad `until` round in `{spec}`")))?;
-        if until <= from {
-            return Err(CliError::new(format!(
-                "partition `{spec}` must have until > from"
-            )));
-        }
-        plan = plan.with_partition(members, from, until);
     }
     Ok(Some(plan))
 }
 
-/// Parse the fleet flags into a [`FleetConfig`] plus its deterministic
-/// membership-fault schedule, or `None` when `--fleet` was not given.
+/// Parse the fleet flags into a [`FleetConfig`], or `None` when `--fleet`
+/// was not given.
 ///
 /// Flag hygiene is strict both ways: fleet-only flags without `--fleet`
-/// are rejected, and flat-runner flags that have no meaning in a fleet
-/// run (frame-level chaos, coordinator durability, baselines) are
-/// rejected with `--fleet` instead of being silently ignored.
-fn parse_fleet(
-    args: &Args,
-    streams: usize,
-) -> Result<Option<(FleetConfig, FleetFaultPlan)>, CliError> {
+/// are rejected, and the flat runner's non-fault features that have no
+/// meaning in a fleet run are rejected with `--fleet` instead of being
+/// silently ignored. (Fault flags are not listed on either side: the
+/// plan they build is refused by the executor that cannot run it.)
+fn parse_fleet(args: &Args, streams: usize) -> Result<Option<FleetConfig>, CliError> {
     if !args.flag("fleet") {
-        for key in ["shards", "leaf-epsilon-frac", "crash-leaf"] {
+        for key in ["shards", "leaf-epsilon-frac"] {
             if args.get(key).is_some() {
                 return Err(CliError::new(format!("--{key} requires --fleet")));
             }
         }
         return Ok(None);
     }
-    for key in [
-        "chaos-seed",
-        "drop-rate",
-        "partition",
-        "crash-coordinator",
-        "wal-dir",
-        "snapshot-every",
-        "baseline",
-    ] {
+    for key in ["wal-dir", "snapshot-every", "baseline"] {
         if args.get(key).is_some() {
             return Err(CliError::new(format!(
-                "--{key} cannot be combined with --fleet (fleet faults are the \
-                 deterministic --crash-node/--crash-leaf schedules)"
+                "--{key} cannot be combined with --fleet (the fleet runner has no \
+                 coordinator store and no baselines)"
             )));
         }
     }
@@ -268,36 +229,7 @@ fn parse_fleet(
     }
     let mut fleet_cfg = FleetConfig::new(shards);
     fleet_cfg.leaf_epsilon_frac = frac;
-
-    let mut plan = FleetFaultPlan::default();
-    for spec in args.get_all("crash-node") {
-        let (stream, at, restart) = parse_crash_spec(spec, streams)?;
-        plan.node_crashes.push(NodeCrash {
-            stream,
-            at: at as u64,
-            restart: restart.map(|r| r as u64),
-        });
-    }
-    for spec in args.get_all("crash-leaf") {
-        let [leaf, at] = spec.split(':').collect::<Vec<_>>()[..] else {
-            return Err(CliError::new(format!(
-                "--crash-leaf wants `leaf:at`, got `{spec}`"
-            )));
-        };
-        let leaf: usize = leaf
-            .parse()
-            .map_err(|_| CliError::new(format!("bad leaf id in `{spec}`")))?;
-        if leaf >= shards {
-            return Err(CliError::new(format!(
-                "leaf {leaf} in `{spec}` out of range (shards = {shards})"
-            )));
-        }
-        let at: u64 = at
-            .parse()
-            .map_err(|_| CliError::new(format!("bad crash round in `{spec}`")))?;
-        plan.leaf_crashes.push(LeafCrash { leaf, at });
-    }
-    Ok(Some((fleet_cfg, plan)))
+    Ok(Some(fleet_cfg))
 }
 
 /// The observability sinks a run was asked for: an enabled [`Telemetry`]
@@ -458,11 +390,16 @@ pub fn run_simulate(args: &Args) -> Result<String, CliError> {
     let sinks = ObsSinks::from_args(args)?;
     let json = args.flag("json");
 
-    let mut out = if let Some((fleet_cfg, plan)) = parse_fleet(args, nodes)? {
+    // The fault flags mean the same on every path; what each runner can
+    // execute of the plan is its own `check_plan`.
+    let plan = fault_plan(args, 1)?;
+    let mut out = if let Some(fleet_cfg) = parse_fleet(args, nodes)? {
         let shards = fleet_cfg.shards;
+        let plan = plan.unwrap_or_else(FaultPlan::none);
         let sim = FleetSimulation::new(f, cfg, fleet_cfg)
-            .with_fault_plan(plan.clone())
+            .with_plan(plan.clone())
             .with_telemetry(sinks.telemetry.clone());
+        sim.check_plan(nodes).map_err(CliError::new)?;
         let report = sim.run(&workload);
         if json {
             serde_json::to_string(&report)
@@ -496,7 +433,7 @@ pub fn run_simulate(args: &Args) -> Result<String, CliError> {
                 report.leaf_messages,
                 per_update(report.leaf_messages)
             ));
-            if !plan.is_empty() {
+            if !plan.is_none() {
                 out.push_str(&format!(
                     "faults         : {} node crash(es), {} restart(s), {} leaf crash(es), \
                      {} rebalance(s), evictions/rejoins {}/{}\n",
@@ -513,12 +450,15 @@ pub fn run_simulate(args: &Args) -> Result<String, CliError> {
     } else {
         // One flat simulation; the plan and the store attach when the
         // flags ask for them.
-        let plan = parse_chaos_plan(args, nodes)?;
         let snapshot_every = args.num("snapshot-every", 16usize)?;
         if snapshot_every == 0 {
             return Err(CliError::new("--snapshot-every must be positive"));
         }
         let mut sim = Simulation::new(f.clone(), cfg).with_telemetry(sinks.telemetry.clone());
+        if let Some(plan) = &plan {
+            sim = sim.with_plan(plan.clone());
+            sim.check_plan(nodes).map_err(CliError::new)?;
+        }
         if let Some(dir) = args.get("wal-dir") {
             let dir = dir.to_string();
             sim = sim.with_store(
@@ -528,24 +468,20 @@ pub fn run_simulate(args: &Args) -> Result<String, CliError> {
                 },
                 snapshot_every,
             );
-        } else if plan
-            .as_ref()
-            .is_some_and(|p| !p.coordinator_crashes.is_empty())
-            || args.get("snapshot-every").is_some()
-        {
-            // Coordinator durability without a directory: deterministic
-            // in-memory backend (replays identically to the file one).
+        } else if args.get("snapshot-every").is_some() {
+            // A cadence without a directory: the deterministic in-memory
+            // backend (replays identically to the file one), which the
+            // driver also provisions by itself for `--crash-coordinator`.
             sim = sim.with_store(|| Box::new(MemDisk::new()) as DynDisk, snapshot_every);
         }
         // Only the fault-free path tunes the neighborhood radius.
         let r = (plan.is_none() && !f.has_constant_hessian())
             .then(|| sim.tune_r(&workload.prefix((workload.rounds() / 10).clamp(20, 200))));
-        let (stats, quiesced) = match &plan {
-            Some(plan) => {
-                let report = sim.with_plan(plan.clone()).run_report(&workload);
-                (report.stats, Some(report.quiesced))
-            }
-            None => (sim.run_with_r(&workload, r), None),
+        let (stats, quiesced) = if plan.is_some() {
+            let report = sim.run_report(&workload);
+            (report.stats, Some(report.quiesced))
+        } else {
+            (sim.run_with_r(&workload, r), None)
         };
         let s = &stats;
         let mut out = format!(
@@ -1081,21 +1017,14 @@ mod tests {
             run_simulate(&Args::parse(&argv).unwrap())
         };
         // Fleet-only flags without --fleet.
-        for flags in [
-            &["--shards", "4"][..],
-            &["--leaf-epsilon-frac", "0.5"][..],
-            &["--crash-leaf", "1:30"][..],
-        ] {
+        for flags in [&["--shards", "4"][..], &["--leaf-epsilon-frac", "0.5"][..]] {
             let err = base(flags).unwrap_err();
             assert!(err.to_string().contains("requires --fleet"), "{flags:?}: {err}");
         }
-        // Flat-runner flags with --fleet.
+        // Flat-runner features with --fleet.
         for flags in [
-            &["--fleet", "--drop-rate", "0.1"][..],
-            &["--fleet", "--partition", "1:10:20"][..],
-            &["--fleet", "--crash-coordinator", "30"][..],
             &["--fleet", "--wal-dir", "/tmp/x"][..],
-            &["--fleet", "--chaos-seed", "7"][..],
+            &["--fleet", "--snapshot-every", "4"][..],
             &["--fleet", "--baseline", "centralization"][..],
         ] {
             let err = base(flags).unwrap_err();
@@ -1103,6 +1032,19 @@ mod tests {
                 err.to_string().contains("cannot be combined with --fleet"),
                 "{flags:?}: {err}"
             );
+        }
+        // Faults the selected runner cannot execute: the plan's one refusal.
+        for (flags, refusal) in [
+            (&["--crash-leaf", "1:30"][..], "the in-process fabric does not run leaf crashes"),
+            (&["--fleet", "--drop-rate", "0.1"][..], "the fleet does not run frame faults"),
+            (&["--fleet", "--partition", "1:10:20"][..], "the fleet does not run partitions"),
+            (
+                &["--fleet", "--crash-coordinator", "30"][..],
+                "the fleet does not run coordinator crashes (it runs node crashes, leaf crashes)",
+            ),
+        ] {
+            let err = base(flags).unwrap_err();
+            assert!(err.to_string().contains(refusal), "{flags:?}: {err}");
         }
         // Malformed fleet values.
         assert!(base(&["--fleet", "--shards", "0"]).is_err());

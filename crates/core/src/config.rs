@@ -4,7 +4,6 @@ use crate::adcd::AdcdKind;
 use crate::cache::DecompCacheConfig;
 use crate::safezone::DcKind;
 use automon_linalg::SpectralBackend;
-use automon_opt::OptimizeOptions;
 
 /// How the thresholds `L, U` derive from `f(x0)` and `ε` (paper §2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,12 +146,6 @@ pub struct MonitorConfig {
     /// Inert; see [`Parallelism`].
     #[doc(hidden)]
     pub parallelism: Parallelism,
-    /// Options for the general-purpose optimizer (tuning procedures).
-    pub opt: OptimizeOptions,
-    /// Consecutive-neighborhood-violation threshold factor: `r` doubles
-    /// after `adaptive_r_factor · n` consecutive neighborhood violations
-    /// with no safe-zone violation in between (paper §3.6 uses 5).
-    pub adaptive_r_factor: usize,
     /// Coordinator decomposition cache (`None` = off, the default).
     /// Exact hits skip the full-sync eigendecomposition; see
     /// [`crate::cache::DecompCache`] for the bit-identity contract.
@@ -191,8 +184,6 @@ impl MonitorConfigBuilder {
                 eigen_objective: EigenObjective::Exact,
                 spectral_backend: SpectralBackend::default(),
                 parallelism: Parallelism::default(),
-                opt: OptimizeOptions::default(),
-                adaptive_r_factor: 5,
                 decomp_cache: None,
             },
         }
@@ -309,7 +300,6 @@ mod tests {
         assert!(cfg.enable_lazy_sync);
         assert!(!cfg.disable_adcd);
         assert!(cfg.neighborhood.is_adaptive());
-        assert_eq!(cfg.adaptive_r_factor, 5);
     }
 
     #[test]

@@ -1006,6 +1006,10 @@ impl Coordinator {
     }
 
     fn record_violation(&mut self, kind: ViolationKind) {
+        /// `r` doubles after this many times `n` consecutive neighborhood
+        /// violations with no safe-zone violation in between (paper §3.6).
+        const ADAPTIVE_R_FACTOR: usize = 5;
+
         match kind {
             ViolationKind::Neighborhood => {
                 self.stats.neighborhood_violations += 1;
@@ -1015,7 +1019,7 @@ impl Coordinator {
                 // `factor · n` consecutive neighborhood violations with no
                 // intervening safe-zone violation, double r.
                 if self.cfg.neighborhood.is_adaptive()
-                    && self.consecutive_neighborhood >= self.cfg.adaptive_r_factor * self.n
+                    && self.consecutive_neighborhood >= ADAPTIVE_R_FACTOR * self.n
                 {
                     self.r *= 2.0;
                     self.stats.r_doublings += 1;

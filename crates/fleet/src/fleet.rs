@@ -26,7 +26,6 @@ use automon_core::{
 use automon_net::ShardedFabric;
 use automon_obs::{Counter, Gauge, SpanId, Telemetry};
 
-use crate::fault::FleetFaultPlan;
 use crate::shard::ShardMap;
 
 /// Decomposition-cache namespace shared by every leaf coordinator:
@@ -643,23 +642,6 @@ impl Fleet {
             }
         }
     }
-
-    /// Apply one round's scheduled faults (crashes first, then
-    /// restarts, then leaf crashes — declaration order within each).
-    pub fn apply_faults(&mut self, plan: &FleetFaultPlan, round: u64) {
-        let crashes: Vec<usize> = plan.node_crashes_at(round).collect();
-        for g in crashes {
-            self.crash_node(g);
-        }
-        let restarts: Vec<usize> = plan.restarts_at(round).collect();
-        for g in restarts {
-            self.restart_node(g);
-        }
-        let leaf_crashes: Vec<usize> = plan.leaf_crashes_at(round).collect();
-        for l in leaf_crashes {
-            self.crash_leaf(l);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -761,26 +743,5 @@ mod tests {
         for cause in fl.fabric().root_ref().ledger().by_cause().keys() {
             assert_eq!(cause.at_root(), *cause);
         }
-    }
-
-    #[test]
-    fn fault_plan_applies_in_order() {
-        use crate::fault::{LeafCrash, NodeCrash};
-        let mut fl = fleet(6, 3);
-        seed_all(&mut fl, 6);
-        let plan = FleetFaultPlan {
-            node_crashes: vec![NodeCrash {
-                stream: 0,
-                at: 1,
-                restart: Some(2),
-            }],
-            leaf_crashes: vec![LeafCrash { leaf: 2, at: 2 }],
-        };
-        fl.apply_faults(&plan, 1);
-        assert!(!fl.stream_is_alive(0));
-        fl.apply_faults(&plan, 2);
-        assert!(fl.stream_is_alive(0));
-        assert!(!fl.leaf_is_alive(2));
-        assert_eq!(fl.fabric().check_conservation(), None);
     }
 }

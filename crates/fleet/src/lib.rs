@@ -20,18 +20,19 @@
 //! - [`compose`] — the canonical shard-major summation order under
 //!   which weighted composition of partial means is *bitwise* equal to
 //!   the flat global mean.
-//! - [`fault`] — deterministic membership-fault schedules
-//!   ([`FleetFaultPlan`]): crashes are data, not dice, so fleet runs
-//!   replay byte-identically.
-//! - [`fleet`] — the assembled two-tier engine ([`Fleet`]).
+//! - [`fleet`] — the assembled two-tier engine ([`Fleet`]), with the
+//!   membership faults it can suffer as methods
+//!   ([`Fleet::crash_node`], [`Fleet::restart_node`],
+//!   [`Fleet::crash_leaf`]). *When* they happen is an
+//!   `automon_chaos::FaultPlan`, the workspace's one fault schedule,
+//!   which `automon_sim::FleetSimulation` reads and dispatches — this
+//!   crate has no schedule type and no dependency on the chaos crate.
 //!
 //! [`Coordinator`]: automon_core::Coordinator
 
 pub mod compose;
-mod fault;
 mod fleet;
 mod shard;
 
-pub use fault::{FleetFaultPlan, LeafCrash, NodeCrash};
 pub use fleet::{Fleet, FleetConfig, FleetEvents, LEAF_CACHE_FN_ID, ROOT_CACHE_FN_ID};
 pub use shard::ShardMap;

@@ -1,10 +1,9 @@
-//! Message fabrics: in-process accounting and channel-based transport.
+//! The in-process accounting fabric.
 
-use automon_core::{
-    CommCause, CommLedger, Coordinator, CoordinatorMessage, Node, NodeId, NodeMessage, Outbound,
-};
+use std::collections::VecDeque;
+
+use automon_core::{CommCause, CommLedger, Coordinator, Node, NodeId, NodeMessage, Outbound};
 use automon_obs::{SpanId, Telemetry, TraceCtx};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::wire;
 
@@ -31,13 +30,6 @@ impl TrafficStats {
     pub fn total_payload(&self) -> usize {
         self.node_to_coord_payload + self.coord_to_node_payload
     }
-
-    /// Total *traffic* bytes including `overhead` per-message transport
-    /// framing (TCP/IP + messaging-stack headers; Figure 10's orange
-    /// series).
-    pub fn total_traffic(&self, overhead: usize) -> usize {
-        self.total_payload() + overhead * self.total_msgs()
-    }
 }
 
 /// An in-process fabric that *really* serializes every message (payload
@@ -49,7 +41,6 @@ impl TrafficStats {
 #[derive(Debug)]
 pub struct CountingFabric {
     stats: TrafficStats,
-    per_node: Vec<usize>,
     ledger: CommLedger,
     round: u64,
     tel: Telemetry,
@@ -67,7 +58,6 @@ impl CountingFabric {
     pub fn new() -> Self {
         Self {
             stats: TrafficStats::default(),
-            per_node: Vec::new(),
             ledger: CommLedger::default(),
             round: 0,
             tel: Telemetry::disabled(),
@@ -123,15 +113,8 @@ impl CountingFabric {
         );
     }
 
-    /// Messages involving each node (sent or received), for analyzing
-    /// skew — e.g. whether the DNN workload's round-robin split keeps
-    /// the per-node load balanced.
-    pub fn per_node_messages(&self) -> &[usize] {
-        &self.per_node
-    }
-
     /// Account one node→coordinator frame of `bytes`: counter bump,
-    /// ledger row, per-node tally, and `comm` trace event, with the
+    /// ledger row, and `comm` trace event, with the
     /// installed cause map applied first. Every up-direction charge in
     /// this fabric funnels through here; it is public so a sharded
     /// fleet can charge inter-tier frames (encoded elsewhere) on the
@@ -141,7 +124,6 @@ impl CountingFabric {
         self.stats.node_to_coord_msgs += 1;
         self.stats.node_to_coord_payload += bytes;
         self.ledger.charge_up(self.round, node, cause, bytes as u64);
-        self.bump_node(node);
         self.comm_event("up", node, cause, bytes, span);
     }
 
@@ -152,34 +134,13 @@ impl CountingFabric {
         self.stats.coord_to_node_msgs += 1;
         self.stats.coord_to_node_payload += bytes;
         self.ledger.charge_down(self.round, node, cause, bytes as u64);
-        self.bump_node(node);
         self.comm_event("down", node, cause, bytes, span);
-    }
-
-    fn bump_node(&mut self, node: usize) {
-        if self.per_node.len() <= node {
-            self.per_node.resize(node + 1, 0);
-        }
-        self.per_node[node] += 1;
     }
 
     /// Deliver a node message to the coordinator (through the codec) and
     /// return its replies, each of which must then be delivered with
-    /// [`CountingFabric::deliver_to_node`]. The frame's ledger cause is
-    /// classified from the message itself and no span context rides the
-    /// header; use [`CountingFabric::deliver_to_coordinator_as`] when the
-    /// eliciting context is known.
-    pub fn deliver_to_coordinator(
-        &mut self,
-        coord: &mut Coordinator,
-        msg: NodeMessage,
-    ) -> Vec<Outbound> {
-        let cause = CommCause::of_node_message(&msg);
-        self.deliver_to_coordinator_as(coord, msg, cause, SpanId::NONE)
-    }
-
-    /// Deliver a node message with an explicit ledger cause and trace
-    /// span: the span rides the frame header and parents the
+    /// [`CountingFabric::deliver_to_node_tagged`]. The span rides the
+    /// frame header and parents the
     /// coordinator's handler span; the cause is what the frame's bytes
     /// are charged to (e.g. `Rejoin` for a re-registration after a
     /// crash, `LazySync` for a pull reply).
@@ -199,15 +160,10 @@ impl CountingFabric {
     }
 
     /// Deliver one coordinator message to its node; returns the node's
-    /// reply, if any.
-    pub fn deliver_to_node(&mut self, node: &mut Node, out: Outbound) -> Option<NodeMessage> {
-        self.deliver_to_node_tagged(node, out).map(|(m, _, _)| m)
-    }
-
-    /// [`CountingFabric::deliver_to_node`], returning the reply tagged
-    /// with the span and cause it inherits from the eliciting outbound —
-    /// a pull reply answers the pull, so its bytes are charged to the
-    /// pull's cause and its frame carries the pull's span back up.
+    /// reply, if any, tagged with the span and cause it inherits from the
+    /// eliciting outbound — a pull reply answers the pull, so its bytes
+    /// are charged to the pull's cause and its frame carries the pull's
+    /// span back up.
     pub fn deliver_to_node_tagged(
         &mut self,
         node: &mut Node,
@@ -221,15 +177,9 @@ impl CountingFabric {
         node.handle(decoded).map(|m| (m, span, out.cause))
     }
 
-    /// Convenience: deliver `first` and every cascading reply until the
-    /// exchange quiesces (FIFO, like an ordered transport).
-    pub fn route(&mut self, coord: &mut Coordinator, nodes: &mut [Node], first: NodeMessage) {
-        let cause = CommCause::of_node_message(&first);
-        self.route_as(coord, nodes, first, cause, SpanId::NONE);
-    }
-
-    /// [`CountingFabric::route`] with an explicit cause and span for the
-    /// first frame; cascading replies inherit the cause and span of the
+    /// Deliver `first`, charged to `cause` with `span` riding its header,
+    /// and every cascading reply until the exchange quiesces (FIFO, like
+    /// an ordered transport); replies inherit the cause and span of the
     /// outbound that elicited them.
     pub fn route_as(
         &mut self,
@@ -239,11 +189,7 @@ impl CountingFabric {
         cause: CommCause,
         span: SpanId,
     ) {
-        let mut inbox = std::collections::VecDeque::from([(first, span, cause)]);
-        while let Some((m, span, cause)) = inbox.pop_front() {
-            let outs = self.deliver_to_coordinator_as(coord, m, cause, span);
-            inbox.extend(self.deliver_batch_tagged(nodes, outs));
-        }
+        self.drain(coord, nodes, VecDeque::from([(first, span, cause)]));
     }
 
     /// Deliver a coordinator-originated outbound batch (e.g. the
@@ -256,8 +202,19 @@ impl CountingFabric {
         nodes: &mut [Node],
         outs: Vec<Outbound>,
     ) {
-        let mut inbox: std::collections::VecDeque<_> =
-            self.deliver_batch_tagged(nodes, outs).into();
+        let inbox = self.deliver_batch_tagged(nodes, outs).into();
+        self.drain(coord, nodes, inbox);
+    }
+
+    /// The FIFO cascade: the oldest waiting node frame goes up, the
+    /// coordinator's replies go down in batch order, and what the nodes
+    /// answer queues behind the frames already waiting.
+    fn drain(
+        &mut self,
+        coord: &mut Coordinator,
+        nodes: &mut [Node],
+        mut inbox: VecDeque<(NodeMessage, SpanId, CommCause)>,
+    ) {
         while let Some((m, span, cause)) = inbox.pop_front() {
             let outs = self.deliver_to_coordinator_as(coord, m, cause, span);
             inbox.extend(self.deliver_batch_tagged(nodes, outs));
@@ -288,7 +245,7 @@ impl CountingFabric {
     /// Deliver one coordinator batch, frame by frame in batch order.
     /// Returns the nodes' replies in that order, each tagged with the
     /// span and cause inherited from its eliciting outbound.
-    pub fn deliver_batch_tagged(
+    fn deliver_batch_tagged(
         &mut self,
         nodes: &mut [Node],
         outs: Vec<Outbound>,
@@ -307,120 +264,6 @@ impl CountingFabric {
     }
 }
 
-/// A crossbeam-channel fabric carrying encoded frames between threads —
-/// the in-process stand-in for the paper's ZeroMQ deployment (§4.7).
-pub struct ChannelFabric {
-    coord_rx: Receiver<Vec<u8>>,
-    coord_tx: Sender<Vec<u8>>,
-    node_txs: Vec<Sender<Vec<u8>>>,
-    node_rxs: Vec<Option<Receiver<Vec<u8>>>>,
-}
-
-impl ChannelFabric {
-    /// A fabric connecting one coordinator with `n` nodes.
-    pub fn new(n: usize) -> Self {
-        let (coord_tx, coord_rx) = unbounded();
-        let mut node_txs = Vec::with_capacity(n);
-        let mut node_rxs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            node_txs.push(tx);
-            node_rxs.push(Some(rx));
-        }
-        Self {
-            coord_rx,
-            coord_tx,
-            node_txs,
-            node_rxs,
-        }
-    }
-
-    /// The coordinator's endpoint (take once).
-    pub fn coordinator_endpoint(&mut self) -> CoordinatorEndpoint {
-        CoordinatorEndpoint {
-            rx: self.coord_rx.clone(),
-            node_txs: self.node_txs.clone(),
-        }
-    }
-
-    /// Node `id`'s endpoint (take once per node).
-    ///
-    /// # Panics
-    /// Panics when taken twice for the same node.
-    pub fn node_endpoint(&mut self, id: NodeId) -> NodeEndpoint {
-        NodeEndpoint {
-            id,
-            tx: self.coord_tx.clone(),
-            rx: self.node_rxs[id].take().expect("endpoint already taken"),
-        }
-    }
-}
-
-/// The coordinator's side of a [`ChannelFabric`].
-pub struct CoordinatorEndpoint {
-    rx: Receiver<Vec<u8>>,
-    node_txs: Vec<Sender<Vec<u8>>>,
-}
-
-impl CoordinatorEndpoint {
-    /// Block for the next node message; `None` when all nodes hung up.
-    pub fn recv(&self) -> Option<NodeMessage> {
-        self.recv_traced().map(|(_, m)| m)
-    }
-
-    /// Like [`CoordinatorEndpoint::recv`], also yielding the span the
-    /// sender propagated in the frame header.
-    pub fn recv_traced(&self) -> Option<(SpanId, NodeMessage)> {
-        let frame = self.rx.recv().ok()?;
-        Some(wire::decode_node_message_ctx(&frame).expect("valid frame"))
-    }
-
-    /// Send one outbound message to its node; the outbound's span rides
-    /// the frame header.
-    pub fn send(&self, out: &Outbound) {
-        let frame = wire::encode_coordinator_message_ctx(&out.msg, out.span);
-        // A disconnected node (receiver dropped) is fine during shutdown.
-        let _ = self.node_txs[out.to].send(frame.to_vec());
-    }
-}
-
-/// One node's side of a [`ChannelFabric`].
-pub struct NodeEndpoint {
-    id: NodeId,
-    tx: Sender<Vec<u8>>,
-    rx: Receiver<Vec<u8>>,
-}
-
-impl NodeEndpoint {
-    /// This endpoint's node id.
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
-    /// Send a node message to the coordinator.
-    pub fn send(&self, msg: &NodeMessage) {
-        self.send_traced(msg, SpanId::NONE);
-    }
-
-    /// Send a node message, propagating `span` in the frame header.
-    pub fn send_traced(&self, msg: &NodeMessage, span: SpanId) {
-        let frame = wire::encode_node_message_ctx(msg, span);
-        let _ = self.tx.send(frame.to_vec());
-    }
-
-    /// Non-blocking poll for a coordinator message.
-    pub fn try_recv(&self) -> Option<CoordinatorMessage> {
-        let frame = self.rx.try_recv().ok()?;
-        Some(wire::decode_coordinator_message(&frame).expect("valid frame"))
-    }
-
-    /// Blocking receive; `None` when the coordinator hung up.
-    pub fn recv(&self) -> Option<CoordinatorMessage> {
-        let frame = self.rx.recv().ok()?;
-        Some(wire::decode_coordinator_message(&frame).expect("valid frame"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,7 +271,7 @@ mod tests {
     use automon_core::{MonitorConfig, MonitoredFunction};
     use std::sync::Arc;
 
-    pub(super) struct Mean1;
+    struct Mean1;
     impl ScalarFn for Mean1 {
         fn dim(&self) -> usize {
             1
@@ -436,10 +279,6 @@ mod tests {
         fn call<S: Scalar>(&self, x: &[S]) -> S {
             x[0]
         }
-    }
-
-    pub(super) fn fabric_mean1() -> Mean1 {
-        Mean1
     }
 
     fn f() -> Arc<dyn MonitoredFunction> {
@@ -454,7 +293,8 @@ mod tests {
         let mut fabric = CountingFabric::new();
         for i in 0..2 {
             if let Some(m) = nodes[i].update_data(vec![0.0]) {
-                fabric.route(&mut coord, &mut nodes, m);
+                let cause = CommCause::of_node_message(&m);
+                fabric.route_as(&mut coord, &mut nodes, m, cause, SpanId::NONE);
             }
         }
         let st = fabric.stats().clone();
@@ -464,10 +304,6 @@ mod tests {
         assert!(st.node_to_coord_payload > 0);
         assert!(st.coord_to_node_payload > st.node_to_coord_payload);
         assert_eq!(st.total_msgs(), 4);
-        assert_eq!(
-            st.total_traffic(66),
-            st.total_payload() + 66 * st.total_msgs()
-        );
         // The ledger charged every frame: totals match the counters
         // exactly, split into registration (up) and full-sync installs
         // (down).
@@ -487,67 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn channel_fabric_moves_frames_across_threads() {
-        let mut fabric = ChannelFabric::new(1);
-        let coord_ep = fabric.coordinator_endpoint();
-        let node_ep = fabric.node_endpoint(0);
-
-        let t = std::thread::spawn(move || {
-            let msg = coord_ep.recv().expect("one message");
-            assert_eq!(msg.sender(), 0);
-            coord_ep.send(&Outbound::new(
-                0,
-                CoordinatorMessage::RequestLocalVector { epoch: 0 },
-                CommCause::FullSync,
-            ));
-        });
-
-        node_ep.send(&NodeMessage::LocalVector {
-            node: 0,
-            vector: vec![1.0, 2.0],
-            epoch: 0,
-        });
-        let got = node_ep.recv().expect("reply");
-        assert_eq!(got, CoordinatorMessage::RequestLocalVector { epoch: 0 });
-        t.join().unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "endpoint already taken")]
-    fn node_endpoint_single_take() {
-        let mut fabric = ChannelFabric::new(1);
-        let _a = fabric.node_endpoint(0);
-        let _b = fabric.node_endpoint(0);
-    }
-}
-
-#[cfg(test)]
-mod stats_tests {
-    use super::*;
-    use automon_core::{Coordinator, Node};
-    use std::sync::Arc;
-
-    #[test]
-    fn per_node_counters_track_involvement() {
-        let f: Arc<dyn automon_core::MonitoredFunction> = Arc::new(
-            automon_autodiff::AutoDiffFn::new(super::tests::fabric_mean1()),
-        );
-        let mut coord =
-            Coordinator::new(f.clone(), 2, automon_core::MonitorConfig::builder(0.5).build());
-        let mut nodes = vec![Node::new(0, f.clone()), Node::new(1, f.clone())];
-        let mut fabric = CountingFabric::new();
-        for i in 0..2 {
-            if let Some(m) = nodes[i].update_data(vec![0.0]) {
-                fabric.route(&mut coord, &mut nodes, m);
-            }
-        }
-        // Each node: 1 registration + 1 constraint install.
-        assert_eq!(fabric.per_node_messages(), &[2, 2]);
-        let total: usize = fabric.per_node_messages().iter().sum();
-        assert_eq!(total, fabric.stats().total_msgs());
-    }
-
-    #[test]
     fn traffic_stats_arithmetic() {
         let st = TrafficStats {
             node_to_coord_msgs: 3,
@@ -557,7 +332,5 @@ mod stats_tests {
         };
         assert_eq!(st.total_msgs(), 5);
         assert_eq!(st.total_payload(), 350);
-        assert_eq!(st.total_traffic(0), 350);
-        assert_eq!(st.total_traffic(66), 350 + 5 * 66);
     }
 }

@@ -13,10 +13,6 @@
 //!   accumulating per-direction message and byte counts plus a
 //!   configurable per-message transport overhead — reproducing the
 //!   payload-vs-traffic split of Figure 10.
-//! * [`ChannelFabric`] — a crossbeam-channel fabric carrying encoded
-//!   frames between threads, for applications that want the
-//!   coordinator and nodes actually decoupled (the ZeroMQ-style
-//!   deployment of §4.7, minus the WAN).
 //! * [`delta`] — sparse delta compression for local vectors, the §5
 //!   bandwidth-reduction direction the paper defers to future work.
 //! * [`tcp`] — the protocol over real `std::net` sockets with
@@ -52,7 +48,7 @@ pub mod tcp;
 pub mod wire;
 
 pub use backoff::Backoff;
-pub use fabric::{ChannelFabric, CoordinatorEndpoint, CountingFabric, NodeEndpoint, TrafficStats};
+pub use fabric::{CountingFabric, TrafficStats};
 pub use frame::{FrameAssembler, IoVec, OutQueue};
 pub use gate::{FrameGate, GateVerdict, OpenGate};
 pub use poller::{EpollPoller, Event, Poller, SyscallStats, Token};

@@ -17,9 +17,7 @@
 //! is charged once, at the tier boundary, for the bytes that actually
 //! cross it.
 
-use automon_core::{
-    CommCause, CommLedger, Coordinator, Node, NodeMessage, Outbound, TierMessage,
-};
+use automon_core::{CommCause, CommLedger, Coordinator, Node, NodeMessage, TierMessage};
 use automon_obs::{SpanId, Telemetry, TraceCtx};
 
 use crate::fabric::{CountingFabric, TrafficStats};
@@ -159,19 +157,6 @@ impl ShardedFabric {
             wire::decode_tier_message_ctx(&frame).expect("self-encoded frame decodes");
         debug_assert_eq!(&decoded, report);
         let outs = root_coord.handle_with_context(violation, TraceCtx::new(ctx_span, *epoch));
-        self.root_cascade(root_coord, proxies, outs);
-    }
-
-    /// Run a root-tier outbound batch (e.g. the recovery sync issued
-    /// when a leaf's proxy is evicted) and every cascading reply to
-    /// quiescence, FIFO. Causes lift through the root cause map at the
-    /// charge points.
-    pub fn root_cascade(
-        &mut self,
-        root_coord: &mut Coordinator,
-        proxies: &mut [Node],
-        outs: Vec<Outbound>,
-    ) {
         self.root.route_outbounds(root_coord, proxies, outs);
     }
 
@@ -267,7 +252,9 @@ mod tests {
         let mut coord = Coordinator::new(f.clone(), 1, MonitorConfig::builder(0.5).build());
         let mut nodes = vec![Node::new(0, f.clone())];
         if let Some(m) = nodes[0].update_data(vec![0.0]) {
-            fab.leaf(1).route(&mut coord, &mut nodes, m);
+            let cause = CommCause::of_node_message(&m);
+            fab.leaf(1)
+                .route_as(&mut coord, &mut nodes, m, cause, SpanId::NONE);
         }
         let ledger = fab.combined_ledger();
         assert!(ledger.iter().all(|((round, _, _), _)| *round == 4));

@@ -52,17 +52,17 @@ proptest! {
         prop_assert_eq!(&merged, &sequential);
 
         let shared = Histogram::standalone(BOUNDS);
-        crossbeam::scope(|s| {
+        // The scope joins every lane and re-raises a worker's panic.
+        std::thread::scope(|s| {
             for lane in &lanes {
                 let h = &shared;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for &v in lane {
                         h.observe(v);
                     }
                 });
             }
-        })
-        .expect("no worker panicked");
+        });
         prop_assert_eq!(shared.snapshot(), sequential);
     }
 }

@@ -2,8 +2,9 @@
 
 use std::sync::Arc;
 
+use automon_chaos::{Executor, FaultPlan, PlanPart, TimedFault};
 use automon_core::{MonitorConfig, MonitoredFunction};
-use automon_fleet::{compose, Fleet, FleetConfig, FleetFaultPlan};
+use automon_fleet::{compose, Fleet, FleetConfig};
 use automon_obs::Telemetry;
 use serde::Serialize;
 
@@ -47,6 +48,26 @@ pub struct FleetReport {
     pub stats: RunStats,
 }
 
+/// What the fleet runner executes of a plan: membership faults only (no
+/// frame gate sits between the tiers, and neither tier has a store to
+/// recover a coordinator from).
+const FLEET: Executor = Executor {
+    name: "fleet",
+    runs: &[PlanPart::NodeCrashes, PlanPart::LeafCrashes],
+};
+
+/// Apply the membership faults `plan` schedules for `round`.
+fn apply_timed_faults(fleet: &mut Fleet, plan: &FaultPlan, round: usize) {
+    for fault in plan.timed_at(round) {
+        match fault {
+            TimedFault::NodeCrash(g) => fleet.crash_node(g),
+            TimedFault::NodeRestart(g) => fleet.restart_node(g),
+            TimedFault::LeafCrash(l) => fleet.crash_leaf(l),
+            TimedFault::CoordinatorCrash => unreachable!("refused by `check_plan`"),
+        }
+    }
+}
+
 /// A configured fleet simulation: the flat harness's round loop, but
 /// updates route into per-shard leaf coordinators and only resolved
 /// shard-aggregate movement crosses to the root.
@@ -54,7 +75,7 @@ pub struct FleetSimulation {
     f: Arc<dyn MonitoredFunction>,
     cfg: MonitorConfig,
     fleet_cfg: FleetConfig,
-    plan: FleetFaultPlan,
+    plan: FaultPlan,
     telemetry: Telemetry,
 }
 
@@ -65,15 +86,23 @@ impl FleetSimulation {
             f,
             cfg,
             fleet_cfg,
-            plan: FleetFaultPlan::default(),
+            plan: FaultPlan::none(),
             telemetry: Telemetry::disabled(),
         }
     }
 
-    /// Apply a deterministic membership-fault schedule each round.
-    pub fn with_fault_plan(mut self, plan: FleetFaultPlan) -> Self {
+    /// Apply `plan`'s node crashes/restarts (`node` is a global stream
+    /// id) and leaf crashes each round. A run panics on a plan that
+    /// [`FleetSimulation::check_plan`] refuses.
+    pub fn with_plan(mut self, plan: FaultPlan) -> Self {
         self.plan = plan;
         self
+    }
+
+    /// `Err` with the refusal when the plan uses a part the fleet does not
+    /// run, or is invalid for `streams` streams over this fleet's shards.
+    pub fn check_plan(&self, streams: usize) -> Result<(), String> {
+        FLEET.admit(&self.plan, streams, self.fleet_cfg.shards)
     }
 
     /// Thread an observability handle through both tiers. The round
@@ -87,6 +116,8 @@ impl FleetSimulation {
     /// Run the workload to completion.
     pub fn run(&self, workload: &Workload) -> FleetReport {
         let n = workload.nodes();
+        self.check_plan(n)
+            .unwrap_or_else(|refusal| panic!("{refusal}"));
         let mut fleet = Fleet::new(self.f.clone(), n, self.cfg.clone(), self.fleet_cfg.clone())
             .with_telemetry(self.telemetry.clone());
 
@@ -109,7 +140,7 @@ impl FleetSimulation {
         for t in 0..workload.rounds() {
             self.telemetry.set_round(t as u64);
             fleet.set_round(t as u64);
-            fleet.apply_faults(&self.plan, t as u64);
+            apply_timed_faults(&mut fleet, &self.plan, t);
             for (node, x) in workload.updates(t) {
                 if !fleet.stream_is_alive(*node) {
                     continue;
@@ -229,5 +260,34 @@ impl FleetSimulation {
             return None;
         }
         Some(self.f.eval(&compose::compose_global_mean(&partials)))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use automon_autodiff::AutoDiffFn;
+    use automon_core::NeighborhoodMode;
+    use automon_functions::InnerProduct;
+
+    #[test]
+    fn timed_faults_apply_in_order() {
+        let f: Arc<dyn MonitoredFunction> = Arc::new(AutoDiffFn::new(InnerProduct::new(2)));
+        let cfg = MonitorConfig::builder(0.5)
+            .neighborhood(NeighborhoodMode::Fixed(1.0))
+            .build();
+        let mut fl = Fleet::new(f, 6, cfg, FleetConfig::new(3));
+        for g in 0..6 {
+            fl.update(g, vec![0.1 * g as f64, 0.2]);
+        }
+        let plan = FaultPlan::none()
+            .with_crash(0, 1, Some(2))
+            .with_leaf_crash(2, 2);
+        apply_timed_faults(&mut fl, &plan, 1);
+        assert!(!fl.stream_is_alive(0));
+        apply_timed_faults(&mut fl, &plan, 2);
+        assert!(fl.stream_is_alive(0));
+        assert!(!fl.leaf_is_alive(2));
+        assert_eq!(fl.fabric().check_conservation(), None);
     }
 }

@@ -28,6 +28,12 @@
 //! * [`FleetSimulation`] — the same harness over the two-tier sharded
 //!   coordinator fleet (DESIGN.md §3.14), reporting the per-tier
 //!   message split and the combined leaf+root ledger.
+//!
+//! Faults are one `automon_chaos::FaultPlan` for both runners. Each
+//! transport of [`Simulation`] and the fleet runner executes the plan
+//! parts its `Executor` constant names and refuses a plan using any
+//! other — [`Simulation::check_plan`] / [`FleetSimulation::check_plan`]
+//! as an error, a run as a panic with the same message (DESIGN.md §3.8).
 
 pub mod baselines;
 mod fleet_runner;

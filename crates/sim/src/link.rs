@@ -24,7 +24,9 @@ use std::net::TcpListener;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use automon_chaos::{ChaosFabric, DeliveryFailure, FaultEvent, FaultPlan, GateCounts, LadderGate};
+use automon_chaos::{
+    ChaosFabric, DeliveryFailure, Executor, FaultEvent, FaultPlan, GateCounts, LadderGate, PlanPart,
+};
 use automon_core::{CommCause, CommLedger, Coordinator, Node, NodeId, NodeMessage, Outbound};
 use automon_net::reactor::{Reactor, ReactorConfig, ReactorTraffic};
 use automon_net::sim_poller::{SimClient, SimNet, SimPoller};
@@ -205,19 +207,17 @@ pub(crate) struct ReactorLink {
 }
 
 impl ReactorLink {
+    /// This link gates frames and has no process or partition model; the
+    /// driver carries out coordinator crashes over it.
+    pub const EXECUTOR: Executor = Executor {
+        name: "sim-reactor link",
+        runs: &[PlanPart::FrameFaults, PlanPart::CoordinatorCrashes],
+    };
+
     /// Connect `n` nodes over a network built from `net`, gating inbound
-    /// frames with `plan`'s ladder; `fabric` does the accounting.
-    ///
-    /// # Panics
-    /// Panics when `plan` schedules node crashes or partitions: this link
-    /// gates frames and has no process or partition model, and running a
-    /// weaker plan than the one given would be silent.
+    /// frames with `plan`'s ladder; `fabric` does the accounting. The
+    /// driver has admitted `plan` against [`ReactorLink::EXECUTOR`].
     pub fn new(fabric: CountingFabric, plan: &FaultPlan, net: NetOptions, n: usize) -> Self {
-        assert!(
-            plan.crashes.is_empty() && plan.partitions.is_empty(),
-            "the reactor transport gates frames only: node crashes and partitions \
-             need the in-process fabric"
-        );
         let net = SimNet::with_limits(net.0, net.1, net.2);
         let mut reactor = Reactor::new(net.poller(), Some(net.listener()), ReactorConfig::new(n))
             .expect("sim reactor never fails to build");
@@ -367,6 +367,12 @@ impl Link for ReactorLink {
         })
     }
 }
+
+/// Real sockets inject no faults.
+pub(crate) const SOCKETS: Executor = Executor {
+    name: "socket link",
+    runs: &[],
+};
 
 /// Longest a socket hop may take, connect included: a frame that is not
 /// there by then is a wedged transport, not something to wait out.

@@ -12,7 +12,9 @@
 
 use std::sync::Arc;
 
-use automon_chaos::{ChaosFabric, Direction, FaultEvent, FaultPlan, RecoveryConfig};
+use automon_chaos::{
+    ChaosFabric, Direction, Executor, FaultEvent, FaultPlan, RecoveryConfig, TimedFault,
+};
 use automon_core::{CommCause, Coordinator, MonitorConfig, MonitoredFunction, Node, NodeMessage};
 use automon_linalg::vector;
 use automon_net::{CoordinatorTransport, CountingFabric};
@@ -20,7 +22,7 @@ use automon_obs::{SpanId, Telemetry};
 use automon_store::{DiskManager, DynDisk, MemDisk, SharedStore, StoreOptions};
 
 use crate::hybrid::HybridPolicy;
-use crate::link::{Link, NetOptions, Peers, ReactorLink, SocketLink, TransportReport};
+use crate::link::{Link, NetOptions, Peers, ReactorLink, SocketLink, TransportReport, SOCKETS};
 use crate::stats::{RunStats, TracePoint};
 use crate::workload::Workload;
 
@@ -188,12 +190,27 @@ impl Simulation {
         self
     }
 
-    /// Inject `plan`. On the reactor transport only the per-frame ladder
-    /// applies; a run there panics on a plan with node crashes or partitions
-    /// rather than execute a weaker one.
+    /// Inject `plan`. Each transport runs only some parts of a plan (the
+    /// reactor transport the per-frame ladder and coordinator crashes, real
+    /// sockets nothing); a run panics on a plan
+    /// [`Simulation::check_plan`] refuses rather than execute a weaker one.
     pub fn with_plan(mut self, plan: FaultPlan) -> Self {
         self.plan = Some(plan);
         self
+    }
+
+    /// `Err` with the refusal when the plan uses a part the selected
+    /// transport does not run, or is invalid for `nodes` nodes.
+    pub fn check_plan(&self, nodes: usize) -> Result<(), String> {
+        let Some(plan) = &self.plan else {
+            return Ok(());
+        };
+        let executor: &Executor = match (self.sockets, self.net) {
+            (Some(_), _) => &SOCKETS,
+            (None, Some(_)) => &ReactorLink::EXECUTOR,
+            (None, None) => &ChaosFabric::EXECUTOR,
+        };
+        executor.admit(plan, nodes, 0)
     }
 
     /// Run over the reactor transport, seeding its read-chunk/short-write
@@ -212,11 +229,10 @@ impl Simulation {
     }
 
     /// Run over real loopback sockets: `T` on the coordinator end, one
-    /// `TcpNodeTransport` per node, one frame in flight. Sockets inject no
-    /// faults and have no simulated network: a run panics on a plan that
-    /// is not [`FaultPlan::is_none`] or on reactor-transport options
-    /// rather than ignore them. A transport failure ends the run and is
-    /// reported in [`RunReport::transport_failure`].
+    /// `TcpNodeTransport` per node, one frame in flight. Sockets have no
+    /// simulated network: a run panics on reactor-transport options rather
+    /// than ignore them. A transport failure ends the run and is reported
+    /// in [`RunReport::transport_failure`].
     pub fn over_sockets<T: CoordinatorTransport + 'static>(mut self) -> Self {
         self.sockets = Some(|fabric, n| Box::new(SocketLink::<T>::open(fabric, n)));
         self
@@ -275,12 +291,13 @@ impl Simulation {
 
     /// The transport the supplied options select (see the type docs).
     fn open_link(&self, n: usize) -> Box<dyn Link> {
+        self.check_plan(n)
+            .unwrap_or_else(|refusal| panic!("{refusal}"));
         let fabric = CountingFabric::new().with_telemetry(self.telemetry.clone());
         if let Some(open) = self.sockets {
             assert!(
-                self.net.is_none() && self.plan.as_ref().is_none_or(FaultPlan::is_none),
-                "real sockets inject no faults and have no simulated network: a fault \
-                 plan needs the in-process fabric or the reactor transport"
+                self.net.is_none(),
+                "real sockets have no simulated network to seed or bound"
             );
             return open(fabric, n);
         }
@@ -361,10 +378,8 @@ impl Simulation {
             link,
             peers: Peers { coord, nodes },
         };
-        let coordinator_crashes = self
-            .plan
-            .as_ref()
-            .map_or(&[][..], |p| &p.coordinator_crashes[..]);
+        let no_plan = FaultPlan::none();
+        let plan = self.plan.as_ref().unwrap_or(&no_plan);
         let mut recovery = self.recovery.unwrap_or_default();
         if self.recovery.is_none() && self.net.is_some() {
             recovery.retransmit_after = REACTOR_RETRANSMIT_AFTER;
@@ -375,7 +390,7 @@ impl Simulation {
             .durability
             .as_ref()
             .map_or(DEFAULT_SNAPSHOT_INTERVAL, |d| d.1);
-        let store = self.open_store(coordinator_crashes);
+        let store = self.open_store(&plan.coordinator_crashes);
         let checkpoint = |snap| {
             let store = store
                 .as_ref()
@@ -449,7 +464,8 @@ impl Simulation {
             //    and re-register from their data stream; a crashed
             //    coordinator recovers first, so they hit the rebuilt one.
             let restarted = w.link.begin_round(t);
-            if coordinator_crashes.contains(&t) {
+            // The coordinator's crash comes first in `timed_at`'s order.
+            if plan.timed_at(t).next() == Some(TimedFault::CoordinatorCrash) {
                 let store = store.as_ref().expect("coordinator crash requires a store");
                 w.peers.coord = self.recover_coordinator(store);
                 coordinator_recoveries += 1;
@@ -563,7 +579,7 @@ impl Simulation {
             if let (Some(zone), Some(est), false) = (coord.zone(), estimate, members.is_empty()) {
                 let truth = self.f.eval(&vector::mean(&members).expect("non-empty"));
                 let err = (est - truth).abs();
-                let degraded = self.plan.as_ref().is_some_and(|p| p.partition_active(t))
+                let degraded = plan.partition_active(t)
                     || (0..n).any(|i| w.link.node_down(i) && coord.is_alive(i))
                     || coord.is_resolving()
                     || (0..n).any(|i| !w.link.node_down(i) && nodes[i].is_pending());
@@ -815,7 +831,7 @@ mod tests {
     /// A plan the reactor link cannot honour is refused in every build
     /// profile, not only where `debug_assert!` is compiled in.
     #[test]
-    #[should_panic(expected = "gates frames only")]
+    #[should_panic(expected = "the sim-reactor link does not run node crashes")]
     fn reactor_transport_refuses_timed_node_faults() {
         let series: Vec<Vec<Vec<f64>>> = (0..2).map(|_| vec![vec![0.5]; 5]).collect();
         let w = Workload::from_dense(&series);

@@ -15,7 +15,8 @@ use automon_autodiff::AutoDiffFn;
 use automon_core::{MonitorConfig, MonitoredFunction};
 use automon_data::synthetic::InnerProductDataset;
 use automon_data::windowed_mean_series;
-use automon_fleet::{FleetConfig, FleetFaultPlan, LeafCrash, NodeCrash};
+use automon_chaos::FaultPlan;
+use automon_fleet::FleetConfig;
 use automon_functions::InnerProduct;
 use automon_obs::Telemetry;
 use automon_sim::{FleetReport, FleetSimulation, Workload};
@@ -32,31 +33,20 @@ fn setup() -> (Arc<dyn MonitoredFunction>, MonitorConfig, Workload) {
     (f, cfg, w)
 }
 
-fn faults() -> FleetFaultPlan {
-    FleetFaultPlan {
-        node_crashes: vec![
-            NodeCrash {
-                stream: 3,
-                at: 10,
-                restart: Some(25),
-            },
-            NodeCrash {
-                stream: 7,
-                at: 15,
-                restart: None,
-            },
-        ],
-        leaf_crashes: vec![LeafCrash { leaf: 1, at: 30 }],
-    }
+fn faults() -> FaultPlan {
+    FaultPlan::none()
+        .with_crash(3, 10, Some(25))
+        .with_crash(7, 15, None)
+        .with_leaf_crash(1, 30)
 }
 
-fn run(plan: Option<FleetFaultPlan>) -> (FleetReport, String, String) {
+fn run(plan: Option<FaultPlan>) -> (FleetReport, String, String) {
     let (f, cfg, w) = setup();
     let tel = Telemetry::enabled();
     let mut sim =
         FleetSimulation::new(f, cfg, FleetConfig::new(SHARDS)).with_telemetry(tel.clone());
     if let Some(plan) = plan {
-        sim = sim.with_fault_plan(plan);
+        sim = sim.with_plan(plan);
     }
     let report = sim.run(&w);
     (report, tel.trace_jsonl(), tel.prometheus())

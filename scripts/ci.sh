@@ -68,7 +68,9 @@
 #      included) for the same workload seed, and the socket backends'
 #      --trace-out must pass `trace diff` against the sim backend's —
 #      the transport must not change what the monitor computes
-#      (DESIGN.md §3.15).
+#      (DESIGN.md §3.15). (c) an invalid fault schedule (--drop-rate 2)
+#      must end in the CLI's error exit, not in a panic (exit 101): the
+#      one validator answers for every subcommand (DESIGN.md §3.8).
 #  13. benchmark package — the repository's benchmark (BENCHMARK.json,
 #      crates/bench/src/bin/benchmark/) is a package outside the
 #      workspace, so steps 1–3 never compile it and a public-API break
@@ -418,6 +420,18 @@ for backend in thr rea; do
 done
 echo "    socket backends protocol-identical to the driver's sim link;" \
     "traces diff clean"
+
+set +e
+cargo run --release -q -p automon-cli -- net-smoke --net-backend sim \
+    --drop-rate 2 >/dev/null 2>"$TDIR/bad-rate.err"
+bad_rate=$?
+set -e
+if [[ $bad_rate -eq 0 || $bad_rate -eq 101 ]]; then
+    echo "FAIL: net-smoke --drop-rate 2 exited $bad_rate (want a CLI error)" >&2
+    cat "$TDIR/bad-rate.err" >&2
+    exit 1
+fi
+echo "    invalid fault schedule refused with exit $bad_rate, no panic"
 
 echo "==> benchmark package (tests + smoke)"
 BENCHMARK_MANIFEST=crates/bench/src/bin/benchmark/Cargo.toml

@@ -67,12 +67,13 @@ pub use automon_store as store;
 /// Commonly used types, re-exported for convenience.
 pub mod prelude {
     pub use automon_autodiff::{AutoDiffFn, Dual, Scalar, ScalarFn};
+    pub use automon_chaos::FaultPlan;
     pub use automon_core::{
         AdcdKind, ApproximationKind, Coordinator, DcKind, Domain, MonitorConfig, MonitoredFunction,
         Node, NodeMessage, SafeZone, ViolationKind,
     };
     pub use automon_data::SlidingWindow;
-    pub use automon_fleet::{Fleet, FleetConfig, FleetFaultPlan, ShardMap};
+    pub use automon_fleet::{Fleet, FleetConfig, ShardMap};
     pub use automon_functions::{InnerProduct, KlDivergence, QuadraticForm, Rozenbrock};
     pub use automon_linalg::{Matrix, SymEigen};
     pub use automon_sim::{Baseline, RunStats, Simulation};
