@@ -1,8 +1,6 @@
 //! Finite-difference derivative approximations.
 //!
-//! Used in two places: as the cross-check oracle for the AD engine's test
-//! suite, and by `automon-opt` to differentiate eigenvalue objectives whose
-//! analytic derivatives would require third-order AD.
+//! The cross-check oracle for the AD engines' test suites.
 
 use automon_linalg::Matrix;
 

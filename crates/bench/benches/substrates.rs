@@ -1,7 +1,6 @@
 //! Microbenchmarks of the substrates: AD gradients/Hessians, primed
 //! Hessian-vector products, the spectral kernels (QL default, Jacobi
-//! oracle, matrix-free Lanczos extremes), the box-constrained optimizer,
-//! and the wire codec.
+//! oracle, matrix-free Lanczos extremes), and the wire codec.
 
 use automon_autodiff::{AutoDiffFn, DifferentiableFn, Scalar, ScalarFn};
 use automon_core::{CoordinatorMessage, Curvature, DcKind, NodeMessage, SafeZone, ViolationKind};
@@ -11,7 +10,6 @@ use automon_linalg::{
     RitzSide, SymEigen,
 };
 use automon_net::wire;
-use automon_opt::{minimize_box, Bounds, OptimizeOptions};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 struct LogSumExp {
@@ -143,20 +141,6 @@ fn bench_eigen(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_optimizer(c: &mut Criterion) {
-    c.bench_function("opt/rosenbrock_box_2d", |b| {
-        let bounds = Bounds::new(vec![-2.0, -2.0], vec![2.0, 2.0]);
-        let opts = OptimizeOptions::default();
-        b.iter(|| {
-            std::hint::black_box(minimize_box(
-                |x| (1.0 - x[0]).powi(2) + 100.0 * (x[1] - x[0] * x[0]).powi(2),
-                &bounds,
-                &opts,
-            ))
-        })
-    });
-}
-
 fn bench_wire(c: &mut Criterion) {
     let mut group = c.benchmark_group("wire");
     for d in [10usize, 100] {
@@ -200,5 +184,5 @@ fn bench_wire(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_autodiff, bench_hvp, bench_eigen, bench_optimizer, bench_wire);
+criterion_group!(benches, bench_autodiff, bench_hvp, bench_eigen, bench_wire);
 criterion_main!(benches);

@@ -5,8 +5,8 @@
 //! ε ∈ {0.05, 0.25, 0.95}, violations (neighborhood and safe-zone)
 //! counted over a sweep of `r`; the optimal `r*` minimizes their total.
 
-use automon_core::tuning;
-use automon_core::MonitorConfig;
+use automon_core::{MonitorConfig, NeighborhoodMode};
+use automon_sim::Simulation;
 
 use crate::funcs;
 use crate::{f, Scale, Table};
@@ -19,7 +19,6 @@ pub fn run(scale: Scale) -> Vec<Table> {
     };
     let nodes = 10;
     let bench = funcs::rozenbrock(nodes, rounds, 0xF163);
-    let series = bench.workload.to_node_series();
 
     let radii: Vec<f64> = (1..=12).map(|i| i as f64 * 0.02).collect();
     let mut table = Table::new(
@@ -35,20 +34,22 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let mut optima = Table::new("fig3_optimal_r", &["epsilon", "r_star", "min_total"]);
 
     for eps in [0.05, 0.25, 0.95] {
-        let cfg = MonitorConfig::builder(eps).build();
-        let grid = tuning::evaluate_grid(&bench.f, &series, &radii, &cfg);
         let mut best = (radii[0], usize::MAX);
-        for (r, counts) in &grid {
-            let total = counts.total_violations();
+        for &r in &radii {
+            let cfg = MonitorConfig::builder(eps)
+                .neighborhood(NeighborhoodMode::Fixed(r))
+                .build();
+            let run = Simulation::new(bench.f.clone(), cfg).run(&bench.workload);
+            let total = run.neighborhood_violations + run.safezone_violations;
             table.push(vec![
                 f(eps),
-                f(*r),
-                counts.neighborhood.to_string(),
-                counts.safezone.to_string(),
+                f(r),
+                run.neighborhood_violations.to_string(),
+                run.safezone_violations.to_string(),
                 total.to_string(),
             ]);
             if total < best.1 {
-                best = (*r, total);
+                best = (r, total);
             }
         }
         optima.push(vec![f(eps), f(best.0), best.1.to_string()]);

@@ -6,7 +6,7 @@
 //! `r*`, the tuned `r̂`, and fixed radii {0.05, 0.5, 2.5} — plus the
 //! mean relative deviation of `r̂` from `r*`.
 
-use automon_core::{tuning, MonitorConfig};
+use automon_core::{MonitorConfig, NeighborhoodMode};
 use automon_sim::Simulation;
 
 use crate::funcs::{self, Bench};
@@ -22,28 +22,29 @@ fn build(function: &str, rounds: usize, seed: u64) -> Bench {
     }
 }
 
+/// The paper's setting: the radius stays where it was put.
+fn fixed(eps: f64, r: f64) -> MonitorConfig {
+    MonitorConfig::builder(eps)
+        .neighborhood(NeighborhoodMode::Fixed(r))
+        .build()
+}
+
 /// Grid search the true optimal `r*` by running full monitoring at each
 /// candidate radius and keeping the message minimizer.
 fn optimal_r(bench: &Bench, eps: f64, radii: &[f64]) -> (f64, usize) {
     let mut best = (radii[0], usize::MAX);
     for &r in radii {
-        let cfg = MonitorConfig::builder(eps)
-            .neighborhood(automon_core::NeighborhoodMode::Fixed(r))
-            .build();
-        let stats = Simulation::new(bench.f.clone(), cfg).run_with_r(&bench.workload, Some(r));
-        if stats.messages < best.1 {
-            best = (r, stats.messages);
+        let messages = messages_with_r(bench, eps, r);
+        if messages < best.1 {
+            best = (r, messages);
         }
     }
     best
 }
 
 fn messages_with_r(bench: &Bench, eps: f64, r: f64) -> usize {
-    let cfg = MonitorConfig::builder(eps)
-        .neighborhood(automon_core::NeighborhoodMode::Fixed(r))
-        .build();
-    Simulation::new(bench.f.clone(), cfg)
-        .run_with_r(&bench.workload, Some(r))
+    Simulation::new(bench.f.clone(), fixed(eps, r))
+        .run(&bench.workload)
         .messages
 }
 
@@ -87,10 +88,11 @@ pub fn run(scale: Scale) -> Vec<Table> {
                 let bench = build(function, rounds, seed);
                 let (r_star, msgs_star) = optimal_r(&bench, eps, &grid);
 
-                // Algorithm 2 on the tuning prefix.
-                let prefix = bench.workload.prefix(tuning_rounds).to_node_series();
-                let cfg = MonitorConfig::builder(eps).build();
-                let r_hat = tuning::tune_neighborhood_size(&bench.f, &prefix, &cfg).r;
+                // Algorithm 2 on the tuning prefix, scored under the mode
+                // the `r̂` run below uses.
+                let r_hat = Simulation::new(bench.f.clone(), fixed(eps, 1.0))
+                    .tune_r(&bench.workload.prefix(tuning_rounds))
+                    .r;
 
                 let msgs_hat = messages_with_r(&bench, eps, r_hat);
                 let fixed: Vec<usize> = FIXED_RADII

@@ -157,14 +157,16 @@ pub fn saddle(rounds: usize, seed: u64) -> Bench {
 /// neighborhood-size tuning"). Constant-Hessian functions skip tuning —
 /// ADCD-E has no neighborhood.
 pub fn run_tuned(bench: &Bench, cfg: automon_core::MonitorConfig) -> automon_sim::RunStats {
-    let sim = automon_sim::Simulation::new(bench.f.clone(), cfg);
-    let r = if bench.f.has_constant_hessian() {
-        None
+    use automon_sim::Simulation;
+    let cfg = if bench.f.has_constant_hessian() {
+        cfg
     } else {
         let prefix_rounds = (bench.workload.rounds() / 20).clamp(50, 300);
-        Some(sim.tune_r(&bench.workload.prefix(prefix_rounds)))
+        let prefix = bench.workload.prefix(prefix_rounds);
+        let r = Simulation::new(bench.f.clone(), cfg.clone()).tune_r(&prefix).r;
+        cfg.with_r(r)
     };
-    sim.run_with_r(&bench.workload, r)
+    Simulation::new(bench.f.clone(), cfg).run(&bench.workload)
 }
 
 #[cfg(test)]

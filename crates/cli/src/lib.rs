@@ -185,8 +185,16 @@ TRACE ANALYSIS (offline, over --trace-out files):
                         contract; reports the diverging seq with its
                         enclosing span path and exits non-zero
 
-CSV INPUT (monitor): header-free rows `round,node,x1,...,xd`;
-rounds must be non-decreasing, nodes in 0..N.
+CSV INPUT (monitor, tune): header-free rows `round,node,x1,...,xd`;
+rounds must be non-decreasing, nodes in 0..N. One protocol round per
+distinct round label, for both subcommands.
+
+NEIGHBORHOOD TUNING (paper Algorithm 2): `tune` brackets and grid-searches
+the neighborhood size r over a CSV prefix and prints the violation grid.
+Each candidate r is scored by running the protocol over the prefix exactly
+as `monitor` would run it at that r: same rounds, same (adaptive)
+neighborhood mode. `simulate` does the same on the first tenth of every
+run of a non-constant-Hessian function, fault flags or not.
 
 EXAMPLES:
     automon simulate --function kld --epsilon 0.05 --nodes 12 --rounds 800

@@ -15,7 +15,7 @@ use automon_store::{DynDisk, FileDisk, MemDisk};
 use serde::{Serialize, Value};
 
 use crate::args::{Args, CliError};
-use crate::csvio::{parse_csv_updates, render_estimates};
+use crate::csvio::{parse_csv_updates, render_estimates, Update};
 
 /// Build a built-in monitored function by name.
 pub fn build_function(name: &str, dim: usize) -> Result<Arc<dyn MonitoredFunction>, CliError> {
@@ -448,12 +448,21 @@ pub fn run_simulate(args: &Args) -> Result<String, CliError> {
             out
         }
     } else {
-        // One flat simulation; the plan and the store attach when the
-        // flags ask for them.
+        // One flat simulation: tune the radius when the function has a
+        // neighborhood, attach the plan and the store when the flags ask
+        // for them, run once.
         let snapshot_every = args.num("snapshot-every", 16usize)?;
         if snapshot_every == 0 {
             return Err(CliError::new("--snapshot-every must be positive"));
         }
+        let r = (!f.has_constant_hessian()).then(|| {
+            let prefix = workload.prefix((workload.rounds() / 10).clamp(20, 200));
+            Simulation::new(f.clone(), cfg.clone()).tune_r(&prefix).r
+        });
+        let cfg = match r {
+            Some(r) => cfg.with_r(r),
+            None => cfg,
+        };
         let mut sim = Simulation::new(f.clone(), cfg).with_telemetry(sinks.telemetry.clone());
         if let Some(plan) = &plan {
             sim = sim.with_plan(plan.clone());
@@ -474,24 +483,16 @@ pub fn run_simulate(args: &Args) -> Result<String, CliError> {
             // driver also provisions by itself for `--crash-coordinator`.
             sim = sim.with_store(|| Box::new(MemDisk::new()) as DynDisk, snapshot_every);
         }
-        // Only the fault-free path tunes the neighborhood radius.
-        let r = (plan.is_none() && !f.has_constant_hessian())
-            .then(|| sim.tune_r(&workload.prefix((workload.rounds() / 10).clamp(20, 200))));
-        let (stats, quiesced) = if plan.is_some() {
-            let report = sim.run_report(&workload);
-            (report.stats, Some(report.quiesced))
-        } else {
-            (sim.run_with_r(&workload, r), None)
-        };
-        let s = &stats;
+        let report = sim.run_report(&workload);
+        let s = &report.stats;
         let mut out = format!(
             "function {function} (d = {dim}), {nodes} nodes, {} rounds, ε = {epsilon}\n",
             workload.rounds()
         );
         if json {
-            let extra = quiesced.map(|q| ("quiesced", Value::Bool(q)));
+            let extra = plan.is_some().then_some(("quiesced", Value::Bool(report.quiesced)));
             out = stats_json(s, extra.as_slice())?;
-        } else if let (Some(plan), Some(quiesced)) = (&plan, quiesced) {
+        } else if let Some(plan) = &plan {
             out.push_str(&format!(
                 "chaos: seed {}, drop rate {}, {} crash(es), {} partition(s)\n",
                 plan.seed,
@@ -512,7 +513,7 @@ pub fn run_simulate(args: &Args) -> Result<String, CliError> {
                 "recovery        : {:>8} drain rounds, max degraded error {:.5}, {}\n",
                 s.recovery_rounds,
                 s.max_error_during_partition,
-                if quiesced { "quiesced" } else { "DEADLOCKED" }
+                if report.quiesced { "quiesced" } else { "DEADLOCKED" }
             ));
             if s.coordinator_recoveries > 0 {
                 out.push_str(&format!(
@@ -566,6 +567,22 @@ pub fn run_simulate(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// The workload a CSV describes — one driver round per distinct round
+/// label, in file order — and those labels: what `monitor` runs is what
+/// `tune` scores.
+fn csv_workload(updates: Vec<Update>, nodes: usize) -> (Vec<usize>, Workload) {
+    let mut labels = Vec::new();
+    let mut rounds: Vec<Vec<(usize, Vec<f64>)>> = Vec::new();
+    for (label, node, vector) in updates {
+        if labels.last() != Some(&label) {
+            labels.push(label);
+            rounds.push(Vec::new());
+        }
+        rounds.last_mut().expect("just pushed").push((node, vector));
+    }
+    (labels, Workload::from_rounds(nodes, rounds))
+}
+
 /// Flags `automon monitor` reads; `dispatch` rejects any other.
 pub(crate) const MONITOR_FLAGS: &[&str] = &[
     "function", "input", "nodes", "epsilon", "dim", "output", "spectral-backend",
@@ -597,21 +614,10 @@ pub fn run_monitor(args: &Args) -> Result<String, CliError> {
         .spectral_backend(parse_spectral_backend(args)?)
         .decomp_cache_opt(parse_decomp_cache(args)?)
         .build();
-    // One driver round per distinct CSV round label, in file order; the
-    // labels go back on the rows. The driver measures a round once every
-    // node has reported (the coordinator has no estimate before that).
-    let mut labels = Vec::new();
-    let mut rounds: Vec<Vec<(usize, Vec<f64>)>> = Vec::new();
-    for (label, node, vector) in updates {
-        if labels.last() != Some(&label) {
-            labels.push(label);
-            rounds.push(Vec::new());
-        }
-        rounds.last_mut().expect("just pushed").push((node, vector));
-    }
-    let stats = Simulation::new(f, cfg)
-        .with_trace(1)
-        .run(&Workload::from_rounds(nodes, rounds));
+    // The labels go back on the rows. The driver measures a round once
+    // every node has reported (the coordinator has no estimate before that).
+    let (labels, workload) = csv_workload(updates, nodes);
+    let stats = Simulation::new(f, cfg).with_trace(1).run(&workload);
     let rows: Vec<(usize, f64, f64)> = stats
         .trace
         .iter()
@@ -803,6 +809,32 @@ mod tests {
         let v: Value = serde_json::from_str(&out).expect("valid JSON");
         let map = v.as_map().expect("object");
         assert!(matches!(Value::get_field(map, "quiesced"), Value::Bool(_)), "{out}");
+    }
+
+    /// A zero-rate plan swaps the bare fabric for the chaos fabric and must
+    /// change nothing else — also on a function that tunes its radius.
+    #[test]
+    fn zero_rate_plan_does_not_change_a_run_that_tunes() {
+        let argv: Vec<String> = [
+            "--function", "rozenbrock", "--nodes", "4", "--rounds", "90", "--epsilon", "0.2",
+            "--json",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        let plain = run_simulate(&Args::parse(&argv).unwrap()).unwrap();
+        let mut chaos_argv = argv.clone();
+        chaos_argv.extend(["--chaos-seed".to_string(), "1".to_string()]);
+        let zero = run_simulate(&Args::parse(&chaos_argv).unwrap()).unwrap();
+        let plain: Value = serde_json::from_str(&plain).expect("valid JSON");
+        let zero: Value = serde_json::from_str(&zero).expect("valid JSON");
+        let zero = zero.as_map().expect("object");
+        let plain = plain.as_map().expect("object");
+        assert!(matches!(Value::get_field(plain, "lazy_syncs"), Value::UInt(n) if *n > 0));
+        for (key, value) in plain {
+            assert_eq!(value, Value::get_field(zero, key), "stats key `{key}`");
+        }
+        assert_eq!(Value::get_field(zero, "quiesced"), &Value::Bool(true));
     }
 
     #[test]
@@ -1286,19 +1318,15 @@ pub fn run_tune(args: &Args) -> Result<String, CliError> {
         ));
     }
 
-    // Per-node series in arrival order.
-    let mut series: Vec<Vec<Vec<f64>>> = vec![Vec::new(); nodes];
-    for (_, node, vector) in updates {
-        series[node].push(vector);
-    }
+    let (_, prefix) = csv_workload(updates, nodes);
     let cfg = MonitorConfig::builder(epsilon).build();
-    let result = automon_core::tuning::tune_neighborhood_size(&f, &series, &cfg);
+    let result = Simulation::new(f, cfg).tune_r(&prefix);
 
     let mut out = format!(
         "Algorithm 2 on {} rounds × {nodes} nodes (ε = {epsilon}):\n\
          recommended neighborhood size r̂ = {:.6}\n\n\
          {:>10}  {:>14}  {:>10}  {:>8}\n",
-        series.iter().map(Vec::len).max().unwrap_or(0),
+        prefix.rounds(),
         result.r,
         "r",
         "neighborhood",

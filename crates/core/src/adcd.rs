@@ -354,7 +354,6 @@ fn search_stream(
         let opts = OptimizeOptions {
             max_iters: es.nm_iters,
             tol: 1e-10,
-            ..Default::default()
         };
         let r = nelder_mead(&mut eval, &best_x, bounds, &opts);
         if r.value < best_v {
@@ -695,7 +694,6 @@ mod tests {
             let opts = OptimizeOptions {
                 max_iters: es.nm_iters,
                 tol: 1e-10,
-                ..Default::default()
             };
             let mut obj = eval;
             let r = nelder_mead(&mut obj, &best_x, bounds, &opts);

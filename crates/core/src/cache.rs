@@ -269,10 +269,6 @@ pub struct DecompCache {
     cfg: DecompCacheConfig,
     order: SegmentedLru,
     entries: BTreeMap<CacheKey, CacheEntry>,
-    /// Tuned neighborhood radii remembered per function id
-    /// (`tuning::tune_neighborhood_size` results ride along so a
-    /// fleet sharing the cache also shares the tuned `r`).
-    tuned_r: BTreeMap<u64, f64>,
     stats: CacheStats,
 }
 
@@ -284,7 +280,6 @@ impl DecompCache {
             cfg,
             order,
             entries: BTreeMap::new(),
-            tuned_r: BTreeMap::new(),
             stats: CacheStats::default(),
         }
     }
@@ -367,16 +362,6 @@ impl DecompCache {
         self.entries.insert(key, entry);
         debug_assert!(self.entries.len() <= self.capacity());
         evicted
-    }
-
-    /// Remember a tuned neighborhood radius for `fn_id`.
-    pub fn remember_tuned_r(&mut self, fn_id: u64, r: f64) {
-        self.tuned_r.insert(fn_id, r);
-    }
-
-    /// A previously remembered tuned radius for `fn_id`.
-    pub fn tuned_r(&self, fn_id: u64) -> Option<f64> {
-        self.tuned_r.get(&fn_id).copied()
     }
 }
 
@@ -643,14 +628,6 @@ mod tests {
             cache.insert(1, &x0, 0.5, nb(&x0, 0.5), dummy_dec(0.0), None);
         }
         assert!(matches!(cache.lookup(1, &hot, 0.5, &b), CacheLookup::Exact(_)));
-    }
-
-    #[test]
-    fn tuned_r_rides_along() {
-        let mut cache = DecompCache::new(DecompCacheConfig::default());
-        assert_eq!(cache.tuned_r(9), None);
-        cache.remember_tuned_r(9, 0.75);
-        assert_eq!(cache.tuned_r(9), Some(0.75));
     }
 
     #[test]

@@ -38,6 +38,18 @@ impl NeighborhoodMode {
     pub fn is_adaptive(&self) -> bool {
         matches!(self, NeighborhoodMode::Adaptive(_))
     }
+
+    /// The same mode with radius `r` (e.g. Algorithm 2's `r̂`).
+    ///
+    /// # Panics
+    /// Panics unless `r > 0`.
+    pub fn with_r(self, r: f64) -> Self {
+        assert!(r > 0.0, "neighborhood radius must be positive");
+        match self {
+            NeighborhoodMode::Fixed(_) => NeighborhoodMode::Fixed(r),
+            NeighborhoodMode::Adaptive(_) => NeighborhoodMode::Adaptive(r),
+        }
+    }
 }
 
 /// How the extreme eigenvalues of probed Hessians are computed during
@@ -156,6 +168,13 @@ impl MonitorConfig {
     /// Start building a configuration with error bound `epsilon`.
     pub fn builder(epsilon: f64) -> MonitorConfigBuilder {
         MonitorConfigBuilder::new(epsilon)
+    }
+
+    /// This configuration at neighborhood radius `r`, mode kept
+    /// ([`NeighborhoodMode::with_r`]).
+    pub fn with_r(mut self, r: f64) -> Self {
+        self.neighborhood = self.neighborhood.with_r(r);
+        self
     }
 }
 
@@ -339,6 +358,23 @@ mod tests {
     #[should_panic(expected = "epsilon must be positive")]
     fn zero_epsilon_rejected() {
         MonitorConfig::builder(0.0);
+    }
+
+    #[test]
+    fn with_r_swaps_the_radius_and_keeps_the_mode() {
+        let adaptive = MonitorConfig::builder(0.1).build().with_r(0.25);
+        assert_eq!(adaptive.neighborhood, NeighborhoodMode::Adaptive(0.25));
+        let fixed = MonitorConfig::builder(0.1)
+            .neighborhood(NeighborhoodMode::Fixed(1.0))
+            .build()
+            .with_r(0.25);
+        assert_eq!(fixed.neighborhood, NeighborhoodMode::Fixed(0.25));
+    }
+
+    #[test]
+    #[should_panic(expected = "radius must be positive")]
+    fn with_r_rejects_a_zero_radius() {
+        let _ = NeighborhoodMode::Adaptive(1.0).with_r(0.0);
     }
 
     #[test]

@@ -84,57 +84,6 @@ pub struct CoordinatorSnapshot {
     pub node_has_curvature: Vec<bool>,
 }
 
-/// A notification from the coordinator to the embedding application.
-///
-/// The paper's motivating use case is *acting* on the monitored value
-/// (e.g. raising an intrusion alert); register a callback with
-/// [`Coordinator::set_observer`] to be told whenever the approximation
-/// or the protocol state changes.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CoordinatorEvent {
-    /// A full sync installed a new reference point; `value` is the new
-    /// approximation `f(x0)`.
-    FullSync {
-        /// The new approximation.
-        value: f64,
-        /// Lower threshold now in force.
-        lower: f64,
-        /// Upper threshold now in force.
-        upper: f64,
-    },
-    /// A lazy sync rebalanced the given number of nodes (the
-    /// approximation did not change).
-    LazySync {
-        /// Size of the balancing set.
-        nodes: usize,
-    },
-    /// The adaptive heuristic doubled the neighborhood radius.
-    NeighborhoodDoubled {
-        /// The new radius.
-        r: f64,
-    },
-    /// A node reported faulty constraints (§3.7 sanity check).
-    FaultyConstraints {
-        /// The reporting node.
-        node: NodeId,
-    },
-    /// A node was declared dead and removed from the monitored set; the
-    /// surviving nodes' slack is being redistributed.
-    NodeEvicted {
-        /// The evicted node.
-        node: NodeId,
-    },
-    /// A previously evicted node spoke again and is being resynced from
-    /// scratch.
-    NodeRejoined {
-        /// The rejoining node.
-        node: NodeId,
-    },
-}
-
-/// Observer callback type.
-pub type Observer = Box<dyn FnMut(&CoordinatorEvent) + Send>;
-
 /// Pre-registered telemetry handles for the coordinator.
 ///
 /// Built from [`Telemetry::disabled`] by default, so every update below
@@ -295,8 +244,6 @@ pub struct Coordinator {
     node_has_curvature: Vec<bool>,
     /// Consecutive neighborhood violations without a safe-zone violation.
     consecutive_neighborhood: usize,
-    /// Application callback for protocol events.
-    observer: Option<Observer>,
     /// Constraint epoch; bumped on every completed full sync. Stamped on
     /// every outgoing message so stale frames are recognizable.
     epoch: Epoch,
@@ -346,7 +293,6 @@ impl Coordinator {
             cache_fn_id: 0,
             node_has_curvature: vec![false; n],
             consecutive_neighborhood: 0,
-            observer: None,
             epoch: 0,
             alive: vec![true; n],
             backpressured: vec![false; n],
@@ -354,13 +300,6 @@ impl Coordinator {
             snapshot_deferred: false,
             tel: CoordTel::new(Telemetry::disabled()),
         }
-    }
-
-    /// Register a callback invoked on every protocol event (sync,
-    /// adaptive growth, faulty constraints). Replaces any previous
-    /// observer.
-    pub fn set_observer(&mut self, observer: Observer) {
-        self.observer = Some(observer);
     }
 
     /// Install an observability handle. Metrics are registered eagerly
@@ -450,18 +389,8 @@ impl Coordinator {
     }
 
     /// Share an external decomposition cache (e.g. across a coordinator
-    /// fleet), keying this coordinator's entries under `fn_id`. If the
-    /// cache remembers a tuned neighborhood radius for `fn_id` and this
-    /// coordinator has not completed a sync yet, the tuned radius is
-    /// adopted.
+    /// fleet), keying this coordinator's entries under `fn_id`.
     pub fn set_decomp_cache(&mut self, cache: SharedDecompCache, fn_id: u64) {
-        if self.zone.is_none() {
-            if let Some(r) = cache.lock().tuned_r(fn_id) {
-                if r > 0.0 {
-                    self.r = r;
-                }
-            }
-        }
         self.decomp_cache = Some(cache);
         self.cache_fn_id = fn_id;
     }
@@ -469,12 +398,6 @@ impl Coordinator {
     /// The decomposition cache in use, if any (shareable via clone).
     pub fn decomp_cache(&self) -> Option<&SharedDecompCache> {
         self.decomp_cache.as_ref()
-    }
-
-    fn notify(&mut self, event: CoordinatorEvent) {
-        if let Some(obs) = &mut self.observer {
-            obs(&event);
-        }
     }
 
     /// Accumulated statistics.
@@ -596,7 +519,6 @@ impl Coordinator {
         self.tel.evictions.inc();
         self.tel.alive.set(self.alive_count() as f64);
         self.tel.tel.event("evict", &[("node", node.into())]);
-        self.notify(CoordinatorEvent::NodeEvicted { node });
         if self.alive_count() == 0 {
             self.state = SyncState::Initializing;
             return Vec::new();
@@ -645,22 +567,6 @@ impl Coordinator {
             ));
         }
         out
-    }
-
-    /// Override the neighborhood radius (e.g. from offline tuning,
-    /// Algorithm 2). Takes effect at the next full sync.
-    pub fn set_neighborhood_r(&mut self, r: f64) {
-        assert!(r > 0.0, "neighborhood radius must be positive");
-        self.r = r;
-        // Tuned radii ride along in the decomposition cache so a fleet
-        // sharing it also shares the Algorithm-2 result.
-        if let Some(cache) = &self.decomp_cache {
-            cache.lock().remember_tuned_r(self.cache_fn_id, r);
-        }
-        if self.journal.is_some() {
-            self.journal_zone();
-            self.journal_control();
-        }
     }
 
     /// Capture a restorable snapshot of the protocol state.
@@ -805,7 +711,6 @@ impl Coordinator {
             cache_fn_id: 0,
             node_has_curvature,
             consecutive_neighborhood: snap.consecutive_neighborhood,
-            observer: None,
             epoch: snap.epoch,
             backpressured: vec![false; alive.len()],
             alive,
@@ -907,7 +812,6 @@ impl Coordinator {
             self.tel.rejoins.inc();
             self.tel.alive.set(self.alive_count() as f64);
             self.tel.tel.event("rejoin", &[("node", sender.into())]);
-            self.notify(CoordinatorEvent::NodeRejoined { node: sender });
         } else if epoch < self.epoch && violation != Some(ViolationKind::Uninitialized) {
             // Stale frame: the node is monitoring under superseded
             // constraints (a full-sync install got lost or delayed).
@@ -928,9 +832,6 @@ impl Coordinator {
         self.touch_lru(sender);
         if let Some(kind) = violation {
             self.record_violation(kind);
-            if kind == ViolationKind::FaultyConstraints {
-                self.notify(CoordinatorEvent::FaultyConstraints { node: sender });
-            }
         }
         if rejoining && self.zone.is_some() {
             // Resync from scratch, newcomer included: fresh vectors from
@@ -1027,7 +928,6 @@ impl Coordinator {
                     self.tel.radius.set(self.r);
                     self.tel.tel.event("r_doubled", &[("r", self.r.into())]);
                     self.consecutive_neighborhood = 0;
-                    self.notify(CoordinatorEvent::NeighborhoodDoubled { r: self.r });
                 }
             }
             ViolationKind::SafeZone => {
@@ -1039,8 +939,6 @@ impl Coordinator {
                 self.stats.faulty_reports += 1;
                 self.tel.viol_faulty.inc();
                 self.consecutive_neighborhood = 0;
-                // The reporting node is recorded by the caller; id is
-                // threaded through `handle`, so notify there.
             }
             ViolationKind::Uninitialized => {}
         }
@@ -1074,7 +972,6 @@ impl Coordinator {
             self.tel
                 .tel
                 .event("lazy_sync", &[("nodes", set.len().into())]);
-            self.notify(CoordinatorEvent::LazySync { nodes: set.len() });
             self.state = SyncState::Monitoring;
             return out;
         }
@@ -1305,11 +1202,6 @@ impl Coordinator {
                 ("members", members.len().into()),
             ],
         );
-        self.notify(CoordinatorEvent::FullSync {
-            value: zone.f0,
-            lower: zone.l,
-            upper: zone.u,
-        });
         self.zone = Some(zone);
         self.stats.full_syncs += 1;
         // Note: the consecutive-neighborhood-violation counter (paper
@@ -1466,13 +1358,6 @@ mod tests {
         let (l, u) = coord.thresholds(-2.0);
         assert!(l < u);
         assert!((l + 2.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn set_neighborhood_r_applies() {
-        let (mut coord, _) = setup(2, MonitorConfig::builder(0.1).build());
-        coord.set_neighborhood_r(0.25);
-        assert_eq!(coord.neighborhood_r(), 0.25);
     }
 
     /// Register all nodes at the given vectors and run the initial sync.

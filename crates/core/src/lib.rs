@@ -47,7 +47,7 @@ pub use cache::{
 };
 pub use config::{ApproximationKind, EigenObjective, EigenSearch, MonitorConfig, MonitorConfigBuilder, NeighborhoodMode, Parallelism};
 pub use automon_linalg::SpectralBackend;
-pub use coordinator::{Coordinator, CoordinatorEvent, CoordinatorSnapshot, CoordinatorStats, Observer};
+pub use coordinator::{Coordinator, CoordinatorSnapshot, CoordinatorStats};
 pub use journal::{Journal, Transition};
 pub use ledger::{CommCause, CommLedger, LedgerCell, LedgerEntry};
 pub use messages::{

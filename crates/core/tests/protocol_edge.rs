@@ -285,41 +285,28 @@ fn snapshot_refused_mid_sync() {
 }
 
 #[test]
-fn observer_sees_sync_events() {
-    use automon_core::CoordinatorEvent;
-    use std::sync::{Arc as SArc, Mutex};
-
+fn stats_and_current_value_follow_the_syncs() {
     let f = mean1();
     let n = 2;
-    let events: SArc<Mutex<Vec<CoordinatorEvent>>> = SArc::new(Mutex::new(Vec::new()));
-    let sink = events.clone();
     let mut coord = Coordinator::new(f.clone(), n, MonitorConfig::builder(0.1).build());
-    coord.set_observer(Box::new(move |e| sink.lock().unwrap().push(e.clone())));
     let mut nodes: Vec<Node> = (0..n).map(|i| Node::new(i, f.clone())).collect();
     init(&mut coord, &mut nodes, 0.0);
+    // The first sync installs f(x0) = 0.
+    assert_eq!(coord.stats().full_syncs, 1);
+    assert_eq!(coord.current_value(), Some(0.0));
 
     // Opposite drifts → one lazy sync; common drift → full sync.
     let m0 = nodes[0].update_data(vec![0.5]).expect("violation");
     assert!(nodes[1].update_data(vec![-0.5]).is_some());
     route(&mut coord, &mut nodes, m0);
+    assert!(coord.stats().lazy_syncs >= 1, "{:?}", coord.stats());
+    assert_eq!(coord.current_value(), Some(0.0), "a lazy sync keeps x0");
     // Re-arm node 1 (its report was absorbed by the lazy resolution).
     let m = nodes[0].update_data(vec![5.0]).expect("violation");
     route(&mut coord, &mut nodes, m);
 
-    let log = events.lock().unwrap();
-    assert!(matches!(
-        log.first(),
-        Some(CoordinatorEvent::FullSync { value, .. }) if *value == 0.0
-    ), "{log:?}");
-    assert!(
-        log.iter().any(|e| matches!(e, CoordinatorEvent::LazySync { .. })),
-        "{log:?}"
-    );
-    let full_syncs = log
-        .iter()
-        .filter(|e| matches!(e, CoordinatorEvent::FullSync { .. }))
-        .count();
-    assert!(full_syncs >= 2, "{log:?}");
+    assert!(coord.stats().full_syncs >= 2, "{:?}", coord.stats());
+    assert_ne!(coord.current_value(), Some(0.0));
 }
 
 #[test]

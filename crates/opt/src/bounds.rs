@@ -87,15 +87,6 @@ impl Bounds {
             None
         }
     }
-
-    /// Length of the longest box edge.
-    pub fn max_edge(&self) -> f64 {
-        self.lo
-            .iter()
-            .zip(&self.hi)
-            .map(|(&l, &h)| h - l)
-            .fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -108,7 +99,6 @@ mod tests {
         assert_eq!(b.lo, vec![0.5, -1.5]);
         assert_eq!(b.hi, vec![1.5, -0.5]);
         assert_eq!(b.center(), vec![1.0, -1.0]);
-        assert_eq!(b.max_edge(), 1.0);
     }
 
     #[test]

@@ -7,46 +7,33 @@
 //! ```
 //!
 //! over the neighborhood box `B`. The paper's prototype calls SciPy's
-//! L-BFGS-B; this crate is the from-scratch Rust replacement. It combines:
+//! L-BFGS-B; here the search itself lives in `automon_core::adcd` (seeded
+//! probes of `B` pick an incumbent) and this crate supplies its two
+//! substrates:
 //!
-//! * [`projected_gradient`] — projected gradient descent with
-//!   central-difference gradients and Armijo backtracking, the workhorse
-//!   for smooth stretches of the eigenvalue objective;
-//! * [`nelder_mead`] — a box-projected Nelder–Mead simplex used to polish
+//! * [`Bounds`] — the box: projection, containment, intersection;
+//! * [`nelder_mead`] — a box-projected Nelder–Mead simplex that polishes
 //!   the incumbent, because `λ_min(H(x))` is only piecewise-smooth (it has
-//!   kinks at eigenvalue crossings) and derivative-free polish is robust
-//!   there;
-//! * [`multi_start`] — deterministic multi-start (box center + seeded
-//!   uniform samples + box corners in low dimension) feeding both.
+//!   kinks at eigenvalue crossings) and a derivative-free search is robust
+//!   there.
 //!
-//! Like the paper's optimizer, the solver is *local*: there is no global
+//! Like the paper's optimizer, the search is *local*: there is no global
 //! optimality guarantee for non-convex spectra, and AutoMon's protocol
 //! layer compensates with its safe-zone sanity check (paper §3.7).
 
 mod bounds;
 mod nelder_mead;
-mod projected_gradient;
 
 pub use bounds::Bounds;
 pub use nelder_mead::nelder_mead;
-pub use projected_gradient::projected_gradient;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-/// Options shared by the optimization drivers.
+/// Budget of one [`nelder_mead`] search.
 #[derive(Debug, Clone, Copy)]
 pub struct OptimizeOptions {
-    /// Iteration cap per local solve.
+    /// Iteration cap.
     pub max_iters: usize,
-    /// Convergence tolerance on the projected-gradient norm / simplex size.
+    /// Convergence tolerance on the simplex diameter.
     pub tol: f64,
-    /// Finite-difference step for gradient estimates.
-    pub fd_step: f64,
-    /// Number of random restart points (besides center and corners).
-    pub restarts: usize,
-    /// Seed for restart sampling (deterministic runs).
-    pub seed: u64,
 }
 
 impl Default for OptimizeOptions {
@@ -54,14 +41,11 @@ impl Default for OptimizeOptions {
         Self {
             max_iters: 200,
             tol: 1e-8,
-            fd_step: 1e-6,
-            restarts: 4,
-            seed: 0x5EED,
         }
     }
 }
 
-/// Result of a (multi-start) minimization.
+/// Result of a minimization.
 #[derive(Debug, Clone)]
 pub struct OptimizeResult {
     /// Best point found.
@@ -70,179 +54,20 @@ pub struct OptimizeResult {
     pub value: f64,
     /// Total objective evaluations.
     pub evals: usize,
-    /// Whether any local solve met its tolerance.
+    /// Whether the search met its tolerance.
     pub converged: bool,
-}
-
-/// Minimize `f` over the box with multi-start projected gradient +
-/// Nelder–Mead polish.
-///
-/// ```
-/// use automon_opt::{minimize_box, Bounds, OptimizeOptions};
-///
-/// let bounds = Bounds::new(vec![0.0, 0.0], vec![1.0, 1.0]);
-/// // Unconstrained minimum at (3, 3) — the solver must stop at the corner.
-/// let r = minimize_box(
-///     |x| (x[0] - 3.0).powi(2) + (x[1] - 3.0).powi(2),
-///     &bounds,
-///     &OptimizeOptions::default(),
-/// );
-/// assert!((r.x[0] - 1.0).abs() < 1e-6);
-/// assert!((r.x[1] - 1.0).abs() < 1e-6);
-/// ```
-pub fn minimize_box(
-    mut f: impl FnMut(&[f64]) -> f64,
-    bounds: &Bounds,
-    opts: &OptimizeOptions,
-) -> OptimizeResult {
-    let starts = multi_start(bounds, opts);
-    let mut best: Option<OptimizeResult> = None;
-    let mut total_evals = 0usize;
-    let mut any_converged = false;
-    for s in &starts {
-        let r = projected_gradient(&mut f, s, bounds, opts);
-        total_evals += r.evals;
-        any_converged |= r.converged;
-        if best.as_ref().is_none_or(|b| r.value < b.value) {
-            best = Some(r);
-        }
-    }
-    let incumbent = best.expect("multi_start produced no starts");
-    // Derivative-free polish from the incumbent: eigenvalue objectives can
-    // have kinks that stall gradient steps.
-    let polished = nelder_mead(&mut f, &incumbent.x, bounds, opts);
-    total_evals += polished.evals;
-    let mut out = if polished.value < incumbent.value {
-        polished
-    } else {
-        incumbent
-    };
-    out.evals = total_evals;
-    out.converged = any_converged || out.converged;
-    out
-}
-
-/// Maximize `f` over the box (minimizes `-f`).
-pub fn maximize_box(
-    mut f: impl FnMut(&[f64]) -> f64,
-    bounds: &Bounds,
-    opts: &OptimizeOptions,
-) -> OptimizeResult {
-    let mut r = minimize_box(|x| -f(x), bounds, opts);
-    r.value = -r.value;
-    r
-}
-
-/// Deterministic multi-start points: box center, seeded uniform samples,
-/// and (for `d ≤ 4`) all corners.
-pub fn multi_start(bounds: &Bounds, opts: &OptimizeOptions) -> Vec<Vec<f64>> {
-    let d = bounds.dim();
-    let mut starts = vec![bounds.center()];
-    if d <= 4 {
-        for mask in 0..(1usize << d) {
-            let corner: Vec<f64> = (0..d)
-                .map(|i| {
-                    if mask >> i & 1 == 1 {
-                        bounds.hi[i]
-                    } else {
-                        bounds.lo[i]
-                    }
-                })
-                .collect();
-            starts.push(corner);
-        }
-    }
-    let mut rng = SmallRng::seed_from_u64(opts.seed);
-    for _ in 0..opts.restarts {
-        let p: Vec<f64> = (0..d)
-            .map(|i| {
-                if bounds.lo[i] < bounds.hi[i] {
-                    rng.gen_range(bounds.lo[i]..=bounds.hi[i])
-                } else {
-                    bounds.lo[i]
-                }
-            })
-            .collect();
-        starts.push(p);
-    }
-    starts
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn minimizes_shifted_quadratic() {
-        let b = Bounds::new(vec![-5.0, -5.0], vec![5.0, 5.0]);
-        let r = minimize_box(
-            |x| (x[0] - 1.0).powi(2) + (x[1] + 2.0).powi(2),
-            &b,
-            &OptimizeOptions::default(),
-        );
-        assert!((r.x[0] - 1.0).abs() < 1e-4, "{:?}", r);
-        assert!((r.x[1] + 2.0).abs() < 1e-4, "{:?}", r);
-        assert!(r.value < 1e-7);
-    }
-
-    #[test]
-    fn respects_active_bounds() {
-        // Unconstrained minimum at (3, 3) lies outside the box.
-        let b = Bounds::new(vec![0.0, 0.0], vec![1.0, 1.0]);
-        let r = minimize_box(
-            |x| (x[0] - 3.0).powi(2) + (x[1] - 3.0).powi(2),
-            &b,
-            &OptimizeOptions::default(),
-        );
-        assert!((r.x[0] - 1.0).abs() < 1e-6);
-        assert!((r.x[1] - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn maximize_is_negated_minimize() {
-        let b = Bounds::new(vec![-1.0], vec![2.0]);
-        let r = maximize_box(|x| -(x[0] - 0.5).powi(2) + 7.0, &b, &OptimizeOptions::default());
-        assert!((r.x[0] - 0.5).abs() < 1e-4);
-        assert!((r.value - 7.0).abs() < 1e-7);
-    }
-
-    #[test]
-    fn multistart_escapes_local_minimum() {
-        // Double well with asymmetric depths: global minimum on the right,
-        // a shallower local minimum on the left. Descent from the center
-        // could fall either way; multi-start must find the global one.
-        let well = |x: &[f64]| {
-            let t = x[0];
-            0.05 * t.powi(4) - 0.4 * t * t + 0.15 * t
-        };
-        // The +0.15t tilt makes the left well (t ≈ -2.1) the global minimum.
-        let b = Bounds::new(vec![-3.0], vec![3.0]);
-        let r = minimize_box(well, &b, &OptimizeOptions::default());
-        assert!(r.x[0] < 0.0, "expected the deeper left well, got {:?}", r);
-        assert!(r.value < -1.0, "{:?}", r);
-    }
-
-    #[test]
-    fn nonsmooth_objective_polish() {
-        // |x - 0.3| has a kink at the minimizer.
-        let b = Bounds::new(vec![-1.0], vec![1.0]);
-        let r = minimize_box(|x| (x[0] - 0.3).abs(), &b, &OptimizeOptions::default());
-        assert!((r.x[0] - 0.3).abs() < 1e-3, "{:?}", r);
-    }
-
+    /// A neighborhood clamped to a domain edge can be a single point.
     #[test]
     fn degenerate_point_box() {
         let b = Bounds::new(vec![2.0, 2.0], vec![2.0, 2.0]);
-        let r = minimize_box(|x| x[0] + x[1], &b, &OptimizeOptions::default());
+        let r = nelder_mead(&mut |x| x[0] + x[1], &[2.0, 2.0], &b, &OptimizeOptions::default());
         assert_eq!(r.x, vec![2.0, 2.0]);
         assert_eq!(r.value, 4.0);
-    }
-
-    #[test]
-    fn multi_start_points_stay_in_box() {
-        let b = Bounds::new(vec![-1.0, 0.0, 2.0], vec![1.0, 0.5, 2.0]);
-        for s in multi_start(&b, &OptimizeOptions::default()) {
-            assert!(b.contains(&s), "start {s:?} outside box");
-        }
     }
 }

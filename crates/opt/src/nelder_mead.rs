@@ -5,9 +5,9 @@ use crate::{Bounds, OptimizeOptions, OptimizeResult};
 /// Minimize `f` over `bounds` with a Nelder–Mead simplex whose candidate
 /// points are projected onto the box.
 ///
-/// Used as the derivative-free polishing stage after projected gradient
-/// descent: ADCD-X's objective `λ_min(H(x))` has kinks wherever the two
-/// smallest eigenvalues cross, and simplex search is insensitive to them.
+/// The polishing stage of the ADCD-X eigen search, started from the best
+/// probe: the objective `λ_min(H(x))` has kinks wherever the two smallest
+/// eigenvalues cross, and simplex search is insensitive to them.
 pub fn nelder_mead(
     f: &mut impl FnMut(&[f64]) -> f64,
     x0: &[f64],
@@ -160,7 +160,6 @@ mod tests {
         let opts = OptimizeOptions {
             max_iters: 2000,
             tol: 1e-10,
-            ..Default::default()
         };
         let r = nelder_mead(&mut f, &[-1.0, 1.0], &b, &opts);
         assert!((r.x[0] - 1.0).abs() < 1e-3, "{:?}", r);

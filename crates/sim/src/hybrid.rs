@@ -152,7 +152,7 @@ impl Simulation {
             cfg: hybrid,
             ..HybridPolicy::default()
         };
-        let mut run = self.drive(workload, None, Some(&mut policy)).stats;
+        let mut run = self.drive(workload, Some(&mut policy)).stats;
         // Periodic-mode reports are accounted beside the link, so the
         // per-cause ledger would no longer conserve the totals.
         run.messages += policy.extra_msgs;

@@ -15,6 +15,7 @@ use std::sync::Arc;
 use automon_chaos::{
     ChaosFabric, Direction, Executor, FaultEvent, FaultPlan, RecoveryConfig, TimedFault,
 };
+use automon_core::tuning::{tune_neighborhood_size, ReplayCounts, TuningResult};
 use automon_core::{CommCause, Coordinator, MonitorConfig, MonitoredFunction, Node, NodeMessage};
 use automon_linalg::vector;
 use automon_net::{CoordinatorTransport, CountingFabric};
@@ -263,24 +264,37 @@ impl Simulation {
     }
 
     /// Tune the neighborhood size on a workload prefix (paper Algorithm 2).
-    pub fn tune_r(&self, tuning_prefix: &Workload) -> f64 {
-        let series = tuning_prefix.to_node_series();
-        automon_core::tuning::tune_neighborhood_size(&self.f, &series, &self.cfg).r
+    ///
+    /// Each candidate `r` is scored by a fresh fault-free, uninstrumented
+    /// simulation of the same function under this configuration with only
+    /// the radius swapped ([`MonitorConfig::with_r`]: mode kept) run over
+    /// the prefix as it stands, round structure included — so what is
+    /// scored is what [`Simulation::run`] executes once the configuration
+    /// carries `r̂`. This simulation's telemetry, plan and store play no
+    /// part: a tuned run's trace does not depend on tuning having happened.
+    pub fn tune_r(&self, tuning_prefix: &Workload) -> TuningResult {
+        tune_neighborhood_size(|r| {
+            let run = Simulation::new(self.f.clone(), self.cfg.clone().with_r(r))
+                .run(tuning_prefix);
+            ReplayCounts {
+                neighborhood: run.neighborhood_violations,
+                safezone: run.safezone_violations,
+                faulty: run.faulty_reports,
+                full_syncs: run.full_syncs,
+                lazy_syncs: run.lazy_syncs,
+                messages: run.messages,
+            }
+        })
     }
 
     /// Run the workload to completion and return its statistics.
     pub fn run(&self, workload: &Workload) -> RunStats {
-        self.run_with_r(workload, None)
-    }
-
-    /// Run with an explicit neighborhood radius (e.g. from [`Self::tune_r`]).
-    pub fn run_with_r(&self, workload: &Workload, r: Option<f64>) -> RunStats {
-        self.drive(workload, r, None).stats
+        self.drive(workload, None).stats
     }
 
     /// Run the workload, then drain to quiescence; the full report.
     pub fn run_report(&self, workload: &Workload) -> RunReport {
-        self.drive(workload, None, None)
+        self.drive(workload, None)
     }
 
     fn new_node(&self, id: usize) -> Node {
@@ -361,15 +375,11 @@ impl Simulation {
     pub(crate) fn drive(
         &self,
         workload: &Workload,
-        r: Option<f64>,
         mut policy: Option<&mut HybridPolicy>,
     ) -> RunReport {
         let n = workload.nodes();
         let tel = &self.telemetry;
         let mut coord = Coordinator::new(self.f.clone(), n, self.cfg.clone());
-        if let Some(r) = r {
-            coord.set_neighborhood_r(r);
-        }
         coord.set_telemetry(tel.clone());
         let link = self.open_link(n);
         let nodes = (0..n).map(|i| self.new_node(i)).collect();
@@ -795,37 +805,6 @@ mod tests {
             .map(|p| p.cumulative_messages)
             .collect();
         assert!(msgs.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn run_with_fixed_r_matches_explicit_coordinator_r() {
-        // run_with_r(Some(r)) and a Fixed(r) config agree exactly.
-        let series: Vec<Vec<Vec<f64>>> = (0..2)
-            .map(|i| {
-                (0..60)
-                    .map(|t| vec![(t as f64 * 0.05).sin() + i as f64 * 0.01])
-                    .collect()
-            })
-            .collect();
-        let w = Workload::from_dense(&series);
-        struct Cube;
-        impl ScalarFn for Cube {
-            fn dim(&self) -> usize {
-                1
-            }
-            fn call<S: Scalar>(&self, x: &[S]) -> S {
-                x[0] * x[0] * x[0]
-            }
-        }
-        let f: Arc<dyn MonitoredFunction> = Arc::new(AutoDiffFn::new(Cube));
-        let a = Simulation::new(f.clone(), MonitorConfig::builder(0.2).build())
-            .run_with_r(&w, Some(0.3));
-        let cfg = MonitorConfig::builder(0.2)
-            .neighborhood(automon_core::NeighborhoodMode::Fixed(0.3))
-            .build();
-        let b = Simulation::new(f, cfg).run(&w);
-        assert_eq!(a.messages, b.messages);
-        assert_eq!(a.max_error, b.max_error);
     }
 
     /// A plan the reactor link cannot honour is refused in every build

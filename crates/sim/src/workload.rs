@@ -125,8 +125,11 @@ impl Workload {
         }
     }
 
-    /// Convert to per-node series (`out[node][k]` = k-th update), the
-    /// shape `automon_core::tuning` consumes.
+    /// Convert to per-node series (`out[node][k]` = k-th update): one
+    /// node's stream on its own, which round each update fell in dropped
+    /// (the per-node input of the Figure 7 runtime table and the Figure 10
+    /// delta-encoding row). Tuning does not use it — Algorithm 2 scores
+    /// the workload as it runs, rounds intact ([`crate::Simulation::tune_r`]).
     pub fn to_node_series(&self) -> Vec<Vec<Vec<f64>>> {
         let mut out = vec![Vec::new(); self.n];
         for round in &self.rounds {

@@ -35,15 +35,16 @@ fn main() {
     let epsilon = 0.1;
     println!("monitoring KLD over {} rounds (ε = {epsilon})…", workload.rounds());
     let cfg = MonitorConfig::builder(epsilon).build();
-    let sim = Simulation::new(f.clone(), cfg);
 
     // Tune the neighborhood size on the first ~1.5% of the data, as the
     // paper does for real datasets.
     let tuning_rounds = (workload.rounds() / 66).max(20);
-    let r = sim.tune_r(&workload.prefix(tuning_rounds));
+    let r = Simulation::new(f.clone(), cfg.clone())
+        .tune_r(&workload.prefix(tuning_rounds))
+        .r;
     println!("  tuned neighborhood size r̂ = {r:.4}");
 
-    let stats = sim.run_with_r(&workload, Some(r));
+    let stats = Simulation::new(f.clone(), cfg.with_r(r)).run(&workload);
     let central = run_centralization(&f, &workload);
     let periodic = run_periodic(&f, &workload, 20);
 

@@ -96,12 +96,13 @@ fn main() {
             ..Default::default()
         })
         .build();
-    let sim = Simulation::new(f.clone(), cfg);
     // Tune the neighborhood size on a prefix, like the paper does for
     // real datasets (~1.5% of the stream).
-    let r = sim.tune_r(&workload.prefix(workload.rounds() / 20));
+    let r = Simulation::new(f.clone(), cfg.clone())
+        .tune_r(&workload.prefix(workload.rounds() / 20))
+        .r;
     println!("  tuned neighborhood size r̂ = {r:.3}");
-    let stats = sim.run_with_r(&workload, Some(r));
+    let stats = Simulation::new(f.clone(), cfg.with_r(r)).run(&workload);
     let central = run_centralization(&f, &workload);
     let periodic1 = automon::sim::run_periodic(&f, &workload, 1);
     let periodic20 = automon::sim::run_periodic(&f, &workload, 20);

@@ -33,13 +33,15 @@ fn main() {
         "monitoring the regression slope over {} rounds (ε = {epsilon})…",
         workload.rounds()
     );
-    let sim = Simulation::new(f.clone(), MonitorConfig::builder(epsilon).build());
+    let cfg = MonitorConfig::builder(epsilon).build();
 
     // The slope's curvature is wildly position-dependent (ridge-damped
     // rational function), so Algorithm 2's neighborhood tuning matters.
-    let r = sim.tune_r(&workload.prefix(200));
+    let r = Simulation::new(f.clone(), cfg.clone())
+        .tune_r(&workload.prefix(200))
+        .r;
     println!("  tuned neighborhood size r̂ = {r:.3}");
-    let stats = sim.run_with_r(&workload, Some(r));
+    let stats = Simulation::new(f.clone(), cfg.with_r(r)).run(&workload);
 
     let central = run_centralization(&f, &workload);
     let periodic = run_periodic(&f, &workload, 25);

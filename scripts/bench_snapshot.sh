@@ -30,6 +30,12 @@
 # at 1.0, so 0.7 separates the two with room for this box's noise on
 # either side. A failing gate leaves the snapshot file untouched.
 #
+# The substrates bench no longer has an `opt/rosenbrock_box_2d` row: it
+# timed `opt::minimize_box`, which the eq.-3 search never called and PR 19
+# deleted. The next rotation of BENCH_adcd_hotpath.json drops the key from
+# "current" (it lingers one rotation in "previous"); that is this deletion,
+# not a bench that stopped printing.
+#
 # The fleet_scaling bench is snapshotted separately into
 # BENCH_fleet_scaling.json: it measures message/byte *volume* of the
 # two-tier hierarchy against the flat baseline, not wall time. The

@@ -14,7 +14,9 @@
 #      draws, time). (b) One round driver serves every link: a plain run
 #      and the same run under a zero-rate fault plan (--chaos-seed 1,
 #      which swaps the bare fabric for the chaos fabric) must agree on
-#      every stats key they share.
+#      every stats key they share — for inner-product (constant Hessian,
+#      never tunes) and for rozenbrock (Algorithm 2 tunes r first, with
+#      or without a plan).
 #   5. zero-overhead bench smoke — decompose_observed with
 #      Telemetry::disabled() must cost what the bare decompose costs
 #      (DESIGN.md §3.9's near-no-op contract). The bench runs three
@@ -106,11 +108,12 @@ if ! grep -q "quiesced" <<<"$run_a"; then
     exit 1
 fi
 echo "    deterministic, quiesced"
-PARITY_ARGS=(simulate --function inner-product --dim 4 --nodes 4
-    --rounds 90 --epsilon 0.3 --json)
-plain=$(cargo run --release -q -p automon-cli -- "${PARITY_ARGS[@]}")
-zero=$(cargo run --release -q -p automon-cli -- "${PARITY_ARGS[@]}" --chaos-seed 1)
-python3 - <<PYEOF
+for fn in "inner-product --dim 4" rozenbrock; do
+    # shellcheck disable=SC2086  # word-split into name + its flag on purpose
+    PARITY_ARGS=(simulate --function $fn --nodes 4 --rounds 90 --epsilon 0.3 --json)
+    plain=$(cargo run --release -q -p automon-cli -- "${PARITY_ARGS[@]}")
+    zero=$(cargo run --release -q -p automon-cli -- "${PARITY_ARGS[@]}" --chaos-seed 1)
+    python3 - <<PYEOF
 import json, sys
 
 plain = json.loads("""${plain}""")
@@ -118,12 +121,13 @@ zero = json.loads("""${zero}""")
 shared = sorted(set(plain) & set(zero))
 bad = [k for k in shared if plain[k] != zero[k]]
 if bad or "ledger" not in shared or zero.get("quiesced") is not True:
-    print("FAIL: a zero-rate fault plan changed the run", file=sys.stderr)
+    print("FAIL: ${fn}: a zero-rate fault plan changed the run", file=sys.stderr)
     for k in bad:
         print(f"  {k}: plain={plain[k]!r} zero-rate={zero[k]!r}", file=sys.stderr)
     sys.exit(1)
-print(f"    plain == zero-rate chaos on all {len(shared)} shared stats keys")
+print(f"    ${fn}: plain == zero-rate chaos on all {len(shared)} shared stats keys")
 PYEOF
+done
 
 echo "==> zero-overhead bench smoke (tolerance ${BENCH_SMOKE_TOLERANCE:-0.10})"
 BENCH_OUT=$(for _ in 1 2 3; do

@@ -57,9 +57,9 @@ fn regression_slope_monitoring_tracks_drift() {
     // The slope's curvature explodes near the ridge-regularized
     // denominator, so the neighborhood size matters enormously here —
     // run Algorithm 2 on a prefix exactly as the paper prescribes.
-    let sim = Simulation::new(f.clone(), MonitorConfig::builder(eps).build());
-    let r = sim.tune_r(&w.prefix(150));
-    let stats = sim.run_with_r(&w, Some(r));
+    let cfg = MonitorConfig::builder(eps).build();
+    let r = Simulation::new(f.clone(), cfg.clone()).tune_r(&w.prefix(150)).r;
+    let stats = Simulation::new(f.clone(), cfg.with_r(r)).run(&w);
     // The slope drifts from ~1.0 to ~1.8; the monitor must track it
     // within a small multiple of ε (no guarantee class, sanity-checked).
     assert!(stats.max_error <= 3.0 * eps, "{stats:?}");
@@ -165,9 +165,9 @@ fn cosine_similarity_monitoring_end_to_end() {
         .collect();
     let w = Workload::from_dense(&series);
     let eps = 0.1;
-    let sim = Simulation::new(f.clone(), MonitorConfig::builder(eps).build());
-    let r = sim.tune_r(&w.prefix(60));
-    let stats = sim.run_with_r(&w, Some(r));
+    let cfg = MonitorConfig::builder(eps).build();
+    let r = Simulation::new(f.clone(), cfg.clone()).tune_r(&w.prefix(60)).r;
+    let stats = Simulation::new(f.clone(), cfg.with_r(r)).run(&w);
     assert!(stats.max_error <= 3.0 * eps, "{stats:?}");
     assert!(
         stats.messages < run_centralization(&f, &w).messages,
@@ -194,9 +194,9 @@ fn pearson_correlation_monitoring_end_to_end() {
         .collect();
     let w = Workload::from_dense(&series);
     let eps = 0.1;
-    let sim = Simulation::new(f.clone(), MonitorConfig::builder(eps).build());
-    let r = sim.tune_r(&w.prefix(60));
-    let stats = sim.run_with_r(&w, Some(r));
+    let cfg = MonitorConfig::builder(eps).build();
+    let r = Simulation::new(f.clone(), cfg.clone()).tune_r(&w.prefix(60)).r;
+    let stats = Simulation::new(f.clone(), cfg.with_r(r)).run(&w);
     assert!(stats.max_error <= 3.0 * eps, "{stats:?}");
     assert!(stats.full_syncs >= 2, "the drift must force re-syncs: {stats:?}");
 }
