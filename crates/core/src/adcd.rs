@@ -13,7 +13,7 @@
 //!
 //! The convex-vs-concave choice follows the DC heuristic of §3.4.
 
-use automon_autodiff::HvpEvaluator;
+use automon_autodiff::{HessianEvaluator, HvpEvaluator};
 use automon_linalg::{
     EigenWorkspace, LanczosOptions, LanczosStats, LanczosWorkspace, Matrix, RitzSide,
     SpectralBackend, SymEigen, SymOperator,
@@ -51,7 +51,11 @@ pub struct SpectralStats {
     /// or the Gershgorin probe objective) pay one more per evaluation.
     pub hessian_materializations: u64,
     /// Eigen-search objective evaluations: probe points plus
-    /// Nelder–Mead polish evaluations, both streams.
+    /// Nelder–Mead polish evaluations, over the streams that ran (the
+    /// search skips the stream whose extreme the chosen representation
+    /// does not use once the DC heuristic is provably settled, and a
+    /// polish ends early on a simplex flat to the evaluator's
+    /// resolution).
     pub eigen_probes: u64,
     /// Lanczos iterations across all probe evaluations (0 on the dense
     /// paths).
@@ -72,8 +76,16 @@ pub struct DcDecomposition {
     /// The convex penalty for the chosen representation.
     pub curvature: Curvature,
     /// `λ̂_min` found over `B` (for E: the true smallest eigenvalue).
+    ///
+    /// ADCD-X searches only the extremes its result depends on: under
+    /// [`DcKind::ConcaveDiff`] this may be the unsearched
+    /// `λ_min(H(center of B))` — an upper bound of `λ̂_min`, good for
+    /// diagnostics only. `curvature` never derives from an unsearched
+    /// extreme.
     pub lambda_min_hat: f64,
-    /// `λ̂_max` found over `B` (for E: the true largest eigenvalue).
+    /// `λ̂_max` found over `B` (for E: the true largest eigenvalue);
+    /// under [`DcKind::ConvexDiff`] possibly the unsearched
+    /// `λ_max(H(center of B))`, as for `lambda_min_hat`.
     pub lambda_max_hat: f64,
     /// Spectral work counters for this decomposition.
     pub spectral: SpectralStats,
@@ -131,6 +143,8 @@ pub fn decompose_observed(
     // Deterministic work accounting, read off the decomposition's own
     // spectral counters (see [`SpectralStats`]).
     let sp = dec.spectral;
+    // The polish budget of both streams: an upper bound, whichever of
+    // them ran.
     let nm_budget = match dec.kind {
         AdcdKind::E => 0u64,
         AdcdKind::X => 2 * es.nm_iters as u64,
@@ -231,26 +245,15 @@ fn decompose_x(
 ) -> DcDecomposition {
     let bounds = neighborhood.to_bounds();
     let mut spectral = SpectralStats::default();
-    let (lambda_min_hat, lambda_max_hat, lambda0_min, lambda0_max) =
-        search_extremes(f, x0, &bounds, cfg, &mut spectral);
-    // λ⁻ = min(0, λ̂_min), λ⁺ = max(0, λ̂_max).
-    let lambda_minus_abs = (-lambda_min_hat).max(0.0);
-    let lambda_plus = lambda_max_hat.max(0.0);
-
-    // DC heuristic (paper §3.4) at the reference point:
-    //   λ_min(H_ǧ) + λ_min(H_ȟ) ≤ |λ_max(H_ĥ) + λ_max(H_ĝ)|  → convex.
-    // With the Lemma-1 decomposition this becomes
-    //   λ_min(H(x0)) + 2|λ⁻| ≤ |λ_max(H(x0)) - 2λ⁺|.
-    // The heuristic uses the raw extremes; the safety margin only widens
-    // the final curvature penalty, it must not flip the representation.
-    let lhs = lambda0_min + 2.0 * lambda_minus_abs;
-    let rhs = (lambda0_max - 2.0 * lambda_plus).abs();
-    let dc = cfg
-        .dc_override
-        .unwrap_or(if lhs <= rhs { DcKind::ConvexDiff } else { DcKind::ConcaveDiff });
+    let (dc, lambda_min_hat, lambda_max_hat) = search_extremes(f, x0, &bounds, cfg, &mut spectral);
+    // The penalty is |λ⁻| = |min(0, λ̂_min)| or λ⁺ = max(0, λ̂_max) — the
+    // one extreme the chosen representation uses, always a searched one.
+    // The safety margin widens it only here: the heuristic that chose
+    // `dc` saw the raw extremes, so the margin cannot flip the
+    // representation.
     let curvature = match dc {
-        DcKind::ConvexDiff => Curvature::Scalar(lambda_minus_abs * cfg.eigen_margin),
-        DcKind::ConcaveDiff => Curvature::Scalar(lambda_plus * cfg.eigen_margin),
+        DcKind::ConvexDiff => Curvature::Scalar((-lambda_min_hat).max(0.0) * cfg.eigen_margin),
+        DcKind::ConcaveDiff => Curvature::Scalar(lambda_max_hat.max(0.0) * cfg.eigen_margin),
         DcKind::AdmissibleOnly => unreachable!("ablation bypasses decompose"),
     };
     DcDecomposition {
@@ -325,17 +328,32 @@ fn gershgorin_bounds(h: &automon_linalg::Matrix) -> (f64, f64) {
 /// thing that differs between the search paths. Returns the bound in
 /// minimization form (`-λ̂_max` for [`Extreme::Max`]) and the number of
 /// `lohi_at` evaluations, polish included.
+///
+/// `value_tol` is the resolution of `lohi_at`'s values: the polish stops
+/// once its simplex spans no more than that
+/// ([`OptimizeOptions::value_tol`]), because below it the vertices are
+/// ranked by evaluation noise and the simplex can only shrink toward a
+/// vertex it already holds.
 fn search_stream(
     which: Extreme,
     center_lohi: (f64, f64),
     bounds: &Bounds,
     es: &EigenSearch,
+    value_tol: f64,
     mut lohi_at: impl FnMut(&[f64]) -> (f64, f64),
 ) -> (f64, u64) {
     let mut evals = 0u64;
     let mut eval = |x: &[f64]| -> f64 {
         evals += 1;
-        which.signed(lohi_at(x))
+        let v = which.signed(lohi_at(x));
+        // A non-finite Hessian somewhere in the box yields a NaN bound.
+        // As +∞ it is never the incumbent and sorts last in the simplex,
+        // where a NaN would panic the polish's ordering.
+        if v.is_nan() {
+            f64::INFINITY
+        } else {
+            v
+        }
     };
     let d = bounds.dim();
     let mut best_v = which.signed(center_lohi);
@@ -354,6 +372,7 @@ fn search_stream(
         let opts = OptimizeOptions {
             max_iters: es.nm_iters,
             tol: 1e-10,
+            value_tol,
         };
         let r = nelder_mead(&mut eval, &best_x, bounds, &opts);
         if r.value < best_v {
@@ -388,17 +407,15 @@ impl SymOperator for HvpProbeOp<'_> {
     }
 }
 
-/// The ADCD-X extreme search (eq. 3) plus the DC heuristic's
-/// reference-point spectrum. Returns
-/// `(λ̂_min, λ̂_max, λ_min(H(x0)), λ_max(H(x0)))`.
+/// What the search streams of one ADCD-X decomposition start from.
 ///
 /// Two Hessians are materialized up front off one
 /// [`MonitoredFunction::hessian_eval`] workspace — `H(x0)` for the DC
 /// heuristic (exact eigenvalues whatever the probe objective) and
-/// `H(center)`, whose spectrum bound is both streams' incumbent. Then
-/// two [`search_stream`]s run one after the other on the caller's
-/// thread, `Min` first, each over its own seeded probe stream; they
-/// differ between configurations only in the per-point evaluator:
+/// `H(center)`, whose spectrum bound is both streams' incumbent. A
+/// [`search_stream`] then runs per extreme ([`Self::stream`]), over its
+/// own seeded probe stream; the configurations differ only in the
+/// per-point evaluator:
 ///
 /// * **matrix-free** ([`SpectralBackend::Ql`] + [`EigenObjective::Exact`],
 ///   the default): no dense Hessian is touched again. Each point's
@@ -416,32 +433,85 @@ impl SymOperator for HvpProbeOp<'_> {
 ///   [`EigenWorkspace`] (bit-identical to [`SymEigen`] on the same
 ///   input) or [`gershgorin_bounds`].
 ///
-/// Every counter in `stats` is incremented where the work happens.
-fn search_extremes(
-    f: &dyn MonitoredFunction,
-    x0: &[f64],
-    bounds: &Bounds,
-    cfg: &MonitorConfig,
-    stats: &mut SpectralStats,
-) -> (f64, f64, f64, f64) {
-    let (es, objective, backend) = (&cfg.eigen_search, cfg.eigen_objective, cfg.spectral_backend);
-    let d = bounds.dim();
-    let mut he = f.hessian_eval();
-    let mut h = Matrix::zeros(d, d);
-    he.hessian_into(x0, &mut h);
-    let eig0 = SymEigen::with_backend(&h, backend);
-    he.hessian_into(&bounds.center(), &mut h);
-    stats.hessian_materializations = 2;
+/// A stream's result depends on nothing another stream did: each has its
+/// own RNG, eigen workspace and HVP evaluator, and the shared Hessian
+/// workspace is overwritten whole per point.
+struct ExtremeSearch<'a> {
+    f: &'a dyn MonitoredFunction,
+    bounds: &'a Bounds,
+    cfg: &'a MonitorConfig,
+    he: Box<dyn HessianEvaluator + 'a>,
+    h: Matrix,
+    /// `(λ_min, λ_max)` of `H(x0)`.
+    ref_lohi: (f64, f64),
+    /// Spectrum bound of `H(center)` under the configured objective.
+    center_lohi: (f64, f64),
+    /// Gershgorin enclosure of `H(center)`.
+    gershgorin: (f64, f64),
+    /// The center's eigenvectors: the matrix-free path's Lanczos seeds.
+    /// `None` selects the dense path.
+    lanczos_seed: Option<SymEigen>,
+}
 
-    let (glo, ghi) = gershgorin_bounds(&h);
-    let eigc = (objective == EigenObjective::Exact).then(|| SymEigen::with_backend(&h, backend));
-    let center_lohi = eigc
-        .as_ref()
-        .map_or((glo, ghi), |e| (e.lambda_min(), e.lambda_max()));
-    // The matrix-free path starts Lanczos from the center's eigenvectors.
-    let lanczos_seed = eigc.as_ref().filter(|_| backend == SpectralBackend::Ql);
+impl<'a> ExtremeSearch<'a> {
+    fn new(
+        f: &'a dyn MonitoredFunction,
+        x0: &[f64],
+        bounds: &'a Bounds,
+        cfg: &'a MonitorConfig,
+        stats: &mut SpectralStats,
+    ) -> Self {
+        let (objective, backend) = (cfg.eigen_objective, cfg.spectral_backend);
+        let d = bounds.dim();
+        let mut he = f.hessian_eval();
+        let mut h = Matrix::zeros(d, d);
+        he.hessian_into(x0, &mut h);
+        let eig0 = SymEigen::with_backend(&h, backend);
+        he.hessian_into(&bounds.center(), &mut h);
+        stats.hessian_materializations = 2;
 
-    let mut stream = |which: Extreme| -> f64 {
+        let gershgorin = gershgorin_bounds(&h);
+        let eigc =
+            (objective == EigenObjective::Exact).then(|| SymEigen::with_backend(&h, backend));
+        let center_lohi = eigc
+            .as_ref()
+            .map_or(gershgorin, |e| (e.lambda_min(), e.lambda_max()));
+        Self {
+            f,
+            bounds,
+            cfg,
+            he,
+            h,
+            ref_lohi: (eig0.lambda_min(), eig0.lambda_max()),
+            center_lohi,
+            gershgorin,
+            lanczos_seed: eigc.filter(|_| backend == SpectralBackend::Ql),
+        }
+    }
+
+    /// Run one search stream to the end of its budget; returns `λ̂_min`
+    /// ([`Extreme::Min`]) or `λ̂_max` ([`Extreme::Max`]). Every counter in
+    /// `stats` is incremented where the work happens.
+    fn stream(&mut self, which: Extreme, stats: &mut SpectralStats) -> f64 {
+        let Self {
+            f,
+            bounds,
+            cfg,
+            he,
+            h,
+            center_lohi,
+            gershgorin: (glo, ghi),
+            lanczos_seed,
+            ..
+        } = self;
+        let (es, objective, backend) = (&cfg.eigen_search, cfg.eigen_objective, cfg.spectral_backend);
+        let d = bounds.dim();
+        let (shift, scale) = (0.5 * (*glo + *ghi), 0.5 * (*ghi - *glo));
+        let lopts = LanczosOptions::default();
+        // What the Lanczos convergence test calls converged, the polish
+        // calls equal. The dense evaluators' own error is of that order
+        // at this scale too, so they stop by the same rule.
+        let value_tol = lopts.tol * scale;
         let (v, evals) = match lanczos_seed {
             Some(eigc) => {
                 let (side, col) = match which {
@@ -451,11 +521,9 @@ fn search_extremes(
                 let mut ws = LanczosWorkspace::new();
                 let start: Vec<f64> = (0..d).map(|i| eigc.vectors[(i, col)]).collect();
                 ws.set_start(&start);
-                let (shift, scale) = (0.5 * (glo + ghi), 0.5 * (ghi - glo));
                 let mut hv = f.hvp_eval();
-                let lopts = LanczosOptions::default();
                 let mut ls = LanczosStats::default();
-                let r = search_stream(which, center_lohi, bounds, es, |x| {
+                let r = search_stream(which, *center_lohi, bounds, es, value_tol, |x| {
                     let mut op = HvpProbeOp::at(&mut *hv, x);
                     ws.extremes(&mut op, shift, scale, side, &lopts, &mut ls)
                 });
@@ -466,29 +534,112 @@ fn search_extremes(
             }
             None => {
                 let mut ws = EigenWorkspace::new();
-                let (v, evals) = search_stream(which, center_lohi, bounds, es, |x| {
-                    he.hessian_into(x, &mut h);
+                let r = search_stream(which, *center_lohi, bounds, es, value_tol, |x| {
+                    he.hessian_into(x, h);
+                    // The dense eigensolvers panic on a NaN spectrum and
+                    // Gershgorin's min/max drop it silently.
+                    if !h.as_slice().iter().all(|v| v.is_finite()) {
+                        return (f64::NAN, f64::NAN);
+                    }
                     match objective {
-                        EigenObjective::Exact => ws.extreme_eigenvalues_backend(&h, backend),
-                        EigenObjective::Gershgorin => gershgorin_bounds(&h),
+                        EigenObjective::Exact => ws.extreme_eigenvalues_backend(h, backend),
+                        EigenObjective::Gershgorin => gershgorin_bounds(h),
                     }
                 });
-                stats.hessian_materializations += evals;
-                (v, evals)
+                stats.hessian_materializations += r.1;
+                r
             }
         };
         stats.eigen_probes += evals;
-        v
+        // Out of minimization form.
+        match which {
+            Extreme::Min => v,
+            Extreme::Max => -v,
+        }
+    }
+}
+
+/// The ADCD-X extreme search (eq. 3) and the DC heuristic (§3.4) it
+/// feeds. Returns `(dc, λ̂_min, λ̂_max)`.
+///
+/// The decomposition uses the two extremes for one decision and one
+/// number: the heuristic
+///
+/// ```text
+/// λ_min(H(x0)) + 2|λ⁻|  ≤  |λ_max(H(x0)) − 2λ⁺|   →  convex difference
+/// ```
+///
+/// (`λ⁻ = min(0, λ̂_min)`, `λ⁺ = max(0, λ̂_max)`; Lemma 1's Hessians
+/// substituted into §3.4's inequality, on the raw extremes) and then
+/// `|λ⁻|` *or* `λ⁺` as the curvature. So only the stream whose extreme
+/// the chosen representation uses must run. The heuristic on the
+/// box-center incumbents picks which stream runs first (`dc_override`
+/// picks it outright, and then nothing else runs); the other stream runs
+/// only if its result could still change the choice. A stream moves its
+/// incumbent outward only (`λ̂_min ≤ lo_c`, `λ̂_max ≥ hi_c`: strict-`<`
+/// argmin from the center), the left side grows as `λ̂_min` falls and
+/// `t(λ̂_max) = λ_max(H(x0)) − 2·max(0, λ̂_max)` falls as `λ̂_max` grows,
+/// in floating point as in the reals (doubling is exact, rounding is
+/// monotone), hence:
+///
+/// * after `Min`: `rhs = |t(λ̂_max)| ≥ max(0, −t(hi_c))`, so the convex
+///   difference is certain when `lhs(λ̂_min) ≤ max(0, −t(hi_c))`;
+/// * after `Max`: `lhs(λ̂_min) ≥ lhs(lo_c)`, so the concave difference is
+///   certain when `lhs(lo_c) > |t(λ̂_max)|`.
+///
+/// Either way `(dc, curvature)` is bit-identical to running both streams,
+/// and an unsearched extreme is returned as the center's value — under
+/// which the heuristic gives the same answer, so it is evaluated once,
+/// at the end.
+fn search_extremes(
+    f: &dyn MonitoredFunction,
+    x0: &[f64],
+    bounds: &Bounds,
+    cfg: &MonitorConfig,
+    stats: &mut SpectralStats,
+) -> (DcKind, f64, f64) {
+    let mut search = ExtremeSearch::new(f, x0, bounds, cfg, stats);
+    let (l0_min, l0_max) = search.ref_lohi;
+    let lhs = |lambda_min_hat: f64| l0_min + 2.0 * (-lambda_min_hat).max(0.0);
+    let t = |lambda_max_hat: f64| l0_max - 2.0 * lambda_max_hat.max(0.0);
+    let heuristic = |lambda_min_hat: f64, lambda_max_hat: f64| {
+        if lhs(lambda_min_hat) <= t(lambda_max_hat).abs() {
+            DcKind::ConvexDiff
+        } else {
+            DcKind::ConcaveDiff
+        }
     };
-    let min_v = stream(Extreme::Min);
-    let max_v = stream(Extreme::Max);
-    (min_v, -max_v, eig0.lambda_min(), eig0.lambda_max())
+
+    let (lo_c, hi_c) = search.center_lohi;
+    let (mut lambda_min_hat, mut lambda_max_hat) = (lo_c, hi_c);
+    let undecided = cfg.dc_override.is_none();
+    match cfg.dc_override.unwrap_or_else(|| heuristic(lo_c, hi_c)) {
+        DcKind::ConvexDiff => {
+            lambda_min_hat = search.stream(Extreme::Min, stats);
+            let convex_certain = lhs(lambda_min_hat) <= (-t(hi_c)).max(0.0);
+            if undecided && !convex_certain {
+                lambda_max_hat = search.stream(Extreme::Max, stats);
+            }
+        }
+        DcKind::ConcaveDiff => {
+            lambda_max_hat = search.stream(Extreme::Max, stats);
+            let concave_certain = lhs(lo_c) > t(lambda_max_hat).abs();
+            if undecided && !concave_certain {
+                lambda_min_hat = search.stream(Extreme::Min, stats);
+            }
+        }
+        DcKind::AdmissibleOnly => unreachable!("ablation bypasses decompose"),
+    }
+    let dc = cfg
+        .dc_override
+        .unwrap_or_else(|| heuristic(lambda_min_hat, lambda_max_hat));
+    (dc, lambda_min_hat, lambda_max_hat)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MonitorConfig;
+    use crate::config::{MonitorConfig, MonitorConfigBuilder};
     use crate::safezone::NeighborhoodBox;
     use automon_autodiff::{AutoDiffFn, Scalar, ScalarFn};
     use automon_linalg::Matrix;
@@ -560,17 +711,25 @@ mod tests {
             lo: vec![x0[0] - 1.0],
             hi: vec![x0[0] + 1.0],
         };
-        let d = decompose(&f, &x0, Some(&b), &cfg());
-        assert_eq!(d.kind, AdcdKind::X);
-        assert!((d.lambda_min_hat + 1.0).abs() < 1e-6, "{}", d.lambda_min_hat);
+        // Each extreme is searched when the representation that uses it
+        // is forced.
+        let forced = |dc| {
+            let c = MonitorConfig::builder(0.1).dc(dc).build();
+            decompose(&f, &x0, Some(&b), &c)
+        };
+        let lambda_min_hat = forced(DcKind::ConvexDiff).lambda_min_hat;
+        assert!((lambda_min_hat + 1.0).abs() < 1e-6, "{lambda_min_hat}");
+        let lambda_max_hat = forced(DcKind::ConcaveDiff).lambda_max_hat;
         assert!(
-            (d.lambda_max_hat + (std::f64::consts::FRAC_PI_2 - 1.0).sin()).abs() < 1e-6,
-            "{}",
-            d.lambda_max_hat
+            (lambda_max_hat + (std::f64::consts::FRAC_PI_2 - 1.0).sin()).abs() < 1e-6,
+            "{lambda_max_hat}"
         );
         // All curvature is negative → λ⁺ = 0; heuristic picks convex with
         // |λ⁻| = 1.
+        let d = decompose(&f, &x0, Some(&b), &cfg());
+        assert_eq!(d.kind, AdcdKind::X);
         assert_eq!(d.dc, DcKind::ConvexDiff);
+        assert_eq!(d.lambda_min_hat.to_bits(), lambda_min_hat.to_bits());
         match d.curvature {
             Curvature::Scalar(c) => assert!((c - 1.0).abs() < 1e-6),
             ref other => panic!("expected scalar curvature, got {other:?}"),
@@ -645,9 +804,10 @@ mod tests {
         }
     }
 
-    /// The pre-unification one-probe-at-a-time search, kept verbatim as
-    /// the dense paths' oracle: a fresh `f.hessian` and a full
-    /// [`SymEigen`] per point, its own probe loop and polish.
+    /// The pre-unification one-probe-at-a-time search of one extreme, kept
+    /// as the dense paths' oracle: a fresh `f.hessian` and a full
+    /// [`SymEigen`] per point, its own probe loop and polish (stopped by
+    /// the same value rule, from its own center Hessian).
     fn search_extreme(
         f: &dyn MonitoredFunction,
         bounds: &Bounds,
@@ -691,9 +851,11 @@ mod tests {
             }
         }
         if es.nm_iters > 0 && d <= es.nm_dim_cap {
+            let (glo, ghi) = gershgorin_bounds(&f.hessian(&bounds.center()));
             let opts = OptimizeOptions {
                 max_iters: es.nm_iters,
                 tol: 1e-10,
+                value_tol: LanczosOptions::default().tol * (0.5 * (ghi - glo)),
             };
             let mut obj = eval;
             let r = nelder_mead(&mut obj, &best_x, bounds, &opts);
@@ -709,24 +871,168 @@ mod tests {
 
     /// The dense configurations: every `(backend, objective)` pair but
     /// the matrix-free default.
-    fn dense_cfgs(es: EigenSearch) -> Vec<MonitorConfig> {
-        let b = || MonitorConfig::builder(0.1).eigen_search(es);
+    fn dense_cfgs(es: EigenSearch) -> Vec<MonitorConfigBuilder> {
+        let b = || MonitorConfig::builder(0.1).adcd(AdcdKind::X).eigen_search(es);
         vec![
-            b().spectral_backend(SpectralBackend::Jacobi).build(),
-            b().gershgorin_bounds().build(),
+            b().spectral_backend(SpectralBackend::Jacobi),
+            b().gershgorin_bounds(),
             b().spectral_backend(SpectralBackend::Jacobi)
-                .gershgorin_bounds()
-                .build(),
+                .gershgorin_bounds(),
         ]
     }
 
-    /// The unified search equals the oracle `to_bits` on every dense
-    /// configuration, and — on those and the matrix-free default, which
-    /// has no second implementation to compare against — a repeat
-    /// decomposition reproduces values and counters exactly.
+    /// What the search produced before it learned to skip a stream.
+    #[derive(Debug, PartialEq)]
+    struct TwoStreams {
+        dc: DcKind,
+        curvature_bits: u64,
+        /// `(λ̂_min, λ̂_max)` bits, `(lo_c, hi_c)` bits, evaluations per
+        /// stream.
+        hat_bits: (u64, u64),
+        center_bits: (u64, u64),
+        evals: (u64, u64),
+    }
+
+    /// Both streams of the search run to the end of their budgets, in
+    /// the given order, and the decision rule `decompose_x` used to apply
+    /// to their two results: what `decompose` must still return.
+    fn two_stream_reference(
+        f: &dyn MonitoredFunction,
+        x0: &[f64],
+        b: &NeighborhoodBox,
+        cfg: &MonitorConfig,
+        order: [Extreme; 2],
+    ) -> TwoStreams {
+        let bounds = b.to_bounds();
+        let mut search = ExtremeSearch::new(f, x0, &bounds, cfg, &mut SpectralStats::default());
+        let (mut lambda_min_hat, mut lambda_max_hat) = (f64::NAN, f64::NAN);
+        let mut evals = (0, 0);
+        for which in order {
+            let mut sp = SpectralStats::default();
+            let v = search.stream(which, &mut sp);
+            match which {
+                Extreme::Min => (lambda_min_hat, evals.0) = (v, sp.eigen_probes),
+                Extreme::Max => (lambda_max_hat, evals.1) = (v, sp.eigen_probes),
+            }
+        }
+        let (lambda0_min, lambda0_max) = search.ref_lohi;
+        let lambda_minus_abs = (-lambda_min_hat).max(0.0);
+        let lambda_plus = lambda_max_hat.max(0.0);
+        let lhs = lambda0_min + 2.0 * lambda_minus_abs;
+        let rhs = (lambda0_max - 2.0 * lambda_plus).abs();
+        let dc = cfg
+            .dc_override
+            .unwrap_or(if lhs <= rhs { DcKind::ConvexDiff } else { DcKind::ConcaveDiff });
+        let curvature = match dc {
+            DcKind::ConvexDiff => lambda_minus_abs * cfg.eigen_margin,
+            DcKind::ConcaveDiff => lambda_plus * cfg.eigen_margin,
+            DcKind::AdmissibleOnly => unreachable!(),
+        };
+        TwoStreams {
+            dc,
+            curvature_bits: curvature.to_bits(),
+            hat_bits: (lambda_min_hat.to_bits(), lambda_max_hat.to_bits()),
+            center_bits: (search.center_lohi.0.to_bits(), search.center_lohi.1.to_bits()),
+            evals,
+        }
+    }
+
+    /// The matrix-free default and every dense configuration, each without
+    /// and with either `dc_override`, labelled for assertion messages.
+    fn all_cfgs(es: EigenSearch) -> Vec<(MonitorConfig, String)> {
+        let default = MonitorConfig::builder(0.1).adcd(AdcdKind::X).eigen_search(es);
+        let mut out = Vec::new();
+        for builder in [default].into_iter().chain(dense_cfgs(es)) {
+            for dc_override in [None, Some(DcKind::ConvexDiff), Some(DcKind::ConcaveDiff)] {
+                let cfg = match dc_override {
+                    None => builder.clone().build(),
+                    Some(dc) => builder.clone().dc(dc).build(),
+                };
+                let what = format!(
+                    "{:?} on {:?}, override {dc_override:?}, {es:?}",
+                    cfg.eigen_objective, cfg.spectral_backend
+                );
+                out.push((cfg, what));
+            }
+        }
+        out
+    }
+
+    /// Which streams a decomposition ran.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Ran {
+        MinOnly,
+        MaxOnly,
+        Both,
+    }
+
+    /// `decompose` returns the `(dc, curvature)` of the two-stream search
+    /// bit for bit and spends no more evaluations, on the matrix-free
+    /// default and every dense configuration, under every `dc_override`;
+    /// the streams do not depend on the order they run in; an extreme
+    /// whose stream was skipped reports the center's value; and a repeat
+    /// decomposition reproduces values and counters exactly. Returns what
+    /// the default configuration ran without an override.
+    fn assert_skip_is_exact(
+        f: &dyn MonitoredFunction,
+        x0: &[f64],
+        b: &NeighborhoodBox,
+        es: EigenSearch,
+    ) -> Ran {
+        let mut default_ran = None;
+        for (cfg, what) in all_cfgs(es) {
+            let two = two_stream_reference(f, x0, b, &cfg, [Extreme::Min, Extreme::Max]);
+            let swapped = two_stream_reference(f, x0, b, &cfg, [Extreme::Max, Extreme::Min]);
+            assert_eq!(two, swapped, "stream order matters: {what}");
+
+            let dec = decompose(f, x0, Some(b), &cfg);
+            assert_eq!(dec.dc, two.dc, "{what}");
+            match dec.curvature {
+                Curvature::Scalar(c) => assert_eq!(c.to_bits(), two.curvature_bits, "{what}"),
+                ref other => panic!("{what}: expected scalar curvature, got {other:?}"),
+            }
+
+            // A lone stream is the one whose extreme the result uses.
+            let probes = dec.spectral.eigen_probes;
+            let ran = if probes == two.evals.0 + two.evals.1 {
+                Ran::Both
+            } else if dec.dc == DcKind::ConvexDiff {
+                assert_eq!(probes, two.evals.0, "{what}");
+                Ran::MinOnly
+            } else {
+                assert_eq!(probes, two.evals.1, "{what}");
+                Ran::MaxOnly
+            };
+            if cfg.dc_override.is_some() {
+                assert_ne!(ran, Ran::Both, "an override leaves nothing to decide: {what}");
+            }
+            let expect = (
+                if ran == Ran::MaxOnly { two.center_bits.0 } else { two.hat_bits.0 },
+                if ran == Ran::MinOnly { two.center_bits.1 } else { two.hat_bits.1 },
+            );
+            assert_eq!(
+                (dec.lambda_min_hat.to_bits(), dec.lambda_max_hat.to_bits()),
+                expect,
+                "{ran:?}: {what}"
+            );
+            default_ran = default_ran.or(Some(ran));
+
+            let again = decompose(f, x0, Some(b), &cfg);
+            assert_eq!(again.lambda_min_hat.to_bits(), dec.lambda_min_hat.to_bits(), "{what}");
+            assert_eq!(again.lambda_max_hat.to_bits(), dec.lambda_max_hat.to_bits(), "{what}");
+            assert_eq!((again.dc, again.spectral), (dec.dc, dec.spectral), "{what}");
+        }
+        default_ran.expect("the default configuration ran")
+    }
+
+    /// Each stream of the one search equals the oracle `to_bits` on every
+    /// dense configuration (the matrix-free default has no second
+    /// implementation to compare against), and `decompose` is the
+    /// two-stream decision over them ([`assert_skip_is_exact`]).
     fn assert_matches_oracle(f: &dyn MonitoredFunction, x0: &[f64], b: &NeighborhoodBox, es: EigenSearch) {
         let bounds = b.to_bounds();
         for cfg in dense_cfgs(es) {
+            let cfg = cfg.build();
             let (objective, backend) = (cfg.eigen_objective, cfg.spectral_backend);
             let eig0 = SymEigen::with_backend(&f.hessian(x0), backend);
             let oracle = [
@@ -735,21 +1041,21 @@ mod tests {
                 eig0.lambda_min(),
                 eig0.lambda_max(),
             ];
-            let (lmin, lmax, l0min, l0max) =
-                search_extremes(f, x0, &bounds, &cfg, &mut SpectralStats::default());
+            let mut sp = SpectralStats::default();
+            let mut search = ExtremeSearch::new(f, x0, &bounds, &cfg, &mut sp);
+            let streams = [
+                search.stream(Extreme::Min, &mut sp),
+                search.stream(Extreme::Max, &mut sp),
+                search.ref_lohi.0,
+                search.ref_lohi.1,
+            ];
             assert_eq!(
-                [lmin, lmax, l0min, l0max].map(f64::to_bits),
+                streams.map(f64::to_bits),
                 oracle.map(f64::to_bits),
                 "{objective:?} on {backend:?}, {es:?}"
             );
         }
-        let default = MonitorConfig::builder(0.1).adcd(AdcdKind::X).eigen_search(es).build();
-        for cfg in dense_cfgs(es).into_iter().chain([default]) {
-            let (a, b) = (decompose(f, x0, Some(b), &cfg), decompose(f, x0, Some(b), &cfg));
-            assert_eq!(a.lambda_min_hat.to_bits(), b.lambda_min_hat.to_bits());
-            assert_eq!(a.lambda_max_hat.to_bits(), b.lambda_max_hat.to_bits());
-            assert_eq!((a.dc, a.spectral), (b.dc, b.spectral));
-        }
+        assert_skip_is_exact(f, x0, b, es);
     }
 
     #[test]
@@ -761,6 +1067,96 @@ mod tests {
                 ..EigenSearch::default()
             };
             assert_matches_oracle(&f, &[0.3, -0.2, 0.1], &coupled_box(), es);
+        }
+    }
+
+    /// τ-smoothed KLD over two `d/2`-bin histograms, as in
+    /// `automon_functions::KlDivergence`.
+    struct Kld(usize);
+    impl ScalarFn for Kld {
+        fn dim(&self) -> usize {
+            self.0
+        }
+        fn call<S: Scalar>(&self, x: &[S]) -> S {
+            let half = self.0 / 2;
+            let tau = S::from_f64(1.0 / 60.0);
+            let mut acc = S::from_f64(0.0);
+            for i in 0..half {
+                let (p, q) = (x[i] + tau, x[half + i] + tau);
+                acc = acc + p * (p.ln() - q.ln());
+            }
+            acc
+        }
+    }
+
+    /// τ-smoothed Shannon entropy, as in `automon_functions::Entropy`.
+    struct Entropy(usize);
+    impl ScalarFn for Entropy {
+        fn dim(&self) -> usize {
+            self.0
+        }
+        fn call<S: Scalar>(&self, x: &[S]) -> S {
+            let tau = S::from_f64(1.0 / 60.0);
+            let mut acc = S::from_f64(0.0);
+            for &xi in x {
+                let p = xi + tau;
+                acc = acc - p * p.ln();
+            }
+            acc
+        }
+    }
+
+    /// `w₃·tanh(W₂·tanh(W₁x + b₁) + b₂)` with seeded weights: the shape of
+    /// `automon_functions::MlpFunction`, untrained.
+    struct Mlp {
+        d: usize,
+        hidden: usize,
+        weights: Vec<f64>,
+    }
+
+    impl Mlp {
+        fn seeded(d: usize, hidden: usize, seed: u64) -> Self {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let n = hidden * (d + 1) + hidden * (hidden + 1) + hidden;
+            Self {
+                d,
+                hidden,
+                weights: (0..n).map(|_| rng.gen_range(-0.8..0.8)).collect(),
+            }
+        }
+    }
+
+    impl ScalarFn for Mlp {
+        fn dim(&self) -> usize {
+            self.d
+        }
+        fn call<S: Scalar>(&self, x: &[S]) -> S {
+            let mut w = self.weights.iter().map(|&w| S::from_f64(w));
+            let mut layer = |input: &[S]| -> Vec<S> {
+                (0..self.hidden)
+                    .map(|_| {
+                        let mut z = w.next().unwrap();
+                        for &v in input {
+                            z = z + w.next().unwrap() * v;
+                        }
+                        z.tanh()
+                    })
+                    .collect()
+            };
+            let h1 = layer(x);
+            let h2 = layer(&h1);
+            let mut out = S::from_f64(0.0);
+            for v in h2 {
+                out = out + w.next().unwrap() * v;
+            }
+            out
+        }
+    }
+
+    fn box_around(x0: &[f64], half: f64) -> NeighborhoodBox {
+        NeighborhoodBox {
+            lo: x0.iter().map(|v| v - half).collect(),
+            hi: x0.iter().map(|v| v + half).collect(),
         }
     }
 
@@ -856,6 +1252,135 @@ mod tests {
         }
     }
 
+    /// The skip is exact on the §4.2 function shapes and the unit-test
+    /// functions at the default search budget, and the default
+    /// configuration skips where the DC heuristic is one-sided: a convex
+    /// function (KLD) never needs its Max stream.
+    #[test]
+    fn one_stream_search_equals_two_stream_search() {
+        let es = EigenSearch::default();
+        let histogram_box = |d: usize| {
+            let x0 = vec![2.0 / d as f64; d];
+            let b = NeighborhoodBox {
+                lo: x0.iter().map(|v| (v - 0.05f64).max(1e-6)).collect(),
+                hi: x0.iter().map(|v| (v + 0.05f64).min(1.0)).collect(),
+            };
+            (x0, b)
+        };
+        let mut ran = Vec::new();
+        let mut check = |name: &str, f: &dyn MonitoredFunction, x0: &[f64], b: &NeighborhoodBox| {
+            ran.push((name.to_string(), assert_skip_is_exact(f, x0, b, es)));
+        };
+        for d in [10, 20] {
+            let (x0, b) = histogram_box(d);
+            check(&format!("kld {d}"), &AutoDiffFn::new(Kld(d)), &x0, &b);
+        }
+        let (x0, b) = histogram_box(10);
+        check("entropy", &AutoDiffFn::new(Entropy(10)), &x0, &b);
+        let x0: Vec<f64> = (0..10).map(|i| 0.06 + 0.02 * i as f64).collect();
+        check("entropy, skewed", &AutoDiffFn::new(Entropy(10)), &x0, &box_around(&x0, 0.05));
+        for (i, (x0, half)) in [([1.0, 1.0], 0.05), ([0.1, 0.2], 0.2), ([-0.5, 0.5], 0.5)]
+            .into_iter()
+            .enumerate()
+        {
+            let b = box_around(&x0, half);
+            check(&format!("rozenbrock {i}"), &AutoDiffFn::new(Rozenbrock), &x0, &b);
+        }
+        for (i, x0) in [[std::f64::consts::FRAC_PI_2], [0.3]].into_iter().enumerate() {
+            check(&format!("sine {i}"), &AutoDiffFn::new(Sin1), &x0, &box_around(&x0, 1.0));
+        }
+        check("coupled", &AutoDiffFn::new(Coupled), &[0.3, -0.2, 0.1], &coupled_box());
+        let poly = RandomPoly {
+            cubic: vec![1.3, -0.7, 0.4],
+            quad: vec![-2.1, 0.9, 1.6],
+            cross: vec![0.8, -1.1, 0.5],
+        };
+        let x0 = [0.2, -0.4, 0.6];
+        check("polynomial", &AutoDiffFn::new(poly), &x0, &box_around(&x0, 0.3));
+        let x0: Vec<f64> = (0..10).map(|i| 0.3 * (i as f64 - 4.0)).collect();
+        check("mlp 10", &AutoDiffFn::new(Mlp::seeded(10, 8, 7)), &x0, &box_around(&x0, 0.25));
+
+        let skipped: Vec<String> = ran
+            .iter()
+            .filter(|(_, r)| *r != Ran::Both)
+            .map(|(name, r)| format!("{name}: {r:?}"))
+            .collect();
+        assert_eq!(
+            skipped,
+            [
+                "kld 10: MinOnly",
+                "kld 20: MinOnly",
+                "entropy, skewed: MaxOnly",
+                "rozenbrock 0: MinOnly",
+                "sine 0: MinOnly"
+            ],
+            "all: {ran:?}"
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Random boxes of the polynomial at the default budget (the
+        /// oracle proptests above run the same check at a small one).
+        #[test]
+        fn one_stream_search_equals_two_stream_search_on_random_boxes(
+            cubic in proptest::collection::vec(-2.0f64..2.0, 3),
+            quad in proptest::collection::vec(-3.0f64..3.0, 3),
+            cross in proptest::collection::vec(-1.5f64..1.5, 3),
+            x0 in proptest::collection::vec(-1.0f64..1.0, 3),
+            half in proptest::collection::vec(0.01f64..0.8, 3),
+            seed in 0u64..1000,
+        ) {
+            let f = AutoDiffFn::new(RandomPoly { cubic, quad, cross });
+            let b = NeighborhoodBox {
+                lo: x0.iter().zip(&half).map(|(v, h)| v - h).collect(),
+                hi: x0.iter().zip(&half).map(|(v, h)| v + h).collect(),
+            };
+            let es = EigenSearch { seed, ..EigenSearch::default() };
+            assert_skip_is_exact(&f, &x0, &b, es);
+        }
+    }
+
+    /// `√x₀ · x₁²`-like: the Hessian is NaN wherever `x₀ < 0`, half the
+    /// box below.
+    struct HalfNan;
+    impl ScalarFn for HalfNan {
+        fn dim(&self) -> usize {
+            2
+        }
+        fn call<S: Scalar>(&self, x: &[S]) -> S {
+            x[0].sqrt() * x[0] * x[1] - x[1] * x[1] * x[1] + (x[0] * x[1]).sin()
+        }
+    }
+
+    #[test]
+    fn non_finite_hessians_in_the_box_do_not_panic_the_search() {
+        let f = AutoDiffFn::new(HalfNan);
+        // x0 and the box center (0.1, 0.5) are finite; every point with
+        // x₀ < 0 — 40 % of the box — has a NaN Hessian.
+        let x0 = [0.4, 0.5];
+        let b = NeighborhoodBox {
+            lo: vec![-0.4, 0.0],
+            hi: vec![0.6, 1.0],
+        };
+        assert!(f.hessian(&[-0.2, 0.5])[(0, 0)].is_nan());
+        for (cfg, what) in all_cfgs(EigenSearch::default()) {
+            let dec = decompose(&f, &x0, Some(&b), &cfg);
+            assert!(dec.lambda_min_hat.is_finite() && dec.lambda_max_hat.is_finite(), "{what}");
+            match dec.curvature {
+                Curvature::Scalar(c) => assert!(c.is_finite() && c >= 0.0, "{what}"),
+                ref other => panic!("{what}: expected scalar curvature, got {other:?}"),
+            }
+            // The finite half was searched: the used extreme is no
+            // tighter than the center's.
+            let bounds = b.to_bounds();
+            let (lo_c, hi_c) =
+                ExtremeSearch::new(&f, &x0, &bounds, &cfg, &mut SpectralStats::default()).center_lohi;
+            assert!(dec.lambda_min_hat <= lo_c && dec.lambda_max_hat >= hi_c, "{what}");
+        }
+    }
+
     /// Forwards to `inner`, counting every dense Hessian its evaluators
     /// materialize.
     struct CountHessians<'f> {
@@ -910,6 +1435,7 @@ mod tests {
                 ..EigenSearch::default()
             };
             for (cfg, evals) in dense_cfgs(es).into_iter().zip(evals) {
+                let cfg = cfg.build();
                 let f = CountHessians {
                     inner: &coupled,
                     hessians: Default::default(),
@@ -1043,23 +1569,6 @@ mod tests {
 
     #[test]
     fn eigen_search_primes_once_per_probe_point() {
-        /// τ-smoothed KLD over two `d/2`-bin histograms, as in
-        /// `automon_functions::KlDivergence`.
-        struct Kld;
-        impl ScalarFn for Kld {
-            fn dim(&self) -> usize {
-                20
-            }
-            fn call<S: Scalar>(&self, x: &[S]) -> S {
-                let tau = S::from_f64(1.0 / 60.0);
-                let mut acc = S::from_f64(0.0);
-                for i in 0..10 {
-                    let (p, q) = (x[i] + tau, x[10 + i] + tau);
-                    acc = acc + p * (p.ln() - q.ln());
-                }
-                acc
-            }
-        }
         // Point 0 of the `decompose_lattice` d = 20 lattice, default
         // search budget.
         let x0: Vec<f64> = (0..20).map(|i| 0.05 + 1e-5 * i as f64).collect();
@@ -1067,7 +1576,7 @@ mod tests {
             lo: x0.iter().map(|v| (v - 0.05).max(1e-6)).collect(),
             hi: x0.iter().map(|v| (v + 0.05).min(1.0)).collect(),
         };
-        let kld = AutoDiffFn::new(Kld);
+        let kld = AutoDiffFn::new(Kld(20));
         let f = CountSweeps {
             inner: &kld,
             sweeps: Default::default(),
@@ -1078,10 +1587,17 @@ mod tests {
         // Lanczos run at that point applies. The counts and the extremes
         // are those of the evaluator that swept the primal per product.
         assert_eq!(sweeps, dec.spectral.eigen_probes);
-        assert_eq!(dec.spectral.hvp_applies, 1413);
-        assert_eq!(dec.spectral.eigen_probes, 273);
-        assert_eq!(dec.lambda_min_hat.to_bits(), 0xbd00000000000000);
-        assert_eq!(dec.lambda_max_hat.to_bits(), 0x40725a21bdfe77ee);
+        // 8 probes and the polish's 21-vertex simplex, all in the Min
+        // stream: `λ_min(H) ≡ 0` over the box, the simplex spans nothing
+        // but Lanczos noise and the value stop ends the polish on it
+        // (273 evaluations / 1 413 products when both streams ran their
+        // whole budgets; `λ̂_min` was -2⁻⁴⁷ then, the same noise).
+        assert_eq!(dec.spectral.eigen_probes, 29);
+        assert_eq!(dec.spectral.hvp_applies, 147);
+        assert_eq!(dec.lambda_min_hat.to_bits(), 0xbcf8000000000000);
+        // The Max stream did not run: `λ̂_max` is the center's value.
+        let lambda_max_center = SymEigen::new(&kld.hessian(&b.to_bounds().center())).lambda_max();
+        assert_eq!(dec.lambda_max_hat.to_bits(), lambda_max_center.to_bits());
     }
 
     #[test]

@@ -165,6 +165,9 @@ impl LanczosWorkspace {
     /// half-width. The Ritz vector of the `side` extreme is stored as
     /// the next run's starting vector (warm start).
     ///
+    /// An operator that returns a non-finite product yields `(NaN, NaN)`
+    /// and leaves the warm start untouched.
+    ///
     /// # Panics
     /// Panics if `op.dim() == 0`.
     pub fn extremes(
@@ -213,6 +216,11 @@ impl LanczosWorkspace {
                 }
             }
             let a_j = dot(&self.w, qj);
+            if !a_j.is_finite() {
+                // The operator produced a non-finite product: it has no
+                // spectrum to report. The warm start stays as it was.
+                return (f64::NAN, f64::NAN);
+            }
             self.alpha.push(a_j);
             for (wi, &qi) in self.w.iter_mut().zip(qj) {
                 *wi -= a_j * qi;
@@ -608,5 +616,31 @@ mod tests {
         let (lo, hi) = extremes_of(&h, &mut ws, &mut stats);
         assert!((lo + 2.0).abs() < 1e-10);
         assert!((hi - 4.0).abs() < 1e-10);
+    }
+
+    #[test]
+    fn non_finite_operator_reports_nan_and_keeps_the_warm_start() {
+        let good = random_sym(8, 5);
+        let mut ws = LanczosWorkspace::new();
+        let mut stats = LanczosStats::default();
+        let first = extremes_of(&good, &mut ws, &mut stats);
+        let warm = ws.start.clone();
+
+        let mut bad = good.clone();
+        bad[(3, 3)] = f64::NAN;
+        let mut op = MatrixOperator::new(&bad);
+        let opts = LanczosOptions::default();
+        let (lo, hi) = ws.extremes(&mut op, 0.0, 1.0, RitzSide::Smallest, &opts, &mut stats);
+        assert!(lo.is_nan() && hi.is_nan());
+        assert_eq!(ws.start, warm);
+        // The next finite run is unaffected by the poisoned one.
+        let mut fresh = LanczosWorkspace::new();
+        extremes_of(&good, &mut fresh, &mut stats);
+        let (a, b) = (
+            extremes_of(&good, &mut ws, &mut stats),
+            extremes_of(&good, &mut fresh, &mut stats),
+        );
+        assert_eq!((a.0.to_bits(), a.1.to_bits()), (b.0.to_bits(), b.1.to_bits()));
+        assert!((a.0 - first.0).abs() < 1e-9 && (a.1 - first.1).abs() < 1e-9);
     }
 }

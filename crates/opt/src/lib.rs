@@ -15,7 +15,13 @@
 //! * [`nelder_mead`] — a box-projected Nelder–Mead simplex that polishes
 //!   the incumbent, because `λ_min(H(x))` is only piecewise-smooth (it has
 //!   kinks at eigenvalue crossings) and a derivative-free search is robust
-//!   there.
+//!   there. It has two stop rules besides its iteration cap: the simplex
+//!   *diameter* ([`OptimizeOptions::tol`]) and the *spread of the values*
+//!   on it ([`OptimizeOptions::value_tol`]). The second is what ends a
+//!   polish on a flat objective, as the paper's L-BFGS-B ends at once on a
+//!   zero gradient: a simplex whose vertices differ by less than the
+//!   objective's own evaluation error ranks them by noise, and every
+//!   iteration it spends can only shrink it toward a vertex it already has.
 //!
 //! Like the paper's optimizer, the search is *local*: there is no global
 //! optimality guarantee for non-convex spectra, and AutoMon's protocol
@@ -34,6 +40,11 @@ pub struct OptimizeOptions {
     pub max_iters: usize,
     /// Convergence tolerance on the simplex diameter.
     pub tol: f64,
+    /// Convergence tolerance on the spread of the objective over the
+    /// simplex, `worst − best`: the resolution below which the caller's
+    /// objective values are indistinguishable. `0.0` stops only on an
+    /// exactly flat simplex; a negative value never stops.
+    pub value_tol: f64,
 }
 
 impl Default for OptimizeOptions {
@@ -41,6 +52,7 @@ impl Default for OptimizeOptions {
         Self {
             max_iters: 200,
             tol: 1e-8,
+            value_tol: 0.0,
         }
     }
 }

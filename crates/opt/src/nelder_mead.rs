@@ -8,6 +8,11 @@ use crate::{Bounds, OptimizeOptions, OptimizeResult};
 /// The polishing stage of the ADCD-X eigen search, started from the best
 /// probe: the objective `λ_min(H(x))` has kinks wherever the two smallest
 /// eigenvalues cross, and simplex search is insensitive to them.
+///
+/// Stops at `opts.max_iters`, or earlier when the simplex diameter is at
+/// most `opts.tol`, or when its values span at most `opts.value_tol` —
+/// both tested once per iteration, before the iteration spends an
+/// evaluation. The objective must not return NaN.
 pub fn nelder_mead(
     f: &mut impl FnMut(&[f64]) -> f64,
     x0: &[f64],
@@ -55,6 +60,13 @@ pub fn nelder_mead(
         let best = order[0];
         let worst = order[d];
         let second_worst = order[d.saturating_sub(1)];
+
+        // Convergence: the vertices' values no longer differ by anything
+        // the caller's objective resolves.
+        if values[worst] - values[best] <= opts.value_tol {
+            converged = true;
+            break;
+        }
 
         // Convergence: simplex diameter below tolerance.
         let diameter = simplex
@@ -154,16 +166,57 @@ mod tests {
     #[test]
     fn solves_rosenbrock_in_box() {
         let b = Bounds::new(vec![-2.0, -2.0], vec![2.0, 2.0]);
+        // FNV-1a over the bits of every point evaluated, in order.
+        let mut seq: u64 = 0xcbf29ce484222325;
         let mut f = |x: &[f64]| {
+            for v in x {
+                seq = (seq ^ v.to_bits()).wrapping_mul(0x100000001b3);
+            }
             (1.0 - x[0]).powi(2) + 100.0 * (x[1] - x[0] * x[0]).powi(2)
         };
+        // A negative `value_tol` turns the value stop off: the evaluation
+        // sequence is the one the diameter-only search produced.
         let opts = OptimizeOptions {
             max_iters: 2000,
             tol: 1e-10,
+            value_tol: -1.0,
         };
         let r = nelder_mead(&mut f, &[-1.0, 1.0], &b, &opts);
         assert!((r.x[0] - 1.0).abs() < 1e-3, "{:?}", r);
         assert!((r.x[1] - 1.0).abs() < 1e-3, "{:?}", r);
+        assert!(r.converged);
+        assert_eq!((r.evals, seq), (275, 0x0bf00877bf2d604e));
+        assert_eq!(r.value.to_bits(), 0x3b74d4c260800000);
+    }
+
+    #[test]
+    fn constant_objective_stops_after_the_initial_simplex() {
+        for d in [1usize, 2, 7, 20] {
+            let b = Bounds::new(vec![-1.0; d], vec![1.0; d]);
+            let r = nelder_mead(&mut |_| 3.5, &vec![0.2; d], &b, &OptimizeOptions::default());
+            assert_eq!(r.evals, d + 1, "d = {d}");
+            assert!(r.converged);
+            assert_eq!((r.value, &r.x), (3.5, &vec![0.2; d]));
+        }
+    }
+
+    #[test]
+    fn value_stop_ignores_differences_below_its_tolerance() {
+        // Noise of amplitude 1e-15 on a plateau: with the value stop at
+        // the noise level the search ends on the initial simplex; turned
+        // off, it spends its whole budget shrinking.
+        let b = Bounds::new(vec![-1.0; 4], vec![1.0; 4]);
+        let noisy = |x: &[f64]| 1e-15 * (1e6 * x.iter().sum::<f64>()).sin();
+        let run = |value_tol| {
+            let opts = OptimizeOptions {
+                max_iters: 30,
+                tol: 1e-10,
+                value_tol,
+            };
+            nelder_mead(&mut { noisy }, &[0.1; 4], &b, &opts)
+        };
+        assert_eq!(run(1e-12).evals, 5);
+        assert!(run(-1.0).evals > 30);
     }
 
     #[test]

@@ -30,11 +30,16 @@
 # at 1.0, so 0.7 separates the two with room for this box's noise on
 # either side. A failing gate leaves the snapshot file untouched.
 #
-# The substrates bench no longer has an `opt/rosenbrock_box_2d` row: it
-# timed `opt::minimize_box`, which the eq.-3 search never called and PR 19
-# deleted. The next rotation of BENCH_adcd_hotpath.json drops the key from
-# "current" (it lingers one rotation in "previous"); that is this deletion,
-# not a bench that stopped printing.
+# The substrates bench has no `opt/rosenbrock_box_2d` row: it timed
+# `opt::minimize_box`, which the eq.-3 search never called and PR 19
+# deleted. PR 21's rotation dropped the key from "current"; it lingers one
+# more rotation in "previous". That is this deletion, not a bench that
+# stopped printing.
+#
+# A rotation keeps the rotated section's host beside it
+# ("previous_host"): the two sections are comparable only when kernel and
+# core count match, and the snapshots on file were taken on 1- and 2-core
+# hosts.
 #
 # The fleet_scaling bench is snapshotted separately into
 # BENCH_fleet_scaling.json: it measures message/byte *volume* of the
@@ -118,10 +123,11 @@ if "substrates" in benches:
             f"hvp/kld_first/20 {first:.0f} ns: apply is redoing the primal sweep"
         )
 
-previous = None
+previous = previous_host = None
 try:
     with open(out_path) as fh:
-        previous = json.load(fh).get("current")
+        old = json.load(fh)
+    previous, previous_host = old.get("current"), old.get("host")
 except (FileNotFoundError, json.JSONDecodeError):
     pass
 
@@ -134,6 +140,7 @@ snapshot = {
         "cores": int(os.environ.get("BENCH_HOST_CORES", "0")),
     },
     "benches": benches,
+    "previous_host": previous_host,
     "previous": previous,
     "current": dict(sorted(current.items())),
 }
