@@ -9,13 +9,15 @@
 //!
 //! * at 1k connections the reactor sustains ~4× the threaded backend's
 //!   reports/sec in wall clock and ~10× fewer syscalls per report
-//!   (one event loop coalesces across connections; a reader thread
-//!   coalesces only what its own connection holds when it wakes).
+//!   (one event loop, run by the thread that calls `recv_timeout`,
+//!   coalesces across connections; a reader thread coalesces only what
+//!   its own connection holds when it wakes).
 //!   Wall clock understates the gap here:
 //!   the load generator shares this container's single core with the
 //!   server, so identical client cost is added to both denominators;
-//! * at 10k connections the reactor still runs in one event-loop thread
-//!   (the threaded backend would need 10k reader threads and is skipped).
+//! * at 10k connections the reactor still runs on its caller's thread
+//!   alone (the threaded backend would need 10k reader threads and is
+//!   skipped).
 //!
 //! Two `node_transport` rows time the node side of one connection to a
 //! reactor in this process: `try_recv_idle` (a poll that finds nothing

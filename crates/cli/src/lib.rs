@@ -159,9 +159,9 @@ NET BACKENDS (net-smoke; DESIGN.md §3.15) — three links of the one round
 driver:
     --net-backend threaded  real loopback sockets, blocking TCP transport
                             (reader thread per node) at the coordinator
-    --net-backend reactor   real loopback sockets, epoll event loop:
-                            coalesced reads, writev batching, bounded
-                            outbound queues (default)
+    --net-backend reactor   real loopback sockets, epoll event loop run
+                            by the caller: inline writev, coalesced
+                            reads, bounded outbound queues (default)
     --net-backend sim       the reactor over a simulated poller: seeded
                             byte chunking, chaos flags inject faults at
                             the frame boundary, same seed replays the

@@ -25,9 +25,10 @@
 //!   per-connection state machines, with frame coalescing and `writev`
 //!   scatter-gather batching ([`frame`]), bounded outbound queues that
 //!   surface backpressure, and a chaos seam at the decoded-frame
-//!   boundary ([`gate`]). The same core runs deterministically over
-//!   [`sim_poller`]'s seeded in-memory network for byte-identical
-//!   replay (DESIGN.md §3.15).
+//!   boundary ([`gate`]). The loop has no thread of its own: it runs
+//!   while its caller is inside `send` / `recv*`, over epoll in
+//!   production and over [`sim_poller`]'s seeded in-memory network for
+//!   byte-identical replay (DESIGN.md §3.15).
 //! * [`backoff`] — the one seeded, jittered retry/poll schedule both
 //!   backends sleep on.
 //!

@@ -18,10 +18,9 @@
 //! `MSG_DONTWAIT`), [`wait_readable`] (`poll` up to a deadline) and
 //! [`write_vectored`].
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
-use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -29,14 +28,11 @@ use std::time::{Duration, Instant};
 use crate::frame::IoVec;
 
 /// Identifies one registered connection in poll events. The reactor
-/// uses slab slot indices; two values are reserved.
+/// uses slab slot indices; one value is reserved.
 pub type Token = usize;
 
 /// Token of the accept listener.
 pub const LISTENER_TOKEN: Token = usize::MAX - 1;
-/// Token of the cross-thread waker (handled inside the poller; never
-/// surfaced in events).
-pub const WAKE_TOKEN: Token = usize::MAX;
 
 /// One readiness event.
 #[derive(Debug, Clone, Copy)]
@@ -72,8 +68,8 @@ impl SyscallStats {
     }
 }
 
-/// Shared atomic syscall counters; the event-loop thread writes, the
-/// bench/CLI reads.
+/// Shared atomic syscall counters: the thread driving the poller
+/// writes, the bench/CLI reads without taking the reactor's lock.
 #[derive(Debug, Default)]
 pub struct SyscallCounters {
     waits: AtomicU64,
@@ -94,20 +90,6 @@ impl SyscallCounters {
     }
 }
 
-/// Cross-thread wakeup handle for a blocked [`Poller::wait`].
-pub trait PollWaker: Clone + Send + 'static {
-    /// Interrupt the poller's current (or next) wait.
-    fn wake(&self);
-}
-
-/// No-op waker for single-threaded (simulated) pollers.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopWaker;
-
-impl PollWaker for NoopWaker {
-    fn wake(&self) {}
-}
-
 /// Readiness + I/O seam the reactor core is generic over.
 ///
 /// I/O goes *through* the poller (rather than through the connection
@@ -118,11 +100,6 @@ pub trait Poller {
     type Conn;
     /// Accept source.
     type Listener;
-    /// Cross-thread wakeup handle.
-    type Waker: PollWaker;
-
-    /// A waker for this poller.
-    fn waker(&self) -> Self::Waker;
 
     /// Register the accept source under [`LISTENER_TOKEN`].
     fn register_listener(&mut self, l: &Self::Listener) -> io::Result<()>;
@@ -145,6 +122,8 @@ pub trait Poller {
     fn writev(&mut self, c: &mut Self::Conn, bufs: &[IoVec]) -> io::Result<usize>;
 
     /// Block until readiness (or `timeout`), appending into `events`.
+    /// A wait that finds nothing ready never returns before `timeout`
+    /// has passed.
     fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()>;
 
     /// Syscalls issued so far.
@@ -282,49 +261,20 @@ pub fn write_vectored(sock: &TcpStream, bufs: &[IoVec]) -> io::Result<usize> {
     }
 }
 
-/// Waker for [`EpollPoller`]: one byte down a socketpair registered
-/// under [`WAKE_TOKEN`].
-#[derive(Clone)]
-pub struct EpollWaker(Arc<UnixStream>);
-
-impl PollWaker for EpollWaker {
-    fn wake(&self) {
-        // A full pipe already guarantees a pending wakeup; WouldBlock
-        // (and any other failure) is therefore ignorable.
-        let _ = (&*self.0).write(&[1u8]);
-    }
-}
-
 /// Edge-triggered epoll poller over `std::net` sockets.
 pub struct EpollPoller {
     epfd: RawFd,
-    wake_rx: UnixStream,
-    wake_tx: Arc<UnixStream>,
     buf: Vec<EpollEvent>,
     counters: Arc<SyscallCounters>,
     epoch: Instant,
 }
 
 impl EpollPoller {
-    /// Create the epoll instance and its waker pipe.
+    /// Create the epoll instance.
     pub fn new() -> io::Result<Self> {
         let epfd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
-        let (wake_tx, wake_rx) = UnixStream::pair()?;
-        wake_rx.set_nonblocking(true)?;
-        wake_tx.set_nonblocking(true)?;
-        let mut ev = EpollEvent {
-            events: EPOLLIN,
-            data: WAKE_TOKEN as u64,
-        };
-        if let Err(e) = cvt(unsafe { epoll_ctl(epfd, EPOLL_CTL_ADD, wake_rx.as_raw_fd(), &mut ev) })
-        {
-            unsafe { close(epfd) };
-            return Err(e);
-        }
         Ok(Self {
             epfd,
-            wake_rx,
-            wake_tx: Arc::new(wake_tx),
             buf: vec![EpollEvent { events: 0, data: 0 }; 1024],
             counters: Arc::new(SyscallCounters::default()),
             epoch: Instant::now(),
@@ -332,7 +282,7 @@ impl EpollPoller {
     }
 
     /// Shared handle to the syscall counters (clone before moving the
-    /// poller into the event-loop thread).
+    /// poller into a reactor).
     pub fn counters(&self) -> Arc<SyscallCounters> {
         self.counters.clone()
     }
@@ -347,11 +297,6 @@ impl Drop for EpollPoller {
 impl Poller for EpollPoller {
     type Conn = TcpStream;
     type Listener = TcpListener;
-    type Waker = EpollWaker;
-
-    fn waker(&self) -> EpollWaker {
-        EpollWaker(self.wake_tx.clone())
-    }
 
     fn register_listener(&mut self, l: &TcpListener) -> io::Result<()> {
         // Level-triggered on purpose: a missed accept edge would strand
@@ -410,7 +355,12 @@ impl Poller for EpollPoller {
     }
 
     fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-        let timeout_ms = timeout.map_or(-1i32, |t| t.as_millis().min(i32::MAX as u128) as i32);
+        // Rounded up to epoll's whole milliseconds, like `wait_readable`:
+        // truncating would turn the last partial millisecond of a
+        // caller's deadline into a busy spin of zero-timeout waits.
+        let timeout_ms = timeout.map_or(-1i32, |t| {
+            t.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32
+        });
         self.counters.waits.fetch_add(1, Ordering::Relaxed);
         let n = loop {
             let r = unsafe {
@@ -431,16 +381,8 @@ impl Poller for EpollPoller {
         };
         for i in 0..n {
             let ev = self.buf[i];
-            let token = ev.data as usize;
-            if token == WAKE_TOKEN {
-                // Drain the wake pipe; the wakeup's purpose is served by
-                // returning from epoll_wait.
-                let mut sink = [0u8; 64];
-                while matches!(self.wake_rx.read(&mut sink), Ok(n) if n > 0) {}
-                continue;
-            }
             events.push(Event {
-                token,
+                token: ev.data as usize,
                 readable: ev.events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0,
                 writable: ev.events & EPOLLOUT != 0,
                 closed: ev.events & (EPOLLHUP | EPOLLERR) != 0,
@@ -465,7 +407,7 @@ impl Poller for EpollPoller {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
+    use std::io::Write;
 
     #[test]
     fn epoll_sees_listener_and_conn_readiness() {
@@ -530,21 +472,5 @@ mod tests {
 
         poller.deregister(&server).unwrap();
         poller.deregister(&server).unwrap(); // idempotent
-    }
-
-    #[test]
-    fn waker_interrupts_a_blocking_wait() {
-        let mut poller = EpollPoller::new().unwrap();
-        let waker = poller.waker();
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(50));
-            waker.wake();
-        });
-        let mut events = Vec::new();
-        let start = Instant::now();
-        poller.wait(&mut events, Some(Duration::from_secs(10))).unwrap();
-        assert!(start.elapsed() < Duration::from_secs(9), "woke early");
-        assert!(events.is_empty(), "wake token is not surfaced");
-        t.join().unwrap();
     }
 }

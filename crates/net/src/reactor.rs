@@ -1,4 +1,5 @@
-//! The nonblocking reactor: one event loop instead of a thread per node.
+//! The nonblocking reactor: one event loop, run by its caller, instead
+//! of a thread per node.
 //!
 //! The blocking transport ([`crate::tcp`]) spawns a reader thread per
 //! connection and issues two syscalls per frame in each direction. That
@@ -24,17 +25,16 @@
 //!
 //! The core is synchronous: `poll_once` + `pop_inbound`, no hidden
 //! threads — which is what lets [`crate::sim_poller::SimPoller`] drive
-//! it deterministically. [`ReactorCoordinatorTransport`] wraps the core
-//! in one event-loop thread and exposes the same API as
-//! [`crate::tcp::TcpCoordinatorTransport`], selectable at runtime via
-//! `--net-backend {threaded,reactor}`.
+//! it deterministically. [`ReactorCoordinatorTransport`] is the same
+//! core over epoll behind a lock, driven by whoever calls it (`send`
+//! writes inline, `recv*` runs the readiness rounds), with the same API
+//! as [`crate::tcp::TcpCoordinatorTransport`]; `--net-backend
+//! {threaded,reactor}` picks between them at runtime.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use automon_core::{NodeId, NodeMessage, Outbound};
@@ -43,7 +43,7 @@ use bytes::Bytes;
 
 use crate::frame::{FrameAssembler, OutQueue};
 use crate::gate::{FrameGate, GateVerdict};
-use crate::poller::{EpollPoller, Event, Poller, PollWaker, SyscallStats, LISTENER_TOKEN};
+use crate::poller::{EpollPoller, Event, Poller, SyscallCounters, SyscallStats, LISTENER_TOKEN};
 use crate::tcp::{CoordinatorTransport, TcpError};
 use crate::wire;
 
@@ -166,9 +166,9 @@ struct ConnState<C> {
 /// Event-loop core: slab of connections over a [`Poller`].
 ///
 /// Synchronous by design — `poll_once` runs one readiness round, frames
-/// come out of `pop_inbound`, sends go in through `enqueue`. The
-/// [`ReactorCoordinatorTransport`] wraps it in a thread; the sim
-/// harness calls it inline.
+/// come out of `pop_inbound`, sends go in through `enqueue`.
+/// [`ReactorCoordinatorTransport`] and the sim harness both call it
+/// inline, from the thread that wants the frames.
 pub struct Reactor<P: Poller> {
     poller: P,
     listener: Option<P::Listener>,
@@ -277,7 +277,8 @@ impl<P: Poller> Reactor<P> {
 
     /// Queue one outbound frame and flush opportunistically.
     ///
-    /// [`TcpError::NotConnected`] without a live connection;
+    /// [`TcpError::NotConnected`] without a live connection, or when the
+    /// flush found the connection dead (the frame is lost with it);
     /// [`TcpError::Backpressured`] when the node's queue is at its cap —
     /// the caller decides whether to drop, retry, or degrade the node.
     pub fn enqueue(&mut self, out: &Outbound) -> Result<(), TcpError> {
@@ -301,6 +302,10 @@ impl<P: Poller> Reactor<P> {
         self.tel.frames_out.inc();
         self.tel.bytes_out.add(wire_len);
         self.flush_slot(slot);
+        if self.slab[slot].is_none() {
+            // The kernel rejected the write and the slot was closed.
+            return Err(TcpError::NotConnected(out.to));
+        }
         Ok(())
     }
 
@@ -404,9 +409,6 @@ impl<P: Poller> Reactor<P> {
         self.slab[slot] = Some(ConnState {
             conn,
             asm: FrameAssembler::new(),
-            // Double headroom over the advertised cap: `enqueue`
-            // pre-checks saturation against the cap, the hard bound
-            // only catches races on the threaded wrapper.
             outq: OutQueue::new(self.cfg.max_outbound_frames),
             node: None,
             write_blocked: false,
@@ -561,7 +563,9 @@ impl<P: Poller> Reactor<P> {
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    self.tel.send_failures.inc();
+                    // Every frame still queued goes down with the
+                    // connection.
+                    self.tel.send_failures.add(state.outq.len() as u64);
                     self.close_slot(slot);
                     return;
                 }
@@ -616,63 +620,27 @@ impl<P: Poller> Reactor<P> {
 }
 
 // ---------------------------------------------------------------------
-// Threaded wrapper over the epoll reactor
+// Caller-driven wrapper over the epoll reactor
 // ---------------------------------------------------------------------
 
-/// State shared between the caller-facing handle and the event loop.
-struct LoopShared {
-    /// Outbounds accepted by `send`, waiting for the loop.
-    cmd: Mutex<VecDeque<Outbound>>,
-    /// Per-node frames in flight (cmd queue + reactor queue), the
-    /// synchronous backpressure check.
-    depth: Vec<AtomicUsize>,
-    connected: Vec<AtomicBool>,
-    backpressured: Vec<AtomicBool>,
-    last_seen_ms: Vec<AtomicU64>,
-    now_ms: AtomicU64,
-    traffic: [AtomicU64; 6],
-    shutdown: AtomicBool,
-    bp_rejects: Counter,
-    send_failures: Counter,
-}
-
-impl LoopShared {
-    fn publish(&self, reactor: &Reactor<EpollPoller>) {
-        for i in 0..reactor.cfg.n {
-            self.connected[i].store(reactor.is_connected(i), Ordering::Relaxed);
-            self.backpressured[i].store(reactor.node_backpressured(i), Ordering::Relaxed);
-            self.last_seen_ms[i].store(reactor.last_seen_ms[i], Ordering::Relaxed);
-        }
-        self.now_ms.store(reactor.poller.now_ms(), Ordering::Relaxed);
-        let t = reactor.traffic();
-        for (cell, v) in self.traffic.iter().zip([
-            t.frames_in,
-            t.bytes_in,
-            t.frames_out,
-            t.bytes_out,
-            t.heartbeats,
-            t.accepts,
-        ]) {
-            cell.store(v, Ordering::Relaxed);
-        }
-    }
-}
-
 /// Coordinator transport over the epoll reactor: same API surface as
-/// [`crate::tcp::TcpCoordinatorTransport`], one event-loop thread
-/// instead of a reader thread per node, and synchronous backpressure on
-/// `send`.
+/// [`crate::tcp::TcpCoordinatorTransport`], no thread of its own.
+///
+/// **Service contract.** The sockets are serviced while the caller is
+/// inside [`send`](Self::send), a `recv*` method or
+/// [`stale_nodes`](Self::stale_nodes), and only then: `send` encodes and
+/// `writev`s on the caller's thread, `recv*` runs the readiness rounds.
+/// Between calls inbound bytes wait in the kernel's socket buffers,
+/// where TCP flow control bounds them, and frames a short write left
+/// queued wait for the next call. `Coordinator::handle` is
+/// single-threaded, so a frame decoded any earlier would only have
+/// waited in a queue. One driver thread is the intended use; the
+/// methods take `&self` and lock the core, so a `send` from a second
+/// thread is safe but waits behind a `recv*` in progress.
 pub struct ReactorCoordinatorTransport {
-    /// Inbound frames cross the loop→caller channel in per-poll-cycle
-    /// batches (one channel node per batch, not per frame); `buf`
-    /// holds the tail of the last batch between `recv` calls.
-    rx: Receiver<Vec<(SpanId, NodeMessage)>>,
-    buf: Mutex<VecDeque<(SpanId, NodeMessage)>>,
-    shared: Arc<LoopShared>,
-    waker: crate::poller::EpollWaker,
-    syscalls: Arc<crate::poller::SyscallCounters>,
-    max_outbound_frames: usize,
-    handle: Option<std::thread::JoinHandle<()>>,
+    core: Mutex<Reactor<EpollPoller>>,
+    /// The poller's counters, readable without the lock.
+    syscalls: Arc<SyscallCounters>,
 }
 
 impl ReactorCoordinatorTransport {
@@ -704,11 +672,10 @@ impl ReactorCoordinatorTransport {
         listener.set_nonblocking(true)?;
         let poller = EpollPoller::new()?;
         let syscalls = poller.counters();
-        let waker = poller.waker();
         let mut reactor = Reactor::new(poller, Some(listener), ReactorConfig::new(n))?;
         reactor.set_telemetry(&tel);
 
-        // Hello phase: pump the loop inline until every node greeted.
+        // Hello phase: pump the loop until every node greeted.
         let deadline = hello_timeout.map(|t| Instant::now() + t);
         while reactor.connected_count() < n {
             if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -720,62 +687,48 @@ impl ReactorCoordinatorTransport {
                 .map_err(TcpError::Io)?;
         }
 
-        let shared = Arc::new(LoopShared {
-            cmd: Mutex::new(VecDeque::new()),
-            depth: (0..n).map(|_| AtomicUsize::new(0)).collect(),
-            connected: (0..n).map(|_| AtomicBool::new(true)).collect(),
-            backpressured: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            last_seen_ms: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            now_ms: AtomicU64::new(0),
-            traffic: Default::default(),
-            shutdown: AtomicBool::new(false),
-            bp_rejects: tel.counter(
-                "automon_net_backpressure_rejects_total",
-                "Sends refused because the node's outbound queue was full",
-            ),
-            send_failures: tel.counter(
-                "automon_net_send_failures_total",
-                "Coordinator sends that failed (dead connection)",
-            ),
-        });
-        shared.publish(&reactor);
-
-        let (tx, rx) = channel();
-        let max_outbound_frames = reactor.cfg.max_outbound_frames;
-        let loop_shared = shared.clone();
-        let handle = std::thread::Builder::new()
-            .name("automon-reactor".into())
-            .spawn(move || event_loop(reactor, loop_shared, tx))
-            .map_err(TcpError::Io)?;
-
-        Ok((
-            Self {
-                rx,
-                buf: Mutex::new(VecDeque::new()),
-                shared,
-                waker,
-                syscalls,
-                max_outbound_frames,
-                handle: Some(handle),
-            },
-            local,
-        ))
+        let core = Mutex::new(reactor);
+        Ok((Self { core, syscalls }, local))
     }
 
-    /// Blocking receive; `None` once the loop exits.
+    fn core(&self) -> MutexGuard<'_, Reactor<EpollPoller>> {
+        self.core
+            .lock()
+            .expect("a thread panicked while driving the reactor")
+    }
+
+    /// The next inbound frame: one already decoded, else readiness rounds
+    /// until one surfaces or `timeout` has passed (`None`: no deadline).
+    /// At least one round runs, so a zero timeout is still one
+    /// non-blocking look at the sockets.
+    fn recv_within(&self, timeout: Option<Duration>) -> Option<(SpanId, NodeMessage)> {
+        let mut core = self.core();
+        if let Some(item) = core.pop_inbound() {
+            return Some(item);
+        }
+        // A timeout past the clock's range is no deadline at all.
+        let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
+        let mut left = timeout;
+        loop {
+            core.poll_once(left).ok()?;
+            if let Some(item) = core.pop_inbound() {
+                return Some(item);
+            }
+            left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if left == Some(Duration::ZERO) {
+                return None;
+            }
+        }
+    }
+
+    /// Blocking receive; `None` only if polling the sockets fails.
     pub fn recv(&self) -> Option<NodeMessage> {
         self.recv_traced().map(|(_, m)| m)
     }
 
     /// Receive with the propagated span.
     pub fn recv_traced(&self) -> Option<(SpanId, NodeMessage)> {
-        let mut buf = self.buf.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(item) = buf.pop_front() {
-                return Some(item);
-            }
-            buf.extend(self.rx.recv().ok()?);
-        }
+        self.recv_within(None)
     }
 
     /// Receive with a timeout.
@@ -783,97 +736,62 @@ impl ReactorCoordinatorTransport {
         self.recv_timeout_traced(timeout).map(|(_, m)| m)
     }
 
-    /// [`ReactorCoordinatorTransport::recv_traced`] with a timeout.
+    /// [`ReactorCoordinatorTransport::recv_traced`] with a timeout: the
+    /// caller sleeps in `epoll_wait` until a frame surfaces or `timeout`
+    /// has passed, never less. A zero timeout is one non-blocking
+    /// readiness round.
     pub fn recv_timeout_traced(&self, timeout: Duration) -> Option<(SpanId, NodeMessage)> {
-        let mut buf = self.buf.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(item) = buf.pop_front() {
-                return Some(item);
-            }
-            buf.extend(self.rx.recv_timeout(timeout).ok()?);
-        }
+        self.recv_within(Some(timeout))
     }
 
-    /// Queue one outbound frame toward its node.
+    /// Encode one outbound frame and write it toward its node, on this
+    /// thread; only what the kernel refuses stays queued.
     ///
     /// Fails synchronously: [`TcpError::NotConnected`] without a live
-    /// connection, [`TcpError::Backpressured`] when the node already
-    /// has a full queue's worth of frames in flight — the signal to
-    /// degrade that node to lazy-sync participation instead of letting
-    /// its queue grow without bound.
+    /// connection (or when this write found it dead),
+    /// [`TcpError::Backpressured`] when the node's queue is full — the
+    /// signal to degrade that node to lazy-sync participation instead of
+    /// letting its queue grow without bound.
     pub fn send(&self, out: &Outbound) -> Result<(), TcpError> {
-        if !self.shared.connected[out.to].load(Ordering::Relaxed) {
-            return Err(TcpError::NotConnected(out.to));
-        }
-        if self.shared.backpressured[out.to].load(Ordering::Relaxed)
-            || self.shared.depth[out.to].load(Ordering::Relaxed) >= self.max_outbound_frames
-        {
-            self.shared.bp_rejects.inc();
-            return Err(TcpError::Backpressured(out.to));
-        }
-        self.shared.depth[out.to].fetch_add(1, Ordering::Relaxed);
-        self.shared.cmd.lock().unwrap_or_else(|e| e.into_inner()).push_back(out.clone());
-        self.waker.wake();
-        Ok(())
+        self.core().enqueue(out)
     }
 
     /// `true` while a live connection to `node` exists.
     pub fn is_connected(&self, node: NodeId) -> bool {
-        self.shared.connected[node].load(Ordering::Relaxed)
+        self.core().is_connected(node)
     }
 
     /// `true` while `node` is under outbound backpressure.
     pub fn is_backpressured(&self, node: NodeId) -> bool {
-        self.shared.backpressured[node].load(Ordering::Relaxed)
+        self.core().node_backpressured(node)
     }
 
     /// Nodes currently under backpressure — feed to
     /// `Coordinator::set_backpressured` so lazy-sync growth prefers
     /// responsive nodes.
     pub fn backpressured_nodes(&self) -> Vec<NodeId> {
-        (0..self.shared.backpressured.len())
-            .filter(|&i| self.shared.backpressured[i].load(Ordering::Relaxed))
-            .collect()
+        self.core().backpressured_nodes()
     }
 
-    /// Nodes not heard from for `timeout`.
+    /// Nodes not heard from for `timeout`. Runs one non-blocking
+    /// readiness round first, so a heartbeat that reached the kernel
+    /// while the caller was busy elsewhere (a long `decompose`) counts
+    /// before the clock is read.
     pub fn stale_nodes(&self, timeout: Duration) -> Vec<NodeId> {
-        let now = self.shared.now_ms.load(Ordering::Relaxed);
-        let horizon = timeout.as_millis() as u64;
-        (0..self.shared.last_seen_ms.len())
-            .filter(|&i| {
-                now.saturating_sub(self.shared.last_seen_ms[i].load(Ordering::Relaxed))
-                    >= horizon
-            })
-            .collect()
+        let mut core = self.core();
+        // A failed poll leaves the last-seen times as they were.
+        let _ = core.poll_once(Some(Duration::ZERO));
+        core.stale_nodes(timeout)
     }
 
-    /// Syscalls the event loop has issued.
+    /// Syscalls issued on the reactor's behalf so far.
     pub fn syscall_stats(&self) -> SyscallStats {
         self.syscalls.snapshot()
     }
 
-    /// Traffic moved by the event loop.
+    /// Traffic moved so far; exact whenever it is read.
     pub fn traffic(&self) -> ReactorTraffic {
-        let t = &self.shared.traffic;
-        ReactorTraffic {
-            frames_in: t[0].load(Ordering::Relaxed),
-            bytes_in: t[1].load(Ordering::Relaxed),
-            frames_out: t[2].load(Ordering::Relaxed),
-            bytes_out: t[3].load(Ordering::Relaxed),
-            heartbeats: t[4].load(Ordering::Relaxed),
-            accepts: t[5].load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl Drop for ReactorCoordinatorTransport {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
-        self.waker.wake();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        self.core().traffic()
     }
 }
 
@@ -889,73 +807,6 @@ impl CoordinatorTransport for ReactorCoordinatorTransport {
     }
     fn syscall_stats(&self) -> SyscallStats {
         ReactorCoordinatorTransport::syscall_stats(self)
-    }
-}
-
-fn event_loop(
-    mut reactor: Reactor<EpollPoller>,
-    shared: Arc<LoopShared>,
-    tx: Sender<Vec<(SpanId, NodeMessage)>>,
-) {
-    // `publish` mirrors per-node state into `shared` with O(n) atomic
-    // stores — at 10k nodes that is ~30k stores, far more work than
-    // handling one frame. The mirror feeds introspection (staleness,
-    // backpressure flags) that only needs coarse freshness, so under
-    // load it is refreshed every `PUBLISH_EVERY` iterations and
-    // immediately whenever the loop goes idle.
-    const PUBLISH_EVERY: u32 = 64;
-    let mut since_publish = 0u32;
-    loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            break;
-        }
-        // Move accepted sends into the reactor's per-node queues.
-        loop {
-            let Some(out) = shared
-                .cmd
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .pop_front()
-            else {
-                break;
-            };
-            let to = out.to;
-            match reactor.enqueue(&out) {
-                Ok(()) => {
-                    shared.depth[to].fetch_sub(1, Ordering::Relaxed);
-                }
-                Err(TcpError::Backpressured(_)) => {
-                    // Rare race: the pre-check admitted more than the
-                    // queue takes. Put it back and let the queue drain.
-                    shared
-                        .cmd
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .push_front(out);
-                    break;
-                }
-                Err(_) => {
-                    shared.depth[to].fetch_sub(1, Ordering::Relaxed);
-                    shared.send_failures.inc();
-                }
-            }
-        }
-        if reactor.poll_once(Some(Duration::from_millis(100))).is_err() {
-            break;
-        }
-        let mut batch = Vec::new();
-        while let Some(item) = reactor.pop_inbound() {
-            batch.push(item);
-        }
-        let drained = !batch.is_empty();
-        if drained && tx.send(batch).is_err() {
-            shared.shutdown.store(true, Ordering::Relaxed);
-        }
-        since_publish += 1;
-        if !drained || since_publish >= PUBLISH_EVERY {
-            shared.publish(&reactor);
-            since_publish = 0;
-        }
     }
 }
 
@@ -1108,86 +959,262 @@ mod tests {
         assert!(!reactor.is_connected(0), "node 0 never connected");
     }
 
-    #[test]
-    fn real_sockets_end_to_end_with_tcp_node_transport() {
-        // The reactor speaks the same wire protocol as the blocking
-        // transport: an unmodified TcpNodeTransport talks to it.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        drop(listener);
-        let binder = std::thread::spawn(move || {
-            ReactorCoordinatorTransport::bind(addr, 2).expect("bind")
-        });
-        let mut a = TcpNodeTransport::connect(addr, 0).expect("connect 0");
-        let mut b = TcpNodeTransport::connect(addr, 1).expect("connect 1");
-        let (tp, _) = binder.join().unwrap();
-        assert!(tp.is_connected(0) && tp.is_connected(1));
+    /// A transport over loopback sockets with nodes `0..n` connected.
+    /// `bind` returns only after every hello, so it runs on a helper
+    /// thread while this one dials.
+    fn loopback(
+        n: usize,
+        tel: Telemetry,
+    ) -> (ReactorCoordinatorTransport, Vec<TcpNodeTransport>, SocketAddr) {
+        let probe = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = probe.local_addr().unwrap();
+        drop(probe);
+        let hello = Some(Duration::from_secs(10));
+        std::thread::scope(|s| {
+            let binder = s.spawn(move || {
+                ReactorCoordinatorTransport::bind_with_telemetry(addr, n, hello, tel).expect("bind")
+            });
+            let nodes = (0..n)
+                .map(|i| TcpNodeTransport::connect(addr, i).expect("connect"))
+                .collect();
+            (binder.join().unwrap().0, nodes, addr)
+        })
+    }
 
-        // Up: both nodes report; frames arrive with spans intact.
-        let report = |node| NodeMessage::Violation {
+    fn report(node: NodeId) -> NodeMessage {
+        NodeMessage::Violation {
             node,
             kind: ViolationKind::SafeZone,
             local_vector: vec![1.5, -0.5],
             epoch: 2,
-        };
-        a.send_traced(&report(0), automon_obs::SpanId(11)).unwrap();
-        b.send_traced(&report(1), automon_obs::SpanId(22)).unwrap();
+        }
+    }
+
+    fn pull(to: NodeId) -> Outbound {
+        Outbound::new(
+            to,
+            CoordinatorMessage::RequestLocalVector { epoch: 2 },
+            CommCause::FullSync,
+        )
+    }
+
+    #[test]
+    fn real_sockets_end_to_end_with_tcp_node_transport() {
+        // The reactor speaks the same wire protocol as the blocking
+        // transport: an unmodified TcpNodeTransport talks to it.
+        let (tp, mut nodes, _) = loopback(2, Telemetry::disabled());
+        assert!(tp.is_connected(0) && tp.is_connected(1));
+
+        // Up: both nodes report; frames arrive with spans intact.
+        nodes[0].send_traced(&report(0), SpanId(11)).unwrap();
+        nodes[1].send_traced(&report(1), SpanId(22)).unwrap();
         let mut got = Vec::new();
         for _ in 0..2 {
             got.push(tp.recv_timeout_traced(Duration::from_secs(5)).expect("frame"));
         }
         got.sort_by_key(|(_, m)| m.sender());
-        assert_eq!(got[0].0, automon_obs::SpanId(11));
+        assert_eq!(got[0].0, SpanId(11));
         assert_eq!(got[0].1, report(0));
-        assert_eq!(got[1].0, automon_obs::SpanId(22));
+        assert_eq!(got[1].0, SpanId(22));
 
-        // Down: send queues through the loop and lands on the node.
-        let out = Outbound::new(
-            1,
-            CoordinatorMessage::RequestLocalVector { epoch: 2 },
-            CommCause::FullSync,
-        )
-        .with_span(automon_obs::SpanId(7));
+        // Down: send writes inline and the frame lands on the node.
+        let out = pull(1).with_span(SpanId(7));
         tp.send(&out).unwrap();
-        let (span, msg) = b.recv_traced().expect("reply");
-        assert_eq!(span, automon_obs::SpanId(7));
+        let (span, msg) = nodes[1].recv_traced().expect("reply");
+        assert_eq!(span, SpanId(7));
         assert_eq!(msg, out.msg);
 
-        // Heartbeats keep liveness fresh without surfacing.
-        a.send_heartbeat().unwrap();
-        std::thread::sleep(Duration::from_millis(50));
-        assert!(tp.stale_nodes(Duration::from_secs(60)).is_empty());
+        // Heartbeats keep liveness fresh without surfacing: `stale_nodes`
+        // reads the sockets itself before it reads the clock, so the
+        // heartbeat counts with no `recv*` call in between.
+        nodes[0].send_heartbeat().unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while tp.traffic().heartbeats == 0 {
+            assert!(tp.stale_nodes(Duration::from_secs(60)).is_empty());
+            assert!(Instant::now() < deadline, "heartbeat never absorbed");
+        }
+        assert!(tp.recv_timeout(Duration::from_millis(50)).is_none());
         let t = tp.traffic();
         assert!(t.frames_in >= 5 && t.frames_out >= 1);
         assert!(tp.syscall_stats().waits > 0);
     }
 
     #[test]
-    fn disconnect_surfaces_as_not_connected() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        drop(listener);
-        let binder = std::thread::spawn(move || {
-            ReactorCoordinatorTransport::bind(addr, 1).expect("bind")
-        });
-        let a = TcpNodeTransport::connect(addr, 0).expect("connect");
-        let (tp, _) = binder.join().unwrap();
-        drop(a);
-        let out = Outbound::new(
-            0,
-            CoordinatorMessage::RequestLocalVector { epoch: 0 },
-            CommCause::FullSync,
-        );
-        let mut saw_down = false;
-        for _ in 0..200 {
-            match tp.send(&out) {
-                Err(TcpError::NotConnected(0)) => {
-                    saw_down = true;
-                    break;
-                }
-                _ => std::thread::sleep(Duration::from_millis(5)),
+    fn lockstep_round_trip_costs_one_wait_two_reads_one_writev() {
+        let (tp, mut nodes, _) = loopback(1, Telemetry::disabled());
+        let up_len = wire::encode_node_message_ctx(&report(0), SpanId::NONE).len() as u64 + 4;
+        let out = pull(0);
+        let down_len = wire::encode_coordinator_message_ctx(&out.msg, out.span).len() as u64 + 4;
+        // The first pass absorbs the connection's registration edge.
+        for pass in 0..3 {
+            let (sys0, t0) = (tp.syscall_stats(), tp.traffic());
+            nodes[0].send(&report(0)).unwrap();
+            let got = tp.recv_timeout_traced(Duration::from_secs(5)).expect("frame");
+            assert_eq!(got.1, report(0));
+            tp.send(&out).unwrap();
+            // No settling loop: the counters are exact once `send` returns.
+            let (sys1, t1) = (tp.syscall_stats(), tp.traffic());
+            assert_eq!(nodes[0].recv().unwrap(), out.msg);
+            assert_eq!(t1.frames_in, t0.frames_in + 1);
+            assert_eq!(t1.bytes_in, t0.bytes_in + up_len);
+            assert_eq!(t1.frames_out, t0.frames_out + 1);
+            assert_eq!(t1.bytes_out, t0.bytes_out + down_len);
+            if pass > 0 {
+                assert_eq!(sys1.waits, sys0.waits + 1, "one epoll_wait");
+                assert_eq!(sys1.reads, sys0.reads + 2, "the frame, then WouldBlock");
+                assert_eq!(sys1.writevs, sys0.writevs + 1, "one inline writev");
             }
         }
-        assert!(saw_down, "loop must notice the hangup");
+    }
+
+    #[test]
+    fn idle_transport_issues_no_syscalls() {
+        let (tp, _nodes, _) = loopback(2, Telemetry::disabled());
+        let before = tp.syscall_stats();
+        std::thread::sleep(Duration::from_millis(250));
+        assert_eq!(tp.syscall_stats(), before, "nobody called, nothing ran");
+    }
+
+    #[test]
+    fn recv_timeout_waits_its_whole_timeout_without_spinning() {
+        let (tp, mut nodes, _) = loopback(2, Telemetry::disabled());
+        // Sub-millisecond: rounded up to epoll's resolution, never
+        // truncated to a zero-timeout spin or an early `None`.
+        let timeout = Duration::from_micros(300);
+        let waits = tp.syscall_stats().waits;
+        let started = Instant::now();
+        assert!(tp.recv_timeout(timeout).is_none());
+        assert!(started.elapsed() >= timeout, "ended early");
+        let spent = tp.syscall_stats().waits - waits;
+        assert!(spent <= 2, "{spent} waits for one 300 us timeout");
+
+        // Zero: one non-blocking readiness round, frame or no frame.
+        let waits = tp.syscall_stats().waits;
+        assert!(tp.recv_timeout(Duration::ZERO).is_none());
+        assert_eq!(tp.syscall_stats().waits, waits + 1);
+        nodes[1].send(&report(1)).unwrap();
+        // Loopback delivers inside the sender's `write` unless the kernel
+        // defers its softirq work to a thread; give that thread a turn.
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(tp.recv_timeout(Duration::ZERO), Some(report(1)));
+        assert_eq!(tp.syscall_stats().waits, waits + 2);
+    }
+
+    #[test]
+    fn real_socket_backpressure_engages_and_relieves_at_half_the_cap() {
+        let (tp, mut nodes, _) = loopback(1, Telemetry::disabled());
+        let cap = ReactorConfig::new(1).max_outbound_frames;
+        let queued = |tp: &ReactorCoordinatorTransport| {
+            let core = tp.core();
+            let slot = core.node_slot[0].expect("connected");
+            core.slab[slot].as_ref().expect("live slot").outq.len()
+        };
+        // Big frames fill the kernel's buffers in a few dozen sends; the
+        // span and epoch number them.
+        let frame = |k: u64| {
+            Outbound::new(
+                0,
+                CoordinatorMessage::SlackUpdate {
+                    slack: (0..8192).map(|i| (i as f64) * 0.37 + k as f64).collect(),
+                    epoch: k,
+                },
+                CommCause::LazySync,
+            )
+            .with_span(SpanId(k + 1))
+        };
+
+        // The node does not read. `send` keeps returning at once — first
+        // the kernel takes the bytes, then the queue does — until the
+        // queue is full.
+        let mut accepted = 0u64;
+        loop {
+            match tp.send(&frame(accepted)) {
+                Ok(()) => accepted += 1,
+                Err(TcpError::Backpressured(0)) => break,
+                Err(e) => panic!("unexpected {e}"),
+            }
+            assert!(accepted < 100_000, "never saturated");
+        }
+        assert_eq!(queued(&tp), cap);
+        assert!(accepted > cap as u64, "the kernel buffered some too");
+        assert!(tp.is_backpressured(0));
+        assert_eq!(tp.backpressured_nodes(), vec![0]);
+        assert_eq!(tp.traffic().frames_out, accepted, "refused frames not counted");
+
+        // The node drains; each time the caller re-enters `recv_timeout`
+        // a writable edge flushes more of the queue. Every accepted
+        // frame arrives once, in order, equal to what was sent.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut got = 0u64;
+        while got < accepted {
+            assert!(tp.recv_timeout(Duration::ZERO).is_none());
+            assert_eq!(tp.is_backpressured(0), queued(&tp) > cap / 2);
+            if let Some((span, msg)) = nodes[0]
+                .recv_timeout_traced(Duration::from_millis(10))
+                .expect("node read")
+            {
+                let sent = frame(got);
+                assert_eq!((span, &msg), (sent.span, &sent.msg), "frame {got}");
+                got += 1;
+            }
+            assert!(Instant::now() < deadline, "drain stalled at {got}/{accepted}");
+        }
+        assert_eq!(queued(&tp), 0);
+        assert!(!tp.is_backpressured(0));
+        assert!(nodes[0].try_recv().expect("node read").is_none(), "nothing twice");
+        tp.send(&pull(0)).expect("accepted again");
+        assert_eq!(nodes[0].recv().unwrap(), pull(0).msg);
+    }
+
+    #[test]
+    fn rejoin_during_recv_timeout_is_admitted_in_that_call() {
+        let (tp, mut nodes, addr) = loopback(1, Telemetry::disabled());
+        assert_eq!(tp.traffic().accepts, 1);
+        // Nothing services the listener but the caller's own wait: the
+        // restarted node's hello and its first report both surface from
+        // the one `recv_timeout`.
+        let mut rejoined = std::thread::scope(|s| {
+            let dialer = s.spawn(move || {
+                let mut node = TcpNodeTransport::connect(addr, 0).expect("rejoin");
+                node.send(&report(0)).unwrap();
+                node
+            });
+            assert_eq!(tp.recv_timeout(Duration::from_secs(5)), Some(report(0)));
+            dialer.join().unwrap()
+        });
+        assert_eq!(tp.traffic().accepts, 2);
+        assert!(tp.is_connected(0));
+        tp.send(&pull(0)).unwrap();
+        assert_eq!(rejoined.recv().unwrap(), pull(0).msg);
+        assert!(
+            !matches!(nodes[0].try_recv(), Ok(Some(_))),
+            "stale connection got nothing"
+        );
+    }
+
+    #[test]
+    fn disconnect_surfaces_as_not_connected() {
+        let tel = Telemetry::enabled();
+        let (tp, nodes, _) = loopback(1, tel.clone());
+        drop(nodes);
+        let send_failures = tel.counter("automon_net_send_failures_total", "");
+        // Only `send` is called, so only a write can notice the hangup:
+        // the kernel may take the first frame (and answer with a reset);
+        // the write it rejects reports the loss itself.
+        let mut sent_ok = 0;
+        while tp.send(&pull(0)).is_ok() {
+            assert_eq!(send_failures.get(), 0, "a lost frame was reported sent");
+            sent_ok += 1;
+            assert!(sent_ok < 200, "the hangup never surfaced");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(send_failures.get(), 1, "the rejected frame, once");
+        // Once a send has failed none later succeeds, and a frame refused
+        // up front was never in flight to be lost.
+        for _ in 0..5 {
+            assert!(matches!(tp.send(&pull(0)), Err(TcpError::NotConnected(0))));
+        }
+        assert!(!tp.is_connected(0));
+        assert_eq!(send_failures.get(), 1);
     }
 }

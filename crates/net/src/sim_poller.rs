@@ -12,7 +12,7 @@
 //!
 //! The harness side holds [`SimClient`] handles (one per simulated
 //! node) and drives the reactor synchronously with
-//! `poll_once`/`pop_inbound`; there is no hidden event-loop thread.
+//! `poll_once`/`pop_inbound`, as the epoll transport's caller does.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -21,9 +21,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use crate::frame::{FrameAssembler, IoVec};
-use crate::poller::{
-    Event, NoopWaker, Poller, SyscallStats, Token, LISTENER_TOKEN,
-};
+use crate::poller::{Event, Poller, SyscallStats, Token, LISTENER_TOKEN};
 use crate::wire::frame_len_prefix;
 
 /// One simulated duplex connection between a client (node) and the
@@ -228,11 +226,6 @@ pub struct SimPoller {
 impl Poller for SimPoller {
     type Conn = SimConn;
     type Listener = SimListener;
-    type Waker = NoopWaker;
-
-    fn waker(&self) -> NoopWaker {
-        NoopWaker
-    }
 
     fn register_listener(&mut self, _l: &SimListener) -> io::Result<()> {
         Ok(())

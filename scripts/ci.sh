@@ -70,7 +70,8 @@
 #      included) for the same workload seed, and the socket backends'
 #      --trace-out must pass `trace diff` against the sim backend's —
 #      the transport must not change what the monitor computes
-#      (DESIGN.md §3.15). (c) an invalid fault schedule (--drop-rate 2)
+#      (DESIGN.md §3.15); `cargo test` already asserts (b) in
+#      crates/cli/tests/net_smoke.rs. (c) an invalid fault schedule (--drop-rate 2)
 #      must end in the CLI's error exit, not in a panic (exit 101): the
 #      one validator answers for every subcommand (DESIGN.md §3.8).
 #  13. benchmark package — the repository's benchmark (BENCHMARK.json,
