@@ -24,6 +24,13 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
+/// One flag of a subcommand, declared once as `(name, placeholder)`:
+/// [`Args::parse_known`] admits the name and `usage()` renders the synopsis
+/// token. The placeholder is empty for a bare switch (`[--json]`), `<X>`
+/// for a flag the subcommand fails without (`--function <NAME>`), and
+/// otherwise the optional value (`[--epsilon E]`).
+pub type Flag = (&'static str, &'static str);
+
 /// Parsed `--key value` arguments; repeated keys accumulate. A flag
 /// followed by another `--flag` (or by nothing) is boolean and stores
 /// `"true"`.
@@ -54,12 +61,14 @@ impl Args {
         Ok(Self { values })
     }
 
-    /// [`Self::parse`], then reject the first flag not in `allowed` (the
-    /// subcommand's declared list), so a typo or a retired flag fails
-    /// loudly instead of silently running something else.
-    pub fn parse_known(argv: &[String], allowed: &[&str]) -> Result<Self, CliError> {
+    /// [`Self::parse`], then reject the first flag in none of the `allowed`
+    /// groups (the subcommand's own declarations plus any shared group),
+    /// so a typo or a retired flag fails loudly instead of silently
+    /// running something else.
+    pub fn parse_known(argv: &[String], allowed: &[&[Flag]]) -> Result<Self, CliError> {
         let args = Self::parse(argv)?;
-        match args.values.keys().find(|k| !allowed.contains(&k.as_str())) {
+        let known = |key: &String| allowed.iter().copied().flatten().any(|flag| flag.0 == key);
+        match args.values.keys().find(|key| !known(key)) {
             None => Ok(args),
             Some(key) if key == "decomp-cache-warm" => Err(CliError::new(
                 "`--decomp-cache-warm` was removed: the decomposition cache's warm \
@@ -144,12 +153,12 @@ mod tests {
 
     #[test]
     fn unknown_and_retired_flags_are_named() {
-        let allowed = ["x", "json"];
-        assert!(Args::parse_known(&sv(&["--x", "1", "--json"]), &allowed).is_ok());
-        let err = Args::parse_known(&sv(&["--x", "1", "--bogus-flag", "7"]), &allowed).unwrap_err();
+        let allowed: &[&[Flag]] = &[&[("x", "X")], &[("json", "")]];
+        assert!(Args::parse_known(&sv(&["--x", "1", "--json"]), allowed).is_ok());
+        let err = Args::parse_known(&sv(&["--x", "1", "--bogus-flag", "7"]), allowed).unwrap_err();
         assert!(err.to_string().contains("unknown flag `--bogus-flag`"), "{err}");
         for retired in ["--decomp-cache-warm", "--parallelism"] {
-            let err = Args::parse_known(&sv(&[retired, "2"]), &allowed).unwrap_err();
+            let err = Args::parse_known(&sv(&[retired, "2"]), allowed).unwrap_err();
             assert!(err.to_string().contains(retired), "{err}");
             assert!(err.to_string().contains("no longer selectable"), "{err}");
         }

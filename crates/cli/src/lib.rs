@@ -1,16 +1,9 @@
-//! Library backing the `automon` command-line tool.
-//!
-//! Two subcommands:
-//!
-//! * `automon simulate` — run a built-in evaluation workload (the paper's
-//!   functions and datasets) and print the communication/error summary.
-//! * `automon monitor` — run the monitoring protocol over a CSV stream of
-//!   local-vector updates (`round,node,x1,...,xd`) with a chosen built-in
-//!   function, writing per-round estimates.
+//! Library backing the `automon` command-line tool: [`dispatch`] is what
+//! `main` calls, and `automon help` ([`usage`]) lists the subcommands.
 //!
 //! Argument parsing is hand-rolled (the project's dependency policy
 //! admits no CLI crates); [`Args`] implements the small `--key value`
-//! grammar both subcommands share.
+//! grammar the subcommands share.
 
 mod args;
 mod csvio;
@@ -18,27 +11,45 @@ mod netcmd;
 mod run;
 mod trace;
 
-pub use args::{Args, CliError};
+pub use args::{Args, CliError, Flag};
 pub use csvio::{parse_csv_updates, render_estimates};
 pub use netcmd::run_net_smoke;
-pub use run::{build_function, run_monitor, run_simulate, run_spectral_smoke, run_tune};
-pub use trace::run_trace;
+pub use run::{build_function, run_monitor, run_simulate, run_tune};
+
+/// A subcommand: the words that select it, the flag groups it admits and
+/// the function that runs it.
+type Subcommand = (&'static str, &'static [&'static [Flag]], fn(&Args) -> Result<String, CliError>);
+
+/// [`dispatch`] and the `USAGE:` synopsis both read this table, so help
+/// and parser cannot drift.
+const SUBCOMMANDS: &[Subcommand] = &[
+    ("simulate", &[run::SIMULATE_FLAGS, run::FAULT_FLAGS], run_simulate),
+    ("monitor", &[run::MONITOR_FLAGS], run_monitor),
+    ("tune", &[run::TUNE_FLAGS], run_tune),
+    ("net-smoke", &[netcmd::NET_SMOKE_FLAGS, run::FAULT_FLAGS], run_net_smoke),
+    ("trace summarize", &[trace::SUMMARIZE_FLAGS], trace::summarize),
+    ("trace diff", &[trace::DIFF_FLAGS], trace::diff),
+];
 
 /// Entry point shared by `main.rs` and the tests.
 ///
-/// Each subcommand declares the flags it reads next to its `run_*`;
-/// any other flag is rejected here, before anything runs. Returns the
-/// text to print on success.
+/// Any flag the selected subcommand does not declare is rejected here,
+/// before anything runs. Returns the text to print on success.
 pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
-    let known = |flags| Args::parse_known(&argv[1..], flags);
+    for (name, flags, run) in SUBCOMMANDS {
+        let words = name.split(' ').count();
+        if name.split(' ').eq(argv.iter().take(words).map(String::as_str)) {
+            return run(&Args::parse_known(&argv[words..], flags)?);
+        }
+    }
     match argv.first().map(String::as_str) {
-        Some("simulate") => run_simulate(&known(run::SIMULATE_FLAGS)?),
-        Some("monitor") => run_monitor(&known(run::MONITOR_FLAGS)?),
-        Some("tune") => run_tune(&known(run::TUNE_FLAGS)?),
-        Some("spectral-smoke") => run_spectral_smoke(&known(run::SPECTRAL_SMOKE_FLAGS)?),
-        Some("net-smoke") => run_net_smoke(&known(netcmd::NET_SMOKE_FLAGS)?),
-        Some("trace") => run_trace(&argv[1..]),
-        Some("help") | None => Ok(usage().to_string()),
+        Some("help") | None => Ok(usage()),
+        Some("trace") => Err(CliError::new(match argv.get(1) {
+            Some(other) => format!("unknown trace command `{other}` (summarize | diff)"),
+            None => "usage: automon trace summarize --input FILE\n\
+                     \x20      automon trace diff --left FILE --right FILE"
+                .to_string(),
+        })),
         Some(other) => Err(CliError::new(format!(
             "unknown subcommand `{other}`\n\n{}",
             usage()
@@ -46,53 +57,45 @@ pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
     }
 }
 
+/// The `USAGE:` block, rendered from [`SUBCOMMANDS`]: one entry per
+/// subcommand, its flags wrapped at 72 columns under a hanging indent.
+fn synopsis() -> String {
+    let mut out = String::from("USAGE:\n");
+    for (name, flags, _) in SUBCOMMANDS {
+        let mut line = format!("    automon {name}");
+        for (flag, value) in flags.iter().copied().flatten() {
+            let token = match *value {
+                "" => format!("[--{flag}]"),
+                required if required.starts_with('<') => format!("--{flag} {required}"),
+                optional => format!("[--{flag} {optional}]"),
+            };
+            if line.len() + 1 + token.len() > 72 {
+                out += &format!("{line}\n");
+                line = " ".repeat(20);
+            }
+            line += &format!(" {token}");
+        }
+        out += &format!("{line}\n");
+    }
+    out + "    automon help\n"
+}
+
 /// The help text.
-pub fn usage() -> &'static str {
-    "automon — automatic distributed monitoring of arbitrary functions
+pub fn usage() -> String {
+    format!(
+        "automon — automatic distributed monitoring of arbitrary functions\n\n{}\n{USAGE_SECTIONS}",
+        synopsis()
+    )
+}
 
-USAGE:
-    automon simulate --function <NAME> [--epsilon E] [--nodes N]
-                     [--rounds R] [--dim D] [--seed S] [--baseline SPEC]
-                     [--spectral-backend B]
-                     [--chaos-seed S] [--drop-rate P]
-                     [--crash-node SPEC] [--partition SPEC]
-                     [--crash-coordinator R] [--wal-dir DIR]
-                     [--snapshot-every N] [--json]
-                     [--metrics-out FILE] [--trace-out FILE]
-                     [--serve-metrics ADDR] [--decomp-cache]
-                     [--decomp-cache-capacity N]
-                     [--fleet] [--shards S] [--leaf-epsilon-frac F]
-                     [--crash-leaf SPEC]
-    automon monitor  --function <NAME> --input <FILE.csv> --nodes N
-                     [--epsilon E] [--dim D] [--output FILE.csv]
-                     [--spectral-backend B]
-                     [--decomp-cache] [--decomp-cache-capacity N]
-    automon tune     --function <NAME> --input <FILE.csv> --nodes N
-                     [--epsilon E]
-    automon spectral-smoke [--dim D] [--seed S] [--tol T]
-    automon net-smoke [--net-backend B] [--nodes N] [--rounds R]
-                     [--dim D] [--seed S] [--epsilon E] [--function NAME]
-                     [--chaos-seed S] [--drop-rate P] [--duplicate-rate P]
-                     [--reorder-rate P] [--delay-rate P]
-                     [--max-delay-rounds N] [--trace-out FILE]
-    automon trace summarize --input FILE.jsonl
-    automon trace diff --left A.jsonl --right B.jsonl
-    automon help
-
+/// Everything in the help text below the generated synopsis.
+const USAGE_SECTIONS: &str = "\
 FUNCTIONS (built-in):
     inner-product | quadratic | kld | variance | rozenbrock | mlp
     (dimension via --dim where applicable)
 
 BASELINES (simulate only, repeatable):
     centralization | periodic:<P>
-
-SPECTRAL BACKEND:
-    --spectral-backend ql (default) uses the two-tier kernel:
-    Householder + implicit-shift QL for full decompositions and
-    matrix-free Lanczos for the ADCD-X extreme-eigenvalue search.
-    `jacobi` is the legacy cyclic-Jacobi path (rollback switch).
-    `automon spectral-smoke` cross-checks the three kernels on one
-    deterministic matrix and exits non-zero on disagreement.
 
 CHAOS (the fault flags of every subcommand build one schedule, DESIGN.md
 §3.8; on `simulate` any of them switches to the fault-injecting fabric
@@ -101,6 +104,9 @@ with retransmission, eviction, and rejoin enabled):
     --drop-rate P       drop each frame with probability P in [0, 1]
     --crash-node SPEC   `node:at[:restart]`, repeatable
     --partition SPEC    `n1[,n2,…]:from:until` (until exclusive), repeatable
+    --duplicate-rate P, --reorder-rate P, --delay-rate P
+                        the rest of the per-frame ladder (rates sum to ≤ 1;
+                        --max-delay-rounds N bounds a delay, default 3)
     A runner refuses, by name, the parts of a schedule it cannot execute
     (real sockets run none), and invalid rates, rounds or ids are errors.
 
@@ -206,91 +212,91 @@ EXAMPLES:
     automon simulate --function inner-product --rounds 200 \\
                      --chaos-seed 7 --drop-rate 0.1 --crash-node 2:50:120
     automon simulate --function variance --nodes 1000 --rounds 300 \\
-                     --fleet --shards 32 --crash-leaf 3:100"
+                     --fleet --shards 32 --crash-leaf 3:100";
+
+/// What every test module of this crate shares: the tests enter where
+/// `main` enters.
+#[cfg(test)]
+pub(crate) mod testkit {
+    use serde::Value;
+
+    /// [`crate::dispatch`] on `argv`, subcommand first.
+    pub fn cli(argv: &[&str]) -> Result<String, crate::CliError> {
+        crate::dispatch(&argv.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    /// `base` followed by `extra`, for tests that vary a tail of flags.
+    pub fn with<'a>(base: &[&'a str], extra: &[&'a str]) -> Vec<&'a str> {
+        [base, extra].concat()
+    }
+
+    /// The named field of a `--json` object.
+    pub fn field(v: &Value, key: &str) -> Value {
+        Value::get_field(v.as_map().expect("object"), key).clone()
+    }
+
+    /// The `ledger` rows of a `--json` stats object as `(cause, msgs, bytes)`.
+    pub fn ledger(stats: &Value) -> Vec<(String, u64, u64)> {
+        let Value::Seq(rows) = field(stats, "ledger") else { panic!("no ledger: {stats:?}") };
+        rows.iter()
+            .map(|row| match (field(row, "cause"), field(row, "msgs"), field(row, "bytes")) {
+                (Value::Str(cause), Value::UInt(msgs), Value::UInt(bytes)) => (cause, msgs, bytes),
+                other => panic!("ledger row {other:?}"),
+            })
+            .collect()
+    }
+
+    /// The ledger sums exactly to the run's `messages` / `payload_bytes`.
+    pub fn assert_ledger_conserves(stats: &Value) {
+        let rows = ledger(stats);
+        assert!(!rows.is_empty(), "{stats:?}");
+        let msgs: u64 = rows.iter().map(|row| row.1).sum();
+        let bytes: u64 = rows.iter().map(|row| row.2).sum();
+        assert_eq!(Value::UInt(msgs), field(stats, "messages"), "{rows:?}");
+        assert_eq!(Value::UInt(bytes), field(stats, "payload_bytes"), "{rows:?}");
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    fn sv(items: &[&str]) -> Vec<String> {
-        items.iter().map(|s| s.to_string()).collect()
-    }
+    use super::testkit::{cli, with};
 
     #[test]
     fn help_and_unknown_commands() {
-        assert!(dispatch(&sv(&["help"])).unwrap().contains("USAGE"));
-        assert!(dispatch(&[]).unwrap().contains("USAGE"));
-        let err = dispatch(&sv(&["frobnicate"])).unwrap_err();
-        assert!(err.to_string().contains("unknown subcommand"));
+        let help = cli(&["help"]).unwrap();
+        assert_eq!(help, cli(&[]).unwrap());
+        // The synopsis is rendered from the declarations `dispatch` admits.
+        assert!(help.contains("USAGE:\n    automon simulate --function <NAME> [--epsilon E]"), "{help}");
+        assert!(help.contains("\n    automon trace diff --left <A.jsonl> --right <B.jsonl>\n"), "{help}");
+        for unknown in ["frobnicate", "spectral-smoke"] {
+            let err = cli(&[unknown]).unwrap_err();
+            assert!(err.to_string().contains("unknown subcommand"), "{err}");
+        }
     }
 
-    /// Help and parser cannot drift: every subcommand's declared flag
-    /// list is exactly the `--flag` tokens of its USAGE synopsis.
-    #[test]
-    fn declared_flags_match_the_usage_synopsis() {
-        let text = usage();
-        let start = text.find("USAGE:\n").expect("USAGE block") + "USAGE:\n".len();
-        let block = &text[start..start + text[start..].find("\n\n").expect("blank line")];
-        let mut synopsis = std::collections::BTreeMap::new();
-        for entry in block.split("    automon ").skip(1) {
-            // Brackets off; `--` tokens are the flags, whatever precedes
-            // the first one is the subcommand name.
-            let tokens: Vec<&str> = entry
-                .split_whitespace()
-                .map(|t| t.trim_matches(|c| c == '[' || c == ']'))
-                .collect();
-            let name_len = tokens
-                .iter()
-                .position(|t| t.starts_with("--"))
-                .unwrap_or(tokens.len());
-            let mut flags: Vec<&str> = tokens.iter().filter_map(|t| t.strip_prefix("--")).collect();
-            flags.sort_unstable();
-            synopsis.insert(tokens[..name_len].join(" "), flags);
-        }
-        let declared = [
-            ("simulate", run::SIMULATE_FLAGS),
-            ("monitor", run::MONITOR_FLAGS),
-            ("tune", run::TUNE_FLAGS),
-            ("spectral-smoke", run::SPECTRAL_SMOKE_FLAGS),
-            ("net-smoke", netcmd::NET_SMOKE_FLAGS),
-            ("trace summarize", trace::SUMMARIZE_FLAGS),
-            ("trace diff", trace::DIFF_FLAGS),
-        ];
-        assert_eq!(synopsis.remove("help"), Some(vec![]));
-        for (name, flags) in declared {
-            let mut flags = flags.to_vec();
-            flags.sort_unstable();
-            assert_eq!(synopsis.remove(name), Some(flags), "`automon {name}`");
-        }
-        assert!(synopsis.is_empty(), "synopsis without a flag list: {synopsis:?}");
-    }
-
+    // Carries the flag half of ci.sh step 7 (retired).
     #[test]
     fn unknown_flags_are_rejected_before_running() {
-        let err = dispatch(&sv(&[
-            "simulate", "--function", "variance", "--rounds", "50", "--bogus-flag", "7",
-        ]))
-        .unwrap_err();
+        let err = cli(&["simulate", "--function", "variance", "--rounds", "50", "--bogus-flag", "7"])
+            .unwrap_err();
         assert!(err.to_string().contains("--bogus-flag"), "{err}");
-        let err = dispatch(&sv(&["trace", "diff", "--left", "a", "--rihgt", "b"])).unwrap_err();
+        let err = cli(&["trace", "diff", "--left", "a", "--rihgt", "b"]).unwrap_err();
         assert!(err.to_string().contains("--rihgt"), "{err}");
+        let simulate = ["simulate", "--function", "rozenbrock", "--rounds", "30"];
+        let refusal = |extra: &[&str]| cli(&with(&simulate, extra)).unwrap_err().to_string();
+        // A retired rollback switch is a flag like any other unknown one.
+        assert!(refusal(&["--spectral-backend", "ql"]).contains("unknown flag `--spectral-backend`"));
         // Retired knobs fail with a pointer, not a silent default.
-        for retired in [
-            &["--decomp-cache", "arc"][..],
-            &["--decomp-cache-warm"],
-            &["--parallelism", "2"],
-        ] {
-            let mut argv = sv(&["simulate", "--function", "rozenbrock", "--rounds", "30"]);
-            argv.extend(sv(retired));
-            let err = dispatch(&argv).unwrap_err();
-            assert!(err.to_string().contains("no longer selectable"), "{err}");
+        for retired in [&["--decomp-cache", "arc"][..], &["--decomp-cache-warm"], &["--parallelism", "2"]] {
+            let err = refusal(retired);
+            assert!(err.contains("no longer selectable"), "{err}");
         }
     }
 
     /// One validator behind one parser: an invalid schedule ends in the
     /// same `CliError` on every subcommand that takes the flag — never in
     /// a panic, which `net-smoke --net-backend sim` used to do on rows 1–3.
+    /// Carries ci.sh step 12(c) (retired) in row 1.
     #[test]
     fn invalid_fault_schedules_are_cli_errors_on_every_subcommand() {
         let simulate = &["simulate", "--function", "inner-product", "--nodes", "12", "--rounds", "20"];
@@ -309,12 +315,12 @@ mod tests {
             ),
             (
                 &["--drop-rate", "0.7", "--duplicate-rate", "0.7"],
-                &[net_sim],
+                &[simulate, net_sim],
                 "fault rates must sum to at most 1, got 1.4",
             ),
             (
                 &["--delay-rate", "0.2", "--max-delay-rounds", "0"],
-                &[net_sim],
+                &[simulate, net_sim],
                 "a delay rate needs a delay bound of at least 1 round",
             ),
             (&["--crash-leaf", "9:3"], &[fleet], "leaf 9 out of range (shards = 4)"),
@@ -326,8 +332,8 @@ mod tests {
         ];
         for (flags, subcommands, message) in rows {
             for base in subcommands {
-                let argv: Vec<&str> = base.iter().chain(flags).copied().collect();
-                let err = dispatch(&sv(&argv)).expect_err("invalid schedule");
+                let argv = with(base, flags);
+                let err = cli(&argv).expect_err("invalid schedule");
                 assert_eq!(err.to_string(), message, "{argv:?}");
             }
         }
@@ -335,23 +341,10 @@ mod tests {
 
     #[test]
     fn simulate_inner_product_end_to_end() {
-        let out = dispatch(&sv(&[
-            "simulate",
-            "--function",
-            "inner-product",
-            "--dim",
-            "4",
-            "--nodes",
-            "3",
-            "--rounds",
-            "120",
-            "--epsilon",
-            "0.2",
-            "--baseline",
-            "centralization",
-            "--baseline",
-            "periodic:10",
-        ]))
+        let out = cli(&[
+            "simulate", "--function", "inner-product", "--dim", "4", "--nodes", "3", "--rounds",
+            "120", "--epsilon", "0.2", "--baseline", "centralization", "--baseline", "periodic:10",
+        ])
         .unwrap();
         assert!(out.contains("AutoMon"), "{out}");
         assert!(out.contains("Centralization"), "{out}");
@@ -361,7 +354,7 @@ mod tests {
 
     #[test]
     fn simulate_rejects_bad_function() {
-        let err = dispatch(&sv(&["simulate", "--function", "nope"])).unwrap_err();
+        let err = cli(&["simulate", "--function", "nope"]).unwrap_err();
         assert!(err.to_string().contains("unknown function"));
     }
 }

@@ -14,10 +14,10 @@
 //!
 //! Output is one JSON object split into a `stats` block (the driver's
 //! `RunStats`, ledger included — identical across backends for the same
-//! workload seed; CI diffs it three ways) and a `transport` block
-//! (syscalls, timing — backend-specific by design). `--trace-out` writes
-//! the standard telemetry JSONL on every backend, so `automon trace
-//! summarize|diff` read it.
+//! workload seed; `tests/net_smoke.rs` compares it three ways) and a
+//! `transport` block (syscalls, timing — backend-specific by design).
+//! `--trace-out` writes the standard telemetry JSONL on every backend,
+//! so `automon trace summarize|diff` read it.
 
 use std::time::Instant;
 
@@ -29,7 +29,7 @@ use automon_obs::Telemetry;
 use automon_sim::{Simulation, Workload};
 use serde::{Serialize, Value};
 
-use crate::args::{Args, CliError};
+use crate::args::{Args, CliError, Flag};
 use crate::run::{build_function, fault_plan};
 
 /// Deterministic drifting workload shared by every backend: per-node
@@ -63,10 +63,11 @@ fn dense_workload(seed: u64, n: usize, rounds: usize, dim: usize) -> Workload {
     Workload::from_dense(&series)
 }
 
-/// Flags `automon net-smoke` reads; `dispatch` rejects any other.
-pub(crate) const NET_SMOKE_FLAGS: &[&str] = &[
-    "net-backend", "nodes", "rounds", "dim", "seed", "epsilon", "function", "chaos-seed",
-    "drop-rate", "duplicate-rate", "reorder-rate", "delay-rate", "max-delay-rounds", "trace-out",
+/// Flags `automon net-smoke` reads besides [`crate::run::FAULT_FLAGS`];
+/// `dispatch` rejects any other.
+pub(crate) const NET_SMOKE_FLAGS: &[Flag] = &[
+    ("net-backend", "B"), ("nodes", "N"), ("rounds", "R"), ("dim", "D"), ("seed", "S"),
+    ("epsilon", "E"), ("function", "NAME"), ("trace-out", "FILE"),
 ];
 
 /// Run `net-smoke` per the parsed arguments.
@@ -171,16 +172,15 @@ fn syscalls_json(s: &SyscallStats) -> Value {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::testkit::{cli, with};
 
-    /// ci.sh step 12(b)'s workload on `backend`, plus `extra` flags
-    /// (`tests/net_smoke.rs` runs it to completion on every backend).
-    fn smoke(backend: &str, extra: &[&str]) -> Result<String, CliError> {
+    /// `tests/net_smoke.rs`'s workload on `backend`, plus `extra` flags.
+    fn smoke(backend: &str, extra: &[&str]) -> Result<String, crate::CliError> {
         let base = [
-            "--nodes", "4", "--rounds", "40", "--dim", "2", "--seed", "3", "--net-backend", backend,
+            "net-smoke", "--nodes", "4", "--rounds", "40", "--dim", "2", "--seed", "3",
+            "--net-backend", backend,
         ];
-        let argv: Vec<String> = base.iter().chain(extra).map(|s| s.to_string()).collect();
-        run_net_smoke(&Args::parse(&argv).unwrap())
+        cli(&with(&base, extra))
     }
 
     #[test]
@@ -197,6 +197,12 @@ mod tests {
                 );
             }
         }
+        // The whole fault group parses here; the link says what it runs.
+        assert_eq!(
+            smoke("sim", &["--crash-node", "1:5"]).unwrap_err().to_string(),
+            "the sim-reactor link does not run node crashes \
+             (it runs frame faults, coordinator crashes)"
+        );
         let err = smoke("sim", &["--max-delay-rounds", "2"]).unwrap_err();
         assert!(err.to_string().contains("requires --delay-rate"), "{err}");
         smoke("sim", &["--max-delay-rounds", "2", "--delay-rate", "0.05"]).unwrap();

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use automon_autodiff::AutoDiffFn;
-use automon_core::{DecompCacheConfig, MonitorConfig, MonitoredFunction, SpectralBackend};
+use automon_core::{DecompCacheConfig, MonitorConfig, MonitoredFunction};
 use automon_data::synthetic::{InnerProductDataset, QuadraticDataset, RozenbrockDataset};
 use automon_data::windowed_mean_series;
 use automon_functions::{train_mlp_d, InnerProduct, KlDivergence, QuadraticForm, Rozenbrock, Variance};
@@ -14,7 +14,7 @@ use automon_sim::{run_centralization, run_periodic, FleetSimulation, Simulation,
 use automon_store::{DynDisk, FileDisk, MemDisk};
 use serde::{Serialize, Value};
 
-use crate::args::{Args, CliError};
+use crate::args::{Args, CliError, Flag};
 use crate::csvio::{parse_csv_updates, render_estimates, Update};
 
 /// Build a built-in monitored function by name.
@@ -32,18 +32,6 @@ pub fn build_function(name: &str, dim: usize) -> Result<Arc<dyn MonitoredFunctio
             )))
         }
     })
-}
-
-/// Parse `--spectral-backend` (`ql` is the default two-tier kernel,
-/// `jacobi` the legacy escape hatch).
-fn parse_spectral_backend(args: &Args) -> Result<SpectralBackend, CliError> {
-    match args.get("spectral-backend") {
-        None | Some("ql") => Ok(SpectralBackend::Ql),
-        Some("jacobi") => Ok(SpectralBackend::Jacobi),
-        Some(other) => Err(CliError::new(format!(
-            "unknown spectral backend `{other}` (ql | jacobi)"
-        ))),
-    }
 }
 
 /// Parse the bare switch `--decomp-cache` plus its companion
@@ -124,19 +112,23 @@ fn build_workload(
     Ok(Workload::from_dense(&windowed_mean_series(&raw, window)))
 }
 
-/// Read every fault flag of every subcommand into the run's
-/// [`FaultPlan`], or `None` when none was given; `default_seed` stands in
-/// for `--chaos-seed`. Crash specs are `node:at[:restart]` and `leaf:at`,
-/// partition specs `n1[,n2,…]:from:until` (rounds; `until` exclusive).
+/// The fault flags: one group, admitted whole on `simulate` and `net-smoke`
+/// (the runner's `Executor::admit` refuses by name what it cannot run).
+pub(crate) const FAULT_FLAGS: &[Flag] = &[
+    ("chaos-seed", "S"), ("drop-rate", "P"), ("duplicate-rate", "P"), ("reorder-rate", "P"),
+    ("delay-rate", "P"), ("max-delay-rounds", "N"), ("crash-node", "SPEC"), ("crash-leaf", "SPEC"),
+    ("crash-coordinator", "R"), ("partition", "SPEC"),
+];
+
+/// Read [`FAULT_FLAGS`] into the run's [`FaultPlan`], or `None` when none
+/// was given; `default_seed` stands in for `--chaos-seed`. Crash specs
+/// are `node:at[:restart]` and `leaf:at`, partition specs
+/// `n1[,n2,…]:from:until` (rounds; `until` exclusive).
 /// Only the grammar is checked here: ranges, and whether the run's
 /// transport can execute the plan at all, are the plan's own checks
 /// (`Simulation::check_plan` / `FleetSimulation::check_plan`).
 pub(crate) fn fault_plan(args: &Args, default_seed: u64) -> Result<Option<FaultPlan>, CliError> {
-    const FAULT_FLAGS: [&str; 10] = [
-        "chaos-seed", "drop-rate", "duplicate-rate", "reorder-rate", "delay-rate",
-        "max-delay-rounds", "crash-node", "crash-leaf", "crash-coordinator", "partition",
-    ];
-    if FAULT_FLAGS.iter().all(|key| args.get(key).is_none()) {
+    if FAULT_FLAGS.iter().all(|flag| args.get(flag.0).is_none()) {
         return Ok(None);
     }
     if args.get("max-delay-rounds").is_some() && args.get("delay-rate").is_none() {
@@ -359,13 +351,13 @@ fn stats_json(stats: &automon_sim::RunStats, extra: &[(&str, Value)]) -> Result<
     serde_json::to_string(&v).map_err(|e| CliError::new(format!("JSON encoding failed: {e}")))
 }
 
-/// Flags `automon simulate` reads; `dispatch` rejects any other.
-pub(crate) const SIMULATE_FLAGS: &[&str] = &[
-    "function", "epsilon", "nodes", "rounds", "dim", "seed", "baseline",
-    "spectral-backend", "chaos-seed", "drop-rate", "crash-node", "partition",
-    "crash-coordinator", "wal-dir", "snapshot-every", "json", "metrics-out",
-    "trace-out", "serve-metrics", "decomp-cache", "decomp-cache-capacity", "fleet",
-    "shards", "leaf-epsilon-frac", "crash-leaf",
+/// Flags `automon simulate` reads besides [`FAULT_FLAGS`]; `dispatch`
+/// rejects any other.
+pub(crate) const SIMULATE_FLAGS: &[Flag] = &[
+    ("function", "<NAME>"), ("epsilon", "E"), ("nodes", "N"), ("rounds", "R"), ("dim", "D"),
+    ("seed", "S"), ("baseline", "SPEC"), ("wal-dir", "DIR"), ("snapshot-every", "N"), ("json", ""),
+    ("metrics-out", "FILE"), ("trace-out", "FILE"), ("serve-metrics", "ADDR"), ("decomp-cache", ""),
+    ("decomp-cache-capacity", "N"), ("fleet", ""), ("shards", "S"), ("leaf-epsilon-frac", "F"),
 ];
 
 /// `automon simulate …`
@@ -383,7 +375,6 @@ pub fn run_simulate(args: &Args) -> Result<String, CliError> {
     let f = build_function(function, dim)?;
     let workload = build_workload(function, nodes, rounds, dim, seed)?;
     let cfg = MonitorConfig::builder(epsilon)
-        .spectral_backend(parse_spectral_backend(args)?)
         .decomp_cache_opt(parse_decomp_cache(args)?)
         .build();
 
@@ -584,9 +575,9 @@ fn csv_workload(updates: Vec<Update>, nodes: usize) -> (Vec<usize>, Workload) {
 }
 
 /// Flags `automon monitor` reads; `dispatch` rejects any other.
-pub(crate) const MONITOR_FLAGS: &[&str] = &[
-    "function", "input", "nodes", "epsilon", "dim", "output", "spectral-backend",
-    "decomp-cache", "decomp-cache-capacity",
+pub(crate) const MONITOR_FLAGS: &[Flag] = &[
+    ("function", "<NAME>"), ("input", "<FILE.csv>"), ("nodes", "<N>"), ("epsilon", "E"), ("dim", "D"),
+    ("output", "FILE.csv"), ("decomp-cache", ""), ("decomp-cache-capacity", "N"),
 ];
 
 /// `automon monitor …` — run the real protocol over CSV updates.
@@ -611,7 +602,6 @@ pub fn run_monitor(args: &Args) -> Result<String, CliError> {
     let f = build_function(function, dim)?;
 
     let cfg = MonitorConfig::builder(epsilon)
-        .spectral_backend(parse_spectral_backend(args)?)
         .decomp_cache_opt(parse_decomp_cache(args)?)
         .build();
     // The labels go back on the rows. The driver measures a round once
@@ -644,6 +634,14 @@ pub fn run_monitor(args: &Args) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{assert_ledger_conserves, cli, field, ledger, with};
+
+    /// A scratch file path unique to `name`.
+    fn scratch(name: &str) -> String {
+        let dir = std::env::temp_dir().join("automon_cli_run_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(name).display().to_string()
+    }
 
     #[test]
     fn builds_every_builtin_function() {
@@ -662,9 +660,7 @@ mod tests {
 
     #[test]
     fn monitor_runs_over_csv() {
-        let dir = std::env::temp_dir().join("automon_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let input = dir.join("updates.csv");
+        let input = scratch("updates.csv");
         let mut text = String::new();
         for t in 0..40 {
             let v = t as f64 * 0.01;
@@ -672,18 +668,11 @@ mod tests {
             text.push_str(&format!("{t},1,{},{},1.0,1.0\n", v + 0.1, v));
         }
         std::fs::write(&input, text).unwrap();
-        let args = Args::parse(&[
-            "--function".into(),
-            "inner-product".into(),
-            "--input".into(),
-            input.display().to_string(),
-            "--nodes".into(),
-            "2".into(),
-            "--epsilon".into(),
-            "0.2".into(),
+        let out = cli(&[
+            "monitor", "--function", "inner-product", "--input", &input, "--nodes", "2",
+            "--epsilon", "0.2",
         ])
         .unwrap();
-        let out = run_monitor(&args).unwrap();
         assert!(out.starts_with("round,estimate,truth,abs_error"));
         assert!(out.lines().count() > 30);
         // Every reported error respects the constant-Hessian guarantee.
@@ -698,9 +687,7 @@ mod tests {
     /// at the first round by which every node has reported.
     #[test]
     fn monitor_keeps_csv_round_labels_and_waits_for_every_node() {
-        let dir = std::env::temp_dir().join("automon_cli_monitor_gaps_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let input = dir.join("gaps.csv");
+        let input = scratch("gaps.csv");
         let labels = [3, 4, 7, 8, 9, 15, 16, 20, 21, 22, 30, 31, 32, 33, 40, 41, 50, 60, 61, 62];
         let mut text = String::new();
         for (k, label) in labels.iter().enumerate() {
@@ -715,13 +702,12 @@ mod tests {
             }
         }
         std::fs::write(&input, text).unwrap();
-        let output = dir.join("estimates.csv");
-        let argv = [
-            "--function", "inner-product", "--nodes", "3", "--epsilon", "0.2",
-            "--input", &input.display().to_string(),
-            "--output", &output.display().to_string(),
-        ];
-        let summary = run_monitor(&Args::parse(&argv.map(str::to_string)).unwrap()).unwrap();
+        let output = scratch("gaps-estimates.csv");
+        let summary = cli(&[
+            "monitor", "--function", "inner-product", "--nodes", "3", "--epsilon", "0.2",
+            "--input", &input, "--output", &output,
+        ])
+        .unwrap();
         // What the hand-written delivery loop this replaced counted here.
         assert!(summary.starts_with("monitored 16 rounds: 122 messages"), "{summary}");
         let rows = std::fs::read_to_string(&output).unwrap();
@@ -733,132 +719,92 @@ mod tests {
         assert_eq!(got, labels[4..], "{rows}");
     }
 
+    // Carries ci.sh step 4(a) (retired): its argv, twice byte-identical and
+    // quiesced. The second row is the whole frame ladder on `simulate`.
     #[test]
     fn simulate_chaos_is_deterministic_and_reports_faults() {
-        let argv = |seed: &str| {
-            Args::parse(&[
-                "--function".into(),
-                "inner-product".into(),
-                "--rounds".into(),
-                "90".into(),
-                "--nodes".into(),
-                "4".into(),
-                "--epsilon".into(),
-                "0.3".into(),
-                "--chaos-seed".into(),
-                seed.into(),
-                "--drop-rate".into(),
-                "0.1".into(),
-                "--crash-node".into(),
-                "2:30:60".into(),
-                "--partition".into(),
-                "1:10:20".into(),
-            ])
-            .unwrap()
+        let base = [
+            "simulate", "--function", "inner-product", "--dim", "4", "--nodes", "4", "--rounds",
+            "90", "--epsilon", "0.3",
+        ];
+        let timed = |seed| {
+            let faults = [
+                "--chaos-seed", seed, "--drop-rate", "0.1", "--crash-node", "2:30:60",
+                "--partition", "1:10:20",
+            ];
+            cli(&with(&base, &faults)).unwrap()
         };
-        let a = run_simulate(&argv("7")).unwrap();
-        let b = run_simulate(&argv("7")).unwrap();
-        assert_eq!(a, b, "same chaos seed must reproduce the same report");
+        let a = timed("7");
+        assert_eq!(a, timed("7"), "same chaos seed must reproduce the same report");
         assert!(a.contains("AutoMon (chaos)"), "{a}");
         assert!(a.contains("quiesced"), "{a}");
         assert!(!a.contains("DEADLOCKED"), "{a}");
-        let c = run_simulate(&argv("8")).unwrap();
-        assert_ne!(a, c, "different seed should change the run");
+        assert_ne!(a, timed("8"), "different seed should change the run");
+
+        let ladder = with(&base, &["--chaos-seed", "1", "--duplicate-rate", "0.05", "--delay-rate", "0.05"]);
+        let a = cli(&ladder).unwrap();
+        assert_eq!(a, cli(&ladder).unwrap());
+        assert!(a.contains("quiesced"), "{a}");
     }
 
     #[test]
     fn chaos_specs_are_validated() {
-        let base = ["--function", "inner-product", "--nodes", "3"];
-        let with = |extra: &[&str]| {
-            let mut v: Vec<String> = base.iter().map(|s| s.to_string()).collect();
-            v.extend(extra.iter().map(|s| s.to_string()));
-            run_simulate(&Args::parse(&v).unwrap())
-        };
-        assert!(with(&["--drop-rate", "1.5"]).is_err());
-        assert!(with(&["--crash-node", "9:10"]).is_err(), "node out of range");
-        assert!(with(&["--crash-node", "1:10:5"]).is_err(), "restart < crash");
-        assert!(with(&["--crash-node", "nonsense"]).is_err());
-        assert!(with(&["--partition", "1:20:10"]).is_err(), "until < from");
-        assert!(with(&["--partition", "1,2"]).is_err());
+        let base = ["simulate", "--function", "inner-product", "--nodes", "3"];
+        let run = |extra: &[&str]| cli(&with(&base, extra));
+        assert!(run(&["--drop-rate", "1.5"]).is_err());
+        assert!(run(&["--crash-node", "9:10"]).is_err(), "node out of range");
+        assert!(run(&["--crash-node", "1:10:5"]).is_err(), "restart < crash");
+        assert!(run(&["--crash-node", "nonsense"]).is_err());
+        assert!(run(&["--partition", "1:20:10"]).is_err(), "until < from");
+        assert!(run(&["--partition", "1,2"]).is_err());
     }
 
     #[test]
     fn json_output_is_parseable_runstats() {
-        let base = [
-            "--function",
-            "inner-product",
-            "--rounds",
-            "60",
-            "--nodes",
-            "3",
-            "--json",
-        ];
-        let argv: Vec<String> = base.iter().map(|s| s.to_string()).collect();
-        let out = run_simulate(&Args::parse(&argv).unwrap()).unwrap();
+        let base = ["simulate", "--function", "inner-product", "--rounds", "60", "--nodes", "3", "--json"];
+        let out = cli(&base).unwrap();
         let v: Value = serde_json::from_str(&out).expect("valid JSON");
-        let map = v.as_map().expect("object");
-        let field = |key: &str| Value::get_field(map, key).clone();
-        assert!(matches!(field("messages"), Value::UInt(n) if n > 0), "{out}");
-        assert!(matches!(field("full_syncs"), Value::UInt(n) if n >= 1));
-        assert!(matches!(field("quiesced"), Value::Null), "plain runs have no quiesced");
+        assert!(matches!(field(&v, "messages"), Value::UInt(n) if n > 0), "{out}");
+        assert!(matches!(field(&v, "full_syncs"), Value::UInt(n) if n >= 1));
+        assert!(matches!(field(&v, "quiesced"), Value::Null), "plain runs have no quiesced");
 
         // Chaos runs append `quiesced`.
-        let mut chaos_argv = argv.clone();
-        chaos_argv.extend(["--chaos-seed".to_string(), "7".to_string()]);
-        let out = run_simulate(&Args::parse(&chaos_argv).unwrap()).unwrap();
+        let out = cli(&with(&base, &["--chaos-seed", "7"])).unwrap();
         let v: Value = serde_json::from_str(&out).expect("valid JSON");
-        let map = v.as_map().expect("object");
-        assert!(matches!(Value::get_field(map, "quiesced"), Value::Bool(_)), "{out}");
+        assert!(matches!(field(&v, "quiesced"), Value::Bool(_)), "{out}");
     }
 
     /// A zero-rate plan swaps the bare fabric for the chaos fabric and must
-    /// change nothing else — also on a function that tunes its radius.
+    /// change nothing else — on a constant-Hessian function and on one that
+    /// tunes its radius. Carries ci.sh step 4(b) (retired).
     #[test]
     fn zero_rate_plan_does_not_change_a_run_that_tunes() {
-        let argv: Vec<String> = [
-            "--function", "rozenbrock", "--nodes", "4", "--rounds", "90", "--epsilon", "0.2",
-            "--json",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let plain = run_simulate(&Args::parse(&argv).unwrap()).unwrap();
-        let mut chaos_argv = argv.clone();
-        chaos_argv.extend(["--chaos-seed".to_string(), "1".to_string()]);
-        let zero = run_simulate(&Args::parse(&chaos_argv).unwrap()).unwrap();
-        let plain: Value = serde_json::from_str(&plain).expect("valid JSON");
-        let zero: Value = serde_json::from_str(&zero).expect("valid JSON");
-        let zero = zero.as_map().expect("object");
-        let plain = plain.as_map().expect("object");
-        assert!(matches!(Value::get_field(plain, "lazy_syncs"), Value::UInt(n) if *n > 0));
-        for (key, value) in plain {
-            assert_eq!(value, Value::get_field(zero, key), "stats key `{key}`");
+        for function in [&["inner-product", "--dim", "4"][..], &["rozenbrock"]] {
+            let argv = with(
+                &with(&["simulate", "--function"], function),
+                &["--nodes", "4", "--rounds", "90", "--epsilon", "0.2", "--json"],
+            );
+            let plain: Value = serde_json::from_str(&cli(&argv).unwrap()).expect("valid JSON");
+            let zero = cli(&with(&argv, &["--chaos-seed", "1"])).unwrap();
+            let zero: Value = serde_json::from_str(&zero).expect("valid JSON");
+            assert!(matches!(field(&plain, "lazy_syncs"), Value::UInt(n) if n > 0), "{function:?}");
+            assert!(!ledger(&plain).is_empty());
+            for (key, value) in plain.as_map().expect("object") {
+                assert_eq!(*value, field(&zero, key), "{function:?}: stats key `{key}`");
+            }
+            assert_eq!(field(&zero, "quiesced"), Value::Bool(true));
         }
-        assert_eq!(Value::get_field(zero, "quiesced"), &Value::Bool(true));
     }
 
     #[test]
     fn observability_sinks_write_files_and_serve() {
-        let dir = std::env::temp_dir().join("automon_cli_obs_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let metrics = dir.join("metrics.prom");
-        let trace = dir.join("trace.jsonl");
-        let argv: Vec<String> = [
-            "--function",
-            "inner-product",
-            "--rounds",
-            "60",
-            "--nodes",
-            "3",
-            "--metrics-out",
-            metrics.to_str().unwrap(),
-            "--trace-out",
-            trace.to_str().unwrap(),
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let out = run_simulate(&Args::parse(&argv).unwrap()).unwrap();
+        let metrics = scratch("metrics.prom");
+        let trace = scratch("trace.jsonl");
+        let argv = [
+            "simulate", "--function", "inner-product", "--rounds", "60", "--nodes", "3",
+            "--metrics-out", &metrics, "--trace-out", &trace,
+        ];
+        let out = cli(&argv).unwrap();
         assert!(out.contains("metrics written to"), "{out}");
         assert!(out.contains("trace written to"), "{out}");
 
@@ -878,179 +824,109 @@ mod tests {
         assert!(!jsonl.is_empty());
         for line in jsonl.lines() {
             let v: Value = serde_json::from_str(line).expect("each trace line is JSON");
-            let map = v.as_map().expect("object");
-            assert!(matches!(Value::get_field(map, "seq"), Value::UInt(_)), "{line}");
-            assert!(matches!(Value::get_field(map, "kind"), Value::Str(_)), "{line}");
+            assert!(matches!(field(&v, "seq"), Value::UInt(_)), "{line}");
+            assert!(matches!(field(&v, "kind"), Value::Str(_)), "{line}");
         }
 
         // Byte-identical on a re-run with the same arguments.
-        run_simulate(&Args::parse(&argv).unwrap()).unwrap();
+        cli(&argv).unwrap();
         assert_eq!(jsonl, std::fs::read_to_string(&trace).unwrap());
     }
 
     #[test]
     fn serve_metrics_responds_during_run() {
-        let argv: Vec<String> = [
-            "--function",
-            "inner-product",
-            "--rounds",
-            "40",
-            "--nodes",
-            "3",
-            "--serve-metrics",
-            "127.0.0.1:0",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let out = run_simulate(&Args::parse(&argv).unwrap()).unwrap();
+        let out = cli(&[
+            "simulate", "--function", "inner-product", "--rounds", "40", "--nodes", "3",
+            "--serve-metrics", "127.0.0.1:0",
+        ])
+        .unwrap();
         assert!(out.contains("metrics served at http://127.0.0.1:"), "{out}");
     }
 
-    #[test]
-    fn spectral_smoke_passes_and_validates_args() {
-        let out = run_spectral_smoke(
-            &Args::parse(&["--dim".into(), "24".into(), "--seed".into(), "3".into()]).unwrap(),
-        )
-        .unwrap();
-        assert!(out.contains("spectral smoke PASS"), "{out}");
-        assert!(out.contains("Lanczos extremes"), "{out}");
-        assert!(run_spectral_smoke(&Args::parse(&["--dim".into(), "0".into()]).unwrap()).is_err());
-        assert!(
-            run_spectral_smoke(&Args::parse(&["--tol".into(), "0".into()]).unwrap()).is_err()
-        );
-    }
-
-    #[test]
-    fn spectral_backend_flag_is_parsed() {
-        let base = |backend: &str| {
-            Args::parse(&[
-                "--function".into(),
-                "rozenbrock".into(),
-                "--rounds".into(),
-                "40".into(),
-                "--nodes".into(),
-                "2".into(),
-                "--epsilon".into(),
-                "0.5".into(),
-                "--spectral-backend".into(),
-                backend.into(),
-            ])
-            .unwrap()
-        };
-        assert!(run_simulate(&base("ql")).unwrap().contains("AutoMon"));
-        assert!(run_simulate(&base("jacobi")).unwrap().contains("AutoMon"));
-        let err = run_simulate(&base("qr")).unwrap_err();
-        assert!(err.to_string().contains("unknown spectral backend"), "{err}");
-    }
-
+    // Carries ci.sh step 7 (retired): cache on == cache off, byte for byte,
+    // and the cached run's metrics show the cache was consulted.
     #[test]
     fn decomp_cache_flag_is_parsed() {
-        let base = |extra: &[&str]| {
-            let mut argv: Vec<String> = [
-                "--function",
-                "rozenbrock",
-                "--rounds",
-                "40",
-                "--nodes",
-                "2",
-                "--epsilon",
-                "0.5",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-            argv.extend(extra.iter().map(|s| s.to_string()));
-            Args::parse(&argv).unwrap()
-        };
+        let base = [
+            "simulate", "--function", "rozenbrock", "--rounds", "40", "--nodes", "2", "--epsilon", "0.5",
+        ];
+        let run = |extra: &[&str]| cli(&with(&base, extra));
         // Off by default; switching it on must not change the output.
-        let baseline = run_simulate(&base(&[])).unwrap();
-        assert_eq!(run_simulate(&base(&["--decomp-cache"])).unwrap(), baseline);
-        let with_cap =
-            run_simulate(&base(&["--decomp-cache", "--decomp-cache-capacity", "8"])).unwrap();
-        assert_eq!(with_cap, baseline);
-        let err = run_simulate(&base(&["--decomp-cache", "arc"])).unwrap_err();
+        let baseline = run(&[]).unwrap();
+        assert_eq!(run(&["--decomp-cache"]).unwrap(), baseline);
+        assert_eq!(run(&["--decomp-cache", "--decomp-cache-capacity", "8"]).unwrap(), baseline);
+        let metrics = scratch("cache-metrics.prom");
+        assert_eq!(
+            run(&["--decomp-cache", "--metrics-out", &metrics]).unwrap(),
+            format!("{baseline}metrics written to {metrics}\n")
+        );
+        let text = std::fs::read_to_string(&metrics).unwrap();
+        let samples = automon_obs::parse_prometheus(&text).expect("valid exposition");
+        let misses = automon_obs::value_of(&samples, "automon_coord_decomp_cache_misses_total", &[]);
+        assert!(misses.is_some_and(|n| n > 0.0), "the cache was never consulted: {text}");
+        let err = run(&["--decomp-cache", "arc"]).unwrap_err();
         assert!(err.to_string().contains("no longer selectable"), "{err}");
-        let err = run_simulate(&base(&["--decomp-cache-capacity", "8"])).unwrap_err();
+        let err = run(&["--decomp-cache-capacity", "8"]).unwrap_err();
         assert!(err.to_string().contains("requires --decomp-cache"), "{err}");
     }
 
+    // Carries ci.sh step 11 (retired) at 12 streams: the faulted `--json`
+    // pair byte-equal, traces `trace diff` accepts, the two-tier ledger and
+    // the per-tier split conserving the totals, the root tier the quieter.
     #[test]
     fn fleet_flags_run_the_two_tier_simulator() {
-        let base = |extra: &[&str]| {
-            let mut argv: Vec<String> = [
-                "--function",
-                "inner-product",
-                "--rounds",
-                "50",
-                "--nodes",
-                "12",
-                "--epsilon",
-                "0.3",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-            argv.extend(extra.iter().map(|s| s.to_string()));
-            run_simulate(&Args::parse(&argv).unwrap())
-        };
-        let a = base(&["--fleet", "--shards", "4"]).unwrap();
+        let base = [
+            "simulate", "--function", "inner-product", "--rounds", "50", "--nodes", "12",
+            "--epsilon", "0.3", "--fleet", "--shards", "4",
+        ];
+        let run = |extra: &[&str]| cli(&with(&base, extra)).unwrap();
+        let a = run(&[]);
         assert!(a.contains("12 streams over 4 shards (fleet)"), "{a}");
         assert!(a.contains("root tier"), "{a}");
         assert!(a.contains("leaf tier"), "{a}");
         // Deterministic: same flags, byte-identical report.
-        assert_eq!(a, base(&["--fleet", "--shards", "4"]).unwrap());
+        assert_eq!(a, run(&[]));
 
         // Fleet faults run through the deterministic schedule and are
         // reported.
-        let faulted = base(&[
-            "--fleet",
-            "--shards",
-            "4",
-            "--crash-node",
-            "3:10:25",
-            "--crash-leaf",
-            "1:30",
-        ])
-        .unwrap();
+        let faults = ["--crash-node", "3:10:25", "--crash-leaf", "1:30"];
+        let faulted = run(&faults);
         assert!(faulted.contains("1 node crash(es)"), "{faulted}");
         assert!(faulted.contains("1 leaf crash(es)"), "{faulted}");
         assert!(faulted.contains("1 rebalance(s)"), "{faulted}");
 
-        // JSON mode emits the per-tier report.
-        let json = base(&["--fleet", "--shards", "4", "--json"]).unwrap();
-        let v: Value = serde_json::from_str(&json).expect("valid JSON");
-        let map = v.as_map().expect("object");
-        assert!(
-            matches!(Value::get_field(map, "root_messages"), Value::UInt(_)),
-            "{json}"
+        // JSON mode emits the per-tier report, the same bytes every time.
+        let (left, right) = (scratch("fleet-a.jsonl"), scratch("fleet-b.jsonl"));
+        let json = run(&with(&faults, &["--json", "--trace-out", &left]));
+        assert_eq!(json, run(&with(&faults, &["--json", "--trace-out", &right])));
+        cli(&["trace", "diff", "--left", &left, "--right", &right]).unwrap();
+        let report: Value = serde_json::from_str(&json).expect("valid JSON");
+        let count = |key: &str| match field(&report, key) {
+            Value::UInt(n) => n,
+            other => panic!("`{key}` is {other:?} in {json}"),
+        };
+        assert!(count("leaf_reports") > 0, "{json}");
+        assert_eq!((count("leaf_crashes"), count("rebalances")), (1, 1), "{json}");
+        let stats = field(&report, "stats");
+        assert_ledger_conserves(&stats);
+        assert_eq!(
+            Value::UInt(count("root_messages") + count("leaf_messages")),
+            field(&stats, "messages")
         );
-        assert!(
-            matches!(Value::get_field(map, "leaf_reports"), Value::UInt(_)),
-            "{json}"
+        assert_eq!(
+            Value::UInt(count("root_payload_bytes") + count("leaf_payload_bytes")),
+            field(&stats, "payload_bytes")
         );
+        assert!(count("root_messages") < count("leaf_messages"), "{json}");
     }
 
     #[test]
     fn fleet_flag_hygiene_rejects_contradictory_combos() {
-        let base = |extra: &[&str]| {
-            let mut argv: Vec<String> = [
-                "--function",
-                "inner-product",
-                "--rounds",
-                "40",
-                "--nodes",
-                "12",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-            argv.extend(extra.iter().map(|s| s.to_string()));
-            run_simulate(&Args::parse(&argv).unwrap())
-        };
+        let base = ["simulate", "--function", "inner-product", "--rounds", "40", "--nodes", "12"];
+        let run = |extra: &[&str]| cli(&with(&base, extra));
         // Fleet-only flags without --fleet.
         for flags in [&["--shards", "4"][..], &["--leaf-epsilon-frac", "0.5"][..]] {
-            let err = base(flags).unwrap_err();
+            let err = run(flags).unwrap_err();
             assert!(err.to_string().contains("requires --fleet"), "{flags:?}: {err}");
         }
         // Flat-runner features with --fleet.
@@ -1059,7 +935,7 @@ mod tests {
             &["--fleet", "--snapshot-every", "4"][..],
             &["--fleet", "--baseline", "centralization"][..],
         ] {
-            let err = base(flags).unwrap_err();
+            let err = run(flags).unwrap_err();
             assert!(
                 err.to_string().contains("cannot be combined with --fleet"),
                 "{flags:?}: {err}"
@@ -1075,98 +951,61 @@ mod tests {
                 "the fleet does not run coordinator crashes (it runs node crashes, leaf crashes)",
             ),
         ] {
-            let err = base(flags).unwrap_err();
+            let err = run(flags).unwrap_err();
             assert!(err.to_string().contains(refusal), "{flags:?}: {err}");
         }
         // Malformed fleet values.
-        assert!(base(&["--fleet", "--shards", "0"]).is_err());
-        assert!(base(&["--fleet", "--shards", "20"]).is_err(), "12 < 20");
-        assert!(base(&["--fleet", "--leaf-epsilon-frac", "1.5"]).is_err());
-        assert!(base(&["--fleet", "--crash-leaf", "9:10"]).is_err(), "leaf range");
-        assert!(base(&["--fleet", "--crash-leaf", "nonsense"]).is_err());
-        assert!(base(&["--fleet", "--crash-node", "3:10:5"]).is_err(), "restart < crash");
-        assert!(base(&["--fleet", "--crash-node", "99:10"]).is_err(), "node range");
+        assert!(run(&["--fleet", "--shards", "0"]).is_err());
+        assert!(run(&["--fleet", "--shards", "20"]).is_err(), "12 < 20");
+        assert!(run(&["--fleet", "--leaf-epsilon-frac", "1.5"]).is_err());
+        assert!(run(&["--fleet", "--crash-leaf", "9:10"]).is_err(), "leaf range");
+        assert!(run(&["--fleet", "--crash-leaf", "nonsense"]).is_err());
+        assert!(run(&["--fleet", "--crash-node", "3:10:5"]).is_err(), "restart < crash");
+        assert!(run(&["--fleet", "--crash-node", "99:10"]).is_err(), "node range");
     }
 
+    // Carries ci.sh step 10 (retired): its argv, the `--json` pair and the
+    // trace pair identical, one recovery, its resync on the `recovery` cause.
     #[test]
     fn crash_coordinator_flag_runs_and_is_deterministic() {
-        let base = |extra: &[&str]| {
-            let mut argv: Vec<String> = [
-                "--function",
-                "inner-product",
-                "--dim",
-                "4",
-                "--rounds",
-                "80",
-                "--nodes",
-                "4",
-                "--epsilon",
-                "0.3",
-                "--chaos-seed",
-                "7",
-                "--crash-coordinator",
-                "30",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-            argv.extend(extra.iter().map(|s| s.to_string()));
-            Args::parse(&argv).unwrap()
-        };
-        let a = run_simulate(&base(&["--json"])).unwrap();
-        let b = run_simulate(&base(&["--json"])).unwrap();
+        let base = [
+            "simulate", "--function", "inner-product", "--dim", "4", "--nodes", "4", "--rounds",
+            "90", "--epsilon", "0.3", "--chaos-seed", "7", "--drop-rate", "0.1",
+            "--crash-coordinator", "40",
+        ];
+        let run = |extra: &[&str]| cli(&with(&base, extra));
+        let (left, right) = (scratch("crash-a.jsonl"), scratch("crash-b.jsonl"));
+        let a = run(&["--json", "--trace-out", &left]).unwrap();
+        let b = run(&["--json", "--trace-out", &right]).unwrap();
         assert_eq!(a, b, "same seed + crash schedule must be byte-identical");
-        assert!(a.contains("\"coordinator_recoveries\":1"), "{a}");
-        assert!(a.contains("\"cause\":\"recovery\""), "recovery ledger cause: {a}");
+        cli(&["trace", "diff", "--left", &left, "--right", &right]).unwrap();
+        let stats: Value = serde_json::from_str(&a).expect("valid JSON");
+        assert_eq!(field(&stats, "coordinator_recoveries"), Value::UInt(1), "{a}");
+        let recovery = ledger(&stats).into_iter().find(|row| row.0 == "recovery");
+        assert!(recovery.is_some_and(|row| row.1 > 0), "recovery ledger cause: {a}");
         // The text report names the durability line only on crash runs.
-        let text = run_simulate(&base(&[])).unwrap();
+        let text = run(&[]).unwrap();
         assert!(text.contains("durability"), "{text}");
         assert!(text.contains("1 coordinator crash/recovery cycle"), "{text}");
         // Cadence flag composes; zero is rejected; garbage rounds are
         // rejected.
-        assert!(run_simulate(&base(&["--snapshot-every", "4"])).is_ok());
-        let err = run_simulate(&base(&["--snapshot-every", "0"])).unwrap_err();
+        assert!(run(&["--snapshot-every", "4"]).is_ok());
+        let err = run(&["--snapshot-every", "0"]).unwrap_err();
         assert!(err.to_string().contains("--snapshot-every"), "{err}");
-        let bad = Args::parse(&[
-            "--function".into(),
-            "inner-product".into(),
-            "--crash-coordinator".into(),
-            "soon".into(),
-        ])
-        .unwrap();
-        let err = run_simulate(&bad).unwrap_err();
+        let err = cli(&["simulate", "--function", "inner-product", "--crash-coordinator", "soon"])
+            .unwrap_err();
         assert!(err.to_string().contains("--crash-coordinator"), "{err}");
     }
 
     #[test]
     fn wal_dir_backend_matches_in_memory() {
         let dir = std::env::temp_dir().join(format!("automon_cli_wal_{}", std::process::id()));
-        let base = |extra: &[&str]| {
-            let mut argv: Vec<String> = [
-                "--function",
-                "inner-product",
-                "--dim",
-                "4",
-                "--rounds",
-                "60",
-                "--nodes",
-                "3",
-                "--epsilon",
-                "0.3",
-                "--chaos-seed",
-                "9",
-                "--crash-coordinator",
-                "25",
-                "--json",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-            argv.extend(extra.iter().map(|s| s.to_string()));
-            Args::parse(&argv).unwrap()
-        };
-        let mem = run_simulate(&base(&[])).unwrap();
-        let file = run_simulate(&base(&["--wal-dir", &dir.display().to_string()])).unwrap();
+        let base = [
+            "simulate", "--function", "inner-product", "--dim", "4", "--rounds", "60", "--nodes",
+            "3", "--epsilon", "0.3", "--chaos-seed", "9", "--crash-coordinator", "25", "--json",
+        ];
+        let mem = cli(&base).unwrap();
+        let file = cli(&with(&base, &["--wal-dir", &dir.display().to_string()])).unwrap();
         // The store leaves its files behind for inspection.
         let names: Vec<_> = std::fs::read_dir(&dir)
             .expect("--wal-dir created")
@@ -1186,115 +1025,14 @@ mod tests {
 
     #[test]
     fn simulate_variance_with_defaults() {
-        let args = Args::parse(&[
-            "--function".into(),
-            "variance".into(),
-            "--rounds".into(),
-            "80".into(),
-            "--nodes".into(),
-            "3".into(),
-        ])
-        .unwrap();
-        let out = run_simulate(&args).unwrap();
-        assert!(out.contains("AutoMon"));
+        let out = cli(&["simulate", "--function", "variance", "--rounds", "80", "--nodes", "3"]);
+        assert!(out.unwrap().contains("AutoMon"));
     }
-}
-
-/// Flags `automon spectral-smoke` reads; `dispatch` rejects any other.
-pub(crate) const SPECTRAL_SMOKE_FLAGS: &[&str] = &["dim", "seed", "tol"];
-
-/// `automon spectral-smoke …` — fixed-seed parity check between the QL
-/// solver, the Jacobi oracle, and the matrix-free Lanczos extremes on
-/// one deterministic symmetric matrix.
-///
-/// CI runs this as the spectral-parity gate: the three kernels must
-/// agree on the spectrum within `--tol` (relative to the spectral
-/// radius) or the command errors, which exits non-zero.
-pub fn run_spectral_smoke(args: &Args) -> Result<String, CliError> {
-    use automon_linalg::{
-        JacobiOptions, LanczosOptions, LanczosStats, LanczosWorkspace, Matrix, MatrixOperator,
-        RitzSide, SymEigen,
-    };
-    let dim = args.num("dim", 40usize)?;
-    let seed = args.num("seed", 1u64)?;
-    let tol = args.num("tol", 1e-9f64)?;
-    if dim == 0 {
-        return Err(CliError::new("--dim must be positive"));
-    }
-    if tol <= 0.0 {
-        return Err(CliError::new("--tol must be positive"));
-    }
-
-    // Deterministic symmetric test matrix from an LCG stream.
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-    };
-    let mut h = Matrix::from_fn(dim, dim, |_, _| next());
-    h.symmetrize();
-
-    let ql = SymEigen::new(&h);
-    let jac = SymEigen::with_options(&h, JacobiOptions::default());
-    let scale = jac.lambda_min().abs().max(jac.lambda_max().abs()).max(1.0);
-    let worst_full = ql
-        .values
-        .iter()
-        .zip(&jac.values)
-        .map(|(a, b)| (a - b).abs() / scale)
-        .fold(0.0f64, f64::max);
-    if worst_full > tol {
-        return Err(CliError::new(format!(
-            "QL vs Jacobi eigenvalues disagree: worst rel err {worst_full:.3e} > {tol:.1e}"
-        )));
-    }
-
-    // Lanczos extremes, seeded the way the ADCD-X search seeds them
-    // (Gershgorin midpoint shift, half-width scale).
-    let (mut glo, mut ghi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for i in 0..dim {
-        let mut radius = 0.0;
-        for j in 0..dim {
-            if i != j {
-                radius += h[(i, j)].abs();
-            }
-        }
-        glo = glo.min(h[(i, i)] - radius);
-        ghi = ghi.max(h[(i, i)] + radius);
-    }
-    let mut ws = LanczosWorkspace::new();
-    let mut stats = LanczosStats::default();
-    let mut op = MatrixOperator::new(&h);
-    let (lo, hi) = ws.extremes(
-        &mut op,
-        0.5 * (glo + ghi),
-        0.5 * (ghi - glo),
-        RitzSide::Smallest,
-        &LanczosOptions::default(),
-        &mut stats,
-    );
-    let err_lo = (lo - jac.lambda_min()).abs() / scale;
-    let err_hi = (hi - jac.lambda_max()).abs() / scale;
-    if err_lo > tol || err_hi > tol {
-        return Err(CliError::new(format!(
-            "Lanczos extremes disagree with Jacobi: λ_min rel err {err_lo:.3e}, \
-             λ_max rel err {err_hi:.3e} (tol {tol:.1e})"
-        )));
-    }
-
-    Ok(format!(
-        "spectral smoke PASS: d = {dim}, seed = {seed}\n\
-         QL vs Jacobi   : worst eigenvalue rel err {worst_full:.3e} (tol {tol:.1e})\n\
-         Lanczos extremes: λ_min {lo:.6}, λ_max {hi:.6} \
-         (rel err {err_lo:.3e} / {err_hi:.3e}, {} iters, {} reorth passes)\n",
-        stats.iterations, stats.reorth_passes
-    ))
 }
 
 /// Flags `automon tune` reads; `dispatch` rejects any other.
-pub(crate) const TUNE_FLAGS: &[&str] = &["function", "input", "nodes", "epsilon"];
+pub(crate) const TUNE_FLAGS: &[Flag] =
+    &[("function", "<NAME>"), ("input", "<FILE.csv>"), ("nodes", "<N>"), ("epsilon", "E")];
 
 /// `automon tune …` — run Algorithm 2 over a recorded CSV prefix and
 /// report the recommended neighborhood size with its violation grid.
@@ -1346,7 +1084,7 @@ pub fn run_tune(args: &Args) -> Result<String, CliError> {
 
 #[cfg(test)]
 mod tune_tests {
-    use super::*;
+    use crate::testkit::cli;
 
     #[test]
     fn tune_over_csv_prefix() {
@@ -1361,18 +1099,11 @@ mod tune_tests {
             }
         }
         std::fs::write(&input, text).unwrap();
-        let args = Args::parse(&[
-            "--function".into(),
-            "rozenbrock".into(),
-            "--input".into(),
-            input.display().to_string(),
-            "--nodes".into(),
-            "2".into(),
-            "--epsilon".into(),
-            "0.5".into(),
+        let input = input.display().to_string();
+        let out = cli(&[
+            "tune", "--function", "rozenbrock", "--input", &input, "--nodes", "2", "--epsilon", "0.5",
         ])
         .unwrap();
-        let out = run_tune(&args).unwrap();
         assert!(out.contains("recommended neighborhood size"), "{out}");
         assert!(out.contains("safe zone"), "{out}");
     }
@@ -1383,16 +1114,9 @@ mod tune_tests {
         std::fs::create_dir_all(&dir).unwrap();
         let input = dir.join("prefix.csv");
         std::fs::write(&input, "0,0,1.0,2.0,3.0,4.0\n").unwrap();
-        let args = Args::parse(&[
-            "--function".into(),
-            "inner-product".into(),
-            "--input".into(),
-            input.display().to_string(),
-            "--nodes".into(),
-            "1".into(),
-        ])
-        .unwrap();
-        let out = run_tune(&args).unwrap();
+        let input = input.display().to_string();
+        let out = cli(&["tune", "--function", "inner-product", "--input", &input, "--nodes", "1"])
+            .unwrap();
         assert!(out.contains("nothing to tune"), "{out}");
     }
 }

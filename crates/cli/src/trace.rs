@@ -14,22 +14,7 @@ use std::fmt::Write as _;
 
 use automon_obs::{parse_trace, span_path_at, TraceEvent};
 
-use crate::args::{Args, CliError};
-
-/// Entry point for the `trace` subcommand family.
-pub fn run_trace(argv: &[String]) -> Result<String, CliError> {
-    match argv.first().map(String::as_str) {
-        Some("summarize") => summarize(&Args::parse_known(&argv[1..], SUMMARIZE_FLAGS)?),
-        Some("diff") => diff(&Args::parse_known(&argv[1..], DIFF_FLAGS)?),
-        Some(other) => Err(CliError::new(format!(
-            "unknown trace command `{other}` (summarize | diff)"
-        ))),
-        None => Err(CliError::new(
-            "usage: automon trace summarize --input FILE\n\
-             \x20      automon trace diff --left FILE --right FILE",
-        )),
-    }
-}
+use crate::args::{Args, CliError, Flag};
 
 /// Read and parse one JSONL trace file.
 fn load(path: &str) -> Result<Vec<TraceEvent>, CliError> {
@@ -47,10 +32,10 @@ struct SpanAgg {
 }
 
 /// Flags `automon trace summarize` reads.
-pub(crate) const SUMMARIZE_FLAGS: &[&str] = &["input"];
+pub(crate) const SUMMARIZE_FLAGS: &[Flag] = &[("input", "<FILE.jsonl>")];
 
 /// `automon trace summarize --input FILE`
-fn summarize(args: &Args) -> Result<String, CliError> {
+pub(crate) fn summarize(args: &Args) -> Result<String, CliError> {
     let path = args.require("input")?;
     let events = load(path)?;
 
@@ -202,10 +187,10 @@ fn summarize(args: &Args) -> Result<String, CliError> {
 }
 
 /// Flags `automon trace diff` reads.
-pub(crate) const DIFF_FLAGS: &[&str] = &["left", "right"];
+pub(crate) const DIFF_FLAGS: &[Flag] = &[("left", "<A.jsonl>"), ("right", "<B.jsonl>")];
 
 /// `automon trace diff --left FILE --right FILE`
-fn diff(args: &Args) -> Result<String, CliError> {
+pub(crate) fn diff(args: &Args) -> Result<String, CliError> {
     let left_path = args.require("left")?;
     let right_path = args.require("right")?;
     let left = load(left_path)?;
@@ -275,109 +260,75 @@ fn divergence(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    fn sv(items: &[&str]) -> Vec<String> {
-        items.iter().map(|s| s.to_string()).collect()
-    }
-
-    fn dir() -> std::path::PathBuf {
-        let d = std::env::temp_dir().join("automon_cli_trace_test");
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
+    use crate::testkit::{assert_ledger_conserves, cli};
 
     /// Produce a real trace file by running the simulator with
-    /// `--trace-out`.
-    fn emit_trace(name: &str, seed: &str) -> std::path::PathBuf {
-        let path = dir().join(name);
-        let argv: Vec<String> = sv(&[
-            "--function",
-            "inner-product",
-            "--rounds",
-            "60",
-            "--nodes",
-            "3",
-            "--seed",
-            seed,
-            "--trace-out",
-            path.to_str().unwrap(),
-        ]);
-        crate::run::run_simulate(&Args::parse(&argv).unwrap()).unwrap();
-        path
+    /// `--trace-out`; returns its path and the run's `--json` report.
+    fn emit_trace(name: &str, function: &str, seed: &str) -> (String, String) {
+        let dir = std::env::temp_dir().join("automon_cli_trace_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name).display().to_string();
+        let json = cli(&[
+            "simulate", "--function", function, "--rounds", "60", "--nodes", "3", "--seed", seed,
+            "--json", "--trace-out", &path,
+        ])
+        .unwrap();
+        (path, json)
     }
 
+    // Carries ci.sh step 9 (retired): per function, the `--json` ledger
+    // conserves the counters and `summarize` renders the by-cause table.
     #[test]
     fn summarize_reports_spans_and_comm_causes() {
-        let path = emit_trace("summ.jsonl", "1");
-        let out = run_trace(&sv(&["summarize", "--input", path.to_str().unwrap()])).unwrap();
-        assert!(out.contains("trace summary:"), "{out}");
-        assert!(out.contains("span tree"), "{out}");
-        assert!(out.contains("violation"), "{out}");
-        assert!(out.contains("handle"), "{out}");
-        assert!(out.contains("comm by cause"), "{out}");
-        assert!(out.contains("registration"), "{out}");
-        assert!(out.contains("full_sync"), "{out}");
-        assert!(out.contains("bytes/update"), "{out}");
-        assert!(out.contains("total"), "{out}");
+        for function in ["inner-product", "variance"] {
+            let (path, json) = emit_trace(&format!("summ-{function}.jsonl"), function, "1");
+            assert_ledger_conserves(&serde_json::from_str(&json).expect("valid JSON"));
+            let out = cli(&["trace", "summarize", "--input", &path]).unwrap();
+            assert!(out.contains("trace summary:"), "{out}");
+            assert!(out.contains("span tree"), "{out}");
+            assert!(out.contains("violation"), "{out}");
+            assert!(out.contains("handle"), "{out}");
+            assert!(out.contains("comm by cause (bytes/update"), "{out}");
+            assert!(out.contains("registration"), "{out}");
+            assert!(out.contains("full_sync"), "{out}");
+            assert!(out.contains("total"), "{out}");
+        }
     }
 
+    // Carries ci.sh step 8 (retired).
     #[test]
     fn diff_accepts_identical_and_pinpoints_divergence() {
-        let a = emit_trace("diff_a.jsonl", "1");
-        let b = emit_trace("diff_b.jsonl", "1");
-        let same = run_trace(&sv(&[
-            "diff",
-            "--left",
-            a.to_str().unwrap(),
-            "--right",
-            b.to_str().unwrap(),
-        ]))
-        .unwrap();
+        let (a, _) = emit_trace("diff_a.jsonl", "inner-product", "1");
+        let (b, _) = emit_trace("diff_b.jsonl", "inner-product", "1");
+        let same = cli(&["trace", "diff", "--left", &a, "--right", &b]).unwrap();
         assert!(same.contains("traces identical"), "{same}");
 
-        let c = emit_trace("diff_c.jsonl", "2");
-        let err = run_trace(&sv(&[
-            "diff",
-            "--left",
-            a.to_str().unwrap(),
-            "--right",
-            c.to_str().unwrap(),
-        ]))
-        .unwrap_err();
-        let msg = err.to_string();
+        let (c, _) = emit_trace("diff_c.jsonl", "inner-product", "2");
+        let msg = cli(&["trace", "diff", "--left", &a, "--right", &c]).unwrap_err().to_string();
         assert!(msg.contains("diverge at seq"), "{msg}");
         assert!(msg.contains("span path:"), "{msg}");
     }
 
     #[test]
     fn diff_flags_truncation() {
-        let a = emit_trace("trunc_a.jsonl", "1");
+        let (a, _) = emit_trace("trunc_a.jsonl", "inner-product", "1");
         let text = std::fs::read_to_string(&a).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        let b = dir().join("trunc_b.jsonl");
+        let b = a.replace("trunc_a", "trunc_b");
         let mut shorter = lines[..lines.len() - 3].join("\n");
         shorter.push('\n');
         std::fs::write(&b, shorter).unwrap();
-        let err = run_trace(&sv(&[
-            "diff",
-            "--left",
-            a.to_str().unwrap(),
-            "--right",
-            b.to_str().unwrap(),
-        ]))
-        .unwrap_err();
-        let msg = err.to_string();
+        let msg = cli(&["trace", "diff", "--left", &a, "--right", &b]).unwrap_err().to_string();
         assert!(msg.contains("diverge at seq"), "{msg}");
         assert!(msg.contains("<trace ended>"), "{msg}");
     }
 
     #[test]
     fn trace_usage_errors() {
-        assert!(run_trace(&[]).is_err());
-        assert!(run_trace(&sv(&["frobnicate"])).is_err());
-        assert!(run_trace(&sv(&["summarize"])).is_err(), "missing --input");
-        assert!(run_trace(&sv(&["summarize", "--input", "/no/such/file"])).is_err());
-        assert!(run_trace(&sv(&["diff", "--left", "x"])).is_err(), "missing --right");
+        assert!(cli(&["trace"]).is_err());
+        assert!(cli(&["trace", "frobnicate"]).is_err());
+        assert!(cli(&["trace", "summarize"]).is_err(), "missing --input");
+        assert!(cli(&["trace", "summarize", "--input", "/no/such/file"]).is_err());
+        assert!(cli(&["trace", "diff", "--left", "x"]).is_err(), "missing --right");
     }
 }

@@ -1,10 +1,10 @@
-//! `scripts/ci.sh` step 12(b) as a tier-1 test: the same workload over
-//! every `--net-backend`, through `dispatch` exactly as `main` calls it.
+//! The same workload over every `--net-backend`, through `dispatch`
+//! exactly as `main` calls it. Carries ci.sh step 12(a) and 12(b) (retired).
 
 use automon_cli::dispatch;
 use serde::Value;
 
-/// Step 12(b)'s argument vector on `backend`, plus `extra` flags.
+/// The parity workload on `backend`, plus `extra` flags.
 fn net_smoke(backend: &str, extra: &[&str]) -> String {
     let base = [
         "net-smoke", "--nodes", "4", "--rounds", "40", "--dim", "2", "--seed", "3", "--epsilon",
@@ -47,7 +47,24 @@ fn every_backend_reports_the_same_stats_and_trace() {
     }
 }
 
+/// Frame-level chaos on the sim backend: same seeds, same stdout and the
+/// same `--trace-out` bytes, and that file is the standard telemetry JSONL.
 #[test]
 fn same_seed_sim_runs_are_byte_identical() {
-    assert_eq!(net_smoke("sim", &[]), net_smoke("sim", &[]));
+    let dir = std::env::temp_dir().join("automon_cli_net_smoke_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |name: &str| {
+        let trace = dir.join(name).display().to_string();
+        let chaos = [
+            "--chaos-seed", "9", "--drop-rate", "0.1", "--duplicate-rate", "0.05", "--delay-rate",
+            "0.05", "--trace-out", &trace,
+        ];
+        (net_smoke("sim", &chaos), trace)
+    };
+    let ((out_a, trace_a), (out_b, trace_b)) = (run("chaos-a.jsonl"), run("chaos-b.jsonl"));
+    assert_eq!(out_a, out_b);
+    assert_eq!(std::fs::read(&trace_a).unwrap(), std::fs::read(&trace_b).unwrap());
+    let summary = dispatch(&["trace", "summarize", "--input", &trace_a].map(str::to_string)).unwrap();
+    assert!(summary.contains("comm by cause (bytes/update"), "{summary}");
+    assert!(summary.contains("retransmit"), "{summary}");
 }

@@ -476,6 +476,7 @@ mod tests {
         assert_eq!(hi.to_bits(), e.lambda_max().to_bits());
     }
 
+    // d = 40 carries ci.sh step 6 (retired): QL against the Jacobi oracle.
     #[test]
     fn backends_agree_within_tolerance() {
         let mut seed = 99u64;
@@ -483,7 +484,7 @@ mod tests {
             seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             ((seed >> 33) as f64 / (1u64 << 31) as f64) - 1.0
         };
-        for n in [2usize, 5, 16] {
+        for n in [2usize, 5, 16, 40] {
             let mut a = Matrix::from_fn(n, n, |_, _| next());
             a.symmetrize();
             let ql = SymEigen::with_backend(&a, SpectralBackend::Ql);

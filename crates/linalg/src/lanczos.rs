@@ -519,11 +519,12 @@ mod tests {
         )
     }
 
+    // d = 40 carries ci.sh step 6 (retired): Lanczos extremes against QL.
     #[test]
     fn matches_full_decomposition_on_random_matrices() {
         let mut ws = LanczosWorkspace::new();
         let mut stats = LanczosStats::default();
-        for (n, seed) in [(1usize, 2u64), (2, 3), (3, 5), (8, 7), (24, 11)] {
+        for (n, seed) in [(1usize, 2u64), (2, 3), (3, 5), (8, 7), (24, 11), (40, 1)] {
             let h = random_sym(n, seed);
             let eig = SymEigen::new(&h);
             let (lo, hi) = extremes_of(&h, &mut ws, &mut stats);

@@ -4,9 +4,9 @@
 //! The coordinator journals protocol state transitions (via
 //! [`automon_core::journal::Journal`]) into an append-only, CRC-framed
 //! log; periodically a full [`automon_core::CoordinatorSnapshot`] is
-//! checkpointed and segments made of superseded records are dropped.
-//! Recovery loads the newest decodable checkpoint and folds the valid
-//! log suffix on top — truncated tails, bit flips, and duplicated
+//! checkpointed and the segments an older checkpoint fully covers are
+//! dropped. Recovery loads the newest decodable checkpoint and folds the
+//! valid log suffix on top — truncated tails, bit flips, and duplicated
 //! segments all degrade to the last valid prefix, never to a panic or
 //! silently corrupt state.
 //!
@@ -16,7 +16,6 @@
 //! chaos run replays bit-identically on either backend.
 
 mod disk;
-mod key_dir;
 pub mod record;
 pub mod segment;
 pub mod snapshot;
@@ -30,8 +29,7 @@ use automon_core::CoordinatorSnapshot;
 use parking_lot::Mutex;
 
 pub use disk::{DiskManager, FileDisk, MemDisk};
-pub use key_dir::{KeyDir, RecordLoc};
-pub use record::{decode_stream, encode_record, JournalRecord, StoreKey};
+pub use record::{decode_stream, encode_record, JournalRecord};
 pub use snapshot::StoredSnapshot;
 
 /// When appended records become durable.
@@ -84,7 +82,7 @@ pub struct RecoveredState {
     pub report: RecoveryReport,
 }
 
-/// The durable coordinator store: WAL + key directory + checkpoints.
+/// The durable coordinator store: WAL + checkpoints.
 pub struct CoordinatorStore<D: DiskManager> {
     disk: D,
     opts: StoreOptions,
@@ -95,7 +93,6 @@ pub struct CoordinatorStore<D: DiskManager> {
     active_bytes: u64,
     /// Records appended since the last sync (for `SyncPolicy::EveryN`).
     unsynced: u32,
-    key_dir: KeyDir,
     /// Highest record seq per segment, for coverage-based compaction.
     seg_max: BTreeMap<u64, u64>,
     /// `covered_seq` of checkpoints currently on disk, ascending.
@@ -115,7 +112,6 @@ impl<D: DiskManager> CoordinatorStore<D> {
             active: 0,
             active_bytes: 0,
             unsynced: 0,
-            key_dir: KeyDir::new(),
             seg_max: BTreeMap::new(),
             checkpoints: Vec::new(),
             io_error: None,
@@ -130,7 +126,6 @@ impl<D: DiskManager> CoordinatorStore<D> {
     /// Callable at any time — after [`CoordinatorStore::crash`] it is
     /// how the store re-synchronizes with what actually survived.
     pub fn recover(&mut self) -> io::Result<RecoveredState> {
-        self.key_dir.clear();
         self.seg_max.clear();
         self.checkpoints.clear();
         self.unsynced = 0;
@@ -251,7 +246,7 @@ impl<D: DiskManager> CoordinatorStore<D> {
         }
         snapshot_files.retain(|s| !dead_snaps.contains(s));
 
-        // Fold the valid suffix and rebuild the key directory.
+        // Fold the valid suffix and rebuild the per-segment coverage.
         let covered = base.as_ref().map(|s| s.covered_seq).unwrap_or(0);
         let mut records_replayed = 0usize;
         let snapshot = base.as_ref().map(|b| {
@@ -264,8 +259,7 @@ impl<D: DiskManager> CoordinatorStore<D> {
             }
             snap
         });
-        for (seq, seg, rec) in &replay {
-            self.key_dir.insert(rec.key(), RecordLoc { segment: *seg, seq: *seq });
+        for (seq, seg, _) in &replay {
             let max = self.seg_max.entry(*seg).or_insert(*seq);
             *max = (*max).max(*seq);
         }
@@ -306,7 +300,6 @@ impl<D: DiskManager> CoordinatorStore<D> {
         let name = segment::segment_name(self.active);
         self.disk.append(&name, &frame)?;
         self.active_bytes += frame.len() as u64;
-        self.key_dir.insert(rec.key(), RecordLoc { segment: self.active, seq });
         let max = self.seg_max.entry(self.active).or_insert(seq);
         *max = (*max).max(seq);
         self.next_seq = seq + 1;
@@ -410,11 +403,6 @@ impl<D: DiskManager> CoordinatorStore<D> {
     /// Sequence number the next record will carry.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
-    }
-
-    /// Live key directory (latest record location per key).
-    pub fn key_dir(&self) -> &KeyDir {
-        &self.key_dir
     }
 
     /// Direct access to the backing disk (test + torture hook).

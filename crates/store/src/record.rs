@@ -43,17 +43,6 @@ pub enum JournalRecord {
     Control { lru: Vec<NodeId>, stats: CoordinatorStats, consecutive_neighborhood: usize },
 }
 
-impl JournalRecord {
-    /// The bitcask key this record supersedes.
-    pub fn key(&self) -> StoreKey {
-        match self {
-            JournalRecord::Node { node, .. } => StoreKey::Node(*node),
-            JournalRecord::Zone { .. } => StoreKey::Zone,
-            JournalRecord::Control { .. } => StoreKey::Control,
-        }
-    }
-}
-
 impl From<Transition> for JournalRecord {
     fn from(t: Transition) -> Self {
         match t {
@@ -68,15 +57,6 @@ impl From<Transition> for JournalRecord {
             }
         }
     }
-}
-
-/// Key space of the in-memory directory: one slot per node plus the
-/// global zone and control records.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum StoreKey {
-    Node(NodeId),
-    Zone,
-    Control,
 }
 
 // --- CRC32 (IEEE 802.3 polynomial, reflected) ------------------------
