@@ -1,9 +1,9 @@
-//! `adcd::decompose` on the `decomp_cache` bench lattice, pinned bitwise:
-//! the guard that a change to the plumbing under `decompose_x` (the
-//! cache-carried Ritz seeds PR 14 removed, the evaluator PR 15 primed
-//! once per point) changed no decomposition, and the record of what
-//! PR 21's one-stream search and value stop did change. The lattice and
-//! config mirror `benches/decomp_cache.rs`.
+//! `adcd::decompose` on a fixed KLD lattice (d = 10, 20; eight points
+//! each), pinned bitwise: the guard that a change to the plumbing under
+//! `decompose_x` (the cache-carried Ritz seeds PR 14 removed, the
+//! evaluator PR 15 primed once per point) changed no decomposition, and
+//! the record of what PR 21's one-stream search and value stop did
+//! change. This test owns the lattice and its config.
 
 use automon_core::{adcd, Curvature, DcKind, EigenSearch, MonitorConfig, NeighborhoodBox};
 use automon_linalg::SymEigen;

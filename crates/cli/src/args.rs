@@ -70,14 +70,6 @@ impl Args {
         let known = |key: &String| allowed.iter().copied().flatten().any(|flag| flag.0 == key);
         match args.values.keys().find(|key| !known(key)) {
             None => Ok(args),
-            Some(key) if key == "decomp-cache-warm" => Err(CliError::new(
-                "`--decomp-cache-warm` was removed: the decomposition cache's warm \
-                 start is no longer selectable (exact hits only; DESIGN.md §3.11)",
-            )),
-            Some(key) if key == "parallelism" => Err(CliError::new(
-                "`--parallelism` was removed: full-sync thread placement is no longer \
-                 selectable (the full sync runs on the caller's thread; DESIGN.md §3.7)",
-            )),
             Some(key) => Err(CliError::new(format!(
                 "unknown flag `--{key}` (see `automon help`)"
             ))),
@@ -157,10 +149,15 @@ mod tests {
         assert!(Args::parse_known(&sv(&["--x", "1", "--json"]), allowed).is_ok());
         let err = Args::parse_known(&sv(&["--x", "1", "--bogus-flag", "7"]), allowed).unwrap_err();
         assert!(err.to_string().contains("unknown flag `--bogus-flag`"), "{err}");
-        for retired in ["--decomp-cache-warm", "--parallelism"] {
+        for retired in [
+            "--decomp-cache",
+            "--decomp-cache-capacity",
+            "--decomp-cache-warm",
+            "--parallelism",
+            "--spectral-backend",
+        ] {
             let err = Args::parse_known(&sv(&[retired, "2"]), allowed).unwrap_err();
-            assert!(err.to_string().contains(retired), "{err}");
-            assert!(err.to_string().contains("no longer selectable"), "{err}");
+            assert!(err.to_string().contains(&format!("unknown flag `{retired}`")), "{err}");
         }
     }
 

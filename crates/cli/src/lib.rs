@@ -122,15 +122,6 @@ DURABILITY (simulate only; docs/DURABILITY.md):
                             mid-sync requests defer to the next quiescent
                             round instead of being skipped
 
-DECOMPOSITION CACHE (off by default; DESIGN.md §3.11):
-    --decomp-cache              memoize full-sync decompositions at the
-                                coordinator. A hit requires bitwise-equal
-                                inputs, so output is identical to a
-                                cache-off run; it pays off only when
-                                reference points recur exactly
-    --decomp-cache-capacity N   max resident entries (default 64);
-                                eviction is segmented LRU
-
 FLEET (simulate only; two-tier sharded hierarchy, DESIGN.md §3.14):
     --fleet                 shard the streams over leaf coordinators and
                             monitor f of the global average at a root
@@ -282,14 +273,21 @@ mod tests {
         assert!(err.to_string().contains("--bogus-flag"), "{err}");
         let err = cli(&["trace", "diff", "--left", "a", "--rihgt", "b"]).unwrap_err();
         assert!(err.to_string().contains("--rihgt"), "{err}");
-        let simulate = ["simulate", "--function", "rozenbrock", "--rounds", "30"];
-        let refusal = |extra: &[&str]| cli(&with(&simulate, extra)).unwrap_err().to_string();
-        // A retired rollback switch is a flag like any other unknown one.
-        assert!(refusal(&["--spectral-backend", "ql"]).contains("unknown flag `--spectral-backend`"));
-        // Retired knobs fail with a pointer, not a silent default.
-        for retired in [&["--decomp-cache", "arc"][..], &["--decomp-cache-warm"], &["--parallelism", "2"]] {
-            let err = refusal(retired);
-            assert!(err.contains("no longer selectable"), "{err}");
+        // A retired knob is a flag like any other unknown one.
+        for (subcommand, base) in [
+            ("simulate", &["--function", "rozenbrock", "--rounds", "30"][..]),
+            ("monitor", &["--function", "rozenbrock", "--nodes", "2", "--input", "x.csv"]),
+        ] {
+            for retired in [
+                &["--decomp-cache"][..],
+                &["--decomp-cache-capacity", "8"],
+                &["--decomp-cache-warm"],
+                &["--parallelism", "2"],
+                &["--spectral-backend", "ql"],
+            ] {
+                let err = cli(&with(&with(&[subcommand], base), retired)).unwrap_err();
+                assert!(err.to_string().contains(&format!("unknown flag `{}`", retired[0])), "{err}");
+            }
         }
     }
 

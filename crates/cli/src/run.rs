@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use automon_autodiff::AutoDiffFn;
-use automon_core::{DecompCacheConfig, MonitorConfig, MonitoredFunction};
+use automon_core::{MonitorConfig, MonitoredFunction};
 use automon_data::synthetic::{InnerProductDataset, QuadraticDataset, RozenbrockDataset};
 use automon_data::windowed_mean_series;
 use automon_functions::{train_mlp_d, InnerProduct, KlDivergence, QuadraticForm, Rozenbrock, Variance};
@@ -32,33 +32,6 @@ pub fn build_function(name: &str, dim: usize) -> Result<Arc<dyn MonitoredFunctio
             )))
         }
     })
-}
-
-/// Parse the bare switch `--decomp-cache` plus its companion
-/// `--decomp-cache-capacity <n>`. Absent flag ⇒ cache off (the default).
-fn parse_decomp_cache(args: &Args) -> Result<Option<DecompCacheConfig>, CliError> {
-    let on = match args.get("decomp-cache") {
-        None | Some("false") => false,
-        Some("true") => true,
-        Some(other) => {
-            return Err(CliError::new(format!(
-                "`--decomp-cache {other}`: the eviction policy is no longer selectable; \
-                 pass a bare `--decomp-cache` (DESIGN.md §3.11)"
-            )))
-        }
-    };
-    if !on {
-        if args.get("decomp-cache-capacity").is_some() {
-            return Err(CliError::new("--decomp-cache-capacity requires --decomp-cache"));
-        }
-        return Ok(None);
-    }
-    let mut cache = DecompCacheConfig::default();
-    cache.capacity = args.num("decomp-cache-capacity", cache.capacity)?;
-    if cache.capacity == 0 {
-        return Err(CliError::new("--decomp-cache-capacity must be ≥ 1"));
-    }
-    Ok(Some(cache))
 }
 
 /// Default dimension per function when `--dim` is omitted.
@@ -356,8 +329,8 @@ fn stats_json(stats: &automon_sim::RunStats, extra: &[(&str, Value)]) -> Result<
 pub(crate) const SIMULATE_FLAGS: &[Flag] = &[
     ("function", "<NAME>"), ("epsilon", "E"), ("nodes", "N"), ("rounds", "R"), ("dim", "D"),
     ("seed", "S"), ("baseline", "SPEC"), ("wal-dir", "DIR"), ("snapshot-every", "N"), ("json", ""),
-    ("metrics-out", "FILE"), ("trace-out", "FILE"), ("serve-metrics", "ADDR"), ("decomp-cache", ""),
-    ("decomp-cache-capacity", "N"), ("fleet", ""), ("shards", "S"), ("leaf-epsilon-frac", "F"),
+    ("metrics-out", "FILE"), ("trace-out", "FILE"), ("serve-metrics", "ADDR"), ("fleet", ""),
+    ("shards", "S"), ("leaf-epsilon-frac", "F"),
 ];
 
 /// `automon simulate …`
@@ -374,9 +347,7 @@ pub fn run_simulate(args: &Args) -> Result<String, CliError> {
 
     let f = build_function(function, dim)?;
     let workload = build_workload(function, nodes, rounds, dim, seed)?;
-    let cfg = MonitorConfig::builder(epsilon)
-        .decomp_cache_opt(parse_decomp_cache(args)?)
-        .build();
+    let cfg = MonitorConfig::builder(epsilon).build();
 
     let sinks = ObsSinks::from_args(args)?;
     let json = args.flag("json");
@@ -577,7 +548,7 @@ fn csv_workload(updates: Vec<Update>, nodes: usize) -> (Vec<usize>, Workload) {
 /// Flags `automon monitor` reads; `dispatch` rejects any other.
 pub(crate) const MONITOR_FLAGS: &[Flag] = &[
     ("function", "<NAME>"), ("input", "<FILE.csv>"), ("nodes", "<N>"), ("epsilon", "E"), ("dim", "D"),
-    ("output", "FILE.csv"), ("decomp-cache", ""), ("decomp-cache-capacity", "N"),
+    ("output", "FILE.csv"),
 ];
 
 /// `automon monitor …` — run the real protocol over CSV updates.
@@ -601,9 +572,7 @@ pub fn run_monitor(args: &Args) -> Result<String, CliError> {
     }
     let f = build_function(function, dim)?;
 
-    let cfg = MonitorConfig::builder(epsilon)
-        .decomp_cache_opt(parse_decomp_cache(args)?)
-        .build();
+    let cfg = MonitorConfig::builder(epsilon).build();
     // The labels go back on the rows. The driver measures a round once
     // every node has reported (the coordinator has no estimate before that).
     let (labels, workload) = csv_workload(updates, nodes);
@@ -841,33 +810,6 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("metrics served at http://127.0.0.1:"), "{out}");
-    }
-
-    // Carries ci.sh step 7 (retired): cache on == cache off, byte for byte,
-    // and the cached run's metrics show the cache was consulted.
-    #[test]
-    fn decomp_cache_flag_is_parsed() {
-        let base = [
-            "simulate", "--function", "rozenbrock", "--rounds", "40", "--nodes", "2", "--epsilon", "0.5",
-        ];
-        let run = |extra: &[&str]| cli(&with(&base, extra));
-        // Off by default; switching it on must not change the output.
-        let baseline = run(&[]).unwrap();
-        assert_eq!(run(&["--decomp-cache"]).unwrap(), baseline);
-        assert_eq!(run(&["--decomp-cache", "--decomp-cache-capacity", "8"]).unwrap(), baseline);
-        let metrics = scratch("cache-metrics.prom");
-        assert_eq!(
-            run(&["--decomp-cache", "--metrics-out", &metrics]).unwrap(),
-            format!("{baseline}metrics written to {metrics}\n")
-        );
-        let text = std::fs::read_to_string(&metrics).unwrap();
-        let samples = automon_obs::parse_prometheus(&text).expect("valid exposition");
-        let misses = automon_obs::value_of(&samples, "automon_coord_decomp_cache_misses_total", &[]);
-        assert!(misses.is_some_and(|n| n > 0.0), "the cache was never consulted: {text}");
-        let err = run(&["--decomp-cache", "arc"]).unwrap_err();
-        assert!(err.to_string().contains("no longer selectable"), "{err}");
-        let err = run(&["--decomp-cache-capacity", "8"]).unwrap_err();
-        assert!(err.to_string().contains("requires --decomp-cache"), "{err}");
     }
 
     // Carries ci.sh step 11 (retired) at 12 streams: the faulted `--json`

@@ -1,51 +1,17 @@
-//! Coordinator-side decomposition cache: an exact-hit memo with one
-//! eviction order.
+//! Benchmark-only residue of the retired coordinator decomposition
+//! cache: an exact-hit memo of `(x0, r, B) → DcDecomposition` with one
+//! eviction order. No run path consults it; it survives only because the
+//! frozen benchmark package (`crates/bench/src/bin/benchmark`) replays its
+//! recorded full-sync keys through it for the `core.cache.*` rows
+//! (DESIGN.md §3.11; EXPERIMENTS.md has the measurements that retired it).
 //!
-//! ADCD decomposition is the full-sync hot path: every violation that
-//! lazy sync cannot absorb pays a QL or Lanczos eigendecomposition at
-//! the new reference point `x0`. The coordinator can remember
-//! `(x0, r) → Decomposition` and skip the eigensolve entirely when an
-//! identical sync recurs — a periodic stream, or a fleet whose leaves
-//! share one cache — at ~0.2 µs against 0.6–2.5 ms.
-//!
-//! # Keying and the bit-identity contract
-//!
-//! Entries are indexed by [`CacheKey`]: the function id, the quantized
-//! `x0` cell (`floor(x0_i / cell)` per coordinate), and the radius
-//! bucket (`floor(log2 r)`). The key is only an *index*; correctness
-//! never depends on the quantization. A **hit** additionally requires
-//! the stored `x0`, `r`, and neighborhood box to be bit-identical to
-//! the query — and since [`crate::adcd::decompose`] is deterministic,
-//! replaying the stored [`DcDecomposition`] is bit-for-bit what a fresh
-//! decomposition would have produced. This is what makes cache-on runs
-//! byte-identical to cache-off runs. Nothing but an exact hit is ever
-//! reused.
-//!
-//! # Eviction
-//!
-//! One order, segmented LRU: new entries land in a probationary
-//! segment and only a hit promotes them into the protected segment
-//! (capped at 4/5 of capacity); victims come from the probationary LRU
-//! end, so one-shot violation probes wash through without displacing a
-//! key that has recurred. It is built on ordered structures only
-//! (`BTreeMap`-backed recency lists, no `HashMap` iteration), so the
-//! same operation sequence always produces the same eviction sequence,
-//! keeping the simulator's determinism contract intact.
-//!
-//! Why one order and exact hits only: on every trace measured so far
-//! a drifting stream never returns to a bit-identical reference point,
-//! so there is no recurrence for a smarter policy or a near-hit seed
-//! to exploit (DESIGN.md §3.11 has the numbers).
-//!
-//! This module also hosts [`SlotList`], the intrusive slot-index
-//! recency list backing the coordinator's lazy-sync node LRU (§3.5):
-//! same iteration order as the `VecDeque` it replaces, but touch is
-//! O(1) instead of an O(n) scan.
+//! Entries are indexed by [`CacheKey`] (function id, `floor(x0_i / cell)`
+//! per coordinate, `floor(log2 r)`); a hit additionally requires the
+//! stored `x0`, `r` and box to be bit-identical to the query. Eviction is
+//! segmented LRU on ordered structures only, so the same operation
+//! sequence always gives the same eviction sequence.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, MutexGuard};
-
-use parking_lot::Mutex;
 
 use crate::adcd::DcDecomposition;
 use crate::safezone::NeighborhoodBox;
@@ -54,7 +20,7 @@ use crate::safezone::NeighborhoodBox;
 // Configuration
 // ---------------------------------------------------------------------------
 
-/// Configuration for the coordinator decomposition cache.
+/// Configuration for [`DecompCache`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecompCacheConfig {
     /// Maximum resident entries (≥ 1).
@@ -67,7 +33,7 @@ impl Default for DecompCacheConfig {
     fn default() -> Self {
         Self {
             capacity: 64,
-            cell: 1e-3,
+            cell: DEFAULT_CELL,
         }
     }
 }
@@ -82,27 +48,52 @@ impl Default for DecompCacheConfig {
 /// a lookup to a candidate entry, and [`DecompCache::lookup`] then
 /// compares the stored exact inputs bitwise before declaring a hit.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct CacheKey {
-    /// Identifies the monitored function (coordinators sharing a cache
-    /// across a fleet must use distinct ids per function).
-    pub fn_id: u64,
+struct CacheKey {
+    /// Identifies the monitored function.
+    fn_id: u64,
     /// `floor(x0_i / cell)` per coordinate.
-    pub cell: Vec<i64>,
+    cell: Vec<i64>,
     /// `floor(log2 r)`.
-    pub radius_bucket: i32,
+    radius_bucket: i32,
 }
 
 impl CacheKey {
-    /// Quantize `(fn_id, x0, r)` into its cache cell. The cell and
-    /// radius arithmetic is the shared [`crate::quant`] helper, so the
-    /// fleet's shard router buckets reference points onto exactly this
-    /// grid.
-    pub fn quantize(fn_id: u64, x0: &[f64], r: f64, cell: f64) -> Self {
+    /// Quantize `(fn_id, x0, r)` into its cache cell.
+    fn quantize(fn_id: u64, x0: &[f64], r: f64, cell: f64) -> Self {
         Self {
             fn_id,
-            cell: crate::quant::quantize_cell(x0, cell),
-            radius_bucket: crate::quant::radius_bucket(r),
+            cell: quantize_cell(x0, cell),
+            radius_bucket: radius_bucket(r),
         }
+    }
+}
+
+/// Default cell width of the `x0` grid.
+const DEFAULT_CELL: f64 = 1e-3;
+
+/// Quantize a vector onto the cell grid: `floor(x_i / cell)` per
+/// coordinate. Non-positive `cell` widths fall back to [`DEFAULT_CELL`].
+fn quantize_cell(x: &[f64], cell: f64) -> Vec<i64> {
+    let cell = sanitize_cell(cell);
+    x.iter().map(|&v| (v / cell).floor() as i64).collect()
+}
+
+/// The sanitized cell width [`quantize_cell`] actually divides by.
+fn sanitize_cell(cell: f64) -> f64 {
+    if cell > 0.0 {
+        cell
+    } else {
+        DEFAULT_CELL
+    }
+}
+
+/// Bucket a neighborhood radius: `floor(log2 r)`, with non-finite or
+/// non-positive radii collapsed into a single sentinel bucket.
+fn radius_bucket(r: f64) -> i32 {
+    if r.is_finite() && r > 0.0 {
+        r.log2().floor() as i32
+    } else {
+        i32::MIN
     }
 }
 
@@ -219,9 +210,7 @@ impl SegmentedLru {
 // The decomposition cache
 // ---------------------------------------------------------------------------
 
-/// Hit/miss bookkeeping, mirrored into `automon_coord_decomp_cache_*`
-/// metrics by the coordinator. Never part of `CoordinatorStats`, so
-/// monitoring output stays bit-identical with the cache on or off.
+/// Hit/miss bookkeeping.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Hits (decomposition reused outright).
@@ -262,8 +251,7 @@ pub enum CacheLookup {
 #[derive(Debug, Clone, PartialEq)]
 pub enum RitzSeeds {}
 
-/// The coordinator decomposition cache. See the module docs for the
-/// keying scheme and the bit-identity contract.
+/// The exact-hit decomposition memo. See the module docs.
 #[derive(Debug)]
 pub struct DecompCache {
     cfg: DecompCacheConfig,
@@ -369,175 +357,6 @@ fn bits_eq(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// A [`DecompCache`] behind `Arc<Mutex<…>>`, cloneable across the
-/// coordinators of a fleet so leaf coordinators share one cache.
-#[derive(Debug, Clone)]
-pub struct SharedDecompCache(Arc<Mutex<DecompCache>>);
-
-impl SharedDecompCache {
-    /// Wrap `cache` for sharing.
-    pub fn new(cache: DecompCache) -> Self {
-        Self(Arc::new(Mutex::new(cache)))
-    }
-
-    /// Build a fresh cache under `cfg` and wrap it.
-    pub fn from_config(cfg: DecompCacheConfig) -> Self {
-        Self::new(DecompCache::new(cfg))
-    }
-
-    /// Lock the underlying cache.
-    pub fn lock(&self) -> MutexGuard<'_, DecompCache> {
-        self.0.lock()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Intrusive slot-index recency list (lazy-sync node LRU)
-// ---------------------------------------------------------------------------
-
-const NIL: usize = usize::MAX;
-
-/// An intrusive doubly-linked recency list over slot indices
-/// `0..n`, backing the coordinator's lazy-sync node LRU (§3.5).
-///
-/// `touch` is O(1) — unlink (if present) plus push-back — replacing
-/// the `VecDeque` + `iter().position()` scan it superseded, with
-/// identical front-(least recent)-to-back iteration order.
-#[derive(Debug, Clone)]
-pub struct SlotList {
-    prev: Vec<usize>,
-    next: Vec<usize>,
-    linked: Vec<bool>,
-    head: usize,
-    tail: usize,
-    len: usize,
-}
-
-impl SlotList {
-    /// An empty list over `n` slots.
-    pub fn new(n: usize) -> Self {
-        Self {
-            prev: vec![NIL; n],
-            next: vec![NIL; n],
-            linked: vec![false; n],
-            head: NIL,
-            tail: NIL,
-            len: 0,
-        }
-    }
-
-    /// A list over `n` slots containing `0, 1, …, n-1` in order
-    /// (slot 0 least recent).
-    pub fn with_all(n: usize) -> Self {
-        let mut list = Self::new(n);
-        for i in 0..n {
-            list.push_back(i);
-        }
-        list
-    }
-
-    /// A list over `n` slots restored from an explicit
-    /// front-to-back order (snapshot restore).
-    pub fn from_order(n: usize, order: &[usize]) -> Self {
-        let mut list = Self::new(n);
-        for &i in order {
-            list.touch(i);
-        }
-        list
-    }
-
-    /// Linked slot count.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no slots are linked.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Whether `slot` is currently linked.
-    pub fn contains(&self, slot: usize) -> bool {
-        self.linked.get(slot).copied().unwrap_or(false)
-    }
-
-    /// The least recently touched slot.
-    pub fn front(&self) -> Option<usize> {
-        (self.head != NIL).then_some(self.head)
-    }
-
-    /// Move `slot` to the most-recent end (linking it if absent). O(1).
-    pub fn touch(&mut self, slot: usize) {
-        self.remove(slot);
-        self.push_back(slot);
-    }
-
-    /// Append `slot` at the most-recent end; it must not be linked.
-    pub fn push_back(&mut self, slot: usize) {
-        debug_assert!(slot < self.linked.len() && !self.linked[slot]);
-        self.prev[slot] = self.tail;
-        self.next[slot] = NIL;
-        if self.tail != NIL {
-            self.next[self.tail] = slot;
-        } else {
-            self.head = slot;
-        }
-        self.tail = slot;
-        self.linked[slot] = true;
-        self.len += 1;
-    }
-
-    /// Unlink `slot` if present; reports whether it was linked. O(1).
-    pub fn remove(&mut self, slot: usize) -> bool {
-        if slot >= self.linked.len() || !self.linked[slot] {
-            return false;
-        }
-        let (p, n) = (self.prev[slot], self.next[slot]);
-        if p != NIL {
-            self.next[p] = n;
-        } else {
-            self.head = n;
-        }
-        if n != NIL {
-            self.prev[n] = p;
-        } else {
-            self.tail = p;
-        }
-        self.prev[slot] = NIL;
-        self.next[slot] = NIL;
-        self.linked[slot] = false;
-        self.len -= 1;
-        true
-    }
-
-    /// Iterate front (least recent) to back (most recent).
-    pub fn iter(&self) -> SlotIter<'_> {
-        SlotIter {
-            list: self,
-            cursor: self.head,
-        }
-    }
-}
-
-/// Iterator over a [`SlotList`], front to back.
-#[derive(Debug)]
-pub struct SlotIter<'a> {
-    list: &'a SlotList,
-    cursor: usize,
-}
-
-impl Iterator for SlotIter<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        if self.cursor == NIL {
-            return None;
-        }
-        let slot = self.cursor;
-        self.cursor = self.list.next[slot];
-        Some(slot)
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -631,52 +450,35 @@ mod tests {
     }
 
     #[test]
-    fn slot_list_matches_vecdeque_reference() {
-        use std::collections::VecDeque;
-        let n = 8;
-        let mut list = SlotList::with_all(n);
-        let mut reference: VecDeque<usize> = (0..n).collect();
-        assert_eq!(list.iter().collect::<Vec<_>>(), Vec::from(reference.clone()));
+    fn quantization_floors_per_coordinate() {
+        assert_eq!(quantize_cell(&[0.0, 1.0, -1.0], 1.0), vec![0, 1, -1]);
+        // floor, not truncate: negative values round away from zero.
+        assert_eq!(quantize_cell(&[-0.0001], 1e-3), vec![-1]);
+        assert_eq!(quantize_cell(&[0.0029, 0.0031], 1e-3), vec![2, 3]);
+    }
 
-        // A deterministic op mix: touch, remove, re-touch.
-        let ops: &[(u8, usize)] = &[
-            (0, 3),
-            (0, 3),
-            (0, 0),
-            (1, 5),
-            (0, 7),
-            (1, 3),
-            (0, 3),
-            (0, 1),
-            (1, 0),
-            (0, 0),
-        ];
-        for &(op, slot) in ops {
-            match op {
-                0 => {
-                    if let Some(pos) = reference.iter().position(|&x| x == slot) {
-                        reference.remove(pos);
-                    }
-                    reference.push_back(slot);
-                    list.touch(slot);
-                }
-                _ => {
-                    if let Some(pos) = reference.iter().position(|&x| x == slot) {
-                        reference.remove(pos);
-                    }
-                    list.remove(slot);
-                }
-            }
-            assert_eq!(
-                list.iter().collect::<Vec<_>>(),
-                Vec::from(reference.clone()),
-                "diverged after ({op}, {slot})"
-            );
-            assert_eq!(list.len(), reference.len());
-            assert_eq!(list.front(), reference.front().copied());
-        }
-        let order: Vec<usize> = list.iter().collect();
-        let restored = SlotList::from_order(n, &order);
-        assert_eq!(restored.iter().collect::<Vec<_>>(), order);
+    #[test]
+    fn bad_cell_widths_fall_back_to_default() {
+        assert_eq!(
+            quantize_cell(&[0.5], 0.0),
+            quantize_cell(&[0.5], DEFAULT_CELL)
+        );
+        assert_eq!(
+            quantize_cell(&[0.5], -2.0),
+            quantize_cell(&[0.5], DEFAULT_CELL)
+        );
+        assert_eq!(sanitize_cell(f64::NAN.min(0.0)), DEFAULT_CELL);
+    }
+
+    #[test]
+    fn radius_buckets_are_log2_floors() {
+        assert_eq!(radius_bucket(1.0), 0);
+        assert_eq!(radius_bucket(2.0), 1);
+        assert_eq!(radius_bucket(3.9), 1);
+        assert_eq!(radius_bucket(0.5), -1);
+        assert_eq!(radius_bucket(0.0), i32::MIN);
+        assert_eq!(radius_bucket(-1.0), i32::MIN);
+        assert_eq!(radius_bucket(f64::INFINITY), i32::MIN);
+        assert_eq!(radius_bucket(f64::NAN), i32::MIN);
     }
 }

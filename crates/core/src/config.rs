@@ -1,7 +1,6 @@
 //! Monitoring configuration.
 
 use crate::adcd::AdcdKind;
-use crate::cache::DecompCacheConfig;
 use crate::safezone::DcKind;
 use automon_linalg::SpectralBackend;
 
@@ -158,10 +157,6 @@ pub struct MonitorConfig {
     /// Inert; see [`Parallelism`].
     #[doc(hidden)]
     pub parallelism: Parallelism,
-    /// Coordinator decomposition cache (`None` = off, the default).
-    /// Exact hits skip the full-sync eigendecomposition; see
-    /// [`crate::cache::DecompCache`] for the bit-identity contract.
-    pub decomp_cache: Option<DecompCacheConfig>,
 }
 
 impl MonitorConfig {
@@ -203,7 +198,6 @@ impl MonitorConfigBuilder {
                 eigen_objective: EigenObjective::Exact,
                 spectral_backend: SpectralBackend::default(),
                 parallelism: Parallelism::default(),
-                decomp_cache: None,
             },
         }
     }
@@ -283,20 +277,6 @@ impl MonitorConfigBuilder {
     #[doc(hidden)]
     pub fn parallelism(mut self, p: Parallelism) -> Self {
         self.cfg.parallelism = p;
-        self
-    }
-
-    /// Enable the coordinator decomposition cache (off by default).
-    pub fn decomp_cache(mut self, cache: DecompCacheConfig) -> Self {
-        assert!(cache.capacity >= 1, "cache capacity must be ≥ 1");
-        assert!(cache.cell > 0.0, "cache cell width must be positive");
-        self.cfg.decomp_cache = Some(cache);
-        self
-    }
-
-    /// Set or clear the decomposition-cache configuration (CLI plumbing).
-    pub fn decomp_cache_opt(mut self, cache: Option<DecompCacheConfig>) -> Self {
-        self.cfg.decomp_cache = cache;
         self
     }
 

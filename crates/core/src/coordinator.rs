@@ -8,11 +8,11 @@ use automon_linalg::vector;
 use automon_obs::{Counter, Gauge, Telemetry, TraceCtx};
 
 use crate::adcd::{self, AdcdKind, DcDecomposition};
-use crate::cache::{CacheLookup, SharedDecompCache, SlotList};
 use crate::config::{ApproximationKind, MonitorConfig};
 use crate::ledger::CommCause;
 use crate::messages::{CoordinatorMessage, Epoch, NodeId, NodeMessage, Outbound};
-use crate::safezone::{Curvature, DcKind, Domain, NeighborhoodBox, SafeZone, ViolationKind};
+use crate::safezone::{Curvature, DcKind, Domain, SafeZone, ViolationKind};
+use crate::slot_list::SlotList;
 use crate::MonitoredFunction;
 
 /// Counters the coordinator accumulates over a run.
@@ -106,9 +106,6 @@ struct CoordTel {
     /// Lazy-sync growth picks that had to fall back to a backpressured
     /// node because no unpressured candidate existed.
     backpressure_fallbacks: Counter,
-    cache_hits: Counter,
-    cache_misses: Counter,
-    cache_evictions: Counter,
     snap_taken: Counter,
     snap_deferred: Counter,
     epoch: Gauge,
@@ -167,18 +164,6 @@ impl CoordTel {
                 "automon_coord_backpressure_fallbacks_total",
                 "Lazy-sync growth picks forced onto a backpressured node",
             ),
-            cache_hits: tel.counter(
-                "automon_coord_decomp_cache_hits_total",
-                "Decomposition-cache exact hits (eigendecomposition skipped)",
-            ),
-            cache_misses: tel.counter(
-                "automon_coord_decomp_cache_misses_total",
-                "Decomposition-cache misses",
-            ),
-            cache_evictions: tel.counter(
-                "automon_coord_decomp_cache_evictions_total",
-                "Decomposition-cache entries evicted",
-            ),
             snap_taken: tel.counter(
                 "automon_coord_snapshot_taken_total",
                 "Durable snapshots captured (including retried deferrals)",
@@ -234,11 +219,6 @@ pub struct Coordinator {
     stats: CoordinatorStats,
     /// Cached ADCD-E decomposition (constant Hessian ⇒ computed once).
     e_cache: Option<DcDecomposition>,
-    /// Decomposition cache for ADCD-X full syncs (`None` = off).
-    decomp_cache: Option<SharedDecompCache>,
-    /// Key namespace for this coordinator's function in a (possibly
-    /// fleet-shared) decomposition cache.
-    cache_fn_id: u64,
     /// Nodes that already hold the current curvature (can receive the
     /// matrix-free `NewConstraintsCached`).
     node_has_curvature: Vec<bool>,
@@ -272,10 +252,6 @@ impl Coordinator {
         let d = f.dim();
         let domain = Domain::of(f.as_ref());
         let r = cfg.neighborhood.initial_r();
-        let decomp_cache = cfg
-            .decomp_cache
-            .as_ref()
-            .map(|c| SharedDecompCache::from_config(c.clone()));
         Self {
             f,
             n,
@@ -289,8 +265,6 @@ impl Coordinator {
             state: SyncState::Initializing,
             stats: CoordinatorStats::default(),
             e_cache: None,
-            decomp_cache,
-            cache_fn_id: 0,
             node_has_curvature: vec![false; n],
             consecutive_neighborhood: 0,
             epoch: 0,
@@ -386,18 +360,6 @@ impl Coordinator {
             self.journal_node(t);
         }
         self.journal_control();
-    }
-
-    /// Share an external decomposition cache (e.g. across a coordinator
-    /// fleet), keying this coordinator's entries under `fn_id`.
-    pub fn set_decomp_cache(&mut self, cache: SharedDecompCache, fn_id: u64) {
-        self.decomp_cache = Some(cache);
-        self.cache_fn_id = fn_id;
-    }
-
-    /// The decomposition cache in use, if any (shareable via clone).
-    pub fn decomp_cache(&self) -> Option<&SharedDecompCache> {
-        self.decomp_cache.as_ref()
     }
 
     /// Accumulated statistics.
@@ -690,10 +652,6 @@ impl Coordinator {
         };
         // The domain is code-derived, exactly as in `new`.
         let domain = Domain::of(f.as_ref());
-        let decomp_cache = cfg
-            .decomp_cache
-            .as_ref()
-            .map(|c| SharedDecompCache::from_config(c.clone()));
         Self {
             f,
             n: snap.n,
@@ -707,8 +665,6 @@ impl Coordinator {
             state,
             stats: snap.stats,
             e_cache: None,
-            decomp_cache,
-            cache_fn_id: 0,
             node_has_curvature,
             consecutive_neighborhood: snap.consecutive_neighborhood,
             epoch: snap.epoch,
@@ -1053,39 +1009,6 @@ impl Coordinator {
         out
     }
 
-    /// ADCD-X decomposition for a full sync, consulting the
-    /// decomposition cache when one is configured.
-    ///
-    /// A hit (stored inputs bitwise equal) replays the cached
-    /// decomposition — bit-identical to recomputing, since `decompose`
-    /// is deterministic — and skips the eigendecomposition entirely.
-    /// Everything else decomposes and populates the cache.
-    fn decompose_x_cached(&mut self, x0: &[f64], b: &NeighborhoodBox) -> DcDecomposition {
-        if let Some(cache) = &self.decomp_cache {
-            let lookup = cache.lock().lookup(self.cache_fn_id, x0, self.r, b);
-            if let CacheLookup::Exact(dec) = lookup {
-                self.tel.cache_hits.inc();
-                self.tel
-                    .tel
-                    .event("decomp_cache", &[("outcome", "hit".into())]);
-                return dec;
-            }
-            self.tel.cache_misses.inc();
-        }
-        let dec =
-            adcd::decompose_observed(self.f.as_ref(), x0, Some(b), &self.cfg, &self.tel.tel);
-        if let Some(cache) = &self.decomp_cache {
-            let evicted =
-                cache
-                    .lock()
-                    .insert(self.cache_fn_id, x0, self.r, b.clone(), dec.clone(), None);
-            if evicted {
-                self.tel.cache_evictions.inc();
-            }
-        }
-        dec
-    }
-
     /// Paper Algorithm 1, `CoordinatorFullSync`: recompute `x0`,
     /// thresholds, decomposition, safe zone, and slack; broadcast.
     fn full_sync(&mut self) -> Vec<Outbound> {
@@ -1135,7 +1058,13 @@ impl Coordinator {
                 }
             } else {
                 let b = self.domain.neighborhood(&x0, self.r);
-                let dec = self.decompose_x_cached(&x0, &b);
+                let dec = adcd::decompose_observed(
+                    self.f.as_ref(),
+                    &x0,
+                    Some(&b),
+                    &self.cfg,
+                    &self.tel.tel,
+                );
                 (dec.dc, dec.curvature, Some(b))
             }
         };

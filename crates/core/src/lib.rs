@@ -29,22 +29,20 @@
 //! wrapping a generic function body in `automon_autodiff::AutoDiffFn`.
 
 pub mod adcd;
-pub mod cache;
+mod cache;
 mod config;
 pub mod coordinator;
 pub mod journal;
 pub mod ledger;
 pub mod messages;
 pub mod node;
-pub mod quant;
 pub mod safezone;
+mod slot_list;
 pub mod tuning;
 
 pub use adcd::{AdcdKind, DcDecomposition, SpectralStats};
-pub use cache::{
-    CacheKey, CacheLookup, CacheStats, DecompCache, DecompCacheConfig, RitzSeeds,
-    SharedDecompCache,
-};
+#[doc(hidden)]
+pub use cache::{CacheLookup, CacheStats, DecompCache, DecompCacheConfig, RitzSeeds};
 pub use config::{ApproximationKind, EigenObjective, EigenSearch, MonitorConfig, MonitorConfigBuilder, NeighborhoodMode, Parallelism};
 pub use automon_linalg::SpectralBackend;
 pub use coordinator::{Coordinator, CoordinatorSnapshot, CoordinatorStats};

@@ -21,20 +21,12 @@ use std::sync::Arc;
 
 use automon_core::{
     CommCause, Coordinator, CoordinatorStats, Epoch, MonitorConfig, MonitoredFunction, Node,
-    NodeMessage, SharedDecompCache, TierMessage,
+    NodeMessage, TierMessage,
 };
 use automon_net::ShardedFabric;
 use automon_obs::{Counter, Gauge, SpanId, Telemetry};
 
 use crate::shard::ShardMap;
-
-/// Decomposition-cache namespace shared by every leaf coordinator:
-/// all leaves monitor the same `f` over same-dimension shard means, so
-/// their cache entries are mutually reusable.
-pub const LEAF_CACHE_FN_ID: u64 = 1;
-/// Decomposition-cache namespace of the root coordinator (its streams
-/// are scaled partial means — different dynamics, same `f`).
-pub const ROOT_CACHE_FN_ID: u64 = 2;
 
 /// Fleet-level configuration on top of the per-coordinator
 /// [`MonitorConfig`].
@@ -124,7 +116,6 @@ pub struct Fleet {
     proxies: Vec<Node>,
     fabric: ShardedFabric,
     latest: Vec<Option<Vec<f64>>>,
-    shared_cache: Option<SharedDecompCache>,
     events: FleetEvents,
     tel: Telemetry,
     ftel: FleetTel,
@@ -134,9 +125,8 @@ impl Fleet {
     /// Build a fleet of `fc.shards` leaves over `streams` streams
     /// monitoring `f`. `cfg.epsilon` is split between the tiers per
     /// `fc.leaf_epsilon_frac`; every other knob applies to both tiers.
-    /// When `cfg.decomp_cache` is set, one [`SharedDecompCache`] is
-    /// shared across all leaf coordinators (and, under a separate
-    /// namespace, the root).
+    /// Streams are assigned to shards round-robin
+    /// ([`ShardMap::round_robin`]).
     pub fn new(
         f: Arc<dyn MonitoredFunction>,
         streams: usize,
@@ -147,54 +137,24 @@ impl Fleet {
             fc.leaf_epsilon_frac > 0.0 && fc.leaf_epsilon_frac < 1.0,
             "leaf_epsilon_frac must be in (0, 1)"
         );
-        let map = ShardMap::round_robin(streams, fc.shards);
-        Self::with_shard_map(f, map, cfg, fc.leaf_epsilon_frac)
-    }
-
-    /// [`Fleet::new`] with an explicit stream→shard assignment (e.g.
-    /// from [`ShardMap::by_cell`]).
-    pub fn with_shard_map(
-        f: Arc<dyn MonitoredFunction>,
-        map: ShardMap,
-        cfg: MonitorConfig,
-        leaf_epsilon_frac: f64,
-    ) -> Self {
-        assert!(
-            leaf_epsilon_frac > 0.0 && leaf_epsilon_frac < 1.0,
-            "leaf_epsilon_frac must be in (0, 1)"
-        );
-        let shards = map.shards();
-        let streams = map.streams();
+        let shards = fc.shards;
+        let map = ShardMap::round_robin(streams, shards);
         let mut leaf_cfg = cfg.clone();
-        leaf_cfg.epsilon = cfg.epsilon * leaf_epsilon_frac;
+        leaf_cfg.epsilon = cfg.epsilon * fc.leaf_epsilon_frac;
         let mut root_cfg = cfg.clone();
-        root_cfg.epsilon = cfg.epsilon * (1.0 - leaf_epsilon_frac);
-        // One shared cache across the whole fleet; the per-coordinator
-        // caches Coordinator::new would build from the config are
-        // replaced below.
-        let shared_cache = cfg
-            .decomp_cache
-            .as_ref()
-            .map(|c| SharedDecompCache::from_config(c.clone()));
+        root_cfg.epsilon = cfg.epsilon * (1.0 - fc.leaf_epsilon_frac);
         let leaves: Vec<Leaf> = (0..shards)
             .map(|s| {
                 let k = map.members(s).len();
-                let mut coord = Coordinator::new(f.clone(), k, leaf_cfg.clone());
-                if let Some(cache) = &shared_cache {
-                    coord.set_decomp_cache(cache.clone(), LEAF_CACHE_FN_ID);
-                }
                 Leaf {
-                    coord,
+                    coord: Coordinator::new(f.clone(), k, leaf_cfg.clone()),
                     nodes: (0..k).map(|i| Node::new(i, f.clone())).collect(),
                     pushed_epoch: 0,
                     pushed_weight: 0,
                 }
             })
             .collect();
-        let mut root = Coordinator::new(f.clone(), shards, root_cfg);
-        if let Some(cache) = &shared_cache {
-            root.set_decomp_cache(cache.clone(), ROOT_CACHE_FN_ID);
-        }
+        let root = Coordinator::new(f.clone(), shards, root_cfg);
         let fabric = ShardedFabric::new(shards);
         let tel = Telemetry::disabled();
         let ftel = FleetTel::new(&tel);
@@ -209,7 +169,6 @@ impl Fleet {
             root,
             fabric,
             latest: vec![None; streams],
-            shared_cache,
             events: FleetEvents::default(),
             tel,
             ftel,
@@ -293,11 +252,6 @@ impl Fleet {
     /// Fleet-level event counters.
     pub fn events(&self) -> &FleetEvents {
         &self.events
-    }
-
-    /// The shared decomposition cache, when configured.
-    pub fn decomp_cache(&self) -> Option<&SharedDecompCache> {
-        self.shared_cache.as_ref()
     }
 
     /// The root's current approximation `f(x0)`, once both tiers have
@@ -592,9 +546,6 @@ impl Fleet {
         let members = self.map.members(s).to_vec();
         let k = members.len();
         let mut coord = Coordinator::new(self.f.clone(), k, self.leaf_cfg.clone());
-        if let Some(cache) = &self.shared_cache {
-            coord.set_decomp_cache(cache.clone(), LEAF_CACHE_FN_ID);
-        }
         if self.tel.is_enabled() {
             coord.set_telemetry(self.tel.clone());
         }

@@ -14,9 +14,8 @@
 //! message volume sublinear in the stream count.
 //!
 //! Module map:
-//! - [`shard`] — stream→shard assignment ([`ShardMap`]): round-robin
-//!   or cell-router (same quantization as the decomposition-cache
-//!   key), plus crash-time adoption.
+//! - [`shard`] — stream→shard assignment ([`ShardMap`]): round-robin,
+//!   plus crash-time adoption.
 //! - [`compose`] — the canonical shard-major summation order under
 //!   which weighted composition of partial means is *bitwise* equal to
 //!   the flat global mean.
@@ -34,5 +33,5 @@ pub mod compose;
 mod fleet;
 mod shard;
 
-pub use fleet::{Fleet, FleetConfig, FleetEvents, LEAF_CACHE_FN_ID, ROOT_CACHE_FN_ID};
+pub use fleet::{Fleet, FleetConfig, FleetEvents};
 pub use shard::ShardMap;

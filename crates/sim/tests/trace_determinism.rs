@@ -9,17 +9,28 @@ use std::sync::Arc;
 use automon_autodiff::AutoDiffFn;
 use automon_chaos::FaultPlan;
 use automon_core::{MonitorConfig, MonitoredFunction};
-use automon_data::synthetic::InnerProductDataset;
+use automon_data::synthetic::{InnerProductDataset, RozenbrockDataset};
 use automon_data::windowed_mean_series;
-use automon_functions::InnerProduct;
+use automon_functions::{InnerProduct, Rozenbrock};
 use automon_obs::Telemetry;
-use automon_sim::{Simulation, Workload};
+use automon_sim::{RunReport, Simulation, Workload};
+
+type Setup = fn() -> (Arc<dyn MonitoredFunction>, MonitorConfig, Workload);
 
 fn setup() -> (Arc<dyn MonitoredFunction>, MonitorConfig, Workload) {
     let (nodes, rounds, dim, seed) = (4, 100, 4, 7);
     let raw = InnerProductDataset::generate(nodes, rounds + 19, dim, seed);
     let w = Workload::from_dense(&windowed_mean_series(&raw, 20));
     let f: Arc<dyn MonitoredFunction> = Arc::new(AutoDiffFn::new(InnerProduct::new(dim)));
+    (f, MonitorConfig::builder(0.2).build(), w)
+}
+
+/// Rozenbrock: a non-constant Hessian, so every full sync runs ADCD-X
+/// (inner product's constant Hessian decomposes once, through ADCD-E).
+fn rozenbrock_setup() -> (Arc<dyn MonitoredFunction>, MonitorConfig, Workload) {
+    let raw = RozenbrockDataset::generate(4, 140, 21);
+    let w = Workload::from_dense(&windowed_mean_series(&raw, 20));
+    let f: Arc<dyn MonitoredFunction> = Arc::new(AutoDiffFn::new(Rozenbrock));
     (f, MonitorConfig::builder(0.2).build(), w)
 }
 
@@ -41,14 +52,14 @@ fn plain_run() -> (String, String) {
     (tel.trace_jsonl(), tel.prometheus())
 }
 
-fn chaos_run() -> (String, String) {
+fn chaos_run(setup: Setup) -> (RunReport, String, String) {
     let (f, cfg, w) = setup();
     let tel = Telemetry::enabled();
-    Simulation::new(f, cfg)
+    let report = Simulation::new(f, cfg)
         .with_plan(noisy_plan())
         .with_telemetry(tel.clone())
-        .run(&w);
-    (tel.trace_jsonl(), tel.prometheus())
+        .run_report(&w);
+    (report, tel.trace_jsonl(), tel.prometheus())
 }
 
 #[test]
@@ -62,19 +73,23 @@ fn plain_trace_is_byte_identical_across_runs() {
 
 #[test]
 fn chaos_trace_is_byte_identical_across_runs() {
-    let (trace_a, metrics_a) = chaos_run();
-    let (trace_b, metrics_b) = chaos_run();
-    assert!(
-        trace_a.lines().any(|l| l.contains("\"kind\":\"fault\"")),
-        "chaos run must record injected faults"
-    );
-    assert_eq!(trace_a, trace_b);
-    assert_eq!(metrics_a, metrics_b);
+    for setup in [setup as Setup, rozenbrock_setup] {
+        let (report_a, trace_a, metrics_a) = chaos_run(setup);
+        let (report_b, trace_b, metrics_b) = chaos_run(setup);
+        assert!(
+            trace_a.lines().any(|l| l.contains("\"kind\":\"fault\"")),
+            "chaos run must record injected faults"
+        );
+        assert_eq!(report_a.stats, report_b.stats);
+        assert_eq!(report_a.fault_trace, report_b.fault_trace);
+        assert_eq!(trace_a, trace_b);
+        assert_eq!(metrics_a, metrics_b);
+    }
 }
 
 #[test]
 fn trace_sequence_is_gap_free_and_rounds_monotone() {
-    let (trace, _) = chaos_run();
+    let (_, trace, _) = chaos_run(setup);
     let mut last_round = 0u64;
     for (i, line) in trace.lines().enumerate() {
         let seq_field = format!("\"seq\":{i},");

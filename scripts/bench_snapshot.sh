@@ -2,10 +2,9 @@
 # Snapshot the ADCD hot-path benches into BENCH_adcd_hotpath.json and
 # the telemetry-overhead benches into BENCH_obs_overhead.json.
 #
-# Runs the node_runtime, coordinator_full_sync, substrates,
-# decomp_cache, and store_wal Criterion benches (node/coordinator
-# runtime, the autodiff Hessian microbench, the Jacobi eigensolver,
-# wire codecs, the decomposition-cache hit/miss/churn paths, and the
+# Runs the node_runtime, coordinator_full_sync, substrates and
+# store_wal Criterion benches (node/coordinator runtime, the autodiff
+# Hessian microbench, the Jacobi eigensolver, wire codecs, and the
 # durable store's journal-append and crash-recovery replay) plus
 # obs_overhead (bare vs
 # disabled-telemetry vs live-telemetry decompose, metric primitives) and
@@ -152,7 +151,7 @@ print(f"wrote {out_path}: {len(current)} medians"
 PYEOF
 }
 
-snapshot BENCH_adcd_hotpath.json node_runtime coordinator_full_sync substrates decomp_cache store_wal
+snapshot BENCH_adcd_hotpath.json node_runtime coordinator_full_sync substrates store_wal
 snapshot BENCH_obs_overhead.json obs_overhead
 
 # Fleet scaling: deterministic volume counts, one run, FLEETLINE rows.
