@@ -212,8 +212,13 @@ pub struct Coordinator {
     zone: Option<SafeZone>,
     slack: Vec<Vec<f64>>,
     known_x: Vec<Option<Vec<f64>>>,
+    /// Alive members whose vector is still unknown (`known_x` is
+    /// `None`); initialization is complete when this reaches zero.
+    unregistered: usize,
     /// Least-recently-contacted order; front = least recent. Intrusive
-    /// slot-index list: touch/remove are O(1) (paper §3.5's LRU).
+    /// slot-index list: touch/remove are O(1) (paper §3.5's LRU). It
+    /// links exactly the alive nodes, so it is also the membership set:
+    /// eviction unlinks a node, a rejoin links it again.
     lru: SlotList,
     state: SyncState,
     stats: CoordinatorStats,
@@ -227,8 +232,6 @@ pub struct Coordinator {
     /// Constraint epoch; bumped on every completed full sync. Stamped on
     /// every outgoing message so stale frames are recognizable.
     epoch: Epoch,
-    /// Per-node liveness; evicted nodes are `false` until they rejoin.
-    alive: Vec<bool>,
     /// Transport backpressure flags (reactor backend): flagged nodes
     /// are deprioritized when growing a lazy-sync balancing set, since
     /// pulling from a node whose outbound queue is jammed adds latency
@@ -261,6 +264,7 @@ impl Coordinator {
             zone: None,
             slack: vec![vec![0.0; d]; n],
             known_x: vec![None; n],
+            unregistered: n,
             lru: SlotList::with_all(n),
             state: SyncState::Initializing,
             stats: CoordinatorStats::default(),
@@ -268,7 +272,6 @@ impl Coordinator {
             node_has_curvature: vec![false; n],
             consecutive_neighborhood: 0,
             epoch: 0,
-            alive: vec![true; n],
             backpressured: vec![false; n],
             journal: None,
             snapshot_deferred: false,
@@ -302,7 +305,7 @@ impl Coordinator {
             node,
             x: self.known_x[node].clone(),
             slack: self.slack[node].clone(),
-            alive: self.alive[node],
+            alive: self.lru.contains(node),
             has_curvature: self.node_has_curvature[node],
         };
         if let Some(j) = &mut self.journal {
@@ -347,12 +350,12 @@ impl Coordinator {
         }
         if full || self.stats.lazy_syncs != lazy0 {
             for i in 0..self.n {
-                if self.alive[i] {
+                if self.lru.contains(i) {
                     self.journal_node(i);
                 }
             }
             if let Some(t) = touched {
-                if !self.alive[t] {
+                if !self.lru.contains(t) {
                     self.journal_node(t);
                 }
             }
@@ -389,12 +392,12 @@ impl Coordinator {
 
     /// `true` while `node` is part of the monitored set.
     pub fn is_alive(&self, node: NodeId) -> bool {
-        self.alive[node]
+        self.lru.contains(node)
     }
 
-    /// Number of non-evicted nodes.
+    /// Number of non-evicted nodes. O(1).
     pub fn alive_count(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
+        self.lru.len()
     }
 
     /// Flag (or clear) transport backpressure on `node`. Backpressured
@@ -458,7 +461,7 @@ impl Coordinator {
     /// Panics if `node` is out of range.
     pub fn evict(&mut self, node: NodeId) -> Vec<Outbound> {
         assert!(node < self.n, "evict: unknown node {node}");
-        if !self.alive[node] {
+        if !self.lru.contains(node) {
             return Vec::new();
         }
         let pre = self
@@ -473,8 +476,9 @@ impl Coordinator {
     }
 
     fn evict_inner(&mut self, node: NodeId) -> Vec<Outbound> {
-        self.alive[node] = false;
-        self.known_x[node] = None;
+        if self.known_x[node].take().is_none() {
+            self.unregistered -= 1;
+        }
         self.node_has_curvature[node] = false;
         self.lru.remove(node);
         self.stats.evictions += 1;
@@ -488,7 +492,7 @@ impl Coordinator {
         if self.zone.is_none() {
             // Not initialized yet: the survivors may now be complete.
             self.state = SyncState::Initializing;
-            if (0..self.n).all(|i| !self.alive[i] || self.known_x[i].is_some()) {
+            if self.unregistered == 0 {
                 return self.full_sync();
             }
             return Vec::new();
@@ -549,7 +553,7 @@ impl Coordinator {
                 stats: self.stats.clone(),
                 consecutive_neighborhood: self.consecutive_neighborhood,
                 epoch: self.epoch,
-                alive: self.alive.clone(),
+                alive: (0..self.n).map(|i| self.lru.contains(i)).collect(),
                 node_has_curvature: self.node_has_curvature.clone(),
             }),
             _ => None,
@@ -640,12 +644,23 @@ impl Coordinator {
             // sync re-ships curvature to everyone.
             vec![false; snap.n]
         };
-        let complete = snap
+        // Membership comes from `alive`, contact order from `lru`; an
+        // alive node the order omits counts as the most recently touched.
+        let mut lru = SlotList::from_order(snap.n, &snap.lru);
+        for (i, &a) in alive.iter().enumerate() {
+            if !a {
+                lru.remove(i);
+            } else if !lru.contains(i) {
+                lru.touch(i);
+            }
+        }
+        let unregistered = snap
             .known_x
             .iter()
             .zip(&alive)
-            .all(|(x, &a)| !a || x.is_some());
-        let state = if complete && snap.zone.is_some() {
+            .filter(|(x, &a)| a && x.is_none())
+            .count();
+        let state = if unregistered == 0 && snap.zone.is_some() {
             SyncState::Monitoring
         } else {
             SyncState::Initializing
@@ -661,15 +676,15 @@ impl Coordinator {
             zone: snap.zone,
             slack: snap.slack,
             known_x: snap.known_x,
-            lru: SlotList::from_order(snap.n, &snap.lru),
+            unregistered,
+            lru,
             state,
             stats: snap.stats,
             e_cache: None,
             node_has_curvature,
             consecutive_neighborhood: snap.consecutive_neighborhood,
             epoch: snap.epoch,
-            backpressured: vec![false; alive.len()],
-            alive,
+            backpressured: vec![false; snap.n],
             journal: None,
             snapshot_deferred: false,
             tel: CoordTel::new(Telemetry::disabled()),
@@ -686,7 +701,7 @@ impl Coordinator {
             return Vec::new();
         };
         (0..self.n)
-            .filter(|&i| self.alive[i])
+            .filter(|&i| self.lru.contains(i))
             .map(|i| {
                 Outbound::new(
                     i,
@@ -760,9 +775,12 @@ impl Coordinator {
             } => (local_vector, Some(kind)),
             NodeMessage::LocalVector { vector, .. } => (vector, None),
         };
-        let rejoining = !self.alive[sender];
+        let rejoining = !self.lru.contains(sender);
         if rejoining {
-            self.alive[sender] = true;
+            // Re-admit: linking the node makes it a member again, with
+            // no vector known yet.
+            self.touch_lru(sender);
+            self.unregistered += 1;
             self.node_has_curvature[sender] = false;
             self.stats.rejoins += 1;
             self.tel.rejoins.inc();
@@ -784,7 +802,9 @@ impl Coordinator {
             // payload or the node would re-register forever.
             self.node_has_curvature[sender] = false;
         }
-        self.known_x[sender] = Some(vector);
+        if self.known_x[sender].replace(vector).is_none() {
+            self.unregistered -= 1;
+        }
         self.touch_lru(sender);
         if let Some(kind) = violation {
             self.record_violation(kind);
@@ -798,8 +818,7 @@ impl Coordinator {
 
         match std::mem::replace(&mut self.state, SyncState::Monitoring) {
             SyncState::Initializing => {
-                let complete = (0..self.n).all(|i| !self.alive[i] || self.known_x[i].is_some());
-                if complete {
+                if self.unregistered == 0 {
                     self.full_sync()
                 } else {
                     self.state = SyncState::Initializing;
@@ -990,7 +1009,7 @@ impl Coordinator {
     /// immediately if everything is known.
     fn begin_full_sync(&mut self, have: BTreeSet<NodeId>) -> Vec<Outbound> {
         let pending: BTreeSet<NodeId> = (0..self.n)
-            .filter(|&i| self.alive[i] && !have.contains(&i))
+            .filter(|&i| self.lru.contains(i) && !have.contains(&i))
             .collect();
         if pending.is_empty() {
             return self.full_sync();
@@ -1016,7 +1035,7 @@ impl Coordinator {
             .known_x
             .iter()
             .enumerate()
-            .filter(|&(i, _)| self.alive[i])
+            .filter(|&(i, _)| self.lru.contains(i))
             .map(|(i, x)| (i, x.clone().expect("full sync requires all alive vectors")))
             .collect();
         let xs: Vec<Vec<f64>> = members.iter().map(|(_, x)| x.clone()).collect();
@@ -1401,6 +1420,46 @@ mod tests {
         assert_eq!(nodes[2].epoch(), coord.epoch());
         // The group keeps monitoring normally afterwards.
         assert!(nodes[2].update_data(vec![6.1, 0.0]).is_none());
+    }
+
+    #[test]
+    fn evicting_the_last_unregistered_node_completes_initialization() {
+        let (mut coord, mut nodes) = setup(3, MonitorConfig::builder(0.5).build());
+        for (i, x) in [vec![0.0, 0.0], vec![3.0, 0.0]].into_iter().enumerate() {
+            let m = nodes[i].update_data(x).unwrap();
+            route(&mut coord, &mut nodes, m);
+        }
+        assert_eq!(coord.stats().full_syncs, 0);
+
+        // Node 2 never registered; once it is gone the survivors are
+        // complete, so the full sync over {0, 1} fires at once.
+        let out = coord.evict(2);
+        assert_eq!(coord.stats().full_syncs, 1);
+        assert_eq!(out.iter().map(|o| o.to).collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(coord.current_value(), Some(1.5));
+        assert_eq!(coord.alive_count(), 2);
+        assert!(!coord.is_resolving());
+    }
+
+    #[test]
+    fn evicting_a_registered_node_waits_for_the_last_registration() {
+        let (mut coord, mut nodes) = setup(3, MonitorConfig::builder(0.5).build());
+        for (i, x) in [vec![0.0, 0.0], vec![3.0, 0.0]].into_iter().enumerate() {
+            let m = nodes[i].update_data(x).unwrap();
+            route(&mut coord, &mut nodes, m);
+        }
+        // Node 1 had registered; node 2 still has not, so nothing fires.
+        assert!(coord.evict(1).is_empty());
+        assert_eq!(coord.stats().full_syncs, 0);
+        assert_eq!(coord.current_value(), None);
+
+        // The last registration completes the survivors {0, 2}.
+        let m = nodes[2].update_data(vec![6.0, 0.0]).unwrap();
+        route(&mut coord, &mut nodes, m);
+        assert_eq!(coord.stats().full_syncs, 1);
+        assert_eq!(coord.current_value(), Some(3.0));
+        assert!(!coord.is_alive(1));
+        assert_eq!(coord.alive_count(), 2);
     }
 
     #[test]

@@ -1,20 +1,24 @@
 //! The coordinator's lazy-sync node LRU (§3.5): an intrusive slot-index
 //! recency list with the same iteration order as the `VecDeque` it
-//! replaces, but O(1) touch instead of an O(n) scan.
+//! replaces, but O(1) touch instead of an O(n) scan. It links exactly
+//! the alive nodes, so it is also the coordinator's membership set.
 
 const NIL: usize = usize::MAX;
 
 /// An intrusive doubly-linked recency list over slot indices
-/// `0..n`, backing the coordinator's lazy-sync node LRU (§3.5).
+/// `0..n`, backing the coordinator's lazy-sync node LRU (§3.5) and its
+/// membership set.
 ///
 /// `touch` is O(1) — unlink (if present) plus push-back — replacing
 /// the `VecDeque` + `iter().position()` scan it superseded, with
-/// identical front-(least recent)-to-back iteration order.
+/// identical front-(least recent)-to-back iteration order. `len` and
+/// `contains` are O(1) too.
 #[derive(Debug, Clone)]
 pub struct SlotList {
     prev: Vec<usize>,
     next: Vec<usize>,
     linked: Vec<bool>,
+    len: usize,
     head: usize,
     tail: usize,
 }
@@ -26,6 +30,7 @@ impl SlotList {
             prev: vec![NIL; n],
             next: vec![NIL; n],
             linked: vec![false; n],
+            len: 0,
             head: NIL,
             tail: NIL,
         }
@@ -51,10 +56,17 @@ impl SlotList {
         list
     }
 
-    /// Linked slot count.
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.iter().count()
+    /// Linked slot count. O(1).
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` while `slot` is linked. O(1).
+    ///
+    /// # Panics
+    /// Panics if `slot` is out of range.
+    pub fn contains(&self, slot: usize) -> bool {
+        self.linked[slot]
     }
 
     /// The least recently touched slot.
@@ -81,6 +93,7 @@ impl SlotList {
         }
         self.tail = slot;
         self.linked[slot] = true;
+        self.len += 1;
     }
 
     /// Unlink `slot` if present; reports whether it was linked. O(1).
@@ -102,6 +115,7 @@ impl SlotList {
         self.prev[slot] = NIL;
         self.next[slot] = NIL;
         self.linked[slot] = false;
+        self.len -= 1;
         true
     }
 
@@ -182,6 +196,9 @@ mod tests {
             );
             assert_eq!(list.len(), reference.len());
             assert_eq!(list.front(), reference.front().copied());
+            for s in 0..n {
+                assert_eq!(list.contains(s), reference.contains(&s));
+            }
         }
         let order: Vec<usize> = list.iter().collect();
         let restored = SlotList::from_order(n, &order);

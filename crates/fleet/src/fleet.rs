@@ -324,29 +324,34 @@ impl Fleet {
         if leaf.coord.alive_count() != leaf.pushed_weight {
             self.refresh_all_proxies(parent);
         } else if leaf.coord.epoch() != leaf.pushed_epoch {
-            self.refresh_proxy(l, parent);
+            let population = self.population();
+            self.refresh_proxy(l, population, parent);
         }
     }
 
-    /// Re-derive every proxy vector under the current weights.
+    /// Re-derive every proxy vector under the current weights. Root
+    /// traffic never changes a leaf's membership, so one population
+    /// sum serves every leaf.
     fn refresh_all_proxies(&mut self, parent: SpanId) {
+        let population = self.population();
         for l in 0..self.leaves.len() {
-            self.refresh_proxy(l, parent);
+            self.refresh_proxy(l, population, parent);
         }
     }
 
     /// Push leaf `l`'s scaled partial mean into its proxy; on proxy
     /// violation, report to the root and resolve the root tier.
-    fn refresh_proxy(&mut self, l: usize, parent: SpanId) {
+    /// `population` is `self.population()`, summed once by the caller.
+    fn refresh_proxy(&mut self, l: usize, population: (usize, usize), parent: SpanId) {
         if !self.leaf_alive[l] {
             return;
         }
-        let (s_alive, n_alive) = self.population();
         let leaf = &mut self.leaves[l];
         let Some(zone) = leaf.coord.zone() else {
             // Shard not initialized yet: nothing to publish.
             return;
         };
+        let (s_alive, n_alive) = population;
         if n_alive == 0 {
             return;
         }
@@ -387,7 +392,7 @@ impl Fleet {
     /// `(alive leaves, alive population over alive leaves)` — the
     /// scale inputs. Population counts a leaf's *registered* alive
     /// members, so restarts count from re-registration, exactly when
-    /// they re-enter the shard mean.
+    /// they re-enter the shard mean. O(S).
     fn population(&self) -> (usize, usize) {
         let mut leaves = 0;
         let mut population = 0;

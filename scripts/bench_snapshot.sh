@@ -40,15 +40,6 @@
 # core count match, and the snapshots on file were taken on 1- and 2-core
 # hosts.
 #
-# The fleet_scaling bench is snapshotted separately into
-# BENCH_fleet_scaling.json: it measures message/byte *volume* of the
-# two-tier hierarchy against the flat baseline, not wall time. The
-# protocol is deterministic, so it runs ONCE and the values (keyed
-# "fleet_scaling/<fn>/<case>/<metric>") are exact counts per update —
-# the root_over_flat_msgs ratio is the §3.14 sublinearity acceptance
-# number (must stay ≤ 0.5 at 10k streams / 32 shards; the bench binary
-# asserts this itself).
-#
 # The net_throughput bench (NETLINE rows, BENCH_net_throughput.json)
 # blasts real frames over real sockets: reports/sec and syscalls/report
 # for the epoll reactor vs the thread-per-connection transport at 1k
@@ -153,62 +144,6 @@ PYEOF
 
 snapshot BENCH_adcd_hotpath.json node_runtime coordinator_full_sync substrates store_wal
 snapshot BENCH_obs_overhead.json obs_overhead
-
-# Fleet scaling: deterministic volume counts, one run, FLEETLINE rows.
-echo "running fleet_scaling (volume, 1 rep) ..." >&2
-cargo bench -q -p automon-bench --bench fleet_scaling 2>/dev/null \
-    | grep '^FLEETLINE' > "$RAW"
-BENCH_HOST_UNAME=$(uname -srm) BENCH_HOST_CORES=$(nproc) \
-    python3 - "$RAW" BENCH_fleet_scaling.json <<'PYEOF'
-import json
-import os
-import sys
-from datetime import datetime, timezone
-
-raw_path, out_path = sys.argv[1], sys.argv[2]
-
-current = {}
-with open(raw_path) as fh:
-    for line in fh:
-        # FLEETLINE fleet_scaling/<fn>/<case>/<metric> value <float>
-        parts = line.split()
-        if len(parts) == 4 and parts[0] == "FLEETLINE" and parts[2] == "value":
-            current[parts[1]] = float(parts[3])
-
-if not current:
-    sys.exit("bench_snapshot: no FLEETLINE output captured")
-
-ratios = {k: v for k, v in current.items() if k.endswith("/root_over_flat_msgs")}
-over = {k: v for k, v in ratios.items() if v > 0.5}
-if over:
-    sys.exit(f"bench_snapshot: root tier exceeds 0.5x flat baseline: {over}")
-
-previous = None
-try:
-    with open(out_path) as fh:
-        previous = json.load(fh).get("current")
-except (FileNotFoundError, json.JSONDecodeError):
-    pass
-
-snapshot = {
-    "unit": "per-update counts (msgs/bytes) and absolute errors",
-    "protocol": "single deterministic run; root_over_flat_msgs must be <= 0.5",
-    "captured_at": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-    "host": {
-        "uname": os.environ.get("BENCH_HOST_UNAME", "unknown"),
-        "cores": int(os.environ.get("BENCH_HOST_CORES", "0")),
-    },
-    "benches": ["fleet_scaling"],
-    "previous": previous,
-    "current": dict(sorted(current.items())),
-}
-with open(out_path, "w") as fh:
-    json.dump(snapshot, fh, indent=2)
-    fh.write("\n")
-worst = max(ratios.values()) if ratios else float("nan")
-print(f"wrote {out_path}: {len(current)} values, worst root/flat ratio {worst:.4f}"
-      + (" (rotated previous snapshot)" if previous else ""))
-PYEOF
 
 # Net throughput: real-socket blast, NETLINE rows (best-of-2 inside the
 # bench binary, so one outer run).
