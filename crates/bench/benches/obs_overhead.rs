@@ -2,9 +2,9 @@
 //!
 //! `decompose_bare` is the exact `full_sync_decompose/adcd_x_kld_seq`
 //! configuration from `coordinator_full_sync.rs`; `decompose_disabled_tel`
-//! routes through `decompose_observed` with `Telemetry::disabled()` — the
-//! zero-overhead claim CI enforces (`scripts/ci.sh`, BENCH_SMOKE_TOLERANCE)
-//! — and `decompose_enabled_tel` prices live counters + one trace event
+//! routes through `decompose_observed` with `Telemetry::disabled()`
+//! (`tests/disabled_telemetry.rs` asserts it returns the bare path's
+//! bits), and `decompose_enabled_tel` prices live counters + one trace event
 //! per decomposition. The micro group isolates the per-call primitives.
 
 use automon_core::{adcd, EigenSearch, MonitorConfig, NeighborhoodBox};

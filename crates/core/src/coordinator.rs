@@ -11,7 +11,7 @@ use crate::adcd::{self, AdcdKind, DcDecomposition};
 use crate::config::{ApproximationKind, MonitorConfig};
 use crate::ledger::CommCause;
 use crate::messages::{CoordinatorMessage, Epoch, NodeId, NodeMessage, Outbound};
-use crate::safezone::{Curvature, DcKind, Domain, SafeZone, ViolationKind};
+use crate::safezone::{zip_into, Curvature, DcKind, Domain, SafeZone, ViolationKind};
 use crate::slot_list::SlotList;
 use crate::MonitoredFunction;
 
@@ -926,12 +926,11 @@ impl Coordinator {
     /// Try to resolve with the current balancing set, growing it via the
     /// LRU strategy; escalate to full sync past `n/2` (paper §3.5).
     fn continue_lazy(&mut self, set: BTreeSet<NodeId>) -> Vec<Outbound> {
-        if self.try_balance(&set) {
-            let b = self.balance_point(&set);
+        if let Some(b) = self.try_balance(&set) {
             let mut out = Vec::with_capacity(set.len());
             for &i in &set {
                 let xi = self.known_x[i].as_ref().expect("vector known for set member");
-                self.slack[i] = vector::sub(&b, xi);
+                zip_into(&mut self.slack[i], &b, xi, |a, c| a - c);
                 out.push(Outbound::new(
                     i,
                     CoordinatorMessage::SlackUpdate {
@@ -984,25 +983,31 @@ impl Coordinator {
         }
     }
 
-    /// Average of the slack-adjusted vectors of the balancing set.
+    /// Average of the slack-adjusted vectors `xᵢ + sᵢ` of the balancing
+    /// set, summed in one pass in id order: the bits of `vector::mean`
+    /// over `vector::add(xᵢ, sᵢ)` (its `+= 1.0 · v` is exact), with no
+    /// vector per member.
     fn balance_point(&self, set: &BTreeSet<NodeId>) -> Vec<f64> {
-        let adjusted: Vec<Vec<f64>> = set
-            .iter()
-            .map(|&i| {
-                let xi = self.known_x[i].as_ref().expect("vector known");
-                vector::add(xi, &self.slack[i])
-            })
-            .collect();
-        vector::mean(&adjusted).expect("non-empty balancing set")
+        assert!(!set.is_empty(), "non-empty balancing set");
+        let mut b = vec![0.0; self.f.dim()];
+        for &i in set {
+            let xi = self.known_x[i].as_ref().expect("vector known");
+            for ((bk, xk), sk) in b.iter_mut().zip(xi).zip(&self.slack[i]) {
+                *bk += xk + sk;
+            }
+        }
+        let inv = 1.0 / set.len() as f64;
+        for bk in &mut b {
+            *bk *= inv;
+        }
+        b
     }
 
-    /// `true` when the balance point satisfies all local constraints.
-    fn try_balance(&self, set: &BTreeSet<NodeId>) -> bool {
-        let Some(zone) = &self.zone else {
-            return false;
-        };
+    /// The balance point, when it satisfies all local constraints.
+    fn try_balance(&self, set: &BTreeSet<NodeId>) -> Option<Vec<f64>> {
+        let zone = self.zone.as_ref()?;
         let b = self.balance_point(set);
-        zone.contains(self.f.as_ref(), &b)
+        zone.contains(self.f.as_ref(), &b).then_some(b)
     }
 
     /// Request vectors from every alive node not in `have`, or sync
@@ -1031,15 +1036,21 @@ impl Coordinator {
     /// Paper Algorithm 1, `CoordinatorFullSync`: recompute `x0`,
     /// thresholds, decomposition, safe zone, and slack; broadcast.
     fn full_sync(&mut self) -> Vec<Outbound> {
-        let members: Vec<(NodeId, Vec<f64>)> = self
-            .known_x
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| self.lru.contains(i))
-            .map(|(i, x)| (i, x.clone().expect("full sync requires all alive vectors")))
-            .collect();
-        let xs: Vec<Vec<f64>> = members.iter().map(|(_, x)| x.clone()).collect();
-        let x0 = vector::mean(&xs).expect("at least one alive node");
+        // x0 is `vector::mean` of the alive vectors, summed in place in id
+        // order: the same bits without cloning any member.
+        let members: Vec<NodeId> = (0..self.n).filter(|&i| self.lru.contains(i)).collect();
+        assert!(!members.is_empty(), "at least one alive node");
+        let mut x0 = vec![0.0; self.f.dim()];
+        for &i in &members {
+            let xi = self.known_x[i]
+                .as_ref()
+                .expect("full sync requires all alive vectors");
+            vector::axpy(&mut x0, 1.0, xi);
+        }
+        let inv = 1.0 / members.len() as f64;
+        for v in &mut x0 {
+            *v *= inv;
+        }
         let (f0, grad0) = self.f.eval_grad(&x0);
         let (l, u) = self.thresholds(f0);
 
@@ -1107,13 +1118,14 @@ impl Coordinator {
         // carry it, and anything still in flight from before is stale.
         self.epoch += 1;
         let mut out = Vec::with_capacity(members.len());
-        for (i, xi) in &members {
-            let i = *i;
-            self.slack[i] = if self.cfg.enable_slack {
-                vector::sub(&x0, xi)
+        for &i in &members {
+            if self.cfg.enable_slack {
+                let xi = self.known_x[i].as_ref().expect("vector known");
+                zip_into(&mut self.slack[i], &x0, xi, |a, c| a - c);
             } else {
-                vec![0.0; x0.len()]
-            };
+                self.slack[i].clear();
+                self.slack[i].resize(x0.len(), 0.0);
+            }
             let msg = if curvature_unchanged && self.node_has_curvature[i] {
                 CoordinatorMessage::NewConstraintsCached {
                     update: crate::messages::ZoneUpdate {
@@ -1315,6 +1327,62 @@ mod tests {
                 route(coord, nodes, m);
             }
         }
+    }
+
+    #[test]
+    fn unbalanceable_violation_escalates_in_the_section_3_5_shape() {
+        // One node drifts by 100 against ε = 0.1 while n − 1 stay at 0:
+        // the balance point of any S is f = 100/|S| ≥ 100/16 > ε, so no
+        // balancing set fixes it. §3.5 grows S = {sender} one pull at a
+        // time while 2|S| ≤ n: |S| = 1 … 8 each fail and pull, n/2 = 8
+        // single pulls. At |S| = 9, 2·9 = 18 > 16 escalates: one batch
+        // pulls the other 16 − 9 = 7, and the last of their replies
+        // completes a full sync that installs at all 16 nodes.
+        let n = 16;
+        let (mut coord, mut nodes) = setup(n, MonitorConfig::builder(0.1).build());
+        init(&mut coord, &mut nodes, &vec![vec![0.0, 0.0]; n]);
+        let violation = nodes[0].update_data(vec![100.0, 0.0]).expect("violation");
+        let mut out = coord.handle(violation);
+
+        let is_pull = |o: &Outbound, cause| {
+            matches!(o.msg, CoordinatorMessage::RequestLocalVector { .. }) && o.cause == cause
+        };
+        let mut single_pulls = 0;
+        while out.len() == 1 && is_pull(&out[0], CommCause::LazySync) {
+            single_pulls += 1;
+            let o = out.pop().unwrap();
+            let reply = nodes[o.to].handle(o.msg).expect("pulled node replies");
+            out = coord.handle(reply);
+        }
+        assert_eq!(single_pulls, n / 2);
+
+        let batch = out;
+        assert_eq!(batch.len(), n - (n / 2 + 1));
+        assert!(batch.iter().all(|o| is_pull(o, CommCause::FullSync)));
+        let mut installs = Vec::new();
+        for (k, o) in batch.into_iter().enumerate() {
+            let reply = nodes[o.to].handle(o.msg).expect("pulled node replies");
+            let replies = coord.handle(reply);
+            if k + 1 < n - (n / 2 + 1) {
+                assert!(replies.is_empty(), "the full sync waits for every vector");
+            } else {
+                installs = replies;
+            }
+        }
+        assert_eq!(installs.len(), n);
+        let recipients: BTreeSet<NodeId> = installs.iter().map(|o| o.to).collect();
+        assert_eq!(recipients.len(), n);
+        let is_install = |o: &Outbound| {
+            o.cause == CommCause::FullSync
+                && matches!(
+                    o.msg,
+                    CoordinatorMessage::NewConstraints { .. }
+                        | CoordinatorMessage::NewConstraintsCached { .. }
+                )
+        };
+        assert!(installs.iter().all(is_install));
+        assert_eq!(coord.stats().lazy_syncs, 0);
+        assert_eq!(coord.stats().full_syncs, 2);
     }
 
     #[test]

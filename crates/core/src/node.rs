@@ -12,7 +12,6 @@ use std::sync::Arc;
 use crate::messages::{CoordinatorMessage, Epoch, NodeId, NodeMessage};
 use crate::safezone::{SafeZone, ViolationKind};
 use crate::MonitoredFunction;
-use automon_linalg::vector;
 use automon_obs::{Counter, Telemetry};
 
 /// One monitoring node.
@@ -156,8 +155,7 @@ impl Node {
             });
         };
         self.tel_checks.inc();
-        let adjusted = vector::add(x, &self.slack);
-        let kind = zone.check(self.f.as_ref(), &adjusted)?;
+        let kind = zone.check_shifted(self.f.as_ref(), x, &self.slack)?;
         self.pending = true;
         self.pending_kind = Some(kind);
         self.tel_reports.inc();

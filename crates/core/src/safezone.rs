@@ -7,6 +7,8 @@
 //! (serializable) — the monitored function itself is shared code that both
 //! coordinator and nodes already hold.
 
+use std::cell::RefCell;
+
 use automon_linalg::{vector, Matrix};
 use serde::{Deserialize, Serialize};
 
@@ -128,13 +130,42 @@ pub enum Curvature {
 }
 
 impl Curvature {
-    /// Evaluate `q(Δ)` at the offset `Δ = x - x0`.
-    pub fn eval(&self, delta: &[f64]) -> f64 {
+    /// Evaluate `q(Δ)` at the offset `Δ = x - x0`, writing `MΔ` into
+    /// `m_delta` for the anisotropic form. Same loops, and so the same
+    /// bits, as `0.5 · Matrix::quadratic_form(Δ)`: a row-wise `dot` into
+    /// `MΔ`, then `dot(Δ, MΔ)`.
+    fn eval_into(&self, delta: &[f64], m_delta: &mut Vec<f64>) -> f64 {
         match self {
             Curvature::Scalar(c) => 0.5 * c * vector::norm_sq(delta),
-            Curvature::Quadratic(m) => 0.5 * m.quadratic_form(delta),
+            Curvature::Quadratic(m) => {
+                m_delta.clear();
+                m_delta.extend(
+                    m.as_slice()
+                        .chunks_exact(m.cols())
+                        .map(|row| vector::dot(row, delta)),
+                );
+                0.5 * vector::dot(delta, m_delta)
+            }
         }
     }
+}
+
+/// `out[k] = op(a[k], b[k])` in `out`'s own buffer: the bits of
+/// `vector::add` / `vector::sub` without a fresh vector.
+pub(crate) fn zip_into(out: &mut Vec<f64>, a: &[f64], b: &[f64], op: impl Fn(f64, f64) -> f64) {
+    assert_eq!(a.len(), b.len(), "zip_into: dimension mismatch");
+    out.clear();
+    out.extend(a.iter().zip(b).map(|(&x, &y)| op(x, y)));
+}
+
+thread_local! {
+    /// [`SafeZone::check`]'s buffers: `x + s`, `Δ` and `MΔ`. Every check on
+    /// a thread (each node's, and the coordinator's balance-point check)
+    /// reuses them, so a check allocates nothing once they have grown to
+    /// the largest `d` seen. One set per thread rather than per node: 10 k
+    /// nodes' own buffers would each be a cold cache line per update.
+    static SCRATCH: RefCell<[Vec<f64>; 3]> =
+        const { RefCell::new([Vec::new(), Vec::new(), Vec::new()]) };
 }
 
 /// A violation a node can report (paper §3.5, §3.7).
@@ -180,6 +211,30 @@ impl SafeZone {
     ///
     /// Returns `None` when all constraints hold.
     pub fn check(&self, f: &dyn MonitoredFunction, x: &[f64]) -> Option<ViolationKind> {
+        SCRATCH.with_borrow_mut(|[_, delta, m_delta]| self.check_in(f, x, delta, m_delta))
+    }
+
+    /// [`check`](Self::check) of the slack-adjusted vector `x + s`, summed
+    /// into the thread's scratch instead of a fresh vector.
+    pub(crate) fn check_shifted(
+        &self,
+        f: &dyn MonitoredFunction,
+        x: &[f64],
+        s: &[f64],
+    ) -> Option<ViolationKind> {
+        SCRATCH.with_borrow_mut(|[shifted, delta, m_delta]| {
+            zip_into(shifted, x, s, |a, b| a + b);
+            self.check_in(f, shifted, delta, m_delta)
+        })
+    }
+
+    fn check_in(
+        &self,
+        f: &dyn MonitoredFunction,
+        x: &[f64],
+        delta: &mut Vec<f64>,
+        m_delta: &mut Vec<f64>,
+    ) -> Option<ViolationKind> {
         if let Some(b) = &self.neighborhood {
             if !b.contains(x) {
                 return Some(ViolationKind::Neighborhood);
@@ -195,9 +250,9 @@ impl SafeZone {
             };
         }
 
-        let delta = vector::sub(x, &self.x0);
-        let q = self.curvature.eval(&delta);
-        let tangent = self.f0 + vector::dot(&self.grad0, &delta);
+        zip_into(delta, x, &self.x0, |a, b| a - b);
+        let q = self.curvature.eval_into(delta, m_delta);
+        let tangent = self.f0 + vector::dot(&self.grad0, delta);
         let in_zone = match self.dc {
             DcKind::ConvexDiff => {
                 // ǧ(x) ≤ U  and  ȟ(x) ≤ f(x0) + ∇f(x0)ᵀΔ - L   (paper eq. 4)
@@ -396,8 +451,8 @@ mod tests {
         let c = 0.7;
         let m = Matrix::from_diag(&[c, c, c]);
         let delta = [0.3, -1.0, 2.0];
-        let s = Curvature::Scalar(c).eval(&delta);
-        let q = Curvature::Quadratic(m).eval(&delta);
+        let s = Curvature::Scalar(c).eval_into(&delta, &mut Vec::new());
+        let q = Curvature::Quadratic(m).eval_into(&delta, &mut Vec::new());
         assert!((s - q).abs() < 1e-12);
     }
 

@@ -288,7 +288,7 @@ impl Fleet {
         if !self.stream_alive[g] {
             return;
         }
-        self.latest[g] = Some(x.clone());
+        self.latest[g].get_or_insert_default().clone_from(&x);
         let (l, local) = self.map.locate(g);
         if !self.leaf_alive[l] {
             return;

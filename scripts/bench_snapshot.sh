@@ -2,11 +2,10 @@
 # Snapshot the ADCD hot-path benches into BENCH_adcd_hotpath.json and
 # the telemetry-overhead benches into BENCH_obs_overhead.json.
 #
-# Runs the node_runtime, coordinator_full_sync, substrates and
-# store_wal Criterion benches (node/coordinator runtime, the autodiff
-# Hessian microbench, the Jacobi eigensolver, wire codecs, and the
-# durable store's journal-append and crash-recovery replay) plus
-# obs_overhead (bare vs
+# Runs the coordinator_full_sync, substrates and store_wal Criterion
+# benches (coordinator runtime, the autodiff Hessian microbench, the
+# Jacobi eigensolver, wire codecs, and the durable store's journal-append
+# and crash-recovery replay) plus obs_overhead (bare vs
 # disabled-telemetry vs live-telemetry decompose, metric primitives) and
 # records every BENCHLINE median, keyed "<group>/<bench>/<dim>" in
 # nanoseconds. If a snapshot already exists, its "current" section is
@@ -142,7 +141,7 @@ print(f"wrote {out_path}: {len(current)} medians"
 PYEOF
 }
 
-snapshot BENCH_adcd_hotpath.json node_runtime coordinator_full_sync substrates store_wal
+snapshot BENCH_adcd_hotpath.json coordinator_full_sync substrates store_wal
 snapshot BENCH_obs_overhead.json obs_overhead
 
 # Net throughput: real-socket blast, NETLINE rows (best-of-2 inside the

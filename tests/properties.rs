@@ -234,10 +234,8 @@ proptest! {
         // The PSD part of any symmetric matrix yields a nonnegative
         // penalty — the property that makes ǧ/ĝ convex/concave.
         let e = SymEigen::new(&m);
-        let q = Curvature::Quadratic(e.psd_part());
-        prop_assert!(q.eval(&delta) >= -1e-9);
-        let qneg = Curvature::Quadratic(e.nsd_part().scale(-1.0));
-        prop_assert!(qneg.eval(&delta) >= -1e-9);
+        prop_assert!(0.5 * e.psd_part().quadratic_form(&delta) >= -1e-9);
+        prop_assert!(0.5 * e.nsd_part().scale(-1.0).quadratic_form(&delta) >= -1e-9);
     }
 }
 
