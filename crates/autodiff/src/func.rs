@@ -32,15 +32,6 @@ pub trait ScalarFn: Send + Sync + 'static {
     fn upper_bounds(&self) -> Option<Vec<f64>> {
         None
     }
-
-    /// Hint that the Hessian is constant over the whole domain.
-    ///
-    /// `None` (default) lets [`AutoDiffFn`] decide by probing; `Some(b)`
-    /// overrides detection — the escape hatch for functions whose
-    /// constancy is known a priori.
-    fn constant_hessian_hint(&self) -> Option<bool> {
-        None
-    }
 }
 
 /// Object-safe differentiable-function interface.
@@ -91,18 +82,18 @@ pub trait DifferentiableFn: Send + Sync {
     ///
     /// Decides ADCD-E vs ADCD-X (paper §3.2: "we can automatically detect
     /// functions with a constant Hessian by looking at the computational
-    /// graph"). This implementation detects it by probing the Hessian at
-    /// several well-spread domain points at wrap time (see the
-    /// `AutoDiffFn` docs for the rationale).
+    /// graph"). [`AutoDiffFn`] reads it from the graph it records at
+    /// wrap time: the output must be a polynomial of degree ≤ 2 whose
+    /// recording does not depend on the point.
     fn has_constant_hessian(&self) -> bool;
 
     /// The constant Hessian itself, when [`Self::has_constant_hessian`]
     /// and the implementation kept one around.
     ///
-    /// [`AutoDiffFn`] shares the Hessian already computed by its
-    /// wrap-time constancy probes, so ADCD-E never pays for a redundant
-    /// recomputation at the first full sync. `None` (the default) makes
-    /// callers fall back to [`Self::hessian`].
+    /// [`AutoDiffFn`] shares the Hessian it computed from its wrap-time
+    /// recording, so ADCD-E never pays for a redundant recomputation at
+    /// the first full sync. `None` (the default) makes callers fall back
+    /// to [`Self::hessian`].
     fn constant_hessian(&self) -> Option<Matrix> {
         None
     }
@@ -270,13 +261,13 @@ impl<F: ScalarFn> HvpEvaluator for GraphHvpEval<'_, F> {
 
 /// Differentiable wrapper around a [`ScalarFn`].
 ///
-/// Construction probes the function once to decide Hessian constancy
-/// (unless the function provides a hint); all derivative queries afterwards
-/// are allocation-light single passes.
+/// Construction records the function's graph once and reads Hessian
+/// constancy off it; all derivative queries afterwards are
+/// allocation-light single passes.
 pub struct AutoDiffFn<F: ScalarFn> {
     f: F,
     constant_hessian: bool,
-    /// The Hessian from the wrap-time constancy probes, kept when it is
+    /// The Hessian computed from the wrap-time recording, kept when it is
     /// constant so ADCD-E reuses it instead of recomputing at `x0`.
     cached_hessian: Option<Matrix>,
     /// Op count observed on the last trace (0 = not yet traced); sizes
@@ -285,28 +276,30 @@ pub struct AutoDiffFn<F: ScalarFn> {
 }
 
 impl<F: ScalarFn> AutoDiffFn<F> {
-    /// Wrap `f`, probing for Hessian constancy unless `f` hints it.
+    /// Wrap `f`, reading Hessian constancy from its recorded graph.
     ///
-    /// When the Hessian is constant — detected or hinted — the probe
-    /// Hessian is cached and shared with ADCD-E through
-    /// [`DifferentiableFn::constant_hessian`], so wrap-time detection and
-    /// the first decomposition are one code path instead of two.
+    /// The graph is recorded once, at a fixed point clamped into the
+    /// declared domain box, and its Hessian is computed there. When the
+    /// graph says the Hessian is constant, that matrix is cached and
+    /// shared with ADCD-E through [`DifferentiableFn::constant_hessian`];
+    /// it is bit-identical to [`DifferentiableFn::hessian`] at that point.
     pub fn new(f: F) -> Self {
-        let (constant_hessian, cached_hessian) = match f.constant_hessian_hint() {
-            Some(true) => {
-                let h = HessianProbe { f: &f }.hessian_at(&Self::probe_points(&f)[0]);
-                (true, Some(h))
-            }
-            Some(false) => (false, None),
-            None => {
-                let (constant, h0) = Self::detect_constant_hessian(&f);
-                (constant, constant.then_some(h0))
-            }
-        };
+        let d = f.dim();
+        let mut x: Vec<f64> = (0..d).map(|i| 0.137 + 0.061 * i as f64).collect();
+        if let Some(lo) = f.lower_bounds() {
+            x.iter_mut().zip(lo).for_each(|(xi, l)| *xi = xi.max(l));
+        }
+        if let Some(hi) = f.upper_bounds() {
+            x.iter_mut().zip(hi).for_each(|(xi, h)| *xi = xi.min(h));
+        }
+        let mut ws = GraphWorkspace::new();
+        let mut h = Matrix::zeros(d, d);
+        ws.hessian_into(&f, &x, &mut h);
+        let constant_hessian = ws.has_constant_hessian();
         Self {
             f,
             constant_hessian,
-            cached_hessian,
+            cached_hessian: constant_hessian.then_some(h),
             op_hint: AtomicUsize::new(0),
         }
     }
@@ -359,82 +352,6 @@ impl<F: ScalarFn> AutoDiffFn<F> {
     /// The full symmetrized Hessian (d Hessian-vector products).
     pub fn hessian(&self, x: &[f64]) -> Matrix {
         DifferentiableFn::hessian(self, x)
-    }
-
-    /// Sample-based constant-Hessian detection.
-    ///
-    /// The paper's prototype inspects JAX's computational graph to see
-    /// whether second derivatives depend on `x`. We compute the same
-    /// predicate by *probing*: evaluate `H` at several deterministic,
-    /// well-spread points and compare. A non-quadratic analytic function
-    /// agreeing on all probes is astronomically unlikely; the
-    /// [`ScalarFn::constant_hessian_hint`] override covers pathological
-    /// cases. The probe points are kept inside the declared domain box.
-    fn detect_constant_hessian(f: &F) -> (bool, Matrix) {
-        let probes = Self::probe_points(f);
-        let helper = HessianProbe { f };
-        let h0 = helper.hessian_at(&probes[0]);
-        let scale = h0.frobenius_norm().max(1.0);
-        let constant = probes[1..]
-            .iter()
-            .all(|p| helper.hessian_at(p).approx_eq(&h0, 1e-9 * scale));
-        (constant, h0)
-    }
-
-    /// Three deterministic, irrational-ish probes to dodge symmetry,
-    /// clamped into the declared domain box.
-    fn probe_points(f: &F) -> [Vec<f64>; 3] {
-        let d = f.dim();
-        let lo = f.lower_bounds();
-        let hi = f.upper_bounds();
-        let clamp = |mut x: Vec<f64>| -> Vec<f64> {
-            if let Some(lo) = &lo {
-                for (xi, &l) in x.iter_mut().zip(lo) {
-                    *xi = xi.max(l);
-                }
-            }
-            if let Some(hi) = &hi {
-                for (xi, &h) in x.iter_mut().zip(hi) {
-                    *xi = xi.min(h);
-                }
-            }
-            x
-        };
-        [
-            clamp((0..d).map(|i| 0.137 + 0.061 * i as f64).collect()),
-            clamp((0..d).map(|i| 0.731 - 0.017 * i as f64).collect()),
-            clamp((0..d).map(|i| (-0.311f64).powi((i % 3) as i32 + 1)).collect()),
-        ]
-    }
-}
-
-/// Internal helper so detection can run before `AutoDiffFn` is built.
-struct HessianProbe<'a, F: ScalarFn> {
-    f: &'a F,
-}
-
-impl<F: ScalarFn> HessianProbe<'_, F> {
-    fn hessian_at(&self, x: &[f64]) -> Matrix {
-        let d = self.f.dim();
-        let mut h = Matrix::zeros(d, d);
-        let mut dir = vec![0.0; d];
-        for j in 0..d {
-            dir[j] = 1.0;
-            let tape = Tape::<Dual>::new();
-            let vars: Vec<_> = x
-                .iter()
-                .zip(&dir)
-                .map(|(&xi, &vi)| tape.var(Dual::new(xi, vi)))
-                .collect();
-            let out = self.f.call(&vars);
-            let col = tape.gradient(out, &vars);
-            dir[j] = 0.0;
-            for i in 0..d {
-                h[(i, j)] = col[i].d;
-            }
-        }
-        h.symmetrize();
-        h
     }
 }
 
@@ -615,21 +532,48 @@ mod tests {
         plain.hvp_eval().apply(&[1.0, 0.0], &mut [0.0; 2]);
     }
 
+    /// `has_constant_hessian()` of a 2-input function with body `$body`.
+    macro_rules! constant {
+        (|$x:ident| $body:expr) => {{
+            struct F;
+            impl ScalarFn for F {
+                fn dim(&self) -> usize {
+                    2
+                }
+                fn call<S: Scalar>(&self, $x: &[S]) -> S {
+                    $body
+                }
+            }
+            AutoDiffFn::new(F).has_constant_hessian()
+        }};
+    }
+
     #[test]
-    fn hint_overrides_detection() {
-        struct Hinted;
-        impl ScalarFn for Hinted {
-            fn dim(&self) -> usize {
-                1
-            }
-            fn call<S: Scalar>(&self, x: &[S]) -> S {
-                x[0].sin()
-            }
-            fn constant_hessian_hint(&self) -> Option<bool> {
-                Some(true)
-            }
-        }
-        assert!(AutoDiffFn::new(Hinted).has_constant_hessian());
+    fn nearly_quadratic_and_piecewise_functions_are_not_constant() {
+        // H₀₀ = 2 + 6e-12·x₀: indistinguishable from 2 near the origin.
+        assert!(!constant!(|x| x[0] * x[0]
+            + x[1] * x[1]
+            + S::from_f64(1e-12) * x[0].powi(3)));
+        // Zero curvature on x₀ < 5, where the wrap point sits; 2 beyond.
+        assert!(!constant!(
+            |x| (x[0] - S::from_f64(5.0)).relu().powi(2) + x[1]
+        ));
+        // A true quadratic, but the body reads a primal: the recording
+        // could differ at another point, so nothing is claimed.
+        assert!(!constant!(|x| if x[0].value() > 100.0 {
+            x[0] * x[1]
+        } else {
+            x[1] * x[0]
+        }));
+    }
+
+    #[test]
+    fn polynomials_of_degree_two_are_constant() {
+        assert!(constant!(
+            |x| S::from_f64(2.0) * x[0] - x[1] + S::from_f64(1.0)
+        ));
+        assert!(constant!(|x| x[0] * x[1] / S::from_f64(3.0)));
+        assert!(constant!(|x| x[0].powi(2) + x[1]));
     }
 
     #[test]
@@ -649,7 +593,7 @@ mod tests {
         let f = AutoDiffFn::new(Bounded);
         assert_eq!(DifferentiableFn::lower_bounds(&f), Some(vec![1e-6; 2]));
         assert_eq!(DifferentiableFn::upper_bounds(&f), None);
-        // ln has a varying Hessian; probes stayed in the domain (no NaN).
+        // ln has a varying Hessian; the wrap point stayed in the domain.
         assert!(!f.has_constant_hessian());
     }
 }

@@ -64,6 +64,10 @@
 //! control flow through [`Scalar::value`] — are detected during
 //! recording and re-recorded at every `at`/`hessian_into`; everything
 //! else is recorded exactly once per workspace lifetime.
+//!
+//! The recording is also where Hessian constancy (ADCD-E vs ADCD-X) is
+//! decided: one polynomial-degree pass over the recorded ops, see
+//! `GraphWorkspace::has_constant_hessian`.
 
 use crate::{Scalar, ScalarFn};
 use automon_linalg::Matrix;
@@ -415,6 +419,8 @@ struct Edge {
 pub struct GraphWorkspace {
     // Structure: written by `record`.
     nodes: Vec<GOp>,
+    /// Index of the output node.
+    out: usize,
     /// Row of the output node.
     out_row: usize,
     n_inputs: usize,
@@ -465,6 +471,7 @@ impl GraphWorkspace {
     pub fn new() -> Self {
         Self {
             nodes: Vec::new(),
+            out: 0,
             out_row: 0,
             n_inputs: 0,
             point_dependent: true,
@@ -515,6 +522,7 @@ impl GraphWorkspace {
             "gradient: output is a constant"
         );
         let out = out.idx as usize;
+        self.out = out;
         self.n_inputs = x.len();
         self.nodes = arena.nodes.into_inner();
         self.point_dependent =
@@ -565,6 +573,46 @@ impl GraphWorkspace {
                 }
             }
         }
+    }
+
+    /// Whether the last recording has a Hessian that does not depend on
+    /// the point, read off the op list by one degree pass: an input has
+    /// degree 1 and a constant 0; `Add`/`Sub` take the larger operand
+    /// degree, `Mul` the sum, `Neg` and division by a constant keep it,
+    /// and `powi(n ≥ 0)` multiplies it by `n`. Every other op of a
+    /// variable — division by one, a negative power, a transcendental —
+    /// is not a polynomial. The Hessian is constant iff the output has
+    /// degree ≤ 2 and the recording is not point-dependent (no resolved
+    /// branch, no [`Scalar::value`] read).
+    ///
+    /// Exact in the direction that matters: "constant" is never claimed
+    /// for a function whose Hessian varies. A quadratic in disguise
+    /// (say `exp(ln(x)·2)`) reads as varying, which only costs it ADCD-X.
+    pub(crate) fn has_constant_hessian(&self) -> bool {
+        if self.point_dependent {
+            return false;
+        }
+        const NOT_POLY: u32 = u32::MAX;
+        let mut deg: Vec<u32> = Vec::with_capacity(self.out + 1);
+        let of = |o: Operand, deg: &[u32]| match o {
+            Operand::Var(k) => deg[k as usize],
+            Operand::Const(_) => 0,
+        };
+        for op in &self.nodes[..=self.out] {
+            let d = match *op {
+                GOp::Input => 1,
+                GOp::Add(a, b) | GOp::Sub(a, b) => of(a, &deg).max(of(b, &deg)),
+                GOp::Mul(a, b) => of(a, &deg).saturating_add(of(b, &deg)),
+                GOp::Neg(a) | GOp::Div(a, Operand::Const(_)) => of(a, &deg),
+                GOp::Powi(a, n) if n >= 0 => match of(a, &deg) {
+                    NOT_POLY => NOT_POLY,
+                    d => d.saturating_mul(n.unsigned_abs()),
+                },
+                _ => NOT_POLY,
+            };
+            deg.push(d);
+        }
+        deg[self.out] <= 2
     }
 
     /// The full symmetrized Hessian of `f` at `x`, written into `h`.

@@ -29,6 +29,11 @@ pub trait Scalar:
     fn from_f64(c: f64) -> Self;
 
     /// The primal (undifferentiated) value.
+    ///
+    /// Reading it inside a function body lets control flow depend on the
+    /// point in ways the recorded graph cannot see, so `AutoDiffFn` then
+    /// never reports a constant Hessian: ADCD-E is unavailable for that
+    /// function and it is monitored with ADCD-X.
     fn value(&self) -> f64;
 
     /// Natural exponential `eˣ`.

@@ -200,7 +200,7 @@ pub fn decompose_observed(
 
 /// ADCD-E (paper Lemma 2).
 fn decompose_e(f: &dyn MonitoredFunction, x0: &[f64], cfg: &MonitorConfig) -> DcDecomposition {
-    // A constant Hessian was already evaluated once during detection;
+    // A constant Hessian was already evaluated once when f was wrapped;
     // reuse it instead of paying d more Hessian-vector products here.
     // When ADCD-E is forced on a function whose Hessian was not detected
     // constant, fall back to evaluating at the reference point.

@@ -38,10 +38,6 @@ impl ScalarFn for F2FromSketch {
         }
         acc * S::from_f64(1.0 / self.width as f64)
     }
-
-    fn constant_hessian_hint(&self) -> Option<bool> {
-        Some(true)
-    }
 }
 
 /// Simple-regression slope from the augmented moment vector
@@ -168,11 +164,6 @@ impl ScalarFn for FrequencyMoment {
 
     fn lower_bounds(&self) -> Option<Vec<f64>> {
         Some(vec![0.0; self.d])
-    }
-
-    fn constant_hessian_hint(&self) -> Option<bool> {
-        // F₁ is linear and F₂ quadratic: both constant-Hessian.
-        Some(self.k <= 2).filter(|&c| c)
     }
 }
 

@@ -40,10 +40,6 @@ impl ScalarFn for InnerProduct {
         }
         acc
     }
-
-    fn constant_hessian_hint(&self) -> Option<bool> {
-        Some(true)
-    }
 }
 
 /// Quadratic form `f(x) = xᵀQx` with a fixed matrix `Q` (paper §4.2).
@@ -96,10 +92,6 @@ impl ScalarFn for QuadraticForm {
         }
         acc
     }
-
-    fn constant_hessian_hint(&self) -> Option<bool> {
-        Some(true)
-    }
 }
 
 /// The §4.6 ablation function `f(x) = -x₁² + x₂²`.
@@ -113,10 +105,6 @@ impl ScalarFn for SaddleQuadratic {
 
     fn call<S: Scalar>(&self, x: &[S]) -> S {
         -x[0] * x[0] + x[1] * x[1]
-    }
-
-    fn constant_hessian_hint(&self) -> Option<bool> {
-        Some(true)
     }
 }
 
@@ -163,10 +151,6 @@ impl ScalarFn for Variance {
 
     fn call<S: Scalar>(&self, x: &[S]) -> S {
         x[1] - x[0] * x[0]
-    }
-
-    fn constant_hessian_hint(&self) -> Option<bool> {
-        Some(true)
     }
 }
 
