@@ -1,9 +1,9 @@
 //! User-facing function wrappers: evaluation, gradients, Hessians.
 
 use crate::graph::GraphWorkspace;
-use crate::{Dual, Scalar, Tape};
+use crate::Scalar;
 use automon_linalg::Matrix;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A multivariate scalar function written once over a generic [`Scalar`].
 ///
@@ -104,9 +104,9 @@ pub trait DifferentiableFn: Send + Sync {
     /// hot loops (the ADCD-X eigenvalue search evaluates dozens of
     /// Hessians per full sync) can keep one per worker thread and avoid
     /// re-tracing and re-allocating per query. The default delegates to
-    /// [`Self::hessian`]; [`AutoDiffFn`] overrides it with a
-    /// record-once/replay-many graph workspace that is bit-identical to
-    /// the tape path.
+    /// [`Self::hessian`]; [`AutoDiffFn`] overrides it with a graph
+    /// workspace of the evaluator's own, bit-identical to its
+    /// [`Self::hessian`].
     fn hessian_eval(&self) -> Box<dyn HessianEvaluator + '_> {
         Box::new(FallbackHessianEval { f: self })
     }
@@ -118,9 +118,10 @@ pub trait DifferentiableFn: Send + Sync {
     /// point and must never pay for materializing `H`, nor redo the
     /// point's primal work per product — hence [`HvpEvaluator::at`] once
     /// per point, [`HvpEvaluator::apply`] once per direction. The
-    /// default delegates to [`Self::hvp`] (re-tracing per product);
-    /// [`AutoDiffFn`] overrides it with a record-once graph workspace
-    /// whose products are bit-identical to the tape path.
+    /// default delegates to [`Self::hvp`] (the whole query per product);
+    /// [`AutoDiffFn`] overrides it with a graph workspace of the
+    /// evaluator's own whose products are bit-identical to its
+    /// [`Self::hvp`].
     fn hvp_eval(&self) -> Box<dyn HvpEvaluator + '_> {
         Box::new(FallbackHvpEval {
             f: self,
@@ -262,17 +263,22 @@ impl<F: ScalarFn> HvpEvaluator for GraphHvpEval<'_, F> {
 /// Differentiable wrapper around a [`ScalarFn`].
 ///
 /// Construction records the function's graph once and reads Hessian
-/// constancy off it; all derivative queries afterwards are
-/// allocation-light single passes.
+/// constancy off it. Every derivative afterwards is a sweep over that
+/// recording, which is re-recorded per point only when its structure
+/// depends on the point (`abs`/`max` branches, [`Scalar::value`] reads):
+/// [`Self::grad`] is one primal sweep, [`Self::hvp`] adds one tangent
+/// lane, [`Self::hessian`] carries `d` lanes at once.
+///
+/// The recording sits behind a mutex, so one wrapper can be shared
+/// across threads; queries from different threads take turns.
 pub struct AutoDiffFn<F: ScalarFn> {
     f: F,
     constant_hessian: bool,
     /// The Hessian computed from the wrap-time recording, kept when it is
     /// constant so ADCD-E reuses it instead of recomputing at `x0`.
     cached_hessian: Option<Matrix>,
-    /// Op count observed on the last trace (0 = not yet traced); sizes
-    /// subsequent tape arenas so they never regrow.
-    op_hint: AtomicUsize,
+    /// The wrap-time recording, with the scratch of its sweeps.
+    ws: Mutex<GraphWorkspace>,
 }
 
 impl<F: ScalarFn> AutoDiffFn<F> {
@@ -300,17 +306,17 @@ impl<F: ScalarFn> AutoDiffFn<F> {
             f,
             constant_hessian,
             cached_hessian: constant_hessian.then_some(h),
-            op_hint: AtomicUsize::new(0),
+            ws: Mutex::new(ws),
         }
     }
 
-    /// Arena capacity for the next trace: the observed op count, or the
-    /// historical default before anything has been traced.
-    fn tape_capacity(&self) -> usize {
-        match self.op_hint.load(Ordering::Relaxed) {
-            0 => 256,
-            n => n,
-        }
+    /// The recording, locked. A panic under the lock is an argument
+    /// check, which fires before the workspace is written, or a panic of
+    /// `f` itself while re-recording, which leaves no graph behind and so
+    /// makes the next query record afresh; either way the workspace is
+    /// sound, and a poisoned lock is taken over as is.
+    fn workspace(&self) -> MutexGuard<'_, GraphWorkspace> {
+        self.ws.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Immutable access to the wrapped function.
@@ -324,34 +330,34 @@ impl<F: ScalarFn> AutoDiffFn<F> {
         self.f.call(x)
     }
 
-    /// One reverse pass: `(f(x), ∇f(x))`.
+    /// `(f(x), ∇f(x))` from one primal sweep of the recording: the
+    /// output's value and the reverse adjoints of the inputs.
     pub fn grad(&self, x: &[f64]) -> (f64, Vec<f64>) {
-        let tape = Tape::<f64>::with_capacity(self.tape_capacity());
-        let vars: Vec<_> = x.iter().map(|&xi| tape.var(xi)).collect();
-        let out = self.f.call(&vars);
-        let g = tape.gradient(out, &vars);
-        self.op_hint.store(tape.len(), Ordering::Relaxed);
-        (out.value(), g)
+        let mut ws = self.workspace();
+        ws.at(&self.f, x);
+        let (v, g) = ws.gradient();
+        (v, g.to_vec())
     }
 
-    /// Hessian-vector product `H(x)·v` via forward-over-reverse.
+    /// Hessian-vector product `H(x)·v` via forward-over-reverse: one
+    /// primal sweep, then one tangent lane seeded with `v`.
     pub fn hvp(&self, x: &[f64], v: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), v.len(), "hvp: dimension mismatch");
-        let tape = Tape::<Dual>::with_capacity(self.tape_capacity());
-        let vars: Vec<_> = x
-            .iter()
-            .zip(v)
-            .map(|(&xi, &vi)| tape.var(Dual::new(xi, vi)))
-            .collect();
-        let out = self.f.call(&vars);
-        let g = tape.gradient(out, &vars);
-        self.op_hint.store(tape.len(), Ordering::Relaxed);
-        g.into_iter().map(|d| d.d).collect()
+        let mut out = vec![0.0; v.len()];
+        let mut ws = self.workspace();
+        ws.at(&self.f, x);
+        ws.apply(v, &mut out);
+        out
     }
 
-    /// The full symmetrized Hessian (d Hessian-vector products).
+    /// The full symmetrized Hessian: one primal sweep, then all `d` unit
+    /// tangent lanes side by side. Bit-identical to assembling `d`
+    /// [`Self::hvp`] columns and symmetrizing.
     pub fn hessian(&self, x: &[f64]) -> Matrix {
-        DifferentiableFn::hessian(self, x)
+        let d = self.f.dim();
+        let mut h = Matrix::zeros(d, d);
+        self.workspace().hessian_into(&self.f, x, &mut h);
+        h
     }
 }
 
@@ -370,6 +376,10 @@ impl<F: ScalarFn> DifferentiableFn for AutoDiffFn<F> {
 
     fn hvp(&self, x: &[f64], v: &[f64]) -> Vec<f64> {
         AutoDiffFn::hvp(self, x, v)
+    }
+
+    fn hessian(&self, x: &[f64]) -> Matrix {
+        AutoDiffFn::hessian(self, x)
     }
 
     fn lower_bounds(&self) -> Option<Vec<f64>> {
@@ -407,6 +417,9 @@ impl<F: ScalarFn> DifferentiableFn for AutoDiffFn<F> {
 mod tests {
     use super::*;
     use crate::finite_diff;
+    use crate::oracle::{self, wrap};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::{Arc, Barrier};
 
     struct Quadratic;
     impl ScalarFn for Quadratic {
@@ -516,10 +529,10 @@ mod tests {
             for (x, v) in [(a, v1), (a, v2), (b, v1), (a, v2)] {
                 he.at(&x);
                 he.apply(&v, &mut out);
-                assert_eq!(out.to_vec(), graph.hvp(&x, &v));
+                assert_eq!(out.to_vec(), oracle::hvp(&SinProd, &x, &v));
                 // A second product needs no second `at`.
                 he.apply(&v1, &mut out);
-                assert_eq!(out.to_vec(), graph.hvp(&x, &v1));
+                assert_eq!(out.to_vec(), oracle::hvp(&SinProd, &x, &v1));
             }
             assert_eq!(he.point_sweeps(), 4);
         }
@@ -534,18 +547,9 @@ mod tests {
 
     /// `has_constant_hessian()` of a 2-input function with body `$body`.
     macro_rules! constant {
-        (|$x:ident| $body:expr) => {{
-            struct F;
-            impl ScalarFn for F {
-                fn dim(&self) -> usize {
-                    2
-                }
-                fn call<S: Scalar>(&self, $x: &[S]) -> S {
-                    $body
-                }
-            }
-            AutoDiffFn::new(F).has_constant_hessian()
-        }};
+        (|$x:ident| $body:expr) => {
+            wrap!(2, |$x| $body).has_constant_hessian()
+        };
     }
 
     #[test]
@@ -595,5 +599,95 @@ mod tests {
         assert_eq!(DifferentiableFn::upper_bounds(&f), None);
         // ln has a varying Hessian; the wrap point stayed in the domain.
         assert!(!f.has_constant_hessian());
+    }
+
+    /// Both functions are wrapped at x₀ = 0.137, where the branch they
+    /// take at x₀ = 7 is inactive: a recording reused there would hand
+    /// out the other branch's derivatives.
+    #[test]
+    fn point_dependent_recordings_are_redone_at_every_query() {
+        let x = [7.0, 0.0];
+        let relu = wrap!(2, |x| (x[0] - S::from_f64(5.0)).relu().powi(2) + x[1]);
+        assert_eq!(relu.grad(&x).1, vec![4.0, 1.0]);
+        assert_eq!(relu.hvp(&x, &[1.0, 0.0]), vec![2.0, 0.0]);
+        assert_eq!(relu.hessian(&x)[(0, 0)], 2.0);
+        let branch = wrap!(2, |x| if x[0].value() > 5.0 {
+            x[0] * x[0] + x[1]
+        } else {
+            x[1]
+        });
+        assert_eq!(branch.grad(&x).1, vec![14.0, 1.0]);
+        assert_eq!(branch.hvp(&x, &[1.0, 0.0]), vec![2.0, 0.0]);
+        assert_eq!(branch.hessian(&x)[(0, 0)], 2.0);
+        // And back across the kink.
+        assert_eq!(relu.grad(&[0.5, 0.0]).1, vec![0.0, 1.0]);
+        assert_eq!(branch.hessian(&[0.5, 0.0])[(0, 0)], 0.0);
+    }
+
+    /// Query `kind` (gradient and value, product, Hessian) at `x`, as bits.
+    fn query<F: ScalarFn>(f: &AutoDiffFn<F>, kind: usize, x: &[f64]) -> Vec<u64> {
+        match kind {
+            0 => {
+                let (v, mut g) = f.grad(x);
+                g.push(v);
+                oracle::bits(&g)
+            }
+            1 => oracle::bits(&f.hvp(x, &[0.5, -1.0, 0.25])),
+            _ => oracle::bits(f.hessian(x).as_slice()),
+        }
+    }
+
+    /// Thread `t`'s interleaving of query kinds and points.
+    fn schedule(t: usize) -> impl Iterator<Item = (usize, [f64; 3])> {
+        (0..60).map(move |k| {
+            let p = ((3 * t + k) % 8) as f64;
+            ((t + k) % 3, [0.3 * p - 1.0, 0.7 - 0.2 * p, 0.1 * p])
+        })
+    }
+
+    /// Four threads, released together, interleave queries on one
+    /// wrapper and read the bits one thread reads alone; a query that
+    /// panics under the lock poisons it, and the next query still answers
+    /// with the oracle's bits.
+    fn serves_threads_and_survives_a_panic<F: ScalarFn>(f: AutoDiffFn<F>) {
+        let alone: Vec<Vec<_>> = (0..4)
+            .map(|t| schedule(t).map(|(q, x)| query(&f, q, &x)).collect())
+            .collect();
+        let f = Arc::new(f);
+        let start = Arc::new(Barrier::new(4));
+        let threads: Vec<_> = (0..4)
+            .map(|t| {
+                let (f, start) = (Arc::clone(&f), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    schedule(t)
+                        .map(|(q, x)| query(&f, q, &x))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let shared: Vec<_> = threads.into_iter().map(|h| h.join().unwrap()).collect();
+        assert_eq!(shared, alone);
+
+        assert!(catch_unwind(AssertUnwindSafe(|| f.grad(&[1.0, 2.0]))).is_err());
+        assert!(f.ws.is_poisoned());
+        let x = [0.4, -0.3, 0.8];
+        let (v, mut g) = oracle::grad(f.inner(), &x);
+        g.push(v);
+        assert_eq!(query(&f, 0, &x), oracle::bits(&g));
+        let hv = oracle::hvp(f.inner(), &x, &[0.5, -1.0, 0.25]);
+        assert_eq!(query(&f, 1, &x), oracle::bits(&hv));
+        let h = oracle::hessian(f.inner(), &x);
+        assert_eq!(query(&f, 2, &x), oracle::bits(h.as_slice()));
+    }
+
+    #[test]
+    fn one_wrapper_serves_threads_and_survives_a_panicking_query() {
+        // One recording for the whole run, and one redone per query.
+        serves_threads_and_survives_a_panic(wrap!(3, |x| x[0].sin() * x[2].exp()
+            + x[1] / (x[2] * x[2] + S::from_f64(1.0))));
+        serves_threads_and_survives_a_panic(wrap!(3, |x| (x[0] * x[1]).relu()
+            + x[0].sin() * x[2].exp()
+            + Scalar::max(x[1], x[2]) * x[0]));
     }
 }

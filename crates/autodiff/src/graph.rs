@@ -1,12 +1,6 @@
-//! Record-once computation graphs for batched Hessians and matrix-free
-//! Hessian-vector products.
-//!
-//! The tape in [`crate::Tape`] re-traces the monitored function from
-//! scratch for every derivative query: a full Hessian via
-//! forward-over-reverse costs `d` traces of `f`, each paying `RefCell`
-//! borrows, node pushes, and fresh adjoint allocations. For the ADCD-X
-//! eigenvalue search — hundreds of probe points and well over a thousand
-//! Hessian-vector products per full sync — that overhead dominates.
+//! The recorded computation graph every derivative of
+//! [`crate::AutoDiffFn`] is read from: gradients, matrix-free
+//! Hessian-vector products and batched Hessians.
 //!
 //! A [`GraphWorkspace`] splits forward-over-reverse by what each part
 //! depends on, and runs each part only when its input changes:
@@ -19,7 +13,8 @@
 //!    that is a function of `x` alone: forward primal values, the primal
 //!    of every local partial, each op's reciprocals, transcendentals and
 //!    powers, and the whole reverse sweep of adjoint *primals*. One
-//!    primal-only sweep per point; no tangent is touched.
+//!    primal-only sweep per point; no tangent is touched. Its result
+//!    already holds `f(x)` and `∇f(x)` ([`GraphWorkspace::gradient`]).
 //! 3. **Direction** (`tangents`, behind [`GraphWorkspace::apply`]) — the
 //!    tangent lanes: value tangents and local-partial tangents forward,
 //!    adjoint tangents backward, reading the frozen point state. This is
@@ -39,25 +34,26 @@
 //!
 //! The caller says when the point changes (`at`); nothing here compares
 //! points. A `hessian_into` moves the workspace to its own point, so it
-//! un-primes it: `apply` panics until the next `at`.
+//! un-primes it: `apply` and `gradient` panic until the next `at`.
 //!
 //! # Bit-identity contract
 //!
-//! The sweeps reproduce the results of the tape path **bit for bit**:
-//! lane `j` performs exactly the scalar arithmetic that a `Tape<Dual>`
-//! run seeded with tangent `e_j` (or `v`) performs, expanded from the
-//! `Var<Dual>` token sequences (e.g. division computes `a * (1/b)` with
-//! the reciprocal materialized first, because that is what `Var::div`
+//! The sweeps reproduce a reverse-mode tape **bit for bit**. The tape
+//! (`tape.rs` over `f64` and over the dual numbers of `dual.rs`) is
+//! compiled into the tests only, as the oracle. The primal sweep performs
+//! exactly the scalar arithmetic of a tape over `f64`, so the gradient is
+//! its reverse sweep; lane `j` of the tangent sweep performs that of a
+//! tape over dual numbers seeded with tangent `e_j` (or `v`), expanded
+//! from the tape's token sequences (e.g. division computes `a * (1/b)`
+//! with the reciprocal materialized first, because that is what the tape
 //! records; a subtraction's right partial carries the `-0.0` tangent of
-//! `-one`), and the reverse sweep accumulates adjoints in the same
-//! operand order as [`crate::Tape::gradient`]. Phasing changes *when* a
-//! scalar is computed, never which operation computes it or in what
-//! order a lane's operations run. The tests at the bottom of this file
-//! assert exact `f64::to_bits` equality against the tape-based Hessian
-//! and Hessian-vector product across op coverage, probe points and
-//! `at`/`apply`/`hessian_into` interleavings; the ADCD-X eigen search
-//! relies on this for its workspace evaluators to reproduce the
-//! `hessian`/`hvp` oracles exactly.
+//! `-one`), and the reverse sweep accumulates adjoints in the tape's
+//! operand order. Phasing changes *when* a scalar is computed, never
+//! which operation computes it or in what order a lane's operations run.
+//! The tests at the bottom of this file and in `oracle.rs` assert exact
+//! `f64::to_bits` equality against the oracle across op coverage, probe
+//! points, numerical edges and `at`/`apply`/`hessian_into`
+//! interleavings.
 //!
 //! Functions whose recorded structure depends on the evaluation point —
 //! `abs`/`max` branches (and thus `relu`/`min`) or data-dependent
@@ -79,7 +75,7 @@ use std::ops::{Add, Div, Mul, Neg, Sub};
 enum Operand {
     /// Index of the producing node.
     Var(u32),
-    /// A free constant (never differentiated, mirroring constant `Var`s).
+    /// A free constant (never differentiated).
     Const(f64),
 }
 
@@ -106,15 +102,15 @@ enum GOp {
     AbsPos(Operand),
     /// `abs` that took the negative branch.
     AbsNeg(Operand),
-    /// `max` won by the left operand (ties go left, as in `Var::max`).
+    /// `max` won by the left operand (ties go left, as [`Scalar::max`]
+    /// documents).
     MaxLeft(Operand, Operand),
     /// `max` won by the right operand.
     MaxRight(Operand, Operand),
 }
 
 impl GOp {
-    /// The op's operands in the tape's parent order (`self`, then
-    /// `other`).
+    /// The op's operands in parent order (`self`, then `other`).
     fn operands(&self) -> (Option<Operand>, Option<Operand>) {
         match *self {
             GOp::Input => (None, None),
@@ -186,9 +182,8 @@ impl GraphArena {
     }
 }
 
-/// The recording scalar: carries the `f64` primal (which equals the
-/// primal a `Tape<Dual>` run would carry, tangents never feed primals)
-/// and appends opcodes to the arena.
+/// The recording scalar: carries the `f64` primal and appends opcodes to
+/// the arena.
 struct GVar<'t> {
     arena: Option<&'t GraphArena>,
     idx: u32,
@@ -221,8 +216,7 @@ impl<'t> GVar<'t> {
     }
 
     /// Record a binary op, or fold to a constant when both operands are
-    /// constants (exactly as `Var::binary` falls through to a tapeless
-    /// `Var`). `v` must already follow the `Var` primal token sequence.
+    /// constants. `v` must already follow the primal token sequence.
     fn binary(self, other: Self, v: f64, op: fn(Operand, Operand) -> GOp) -> Self {
         let arena = self.arena.or(other.arena);
         match arena {
@@ -279,9 +273,9 @@ impl<'t> Mul for GVar<'t> {
 impl<'t> Div for GVar<'t> {
     type Output = Self;
     fn div(self, o: Self) -> Self {
-        // `Var::div` materializes the reciprocal and multiplies —
-        // `a * (1/b)` differs from `a / b` in the last ulp, so the primal
-        // must mirror it.
+        // Division materializes the reciprocal and multiplies —
+        // `a * (1/b)` differs from `a / b` in the last ulp, and the
+        // partials reuse the reciprocal.
         let inv = 1.0 / o.v;
         self.binary(o, self.v * inv, GOp::Div)
     }
@@ -350,9 +344,7 @@ impl<'t> Scalar for GVar<'t> {
     }
 
     fn abs(self) -> Self {
-        // Branch on the primal exactly like `Var::abs` (which compares
-        // `self.v.value() >= 0.0`); NaN takes the negative branch there
-        // and here alike.
+        // NaN takes the negative branch.
         if self.v >= 0.0 {
             self.unary(self.v, GOp::AbsPos)
         } else {
@@ -372,12 +364,12 @@ impl<'t> Scalar for GVar<'t> {
 /// Rows `0` and `1` of every tangent buffer hold the two constants a
 /// local partial's tangent can be: `Add`'s `one` has tangent `0.0`,
 /// `Sub`'s `-one` has `-0.0` (the sign matters for bit-identity). Row
-/// `ZERO` doubles as the value tangent of every constant operand
-/// (`Dual::from_f64`). From row `2` on, each node owns its value-tangent
-/// row and, right behind it, one row per local partial that needs
-/// materializing ([`GOp::slots`]); the other partials' tangents are rows
-/// that exist anyway (`Mul` partials are the operand values, `Exp`'s is
-/// its own output, the rest are constants).
+/// `ZERO` doubles as the value tangent of every constant operand. From
+/// row `2` on, each node owns its value-tangent row and, right behind
+/// it, one row per local partial that needs materializing
+/// ([`GOp::slots`]); the other partials' tangents are rows that exist
+/// anyway (`Mul` partials are the operand values, `Exp`'s is its own
+/// output, the rest are constants).
 const ZERO: u32 = 0;
 const NEG_ZERO: u32 = 1;
 const FIRST_NODE_ROW: u32 = 2;
@@ -392,9 +384,8 @@ struct Rows {
 }
 
 /// One accumulation of the reverse sweep, `adj[dst] += partial *
-/// adj[from]` in Dual arithmetic — the tape's `adj[p] = adj[p] + partial
-/// * a`. The rows are graph structure, fixed at record time; the primal
-/// sweep does the primal half and freezes the partial's primal `pv` and
+/// adj[from]` in dual-number arithmetic. The rows are graph structure,
+/// fixed at record time; the primal sweep does the primal half and freezes the partial's primal `pv` and
 /// the consumer's adjoint primal `a_v`, and the tangent sweep runs the
 /// tangent half `adj_d[dst] += t[src] * a_v + pv * adj_d[from]` per lane.
 #[derive(Debug, Clone, Copy)]
@@ -416,7 +407,7 @@ struct Edge {
 /// point only for point-dependent graphs), the primal state is swept
 /// once per point, and a tangent sweep runs per query — `d` unit lanes
 /// for a Hessian, one lane per direction for a product.
-pub struct GraphWorkspace {
+pub(crate) struct GraphWorkspace {
     // Structure: written by `record`.
     nodes: Vec<GOp>,
     /// Index of the output node.
@@ -430,8 +421,7 @@ pub struct GraphWorkspace {
     /// Per-node tangent-buffer rows.
     rows: Vec<Rows>,
     /// The reverse sweep in order: consumers descending, the `self`
-    /// partial before `other`, constants skipped — exactly
-    /// `Tape::gradient`'s compacted-parent order.
+    /// partial before `other`, constants skipped.
     rev: Vec<Edge>,
     /// Rows of a tangent buffer: the two constants, then every node's.
     n_rows: usize,
@@ -449,8 +439,8 @@ pub struct GraphWorkspace {
     point: Vec<[f64; 3]>,
     /// Reverse adjoint primals, by row.
     adj_v: Vec<f64>,
-    /// `apply` may run: `at` primed a point and no `hessian_into` has
-    /// moved the workspace since.
+    /// `apply` and `gradient` may run: `at` primed a point and no
+    /// `hessian_into` has moved the workspace since.
     primed: bool,
     point_sweeps: u64,
 
@@ -458,12 +448,6 @@ pub struct GraphWorkspace {
     // rows and reverse adjoint tangent rows, one value per lane.
     t: Vec<f64>,
     adj_d: Vec<f64>,
-}
-
-impl Default for GraphWorkspace {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl GraphWorkspace {
@@ -489,12 +473,6 @@ impl GraphWorkspace {
         }
     }
 
-    /// Number of ops in the recorded graph (0 before the first record) —
-    /// doubles as the op-count hint for sizing fresh tapes.
-    pub fn op_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Primal sweeps run so far: one per [`Self::at`], one per
     /// [`Self::hessian_into`], none per [`Self::apply`]. Tests pin the
     /// eigen search's "one sweep per probe point" with it.
@@ -507,7 +485,8 @@ impl GraphWorkspace {
     ///
     /// # Panics
     /// Panics if the output does not depend on the inputs (constant
-    /// output), matching the tape's `gradient` contract.
+    /// output). The panic leaves no graph behind, so the next `prime`
+    /// records afresh.
     fn record<F: ScalarFn + ?Sized>(&mut self, f: &F, x: &[f64]) {
         let mut nodes = std::mem::take(&mut self.nodes);
         nodes.clear();
@@ -617,7 +596,7 @@ impl GraphWorkspace {
 
     /// The full symmetrized Hessian of `f` at `x`, written into `h`.
     ///
-    /// Bit-identical to assembling `d` tape Hessian-vector products and
+    /// Bit-identical to assembling `d` Hessian-vector products and
     /// symmetrizing (the [`crate::DifferentiableFn::hessian`] default).
     /// Leaves no point primed: an [`Self::apply`] must follow a fresh
     /// [`Self::at`].
@@ -632,11 +611,11 @@ impl GraphWorkspace {
         h.symmetrize();
     }
 
-    /// Fix the point of the Hessian-vector products that follow: one
-    /// primal sweep (forward values and local partials, reverse adjoint
-    /// primals, every scalar that depends on `x` alone), no tangent work.
-    /// The caller says when the point changes; nothing here compares
-    /// points.
+    /// Fix the point of the gradient and Hessian-vector products that
+    /// follow: one primal sweep (forward values and local partials,
+    /// reverse adjoint primals, every scalar that depends on `x` alone),
+    /// no tangent work. The caller says when the point changes; nothing
+    /// here compares points.
     pub fn at<F: ScalarFn + ?Sized>(&mut self, f: &F, x: &[f64]) {
         assert_eq!(x.len(), f.dim(), "at: dimension mismatch");
         self.prime(f, x);
@@ -647,9 +626,6 @@ impl GraphWorkspace {
     /// [`Self::at`], written into `out` — one single-lane tangent sweep
     /// over the frozen point state, so a product costs O(graph) without
     /// the primal work and the Hessian is never materialized.
-    /// Bit-identical to [`crate::AutoDiffFn::hvp`] on the same point and
-    /// direction (the lane computes exactly the `Dual` tangent sequence
-    /// of a tape run seeded with `v`).
     ///
     /// # Panics
     /// Panics when no point is primed: before the first [`Self::at`], or
@@ -662,6 +638,19 @@ impl GraphWorkspace {
         assert_eq!(v.len(), self.n_inputs, "apply: direction length");
         assert_eq!(out.len(), self.n_inputs, "apply: output length");
         self.tangents(1, Seeds::Vector(v), out);
+    }
+
+    /// `(f(x), ∇f(x))` at the point of the last [`Self::at`]: the output
+    /// node's value and the adjoint primals of the input rows, both
+    /// already computed by the primal sweep. No further work.
+    ///
+    /// # Panics
+    /// Panics when no point is primed, like [`Self::apply`].
+    pub(crate) fn gradient(&self) -> (f64, &[f64]) {
+        assert!(self.primed, "gradient: no point primed — call `at` first");
+        // Inputs are recorded first and own no slots.
+        let inputs = &self.adj_v[FIRST_NODE_ROW as usize..][..self.n_inputs];
+        (self.vals[self.out], inputs)
     }
 
     /// The point-dependent half of forward-over-reverse. Re-records first
@@ -697,7 +686,7 @@ impl GraphWorkspace {
         parts.resize(2 * n, 0.0);
         point.resize(n, [0.0; 3]);
 
-        // Forward: primals in the exact `Var<Dual>` token sequences.
+        // Forward: primals in the exact token sequences of the tape.
         let val = |o: Operand, vals: &[f64]| match o {
             Operand::Var(k) => vals[k as usize],
             Operand::Const(c) => c,
@@ -758,14 +747,14 @@ impl GraphWorkspace {
                 GOp::Sqrt(a) => {
                     let s_v = val(a, vals).sqrt();
                     point[i] = [s_v, s_v * s_v, 0.0];
-                    // pa = Dual::from_f64(0.5) / s.
+                    // pa = 0.5 / s.
                     (s_v, 0.5 / s_v, 0.0)
                 }
                 GOp::Powi(a, p) => {
                     let av = val(a, vals);
                     let (q_v, r_v) = (av.powi(p - 1), av.powi(p - 2));
                     point[i] = [q_v, r_v, 0.0];
-                    // pa = Dual::from_f64(p) * av.powi(p - 1).
+                    // pa = p * av.powi(p - 1).
                     (av.powi(p), f64::from(p) * q_v, 0.0)
                 }
                 GOp::AbsPos(a) | GOp::MaxLeft(a, _) => (val(a, vals), 1.0, 0.0),
@@ -791,8 +780,8 @@ impl GraphWorkspace {
     /// state [`Self::prime`] froze, `d` lanes wide: value tangents and
     /// partial slots forward, adjoint tangents backward, with `out`
     /// receiving the `n_inputs × d` adjoint-tangent block row-major.
-    /// Lane `j` computes the exact tangent sequence of a `Dual` replay
-    /// seeded with that lane's seed — see the module docs for the
+    /// Lane `j` computes the exact tangent sequence of a dual-number
+    /// replay seeded with that lane's seed — see the module docs for the
     /// contract. Inlined into its two callers so the single-lane product
     /// compiles with `d = 1` folded in.
     #[inline(always)]
@@ -811,8 +800,8 @@ impl GraphWorkspace {
         t[ZERO as usize * d..][..d].fill(0.0);
         t[NEG_ZERO as usize * d..][..d].fill(-0.0);
 
-        // Forward: tangents per lane, in the exact `Var<Dual>` token
-        // sequences.
+        // Forward: tangents per lane, in the exact token sequences of the
+        // tape.
         let mut input = 0usize;
         for (i, op) in nodes.iter().enumerate() {
             // Operand rows always precede the node's own.
@@ -951,16 +940,21 @@ enum Seeds<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AutoDiffFn, DifferentiableFn};
+    use crate::oracle;
 
+    /// Value, gradient and Hessian at each point against the oracle.
     fn assert_bit_identical<F: ScalarFn>(f: F, points: &[Vec<f64>]) {
         let d = f.dim();
-        let wrapped = AutoDiffFn::new(f);
         let mut ws = GraphWorkspace::new();
         let mut h = Matrix::zeros(d, d);
         for x in points {
-            let reference = DifferentiableFn::hessian(&wrapped, x);
-            ws.hessian_into(wrapped.inner(), x, &mut h);
+            ws.at(&f, x);
+            let (v, g) = ws.gradient();
+            let (ov, og) = oracle::grad(&f, x);
+            assert_eq!(v.to_bits(), ov.to_bits(), "f at {x:?}: {v} vs {ov}");
+            assert_eq!(oracle::bits(g), oracle::bits(&og), "∇f at {x:?}");
+            let reference = oracle::hessian(&f, x);
+            ws.hessian_into(&f, x, &mut h);
             for i in 0..d {
                 for jj in 0..d {
                     assert_eq!(
@@ -1093,11 +1087,11 @@ mod tests {
         let mut h = Matrix::zeros(3, 3);
         ws.hessian_into(&Poly, &[0.1, 0.2, 0.3], &mut h);
         assert!(!ws.point_dependent);
-        let ops = ws.op_count();
+        let ops = ws.nodes.len();
         assert!(ops > 0);
         // A second point must not re-record (same op count, same arena).
         ws.hessian_into(&Poly, &[0.9, -0.4, 0.5], &mut h);
-        assert_eq!(ws.op_count(), ops);
+        assert_eq!(ws.nodes.len(), ops);
     }
 
     /// Three fixed non-axis directions of length `d`.
@@ -1109,11 +1103,11 @@ mod tests {
     /// oracle, bit for bit.
     fn assert_apply_matches_tape<F: ScalarFn>(
         ws: &mut GraphWorkspace,
-        wrapped: &AutoDiffFn<F>,
+        f: &F,
         x: &[f64],
         v: &[f64],
     ) {
-        let reference = wrapped.hvp(x, v);
+        let reference = oracle::hvp(f, x, v);
         let mut out = vec![f64::NAN; x.len()];
         ws.apply(v, &mut out);
         for i in 0..x.len() {
@@ -1133,27 +1127,26 @@ mod tests {
     /// a bit difference against the tape.
     fn assert_interleavings_bit_identical<F: ScalarFn>(f: F, a: &[f64], b: &[f64]) {
         let d = f.dim();
-        let wrapped = AutoDiffFn::new(f);
         let [v1, v2, v3] = directions(d);
         let mut ws = GraphWorkspace::new();
 
-        ws.at(wrapped.inner(), a);
-        assert_apply_matches_tape(&mut ws, &wrapped, a, &v1);
-        assert_apply_matches_tape(&mut ws, &wrapped, a, &v2);
-        ws.at(wrapped.inner(), b);
-        assert_apply_matches_tape(&mut ws, &wrapped, b, &v1);
-        ws.at(wrapped.inner(), a);
-        assert_apply_matches_tape(&mut ws, &wrapped, a, &v3);
+        ws.at(&f, a);
+        assert_apply_matches_tape(&mut ws, &f, a, &v1);
+        assert_apply_matches_tape(&mut ws, &f, a, &v2);
+        ws.at(&f, b);
+        assert_apply_matches_tape(&mut ws, &f, b, &v1);
+        ws.at(&f, a);
+        assert_apply_matches_tape(&mut ws, &f, a, &v3);
         // One primal sweep per `at`, none per `apply`.
         assert_eq!(ws.point_sweeps(), 3);
 
         let mut h = Matrix::zeros(d, d);
-        ws.hessian_into(wrapped.inner(), b, &mut h);
-        let reference = DifferentiableFn::hessian(&wrapped, b);
-        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&h), bits(&reference), "hessian_into at {b:?}");
-        ws.at(wrapped.inner(), a);
-        assert_apply_matches_tape(&mut ws, &wrapped, a, &v2);
+        ws.hessian_into(&f, b, &mut h);
+        let reference = oracle::hessian(&f, b);
+        let (h, oh) = (h.as_slice(), reference.as_slice());
+        assert_eq!(oracle::bits(h), oracle::bits(oh), "hessian_into at {b:?}");
+        ws.at(&f, a);
+        assert_apply_matches_tape(&mut ws, &f, a, &v2);
     }
 
     #[test]
@@ -1175,13 +1168,13 @@ mod tests {
         let mut h = Matrix::zeros(3, 3);
         let mut out = vec![0.0; 3];
         ws.hessian_into(&Poly, &[0.1, 0.2, 0.3], &mut h);
-        let ops = ws.op_count();
+        let ops = ws.nodes.len();
         // Interleaved products at other points reuse the same graph.
         ws.at(&Poly, &[0.9, -0.4, 0.5]);
         ws.apply(&[1.0, 0.0, 2.0], &mut out);
         ws.at(&Poly, &[0.2, 0.2, 0.2]);
         ws.apply(&[0.5, -1.0, 0.0], &mut out);
-        assert_eq!(ws.op_count(), ops);
+        assert_eq!(ws.nodes.len(), ops);
         // And the product matches H·v from the full Hessian.
         ws.hessian_into(&Poly, &[0.2, 0.2, 0.2], &mut h);
         let hv = h.matvec(&[0.5, -1.0, 0.0]);
@@ -1195,6 +1188,12 @@ mod tests {
     fn apply_before_any_at_panics() {
         let mut out = vec![0.0; 3];
         GraphWorkspace::new().apply(&[1.0, 0.0, 2.0], &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "no point primed")]
+    fn gradient_before_any_at_panics() {
+        GraphWorkspace::new().gradient();
     }
 
     #[test]

@@ -7,8 +7,8 @@ use std::ops::{Add, Div, Mul, Neg, Sub};
 ///
 /// Monitored functions are written once, generically over `S: Scalar`
 /// (see [`crate::ScalarFn`]); the AD machinery then instantiates them with
-/// `f64` (plain evaluation), [`crate::Dual`] (forward mode), or tape
-/// variables (reverse mode). The primitive set mirrors what the paper's
+/// `f64` (plain evaluation) and with the recording scalar that writes
+/// the computation graph every derivative is read from. The primitive set mirrors what the paper's
 /// evaluation functions need: arithmetic, `exp`/`ln`, `tanh`/`sigmoid`
 /// (MLP, DNN), `sin`/`cos`, `sqrt`, integer powers, and the non-smooth
 /// `abs`/`max` from which ReLU is built.

@@ -308,7 +308,7 @@ impl<'t, V: Scalar> Scalar for Var<'t, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Dual;
+    use crate::dual::Dual;
 
     #[test]
     fn gradient_of_product() {

@@ -1,8 +1,8 @@
-//! Microbenchmarks of the substrates: AD gradients/Hessians, primed
-//! Hessian-vector products, the spectral kernels (QL default, Jacobi
-//! oracle, matrix-free Lanczos extremes), and the wire codec.
+//! Microbenchmarks of the substrates: primed Hessian-vector products,
+//! the spectral kernels (QL default, Jacobi oracle, matrix-free Lanczos
+//! extremes), and the wire codec.
 
-use automon_autodiff::{AutoDiffFn, DifferentiableFn, Scalar, ScalarFn};
+use automon_autodiff::{AutoDiffFn, DifferentiableFn};
 use automon_core::{CoordinatorMessage, Curvature, DcKind, NodeMessage, SafeZone, ViolationKind};
 use automon_functions::KlDivergence;
 use automon_linalg::{
@@ -11,37 +11,6 @@ use automon_linalg::{
 };
 use automon_net::wire;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
-struct LogSumExp {
-    d: usize,
-}
-impl ScalarFn for LogSumExp {
-    fn dim(&self) -> usize {
-        self.d
-    }
-    fn call<S: Scalar>(&self, x: &[S]) -> S {
-        let mut acc = S::from_f64(0.0);
-        for &xi in x {
-            acc = acc + xi.exp();
-        }
-        acc.ln()
-    }
-}
-
-fn bench_autodiff(c: &mut Criterion) {
-    let mut group = c.benchmark_group("autodiff");
-    for d in [10usize, 40, 100] {
-        let f = AutoDiffFn::new(LogSumExp { d });
-        let x = vec![0.01; d];
-        group.bench_with_input(BenchmarkId::new("gradient", d), &d, |b, _| {
-            b.iter(|| std::hint::black_box(f.grad(std::hint::black_box(&x))))
-        });
-        group.bench_with_input(BenchmarkId::new("hessian", d), &d, |b, _| {
-            b.iter(|| std::hint::black_box(f.hessian(std::hint::black_box(&x))))
-        });
-    }
-    group.finish();
-}
 
 /// The two costs of a matrix-free Hessian-vector product on the
 /// `kld_fullsync` function: `kld_first` is the first product at a new
@@ -184,5 +153,5 @@ fn bench_wire(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_autodiff, bench_hvp, bench_eigen, bench_wire);
+criterion_group!(benches, bench_hvp, bench_eigen, bench_wire);
 criterion_main!(benches);

@@ -3,7 +3,7 @@
 # the telemetry-overhead benches into BENCH_obs_overhead.json.
 #
 # Runs the coordinator_full_sync, substrates and store_wal Criterion
-# benches (coordinator runtime, the autodiff Hessian microbench, the
+# benches (coordinator runtime, primed Hessian-vector products, the
 # Jacobi eigensolver, wire codecs, and the durable store's journal-append
 # and crash-recovery replay) plus obs_overhead (bare vs
 # disabled-telemetry vs live-telemetry decompose, metric primitives) and

@@ -66,7 +66,7 @@ pub use automon_store as store;
 
 /// Commonly used types, re-exported for convenience.
 pub mod prelude {
-    pub use automon_autodiff::{AutoDiffFn, Dual, Scalar, ScalarFn};
+    pub use automon_autodiff::{AutoDiffFn, Scalar, ScalarFn};
     pub use automon_chaos::FaultPlan;
     pub use automon_core::{
         AdcdKind, ApproximationKind, Coordinator, DcKind, Domain, MonitorConfig, MonitoredFunction,
