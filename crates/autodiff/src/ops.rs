@@ -2,7 +2,7 @@
 //!
 //! Function bodies operate on `&[S]` for a generic [`Scalar`]; these
 //! helpers cover the linear-algebra idioms the evaluation functions use
-//! (dot products, norms, affine maps, log-sum-exp, softmax) so user code
+//! (dot products, norms, affine maps, element-wise activations) so user code
 //! reads like the paper's NumPy snippets.
 
 use crate::Scalar;
@@ -72,32 +72,6 @@ pub fn affine<S: Scalar>(w: &[f64], b: &[f64], x: &[S]) -> Vec<S> {
         .collect()
 }
 
-/// Numerically-stable `log Σ exp(xᵢ)` (shifts by the max primal value —
-/// the shift is a constant w.r.t. differentiation at the evaluation
-/// point, matching standard AD practice).
-///
-/// # Panics
-/// Panics on empty input.
-pub fn logsumexp<S: Scalar>(x: &[S]) -> S {
-    assert!(!x.is_empty(), "logsumexp: empty slice");
-    let m = x
-        .iter()
-        .map(|v| v.value())
-        .fold(f64::NEG_INFINITY, f64::max);
-    let shift = S::from_f64(m);
-    let mut acc = S::from_f64(0.0);
-    for &v in x {
-        acc = acc + (v - shift).exp();
-    }
-    acc.ln() + shift
-}
-
-/// Softmax probabilities.
-pub fn softmax<S: Scalar>(x: &[S]) -> Vec<S> {
-    let lse = logsumexp(x);
-    x.iter().map(|&v| (v - lse).exp()).collect()
-}
-
 /// Element-wise `tanh`.
 pub fn tanh_all<S: Scalar>(x: &[S]) -> Vec<S> {
     x.iter().map(|v| v.tanh()).collect()
@@ -131,17 +105,8 @@ mod tests {
     }
 
     #[test]
-    fn logsumexp_is_stable_and_correct() {
-        let x = [1000.0f64, 1000.0];
-        let v = logsumexp(&x);
-        assert!((v - (1000.0 + 2.0f64.ln())).abs() < 1e-9);
-        let sm = softmax(&x);
-        assert!((sm[0] - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn generic_ops_differentiate() {
-        // f(x) = logsumexp(W·x + b): a softmax-classifier margin — the
+        // f(x) = log Σ exp(W·x + b): a softmax-classifier margin — the
         // kind of function a user would monitor.
         struct SoftMargin;
         impl ScalarFn for SoftMargin {
@@ -150,7 +115,7 @@ mod tests {
             }
             fn call<S: crate::Scalar>(&self, x: &[S]) -> S {
                 let z = affine(&[1.0, -1.0, 0.5, 2.0], &[0.0, 0.1], x);
-                logsumexp(&z)
+                (z[0].exp() + z[1].exp()).ln()
             }
         }
         let f = AutoDiffFn::new(SoftMargin);

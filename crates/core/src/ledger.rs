@@ -175,40 +175,105 @@ pub struct LedgerEntry {
     pub bytes: u64,
 }
 
+/// One ledger cell of a node: its round, its cause and its tallies.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Row {
+    round: u64,
+    cause: CommCause,
+    cell: LedgerCell,
+}
+
+impl Row {
+    fn empty(round: u64, cause: CommCause) -> Self {
+        Row {
+            round,
+            cause,
+            cell: LedgerCell::default(),
+        }
+    }
+
+    fn key(&self) -> (u64, CommCause) {
+        (self.round, self.cause)
+    }
+}
+
 /// The communication ledger: frame tallies keyed (round, node, cause).
 ///
-/// A `BTreeMap` keeps iteration deterministic, so rollups and rendered
-/// tables are byte-stable across same-seed runs.
+/// Cells live per node, each node's sorted by (round, cause). Rounds only
+/// advance, so a charge almost always lands on or after a node's last
+/// cell: it costs one comparison and no tree walk or hash. A charge out
+/// of order (a cause that sorts before one already charged this round)
+/// is placed by binary search. The layout is canonical — the same cells
+/// make the same vectors — so equality is structural, and every reader
+/// iterates in a fixed order, so rollups and rendered tables are
+/// byte-stable across same-seed runs.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct CommLedger {
-    cells: BTreeMap<(u64, NodeId, CommCause), LedgerCell>,
+    /// Indexed by node id; the last entry, if any, is never empty.
+    nodes: Vec<Vec<Row>>,
 }
 
 impl CommLedger {
+    /// The cell of `(round, node, cause)`, created empty if absent.
+    fn cell(&mut self, round: u64, node: NodeId, cause: CommCause) -> &mut LedgerCell {
+        if node >= self.nodes.len() {
+            self.nodes.resize_with(node + 1, Vec::new);
+        }
+        let rows = &mut self.nodes[node];
+        let key = (round, cause);
+        let i = match rows.last().map(Row::key) {
+            Some(last) if last == key => rows.len() - 1,
+            Some(last) if last > key => match rows.binary_search_by_key(&key, Row::key) {
+                Ok(i) => i,
+                Err(i) => {
+                    rows.insert(i, Row::empty(round, cause));
+                    i
+                }
+            },
+            _ => {
+                rows.push(Row::empty(round, cause));
+                rows.len() - 1
+            }
+        };
+        &mut rows[i].cell
+    }
+
+    fn rows(&self) -> impl Iterator<Item = (NodeId, &Row)> {
+        self.nodes
+            .iter()
+            .enumerate()
+            .flat_map(|(node, rows)| rows.iter().map(move |r| (node, r)))
+    }
+
     /// Charge one node→coordinator frame of `bytes` to `cause`.
     pub fn charge_up(&mut self, round: u64, node: NodeId, cause: CommCause, bytes: u64) {
-        let cell = self.cells.entry((round, node, cause)).or_default();
+        let cell = self.cell(round, node, cause);
         cell.up_msgs += 1;
         cell.up_bytes += bytes;
     }
 
     /// Charge one coordinator→node frame of `bytes` to `cause`.
     pub fn charge_down(&mut self, round: u64, node: NodeId, cause: CommCause, bytes: u64) {
-        let cell = self.cells.entry((round, node, cause)).or_default();
+        let cell = self.cell(round, node, cause);
         cell.down_msgs += 1;
         cell.down_bytes += bytes;
     }
 
     /// Iterate all cells in (round, node, cause) order.
-    pub fn iter(&self) -> impl Iterator<Item = (&(u64, NodeId, CommCause), &LedgerCell)> {
-        self.cells.iter()
+    pub fn iter(&self) -> impl Iterator<Item = ((u64, NodeId, CommCause), &LedgerCell)> {
+        let mut cells: Vec<_> = self
+            .rows()
+            .map(|(node, r)| ((r.round, node, r.cause), &r.cell))
+            .collect();
+        cells.sort_unstable_by_key(|&(key, _)| key);
+        cells.into_iter()
     }
 
     /// Grand totals over every cell.
     pub fn totals(&self) -> LedgerCell {
         let mut t = LedgerCell::default();
-        for cell in self.cells.values() {
-            t.absorb(cell);
+        for (_, r) in self.rows() {
+            t.absorb(&r.cell);
         }
         t
     }
@@ -216,8 +281,8 @@ impl CommLedger {
     /// Rollup by cause, in `CommCause` order.
     pub fn by_cause(&self) -> BTreeMap<CommCause, LedgerCell> {
         let mut out: BTreeMap<CommCause, LedgerCell> = BTreeMap::new();
-        for ((_, _, cause), cell) in &self.cells {
-            out.entry(*cause).or_default().absorb(cell);
+        for (_, r) in self.rows() {
+            out.entry(r.cause).or_default().absorb(&r.cell);
         }
         out
     }
@@ -225,8 +290,8 @@ impl CommLedger {
     /// Rollup by node, for per-node imbalance questions.
     pub fn by_node(&self) -> BTreeMap<NodeId, LedgerCell> {
         let mut out: BTreeMap<NodeId, LedgerCell> = BTreeMap::new();
-        for ((_, node, _), cell) in &self.cells {
-            out.entry(*node).or_default().absorb(cell);
+        for (node, r) in self.rows() {
+            out.entry(node).or_default().absorb(&r.cell);
         }
         out
     }
@@ -252,8 +317,24 @@ impl CommLedger {
     /// (round, node, cause) — the cells then add, which is exactly the
     /// conservation-preserving behavior.
     pub fn absorb_ledger(&mut self, other: &CommLedger) {
-        for (key, cell) in &other.cells {
-            self.cells.entry(*key).or_default().absorb(cell);
+        if self.nodes.len() < other.nodes.len() {
+            self.nodes.resize_with(other.nodes.len(), Vec::new);
+        }
+        for (mine, theirs) in self.nodes.iter_mut().zip(&other.nodes) {
+            if theirs.is_empty() {
+                continue;
+            }
+            // Two sorted runs: the stable sort merges them in linear
+            // time, and equal keys end up adjacent, this ledger's first.
+            mine.extend_from_slice(theirs);
+            mine.sort_by_key(Row::key);
+            mine.dedup_by(|later, earlier| {
+                let same = later.key() == earlier.key();
+                if same {
+                    earlier.cell.absorb(&later.cell);
+                }
+                same
+            });
         }
     }
 
@@ -281,6 +362,10 @@ impl CommLedger {
 mod tests {
     use super::*;
 
+    fn cell_of(l: &CommLedger, key: (u64, NodeId, CommCause)) -> LedgerCell {
+        l.iter().find(|&(k, _)| k == key).map(|(_, c)| *c).unwrap()
+    }
+
     #[test]
     fn charges_aggregate_per_round_node_cause() {
         let mut l = CommLedger::default();
@@ -289,7 +374,7 @@ mod tests {
         l.charge_down(0, 1, CommCause::FullSync, 100);
         l.charge_down(1, 2, CommCause::LazySync, 50);
 
-        let cell = l.cells[&(0, 1, CommCause::Registration)];
+        let cell = cell_of(&l, (0, 1, CommCause::Registration));
         assert_eq!((cell.up_msgs, cell.up_bytes), (2, 60));
         assert_eq!((cell.down_msgs, cell.down_bytes), (0, 0));
 
@@ -393,7 +478,7 @@ mod tests {
             a.check_conservation(ta.msgs() + tb.msgs(), ta.bytes() + tb.bytes()),
             None
         );
-        let cell = a.cells[&(0, 1, CommCause::Registration)];
+        let cell = cell_of(&a, (0, 1, CommCause::Registration));
         assert_eq!((cell.up_msgs, cell.up_bytes), (2, 60));
         assert_eq!(a.by_cause()[&CommCause::LeafReport].up_bytes, 44);
     }

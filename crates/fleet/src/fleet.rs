@@ -297,16 +297,21 @@ impl Fleet {
             return;
         };
         let cause = CommCause::of_node_message(&msg);
-        let span = self.tel.span_begin(
-            "violation",
-            SpanId::NONE,
-            &[
-                ("tier", "leaf".into()),
-                ("shard", l.into()),
-                ("node", g.into()),
-                ("cause", cause.name().into()),
-            ],
-        );
+        // The `Str` fields allocate: build them only for a live handle.
+        let span = if self.tel.is_enabled() {
+            self.tel.span_begin(
+                "violation",
+                SpanId::NONE,
+                &[
+                    ("tier", "leaf".into()),
+                    ("shard", l.into()),
+                    ("node", g.into()),
+                    ("cause", cause.name().into()),
+                ],
+            )
+        } else {
+            SpanId::NONE
+        };
         let leaf = &mut self.leaves[l];
         self.fabric
             .leaf(l)
@@ -373,15 +378,19 @@ impl Fleet {
             weight: n_l as u64,
             epoch,
         };
-        let span = self.tel.span_begin(
-            "violation",
-            parent,
-            &[
-                ("tier", "root".into()),
-                ("shard", l.into()),
-                ("violation", format!("{kind:?}").into()),
-            ],
-        );
+        let span = if self.tel.is_enabled() {
+            self.tel.span_begin(
+                "violation",
+                parent,
+                &[
+                    ("tier", "root".into()),
+                    ("shard", l.into()),
+                    ("violation", format!("{kind:?}").into()),
+                ],
+            )
+        } else {
+            SpanId::NONE
+        };
         self.events.leaf_reports += 1;
         self.ftel.reports.inc();
         self.fabric
@@ -516,14 +525,11 @@ impl Fleet {
                 ("adopted", (self.map.members(successor).len()).into()),
             ],
         );
-        let directive = self.fabric.send_rebalance(&directive, SpanId::NONE);
-        let TierMessage::Rebalance { leaf, .. } = directive else {
-            unreachable!()
-        };
+        self.fabric.send_rebalance(&directive, SpanId::NONE);
         self.events.rebalances += 1;
         self.ftel.rebalances.inc();
         self.ftel.alive_streams.set(self.alive_streams() as f64);
-        self.rebuild_leaf(leaf);
+        self.rebuild_leaf(successor);
         self.refresh_all_proxies(SpanId::NONE);
     }
 

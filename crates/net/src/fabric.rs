@@ -32,10 +32,14 @@ impl TrafficStats {
     }
 }
 
-/// An in-process fabric that *really* serializes every message (payload
-/// sizes are measured, not estimated) and accounts messages and bytes in
-/// both directions while delivering synchronously, one frame at a time
-/// on the caller's thread. A node's handler only installs what the
+/// An in-process fabric that charges the codec's exact frame length for
+/// every message ([`wire::node_message_len`] /
+/// [`wire::coordinator_message_len`], pinned to the encoders' output by
+/// the wire proptests) and accounts messages and bytes in both
+/// directions while delivering synchronously, one frame at a time on
+/// the caller's thread. The message itself is handed on: the codec is
+/// lossless, so the frame it would have produced decodes to the same
+/// message, span and epoch. A node's handler only installs what the
 /// frame carries (`Node::handle` moves fields or clones one vector), so
 /// there is nothing in a delivery worth placing on another thread.
 #[derive(Debug)]
@@ -101,6 +105,10 @@ impl CountingFabric {
     }
 
     fn comm_event(&self, dir: &str, node: NodeId, cause: CommCause, bytes: usize, span: SpanId) {
+        // The `Str` fields allocate: build them only for a live handle.
+        if !self.tel.is_enabled() {
+            return;
+        }
         self.tel.event(
             "comm",
             &[
@@ -137,11 +145,11 @@ impl CountingFabric {
         self.comm_event("down", node, cause, bytes, span);
     }
 
-    /// Deliver a node message to the coordinator (through the codec) and
-    /// return its replies, each of which must then be delivered with
-    /// [`CountingFabric::deliver_to_node_tagged`]. The span rides the
-    /// frame header and parents the
-    /// coordinator's handler span; the cause is what the frame's bytes
+    /// Deliver a node message to the coordinator, charged its exact
+    /// frame length, and return its replies, each of which must then be
+    /// delivered with [`CountingFabric::deliver_to_node_tagged`]. The
+    /// span is the trace context the frame header carries and parents
+    /// the coordinator's handler span; the cause is what the frame's bytes
     /// are charged to (e.g. `Rejoin` for a re-registration after a
     /// crash, `LazySync` for a pull reply).
     pub fn deliver_to_coordinator_as(
@@ -151,12 +159,9 @@ impl CountingFabric {
         cause: CommCause,
         span: SpanId,
     ) -> Vec<Outbound> {
-        let frame = wire::encode_node_message_ctx(&msg, span);
-        self.account_up(msg.sender(), cause, frame.len(), span);
-        let (ctx_span, decoded) =
-            wire::decode_node_message_ctx(&frame).expect("self-encoded frame decodes");
-        let epoch = decoded.epoch();
-        coord.handle_with_context(decoded, TraceCtx::new(ctx_span, epoch))
+        self.account_up(msg.sender(), cause, wire::node_message_len(&msg), span);
+        let epoch = msg.epoch();
+        coord.handle_with_context(msg, TraceCtx::new(span, epoch))
     }
 
     /// Deliver one coordinator message to its node; returns the node's
@@ -170,11 +175,9 @@ impl CountingFabric {
         out: Outbound,
     ) -> Option<(NodeMessage, SpanId, CommCause)> {
         debug_assert_eq!(node.id(), out.to, "misrouted message");
-        let frame = wire::encode_coordinator_message_ctx(&out.msg, out.span);
-        self.account_down(out.to, out.cause, frame.len(), out.span);
-        let (span, decoded) =
-            wire::decode_coordinator_message_ctx(&frame).expect("self-encoded frame decodes");
-        node.handle(decoded).map(|m| (m, span, out.cause))
+        let len = wire::coordinator_message_len(&out.msg);
+        self.account_down(out.to, out.cause, len, out.span);
+        node.handle(out.msg).map(|m| (m, out.span, out.cause))
     }
 
     /// Deliver `first`, charged to `cause` with `span` riding its header,

@@ -8,9 +8,9 @@
 //! * [`wire`] — a compact, hand-rolled binary codec for every protocol
 //!   message. Payload sizes are deterministic, which is what the §4.7
 //!   bandwidth experiments measure.
-//! * [`CountingFabric`] — an in-process fabric that round-trips every
-//!   message through the codec (so the bytes are real, not estimated),
-//!   accumulating per-direction message and byte counts plus a
+//! * [`CountingFabric`] — an in-process fabric that charges every
+//!   message the codec's exact frame length (so the bytes are real, not
+//!   estimated) and hands the message itself on, accumulating per-direction message and byte counts plus a
 //!   configurable per-message transport overhead — reproducing the
 //!   payload-vs-traffic split of Figure 10.
 //! * [`delta`] — sparse delta compression for local vectors, the §5

@@ -12,7 +12,8 @@
 //! events agree with ledger rows by construction.
 //!
 //! Inter-tier frames are the [`TierMessage`] kinds from `automon-core`,
-//! encoded with [`wire::encode_tier_message_ctx`]. A leaf's report
+//! charged at [`wire::tier_message_len`], the exact length
+//! [`wire::encode_tier_message_ctx`] gives them. A leaf's report
 //! *replaces* the flat violation frame as the charged frame — the hop
 //! is charged once, at the tier boundary, for the bytes that actually
 //! cross it.
@@ -122,11 +123,11 @@ impl ShardedFabric {
     /// The [`TierMessage::LeafReport`] frame is what crosses the tier
     /// boundary, so *its* bytes are charged (cause classified from the
     /// violation kind, then lifted to `leaf_report` by the root cause
-    /// map) — not a re-encoded flat violation. The decoded report is
-    /// reconstructed as the equivalent [`NodeMessage::Violation`] and
-    /// handed to the root coordinator, whose cascade (pulls, replies,
-    /// installs) then flows through the root fabric's ordinary charge
-    /// points under the `root_sync` cause.
+    /// map) — not a flat violation's. The report is restated as the
+    /// equivalent [`NodeMessage::Violation`] and handed to the root
+    /// coordinator, whose cascade (pulls, replies, installs) then flows
+    /// through the root fabric's ordinary charge points under the
+    /// `root_sync` cause.
     pub fn route_leaf_report(
         &mut self,
         root_coord: &mut Coordinator,
@@ -144,7 +145,6 @@ impl ShardedFabric {
         else {
             panic!("route_leaf_report takes a LeafReport");
         };
-        let frame = wire::encode_tier_message_ctx(report, span);
         let violation = NodeMessage::Violation {
             node: *leaf,
             kind: *kind,
@@ -152,24 +152,18 @@ impl ShardedFabric {
             epoch: *epoch,
         };
         let cause = CommCause::of_node_message(&violation);
-        self.root.account_up(*leaf, cause, frame.len(), span);
-        let (ctx_span, decoded) =
-            wire::decode_tier_message_ctx(&frame).expect("self-encoded frame decodes");
-        debug_assert_eq!(&decoded, report);
-        let outs = root_coord.handle_with_context(violation, TraceCtx::new(ctx_span, *epoch));
+        self.root
+            .account_up(*leaf, cause, wire::tier_message_len(report), span);
+        let outs = root_coord.handle_with_context(violation, TraceCtx::new(span, *epoch));
         self.root.route_outbounds(root_coord, proxies, outs);
     }
 
-    /// Charge a root→leaf rebalance directive on the inter-tier fabric
-    /// and return it round-tripped through the codec.
-    pub fn send_rebalance(&mut self, directive: &TierMessage, span: SpanId) -> TierMessage {
+    /// Charge a root→leaf rebalance directive on the inter-tier fabric.
+    pub fn send_rebalance(&mut self, directive: &TierMessage, span: SpanId) {
         debug_assert!(matches!(directive, TierMessage::Rebalance { .. }));
-        let frame = wire::encode_tier_message_ctx(directive, span);
+        let len = wire::tier_message_len(directive);
         self.root
-            .account_down(directive.leaf(), CommCause::ShardRebalance, frame.len(), span);
-        let (_, decoded) =
-            wire::decode_tier_message_ctx(&frame).expect("self-encoded frame decodes");
-        decoded
+            .account_down(directive.leaf(), CommCause::ShardRebalance, len, span);
     }
 }
 
@@ -237,10 +231,13 @@ mod tests {
             adopted: vec![7, 8],
             epoch: 3,
         };
-        let back = fab.send_rebalance(&directive, SpanId::NONE);
-        assert_eq!(back, directive);
+        fab.send_rebalance(&directive, SpanId::NONE);
         let by_cause = fab.root_ref().ledger().by_cause();
         assert_eq!(by_cause[&CommCause::ShardRebalance].down_msgs, 1);
+        assert_eq!(
+            by_cause[&CommCause::ShardRebalance].down_bytes,
+            wire::encode_tier_message(&directive).len() as u64
+        );
         assert_eq!(fab.check_conservation(), None);
     }
 
@@ -257,6 +254,6 @@ mod tests {
                 .route_as(&mut coord, &mut nodes, m, cause, SpanId::NONE);
         }
         let ledger = fab.combined_ledger();
-        assert!(ledger.iter().all(|((round, _, _), _)| *round == 4));
+        assert!(ledger.iter().all(|((round, _, _), _)| round == 4));
     }
 }

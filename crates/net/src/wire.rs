@@ -124,16 +124,19 @@ fn zone_update_len(z: &ZoneUpdate) -> usize {
 /// message tag.
 const HEADER_LEN: usize = 1 + 8 + 1;
 
-/// Exact frame size of an encoded node→coordinator message.
-fn node_message_len(msg: &NodeMessage) -> usize {
+/// Exact frame size of an encoded node→coordinator message: the length
+/// [`encode_node_message_ctx`] produces, for any span. An in-process
+/// fabric charges this instead of encoding the frame to measure it.
+pub fn node_message_len(msg: &NodeMessage) -> usize {
     HEADER_LEN + match msg {
         NodeMessage::Violation { local_vector, .. } => 4 + 8 + 1 + vec_len(local_vector),
         NodeMessage::LocalVector { vector, .. } => 4 + 8 + vec_len(vector),
     }
 }
 
-/// Exact frame size of an encoded coordinator→node message.
-fn coordinator_message_len(msg: &CoordinatorMessage) -> usize {
+/// Exact frame size of an encoded coordinator→node message: the length
+/// [`encode_coordinator_message_ctx`] produces, for any span.
+pub fn coordinator_message_len(msg: &CoordinatorMessage) -> usize {
     HEADER_LEN + match msg {
         CoordinatorMessage::RequestLocalVector { .. } => 8,
         CoordinatorMessage::NewConstraints { zone, slack, .. } => 8 + zone_len(zone) + vec_len(slack),
@@ -149,8 +152,9 @@ fn id_vec_len(v: &[usize]) -> usize {
     4 + 4 * v.len()
 }
 
-/// Exact frame size of an encoded inter-tier message.
-fn tier_message_len(msg: &TierMessage) -> usize {
+/// Exact frame size of an encoded inter-tier message: the length
+/// [`encode_tier_message_ctx`] produces, for any span.
+pub fn tier_message_len(msg: &TierMessage) -> usize {
     HEADER_LEN
         + match msg {
             TierMessage::LeafReport { partial, .. } => 4 + 8 + 1 + 8 + vec_len(partial),

@@ -2,13 +2,302 @@
 //! panic, whatever the bytes), and corruption must surface as a clean
 //! `WireError` or a decodable-but-different message — never UB, never
 //! an abort. This is the contract the chaos fabric leans on.
+//!
+//! The in-process fabrics charge a frame's public length
+//! (`wire::*_message_len`) and hand the message itself on instead of
+//! encoding and decoding it. That is the same delivery only if every
+//! message variant encodes to exactly that length and decodes back to
+//! the same bits, non-finite and subnormal payloads included: the
+//! `*_frames_are_exact_and_bit_lossless` properties pin both.
 
-use automon_net::wire::{
-    decode_coordinator_message, decode_node_message, decode_node_message_ctx,
-    encode_coordinator_message, encode_node_message,
+use automon_core::{
+    CoordinatorMessage, Curvature, DcKind, NeighborhoodBox, NodeMessage, SafeZone, TierMessage,
+    ViolationKind, ZoneUpdate,
 };
-use automon_core::{CoordinatorMessage, NodeMessage, ViolationKind};
+use automon_linalg::Matrix;
+use automon_net::wire::{
+    coordinator_message_len, decode_coordinator_message, decode_coordinator_message_ctx,
+    decode_node_message, decode_node_message_ctx, decode_tier_message_ctx,
+    encode_coordinator_message, encode_coordinator_message_ctx, encode_node_message,
+    encode_node_message_ctx, encode_tier_message_ctx, node_message_len, tier_message_len,
+};
+use automon_obs::SpanId;
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, RngCore, SeedableRng};
+
+/// A value of any class: one in three is a special — a NaN with a
+/// payload or sign bit, ±inf, a signed zero or a subnormal — the rest
+/// spread over many magnitudes.
+fn value(rng: &mut SmallRng) -> f64 {
+    const SPECIAL: [f64; 10] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.0,
+        -0.0,
+        f64::from_bits(1),
+        -f64::from_bits(1),
+        f64::MIN_POSITIVE / 3.0,
+        f64::MAX,
+        f64::MIN,
+    ];
+    match rng.gen_range(0..6) {
+        0 => SPECIAL[rng.gen_range(0..SPECIAL.len())],
+        // Quiet or signalling NaN, either sign, random payload.
+        1 => {
+            let sign = rng.next_u64() & (1 << 63);
+            f64::from_bits(sign | 0x7FF0_0000_0000_0000 | rng.gen_range(1..1u64 << 52))
+        }
+        _ => rng.gen_range(-1.0..1.0) * 10f64.powi(rng.gen_range(-300..300)),
+    }
+}
+
+fn values(rng: &mut SmallRng, n: usize) -> Vec<f64> {
+    (0..n).map(|_| value(rng)).collect()
+}
+
+fn kind(rng: &mut SmallRng) -> ViolationKind {
+    [
+        ViolationKind::Uninitialized,
+        ViolationKind::Neighborhood,
+        ViolationKind::SafeZone,
+        ViolationKind::FaultyConstraints,
+    ][rng.gen_range(0..4usize)]
+}
+
+fn dc(rng: &mut SmallRng) -> DcKind {
+    [
+        DcKind::ConvexDiff,
+        DcKind::ConcaveDiff,
+        DcKind::AdmissibleOnly,
+    ][rng.gen_range(0..3usize)]
+}
+
+fn neighborhood(rng: &mut SmallRng, d: usize, some: bool) -> Option<NeighborhoodBox> {
+    some.then(|| NeighborhoodBox {
+        lo: values(rng, d),
+        hi: values(rng, d),
+    })
+}
+
+/// Every coordinator→node variant the fabrics hand on, at dimension
+/// `d`: both curvature forms × with and without a neighborhood, the
+/// cached install (both neighborhood arms), the slack update and the
+/// pull.
+fn coordinator_messages(rng: &mut SmallRng, d: usize) -> Vec<CoordinatorMessage> {
+    let mut out = Vec::new();
+    for quadratic in [false, true] {
+        for nb in [false, true] {
+            let curvature = if quadratic {
+                Curvature::Quadratic(Matrix::from_rows(d, d, values(rng, d * d)))
+            } else {
+                Curvature::Scalar(value(rng))
+            };
+            let zone = SafeZone {
+                x0: values(rng, d),
+                f0: value(rng),
+                grad0: values(rng, d),
+                l: value(rng),
+                u: value(rng),
+                dc: dc(rng),
+                curvature,
+                neighborhood: neighborhood(rng, d, nb),
+            };
+            let (slack, epoch) = (values(rng, d), rng.next_u64());
+            out.push(CoordinatorMessage::NewConstraints { zone, slack, epoch });
+        }
+    }
+    for nb in [false, true] {
+        let update = ZoneUpdate {
+            x0: values(rng, d),
+            f0: value(rng),
+            grad0: values(rng, d),
+            l: value(rng),
+            u: value(rng),
+            dc: dc(rng),
+            neighborhood: neighborhood(rng, d, nb),
+        };
+        let (slack, epoch) = (values(rng, d), rng.next_u64());
+        out.push(CoordinatorMessage::NewConstraintsCached {
+            update,
+            slack,
+            epoch,
+        });
+    }
+    out.push(CoordinatorMessage::SlackUpdate {
+        slack: values(rng, d),
+        epoch: rng.next_u64(),
+    });
+    out.push(CoordinatorMessage::RequestLocalVector { epoch: rng.next_u64() });
+    out
+}
+
+fn node_messages(rng: &mut SmallRng, d: usize) -> [NodeMessage; 2] {
+    [
+        NodeMessage::Violation {
+            node: rng.gen_range(0..1 << 20),
+            kind: kind(rng),
+            local_vector: values(rng, d),
+            epoch: rng.next_u64(),
+        },
+        NodeMessage::LocalVector {
+            node: rng.gen_range(0..1 << 20),
+            vector: values(rng, d),
+            epoch: rng.next_u64(),
+        },
+    ]
+}
+
+fn tier_messages(rng: &mut SmallRng, d: usize) -> [TierMessage; 2] {
+    [
+        TierMessage::LeafReport {
+            leaf: rng.gen_range(0..1 << 20),
+            kind: kind(rng),
+            partial: values(rng, d),
+            weight: rng.next_u64(),
+            epoch: rng.next_u64(),
+        },
+        TierMessage::Rebalance {
+            leaf: rng.gen_range(0..1 << 20),
+            adopted: (0..d).map(|_| rng.gen_range(0..1 << 20)).collect(),
+            epoch: rng.next_u64(),
+        },
+    ]
+}
+
+/// A message flattened to words, every `f64` as its bits: two messages
+/// with equal words are equal bit for bit, NaN payloads included, where
+/// `PartialEq` would call any NaN unequal and `-0.0 == 0.0`.
+#[derive(Default)]
+struct Words(Vec<u64>);
+
+impl Words {
+    fn int(&mut self, v: impl Into<u64>) -> &mut Self {
+        self.0.push(v.into());
+        self
+    }
+    fn f(&mut self, v: f64) -> &mut Self {
+        self.int(v.to_bits())
+    }
+    fn fs(&mut self, v: &[f64]) -> &mut Self {
+        self.int(v.len() as u64);
+        v.iter().for_each(|&x| {
+            self.f(x);
+        });
+        self
+    }
+    fn nb(&mut self, nb: &Option<NeighborhoodBox>) -> &mut Self {
+        match nb {
+            None => self.int(0u8),
+            Some(b) => self.int(1u8).fs(&b.lo).fs(&b.hi),
+        }
+    }
+    fn dc(&mut self, dc: DcKind) -> &mut Self {
+        self.int(dc as u8)
+    }
+
+    fn of_node(m: &NodeMessage) -> Vec<u64> {
+        let mut w = Words::default();
+        match m {
+            NodeMessage::Violation {
+                node,
+                kind,
+                local_vector,
+                epoch,
+            } => w
+                .int(0u8)
+                .int(*node as u64)
+                .int(*kind as u8)
+                .fs(local_vector)
+                .int(*epoch),
+            NodeMessage::LocalVector {
+                node,
+                vector,
+                epoch,
+            } => w.int(1u8).int(*node as u64).fs(vector).int(*epoch),
+        };
+        w.0
+    }
+
+    fn of_coordinator(m: &CoordinatorMessage) -> Vec<u64> {
+        let mut w = Words::default();
+        match m {
+            CoordinatorMessage::RequestLocalVector { epoch } => w.int(0u8).int(*epoch),
+            CoordinatorMessage::NewConstraints {
+                zone: z,
+                slack,
+                epoch,
+            } => {
+                w.int(1u8)
+                    .int(*epoch)
+                    .fs(&z.x0)
+                    .f(z.f0)
+                    .fs(&z.grad0)
+                    .f(z.l)
+                    .f(z.u)
+                    .dc(z.dc);
+                match &z.curvature {
+                    Curvature::Scalar(c) => w.int(0u8).f(*c),
+                    Curvature::Quadratic(m) => w
+                        .int(1u8)
+                        .int(m.rows() as u64)
+                        .int(m.cols() as u64)
+                        .fs(m.as_slice()),
+                };
+                w.nb(&z.neighborhood).fs(slack)
+            }
+            CoordinatorMessage::SlackUpdate { slack, epoch } => w.int(2u8).int(*epoch).fs(slack),
+            CoordinatorMessage::NewConstraintsCached {
+                update: z,
+                slack,
+                epoch,
+            } => w
+                .int(3u8)
+                .int(*epoch)
+                .fs(&z.x0)
+                .f(z.f0)
+                .fs(&z.grad0)
+                .f(z.l)
+                .f(z.u)
+                .dc(z.dc)
+                .nb(&z.neighborhood)
+                .fs(slack),
+        };
+        w.0
+    }
+
+    fn of_tier(m: &TierMessage) -> Vec<u64> {
+        let mut w = Words::default();
+        match m {
+            TierMessage::LeafReport {
+                leaf,
+                kind,
+                partial,
+                weight,
+                epoch,
+            } => w
+                .int(0u8)
+                .int(*leaf as u64)
+                .int(*kind as u8)
+                .fs(partial)
+                .int(*weight)
+                .int(*epoch),
+            TierMessage::Rebalance {
+                leaf,
+                adopted,
+                epoch,
+            } => {
+                w.int(1u8).int(*leaf as u64).int(adopted.len() as u64);
+                adopted.iter().for_each(|&id| {
+                    w.int(id as u64);
+                });
+                w.int(*epoch)
+            }
+        };
+        w.0
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
@@ -121,4 +410,65 @@ proptest! {
             prop_assert_ne!(decoded, msg);
         }
     }
+
+    /// Every coordinator→node variant: the public frame length is the
+    /// encoded length, and the frame decodes to the same bits and span.
+    #[test]
+    fn coordinator_frames_are_exact_and_bit_lossless(seed in 0u64..u64::MAX, d in 0usize..6usize) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let span = SpanId(rng.next_u64());
+        for msg in coordinator_messages(&mut rng, d) {
+            let frame = encode_coordinator_message_ctx(&msg, span);
+            prop_assert_eq!(coordinator_message_len(&msg), frame.len(), "{:?}", msg);
+            let (got_span, decoded) = decode_coordinator_message_ctx(&frame).unwrap();
+            prop_assert_eq!(got_span, span);
+            prop_assert_eq!(Words::of_coordinator(&decoded), Words::of_coordinator(&msg), "{:?}", msg);
+        }
+    }
+
+    /// Both node→coordinator variants, likewise.
+    #[test]
+    fn node_frames_are_exact_and_bit_lossless(seed in 0u64..u64::MAX, d in 0usize..40usize) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let span = SpanId(rng.next_u64());
+        for msg in node_messages(&mut rng, d) {
+            let frame = encode_node_message_ctx(&msg, span);
+            prop_assert_eq!(node_message_len(&msg), frame.len(), "{:?}", msg);
+            let (got_span, decoded) = decode_node_message_ctx(&frame).unwrap();
+            prop_assert_eq!(got_span, span);
+            prop_assert_eq!(Words::of_node(&decoded), Words::of_node(&msg), "{:?}", msg);
+        }
+    }
+
+    /// Both inter-tier variants, likewise.
+    #[test]
+    fn tier_frames_are_exact_and_bit_lossless(seed in 0u64..u64::MAX, d in 0usize..40usize) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let span = SpanId(rng.next_u64());
+        for msg in tier_messages(&mut rng, d) {
+            let frame = encode_tier_message_ctx(&msg, span);
+            prop_assert_eq!(tier_message_len(&msg), frame.len(), "{:?}", msg);
+            let (got_span, decoded) = decode_tier_message_ctx(&frame).unwrap();
+            prop_assert_eq!(got_span, span);
+            prop_assert_eq!(Words::of_tier(&decoded), Words::of_tier(&msg), "{:?}", msg);
+        }
+    }
+}
+
+/// The generators reach what the properties claim to cover: every
+/// special class, both signs of NaN, and a payload beyond the default
+/// quiet NaN's.
+#[test]
+fn generators_reach_every_special_value() {
+    let mut rng = SmallRng::seed_from_u64(1);
+    let drawn = values(&mut rng, 4000);
+    let has = |p: &dyn Fn(f64) -> bool| drawn.iter().any(|&x| p(x));
+    assert!(has(&|x| x.is_nan() && x.is_sign_negative()));
+    assert!(has(
+        &|x| x.is_nan() && x.to_bits() & 0x0007_FFFF_FFFF_FFFF != 0
+    ));
+    assert!(has(&|x| x == f64::INFINITY));
+    assert!(has(&|x| x == f64::NEG_INFINITY));
+    assert!(has(&|x| x == 0.0 && x.is_sign_negative()));
+    assert!(has(&|x| x.is_subnormal()));
 }

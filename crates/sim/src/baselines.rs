@@ -46,7 +46,7 @@ pub(crate) fn report_bytes(node: usize, x: &[f64]) -> usize {
         vector: x.to_vec(),
         epoch: 0,
     };
-    wire::encode_node_message(&report).len()
+    wire::node_message_len(&report)
 }
 
 /// Centralization: every node forwards every local-vector update; the

@@ -13,11 +13,14 @@
 //! differ by transport.
 //!
 //! [`SocketLink`] runs the same FIFO cascade as
-//! [`CountingFabric::route_as`] but does not share its code: the fabric's
-//! hop is an infallible `encode → decode` that `Fleet::update` pays once
-//! per update, the socket's is two fallible calls with a deadline, and a
-//! cascade parameterised over both would branch on its caller in the
-//! fabric's hot loop.
+//! [`CountingFabric::route_as`] but does not share its code. The fabric's
+//! hop charges the codec's exact frame length and hands the message on,
+//! about six times per `Fleet::update` resolution; the socket's is two
+//! fallible calls with a deadline; a cascade parameterised over both
+//! would branch on its caller in the fabric's hot loop. Every link
+//! charges a message the same length, [`wire::node_message_len`] /
+//! [`wire::coordinator_message_len`], which the wire proptests pin to the
+//! encoders' output.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::net::TcpListener;
@@ -270,7 +273,7 @@ impl ReactorLink {
     fn send_down(&mut self, out: Outbound) -> bool {
         match self.reactor.enqueue(&out) {
             Ok(()) => {
-                let len = wire::encode_coordinator_message_ctx(&out.msg, out.span).len();
+                let len = wire::coordinator_message_len(&out.msg);
                 self.fabric.account_down(out.to, out.cause, len, out.span);
                 self.down_causes[out.to].push_back(out.cause);
                 true
@@ -458,7 +461,7 @@ fn route<T: CoordinatorTransport>(
                 .recv_timeout_traced(HOP_DEADLINE)
                 .map_err(at("node receive", to))?
                 .ok_or_else(|| at("node receive", to)(LATE))?;
-            let len = wire::encode_coordinator_message_ctx(&msg, span).len();
+            let len = wire::coordinator_message_len(&msg);
             fabric.account_down(to, out.cause, len, span);
             if let Some(reply) = nodes[to].handle(msg) {
                 inbox.push_back((reply, span, out.cause));
@@ -474,7 +477,7 @@ fn route<T: CoordinatorTransport>(
         let (span, msg) = coord_end
             .recv_timeout_traced(HOP_DEADLINE)
             .ok_or_else(|| at("coordinator receive", from)(LATE))?;
-        let len = wire::encode_node_message_ctx(&msg, span).len();
+        let len = wire::node_message_len(&msg);
         fabric.account_up(msg.sender(), cause, len, span);
         let ctx = TraceCtx::new(span, msg.epoch());
         outs = coord.handle_with_context(msg, ctx);
