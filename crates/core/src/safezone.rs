@@ -131,19 +131,14 @@ pub enum Curvature {
 
 impl Curvature {
     /// Evaluate `q(Δ)` at the offset `Δ = x - x0`, writing `MΔ` into
-    /// `m_delta` for the anisotropic form. Same loops, and so the same
-    /// bits, as `0.5 · Matrix::quadratic_form(Δ)`: a row-wise `dot` into
-    /// `MΔ`, then `dot(Δ, MΔ)`.
+    /// `m_delta` for the anisotropic form: `Matrix::matvec_into`, whose
+    /// entry `i` is `vector::dot(row_i, Δ)` to the bit, then
+    /// `dot(Δ, MΔ)`; the bits of `0.5 · Matrix::quadratic_form(Δ)`.
     fn eval_into(&self, delta: &[f64], m_delta: &mut Vec<f64>) -> f64 {
         match self {
             Curvature::Scalar(c) => 0.5 * c * vector::norm_sq(delta),
             Curvature::Quadratic(m) => {
-                m_delta.clear();
-                m_delta.extend(
-                    m.as_slice()
-                        .chunks_exact(m.cols())
-                        .map(|row| vector::dot(row, delta)),
-                );
+                m.matvec_into(delta, m_delta);
                 0.5 * vector::dot(delta, m_delta)
             }
         }
@@ -243,11 +238,7 @@ impl SafeZone {
         let tol = REL_TOL * (1.0 + self.f0.abs() + self.u.abs() + self.l.abs());
         let fx = f.eval(x);
         if self.dc == DcKind::AdmissibleOnly {
-            return if fx < self.l - tol || fx > self.u + tol {
-                Some(ViolationKind::SafeZone)
-            } else {
-                None
-            };
+            return (!self.admissible(fx)).then_some(ViolationKind::SafeZone);
         }
 
         zip_into(delta, x, &self.x0, |a, b| a - b);
@@ -270,7 +261,7 @@ impl SafeZone {
         // Sanity check (paper §3.7): inside the safe zone, f must be
         // admissible; otherwise the decomposition was not a true DC
         // decomposition and the constraints are faulty.
-        if fx < self.l - tol || fx > self.u + tol {
+        if !self.admissible(fx) {
             return Some(ViolationKind::FaultyConstraints);
         }
         None
@@ -400,6 +391,16 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn no_adcd_zone_rejects_a_nan_value() {
+        // `f(x)` is NaN: not admissible, so not inside the zone either.
+        let f = AutoDiffFn::new(Sin);
+        let z = fig1_zone(DcKind::AdmissibleOnly);
+        assert!(!z.admissible(f64::NAN));
+        assert_eq!(z.check(&f, &[f64::NAN]), Some(ViolationKind::SafeZone));
+        assert!(z.contains(&f, &[1.5]));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! `x + s` and `Δ`, [`curvature_eval`] for the penalty, `vector::dot` for
 //! the tangent and `vector::mean` for both averages. The dimensions are
 //! interleaved on one thread, so the per-thread scratch grows and shrinks
-//! between checks; coordinates include ±0.0 and subnormals.
+//! between checks; coordinates include ±0.0, subnormals, ±inf and NaN.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -27,11 +27,18 @@ const DIMS: [usize; 6] = [1, 100, 2, 40, 3, 17];
 /// `REL_TOL` of `safezone.rs`.
 const REL_TOL: f64 = 1e-9;
 
-/// `q(Δ)` as the safe zone evaluated it with fresh vectors.
+/// `q(Δ)` by the textbook formula: `MΔ` one row at a time, each row
+/// summed in column order, then `½·Δᵀ(MΔ)`. It calls no `Matrix` product,
+/// so it is an oracle for the dense kernel the check runs.
 fn curvature_eval(c: &Curvature, delta: &[f64]) -> f64 {
     match c {
         Curvature::Scalar(c) => 0.5 * c * vector::norm_sq(delta),
-        Curvature::Quadratic(m) => 0.5 * m.quadratic_form(delta),
+        Curvature::Quadratic(m) => {
+            let m_delta: Vec<f64> = (0..m.rows())
+                .map(|i| (0..m.cols()).map(|j| m[(i, j)] * delta[j]).sum())
+                .collect();
+            0.5 * vector::dot(delta, &m_delta)
+        }
     }
 }
 
@@ -117,13 +124,24 @@ fn coord(rng: &mut SmallRng, around: f64, spread: f64) -> f64 {
     }
 }
 
-fn point(rng: &mut SmallRng, d: usize, around: f64, spread: f64) -> Vec<f64> {
+fn finite_point(rng: &mut SmallRng, d: usize, around: f64, spread: f64) -> Vec<f64> {
     (0..d).map(|_| coord(rng, around, spread)).collect()
 }
 
+/// A [`finite_point`], except that one point in eight has a NaN or an
+/// infinity in one coordinate. (Per coordinate, a rate that shows at
+/// `d = 2` would leave hardly a finite point at `d = 100`.)
+fn point(rng: &mut SmallRng, d: usize, around: f64, spread: f64) -> Vec<f64> {
+    const NON_FINITE: [f64; 4] = [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    let mut p = finite_point(rng, d, around, spread);
+    if rng.gen_bool(0.125) {
+        p[rng.gen_range(0..d)] = NON_FINITE[rng.gen_range(0..NON_FINITE.len())];
+    }
+    p
+}
+
 /// A zone over `f` of any shape: either curvature form, any DC kind, with
-/// or without a neighborhood. One in three pins the first constraint onto
-/// `x`, so the verdict turns on the last bits of `q(Δ)`.
+/// or without a neighborhood.
 fn random_zone(rng: &mut SmallRng, f: &dyn MonitoredFunction, x: &[f64]) -> SafeZone {
     let d = x.len();
     let x0: Vec<f64> = x.iter().map(|&v| coord(rng, v, 0.5)).collect();
@@ -146,7 +164,7 @@ fn random_zone(rng: &mut SmallRng, f: &dyn MonitoredFunction, x: &[f64]) -> Safe
         }
     });
     let width = rng.gen_range(0.01..3.0);
-    let mut z = SafeZone {
+    SafeZone {
         grad0: point(rng, d, 0.0, 1.0),
         x0,
         f0,
@@ -155,23 +173,47 @@ fn random_zone(rng: &mut SmallRng, f: &dyn MonitoredFunction, x: &[f64]) -> Safe
         dc,
         curvature,
         neighborhood,
-    };
-    if dc != DcKind::AdmissibleOnly && rng.gen_bool(1.0 / 3.0) {
-        // ConvexDiff holds `fx + q ≤ U + tol`, ConcaveDiff
-        // `tangent + q ≤ U + tol`: put `U + tol` on that sum, give or
-        // take an ulp or two.
-        let delta = vector::sub(x, &z.x0);
-        let q = curvature_eval(&z.curvature, &delta);
-        let lhs = match dc {
+    }
+}
+
+/// `z` with one constraint pinned onto `x`, as five zones whose pinned
+/// threshold steps −2..=2 ulps: a check whose `q(Δ)` is off by an ulp
+/// gives another verdict on one of them. `on_q` pins a convex
+/// difference's `L` constraint, `q ≤ tangent − L + tol`, which reads `q`
+/// alone; otherwise the `U` one, on `f(x) + q` (convex difference) or
+/// `tangent + q` (concave difference).
+fn pinned(f: &dyn MonitoredFunction, x: &[f64], mut z: SafeZone, on_q: bool) -> Vec<SafeZone> {
+    let delta = vector::sub(x, &z.x0);
+    let q = curvature_eval(&z.curvature, &delta);
+    let tangent = z.f0 + vector::dot(&z.grad0, &delta);
+    let step = |v: f64, k: i64| f64::from_bits(v.to_bits().wrapping_add_signed(k));
+    if on_q {
+        assert_eq!(z.dc, DcKind::ConvexDiff);
+        z.u = z.u.max(f.eval(x) + q) + 1.0;
+        for _ in 0..3 {
+            z.l = tangent + tol(&z) - q;
+        }
+        (-2..=2)
+            .map(|k| SafeZone {
+                l: step(z.l, k),
+                ..z.clone()
+            })
+            .collect()
+    } else {
+        let lhs = match z.dc {
             DcKind::ConvexDiff => f.eval(x) + q,
-            _ => z.f0 + vector::dot(&z.grad0, &delta) + q,
+            _ => tangent + q,
         };
         for _ in 0..3 {
             z.u = lhs - tol(&z);
         }
-        z.u = f64::from_bits(z.u.to_bits().wrapping_add_signed(rng.gen_range(-2i64..3)));
+        (-2..=2)
+            .map(|k| SafeZone {
+                u: step(z.u, k),
+                ..z.clone()
+            })
+            .collect()
     }
-    z
 }
 
 fn function(d: usize, constant_hessian: bool) -> Arc<dyn MonitoredFunction> {
@@ -192,8 +234,41 @@ fn verdict_index(v: Option<ViolationKind>) -> usize {
     }
 }
 
+/// `zone`'s verdict on `x + s` on the coordinator's path (the zone checks
+/// the point it is given) and on the node's (it checks its vector plus
+/// its slack), both against [`reference_check`]; returns that verdict.
+fn check_paths(
+    f: &Arc<dyn MonitoredFunction>,
+    x: &[f64],
+    s: &[f64],
+    zone: SafeZone,
+) -> Option<ViolationKind> {
+    let d = x.len();
+    let shifted = vector::add(x, s);
+    let want = reference_check(&zone, f.as_ref(), &shifted);
+    assert_eq!(
+        zone.check(f.as_ref(), &shifted),
+        want,
+        "d = {d}: zone check"
+    );
+    let mut node = Node::new(0, f.clone());
+    let _ = node.update_data(x.to_vec());
+    node.handle(CoordinatorMessage::NewConstraints {
+        zone,
+        slack: s.to_vec(),
+        epoch: 1,
+    });
+    let got = node.update_data(x.to_vec()).map(|m| match m {
+        NodeMessage::Violation { kind, .. } => kind,
+        other => panic!("unexpected {other:?}"),
+    });
+    assert_eq!(got, want, "d = {d}: node verdict");
+    want
+}
+
 /// One seed's worth of checks over every dimension; returns how often
-/// each verdict came up (`verdict_index` order).
+/// each verdict came up (`verdict_index` order). One zone in three is
+/// [`pinned`].
 fn check_case(seed: u64) -> [usize; 5] {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut seen = [0; 5];
@@ -203,31 +278,55 @@ fn check_case(seed: u64) -> [usize; 5] {
         let s = point(&mut rng, d, 0.0, 0.2);
         let shifted = vector::add(&x, &s);
         let zone = random_zone(&mut rng, f.as_ref(), &shifted);
-
-        // The coordinator's path: the zone checks the point it is given.
-        let want = reference_check(&zone, f.as_ref(), &shifted);
-        assert_eq!(
-            zone.check(f.as_ref(), &shifted),
-            want,
-            "d = {d}: zone check"
-        );
-        seen[verdict_index(want)] += 1;
-
-        // The node's path: it checks its vector plus its slack.
-        let mut node = Node::new(0, f.clone());
-        let _ = node.update_data(x.clone());
-        node.handle(CoordinatorMessage::NewConstraints {
-            zone,
-            slack: s,
-            epoch: 1,
-        });
-        let got = node.update_data(x).map(|m| match m {
-            NodeMessage::Violation { kind, .. } => kind,
-            other => panic!("unexpected {other:?}"),
-        });
-        assert_eq!(got, want, "d = {d}: node verdict");
+        let zones = if zone.dc != DcKind::AdmissibleOnly && rng.gen_bool(1.0 / 3.0) {
+            let on_q = zone.dc == DcKind::ConvexDiff && rng.gen_bool(0.5);
+            pinned(f.as_ref(), &shifted, zone, on_q)
+        } else {
+            vec![zone]
+        };
+        for zone in zones {
+            seen[verdict_index(check_paths(&f, &x, &s, zone))] += 1;
+        }
     }
     seen
+}
+
+/// Finite ADCD-E zones with a dense `M` and no neighborhood, every one
+/// [`pinned`] on `q` alone: the verdicts hold only if the check's `q(Δ)`
+/// is the textbook one to the last bit. `M`'s rows cancel: every entry
+/// but the last column's is large, and that one brings the row's sum
+/// back into (−1, 1). So a row's rounding error is many ulps of its
+/// `(MΔ)ᵢ`, and a row summed in another order moves `q` by more than the
+/// pinned steps.
+fn penalty_case(seed: u64) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    for &d in &DIMS {
+        let f = function(d, true);
+        let x = finite_point(&mut rng, d, 0.3, 0.4);
+        let s = finite_point(&mut rng, d, 0.0, 0.2);
+        let shifted = vector::add(&x, &s);
+        let mut x0: Vec<f64> = shifted.iter().map(|&v| coord(&mut rng, v, 0.5)).collect();
+        x0[d - 1] = shifted[d - 1] - 0.25;
+        let delta = vector::sub(&shifted, &x0);
+        let mut m = Matrix::from_fn(d, d, |_, _| 1e3 * coord(&mut rng, 0.0, 1.0));
+        for i in 0..d {
+            let head: f64 = (0..d - 1).map(|j| m[(i, j)] * delta[j]).sum();
+            m[(i, d - 1)] = (rng.gen_range(-1.0..1.0) - head) / delta[d - 1];
+        }
+        let zone = SafeZone {
+            f0: f.eval(&x0),
+            x0,
+            grad0: finite_point(&mut rng, d, 0.0, 1.0),
+            l: 0.0,
+            u: 0.0,
+            dc: DcKind::ConvexDiff,
+            curvature: Curvature::Quadratic(m),
+            neighborhood: None,
+        };
+        for zone in pinned(f.as_ref(), &shifted, zone, true) {
+            check_paths(&f, &x, &s, zone);
+        }
+    }
 }
 
 fn assert_bits(got: &[f64], want: &[f64], what: &str) {
@@ -304,8 +403,11 @@ fn sync_case(
 ) -> (usize, usize) {
     let n = rng.gen_range(2..7);
     let mut coord = Coordinator::new(f.clone(), n, cfg);
+    // Finite vectors only: a full sync whose `x0` holds a NaN still
+    // panics (`Bounds::new` rejects the NaN box the eq.-3 search asks
+    // for), so only the check path above draws non-finite points.
     let mut m = Mirror {
-        xs: (0..n).map(|_| point(rng, d, 0.3, 0.05)).collect(),
+        xs: (0..n).map(|_| finite_point(rng, d, 0.3, 0.05)).collect(),
         slack: vec![vec![0.0; d]; n],
         zone: None,
     };
@@ -416,6 +518,11 @@ proptest! {
     #[test]
     fn check_verdicts_equal_the_allocating_check(seed in 0u64..u64::MAX) {
         check_case(seed);
+    }
+
+    #[test]
+    fn the_penalty_is_the_textbook_sum_to_the_last_bit(seed in 0u64..u64::MAX) {
+        penalty_case(seed);
     }
 
     #[test]

@@ -83,16 +83,66 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Matrix-vector product `A·x`.
+    /// Matrix-vector product `A·x` in a fresh vector, computed by
+    /// [`matvec_into`](Self::matvec_into): entry `i` has the bits of
+    /// `vector::dot(row_i, x)`.
     ///
     /// # Panics
     /// Panics if `x.len() != self.cols()`.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
+        let mut out = Vec::new();
+        self.matvec_into(x, &mut out);
+        out
+    }
+
+    /// Matrix-vector product `A·x` into `out`'s own buffer: the one dense
+    /// mat-vec kernel.
+    ///
+    /// Entry `i` has the bits of `vector::dot(row_i, x)`: it has its own
+    /// accumulator, which starts at `-0.0` (the value `f64: Sum` folds
+    /// from) and adds `row_i[j]·x[j]` for `j` in column order. The kernel
+    /// walks eight rows side by side, then four, then the rest one at a
+    /// time, so the core overlaps independent add chains instead of
+    /// waiting on one add at a time; no sum is reordered.
+    ///
+    /// # Panics
+    /// Panics if `x.len() != self.cols()`.
+    pub fn matvec_into(&self, x: &[f64], out: &mut Vec<f64>) {
         assert_eq!(x.len(), self.cols, "matvec: dimension mismatch");
-        self.data
-            .chunks_exact(self.cols)
-            .map(|row| crate::vector::dot(row, x))
-            .collect()
+        let n = self.cols;
+        out.clear();
+        out.reserve(self.rows);
+        // The rows of `$rows`, each dotted with `x` in a local of its own
+        // (an array of accumulators spills).
+        macro_rules! side_by_side {
+            ($rows:expr; $($row:ident $acc:ident),+) => {{
+                let rest = $rows;
+                $(let ($row, rest) = rest.split_at(n); let mut $acc = -0.0f64;)+
+                debug_assert!(rest.is_empty());
+                for (j, &xj) in x.iter().enumerate() {
+                    $($acc += $row[j] * xj;)+
+                }
+                out.extend([$($acc),+]);
+            }};
+        }
+        // Row counts, not `chunks_exact`: no division, and no panic at
+        // `n == 0`, where every entry is the empty sum `-0.0`.
+        let (mut rest, mut left) = (self.data.as_slice(), self.rows);
+        while left >= 8 {
+            let (rows, tail) = rest.split_at(8 * n);
+            side_by_side!(rows; r0 a0, r1 a1, r2 a2, r3 a3, r4 a4, r5 a5, r6 a6, r7 a7);
+            (rest, left) = (tail, left - 8);
+        }
+        if left >= 4 {
+            let (rows, tail) = rest.split_at(4 * n);
+            side_by_side!(rows; r0 a0, r1 a1, r2 a2, r3 a3);
+            (rest, left) = (tail, left - 4);
+        }
+        for _ in 0..left {
+            let (row, tail) = rest.split_at(n);
+            out.push(crate::vector::dot(row, x));
+            rest = tail;
+        }
     }
 
     /// Quadratic form `xᵀ·A·x`.

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# A/B the repository's benchmark (BENCHMARK.json) between a base revision
-# and the working tree, in alternating pairs. Run from anywhere:
+# A/B a base revision against the working tree: first the same bytes on a
+# checked-in list of CLI command lines, then the repository's benchmark
+# (BENCHMARK.json) in alternating pairs. Run from anywhere:
 #
 #   scripts/ab.sh <base-rev>
 #
@@ -12,13 +13,24 @@
 #
 # The base revision is exported with `git archive` into $AB_DIR/base: a
 # plain tree, so no worktree is registered in this repository. Each side
-# builds in its own target directory before the first run, so nothing
-# compiles while something is timed. A run is the BENCHMARK.json
-# command, unmodified, executed from its side's checkout with
-# `--workload W --seed S --seconds N --trace 0`, N being
-# BENCHMARK.json's `run_seconds`; pair k runs the base
-# first when k is even and the working tree first when k is odd. The
-# result line of every run is kept as $AB_DIR/runs/W.S.k.{base,change}.json.
+# builds its benchmark and its release CLI (`automon`) in target
+# directories of its own before the first run, so nothing compiles while
+# something is timed.
+#
+# The argv half: every line of scripts/ab_argv.txt (the working tree's
+# copy, for both sides) runs from each side's CLI twice, once plain and
+# once with `--trace-out`. Stdout, minus the `trace written to` line and
+# any `elapsed_ms` field, and the trace file must be byte-identical
+# between the sides; the outputs are kept under $AB_DIR/argv/{base,change}.
+# On any difference, or a line that exits non-zero, the script names it
+# and exits 1 before the benchmark starts.
+#
+# The benchmark half: a run is the BENCHMARK.json command, unmodified,
+# executed from its side's checkout with `--workload W --seed S
+# --seconds N --trace 0`, N being BENCHMARK.json's `run_seconds`; pair k
+# runs the base first when k is even and the working tree first when k is
+# odd. The result line of every run is kept as
+# $AB_DIR/runs/W.S.k.{base,change}.json.
 #
 # Prints, per workload, seed and end-to-end metric: both medians and
 # their ratio (change / base), the base's q1..q3, the pairs the working
@@ -52,7 +64,43 @@ checkout() { if [ "$1" = base ]; then echo "$AB_DIR/base"; else echo "$REPO"; fi
 for side in base change; do
     echo "==> building $side" >&2
     (cd "$(checkout $side)" && CARGO_TARGET_DIR="$AB_DIR/target-$side" "${BUILD[@]}")
+    (cd "$(checkout $side)" && CARGO_TARGET_DIR="$AB_DIR/cli-$side" \
+        cargo build --release --offline -q -p automon-cli)
 done
+
+mapfile -t ARGV < <(grep -v -e '^#' -e '^[[:space:]]*$' "$REPO/scripts/ab_argv.txt")
+for side in base change; do
+    echo "==> argv list, $side" >&2
+    out="$AB_DIR/argv/$side"
+    rm -rf "$out"
+    mkdir -p "$out"
+    for k in "${!ARGV[@]}"; do
+        read -ra argv <<< "${ARGV[$k]}"
+        for mode in off on; do
+            extra=()
+            if [ "$mode" = on ]; then extra=(--trace-out "$out/$k.jsonl"); fi
+            status=0
+            "$AB_DIR/cli-$side/release/automon" "${argv[@]}" "${extra[@]}" > "$out/$k.$mode.out" || status=$?
+            sed -i -E -e '/^trace written to /d' -e 's/"elapsed_ms":[0-9]+,?//' "$out/$k.$mode.out"
+            if [ "$status" != 0 ]; then echo "exit status $status" >> "$out/$k.$mode.out"; fi
+        done
+    done
+done
+differ=0
+for k in "${!ARGV[@]}"; do
+    for f in "$k.off.out" "$k.on.out" "$k.jsonl"; do
+        if ! cmp -s "$AB_DIR/argv/base/$f" "$AB_DIR/argv/change/$f"; then
+            echo "argv $k ($f) differs: ${ARGV[$k]}"
+            differ=$((differ + 1))
+        fi
+    done
+    if grep -q '^exit status' "$AB_DIR/argv/change/$k.off.out" "$AB_DIR/argv/change/$k.on.out"; then
+        echo "argv $k exits non-zero: ${ARGV[$k]}"
+        differ=$((differ + 1))
+    fi
+done
+echo "argv ${#ARGV[@]} lines, telemetry off and on: $differ difference(s) in stdout, --trace-out or exit status"
+if [ "$differ" != 0 ]; then exit 1; fi
 
 one_run() { # side workload seed pair
     local out="$AB_DIR/runs/$2.$3.$4.$1.json"
