@@ -105,8 +105,8 @@ pub trait DifferentiableFn: Send + Sync {
     /// Hessians per full sync) can keep one per worker thread and avoid
     /// re-tracing and re-allocating per query. The default delegates to
     /// [`Self::hessian`]; [`AutoDiffFn`] overrides it with a graph
-    /// workspace of the evaluator's own, bit-identical to its
-    /// [`Self::hessian`].
+    /// workspace of the evaluator's own that holds the recording,
+    /// bit-identical to its [`Self::hessian`].
     fn hessian_eval(&self) -> Box<dyn HessianEvaluator + '_> {
         Box::new(FallbackHessianEval { f: self })
     }
@@ -120,8 +120,8 @@ pub trait DifferentiableFn: Send + Sync {
     /// per point, [`HvpEvaluator::apply`] once per direction. The
     /// default delegates to [`Self::hvp`] (the whole query per product);
     /// [`AutoDiffFn`] overrides it with a graph workspace of the
-    /// evaluator's own whose products are bit-identical to its
-    /// [`Self::hvp`].
+    /// evaluator's own that holds the recording, whose products are
+    /// bit-identical to its [`Self::hvp`].
     fn hvp_eval(&self) -> Box<dyn HvpEvaluator + '_> {
         Box::new(FallbackHvpEval {
             f: self,
@@ -218,37 +218,33 @@ impl<F: DifferentiableFn + ?Sized> HvpEvaluator for FallbackHvpEval<'_, F> {
     }
 }
 
-/// Graph-workspace evaluator used by [`AutoDiffFn`]: records the op
-/// structure once per point and replays `d` seed tangents.
-struct GraphHessianEval<'a, F: ScalarFn> {
-    f: &'a F,
+/// Graph-workspace evaluator used by [`AutoDiffFn`] for both
+/// [`DifferentiableFn::hessian_eval`] (one primal sweep and `d` seed
+/// lanes per Hessian) and [`DifferentiableFn::hvp_eval`] (one primal
+/// sweep per point, one tangent lane per product). Its workspace is lent
+/// by the wrapper and handed back on drop.
+struct GraphEval<'a, F: ScalarFn> {
+    owner: &'a AutoDiffFn<F>,
     ws: GraphWorkspace,
 }
 
-impl<F: ScalarFn> HessianEvaluator for GraphHessianEval<'_, F> {
+impl<F: ScalarFn> HessianEvaluator for GraphEval<'_, F> {
     fn dim(&self) -> usize {
-        self.f.dim()
+        self.owner.f.dim()
     }
 
     fn hessian_into(&mut self, x: &[f64], out: &mut Matrix) {
-        self.ws.hessian_into(self.f, x, out);
+        self.ws.hessian_into(&self.owner.f, x, out);
     }
 }
 
-/// Graph-workspace HVP evaluator used by [`AutoDiffFn`]: one recorded
-/// graph, one primal sweep per point, one tangent lane per product.
-struct GraphHvpEval<'a, F: ScalarFn> {
-    f: &'a F,
-    ws: GraphWorkspace,
-}
-
-impl<F: ScalarFn> HvpEvaluator for GraphHvpEval<'_, F> {
+impl<F: ScalarFn> HvpEvaluator for GraphEval<'_, F> {
     fn dim(&self) -> usize {
-        self.f.dim()
+        self.owner.f.dim()
     }
 
     fn at(&mut self, x: &[f64]) {
-        self.ws.at(self.f, x);
+        self.ws.at(&self.owner.f, x);
     }
 
     fn apply(&mut self, v: &[f64], out: &mut [f64]) {
@@ -260,6 +256,19 @@ impl<F: ScalarFn> HvpEvaluator for GraphHvpEval<'_, F> {
     }
 }
 
+impl<F: ScalarFn> Drop for GraphEval<'_, F> {
+    fn drop(&mut self) {
+        let ws = std::mem::replace(&mut self.ws, GraphWorkspace::new());
+        lock(&self.owner.spare).push(ws);
+    }
+}
+
+/// A lock taken over as is when poisoned; see [`AutoDiffFn::workspace`]
+/// for why every workspace behind one stays sound.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Differentiable wrapper around a [`ScalarFn`].
 ///
 /// Construction records the function's graph once and reads Hessian
@@ -267,7 +276,11 @@ impl<F: ScalarFn> HvpEvaluator for GraphHvpEval<'_, F> {
 /// recording, which is re-recorded per point only when its structure
 /// depends on the point (`abs`/`max` branches, [`Scalar::value`] reads):
 /// [`Self::grad`] is one primal sweep, [`Self::hvp`] adds one tangent
-/// lane, [`Self::hessian`] carries `d` lanes at once.
+/// lane, [`Self::hessian`] carries `d` lanes at once. The evaluators of
+/// [`DifferentiableFn::hessian_eval`] and
+/// [`DifferentiableFn::hvp_eval`] get workspaces of their own that hold
+/// the recording: a point-independent graph is recorded at wrap time
+/// and never again, and a workspace's buffers outlive its evaluator.
 ///
 /// The recording sits behind a mutex, so one wrapper can be shared
 /// across threads; queries from different threads take turns.
@@ -279,6 +292,9 @@ pub struct AutoDiffFn<F: ScalarFn> {
     cached_hessian: Option<Matrix>,
     /// The wrap-time recording, with the scratch of its sweeps.
     ws: Mutex<GraphWorkspace>,
+    /// Workspaces of dropped evaluators, recording and buffers kept for
+    /// the next evaluator (so at most as many as were ever alive at once).
+    spare: Mutex<Vec<GraphWorkspace>>,
 }
 
 impl<F: ScalarFn> AutoDiffFn<F> {
@@ -307,6 +323,7 @@ impl<F: ScalarFn> AutoDiffFn<F> {
             constant_hessian,
             cached_hessian: constant_hessian.then_some(h),
             ws: Mutex::new(ws),
+            spare: Mutex::new(Vec::new()),
         }
     }
 
@@ -316,7 +333,18 @@ impl<F: ScalarFn> AutoDiffFn<F> {
     /// makes the next query record afresh; either way the workspace is
     /// sound, and a poisoned lock is taken over as is.
     fn workspace(&self) -> MutexGuard<'_, GraphWorkspace> {
-        self.ws.lock().unwrap_or_else(PoisonError::into_inner)
+        lock(&self.ws)
+    }
+
+    /// An evaluator's workspace: a spare one when an earlier evaluator
+    /// handed one back, else a fork of the recording. Either way no
+    /// point is primed and the sweep counter reads zero.
+    fn lend(&self) -> GraphEval<'_, F> {
+        let spare = lock(&self.spare).pop();
+        GraphEval {
+            owner: self,
+            ws: spare.map_or_else(|| self.workspace().fork(), GraphWorkspace::reset),
+        }
     }
 
     /// Immutable access to the wrapped function.
@@ -399,17 +427,11 @@ impl<F: ScalarFn> DifferentiableFn for AutoDiffFn<F> {
     }
 
     fn hessian_eval(&self) -> Box<dyn HessianEvaluator + '_> {
-        Box::new(GraphHessianEval {
-            f: &self.f,
-            ws: GraphWorkspace::new(),
-        })
+        Box::new(self.lend())
     }
 
     fn hvp_eval(&self) -> Box<dyn HvpEvaluator + '_> {
-        Box::new(GraphHvpEval {
-            f: &self.f,
-            ws: GraphWorkspace::new(),
-        })
+        Box::new(self.lend())
     }
 }
 
@@ -536,6 +558,38 @@ mod tests {
             }
             assert_eq!(he.point_sweeps(), 4);
         }
+    }
+
+    /// A dropped evaluator's workspace serves the next evaluator, of
+    /// either kind, as a fresh one would: no point primed, the sweep
+    /// counter at zero, the oracle's bits.
+    #[test]
+    fn a_dropped_evaluators_workspace_serves_the_next() {
+        let f = AutoDiffFn::new(SinProd);
+        let spares = || f.spare.lock().unwrap().len();
+        let x = [0.3, 0.9];
+        let mut hv = f.hvp_eval();
+        hv.at(&x);
+        drop(hv);
+        assert_eq!(spares(), 1);
+        let mut he = f.hessian_eval();
+        assert_eq!(spares(), 0);
+        let mut h = Matrix::zeros(2, 2);
+        he.hessian_into(&x, &mut h);
+        let reference = oracle::hessian(&SinProd, &x);
+        assert_eq!(
+            oracle::bits(h.as_slice()),
+            oracle::bits(reference.as_slice())
+        );
+        drop(he);
+        let mut hv = f.hvp_eval();
+        assert_eq!(hv.point_sweeps(), 0);
+        let early = catch_unwind(AssertUnwindSafe(|| hv.apply(&[1.0, 0.0], &mut [0.0; 2])));
+        assert!(early.is_err(), "apply before at");
+        // Evaluators alive at once hold a workspace each.
+        let other = f.hvp_eval();
+        drop((hv, other));
+        assert_eq!(spares(), 2);
     }
 
     #[test]

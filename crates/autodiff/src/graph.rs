@@ -20,7 +20,10 @@
 //!    adjoint tangents backward, reading the frozen point state. This is
 //!    the only work a further product at the same point pays, which is
 //!    what the Lanczos eigen search needs: it applies `H(x)·v` several
-//!    times per probe point and only `v` changes.
+//!    times per probe point and only `v` changes. The sweep is pure
+//!    arithmetic over two flat buffers: lane `l` of row `r` sits at
+//!    `r·d + l`, so a node or an edge costs its operations and a few
+//!    index multiplications, nothing else.
 //!
 //! The split is exact because tangents never feed back into primals:
 //! the one-pass forward-over-reverse sweep interleaves two computations
@@ -59,7 +62,8 @@
 //! `abs`/`max` branches (and thus `relu`/`min`) or data-dependent
 //! control flow through [`Scalar::value`] — are detected during
 //! recording and re-recorded at every `at`/`hessian_into`; everything
-//! else is recorded exactly once per workspace lifetime.
+//! else is recorded exactly once, and a workspace can start from
+//! another's recording ([`GraphWorkspace::fork`]).
 //!
 //! The recording is also where Hessian constancy (ADCD-E vs ADCD-X) is
 //! decided: one polynomial-degree pass over the recorded ops, see
@@ -480,6 +484,37 @@ impl GraphWorkspace {
         self.point_sweeps
     }
 
+    /// A workspace that starts from this one's recording: the structure
+    /// (ops, rows, reverse edges) is copied, no point is primed and the
+    /// sweep counter starts at zero, so its first `at` or `hessian_into`
+    /// records nothing. A point-dependent recording would be redone at
+    /// that first query anyway, so it forks into an empty workspace, as
+    /// does one that has recorded nothing.
+    pub(crate) fn fork(&self) -> Self {
+        if self.point_dependent {
+            return Self::new();
+        }
+        Self {
+            nodes: self.nodes.clone(),
+            out: self.out,
+            out_row: self.out_row,
+            n_inputs: self.n_inputs,
+            point_dependent: false,
+            rows: self.rows.clone(),
+            rev: self.rev.clone(),
+            n_rows: self.n_rows,
+            ..Self::new()
+        }
+    }
+
+    /// This workspace for a new user: recording and buffers kept, no
+    /// point primed, the sweep counter back at zero.
+    pub(crate) fn reset(mut self) -> Self {
+        self.primed = false;
+        self.point_sweeps = 0;
+        self
+    }
+
     /// Record the computation graph of `f` at `x` and lay out its
     /// tangent rows and reverse edges.
     ///
@@ -607,7 +642,13 @@ impl GraphWorkspace {
         assert_eq!(h.cols(), d, "hessian_into: output cols");
         self.prime(f, x);
         self.primed = false;
-        self.tangents(d, Seeds::Unit, h.as_mut_slice());
+        // One unit lane per input: lane `j` of input row `i` is `[i = j]`.
+        let seeds = self.seed_rows(d);
+        seeds.fill(0.0);
+        for j in 0..d {
+            seeds[j * d + j] = 1.0;
+        }
+        self.tangents(d, h.as_mut_slice());
         h.symmetrize();
     }
 
@@ -637,7 +678,8 @@ impl GraphWorkspace {
         );
         assert_eq!(v.len(), self.n_inputs, "apply: direction length");
         assert_eq!(out.len(), self.n_inputs, "apply: output length");
-        self.tangents(1, Seeds::Vector(v), out);
+        self.seed_rows(1).copy_from_slice(v);
+        self.tangents(1, out);
     }
 
     /// `(f(x), ∇f(x))` at the point of the last [`Self::at`]: the output
@@ -776,16 +818,31 @@ impl GraphWorkspace {
         }
     }
 
+    /// Size the tangent buffer for `d` lanes and hand out the input rows,
+    /// `n_inputs × d` row-major, for the caller to seed before
+    /// [`Self::tangents`].
+    fn seed_rows(&mut self, d: usize) -> &mut [f64] {
+        self.t.resize(self.n_rows * d, 0.0);
+        // Inputs are recorded first and own no slots.
+        &mut self.t[FIRST_NODE_ROW as usize * d..][..self.n_inputs * d]
+    }
+
     /// The direction-dependent half of forward-over-reverse over the
-    /// state [`Self::prime`] froze, `d` lanes wide: value tangents and
-    /// partial slots forward, adjoint tangents backward, with `out`
-    /// receiving the `n_inputs × d` adjoint-tangent block row-major.
-    /// Lane `j` computes the exact tangent sequence of a dual-number
-    /// replay seeded with that lane's seed — see the module docs for the
-    /// contract. Inlined into its two callers so the single-lane product
-    /// compiles with `d = 1` folded in.
+    /// state [`Self::prime`] froze, `d` lanes wide from the seeds
+    /// [`Self::seed_rows`] took: value tangents and partial slots
+    /// forward, adjoint tangents backward, with `out` receiving the
+    /// `n_inputs × d` adjoint-tangent block row-major. Lane `j` computes
+    /// the exact tangent sequence of a dual-number replay seeded with
+    /// that lane's seed — see the module docs for the contract.
+    ///
+    /// Both buffers are flat, `row·d + lane`. A row is located by its
+    /// index and read or written through a `Cell` view of the buffer, one
+    /// bounds check per row: nothing splits the buffer around a node or
+    /// an edge, and the lane loops see length-`d` rows they can
+    /// vectorize. Inlined into its two callers, so the single-lane
+    /// product compiles with `d = 1` folded in.
     #[inline(always)]
-    fn tangents(&mut self, d: usize, seeds: Seeds<'_>, out: &mut [f64]) {
+    fn tangents(&mut self, d: usize, out: &mut [f64]) {
         let Self {
             nodes,
             rows,
@@ -795,118 +852,129 @@ impl GraphWorkspace {
             adj_d,
             ..
         } = self;
-        // Every other row is written before it is read.
-        t.resize(self.n_rows * d, 0.0);
+        // The constant rows; every other row is written before it is read.
         t[ZERO as usize * d..][..d].fill(0.0);
         t[NEG_ZERO as usize * d..][..d].fill(-0.0);
+        // Cells let a node read its operands' rows and write its own
+        // without splitting the buffer around them.
+        let t = Cell::from_mut(t.as_mut_slice()).as_slice_of_cells();
+        let row = |r: u32| &t[r as usize * d..][..d];
 
         // Forward: tangents per lane, in the exact token sequences of the
-        // tape.
-        let mut input = 0usize;
-        for (i, op) in nodes.iter().enumerate() {
-            // Operand rows always precede the node's own.
-            let Rows { a, b, own } = rows[i];
-            let (prev, rest) = t.split_at_mut(own as usize * d);
-            let at = &prev[a as usize * d..][..d];
-            let bt = &prev[b as usize * d..][..d];
-            let (val, slots) = rest.split_at_mut(d);
+        // tape. Operand rows always precede the node's own, and a node's
+        // partial slots follow its value row.
+        for ((op, &Rows { a, b, own }), &point) in nodes.iter().zip(rows.iter()).zip(point.iter()) {
+            let (at, bt, val) = (row(a), row(b), row(own));
             match *op {
-                GOp::Input => {
-                    match seeds {
-                        Seeds::Unit => {
-                            for (l, r) in val.iter_mut().enumerate() {
-                                *r = if l == input { 1.0 } else { 0.0 };
-                            }
-                        }
-                        Seeds::Vector(v) => val[0] = v[input],
-                    }
-                    input += 1;
-                }
+                // Seeded by the caller.
+                GOp::Input => {}
                 GOp::Add(..) => {
                     for l in 0..d {
-                        val[l] = at[l] + bt[l];
+                        val[l].set(at[l].get() + bt[l].get());
                     }
                 }
                 GOp::Sub(..) => {
                     for l in 0..d {
-                        val[l] = at[l] - bt[l];
+                        val[l].set(at[l].get() - bt[l].get());
                     }
                 }
                 GOp::Mul(..) => {
-                    let [av, bv, _] = point[i];
+                    let [av, bv, _] = point;
                     for l in 0..d {
-                        val[l] = at[l] * bv + av * bt[l];
+                        val[l].set(at[l].get() * bv + av * bt[l].get());
                     }
                 }
                 GOp::Div(..) => {
-                    let [av, bv, inv_v] = point[i];
+                    let [av, bv, inv_v] = point;
                     let m1_v = (-av) * inv_v;
+                    let (inv, m1) = (row(own + 1), row(own + 2));
                     for l in 0..d {
-                        let inv_d = (0.0 * bv - 1.0 * bt[l]) / (bv * bv);
-                        slots[l] = inv_d;
-                        val[l] = at[l] * inv_v + av * inv_d;
-                        let m1_d = (-at[l]) * inv_v + (-av) * inv_d;
-                        slots[d + l] = m1_d * inv_v + m1_v * inv_d;
+                        let (at, bt) = (at[l].get(), bt[l].get());
+                        let inv_d = (0.0 * bv - 1.0 * bt) / (bv * bv);
+                        inv[l].set(inv_d);
+                        val[l].set(at * inv_v + av * inv_d);
+                        let m1_d = (-at) * inv_v + (-av) * inv_d;
+                        m1[l].set(m1_d * inv_v + m1_v * inv_d);
                     }
                 }
                 GOp::Neg(_) | GOp::AbsNeg(_) => {
                     for l in 0..d {
-                        val[l] = -at[l];
+                        val[l].set(-at[l].get());
                     }
                 }
                 GOp::Exp(_) => {
-                    let [e_v, ..] = point[i];
+                    let [e_v, ..] = point;
                     for l in 0..d {
-                        val[l] = at[l] * e_v;
+                        val[l].set(at[l].get() * e_v);
                     }
                 }
                 GOp::Ln(_) => {
-                    let [av, aa, _] = point[i];
+                    let [av, aa, _] = point;
+                    let slot = row(own + 1);
                     for l in 0..d {
-                        val[l] = at[l] / av;
-                        slots[l] = (0.0 * av - 1.0 * at[l]) / aa;
+                        let at = at[l].get();
+                        val[l].set(at / av);
+                        slot[l].set((0.0 * av - 1.0 * at) / aa);
                     }
                 }
                 GOp::Tanh(_) => {
-                    let [t_v, pa, _] = point[i];
-                    // The partial is `one - t*t`, with t's tangent in `val`.
+                    let [t_v, pa, _] = point;
+                    let slot = row(own + 1);
+                    // The partial is `one - t*t`, with t's tangent `vt`.
                     for l in 0..d {
-                        val[l] = at[l] * pa;
-                        slots[l] = 0.0 - (val[l] * t_v + t_v * val[l]);
+                        let vt = at[l].get() * pa;
+                        val[l].set(vt);
+                        slot[l].set(0.0 - (vt * t_v + t_v * vt));
                     }
                 }
                 GOp::Sin(_) => {
-                    let [sin_v, cos_v, _] = point[i];
+                    let [sin_v, cos_v, _] = point;
+                    let slot = row(own + 1);
                     for l in 0..d {
-                        val[l] = at[l] * cos_v;
-                        slots[l] = -at[l] * sin_v;
+                        let at = at[l].get();
+                        val[l].set(at * cos_v);
+                        slot[l].set(-at * sin_v);
                     }
                 }
                 GOp::Cos(_) => {
-                    let [sin_v, cos_v, _] = point[i];
+                    let [sin_v, cos_v, _] = point;
+                    let slot = row(own + 1);
                     for l in 0..d {
-                        val[l] = -at[l] * sin_v;
-                        slots[l] = -(at[l] * cos_v);
+                        let at = at[l].get();
+                        val[l].set(-at * sin_v);
+                        slot[l].set(-(at * cos_v));
                     }
                 }
                 GOp::Sqrt(_) => {
-                    let [s_v, ss, _] = point[i];
-                    // The partial is `0.5 / s`, with s's tangent in `val`.
+                    let [s_v, ss, _] = point;
+                    let slot = row(own + 1);
+                    // The partial is `0.5 / s`, with s's tangent `vt`.
                     for l in 0..d {
-                        val[l] = at[l] * 0.5 / s_v;
-                        slots[l] = (0.0 * s_v - 0.5 * val[l]) / ss;
+                        let vt = at[l].get() * 0.5 / s_v;
+                        val[l].set(vt);
+                        slot[l].set((0.0 * s_v - 0.5 * vt) / ss);
                     }
                 }
                 GOp::Powi(_, p) => {
-                    let [q_v, r_v, _] = point[i];
+                    let [q_v, r_v, _] = point;
+                    let slot = row(own + 1);
                     for l in 0..d {
-                        val[l] = at[l] * f64::from(p) * q_v;
-                        let q_d = at[l] * f64::from(p - 1) * r_v;
-                        slots[l] = 0.0 * q_v + f64::from(p) * q_d;
+                        let at = at[l].get();
+                        val[l].set(at * f64::from(p) * q_v);
+                        let q_d = at * f64::from(p - 1) * r_v;
+                        slot[l].set(0.0 * q_v + f64::from(p) * q_d);
                     }
                 }
-                GOp::AbsPos(_) | GOp::MaxLeft(..) => val.copy_from_slice(at),
-                GOp::MaxRight(..) => val.copy_from_slice(bt),
+                GOp::AbsPos(_) | GOp::MaxLeft(..) => {
+                    for l in 0..d {
+                        val[l].set(at[l].get());
+                    }
+                }
+                GOp::MaxRight(..) => {
+                    for l in 0..d {
+                        val[l].set(bt[l].get());
+                    }
+                }
             }
         }
 
@@ -914,27 +982,18 @@ impl GraphWorkspace {
         // always follows its operands'.
         adj_d.clear();
         adj_d.resize(self.n_rows * d, 0.0);
+        let adj = Cell::from_mut(adj_d.as_mut_slice()).as_slice_of_cells();
+        let adj_row = |r: u32| &adj[r as usize * d..][..d];
         for e in rev.iter() {
-            let (operands, consumers) = adj_d.split_at_mut(e.from as usize * d);
-            let dst = &mut operands[e.dst as usize * d..][..d];
-            let a_row = &consumers[..d];
-            let src = &t[e.src as usize * d..][..d];
+            let (dst, src, from) = (adj_row(e.dst), row(e.src), adj_row(e.from));
             for l in 0..d {
-                dst[l] += src[l] * e.a_v + e.pv * a_row[l];
+                dst[l].set(dst[l].get() + (src[l].get() * e.a_v + e.pv * from[l].get()));
             }
         }
 
         // Inputs are recorded first and own no slots.
         out.copy_from_slice(&adj_d[FIRST_NODE_ROW as usize * d..][..self.n_inputs * d]);
     }
-}
-
-/// Seed tangents for a tangent sweep: one unit lane per input (full
-/// Hessian) or a single lane carrying an arbitrary direction (HVP).
-#[derive(Clone, Copy)]
-enum Seeds<'a> {
-    Unit,
-    Vector(&'a [f64]),
 }
 
 #[cfg(test)]
@@ -1206,6 +1265,66 @@ mod tests {
         ws.apply(&[1.0, 0.0, 2.0], &mut out);
         ws.hessian_into(&Poly, &[0.1, 0.2, 0.3], &mut h);
         ws.apply(&[1.0, 0.0, 2.0], &mut out);
+    }
+
+    /// `F`'s body behind a recording counter: `call` runs on recording
+    /// scalars only, so the count is the number of recordings.
+    struct Counted<F>(F, std::sync::atomic::AtomicUsize);
+    impl<F: ScalarFn> ScalarFn for Counted<F> {
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+        fn call<S: Scalar>(&self, x: &[S]) -> S {
+            self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.0.call(x)
+        }
+    }
+
+    /// A fork of a point-independent recording records nothing, counts
+    /// its own sweeps from zero and matches the tape like the workspace
+    /// it came from. A point-dependent recording, or none, forks into an
+    /// empty workspace that records at every query as usual.
+    #[test]
+    fn forks_reuse_a_point_independent_recording() {
+        let f = Counted(Poly, Default::default());
+        let recordings = || f.1.load(std::sync::atomic::Ordering::Relaxed);
+        let mut h = Matrix::zeros(3, 3);
+        let mut parent = GraphWorkspace::new();
+        parent.hessian_into(&f, &[0.1, 0.2, 0.3], &mut h);
+        parent.at(&f, &[0.3, -0.8, 1.7]);
+        assert_eq!(recordings(), 1);
+        let mut fork = parent.fork();
+        assert_eq!(fork.point_sweeps(), 0);
+        for x in [[1.0, 2.0, 3.0], [-0.137, 0.952, -2.5]] {
+            fork.at(&f, &x);
+            for dir in directions(3) {
+                assert_apply_matches_tape(&mut fork, &Poly, &x, &dir);
+            }
+            fork.hessian_into(&f, &x, &mut h);
+            let reference = oracle::hessian(&Poly, &x);
+            assert_eq!(
+                oracle::bits(h.as_slice()),
+                oracle::bits(reference.as_slice()),
+                "H at {x:?}"
+            );
+        }
+        assert_eq!(recordings(), 1);
+        assert_eq!(fork.point_sweeps(), 4);
+
+        let f = Counted(Branchy, Default::default());
+        let mut parent = GraphWorkspace::new();
+        parent.at(&f, &[0.5, 0.25]);
+        let mut fork = parent.fork();
+        assert!(fork.nodes.is_empty());
+        for x in [[0.6, 0.3], [0.7, 0.35]] {
+            fork.at(&f, &x);
+            assert_apply_matches_tape(&mut fork, &Branchy, &x, &[1.0, -0.5]);
+        }
+        assert_eq!(f.1.load(std::sync::atomic::Ordering::Relaxed), 3);
+
+        let mut empty = GraphWorkspace::new().fork();
+        empty.hessian_into(&Poly, &[0.1, 0.2, 0.3], &mut Matrix::zeros(3, 3));
+        assert!(!empty.nodes.is_empty());
     }
 
     #[test]

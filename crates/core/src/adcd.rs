@@ -411,8 +411,12 @@ impl SymOperator for HvpProbeOp<'_> {
 ///
 /// Two Hessians are materialized up front off one
 /// [`MonitoredFunction::hessian_eval`] workspace — `H(x0)` for the DC
-/// heuristic (exact eigenvalues whatever the probe objective) and
-/// `H(center)`, whose spectrum bound is both streams' incumbent. A
+/// heuristic (exact eigenvalues whatever the probe objective, read
+/// values-only) and `H(center)`, whose spectrum bound is both streams'
+/// incumbent. For a graph without point-dependent structure, neither
+/// that workspace nor a stream's HVP evaluator records the function
+/// again: [`automon_autodiff::AutoDiffFn`] lends evaluators workspaces
+/// that hold its wrap-time recording. A
 /// [`search_stream`] then runs per extreme ([`Self::stream`]), over its
 /// own seeded probe stream; the configurations differ only in the
 /// per-point evaluator:
@@ -466,7 +470,9 @@ impl<'a> ExtremeSearch<'a> {
         let mut he = f.hessian_eval();
         let mut h = Matrix::zeros(d, d);
         he.hessian_into(x0, &mut h);
-        let eig0 = SymEigen::with_backend(&h, backend);
+        // Only `H(x0)`'s extremes are read: values only, bit-identical to
+        // a full decomposition's.
+        let ref_lohi = EigenWorkspace::new().extreme_eigenvalues_backend(&h, backend);
         he.hessian_into(&bounds.center(), &mut h);
         stats.hessian_materializations = 2;
 
@@ -482,7 +488,7 @@ impl<'a> ExtremeSearch<'a> {
             cfg,
             he,
             h,
-            ref_lohi: (eig0.lambda_min(), eig0.lambda_max()),
+            ref_lohi,
             center_lohi,
             gershgorin,
             lanczos_seed: eigc.filter(|_| backend == SpectralBackend::Ql),
@@ -1598,6 +1604,38 @@ mod tests {
         // The Max stream did not run: `λ̂_max` is the center's value.
         let lambda_max_center = SymEigen::new(&kld.hessian(&b.to_bounds().center())).lambda_max();
         assert_eq!(dec.lambda_max_hat.to_bits(), lambda_max_center.to_bits());
+    }
+
+    /// KLD behind a call counter: every `call` is a recording or a plain
+    /// evaluation.
+    struct CountCalls(usize, std::sync::atomic::AtomicUsize);
+    impl ScalarFn for CountCalls {
+        fn dim(&self) -> usize {
+            self.0
+        }
+        fn call<S: Scalar>(&self, x: &[S]) -> S {
+            self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Kld(self.0).call(x)
+        }
+    }
+
+    #[test]
+    fn a_decomposition_never_runs_the_function_body() {
+        // The wrap-time recording is the only one: the Hessian workspace
+        // and both streams' product evaluators start from it.
+        let x0: Vec<f64> = (0..20).map(|i| 0.05 + 1e-3 * i as f64).collect();
+        let b = box_around(&x0, 0.02);
+        let f = AutoDiffFn::new(CountCalls(20, Default::default()));
+        let calls = || f.inner().1.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(calls(), 1);
+        for cfg in [
+            cfg(),
+            MonitorConfig::builder(0.1).dc(DcKind::ConcaveDiff).build(),
+        ] {
+            let dec = decompose(&f, &x0, Some(&b), &cfg);
+            assert!(dec.spectral.eigen_probes > 0);
+        }
+        assert_eq!(calls(), 1);
     }
 
     #[test]

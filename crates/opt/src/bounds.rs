@@ -50,10 +50,16 @@ impl Bounds {
 
     /// Project `x` onto the box (coordinate-wise clamp).
     pub fn project(&self, x: &[f64]) -> Vec<f64> {
-        x.iter()
-            .zip(self.lo.iter().zip(&self.hi))
-            .map(|(&xi, (&l, &h))| xi.clamp(l, h))
-            .collect()
+        let mut p = x.to_vec();
+        self.project_in_place(&mut p);
+        p
+    }
+
+    /// [`Self::project`] without allocating: clamps `x` in place.
+    pub(crate) fn project_in_place(&self, x: &mut [f64]) {
+        for (xi, (&l, &h)) in x.iter_mut().zip(self.lo.iter().zip(&self.hi)) {
+            *xi = xi.clamp(l, h);
+        }
     }
 
     /// `true` when `x` lies inside the box (inclusive).

@@ -52,10 +52,19 @@ pub fn nelder_mead(
         .map(|p| eval(f, &mut evals, p))
         .collect();
 
+    // Every buffer the iterations use, allocated once: each iteration
+    // overwrites them whole, and an accepted candidate swaps places with
+    // the vertex it replaces.
+    let mut order: Vec<usize> = Vec::with_capacity(d + 1);
+    let mut centroid = vec![0.0; d];
+    let mut best_point = vec![0.0; d];
+    let (mut reflected, mut expanded, mut contracted) = (vec![0.0; d], vec![0.0; d], vec![0.0; d]);
+
     let mut converged = false;
     for _ in 0..opts.max_iters {
-        // Order ascending by value.
-        let mut order: Vec<usize> = (0..=d).collect();
+        // Order ascending by value (a stable sort from index order).
+        order.clear();
+        order.extend(0..=d);
         order.sort_by(|&a, &b| values[a].partial_cmp(&values[b]).expect("NaN objective"));
         let best = order[0];
         let worst = order[d];
@@ -83,7 +92,7 @@ pub fn nelder_mead(
         }
 
         // Centroid of all but the worst.
-        let mut centroid = vec![0.0; d];
+        centroid.fill(0.0);
         for (k, p) in simplex.iter().enumerate() {
             if k == worst {
                 continue;
@@ -96,50 +105,46 @@ pub fn nelder_mead(
             *c /= d as f64;
         }
 
-        let blend = |t: f64| -> Vec<f64> {
-            bounds.project(
-                &centroid
-                    .iter()
-                    .zip(&simplex[worst])
-                    .map(|(&c, &w)| c + t * (c - w))
-                    .collect::<Vec<_>>(),
-            )
+        // `centroid + t·(centroid − worst)`, projected onto the box.
+        let blend = |t: f64, out: &mut [f64]| {
+            for (o, (&c, &w)) in out.iter_mut().zip(centroid.iter().zip(&simplex[worst])) {
+                *o = c + t * (c - w);
+            }
+            bounds.project_in_place(out);
         };
 
-        let reflected = blend(ALPHA);
+        blend(ALPHA, &mut reflected);
         let fr = eval(f, &mut evals, &reflected);
         if fr < values[best] {
-            let expanded = blend(GAMMA);
+            blend(GAMMA, &mut expanded);
             let fe = eval(f, &mut evals, &expanded);
             if fe < fr {
-                simplex[worst] = expanded;
+                std::mem::swap(&mut simplex[worst], &mut expanded);
                 values[worst] = fe;
             } else {
-                simplex[worst] = reflected;
+                std::mem::swap(&mut simplex[worst], &mut reflected);
                 values[worst] = fr;
             }
         } else if fr < values[second_worst] {
-            simplex[worst] = reflected;
+            std::mem::swap(&mut simplex[worst], &mut reflected);
             values[worst] = fr;
         } else {
-            let contracted = blend(-RHO);
+            blend(-RHO, &mut contracted);
             let fc = eval(f, &mut evals, &contracted);
             if fc < values[worst] {
-                simplex[worst] = contracted;
+                std::mem::swap(&mut simplex[worst], &mut contracted);
                 values[worst] = fc;
             } else {
                 // Shrink toward the best vertex.
-                let best_point = simplex[best].clone();
+                best_point.copy_from_slice(&simplex[best]);
                 for k in 0..=d {
                     if k == best {
                         continue;
                     }
-                    let shrunk: Vec<f64> = simplex[k]
-                        .iter()
-                        .zip(&best_point)
-                        .map(|(&p, &b)| b + SIGMA * (p - b))
-                        .collect();
-                    simplex[k] = bounds.project(&shrunk);
+                    for (p, &b) in simplex[k].iter_mut().zip(&best_point) {
+                        *p = b + SIGMA * (*p - b);
+                    }
+                    bounds.project_in_place(&mut simplex[k]);
                     values[k] = eval(f, &mut evals, &simplex[k]);
                 }
             }
