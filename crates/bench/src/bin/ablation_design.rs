@@ -1,5 +1,5 @@
-//! Design-choice ablations (DC heuristic, ADCD-E vs X, exact vs
-//! Gershgorin eigen bounds, hybrid Periodic fallback).
+//! Design-choice ablations (DC heuristic, ADCD-E vs X, hybrid Periodic
+//! fallback).
 
 fn main() {
     let scale = automon_bench::Scale::from_env();

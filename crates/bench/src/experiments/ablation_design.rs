@@ -8,9 +8,6 @@
 //! * **ADCD-E vs ADCD-X** (§3.2): for constant-Hessian functions,
 //!   forcing ADCD-X must produce at least as many violations as ADCD-E
 //!   (the paper proves the X safe zone is a subset of the E safe zone).
-//! * **Exact vs Gershgorin eigen bounds** (§6 extension): Gershgorin is
-//!   cheaper per full sync but more conservative, so it trades messages
-//!   for coordinator time.
 //! * **Hybrid Periodic fallback** (§6 extension): under thrashing
 //!   (tiny ε on fast data) the fallback must cap communication.
 
@@ -108,35 +105,6 @@ fn e_vs_x(scale: Scale) -> Table {
     table
 }
 
-/// Exact vs Gershgorin per-probe eigen computation.
-fn eigen_objective(scale: Scale) -> Table {
-    let rounds = match scale {
-        Scale::Quick => 300,
-        Scale::Full => 800,
-    };
-    let mut table = Table::new(
-        "ablation_eigen_objective",
-        &["function", "objective", "messages", "full_sync_ms_total", "max_error"],
-    );
-    let bench = funcs::kld(10, 6, rounds, 0xAB03);
-    let eps = 0.1;
-    for (name, cfg) in [
-        ("exact", MonitorConfig::builder(eps).build()),
-        ("gershgorin", MonitorConfig::builder(eps).gershgorin_bounds().build()),
-    ] {
-        let t0 = std::time::Instant::now();
-        let stats = Simulation::new(bench.f.clone(), cfg).run(&bench.workload);
-        table.push(vec![
-            bench.name.clone(),
-            name.into(),
-            stats.messages.to_string(),
-            f(t0.elapsed().as_secs_f64() * 1e3),
-            f(stats.max_error),
-        ]);
-    }
-    table
-}
-
 /// Hybrid fallback under thrashing vs plain AutoMon.
 fn hybrid_fallback(scale: Scale) -> Table {
     let rounds = match scale {
@@ -184,7 +152,6 @@ pub fn run(scale: Scale) -> Vec<Table> {
     vec![
         dc_heuristic(scale),
         e_vs_x(scale),
-        eigen_objective(scale),
         hybrid_fallback(scale),
     ]
 }
@@ -199,14 +166,5 @@ mod tests {
         let msgs: Vec<usize> = t.rows.iter().map(|r| r[2].parse().unwrap()).collect();
         // ADCD-E (row 0) must use no more messages than forced ADCD-X.
         assert!(msgs[0] <= msgs[1], "{msgs:?}");
-    }
-
-    #[test]
-    fn gershgorin_is_no_less_safe() {
-        let t = eigen_objective(Scale::Quick);
-        for row in &t.rows {
-            let err: f64 = row[4].parse().unwrap();
-            assert!(err <= 0.1 + 1e-9, "{row:?}");
-        }
     }
 }

@@ -13,16 +13,16 @@
 //!
 //! The convex-vs-concave choice follows the DC heuristic of §3.4.
 
-use automon_autodiff::{HessianEvaluator, HvpEvaluator};
+use automon_autodiff::HvpEvaluator;
 use automon_linalg::{
-    EigenWorkspace, LanczosOptions, LanczosStats, LanczosWorkspace, Matrix, RitzSide,
-    SpectralBackend, SymEigen, SymOperator,
+    EigenWorkspace, LanczosOptions, LanczosStats, LanczosWorkspace, Matrix, RitzSide, SymEigen,
+    SymOperator,
 };
 use automon_opt::{nelder_mead, Bounds, OptimizeOptions};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::config::{EigenObjective, EigenSearch, MonitorConfig};
+use crate::config::{EigenSearch, MonitorConfig};
 use crate::safezone::{Curvature, DcKind, NeighborhoodBox};
 use crate::MonitoredFunction;
 
@@ -44,11 +44,10 @@ pub enum AdcdKind {
 /// stats.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpectralStats {
-    /// Dense Hessians materialized. On the matrix-free path
-    /// ([`SpectralBackend::Ql`] with `EigenObjective::Exact`) this stays
-    /// at 2 (the reference point and the box center) no matter how many
-    /// points the search evaluates; the dense paths (the Jacobi backend,
-    /// or the Gershgorin probe objective) pay one more per evaluation.
+    /// Dense Hessians materialized: 2 per ADCD-X decomposition (the
+    /// reference point and the box center) however many points the
+    /// matrix-free search evaluates; for ADCD-E 0 when the wrap-time
+    /// constant Hessian is reused, else 1 (at the reference point).
     pub hessian_materializations: u64,
     /// Eigen-search objective evaluations: probe points plus
     /// Nelder–Mead polish evaluations, over the streams that ran (the
@@ -57,8 +56,7 @@ pub struct SpectralStats {
     /// polish ends early on a simplex flat to the evaluator's
     /// resolution).
     pub eigen_probes: u64,
-    /// Lanczos iterations across all probe evaluations (0 on the dense
-    /// paths).
+    /// Lanczos iterations across all probe evaluations (0 for ADCD-E).
     pub lanczos_iterations: u64,
     /// Gram-Schmidt reorthogonalization passes inside Lanczos.
     pub reorth_passes: u64,
@@ -210,7 +208,7 @@ fn decompose_e(f: &dyn MonitoredFunction, x0: &[f64], cfg: &MonitorConfig) -> Dc
         ..SpectralStats::default()
     };
     let h = cached.unwrap_or_else(|| f.hessian(x0));
-    let eig = SymEigen::with_backend(&h, cfg.spectral_backend);
+    let eig = SymEigen::new(&h);
     let (lmin, lmax) = (eig.lambda_min(), eig.lambda_max());
     // DC heuristic for constant Hessians reduces to |λ_min| ≤ λ_max
     // (paper §3.4).
@@ -302,7 +300,9 @@ fn draw_probe(rng: &mut SmallRng, bounds: &Bounds, p: &mut [f64]) {
 
 /// Gershgorin disc bounds on the spectrum of a symmetric matrix:
 /// `(min_i h_ii - R_i, max_i h_ii + R_i)` with `R_i = Σ_{j≠i} |h_ij|`.
-fn gershgorin_bounds(h: &automon_linalg::Matrix) -> (f64, f64) {
+/// The search reads them at the box center for its Lanczos shift and
+/// scale.
+fn gershgorin_bounds(h: &Matrix) -> (f64, f64) {
     let n = h.rows();
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
@@ -324,8 +324,9 @@ fn gershgorin_bounds(h: &automon_linalg::Matrix) -> (f64, f64) {
 /// caller, `center_lohi`) is the incumbent; seeded probes are drawn and
 /// evaluated in order under a strict `<`, and a box-projected
 /// Nelder–Mead polish continues from the best of them. `lohi_at` maps a
-/// point to the `(lo, hi)` spectrum bound of its Hessian and is the only
-/// thing that differs between the search paths. Returns the bound in
+/// point to the `(lo, hi)` spectrum bound of its Hessian: Lanczos over
+/// products in production ([`ExtremeSearch::stream`]), a dense Jacobi
+/// decomposition in the tests' oracle. Returns the bound in
 /// minimization form (`-λ̂_max` for [`Extreme::Max`]) and the number of
 /// `lohi_at` evaluations, polish included.
 ///
@@ -411,50 +412,38 @@ impl SymOperator for HvpProbeOp<'_> {
 ///
 /// Two Hessians are materialized up front off one
 /// [`MonitoredFunction::hessian_eval`] workspace — `H(x0)` for the DC
-/// heuristic (exact eigenvalues whatever the probe objective, read
-/// values-only) and `H(center)`, whose spectrum bound is both streams'
-/// incumbent. For a graph without point-dependent structure, neither
-/// that workspace nor a stream's HVP evaluator records the function
-/// again: [`automon_autodiff::AutoDiffFn`] lends evaluators workspaces
-/// that hold its wrap-time recording. A
-/// [`search_stream`] then runs per extreme ([`Self::stream`]), over its
-/// own seeded probe stream; the configurations differ only in the
-/// per-point evaluator:
+/// heuristic (read values-only) and `H(center)`, whose spectrum is both
+/// streams' incumbent. For a graph without point-dependent structure,
+/// neither that workspace nor a stream's HVP evaluator records the
+/// function again: [`automon_autodiff::AutoDiffFn`] lends evaluators
+/// workspaces that hold its wrap-time recording.
 ///
-/// * **matrix-free** ([`SpectralBackend::Ql`] + [`EigenObjective::Exact`],
-///   the default): no dense Hessian is touched again. Each point's
-///   extremes come from a [`LanczosWorkspace`] driven by Hessian-vector
-///   products through [`HvpEvaluator`], primed once per point
-///   ([`HvpProbeOp::at`]) so the Lanczos run's products pay only their
-///   tangent sweeps. The center decomposition supplies each stream's
-///   initial Ritz vector, every run warm-starts from the previous run's,
-///   and the center's Gershgorin enclosure supplies the Lanczos shift
-///   (midpoint) and convergence scale (half-width) — valid across the
-///   neighborhood to the extent the Hessian varies smoothly, and only
-///   used for seeding/scaling, never correctness.
-/// * **dense** (the Jacobi backend, or the §6 Gershgorin objective):
-///   `H(x)` is written into the shared workspace matrix and bounded by
-///   [`EigenWorkspace`] (bit-identical to [`SymEigen`] on the same
-///   input) or [`gershgorin_bounds`].
+/// A [`search_stream`] then runs per extreme ([`Self::stream`]), over its
+/// own seeded probe stream, and touches no dense Hessian again. Each
+/// point's extremes come from a [`LanczosWorkspace`] driven by
+/// Hessian-vector products through [`HvpEvaluator`], primed once per
+/// point ([`HvpProbeOp::at`]) so the Lanczos run's products pay only
+/// their tangent sweeps. The center decomposition supplies each stream's
+/// initial Ritz vector, every run warm-starts from the previous run's,
+/// and the center's Gershgorin enclosure supplies the Lanczos shift
+/// (midpoint) and convergence scale (half-width) — valid across the
+/// neighborhood to the extent the Hessian varies smoothly, and only used
+/// for seeding/scaling, never correctness.
 ///
 /// A stream's result depends on nothing another stream did: each has its
-/// own RNG, eigen workspace and HVP evaluator, and the shared Hessian
-/// workspace is overwritten whole per point.
+/// own RNG, Lanczos workspace and HVP evaluator.
 struct ExtremeSearch<'a> {
     f: &'a dyn MonitoredFunction,
     bounds: &'a Bounds,
-    cfg: &'a MonitorConfig,
-    he: Box<dyn HessianEvaluator + 'a>,
-    h: Matrix,
+    es: &'a EigenSearch,
     /// `(λ_min, λ_max)` of `H(x0)`.
     ref_lohi: (f64, f64),
-    /// Spectrum bound of `H(center)` under the configured objective.
+    /// `(λ_min, λ_max)` of `H(center)`.
     center_lohi: (f64, f64),
     /// Gershgorin enclosure of `H(center)`.
     gershgorin: (f64, f64),
-    /// The center's eigenvectors: the matrix-free path's Lanczos seeds.
-    /// `None` selects the dense path.
-    lanczos_seed: Option<SymEigen>,
+    /// The center's eigenvectors: the streams' Lanczos seeds.
+    center: SymEigen,
 }
 
 impl<'a> ExtremeSearch<'a> {
@@ -462,100 +451,59 @@ impl<'a> ExtremeSearch<'a> {
         f: &'a dyn MonitoredFunction,
         x0: &[f64],
         bounds: &'a Bounds,
-        cfg: &'a MonitorConfig,
+        es: &'a EigenSearch,
         stats: &mut SpectralStats,
     ) -> Self {
-        let (objective, backend) = (cfg.eigen_objective, cfg.spectral_backend);
         let d = bounds.dim();
         let mut he = f.hessian_eval();
         let mut h = Matrix::zeros(d, d);
         he.hessian_into(x0, &mut h);
         // Only `H(x0)`'s extremes are read: values only, bit-identical to
         // a full decomposition's.
-        let ref_lohi = EigenWorkspace::new().extreme_eigenvalues_backend(&h, backend);
+        let ref_lohi = EigenWorkspace::new().extreme_eigenvalues(&h);
         he.hessian_into(&bounds.center(), &mut h);
         stats.hessian_materializations = 2;
-
-        let gershgorin = gershgorin_bounds(&h);
-        let eigc =
-            (objective == EigenObjective::Exact).then(|| SymEigen::with_backend(&h, backend));
-        let center_lohi = eigc
-            .as_ref()
-            .map_or(gershgorin, |e| (e.lambda_min(), e.lambda_max()));
+        let center = SymEigen::new(&h);
         Self {
             f,
             bounds,
-            cfg,
-            he,
-            h,
+            es,
             ref_lohi,
-            center_lohi,
-            gershgorin,
-            lanczos_seed: eigc.filter(|_| backend == SpectralBackend::Ql),
+            center_lohi: (center.lambda_min(), center.lambda_max()),
+            gershgorin: gershgorin_bounds(&h),
+            center,
         }
     }
 
     /// Run one search stream to the end of its budget; returns `λ̂_min`
     /// ([`Extreme::Min`]) or `λ̂_max` ([`Extreme::Max`]). Every counter in
     /// `stats` is incremented where the work happens.
-    fn stream(&mut self, which: Extreme, stats: &mut SpectralStats) -> f64 {
-        let Self {
-            f,
-            bounds,
-            cfg,
-            he,
-            h,
-            center_lohi,
-            gershgorin: (glo, ghi),
-            lanczos_seed,
-            ..
-        } = self;
-        let (es, objective, backend) = (&cfg.eigen_search, cfg.eigen_objective, cfg.spectral_backend);
-        let d = bounds.dim();
-        let (shift, scale) = (0.5 * (*glo + *ghi), 0.5 * (*ghi - *glo));
+    fn stream(&self, which: Extreme, stats: &mut SpectralStats) -> f64 {
+        let (glo, ghi) = self.gershgorin;
+        let (shift, scale) = (0.5 * (glo + ghi), 0.5 * (ghi - glo));
         let lopts = LanczosOptions::default();
         // What the Lanczos convergence test calls converged, the polish
-        // calls equal. The dense evaluators' own error is of that order
-        // at this scale too, so they stop by the same rule.
+        // calls equal.
         let value_tol = lopts.tol * scale;
-        let (v, evals) = match lanczos_seed {
-            Some(eigc) => {
-                let (side, col) = match which {
-                    Extreme::Min => (RitzSide::Smallest, 0),
-                    Extreme::Max => (RitzSide::Largest, d - 1),
-                };
-                let mut ws = LanczosWorkspace::new();
-                let start: Vec<f64> = (0..d).map(|i| eigc.vectors[(i, col)]).collect();
-                ws.set_start(&start);
-                let mut hv = f.hvp_eval();
-                let mut ls = LanczosStats::default();
-                let r = search_stream(which, *center_lohi, bounds, es, value_tol, |x| {
-                    let mut op = HvpProbeOp::at(&mut *hv, x);
-                    ws.extremes(&mut op, shift, scale, side, &lopts, &mut ls)
-                });
-                stats.lanczos_iterations += ls.iterations;
-                stats.reorth_passes += ls.reorth_passes;
-                stats.hvp_applies += ls.applies;
-                r
-            }
-            None => {
-                let mut ws = EigenWorkspace::new();
-                let r = search_stream(which, *center_lohi, bounds, es, value_tol, |x| {
-                    he.hessian_into(x, h);
-                    // The dense eigensolvers panic on a NaN spectrum and
-                    // Gershgorin's min/max drop it silently.
-                    if !h.as_slice().iter().all(|v| v.is_finite()) {
-                        return (f64::NAN, f64::NAN);
-                    }
-                    match objective {
-                        EigenObjective::Exact => ws.extreme_eigenvalues_backend(h, backend),
-                        EigenObjective::Gershgorin => gershgorin_bounds(h),
-                    }
-                });
-                stats.hessian_materializations += r.1;
-                r
-            }
+        let d = self.bounds.dim();
+        let (side, col) = match which {
+            Extreme::Min => (RitzSide::Smallest, 0),
+            Extreme::Max => (RitzSide::Largest, d - 1),
         };
+        let mut ws = LanczosWorkspace::new();
+        let start: Vec<f64> = (0..d).map(|i| self.center.vectors[(i, col)]).collect();
+        ws.set_start(&start);
+        let mut hv = self.f.hvp_eval();
+        let mut ls = LanczosStats::default();
+        let lanczos = |x: &[f64]| {
+            let mut op = HvpProbeOp::at(&mut *hv, x);
+            ws.extremes(&mut op, shift, scale, side, &lopts, &mut ls)
+        };
+        let (v, evals) =
+            search_stream(which, self.center_lohi, self.bounds, self.es, value_tol, lanczos);
+        stats.lanczos_iterations += ls.iterations;
+        stats.reorth_passes += ls.reorth_passes;
+        stats.hvp_applies += ls.applies;
         stats.eigen_probes += evals;
         // Out of minimization form.
         match which {
@@ -604,7 +552,7 @@ fn search_extremes(
     cfg: &MonitorConfig,
     stats: &mut SpectralStats,
 ) -> (DcKind, f64, f64) {
-    let mut search = ExtremeSearch::new(f, x0, bounds, cfg, stats);
+    let search = ExtremeSearch::new(f, x0, bounds, &cfg.eigen_search, stats);
     let (l0_min, l0_max) = search.ref_lohi;
     let lhs = |lambda_min_hat: f64| l0_min + 2.0 * (-lambda_min_hat).max(0.0);
     let t = |lambda_max_hat: f64| l0_max - 2.0 * lambda_max_hat.max(0.0);
@@ -645,10 +593,8 @@ fn search_extremes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{MonitorConfig, MonitorConfigBuilder};
-    use crate::safezone::NeighborhoodBox;
     use automon_autodiff::{AutoDiffFn, Scalar, ScalarFn};
-    use automon_linalg::Matrix;
+    use automon_linalg::JacobiOptions;
 
     struct Saddle;
     impl ScalarFn for Saddle {
@@ -810,36 +756,22 @@ mod tests {
         }
     }
 
-    /// The pre-unification one-probe-at-a-time search of one extreme, kept
-    /// as the dense paths' oracle: a fresh `f.hessian` and a full
-    /// [`SymEigen`] per point, its own probe loop and polish (stopped by
-    /// the same value rule, from its own center Hessian).
+    /// The pre-unification one-probe-at-a-time search of one extreme, the
+    /// reference [`jacobi_search`] is pinned to: a fresh `f.hessian` and a
+    /// full Jacobi [`SymEigen`] per point, its own probe loop and polish
+    /// (stopped by the same value rule, from its own center Hessian).
     fn search_extreme(
         f: &dyn MonitoredFunction,
         bounds: &Bounds,
         es: &EigenSearch,
-        objective: crate::config::EigenObjective,
-        backend: SpectralBackend,
         which: Extreme,
     ) -> f64 {
         // Objective in minimization form.
         let eval = |x: &[f64]| -> f64 {
-            let h = f.hessian(x);
-            match objective {
-                crate::config::EigenObjective::Exact => {
-                    let eig = SymEigen::with_backend(&h, backend);
-                    match which {
-                        Extreme::Min => eig.lambda_min(),
-                        Extreme::Max => -eig.lambda_max(),
-                    }
-                }
-                crate::config::EigenObjective::Gershgorin => {
-                    let (lo, hi) = gershgorin_bounds(&h);
-                    match which {
-                        Extreme::Min => lo,
-                        Extreme::Max => -hi,
-                    }
-                }
+            let eig = SymEigen::with_options(&f.hessian(x), JacobiOptions::default());
+            match which {
+                Extreme::Min => eig.lambda_min(),
+                Extreme::Max => -eig.lambda_max(),
             }
         };
 
@@ -875,16 +807,46 @@ mod tests {
         }
     }
 
-    /// The dense configurations: every `(backend, objective)` pair but
-    /// the matrix-free default.
-    fn dense_cfgs(es: EigenSearch) -> Vec<MonitorConfigBuilder> {
-        let b = || MonitorConfig::builder(0.1).adcd(AdcdKind::X).eigen_search(es);
-        vec![
-            b().spectral_backend(SpectralBackend::Jacobi),
-            b().gershgorin_bounds(),
-            b().spectral_backend(SpectralBackend::Jacobi)
-                .gershgorin_bounds(),
-        ]
+    /// The search's test oracle: both streams of the production
+    /// [`search_stream`] with a dense evaluator — `H(x)` materialized and
+    /// bounded by cyclic Jacobi — from Jacobi's center incumbent and the
+    /// production polish stop. Returns `[λ̂_min, λ̂_max, λ_min(H(x0)),
+    /// λ_max(H(x0))]`.
+    fn jacobi_search(
+        f: &dyn MonitoredFunction,
+        x0: &[f64],
+        bounds: &Bounds,
+        es: &EigenSearch,
+    ) -> [f64; 4] {
+        let d = bounds.dim();
+        let mut he = f.hessian_eval();
+        let mut h = Matrix::zeros(d, d);
+        let mut ws = EigenWorkspace::new();
+        let mut jacobi = |x: &[f64]| {
+            he.hessian_into(x, &mut h);
+            ws.extreme_eigenvalues_with(&h, JacobiOptions::default())
+        };
+        let (l0_min, l0_max) = jacobi(x0);
+        let center_lohi = jacobi(&bounds.center());
+        // The production polish stop: Jacobi's own error is of the
+        // Lanczos tolerance's order at this scale too.
+        let (glo, ghi) = gershgorin_bounds(&f.hessian(&bounds.center()));
+        let value_tol = LanczosOptions::default().tol * (0.5 * (ghi - glo));
+        let mut stream =
+            |which| search_stream(which, center_lohi, bounds, es, value_tol, &mut jacobi).0;
+        [stream(Extreme::Min), -stream(Extreme::Max), l0_min, l0_max]
+    }
+
+    /// The DC heuristic (§3.4) on both searched extremes: the decision
+    /// `decompose` must reproduce.
+    fn heuristic((l0_min, l0_max): (f64, f64), lambda_min_hat: f64, lambda_max_hat: f64) -> DcKind {
+        let lhs = l0_min + 2.0 * (-lambda_min_hat).max(0.0);
+        let rhs = (l0_max - 2.0 * lambda_max_hat.max(0.0)).abs();
+        if lhs <= rhs {
+            DcKind::ConvexDiff
+        } else {
+            DcKind::ConcaveDiff
+        }
     }
 
     /// What the search produced before it learned to skip a stream.
@@ -910,7 +872,8 @@ mod tests {
         order: [Extreme; 2],
     ) -> TwoStreams {
         let bounds = b.to_bounds();
-        let mut search = ExtremeSearch::new(f, x0, &bounds, cfg, &mut SpectralStats::default());
+        let search =
+            ExtremeSearch::new(f, x0, &bounds, &cfg.eigen_search, &mut SpectralStats::default());
         let (mut lambda_min_hat, mut lambda_max_hat) = (f64::NAN, f64::NAN);
         let mut evals = (0, 0);
         for which in order {
@@ -921,17 +884,12 @@ mod tests {
                 Extreme::Max => (lambda_max_hat, evals.1) = (v, sp.eigen_probes),
             }
         }
-        let (lambda0_min, lambda0_max) = search.ref_lohi;
-        let lambda_minus_abs = (-lambda_min_hat).max(0.0);
-        let lambda_plus = lambda_max_hat.max(0.0);
-        let lhs = lambda0_min + 2.0 * lambda_minus_abs;
-        let rhs = (lambda0_max - 2.0 * lambda_plus).abs();
         let dc = cfg
             .dc_override
-            .unwrap_or(if lhs <= rhs { DcKind::ConvexDiff } else { DcKind::ConcaveDiff });
+            .unwrap_or_else(|| heuristic(search.ref_lohi, lambda_min_hat, lambda_max_hat));
         let curvature = match dc {
-            DcKind::ConvexDiff => lambda_minus_abs * cfg.eigen_margin,
-            DcKind::ConcaveDiff => lambda_plus * cfg.eigen_margin,
+            DcKind::ConvexDiff => (-lambda_min_hat).max(0.0) * cfg.eigen_margin,
+            DcKind::ConcaveDiff => lambda_max_hat.max(0.0) * cfg.eigen_margin,
             DcKind::AdmissibleOnly => unreachable!(),
         };
         TwoStreams {
@@ -943,25 +901,20 @@ mod tests {
         }
     }
 
-    /// The matrix-free default and every dense configuration, each without
-    /// and with either `dc_override`, labelled for assertion messages.
+    /// The default configuration without and with either `dc_override`,
+    /// labelled for assertion messages.
     fn all_cfgs(es: EigenSearch) -> Vec<(MonitorConfig, String)> {
         let default = MonitorConfig::builder(0.1).adcd(AdcdKind::X).eigen_search(es);
-        let mut out = Vec::new();
-        for builder in [default].into_iter().chain(dense_cfgs(es)) {
-            for dc_override in [None, Some(DcKind::ConvexDiff), Some(DcKind::ConcaveDiff)] {
+        [None, Some(DcKind::ConvexDiff), Some(DcKind::ConcaveDiff)]
+            .into_iter()
+            .map(|dc_override| {
                 let cfg = match dc_override {
-                    None => builder.clone().build(),
-                    Some(dc) => builder.clone().dc(dc).build(),
+                    None => default.clone().build(),
+                    Some(dc) => default.clone().dc(dc).build(),
                 };
-                let what = format!(
-                    "{:?} on {:?}, override {dc_override:?}, {es:?}",
-                    cfg.eigen_objective, cfg.spectral_backend
-                );
-                out.push((cfg, what));
-            }
-        }
-        out
+                (cfg, format!("override {dc_override:?}, {es:?}"))
+            })
+            .collect()
     }
 
     /// Which streams a decomposition ran.
@@ -973,12 +926,12 @@ mod tests {
     }
 
     /// `decompose` returns the `(dc, curvature)` of the two-stream search
-    /// bit for bit and spends no more evaluations, on the matrix-free
-    /// default and every dense configuration, under every `dc_override`;
+    /// bit for bit and spends no more evaluations, under every
+    /// `dc_override`;
     /// the streams do not depend on the order they run in; an extreme
     /// whose stream was skipped reports the center's value; and a repeat
     /// decomposition reproduces values and counters exactly. Returns what
-    /// the default configuration ran without an override.
+    /// ran without an override.
     fn assert_skip_is_exact(
         f: &dyn MonitoredFunction,
         x0: &[f64],
@@ -1031,36 +984,29 @@ mod tests {
         default_ran.expect("the default configuration ran")
     }
 
-    /// Each stream of the one search equals the oracle `to_bits` on every
-    /// dense configuration (the matrix-free default has no second
-    /// implementation to compare against), and `decompose` is the
-    /// two-stream decision over them ([`assert_skip_is_exact`]).
-    fn assert_matches_oracle(f: &dyn MonitoredFunction, x0: &[f64], b: &NeighborhoodBox, es: EigenSearch) {
+    /// The production search loop over Jacobi-bounded dense Hessians
+    /// equals the one-probe-at-a-time oracle `to_bits`, and `decompose` is
+    /// the two-stream decision over its own streams
+    /// ([`assert_skip_is_exact`]).
+    fn assert_matches_oracle(
+        f: &dyn MonitoredFunction,
+        x0: &[f64],
+        b: &NeighborhoodBox,
+        es: EigenSearch,
+    ) {
         let bounds = b.to_bounds();
-        for cfg in dense_cfgs(es) {
-            let cfg = cfg.build();
-            let (objective, backend) = (cfg.eigen_objective, cfg.spectral_backend);
-            let eig0 = SymEigen::with_backend(&f.hessian(x0), backend);
-            let oracle = [
-                search_extreme(f, &bounds, &es, objective, backend, Extreme::Min),
-                search_extreme(f, &bounds, &es, objective, backend, Extreme::Max),
-                eig0.lambda_min(),
-                eig0.lambda_max(),
-            ];
-            let mut sp = SpectralStats::default();
-            let mut search = ExtremeSearch::new(f, x0, &bounds, &cfg, &mut sp);
-            let streams = [
-                search.stream(Extreme::Min, &mut sp),
-                search.stream(Extreme::Max, &mut sp),
-                search.ref_lohi.0,
-                search.ref_lohi.1,
-            ];
-            assert_eq!(
-                streams.map(f64::to_bits),
-                oracle.map(f64::to_bits),
-                "{objective:?} on {backend:?}, {es:?}"
-            );
-        }
+        let eig0 = SymEigen::with_options(&f.hessian(x0), JacobiOptions::default());
+        let oracle = [
+            search_extreme(f, &bounds, &es, Extreme::Min),
+            search_extreme(f, &bounds, &es, Extreme::Max),
+            eig0.lambda_min(),
+            eig0.lambda_max(),
+        ];
+        assert_eq!(
+            jacobi_search(f, x0, &bounds, &es).map(f64::to_bits),
+            oracle.map(f64::to_bits),
+            "{es:?}"
+        );
         assert_skip_is_exact(f, x0, b, es);
     }
 
@@ -1381,8 +1327,9 @@ mod tests {
             // The finite half was searched: the used extreme is no
             // tighter than the center's.
             let bounds = b.to_bounds();
-            let (lo_c, hi_c) =
-                ExtremeSearch::new(&f, &x0, &bounds, &cfg, &mut SpectralStats::default()).center_lohi;
+            let mut sp = SpectralStats::default();
+            let search = ExtremeSearch::new(&f, &x0, &bounds, &cfg.eigen_search, &mut sp);
+            let (lo_c, hi_c) = search.center_lohi;
             assert!(dec.lambda_min_hat <= lo_c && dec.lambda_max_hat >= hi_c, "{what}");
         }
     }
@@ -1410,6 +1357,9 @@ mod tests {
         fn has_constant_hessian(&self) -> bool {
             self.inner.has_constant_hessian()
         }
+        fn hvp_eval(&self) -> Box<dyn HvpEvaluator + '_> {
+            self.inner.hvp_eval()
+        }
         fn hessian_eval(&self) -> Box<dyn automon_autodiff::HessianEvaluator + '_> {
             struct Counting<'a>(
                 Box<dyn automon_autodiff::HessianEvaluator + 'a>,
@@ -1428,37 +1378,47 @@ mod tests {
         }
     }
 
+    /// The dense Hessians ADCD-X still materializes — `H(x0)` and
+    /// `H(center)`, never one per probe — are exactly what
+    /// `SpectralStats` reports, with or without the polish and under
+    /// every `dc_override`; the probes run on the Lanczos counters.
     #[test]
     fn dense_path_spectral_stats_are_counted() {
         let coupled = AutoDiffFn::new(Coupled);
         let x0 = [0.3, -0.2, 0.1];
         let b = coupled_box();
-        // (nm_iters, evaluations per configuration): 2·probes without
-        // the polish; with it, whatever Nelder–Mead spent on top.
-        for (nm_iters, evals) in [(0, [16u64; 3]), (40, [125, 170, 170])] {
+        for nm_iters in [0, 40] {
             let es = EigenSearch {
                 nm_iters,
                 ..EigenSearch::default()
             };
-            for (cfg, evals) in dense_cfgs(es).into_iter().zip(evals) {
-                let cfg = cfg.build();
+            for (cfg, what) in all_cfgs(es) {
                 let f = CountHessians {
                     inner: &coupled,
                     hessians: Default::default(),
                 };
-                let sp = decompose(&f, &x0, Some(&b), &cfg).spectral;
-                let what = format!(
-                    "{:?} on {:?}, nm_iters {nm_iters}",
-                    cfg.eigen_objective, cfg.spectral_backend
-                );
-                // Two up-front Hessians (x0, center) plus one per
-                // evaluation, polish included.
+                let dec = decompose(&f, &x0, Some(&b), &cfg);
+                let sp = dec.spectral;
                 assert_eq!(sp.hessian_materializations, f.hessians.into_inner(), "{what}");
-                assert_eq!(sp.hessian_materializations, 2 + sp.eigen_probes, "{what}");
-                assert_eq!(sp.eigen_probes, evals, "{what}");
+                assert_eq!(sp.hessian_materializations, 2, "{what}");
+                // `probes` per stream run (an override runs only the
+                // extreme its split reads) without the polish; with it,
+                // whatever Nelder–Mead spent on top.
+                let streams = if cfg.dc_override.is_some() { 1 } else { 2 };
+                let probed = streams * es.probes as u64;
+                if nm_iters == 0 {
+                    assert_eq!(sp.eigen_probes, probed, "{what}");
+                } else {
+                    assert!(sp.eigen_probes > probed, "{what}");
+                }
+                assert!(sp.lanczos_iterations > 0, "{what}");
+                assert!(sp.hvp_applies >= sp.lanczos_iterations, "{what}");
+                // Counting is transparent: the same decomposition, bit
+                // for bit, as on the bare function.
+                let bare = decompose(&coupled, &x0, Some(&b), &cfg);
                 assert_eq!(
-                    (sp.lanczos_iterations, sp.reorth_passes, sp.hvp_applies),
-                    (0, 0, 0),
+                    (dec.lambda_min_hat.to_bits(), dec.lambda_max_hat.to_bits()),
+                    (bare.lambda_min_hat.to_bits(), bare.lambda_max_hat.to_bits()),
                     "{what}"
                 );
             }
@@ -1467,48 +1427,42 @@ mod tests {
 
     #[test]
     fn spectral_backends_agree_end_to_end() {
-        use automon_linalg::SpectralBackend;
-        // Fixed-seed ADCD parity across backends: ADCD-E (constant
-        // Hessian), ADCD-X exact (Lanczos vs materialized Jacobi), and
-        // the DC heuristic all land on the same decomposition.
+        // Fixed-seed ADCD parity against the Jacobi oracle: ADCD-E
+        // (constant Hessian), ADCD-X (Lanczos vs materialized Jacobi),
+        // and the DC heuristic all land on the same decomposition.
         let saddle = AutoDiffFn::new(Saddle);
         let coupled = AutoDiffFn::new(Coupled);
         let x0e = [0.0, 0.0];
         let x0x = [0.3, -0.2, 0.1];
         let b = coupled_box();
-        let cfg_with = |backend| {
-            MonitorConfig::builder(0.1)
-                .spectral_backend(backend)
-                .build()
+
+        let e = decompose(&saddle, &x0e, None, &cfg());
+        let ej = SymEigen::with_options(&saddle.hessian(&x0e), JacobiOptions::default());
+        assert_eq!(e.kind, AdcdKind::E);
+        let dc_e = if ej.lambda_min().abs() <= ej.lambda_max() {
+            DcKind::ConvexDiff
+        } else {
+            DcKind::ConcaveDiff
         };
-        let (ql, jac) = (
-            cfg_with(SpectralBackend::Ql),
-            cfg_with(SpectralBackend::Jacobi),
-        );
+        assert_eq!(e.dc, dc_e);
+        assert!((e.lambda_min_hat - ej.lambda_min()).abs() < 1e-9);
+        assert!((e.lambda_max_hat - ej.lambda_max()).abs() < 1e-9);
 
-        let eq = decompose(&saddle, &x0e, None, &ql);
-        let ej = decompose(&saddle, &x0e, None, &jac);
-        assert_eq!(eq.kind, AdcdKind::E);
-        assert_eq!(eq.dc, ej.dc);
-        assert!((eq.lambda_min_hat - ej.lambda_min_hat).abs() < 1e-9);
-        assert!((eq.lambda_max_hat - ej.lambda_max_hat).abs() < 1e-9);
-
-        let xq = decompose(&coupled, &x0x, Some(&b), &ql);
-        let xj = decompose(&coupled, &x0x, Some(&b), &jac);
-        assert_eq!(xq.kind, AdcdKind::X);
-        assert_eq!(xq.dc, xj.dc, "DC heuristic flipped across backends");
-        let scale = xj.lambda_min_hat.abs().max(xj.lambda_max_hat.abs()).max(1.0);
+        let x = decompose(&coupled, &x0x, Some(&b), &cfg());
+        let [jmin, jmax, j0_min, j0_max] =
+            jacobi_search(&coupled, &x0x, &b.to_bounds(), &EigenSearch::default());
+        assert_eq!(x.kind, AdcdKind::X);
+        assert_eq!(x.dc, heuristic((j0_min, j0_max), jmin, jmax), "DC heuristic flipped");
+        let scale = jmin.abs().max(jmax.abs()).max(1.0);
         assert!(
-            (xq.lambda_min_hat - xj.lambda_min_hat).abs() < 1e-6 * scale,
-            "λ̂_min: lanczos {} vs jacobi {}",
-            xq.lambda_min_hat,
-            xj.lambda_min_hat
+            (x.lambda_min_hat - jmin).abs() < 1e-6 * scale,
+            "λ̂_min: lanczos {} vs jacobi {jmin}",
+            x.lambda_min_hat
         );
         assert!(
-            (xq.lambda_max_hat - xj.lambda_max_hat).abs() < 1e-6 * scale,
-            "λ̂_max: lanczos {} vs jacobi {}",
-            xq.lambda_max_hat,
-            xj.lambda_max_hat
+            (x.lambda_max_hat - jmax).abs() < 1e-6 * scale,
+            "λ̂_max: lanczos {} vs jacobi {jmax}",
+            x.lambda_max_hat
         );
     }
 
@@ -1640,17 +1594,13 @@ mod tests {
 
     #[test]
     fn lanczos_path_never_materializes_probe_hessians() {
-        use automon_linalg::SpectralBackend;
         // Growing the probe budget must not grow the Hessian
-        // materialization count on the matrix-free path (the record-once
-        // acceptance criterion); the materialized Jacobi path pays one
-        // dense Hessian per probe.
+        // materialization count (the record-once acceptance criterion).
         let f = AutoDiffFn::new(Coupled);
         let x0 = [0.3, -0.2, 0.1];
         let b = coupled_box();
-        let run = |backend, probes| {
+        let run = |probes| {
             let cfg = MonitorConfig::builder(0.1)
-                .spectral_backend(backend)
                 .eigen_search(EigenSearch {
                     probes,
                     ..EigenSearch::default()
@@ -1658,8 +1608,8 @@ mod tests {
                 .build();
             decompose(&f, &x0, Some(&b), &cfg).spectral
         };
-        let small = run(SpectralBackend::Ql, 4);
-        let large = run(SpectralBackend::Ql, 16);
+        let small = run(4);
+        let large = run(16);
         assert_eq!(small.hessian_materializations, 2);
         assert_eq!(large.hessian_materializations, 2);
         assert!(
@@ -1671,24 +1621,12 @@ mod tests {
         assert!(large.lanczos_iterations > 0);
         assert!(large.reorth_passes > 0);
         assert!(large.hvp_applies >= large.lanczos_iterations);
-
-        let jac = run(SpectralBackend::Jacobi, 16);
-        assert!(
-            jac.hessian_materializations > 2 + 16,
-            "materialized path should pay per probe, got {}",
-            jac.hessian_materializations
-        );
-        assert_eq!(jac.lanczos_iterations, 0);
     }
 }
 
 #[cfg(test)]
 mod gershgorin_tests {
     use super::*;
-    use crate::config::MonitorConfig;
-    use crate::safezone::NeighborhoodBox;
-    use automon_autodiff::{AutoDiffFn, Scalar, ScalarFn};
-    use automon_linalg::Matrix;
 
     #[test]
     fn gershgorin_brackets_true_spectrum() {
@@ -1698,69 +1636,5 @@ mod gershgorin_tests {
         let eig = SymEigen::new(&m);
         assert!(lo <= eig.lambda_min() + 1e-12);
         assert!(hi >= eig.lambda_max() - 1e-12);
-    }
-
-    #[test]
-    fn gershgorin_decomposition_is_more_conservative() {
-        struct Sin1;
-        impl ScalarFn for Sin1 {
-            fn dim(&self) -> usize {
-                1
-            }
-            fn call<S: Scalar>(&self, x: &[S]) -> S {
-                x[0].sin()
-            }
-        }
-        let f = AutoDiffFn::new(Sin1);
-        let x0 = [std::f64::consts::FRAC_PI_2];
-        let b = NeighborhoodBox {
-            lo: vec![x0[0] - 1.0],
-            hi: vec![x0[0] + 1.0],
-        };
-        let exact = decompose(&f, &x0, Some(&b), &MonitorConfig::builder(0.1).build());
-        let gersh = decompose(
-            &f,
-            &x0,
-            Some(&b),
-            &MonitorConfig::builder(0.1).gershgorin_bounds().build(),
-        );
-        // 1-D Gershgorin equals the diagonal, so bounds coincide here;
-        // the invariant is bracketing: λ̂ ranges at least as wide.
-        assert!(gersh.lambda_min_hat <= exact.lambda_min_hat + 1e-9);
-        assert!(gersh.lambda_max_hat >= exact.lambda_max_hat - 1e-9);
-    }
-
-    #[test]
-    fn gershgorin_widens_multidim_penalty() {
-        // Coupled non-constant Hessian: off-diagonals make Gershgorin
-        // strictly conservative.
-        struct Coupled;
-        impl ScalarFn for Coupled {
-            fn dim(&self) -> usize {
-                2
-            }
-            fn call<S: Scalar>(&self, x: &[S]) -> S {
-                (x[0] * x[1]).sin()
-            }
-        }
-        let f = AutoDiffFn::new(Coupled);
-        let x0 = [0.5, 0.5];
-        let b = NeighborhoodBox {
-            lo: vec![0.0, 0.0],
-            hi: vec![1.0, 1.0],
-        };
-        let exact = decompose(&f, &x0, Some(&b), &MonitorConfig::builder(0.1).build());
-        let gersh = decompose(
-            &f,
-            &x0,
-            Some(&b),
-            &MonitorConfig::builder(0.1).gershgorin_bounds().build(),
-        );
-        assert!(
-            gersh.lambda_min_hat < exact.lambda_min_hat,
-            "gersh {} vs exact {}",
-            gersh.lambda_min_hat,
-            exact.lambda_min_hat
-        );
     }
 }

@@ -51,22 +51,6 @@ impl NeighborhoodMode {
     }
 }
 
-/// How the extreme eigenvalues of probed Hessians are computed during
-/// the ADCD-X search (paper eq. 3 and the §6 discussion of Hessian
-/// spectrum bounds).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EigenObjective {
-    /// Exact per-point eigenvalues via the Jacobi decomposition — the
-    /// paper's approach (tightest safe zones, O(d³) per probe).
-    Exact,
-    /// Gershgorin disc bounds per probe — `λ_min ≥ min_i (h_ii - R_i)`,
-    /// `λ_max ≤ max_i (h_ii + R_i)` — the cheap, conservative
-    /// alternative the paper's §6 suggests exploring. O(d²) per probe;
-    /// wider curvature penalties, hence smaller safe zones, but no
-    /// eigendecomposition in the full-sync hot path.
-    Gershgorin,
-}
-
 /// Inert residue of the retired full-sync thread-placement knob: the
 /// full sync runs on the caller's thread whatever this says. It survives
 /// only because the frozen benchmark package
@@ -81,9 +65,9 @@ pub enum Parallelism {
 
 /// Budget for the extreme-eigenvalue search of ADCD-X (paper eq. 3).
 ///
-/// The search evaluates `λ(H(x))` — a full Hessian plus an
-/// eigendecomposition per point — so its cost dominates full syncs; this
-/// budget caps it. `probes` seeded samples of `B` pick the incumbent and
+/// The search evaluates `λ(H(x))` — a Lanczos run over Hessian-vector
+/// products per point — so its cost dominates full syncs; this budget
+/// caps it. `probes` seeded samples of `B` pick the incumbent and
 /// `nm_iters` box-projected Nelder–Mead iterations polish it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EigenSearch {
@@ -92,7 +76,7 @@ pub struct EigenSearch {
     /// Nelder–Mead polish iterations from the best probe.
     pub nm_iters: usize,
     /// Skip the Nelder–Mead polish above this dimension: initializing
-    /// the simplex alone costs `d + 1` Hessian evaluations, which
+    /// the simplex alone costs `d + 1` eigenvalue evaluations, which
     /// dominates full-sync time for high-dimensional functions (e.g. the
     /// DNN). Probing still bounds the extremes, and the §3.7 sanity
     /// check catches any under-estimate.
@@ -143,16 +127,12 @@ pub struct MonitorConfig {
     pub eigen_margin: f64,
     /// Eigenvalue-search budget for ADCD-X.
     pub eigen_search: EigenSearch,
-    /// How per-probe extreme eigenvalues are computed (exact vs
-    /// Gershgorin bounds; §6 extension).
-    pub eigen_objective: EigenObjective,
-    /// Which spectral kernel ADCD uses. The default
-    /// ([`SpectralBackend::Ql`]) routes full decompositions through
-    /// Householder + implicit-shift QL and, when the probe objective is
-    /// [`EigenObjective::Exact`], drives the ADCD-X search matrix-free
-    /// via Lanczos on Hessian-vector products.
-    /// [`SpectralBackend::Jacobi`] is the original cyclic-Jacobi path,
-    /// kept as a rollback switch and test oracle.
+    /// Inert residue of the retired spectral-kernel knob: ADCD always
+    /// decomposes with QL and bounds ADCD-X curvature with the
+    /// matrix-free Lanczos search, whatever this says. It survives only
+    /// because the frozen benchmark package names it; nothing under
+    /// `crates/*/src` reads it.
+    #[doc(hidden)]
     pub spectral_backend: SpectralBackend,
     /// Inert; see [`Parallelism`].
     #[doc(hidden)]
@@ -195,7 +175,6 @@ impl MonitorConfigBuilder {
                 disable_adcd: false,
                 eigen_margin: 1.0,
                 eigen_search: EigenSearch::default(),
-                eigen_objective: EigenObjective::Exact,
                 spectral_backend: SpectralBackend::default(),
                 parallelism: Parallelism::default(),
             },
@@ -259,20 +238,6 @@ impl MonitorConfigBuilder {
         self
     }
 
-    /// Use Gershgorin disc bounds instead of exact per-probe eigenvalues
-    /// (cheaper, more conservative; the paper's §6 extension).
-    pub fn gershgorin_bounds(mut self) -> Self {
-        self.cfg.eigen_objective = EigenObjective::Gershgorin;
-        self
-    }
-
-    /// Pick the spectral kernel ([`SpectralBackend::Ql`] is the
-    /// default; [`SpectralBackend::Jacobi`] is the legacy escape hatch).
-    pub fn spectral_backend(mut self, b: SpectralBackend) -> Self {
-        self.cfg.spectral_backend = b;
-        self
-    }
-
     /// Inert; see [`Parallelism`].
     #[doc(hidden)]
     pub fn parallelism(mut self, p: Parallelism) -> Self {
@@ -319,17 +284,18 @@ mod tests {
         assert_eq!(cfg.eigen_margin, 1.5);
     }
 
+    /// The inert field keeps its default, and a struct update (how the
+    /// frozen benchmark package sets it) carries the value it names.
     #[test]
     fn spectral_backend_defaults_to_ql() {
+        let cfg = MonitorConfig::builder(0.1).build();
+        assert_eq!(cfg.spectral_backend, SpectralBackend::Ql);
         assert_eq!(
-            MonitorConfig::builder(0.1).build().spectral_backend,
-            SpectralBackend::Ql
-        );
-        assert_eq!(
-            MonitorConfig::builder(0.1)
-                .spectral_backend(SpectralBackend::Jacobi)
-                .build()
-                .spectral_backend,
+            MonitorConfig {
+                spectral_backend: SpectralBackend::Jacobi,
+                ..cfg
+            }
+            .spectral_backend,
             SpectralBackend::Jacobi
         );
     }

@@ -43,8 +43,7 @@ pub mod tuning;
 pub use adcd::{AdcdKind, DcDecomposition, SpectralStats};
 #[doc(hidden)]
 pub use cache::{CacheLookup, CacheStats, DecompCache, DecompCacheConfig, RitzSeeds};
-pub use config::{ApproximationKind, EigenObjective, EigenSearch, MonitorConfig, MonitorConfigBuilder, NeighborhoodMode, Parallelism};
-pub use automon_linalg::SpectralBackend;
+pub use config::{ApproximationKind, EigenSearch, MonitorConfig, MonitorConfigBuilder, NeighborhoodMode, Parallelism};
 pub use coordinator::{Coordinator, CoordinatorSnapshot, CoordinatorStats};
 pub use journal::{Journal, Transition};
 pub use ledger::{CommCause, CommLedger, LedgerCell, LedgerEntry};

@@ -8,26 +8,25 @@
 //! at points. The default path is Householder tridiagonalization +
 //! implicit-shift QL ([`crate::tridiag`]) — an order of magnitude
 //! faster than Jacobi at ADCD sizes — with cyclic Jacobi retained under
-//! [`SymEigen::with_options`] / [`SpectralBackend::Jacobi`] as the
-//! simple, unconditionally convergent test oracle and escape hatch (and
-//! as the deterministic fallback should QL ever hit its iteration cap).
+//! [`SymEigen::with_options`] / [`EigenWorkspace::extreme_eigenvalues_with`]
+//! as the simple, unconditionally convergent test oracle (and as the
+//! deterministic fallback should QL ever hit its iteration cap).
 
 use crate::tridiag::{ql_implicit, tridiagonalize};
 use crate::Matrix;
 
-/// Which spectral kernel to use for eigendecompositions.
+/// Which kernel [`SymEigen::with_backend`] decomposes with.
 ///
-/// Lives here (rather than in core's config) so every layer — config,
-/// CLI, benches, tests — shares one vocabulary for the escape hatch.
+/// Production code decomposes with [`SymEigen::new`] (QL); this names
+/// the kernels for callers that compare the two, such as a benchmark
+/// timing each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SpectralBackend {
-    /// Householder tridiagonalization + implicit-shift QL for full
-    /// spectra; matrix-free Lanczos for extreme-only queries. The
-    /// default and the fast path.
+    /// Householder tridiagonalization + implicit-shift QL: the default.
     #[default]
     Ql,
-    /// Cyclic threshold Jacobi everywhere: the original kernel, kept as
-    /// the test oracle and rollback switch.
+    /// Cyclic threshold Jacobi: the original kernel, kept as the test
+    /// oracle.
     Jacobi,
 }
 
@@ -307,31 +306,17 @@ impl EigenWorkspace {
     /// # Panics
     /// Panics if `h` is not square, is empty, or yields NaN eigenvalues.
     pub fn extreme_eigenvalues(&mut self, h: &Matrix) -> (f64, f64) {
-        self.extreme_eigenvalues_backend(h, SpectralBackend::Ql)
-    }
-
-    /// As [`Self::extreme_eigenvalues`] with an explicit backend.
-    pub fn extreme_eigenvalues_backend(
-        &mut self,
-        h: &Matrix,
-        backend: SpectralBackend,
-    ) -> (f64, f64) {
-        match backend {
-            SpectralBackend::Ql => {
-                let n = self.load(h);
-                self.offdiag.clear();
-                self.offdiag.resize(n, 0.0);
-                self.diag.clear();
-                self.diag.resize(n, 0.0);
-                tridiagonalize(&mut self.a, &mut self.diag, &mut self.offdiag, false);
-                if ql_implicit(&mut self.diag, &mut self.offdiag, None).is_err() {
-                    // Mirror SymEigen::ql's Jacobi fallback exactly.
-                    return self.extreme_eigenvalues_with(h, JacobiOptions::default());
-                }
-                self.sorted_extremes()
-            }
-            SpectralBackend::Jacobi => self.extreme_eigenvalues_with(h, JacobiOptions::default()),
+        let n = self.load(h);
+        self.offdiag.clear();
+        self.offdiag.resize(n, 0.0);
+        self.diag.clear();
+        self.diag.resize(n, 0.0);
+        tridiagonalize(&mut self.a, &mut self.diag, &mut self.offdiag, false);
+        if ql_implicit(&mut self.diag, &mut self.offdiag, None).is_err() {
+            // Mirror SymEigen::ql's Jacobi fallback exactly.
+            return self.extreme_eigenvalues_with(h, JacobiOptions::default());
         }
+        self.sorted_extremes()
     }
 
     /// Extreme eigenvalues via the Jacobi oracle with explicit options
@@ -509,7 +494,7 @@ mod tests {
             let mut a = Matrix::from_fn(n, n, |_, _| next());
             a.symmetrize();
             let e = SymEigen::with_backend(&a, SpectralBackend::Jacobi);
-            let (lo, hi) = ws.extreme_eigenvalues_backend(&a, SpectralBackend::Jacobi);
+            let (lo, hi) = ws.extreme_eigenvalues_with(&a, JacobiOptions::default());
             assert_eq!(lo.to_bits(), e.lambda_min().to_bits());
             assert_eq!(hi.to_bits(), e.lambda_max().to_bits());
         }

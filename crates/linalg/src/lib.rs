@@ -14,13 +14,13 @@
 //!   Hessian-vector products through the [`SymOperator`] trait.
 //!
 //! The paper's prototype delegates these to NumPy/MKL; this crate is
-//! the from-scratch Rust replacement. The spectral kernel is two-tier
-//! ([`SpectralBackend::Ql`], the default): Householder reduction +
-//! implicit-shift QL when the full spectrum is needed, Lanczos with
-//! full reorthogonalization when only `λ_min`/`λ_max` are. The original
-//! cyclic Jacobi kernel — simple and unconditionally convergent, but an
-//! order of magnitude slower at d≈100 — remains as the test oracle and
-//! the [`SpectralBackend::Jacobi`] escape hatch.
+//! the from-scratch Rust replacement. The spectral kernel is two-tier:
+//! Householder reduction + implicit-shift QL when the full spectrum is
+//! needed, Lanczos with full reorthogonalization when only
+//! `λ_min`/`λ_max` are. The original cyclic Jacobi kernel — simple and
+//! unconditionally convergent, but an order of magnitude slower at
+//! d≈100 — remains as the test oracle and as QL's fallback should it
+//! hit its iteration cap.
 
 mod eigen;
 mod lanczos;

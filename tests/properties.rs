@@ -263,15 +263,13 @@ proptest! {
         prop_assert!(frame.len() <= 5 + d * 12);
     }
 
-    /// Gershgorin bounds bracket the Jacobi spectrum on random symmetric
-    /// matrices (the §6 extension's soundness property, end to end).
+    /// Every node repeating one constant vector costs exactly one full
+    /// sync and no violation, at any value and repeat count.
     #[test]
     fn monitoring_survives_duplicate_and_constant_updates(
         value in -5.0f64..5.0,
         repeats in 2usize..30,
     ) {
-        // Degenerate stream: every node sends the same constant vector
-        // over and over — exactly one full sync, zero violations.
         let f: std::sync::Arc<dyn MonitoredFunction> =
             std::sync::Arc::new(AutoDiffFn::new(QuadraticForm::new(2, vec![1.0, 0.0, 0.0, 1.0])));
         let series: Vec<Vec<Vec<f64>>> =
