@@ -2,10 +2,13 @@
 //! reactor vs the thread-per-connection blocking transport, at 1k and
 //! 10k concurrent node connections.
 //!
-//! Not a criterion bench: each configuration is one timed blast of
-//! real frames over real sockets, printing `NETLINE <key> value <float>`
-//! rows that `scripts/bench_snapshot.sh` snapshots into
-//! BENCH_net_throughput.json. The headline claims (DESIGN.md §3.15):
+//! Each configuration is one timed blast of real frames over real
+//! sockets, printed as `NETLINE <key> value <float>` rows. The bench
+//! gates its own headline claims (DESIGN.md §3.15) and exits 1 naming
+//! every gate that fails: at 1k connections the reactor holds ≥ 2.5× the
+//! threaded backend's reports/sec, ≤ 0.1 syscalls/report and ≥ 3× fewer
+//! syscalls/report than the threaded backend, and an idle `try_recv`
+//! stays ≤ 2 µs. The claims:
 //!
 //! * at 1k connections the reactor sustains ~4× the threaded backend's
 //!   reports/sec in wall clock and ~10× fewer syscalls per report
@@ -364,4 +367,32 @@ fn main() {
     // threads; it is not measured. 1.0 marks the deliberate skip.
     emit("net_throughput/threaded/conns10000/skipped", 1.0);
     let _ = std::io::stdout().flush();
+
+    // Regression floors, set on a two-core host that measured 3–5× and
+    // ~0.05 syscalls/report; the idle poll is one non-blocking `recv`
+    // (~0.2 µs), and the regression it guards against was an 8 ms timer.
+    let speedup = reactor.reports_per_sec / threaded.reports_per_sec;
+    let syscall_ratio = threaded.syscalls_per_report / reactor.syscalls_per_report;
+    let gates = [
+        (speedup >= 2.5, format!("reactor speedup {speedup:.2}x below 2.5x floor")),
+        (
+            reactor.syscalls_per_report <= 0.1,
+            format!("reactor at {:.3} syscalls/report, above 0.1", reactor.syscalls_per_report),
+        ),
+        (
+            syscall_ratio >= 3.0,
+            format!("reactor syscall advantage {syscall_ratio:.1}x below 3x floor"),
+        ),
+        (idle_ns <= 2000.0, format!("idle try_recv {idle_ns:.0} ns, above 2 us")),
+    ];
+    let mut failed = false;
+    for (held, why) in gates {
+        if !held {
+            eprintln!("net_throughput: gate failed: {why}");
+            failed = true;
+        }
+    }
+    if failed {
+        std::process::exit(1);
+    }
 }

@@ -1595,7 +1595,7 @@ mod tests {
     #[test]
     fn lanczos_path_never_materializes_probe_hessians() {
         // Growing the probe budget must not grow the Hessian
-        // materialization count (the record-once acceptance criterion).
+        // materialization count (the record-once acceptance condition).
         let f = AutoDiffFn::new(Coupled);
         let x0 = [0.3, -0.2, 0.1];
         let b = coupled_box();

@@ -11,34 +11,6 @@ use crate::runner::Simulation;
 use crate::stats::RunStats;
 use crate::workload::Workload;
 
-/// Which algorithm a run used (labeling for the experiment harness).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Baseline {
-    /// AutoMon proper.
-    AutoMon,
-    /// Every node sends every update.
-    Centralization,
-    /// Every node sends every `P` rounds.
-    Periodic(usize),
-    /// Convex Bound (Lazerson et al.): the hand-crafted inner-product
-    /// decomposition `⟨u,v⟩ = ¼‖u+v‖² - ¼‖u-v‖²`, run through the same
-    /// GM protocol. Equivalent to forcing ADCD-E (the paper proves the
-    /// equivalence in §4.3), valid only for constant-Hessian functions.
-    ConvexBound,
-}
-
-impl Baseline {
-    /// Harness label.
-    pub fn label(&self) -> String {
-        match self {
-            Baseline::AutoMon => "AutoMon".into(),
-            Baseline::Centralization => "Centralization".into(),
-            Baseline::Periodic(p) => format!("Periodic({p})"),
-            Baseline::ConvexBound => "CB".into(),
-        }
-    }
-}
-
 /// Wire size of one baseline report: the `LocalVector` frame carrying `x`.
 pub(crate) fn report_bytes(node: usize, x: &[f64]) -> usize {
     let report = NodeMessage::LocalVector {
@@ -208,12 +180,6 @@ mod tests {
         // Constant Hessian ⇒ true DC decomposition ⇒ deterministic bound.
         assert!(stats.max_error <= eps + 1e-9, "{stats:?}");
         assert_eq!(stats.missed_violation_rounds, 0);
-    }
-
-    #[test]
-    fn labels() {
-        assert_eq!(Baseline::Periodic(5).label(), "Periodic(5)");
-        assert_eq!(Baseline::ConvexBound.label(), "CB");
     }
 
     #[test]

@@ -43,7 +43,7 @@ mod runner;
 mod stats;
 mod workload;
 
-pub use baselines::{run_centralization, run_convex_bound, run_periodic, Baseline};
+pub use baselines::{run_centralization, run_convex_bound, run_periodic};
 pub use fleet_runner::{FleetReport, FleetSimulation};
 pub use hybrid::{HybridConfig, HybridStats};
 pub use link::TransportReport;

@@ -2,7 +2,10 @@
 //!
 //! Four things implement [`Link`], and the driver never branches on which
 //! one it holds: the bare [`CountingFabric`] (reliable and synchronous, so
-//! every recovery phase of the driver is a no-op over it), [`ChaosFabric`]
+//! the driver's recovery phases are no-ops over it, with one exception: on
+//! an event stream a node that registered early stays `is_pending()` until
+//! the last node registers, and the retransmit phase re-sends its
+//! registration, +3 messages at n = 6), [`ChaosFabric`]
 //! (the same fabric behind a seeded fault plan), [`ReactorLink`] (the
 //! real transport state machines over a simulated poller, with the plan's
 //! fault ladder gating the coordinator's inbound frame boundary), and

@@ -76,5 +76,5 @@ pub mod prelude {
     pub use automon_fleet::{Fleet, FleetConfig, ShardMap};
     pub use automon_functions::{InnerProduct, KlDivergence, QuadraticForm, Rozenbrock};
     pub use automon_linalg::{Matrix, SymEigen};
-    pub use automon_sim::{Baseline, RunStats, Simulation};
+    pub use automon_sim::{RunStats, Simulation};
 }
