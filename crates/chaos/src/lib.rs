@@ -15,9 +15,9 @@
 //! failure a chaos run finds can be replayed under a debugger.
 //!
 //! The self-healing counterpart lives in `automon-core` (epoch-tagged
-//! sync rounds, node eviction and resynchronization) and `automon-net`
-//! (retransmission, heartbeats, reconnects); this crate only breaks
-//! things, deterministically.
+//! sync rounds, node eviction and resynchronization) and `automon-sim`'s
+//! round driver (retransmission, eviction on failed sends); this crate
+//! only breaks things, deterministically.
 
 mod fabric;
 pub mod gate;

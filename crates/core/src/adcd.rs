@@ -89,6 +89,18 @@ pub struct DcDecomposition {
     pub spectral: SpectralStats,
 }
 
+/// The ADCD variant a decomposition of `f` runs: `cfg.adcd_override` if
+/// set, else ADCD-E exactly when `f`'s Hessian is constant.
+pub(crate) fn variant(f: &dyn MonitoredFunction, cfg: &MonitorConfig) -> AdcdKind {
+    cfg.adcd_override.unwrap_or_else(|| {
+        if f.has_constant_hessian() {
+            AdcdKind::E
+        } else {
+            AdcdKind::X
+        }
+    })
+}
+
 /// Run ADCD for `f` at `x0`.
 ///
 /// `neighborhood` is required for ADCD-X (it is the search region `S = B`
@@ -102,12 +114,7 @@ pub fn decompose(
     neighborhood: Option<&NeighborhoodBox>,
     cfg: &MonitorConfig,
 ) -> DcDecomposition {
-    let kind = cfg.adcd_override.unwrap_or(if f.has_constant_hessian() {
-        AdcdKind::E
-    } else {
-        AdcdKind::X
-    });
-    match kind {
+    match variant(f, cfg) {
         AdcdKind::E => decompose_e(f, x0, cfg),
         AdcdKind::X => {
             let b = neighborhood.expect("ADCD-X requires a neighborhood");

@@ -420,9 +420,9 @@ impl Coordinator {
         matches!(self.state, SyncState::Lazy { .. } | SyncState::Full { .. })
     }
 
-    /// The vector pulls the coordinator is still waiting on — what a
-    /// lossy transport re-sends after a retransmit timeout, and what a
-    /// liveness monitor uses to identify candidate dead nodes.
+    /// The vector pulls the coordinator is still waiting on — what the
+    /// round driver re-sends after a retransmit timeout over a lossy
+    /// link.
     pub fn outstanding_requests(&self) -> Vec<Outbound> {
         // The cause derives from the sync state (not from what triggered
         // it) so a re-issued pull is value-identical to the original.
@@ -1059,44 +1059,32 @@ impl Coordinator {
         let mut reused = false;
         let (dc, curvature, neighborhood) = if self.cfg.disable_adcd {
             (DcKind::AdmissibleOnly, Curvature::Scalar(0.0), None)
-        } else {
-            let use_e = self
-                .cfg
-                .adcd_override
-                .map(|k| k == AdcdKind::E)
-                .unwrap_or_else(|| self.f.has_constant_hessian());
-            if use_e {
-                // Constant Hessian: decomposition computed once, then
-                // cached (paper §4.4: "eigendecomposition is done only
-                // once at initialization").
-                let cached = self.e_cache.is_some();
-                let dec = self.e_cache.get_or_insert_with(|| {
-                    adcd::decompose_observed(self.f.as_ref(), &x0, None, &self.cfg, &self.tel.tel)
-                });
-                // Every zone built since the cache was filled took its
-                // penalty from it, so the old zone's matrix *is* the
-                // cached one: move it across instead of copying d²
-                // entries and then comparing them to learn as much. (A
-                // zone restored from a snapshot predates the cache and
-                // takes the copy-and-compare path once.)
-                match old.take_if(|_| cached) {
-                    Some(old) => {
-                        reused = true;
-                        (dec.dc, old.curvature, None)
-                    }
-                    None => (dec.dc, dec.curvature.clone(), None),
+        } else if adcd::variant(self.f.as_ref(), &self.cfg) == AdcdKind::E {
+            // Constant Hessian: decomposition computed once, then
+            // cached (paper §4.4: "eigendecomposition is done only
+            // once at initialization").
+            let cached = self.e_cache.is_some();
+            let dec = self.e_cache.get_or_insert_with(|| {
+                adcd::decompose_observed(self.f.as_ref(), &x0, None, &self.cfg, &self.tel.tel)
+            });
+            // Every zone built since the cache was filled took its
+            // penalty from it, so the old zone's matrix *is* the
+            // cached one: move it across instead of copying d²
+            // entries and then comparing them to learn as much. (A
+            // zone restored from a snapshot predates the cache and
+            // takes the copy-and-compare path once.)
+            match old.take_if(|_| cached) {
+                Some(old) => {
+                    reused = true;
+                    (dec.dc, old.curvature, None)
                 }
-            } else {
-                let b = self.domain.neighborhood(&x0, self.r);
-                let dec = adcd::decompose_observed(
-                    self.f.as_ref(),
-                    &x0,
-                    Some(&b),
-                    &self.cfg,
-                    &self.tel.tel,
-                );
-                (dec.dc, dec.curvature, Some(b))
+                None => (dec.dc, dec.curvature.clone(), None),
             }
+        } else {
+            let b = self.domain.neighborhood(&x0, self.r);
+            let dec =
+                adcd::decompose_observed(self.f.as_ref(), &x0, Some(&b), &self.cfg, &self.tel.tel);
+            (dec.dc, dec.curvature, Some(b))
         };
         let zone = SafeZone {
             x0: x0.clone(),

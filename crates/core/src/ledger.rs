@@ -50,8 +50,6 @@ pub enum CommCause {
     Eviction,
     /// Retransmission of an unacknowledged frame.
     Retransmit,
-    /// Liveness heartbeat (empty frame; TCP transport only).
-    Heartbeat,
     /// Fleet resynchronization after a coordinator crash: the restored
     /// coordinator's pulls, their replies, and the closing installs
     /// (docs/DURABILITY.md) — durability costs disk, and this cause
@@ -89,7 +87,6 @@ impl CommCause {
             CommCause::Rejoin => "rejoin",
             CommCause::Eviction => "eviction",
             CommCause::Retransmit => "retransmit",
-            CommCause::Heartbeat => "heartbeat",
             CommCause::Recovery => "recovery",
             CommCause::LeafReport => "leaf_report",
             CommCause::RootSync => "root_sync",
@@ -450,7 +447,7 @@ mod tests {
         for c in [Eviction, Rejoin] {
             assert_eq!(c.at_root(), ShardRebalance);
         }
-        for c in [FullSync, LazySync, Resync, Retransmit, Heartbeat, Recovery] {
+        for c in [FullSync, LazySync, Resync, Retransmit, Recovery] {
             assert_eq!(c.at_root(), RootSync);
         }
         // Already-tiered causes are fixed points, so lifting is idempotent.

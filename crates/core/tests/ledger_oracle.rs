@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-const CAUSES: [CommCause; 15] = [
+const CAUSES: [CommCause; 14] = [
     CommCause::Registration,
     CommCause::ViolationNeighborhood,
     CommCause::ViolationSafeZone,
@@ -24,7 +24,6 @@ const CAUSES: [CommCause; 15] = [
     CommCause::Rejoin,
     CommCause::Eviction,
     CommCause::Retransmit,
-    CommCause::Heartbeat,
     CommCause::Recovery,
     CommCause::LeafReport,
     CommCause::RootSync,

@@ -103,7 +103,8 @@ impl FrameAssembler {
 
     /// Pop the next complete frame payload (the length prefix is
     /// stripped), `Ok(None)` when more bytes are needed. An empty
-    /// payload — a heartbeat — is returned as an empty `Vec`.
+    /// payload is returned as an empty `Vec`, which no wire decoder
+    /// accepts.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
         Ok(self.next_frame_ref()?.map(<[u8]>::to_vec))
     }

@@ -128,10 +128,6 @@ pub trait Poller {
 
     /// Syscalls issued so far.
     fn stats(&self) -> SyscallStats;
-
-    /// Milliseconds on this poller's clock: monotonic wall time for
-    /// epoll, the seeded logical clock for the simulator.
-    fn now_ms(&self) -> u64;
 }
 
 // ---------------------------------------------------------------------
@@ -266,7 +262,6 @@ pub struct EpollPoller {
     epfd: RawFd,
     buf: Vec<EpollEvent>,
     counters: Arc<SyscallCounters>,
-    epoch: Instant,
 }
 
 impl EpollPoller {
@@ -277,7 +272,6 @@ impl EpollPoller {
             epfd,
             buf: vec![EpollEvent { events: 0, data: 0 }; 1024],
             counters: Arc::new(SyscallCounters::default()),
-            epoch: Instant::now(),
         })
     }
 
@@ -397,10 +391,6 @@ impl Poller for EpollPoller {
 
     fn stats(&self) -> SyscallStats {
         self.counters.snapshot()
-    }
-
-    fn now_ms(&self) -> u64 {
-        self.epoch.elapsed().as_millis() as u64
     }
 }
 

@@ -23,6 +23,11 @@
 //!   inbound frame, the same boundary the in-process chaos fabric
 //!   gates, so seeded fault plans replay identically here.
 //!
+//! A frame that does not decode, an empty one included, closes its
+//! connection. The reactor keeps no liveness clock: the round driver
+//! (`automon-sim`) learns that a node is gone from a failed send, and
+//! evicts it.
+//!
 //! The core is synchronous: `poll_once` + `pop_inbound`, no hidden
 //! threads — which is what lets [`crate::sim_poller::SimPoller`] drive
 //! it deterministically. [`ReactorCoordinatorTransport`] is the same
@@ -74,7 +79,7 @@ impl ReactorConfig {
 /// opposed to the [`SyscallStats`] it cost).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReactorTraffic {
-    /// Frames decoded from node connections (heartbeats included).
+    /// Frames decoded from node connections.
     pub frames_in: u64,
     /// Wire bytes read.
     pub bytes_in: u64,
@@ -82,8 +87,6 @@ pub struct ReactorTraffic {
     pub frames_out: u64,
     /// Wire bytes accepted by the kernel.
     pub bytes_out: u64,
-    /// Heartbeat frames absorbed.
-    pub heartbeats: u64,
     /// Connections admitted (initial + rejoins).
     pub accepts: u64,
 }
@@ -96,7 +99,6 @@ struct ReactorTel {
     bytes_in: Counter,
     frames_out: Counter,
     bytes_out: Counter,
-    heartbeats: Counter,
     accepts: Counter,
     send_failures: Counter,
     bp_rejects: Counter,
@@ -122,10 +124,6 @@ impl ReactorTel {
             bytes_out: tel.counter(
                 "automon_net_bytes_total{dir=\"out\"}",
                 "Wire bytes moved (payload + length prefix), by direction",
-            ),
-            heartbeats: tel.counter(
-                "automon_net_heartbeats_total",
-                "Heartbeat frames received",
             ),
             accepts: tel.counter(
                 "automon_net_accepts_total",
@@ -186,7 +184,6 @@ pub struct Reactor<P: Poller> {
     round: usize,
     /// Nodes whose queue crossed the cap and has not drained below half.
     backpressured: Vec<bool>,
-    last_seen_ms: Vec<u64>,
     read_buf: Vec<u8>,
     events: Vec<Event>,
     traffic: ReactorTraffic,
@@ -219,7 +216,6 @@ impl<P: Poller> Reactor<P> {
             delayed: BTreeMap::new(),
             round: 0,
             backpressured: vec![false; n],
-            last_seen_ms: vec![0; n],
             events: Vec::new(),
             traffic: ReactorTraffic::default(),
             tel: ReactorTel::default(),
@@ -336,16 +332,6 @@ impl<P: Poller> Reactor<P> {
     /// Nodes currently under backpressure.
     pub fn backpressured_nodes(&self) -> Vec<NodeId> {
         (0..self.cfg.n).filter(|&i| self.backpressured[i]).collect()
-    }
-
-    /// Nodes not heard from (frame or heartbeat) for `timeout` on the
-    /// poller's clock.
-    pub fn stale_nodes(&self, timeout: Duration) -> Vec<NodeId> {
-        let now = self.poller.now_ms();
-        let horizon = timeout.as_millis() as u64;
-        (0..self.cfg.n)
-            .filter(|&i| now.saturating_sub(self.last_seen_ms[i]) >= horizon)
-            .collect()
     }
 
     /// Traffic counters (frames/bytes moved).
@@ -465,16 +451,9 @@ impl<P: Poller> Reactor<P> {
             };
             self.traffic.frames_in += 1;
             self.tel.frames_in.inc();
-            let node = state.node;
-            if frame.is_empty() {
-                self.traffic.heartbeats += 1;
-                self.tel.heartbeats.inc();
-                if let Some(id) = node {
-                    self.touch(id);
-                }
-                continue;
-            }
-            match node {
+            // A frame that does not decode, an empty one included, closes
+            // the connection.
+            match state.node {
                 None => {
                     // Handshake: the first frame introduces the node.
                     let Ok(msg) = wire::decode_node_message(&frame) else {
@@ -498,14 +477,12 @@ impl<P: Poller> Reactor<P> {
                     self.node_slot[id] = Some(slot);
                     self.traffic.accepts += 1;
                     self.tel.accepts.inc();
-                    self.touch(id);
                 }
-                Some(id) => {
+                Some(_) => {
                     let Ok((span, msg)) = wire::decode_node_message_ctx(&frame) else {
                         self.close_slot(slot);
                         return false;
                     };
-                    self.touch(id);
                     self.admit_inbound(span, msg);
                 }
             }
@@ -598,10 +575,6 @@ impl<P: Poller> Reactor<P> {
             .set(self.backpressured.iter().filter(|&&b| b).count() as f64);
     }
 
-    fn touch(&mut self, node: NodeId) {
-        self.last_seen_ms[node] = self.poller.now_ms();
-    }
-
     fn close_slot(&mut self, slot: usize) {
         let Some(state) = self.slab[slot].take() else { return };
         let _ = self.poller.deregister(&state.conn);
@@ -627,8 +600,8 @@ impl<P: Poller> Reactor<P> {
 /// [`crate::tcp::TcpCoordinatorTransport`], no thread of its own.
 ///
 /// **Service contract.** The sockets are serviced while the caller is
-/// inside [`send`](Self::send), a `recv*` method or
-/// [`stale_nodes`](Self::stale_nodes), and only then: `send` encodes and
+/// inside [`send`](Self::send) or a `recv*` method, and only then:
+/// `send` encodes and
 /// `writev`s on the caller's thread, `recv*` runs the readiness rounds.
 /// Between calls inbound bytes wait in the kernel's socket buffers,
 /// where TCP flow control bounds them, and frames a short write left
@@ -771,17 +744,6 @@ impl ReactorCoordinatorTransport {
     /// responsive nodes.
     pub fn backpressured_nodes(&self) -> Vec<NodeId> {
         self.core().backpressured_nodes()
-    }
-
-    /// Nodes not heard from for `timeout`. Runs one non-blocking
-    /// readiness round first, so a heartbeat that reached the kernel
-    /// while the caller was busy elsewhere (a long `decompose`) counts
-    /// before the clock is read.
-    pub fn stale_nodes(&self, timeout: Duration) -> Vec<NodeId> {
-        let mut core = self.core();
-        // A failed poll leaves the last-seen times as they were.
-        let _ = core.poll_once(Some(Duration::ZERO));
-        core.stale_nodes(timeout)
     }
 
     /// Syscalls issued on the reactor's behalf so far.
@@ -959,6 +921,34 @@ mod tests {
         assert!(!reactor.is_connected(0), "node 0 never connected");
     }
 
+    #[test]
+    fn an_empty_frame_closes_its_connection() {
+        let (mut reactor, net) = sim_reactor(11, 1);
+        let client = net.connect();
+        hello(&client, 0);
+        let report = NodeMessage::Violation {
+            node: 0,
+            kind: ViolationKind::SafeZone,
+            local_vector: vec![2.0],
+            epoch: 1,
+        };
+        assert!(client.send_frame(&wire::encode_node_message(&report)));
+        assert!(client.send_frame(&[]));
+        let mut got = Vec::new();
+        for _ in 0..64 {
+            reactor.poll_once(Some(Duration::ZERO)).unwrap();
+            while let Some((_, m)) = reactor.pop_inbound() {
+                got.push(m);
+            }
+            if !reactor.is_connected(0) {
+                break;
+            }
+        }
+        assert_eq!(got, vec![report], "the report ahead of it is delivered");
+        assert!(!reactor.is_connected(0), "empty frame left the connection open");
+        assert!(!client.send_frame(&[]), "the server side hung up");
+    }
+
     /// A transport over loopback sockets with nodes `0..n` connected.
     /// `bind` returns only after every hello, so it runs on a helper
     /// thread while this one dials.
@@ -1024,18 +1014,9 @@ mod tests {
         assert_eq!(span, SpanId(7));
         assert_eq!(msg, out.msg);
 
-        // Heartbeats keep liveness fresh without surfacing: `stale_nodes`
-        // reads the sockets itself before it reads the clock, so the
-        // heartbeat counts with no `recv*` call in between.
-        nodes[0].send_heartbeat().unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while tp.traffic().heartbeats == 0 {
-            assert!(tp.stale_nodes(Duration::from_secs(60)).is_empty());
-            assert!(Instant::now() < deadline, "heartbeat never absorbed");
-        }
         assert!(tp.recv_timeout(Duration::from_millis(50)).is_none());
         let t = tp.traffic();
-        assert!(t.frames_in >= 5 && t.frames_out >= 1);
+        assert!(t.frames_in >= 4 && t.frames_out >= 1);
         assert!(tp.syscall_stats().waits > 0);
     }
 

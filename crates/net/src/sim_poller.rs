@@ -1,8 +1,8 @@
 //! A turmoil-style simulated poller: the reactor's determinism story.
 //!
 //! [`SimPoller`] implements the same [`Poller`] seam as the epoll
-//! backend, but over in-memory duplex pipes under a **seeded logical
-//! clock** — no sockets, no threads, no wall time. Reads are chunked
+//! backend, but over in-memory duplex pipes driven by a **seed** — no
+//! sockets, no threads, no wall time. Reads are chunked
 //! and writes shortened at *seeded* boundaries, so the reactor's
 //! frame-reassembly and partial-write paths are exercised on every run,
 //! and exercised identically for the same seed: the whole transport
@@ -52,8 +52,6 @@ struct SimNetInner {
     tokens: Vec<Option<Token>>,
     /// xorshift64* state for chunk boundaries.
     rng: u64,
-    /// Logical milliseconds; each `wait` is one tick.
-    clock_ms: u64,
     /// Upper bound on bytes one simulated `read` returns.
     max_read_chunk: usize,
     /// Capacity of the server→client buffer (forces partial writes).
@@ -101,7 +99,6 @@ impl SimNet {
                 tokens: Vec::new(),
                 // splitmix64 scramble; zero maps to a fixed odd state.
                 rng: splitmix64(seed ^ 0xD1B5_4A32_D192_ED03).max(1),
-                clock_ms: 0,
                 max_read_chunk: max_read_chunk.max(1),
                 client_buf_cap: client_buf_cap.max(16),
                 stats: SyscallStats::default(),
@@ -135,11 +132,6 @@ impl SimNet {
         SimListener {
             _inner: self.inner.clone(),
         }
-    }
-
-    /// Logical clock, in milliseconds.
-    pub fn clock_ms(&self) -> u64 {
-        self.inner.borrow().clock_ms
     }
 }
 
@@ -310,7 +302,6 @@ impl Poller for SimPoller {
     fn wait(&mut self, events: &mut Vec<Event>, _timeout: Option<Duration>) -> io::Result<()> {
         let mut net = self.inner.borrow_mut();
         net.stats.waits += 1;
-        net.clock_ms += 1;
         if !net.pending_accepts.is_empty() {
             events.push(Event {
                 token: LISTENER_TOKEN,
@@ -342,10 +333,6 @@ impl Poller for SimPoller {
 
     fn stats(&self) -> SyscallStats {
         self.inner.borrow().stats
-    }
-
-    fn now_ms(&self) -> u64 {
-        self.inner.borrow().clock_ms
     }
 }
 

@@ -3,9 +3,11 @@
 //! The paper's deployment moves frames with ZeroMQ (§3.8, §4.7); this
 //! module is the dependency-free equivalent on `std::net`. Frames are
 //! length-prefixed wire-codec messages; each node opens one connection
-//! and introduces itself with a hello frame carrying its id. An empty
-//! frame (zero-length payload) is a heartbeat: it refreshes the sender's
-//! liveness clock and is never surfaced to the protocol.
+//! and introduces itself with a hello frame carrying its id. A frame that
+//! does not decode, an empty one included, closes its connection.
+//! Liveness is the round driver's (`automon-sim`): it evicts a node on
+//! failed sends, and this module keeps no clock of when a node was last
+//! heard from.
 //!
 //! Concurrency model: the coordinator accepts the initial `n` node
 //! connections, then keeps accepting in a background thread so a crashed
@@ -13,8 +15,8 @@
 //! one mpsc channel, and replies are written to per-node writer slots. A
 //! slot empties when its connection dies and refills when the node dials
 //! back in. Nodes read their single connection blocking, polling or up
-//! to a deadline, with bounded connect-retry and
-//! reconnect-on-send-failure (see [`RetryPolicy`]).
+//! to a deadline, and dial with bounded retry (see [`RetryPolicy`]); a
+//! crashed node rejoins by connecting again.
 //!
 //! Framing is [`crate::frame`]'s, the same code the reactor runs: every
 //! read side is a `FrameReader` (one buffered `recv` yields every
@@ -92,7 +94,7 @@ impl std::fmt::Display for TcpError {
 impl std::error::Error for TcpError {}
 
 /// Bounded-retry schedule with exponential backoff, used for node
-/// connects and send-side reconnects.
+/// connects.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
     /// Total attempts (the first try included).
@@ -259,7 +261,6 @@ struct CoordNetTel {
     bytes_in: Counter,
     frames_out: Counter,
     bytes_out: Counter,
-    heartbeats: Counter,
     accepts: Counter,
     send_failures: Counter,
 }
@@ -283,10 +284,6 @@ impl CoordNetTel {
                 "automon_net_bytes_total{dir=\"out\"}",
                 "Wire bytes moved (payload + length prefix), by direction",
             ),
-            heartbeats: tel.counter(
-                "automon_net_heartbeats_total",
-                "Heartbeat frames received",
-            ),
             accepts: tel.counter(
                 "automon_net_accepts_total",
                 "Node connections admitted (initial + rejoins)",
@@ -306,7 +303,6 @@ struct NodeNetTel {
     connect_attempts: Counter,
     connect_retries: Counter,
     backoff_ms: Counter,
-    reconnects: Counter,
     frames_in: Counter,
     bytes_in: Counter,
     frames_out: Counter,
@@ -327,10 +323,6 @@ impl NodeNetTel {
             backoff_ms: tel.counter(
                 "automon_net_backoff_ms_total",
                 "Milliseconds slept in connect backoff",
-            ),
-            reconnects: tel.counter(
-                "automon_net_reconnects_total",
-                "Explicit reconnects after a dead connection",
             ),
             frames_in: tel.counter(
                 "automon_net_frames_total{dir=\"in\"}",
@@ -364,19 +356,12 @@ struct WriterSlot {
 /// per-connection reader threads.
 struct Shared {
     writers: Vec<Mutex<WriterSlot>>,
-    last_seen: Vec<Mutex<Instant>>,
     shutdown: AtomicBool,
     /// `recv` calls by the reader threads and `writev` calls by
     /// [`TcpCoordinatorTransport::send`].
     reads: AtomicU64,
     writes: AtomicU64,
     tel: CoordNetTel,
-}
-
-impl Shared {
-    fn touch(&self, id: NodeId) {
-        *lock_clean(&self.last_seen[id]) = Instant::now();
-    }
 }
 
 /// Lock that shrugs off poisoning: a panicked writer holds no invariant
@@ -419,7 +404,6 @@ fn admit(
         slot.writer = FrameWriter::new();
         slot.generation
     };
-    shared.touch(id);
     shared.tel.accepts.inc();
     let shared = shared.clone();
     let tx = tx.clone();
@@ -434,24 +418,18 @@ fn admit(
                 break;
             };
             let len = frame.len();
-            // An empty frame is a heartbeat: nothing to decode.
-            let decoded = (len > 0).then(|| wire::decode_node_message_ctx(frame));
+            let decoded = wire::decode_node_message_ctx(frame);
             // Counted before the frame is handed over, so a caller that
             // has the frame also sees the reads that fetched it.
             shared
                 .reads
                 .fetch_add(std::mem::take(&mut reader.reads), Ordering::Relaxed);
-            shared.touch(id);
             shared.tel.frames_in.inc();
             shared.tel.bytes_in.add(frame_bytes(len));
-            let Some(decoded) = decoded else {
-                shared.tel.heartbeats.inc();
-                continue;
-            };
             let Ok((span, msg)) = decoded else {
-                // Framing is byte-synchronized; a corrupt frame means the
-                // stream can no longer be trusted. Drop the connection
-                // and let the node reconnect.
+                // Framing is byte-synchronized; a corrupt frame, an empty
+                // one included, means the stream can no longer be trusted.
+                // Drop the connection and let the node reconnect.
                 break;
             };
             if tx.send((span, msg)).is_err() {
@@ -497,7 +475,7 @@ impl TcpCoordinatorTransport {
     }
 
     /// Like [`TcpCoordinatorTransport::bind_with_timeout`], with transport
-    /// counters (frames, bytes, accepts, heartbeats, send failures)
+    /// counters (frames, bytes, accepts, send failures)
     /// registered on `tel`. Pass [`Telemetry::disabled`] to opt out.
     pub fn bind_with_telemetry(
         addr: SocketAddr,
@@ -518,7 +496,6 @@ impl TcpCoordinatorTransport {
                     })
                 })
                 .collect(),
-            last_seen: (0..n).map(|_| Mutex::new(Instant::now())).collect(),
             shutdown: AtomicBool::new(false),
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
@@ -647,17 +624,6 @@ impl TcpCoordinatorTransport {
     pub fn is_connected(&self, node: NodeId) -> bool {
         lock_clean(&self.shared.writers[node]).stream.is_some()
     }
-
-    /// Nodes not heard from (frame or heartbeat) for at least `timeout` —
-    /// the liveness input for eviction decisions.
-    pub fn stale_nodes(&self, timeout: Duration) -> Vec<NodeId> {
-        let now = Instant::now();
-        (0..self.shared.last_seen.len())
-            .filter(|&i| {
-                now.duration_since(*lock_clean(&self.shared.last_seen[i])) >= timeout
-            })
-            .collect()
-    }
 }
 
 impl Drop for TcpCoordinatorTransport {
@@ -702,11 +668,9 @@ impl CoordinatorTransport for TcpCoordinatorTransport {
 /// Node side of the TCP transport.
 pub struct TcpNodeTransport {
     id: NodeId,
-    addr: SocketAddr,
     stream: TcpStream,
     reader: FrameReader,
     writer: FrameWriter,
-    retry: RetryPolicy,
     tel: NodeNetTel,
 }
 
@@ -739,11 +703,9 @@ impl TcpNodeTransport {
         let stream = Self::dial(addr, id, retry, &tel)?;
         Ok(Self {
             id,
-            addr,
             stream,
             reader: FrameReader::default(),
             writer: FrameWriter::new(),
-            retry,
             tel,
         })
     }
@@ -795,19 +757,6 @@ impl TcpNodeTransport {
         self.id
     }
 
-    /// Drop the current connection and dial the coordinator again (with
-    /// the transport's retry schedule) — a crashed-and-restarted node's
-    /// path back into the group.
-    pub fn reconnect(&mut self) -> Result<(), TcpError> {
-        self.tel.reconnects.inc();
-        self.stream = Self::dial(self.addr, self.id, self.retry, &self.tel)?;
-        // Bytes buffered from the dead connection, in either direction,
-        // are no part of the new one's stream.
-        self.reader.asm = FrameAssembler::new();
-        self.writer.out = OutQueue::new(1);
-        Ok(())
-    }
-
     /// Send a node message on the current connection.
     pub fn send(&mut self, msg: &NodeMessage) -> Result<(), TcpError> {
         self.send_traced(msg, SpanId::NONE)
@@ -818,30 +767,12 @@ impl TcpNodeTransport {
     /// handler spans will parent on.
     pub fn send_traced(&mut self, msg: &NodeMessage, span: SpanId) -> Result<(), TcpError> {
         debug_assert_eq!(msg.sender(), self.id, "sending as the wrong node");
-        self.write(wire::encode_node_message_ctx(msg, span))
-    }
-
-    fn write(&mut self, frame: Bytes) -> Result<(), TcpError> {
+        let frame = wire::encode_node_message_ctx(msg, span);
         let len = frame.len();
         self.writer.write(&self.stream, frame)?;
         self.tel.frames_out.inc();
         self.tel.bytes_out.add(frame_bytes(len));
         Ok(())
-    }
-
-    /// Send, reconnecting with backoff when the connection is dead.
-    pub fn send_with_retry(&mut self, msg: &NodeMessage) -> Result<(), TcpError> {
-        if self.send(msg).is_ok() {
-            return Ok(());
-        }
-        self.reconnect()?;
-        self.send(msg)
-    }
-
-    /// Send a heartbeat (empty frame): refreshes this node's liveness
-    /// clock on the coordinator without touching the protocol.
-    pub fn send_heartbeat(&mut self) -> Result<(), TcpError> {
-        self.write(Bytes::new())
     }
 
     /// Blocking receive of the next coordinator message.
@@ -1167,7 +1098,7 @@ mod tests {
     }
 
     #[test]
-    fn heartbeats_keep_a_quiet_node_fresh() {
+    fn an_empty_frame_closes_its_connection() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         drop(listener);
@@ -1176,13 +1107,21 @@ mod tests {
         let mut tp = TcpNodeTransport::connect(addr, 0).expect("connect");
         let (coord_tp, _) = binder.join().unwrap();
 
-        for _ in 0..5 {
-            tp.send_heartbeat().expect("heartbeat");
-            std::thread::sleep(Duration::from_millis(10));
+        let report = NodeMessage::LocalVector {
+            node: 0,
+            vector: vec![1.0],
+            epoch: 0,
+        };
+        tp.send(&report).expect("send");
+        // A zero-length frame decodes as nothing: the reader drops the
+        // connection, as it does for any corrupt frame.
+        tp.writer.write(&tp.stream, Bytes::new()).expect("empty frame");
+        let got = coord_tp.recv_timeout(Duration::from_secs(5));
+        assert_eq!(got, Some(report), "the report ahead of it is delivered");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while coord_tp.is_connected(0) {
+            assert!(Instant::now() < deadline, "empty frame left the connection open");
+            std::thread::sleep(Duration::from_millis(1));
         }
-        // Heard from recently: not stale at a 1s horizon.
-        assert!(coord_tp.stale_nodes(Duration::from_secs(1)).is_empty());
-        // At a zero horizon everyone is trivially stale — the filter works.
-        assert_eq!(coord_tp.stale_nodes(Duration::ZERO), vec![0]);
     }
 }

@@ -10,8 +10,8 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use automon_core::{CommCause, CoordinatorMessage, NodeMessage, Outbound, ViolationKind};
-use automon_net::tcp::{TcpCoordinatorTransport, TcpError, TcpNodeTransport};
+use automon_core::CoordinatorMessage;
+use automon_net::tcp::{TcpError, TcpNodeTransport};
 use automon_net::wire;
 use common::to_wire;
 
@@ -188,42 +188,4 @@ fn recv_timeout_is_punctual_and_keeps_half_a_frame() {
         node.recv_timeout(PATIENCE).expect("rest"),
         Some(msgs[2].clone())
     );
-}
-
-#[test]
-fn heartbeats_pass_through_the_threaded_reader() {
-    let probe = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = probe.local_addr().unwrap();
-    drop(probe);
-    let binder = std::thread::spawn(move || TcpCoordinatorTransport::bind(addr, 1).expect("bind"));
-    let mut node = TcpNodeTransport::connect(addr, 0).expect("connect");
-    let (coord, _) = binder.join().unwrap();
-
-    let report = |epoch| NodeMessage::Violation {
-        node: 0,
-        kind: ViolationKind::SafeZone,
-        local_vector: vec![1.0, 2.0],
-        epoch,
-    };
-    // Empty frames between, before and after real ones: the reader skips
-    // them without losing its place in the stream.
-    node.send_heartbeat().unwrap();
-    node.send(&report(1)).unwrap();
-    node.send_heartbeat().unwrap();
-    node.send_heartbeat().unwrap();
-    node.send(&report(2)).unwrap();
-    node.send_heartbeat().unwrap();
-    assert_eq!(coord.recv_timeout(PATIENCE), Some(report(1)));
-    assert_eq!(coord.recv_timeout(PATIENCE), Some(report(2)));
-    assert_eq!(coord.recv_timeout(Duration::from_millis(50)), None);
-    assert!(coord.stale_nodes(Duration::from_secs(1)).is_empty());
-
-    // And the other direction still works on the same connection.
-    let out = Outbound::new(
-        0,
-        CoordinatorMessage::RequestLocalVector { epoch: 2 },
-        CommCause::FullSync,
-    );
-    coord.send(&out).unwrap();
-    assert_eq!(node.recv_timeout(PATIENCE).unwrap(), Some(out.msg));
 }

@@ -34,7 +34,7 @@ use std::sync::Arc;
 
 pub use expo::{parse_prometheus, value_of, Sample};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
-pub use reader::{parse_trace, span_path_at, JsonVal, TraceEvent};
+pub use reader::{parse_trace, span_path_at, TraceEvent};
 pub use serve::MetricsServer;
 pub use trace::{FieldValue, LogicalClock, SpanId, TraceCtx, Tracer, RESERVED_KEYS};
 

@@ -1,54 +1,17 @@
 //! Reader for the JSONL traces the [`crate::trace::Tracer`] emits.
 //!
-//! The tracer writes flat JSON objects — no nesting, no arrays — so this
-//! module carries its own small tokenizer instead of a JSON dependency.
-//! It parses each line into a [`TraceEvent`] (envelope plus typed
-//! fields), and reconstructs causal structure from `span_begin` /
-//! `span_end` events: [`span_path_at`] names the open-span stack
-//! enclosing any sequence number, which is what the `automon trace diff`
-//! determinism debugger reports at the first divergence.
+//! Each line is one flat JSON object with no whitespace: string keys and
+//! scalar values. The vendored `serde_json` parses it; this module holds
+//! the line to that shape and splits off the envelope into a
+//! [`TraceEvent`]. It also reconstructs causal structure from
+//! `span_begin` / `span_end` events: [`span_path_at`] names the
+//! open-span stack enclosing any sequence number, which is what the
+//! `automon trace diff` determinism debugger reports at the first
+//! divergence.
 
 use std::fmt;
 
-/// A decoded field value from one trace line.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonVal {
-    U64(u64),
-    I64(i64),
-    F64(f64),
-    Str(String),
-    Bool(bool),
-    Null,
-}
-
-impl JsonVal {
-    /// The value as a u64 when it is a non-negative integer.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonVal::U64(n) => Some(*n),
-            JsonVal::I64(n) if *n >= 0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    /// The value as an f64 when numeric.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonVal::U64(n) => Some(*n as f64),
-            JsonVal::I64(n) => Some(*n as f64),
-            JsonVal::F64(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice when it is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonVal::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
+use serde::Value;
 
 /// One parsed trace line: the envelope stamps plus the remaining fields
 /// in emission order, with the raw line kept for faithful reporting.
@@ -58,24 +21,33 @@ pub struct TraceEvent {
     pub round: u64,
     pub ops: u64,
     pub kind: String,
-    pub fields: Vec<(String, JsonVal)>,
+    pub fields: Vec<(String, Value)>,
     pub raw: String,
 }
 
 impl TraceEvent {
     /// Look up a non-envelope field by name.
-    pub fn field(&self, key: &str) -> Option<&JsonVal> {
+    pub fn field(&self, key: &str) -> Option<&Value> {
         self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
     /// Field as u64 (`None` when absent or non-integer).
     pub fn u64(&self, key: &str) -> Option<u64> {
-        self.field(key).and_then(JsonVal::as_u64)
+        self.field(key).and_then(as_u64)
     }
 
     /// Field as string slice.
     pub fn str(&self, key: &str) -> Option<&str> {
-        self.field(key).and_then(JsonVal::as_str)
+        self.field(key).and_then(Value::as_str)
+    }
+}
+
+/// A non-negative integer's value; the parser reads every other number
+/// as `Int` or `F64`.
+fn as_u64(v: &Value) -> Option<u64> {
+    match v {
+        Value::UInt(n) => Some(*n),
+        _ => None,
     }
 }
 
@@ -112,34 +84,31 @@ pub fn parse_trace(text: &str) -> Result<Vec<TraceEvent>, TraceParseError> {
 
 /// Parse one event line.
 pub fn parse_line(line: &str) -> Result<TraceEvent, String> {
-    let mut p = Parser {
-        rest: line.as_bytes(),
+    let value = serde_json::from_str::<Value>(line).map_err(|e| e.to_string())?;
+    let Value::Map(entries) = value else {
+        return Err(format!("expected an object, got {}", value.kind()));
     };
-    p.expect(b'{')?;
+    // `serde_json` skips whitespace around the value; the tracer writes
+    // none, so a padded line is not one of its lines.
+    if line.trim().len() != line.len() {
+        return Err("whitespace around the object".into());
+    }
     let mut seq = None;
     let mut round = None;
     let mut ops = None;
     let mut kind = None;
     let mut fields = Vec::new();
-    loop {
-        let key = p.string()?;
-        p.expect(b':')?;
-        let val = p.value()?;
+    for (key, val) in entries {
+        if matches!(val, Value::Seq(_) | Value::Map(_)) {
+            return Err(format!("nested value at `{key}`"));
+        }
         match key.as_str() {
-            "seq" => seq = val.as_u64(),
-            "round" => round = val.as_u64(),
-            "ops" => ops = val.as_u64(),
+            "seq" => seq = as_u64(&val),
+            "round" => round = as_u64(&val),
+            "ops" => ops = as_u64(&val),
             "kind" => kind = val.as_str().map(str::to_string),
             _ => fields.push((key, val)),
         }
-        match p.bump()? {
-            b',' => continue,
-            b'}' => break,
-            c => return Err(format!("expected `,` or `}}`, got `{}`", c as char)),
-        }
-    }
-    if !p.rest.is_empty() {
-        return Err("trailing bytes after object".into());
     }
     Ok(TraceEvent {
         seq: seq.ok_or("missing seq")?,
@@ -180,122 +149,6 @@ pub fn span_path_at(events: &[TraceEvent], seq: u64) -> Vec<String> {
     stack.into_iter().map(|(_, name)| name).collect()
 }
 
-/// Byte-level tokenizer over one line. The tracer's output grammar is a
-/// strict subset of JSON: object of string keys and scalar values, no
-/// whitespace, no nesting.
-struct Parser<'a> {
-    rest: &'a [u8],
-}
-
-impl Parser<'_> {
-    fn bump(&mut self) -> Result<u8, String> {
-        let (&c, rest) = self.rest.split_first().ok_or("unexpected end of line")?;
-        self.rest = rest;
-        Ok(c)
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        let got = self.bump()?;
-        if got != want {
-            return Err(format!("expected `{}`, got `{}`", want as char, got as char));
-        }
-        Ok(())
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump()? {
-                b'"' => return Ok(out),
-                b'\\' => match self.bump()? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.bump()? as char;
-                            code = code * 16
-                                + d.to_digit(16).ok_or("bad \\u escape")?;
-                        }
-                        out.push(char::from_u32(code).ok_or("bad \\u codepoint")?);
-                    }
-                    e => return Err(format!("bad escape `\\{}`", e as char)),
-                },
-                c if c < 0x80 => out.push(c as char),
-                c => {
-                    // Re-assemble a UTF-8 multibyte sequence.
-                    let extra = match c {
-                        0xC0..=0xDF => 1,
-                        0xE0..=0xEF => 2,
-                        _ => 3,
-                    };
-                    let mut bytes = vec![c];
-                    for _ in 0..extra {
-                        bytes.push(self.bump()?);
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&bytes).map_err(|_| "bad utf-8")?,
-                    );
-                }
-            }
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonVal, String> {
-        match self.rest.first().copied().ok_or("unexpected end of line")? {
-            b'"' => Ok(JsonVal::Str(self.string()?)),
-            b't' => self.literal(b"true", JsonVal::Bool(true)),
-            b'f' => self.literal(b"false", JsonVal::Bool(false)),
-            b'n' => self.literal(b"null", JsonVal::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn literal(&mut self, lit: &[u8], val: JsonVal) -> Result<JsonVal, String> {
-        if self.rest.starts_with(lit) {
-            self.rest = &self.rest[lit.len()..];
-            Ok(val)
-        } else {
-            Err(format!(
-                "bad literal near `{}`",
-                String::from_utf8_lossy(&self.rest[..self.rest.len().min(8)])
-            ))
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonVal, String> {
-        let end = self
-            .rest
-            .iter()
-            .position(|&c| !matches!(c, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-            .unwrap_or(self.rest.len());
-        let text = std::str::from_utf8(&self.rest[..end]).map_err(|_| "bad number")?;
-        if text.is_empty() {
-            return Err("expected a value".into());
-        }
-        self.rest = &self.rest[end..];
-        if text.bytes().all(|c| c.is_ascii_digit()) {
-            return text
-                .parse()
-                .map(JsonVal::U64)
-                .map_err(|_| format!("bad integer `{text}`"));
-        }
-        if text.bytes().all(|c| c.is_ascii_digit() || c == b'-') {
-            return text
-                .parse()
-                .map(JsonVal::I64)
-                .map_err(|_| format!("bad integer `{text}`"));
-        }
-        text.parse()
-            .map(JsonVal::F64)
-            .map_err(|_| format!("bad number `{text}`"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,18 +177,30 @@ mod tests {
         assert_eq!((ev.seq, ev.round, ev.ops), (0, 4, 9));
         assert_eq!(ev.kind, "full_sync");
         assert_eq!(ev.u64("epoch"), Some(3));
-        assert_eq!(ev.field("value"), Some(&JsonVal::F64(0.25)));
+        assert_eq!(ev.field("value"), Some(&Value::F64(0.25)));
         assert_eq!(ev.str("msg"), Some("a\"b\nc"));
-        assert_eq!(ev.field("ok"), Some(&JsonVal::Bool(true)));
-        assert_eq!(ev.field("none"), Some(&JsonVal::Null));
+        assert_eq!(ev.field("ok"), Some(&Value::Bool(true)));
+        assert_eq!(ev.field("none"), Some(&Value::Null));
     }
 
     #[test]
     fn rejects_garbage() {
+        let ok = "{\"seq\":1,\"round\":0,\"ops\":0,\"kind\":\"x\"}";
+        assert!(parse_line(ok).is_ok());
         assert!(parse_line("").is_err());
         assert!(parse_line("{").is_err());
+        assert!(parse_line("[1]").is_err(), "not an object");
+        assert!(parse_line("7").is_err(), "not an object");
         assert!(parse_line("{\"seq\":1}").is_err(), "missing envelope keys");
-        assert!(parse_line("{\"seq\":1,\"round\":0,\"ops\":0,\"kind\":\"x\"} ").is_err());
+        for key in ["seq", "round", "ops", "kind"] {
+            let without = ok.replace(&format!("\"{key}\""), "\"other\"");
+            assert!(parse_line(&without).is_err(), "missing {key}");
+        }
+        assert!(parse_line(&format!("{ok} ")).is_err(), "trailing whitespace");
+        assert!(parse_line(&format!(" {ok}")).is_err(), "leading whitespace");
+        let nested = "{\"seq\":1,\"round\":0,\"ops\":0,\"kind\":\"x\",\"v\":[1]}";
+        assert!(parse_line(nested).is_err(), "nested array");
+        assert!(parse_line(&nested.replace("[1]", "{}")).is_err(), "nested object");
         assert!(parse_trace("{\"seq\":0,\"round\":0,\"ops\":0,\"kind\":\"x\"}\n\nbad")
             .is_err());
     }

@@ -2,8 +2,8 @@
 //!
 //! Serves the current Prometheus exposition on every request, whatever
 //! the path — a scrape endpoint, not a web server. Built directly on
-//! `std::net` so `crates/obs` stays dependency-free (`crates/net` already
-//! depends on `core`, which depends on us).
+//! `std::net`: `crates/net` cannot serve it (it depends on `core`, which
+//! depends on us), and no HTTP crate is vendored.
 //!
 //! The accept loop polls a nonblocking listener and checks a shutdown
 //! flag between polls, so dropping the [`MetricsServer`] stops the

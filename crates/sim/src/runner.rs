@@ -33,6 +33,10 @@ pub(crate) const ERROR_BOUNDS: &[f64] = &[1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0];
 /// Longest a retransmit backoff interval is allowed to grow, in rounds.
 const MAX_BACKOFF: usize = 64;
 
+/// Post-workload drain cap, in rounds: a run still busy after it ends
+/// with [`RunReport::quiesced`] `false`.
+const MAX_RECOVERY_ROUNDS: usize = 256;
+
 /// Checkpoint cadence of the auto-provisioned store.
 const DEFAULT_SNAPSHOT_INTERVAL: usize = 16;
 
@@ -79,7 +83,6 @@ pub struct Simulation {
     net: Option<NetOptions>,
     sockets: Option<OpenSockets>,
     recovery: Option<RecoveryConfig>,
-    max_recovery_rounds: usize,
     /// Disk factory and checkpoint cadence. `run` may be called more than
     /// once, so each run opens (and clears) a fresh disk.
     durability: Option<(Box<dyn Fn() -> DynDisk>, usize)>,
@@ -173,7 +176,6 @@ impl Simulation {
             net: None,
             sockets: None,
             recovery: None,
-            max_recovery_rounds: 256,
             durability: None,
         }
     }
@@ -254,12 +256,6 @@ impl Simulation {
     /// Override the retransmit/eviction policy.
     pub fn with_recovery(mut self, recovery: RecoveryConfig) -> Self {
         self.recovery = Some(recovery);
-        self
-    }
-
-    /// Override the post-workload drain cap (deadlock detector).
-    pub fn with_max_recovery_rounds(mut self, rounds: usize) -> Self {
-        self.max_recovery_rounds = rounds.max(1);
         self
     }
 
@@ -461,7 +457,7 @@ impl Simulation {
                 let quiet = !w.peers.coord.is_resolving()
                     && w.link.frames_in_flight() == 0
                     && (0..n).all(|i| w.link.node_down(i) || !w.peers.nodes[i].is_pending());
-                if quiet || recovery_rounds >= self.max_recovery_rounds {
+                if quiet || recovery_rounds >= MAX_RECOVERY_ROUNDS {
                     break quiet;
                 }
                 recovery_rounds += 1;

@@ -29,7 +29,7 @@ use automon_core::CoordinatorSnapshot;
 use parking_lot::Mutex;
 
 pub use disk::{DiskManager, FileDisk, MemDisk};
-pub use record::{decode_stream, encode_record, JournalRecord};
+pub use record::{decode_stream, encode_record};
 pub use snapshot::StoredSnapshot;
 
 /// When appended records become durable.
@@ -147,7 +147,7 @@ impl<D: DiskManager> CoordinatorStore<D> {
         // increasing global sequence. A regression means a duplicated
         // (re-copied) segment; any corruption ends the valid prefix —
         // later segments cannot be trusted to be contiguous.
-        let mut replay: Vec<(u64, u64, JournalRecord)> = Vec::new();
+        let mut replay: Vec<(u64, u64, Transition)> = Vec::new();
         let mut corruption: Option<String> = None;
         let mut bad_seg: Option<u64> = None;
         let mut last_seq: Option<u64> = None;
@@ -284,8 +284,8 @@ impl<D: DiskManager> CoordinatorStore<D> {
         })
     }
 
-    /// Append one journal record; returns its sequence number.
-    pub fn append(&mut self, rec: &JournalRecord) -> io::Result<u64> {
+    /// Append one journaled transition; returns its sequence number.
+    pub fn append(&mut self, rec: &Transition) -> io::Result<u64> {
         let seq = self.next_seq;
         let frame = encode_record(seq, rec);
         if self.active_bytes > 0 && self.active_bytes + frame.len() as u64 > self.opts.segment_bytes
@@ -387,9 +387,8 @@ impl<D: DiskManager> CoordinatorStore<D> {
     /// first I/O error — durability failures must not unwind the
     /// protocol mid-handle.
     pub fn journal(&mut self, t: Transition) {
-        let rec = JournalRecord::from(t);
         if self.io_error.is_none() {
-            if let Err(e) = self.append(&rec) {
+            if let Err(e) = self.append(&t) {
                 self.io_error = Some(e);
             }
         }
@@ -475,8 +474,8 @@ mod tests {
         }
     }
 
-    fn node_rec(node: usize, v: f64) -> JournalRecord {
-        JournalRecord::Node { node, x: Some(vec![v, v]), slack: vec![0.0, 0.0], alive: true, has_curvature: false }
+    fn node_rec(node: usize, v: f64) -> Transition {
+        Transition::Node { node, x: Some(vec![v, v]), slack: vec![0.0, 0.0], alive: true, has_curvature: false }
     }
 
     fn mem_store(opts: StoreOptions) -> DynStore {
@@ -489,7 +488,7 @@ mod tests {
         store.write_snapshot(&base_snap(3)).unwrap();
         store.append(&node_rec(0, 1.0)).unwrap();
         store.append(&node_rec(2, 5.0)).unwrap();
-        store.append(&JournalRecord::Zone { epoch: 4, r: 2.5, zone: None }).unwrap();
+        store.append(&Transition::Zone { epoch: 4, r: 2.5, zone: None }).unwrap();
         store.crash();
         let rec = store.recover().unwrap();
         let snap = rec.snapshot.unwrap();

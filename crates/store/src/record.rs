@@ -23,41 +23,11 @@
 //! yields a record past the corruption point.
 
 use automon_core::journal::Transition;
-use automon_core::{CoordinatorStats, Epoch, NodeId, SafeZone};
-use serde::{Deserialize, Serialize};
 
 /// Frame magic. 0xA7 follows the wire-protocol magics (0xA9 frames).
 pub const MAGIC: u8 = 0xA7;
 /// Fixed frame header size: magic + seq + len + crc.
 pub const HEADER_LEN: usize = 1 + 8 + 4 + 4;
-
-/// A journaled coordinator state transition, as stored on disk.
-///
-/// Mirrors [`Transition`] but owns a plain `Option<SafeZone>` (the
-/// journal boxes it to keep the enum small in the coordinator's hot
-/// path; on disk the JSON is identical either way).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub enum JournalRecord {
-    Node { node: NodeId, x: Option<Vec<f64>>, slack: Vec<f64>, alive: bool, has_curvature: bool },
-    Zone { epoch: Epoch, r: f64, zone: Option<SafeZone> },
-    Control { lru: Vec<NodeId>, stats: CoordinatorStats, consecutive_neighborhood: usize },
-}
-
-impl From<Transition> for JournalRecord {
-    fn from(t: Transition) -> Self {
-        match t {
-            Transition::Node { node, x, slack, alive, has_curvature } => {
-                JournalRecord::Node { node, x, slack, alive, has_curvature }
-            }
-            Transition::Zone { epoch, r, zone } => {
-                JournalRecord::Zone { epoch, r, zone: zone.map(|z| *z) }
-            }
-            Transition::Control { lru, stats, consecutive_neighborhood } => {
-                JournalRecord::Control { lru, stats, consecutive_neighborhood }
-            }
-        }
-    }
-}
 
 // --- CRC32 (IEEE 802.3 polynomial, reflected) ------------------------
 
@@ -106,8 +76,9 @@ pub fn encode_frame(seq: u64, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Encode a journal record as one frame.
-pub fn encode_record(seq: u64, rec: &JournalRecord) -> Vec<u8> {
+/// Encode a journaled transition as one frame. The zone's `Box` leaves
+/// no mark: its payload is the `SafeZone`'s own JSON.
+pub fn encode_record(seq: u64, rec: &Transition) -> Vec<u8> {
     let payload = serde_json::to_vec(rec).expect("journal records always serialize");
     encode_frame(seq, &payload)
 }
@@ -151,11 +122,11 @@ pub fn decode_frames(bytes: &[u8]) -> (Vec<Frame>, Option<String>) {
 }
 
 /// Decode a stream of journal-record frames (valid-prefix semantics).
-pub fn decode_stream(bytes: &[u8]) -> (Vec<(u64, JournalRecord)>, Option<String>) {
+pub fn decode_stream(bytes: &[u8]) -> (Vec<(u64, Transition)>, Option<String>) {
     let (frames, mut err) = decode_frames(bytes);
     let mut records = Vec::with_capacity(frames.len());
     for f in frames {
-        match serde_json::from_slice::<JournalRecord>(&f.payload) {
+        match serde_json::from_slice::<Transition>(&f.payload) {
             Ok(rec) => records.push((f.seq, rec)),
             Err(e) => {
                 // A frame that passes its CRC but fails to decode means a
@@ -172,8 +143,8 @@ pub fn decode_stream(bytes: &[u8]) -> (Vec<(u64, JournalRecord)>, Option<String>
 mod tests {
     use super::*;
 
-    fn sample() -> JournalRecord {
-        JournalRecord::Node { node: 3, x: Some(vec![1.5, -2.0]), slack: vec![0.25, 0.0], alive: true, has_curvature: false }
+    fn sample() -> Transition {
+        Transition::Node { node: 3, x: Some(vec![1.5, -2.0]), slack: vec![0.25, 0.0], alive: true, has_curvature: false }
     }
 
     #[test]
@@ -191,7 +162,7 @@ mod tests {
         let mut bytes = encode_record(1, &sample());
         bytes.extend(encode_record(
             2,
-            &JournalRecord::Zone { epoch: 7, r: 0.5, zone: None },
+            &Transition::Zone { epoch: 7, r: 0.5, zone: None },
         ));
         let (recs, err) = decode_stream(&bytes);
         assert!(err.is_none());

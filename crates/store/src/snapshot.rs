@@ -7,10 +7,11 @@
 //! WAL, with `seq = covered_seq`) so torture-level corruption checks
 //! apply to checkpoints too.
 
+use automon_core::journal::Transition;
 use automon_core::CoordinatorSnapshot;
 use serde::{Deserialize, Serialize};
 
-use crate::record::{decode_frames, encode_frame, JournalRecord};
+use crate::record::{decode_frames, encode_frame};
 
 /// A checkpoint as stored on disk.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -41,9 +42,9 @@ pub fn decode_snapshot(bytes: &[u8]) -> Option<StoredSnapshot> {
 /// Records are per-key "latest wins" overwrites, so folding in
 /// sequence order reproduces the coordinator state at the tail of the
 /// valid WAL prefix.
-pub fn apply(snap: &mut CoordinatorSnapshot, rec: &JournalRecord) {
+pub fn apply(snap: &mut CoordinatorSnapshot, rec: &Transition) {
     match rec {
-        JournalRecord::Node { node, x, slack, alive, has_curvature } => {
+        Transition::Node { node, x, slack, alive, has_curvature } => {
             // A record for a node outside the snapshot's fleet size can
             // only come from a corrupt-but-CRC-valid stream; ignore it
             // rather than panic during recovery.
@@ -59,12 +60,12 @@ pub fn apply(snap: &mut CoordinatorSnapshot, rec: &JournalRecord) {
                 snap.node_has_curvature[*node] = *has_curvature;
             }
         }
-        JournalRecord::Zone { epoch, r, zone } => {
+        Transition::Zone { epoch, r, zone } => {
             snap.epoch = *epoch;
             snap.r = *r;
-            snap.zone = zone.clone();
+            snap.zone = zone.as_deref().cloned();
         }
-        JournalRecord::Control { lru, stats, consecutive_neighborhood } => {
+        Transition::Control { lru, stats, consecutive_neighborhood } => {
             snap.lru = lru.clone();
             snap.stats = stats.clone();
             snap.consecutive_neighborhood = *consecutive_neighborhood;
@@ -116,17 +117,17 @@ mod tests {
         let mut snap = base(2);
         apply(
             &mut snap,
-            &JournalRecord::Node { node: 1, x: Some(vec![3.0, 4.0]), slack: vec![0.1, 0.2], alive: true, has_curvature: false },
+            &Transition::Node { node: 1, x: Some(vec![3.0, 4.0]), slack: vec![0.1, 0.2], alive: true, has_curvature: false },
         );
-        apply(&mut snap, &JournalRecord::Zone { epoch: 5, r: 2.0, zone: None });
+        apply(&mut snap, &Transition::Zone { epoch: 5, r: 2.0, zone: None });
         apply(
             &mut snap,
-            &JournalRecord::Node { node: 1, x: None, slack: vec![0.0, 0.0], alive: false, has_curvature: false },
+            &Transition::Node { node: 1, x: None, slack: vec![0.0, 0.0], alive: false, has_curvature: false },
         );
         // Out-of-range node: ignored, not a panic.
         apply(
             &mut snap,
-            &JournalRecord::Node { node: 9, x: None, slack: vec![], alive: false, has_curvature: false },
+            &Transition::Node { node: 9, x: None, slack: vec![], alive: false, has_curvature: false },
         );
         assert_eq!(snap.epoch, 5);
         assert_eq!(snap.r, 2.0);

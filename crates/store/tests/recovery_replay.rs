@@ -2,8 +2,8 @@
 //! journaled record past the checkpoint is replayed. The other store
 //! tests pin 1–20 records; these cross segment boundaries.
 
+use automon_core::journal::Transition;
 use automon_core::{CoordinatorSnapshot, CoordinatorStats};
-use automon_store::record::JournalRecord;
 use automon_store::{CoordinatorStore, MemDisk, StoreOptions};
 
 const NODES: usize = 8;
@@ -27,8 +27,8 @@ fn base_snap() -> CoordinatorSnapshot {
 
 /// The record the coordinator journals most often: a node's vector and
 /// slack.
-fn node_rec(node: usize, v: f64) -> JournalRecord {
-    JournalRecord::Node {
+fn node_rec(node: usize, v: f64) -> Transition {
+    Transition::Node {
         node,
         x: Some((0..DIM).map(|i| v + i as f64 * 0.125).collect()),
         slack: vec![0.25; DIM],

@@ -4,8 +4,9 @@
 //! to the last valid prefix. Never a panic, never silently corrupt
 //! state (docs/DURABILITY.md).
 
+use automon_core::journal::Transition;
 use automon_core::{CoordinatorSnapshot, CoordinatorStats};
-use automon_store::record::{self, JournalRecord};
+use automon_store::record;
 use automon_store::segment;
 use automon_store::{CoordinatorStore, DiskManager, FileDisk, MemDisk, StoreOptions, SyncPolicy};
 
@@ -25,8 +26,8 @@ fn base_snap(n: usize) -> CoordinatorSnapshot {
     }
 }
 
-fn node_rec(node: usize, v: f64) -> JournalRecord {
-    JournalRecord::Node { node, x: Some(vec![v, v]), slack: vec![0.0, 0.0], alive: true, has_curvature: false }
+fn node_rec(node: usize, v: f64) -> Transition {
+    Transition::Node { node, x: Some(vec![v, v]), slack: vec![0.0, 0.0], alive: true, has_curvature: false }
 }
 
 fn mem_store(opts: StoreOptions) -> CoordinatorStore<MemDisk> {

@@ -19,9 +19,11 @@
 #
 # The argv half: every line of scripts/ab_argv.txt (the working tree's
 # copy, for both sides) runs from each side's CLI twice, once plain and
-# once with `--trace-out`. Stdout, minus the `trace written to` line and
-# any `elapsed_ms` field, and the trace file must be byte-identical
-# between the sides; the outputs are kept under $AB_DIR/argv/{base,change}.
+# once with `--trace-out`; then that side's `automon trace summarize`
+# reads the trace. Stdout, minus the `trace written to` line and any
+# `elapsed_ms` field, the trace file and the summary (its trace path
+# written as TRACE) must be byte-identical between the sides; the
+# outputs are kept under $AB_DIR/argv/{base,change}.
 # On any difference, or a line that exits non-zero, the script names it
 # and exits 1 before the benchmark starts.
 #
@@ -84,22 +86,27 @@ for side in base change; do
             sed -i -E -e '/^trace written to /d' -e 's/"elapsed_ms":[0-9]+,?//' "$out/$k.$mode.out"
             if [ "$status" != 0 ]; then echo "exit status $status" >> "$out/$k.$mode.out"; fi
         done
+        status=0
+        "$AB_DIR/cli-$side/release/automon" trace summarize --input "$out/$k.jsonl" \
+            > "$out/$k.summary" || status=$?
+        sed -i -e "s|$out/$k.jsonl|TRACE|g" "$out/$k.summary"
+        if [ "$status" != 0 ]; then echo "exit status $status" >> "$out/$k.summary"; fi
     done
 done
 differ=0
 for k in "${!ARGV[@]}"; do
-    for f in "$k.off.out" "$k.on.out" "$k.jsonl"; do
+    for f in "$k.off.out" "$k.on.out" "$k.jsonl" "$k.summary"; do
         if ! cmp -s "$AB_DIR/argv/base/$f" "$AB_DIR/argv/change/$f"; then
             echo "argv $k ($f) differs: ${ARGV[$k]}"
             differ=$((differ + 1))
         fi
     done
-    if grep -q '^exit status' "$AB_DIR/argv/change/$k.off.out" "$AB_DIR/argv/change/$k.on.out"; then
+    if grep -q '^exit status' "$AB_DIR/argv/change/$k".{off.out,on.out,summary}; then
         echo "argv $k exits non-zero: ${ARGV[$k]}"
         differ=$((differ + 1))
     fi
 done
-echo "argv ${#ARGV[@]} lines, telemetry off and on: $differ difference(s) in stdout, --trace-out or exit status"
+echo "argv ${#ARGV[@]} lines, telemetry off and on: $differ difference(s) in stdout, --trace-out, trace summarize or exit status"
 if [ "$differ" != 0 ]; then exit 1; fi
 
 one_run() { # side workload seed pair
