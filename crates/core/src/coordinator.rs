@@ -1,7 +1,6 @@
 //! The AutoMon coordinator algorithm (paper Algorithm 1, coordinator side)
 //! with slack and LRU lazy sync (paper §3.5).
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use automon_linalg::vector;
@@ -9,9 +8,10 @@ use automon_obs::{Counter, Gauge, Telemetry, TraceCtx};
 
 use crate::adcd::{self, AdcdKind, DcDecomposition};
 use crate::config::{ApproximationKind, MonitorConfig};
+use crate::id_set::IdSet;
 use crate::ledger::CommCause;
 use crate::messages::{CoordinatorMessage, Epoch, NodeId, NodeMessage, Outbound};
-use crate::safezone::{zip_into, Curvature, DcKind, Domain, SafeZone, ViolationKind};
+use crate::safezone::{Curvature, DcKind, Domain, SafeZone, ViolationKind};
 use crate::slot_list::SlotList;
 use crate::MonitoredFunction;
 
@@ -43,6 +43,16 @@ pub struct CoordinatorStats {
     /// Nodes re-admitted after an eviction.
     #[serde(default)]
     pub rejoins: usize,
+    /// Reports whose vector was not `f.dim()` long: refused, and
+    /// answered with a constraint re-install. Omitted from the JSON
+    /// while zero, so records and snapshots of runs that never see one
+    /// keep their bytes.
+    #[serde(default, skip_serializing_if = "is_zero")]
+    pub malformed_discards: usize,
+}
+
+fn is_zero(v: &usize) -> bool {
+    *v == 0
 }
 
 /// A restorable snapshot of the coordinator's protocol state
@@ -191,12 +201,9 @@ enum SyncState {
     Monitoring,
     /// Lazy sync in progress: `set` is the balancing set `S`, `pending`
     /// the node whose vector was requested.
-    Lazy {
-        set: BTreeSet<NodeId>,
-        pending: Option<NodeId>,
-    },
+    Lazy { set: IdSet, pending: Option<NodeId> },
     /// Full sync in progress, waiting for `pending`'s vectors.
-    Full { pending: BTreeSet<NodeId> },
+    Full { pending: IdSet },
 }
 
 /// The AutoMon coordinator.
@@ -206,14 +213,25 @@ enum SyncState {
 pub struct Coordinator {
     f: Arc<dyn MonitoredFunction>,
     n: usize,
+    /// `f.dim()`: the row length of `xs` and `slacks`.
+    d: usize,
     cfg: MonitorConfig,
     domain: Domain,
     r: f64,
     zone: Option<SafeZone>,
-    slack: Vec<Vec<f64>>,
-    known_x: Vec<Option<Vec<f64>>>,
-    /// Alive members whose vector is still unknown (`known_x` is
-    /// `None`); initialization is complete when this reaches zero.
+    /// Row `i` (`i·d .. (i+1)·d`) is node `i`'s last reported vector,
+    /// meaningful while `known[i]`. One flat n×d block: a lazy sync over
+    /// hundreds of members reads consecutive rows, not a pointer each.
+    xs: Vec<f64>,
+    /// Whether row `i` of `xs` holds a vector of node `i`'s.
+    known: Vec<bool>,
+    /// Row `i` is node `i`'s slack, laid out as `xs`.
+    slacks: Vec<f64>,
+    /// The balance point of the last balancing set tried, summed here
+    /// rather than into a fresh vector per attempt.
+    balance: Vec<f64>,
+    /// Alive members whose vector is still unknown (`known` is false);
+    /// initialization is complete when this reaches zero.
     unregistered: usize,
     /// Least-recently-contacted order; front = least recent. Intrusive
     /// slot-index list: touch/remove are O(1) (paper §3.5's LRU). It
@@ -258,12 +276,15 @@ impl Coordinator {
         Self {
             f,
             n,
+            d,
             cfg,
             domain,
             r,
             zone: None,
-            slack: vec![vec![0.0; d]; n],
-            known_x: vec![None; n],
+            xs: vec![0.0; n * d],
+            known: vec![false; n],
+            slacks: vec![0.0; n * d],
+            balance: vec![0.0; d],
             unregistered: n,
             lru: SlotList::with_all(n),
             state: SyncState::Initializing,
@@ -303,8 +324,8 @@ impl Coordinator {
     fn journal_node(&mut self, node: NodeId) {
         let t = crate::journal::Transition::Node {
             node,
-            x: self.known_x[node].clone(),
-            slack: self.slack[node].clone(),
+            x: self.known_x(node).map(<[f64]>::to_vec),
+            slack: self.slack(node).to_vec(),
             alive: self.lru.contains(node),
             has_curvature: self.node_has_curvature[node],
         };
@@ -363,6 +384,21 @@ impl Coordinator {
             self.journal_node(t);
         }
         self.journal_control();
+    }
+
+    /// Node `i`'s row of `xs`.
+    fn x(&self, i: NodeId) -> &[f64] {
+        &self.xs[i * self.d..(i + 1) * self.d]
+    }
+
+    /// Node `i`'s last reported vector, if one is known.
+    fn known_x(&self, i: NodeId) -> Option<&[f64]> {
+        self.known[i].then(|| self.x(i))
+    }
+
+    /// Node `i`'s slack.
+    fn slack(&self, i: NodeId) -> &[f64] {
+        &self.slacks[i * self.d..(i + 1) * self.d]
     }
 
     /// Accumulated statistics.
@@ -439,7 +475,6 @@ impl Coordinator {
             } => vec![pull(*p, CommCause::LazySync)],
             SyncState::Full { pending } => pending
                 .iter()
-                .copied()
                 .map(|i| pull(i, CommCause::FullSync))
                 .collect(),
             _ => Vec::new(),
@@ -476,7 +511,7 @@ impl Coordinator {
     }
 
     fn evict_inner(&mut self, node: NodeId) -> Vec<Outbound> {
-        if self.known_x[node].take().is_none() {
+        if !std::mem::replace(&mut self.known[node], false) {
             self.unregistered -= 1;
         }
         self.node_has_curvature[node] = false;
@@ -498,7 +533,7 @@ impl Coordinator {
             return Vec::new();
         }
         // Pull fresh vectors from every survivor, then full-sync.
-        self.begin_full_sync(BTreeSet::new())
+        self.begin_full_sync(IdSet::new())
     }
 
     /// Re-install the current constraints (and, when the node is holding
@@ -515,14 +550,14 @@ impl Coordinator {
             node,
             CoordinatorMessage::NewConstraints {
                 zone,
-                slack: self.slack[node].clone(),
+                slack: self.slack(node).to_vec(),
                 epoch: self.epoch,
             },
             CommCause::Resync,
         )];
         let repull = match &self.state {
             SyncState::Lazy { pending, .. } => *pending == Some(node),
-            SyncState::Full { pending } => pending.contains(&node),
+            SyncState::Full { pending } => pending.contains(node),
             _ => false,
         };
         if repull {
@@ -547,8 +582,10 @@ impl Coordinator {
                 n: self.n,
                 r: self.r,
                 zone: self.zone.clone(),
-                slack: self.slack.clone(),
-                known_x: self.known_x.clone(),
+                slack: (0..self.n).map(|i| self.slack(i).to_vec()).collect(),
+                known_x: (0..self.n)
+                    .map(|i| self.known_x(i).map(<[f64]>::to_vec))
+                    .collect(),
                 lru: self.lru.iter().collect(),
                 stats: self.stats.clone(),
                 consecutive_neighborhood: self.consecutive_neighborhood,
@@ -608,7 +645,7 @@ impl Coordinator {
     /// that never registered cannot answer a pull yet).
     pub fn begin_recovery_sync(&mut self) -> Vec<Outbound> {
         if self.zone.is_some() && self.alive_count() > 0 {
-            self.begin_full_sync(BTreeSet::new())
+            self.begin_full_sync(IdSet::new())
         } else {
             Vec::new()
         }
@@ -620,7 +657,9 @@ impl Coordinator {
     /// are code, not state) and must match the snapshotting process's.
     ///
     /// # Panics
-    /// Panics when the function dimension disagrees with the snapshot.
+    /// Panics when the function dimension disagrees with the snapshot:
+    /// a slack or known vector that is not `f.dim()` long, or a slack or
+    /// vector list that is not `n` long.
     pub fn restore(
         f: Arc<dyn MonitoredFunction>,
         cfg: MonitorConfig,
@@ -628,7 +667,10 @@ impl Coordinator {
     ) -> Self {
         let d = f.dim();
         assert!(
-            snap.slack.iter().all(|s| s.len() == d),
+            snap.slack.len() == snap.n
+                && snap.known_x.len() == snap.n
+                && snap.slack.iter().all(|s| s.len() == d)
+                && snap.known_x.iter().flatten().all(|x| x.len() == d),
             "restore: snapshot dimension mismatch"
         );
         let alive = if snap.alive.len() == snap.n {
@@ -654,12 +696,15 @@ impl Coordinator {
                 lru.touch(i);
             }
         }
-        let unregistered = snap
-            .known_x
-            .iter()
-            .zip(&alive)
-            .filter(|(x, &a)| a && x.is_none())
-            .count();
+        let known: Vec<bool> = snap.known_x.iter().map(Option::is_some).collect();
+        let unregistered = known.iter().zip(&alive).filter(|(&k, &a)| a && !k).count();
+        let mut xs = vec![0.0; snap.n * d];
+        for (i, x) in snap.known_x.iter().enumerate() {
+            if let Some(x) = x {
+                xs[i * d..(i + 1) * d].copy_from_slice(x);
+            }
+        }
+        let slacks = snap.slack.concat();
         let state = if unregistered == 0 && snap.zone.is_some() {
             SyncState::Monitoring
         } else {
@@ -670,12 +715,15 @@ impl Coordinator {
         Self {
             f,
             n: snap.n,
+            d,
             cfg,
             domain,
             r: snap.r,
             zone: snap.zone,
-            slack: snap.slack,
-            known_x: snap.known_x,
+            xs,
+            known,
+            slacks,
+            balance: vec![0.0; d],
             unregistered,
             lru,
             state,
@@ -707,7 +755,7 @@ impl Coordinator {
                     i,
                     CoordinatorMessage::NewConstraints {
                         zone: zone.clone(),
-                        slack: self.slack[i].clone(),
+                        slack: self.slack(i).to_vec(),
                         epoch: self.epoch,
                     },
                     CommCause::Resync,
@@ -775,6 +823,14 @@ impl Coordinator {
             } => (local_vector, Some(kind)),
             NodeMessage::LocalVector { vector, .. } => (vector, None),
         };
+        if vector.len() != self.d {
+            // A vector of another dimension cannot enter the sums. Like a
+            // stale frame, it is refused and answered with the
+            // constraints in force (and the pull re-issued, if the sync
+            // is waiting on this node).
+            self.stats.malformed_discards += 1;
+            return self.resync_node(sender);
+        }
         let rejoining = !self.lru.contains(sender);
         if rejoining {
             // Re-admit: linking the node makes it a member again, with
@@ -802,7 +858,9 @@ impl Coordinator {
             // payload or the node would re-register forever.
             self.node_has_curvature[sender] = false;
         }
-        if self.known_x[sender].replace(vector).is_none() {
+        let d = self.d;
+        self.xs[sender * d..(sender + 1) * d].copy_from_slice(&vector);
+        if !std::mem::replace(&mut self.known[sender], true) {
             self.unregistered -= 1;
         }
         self.touch_lru(sender);
@@ -813,7 +871,7 @@ impl Coordinator {
             // Resync from scratch, newcomer included: fresh vectors from
             // every survivor, then a full sync that redistributes slack
             // over the enlarged group.
-            return self.begin_full_sync([sender].into_iter().collect());
+            return self.begin_full_sync(IdSet::one(sender));
         }
 
         match std::mem::replace(&mut self.state, SyncState::Monitoring) {
@@ -836,18 +894,16 @@ impl Coordinator {
                     // Re-registration: the node lost its constraints.
                     self.stats.resyncs += 1;
                     self.tel.resyncs.inc();
-                    return self.begin_full_sync([sender].into_iter().collect());
+                    return self.begin_full_sync(IdSet::one(sender));
                 }
                 let lazy_applicable = self.cfg.enable_lazy_sync
                     && self.cfg.enable_slack
                     && kind != ViolationKind::FaultyConstraints
                     && self.alive_count() > 1;
                 if !lazy_applicable {
-                    return self.begin_full_sync([sender].into_iter().collect());
+                    return self.begin_full_sync(IdSet::one(sender));
                 }
-                let mut set = BTreeSet::new();
-                set.insert(sender);
-                self.continue_lazy(set)
+                self.continue_lazy(IdSet::one(sender))
             }
             SyncState::Lazy { mut set, pending } => {
                 set.insert(sender);
@@ -870,7 +926,7 @@ impl Coordinator {
                 }
             }
             SyncState::Full { mut pending } => {
-                pending.remove(&sender);
+                pending.remove(sender);
                 if pending.is_empty() {
                     self.full_sync()
                 } else {
@@ -925,16 +981,20 @@ impl Coordinator {
 
     /// Try to resolve with the current balancing set, growing it via the
     /// LRU strategy; escalate to full sync past `n/2` (paper §3.5).
-    fn continue_lazy(&mut self, set: BTreeSet<NodeId>) -> Vec<Outbound> {
-        if let Some(b) = self.try_balance(&set) {
+    fn continue_lazy(&mut self, set: IdSet) -> Vec<Outbound> {
+        if self.try_balance(&set) {
+            let d = self.d;
             let mut out = Vec::with_capacity(set.len());
-            for &i in &set {
-                let xi = self.known_x[i].as_ref().expect("vector known for set member");
-                zip_into(&mut self.slack[i], &b, xi, |a, c| a - c);
+            for i in set.iter() {
+                let row = i * d..(i + 1) * d;
+                let slack = &mut self.slacks[row.clone()];
+                for ((s, &b), &x) in slack.iter_mut().zip(&self.balance).zip(&self.xs[row]) {
+                    *s = b - x;
+                }
                 out.push(Outbound::new(
                     i,
                     CoordinatorMessage::SlackUpdate {
-                        slack: self.slack[i].clone(),
+                        slack: slack.to_vec(),
                         epoch: self.epoch,
                     },
                     CommCause::LazySync,
@@ -959,8 +1019,8 @@ impl Coordinator {
         let next = self
             .lru
             .iter()
-            .find(|i| !set.contains(i) && !self.backpressured[*i])
-            .or_else(|| self.lru.iter().find(|i| !set.contains(i)));
+            .find(|&i| !set.contains(i) && !self.backpressured[i])
+            .or_else(|| self.lru.iter().find(|&i| !set.contains(i)));
         if let Some(p) = next {
             if self.backpressured[p] {
                 self.tel.backpressure_fallbacks.inc();
@@ -983,45 +1043,56 @@ impl Coordinator {
         }
     }
 
-    /// Average of the slack-adjusted vectors `xᵢ + sᵢ` of the balancing
-    /// set, summed in one pass in id order: the bits of `vector::mean`
-    /// over `vector::add(xᵢ, sᵢ)` (its `+= 1.0 · v` is exact), with no
-    /// vector per member.
-    fn balance_point(&self, set: &BTreeSet<NodeId>) -> Vec<f64> {
+    /// Sum into `balance` the average of the slack-adjusted vectors
+    /// `xᵢ + sᵢ` of the balancing set, in one pass in id order: the bits
+    /// of `vector::mean` over `vector::add(xᵢ, sᵢ)` (its `+= 1.0 · v` is
+    /// exact), with no vector per member.
+    fn balance_point(&mut self, set: &IdSet) {
         assert!(!set.is_empty(), "non-empty balancing set");
-        let mut b = vec![0.0; self.f.dim()];
-        for &i in set {
-            let xi = self.known_x[i].as_ref().expect("vector known");
-            for ((bk, xk), sk) in b.iter_mut().zip(xi).zip(&self.slack[i]) {
+        let d = self.d;
+        let b = &mut self.balance;
+        b.fill(0.0);
+        for i in set.iter() {
+            assert!(self.known[i], "vector known for set member");
+            let row = i * d..(i + 1) * d;
+            for ((bk, xk), sk) in b
+                .iter_mut()
+                .zip(&self.xs[row.clone()])
+                .zip(&self.slacks[row])
+            {
                 *bk += xk + sk;
             }
         }
         let inv = 1.0 / set.len() as f64;
-        for bk in &mut b {
+        for bk in b.iter_mut() {
             *bk *= inv;
         }
-        b
     }
 
-    /// The balance point, when it satisfies all local constraints.
-    fn try_balance(&self, set: &BTreeSet<NodeId>) -> Option<Vec<f64>> {
-        let zone = self.zone.as_ref()?;
-        let b = self.balance_point(set);
-        zone.contains(self.f.as_ref(), &b).then_some(b)
+    /// `true` when the balance point (left in `balance`) satisfies all
+    /// local constraints.
+    fn try_balance(&mut self, set: &IdSet) -> bool {
+        if self.zone.is_none() {
+            return false;
+        }
+        self.balance_point(set);
+        self.zone
+            .as_ref()
+            .is_some_and(|z| z.contains(self.f.as_ref(), &self.balance))
     }
 
     /// Request vectors from every alive node not in `have`, or sync
     /// immediately if everything is known.
-    fn begin_full_sync(&mut self, have: BTreeSet<NodeId>) -> Vec<Outbound> {
-        let pending: BTreeSet<NodeId> = (0..self.n)
-            .filter(|&i| self.lru.contains(i) && !have.contains(&i))
+    fn begin_full_sync(&mut self, have: IdSet) -> Vec<Outbound> {
+        let pending: IdSet = (0..self.n)
+            .filter(|&i| self.lru.contains(i) && !have.contains(i))
             .collect();
         if pending.is_empty() {
             return self.full_sync();
         }
         let out = pending
             .iter()
-            .map(|&i| {
+            .map(|i| {
                 Outbound::new(
                     i,
                     CoordinatorMessage::RequestLocalVector { epoch: self.epoch },
@@ -1040,12 +1111,10 @@ impl Coordinator {
         // order: the same bits without cloning any member.
         let members: Vec<NodeId> = (0..self.n).filter(|&i| self.lru.contains(i)).collect();
         assert!(!members.is_empty(), "at least one alive node");
-        let mut x0 = vec![0.0; self.f.dim()];
+        let mut x0 = vec![0.0; self.d];
         for &i in &members {
-            let xi = self.known_x[i]
-                .as_ref()
-                .expect("full sync requires all alive vectors");
-            vector::axpy(&mut x0, 1.0, xi);
+            assert!(self.known[i], "full sync requires all alive vectors");
+            vector::axpy(&mut x0, 1.0, self.x(i));
         }
         let inv = 1.0 / members.len() as f64;
         for v in &mut x0 {
@@ -1105,15 +1174,19 @@ impl Coordinator {
         // A completed full sync opens a new epoch; the installs below
         // carry it, and anything still in flight from before is stale.
         self.epoch += 1;
+        let d = self.d;
         let mut out = Vec::with_capacity(members.len());
         for &i in &members {
+            let row = i * d..(i + 1) * d;
+            let slack = &mut self.slacks[row.clone()];
             if self.cfg.enable_slack {
-                let xi = self.known_x[i].as_ref().expect("vector known");
-                zip_into(&mut self.slack[i], &x0, xi, |a, c| a - c);
+                for ((s, &a), &x) in slack.iter_mut().zip(&x0).zip(&self.xs[row]) {
+                    *s = a - x;
+                }
             } else {
-                self.slack[i].clear();
-                self.slack[i].resize(x0.len(), 0.0);
+                slack.fill(0.0);
             }
+            let slack = slack.to_vec();
             let msg = if curvature_unchanged && self.node_has_curvature[i] {
                 CoordinatorMessage::NewConstraintsCached {
                     update: crate::messages::ZoneUpdate {
@@ -1125,14 +1198,14 @@ impl Coordinator {
                         dc: zone.dc,
                         neighborhood: zone.neighborhood.clone(),
                     },
-                    slack: self.slack[i].clone(),
+                    slack,
                     epoch: self.epoch,
                 }
             } else {
                 self.node_has_curvature[i] = true;
                 CoordinatorMessage::NewConstraints {
                     zone: zone.clone(),
-                    slack: self.slack[i].clone(),
+                    slack,
                     epoch: self.epoch,
                 }
             };
@@ -1358,7 +1431,8 @@ mod tests {
             }
         }
         assert_eq!(installs.len(), n);
-        let recipients: BTreeSet<NodeId> = installs.iter().map(|o| o.to).collect();
+        let recipients: std::collections::BTreeSet<NodeId> =
+            installs.iter().map(|o| o.to).collect();
         assert_eq!(recipients.len(), n);
         let is_install = |o: &Outbound| {
             o.cause == CommCause::FullSync

@@ -32,6 +32,7 @@ pub mod adcd;
 mod cache;
 mod config;
 pub mod coordinator;
+mod id_set;
 pub mod journal;
 pub mod ledger;
 pub mod messages;

@@ -1,14 +1,14 @@
 //! Protocol edge cases: single-node systems, lazy-sync escalation, LRU
-//! ordering, faulty-constraint recovery, and adaptive neighborhood
-//! growth.
+//! ordering, faulty-constraint recovery, adaptive neighborhood growth,
+//! and reports of the wrong dimension.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use automon_autodiff::{AutoDiffFn, Scalar, ScalarFn};
 use automon_core::{
-    Coordinator, MonitorConfig, MonitoredFunction, NeighborhoodMode, Node, NodeMessage,
-    ViolationKind,
+    Coordinator, CoordinatorMessage, MonitorConfig, MonitoredFunction, NeighborhoodMode, Node,
+    NodeMessage, ViolationKind,
 };
 
 struct Mean1;
@@ -403,4 +403,58 @@ fn lazy_growth_prefers_unpressured_nodes() {
         c.set_backpressured(baseline, false);
     });
     assert_eq!(cleared, baseline);
+}
+
+#[test]
+fn a_wrong_length_vector_is_refused_and_resynced() {
+    let f = mean1();
+    let cfg = MonitorConfig::builder(0.1).without_lazy_sync().build();
+    let mut coord = Coordinator::new(f.clone(), 2, cfg);
+    let mut nodes = vec![Node::new(0, f.clone()), Node::new(1, f)];
+    init(&mut coord, &mut nodes, 0.0);
+    let epoch = coord.epoch();
+
+    // Node 0 drifts past ε; the full sync pulls node 1.
+    let m = nodes[0].update_data(vec![0.5]).expect("violation");
+    let pulls = coord.handle(m);
+    assert_eq!(pulls.iter().map(|o| o.to).collect::<Vec<_>>(), vec![1]);
+
+    // Node 1 answers with two entries for a one-dimensional f: refused,
+    // not summed into x0, and answered as a stale frame is, with the
+    // constraints in force and the pull re-issued.
+    let bad = NodeMessage::LocalVector {
+        node: 1,
+        vector: vec![0.0, 0.0],
+        epoch,
+    };
+    let out = coord.handle(bad);
+    assert_eq!(coord.stats().malformed_discards, 1);
+    assert_eq!(coord.stats().resyncs, 1);
+    assert_eq!(coord.stats().full_syncs, 1, "the sync still waits for node 1");
+    assert!(coord.is_resolving());
+    assert_eq!(out.iter().map(|o| o.to).collect::<Vec<_>>(), vec![1, 1]);
+    assert!(matches!(out[0].msg, CoordinatorMessage::NewConstraints { .. }));
+    assert!(matches!(out[1].msg, CoordinatorMessage::RequestLocalVector { .. }));
+
+    // The re-issued pull completes the sync with node 1's real vector.
+    for o in out {
+        if let Some(reply) = nodes[1].handle(o.msg) {
+            route(&mut coord, &mut nodes, reply);
+        }
+    }
+    assert_eq!(coord.stats().full_syncs, 2);
+    assert_eq!(coord.current_value(), Some(0.25));
+
+    // A wrong-length violation report while monitoring is refused too.
+    let bad = NodeMessage::Violation {
+        node: 0,
+        kind: ViolationKind::SafeZone,
+        local_vector: vec![],
+        epoch: coord.epoch(),
+    };
+    let out = coord.handle(bad);
+    assert_eq!(coord.stats().malformed_discards, 2);
+    assert_eq!(coord.stats().safezone_violations, 1, "not counted as a violation");
+    assert_eq!(out.len(), 1);
+    assert!(!coord.is_resolving());
 }

@@ -275,6 +275,7 @@ impl Fleet {
             total.resyncs += s.resyncs;
             total.evictions += s.evictions;
             total.rejoins += s.rejoins;
+            total.malformed_discards += s.malformed_discards;
         }
         total
     }

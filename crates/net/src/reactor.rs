@@ -478,11 +478,18 @@ impl<P: Poller> Reactor<P> {
                     self.traffic.accepts += 1;
                     self.tel.accepts.inc();
                 }
-                Some(_) => {
+                Some(id) => {
+                    // After the hello a connection speaks for its node
+                    // only: a frame naming another sender is as
+                    // untrustworthy as a corrupt one.
                     let Ok((span, msg)) = wire::decode_node_message_ctx(&frame) else {
                         self.close_slot(slot);
                         return false;
                     };
+                    if msg.sender() != id {
+                        self.close_slot(slot);
+                        return false;
+                    }
                     self.admit_inbound(span, msg);
                 }
             }
@@ -947,6 +954,35 @@ mod tests {
         assert_eq!(got, vec![report], "the report ahead of it is delivered");
         assert!(!reactor.is_connected(0), "empty frame left the connection open");
         assert!(!client.send_frame(&[]), "the server side hung up");
+    }
+
+    #[test]
+    fn a_frame_naming_another_sender_closes_its_connection() {
+        // Node 0's connection sends its own report, then one naming node
+        // 1 (a member) or node 7 (no such node). Neither spoof is
+        // admitted, and each closes node 0's connection.
+        for spoof in [1, 7] {
+            let (mut reactor, net) = sim_reactor(13, 2);
+            let client = net.connect();
+            hello(&client, 0);
+            let other = net.connect();
+            hello(&other, 1);
+            assert!(client.send_frame(&wire::encode_node_message(&report(0))));
+            assert!(client.send_frame(&wire::encode_node_message(&report(spoof))));
+            let mut got = Vec::new();
+            for _ in 0..64 {
+                reactor.poll_once(Some(Duration::ZERO)).unwrap();
+                while let Some((_, m)) = reactor.pop_inbound() {
+                    got.push(m);
+                }
+                if !reactor.is_connected(0) {
+                    break;
+                }
+            }
+            assert_eq!(got, vec![report(0)], "only the connection's own report is admitted");
+            assert!(!reactor.is_connected(0), "spoof {spoof} left the connection open");
+            assert!(reactor.is_connected(1), "the spoofed node keeps its own connection");
+        }
     }
 
     /// A transport over loopback sockets with nodes `0..n` connected.

@@ -426,12 +426,14 @@ fn admit(
                 .fetch_add(std::mem::take(&mut reader.reads), Ordering::Relaxed);
             shared.tel.frames_in.inc();
             shared.tel.bytes_in.add(frame_bytes(len));
-            let Ok((span, msg)) = decoded else {
-                // Framing is byte-synchronized; a corrupt frame, an empty
-                // one included, means the stream can no longer be trusted.
-                // Drop the connection and let the node reconnect.
+            // Framing is byte-synchronized; a corrupt frame, an empty one
+            // included, means the stream can no longer be trusted, and so
+            // does a frame naming a sender other than the hello's. Drop
+            // the connection and let the node reconnect.
+            let Ok((span, msg)) = decoded else { break };
+            if msg.sender() != id {
                 break;
-            };
+            }
             if tx.send((span, msg)).is_err() {
                 break;
             }
@@ -1122,6 +1124,43 @@ mod tests {
         while coord_tp.is_connected(0) {
             assert!(Instant::now() < deadline, "empty frame left the connection open");
             std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_frame_naming_another_sender_closes_its_connection() {
+        // Node 0's connection sends its own report, then one naming node
+        // 1 (a member) or node 7 (no such node). Neither spoof reaches the
+        // coordinator, and each closes node 0's connection.
+        for spoof in [1, 7] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            drop(listener);
+            let binder =
+                std::thread::spawn(move || TcpCoordinatorTransport::bind(addr, 2).expect("bind"));
+            let mut tp = TcpNodeTransport::connect(addr, 0).expect("connect");
+            let other = TcpNodeTransport::connect(addr, 1).expect("connect");
+            let (coord_tp, _) = binder.join().unwrap();
+
+            let report = |node| NodeMessage::LocalVector {
+                node,
+                vector: vec![1.0],
+                epoch: 0,
+            };
+            tp.send(&report(0)).expect("send");
+            tp.writer
+                .write(&tp.stream, wire::encode_node_message(&report(spoof)))
+                .expect("spoofed frame");
+            let got = coord_tp.recv_timeout(Duration::from_secs(5));
+            assert_eq!(got, Some(report(0)), "the report ahead of it is delivered");
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while coord_tp.is_connected(0) {
+                assert!(Instant::now() < deadline, "spoof {spoof} left the connection open");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert_eq!(coord_tp.recv_timeout(Duration::from_millis(50)), None);
+            assert!(coord_tp.is_connected(1), "the spoofed node keeps its own connection");
+            drop(other);
         }
     }
 }

@@ -23,7 +23,10 @@
 # reads the trace. Stdout, minus the `trace written to` line and any
 # `elapsed_ms` field, the trace file and the summary (its trace path
 # written as TRACE) must be byte-identical between the sides; the
-# outputs are kept under $AB_DIR/argv/{base,change}.
+# outputs are kept under $AB_DIR/argv/{base,change}. A line may name
+# `@DIR@` (e.g. `--wal-dir @DIR@`): each run gets a fresh, empty directory
+# of its own there, and what the run leaves in it (WAL segments,
+# snapshots) must be `diff -r` identical between the sides too.
 # On any difference, or a line that exits non-zero, the script names it
 # and exits 1 before the benchmark starts.
 #
@@ -81,8 +84,10 @@ for side in base change; do
         for mode in off on; do
             extra=()
             if [ "$mode" = on ]; then extra=(--trace-out "$out/$k.jsonl"); fi
+            dir="$out/$k.$mode.dir"
+            run_argv=("${argv[@]//@DIR@/$dir}")
             status=0
-            "$AB_DIR/cli-$side/release/automon" "${argv[@]}" "${extra[@]}" > "$out/$k.$mode.out" || status=$?
+            "$AB_DIR/cli-$side/release/automon" "${run_argv[@]}" "${extra[@]}" > "$out/$k.$mode.out" || status=$?
             sed -i -E -e '/^trace written to /d' -e 's/"elapsed_ms":[0-9]+,?//' "$out/$k.$mode.out"
             if [ "$status" != 0 ]; then echo "exit status $status" >> "$out/$k.$mode.out"; fi
         done
@@ -101,12 +106,21 @@ for k in "${!ARGV[@]}"; do
             differ=$((differ + 1))
         fi
     done
+    for mode in off on; do
+        d="$k.$mode.dir"
+        if [ -e "$AB_DIR/argv/base/$d" ] || [ -e "$AB_DIR/argv/change/$d" ]; then
+            if ! diff -r -q "$AB_DIR/argv/base/$d" "$AB_DIR/argv/change/$d" > /dev/null 2>&1; then
+                echo "argv $k ($d) differs: ${ARGV[$k]}"
+                differ=$((differ + 1))
+            fi
+        fi
+    done
     if grep -q '^exit status' "$AB_DIR/argv/change/$k".{off.out,on.out,summary}; then
         echo "argv $k exits non-zero: ${ARGV[$k]}"
         differ=$((differ + 1))
     fi
 done
-echo "argv ${#ARGV[@]} lines, telemetry off and on: $differ difference(s) in stdout, --trace-out, trace summarize or exit status"
+echo "argv ${#ARGV[@]} lines, telemetry off and on: $differ difference(s) in stdout, --trace-out, trace summarize, @DIR@ contents or exit status"
 if [ "$differ" != 0 ]; then exit 1; fi
 
 one_run() { # side workload seed pair
