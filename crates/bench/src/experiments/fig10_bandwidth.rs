@@ -157,11 +157,31 @@ pub fn run(scale: Scale) -> Vec<Table> {
     vec![bandwidth, simdep, delta]
 }
 
+/// Size of `cur` sent as a delta against `prev`: a 5-byte header (form
+/// tag + `u32` count), then either the `k` coordinates that moved by more
+/// than `tol` as 12-byte (`u32` index, `f64`) pairs, or — when that is
+/// no smaller — every coordinate densely at 8 bytes.
+fn delta_len(prev: &[f64], cur: &[f64], tol: f64) -> usize {
+    let k = cur.iter().zip(prev).filter(|(c, p)| (*c - *p).abs() > tol).count();
+    5 + (12 * k).min(8 * cur.len())
+}
+
+/// Total size of a local-vector series shipped densely vs delta-encoded, the
+/// first vector dense either way.
+fn series_savings(series: &[Vec<f64>], tol: f64) -> (usize, usize) {
+    let dense_len = |v: &Vec<f64>| 5 + 8 * v.len();
+    let dense = series.iter().map(dense_len).sum();
+    let delta = series.first().map_or(0, dense_len)
+        + series.windows(2).map(|w| delta_len(&w[0], &w[1], tol)).sum::<usize>();
+    (dense, delta)
+}
+
 /// §5 future-work quantification: bytes to ship node 0's local-vector
-/// series densely vs sparse-delta encoded (`automon_net::delta`).
+/// series densely vs sparse-delta encoded. No transport speaks the delta
+/// form; the sizes are computed, not encoded.
 fn delta_row(table: &mut Table, bench: &Bench, name: &str) {
     let series = bench.workload.to_node_series();
-    let (dense, delta) = automon_net::delta::series_savings(&series[0], 1e-12);
+    let (dense, delta) = series_savings(&series[0], 1e-12);
     table.push(vec![
         name.into(),
         dense.to_string(),
@@ -184,6 +204,32 @@ mod tests {
         let b: usize =
             (0..bench.workload.rounds()).map(|t| bench.workload.updates(t).len()).sum();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn histogram_series_saves_bytes() {
+        // A 2-of-20 change costs the header plus two index/value pairs;
+        // an all-change step costs the dense size.
+        let prev = vec![0.1; 20];
+        let mut two = prev.clone();
+        two[3] += 0.005;
+        two[10] -= 0.005;
+        assert_eq!(delta_len(&prev, &two, 1e-12), 5 + 24);
+        assert_eq!(delta_len(&prev, &[0.2; 20], 1e-12), 5 + 160);
+        // Within tolerance counts as unchanged.
+        assert_eq!(delta_len(&prev, &two, 0.01), 5);
+
+        // Simulated histogram drift: two bins change per step.
+        let mut series = vec![prev];
+        for t in 1..100 {
+            let mut next = series[t - 1].clone();
+            next[t % 20] += 0.005;
+            next[(t + 7) % 20] -= 0.005;
+            series.push(next);
+        }
+        let (dense, delta) = series_savings(&series, 1e-12);
+        assert_eq!(dense, 100 * (5 + 160));
+        assert_eq!(delta, (5 + 160) + 99 * (5 + 24));
     }
 
     #[test]

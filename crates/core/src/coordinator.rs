@@ -55,6 +55,38 @@ fn is_zero(v: &usize) -> bool {
     *v == 0
 }
 
+impl CoordinatorStats {
+    /// Add `other`'s counters into `self`, field by field. The pattern
+    /// names every field, so a new counter does not compile until it is
+    /// summed here too.
+    pub fn absorb(&mut self, other: &Self) {
+        let Self {
+            full_syncs,
+            lazy_syncs,
+            neighborhood_violations,
+            safezone_violations,
+            faulty_reports,
+            r_doublings,
+            stale_discards,
+            resyncs,
+            evictions,
+            rejoins,
+            malformed_discards,
+        } = other;
+        self.full_syncs += full_syncs;
+        self.lazy_syncs += lazy_syncs;
+        self.neighborhood_violations += neighborhood_violations;
+        self.safezone_violations += safezone_violations;
+        self.faulty_reports += faulty_reports;
+        self.r_doublings += r_doublings;
+        self.stale_discards += stale_discards;
+        self.resyncs += resyncs;
+        self.evictions += evictions;
+        self.rejoins += rejoins;
+        self.malformed_discards += malformed_discards;
+    }
+}
+
 /// A restorable snapshot of the coordinator's protocol state
 /// (everything except the function and configuration, which are code).
 ///
@@ -1250,6 +1282,40 @@ impl Coordinator {
 mod tests {
     use super::*;
     use crate::node::Node;
+
+    #[test]
+    fn absorb_sums_every_stats_field() {
+        let one = CoordinatorStats {
+            full_syncs: 1,
+            lazy_syncs: 2,
+            neighborhood_violations: 3,
+            safezone_violations: 4,
+            faulty_reports: 5,
+            r_doublings: 6,
+            stale_discards: 7,
+            resyncs: 8,
+            evictions: 9,
+            rejoins: 10,
+            malformed_discards: 11,
+        };
+        let mut total = CoordinatorStats::default();
+        total.absorb(&one);
+        total.absorb(&one);
+        // The JSON is one flat object of integers: read it as key/value pairs.
+        let pairs = |s: &CoordinatorStats| -> Vec<(String, usize)> {
+            let json = serde_json::to_string(s).unwrap();
+            json.trim_matches(|c| c == '{' || c == '}')
+                .split(',')
+                .map(|kv| {
+                    let (k, v) = kv.split_once(':').unwrap();
+                    (k.trim_matches('"').to_string(), v.parse().unwrap())
+                })
+                .collect()
+        };
+        let doubled: Vec<_> = pairs(&one).into_iter().map(|(k, v)| (k, 2 * v)).collect();
+        assert_eq!(doubled.len(), 11, "every field serialized");
+        assert_eq!(pairs(&total), doubled);
+    }
     use automon_autodiff::{AutoDiffFn, Scalar, ScalarFn};
 
     struct Sum2;

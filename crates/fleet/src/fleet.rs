@@ -264,18 +264,7 @@ impl Fleet {
     pub fn leaf_stats_total(&self) -> CoordinatorStats {
         let mut total = CoordinatorStats::default();
         for leaf in &self.leaves {
-            let s = leaf.coord.stats();
-            total.full_syncs += s.full_syncs;
-            total.lazy_syncs += s.lazy_syncs;
-            total.neighborhood_violations += s.neighborhood_violations;
-            total.safezone_violations += s.safezone_violations;
-            total.faulty_reports += s.faulty_reports;
-            total.r_doublings += s.r_doublings;
-            total.stale_discards += s.stale_discards;
-            total.resyncs += s.resyncs;
-            total.evictions += s.evictions;
-            total.rejoins += s.rejoins;
-            total.malformed_discards += s.malformed_discards;
+            total.absorb(leaf.coord.stats());
         }
         total
     }

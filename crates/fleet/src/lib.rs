@@ -14,12 +14,12 @@
 //! message volume sublinear in the stream count.
 //!
 //! Module map:
-//! - [`shard`] — stream→shard assignment ([`ShardMap`]): round-robin,
+//! - `shard` — stream→shard assignment ([`ShardMap`]): round-robin,
 //!   plus crash-time adoption.
 //! - [`compose`] — the canonical shard-major summation order under
 //!   which weighted composition of partial means is *bitwise* equal to
 //!   the flat global mean.
-//! - [`fleet`] — the assembled two-tier engine ([`Fleet`]), with the
+//! - `fleet` — the assembled two-tier engine ([`Fleet`]), with the
 //!   membership faults it can suffer as methods
 //!   ([`Fleet::crash_node`], [`Fleet::restart_node`],
 //!   [`Fleet::crash_leaf`]). *When* they happen is an

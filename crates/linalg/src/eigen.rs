@@ -274,8 +274,8 @@ fn jacobi_rotate(a: &mut Matrix, q: Option<&mut Matrix>, p: usize, r: usize, ski
 /// Eigenvalues are **bit-identical** to the corresponding full
 /// decomposition on the same input: for QL the tridiagonal coefficients
 /// are shared and the rotation arithmetic never reads `z`
-/// ([`crate::tridiag`]); for Jacobi the rotation sequence on `a` is
-/// shared ([`jacobi_sweeps`]) and `Q` feeds nothing back into it.
+/// (the `tridiag` module); for Jacobi the rotation sequence on `a` is
+/// shared (`jacobi_sweeps`) and `Q` feeds nothing back into it.
 #[derive(Debug, Clone)]
 pub struct EigenWorkspace {
     a: Matrix,

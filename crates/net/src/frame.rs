@@ -7,20 +7,20 @@
 //! `read` syscall, with partial frames (even a split length prefix)
 //! carried over to the next chunk byte-for-byte. The blocking transport
 //! ([`crate::tcp`]) reads straight into the assembler's own buffer
-//! ([`FrameAssembler::recv_buf`]) and borrows each frame out of it
-//! ([`FrameAssembler::next_frame_ref`]).
+//! (`FrameAssembler::recv_buf`, crate-private) and borrows each frame
+//! out of it ([`FrameAssembler::next_frame_ref`]).
 //!
-//! The write side mirrors it: [`OutQueue`] holds encoded frames with
-//! their 4-byte prefixes and lays the whole backlog out as an iovec
-//! list for one `writev` — scatter-gather: many frames per syscall,
-//! zero copies into a staging buffer, and the iovec storage is reused
-//! across rounds so steady-state flushing does not allocate per frame.
+//! The write side mirrors it: [`OutQueue`] takes ownership of the
+//! `Vec<u8>` frames the [`crate::wire`] encoders return, keeps their
+//! 4-byte prefixes beside them, and lays the whole backlog out as an
+//! iovec list for one `writev` — scatter-gather: many frames per
+//! syscall, zero copies into a staging buffer, and the iovec storage is
+//! reused across rounds so steady-state flushing does not allocate per
+//! frame.
 //! The blocking transport sends each frame through the same queue, so
 //! prefix and payload leave in one segment there too.
 
 use std::collections::VecDeque;
-
-use bytes::Bytes;
 
 use crate::wire::{check_frame_len, frame_len_prefix, WireError};
 
@@ -167,7 +167,7 @@ unsafe impl Send for IoVec {}
 #[derive(Debug)]
 struct OutFrame {
     prefix: [u8; 4],
-    payload: Bytes,
+    payload: Vec<u8>,
     /// Bytes of `prefix ++ payload` already written (partial writev).
     sent: usize,
 }
@@ -209,7 +209,7 @@ impl OutQueue {
     /// back when the queue is at its bound (backpressure); a payload
     /// over the wire cap is a [`WireError::Oversized`] bug upstream and
     /// panics in debug builds, but is refused (returned) here too.
-    pub fn push(&mut self, payload: Bytes) -> Result<(), Bytes> {
+    pub fn push(&mut self, payload: Vec<u8>) -> Result<(), Vec<u8>> {
         if self.frames.len() >= self.max_frames {
             return Err(payload);
         }
@@ -342,8 +342,8 @@ mod tests {
     #[test]
     fn out_queue_batches_and_handles_partial_writes() {
         let mut q = OutQueue::new(8);
-        q.push(Bytes::from(vec![1u8, 2, 3])).unwrap();
-        q.push(Bytes::from(vec![4u8; 10])).unwrap();
+        q.push(vec![1u8, 2, 3]).unwrap();
+        q.push(vec![4u8; 10]).unwrap();
         assert_eq!(q.pending_bytes(), (4 + 3) + (4 + 10));
 
         // First flush: the "kernel" takes 5 bytes — the whole first
@@ -376,16 +376,16 @@ mod tests {
     #[test]
     fn out_queue_bound_is_backpressure() {
         let mut q = OutQueue::new(2);
-        q.push(Bytes::from(vec![0u8])).unwrap();
-        q.push(Bytes::from(vec![1u8])).unwrap();
+        q.push(vec![0u8]).unwrap();
+        q.push(vec![1u8]).unwrap();
         assert!(q.is_saturated());
-        let refused = q.push(Bytes::from(vec![2u8])).unwrap_err();
+        let refused = q.push(vec![2u8]).unwrap_err();
         assert_eq!(&refused[..], &[2u8]);
         // Draining reopens the queue.
         q.flush_with(|iov| Ok::<usize, ()>(iov.iter().map(|v| v.len).sum()))
             .unwrap();
         assert!(!q.is_saturated());
-        q.push(Bytes::from(vec![2u8])).unwrap();
+        q.push(vec![2u8]).unwrap();
     }
 
     #[test]
@@ -395,7 +395,7 @@ mod tests {
         let payloads: Vec<Vec<u8>> = (0..10).map(|i| vec![i as u8; i * 7]).collect();
         let mut q = OutQueue::new(64);
         for p in &payloads {
-            q.push(Bytes::from(p.clone())).unwrap();
+            q.push(p.clone()).unwrap();
         }
         let mut wire = Vec::new();
         while !q.is_empty() {

@@ -6,15 +6,13 @@
 //! the evaluation:
 //!
 //! * [`wire`] — a compact, hand-rolled binary codec for every protocol
-//!   message. Payload sizes are deterministic, which is what the §4.7
-//!   bandwidth experiments measure.
+//!   message: each frame is a plain `Vec<u8>`. Payload sizes are
+//!   deterministic, which is what the §4.7 bandwidth experiments measure.
 //! * [`CountingFabric`] — an in-process fabric that charges every
 //!   message the codec's exact frame length (so the bytes are real, not
 //!   estimated) and hands the message itself on, accumulating per-direction message and byte counts plus a
 //!   configurable per-message transport overhead — reproducing the
 //!   payload-vs-traffic split of Figure 10.
-//! * [`delta`] — sparse delta compression for local vectors, the §5
-//!   bandwidth-reduction direction the paper defers to future work.
 //! * [`tcp`] — the protocol over real `std::net` sockets with
 //!   length-prefixed frames: the dependency-free ZeroMQ replacement for
 //!   actual multi-process deployments. One reader thread per
@@ -37,7 +35,6 @@
 //! root fabric for inter-tier frames, and merges their accounting.
 
 pub mod backoff;
-pub mod delta;
 mod fabric;
 pub mod frame;
 pub mod gate;

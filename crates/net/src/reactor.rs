@@ -44,7 +44,6 @@ use std::time::{Duration, Instant};
 
 use automon_core::{NodeId, NodeMessage, Outbound};
 use automon_obs::{Counter, Gauge, SpanId, Telemetry};
-use bytes::Bytes;
 
 use crate::frame::{FrameAssembler, OutQueue};
 use crate::gate::{FrameGate, GateVerdict};
@@ -287,7 +286,7 @@ impl<P: Poller> Reactor<P> {
             self.engage_backpressure(out.to);
             return Err(TcpError::Backpressured(out.to));
         }
-        let frame: Bytes = wire::encode_coordinator_message_ctx(&out.msg, out.span);
+        let frame = wire::encode_coordinator_message_ctx(&out.msg, out.span);
         let wire_len = frame.len() as u64 + 4;
         state
             .outq

@@ -33,8 +33,6 @@ use std::time::{Duration, Instant};
 use automon_core::{CoordinatorMessage, NodeId, NodeMessage, Outbound};
 use automon_obs::{Counter, SpanId, Telemetry};
 
-use bytes::Bytes;
-
 use crate::backoff::Backoff;
 use crate::frame::{FrameAssembler, OutQueue};
 use crate::poller::{self, SyscallStats};
@@ -154,7 +152,7 @@ impl FrameWriter {
     /// `writev`, hence one segment under `TCP_NODELAY`. Frames over the
     /// wire cap are refused outright — a silent `as u32` truncation here
     /// would desync the whole byte stream for the peer.
-    fn write(&mut self, stream: &TcpStream, frame: Bytes) -> Result<(), TcpError> {
+    fn write(&mut self, stream: &TcpStream, frame: Vec<u8>) -> Result<(), TcpError> {
         wire::frame_len_prefix(frame.len()).map_err(TcpError::Wire)?;
         // Only a send that failed mid-frame leaves the queue occupied,
         // and the stream it was bound for is out of step for good.
@@ -1117,7 +1115,7 @@ mod tests {
         tp.send(&report).expect("send");
         // A zero-length frame decodes as nothing: the reader drops the
         // connection, as it does for any corrupt frame.
-        tp.writer.write(&tp.stream, Bytes::new()).expect("empty frame");
+        tp.writer.write(&tp.stream, Vec::new()).expect("empty frame");
         let got = coord_tp.recv_timeout(Duration::from_secs(5));
         assert_eq!(got, Some(report), "the report ahead of it is delivered");
         let deadline = Instant::now() + Duration::from_secs(5);

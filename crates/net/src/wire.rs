@@ -12,6 +12,10 @@
 //! [`automon_obs::TraceCtx`] and can parent its handler span under the
 //! sender's — causality survives the transport. The slot is always
 //! present so frame sizes never depend on whether telemetry is enabled.
+//!
+//! Each `encode_*` returns the frame as a `Vec<u8>` allocated at exactly
+//! its `*_message_len` size; each `decode_*` reads a borrowed `&[u8]`
+//! and checks every length once, where those bytes are taken.
 
 use automon_core::{
     Curvature, CoordinatorMessage, DcKind, NeighborhoodBox, NodeMessage, SafeZone, TierMessage,
@@ -19,7 +23,6 @@ use automon_core::{
 };
 use automon_linalg::Matrix;
 use automon_obs::SpanId;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Format version magic (bump on layout changes).
 ///
@@ -90,7 +93,7 @@ pub fn check_frame_len(len: u32) -> Result<usize, WireError> {
 // buffer never reallocates (the old fixed 64-byte guess forced two or
 // three grow-and-copy cycles on a d = 40 violation) and the hot vector
 // payloads go out through [`put_vec`]'s chunked bulk writes instead of
-// one capacity-checked `put_f64_le` per element.
+// one capacity-checked append per element.
 
 /// Encoded size of a `u32`-length-prefixed `f64` vector.
 fn vec_len(v: &[f64]) -> usize {
@@ -163,16 +166,16 @@ pub fn tier_message_len(msg: &TierMessage) -> usize {
 }
 
 /// Encode a node→coordinator message with an empty trace context.
-pub fn encode_node_message(msg: &NodeMessage) -> Bytes {
+pub fn encode_node_message(msg: &NodeMessage) -> Vec<u8> {
     encode_node_message_ctx(msg, SpanId::NONE)
 }
 
 /// Encode a node→coordinator message, stamping `span` into the frame
 /// header as the wire-propagated trace context.
-pub fn encode_node_message_ctx(msg: &NodeMessage, span: SpanId) -> Bytes {
-    let mut b = BytesMut::with_capacity(node_message_len(msg));
-    b.put_u8(MAGIC);
-    b.put_u64_le(span.0);
+pub fn encode_node_message_ctx(msg: &NodeMessage, span: SpanId) -> Vec<u8> {
+    let mut b = Vec::with_capacity(node_message_len(msg));
+    b.push(MAGIC);
+    b.extend_from_slice(&span.0.to_le_bytes());
     match msg {
         NodeMessage::Violation {
             node,
@@ -180,10 +183,10 @@ pub fn encode_node_message_ctx(msg: &NodeMessage, span: SpanId) -> Bytes {
             local_vector,
             epoch,
         } => {
-            b.put_u8(0);
-            b.put_u32_le(*node as u32);
-            b.put_u64_le(*epoch);
-            b.put_u8(violation_tag(*kind));
+            b.push(0);
+            b.extend_from_slice(&(*node as u32).to_le_bytes());
+            b.extend_from_slice(&epoch.to_le_bytes());
+            b.push(violation_tag(*kind));
             put_vec(&mut b, local_vector);
         }
         NodeMessage::LocalVector {
@@ -191,14 +194,14 @@ pub fn encode_node_message_ctx(msg: &NodeMessage, span: SpanId) -> Bytes {
             vector,
             epoch,
         } => {
-            b.put_u8(1);
-            b.put_u32_le(*node as u32);
-            b.put_u64_le(*epoch);
+            b.push(1);
+            b.extend_from_slice(&(*node as u32).to_le_bytes());
+            b.extend_from_slice(&epoch.to_le_bytes());
             put_vec(&mut b, vector);
         }
     }
     debug_assert_eq!(b.len(), node_message_len(msg), "frame size mispredicted");
-    b.freeze()
+    b
 }
 
 /// Decode a node→coordinator message, discarding the trace context.
@@ -244,30 +247,30 @@ fn decode_node_body(mut buf: &[u8]) -> Result<NodeMessage, WireError> {
 }
 
 /// Encode a coordinator→node message with an empty trace context.
-pub fn encode_coordinator_message(msg: &CoordinatorMessage) -> Bytes {
+pub fn encode_coordinator_message(msg: &CoordinatorMessage) -> Vec<u8> {
     encode_coordinator_message_ctx(msg, SpanId::NONE)
 }
 
 /// Encode a coordinator→node message, stamping `span` into the frame
 /// header as the wire-propagated trace context.
-pub fn encode_coordinator_message_ctx(msg: &CoordinatorMessage, span: SpanId) -> Bytes {
-    let mut b = BytesMut::with_capacity(coordinator_message_len(msg));
-    b.put_u8(MAGIC);
-    b.put_u64_le(span.0);
+pub fn encode_coordinator_message_ctx(msg: &CoordinatorMessage, span: SpanId) -> Vec<u8> {
+    let mut b = Vec::with_capacity(coordinator_message_len(msg));
+    b.push(MAGIC);
+    b.extend_from_slice(&span.0.to_le_bytes());
     match msg {
         CoordinatorMessage::RequestLocalVector { epoch } => {
-            b.put_u8(0);
-            b.put_u64_le(*epoch);
+            b.push(0);
+            b.extend_from_slice(&epoch.to_le_bytes());
         }
         CoordinatorMessage::NewConstraints { zone, slack, epoch } => {
-            b.put_u8(1);
-            b.put_u64_le(*epoch);
+            b.push(1);
+            b.extend_from_slice(&epoch.to_le_bytes());
             put_zone(&mut b, zone);
             put_vec(&mut b, slack);
         }
         CoordinatorMessage::SlackUpdate { slack, epoch } => {
-            b.put_u8(2);
-            b.put_u64_le(*epoch);
+            b.push(2);
+            b.extend_from_slice(&epoch.to_le_bytes());
             put_vec(&mut b, slack);
         }
         CoordinatorMessage::NewConstraintsCached {
@@ -275,8 +278,8 @@ pub fn encode_coordinator_message_ctx(msg: &CoordinatorMessage, span: SpanId) ->
             slack,
             epoch,
         } => {
-            b.put_u8(3);
-            b.put_u64_le(*epoch);
+            b.push(3);
+            b.extend_from_slice(&epoch.to_le_bytes());
             put_zone_update(&mut b, update);
             put_vec(&mut b, slack);
         }
@@ -286,7 +289,7 @@ pub fn encode_coordinator_message_ctx(msg: &CoordinatorMessage, span: SpanId) ->
         coordinator_message_len(msg),
         "frame size mispredicted"
     );
-    b.freeze()
+    b
 }
 
 /// Decode a coordinator→node message, discarding the trace context.
@@ -338,7 +341,7 @@ fn decode_coordinator_body(mut buf: &[u8]) -> Result<CoordinatorMessage, WireErr
 }
 
 /// Encode an inter-tier (leaf↔root) message with an empty trace context.
-pub fn encode_tier_message(msg: &TierMessage) -> Bytes {
+pub fn encode_tier_message(msg: &TierMessage) -> Vec<u8> {
     encode_tier_message_ctx(msg, SpanId::NONE)
 }
 
@@ -347,10 +350,10 @@ pub fn encode_tier_message(msg: &TierMessage) -> Bytes {
 /// protocol's header layout (magic + span + tag) but live in their own
 /// tag space, decoded only by [`decode_tier_message_ctx`] — a tier frame
 /// handed to the flat decoders fails on the tag, not silently.
-pub fn encode_tier_message_ctx(msg: &TierMessage, span: SpanId) -> Bytes {
-    let mut b = BytesMut::with_capacity(tier_message_len(msg));
-    b.put_u8(MAGIC);
-    b.put_u64_le(span.0);
+pub fn encode_tier_message_ctx(msg: &TierMessage, span: SpanId) -> Vec<u8> {
+    let mut b = Vec::with_capacity(tier_message_len(msg));
+    b.push(MAGIC);
+    b.extend_from_slice(&span.0.to_le_bytes());
     match msg {
         TierMessage::LeafReport {
             leaf,
@@ -359,11 +362,11 @@ pub fn encode_tier_message_ctx(msg: &TierMessage, span: SpanId) -> Bytes {
             weight,
             epoch,
         } => {
-            b.put_u8(0);
-            b.put_u32_le(*leaf as u32);
-            b.put_u64_le(*epoch);
-            b.put_u8(violation_tag(*kind));
-            b.put_u64_le(*weight);
+            b.push(0);
+            b.extend_from_slice(&(*leaf as u32).to_le_bytes());
+            b.extend_from_slice(&epoch.to_le_bytes());
+            b.push(violation_tag(*kind));
+            b.extend_from_slice(&weight.to_le_bytes());
             put_vec(&mut b, partial);
         }
         TierMessage::Rebalance {
@@ -371,17 +374,17 @@ pub fn encode_tier_message_ctx(msg: &TierMessage, span: SpanId) -> Bytes {
             adopted,
             epoch,
         } => {
-            b.put_u8(1);
-            b.put_u32_le(*leaf as u32);
-            b.put_u64_le(*epoch);
-            b.put_u32_le(adopted.len() as u32);
+            b.push(1);
+            b.extend_from_slice(&(*leaf as u32).to_le_bytes());
+            b.extend_from_slice(&epoch.to_le_bytes());
+            b.extend_from_slice(&(adopted.len() as u32).to_le_bytes());
             for &id in adopted {
-                b.put_u32_le(id as u32);
+                b.extend_from_slice(&(id as u32).to_le_bytes());
             }
         }
     }
     debug_assert_eq!(b.len(), tier_message_len(msg), "frame size mispredicted");
-    b.freeze()
+    b
 }
 
 /// Decode an inter-tier message, discarding the trace context.
@@ -418,11 +421,10 @@ fn decode_tier_body(mut buf: &[u8]) -> Result<TierMessage, WireError> {
             let leaf = get_u32(&mut buf)? as usize;
             let epoch = get_u64(&mut buf)?;
             let n = get_u32(&mut buf)? as usize;
-            let bytes = n.checked_mul(4).ok_or(WireError::Truncated)?;
-            if buf.remaining() < bytes {
-                return Err(WireError::Truncated);
-            }
-            let adopted = (0..n).map(|_| buf.get_u32_le() as usize).collect();
+            let adopted = take_chunks(&mut buf, n)?
+                .iter()
+                .map(|&id| u32::from_le_bytes(id) as usize)
+                .collect();
             Ok(TierMessage::Rebalance {
                 leaf,
                 adopted,
@@ -453,76 +455,76 @@ fn violation_from_tag(t: u8) -> Result<ViolationKind, WireError> {
 }
 
 /// Bulk-write `f64`s as little-endian bytes: elements are staged in a
-/// stack chunk and flushed with one `put_slice` per 32 values, so the
-/// buffer's capacity bookkeeping runs once per chunk instead of once
-/// per element.
-fn put_f64s(b: &mut BytesMut, v: &[f64]) {
+/// stack chunk and flushed with one `extend_from_slice` per 32 values,
+/// so the buffer's capacity bookkeeping runs once per chunk instead of
+/// once per element.
+fn put_f64s(b: &mut Vec<u8>, v: &[f64]) {
     let mut chunk = [0u8; 256];
     for group in v.chunks(32) {
         for (i, &x) in group.iter().enumerate() {
             chunk[i * 8..(i + 1) * 8].copy_from_slice(&x.to_le_bytes());
         }
-        b.put_slice(&chunk[..group.len() * 8]);
+        b.extend_from_slice(&chunk[..group.len() * 8]);
     }
 }
 
-fn put_vec(b: &mut BytesMut, v: &[f64]) {
-    b.put_u32_le(v.len() as u32);
+fn put_vec(b: &mut Vec<u8>, v: &[f64]) {
+    b.extend_from_slice(&(v.len() as u32).to_le_bytes());
     put_f64s(b, v);
 }
 
-fn put_matrix(b: &mut BytesMut, m: &Matrix) {
-    b.put_u32_le(m.rows() as u32);
-    b.put_u32_le(m.cols() as u32);
+fn put_matrix(b: &mut Vec<u8>, m: &Matrix) {
+    b.extend_from_slice(&(m.rows() as u32).to_le_bytes());
+    b.extend_from_slice(&(m.cols() as u32).to_le_bytes());
     put_f64s(b, m.as_slice());
 }
 
-fn put_zone(b: &mut BytesMut, z: &SafeZone) {
+fn put_zone(b: &mut Vec<u8>, z: &SafeZone) {
     put_vec(b, &z.x0);
-    b.put_f64_le(z.f0);
+    b.extend_from_slice(&z.f0.to_le_bytes());
     put_vec(b, &z.grad0);
-    b.put_f64_le(z.l);
-    b.put_f64_le(z.u);
-    b.put_u8(match z.dc {
+    b.extend_from_slice(&z.l.to_le_bytes());
+    b.extend_from_slice(&z.u.to_le_bytes());
+    b.push(match z.dc {
         DcKind::ConvexDiff => 0,
         DcKind::ConcaveDiff => 1,
         DcKind::AdmissibleOnly => 2,
     });
     match &z.curvature {
         Curvature::Scalar(c) => {
-            b.put_u8(0);
-            b.put_f64_le(*c);
+            b.push(0);
+            b.extend_from_slice(&c.to_le_bytes());
         }
         Curvature::Quadratic(m) => {
-            b.put_u8(1);
+            b.push(1);
             put_matrix(b, m);
         }
     }
     match &z.neighborhood {
-        None => b.put_u8(0),
+        None => b.push(0),
         Some(nb) => {
-            b.put_u8(1);
+            b.push(1);
             put_vec(b, &nb.lo);
             put_vec(b, &nb.hi);
         }
     }
 }
 
-fn put_zone_update(b: &mut BytesMut, z: &ZoneUpdate) {
+fn put_zone_update(b: &mut Vec<u8>, z: &ZoneUpdate) {
     put_vec(b, &z.x0);
-    b.put_f64_le(z.f0);
+    b.extend_from_slice(&z.f0.to_le_bytes());
     put_vec(b, &z.grad0);
-    b.put_f64_le(z.l);
-    b.put_f64_le(z.u);
-    b.put_u8(match z.dc {
+    b.extend_from_slice(&z.l.to_le_bytes());
+    b.extend_from_slice(&z.u.to_le_bytes());
+    b.push(match z.dc {
         DcKind::ConvexDiff => 0,
         DcKind::ConcaveDiff => 1,
         DcKind::AdmissibleOnly => 2,
     });
     match &z.neighborhood {
-        None => b.put_u8(0),
+        None => b.push(0),
         Some(nb) => {
-            b.put_u8(1);
+            b.push(1);
             put_vec(b, &nb.lo);
             put_vec(b, &nb.hi);
         }
@@ -568,57 +570,56 @@ fn check_magic(buf: &mut &[u8]) -> Result<(), WireError> {
     Ok(())
 }
 
+/// Split the next `N` bytes off the front of `buf`.
+fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], WireError> {
+    let (head, rest) = buf.split_first_chunk().ok_or(WireError::Truncated)?;
+    *buf = rest;
+    Ok(*head)
+}
+
+/// Split `n` consecutive `N`-byte elements off the front of `buf`, with
+/// one length check for the whole run. Checked: a hostile count must not
+/// overflow into a small byte length.
+fn take_chunks<'a, const N: usize>(
+    buf: &mut &'a [u8],
+    n: usize,
+) -> Result<&'a [[u8; N]], WireError> {
+    let len = n.checked_mul(N).ok_or(WireError::Truncated)?;
+    let (head, rest) = buf.split_at_checked(len).ok_or(WireError::Truncated)?;
+    *buf = rest;
+    Ok(head.as_chunks().0)
+}
+
 fn get_u8(buf: &mut &[u8]) -> Result<u8, WireError> {
-    if buf.remaining() < 1 {
-        return Err(WireError::Truncated);
-    }
-    Ok(buf.get_u8())
+    take(buf).map(|[b]| b)
 }
 
 fn get_u32(buf: &mut &[u8]) -> Result<u32, WireError> {
-    if buf.remaining() < 4 {
-        return Err(WireError::Truncated);
-    }
-    Ok(buf.get_u32_le())
+    take(buf).map(u32::from_le_bytes)
 }
 
 fn get_u64(buf: &mut &[u8]) -> Result<u64, WireError> {
-    if buf.remaining() < 8 {
-        return Err(WireError::Truncated);
-    }
-    Ok(buf.get_u64_le())
+    take(buf).map(u64::from_le_bytes)
 }
 
 fn get_f64(buf: &mut &[u8]) -> Result<f64, WireError> {
-    if buf.remaining() < 8 {
-        return Err(WireError::Truncated);
-    }
-    Ok(buf.get_f64_le())
+    take(buf).map(f64::from_le_bytes)
+}
+
+fn get_f64s(buf: &mut &[u8], n: usize) -> Result<Vec<f64>, WireError> {
+    Ok(take_chunks(buf, n)?.iter().map(|&x| f64::from_le_bytes(x)).collect())
 }
 
 fn get_vec(buf: &mut &[u8]) -> Result<Vec<f64>, WireError> {
     let n = get_u32(buf)? as usize;
-    // Checked: a hostile length must not overflow into a small byte
-    // count and then panic the element reads below.
-    let bytes = n.checked_mul(8).ok_or(WireError::Truncated)?;
-    if buf.remaining() < bytes {
-        return Err(WireError::Truncated);
-    }
-    Ok((0..n).map(|_| buf.get_f64_le()).collect())
+    get_f64s(buf, n)
 }
 
 fn get_matrix(buf: &mut &[u8]) -> Result<Matrix, WireError> {
     let rows = get_u32(buf)? as usize;
     let cols = get_u32(buf)? as usize;
-    let bytes = rows
-        .checked_mul(cols)
-        .and_then(|e| e.checked_mul(8))
-        .ok_or(WireError::Truncated)?;
-    if buf.remaining() < bytes {
-        return Err(WireError::Truncated);
-    }
-    let data = (0..rows * cols).map(|_| buf.get_f64_le()).collect();
-    Ok(Matrix::from_rows(rows, cols, data))
+    let n = rows.checked_mul(cols).ok_or(WireError::Truncated)?;
+    Ok(Matrix::from_rows(rows, cols, get_f64s(buf, n)?))
 }
 
 fn get_zone(buf: &mut &[u8]) -> Result<SafeZone, WireError> {

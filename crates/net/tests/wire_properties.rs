@@ -20,6 +20,7 @@ use automon_net::wire::{
     decode_node_message, decode_node_message_ctx, decode_tier_message_ctx,
     encode_coordinator_message, encode_coordinator_message_ctx, encode_node_message,
     encode_node_message_ctx, encode_tier_message_ctx, node_message_len, tier_message_len,
+    WireError,
 };
 use automon_obs::SpanId;
 use proptest::prelude::*;
@@ -451,6 +452,42 @@ proptest! {
             let (got_span, decoded) = decode_tier_message_ctx(&frame).unwrap();
             prop_assert_eq!(got_span, span);
             prop_assert_eq!(Words::of_tier(&decoded), Words::of_tier(&msg), "{:?}", msg);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Every strict prefix of a valid frame of every variant decodes to
+    /// `Truncated`: each read checks its own length, so a frame cut
+    /// anywhere — inside the header, a length prefix, a vector or a
+    /// matrix — fails cleanly instead of panicking or reading a
+    /// different message.
+    #[test]
+    fn every_strict_prefix_is_truncated(seed in 0u64..u64::MAX, d in 0usize..24usize) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let span = SpanId(rng.next_u64());
+        for msg in node_messages(&mut rng, d) {
+            let frame = encode_node_message_ctx(&msg, span);
+            for k in 0..frame.len() {
+                let cut = decode_node_message_ctx(&frame[..k]);
+                prop_assert_eq!(cut, Err(WireError::Truncated), "{:?} cut at {}", msg, k);
+            }
+        }
+        for msg in coordinator_messages(&mut rng, d.min(5)) {
+            let frame = encode_coordinator_message_ctx(&msg, span);
+            for k in 0..frame.len() {
+                let cut = decode_coordinator_message_ctx(&frame[..k]);
+                prop_assert_eq!(cut, Err(WireError::Truncated), "{:?} cut at {}", msg, k);
+            }
+        }
+        for msg in tier_messages(&mut rng, d) {
+            let frame = encode_tier_message_ctx(&msg, span);
+            for k in 0..frame.len() {
+                let cut = decode_tier_message_ctx(&frame[..k]);
+                prop_assert_eq!(cut, Err(WireError::Truncated), "{:?} cut at {}", msg, k);
+            }
         }
     }
 }

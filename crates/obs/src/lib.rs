@@ -30,13 +30,20 @@ pub mod trace;
 
 use std::io::Write as _;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 pub use expo::{parse_prometheus, value_of, Sample};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 pub use reader::{parse_trace, span_path_at, TraceEvent};
 pub use serve::MetricsServer;
 pub use trace::{FieldValue, LogicalClock, SpanId, TraceCtx, Tracer, RESERVED_KEYS};
+
+/// Lock `m`, recovering the guard if a panicking thread poisoned it:
+/// every critical section here leaves the registry or trace buffer
+/// consistent, so a panic elsewhere must not take telemetry down too.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Shared state behind an enabled [`Telemetry`].
 #[derive(Default)]

@@ -14,9 +14,9 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
+use crate::lock;
 
 /// Fixed-point scale for histogram sums: 1 unit = 1e-6 of the observed
 /// value. Chosen to hold protocol-scale quantities (errors, byte counts,
@@ -266,7 +266,7 @@ impl Registry {
     /// # Panics
     /// Panics when `name` is already registered as a different kind.
     pub fn counter(&self, name: &str, help: &str) -> Counter {
-        let mut m = self.inner.lock();
+        let mut m = lock(&self.inner);
         let entry = m.entry(name.to_string()).or_insert_with(|| Metric::Counter {
             help: help.to_string(),
             cell: Arc::new(AtomicU64::new(0)),
@@ -282,7 +282,7 @@ impl Registry {
     /// # Panics
     /// Panics when `name` is already registered as a different kind.
     pub fn gauge(&self, name: &str, help: &str) -> Gauge {
-        let mut m = self.inner.lock();
+        let mut m = lock(&self.inner);
         let entry = m.entry(name.to_string()).or_insert_with(|| Metric::Gauge {
             help: help.to_string(),
             cell: Arc::new(AtomicU64::new(0.0f64.to_bits())),
@@ -303,7 +303,7 @@ impl Registry {
             !name.contains('{'),
             "histogram `{name}`: labels are not supported on histograms"
         );
-        let mut m = self.inner.lock();
+        let mut m = lock(&self.inner);
         let entry = m
             .entry(name.to_string())
             .or_insert_with(|| Metric::Histogram {
@@ -319,7 +319,7 @@ impl Registry {
     /// Render every metric in Prometheus text-exposition format
     /// (version 0.0.4), sorted by name.
     pub fn render_prometheus(&self) -> String {
-        let m = self.inner.lock();
+        let m = lock(&self.inner);
         let mut out = String::new();
         let mut last_base: Option<String> = None;
         for (name, metric) in m.iter() {

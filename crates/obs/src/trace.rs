@@ -16,8 +16,9 @@
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
+use crate::lock;
 
 /// Envelope keys every event line starts with; user fields must not
 /// reuse them or the line would carry duplicate JSON keys and readers
@@ -228,7 +229,7 @@ impl Tracer {
             }
             line.push('}');
             line.push('\n');
-            let mut buf = self.buf.lock();
+            let mut buf = lock(&self.buf);
             buf.jsonl.push_str(&line);
         });
     }
@@ -279,7 +280,7 @@ impl Tracer {
     /// trailing newline when non-empty). Events already moved out by
     /// [`Tracer::drain_to`] are not re-returned.
     pub fn to_jsonl(&self) -> String {
-        self.buf.lock().jsonl.clone()
+        lock(&self.buf).jsonl.clone()
     }
 
     /// Move the buffered events out to `w`, leaving the buffer empty.
@@ -289,7 +290,7 @@ impl Tracer {
     /// number of bytes written.
     pub fn drain_to<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<usize> {
         let chunk = {
-            let mut buf = self.buf.lock();
+            let mut buf = lock(&self.buf);
             if buf.jsonl.is_empty() {
                 return Ok(0);
             }

@@ -268,7 +268,7 @@ impl ReactorLink {
     fn send_up(&mut self, msg: &NodeMessage, cause: CommCause, span: SpanId) {
         let frame = wire::encode_node_message_ctx(msg, span);
         if self.clients[msg.sender()].send_frame(&frame) {
-            self.up_causes.insert(frame.to_vec(), cause);
+            self.up_causes.insert(frame, cause);
         }
     }
 

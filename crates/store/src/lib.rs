@@ -22,11 +22,10 @@ pub mod snapshot;
 
 use std::collections::BTreeMap;
 use std::io;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use automon_core::journal::{Journal, Transition};
 use automon_core::CoordinatorSnapshot;
-use parking_lot::Mutex;
 
 pub use disk::{DiskManager, FileDisk, MemDisk};
 pub use record::{decode_stream, encode_record};
@@ -434,8 +433,9 @@ impl SharedStore {
         Ok((SharedStore::new(store), recovered))
     }
 
-    pub fn lock(&self) -> std::sync::MutexGuard<'_, DynStore> {
-        self.0.lock()
+    /// Lock the store, recovering it if a panic poisoned the lock.
+    pub fn lock(&self) -> MutexGuard<'_, DynStore> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// A journal sink the coordinator can own.

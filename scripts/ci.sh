@@ -9,9 +9,13 @@
 #   1. release build of the whole workspace
 #   2. full test suite
 #   3. clippy, warnings denied
-#   4. benchmark package — the repository's benchmark (BENCHMARK.json,
+#   4. rustdoc over the library crates, warnings denied — a deleted or
+#      private item named by an intra-doc link fails here, not in a
+#      reader's browser. `--lib` because the facade library and the
+#      CLI binary are both named `automon` and their docs would collide.
+#   5. benchmark package — the repository's benchmark (BENCHMARK.json,
 #      crates/bench/src/bin/benchmark/) is a package outside the
-#      workspace, so steps 1–3 never compile it and a public-API break
+#      workspace, so steps 1–4 never compile it and a public-API break
 #      in core/net/linalg would first show when the pipeline runs it.
 #      Build it, run its unit tests, and run its `--smoke` (all five
 #      workloads at tiny sizes, untraced and traced, checks only).
@@ -26,6 +30,9 @@ cargo test -q --workspace
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --lib --offline
 
 echo "==> benchmark package (tests + smoke)"
 BENCHMARK_MANIFEST=crates/bench/src/bin/benchmark/Cargo.toml

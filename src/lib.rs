@@ -60,6 +60,7 @@ pub use automon_functions as functions;
 pub use automon_linalg as linalg;
 pub use automon_net as net;
 pub use automon_nn as nn;
+pub use automon_obs as obs;
 pub use automon_opt as opt;
 pub use automon_sim as sim;
 pub use automon_store as store;

@@ -242,27 +242,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Delta codec round trip against arbitrary previous/current pairs.
-    #[test]
-    fn delta_codec_round_trips(
-        prev in proptest::collection::vec(-1e3f64..1e3, 1..24),
-        mask in proptest::collection::vec(proptest::bool::ANY, 1..24),
-        delta_vals in proptest::collection::vec(-10.0f64..10.0, 1..24),
-    ) {
-        let d = prev.len().min(mask.len()).min(delta_vals.len());
-        let prev = &prev[..d];
-        let cur: Vec<f64> = (0..d)
-            .map(|i| if mask[i] { prev[i] + delta_vals[i] } else { prev[i] })
-            .collect();
-        let frame = automon::net::delta::encode_delta(prev, &cur, 1e-12);
-        let decoded = automon::net::delta::decode_delta(prev, &frame).unwrap();
-        for (a, b) in decoded.iter().zip(&cur) {
-            prop_assert!((a - b).abs() <= 1e-12, "{a} vs {b}");
-        }
-        // The frame never exceeds dense size plus the tag/len header.
-        prop_assert!(frame.len() <= 5 + d * 12);
-    }
-
     /// Every node repeating one constant vector costs exactly one full
     /// sync and no violation, at any value and repeat count.
     #[test]
