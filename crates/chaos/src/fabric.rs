@@ -22,10 +22,9 @@ use std::collections::{BTreeMap, VecDeque};
 use automon_core::{CommCause, CommLedger, Coordinator, Node, NodeId, NodeMessage, Outbound};
 use automon_net::{CountingFabric, TrafficStats};
 use automon_obs::{Counter, SpanId, Telemetry};
-use crate::gate::LadderGate;
-use automon_net::{FrameGate, GateVerdict};
 use serde::{Deserialize, Serialize};
 
+use crate::gate::{GateVerdict, LadderGate};
 use crate::plan::{Executor, FaultPlan, PlanPart, TimedFault};
 
 /// Which way a frame was travelling when a fault hit it.
@@ -498,8 +497,8 @@ impl ChaosFabric {
     /// how many non-immune frames crossed the fabric, which is itself a
     /// deterministic function of plan + seed + workload.
     fn gate(&mut self, immune: bool) -> GateVerdict {
-        // Shared with the reactor transport (`crates/net`): one ladder,
-        // one draw sequence — see [`LadderGate`].
+        // Shared with `automon-sim`'s reactor link: one ladder, one draw
+        // sequence — see [`LadderGate`].
         self.ladder.gate(immune)
     }
 

@@ -1,19 +1,34 @@
-//! The seeded fault ladder as a standalone, transport-pluggable gate.
+//! The seeded fault ladder, shared by every link that injects frame
+//! faults.
 //!
 //! [`ChaosFabric`](crate::ChaosFabric) applies its probabilistic fault
-//! ladder at the decoded-frame boundary of the in-process fabric. The
-//! reactor transport (`automon_net::Reactor`) exposes the same boundary
-//! through the [`FrameGate`] trait; [`LadderGate`] is the ladder
-//! factored out so both paths share one implementation — and, more
-//! importantly, one *draw sequence*: a plan that replays byte-identically
-//! on the in-process fabric replays byte-identically on the reactor,
-//! because the ladder consumes exactly one uniform draw per non-immune
-//! frame (plus one bounded draw per delay) in both.
+//! ladder to every frame crossing the in-process fabric; `automon-sim`'s
+//! reactor link applies it to every node frame the reactor decodes.
+//! [`LadderGate`] is that ladder, so both paths share one implementation
+//! and, more importantly, one *draw sequence*: the ladder consumes
+//! exactly one uniform draw per non-immune frame (plus one bounded draw
+//! per delay), whichever link calls [`LadderGate::gate`].
 
-use automon_net::{FrameGate, GateVerdict};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 use crate::plan::FaultPlan;
+
+/// What the ladder decided for one frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GateVerdict {
+    /// Deliver normally.
+    Deliver,
+    /// Deliver now and an immune copy behind the frames already queued.
+    DeliverTwice,
+    /// Deliver an immune copy behind the frames already queued, out of
+    /// order.
+    Reorder,
+    /// Park the frame for this many protocol rounds, then deliver an
+    /// immune copy.
+    Delay(usize),
+    /// Discard the frame; the sender observes nothing.
+    Discard,
+}
 
 /// Per-kind tally of faults the gate has injected.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -74,8 +89,8 @@ impl LadderGate {
         }
     }
 
-    /// `true` when every rate is zero — the gate never draws and the
-    /// transport behaves exactly as if no gate were installed.
+    /// `true` when every rate is zero — the gate never draws and
+    /// delivers every frame.
     pub fn is_transparent(&self) -> bool {
         self.drop_rate == 0.0
             && self.duplicate_rate == 0.0
@@ -88,7 +103,10 @@ impl LadderGate {
         self.counts
     }
 
-    fn decide(&mut self, immune: bool) -> GateVerdict {
+    /// Decide what happens to one frame. `immune` marks a re-injected
+    /// frame (the late copy of a duplicate, a matured delayed frame): it
+    /// delivers untouched and consumes no randomness.
+    pub fn gate(&mut self, immune: bool) -> GateVerdict {
         if immune || self.is_transparent() {
             return GateVerdict::Deliver;
         }
@@ -119,12 +137,6 @@ impl LadderGate {
     }
 }
 
-impl FrameGate for LadderGate {
-    fn gate(&mut self, immune: bool) -> GateVerdict {
-        self.decide(immune)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,8 +153,8 @@ mod tests {
     fn same_seed_same_verdict_sequence() {
         let mut a = LadderGate::new(&plan());
         let mut b = LadderGate::new(&plan());
-        let va: Vec<_> = (0..500).map(|_| a.decide(false)).collect();
-        let vb: Vec<_> = (0..500).map(|_| b.decide(false)).collect();
+        let va: Vec<_> = (0..500).map(|_| a.gate(false)).collect();
+        let vb: Vec<_> = (0..500).map(|_| b.gate(false)).collect();
         assert_eq!(va, vb, "ladder must replay bit-identically");
         assert!(a.counts().injected() > 0, "rates this high must fire");
     }
@@ -156,11 +168,11 @@ mod tests {
         let mut va = Vec::new();
         for i in 0..300 {
             if i % 3 == 0 {
-                assert_eq!(a.decide(true), GateVerdict::Deliver);
+                assert_eq!(a.gate(true), GateVerdict::Deliver);
             }
-            va.push(a.decide(false));
+            va.push(a.gate(false));
         }
-        let vb: Vec<_> = (0..300).map(|_| b.decide(false)).collect();
+        let vb: Vec<_> = (0..300).map(|_| b.gate(false)).collect();
         assert_eq!(va, vb, "immune frames must not advance the rng");
     }
 
@@ -169,7 +181,7 @@ mod tests {
         let mut g = LadderGate::new(&FaultPlan::seeded(7));
         assert!(g.is_transparent());
         for _ in 0..100 {
-            assert_eq!(g.decide(false), GateVerdict::Deliver);
+            assert_eq!(g.gate(false), GateVerdict::Deliver);
         }
         assert_eq!(g.counts(), GateCounts::default());
     }

@@ -6,6 +6,8 @@
 //! reorder and delay probabilities, timed node, leaf and coordinator
 //! crashes, coordinator↔node partitions) and a [`ChaosFabric`] that
 //! executes the plan at the frame boundary of the in-process fabric.
+//! Its per-frame fault ladder is [`LadderGate`], which `automon-sim`'s
+//! reactor link also calls on every node frame the reactor decodes.
 //! The plan is the workspace's one schedule type: every other executor
 //! (the reactor and socket links, the fleet runner — all in
 //! `automon-sim`) names the [`PlanPart`]s it runs in an [`Executor`]
@@ -24,7 +26,7 @@ pub mod gate;
 mod plan;
 
 pub use fabric::{ChaosFabric, DeliveryFailure, Direction, FaultEvent, FaultKind};
-pub use gate::{GateCounts, LadderGate};
+pub use gate::{GateCounts, GateVerdict, LadderGate};
 pub use plan::{
     Executor, FaultPlan, LeafCrash, NodeCrash, Partition, PlanPart, RecoveryConfig, TimedFault,
 };

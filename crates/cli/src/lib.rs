@@ -337,6 +337,76 @@ mod tests {
         }
     }
 
+    /// A number a subcommand cannot run with is a `CliError` naming its
+    /// flag, never a panic deep in a function, workload or config
+    /// constructor.
+    #[test]
+    fn unusable_numbers_are_cli_errors_naming_their_flag() {
+        let dir = std::env::temp_dir().join("automon_cli_lib_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let odd = dir.join("odd.csv");
+        let rows: String = (0..6)
+            .map(|t| format!("{},{},0.1,0.2,0.3\n", t / 2, t % 2))
+            .collect();
+        std::fs::write(&odd, rows).unwrap();
+        let odd = odd.display().to_string();
+        let sim = |function, dim| {
+            let sized = ["--function", function, "--dim", dim, "--nodes", "3", "--rounds", "20"];
+            with(&["simulate"], &sized)
+        };
+        let unfit = |flag: &str, dim: usize, function: &str, need: &str| {
+            format!("{flag} gives dimension {dim}, but `{function}` needs {need}")
+        };
+        let even = "an even dimension of at least 2";
+        let positive = "--nodes and --rounds must be positive".to_string();
+        let eps = "--epsilon must be positive".to_string();
+        let rows: Vec<(Vec<&str>, String)> = vec![
+            (sim("inner-product", "3"), unfit("--dim", 3, "inner-product", even)),
+            (sim("inner-product", "0"), unfit("--dim", 0, "inner-product", even)),
+            (sim("kld", "3"), unfit("--dim", 3, "kld", even)),
+            (sim("mlp", "0"), unfit("--dim", 0, "mlp", "a dimension of at least 2")),
+            (sim("quadratic", "0"), unfit("--dim", 0, "quadratic", "a dimension of at least 1")),
+            (sim("variance", "5"), unfit("--dim", 5, "variance", "dimension 2")),
+            (sim("rozenbrock", "3"), unfit("--dim", 3, "rozenbrock", "dimension 2")),
+            (vec!["simulate", "--function", "variance", "--nodes", "0"], positive.clone()),
+            (vec!["simulate", "--function", "variance", "--rounds", "0"], positive),
+            (vec!["simulate", "--function", "variance", "--epsilon", "NaN"], eps.clone()),
+            (vec!["net-smoke", "--net-backend", "sim", "--epsilon", "0"], eps.clone()),
+            (
+                with(&sim("variance", "2"), &["--baseline", "periodic:0"]),
+                "--baseline `periodic:0`: the period must be positive".into(),
+            ),
+            (
+                vec!["monitor", "--function", "quadratic", "--nodes", "2", "--input", &odd, "--epsilon", "-1"],
+                eps.clone(),
+            ),
+            (
+                vec!["tune", "--function", "quadratic", "--nodes", "2", "--input", &odd, "--epsilon", "NaN"],
+                eps,
+            ),
+            (
+                vec!["net-smoke", "--net-backend", "sim", "--dim", "3"],
+                unfit("--dim", 3, "inner-product", even),
+            ),
+            (
+                with(&sim("inner-product", "3"), &["--fleet", "--shards", "2"]),
+                unfit("--dim", 3, "inner-product", even),
+            ),
+            (
+                vec!["monitor", "--function", "kld", "--nodes", "2", "--input", &odd],
+                unfit("--dim", 3, "kld", even),
+            ),
+            (
+                vec!["tune", "--function", "inner-product", "--nodes", "2", "--input", &odd],
+                unfit("--input", 3, "inner-product", even),
+            ),
+        ];
+        for (argv, message) in rows {
+            let err = cli(&argv).expect_err("unusable number");
+            assert_eq!(err.to_string(), message, "{argv:?}");
+        }
+    }
+
     #[test]
     fn simulate_inner_product_end_to_end() {
         let out = cli(&[

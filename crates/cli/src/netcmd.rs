@@ -30,7 +30,7 @@ use automon_sim::{Simulation, Workload};
 use serde::{Serialize, Value};
 
 use crate::args::{Args, CliError, Flag};
-use crate::run::{build_function, fault_plan};
+use crate::run::{build_function, fault_plan, positive_epsilon};
 
 /// Deterministic drifting workload shared by every backend: per-node
 /// phase offsets and a slow upward drift — enough motion to exercise
@@ -77,12 +77,12 @@ pub fn run_net_smoke(args: &Args) -> Result<String, CliError> {
     let rounds: usize = args.num("rounds", 60usize)?;
     let dim: usize = args.num("dim", 2usize)?;
     let seed: u64 = args.num("seed", 1u64)?;
-    let epsilon: f64 = args.num("epsilon", 0.4f64)?;
+    let epsilon = positive_epsilon(args, 0.4)?;
     let fname = args.get("function").unwrap_or("inner-product");
     if n == 0 || rounds == 0 {
         return Err(CliError::new("--nodes and --rounds must be positive"));
     }
-    let f = build_function(fname, dim)?;
+    let f = build_function(fname, dim, "--dim")?;
     let cfg = MonitorConfig::builder(epsilon).build();
 
     // Telemetry goes to the driver and its protocol endpoints only: the

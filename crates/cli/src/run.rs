@@ -17,9 +17,25 @@ use serde::{Serialize, Value};
 use crate::args::{Args, CliError, Flag};
 use crate::csvio::{parse_csv_updates, render_estimates, Update};
 
-/// Build a built-in monitored function by name.
-pub fn build_function(name: &str, dim: usize) -> Result<Arc<dyn MonitoredFunction>, CliError> {
-    Ok(match name {
+/// Build a built-in monitored function by name, at dimension `dim`. A
+/// dimension the function cannot take is an error naming `dim_flag`, the
+/// flag the dimension came from.
+pub fn build_function(
+    name: &str,
+    dim: usize,
+    dim_flag: &str,
+) -> Result<Arc<dyn MonitoredFunction>, CliError> {
+    let unfit = |need: &str| {
+        CliError::new(format!(
+            "{dim_flag} gives dimension {dim}, but `{name}` needs {need}"
+        ))
+    };
+    let f: Arc<dyn MonitoredFunction> = match name {
+        "inner-product" | "kld" if dim == 0 || !dim.is_multiple_of(2) => {
+            return Err(unfit("an even dimension of at least 2"))
+        }
+        "quadratic" if dim == 0 => return Err(unfit("a dimension of at least 1")),
+        "mlp" if dim < 2 => return Err(unfit("a dimension of at least 2")),
         "inner-product" => Arc::new(AutoDiffFn::new(InnerProduct::new(dim))),
         "quadratic" => Arc::new(AutoDiffFn::new(QuadraticForm::random(dim, 7))),
         "kld" => Arc::new(AutoDiffFn::new(KlDivergence::new(dim, 1.0 / 2400.0))),
@@ -31,7 +47,22 @@ pub fn build_function(name: &str, dim: usize) -> Result<Arc<dyn MonitoredFunctio
                 "unknown function `{other}` (see `automon help`)"
             )))
         }
-    })
+    };
+    // Variance and Rozenbrock have a fixed dimension.
+    if f.dim() != dim {
+        return Err(unfit(&format!("dimension {}", f.dim())));
+    }
+    Ok(f)
+}
+
+/// `--epsilon`, `default` when omitted; an error unless positive (NaN is
+/// not).
+pub(crate) fn positive_epsilon(args: &Args, default: f64) -> Result<f64, CliError> {
+    let epsilon = args.num("epsilon", default)?;
+    if epsilon.is_nan() || epsilon <= 0.0 {
+        return Err(CliError::new("--epsilon must be positive"));
+    }
+    Ok(epsilon)
 }
 
 /// Default dimension per function when `--dim` is omitted.
@@ -339,13 +370,13 @@ pub fn run_simulate(args: &Args) -> Result<String, CliError> {
     let dim = args.num("dim", default_dim(function))?;
     let nodes = args.num("nodes", 10usize)?;
     let rounds = args.num("rounds", 500usize)?;
-    let epsilon = args.num("epsilon", 0.1f64)?;
+    let epsilon = positive_epsilon(args, 0.1)?;
     let seed = args.num("seed", 1u64)?;
-    if epsilon <= 0.0 {
-        return Err(CliError::new("--epsilon must be positive"));
+    if nodes == 0 || rounds == 0 {
+        return Err(CliError::new("--nodes and --rounds must be positive"));
     }
 
-    let f = build_function(function, dim)?;
+    let f = build_function(function, dim, "--dim")?;
     let workload = build_workload(function, nodes, rounds, dim, seed)?;
     let cfg = MonitorConfig::builder(epsilon).build();
 
@@ -499,9 +530,9 @@ pub fn run_simulate(args: &Args) -> Result<String, CliError> {
                         c.messages, c.max_error
                     ));
                 } else if let Some(p) = spec.strip_prefix("periodic:") {
-                    let period: usize = p
-                        .parse()
-                        .map_err(|_| CliError::new(format!("bad baseline `{spec}`")))?;
+                    let period = p.parse::<usize>().ok().filter(|&period| period > 0).ok_or_else(|| {
+                        CliError::new(format!("--baseline `{spec}`: the period must be positive"))
+                    })?;
                     let s = run_periodic(&f, &workload, period);
                     out.push_str(&format!(
                         "Periodic({period})    : {:>8} msgs, max error {:.5}\n",
@@ -559,7 +590,7 @@ pub fn run_monitor(args: &Args) -> Result<String, CliError> {
     if nodes == 0 {
         return Err(CliError::new("--nodes is required and must be positive"));
     }
-    let epsilon = args.num("epsilon", 0.1f64)?;
+    let epsilon = positive_epsilon(args, 0.1)?;
     let text = std::fs::read_to_string(input)
         .map_err(|e| CliError::new(format!("cannot read `{input}`: {e}")))?;
     let updates = parse_csv_updates(&text, nodes)?;
@@ -570,7 +601,7 @@ pub fn run_monitor(args: &Args) -> Result<String, CliError> {
             updates[0].2.len()
         )));
     }
-    let f = build_function(function, dim)?;
+    let f = build_function(function, dim, "--dim")?;
 
     let cfg = MonitorConfig::builder(epsilon).build();
     // The labels go back on the rows. The driver measures a round once
@@ -621,10 +652,10 @@ mod tests {
             ("variance", 2),
             ("rozenbrock", 2),
         ] {
-            let f = build_function(name, dim).unwrap();
+            let f = build_function(name, dim, "--dim").unwrap();
             assert_eq!(f.dim(), dim, "{name}");
         }
-        assert!(build_function("bogus", 2).is_err());
+        assert!(build_function("bogus", 2, "--dim").is_err());
     }
 
     #[test]
@@ -985,12 +1016,12 @@ pub fn run_tune(args: &Args) -> Result<String, CliError> {
     if nodes == 0 {
         return Err(CliError::new("--nodes is required and must be positive"));
     }
-    let epsilon = args.num("epsilon", 0.1f64)?;
+    let epsilon = positive_epsilon(args, 0.1)?;
     let text = std::fs::read_to_string(input)
         .map_err(|e| CliError::new(format!("cannot read `{input}`: {e}")))?;
     let updates = parse_csv_updates(&text, nodes)?;
     let dim = updates[0].2.len();
-    let f = build_function(function, dim)?;
+    let f = build_function(function, dim, "--input")?;
     if f.has_constant_hessian() {
         return Ok(format!(
             "function `{function}` has a constant Hessian: AutoMon uses \

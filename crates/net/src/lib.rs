@@ -21,12 +21,13 @@
 //! * [`reactor`] — the nonblocking runtime (`--net-backend reactor`):
 //!   an edge-triggered epoll event loop ([`poller`]) over a slab of
 //!   per-connection state machines, with frame coalescing and `writev`
-//!   scatter-gather batching ([`frame`]), bounded outbound queues that
-//!   surface backpressure, and a chaos seam at the decoded-frame
-//!   boundary ([`gate`]). The loop has no thread of its own: it runs
-//!   while its caller is inside `send` / `recv*`, over epoll in
+//!   scatter-gather batching ([`frame`]), and bounded outbound queues
+//!   that surface backpressure. The loop has no thread of its own: it
+//!   runs while its caller is inside `send` / `recv*`, over epoll in
 //!   production and over [`sim_poller`]'s seeded in-memory network for
-//!   byte-identical replay (DESIGN.md §3.15).
+//!   byte-identical replay (DESIGN.md §3.15). It injects no faults:
+//!   `automon-sim`'s reactor link applies a fault plan to the frames the
+//!   reactor hands it.
 //! * [`backoff`] — the one seeded, jittered retry/poll schedule both
 //!   backends sleep on.
 //!
@@ -37,7 +38,6 @@
 pub mod backoff;
 mod fabric;
 pub mod frame;
-pub mod gate;
 pub mod poller;
 pub mod reactor;
 mod sharded;
@@ -48,7 +48,6 @@ pub mod wire;
 pub use backoff::Backoff;
 pub use fabric::{CountingFabric, TrafficStats};
 pub use frame::{FrameAssembler, IoVec, OutQueue};
-pub use gate::{FrameGate, GateVerdict, OpenGate};
 pub use poller::{EpollPoller, Event, Poller, SyscallStats, Token};
 pub use reactor::{Reactor, ReactorConfig, ReactorCoordinatorTransport, ReactorTraffic};
 pub use sharded::ShardedFabric;

@@ -19,9 +19,10 @@
 //!   [`TcpError::Backpressured`] instead of buffering without bound,
 //!   and the node is flagged so the coordinator can degrade it to
 //!   lazy-sync participation (surfaced as `automon_net_backpressure_*`).
-//! * **The chaos seam** — an installed [`FrameGate`] sees every decoded
-//!   inbound frame, the same boundary the in-process chaos fabric
-//!   gates, so seeded fault plans replay identically here.
+//!
+//! The reactor injects no faults: every decoded frame is queued for
+//! `pop_inbound` in decode order. The simulated link (`automon-sim`)
+//! applies a fault plan's frame ladder to what it pops.
 //!
 //! A frame that does not decode, an empty one included, closes its
 //! connection. The reactor keeps no liveness clock: the round driver
@@ -36,7 +37,7 @@
 //! as [`crate::tcp::TcpCoordinatorTransport`]; `--net-backend
 //! {threaded,reactor}` picks between them at runtime.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -46,7 +47,6 @@ use automon_core::{NodeId, NodeMessage, Outbound};
 use automon_obs::{Counter, Gauge, SpanId, Telemetry};
 
 use crate::frame::{FrameAssembler, OutQueue};
-use crate::gate::{FrameGate, GateVerdict};
 use crate::poller::{EpollPoller, Event, Poller, SyscallCounters, SyscallStats, LISTENER_TOKEN};
 use crate::tcp::{CoordinatorTransport, TcpError};
 use crate::wire;
@@ -59,20 +59,20 @@ pub struct ReactorConfig {
     /// Per-node outbound frame cap; sends beyond it are refused with
     /// [`TcpError::Backpressured`].
     pub max_outbound_frames: usize,
-    /// Size of the reused read buffer.
-    pub read_buf_len: usize,
 }
 
 impl ReactorConfig {
-    /// Defaults for `n` nodes: 64 queued frames per node, 64 KiB reads.
+    /// Defaults for `n` nodes: 64 queued frames per node.
     pub fn new(n: usize) -> Self {
         Self {
             n,
             max_outbound_frames: 64,
-            read_buf_len: 64 * 1024,
         }
     }
 }
+
+/// Size of the reused read buffer.
+const READ_BUF_LEN: usize = 64 * 1024;
 
 /// Traffic counts accumulated by the reactor core (delivered work, as
 /// opposed to the [`SyscallStats`] it cost).
@@ -168,19 +168,13 @@ struct ConnState<C> {
 /// inline, from the thread that wants the frames.
 pub struct Reactor<P: Poller> {
     poller: P,
-    listener: Option<P::Listener>,
+    listener: P::Listener,
     slab: Vec<Option<ConnState<P::Conn>>>,
     free: Vec<usize>,
     /// node id -> slab slot of its live connection.
     node_slot: Vec<Option<usize>>,
     cfg: ReactorConfig,
-    gate: Option<Box<dyn FrameGate>>,
     inbound: VecDeque<(SpanId, NodeMessage)>,
-    /// Frames the gate pushed behind the current batch.
-    reordered: Vec<(SpanId, NodeMessage)>,
-    /// Frames parked by the gate, keyed by maturity round.
-    delayed: BTreeMap<usize, Vec<(SpanId, NodeMessage)>>,
-    round: usize,
     /// Nodes whose queue crossed the cap and has not drained below half.
     backpressured: Vec<bool>,
     read_buf: Vec<u8>,
@@ -190,16 +184,9 @@ pub struct Reactor<P: Poller> {
 }
 
 impl<P: Poller> Reactor<P> {
-    /// A reactor over `poller` accepting on `listener` (pass `None` for
-    /// pre-established connection setups via [`Reactor::adopt`]).
-    pub fn new(
-        mut poller: P,
-        listener: Option<P::Listener>,
-        cfg: ReactorConfig,
-    ) -> io::Result<Self> {
-        if let Some(l) = &listener {
-            poller.register_listener(l)?;
-        }
+    /// A reactor over `poller` accepting on `listener`.
+    pub fn new(mut poller: P, listener: P::Listener, cfg: ReactorConfig) -> io::Result<Self> {
+        poller.register_listener(&listener)?;
         let n = cfg.n;
         Ok(Self {
             poller,
@@ -207,13 +194,9 @@ impl<P: Poller> Reactor<P> {
             slab: Vec::new(),
             free: Vec::new(),
             node_slot: vec![None; n],
-            read_buf: vec![0u8; cfg.read_buf_len.max(4096)],
+            read_buf: vec![0u8; READ_BUF_LEN],
             cfg,
-            gate: None,
             inbound: VecDeque::new(),
-            reordered: Vec::new(),
-            delayed: BTreeMap::new(),
-            round: 0,
             backpressured: vec![false; n],
             events: Vec::new(),
             traffic: ReactorTraffic::default(),
@@ -221,36 +204,13 @@ impl<P: Poller> Reactor<P> {
         })
     }
 
-    /// Install the fault-injection gate (chaos at the frame boundary).
-    pub fn set_gate(&mut self, gate: Box<dyn FrameGate>) {
-        self.gate = Some(gate);
-    }
-
     /// Install observability handles.
     pub fn set_telemetry(&mut self, tel: &Telemetry) {
         self.tel = ReactorTel::new(tel);
     }
 
-    /// Adopt a pre-established connection (used by tests and setups
-    /// without a listener).
-    pub fn adopt(&mut self, conn: P::Conn) -> io::Result<()> {
-        self.install(conn)
-    }
-
-    /// Advance the protocol round: frames the gate delayed until now
-    /// mature into the inbound queue.
-    pub fn begin_round(&mut self, round: usize) {
-        self.round = round;
-        let due: Vec<usize> = self.delayed.range(..=round).map(|(&r, _)| r).collect();
-        for r in due {
-            for f in self.delayed.remove(&r).unwrap_or_default() {
-                self.inbound.push_back(f);
-            }
-        }
-    }
-
-    /// One readiness round: wait (bounded by `timeout`), service every
-    /// event, then append gate-reordered frames behind the batch.
+    /// One readiness round: wait (bounded by `timeout`) and service
+    /// every event.
     pub fn poll_once(&mut self, timeout: Option<Duration>) -> io::Result<()> {
         let mut events = std::mem::take(&mut self.events);
         events.clear();
@@ -259,13 +219,10 @@ impl<P: Poller> Reactor<P> {
             self.handle_event(ev);
         }
         self.events = events;
-        for f in self.reordered.drain(..).collect::<Vec<_>>() {
-            self.inbound.push_back(f);
-        }
         Ok(())
     }
 
-    /// Next decoded (and gate-surviving) inbound frame.
+    /// Next decoded inbound frame, in decode order.
     pub fn pop_inbound(&mut self) -> Option<(SpanId, NodeMessage)> {
         self.inbound.pop_front()
     }
@@ -343,11 +300,6 @@ impl<P: Poller> Reactor<P> {
         self.poller.stats()
     }
 
-    /// Frames parked in the gate's delay queue.
-    pub fn delayed_frames(&self) -> usize {
-        self.delayed.values().map(Vec::len).sum()
-    }
-
     // -- internals ----------------------------------------------------
 
     fn handle_event(&mut self, ev: Event) {
@@ -372,8 +324,7 @@ impl<P: Poller> Reactor<P> {
 
     fn accept_ready(&mut self) {
         loop {
-            let Some(listener) = &self.listener else { return };
-            match self.poller.accept(listener) {
+            match self.poller.accept(&self.listener) {
                 Ok(Some(conn)) => {
                     if self.install(conn).is_err() {
                         return;
@@ -489,32 +440,9 @@ impl<P: Poller> Reactor<P> {
                         self.close_slot(slot);
                         return false;
                     }
-                    self.admit_inbound(span, msg);
+                    self.inbound.push_back((span, msg));
                 }
             }
-        }
-    }
-
-    /// Pass one decoded frame through the gate (chaos seam) and into
-    /// the inbound queue.
-    fn admit_inbound(&mut self, span: SpanId, msg: NodeMessage) {
-        let verdict = match self.gate.as_mut() {
-            Some(g) => g.gate(false),
-            None => GateVerdict::Deliver,
-        };
-        match verdict {
-            GateVerdict::Deliver => self.inbound.push_back((span, msg)),
-            GateVerdict::DeliverTwice => {
-                self.inbound.push_back((span, msg.clone()));
-                self.reordered.push((span, msg));
-            }
-            GateVerdict::Reorder => self.reordered.push((span, msg)),
-            GateVerdict::Delay(rounds) => self
-                .delayed
-                .entry(self.round + rounds)
-                .or_default()
-                .push((span, msg)),
-            GateVerdict::Discard => {}
         }
     }
 
@@ -651,7 +579,7 @@ impl ReactorCoordinatorTransport {
         listener.set_nonblocking(true)?;
         let poller = EpollPoller::new()?;
         let syscalls = poller.counters();
-        let mut reactor = Reactor::new(poller, Some(listener), ReactorConfig::new(n))?;
+        let mut reactor = Reactor::new(poller, listener, ReactorConfig::new(n))?;
         reactor.set_telemetry(&tel);
 
         // Hello phase: pump the loop until every node greeted.
@@ -787,12 +715,8 @@ mod tests {
 
     fn sim_reactor(seed: u64, n: usize) -> (Reactor<SimPoller>, SimNet) {
         let net = SimNet::with_limits(seed, 64, 1 << 16);
-        let reactor = Reactor::new(
-            net.poller(),
-            Some(net.listener()),
-            ReactorConfig::new(n),
-        )
-        .expect("sim reactor");
+        let reactor =
+            Reactor::new(net.poller(), net.listener(), ReactorConfig::new(n)).expect("sim reactor");
         (reactor, net)
     }
 
@@ -848,7 +772,7 @@ mod tests {
         let net = SimNet::with_limits(3, 64, 32);
         let mut reactor = Reactor::new(
             net.poller(),
-            Some(net.listener()),
+            net.listener(),
             ReactorConfig {
                 max_outbound_frames: 4,
                 ..ReactorConfig::new(1)

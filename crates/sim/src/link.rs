@@ -8,7 +8,7 @@
 //! registration, +3 messages at n = 6), [`ChaosFabric`]
 //! (the same fabric behind a seeded fault plan), [`ReactorLink`] (the
 //! real transport state machines over a simulated poller, with the plan's
-//! fault ladder gating the coordinator's inbound frame boundary), and
+//! fault ladder applied to every node frame the reactor decodes), and
 //! [`SocketLink`] (real loopback sockets, one frame in flight). All four
 //! charge every *delivered* frame through the one
 //! [`CountingFabric::account_up`]/[`CountingFabric::account_down`] pair, so
@@ -27,19 +27,17 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::net::TcpListener;
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use automon_chaos::{
-    ChaosFabric, DeliveryFailure, Executor, FaultEvent, FaultPlan, GateCounts, LadderGate, PlanPart,
+    ChaosFabric, DeliveryFailure, Executor, FaultEvent, FaultPlan, GateCounts, GateVerdict,
+    LadderGate, PlanPart,
 };
 use automon_core::{CommCause, CommLedger, Coordinator, Node, NodeId, NodeMessage, Outbound};
 use automon_net::reactor::{Reactor, ReactorConfig, ReactorTraffic};
 use automon_net::sim_poller::{SimClient, SimNet, SimPoller};
 use automon_net::tcp::{TcpError, TcpNodeTransport};
-use automon_net::{
-    wire, CoordinatorTransport, CountingFabric, FrameGate, GateVerdict, SyscallStats, TrafficStats,
-};
+use automon_net::{wire, CoordinatorTransport, CountingFabric, SyscallStats, TrafficStats};
 use automon_obs::{SpanId, TraceCtx};
 
 /// The protocol endpoints a link delivers to. The driver swaps the
@@ -171,20 +169,8 @@ pub(crate) type NetOptions = (u64, usize, usize);
 /// Idle pump iterations that count as in-exchange quiescence.
 const IDLE_ITERS: usize = 4;
 
-/// A [`LadderGate`] that mirrors its fault tally into a shared cell the link
-/// can read after the gate is boxed into the reactor.
-struct SharedLadder {
-    inner: LadderGate,
-    counts: Arc<Mutex<GateCounts>>,
-}
-
-impl FrameGate for SharedLadder {
-    fn gate(&mut self, immune: bool) -> GateVerdict {
-        let v = self.inner.gate(immune);
-        *self.counts.lock().unwrap_or_else(|e| e.into_inner()) = self.inner.counts();
-        v
-    }
-}
+/// A decoded node frame and the span on its header.
+type Frame = (SpanId, NodeMessage);
 
 /// The reactor transport as a [`Link`]: one simulated connection per node
 /// into a `Reactor<SimPoller>`. Every report is encoded to wire bytes, pushed
@@ -193,12 +179,22 @@ impl FrameGate for SharedLadder {
 /// then handled; replies take the mirrored path back through `writev`
 /// batching. Protocol-visible outcomes depend only on frame contents and
 /// order, never on how the bytes were chunked in transit.
+///
+/// The ladder draws once per decoded frame, in decode order, as each
+/// [`pump`](Self::pump) iteration pops the frames its poll decoded: a
+/// frame delivered twice or reordered goes (again) behind that poll's
+/// frames, and a delayed one waits in `delayed` until its round begins.
 pub(crate) struct ReactorLink {
     reactor: Reactor<SimPoller>,
     clients: Vec<SimClient>,
     /// Accounting only: nothing is routed through it.
     fabric: CountingFabric,
-    faults: Arc<Mutex<GateCounts>>,
+    ladder: LadderGate,
+    /// Frames the ladder let through, in handling order.
+    ready: VecDeque<Frame>,
+    /// Frames the ladder delayed, keyed by the round they mature in.
+    delayed: BTreeMap<usize, Vec<Frame>>,
+    round: usize,
     /// Outbounds refused by a backpressured queue, retried every pump.
     pending_out: VecDeque<Outbound>,
     /// Causes of the frames queued toward each node, in wire order. The down
@@ -225,17 +221,11 @@ impl ReactorLink {
     /// driver has admitted `plan` against [`ReactorLink::EXECUTOR`].
     pub fn new(fabric: CountingFabric, plan: &FaultPlan, net: NetOptions, n: usize) -> Self {
         let net = SimNet::with_limits(net.0, net.1, net.2);
-        let mut reactor = Reactor::new(net.poller(), Some(net.listener()), ReactorConfig::new(n))
+        let mut reactor = Reactor::new(net.poller(), net.listener(), ReactorConfig::new(n))
             .expect("sim reactor never fails to build");
-        let faults = Arc::new(Mutex::new(GateCounts::default()));
-        let gate = SharedLadder {
-            inner: LadderGate::new(plan),
-            counts: faults.clone(),
-        };
-        reactor.set_gate(Box::new(gate));
 
         // Connect + hello each node, in id order. The reactor consumes
-        // hellos pre-gate, so they never hit the fault ladder.
+        // hellos itself, so they never hit the fault ladder.
         let clients: Vec<SimClient> = (0..n).map(|_| net.connect()).collect();
         for (node, c) in clients.iter().enumerate() {
             let hello = NodeMessage::LocalVector {
@@ -255,7 +245,10 @@ impl ReactorLink {
             reactor,
             clients,
             fabric,
-            faults,
+            ladder: LadderGate::new(plan),
+            ready: VecDeque::new(),
+            delayed: BTreeMap::new(),
+            round: 0,
             pending_out: VecDeque::new(),
             down_causes: vec![VecDeque::new(); n],
             up_causes: BTreeMap::new(),
@@ -290,15 +283,40 @@ impl ReactorLink {
         }
     }
 
-    /// Exchange frames until quiescent: reactor inbound → coordinator →
-    /// reactor outbound → clients → node replies → back in, with queued
-    /// outbounds retried as backpressure relieves.
+    /// Pass every frame the last poll decoded through the ladder, in
+    /// decode order, onto the ready queue; duplicates' copies and
+    /// reordered frames go behind all of them.
+    fn gate_decoded(&mut self) {
+        let mut behind = Vec::new();
+        while let Some(frame) = self.reactor.pop_inbound() {
+            match self.ladder.gate(false) {
+                GateVerdict::Deliver => self.ready.push_back(frame),
+                GateVerdict::DeliverTwice => {
+                    self.ready.push_back(frame.clone());
+                    behind.push(frame);
+                }
+                GateVerdict::Reorder => behind.push(frame),
+                GateVerdict::Delay(rounds) => self
+                    .delayed
+                    .entry(self.round + rounds)
+                    .or_default()
+                    .push(frame),
+                GateVerdict::Discard => {}
+            }
+        }
+        self.ready.extend(behind);
+    }
+
+    /// Exchange frames until quiescent: reactor inbound → ladder →
+    /// coordinator → reactor outbound → clients → node replies → back in,
+    /// with queued outbounds retried as backpressure relieves.
     fn pump(&mut self, Peers { coord, nodes }: &mut Peers) {
         let mut idle = 0usize;
         while idle < IDLE_ITERS {
             self.reactor
                 .poll_once(Some(Duration::ZERO))
                 .expect("sim poll never fails");
+            self.gate_decoded();
             let mut progress = false;
             // Mirror transport backpressure into the protocol layer so
             // lazy-sync growth prefers responsive nodes.
@@ -309,7 +327,7 @@ impl ReactorLink {
                 let out = self.pending_out.pop_front().expect("len checked");
                 progress |= self.send_down(out);
             }
-            while let Some((span, msg)) = self.reactor.pop_inbound() {
+            while let Some((span, msg)) = self.ready.pop_front() {
                 progress = true;
                 let frame = wire::encode_node_message_ctx(&msg, span);
                 let sent_as = self.up_causes.get(&frame[..]).copied();
@@ -341,7 +359,11 @@ impl ReactorLink {
 impl Link for ReactorLink {
     fn begin_round(&mut self, round: usize) -> Vec<NodeId> {
         self.fabric.set_round(round as u64);
-        self.reactor.begin_round(round);
+        self.round = round;
+        let later = self.delayed.split_off(&(round + 1));
+        for (_, frames) in std::mem::replace(&mut self.delayed, later) {
+            self.ready.extend(frames);
+        }
         Vec::new()
     }
     fn release_matured(&mut self, peers: &mut Peers) {
@@ -357,7 +379,7 @@ impl Link for ReactorLink {
         self.pump(peers);
     }
     fn frames_in_flight(&self) -> usize {
-        self.reactor.delayed_frames() + self.pending_out.len()
+        self.delayed.values().map(Vec::len).sum::<usize>() + self.pending_out.len()
     }
     fn stats(&self) -> &TrafficStats {
         self.fabric.stats()
@@ -369,7 +391,7 @@ impl Link for ReactorLink {
         Some(TransportReport {
             syscalls: self.reactor.syscalls(),
             traffic: self.reactor.traffic(),
-            faults: *self.faults.lock().unwrap_or_else(|e| e.into_inner()),
+            faults: self.ladder.counts(),
         })
     }
 }

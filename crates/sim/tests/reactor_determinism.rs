@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use automon_autodiff::{AutoDiffFn, Scalar, ScalarFn};
-use automon_chaos::FaultPlan;
+use automon_chaos::{FaultPlan, GateCounts};
 use automon_core::{MonitorConfig, MonitoredFunction};
 use automon_obs::Telemetry;
 use automon_sim::{RunReport, Simulation, TransportReport, Workload};
@@ -177,5 +177,43 @@ fn drops_are_recovered_by_retransmission() {
     assert!(
         rows.iter().any(|r| r.cause == "retransmit" && r.msgs > 0),
         "{rows:?}"
+    );
+}
+
+/// What each ladder fault does on the reactor link, not only that it
+/// replays: a drop, a duplicate, a reorder and a delay change different
+/// totals, so moving any of them (or the coordinator crash's recovery)
+/// changes a number pinned here. The values are this run's at the time
+/// the reactor itself applied the ladder.
+#[test]
+fn every_ladder_fault_and_a_coordinator_crash_pin_the_run() {
+    let w = workload(5, 90);
+    let cfg = MonitorConfig::builder(0.3).build();
+    let plan = FaultPlan::seeded(31)
+        .with_drop_rate(0.06)
+        .with_duplicate_rate(0.06)
+        .with_reorder_rate(0.08)
+        .with_delay(0.08, 3)
+        .with_coordinator_crash(40);
+    let sim = Simulation::new(f(), cfg)
+        .with_plan(plan)
+        .with_net_seed(5)
+        .with_limits(19, 384);
+    let (r, net, _) = traced(sim, &w);
+    assert!(r.quiesced, "the run must drain");
+    let s = &r.stats;
+    assert_eq!((s.messages, s.payload_bytes), (986, 35011));
+    assert_eq!((s.retransmits, s.injected_faults), (33, 98));
+    assert_eq!((s.full_syncs, s.lazy_syncs), (22, 106));
+    assert_eq!(s.coordinator_recoveries, 1);
+    assert_eq!(
+        net.faults,
+        GateCounts {
+            drops: 20,
+            duplicates: 22,
+            reorders: 25,
+            delays: 31,
+            gated: 407,
+        }
     );
 }
