@@ -15,22 +15,22 @@
 use std::sync::Arc;
 
 use automon_autodiff::AutoDiffFn;
-use automon_core::{Curvature, DcKind, MonitoredFunction, SafeZone};
+use automon_core::{Curvature, DcKind, MonitoredFunction, SafeZone, ZoneUpdate};
 use automon_functions::Sine;
 
 use crate::{f, Scale, Table};
 
 fn zone(dc: DcKind) -> SafeZone {
-    SafeZone {
+    let head = ZoneUpdate {
         x0: vec![std::f64::consts::FRAC_PI_2],
         f0: 1.0,
         grad0: vec![0.0],
         l: 0.8,
         u: 1.2,
         dc,
-        curvature: Curvature::Scalar(1.0),
         neighborhood: None,
-    }
+    };
+    SafeZone::new(head, Curvature::Scalar(1.0))
 }
 
 /// Bisect the boundary of `inside` within `[lo, hi]`, assuming exactly

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use automon_autodiff::AutoDiffFn;
-use automon_core::{adcd, MonitorConfig, MonitoredFunction, NeighborhoodBox, SafeZone};
+use automon_core::{adcd, MonitorConfig, MonitoredFunction, NeighborhoodBox, SafeZone, ZoneUpdate};
 use automon_functions::Rozenbrock;
 
 use crate::plot::{Chart, Series};
@@ -41,16 +41,18 @@ fn geometry(r: f64, eps: f64) -> ZoneGeometry {
     let cfg = MonitorConfig::builder(eps).build();
     let dec = adcd::decompose(func.as_ref(), &x0, Some(&b), &cfg);
     // Zone without the box, so membership can be classified separately.
-    let zone = SafeZone {
-        x0: x0.clone(),
-        f0,
-        grad0,
-        l: f0 - eps,
-        u: f0 + eps,
-        dc: dec.dc,
-        curvature: dec.curvature.clone(),
-        neighborhood: None,
-    };
+    let zone = SafeZone::new(
+        ZoneUpdate {
+            x0: x0.clone(),
+            f0,
+            grad0,
+            l: f0 - eps,
+            u: f0 + eps,
+            dc: dec.dc,
+            neighborhood: None,
+        },
+        dec.curvature.clone(),
+    );
 
     let mut admissible = Vec::new();
     let mut in_zone = Vec::new();

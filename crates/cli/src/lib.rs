@@ -144,7 +144,8 @@ FLEET (simulate only; two-tier sharded hierarchy, DESIGN.md §3.14):
 
 OBSERVABILITY (simulate only):
     --json              print the run statistics as one JSON object
-                        (chaos runs add a `quiesced` field)
+                        (chaos runs add a `quiesced` field); it has no
+                        baseline rows, so --baseline is refused with it
     --metrics-out FILE  dump final metrics in Prometheus text exposition
     --trace-out FILE    dump the structured event trace as JSONL; events
                         carry logical round/op counters, so the same
@@ -418,6 +419,37 @@ mod tests {
         assert!(out.contains("Centralization"), "{out}");
         assert!(out.contains("Periodic(10)"), "{out}");
         assert!(out.contains("max error"), "{out}");
+    }
+
+    #[test]
+    fn baselines_run_beside_a_fault_plan_too() {
+        let out = cli(&[
+            "simulate", "--function", "variance", "--nodes", "3", "--rounds", "30", "--chaos-seed",
+            "1", "--drop-rate", "0.1", "--baseline", "centralization", "--baseline", "periodic:5",
+        ])
+        .unwrap();
+        assert!(out.contains("AutoMon (chaos)"), "{out}");
+        assert!(out.contains("Centralization :"), "{out}");
+        assert!(out.contains("Periodic(5)"), "{out}");
+    }
+
+    #[test]
+    fn a_bad_baseline_is_refused_with_the_other_flags() {
+        // Read before the fault plan is even admitted, so long before any
+        // run: the unrunnable drop rate is never reached.
+        let err = cli(&[
+            "simulate", "--function", "variance", "--nodes", "3", "--rounds", "30", "--drop-rate",
+            "2", "--baseline", "periodic:x",
+        ])
+        .unwrap_err();
+        assert_eq!(err.to_string(), "--baseline `periodic:x`: the period must be positive");
+        let err = cli(&["simulate", "--function", "variance", "--drop-rate", "2", "--baseline", "x"])
+            .unwrap_err();
+        assert_eq!(err.to_string(), "unknown baseline `x` (centralization | periodic:<P>)");
+        // `--json` has no baseline rows: the pair is refused, not ignored.
+        let err = cli(&["simulate", "--function", "variance", "--json", "--baseline", "centralization"])
+            .unwrap_err();
+        assert!(err.to_string().starts_with("--baseline cannot be combined with --json"), "{err}");
     }
 
     #[test]

@@ -355,6 +355,71 @@ fn stats_json(stats: &automon_sim::RunStats, extra: &[(&str, Value)]) -> Result<
     serde_json::to_string(&v).map_err(|e| CliError::new(format!("JSON encoding failed: {e}")))
 }
 
+/// One `--baseline` spec of `simulate`.
+enum Baseline {
+    Centralization,
+    Periodic(usize),
+}
+
+/// Every `--baseline` spec, read with the other flags so a bad one is
+/// refused before the run, not after it.
+fn parse_baselines(args: &Args) -> Result<Vec<Baseline>, CliError> {
+    let specs = args.get_all("baseline");
+    if !specs.is_empty() && args.flag("json") {
+        return Err(CliError::new(
+            "--baseline cannot be combined with --json (the JSON report has no baseline rows)",
+        ));
+    }
+    specs
+        .iter()
+        .map(|spec| {
+            if spec == "centralization" {
+                Ok(Baseline::Centralization)
+            } else if let Some(p) = spec.strip_prefix("periodic:") {
+                p.parse::<usize>()
+                    .ok()
+                    .filter(|&period| period > 0)
+                    .map(Baseline::Periodic)
+                    .ok_or_else(|| {
+                        CliError::new(format!("--baseline `{spec}`: the period must be positive"))
+                    })
+            } else {
+                Err(CliError::new(format!(
+                    "unknown baseline `{spec}` (centralization | periodic:<P>)"
+                )))
+            }
+        })
+        .collect()
+}
+
+/// The report lines of `baselines`, each run fault-free on `workload`.
+fn run_baselines(
+    f: &Arc<dyn MonitoredFunction>,
+    workload: &Workload,
+    baselines: &[Baseline],
+) -> String {
+    let mut out = String::new();
+    for b in baselines {
+        match *b {
+            Baseline::Centralization => {
+                let c = run_centralization(f, workload);
+                out.push_str(&format!(
+                    "Centralization : {:>8} msgs, max error {:.5}\n",
+                    c.messages, c.max_error
+                ));
+            }
+            Baseline::Periodic(period) => {
+                let s = run_periodic(f, workload, period);
+                out.push_str(&format!(
+                    "Periodic({period})    : {:>8} msgs, max error {:.5}\n",
+                    s.messages, s.max_error
+                ));
+            }
+        }
+    }
+    out
+}
+
 /// Flags `automon simulate` reads besides [`FAULT_FLAGS`]; `dispatch`
 /// rejects any other.
 pub(crate) const SIMULATE_FLAGS: &[Flag] = &[
@@ -375,6 +440,8 @@ pub fn run_simulate(args: &Args) -> Result<String, CliError> {
     if nodes == 0 || rounds == 0 {
         return Err(CliError::new("--nodes and --rounds must be positive"));
     }
+
+    let baselines = parse_baselines(args)?;
 
     let f = build_function(function, dim, "--dim")?;
     let workload = build_workload(function, nodes, rounds, dim, seed)?;
@@ -522,29 +589,9 @@ pub fn run_simulate(args: &Args) -> Result<String, CliError> {
                 "AutoMon        : {:>8} msgs, max error {:.5}, full/lazy syncs {}/{}\n",
                 s.messages, s.max_error, s.full_syncs, s.lazy_syncs
             ));
-            for spec in args.get_all("baseline") {
-                if spec == "centralization" {
-                    let c = run_centralization(&f, &workload);
-                    out.push_str(&format!(
-                        "Centralization : {:>8} msgs, max error {:.5}\n",
-                        c.messages, c.max_error
-                    ));
-                } else if let Some(p) = spec.strip_prefix("periodic:") {
-                    let period = p.parse::<usize>().ok().filter(|&period| period > 0).ok_or_else(|| {
-                        CliError::new(format!("--baseline `{spec}`: the period must be positive"))
-                    })?;
-                    let s = run_periodic(&f, &workload, period);
-                    out.push_str(&format!(
-                        "Periodic({period})    : {:>8} msgs, max error {:.5}\n",
-                        s.messages, s.max_error
-                    ));
-                } else {
-                    return Err(CliError::new(format!(
-                        "unknown baseline `{spec}` (centralization | periodic:<P>)"
-                    )));
-                }
-            }
         }
+        // Empty under `--json` (`parse_baselines` refuses the pair).
+        out.push_str(&run_baselines(&f, &workload, &baselines));
         out
     };
 

@@ -6,12 +6,12 @@ use std::sync::Arc;
 use automon_linalg::vector;
 use automon_obs::{Counter, Gauge, Telemetry, TraceCtx};
 
-use crate::adcd::{self, AdcdKind, DcDecomposition};
+use crate::adcd::{self, AdcdKind};
 use crate::config::{ApproximationKind, MonitorConfig};
 use crate::id_set::IdSet;
 use crate::ledger::CommCause;
 use crate::messages::{CoordinatorMessage, Epoch, NodeId, NodeMessage, Outbound};
-use crate::safezone::{Curvature, DcKind, Domain, SafeZone, ViolationKind};
+use crate::safezone::{Curvature, DcKind, Domain, SafeZone, ViolationKind, ZoneUpdate};
 use crate::slot_list::SlotList;
 use crate::MonitoredFunction;
 
@@ -272,8 +272,9 @@ pub struct Coordinator {
     lru: SlotList,
     state: SyncState,
     stats: CoordinatorStats,
-    /// Cached ADCD-E decomposition (constant Hessian ⇒ computed once).
-    e_cache: Option<DcDecomposition>,
+    /// ADCD-E's DC kind and penalty (constant Hessian ⇒ decomposed
+    /// once): every zone of the run shares this one allocation.
+    e_cache: Option<(DcKind, Arc<Curvature>)>,
     /// Nodes that already hold the current curvature (can receive the
     /// matrix-free `NewConstraintsCached`).
     node_has_curvature: Vec<bool>,
@@ -1141,78 +1142,74 @@ impl Coordinator {
     fn full_sync(&mut self) -> Vec<Outbound> {
         // x0 is `vector::mean` of the alive vectors, summed in place in id
         // order: the same bits without cloning any member.
-        let members: Vec<NodeId> = (0..self.n).filter(|&i| self.lru.contains(i)).collect();
-        assert!(!members.is_empty(), "at least one alive node");
+        let alive = self.alive_count();
+        assert!(alive > 0, "at least one alive node");
         let mut x0 = vec![0.0; self.d];
-        for &i in &members {
+        for i in (0..self.n).filter(|&i| self.lru.contains(i)) {
             assert!(self.known[i], "full sync requires all alive vectors");
             vector::axpy(&mut x0, 1.0, self.x(i));
         }
-        let inv = 1.0 / members.len() as f64;
+        let inv = 1.0 / alive as f64;
         for v in &mut x0 {
             *v *= inv;
         }
         let (f0, grad0) = self.f.eval_grad(&x0);
         let (l, u) = self.thresholds(f0);
 
-        let mut old = self.zone.take();
-        // Set where the new zone's penalty is the old zone's own matrix.
-        let mut reused = false;
+        let old = self.zone.take();
         let (dc, curvature, neighborhood) = if self.cfg.disable_adcd {
-            (DcKind::AdmissibleOnly, Curvature::Scalar(0.0), None)
+            (DcKind::AdmissibleOnly, Arc::new(Curvature::Scalar(0.0)), None)
         } else if adcd::variant(self.f.as_ref(), &self.cfg) == AdcdKind::E {
             // Constant Hessian: decomposition computed once, then
             // cached (paper §4.4: "eigendecomposition is done only
             // once at initialization").
-            let cached = self.e_cache.is_some();
-            let dec = self.e_cache.get_or_insert_with(|| {
-                adcd::decompose_observed(self.f.as_ref(), &x0, None, &self.cfg, &self.tel.tel)
+            let (dc, curvature) = self.e_cache.get_or_insert_with(|| {
+                let dec =
+                    adcd::decompose_observed(self.f.as_ref(), &x0, None, &self.cfg, &self.tel.tel);
+                (dec.dc, Arc::new(dec.curvature))
             });
-            // Every zone built since the cache was filled took its
-            // penalty from it, so the old zone's matrix *is* the
-            // cached one: move it across instead of copying d²
-            // entries and then comparing them to learn as much. (A
-            // zone restored from a snapshot predates the cache and
-            // takes the copy-and-compare path once.)
-            match old.take_if(|_| cached) {
-                Some(old) => {
-                    reused = true;
-                    (dec.dc, old.curvature, None)
-                }
-                None => (dec.dc, dec.curvature.clone(), None),
-            }
+            (*dc, Arc::clone(curvature), None)
         } else {
             let b = self.domain.neighborhood(&x0, self.r);
             let dec =
                 adcd::decompose_observed(self.f.as_ref(), &x0, Some(&b), &self.cfg, &self.tel.tel);
-            (dec.dc, dec.curvature, Some(b))
-        };
-        let zone = SafeZone {
-            x0: x0.clone(),
-            f0,
-            grad0,
-            l,
-            u,
-            dc,
-            curvature,
-            neighborhood,
+            (dec.dc, Arc::new(dec.curvature), Some(b))
         };
 
         // A node that already holds this exact curvature gets the
         // matrix-free form — for ADCD-E the O(d²) penalty never crosses
-        // the wire after the first sync (paper §4.4).
-        let curvature_unchanged =
-            reused || old.is_some_and(|old| old.curvature == zone.curvature && old.dc == zone.dc);
+        // the wire after the first sync (paper §4.4). Every ADCD-E zone
+        // since the cache was filled holds the cache's own allocation,
+        // so pointer identity settles it without reading d² entries; a
+        // penalty decomposed afresh (ADCD-X, or the first sync after a
+        // restore) is compared by value.
+        let curvature_unchanged = old.is_some_and(|old| {
+            old.dc == dc
+                && (Arc::ptr_eq(&old.curvature, &curvature) || *old.curvature == *curvature)
+        });
+        // One head per sync: every member's install shares it.
+        let zone = SafeZone {
+            head: Arc::new(ZoneUpdate {
+                x0,
+                f0,
+                grad0,
+                l,
+                u,
+                dc,
+                neighborhood,
+            }),
+            curvature,
+        };
         // A completed full sync opens a new epoch; the installs below
         // carry it, and anything still in flight from before is stale.
         self.epoch += 1;
         let d = self.d;
-        let mut out = Vec::with_capacity(members.len());
-        for &i in &members {
+        let mut out = Vec::with_capacity(alive);
+        for i in (0..self.n).filter(|&i| self.lru.contains(i)) {
             let row = i * d..(i + 1) * d;
             let slack = &mut self.slacks[row.clone()];
             if self.cfg.enable_slack {
-                for ((s, &a), &x) in slack.iter_mut().zip(&x0).zip(&self.xs[row]) {
+                for ((s, &a), &x) in slack.iter_mut().zip(&zone.x0).zip(&self.xs[row]) {
                     *s = a - x;
                 }
             } else {
@@ -1221,15 +1218,7 @@ impl Coordinator {
             let slack = slack.to_vec();
             let msg = if curvature_unchanged && self.node_has_curvature[i] {
                 CoordinatorMessage::NewConstraintsCached {
-                    update: crate::messages::ZoneUpdate {
-                        x0: zone.x0.clone(),
-                        f0: zone.f0,
-                        grad0: zone.grad0.clone(),
-                        l: zone.l,
-                        u: zone.u,
-                        dc: zone.dc,
-                        neighborhood: zone.neighborhood.clone(),
-                    },
+                    update: Arc::clone(&zone.head),
                     slack,
                     epoch: self.epoch,
                 }
@@ -1252,7 +1241,7 @@ impl Coordinator {
                 ("value", zone.f0.into()),
                 ("lower", zone.l.into()),
                 ("upper", zone.u.into()),
-                ("members", members.len().into()),
+                ("members", alive.into()),
             ],
         );
         self.zone = Some(zone);

@@ -49,10 +49,12 @@ pub use coordinator::{Coordinator, CoordinatorSnapshot, CoordinatorStats};
 pub use journal::{Journal, Transition};
 pub use ledger::{CommCause, CommLedger, LedgerCell, LedgerEntry};
 pub use messages::{
-    CoordinatorMessage, Epoch, NodeId, NodeMessage, Outbound, Recipient, TierMessage, ZoneUpdate,
+    CoordinatorMessage, Epoch, NodeId, NodeMessage, Outbound, Recipient, TierMessage,
 };
 pub use node::Node;
-pub use safezone::{Curvature, DcKind, Domain, NeighborhoodBox, SafeZone, ViolationKind};
+pub use safezone::{
+    Curvature, DcKind, Domain, NeighborhoodBox, SafeZone, ViolationKind, ZoneUpdate,
+};
 
 /// The object-safe function interface AutoMon monitors.
 ///

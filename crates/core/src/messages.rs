@@ -6,11 +6,13 @@
 //! `automon-net` crate provides a compact binary codec and an in-process
 //! fabric with byte accounting.
 
+use std::sync::Arc;
+
 use automon_obs::SpanId;
 use serde::{Deserialize, Serialize};
 
 use crate::ledger::CommCause;
-use crate::safezone::{DcKind, NeighborhoodBox, SafeZone, ViolationKind};
+use crate::safezone::{SafeZone, ViolationKind, ZoneUpdate};
 
 /// Node identifier, dense in `0..n`.
 pub type NodeId = usize;
@@ -63,27 +65,6 @@ impl NodeMessage {
     }
 }
 
-/// The curvature-free part of a safe zone: everything a full sync
-/// changes when the DC decomposition itself is unchanged (constant
-/// Hessian ⇒ constant penalty, recomputed never — paper §4.4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ZoneUpdate {
-    /// New reference point `x0`.
-    pub x0: Vec<f64>,
-    /// `f(x0)`.
-    pub f0: f64,
-    /// `∇f(x0)`.
-    pub grad0: Vec<f64>,
-    /// Lower threshold.
-    pub l: f64,
-    /// Upper threshold.
-    pub u: f64,
-    /// DC representation in force.
-    pub dc: DcKind,
-    /// Neighborhood box, if restricted.
-    pub neighborhood: Option<NeighborhoodBox>,
-}
-
 /// Message from the coordinator to one node.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum CoordinatorMessage {
@@ -95,7 +76,8 @@ pub enum CoordinatorMessage {
     /// Install new local constraints and this node's slack vector
     /// (full sync).
     NewConstraints {
-        /// The safe zone to monitor.
+        /// The safe zone to monitor: the sync's shared head and penalty,
+        /// the same allocations in every member's install.
         zone: SafeZone,
         /// This node's slack `sᵢ`.
         slack: Vec<f64>,
@@ -104,11 +86,12 @@ pub enum CoordinatorMessage {
     },
     /// Full-sync constraints whose curvature penalty is byte-identical
     /// to the node's current one (always the case for ADCD-E after the
-    /// first sync): the node reuses its stored curvature, and the
+    /// first sync): the node keeps its stored curvature, and the
     /// O(d²) matrix payload never crosses the wire again (§4.4, §4.7).
     NewConstraintsCached {
-        /// The curvature-free zone fields.
-        update: ZoneUpdate,
+        /// The curvature-free zone fields, shared by every member's
+        /// install of the sync.
+        update: Arc<ZoneUpdate>,
         /// This node's slack `sᵢ`.
         slack: Vec<f64>,
         /// The epoch these constraints open.

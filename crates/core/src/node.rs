@@ -1,7 +1,9 @@
 //! The AutoMon node algorithm (paper Algorithm 1, node side).
 //!
-//! A node keeps its raw local vector `x`, the slack `s` assigned by the
-//! coordinator, and the current [`SafeZone`]. On every data update it
+//! A node owns its raw local vector `x`, the slack `s` assigned by the
+//! coordinator, its epoch and its pending flags; the current [`SafeZone`]
+//! it only shares (the sync's head and penalty, the same allocations at
+//! every member). On every data update it
 //! checks the slack-adjusted vector `x + s` against the constraints and
 //! reports a violation at most once per resolution cycle; while a report
 //! is outstanding further updates stay silent until new constraints or a
@@ -20,6 +22,7 @@ pub struct Node {
     f: Arc<dyn MonitoredFunction>,
     x: Option<Vec<f64>>,
     slack: Vec<f64>,
+    /// Shared with the coordinator and the other members of the sync.
     zone: Option<SafeZone>,
     /// A violation has been reported and not yet resolved.
     pending: bool,
@@ -167,6 +170,22 @@ impl Node {
         })
     }
 
+    /// The node's process restarted as node `id`: its constraints, slack,
+    /// epoch and any outstanding report are gone, and only its data
+    /// stream's last vector survives. It re-registers from that vector,
+    /// exactly as a fresh node fed the vector by
+    /// [`update_data`](Self::update_data) would; `None` when it never
+    /// had one.
+    pub fn restart(&mut self, id: NodeId) -> Option<NodeMessage> {
+        self.id = id;
+        self.slack.fill(0.0);
+        self.zone = None;
+        self.pending = false;
+        self.epoch = 0;
+        self.pending_kind = None;
+        self.check()
+    }
+
     /// A fresh registration report — what a node that lost its protocol
     /// state (e.g. a restarted process handed a cached-constraints frame
     /// it cannot apply) sends to ask the coordinator for a full resync.
@@ -227,20 +246,14 @@ impl Node {
                 if epoch > self.epoch + 1 {
                     return self.reregister();
                 }
-                // The d×d penalty moves from the old zone to the new one;
-                // nothing else of the old zone survives the install.
-                let Some(curvature) = self.zone.take().map(|z| z.curvature) else {
+                // The penalty handle moves from the old zone to the new
+                // one beside the sync's shared head: two pointer moves.
+                let Some(old) = self.zone.take() else {
                     return self.reregister();
                 };
                 self.zone = Some(SafeZone {
-                    x0: update.x0,
-                    f0: update.f0,
-                    grad0: update.grad0,
-                    l: update.l,
-                    u: update.u,
-                    dc: update.dc,
-                    curvature,
-                    neighborhood: update.neighborhood,
+                    head: update,
+                    curvature: old.curvature,
                 });
                 self.slack = slack;
                 self.epoch = epoch;
@@ -268,7 +281,7 @@ impl Node {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::safezone::{Curvature, DcKind};
+    use crate::safezone::{Curvature, DcKind, ZoneUpdate};
     use automon_autodiff::{AutoDiffFn, Scalar, ScalarFn};
 
     struct Identity1;
@@ -287,16 +300,18 @@ mod tests {
 
     fn zone() -> SafeZone {
         // f(x) = x, x0 = 0, ε = 1: safe zone is simply |x| ≤ 1.
-        SafeZone {
-            x0: vec![0.0],
-            f0: 0.0,
-            grad0: vec![1.0],
-            l: -1.0,
-            u: 1.0,
-            dc: DcKind::ConvexDiff,
-            curvature: Curvature::Scalar(0.0),
-            neighborhood: None,
-        }
+        SafeZone::new(
+            ZoneUpdate {
+                x0: vec![0.0],
+                f0: 0.0,
+                grad0: vec![1.0],
+                l: -1.0,
+                u: 1.0,
+                dc: DcKind::ConvexDiff,
+                neighborhood: None,
+            },
+            Curvature::Scalar(0.0),
+        )
     }
 
     #[test]
@@ -377,6 +392,32 @@ mod tests {
         });
         // 0.3 + 0.9 = 1.2 > 1 → violation even though raw x is inside.
         assert!(n.update_data(vec![0.3]).is_some());
+    }
+
+    #[test]
+    fn a_restart_keeps_only_the_vector_and_reregisters_from_it() {
+        let mut n = Node::new(3, f());
+        assert!(n.restart(3).is_none(), "no vector, nothing to register");
+        let _ = n.update_data(vec![0.0]);
+        n.handle(CoordinatorMessage::NewConstraints {
+            zone: zone(),
+            slack: vec![0.25],
+            epoch: 4,
+        });
+        let m = n.restart(7).expect("re-registers");
+        assert_eq!(
+            m,
+            NodeMessage::Violation {
+                node: 7,
+                kind: ViolationKind::Uninitialized,
+                local_vector: vec![0.0],
+                epoch: 0,
+            }
+        );
+        assert!(n.zone().is_none());
+        assert_eq!(n.slack(), &[0.0]);
+        assert_eq!(n.epoch(), 0);
+        assert!(n.is_pending());
     }
 
     #[test]

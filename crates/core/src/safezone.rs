@@ -5,12 +5,15 @@
 //! `L, U`, the chosen DC representation, the convex curvature penalty
 //! derived from it, and the neighborhood `B`. It is pure data
 //! (serializable) — the monitored function itself is shared code that both
-//! coordinator and nodes already hold.
+//! coordinator and nodes already hold — and a cheap handle: one sync's
+//! members share one copy of it.
 
 use std::cell::RefCell;
+use std::ops::Deref;
+use std::sync::Arc;
 
 use automon_linalg::{vector, Matrix};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::MonitoredFunction;
 
@@ -179,9 +182,23 @@ pub enum ViolationKind {
     FaultyConstraints,
 }
 
-/// The local constraints distributed by the coordinator.
+impl ViolationKind {
+    /// The variant's name, as `{:?}` spells it (trace fields).
+    pub fn name(self) -> &'static str {
+        match self {
+            ViolationKind::Uninitialized => "Uninitialized",
+            ViolationKind::Neighborhood => "Neighborhood",
+            ViolationKind::SafeZone => "SafeZone",
+            ViolationKind::FaultyConstraints => "FaultyConstraints",
+        }
+    }
+}
+
+/// The curvature-free part of a safe zone: everything a full sync
+/// changes when the DC decomposition itself is unchanged (constant
+/// Hessian ⇒ constant penalty, recomputed never — paper §4.4).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SafeZone {
+pub struct ZoneUpdate {
     /// Reference point `x0`.
     pub x0: Vec<f64>,
     /// `f(x0)`.
@@ -194,13 +211,75 @@ pub struct SafeZone {
     pub u: f64,
     /// DC representation in force.
     pub dc: DcKind,
-    /// Convex penalty from the DC decomposition.
-    pub curvature: Curvature,
     /// Neighborhood `B`; `None` means all of `D` (ADCD-E or no-ADCD).
     pub neighborhood: Option<NeighborhoodBox>,
 }
 
+/// The local constraints distributed by the coordinator.
+///
+/// Every member of one sync monitors the same constraints (only its
+/// slack differs), so a zone is a handle on two shared allocations: the
+/// sync's [`ZoneUpdate`] head and the DC penalty. Cloning it moves two
+/// pointers; the coordinator builds the head once per sync and, for
+/// ADCD-E, the penalty once per run, and every in-process member holds
+/// those same allocations. The head's fields read through `Deref`
+/// (`zone.x0`, `zone.f0`, ...).
+///
+/// Its JSON and wire forms are the flat eight-field record
+/// `x0, f0, grad0, l, u, dc, curvature, neighborhood`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SafeZone {
+    /// Reference point, thresholds, DC kind and neighborhood.
+    pub head: Arc<ZoneUpdate>,
+    /// Convex penalty from the DC decomposition.
+    pub curvature: Arc<Curvature>,
+}
+
+impl Deref for SafeZone {
+    type Target = ZoneUpdate;
+
+    fn deref(&self) -> &ZoneUpdate {
+        &self.head
+    }
+}
+
+impl Serialize for SafeZone {
+    fn to_value(&self) -> Value {
+        let mut fields = match self.head.to_value() {
+            Value::Map(m) => m,
+            _ => unreachable!("a struct serializes to a map"),
+        };
+        // Between `dc` and `neighborhood`, where the flat record has it.
+        let at = fields.len() - 1;
+        fields.insert(at, ("curvature".to_string(), self.curvature.to_value()));
+        Value::Map(fields)
+    }
+}
+
+impl Deserialize for SafeZone {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let m = v.as_map().ok_or_else(|| DeError::expected("object", v))?;
+        let curvature = Curvature::from_value(Value::get_field(m, "curvature"))
+            .map_err(|e| e.in_field("curvature"))?;
+        Ok(Self::new(ZoneUpdate::from_value(v)?, curvature))
+    }
+}
+
 impl SafeZone {
+    /// A zone owning a fresh head and penalty.
+    pub fn new(head: ZoneUpdate, curvature: Curvature) -> Self {
+        Self {
+            head: Arc::new(head),
+            curvature: Arc::new(curvature),
+        }
+    }
+
+    /// `true` when `self` and `other` hold the same head and penalty
+    /// allocations (not merely equal values).
+    pub fn shares_allocation(&self, other: &SafeZone) -> bool {
+        Arc::ptr_eq(&self.head, &other.head) && Arc::ptr_eq(&self.curvature, &other.curvature)
+    }
+
     /// Check `x` against the local constraints, most specific violation
     /// first: neighborhood, then safe zone, then the §3.7 sanity check.
     ///
@@ -297,18 +376,20 @@ mod tests {
     /// The paper's Figure 1 setup: f = sin(x), x0 = π/2, ε = 0.2
     /// (L = 0.8, U = 1.2), with global extreme curvatures λ⁻ = -1,
     /// λ⁺ = 1.
-    fn fig1_zone(dc: DcKind) -> SafeZone {
-        let x0 = std::f64::consts::FRAC_PI_2;
-        SafeZone {
-            x0: vec![x0],
+    fn fig1_head(dc: DcKind) -> ZoneUpdate {
+        ZoneUpdate {
+            x0: vec![std::f64::consts::FRAC_PI_2],
             f0: 1.0,
             grad0: vec![0.0],
             l: 0.8,
             u: 1.2,
             dc,
-            curvature: Curvature::Scalar(1.0),
             neighborhood: None,
         }
+    }
+
+    fn fig1_zone(dc: DcKind) -> SafeZone {
+        SafeZone::new(fig1_head(dc), Curvature::Scalar(1.0))
     }
 
     #[test]
@@ -406,11 +487,16 @@ mod tests {
     #[test]
     fn neighborhood_violation_precedes_safe_zone() {
         let f = AutoDiffFn::new(Sin);
-        let mut z = fig1_zone(DcKind::ConvexDiff);
-        z.neighborhood = Some(NeighborhoodBox {
-            lo: vec![1.4],
-            hi: vec![1.8],
-        });
+        let z = SafeZone::new(
+            ZoneUpdate {
+                neighborhood: Some(NeighborhoodBox {
+                    lo: vec![1.4],
+                    hi: vec![1.8],
+                }),
+                ..fig1_head(DcKind::ConvexDiff)
+            },
+            Curvature::Scalar(1.0),
+        );
         assert_eq!(z.check(&f, &[2.0]), Some(ViolationKind::Neighborhood));
         assert!(z.contains(&f, &[1.5]));
     }
@@ -421,16 +507,13 @@ mod tests {
         // stretch makes the "safe zone" leak outside the admissible
         // region; the sanity check must catch it.
         let f = AutoDiffFn::new(Sin);
-        let z = SafeZone {
-            x0: vec![std::f64::consts::FRAC_PI_2],
-            f0: 1.0,
-            grad0: vec![0.0],
-            l: 0.95,
-            u: 1.2,
-            dc: DcKind::ConvexDiff,
-            curvature: Curvature::Scalar(0.0), // wrong: sin needs |λ⁻| = 1
-            neighborhood: None,
-        };
+        let z = SafeZone::new(
+            ZoneUpdate {
+                l: 0.95,
+                ..fig1_head(DcKind::ConvexDiff)
+            },
+            Curvature::Scalar(0.0), // wrong: sin needs |λ⁻| = 1
+        );
         // sin(1.2) ≈ 0.932 < L, yet with q = 0 both constraints hold:
         // ǧ = f ≤ U and 0 ≤ f0 - L.
         assert_eq!(z.check(&f, &[1.2]), Some(ViolationKind::FaultyConstraints));
@@ -439,10 +522,7 @@ mod tests {
     #[test]
     fn admissible_only_checks_raw_thresholds() {
         let f = AutoDiffFn::new(Sin);
-        let z = SafeZone {
-            dc: DcKind::AdmissibleOnly,
-            ..fig1_zone(DcKind::ConvexDiff)
-        };
+        let z = fig1_zone(DcKind::AdmissibleOnly);
         assert!(z.contains(&f, &[1.0])); // sin(1.0) ≈ 0.84 ∈ [0.8, 1.2]
         assert_eq!(z.check(&f, &[0.5]), Some(ViolationKind::SafeZone));
     }
@@ -497,5 +577,31 @@ mod tests {
         let json = serde_json::to_string(&z).unwrap();
         let back: SafeZone = serde_json::from_str(&json).unwrap();
         assert_eq!(z, back);
+        // One flat record, the penalty between `dc` and `neighborhood`.
+        assert!(
+            json.contains(r#""dc":"ConcaveDiff","curvature":{"Scalar":1},"neighborhood":null}"#),
+            "{json}"
+        );
+    }
+
+    #[test]
+    fn violation_names_are_their_debug_spelling() {
+        for k in [
+            ViolationKind::Uninitialized,
+            ViolationKind::Neighborhood,
+            ViolationKind::SafeZone,
+            ViolationKind::FaultyConstraints,
+        ] {
+            assert_eq!(k.name(), format!("{k:?}"));
+        }
+    }
+
+    #[test]
+    fn clones_share_and_fresh_zones_do_not() {
+        let z = fig1_zone(DcKind::ConvexDiff);
+        assert!(z.shares_allocation(&z.clone()));
+        let twin = fig1_zone(DcKind::ConvexDiff);
+        assert_eq!(z, twin);
+        assert!(!z.shares_allocation(&twin));
     }
 }

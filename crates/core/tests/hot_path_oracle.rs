@@ -15,6 +15,7 @@ use automon_autodiff::{AutoDiffFn, Scalar, ScalarFn};
 use automon_core::{
     CommCause, Coordinator, CoordinatorMessage, Curvature, DcKind, MonitorConfig,
     MonitoredFunction, NeighborhoodBox, Node, NodeMessage, Outbound, SafeZone, ViolationKind,
+    ZoneUpdate,
 };
 use automon_linalg::{vector, Matrix};
 use proptest::prelude::*;
@@ -42,7 +43,7 @@ fn curvature_eval(c: &Curvature, delta: &[f64]) -> f64 {
     }
 }
 
-fn tol(z: &SafeZone) -> f64 {
+fn tol(z: &ZoneUpdate) -> f64 {
     REL_TOL * (1.0 + z.f0.abs() + z.u.abs() + z.l.abs())
 }
 
@@ -164,16 +165,16 @@ fn random_zone(rng: &mut SmallRng, f: &dyn MonitoredFunction, x: &[f64]) -> Safe
         }
     });
     let width = rng.gen_range(0.01..3.0);
-    SafeZone {
+    let head = ZoneUpdate {
         grad0: point(rng, d, 0.0, 1.0),
         x0,
         f0,
         l: f0 - width,
         u: f0 + width * rng.gen_range(0.1..2.0),
         dc,
-        curvature,
         neighborhood,
-    }
+    };
+    SafeZone::new(head, curvature)
 }
 
 /// `z` with one constraint pinned onto `x`, as five zones whose pinned
@@ -182,35 +183,44 @@ fn random_zone(rng: &mut SmallRng, f: &dyn MonitoredFunction, x: &[f64]) -> Safe
 /// difference's `L` constraint, `q ≤ tangent − L + tol`, which reads `q`
 /// alone; otherwise the `U` one, on `f(x) + q` (convex difference) or
 /// `tangent + q` (concave difference).
-fn pinned(f: &dyn MonitoredFunction, x: &[f64], mut z: SafeZone, on_q: bool) -> Vec<SafeZone> {
+fn pinned(f: &dyn MonitoredFunction, x: &[f64], z: SafeZone, on_q: bool) -> Vec<SafeZone> {
     let delta = vector::sub(x, &z.x0);
     let q = curvature_eval(&z.curvature, &delta);
     let tangent = z.f0 + vector::dot(&z.grad0, &delta);
     let step = |v: f64, k: i64| f64::from_bits(v.to_bits().wrapping_add_signed(k));
+    let with = |head: ZoneUpdate| SafeZone {
+        head: Arc::new(head),
+        curvature: z.curvature.clone(),
+    };
+    let mut h = (*z.head).clone();
     if on_q {
-        assert_eq!(z.dc, DcKind::ConvexDiff);
-        z.u = z.u.max(f.eval(x) + q) + 1.0;
+        assert_eq!(h.dc, DcKind::ConvexDiff);
+        h.u = h.u.max(f.eval(x) + q) + 1.0;
         for _ in 0..3 {
-            z.l = tangent + tol(&z) - q;
+            h.l = tangent + tol(&h) - q;
         }
         (-2..=2)
-            .map(|k| SafeZone {
-                l: step(z.l, k),
-                ..z.clone()
+            .map(|k| {
+                with(ZoneUpdate {
+                    l: step(h.l, k),
+                    ..h.clone()
+                })
             })
             .collect()
     } else {
-        let lhs = match z.dc {
+        let lhs = match h.dc {
             DcKind::ConvexDiff => f.eval(x) + q,
             _ => tangent + q,
         };
         for _ in 0..3 {
-            z.u = lhs - tol(&z);
+            h.u = lhs - tol(&h);
         }
         (-2..=2)
-            .map(|k| SafeZone {
-                u: step(z.u, k),
-                ..z.clone()
+            .map(|k| {
+                with(ZoneUpdate {
+                    u: step(h.u, k),
+                    ..h.clone()
+                })
             })
             .collect()
     }
@@ -313,16 +323,18 @@ fn penalty_case(seed: u64) {
             let head: f64 = (0..d - 1).map(|j| m[(i, j)] * delta[j]).sum();
             m[(i, d - 1)] = (rng.gen_range(-1.0..1.0) - head) / delta[d - 1];
         }
-        let zone = SafeZone {
-            f0: f.eval(&x0),
-            x0,
-            grad0: finite_point(&mut rng, d, 0.0, 1.0),
-            l: 0.0,
-            u: 0.0,
-            dc: DcKind::ConvexDiff,
-            curvature: Curvature::Quadratic(m),
-            neighborhood: None,
-        };
+        let zone = SafeZone::new(
+            ZoneUpdate {
+                f0: f.eval(&x0),
+                x0,
+                grad0: finite_point(&mut rng, d, 0.0, 1.0),
+                l: 0.0,
+                u: 0.0,
+                dc: DcKind::ConvexDiff,
+                neighborhood: None,
+            },
+            Curvature::Quadratic(m),
+        );
         for zone in pinned(f.as_ref(), &shifted, zone, true) {
             check_paths(&f, &x, &s, zone);
         }
@@ -371,14 +383,8 @@ impl Mirror {
                         .as_ref()
                         .expect("a cached install follows a full one");
                     let zone = SafeZone {
-                        x0: update.x0.clone(),
-                        f0: update.f0,
-                        grad0: update.grad0.clone(),
-                        l: update.l,
-                        u: update.u,
-                        dc: update.dc,
+                        head: update.clone(),
                         curvature: held.curvature.clone(),
-                        neighborhood: update.neighborhood.clone(),
                     };
                     (zone, slack)
                 }

@@ -115,7 +115,6 @@ pub struct Fleet {
     root: Coordinator,
     proxies: Vec<Node>,
     fabric: ShardedFabric,
-    latest: Vec<Option<Vec<f64>>>,
     events: FleetEvents,
     tel: Telemetry,
     ftel: FleetTel,
@@ -168,7 +167,6 @@ impl Fleet {
             stream_alive: vec![true; streams],
             root,
             fabric,
-            latest: vec![None; streams],
             events: FleetEvents::default(),
             tel,
             ftel,
@@ -274,11 +272,10 @@ impl Fleet {
     /// on violation, and a root report only if the resolved shard
     /// aggregate left the proxy's root-assigned zone.
     pub fn update(&mut self, g: usize, x: Vec<f64>) {
-        assert!(g < self.latest.len(), "unknown stream {g}");
+        assert!(g < self.stream_alive.len(), "unknown stream {g}");
         if !self.stream_alive[g] {
             return;
         }
-        self.latest[g].get_or_insert_default().clone_from(&x);
         let (l, local) = self.map.locate(g);
         if !self.leaf_alive[l] {
             return;
@@ -287,21 +284,16 @@ impl Fleet {
             return;
         };
         let cause = CommCause::of_node_message(&msg);
-        // The `Str` fields allocate: build them only for a live handle.
-        let span = if self.tel.is_enabled() {
-            self.tel.span_begin(
-                "violation",
-                SpanId::NONE,
-                &[
-                    ("tier", "leaf".into()),
-                    ("shard", l.into()),
-                    ("node", g.into()),
-                    ("cause", cause.name().into()),
-                ],
-            )
-        } else {
-            SpanId::NONE
-        };
+        let span = self.tel.span_begin(
+            "violation",
+            SpanId::NONE,
+            &[
+                ("tier", "leaf".into()),
+                ("shard", l.into()),
+                ("node", g.into()),
+                ("cause", cause.name().into()),
+            ],
+        );
         let leaf = &mut self.leaves[l];
         self.fabric
             .leaf(l)
@@ -368,19 +360,15 @@ impl Fleet {
             weight: n_l as u64,
             epoch,
         };
-        let span = if self.tel.is_enabled() {
-            self.tel.span_begin(
-                "violation",
-                parent,
-                &[
-                    ("tier", "root".into()),
-                    ("shard", l.into()),
-                    ("violation", format!("{kind:?}").into()),
-                ],
-            )
-        } else {
-            SpanId::NONE
-        };
+        let span = self.tel.span_begin(
+            "violation",
+            parent,
+            &[
+                ("tier", "root".into()),
+                ("shard", l.into()),
+                ("violation", kind.name().into()),
+            ],
+        );
         self.events.leaf_reports += 1;
         self.ftel.reports.inc();
         self.fabric
@@ -434,9 +422,9 @@ impl Fleet {
         self.after_leaf_activity(l, SpanId::NONE);
     }
 
-    /// Restart stream `g`: a fresh node re-registers from the stream's
-    /// last vector (charged as `rejoin`), and the leaf's full sync
-    /// re-admits it.
+    /// Restart stream `g`: its node comes back with no protocol state
+    /// and re-registers from the stream's last vector (charged as
+    /// `rejoin`), and the leaf's full sync re-admits it.
     pub fn restart_node(&mut self, g: usize) {
         if self.stream_alive[g] {
             return;
@@ -448,22 +436,15 @@ impl Fleet {
         self.stream_alive[g] = true;
         self.events.restarts += 1;
         self.ftel.alive_streams.set(self.alive_streams() as f64);
-        let mut node = Node::new(local, self.f.clone());
-        if self.tel.is_enabled() {
-            node.set_telemetry(&self.tel);
-        }
-        self.leaves[l].nodes[local] = node;
-        if let Some(x) = self.latest[g].clone() {
-            let leaf = &mut self.leaves[l];
-            if let Some(m) = leaf.nodes[local].update_data(x) {
-                self.fabric.leaf(l).route_as(
-                    &mut leaf.coord,
-                    &mut leaf.nodes,
-                    m,
-                    CommCause::Rejoin,
-                    SpanId::NONE,
-                );
-            }
+        let leaf = &mut self.leaves[l];
+        if let Some(m) = leaf.nodes[local].restart(local) {
+            self.fabric.leaf(l).route_as(
+                &mut leaf.coord,
+                &mut leaf.nodes,
+                m,
+                CommCause::Rejoin,
+                SpanId::NONE,
+            );
             self.after_leaf_activity(l, SpanId::NONE);
         }
     }
@@ -499,6 +480,10 @@ impl Fleet {
             return;
         }
         self.map.adopt(l, successor);
+        // The adoptees' nodes follow them, appended in the order `adopt`
+        // gave them local ids: each keeps its stream's last vector.
+        let adopted = std::mem::take(&mut self.leaves[l].nodes);
+        self.leaves[successor].nodes.extend(adopted);
         for &g in &survivors {
             self.stream_alive[g] = true;
         }
@@ -541,8 +526,10 @@ impl Fleet {
     /// Rebuild leaf `s`'s coordinator over its (enlarged) member set:
     /// the coordinator's group size is fixed at construction, so
     /// adoption means a fresh coordinator and a re-registration of
-    /// every member from its last known vector — an intra-shard full
-    /// sync charged as `rejoin`.
+    /// every alive member from its node's last vector — an intra-shard
+    /// full sync charged as `rejoin`. `leaves[s].nodes` already lists
+    /// every member's node in local-id order; a dead member's node is
+    /// kept as it is, holding its vector until the stream restarts.
     fn rebuild_leaf(&mut self, s: usize) {
         let members = self.map.members(s).to_vec();
         let k = members.len();
@@ -550,24 +537,16 @@ impl Fleet {
         if self.tel.is_enabled() {
             coord.set_telemetry(self.tel.clone());
         }
-        let mut nodes: Vec<Node> = (0..k).map(|i| Node::new(i, self.f.clone())).collect();
-        if self.tel.is_enabled() {
-            for node in &mut nodes {
-                node.set_telemetry(&self.tel);
-            }
-        }
         // Dead members stay dead in the new incarnation.
         for (local, &g) in members.iter().enumerate() {
             if !self.stream_alive[g] {
                 let _ = coord.evict(local);
             }
         }
-        self.leaves[s] = Leaf {
-            coord,
-            nodes,
-            pushed_epoch: 0,
-            pushed_weight: 0,
-        };
+        let leaf = &mut self.leaves[s];
+        leaf.coord = coord;
+        leaf.pushed_epoch = 0;
+        leaf.pushed_weight = 0;
         // Proxy state belongs to the old incarnation; a fresh node
         // re-registers at the root on the first post-rebuild push.
         let mut proxy = Node::new(s, self.f.clone());
@@ -579,11 +558,8 @@ impl Fleet {
             if !self.stream_alive[g] {
                 continue;
             }
-            let Some(x) = self.latest[g].clone() else {
-                continue;
-            };
             let leaf = &mut self.leaves[s];
-            if let Some(m) = leaf.nodes[local].update_data(x) {
+            if let Some(m) = leaf.nodes[local].restart(local) {
                 self.fabric.leaf(s).route_as(
                     &mut leaf.coord,
                     &mut leaf.nodes,
@@ -670,6 +646,29 @@ mod tests {
         assert_eq!(fl.leaf_stats_total().rejoins, 1);
         assert_eq!(fl.fabric().check_conservation(), None);
         assert!(fl.estimate().is_some());
+    }
+
+    #[test]
+    fn a_stream_dead_through_its_leafs_adoption_restarts_from_its_last_vector() {
+        let mut fl = fleet(6, 3);
+        seed_all(&mut fl, 6);
+        // Stream 4 is member 1 of shard 1 (with stream 1).
+        let g = 4;
+        fl.update(g, vec![0.45, 0.2]);
+        fl.crash_node(g);
+        // A dead stream's updates go nowhere.
+        fl.update(g, vec![9.0, 9.0]);
+        fl.crash_leaf(1);
+        let (s, local) = fl.shard_map().locate(g);
+        assert_eq!((s, local), (2, 3), "adopted by shard 2 while dead");
+        assert!(!fl.stream_is_alive(g));
+        fl.restart_node(g);
+        assert!(fl.stream_is_alive(g));
+        let leaf = fl.leaf_coord(s);
+        assert_eq!(leaf.stats().rejoins, 1);
+        let snap = leaf.snapshot().expect("the rejoin sync completed");
+        assert_eq!(snap.known_x[local].as_deref(), Some(&[0.45, 0.2][..]));
+        assert_eq!(fl.fabric().check_conservation(), None);
     }
 
     #[test]

@@ -108,11 +108,14 @@ impl CountingFabric {
         self.round = round;
     }
 
-    fn comm_event(&self, dir: &str, node: NodeId, cause: CommCause, bytes: usize, span: SpanId) {
-        // The `Str` fields allocate: build them only for a live handle.
-        if !self.tel.is_enabled() {
-            return;
-        }
+    fn comm_event(
+        &self,
+        dir: &'static str,
+        node: NodeId,
+        cause: CommCause,
+        bytes: usize,
+        span: SpanId,
+    ) {
         self.tel.event(
             "comm",
             &[

@@ -17,6 +17,8 @@
 //! its `*_message_len` size; each `decode_*` reads a borrowed `&[u8]`
 //! and checks every length once, where those bytes are taken.
 
+use std::sync::Arc;
+
 use automon_core::{
     Curvature, CoordinatorMessage, DcKind, NeighborhoodBox, NodeMessage, SafeZone, TierMessage,
     ViolationKind, ZoneUpdate,
@@ -112,11 +114,11 @@ fn neighborhood_len(nb: &Option<NeighborhoodBox>) -> usize {
 }
 
 fn zone_len(z: &SafeZone) -> usize {
-    let curvature = 1 + match &z.curvature {
+    let curvature = 1 + match &*z.curvature {
         Curvature::Scalar(_) => 8,
         Curvature::Quadratic(m) => matrix_len(m),
     };
-    vec_len(&z.x0) + 8 + vec_len(&z.grad0) + 8 + 8 + 1 + curvature + neighborhood_len(&z.neighborhood)
+    zone_update_len(&z.head) + curvature
 }
 
 fn zone_update_len(z: &ZoneUpdate) -> usize {
@@ -328,7 +330,7 @@ fn decode_coordinator_body(mut buf: &[u8]) -> Result<CoordinatorMessage, WireErr
         }
         3 => {
             let epoch = get_u64(&mut buf)?;
-            let update = get_zone_update(&mut buf)?;
+            let update = Arc::new(get_zone_update(&mut buf)?);
             let slack = get_vec(&mut buf)?;
             Ok(CoordinatorMessage::NewConstraintsCached {
                 update,
@@ -479,18 +481,10 @@ fn put_matrix(b: &mut Vec<u8>, m: &Matrix) {
     put_f64s(b, m.as_slice());
 }
 
-fn put_zone(b: &mut Vec<u8>, z: &SafeZone) {
-    put_vec(b, &z.x0);
-    b.extend_from_slice(&z.f0.to_le_bytes());
-    put_vec(b, &z.grad0);
-    b.extend_from_slice(&z.l.to_le_bytes());
-    b.extend_from_slice(&z.u.to_le_bytes());
-    b.push(match z.dc {
-        DcKind::ConvexDiff => 0,
-        DcKind::ConcaveDiff => 1,
-        DcKind::AdmissibleOnly => 2,
-    });
-    match &z.curvature {
+/// A zone's penalty: the field a full zone carries between `dc` and the
+/// neighborhood.
+fn put_curvature(b: &mut Vec<u8>, c: &Curvature) {
+    match c {
         Curvature::Scalar(c) => {
             b.push(0);
             b.extend_from_slice(&c.to_le_bytes());
@@ -500,17 +494,19 @@ fn put_zone(b: &mut Vec<u8>, z: &SafeZone) {
             put_matrix(b, m);
         }
     }
-    match &z.neighborhood {
-        None => b.push(0),
-        Some(nb) => {
-            b.push(1);
-            put_vec(b, &nb.lo);
-            put_vec(b, &nb.hi);
-        }
-    }
+}
+
+fn put_zone(b: &mut Vec<u8>, z: &SafeZone) {
+    put_head(b, &z.head, |b| put_curvature(b, &z.curvature));
 }
 
 fn put_zone_update(b: &mut Vec<u8>, z: &ZoneUpdate) {
+    put_head(b, z, |_| {});
+}
+
+/// A zone head's fields in wire order, `mid` writing what comes between
+/// `dc` and the neighborhood (a full zone's penalty, else nothing).
+fn put_head(b: &mut Vec<u8>, z: &ZoneUpdate, mid: impl FnOnce(&mut Vec<u8>)) {
     put_vec(b, &z.x0);
     b.extend_from_slice(&z.f0.to_le_bytes());
     put_vec(b, &z.grad0);
@@ -521,6 +517,7 @@ fn put_zone_update(b: &mut Vec<u8>, z: &ZoneUpdate) {
         DcKind::ConcaveDiff => 1,
         DcKind::AdmissibleOnly => 2,
     });
+    mid(b);
     match &z.neighborhood {
         None => b.push(0),
         Some(nb) => {
@@ -531,7 +528,29 @@ fn put_zone_update(b: &mut Vec<u8>, z: &ZoneUpdate) {
     }
 }
 
+fn get_curvature(buf: &mut &[u8]) -> Result<Curvature, WireError> {
+    match get_u8(buf)? {
+        0 => Ok(Curvature::Scalar(get_f64(buf)?)),
+        1 => Ok(Curvature::Quadratic(get_matrix(buf)?)),
+        t => Err(WireError::BadTag("curvature", t)),
+    }
+}
+
+fn get_zone(buf: &mut &[u8]) -> Result<SafeZone, WireError> {
+    let (head, curvature) = get_head(buf, get_curvature)?;
+    Ok(SafeZone::new(head, curvature))
+}
+
 fn get_zone_update(buf: &mut &[u8]) -> Result<ZoneUpdate, WireError> {
+    get_head(buf, |_| Ok(())).map(|(head, ())| head)
+}
+
+/// [`put_head`]'s inverse: the head, and what `mid` reads between `dc`
+/// and the neighborhood.
+fn get_head<T>(
+    buf: &mut &[u8],
+    mid: impl FnOnce(&mut &[u8]) -> Result<T, WireError>,
+) -> Result<(ZoneUpdate, T), WireError> {
     let x0 = get_vec(buf)?;
     let f0 = get_f64(buf)?;
     let grad0 = get_vec(buf)?;
@@ -543,6 +562,7 @@ fn get_zone_update(buf: &mut &[u8]) -> Result<ZoneUpdate, WireError> {
         2 => DcKind::AdmissibleOnly,
         t => return Err(WireError::BadTag("dc kind", t)),
     };
+    let between = mid(buf)?;
     let neighborhood = match get_u8(buf)? {
         0 => None,
         1 => Some(NeighborhoodBox {
@@ -551,7 +571,7 @@ fn get_zone_update(buf: &mut &[u8]) -> Result<ZoneUpdate, WireError> {
         }),
         t => return Err(WireError::BadTag("neighborhood", t)),
     };
-    Ok(ZoneUpdate {
+    let head = ZoneUpdate {
         x0,
         f0,
         grad0,
@@ -559,7 +579,8 @@ fn get_zone_update(buf: &mut &[u8]) -> Result<ZoneUpdate, WireError> {
         u,
         dc,
         neighborhood,
-    })
+    };
+    Ok((head, between))
 }
 
 fn check_magic(buf: &mut &[u8]) -> Result<(), WireError> {
@@ -622,61 +643,28 @@ fn get_matrix(buf: &mut &[u8]) -> Result<Matrix, WireError> {
     Ok(Matrix::from_rows(rows, cols, get_f64s(buf, n)?))
 }
 
-fn get_zone(buf: &mut &[u8]) -> Result<SafeZone, WireError> {
-    let x0 = get_vec(buf)?;
-    let f0 = get_f64(buf)?;
-    let grad0 = get_vec(buf)?;
-    let l = get_f64(buf)?;
-    let u = get_f64(buf)?;
-    let dc = match get_u8(buf)? {
-        0 => DcKind::ConvexDiff,
-        1 => DcKind::ConcaveDiff,
-        2 => DcKind::AdmissibleOnly,
-        t => return Err(WireError::BadTag("dc kind", t)),
-    };
-    let curvature = match get_u8(buf)? {
-        0 => Curvature::Scalar(get_f64(buf)?),
-        1 => Curvature::Quadratic(get_matrix(buf)?),
-        t => return Err(WireError::BadTag("curvature", t)),
-    };
-    let neighborhood = match get_u8(buf)? {
-        0 => None,
-        1 => Some(NeighborhoodBox {
-            lo: get_vec(buf)?,
-            hi: get_vec(buf)?,
-        }),
-        t => return Err(WireError::BadTag("neighborhood", t)),
-    };
-    Ok(SafeZone {
-        x0,
-        f0,
-        grad0,
-        l,
-        u,
-        dc,
-        curvature,
-        neighborhood,
-    })
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_zone() -> SafeZone {
-        SafeZone {
+    fn sample_head() -> ZoneUpdate {
+        ZoneUpdate {
             x0: vec![1.0, -2.0],
             f0: 3.5,
             grad0: vec![0.25, 0.75],
             l: 3.0,
             u: 4.0,
             dc: DcKind::ConvexDiff,
-            curvature: Curvature::Scalar(1.25),
             neighborhood: Some(NeighborhoodBox {
                 lo: vec![0.0, -3.0],
                 hi: vec![2.0, -1.0],
             }),
         }
+    }
+
+    fn sample_zone() -> SafeZone {
+        SafeZone::new(sample_head(), Curvature::Scalar(1.25))
     }
 
     #[test]
@@ -726,9 +714,13 @@ mod tests {
 
     #[test]
     fn quadratic_curvature_round_trips() {
-        let mut z = sample_zone();
-        z.curvature = Curvature::Quadratic(Matrix::from_rows(2, 2, vec![1.0, 0.5, 0.5, 2.0]));
-        z.neighborhood = None;
+        let z = SafeZone::new(
+            ZoneUpdate {
+                neighborhood: None,
+                ..sample_head()
+            },
+            Curvature::Quadratic(Matrix::from_rows(2, 2, vec![1.0, 0.5, 0.5, 2.0])),
+        );
         let msg = CoordinatorMessage::NewConstraints {
             zone: z,
             slack: vec![0.0, 0.0],
@@ -806,8 +798,7 @@ mod tests {
             let frame = encode_node_message(msg);
             assert_eq!(frame.len(), node_message_len(msg), "{msg:?}");
         }
-        let mut quad = sample_zone();
-        quad.curvature = Curvature::Quadratic(Matrix::identity(2));
+        let quad = SafeZone::new(sample_head(), Curvature::Quadratic(Matrix::identity(2)));
         let coord_msgs = [
             CoordinatorMessage::RequestLocalVector { epoch: 4 },
             CoordinatorMessage::SlackUpdate {
@@ -825,7 +816,7 @@ mod tests {
                 epoch: 5,
             },
             CoordinatorMessage::NewConstraintsCached {
-                update: ZoneUpdate {
+                update: Arc::new(ZoneUpdate {
                     x0: vec![0.1; 4],
                     f0: 1.0,
                     grad0: vec![0.2; 4],
@@ -833,7 +824,7 @@ mod tests {
                     u: 1.1,
                     dc: DcKind::ConcaveDiff,
                     neighborhood: None,
-                },
+                }),
                 slack: vec![0.0; 4],
                 epoch: 6,
             },
@@ -965,31 +956,25 @@ mod cached_constraint_tests {
     #[test]
     fn cached_constraints_round_trip_and_shrink_payload() {
         let d = 40;
-        let zone = SafeZone {
-            x0: vec![0.1; d],
-            f0: 1.0,
-            grad0: vec![0.2; d],
-            l: 0.9,
-            u: 1.1,
-            dc: DcKind::ConvexDiff,
-            curvature: Curvature::Quadratic(Matrix::identity(d)),
-            neighborhood: None,
-        };
+        let zone = SafeZone::new(
+            ZoneUpdate {
+                x0: vec![0.1; d],
+                f0: 1.0,
+                grad0: vec![0.2; d],
+                l: 0.9,
+                u: 1.1,
+                dc: DcKind::ConvexDiff,
+                neighborhood: None,
+            },
+            Curvature::Quadratic(Matrix::identity(d)),
+        );
         let full = CoordinatorMessage::NewConstraints {
             zone: zone.clone(),
             slack: vec![0.0; d],
             epoch: 1,
         };
         let cached = CoordinatorMessage::NewConstraintsCached {
-            update: ZoneUpdate {
-                x0: zone.x0.clone(),
-                f0: zone.f0,
-                grad0: zone.grad0.clone(),
-                l: zone.l,
-                u: zone.u,
-                dc: zone.dc,
-                neighborhood: zone.neighborhood.clone(),
-            },
+            update: zone.head.clone(),
             slack: vec![0.0; d],
             epoch: 1,
         };

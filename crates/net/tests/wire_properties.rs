@@ -10,6 +10,8 @@
 //! the same bits, non-finite and subnormal payloads included: the
 //! `*_frames_are_exact_and_bit_lossless` properties pin both.
 
+use std::sync::Arc;
+
 use automon_core::{
     CoordinatorMessage, Curvature, DcKind, NeighborhoodBox, NodeMessage, SafeZone, TierMessage,
     ViolationKind, ZoneUpdate,
@@ -95,16 +97,16 @@ fn coordinator_messages(rng: &mut SmallRng, d: usize) -> Vec<CoordinatorMessage>
             } else {
                 Curvature::Scalar(value(rng))
             };
-            let zone = SafeZone {
+            let head = ZoneUpdate {
                 x0: values(rng, d),
                 f0: value(rng),
                 grad0: values(rng, d),
                 l: value(rng),
                 u: value(rng),
                 dc: dc(rng),
-                curvature,
                 neighborhood: neighborhood(rng, d, nb),
             };
+            let zone = SafeZone::new(head, curvature);
             let (slack, epoch) = (values(rng, d), rng.next_u64());
             out.push(CoordinatorMessage::NewConstraints { zone, slack, epoch });
         }
@@ -121,7 +123,7 @@ fn coordinator_messages(rng: &mut SmallRng, d: usize) -> Vec<CoordinatorMessage>
         };
         let (slack, epoch) = (values(rng, d), rng.next_u64());
         out.push(CoordinatorMessage::NewConstraintsCached {
-            update,
+            update: Arc::new(update),
             slack,
             epoch,
         });
@@ -238,7 +240,7 @@ impl Words {
                     .f(z.l)
                     .f(z.u)
                     .dc(z.dc);
-                match &z.curvature {
+                match &*z.curvature {
                     Curvature::Scalar(c) => w.int(0u8).f(*c),
                     Curvature::Quadratic(m) => w
                         .int(1u8)

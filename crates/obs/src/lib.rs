@@ -156,7 +156,7 @@ impl Telemetry {
     #[inline]
     pub fn span_begin(
         &self,
-        name: &str,
+        name: &'static str,
         parent: SpanId,
         fields: &[(&str, FieldValue)],
     ) -> SpanId {
@@ -181,7 +181,7 @@ impl Telemetry {
     /// `span_end` (with the deterministic op delta as `span_ops`) when
     /// the guard drops. Sequential contexts only, like
     /// [`Telemetry::event`].
-    pub fn span(&self, name: &str) -> SpanGuard {
+    pub fn span(&self, name: &'static str) -> SpanGuard {
         let start_ops = self.ops();
         let id = self.span_begin(name, SpanId::NONE, &[]);
         SpanGuard {

@@ -116,7 +116,11 @@ pub enum FieldValue {
     U64(u64),
     I64(i64),
     F64(f64),
+    /// A string built at run time.
     Str(String),
+    /// A string fixed at compile time (a cause, tier or kind name):
+    /// recorded exactly as [`FieldValue::Str`], without allocating.
+    Static(&'static str),
     Bool(bool),
 }
 
@@ -145,9 +149,9 @@ impl From<f64> for FieldValue {
         FieldValue::F64(v)
     }
 }
-impl From<&str> for FieldValue {
-    fn from(v: &str) -> Self {
-        FieldValue::Str(v.to_string())
+impl From<&'static str> for FieldValue {
+    fn from(v: &'static str) -> Self {
+        FieldValue::Static(v)
     }
 }
 impl From<String> for FieldValue {
@@ -222,6 +226,9 @@ impl Tracer {
                     FieldValue::Str(s) => {
                         let _ = write!(line, "\"{}\"", Escaped(s));
                     }
+                    FieldValue::Static(s) => {
+                        let _ = write!(line, "\"{}\"", Escaped(s));
+                    }
                     FieldValue::Bool(b) => {
                         let _ = write!(line, "{b}");
                     }
@@ -242,7 +249,7 @@ impl Tracer {
     pub fn span_begin(
         &self,
         clock: &LogicalClock,
-        name: &str,
+        name: &'static str,
         parent: SpanId,
         fields: &[(&str, FieldValue)],
     ) -> SpanId {

@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) for core invariants across crates.
 
 use automon::autodiff::{finite_diff, AutoDiffFn, Scalar, ScalarFn};
-use automon::core::{Curvature, DcKind, SafeZone};
+use automon::core::{Curvature, DcKind, SafeZone, ZoneUpdate};
 use automon::linalg::{Matrix, SymEigen};
 use automon::net::wire;
 use automon::prelude::*;
@@ -129,19 +129,21 @@ proptest! {
         with_box in proptest::bool::ANY,
     ) {
         let d = x0.len();
-        let zone = SafeZone {
-            grad0: x0.iter().map(|v| v * 0.5).collect(),
-            neighborhood: with_box.then(|| automon::core::NeighborhoodBox {
-                lo: x0.iter().map(|v| v - 1.0).collect(),
-                hi: x0.iter().map(|v| v + 1.0).collect(),
-            }),
-            x0,
-            f0,
-            l: f0 - eps,
-            u: f0 + eps,
-            dc: if c > 2.5 { DcKind::ConcaveDiff } else { DcKind::ConvexDiff },
-            curvature: Curvature::Scalar(c),
-        };
+        let zone = SafeZone::new(
+            ZoneUpdate {
+                grad0: x0.iter().map(|v| v * 0.5).collect(),
+                neighborhood: with_box.then(|| automon::core::NeighborhoodBox {
+                    lo: x0.iter().map(|v| v - 1.0).collect(),
+                    hi: x0.iter().map(|v| v + 1.0).collect(),
+                }),
+                x0,
+                f0,
+                l: f0 - eps,
+                u: f0 + eps,
+                dc: if c > 2.5 { DcKind::ConcaveDiff } else { DcKind::ConvexDiff },
+            },
+            Curvature::Scalar(c),
+        );
         let msg = automon::core::CoordinatorMessage::NewConstraints {
             zone,
             slack: vec![0.25; d],
@@ -164,16 +166,18 @@ proptest! {
         let h = f.hessian(&x0);
         let e = SymEigen::new(&h);
         let (f0, grad0) = f.grad(&x0);
-        let zone = SafeZone {
-            x0: x0.clone(),
-            f0,
-            grad0,
-            l: f0 - eps,
-            u: f0 + eps,
-            dc: DcKind::ConvexDiff,
-            curvature: Curvature::Quadratic(e.nsd_part().scale(-1.0)),
-            neighborhood: None,
-        };
+        let zone = SafeZone::new(
+            ZoneUpdate {
+                x0: x0.clone(),
+                f0,
+                grad0,
+                l: f0 - eps,
+                u: f0 + eps,
+                dc: DcKind::ConvexDiff,
+                neighborhood: None,
+            },
+            Curvature::Quadratic(e.nsd_part().scale(-1.0)),
+        );
         if zone.check(&f, &probe).is_none() {
             let v = f.eval(&probe);
             prop_assert!(zone.admissible(v), "point {probe:?} in zone but f = {v} outside [{}, {}]", zone.l, zone.u);
@@ -191,16 +195,18 @@ proptest! {
         let h = f.hessian(&x0);
         let e = SymEigen::new(&h);
         let (f0, grad0) = f.grad(&x0);
-        let zone = SafeZone {
-            x0,
-            f0,
-            grad0,
-            l: f0 - 0.5,
-            u: f0 + 0.5,
-            dc: DcKind::ConvexDiff,
-            curvature: Curvature::Quadratic(e.nsd_part().scale(-1.0)),
-            neighborhood: None,
-        };
+        let zone = SafeZone::new(
+            ZoneUpdate {
+                x0,
+                f0,
+                grad0,
+                l: f0 - 0.5,
+                u: f0 + 0.5,
+                dc: DcKind::ConvexDiff,
+                neighborhood: None,
+            },
+            Curvature::Quadratic(e.nsd_part().scale(-1.0)),
+        );
         if zone.check(&f, &a).is_none() && zone.check(&f, &b).is_none() {
             let mid: Vec<f64> = a.iter().zip(&b).map(|(x, y)| 0.5 * (x + y)).collect();
             prop_assert!(zone.check(&f, &mid).is_none(),
