@@ -220,6 +220,8 @@ fn kind_name(kind: FaultKind) -> &'static str {
 pub struct ChaosFabric {
     inner: CountingFabric,
     plan: FaultPlan,
+    /// The probabilistic ladder, shared with `automon-sim`'s reactor
+    /// link: one implementation, one draw sequence.
     ladder: LadderGate,
     round: usize,
     crashed: Vec<bool>,
@@ -314,7 +316,6 @@ impl ChaosFabric {
     /// anything (in particular before [`ChaosFabric::release_delayed`]).
     pub fn begin_round(&mut self, round: usize) -> Vec<NodeId> {
         self.round = round;
-        self.inner.set_round(round as u64);
         let due: Vec<TimedFault> = self.plan.timed_at(round).collect();
         let mut restarted = Vec::new();
         for fault in due {
@@ -432,7 +433,7 @@ impl ChaosFabric {
                 self.record(dir, node, FaultKind::PartitionDrop);
                 continue;
             }
-            match self.gate(frame.immune()) {
+            match self.ladder.gate(frame.immune()) {
                 GateVerdict::Discard => {
                     self.record(dir, node, FaultKind::Drop);
                 }
@@ -490,16 +491,6 @@ impl ChaosFabric {
                 }
             }
         }
-    }
-
-    /// The probabilistic ladder: one draw, at most one fault. An immune
-    /// frame still *consumes no draw* — the draw sequence depends only on
-    /// how many non-immune frames crossed the fabric, which is itself a
-    /// deterministic function of plan + seed + workload.
-    fn gate(&mut self, immune: bool) -> GateVerdict {
-        // Shared with `automon-sim`'s reactor link: one ladder, one draw
-        // sequence — see [`LadderGate`].
-        self.ladder.gate(immune)
     }
 
     fn record(&mut self, dir: Direction, node: NodeId, kind: FaultKind) {

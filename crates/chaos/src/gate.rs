@@ -89,15 +89,6 @@ impl LadderGate {
         }
     }
 
-    /// `true` when every rate is zero — the gate never draws and
-    /// delivers every frame.
-    pub fn is_transparent(&self) -> bool {
-        self.drop_rate == 0.0
-            && self.duplicate_rate == 0.0
-            && self.reorder_rate == 0.0
-            && self.delay_rate == 0.0
-    }
-
     /// Faults injected so far.
     pub fn counts(&self) -> GateCounts {
         self.counts
@@ -105,9 +96,14 @@ impl LadderGate {
 
     /// Decide what happens to one frame. `immune` marks a re-injected
     /// frame (the late copy of a duplicate, a matured delayed frame): it
-    /// delivers untouched and consumes no randomness.
+    /// delivers untouched and consumes no randomness, and so does every
+    /// frame of a ladder whose rates are all zero.
     pub fn gate(&mut self, immune: bool) -> GateVerdict {
-        if immune || self.is_transparent() {
+        let transparent = self.drop_rate == 0.0
+            && self.duplicate_rate == 0.0
+            && self.reorder_rate == 0.0
+            && self.delay_rate == 0.0;
+        if immune || transparent {
             return GateVerdict::Deliver;
         }
         self.counts.gated += 1;
@@ -178,8 +174,9 @@ mod tests {
 
     #[test]
     fn transparent_gate_never_draws() {
+        // A plan with no rates: every frame delivers, none is counted as
+        // gated, and the rng is never touched.
         let mut g = LadderGate::new(&FaultPlan::seeded(7));
-        assert!(g.is_transparent());
         for _ in 0..100 {
             assert_eq!(g.gate(false), GateVerdict::Deliver);
         }

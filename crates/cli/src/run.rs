@@ -1,5 +1,6 @@
 //! Subcommand implementations.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use automon_autodiff::AutoDiffFn;
@@ -515,6 +516,15 @@ pub fn run_simulate(args: &Args) -> Result<String, CliError> {
         if snapshot_every == 0 {
             return Err(CliError::new("--snapshot-every must be positive"));
         }
+        // Opened with the other flags, so a path that cannot be a
+        // directory is a flag error before any work, not a panic in the
+        // run. The run takes this handle; it opens its store once.
+        let wal_disk = match args.get("wal-dir") {
+            Some(dir) => Some(FileDisk::open(dir).map_err(|e| {
+                CliError::new(format!("flag `--wal-dir`: cannot open directory `{dir}`: {e}"))
+            })?),
+            None => None,
+        };
         let r = (!f.has_constant_hessian()).then(|| {
             let prefix = workload.prefix((workload.rounds() / 10).clamp(20, 200));
             Simulation::new(f.clone(), cfg.clone()).tune_r(&prefix).r
@@ -528,13 +538,10 @@ pub fn run_simulate(args: &Args) -> Result<String, CliError> {
             sim = sim.with_plan(plan.clone());
             sim.check_plan(nodes).map_err(CliError::new)?;
         }
-        if let Some(dir) = args.get("wal-dir") {
-            let dir = dir.to_string();
+        if let Some(disk) = wal_disk {
+            let disk = Cell::new(Some(disk));
             sim = sim.with_store(
-                move || {
-                    Box::new(FileDisk::open(&dir).expect("--wal-dir: cannot open directory"))
-                        as DynDisk
-                },
+                move || Box::new(disk.take().expect("a run opens its store once")) as DynDisk,
                 snapshot_every,
             );
         } else if args.get("snapshot-every").is_some() {
@@ -1015,6 +1022,24 @@ mod tests {
         let err = cli(&["simulate", "--function", "inner-product", "--crash-coordinator", "soon"])
             .unwrap_err();
         assert!(err.to_string().contains("--crash-coordinator"), "{err}");
+    }
+
+    #[test]
+    fn a_wal_dir_that_cannot_be_a_directory_is_a_flag_error() {
+        let name = format!("automon_cli_wal_file_{}", std::process::id());
+        let file = std::env::temp_dir().join(name);
+        std::fs::write(&file, b"not a directory").unwrap();
+        let base = [
+            "simulate", "--function", "inner-product", "--dim", "4", "--rounds", "20", "--nodes",
+            "3",
+        ];
+        // The file itself, and a path through it.
+        for dir in [file.clone(), file.join("wal")] {
+            let err = cli(&with(&base, &["--wal-dir", &dir.display().to_string()])).unwrap_err();
+            let msg = err.to_string();
+            assert!(msg.starts_with("flag `--wal-dir`: cannot open directory"), "{msg}");
+        }
+        std::fs::remove_file(&file).ok();
     }
 
     #[test]

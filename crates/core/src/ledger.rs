@@ -2,11 +2,12 @@
 //!
 //! AutoMon's evaluation is communication volume; flat counters say how
 //! many bytes moved but not *why*. The ledger charges every frame to a
-//! protocol [`CommCause`], aggregated per node × round × cause with an
-//! up/down direction split, so a run can be decomposed into "what the
-//! protocol spent where" — the bytes/update-by-cause table `automon
-//! trace summarize` prints, and the sharded-fleet roadmap item's audit
-//! tool.
+//! protocol [`CommCause`], one cell per cause with an up/down direction
+//! split, so a run can be decomposed into "what the protocol spent on
+//! what" — the bytes/update-by-cause table `automon trace summarize`
+//! prints, and the sharded fleet's per-tier audit. The ledger is
+//! per-cause only: the node and round of each frame are on its `comm`
+//! trace event, which is where a per-node or per-round table comes from.
 //!
 //! Conservation invariant: the fabric charges the ledger at exactly the
 //! points where it bumps its traffic counters, so ledger totals equal
@@ -17,7 +18,7 @@ use std::collections::BTreeMap;
 
 use serde::Serialize;
 
-use crate::messages::{NodeId, NodeMessage};
+use crate::messages::NodeMessage;
 use crate::safezone::ViolationKind;
 
 /// The protocol reason a frame crossed the fabric.
@@ -73,6 +74,24 @@ pub enum CommCause {
 }
 
 impl CommCause {
+    /// Every cause, in declaration order: `ALL[c as usize] == c`.
+    pub const ALL: [CommCause; 14] = [
+        CommCause::Registration,
+        CommCause::ViolationNeighborhood,
+        CommCause::ViolationSafeZone,
+        CommCause::ViolationFaulty,
+        CommCause::FullSync,
+        CommCause::LazySync,
+        CommCause::Resync,
+        CommCause::Rejoin,
+        CommCause::Eviction,
+        CommCause::Retransmit,
+        CommCause::Recovery,
+        CommCause::LeafReport,
+        CommCause::RootSync,
+        CommCause::ShardRebalance,
+    ];
+
     /// Stable lowercase name used in trace events, ledger tables, and
     /// the `automon trace summarize` output.
     pub fn name(self) -> &'static str {
@@ -172,125 +191,51 @@ pub struct LedgerEntry {
     pub bytes: u64,
 }
 
-/// One ledger cell of a node: its round, its cause and its tallies.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Row {
-    round: u64,
-    cause: CommCause,
-    cell: LedgerCell,
-}
-
-impl Row {
-    fn empty(round: u64, cause: CommCause) -> Self {
-        Row {
-            round,
-            cause,
-            cell: LedgerCell::default(),
-        }
-    }
-
-    fn key(&self) -> (u64, CommCause) {
-        (self.round, self.cause)
-    }
-}
-
-/// The communication ledger: frame tallies keyed (round, node, cause).
+/// The communication ledger: frame tallies per cause.
 ///
-/// Cells live per node, each node's sorted by (round, cause). Rounds only
-/// advance, so a charge almost always lands on or after a node's last
-/// cell: it costs one comparison and no tree walk or hash. A charge out
-/// of order (a cause that sorts before one already charged this round)
-/// is placed by binary search. The layout is canonical — the same cells
-/// make the same vectors — so equality is structural, and every reader
-/// iterates in a fixed order, so rollups and rendered tables are
-/// byte-stable across same-seed runs.
+/// One fixed cell per [`CommCause`], indexed by the cause itself, so a
+/// charge is two adds on a cell that lives inline in its fabric: no heap
+/// access, no search. Per-node and per-round detail is not kept here;
+/// every charge point also emits a `comm` trace event carrying the node,
+/// cause and bytes, and the trace clock stamps its round
+/// (docs/OBSERVABILITY.md, "The communication ledger").
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct CommLedger {
-    /// Indexed by node id; the last entry, if any, is never empty.
-    nodes: Vec<Vec<Row>>,
+    cells: [LedgerCell; CommCause::ALL.len()],
 }
 
 impl CommLedger {
-    /// The cell of `(round, node, cause)`, created empty if absent.
-    fn cell(&mut self, round: u64, node: NodeId, cause: CommCause) -> &mut LedgerCell {
-        if node >= self.nodes.len() {
-            self.nodes.resize_with(node + 1, Vec::new);
-        }
-        let rows = &mut self.nodes[node];
-        let key = (round, cause);
-        let i = match rows.last().map(Row::key) {
-            Some(last) if last == key => rows.len() - 1,
-            Some(last) if last > key => match rows.binary_search_by_key(&key, Row::key) {
-                Ok(i) => i,
-                Err(i) => {
-                    rows.insert(i, Row::empty(round, cause));
-                    i
-                }
-            },
-            _ => {
-                rows.push(Row::empty(round, cause));
-                rows.len() - 1
-            }
-        };
-        &mut rows[i].cell
-    }
-
-    fn rows(&self) -> impl Iterator<Item = (NodeId, &Row)> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .flat_map(|(node, rows)| rows.iter().map(move |r| (node, r)))
-    }
-
     /// Charge one node→coordinator frame of `bytes` to `cause`.
-    pub fn charge_up(&mut self, round: u64, node: NodeId, cause: CommCause, bytes: u64) {
-        let cell = self.cell(round, node, cause);
+    pub fn charge_up(&mut self, cause: CommCause, bytes: u64) {
+        let cell = &mut self.cells[cause as usize];
         cell.up_msgs += 1;
         cell.up_bytes += bytes;
     }
 
     /// Charge one coordinator→node frame of `bytes` to `cause`.
-    pub fn charge_down(&mut self, round: u64, node: NodeId, cause: CommCause, bytes: u64) {
-        let cell = self.cell(round, node, cause);
+    pub fn charge_down(&mut self, cause: CommCause, bytes: u64) {
+        let cell = &mut self.cells[cause as usize];
         cell.down_msgs += 1;
         cell.down_bytes += bytes;
     }
 
-    /// Iterate all cells in (round, node, cause) order.
-    pub fn iter(&self) -> impl Iterator<Item = ((u64, NodeId, CommCause), &LedgerCell)> {
-        let mut cells: Vec<_> = self
-            .rows()
-            .map(|(node, r)| ((r.round, node, r.cause), &r.cell))
-            .collect();
-        cells.sort_unstable_by_key(|&(key, _)| key);
-        cells.into_iter()
-    }
-
-    /// Grand totals over every cell.
+    /// Grand totals over every cause.
     pub fn totals(&self) -> LedgerCell {
         let mut t = LedgerCell::default();
-        for (_, r) in self.rows() {
-            t.absorb(&r.cell);
+        for cell in &self.cells {
+            t.absorb(cell);
         }
         t
     }
 
-    /// Rollup by cause, in `CommCause` order.
+    /// Rollup by cause, in `CommCause` order; a cause never charged has
+    /// no entry.
     pub fn by_cause(&self) -> BTreeMap<CommCause, LedgerCell> {
-        let mut out: BTreeMap<CommCause, LedgerCell> = BTreeMap::new();
-        for (_, r) in self.rows() {
-            out.entry(r.cause).or_default().absorb(&r.cell);
-        }
-        out
-    }
-
-    /// Rollup by node, for per-node imbalance questions.
-    pub fn by_node(&self) -> BTreeMap<NodeId, LedgerCell> {
-        let mut out: BTreeMap<NodeId, LedgerCell> = BTreeMap::new();
-        for (node, r) in self.rows() {
-            out.entry(node).or_default().absorb(&r.cell);
-        }
-        out
+        CommCause::ALL
+            .into_iter()
+            .zip(self.cells)
+            .filter(|(_, cell)| cell.msgs() > 0)
+            .collect()
     }
 
     /// The per-cause rollup as serializable [`LedgerEntry`] rows.
@@ -305,33 +250,15 @@ impl CommLedger {
             .collect()
     }
 
-    /// Fold another ledger's cells into this one, cell by cell.
+    /// Fold another ledger's cells into this one, cause by cause.
     ///
     /// The fleet uses this to merge each leaf fabric's intra-shard
     /// ledger and the root fabric's inter-tier ledger into one two-tier
     /// ledger whose totals conserve against the fleet-wide frame
-    /// counters. Keys collide only when both ledgers charged the same
-    /// (round, node, cause) — the cells then add, which is exactly the
-    /// conservation-preserving behavior.
+    /// counters.
     pub fn absorb_ledger(&mut self, other: &CommLedger) {
-        if self.nodes.len() < other.nodes.len() {
-            self.nodes.resize_with(other.nodes.len(), Vec::new);
-        }
-        for (mine, theirs) in self.nodes.iter_mut().zip(&other.nodes) {
-            if theirs.is_empty() {
-                continue;
-            }
-            // Two sorted runs: the stable sort merges them in linear
-            // time, and equal keys end up adjacent, this ledger's first.
-            mine.extend_from_slice(theirs);
-            mine.sort_by_key(Row::key);
-            mine.dedup_by(|later, earlier| {
-                let same = later.key() == earlier.key();
-                if same {
-                    earlier.cell.absorb(&later.cell);
-                }
-                same
-            });
+        for (mine, theirs) in self.cells.iter_mut().zip(&other.cells) {
+            mine.absorb(theirs);
         }
     }
 
@@ -359,30 +286,25 @@ impl CommLedger {
 mod tests {
     use super::*;
 
-    fn cell_of(l: &CommLedger, key: (u64, NodeId, CommCause)) -> LedgerCell {
-        l.iter().find(|&(k, _)| k == key).map(|(_, c)| *c).unwrap()
-    }
-
     #[test]
-    fn charges_aggregate_per_round_node_cause() {
+    fn charges_aggregate_per_cause() {
         let mut l = CommLedger::default();
-        l.charge_up(0, 1, CommCause::Registration, 30);
-        l.charge_up(0, 1, CommCause::Registration, 30);
-        l.charge_down(0, 1, CommCause::FullSync, 100);
-        l.charge_down(1, 2, CommCause::LazySync, 50);
+        l.charge_up(CommCause::Registration, 30);
+        l.charge_up(CommCause::Registration, 30);
+        l.charge_down(CommCause::FullSync, 100);
+        l.charge_down(CommCause::LazySync, 50);
 
-        let cell = cell_of(&l, (0, 1, CommCause::Registration));
-        assert_eq!((cell.up_msgs, cell.up_bytes), (2, 60));
-        assert_eq!((cell.down_msgs, cell.down_bytes), (0, 0));
+        let by_cause = l.by_cause();
+        let reg = by_cause[&CommCause::Registration];
+        assert_eq!((reg.up_msgs, reg.up_bytes), (2, 60));
+        assert_eq!((reg.down_msgs, reg.down_bytes), (0, 0));
+        assert_eq!(by_cause[&CommCause::FullSync].down_bytes, 100);
+        assert_eq!(by_cause[&CommCause::LazySync].msgs(), 1);
+        assert_eq!(by_cause.len(), 3, "uncharged causes have no entry");
 
         let totals = l.totals();
         assert_eq!(totals.msgs(), 4);
         assert_eq!(totals.bytes(), 210);
-
-        let by_cause = l.by_cause();
-        assert_eq!(by_cause[&CommCause::FullSync].down_bytes, 100);
-        assert_eq!(by_cause[&CommCause::LazySync].msgs(), 1);
-        assert_eq!(l.by_node()[&1].bytes(), 160);
 
         assert_eq!(l.check_conservation(4, 210), None);
         assert!(l.check_conservation(5, 210).is_some());
@@ -390,10 +312,17 @@ mod tests {
     }
 
     #[test]
+    fn every_cause_indexes_its_own_cell() {
+        for (i, c) in CommCause::ALL.into_iter().enumerate() {
+            assert_eq!(c as usize, i, "{c:?}");
+        }
+    }
+
+    #[test]
     fn entries_render_in_cause_order() {
         let mut l = CommLedger::default();
-        l.charge_down(3, 0, CommCause::Resync, 40);
-        l.charge_up(2, 0, CommCause::ViolationSafeZone, 25);
+        l.charge_down(CommCause::Resync, 40);
+        l.charge_up(CommCause::ViolationSafeZone, 25);
         let rows = l.entries();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].cause, "violation_safezone");
@@ -460,14 +389,14 @@ mod tests {
     #[test]
     fn absorb_ledger_adds_cells_and_conserves() {
         let mut a = CommLedger::default();
-        a.charge_up(0, 1, CommCause::Registration, 30);
-        a.charge_down(2, 0, CommCause::FullSync, 80);
+        a.charge_up(CommCause::Registration, 30);
+        a.charge_down(CommCause::FullSync, 80);
 
         let mut b = CommLedger::default();
-        // Colliding key: same (round, node, cause) as in `a`.
-        b.charge_up(0, 1, CommCause::Registration, 30);
-        b.charge_up(1, 3, CommCause::LeafReport, 44);
-        b.charge_down(1, 3, CommCause::RootSync, 90);
+        // Colliding cause: charged in `a` too.
+        b.charge_up(CommCause::Registration, 30);
+        b.charge_up(CommCause::LeafReport, 44);
+        b.charge_down(CommCause::RootSync, 90);
 
         let (ta, tb) = (a.totals(), b.totals());
         a.absorb_ledger(&b);
@@ -475,8 +404,9 @@ mod tests {
             a.check_conservation(ta.msgs() + tb.msgs(), ta.bytes() + tb.bytes()),
             None
         );
-        let cell = cell_of(&a, (0, 1, CommCause::Registration));
-        assert_eq!((cell.up_msgs, cell.up_bytes), (2, 60));
-        assert_eq!(a.by_cause()[&CommCause::LeafReport].up_bytes, 44);
+        let by_cause = a.by_cause();
+        let reg = by_cause[&CommCause::Registration];
+        assert_eq!((reg.up_msgs, reg.up_bytes), (2, 60));
+        assert_eq!(by_cause[&CommCause::LeafReport].up_bytes, 44);
     }
 }

@@ -3,7 +3,10 @@
 //! A node owns its raw local vector `x`, the slack `s` assigned by the
 //! coordinator, its epoch and its pending flags; the current [`SafeZone`]
 //! it only shares (the sync's head and penalty, the same allocations at
-//! every member). On every data update it
+//! every member). `x` and `s` sit in one `[x | s]` block of `2d` floats,
+//! allocated once with the node: data updates and installs copy into it,
+//! so neither the data path nor a sync moves a heap vector into the
+//! node. On every data update it
 //! checks the slack-adjusted vector `x + s` against the constraints and
 //! reports a violation at most once per resolution cycle; while a report
 //! is outstanding further updates stay silent until new constraints or a
@@ -20,8 +23,10 @@ use automon_obs::{Counter, Telemetry};
 pub struct Node {
     id: NodeId,
     f: Arc<dyn MonitoredFunction>,
-    x: Option<Vec<f64>>,
-    slack: Vec<f64>,
+    /// `[x | s]`: the local vector, then the slack, `d` floats each.
+    block: Box<[f64]>,
+    /// `x` holds data (an `update_data` has supplied a vector).
+    has_x: bool,
     /// Shared with the coordinator and the other members of the sync.
     zone: Option<SafeZone>,
     /// A violation has been reported and not yet resolved.
@@ -45,8 +50,8 @@ impl Node {
         Self {
             id,
             f,
-            x: None,
-            slack: vec![0.0; d],
+            block: vec![0.0; 2 * d].into_boxed_slice(),
+            has_x: false,
             zone: None,
             pending: false,
             epoch: 0,
@@ -93,12 +98,24 @@ impl Node {
 
     /// The raw local vector last supplied.
     pub fn local_vector(&self) -> Option<&[f64]> {
-        self.x.as_deref()
+        self.has_x.then(|| &self.block[..self.dim()])
     }
 
     /// The current slack vector.
     pub fn slack(&self) -> &[f64] {
-        &self.slack
+        &self.block[self.dim()..]
+    }
+
+    /// `d`, the length of `x` and of `s`.
+    fn dim(&self) -> usize {
+        self.block.len() / 2
+    }
+
+    /// Copy an installed slack into the block.
+    fn install_slack(&mut self, slack: &[f64]) {
+        let d = self.dim();
+        assert_eq!(slack.len(), d, "slack dimension mismatch");
+        self.block[d..].copy_from_slice(slack);
     }
 
     /// `true` while a violation report awaits resolution.
@@ -118,11 +135,11 @@ impl Node {
         if !self.pending {
             return None;
         }
-        let x = self.x.as_ref()?;
+        let x = self.local_vector()?;
         Some(NodeMessage::Violation {
             node: self.id,
             kind: self.pending_kind.unwrap_or(ViolationKind::Uninitialized),
-            local_vector: x.clone(),
+            local_vector: x.to_vec(),
             epoch: self.epoch,
         })
     }
@@ -134,17 +151,21 @@ impl Node {
     /// # Panics
     /// Panics if `x` has the wrong dimension.
     pub fn update_data(&mut self, x: Vec<f64>) -> Option<NodeMessage> {
-        assert_eq!(x.len(), self.f.dim(), "update_data: wrong dimension");
-        self.x = Some(x);
+        let d = self.dim();
+        assert_eq!(x.len(), d, "update_data: wrong dimension");
+        self.block[..d].copy_from_slice(&x);
+        // Freed here, while its memory is still hot in cache.
+        drop(x);
+        self.has_x = true;
         self.check()
     }
 
     /// Re-check the current vector against the constraints.
     fn check(&mut self) -> Option<NodeMessage> {
-        if self.pending {
+        if self.pending || !self.has_x {
             return None;
         }
-        let x = self.x.as_ref()?;
+        let (x, slack) = self.block.split_at(self.dim());
         let Some(zone) = &self.zone else {
             // First contact: register with the coordinator.
             self.pending = true;
@@ -153,19 +174,19 @@ impl Node {
             return Some(NodeMessage::Violation {
                 node: self.id,
                 kind: ViolationKind::Uninitialized,
-                local_vector: x.clone(),
+                local_vector: x.to_vec(),
                 epoch: self.epoch,
             });
         };
         self.tel_checks.inc();
-        let kind = zone.check_shifted(self.f.as_ref(), x, &self.slack)?;
+        let kind = zone.check_shifted(self.f.as_ref(), x, slack)?;
         self.pending = true;
         self.pending_kind = Some(kind);
         self.tel_reports.inc();
         Some(NodeMessage::Violation {
             node: self.id,
             kind,
-            local_vector: x.clone(),
+            local_vector: x.to_vec(),
             epoch: self.epoch,
         })
     }
@@ -178,7 +199,8 @@ impl Node {
     /// had one.
     pub fn restart(&mut self, id: NodeId) -> Option<NodeMessage> {
         self.id = id;
-        self.slack.fill(0.0);
+        let d = self.dim();
+        self.block[d..].fill(0.0);
         self.zone = None;
         self.pending = false;
         self.epoch = 0;
@@ -190,14 +212,14 @@ impl Node {
     /// state (e.g. a restarted process handed a cached-constraints frame
     /// it cannot apply) sends to ask the coordinator for a full resync.
     fn reregister(&mut self) -> Option<NodeMessage> {
-        let x = self.x.as_ref()?;
+        let x = self.local_vector()?.to_vec();
         self.pending = true;
         self.pending_kind = Some(ViolationKind::Uninitialized);
         self.tel_reports.inc();
         Some(NodeMessage::Violation {
             node: self.id,
             kind: ViolationKind::Uninitialized,
-            local_vector: x.clone(),
+            local_vector: x,
             epoch: self.epoch,
         })
     }
@@ -218,7 +240,7 @@ impl Node {
                 // A restarted node can be pulled before its first data
                 // update; stay silent and let the coordinator's
                 // retransmit timer re-pull once data exists.
-                let vector = self.x.clone()?;
+                let vector = self.local_vector()?.to_vec();
                 Some(NodeMessage::LocalVector {
                     node: self.id,
                     vector,
@@ -226,16 +248,15 @@ impl Node {
                 })
             }
             CoordinatorMessage::NewConstraints { zone, slack, epoch } => {
-                assert_eq!(slack.len(), self.f.dim(), "slack dimension mismatch");
+                self.install_slack(&slack);
                 self.zone = Some(zone);
-                self.slack = slack;
                 self.epoch = epoch;
                 self.pending = false;
                 self.pending_kind = None;
                 None
             }
             CoordinatorMessage::NewConstraintsCached { update, slack, epoch } => {
-                assert_eq!(slack.len(), self.f.dim(), "slack dimension mismatch");
+                assert_eq!(slack.len(), self.dim(), "slack dimension mismatch");
                 // The matrix-free form is only applicable when this node
                 // still holds the curvature it refers to. A restarted
                 // node does not, and neither does one that skipped a
@@ -255,21 +276,21 @@ impl Node {
                     head: update,
                     curvature: old.curvature,
                 });
-                self.slack = slack;
+                self.install_slack(&slack);
                 self.epoch = epoch;
                 self.pending = false;
                 self.pending_kind = None;
                 None
             }
             CoordinatorMessage::SlackUpdate { slack, epoch } => {
-                assert_eq!(slack.len(), self.f.dim(), "slack dimension mismatch");
+                assert_eq!(slack.len(), self.dim(), "slack dimension mismatch");
                 // A rebalance presumes the constraints of its epoch. A
                 // node that lost them (restart) or skipped the sync that
                 // opened `epoch` (lossy link) must resync fully first.
                 if self.zone.is_none() || epoch > self.epoch {
                     return self.reregister();
                 }
-                self.slack = slack;
+                self.install_slack(&slack);
                 self.pending = false;
                 self.pending_kind = None;
                 None
@@ -435,5 +456,58 @@ mod tests {
                 epoch: 0,
             }
         );
+    }
+
+    #[test]
+    fn vector_and_slack_are_written_in_place_bit_for_bit() {
+        let mut n = Node::new(5, f());
+        let at = |n: &Node| (n.local_vector().unwrap().as_ptr(), n.slack().as_ptr());
+        let _ = n.update_data(vec![0.0]);
+        let home = at(&n);
+        let z = zone();
+        n.handle(CoordinatorMessage::NewConstraints {
+            zone: z.clone(),
+            slack: vec![0.25],
+            epoch: 1,
+        });
+        assert_eq!((at(&n), n.slack()), (home, &[0.25][..]));
+        assert!(n.update_data(vec![0.5]).is_none());
+        assert_eq!((at(&n), n.local_vector()), (home, Some(&[0.5][..])));
+        n.handle(CoordinatorMessage::NewConstraintsCached {
+            update: z.head.clone(),
+            slack: vec![-0.5],
+            epoch: 2,
+        });
+        assert_eq!((at(&n), n.slack()), (home, &[-0.5][..]));
+        n.handle(CoordinatorMessage::SlackUpdate {
+            slack: vec![0.125],
+            epoch: 2,
+        });
+        assert_eq!((at(&n), n.slack()), (home, &[0.125][..]));
+        assert!(n.restart(5).is_some());
+        assert_eq!((at(&n), n.slack()), (home, &[0.0][..]));
+
+        // Pending after the restart's registration: updates only write
+        // the block, and a pull returns exactly the bits written.
+        let pull = |n: &mut Node| {
+            let pulled = n.handle(CoordinatorMessage::RequestLocalVector { epoch: 0 });
+            match pulled {
+                Some(NodeMessage::LocalVector { vector, .. }) => vector[0].to_bits(),
+                other => panic!("unexpected {other:?}"),
+            }
+        };
+        let nan = 0x7ff8_0000_dead_beef_u64;
+        for bits in [nan, 0xfff0_0000_0000_0001, (-0.0f64).to_bits()] {
+            assert!(n.update_data(vec![f64::from_bits(bits)]).is_none());
+            assert_eq!(at(&n), home);
+            assert_eq!(pull(&mut n), bits);
+        }
+        // A registration carries the payload bit for bit too.
+        match Node::new(6, f()).update_data(vec![f64::from_bits(nan)]) {
+            Some(NodeMessage::Violation { local_vector, .. }) => {
+                assert_eq!(local_vector[0].to_bits(), nan);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
     }
 }

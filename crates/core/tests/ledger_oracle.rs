@@ -1,36 +1,19 @@
-//! The communication ledger against a `BTreeMap` keyed (round, node,
-//! cause) — the structure it replaced, kept here as the oracle.
+//! The communication ledger against a `BTreeMap` keyed by cause, the
+//! plainest per-cause tally, kept here as the oracle.
 //!
-//! One random charge sequence feeds both: rounds that go backwards as
-//! well as forwards, node ids in any order, causes out of enum order
-//! within a round, and an `absorb_ledger` of a second ledger built from
-//! its own sequence. Every public reader must agree with the oracle.
+//! One random charge sequence feeds both: causes in any order, either
+//! direction, any byte count, and an `absorb_ledger` of a second ledger
+//! built from its own sequence. Every public reader must agree with the
+//! oracle.
 
 use std::collections::BTreeMap;
 
-use automon_core::{CommCause, CommLedger, LedgerCell, LedgerEntry, NodeId};
+use automon_core::{CommCause, CommLedger, LedgerCell, LedgerEntry};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-const CAUSES: [CommCause; 14] = [
-    CommCause::Registration,
-    CommCause::ViolationNeighborhood,
-    CommCause::ViolationSafeZone,
-    CommCause::ViolationFaulty,
-    CommCause::FullSync,
-    CommCause::LazySync,
-    CommCause::Resync,
-    CommCause::Rejoin,
-    CommCause::Eviction,
-    CommCause::Retransmit,
-    CommCause::Recovery,
-    CommCause::LeafReport,
-    CommCause::RootSync,
-    CommCause::ShardRebalance,
-];
-
-type Key = (u64, NodeId, CommCause);
+type Charge = (CommCause, bool, u64);
 
 fn add(into: &mut LedgerCell, c: &LedgerCell) {
     into.up_msgs += c.up_msgs;
@@ -40,10 +23,10 @@ fn add(into: &mut LedgerCell, c: &LedgerCell) {
 }
 
 #[derive(Default)]
-struct Oracle(BTreeMap<Key, LedgerCell>);
+struct Oracle(BTreeMap<CommCause, LedgerCell>);
 
 impl Oracle {
-    fn charge(&mut self, (key, up, bytes): (Key, bool, u64)) {
+    fn charge(&mut self, (cause, up, bytes): Charge) {
         let c = if up {
             LedgerCell {
                 up_msgs: 1,
@@ -57,48 +40,41 @@ impl Oracle {
                 ..LedgerCell::default()
             }
         };
-        add(self.0.entry(key).or_default(), &c);
+        add(self.0.entry(cause).or_default(), &c);
     }
 
     fn absorb(&mut self, other: &Oracle) {
-        for (key, c) in &other.0 {
-            add(self.0.entry(*key).or_default(), c);
+        for (cause, c) in &other.0 {
+            add(self.0.entry(*cause).or_default(), c);
         }
     }
 
-    fn rollup<K: Ord>(&self, by: impl Fn(&Key) -> K) -> BTreeMap<K, LedgerCell> {
-        let mut out = BTreeMap::new();
-        for (key, c) in &self.0 {
-            add(out.entry(by(key)).or_default(), c);
+    fn totals(&self) -> LedgerCell {
+        let mut t = LedgerCell::default();
+        for c in self.0.values() {
+            add(&mut t, c);
         }
-        out
+        t
     }
 }
 
-fn charge(ledger: &mut CommLedger, ((round, node, cause), up, bytes): (Key, bool, u64)) {
+fn charge(ledger: &mut CommLedger, (cause, up, bytes): Charge) {
     if up {
-        ledger.charge_up(round, node, cause, bytes);
+        ledger.charge_up(cause, bytes);
     } else {
-        ledger.charge_down(round, node, cause, bytes);
+        ledger.charge_down(cause, bytes);
     }
 }
 
-/// A charge sequence of up to `len` frames. The round mostly holds or
-/// advances, as in a run, but one step in eight jumps back; nodes come
-/// from a small id space in any order, so cells collide often.
-fn sequence(rng: &mut SmallRng, len: usize) -> Vec<(Key, bool, u64)> {
-    let mut round = rng.gen_range(0..4u64);
+/// A charge sequence of up to `len` frames, causes drawn uniformly so
+/// some are charged often, some once and some never; zero-byte frames
+/// included.
+fn sequence(rng: &mut SmallRng, len: usize) -> Vec<Charge> {
+    let causes = CommCause::ALL;
     (0..rng.gen_range(0..len))
         .map(|_| {
-            match rng.gen_range(0..8u32) {
-                0 => round = round.saturating_sub(rng.gen_range(1..4u64)),
-                1 | 2 => round += 1,
-                _ => {}
-            }
-            let node = rng.gen_range(0..12usize);
-            let cause = CAUSES[rng.gen_range(0..CAUSES.len())];
             (
-                (round, node, cause),
+                causes[rng.gen_range(0..causes.len())],
                 rng.gen_bool(0.5),
                 rng.gen_range(0..400u64),
             )
@@ -107,16 +83,12 @@ fn sequence(rng: &mut SmallRng, len: usize) -> Vec<(Key, bool, u64)> {
 }
 
 fn assert_agree(ledger: &CommLedger, oracle: &Oracle) {
-    let cells: Vec<(Key, LedgerCell)> = ledger.iter().map(|(k, c)| (k, *c)).collect();
-    let want: Vec<(Key, LedgerCell)> = oracle.0.iter().map(|(k, c)| (*k, *c)).collect();
-    assert_eq!(cells, want, "iter()");
-    assert_eq!(ledger.by_cause(), oracle.rollup(|k| k.2), "by_cause()");
-    assert_eq!(ledger.by_node(), oracle.rollup(|k| k.1), "by_node()");
-    let totals = oracle.rollup(|_| ()).remove(&()).unwrap_or_default();
+    assert_eq!(ledger.by_cause(), oracle.0, "by_cause()");
+    let totals = oracle.totals();
     assert_eq!(ledger.totals(), totals, "totals()");
     let entries: Vec<LedgerEntry> = oracle
-        .rollup(|k| k.2)
-        .into_iter()
+        .0
+        .iter()
         .map(|(cause, c)| LedgerEntry {
             cause: cause.name().to_string(),
             msgs: c.msgs(),
@@ -128,6 +100,9 @@ fn assert_agree(ledger: &CommLedger, oracle: &Oracle) {
         ledger.check_conservation(totals.msgs(), totals.bytes()),
         None
     );
+    assert!(ledger
+        .check_conservation(totals.msgs() + 1, totals.bytes())
+        .is_some());
 }
 
 proptest! {
@@ -154,8 +129,8 @@ proptest! {
         oracle.absorb(&other_oracle);
         assert_agree(&ledger, &oracle);
 
-        // The same cells make the same ledger, whichever way they came:
-        // absorbing equals charging the second sequence directly.
+        // The same charges make the same ledger, whichever way they
+        // came: absorbing equals charging the second sequence directly.
         let mut direct = CommLedger::default();
         for &c in first.iter().chain(&second) {
             charge(&mut direct, c);

@@ -197,11 +197,6 @@ impl Fleet {
         self
     }
 
-    /// Stamp the round on every fabric (ledger row key).
-    pub fn set_round(&mut self, round: u64) {
-        self.fabric.set_round(round);
-    }
-
     /// Number of shards.
     pub fn shards(&self) -> usize {
         self.leaves.len()

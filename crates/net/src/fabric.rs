@@ -46,7 +46,6 @@ impl TrafficStats {
 pub struct CountingFabric {
     stats: TrafficStats,
     ledger: CommLedger,
-    round: u64,
     tel: Telemetry,
     cause_map: fn(CommCause) -> CommCause,
     /// The node frames waiting to go up, oldest first. Empty between
@@ -66,7 +65,6 @@ impl CountingFabric {
         Self {
             stats: TrafficStats::default(),
             ledger: CommLedger::default(),
-            round: 0,
             tel: Telemetry::disabled(),
             cause_map: std::convert::identity,
             fifo: VecDeque::new(),
@@ -81,7 +79,7 @@ impl CountingFabric {
     }
 
     /// Install a cause map applied at every charge point, *before* the
-    /// ledger row, counter bump, and `comm` trace event are written.
+    /// ledger cell, counter bump, and `comm` trace event are written.
     /// The root tier of a sharded fleet installs
     /// [`CommCause::at_root`] here so its flat-protocol machinery is
     /// charged under the inter-tier causes natively — ledger and trace
@@ -101,11 +99,6 @@ impl CountingFabric {
     /// the ledger is charged at exactly the counter-bump points.
     pub fn ledger(&self) -> &CommLedger {
         &self.ledger
-    }
-
-    /// Set the simulation round subsequent frames are charged to.
-    pub fn set_round(&mut self, round: u64) {
-        self.round = round;
     }
 
     fn comm_event(
@@ -129,7 +122,7 @@ impl CountingFabric {
     }
 
     /// Account one node→coordinator frame of `bytes`: counter bump,
-    /// ledger row, and `comm` trace event, with the
+    /// ledger charge, and `comm` trace event, with the
     /// installed cause map applied first. Every up-direction charge in
     /// this fabric funnels through here; it is public so a sharded
     /// fleet can charge inter-tier frames (encoded elsewhere) on the
@@ -138,7 +131,7 @@ impl CountingFabric {
         let cause = (self.cause_map)(cause);
         self.stats.node_to_coord_msgs += 1;
         self.stats.node_to_coord_payload += bytes;
-        self.ledger.charge_up(self.round, node, cause, bytes as u64);
+        self.ledger.charge_up(cause, bytes as u64);
         self.comm_event("up", node, cause, bytes, span);
     }
 
@@ -148,7 +141,7 @@ impl CountingFabric {
         let cause = (self.cause_map)(cause);
         self.stats.coord_to_node_msgs += 1;
         self.stats.coord_to_node_payload += bytes;
-        self.ledger.charge_down(self.round, node, cause, bytes as u64);
+        self.ledger.charge_down(cause, bytes as u64);
         self.comm_event("down", node, cause, bytes, span);
     }
 

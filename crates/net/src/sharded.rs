@@ -9,7 +9,7 @@
 //! protocol machinery the root tier reuses is charged under the
 //! inter-tier causes (`leaf_report` / `root_sync` / `shard_rebalance`)
 //! natively — the merged ledger needs no rewriting, and trace `comm`
-//! events agree with ledger rows by construction.
+//! events agree with the ledger by construction.
 //!
 //! Inter-tier frames are the [`TierMessage`] kinds from `automon-core`,
 //! charged at [`wire::tier_message_len`], the exact length
@@ -74,14 +74,6 @@ impl ShardedFabric {
         &self.root
     }
 
-    /// Stamp the simulation round on every tier's fabric.
-    pub fn set_round(&mut self, round: u64) {
-        for f in &mut self.leaves {
-            f.set_round(round);
-        }
-        self.root.set_round(round);
-    }
-
     /// Fleet-wide traffic totals: every leaf fabric plus the root
     /// fabric, summed field-wise.
     pub fn total_stats(&self) -> TrafficStats {
@@ -97,8 +89,8 @@ impl ShardedFabric {
     }
 
     /// The two-tier ledger: every leaf's intra-shard ledger and the
-    /// root's inter-tier ledger folded into one. Leaf rows keep their
-    /// flat causes; root rows carry only tier causes (the cause map
+    /// root's inter-tier ledger folded into one. Leaf charges keep their
+    /// flat causes; root charges carry only tier causes (the cause map
     /// guarantees it), so the two tiers stay separable by cause.
     pub fn combined_ledger(&self) -> CommLedger {
         let mut out = CommLedger::default();
@@ -239,21 +231,5 @@ mod tests {
             wire::encode_tier_message(&directive).len() as u64
         );
         assert_eq!(fab.check_conservation(), None);
-    }
-
-    #[test]
-    fn round_stamp_fans_out_to_every_tier() {
-        let f = f();
-        let mut fab = ShardedFabric::new(2);
-        fab.set_round(4);
-        let mut coord = Coordinator::new(f.clone(), 1, MonitorConfig::builder(0.5).build());
-        let mut nodes = vec![Node::new(0, f.clone())];
-        if let Some(m) = nodes[0].update_data(vec![0.0]) {
-            let cause = CommCause::of_node_message(&m);
-            fab.leaf(1)
-                .route_as(&mut coord, &mut nodes, m, cause, SpanId::NONE);
-        }
-        let ledger = fab.combined_ledger();
-        assert!(ledger.iter().all(|((round, _, _), _)| round == 4));
     }
 }

@@ -139,7 +139,6 @@ impl FleetSimulation {
 
         for t in 0..workload.rounds() {
             self.telemetry.set_round(t as u64);
-            fleet.set_round(t as u64);
             apply_timed_faults(&mut fleet, &self.plan, t);
             for (node, x) in workload.updates(t) {
                 if !fleet.stream_is_alive(*node) {

@@ -68,8 +68,11 @@ pub struct TransportReport {
 pub(crate) trait Link {
     /// Advance to `round`: fire its timed faults and return the nodes
     /// restarted, which the driver must replace with fresh processes before
-    /// anything else is delivered.
-    fn begin_round(&mut self, round: usize) -> Vec<NodeId>;
+    /// anything else is delivered. Links without timed faults or held
+    /// frames have nothing to do.
+    fn begin_round(&mut self, _round: usize) -> Vec<NodeId> {
+        Vec::new()
+    }
     /// Deliver frames whose delay matured by the current round and outbounds
     /// held back by backpressure.
     fn release_matured(&mut self, _peers: &mut Peers) {}
@@ -111,10 +114,6 @@ pub(crate) trait Link {
 }
 
 impl Link for CountingFabric {
-    fn begin_round(&mut self, round: usize) -> Vec<NodeId> {
-        self.set_round(round as u64);
-        Vec::new()
-    }
     fn report(&mut self, p: &mut Peers, msg: NodeMessage, cause: CommCause, span: SpanId) {
         self.route_as(&mut p.coord, &mut p.nodes, msg, cause, span);
     }
@@ -358,7 +357,6 @@ impl ReactorLink {
 
 impl Link for ReactorLink {
     fn begin_round(&mut self, round: usize) -> Vec<NodeId> {
-        self.fabric.set_round(round as u64);
         self.round = round;
         let later = self.delayed.split_off(&(round + 1));
         for (_, frames) in std::mem::replace(&mut self.delayed, later) {
@@ -510,10 +508,6 @@ fn route<T: CoordinatorTransport>(
 }
 
 impl<T: CoordinatorTransport> Link for SocketLink<T> {
-    fn begin_round(&mut self, round: usize) -> Vec<NodeId> {
-        self.fabric.set_round(round as u64);
-        Vec::new()
-    }
     fn report(&mut self, peers: &mut Peers, msg: NodeMessage, cause: CommCause, span: SpanId) {
         self.cascade(peers, Some((msg, span, cause)), Vec::new());
     }
