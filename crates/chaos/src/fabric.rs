@@ -2,22 +2,17 @@
 //! [`CountingFabric`].
 //!
 //! Every frame crossing the fabric — node→coordinator reports and
-//! coordinator→node installs alike — passes a *gate* before delivery.
-//! The gate first consults the timed schedule (crashed nodes fail the
-//! delivery, partitioned nodes swallow it silently), then makes exactly
-//! one RNG draw against the plan's threshold ladder to pick at most one
-//! probabilistic fault: drop, duplicate, reorder, or delay. Because the
+//! coordinator→node installs alike — waits in one [`FaultQueue`] and is
+//! gated when popped. The gate first consults the timed schedule (crashed
+//! nodes fail the delivery, partitioned nodes swallow it silently), then,
+//! for a fresh frame, makes exactly one RNG draw against the plan's
+//! threshold ladder to pick at most one probabilistic fault: drop,
+//! duplicate, reorder, or delay, which the queue carries out. Because the
 //! draws are strictly sequential and the schedule is pure data, the same
 //! plan and seed always yield the same [`FaultEvent`] trace, byte for
-//! byte — a chaos failure replays exactly.
-//!
-//! Re-injected frames (the late copy of a duplicate, a reordered or
-//! matured delayed frame) carry an *immunity* flag so they skip the
-//! probabilistic ladder — otherwise a duplicate could be re-duplicated
-//! forever. Immunity does not bypass crashes or partitions: a delayed
-//! frame maturing into a partition still vanishes.
-
-use std::collections::{BTreeMap, VecDeque};
+//! byte — a chaos failure replays exactly. The schedule checks apply to
+//! re-injected frames too: a delayed frame maturing into a partition
+//! still vanishes.
 
 use automon_core::{CommCause, CommLedger, Coordinator, Node, NodeId, NodeMessage, Outbound};
 use automon_net::{CountingFabric, TrafficStats};
@@ -26,6 +21,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::gate::{GateVerdict, LadderGate};
 use crate::plan::{Executor, FaultPlan, PlanPart, TimedFault};
+use crate::queue::FaultQueue;
 
 /// Which way a frame was travelling when a fault hit it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -91,123 +87,78 @@ pub struct DeliveryFailure {
     pub dir: Direction,
 }
 
-/// A frame in flight, with its ladder-immunity flag. Upward frames carry
-/// the trace span riding their header and the ledger cause their bytes
-/// are charged to on delivery (downward frames carry both inside the
-/// [`Outbound`]); a re-injected copy keeps them, so a duplicate or
-/// matured delayed frame is charged like the original.
+/// A frame in flight. Upward frames carry the trace span riding their
+/// header and the ledger cause their bytes are charged to on delivery
+/// (downward frames carry both inside the [`Outbound`]); a re-injected
+/// copy keeps them, so a duplicate or matured delayed frame is charged
+/// like the original.
 #[derive(Debug, Clone)]
 enum Pending {
     ToCoord {
         msg: NodeMessage,
         span: SpanId,
         cause: CommCause,
-        immune: bool,
     },
-    ToNode {
-        out: Outbound,
-        immune: bool,
-    },
+    ToNode(Outbound),
 }
 
 impl Pending {
-    fn immune_copy(&self) -> Self {
-        match self {
-            Self::ToCoord {
-                msg, span, cause, ..
-            } => Self::ToCoord {
-                msg: msg.clone(),
-                span: *span,
-                cause: *cause,
-                immune: true,
-            },
-            Self::ToNode { out, .. } => Self::ToNode {
-                out: out.clone(),
-                immune: true,
-            },
-        }
-    }
-
     fn endpoint(&self) -> (NodeId, Direction) {
         match self {
             Self::ToCoord { msg, .. } => (msg.sender(), Direction::NodeToCoord),
-            Self::ToNode { out, .. } => (out.to, Direction::CoordToNode),
-        }
-    }
-
-    fn immune(&self) -> bool {
-        match self {
-            Self::ToCoord { immune, .. } | Self::ToNode { immune, .. } => *immune,
+            Self::ToNode(out) => (out.to, Direction::CoordToNode),
         }
     }
 }
 
-/// Per-fault-kind counters plus the trace handle. The fabric is strictly
-/// sequential (one `record` call at a time, in deterministic order), so
-/// it may emit trace events — the fault trace in the JSONL sink replays
-/// byte-identically, mirroring [`ChaosFabric::trace`].
+/// Every [`FaultKind`]'s name, in [`kind_index`] order: the `kind` label of
+/// the fabric's fault counters and the `fault` field of its trace events.
+const KIND_NAMES: [&str; 9] = [
+    "drop",
+    "duplicate",
+    "reorder",
+    "delay",
+    "node_down",
+    "partition_drop",
+    "crash",
+    "restart",
+    "coordinator_crash",
+];
+
+fn kind_index(kind: FaultKind) -> usize {
+    match kind {
+        FaultKind::Drop => 0,
+        FaultKind::Duplicate => 1,
+        FaultKind::Reorder => 2,
+        FaultKind::Delay { .. } => 3,
+        FaultKind::NodeDown => 4,
+        FaultKind::PartitionDrop => 5,
+        FaultKind::Crash => 6,
+        FaultKind::Restart => 7,
+        FaultKind::CoordinatorCrash => 8,
+    }
+}
+
+/// Per-fault-kind counters (by [`kind_index`]) plus the trace handle. The
+/// fabric is strictly sequential (one `record` call at a time, in
+/// deterministic order), so it may emit trace events — the fault trace in
+/// the JSONL sink replays byte-identically, mirroring
+/// [`ChaosFabric::trace`].
 #[derive(Debug, Default)]
 struct FabricTel {
     tel: Telemetry,
-    drop: Counter,
-    duplicate: Counter,
-    reorder: Counter,
-    delay: Counter,
-    node_down: Counter,
-    partition_drop: Counter,
-    crash: Counter,
-    restart: Counter,
-    coordinator_crash: Counter,
+    counters: [Counter; 9],
 }
 
 impl FabricTel {
     fn new(tel: Telemetry) -> Self {
-        let c = |k: &str| {
+        let counters = KIND_NAMES.map(|k| {
             tel.counter(
                 &format!("automon_chaos_faults_total{{kind=\"{k}\"}}"),
                 "Faults injected by the chaos fabric, by kind",
             )
-        };
-        Self {
-            drop: c("drop"),
-            duplicate: c("duplicate"),
-            reorder: c("reorder"),
-            delay: c("delay"),
-            node_down: c("node_down"),
-            partition_drop: c("partition_drop"),
-            crash: c("crash"),
-            restart: c("restart"),
-            coordinator_crash: c("coordinator_crash"),
-            tel,
-        }
-    }
-
-    fn counter_for(&self, kind: FaultKind) -> &Counter {
-        match kind {
-            FaultKind::Drop => &self.drop,
-            FaultKind::Duplicate => &self.duplicate,
-            FaultKind::Reorder => &self.reorder,
-            FaultKind::Delay { .. } => &self.delay,
-            FaultKind::NodeDown => &self.node_down,
-            FaultKind::PartitionDrop => &self.partition_drop,
-            FaultKind::Crash => &self.crash,
-            FaultKind::Restart => &self.restart,
-            FaultKind::CoordinatorCrash => &self.coordinator_crash,
-        }
-    }
-}
-
-fn kind_name(kind: FaultKind) -> &'static str {
-    match kind {
-        FaultKind::Drop => "drop",
-        FaultKind::Duplicate => "duplicate",
-        FaultKind::Reorder => "reorder",
-        FaultKind::Delay { .. } => "delay",
-        FaultKind::NodeDown => "node_down",
-        FaultKind::PartitionDrop => "partition_drop",
-        FaultKind::Crash => "crash",
-        FaultKind::Restart => "restart",
-        FaultKind::CoordinatorCrash => "coordinator_crash",
+        });
+        Self { tel, counters }
     }
 }
 
@@ -226,8 +177,8 @@ pub struct ChaosFabric {
     round: usize,
     crashed: Vec<bool>,
     trace: Vec<FaultEvent>,
-    /// Frames held by `Delay`, keyed by the round they mature in.
-    delayed: BTreeMap<usize, Vec<Pending>>,
+    /// Every frame in flight, delayed ones included.
+    queue: FaultQueue<Pending>,
     failures: Vec<DeliveryFailure>,
     /// Observability handles (no-op until `set_telemetry`).
     tel: FabricTel,
@@ -263,7 +214,7 @@ impl ChaosFabric {
             round: 0,
             crashed: vec![false; n],
             trace: Vec::new(),
-            delayed: BTreeMap::new(),
+            queue: FaultQueue::default(),
             failures: Vec::new(),
             tel: FabricTel::default(),
         }
@@ -305,9 +256,9 @@ impl ChaosFabric {
         std::mem::take(&mut self.failures)
     }
 
-    /// Frames currently parked in the delay queue.
+    /// Frames held back by a delay; nothing else is in flight between calls.
     pub fn delayed_frames(&self) -> usize {
-        self.delayed.values().map(Vec::len).sum()
+        self.queue.in_flight()
     }
 
     /// Advance to `round`: fire its timed faults in [`FaultPlan::timed_at`]
@@ -316,6 +267,7 @@ impl ChaosFabric {
     /// anything (in particular before [`ChaosFabric::release_delayed`]).
     pub fn begin_round(&mut self, round: usize) -> Vec<NodeId> {
         self.round = round;
+        self.queue.begin_round(round);
         let due: Vec<TimedFault> = self.plan.timed_at(round).collect();
         let mut restarted = Vec::new();
         for fault in due {
@@ -343,31 +295,12 @@ impl ChaosFabric {
     }
 
     /// Deliver every delayed frame that matured by the current round,
-    /// cascading replies as usual. Returns how many matured.
-    pub fn release_delayed(
-        &mut self,
-        coord: &mut Coordinator,
-        nodes: &mut [Node],
-    ) -> usize {
-        let due: Vec<usize> = self
-            .delayed
-            .range(..=self.round)
-            .map(|(&r, _)| r)
-            .collect();
-        let mut inbox = VecDeque::new();
-        for r in due {
-            // Matured frames already paid their ladder toll; immune.
-            inbox.extend(
-                self.delayed
-                    .remove(&r)
-                    .unwrap_or_default()
-                    .into_iter()
-                    .map(|p| p.immune_copy()),
-            );
-        }
-        let matured = inbox.len();
-        self.drain(coord, nodes, inbox);
-        matured
+    /// cascading replies as usual. The round driver calls this after the
+    /// round's coordinator recovery and rejoins, so those run before any
+    /// matured frame (the reactor link releases as the round begins).
+    pub fn release_delayed(&mut self, coord: &mut Coordinator, nodes: &mut [Node]) {
+        self.queue.release_matured();
+        self.drain(coord, nodes);
     }
 
     /// Deliver a node report to the coordinator and cascade every reply
@@ -383,16 +316,12 @@ impl ChaosFabric {
         cause: CommCause,
         span: SpanId,
     ) {
-        self.drain(
-            coord,
-            nodes,
-            VecDeque::from([Pending::ToCoord {
-                msg: first,
-                span,
-                cause,
-                immune: false,
-            }]),
-        );
+        self.queue.push(Pending::ToCoord {
+            msg: first,
+            span,
+            cause,
+        });
+        self.drain(coord, nodes);
     }
 
     /// Inject coordinator-initiated frames (retransmitted pulls, evictions'
@@ -407,22 +336,16 @@ impl ChaosFabric {
         outs: Vec<Outbound>,
         cause: CommCause,
     ) {
-        self.drain(
-            coord,
-            nodes,
-            outs.into_iter()
-                .map(|mut out| {
-                    out.cause = cause;
-                    Pending::ToNode { out, immune: false }
-                })
-                .collect(),
-        );
+        for out in outs {
+            self.queue.push(Pending::ToNode(Outbound { cause, ..out }));
+        }
+        self.drain(coord, nodes);
     }
 
     /// FIFO delivery loop: pop a frame, gate it, deliver survivors
     /// through the counting fabric, enqueue replies at the back.
-    fn drain(&mut self, coord: &mut Coordinator, nodes: &mut [Node], mut inbox: VecDeque<Pending>) {
-        while let Some(frame) = inbox.pop_front() {
+    fn drain(&mut self, coord: &mut Coordinator, nodes: &mut [Node]) {
+        while let Some((frame, fresh)) = self.queue.pop() {
             let (node, dir) = frame.endpoint();
             if self.crashed[node] {
                 self.record(dir, node, FaultKind::NodeDown);
@@ -433,60 +356,45 @@ impl ChaosFabric {
                 self.record(dir, node, FaultKind::PartitionDrop);
                 continue;
             }
-            match self.ladder.gate(frame.immune()) {
-                GateVerdict::Discard => {
-                    self.record(dir, node, FaultKind::Drop);
-                }
-                GateVerdict::Reorder => {
-                    self.record(dir, node, FaultKind::Reorder);
-                    inbox.push_back(frame.immune_copy());
-                }
-                GateVerdict::Delay(rounds) => {
-                    self.record(dir, node, FaultKind::Delay { rounds });
-                    self.delayed
-                        .entry(self.round + rounds)
-                        .or_default()
-                        .push(frame);
-                }
-                GateVerdict::DeliverTwice => {
-                    self.record(dir, node, FaultKind::Duplicate);
-                    inbox.push_back(frame.immune_copy());
-                    self.deliver(coord, nodes, frame, &mut inbox);
-                }
-                GateVerdict::Deliver => {
-                    self.deliver(coord, nodes, frame, &mut inbox);
-                }
+            let verdict = if fresh {
+                self.ladder.gate()
+            } else {
+                GateVerdict::Deliver
+            };
+            let fault = match verdict {
+                GateVerdict::Deliver => None,
+                GateVerdict::DeliverTwice => Some(FaultKind::Duplicate),
+                GateVerdict::Reorder => Some(FaultKind::Reorder),
+                GateVerdict::Delay(rounds) => Some(FaultKind::Delay { rounds }),
+                GateVerdict::Discard => Some(FaultKind::Drop),
+            };
+            if let Some(kind) = fault {
+                self.record(dir, node, kind);
+            }
+            if let Some(frame) = self.queue.settle(frame, verdict) {
+                self.deliver(coord, nodes, frame);
             }
         }
     }
 
-    fn deliver(
-        &mut self,
-        coord: &mut Coordinator,
-        nodes: &mut [Node],
-        frame: Pending,
-        inbox: &mut VecDeque<Pending>,
-    ) {
+    fn deliver(&mut self, coord: &mut Coordinator, nodes: &mut [Node], frame: Pending) {
         match frame {
-            Pending::ToCoord {
-                msg, span, cause, ..
-            } => {
+            Pending::ToCoord { msg, span, cause } => {
                 for out in self.inner.deliver_to_coordinator_as(coord, msg, cause, span) {
-                    inbox.push_back(Pending::ToNode { out, immune: false });
+                    self.queue.push(Pending::ToNode(out));
                 }
             }
-            Pending::ToNode { out, .. } => {
+            Pending::ToNode(out) => {
                 let to = out.to;
                 // The reply inherits the eliciting outbound's span and
                 // cause (a pull reply answers the pull).
                 if let Some((reply, span, cause)) =
                     self.inner.deliver_to_node_tagged(&mut nodes[to], out)
                 {
-                    inbox.push_back(Pending::ToCoord {
+                    self.queue.push(Pending::ToCoord {
                         msg: reply,
                         span,
                         cause,
-                        immune: false,
                     });
                 }
             }
@@ -494,14 +402,14 @@ impl ChaosFabric {
     }
 
     fn record(&mut self, dir: Direction, node: NodeId, kind: FaultKind) {
-        self.tel.counter_for(kind).inc();
+        self.tel.counters[kind_index(kind)].inc();
         if self.tel.tel.is_enabled() {
             let dir_name = match dir {
                 Direction::NodeToCoord => "node_to_coord",
                 Direction::CoordToNode => "coord_to_node",
             };
             let mut fields: Vec<(&str, automon_obs::FieldValue)> = vec![
-                ("fault", kind_name(kind).into()),
+                ("fault", KIND_NAMES[kind_index(kind)].into()),
                 ("node", node.into()),
                 ("dir", dir_name.into()),
             ];
@@ -611,7 +519,8 @@ mod tests {
         let mut chaos = ChaosFabric::new(CountingFabric::new(), FaultPlan::none(), n);
         for round in 0..20 {
             assert!(chaos.begin_round(round).is_empty());
-            assert_eq!(chaos.release_delayed(&mut coord_b, &mut nodes_b), 0);
+            chaos.release_delayed(&mut coord_b, &mut nodes_b);
+            assert_eq!(chaos.delayed_frames(), 0);
             for i in 0..n {
                 let x = vec![(round * 7 + i) as f64 * 0.11, (round + i) as f64 * -0.3];
                 if let Some(m) = nodes_a[i].update_data(x.clone()) {
@@ -706,7 +615,7 @@ mod tests {
     fn delayed_frames_mature_in_order() {
         let n = 2;
         let (mut coord, mut nodes) = setup(n);
-        // delay_rate 1.0: every non-immune frame is delayed.
+        // delay_rate 1.0: every fresh frame is delayed.
         let plan = FaultPlan::seeded(11).with_delay(1.0, 2);
         let mut fabric = ChaosFabric::new(CountingFabric::new(), plan, n);
         fabric.begin_round(0);
@@ -715,12 +624,10 @@ mod tests {
         assert_eq!(fabric.stats().node_to_coord_msgs, 0);
         assert_eq!(fabric.delayed_frames(), 1);
 
-        let mut delivered = 0;
         for round in 1..=3 {
             fabric.begin_round(round);
-            delivered += fabric.release_delayed(&mut coord, &mut nodes);
+            fabric.release_delayed(&mut coord, &mut nodes);
         }
-        assert_eq!(delivered, 1);
         assert_eq!(fabric.delayed_frames(), 0);
         assert_eq!(fabric.stats().node_to_coord_msgs, 1, "matured and counted");
     }
@@ -735,8 +642,8 @@ mod tests {
         let m = nodes[0].update_data(vec![0.5, 0.5]).expect("report");
         route(&mut fabric, &mut coord, &mut nodes, m);
         // The report is duplicated (2 deliveries); the coordinator's
-        // replies are gated too but the immune copies are not re-split,
-        // so the cascade terminates.
+        // replies are gated too but the copies are not re-split, so the
+        // cascade terminates.
         assert_eq!(fabric.stats().node_to_coord_msgs, 2);
         let dups = fabric
             .trace()

@@ -3,11 +3,12 @@
 //!
 //! [`ChaosFabric`](crate::ChaosFabric) applies its probabilistic fault
 //! ladder to every frame crossing the in-process fabric; `automon-sim`'s
-//! reactor link applies it to every node frame the reactor decodes.
-//! [`LadderGate`] is that ladder, so both paths share one implementation
-//! and, more importantly, one *draw sequence*: the ladder consumes
-//! exactly one uniform draw per non-immune frame (plus one bounded draw
-//! per delay), whichever link calls [`LadderGate::gate`].
+//! reactor link applies it to every node frame the reactor decodes. Both
+//! ask [`LadderGate::gate`] for the verdict of each fresh frame they pop
+//! from their [`FaultQueue`](crate::FaultQueue), which carries it out. So
+//! both paths share one implementation and, more importantly, one *draw
+//! sequence*: exactly one uniform draw per fresh frame (plus one bounded
+//! draw per delay), whichever link asks.
 
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
@@ -18,13 +19,11 @@ use crate::plan::FaultPlan;
 pub enum GateVerdict {
     /// Deliver normally.
     Deliver,
-    /// Deliver now and an immune copy behind the frames already queued.
+    /// Deliver now and a copy behind the frames already queued.
     DeliverTwice,
-    /// Deliver an immune copy behind the frames already queued, out of
-    /// order.
+    /// Deliver the frame behind the frames already queued, out of order.
     Reorder,
-    /// Park the frame for this many protocol rounds, then deliver an
-    /// immune copy.
+    /// Park the frame for this many protocol rounds, then deliver it.
     Delay(usize),
     /// Discard the frame; the sender observes nothing.
     Discard,
@@ -41,7 +40,7 @@ pub struct GateCounts {
     pub reorders: u64,
     /// Frames parked for later rounds.
     pub delays: u64,
-    /// Non-immune frames that crossed the gate (denominator).
+    /// Frames that drew a verdict (denominator).
     pub gated: u64,
 }
 
@@ -56,11 +55,10 @@ impl GateCounts {
 /// frame.
 ///
 /// Cumulative thresholds walk drop → duplicate → reorder → delay; a
-/// delay consumes a second draw for its round count. Immune frames (the
-/// late copy of a duplicate, a matured delayed frame) deliver untouched
-/// and consume **no** randomness, so the draw sequence is a function of
-/// how many first-time frames crossed the gate — the invariant behind
-/// seed-exact replay.
+/// delay consumes a second draw for its round count. Only fresh frames
+/// are gated (a [`FaultQueue`](crate::FaultQueue) re-injects the others
+/// untouched), so the draw sequence is a function of how many first-time
+/// frames crossed the gate — the invariant behind seed-exact replay.
 #[derive(Debug, Clone)]
 pub struct LadderGate {
     drop_rate: f64,
@@ -94,16 +92,14 @@ impl LadderGate {
         self.counts
     }
 
-    /// Decide what happens to one frame. `immune` marks a re-injected
-    /// frame (the late copy of a duplicate, a matured delayed frame): it
-    /// delivers untouched and consumes no randomness, and so does every
-    /// frame of a ladder whose rates are all zero.
-    pub fn gate(&mut self, immune: bool) -> GateVerdict {
+    /// Decide what happens to one fresh frame. A ladder whose rates are
+    /// all zero delivers every frame and consumes no randomness.
+    pub fn gate(&mut self) -> GateVerdict {
         let transparent = self.drop_rate == 0.0
             && self.duplicate_rate == 0.0
             && self.reorder_rate == 0.0
             && self.delay_rate == 0.0;
-        if immune || transparent {
+        if transparent {
             return GateVerdict::Deliver;
         }
         self.counts.gated += 1;
@@ -149,27 +145,10 @@ mod tests {
     fn same_seed_same_verdict_sequence() {
         let mut a = LadderGate::new(&plan());
         let mut b = LadderGate::new(&plan());
-        let va: Vec<_> = (0..500).map(|_| a.gate(false)).collect();
-        let vb: Vec<_> = (0..500).map(|_| b.gate(false)).collect();
+        let va: Vec<_> = (0..500).map(|_| a.gate()).collect();
+        let vb: Vec<_> = (0..500).map(|_| b.gate()).collect();
         assert_eq!(va, vb, "ladder must replay bit-identically");
         assert!(a.counts().injected() > 0, "rates this high must fire");
-    }
-
-    #[test]
-    fn immune_frames_consume_no_draw() {
-        let mut a = LadderGate::new(&plan());
-        let mut b = LadderGate::new(&plan());
-        // Interleave immune frames into `a` only: the non-immune verdict
-        // sequence must be unchanged.
-        let mut va = Vec::new();
-        for i in 0..300 {
-            if i % 3 == 0 {
-                assert_eq!(a.gate(true), GateVerdict::Deliver);
-            }
-            va.push(a.gate(false));
-        }
-        let vb: Vec<_> = (0..300).map(|_| b.gate(false)).collect();
-        assert_eq!(va, vb, "immune frames must not advance the rng");
     }
 
     #[test]
@@ -178,7 +157,7 @@ mod tests {
         // gated, and the rng is never touched.
         let mut g = LadderGate::new(&FaultPlan::seeded(7));
         for _ in 0..100 {
-            assert_eq!(g.gate(false), GateVerdict::Deliver);
+            assert_eq!(g.gate(), GateVerdict::Deliver);
         }
         assert_eq!(g.counts(), GateCounts::default());
     }

@@ -6,8 +6,10 @@
 //! reorder and delay probabilities, timed node, leaf and coordinator
 //! crashes, coordinator↔node partitions) and a [`ChaosFabric`] that
 //! executes the plan at the frame boundary of the in-process fabric.
-//! Its per-frame fault ladder is [`LadderGate`], which `automon-sim`'s
-//! reactor link also calls on every node frame the reactor decodes.
+//! Its per-frame fault ladder is [`LadderGate`], and its frames wait in a
+//! [`FaultQueue`], the one place a ladder verdict moves a frame;
+//! `automon-sim`'s reactor link uses both for every node frame the
+//! reactor decodes.
 //! The plan is the workspace's one schedule type: every other executor
 //! (the reactor and socket links, the fleet runner — all in
 //! `automon-sim`) names the [`PlanPart`]s it runs in an [`Executor`]
@@ -24,9 +26,11 @@
 mod fabric;
 pub mod gate;
 mod plan;
+mod queue;
 
 pub use fabric::{ChaosFabric, DeliveryFailure, Direction, FaultEvent, FaultKind};
 pub use gate::{GateCounts, GateVerdict, LadderGate};
 pub use plan::{
     Executor, FaultPlan, LeafCrash, NodeCrash, Partition, PlanPart, RecoveryConfig, TimedFault,
 };
+pub use queue::FaultQueue;

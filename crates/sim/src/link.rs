@@ -30,8 +30,8 @@ use std::net::TcpListener;
 use std::time::Duration;
 
 use automon_chaos::{
-    ChaosFabric, DeliveryFailure, Executor, FaultEvent, FaultPlan, GateCounts, GateVerdict,
-    LadderGate, PlanPart,
+    ChaosFabric, DeliveryFailure, Executor, FaultEvent, FaultPlan, FaultQueue, GateCounts,
+    GateVerdict, LadderGate, PlanPart,
 };
 use automon_core::{CommCause, CommLedger, Coordinator, Node, NodeId, NodeMessage, Outbound};
 use automon_net::reactor::{Reactor, ReactorConfig, ReactorTraffic};
@@ -69,12 +69,18 @@ pub(crate) trait Link {
     /// Advance to `round`: fire its timed faults and return the nodes
     /// restarted, which the driver must replace with fresh processes before
     /// anything else is delivered. Links without timed faults or held
-    /// frames have nothing to do.
+    /// frames have nothing to do. The reactor link also releases the
+    /// frames whose delay matured by `round` here, so the round's first
+    /// exchange (a coordinator recovery's push, a rejoin) delivers them
+    /// first.
     fn begin_round(&mut self, _round: usize) -> Vec<NodeId> {
         Vec::new()
     }
-    /// Deliver frames whose delay matured by the current round and outbounds
-    /// held back by backpressure.
+    /// Called after the round's coordinator recovery and rejoins: deliver
+    /// outbounds held back by backpressure and frames whose delay matured
+    /// by the current round. The chaos fabric releases its matured frames
+    /// only here, after that recovery traffic; the reactor link released
+    /// its own in [`begin_round`](Self::begin_round).
     fn release_matured(&mut self, _peers: &mut Peers) {}
     /// Send one node report, charged to `cause` with `span` riding its
     /// header, and cascade every reply.
@@ -179,21 +185,20 @@ type Frame = (SpanId, NodeMessage);
 /// batching. Protocol-visible outcomes depend only on frame contents and
 /// order, never on how the bytes were chunked in transit.
 ///
-/// The ladder draws once per decoded frame, in decode order, as each
-/// [`pump`](Self::pump) iteration pops the frames its poll decoded: a
-/// frame delivered twice or reordered goes (again) behind that poll's
-/// frames, and a delayed one waits in `delayed` until its round begins.
+/// Each [`pump`](Self::pump) iteration pushes the frames its poll decoded
+/// onto a [`FaultQueue`], fresh, and the ladder draws once per fresh frame
+/// as the handle loop pops it, in decode order: a frame delivered twice
+/// or reordered goes (again) behind that poll's frames, and a delayed one
+/// is parked until its round begins.
 pub(crate) struct ReactorLink {
     reactor: Reactor<SimPoller>,
     clients: Vec<SimClient>,
     /// Accounting only: nothing is routed through it.
     fabric: CountingFabric,
     ladder: LadderGate,
-    /// Frames the ladder let through, in handling order.
-    ready: VecDeque<Frame>,
-    /// Frames the ladder delayed, keyed by the round they mature in.
-    delayed: BTreeMap<usize, Vec<Frame>>,
-    round: usize,
+    /// Decoded frames awaiting their verdict or their handling, delayed
+    /// ones included.
+    queue: FaultQueue<Frame>,
     /// Outbounds refused by a backpressured queue, retried every pump.
     pending_out: VecDeque<Outbound>,
     /// Causes of the frames queued toward each node, in wire order. The down
@@ -245,9 +250,7 @@ impl ReactorLink {
             clients,
             fabric,
             ladder: LadderGate::new(plan),
-            ready: VecDeque::new(),
-            delayed: BTreeMap::new(),
-            round: 0,
+            queue: FaultQueue::default(),
             pending_out: VecDeque::new(),
             down_causes: vec![VecDeque::new(); n],
             up_causes: BTreeMap::new(),
@@ -282,30 +285,6 @@ impl ReactorLink {
         }
     }
 
-    /// Pass every frame the last poll decoded through the ladder, in
-    /// decode order, onto the ready queue; duplicates' copies and
-    /// reordered frames go behind all of them.
-    fn gate_decoded(&mut self) {
-        let mut behind = Vec::new();
-        while let Some(frame) = self.reactor.pop_inbound() {
-            match self.ladder.gate(false) {
-                GateVerdict::Deliver => self.ready.push_back(frame),
-                GateVerdict::DeliverTwice => {
-                    self.ready.push_back(frame.clone());
-                    behind.push(frame);
-                }
-                GateVerdict::Reorder => behind.push(frame),
-                GateVerdict::Delay(rounds) => self
-                    .delayed
-                    .entry(self.round + rounds)
-                    .or_default()
-                    .push(frame),
-                GateVerdict::Discard => {}
-            }
-        }
-        self.ready.extend(behind);
-    }
-
     /// Exchange frames until quiescent: reactor inbound → ladder →
     /// coordinator → reactor outbound → clients → node replies → back in,
     /// with queued outbounds retried as backpressure relieves.
@@ -315,7 +294,9 @@ impl ReactorLink {
             self.reactor
                 .poll_once(Some(Duration::ZERO))
                 .expect("sim poll never fails");
-            self.gate_decoded();
+            while let Some(frame) = self.reactor.pop_inbound() {
+                self.queue.push(frame);
+            }
             let mut progress = false;
             // Mirror transport backpressure into the protocol layer so
             // lazy-sync growth prefers responsive nodes.
@@ -326,7 +307,15 @@ impl ReactorLink {
                 let out = self.pending_out.pop_front().expect("len checked");
                 progress |= self.send_down(out);
             }
-            while let Some((span, msg)) = self.ready.pop_front() {
+            while let Some((frame, fresh)) = self.queue.pop() {
+                let verdict = if fresh {
+                    self.ladder.gate()
+                } else {
+                    GateVerdict::Deliver
+                };
+                let Some((span, msg)) = self.queue.settle(frame, verdict) else {
+                    continue;
+                };
                 progress = true;
                 let frame = wire::encode_node_message_ctx(&msg, span);
                 let sent_as = self.up_causes.get(&frame[..]).copied();
@@ -357,11 +346,8 @@ impl ReactorLink {
 
 impl Link for ReactorLink {
     fn begin_round(&mut self, round: usize) -> Vec<NodeId> {
-        self.round = round;
-        let later = self.delayed.split_off(&(round + 1));
-        for (_, frames) in std::mem::replace(&mut self.delayed, later) {
-            self.ready.extend(frames);
-        }
+        self.queue.begin_round(round);
+        self.queue.release_matured();
         Vec::new()
     }
     fn release_matured(&mut self, peers: &mut Peers) {
@@ -377,7 +363,7 @@ impl Link for ReactorLink {
         self.pump(peers);
     }
     fn frames_in_flight(&self) -> usize {
-        self.delayed.values().map(Vec::len).sum::<usize>() + self.pending_out.len()
+        self.queue.in_flight() + self.pending_out.len()
     }
     fn stats(&self) -> &TrafficStats {
         self.fabric.stats()

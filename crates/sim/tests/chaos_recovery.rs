@@ -3,10 +3,11 @@
 //! and the recovery regressions that motivated the current backoff and
 //! re-registration rules.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use automon_autodiff::{AutoDiffFn, Scalar, ScalarFn};
-use automon_chaos::{FaultPlan, RecoveryConfig};
+use automon_chaos::{FaultEvent, FaultKind, FaultPlan, RecoveryConfig};
 use automon_core::{MonitorConfig, MonitoredFunction};
 use automon_data::synthetic::InnerProductDataset;
 use automon_data::windowed_mean_series;
@@ -187,4 +188,61 @@ fn permanent_crash_is_evicted_and_quiesces() {
     assert_eq!(report.stats.evictions, 1, "{:?}", report.stats);
     assert_eq!(report.stats.rejoins, 0);
     assert!(report.stats.final_error <= 0.5 + 1e-9, "{:?}", report.stats);
+}
+
+/// Every fault kind the fabric injects, named as `FaultKind`'s `Debug`
+/// without a delay's round count, with how often it fired.
+fn kind_counts(trace: &[FaultEvent]) -> BTreeMap<String, usize> {
+    let mut counts = BTreeMap::new();
+    for e in trace {
+        let name = match e.kind {
+            FaultKind::Delay { .. } => "Delay".to_string(),
+            kind => format!("{kind:?}"),
+        };
+        *counts.entry(name).or_default() += 1;
+    }
+    counts
+}
+
+/// What the fabric's whole ladder does, not only that it replays: drops,
+/// duplicates, reorders and delays next to two node crashes with
+/// restarts, a partition and two coordinator crashes. Moving when a
+/// delayed frame matures, where a duplicate's copy or a reordered frame
+/// queues, or which frame draws a verdict changes a number pinned here.
+/// The values are this run's from when the fabric kept its own delay map
+/// and re-injection flag.
+#[test]
+fn every_fabric_fault_and_two_coordinator_crashes_pin_the_run() {
+    let plan = FaultPlan::seeded(2)
+        .with_drop_rate(0.05)
+        .with_duplicate_rate(0.08)
+        .with_reorder_rate(0.1)
+        .with_delay(0.2, 3)
+        .with_crash(2, 30, Some(60))
+        .with_crash(4, 50, Some(90))
+        .with_partition(vec![1], 10, 20)
+        .with_coordinator_crash(45)
+        .with_coordinator_crash(100);
+    let r = run_eager(plan, &drifting_workload(6, 150));
+    assert!(r.quiesced, "the run must drain");
+    let s = &r.stats;
+    assert_eq!((s.messages, s.payload_bytes), (748, 33144));
+    assert_eq!((s.retransmits, s.injected_faults), (100, 342));
+    assert_eq!((s.full_syncs, s.lazy_syncs), (12, 81));
+    assert_eq!(s.coordinator_recoveries, 2);
+    let want: BTreeMap<String, usize> = [
+        ("CoordinatorCrash", 2),
+        ("Crash", 2),
+        ("Delay", 143),
+        ("Drop", 37),
+        ("Duplicate", 51),
+        ("NodeDown", 6),
+        ("PartitionDrop", 6),
+        ("Reorder", 93),
+        ("Restart", 2),
+    ]
+    .into_iter()
+    .map(|(k, n)| (k.to_string(), n))
+    .collect();
+    assert_eq!(kind_counts(&r.fault_trace), want);
 }

@@ -217,3 +217,41 @@ fn every_ladder_fault_and_a_coordinator_crash_pin_the_run() {
         }
     );
 }
+
+/// Where the reactor link releases matured delayed frames within a round:
+/// as the round begins, so a coordinator crash's recovery push delivers
+/// them before anything else. Releasing them later in the round (where
+/// the chaos fabric does) changes every number pinned here; a crash at
+/// round 40, as above, happens not to show it.
+#[test]
+fn matured_frames_precede_a_coordinator_recovery() {
+    let w = workload(5, 90);
+    let cfg = MonitorConfig::builder(0.3).build();
+    let plan = FaultPlan::seeded(31)
+        .with_drop_rate(0.06)
+        .with_duplicate_rate(0.06)
+        .with_reorder_rate(0.08)
+        .with_delay(0.08, 3)
+        .with_coordinator_crash(20);
+    let sim = Simulation::new(f(), cfg)
+        .with_plan(plan)
+        .with_net_seed(5)
+        .with_limits(19, 384);
+    let (r, net, _) = traced(sim, &w);
+    assert!(r.quiesced, "the run must drain");
+    let s = &r.stats;
+    assert_eq!((s.messages, s.payload_bytes), (934, 33480));
+    assert_eq!((s.retransmits, s.injected_faults), (37, 95));
+    assert_eq!((s.full_syncs, s.lazy_syncs), (21, 104));
+    assert_eq!(s.coordinator_recoveries, 1);
+    assert_eq!(
+        net.faults,
+        GateCounts {
+            drops: 18,
+            duplicates: 22,
+            reorders: 25,
+            delays: 30,
+            gated: 392,
+        }
+    );
+}
