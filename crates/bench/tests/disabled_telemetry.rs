@@ -45,7 +45,7 @@ fn cases() -> Vec<(automon_bench::funcs::Bench, Vec<f64>, NeighborhoodBox)> {
 fn curvature_bits(c: &Curvature) -> Vec<u64> {
     match c {
         Curvature::Scalar(c) => vec![c.to_bits()],
-        Curvature::Quadratic(m) => m.as_slice().iter().map(|v| v.to_bits()).collect(),
+        Curvature::Quadratic(m) => m.to_matrix().as_slice().iter().map(|v| v.to_bits()).collect(),
     }
 }
 

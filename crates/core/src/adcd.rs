@@ -224,11 +224,12 @@ fn decompose_e(f: &dyn MonitoredFunction, x0: &[f64], cfg: &MonitorConfig) -> Dc
     } else {
         DcKind::ConcaveDiff
     });
+    // Packed here, once per decomposition, for the node check.
     let curvature = match dc {
         // Convex difference subtracts the NSD part: q(Δ) = ½·Δᵀ(-H⁻)Δ.
-        DcKind::ConvexDiff => Curvature::Quadratic(eig.nsd_part().scale(-1.0)),
+        DcKind::ConvexDiff => Curvature::quadratic(&eig.nsd_part().scale(-1.0)),
         // Concave difference subtracts the PSD part: q(Δ) = ½·Δᵀ H⁺ Δ.
-        DcKind::ConcaveDiff => Curvature::Quadratic(eig.psd_part()),
+        DcKind::ConcaveDiff => Curvature::quadratic(&eig.psd_part()),
         DcKind::AdmissibleOnly => unreachable!("ablation bypasses decompose"),
     };
     DcDecomposition {
@@ -641,7 +642,7 @@ mod tests {
         // Convex curvature is -H⁻ = diag(2, 0).
         match &d.curvature {
             Curvature::Quadratic(m) => {
-                assert!(m.approx_eq(&Matrix::from_diag(&[2.0, 0.0]), 1e-9))
+                assert!(m.to_matrix().approx_eq(&Matrix::from_diag(&[2.0, 0.0]), 1e-9))
             }
             other => panic!("expected quadratic curvature, got {other:?}"),
         }
@@ -654,7 +655,7 @@ mod tests {
         let d = decompose(&f, &[0.0, 0.0], None, &c);
         match &d.curvature {
             Curvature::Quadratic(m) => {
-                assert!(m.approx_eq(&Matrix::from_diag(&[0.0, 2.0]), 1e-9))
+                assert!(m.to_matrix().approx_eq(&Matrix::from_diag(&[0.0, 2.0]), 1e-9))
             }
             other => panic!("expected quadratic curvature, got {other:?}"),
         }

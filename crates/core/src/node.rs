@@ -41,6 +41,9 @@ pub struct Node {
     tel_checks: Counter,
     /// Reports sent to the coordinator (shared across nodes).
     tel_reports: Counter,
+    /// Installs refused for a slack or zone of the wrong dimension
+    /// (shared across nodes).
+    tel_refused: Counter,
 }
 
 impl Node {
@@ -58,6 +61,7 @@ impl Node {
             pending_kind: None,
             tel_checks: Counter::disabled(),
             tel_reports: Counter::disabled(),
+            tel_refused: Counter::disabled(),
         }
     }
 
@@ -77,6 +81,10 @@ impl Node {
         self.tel_reports = tel.counter(
             "automon_node_reports_total",
             "Violation/registration reports sent across all nodes",
+        );
+        self.tel_refused = tel.counter(
+            "automon_node_refused_installs_total",
+            "Constraint or slack installs refused for a wrong dimension across all nodes",
         );
     }
 
@@ -114,8 +122,16 @@ impl Node {
     /// Copy an installed slack into the block.
     fn install_slack(&mut self, slack: &[f64]) {
         let d = self.dim();
-        assert_eq!(slack.len(), d, "slack dimension mismatch");
         self.block[d..].copy_from_slice(slack);
+    }
+
+    /// Refuse an install whose slack or zone is not `d`-dimensional: a
+    /// corrupt or foreign frame that decoded cleanly. The node keeps what
+    /// it holds and asks for a full resync, as it does for constraints it
+    /// cannot apply.
+    fn refuse(&mut self) -> Option<NodeMessage> {
+        self.tel_refused.inc();
+        self.reregister()
     }
 
     /// `true` while a violation report awaits resolution.
@@ -144,17 +160,19 @@ impl Node {
         })
     }
 
-    /// Install a new local vector (paper `node.update_data(x)`).
+    /// Install a new local vector (paper `node.update_data(x)`), owned or
+    /// borrowed: the node copies it into its own block either way.
     ///
     /// Returns the message to forward to the coordinator, if any.
     ///
     /// # Panics
     /// Panics if `x` has the wrong dimension.
-    pub fn update_data(&mut self, x: Vec<f64>) -> Option<NodeMessage> {
+    pub fn update_data(&mut self, x: impl AsRef<[f64]>) -> Option<NodeMessage> {
         let d = self.dim();
-        assert_eq!(x.len(), d, "update_data: wrong dimension");
-        self.block[..d].copy_from_slice(&x);
-        // Freed here, while its memory is still hot in cache.
+        let v = x.as_ref();
+        assert_eq!(v.len(), d, "update_data: wrong dimension");
+        self.block[..d].copy_from_slice(v);
+        // An owned vector is freed here, while its memory is still hot.
         drop(x);
         self.has_x = true;
         self.check()
@@ -248,6 +266,9 @@ impl Node {
                 })
             }
             CoordinatorMessage::NewConstraints { zone, slack, epoch } => {
+                if slack.len() != self.dim() || !zone.fits(self.dim()) {
+                    return self.refuse();
+                }
                 self.install_slack(&slack);
                 self.zone = Some(zone);
                 self.epoch = epoch;
@@ -256,7 +277,9 @@ impl Node {
                 None
             }
             CoordinatorMessage::NewConstraintsCached { update, slack, epoch } => {
-                assert_eq!(slack.len(), self.dim(), "slack dimension mismatch");
+                if slack.len() != self.dim() || !update.fits(self.dim()) {
+                    return self.refuse();
+                }
                 // The matrix-free form is only applicable when this node
                 // still holds the curvature it refers to. A restarted
                 // node does not, and neither does one that skipped a
@@ -283,7 +306,9 @@ impl Node {
                 None
             }
             CoordinatorMessage::SlackUpdate { slack, epoch } => {
-                assert_eq!(slack.len(), self.dim(), "slack dimension mismatch");
+                if slack.len() != self.dim() {
+                    return self.refuse();
+                }
                 // A rebalance presumes the constraints of its epoch. A
                 // node that lost them (restart) or skipped the sync that
                 // opened `epoch` (lossy link) must resync fully first.
@@ -302,8 +327,9 @@ impl Node {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::safezone::{Curvature, DcKind, ZoneUpdate};
+    use crate::safezone::{Curvature, DcKind, NeighborhoodBox, ZoneUpdate};
     use automon_autodiff::{AutoDiffFn, Scalar, ScalarFn};
+    use automon_linalg::Matrix;
 
     struct Identity1;
     impl ScalarFn for Identity1 {
@@ -508,6 +534,100 @@ mod tests {
                 assert_eq!(local_vector[0].to_bits(), nan);
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_install_of_the_wrong_dimension_is_refused_with_a_resync() {
+        let tel = Telemetry::enabled();
+        let refused = || tel.counter("automon_node_refused_installs_total", "").get();
+        let good = zone();
+        let head = |edit: fn(&mut ZoneUpdate)| {
+            let mut h = (*good.head).clone();
+            edit(&mut h);
+            h
+        };
+        fn boxed(lo: Vec<f64>, hi: Vec<f64>) -> Option<NeighborhoodBox> {
+            Some(NeighborhoodBox { lo, hi })
+        }
+        let bad_heads = [
+            head(|h| h.x0 = vec![0.0, 0.0]),
+            head(|h| h.grad0 = vec![]),
+            head(|h| h.neighborhood = boxed(vec![-1.0], vec![1.0, 1.0])),
+            head(|h| h.neighborhood = boxed(vec![], vec![1.0])),
+        ];
+        let mut installs: Vec<CoordinatorMessage> = bad_heads
+            .iter()
+            .map(|h| CoordinatorMessage::NewConstraints {
+                zone: SafeZone::new(h.clone(), Curvature::Scalar(0.0)),
+                slack: vec![0.0],
+                epoch: 2,
+            })
+            .collect();
+        installs.extend(bad_heads.into_iter().map(|h| {
+            CoordinatorMessage::NewConstraintsCached {
+                update: Arc::new(h),
+                slack: vec![0.0],
+                epoch: 2,
+            }
+        }));
+        installs.extend([
+            CoordinatorMessage::NewConstraints {
+                zone: SafeZone {
+                    head: good.head.clone(),
+                    curvature: Arc::new(Curvature::quadratic(&Matrix::identity(2))),
+                },
+                slack: vec![0.0],
+                epoch: 2,
+            },
+            CoordinatorMessage::NewConstraints {
+                zone: good.clone(),
+                slack: vec![0.0, 0.0],
+                epoch: 2,
+            },
+            CoordinatorMessage::NewConstraintsCached {
+                update: good.head.clone(),
+                slack: vec![],
+                epoch: 2,
+            },
+            CoordinatorMessage::SlackUpdate {
+                slack: vec![0.0, 0.0],
+                epoch: 1,
+            },
+        ]);
+        for (k, msg) in installs.into_iter().enumerate() {
+            let mut n = Node::new(0, f());
+            n.set_telemetry(&tel);
+            let _ = n.update_data([0.5]);
+            n.handle(CoordinatorMessage::NewConstraints {
+                zone: good.clone(),
+                slack: vec![0.25],
+                epoch: 1,
+            });
+            let what = format!("{msg:?}");
+            assert_eq!(
+                n.handle(msg),
+                Some(NodeMessage::Violation {
+                    node: 0,
+                    kind: ViolationKind::Uninitialized,
+                    local_vector: vec![0.5],
+                    epoch: 1,
+                }),
+                "{what}"
+            );
+            assert_eq!(refused(), k as u64 + 1, "{what}");
+            // Nothing was installed, and the node checks again once the
+            // coordinator's resync arrives.
+            assert!(n.zone().unwrap().shares_allocation(&good), "{what}");
+            assert_eq!((n.slack(), n.epoch()), (&[0.25][..], 1), "{what}");
+            assert!(n.update_data(&[0.25][..]).is_none(), "{what}");
+            n.handle(CoordinatorMessage::NewConstraints {
+                zone: good.clone(),
+                slack: vec![0.0],
+                epoch: 2,
+            });
+            assert!(n.update_data([0.75]).is_none(), "{what}");
+            assert!(n.update_data(vec![1.5]).is_some(), "{what}");
         }
     }
 }

@@ -12,7 +12,7 @@ use std::cell::RefCell;
 use std::ops::Deref;
 use std::sync::Arc;
 
-use automon_linalg::{vector, Matrix};
+use automon_linalg::{vector, Matrix, PanelMatrix};
 use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::MonitoredFunction;
@@ -123,27 +123,45 @@ pub enum DcKind {
 /// * ADCD-X (paper Lemma 1): `q(Δ) = ½·c·‖Δ‖²` with `c = |λ⁻_min|`
 ///   (convex difference) or `c = λ⁺_max` (concave difference).
 /// * ADCD-E (paper Lemma 2): `q(Δ) = ½·Δᵀ·M·Δ` with `M = -H⁻` (convex
-///   difference) or `M = H⁺` (concave difference); both are PSD.
+///   difference) or `M = H⁺` (concave difference); both are PSD. `M` is
+///   packed for the check ([`PanelMatrix`]) wherever a penalty is built:
+///   by the decomposition, the wire decoder and serde.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Curvature {
     /// Isotropic `½·c·‖Δ‖²` with `c ≥ 0`.
     Scalar(f64),
     /// Anisotropic `½·Δᵀ·M·Δ` with PSD `M`.
-    Quadratic(Matrix),
+    Quadratic(PanelMatrix),
 }
 
 impl Curvature {
-    /// Evaluate `q(Δ)` at the offset `Δ = x - x0`, writing `MΔ` into
-    /// `m_delta` for the anisotropic form: `Matrix::matvec_into`, whose
-    /// entry `i` is `vector::dot(row_i, Δ)` to the bit, then
-    /// `dot(Δ, MΔ)`; the bits of `0.5 · Matrix::quadratic_form(Δ)`.
-    fn eval_into(&self, delta: &[f64], m_delta: &mut Vec<f64>) -> f64 {
+    /// The anisotropic penalty `½·Δᵀ·M·Δ` of the square `m`, packed.
+    ///
+    /// # Panics
+    /// Panics if `m` is not square.
+    pub fn quadratic(m: &Matrix) -> Self {
+        Curvature::Quadratic(PanelMatrix::pack(m))
+    }
+
+    /// `(q(Δ), ∇f(x0)ᵀΔ)` at the offset `Δ = x - x0`: the bits of
+    /// `0.5 · Matrix::quadratic_form(Δ)` (or `½·c·‖Δ‖²`) and of
+    /// `vector::dot(grad0, Δ)`. The anisotropic form reads `M` once and
+    /// sums the tangent in the same pass ([`PanelMatrix::form_and_dot`]).
+    fn eval_with_tangent(&self, delta: &[f64], grad0: &[f64]) -> (f64, f64) {
         match self {
-            Curvature::Scalar(c) => 0.5 * c * vector::norm_sq(delta),
+            Curvature::Scalar(c) => (0.5 * c * vector::norm_sq(delta), vector::dot(grad0, delta)),
             Curvature::Quadratic(m) => {
-                m.matvec_into(delta, m_delta);
-                0.5 * vector::dot(delta, m_delta)
+                let (form, dot) = m.form_and_dot(delta, grad0);
+                (0.5 * form, dot)
             }
+        }
+    }
+
+    /// `true` when the penalty applies to `d`-dimensional offsets.
+    fn fits(&self, d: usize) -> bool {
+        match self {
+            Curvature::Scalar(_) => true,
+            Curvature::Quadratic(m) => m.rows() == d,
         }
     }
 }
@@ -157,13 +175,12 @@ pub(crate) fn zip_into(out: &mut Vec<f64>, a: &[f64], b: &[f64], op: impl Fn(f64
 }
 
 thread_local! {
-    /// [`SafeZone::check`]'s buffers: `x + s`, `Δ` and `MΔ`. Every check on
+    /// [`SafeZone::check`]'s buffers: `x + s` and `Δ`. Every check on
     /// a thread (each node's, and the coordinator's balance-point check)
     /// reuses them, so a check allocates nothing once they have grown to
     /// the largest `d` seen. One set per thread rather than per node: 10 k
     /// nodes' own buffers would each be a cold cache line per update.
-    static SCRATCH: RefCell<[Vec<f64>; 3]> =
-        const { RefCell::new([Vec::new(), Vec::new(), Vec::new()]) };
+    static SCRATCH: RefCell<[Vec<f64>; 2]> = const { RefCell::new([Vec::new(), Vec::new()]) };
 }
 
 /// A violation a node can report (paper §3.5, §3.7).
@@ -213,6 +230,20 @@ pub struct ZoneUpdate {
     pub dc: DcKind,
     /// Neighborhood `B`; `None` means all of `D` (ADCD-E or no-ADCD).
     pub neighborhood: Option<NeighborhoodBox>,
+}
+
+impl ZoneUpdate {
+    /// `true` when `x0`, `grad0` and the neighborhood's bounds are all `d`
+    /// long: a node refuses a head that fails this instead of panicking
+    /// at its next check.
+    pub(crate) fn fits(&self, d: usize) -> bool {
+        self.x0.len() == d
+            && self.grad0.len() == d
+            && self
+                .neighborhood
+                .as_ref()
+                .is_none_or(|b| b.lo.len() == d && b.hi.len() == d)
+    }
 }
 
 /// The local constraints distributed by the coordinator.
@@ -274,6 +305,12 @@ impl SafeZone {
         }
     }
 
+    /// `true` when the head [fits](ZoneUpdate::fits) `d` and the penalty
+    /// is `d × d` (or scalar).
+    pub(crate) fn fits(&self, d: usize) -> bool {
+        self.head.fits(d) && self.curvature.fits(d)
+    }
+
     /// `true` when `self` and `other` hold the same head and penalty
     /// allocations (not merely equal values).
     pub fn shares_allocation(&self, other: &SafeZone) -> bool {
@@ -285,7 +322,7 @@ impl SafeZone {
     ///
     /// Returns `None` when all constraints hold.
     pub fn check(&self, f: &dyn MonitoredFunction, x: &[f64]) -> Option<ViolationKind> {
-        SCRATCH.with_borrow_mut(|[_, delta, m_delta]| self.check_in(f, x, delta, m_delta))
+        SCRATCH.with_borrow_mut(|[_, delta]| self.check_in(f, x, delta))
     }
 
     /// [`check`](Self::check) of the slack-adjusted vector `x + s`, summed
@@ -296,9 +333,9 @@ impl SafeZone {
         x: &[f64],
         s: &[f64],
     ) -> Option<ViolationKind> {
-        SCRATCH.with_borrow_mut(|[shifted, delta, m_delta]| {
+        SCRATCH.with_borrow_mut(|[shifted, delta]| {
             zip_into(shifted, x, s, |a, b| a + b);
-            self.check_in(f, shifted, delta, m_delta)
+            self.check_in(f, shifted, delta)
         })
     }
 
@@ -307,7 +344,6 @@ impl SafeZone {
         f: &dyn MonitoredFunction,
         x: &[f64],
         delta: &mut Vec<f64>,
-        m_delta: &mut Vec<f64>,
     ) -> Option<ViolationKind> {
         if let Some(b) = &self.neighborhood {
             if !b.contains(x) {
@@ -321,8 +357,8 @@ impl SafeZone {
         }
 
         zip_into(delta, x, &self.x0, |a, b| a - b);
-        let q = self.curvature.eval_into(delta, m_delta);
-        let tangent = self.f0 + vector::dot(&self.grad0, delta);
+        let (q, slope) = self.curvature.eval_with_tangent(delta, &self.grad0);
+        let tangent = self.f0 + slope;
         let in_zone = match self.dc {
             DcKind::ConvexDiff => {
                 // ǧ(x) ≤ U  and  ȟ(x) ≤ f(x0) + ∇f(x0)ᵀΔ - L   (paper eq. 4)
@@ -532,8 +568,9 @@ mod tests {
         let c = 0.7;
         let m = Matrix::from_diag(&[c, c, c]);
         let delta = [0.3, -1.0, 2.0];
-        let s = Curvature::Scalar(c).eval_into(&delta, &mut Vec::new());
-        let q = Curvature::Quadratic(m).eval_into(&delta, &mut Vec::new());
+        let grad0 = [0.0; 3];
+        let (s, _) = Curvature::Scalar(c).eval_with_tangent(&delta, &grad0);
+        let (q, _) = Curvature::quadratic(&m).eval_with_tangent(&delta, &grad0);
         assert!((s - q).abs() < 1e-12);
     }
 

@@ -5,7 +5,8 @@
 //! tests do not pollute each other's tallies). It pins three properties
 //! of sharing one sync's constraints:
 //!
-//! * a quiet `Node::update_data` allocates nothing;
+//! * a quiet `Node::update_data` allocates nothing, fed an owned or a
+//!   borrowed vector;
 //! * an in-process ADCD-E full sync over `k` members allocates the `k`
 //!   slack vectors plus a constant, and the members' installs allocate
 //!   nothing at all;
@@ -130,6 +131,9 @@ fn a_quiet_update_allocates_nothing() {
     assert!(nodes[0].update_data(vec![0.0, 0.2, 0.3, 0.4]).is_none());
     for step in 1..=16 {
         let x = vec![0.001 * step as f64, 0.2, 0.3, 0.4];
+        let (report, allocs) = allocations(|| nodes[0].update_data(&x));
+        assert!(report.is_none(), "step {step} left the zone");
+        assert_eq!(allocs, 0, "quiet borrowed update {step} allocated");
         let (report, allocs) = allocations(|| nodes[0].update_data(x));
         assert!(report.is_none(), "step {step} left the zone");
         assert_eq!(allocs, 0, "quiet update {step} allocated");

@@ -150,7 +150,7 @@ fn random_zone(rng: &mut SmallRng, f: &dyn MonitoredFunction, x: &[f64]) -> Safe
     let curvature = if rng.gen_bool(0.5) {
         Curvature::Scalar(rng.gen_range(0.0..3.0))
     } else {
-        Curvature::Quadratic(Matrix::from_fn(d, d, |_, _| coord(rng, 0.0, 1.0)))
+        Curvature::quadratic(&Matrix::from_fn(d, d, |_, _| coord(rng, 0.0, 1.0)))
     };
     let dc = [
         DcKind::ConvexDiff,
@@ -262,13 +262,13 @@ fn check_paths(
         "d = {d}: zone check"
     );
     let mut node = Node::new(0, f.clone());
-    let _ = node.update_data(x.to_vec());
+    let _ = node.update_data(x);
     node.handle(CoordinatorMessage::NewConstraints {
         zone,
         slack: s.to_vec(),
         epoch: 1,
     });
-    let got = node.update_data(x.to_vec()).map(|m| match m {
+    let got = node.update_data(x).map(|m| match m {
         NodeMessage::Violation { kind, .. } => kind,
         other => panic!("unexpected {other:?}"),
     });
@@ -333,7 +333,7 @@ fn penalty_case(seed: u64) {
                 dc: DcKind::ConvexDiff,
                 neighborhood: None,
             },
-            Curvature::Quadratic(m),
+            Curvature::quadratic(&m),
         );
         for zone in pinned(f.as_ref(), &shifted, zone, true) {
             check_paths(&f, &x, &s, zone);

@@ -265,8 +265,9 @@ impl Fleet {
     /// Push one data update for global stream `g` through the
     /// hierarchy: leaf-local constraint check, intra-shard resolution
     /// on violation, and a root report only if the resolved shard
-    /// aggregate left the proxy's root-assigned zone.
-    pub fn update(&mut self, g: usize, x: Vec<f64>) {
+    /// aggregate left the proxy's root-assigned zone. `x` is owned or
+    /// borrowed: the stream's node copies it.
+    pub fn update(&mut self, g: usize, x: impl AsRef<[f64]>) {
         assert!(g < self.stream_alive.len(), "unknown stream {g}");
         if !self.stream_alive[g] {
             return;

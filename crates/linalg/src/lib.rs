@@ -5,7 +5,8 @@
 //!
 //! * vector arithmetic over `&[f64]` slices ([`vector`]),
 //! * a row-major dense [`Matrix`] with the handful of operations the
-//!   protocol uses (mat-vec, quadratic forms, symmetry checks),
+//!   protocol uses (mat-vec, quadratic forms, symmetry checks), and the
+//!   [`PanelMatrix`] an ADCD-E penalty is checked through,
 //! * a symmetric eigendecomposition ([`SymEigen`]) used by ADCD-E to
 //!   split a constant Hessian into PSD and NSD parts and by the DC
 //!   heuristic to read off extreme eigenvalues,
@@ -30,4 +31,4 @@ pub mod vector;
 
 pub use eigen::{EigenWorkspace, JacobiOptions, SpectralBackend, SymEigen};
 pub use lanczos::{LanczosOptions, LanczosStats, LanczosWorkspace, MatrixOperator, RitzSide, SymOperator};
-pub use matrix::Matrix;
+pub use matrix::{Matrix, PanelMatrix};

@@ -83,66 +83,17 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Matrix-vector product `A·x` in a fresh vector, computed by
-    /// [`matvec_into`](Self::matvec_into): entry `i` has the bits of
-    /// `vector::dot(row_i, x)`.
+    /// Matrix-vector product `A·x`: entry `i` is `vector::dot(row_i, x)`,
+    /// one row at a time (the oracle the penalty kernel of
+    /// [`PanelMatrix::form_and_dot`] is pinned against).
     ///
     /// # Panics
     /// Panics if `x.len() != self.cols()`.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.matvec_into(x, &mut out);
-        out
-    }
-
-    /// Matrix-vector product `A·x` into `out`'s own buffer: the one dense
-    /// mat-vec kernel.
-    ///
-    /// Entry `i` has the bits of `vector::dot(row_i, x)`: it has its own
-    /// accumulator, which starts at `-0.0` (the value `f64: Sum` folds
-    /// from) and adds `row_i[j]·x[j]` for `j` in column order. The kernel
-    /// walks eight rows side by side, then four, then the rest one at a
-    /// time, so the core overlaps independent add chains instead of
-    /// waiting on one add at a time; no sum is reordered.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != self.cols()`.
-    pub fn matvec_into(&self, x: &[f64], out: &mut Vec<f64>) {
         assert_eq!(x.len(), self.cols, "matvec: dimension mismatch");
-        let n = self.cols;
-        out.clear();
-        out.reserve(self.rows);
-        // The rows of `$rows`, each dotted with `x` in a local of its own
-        // (an array of accumulators spills).
-        macro_rules! side_by_side {
-            ($rows:expr; $($row:ident $acc:ident),+) => {{
-                let rest = $rows;
-                $(let ($row, rest) = rest.split_at(n); let mut $acc = -0.0f64;)+
-                debug_assert!(rest.is_empty());
-                for (j, &xj) in x.iter().enumerate() {
-                    $($acc += $row[j] * xj;)+
-                }
-                out.extend([$($acc),+]);
-            }};
-        }
-        // Row counts, not `chunks_exact`: no division, and no panic at
-        // `n == 0`, where every entry is the empty sum `-0.0`.
-        let (mut rest, mut left) = (self.data.as_slice(), self.rows);
-        while left >= 8 {
-            let (rows, tail) = rest.split_at(8 * n);
-            side_by_side!(rows; r0 a0, r1 a1, r2 a2, r3 a3, r4 a4, r5 a5, r6 a6, r7 a7);
-            (rest, left) = (tail, left - 8);
-        }
-        if left >= 4 {
-            let (rows, tail) = rest.split_at(4 * n);
-            side_by_side!(rows; r0 a0, r1 a1, r2 a2, r3 a3);
-            (rest, left) = (tail, left - 4);
-        }
-        for _ in 0..left {
-            let (row, tail) = rest.split_at(n);
-            out.push(crate::vector::dot(row, x));
-            rest = tail;
-        }
+        (0..self.rows)
+            .map(|i| crate::vector::dot(&self.data[i * self.cols..][..self.cols], x))
+            .collect()
     }
 
     /// Quadratic form `xᵀ·A·x`.
@@ -266,6 +217,163 @@ impl Matrix {
     }
 }
 
+/// Rows per panel of a [`PanelMatrix`].
+const PANEL: usize = 8;
+
+/// A square `d × d` matrix stored the way the quadratic form `xᵀ·M·x`
+/// reads it: the ADCD-E penalty of a safe zone.
+///
+/// The full panels of eight rows come first, each stored column by column
+/// (entry `(8p + r, j)` sits at `8p·d + 8j + r`); the last `d mod 8` rows
+/// follow as plain rows. A sweep down one panel's columns keeps its eight
+/// row sums in registers and reads memory in order.
+///
+/// Packing moves entries, not bits: [`form_and_dot`](Self::form_and_dot)
+/// gives the bits of the row-major formulas for any matrix, symmetric or
+/// not, and the JSON form is [`Matrix`]'s (`rows`, `cols`, row-major
+/// `data`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct PanelMatrix {
+    d: usize,
+    data: Vec<f64>,
+}
+
+impl PanelMatrix {
+    /// Pack the square matrix `m`.
+    ///
+    /// # Panics
+    /// Panics if `m` is not square.
+    pub fn pack(m: &Matrix) -> Self {
+        assert_eq!(m.rows, m.cols, "PanelMatrix::pack: not square");
+        Self::from_fn(m.rows, |i, j| m[(i, j)])
+    }
+
+    /// The `d × d` matrix whose entry `(i, j)` is `f(i, j)`, written
+    /// straight into the packed layout.
+    pub fn from_fn(d: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
+        let full = d - d % PANEL;
+        let mut data = Vec::with_capacity(d * d);
+        for p in (0..full).step_by(PANEL) {
+            for j in 0..d {
+                data.extend((p..p + PANEL).map(|i| f(i, j)));
+            }
+        }
+        for i in full..d {
+            data.extend((0..d).map(|j| f(i, j)));
+        }
+        Self { d, data }
+    }
+
+    /// Number of rows (`d`).
+    pub fn rows(&self) -> usize {
+        self.d
+    }
+
+    /// Number of columns (`d`).
+    pub fn cols(&self) -> usize {
+        self.d
+    }
+
+    /// The row-major matrix.
+    pub fn to_matrix(&self) -> Matrix {
+        Matrix::from_fn(self.d, self.d, |i, j| self[(i, j)])
+    }
+
+    /// `(xᵀ·M·x, gᵀ·x)` in one pass over `M`, with the bits of
+    /// `(vector::dot(x, &M.matvec(x)), vector::dot(g, x))`.
+    ///
+    /// Each entry of `M·x` has its own accumulator, which starts at
+    /// `-0.0` (the value `f64: Sum` folds from) and adds `M[i][j]·x[j]`
+    /// for `j` in column order; each finished panel is folded into the
+    /// form's chain in row order, and the `gᵀ·x` chain runs in the first
+    /// panel's column loop. No sum is reordered and no `M·x` is stored.
+    ///
+    /// # Panics
+    /// Panics if `x` or `g` is not `d` long.
+    pub fn form_and_dot(&self, x: &[f64], g: &[f64]) -> (f64, f64) {
+        let d = self.d;
+        assert_eq!(x.len(), d, "form_and_dot: dimension mismatch");
+        assert_eq!(g.len(), d, "form_and_dot: dimension mismatch");
+        let full = d - d % PANEL;
+        let (panels, tail) = self.data.split_at(full * d);
+        let mut form = -0.0f64;
+        let mut dot = if full == 0 { crate::vector::dot(g, x) } else { -0.0 };
+        for (p, xs) in x[..full].chunks_exact(PANEL).enumerate() {
+            let panel = &panels[p * PANEL * d..][..PANEL * d];
+            let sums = if p == 0 {
+                panel_sums::<true>(panel, x, g, &mut dot)
+            } else {
+                panel_sums::<false>(panel, x, g, &mut dot)
+            };
+            for (&xi, &mi) in xs.iter().zip(&sums) {
+                form += xi * mi;
+            }
+        }
+        for (k, &xi) in x[full..].iter().enumerate() {
+            form += xi * crate::vector::dot(&tail[k * d..][..d], x);
+        }
+        (form, dot)
+    }
+}
+
+/// One panel's eight row sums of `M·x`, swept column by column; with
+/// `TANGENT`, `dot` adds `g[j]·x[j]` in the same loop.
+#[inline(always)]
+fn panel_sums<const TANGENT: bool>(
+    panel: &[f64],
+    x: &[f64],
+    g: &[f64],
+    dot: &mut f64,
+) -> [f64; PANEL] {
+    let mut sums = [-0.0f64; PANEL];
+    let mut t = *dot;
+    for ((col, &xj), &gj) in panel.as_chunks::<PANEL>().0.iter().zip(x).zip(g) {
+        for r in 0..PANEL {
+            sums[r] += col[r] * xj;
+        }
+        if TANGENT {
+            t += gj * xj;
+        }
+    }
+    *dot = t;
+    sums
+}
+
+impl Serialize for PanelMatrix {
+    fn to_value(&self) -> serde::Value {
+        self.to_matrix().to_value()
+    }
+}
+
+impl Deserialize for PanelMatrix {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let m = Matrix::from_value(v)?;
+        if m.rows != m.cols || m.data.len() != m.rows * m.cols {
+            return Err(serde::DeError::custom(format!(
+                "expected a square matrix, got {}×{} with {} entries",
+                m.rows,
+                m.cols,
+                m.data.len()
+            )));
+        }
+        Ok(Self::pack(&m))
+    }
+}
+
+impl std::ops::Index<(usize, usize)> for PanelMatrix {
+    type Output = f64;
+    fn index(&self, (i, j): (usize, usize)) -> &f64 {
+        assert!(i < self.d && j < self.d, "PanelMatrix: ({i}, {j}) out of bounds");
+        let full = self.d - self.d % PANEL;
+        let at = if i < full {
+            (i - i % PANEL) * self.d + j * PANEL + i % PANEL
+        } else {
+            i * self.d + j
+        };
+        &self.data[at]
+    }
+}
+
 impl std::ops::Index<(usize, usize)> for Matrix {
     type Output = f64;
     fn index(&self, (i, j): (usize, usize)) -> &f64 {
@@ -351,5 +459,31 @@ mod tests {
         let json = serde_json::to_string(&a).unwrap();
         let back: Matrix = serde_json::from_str(&json).unwrap();
         assert_eq!(a, back);
+    }
+
+    #[test]
+    fn a_panel_matrix_holds_every_entry_and_reads_as_its_matrix() {
+        for d in [0, 1, 7, 8, 9, 17] {
+            let m = Matrix::from_fn(d, d, |i, j| (i * 100 + j) as f64);
+            let p = PanelMatrix::pack(&m);
+            assert_eq!(p.to_matrix(), m, "d = {d}");
+            let json = serde_json::to_string(&p).unwrap();
+            assert_eq!(json, serde_json::to_string(&m).unwrap(), "d = {d}");
+            assert_eq!(serde_json::from_str::<PanelMatrix>(&json).unwrap(), p);
+        }
+        // The first panel is column-major, the tail row-major.
+        let p = PanelMatrix::pack(&Matrix::from_fn(9, 9, |i, j| (i * 100 + j) as f64));
+        assert_eq!(&p.data[..3], &[0.0, 100.0, 200.0]);
+        assert_eq!(&p.data[72..75], &[800.0, 801.0, 802.0]);
+    }
+
+    #[test]
+    fn a_panel_matrix_refuses_a_non_square_json_form() {
+        for json in [
+            r#"{"rows":2,"cols":3,"data":[1,2,3,4,5,6]}"#,
+            r#"{"rows":2,"cols":2,"data":[1,2,3]}"#,
+        ] {
+            assert!(serde_json::from_str::<PanelMatrix>(json).is_err(), "{json}");
+        }
     }
 }

@@ -1,19 +1,22 @@
-//! The dense mat-vec kernel against a per-row `vector::dot`.
+//! The dense kernels against a per-row `vector::dot`.
 //!
-//! `Matrix::matvec_into` sums several rows side by side. Each entry must
-//! still be the bits of `vector::dot(row, x)`: same start value, same
-//! products, same column order. The reference below calls no `Matrix`
-//! product. Shapes cover every row count modulo 8 and modulo 4,
-//! rectangular ones and zero-sized ones included, plus the 40×40 and
-//! 100×100 the benchmarks run; entries include NaN of both signs (with
-//! payloads), ±inf, ±0.0, subnormals and ±MAX.
+//! `Matrix::matvec` entry `i` must be the bits of `vector::dot(row_i, x)`,
+//! and `PanelMatrix::form_and_dot` must give the bits of
+//! `vector::dot(x, per-row dots)` and `vector::dot(g, x)` although it
+//! reads eight rows column by column and sums `gᵀx` inside its first
+//! panel: same start values, same products, same order. The reference
+//! below calls no `Matrix` product. Shapes cover every size in `0..=19`
+//! (every remainder modulo 8, rectangular and zero-sized mat-vecs
+//! included), plus the 40×40 and 100×100 the benchmarks run; matrices are
+//! not symmetric, and entries include NaN of both signs (with payloads),
+//! ±inf, ±0.0, subnormals and ±MAX.
 //!
 //! A NaN entry must be a NaN on both sides, but its sign and payload are
 //! not compared: Rust leaves them unspecified when two NaNs meet in one
 //! operation, and `vector::dot` itself picks a different one in a debug
 //! and a release build. Every other entry is compared with `to_bits`.
 
-use automon_linalg::{vector, Matrix};
+use automon_linalg::{vector, Matrix, PanelMatrix};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -80,19 +83,39 @@ fn assert_bits(got: &[f64], want: &[f64], what: &str) {
     }
 }
 
-/// One seed over every shape; the special rate is none, sparse or dense.
-/// One output buffer serves every shape, so it shrinks and grows.
+/// The special rate: none, sparse or dense.
+fn special_rate(rng: &mut SmallRng) -> f64 {
+    [0.0, 1.0 / 64.0, 1.0 / 8.0][rng.gen_range(0..3usize)]
+}
+
+/// One seed over every shape.
 fn matvec_case(seed: u64) {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let special_rate = [0.0, 1.0 / 64.0, 1.0 / 8.0][rng.gen_range(0..3usize)];
-    let mut out = vec![f64::NAN; 7];
+    let special_rate = special_rate(&mut rng);
     for (r, c) in shapes() {
         let m = Matrix::from_fn(r, c, |_, _| entry(&mut rng, special_rate));
         let x: Vec<f64> = (0..c).map(|_| entry(&mut rng, special_rate)).collect();
-        let want = reference(&m, &x);
-        m.matvec_into(&x, &mut out);
-        assert_bits(&out, &want, &format!("{r}×{c} matvec_into"));
-        assert_bits(&m.matvec(&x), &want, &format!("{r}×{c} matvec"));
+        assert_bits(&m.matvec(&x), &reference(&m, &x), &format!("{r}×{c} matvec"));
+    }
+}
+
+/// One seed over every square shape: the packed penalty's `(xᵀMx, gᵀx)`
+/// against the row-major formulas, and its entries against `M`'s.
+fn panel_case(seed: u64) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let special_rate = special_rate(&mut rng);
+    for d in (0..=19).chain([40, 100]) {
+        let m = Matrix::from_fn(d, d, |_, _| entry(&mut rng, special_rate));
+        let x: Vec<f64> = (0..d).map(|_| entry(&mut rng, special_rate)).collect();
+        let g: Vec<f64> = (0..d).map(|_| entry(&mut rng, special_rate)).collect();
+        let p = PanelMatrix::pack(&m);
+        let unpacked = p.to_matrix();
+        assert_eq!((unpacked.rows(), unpacked.cols()), (d, d));
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&unpacked), bits(&m), "{d}×{d} pack");
+        let (form, dot) = p.form_and_dot(&x, &g);
+        let want = [vector::dot(&x, &reference(&m, &x)), vector::dot(&g, &x)];
+        assert_bits(&[form, dot], &want, &format!("{d}×{d} form_and_dot"));
     }
 }
 
@@ -103,6 +126,11 @@ proptest! {
     fn matvec_equals_a_dot_per_row_bit_for_bit(seed in 0u64..u64::MAX) {
         matvec_case(seed);
     }
+
+    #[test]
+    fn the_panel_kernel_equals_the_row_major_formulas_bit_for_bit(seed in 0u64..u64::MAX) {
+        panel_case(seed);
+    }
 }
 
 #[test]
@@ -111,4 +139,18 @@ fn an_empty_row_is_the_empty_sum() {
     let out = Matrix::zeros(3, 0).matvec(&[]);
     assert_eq!(out.len(), 3);
     assert!(out.iter().all(|v| v.to_bits() == (-0.0f64).to_bits()));
+    // So is the form and the dot of a 0×0 penalty.
+    let (form, dot) = PanelMatrix::pack(&Matrix::zeros(0, 0)).form_and_dot(&[], &[]);
+    assert_eq!([form.to_bits(), dot.to_bits()], [(-0.0f64).to_bits(); 2]);
+}
+
+#[test]
+fn every_chain_starts_at_negative_zero() {
+    // Products that are all -0.0 sum to -0.0 only from a -0.0 start, for
+    // the panels' row sums, the form and the tangent alike.
+    for d in [1, 8, 9, 16, 17] {
+        let p = PanelMatrix::pack(&Matrix::from_fn(d, d, |_, _| -0.0));
+        let (form, dot) = p.form_and_dot(&vec![1.0; d], &vec![-0.0; d]);
+        assert_eq!([form.to_bits(), dot.to_bits()], [(-0.0f64).to_bits(); 2], "d = {d}");
+    }
 }

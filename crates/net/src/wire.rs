@@ -23,7 +23,7 @@ use automon_core::{
     Curvature, CoordinatorMessage, DcKind, NeighborhoodBox, NodeMessage, SafeZone, TierMessage,
     ViolationKind, ZoneUpdate,
 };
-use automon_linalg::Matrix;
+use automon_linalg::PanelMatrix;
 use automon_obs::SpanId;
 
 /// Format version magic (bump on layout changes).
@@ -46,6 +46,8 @@ pub enum WireError {
     /// u32 prefix on the write side (which would otherwise truncate
     /// silently on the `as u32` cast).
     Oversized(usize),
+    /// A quadratic penalty whose dims (rows, cols) are not square.
+    NotSquare(usize, usize),
 }
 
 impl std::fmt::Display for WireError {
@@ -57,6 +59,7 @@ impl std::fmt::Display for WireError {
             WireError::Oversized(n) => {
                 write!(f, "frame of {n} bytes exceeds the {MAX_FRAME_LEN}-byte cap")
             }
+            WireError::NotSquare(r, c) => write!(f, "penalty matrix is {r}×{c}, not square"),
         }
     }
 }
@@ -103,7 +106,7 @@ fn vec_len(v: &[f64]) -> usize {
 }
 
 /// Encoded size of a dims-prefixed dense matrix.
-fn matrix_len(m: &Matrix) -> usize {
+fn matrix_len(m: &PanelMatrix) -> usize {
     8 + 8 * m.rows() * m.cols()
 }
 
@@ -475,10 +478,11 @@ fn put_vec(b: &mut Vec<u8>, v: &[f64]) {
     put_f64s(b, v);
 }
 
-fn put_matrix(b: &mut Vec<u8>, m: &Matrix) {
+/// A penalty's dims, then its entries in row-major order.
+fn put_matrix(b: &mut Vec<u8>, m: &PanelMatrix) {
     b.extend_from_slice(&(m.rows() as u32).to_le_bytes());
     b.extend_from_slice(&(m.cols() as u32).to_le_bytes());
-    put_f64s(b, m.as_slice());
+    put_f64s(b, m.to_matrix().as_slice());
 }
 
 /// A zone's penalty: the field a full zone carries between `dc` and the
@@ -636,17 +640,24 @@ fn get_vec(buf: &mut &[u8]) -> Result<Vec<f64>, WireError> {
     get_f64s(buf, n)
 }
 
-fn get_matrix(buf: &mut &[u8]) -> Result<Matrix, WireError> {
+/// [`put_matrix`]'s inverse, packed as it is read. A penalty is square:
+/// other dims are [`WireError::NotSquare`].
+fn get_matrix(buf: &mut &[u8]) -> Result<PanelMatrix, WireError> {
     let rows = get_u32(buf)? as usize;
     let cols = get_u32(buf)? as usize;
+    if rows != cols {
+        return Err(WireError::NotSquare(rows, cols));
+    }
     let n = rows.checked_mul(cols).ok_or(WireError::Truncated)?;
-    Ok(Matrix::from_rows(rows, cols, get_f64s(buf, n)?))
+    let entries = take_chunks::<8>(buf, n)?;
+    Ok(PanelMatrix::from_fn(rows, |i, j| f64::from_le_bytes(entries[i * cols + j])))
 }
 
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use automon_linalg::Matrix;
 
     fn sample_head() -> ZoneUpdate {
         ZoneUpdate {
@@ -719,7 +730,7 @@ mod tests {
                 neighborhood: None,
                 ..sample_head()
             },
-            Curvature::Quadratic(Matrix::from_rows(2, 2, vec![1.0, 0.5, 0.5, 2.0])),
+            Curvature::quadratic(&Matrix::from_rows(2, 2, vec![1.0, 0.5, 0.5, 2.0])),
         );
         let msg = CoordinatorMessage::NewConstraints {
             zone: z,
@@ -728,6 +739,27 @@ mod tests {
         };
         let bytes = encode_coordinator_message(&msg);
         assert_eq!(decode_coordinator_message(&bytes).unwrap(), msg);
+    }
+
+    #[test]
+    fn a_non_square_penalty_is_a_typed_error() {
+        let msg = CoordinatorMessage::NewConstraints {
+            zone: SafeZone::new(sample_head(), Curvature::quadratic(&Matrix::identity(2))),
+            slack: vec![0.0, 0.0],
+            epoch: 1,
+        };
+        let mut bytes = encode_coordinator_message(&msg);
+        // The penalty's tag and its 2×2 dims; make them 2×3.
+        let dims = [1, 2, 0, 0, 0, 2, 0, 0, 0];
+        let at: Vec<usize> = (0..bytes.len() - dims.len())
+            .filter(|&k| bytes[k..k + dims.len()] == dims)
+            .collect();
+        assert_eq!(at.len(), 1, "one penalty header");
+        bytes[at[0] + 5] = 3;
+        assert_eq!(
+            decode_coordinator_message(&bytes),
+            Err(WireError::NotSquare(2, 3))
+        );
     }
 
     #[test]
@@ -798,7 +830,7 @@ mod tests {
             let frame = encode_node_message(msg);
             assert_eq!(frame.len(), node_message_len(msg), "{msg:?}");
         }
-        let quad = SafeZone::new(sample_head(), Curvature::Quadratic(Matrix::identity(2)));
+        let quad = SafeZone::new(sample_head(), Curvature::quadratic(&Matrix::identity(2)));
         let coord_msgs = [
             CoordinatorMessage::RequestLocalVector { epoch: 4 },
             CoordinatorMessage::SlackUpdate {
@@ -924,6 +956,10 @@ mod tests {
         assert!(WireError::Oversized(usize::MAX)
             .to_string()
             .contains("exceeds"));
+        assert_eq!(
+            WireError::NotSquare(2, 3).to_string(),
+            "penalty matrix is 2×3, not square"
+        );
     }
 
     #[test]
@@ -952,6 +988,7 @@ mod tests {
 #[cfg(test)]
 mod cached_constraint_tests {
     use super::*;
+    use automon_linalg::Matrix;
 
     #[test]
     fn cached_constraints_round_trip_and_shrink_payload() {
@@ -966,7 +1003,7 @@ mod cached_constraint_tests {
                 dc: DcKind::ConvexDiff,
                 neighborhood: None,
             },
-            Curvature::Quadratic(Matrix::identity(d)),
+            Curvature::quadratic(&Matrix::identity(d)),
         );
         let full = CoordinatorMessage::NewConstraints {
             zone: zone.clone(),

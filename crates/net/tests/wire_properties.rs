@@ -93,7 +93,7 @@ fn coordinator_messages(rng: &mut SmallRng, d: usize) -> Vec<CoordinatorMessage>
     for quadratic in [false, true] {
         for nb in [false, true] {
             let curvature = if quadratic {
-                Curvature::Quadratic(Matrix::from_rows(d, d, values(rng, d * d)))
+                Curvature::quadratic(&Matrix::from_rows(d, d, values(rng, d * d)))
             } else {
                 Curvature::Scalar(value(rng))
             };
@@ -246,7 +246,7 @@ impl Words {
                         .int(1u8)
                         .int(m.rows() as u64)
                         .int(m.cols() as u64)
-                        .fs(m.as_slice()),
+                        .fs(m.to_matrix().as_slice()),
                 };
                 w.nb(&z.neighborhood).fs(slack)
             }

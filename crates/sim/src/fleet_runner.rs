@@ -146,7 +146,7 @@ impl FleetSimulation {
                 }
                 current[*node] = Some(x.clone());
                 updates += 1;
-                fleet.update(*node, x.clone());
+                fleet.update(*node, x);
             }
 
             let (estimate, truth) = (fleet.estimate(), self.canonical_truth(&fleet, &current));

@@ -505,7 +505,7 @@ impl Simulation {
                     if silent || w.link.node_down(*node) {
                         continue;
                     }
-                    if let Some(m) = w.peers.nodes[*node].update_data(x.clone()) {
+                    if let Some(m) = w.peers.nodes[*node].update_data(x) {
                         if let Some(p) = &mut policy {
                             p.observe(&m);
                         }

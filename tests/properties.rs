@@ -176,7 +176,7 @@ proptest! {
                 dc: DcKind::ConvexDiff,
                 neighborhood: None,
             },
-            Curvature::Quadratic(e.nsd_part().scale(-1.0)),
+            Curvature::quadratic(&e.nsd_part().scale(-1.0)),
         );
         if zone.check(&f, &probe).is_none() {
             let v = f.eval(&probe);
@@ -205,7 +205,7 @@ proptest! {
                 dc: DcKind::ConvexDiff,
                 neighborhood: None,
             },
-            Curvature::Quadratic(e.nsd_part().scale(-1.0)),
+            Curvature::quadratic(&e.nsd_part().scale(-1.0)),
         );
         if zone.check(&f, &a).is_none() && zone.check(&f, &b).is_none() {
             let mid: Vec<f64> = a.iter().zip(&b).map(|(x, y)| 0.5 * (x + y)).collect();
