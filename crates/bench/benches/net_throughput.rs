@@ -1,6 +1,6 @@
 //! Transport throughput: reports/sec and syscalls/report for the epoll
-//! reactor vs the thread-per-connection blocking transport, at 1k and
-//! 10k concurrent node connections.
+//! reactor vs a thread-per-connection baseline, at 1k and 10k concurrent
+//! node connections.
 //!
 //! Each configuration is one timed blast of real frames over real
 //! sockets, printed as `NETLINE <key> value <float>` rows. The bench
@@ -22,6 +22,10 @@
 //!   alone (the threaded backend would need 10k reader threads and is
 //!   skipped).
 //!
+//! The threaded backend is [`ThreadPerConnection`], defined here: the
+//! load generator's server side, receive-only, built from the public
+//! framing API. The library's one coordinator end is the reactor.
+//!
 //! Two `node_transport` rows time the node side of one connection to a
 //! reactor in this process: `try_recv_idle` (a poll that finds nothing
 //! — the cost a node loop pays per update in the steady state) and
@@ -36,14 +40,19 @@
 //! go to last-frame-received.
 
 use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::process::{Command, Stdio};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use automon_core::{CommCause, CoordinatorMessage, NodeMessage, Outbound, ViolationKind};
 use automon_net::reactor::ReactorCoordinatorTransport;
-use automon_net::tcp::{TcpCoordinatorTransport, TcpNodeTransport};
-use automon_net::{wire, CoordinatorTransport};
+use automon_net::tcp::{TcpError, TcpNodeTransport};
+use automon_net::{poller, wire, CoordinatorTransport, FrameAssembler, OutQueue, SyscallStats};
+use automon_obs::SpanId;
 
 const CHILD_ENV: &str = "AUTOMON_NET_CHILD";
 /// Client connections per child process (fd budget per child).
@@ -134,6 +143,138 @@ fn run_child(spec: &str) -> ! {
     // Keep the sockets open until the parent has drained everything.
     std::thread::sleep(Duration::from_secs(3600));
     unreachable!()
+}
+
+/// The baseline the reactor is gated against: a receive-only coordinator
+/// end with one blocking reader thread per connection. A reader issues one
+/// blocking `recv` into a [`FrameAssembler`] and hands over every frame it
+/// completed before the next; a go-frame leaves in one `writev`. So it
+/// counts the `recv` and `writev` calls a thread-per-connection transport
+/// makes. It admits the first `n` hellos only and keeps no telemetry.
+struct ThreadPerConnection {
+    frames: Receiver<(SpanId, NodeMessage)>,
+    /// Node `i`'s connection, for the go-frames.
+    conns: Vec<TcpStream>,
+    readers: Vec<JoinHandle<()>>,
+    /// `recv` calls, published before the frames they fetched.
+    reads: Arc<AtomicU64>,
+    writevs: AtomicU64,
+}
+
+/// One reader thread's loop: every frame the last `recv` completed, then
+/// one blocking `recv`, until end of stream or a frame that does not
+/// decode.
+fn read_frames(
+    stream: TcpStream,
+    mut asm: FrameAssembler,
+    frames: Sender<(SpanId, NodeMessage)>,
+    reads: Arc<AtomicU64>,
+) {
+    let mut unpublished = 0u64;
+    loop {
+        while let Ok(Some(frame)) = asm.next_frame_ref() {
+            let Ok(decoded) = wire::decode_node_message_ctx(frame) else {
+                return;
+            };
+            reads.fetch_add(std::mem::take(&mut unpublished), Ordering::Relaxed);
+            if frames.send(decoded).is_err() {
+                return;
+            }
+        }
+        unpublished += 1;
+        if !matches!(poller::recv_append(&stream, asm.recv_buf(), false), Ok(1..)) {
+            return;
+        }
+    }
+}
+
+impl CoordinatorTransport for ThreadPerConnection {
+    /// Blocks until `n` nodes said hello; the bench binds without a
+    /// deadline, so `hello_timeout` is not honoured.
+    fn bind(
+        addr: SocketAddr,
+        n: usize,
+        _hello_timeout: Option<Duration>,
+    ) -> Result<Self, TcpError> {
+        let listener = TcpListener::bind(addr)?;
+        let (tx, frames) = channel();
+        let reads = Arc::new(AtomicU64::new(0));
+        let mut conns: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
+        let mut readers = Vec::with_capacity(n);
+        while conns.iter().any(Option::is_none) {
+            let (stream, _) = listener.accept()?;
+            stream.set_nodelay(true)?;
+            let mut asm = FrameAssembler::new();
+            let id = loop {
+                if let Some(hello) = asm.next_frame_ref().map_err(TcpError::Wire)? {
+                    break wire::decode_node_message(hello)
+                        .map_err(TcpError::Wire)?
+                        .sender();
+                }
+                if poller::recv_append(&stream, asm.recv_buf(), false)? == 0 {
+                    return Err(TcpError::Disconnected);
+                }
+            };
+            let slot = conns.get_mut(id).expect("a child dials as a node in 0..n");
+            let reader = stream.try_clone()?;
+            let (tx, reads) = (tx.clone(), reads.clone());
+            readers.push(std::thread::spawn(move || {
+                read_frames(reader, asm, tx, reads)
+            }));
+            *slot = Some(stream);
+        }
+        Ok(Self {
+            frames,
+            conns: conns
+                .into_iter()
+                .map(|c| c.expect("every node said hello"))
+                .collect(),
+            readers,
+            reads,
+            writevs: AtomicU64::new(0),
+        })
+    }
+
+    fn recv_timeout_traced(&self, timeout: Duration) -> Option<(SpanId, NodeMessage)> {
+        self.frames.recv_timeout(timeout).ok()
+    }
+
+    fn send(&self, out: &Outbound) -> Result<(), TcpError> {
+        let mut queue = OutQueue::new(1);
+        queue
+            .push(wire::encode_coordinator_message_ctx(&out.msg, out.span))
+            .map_err(|_| TcpError::Disconnected)?;
+        while !queue.is_empty() {
+            self.writevs.fetch_add(1, Ordering::Relaxed);
+            if queue.flush_with(|iov| poller::write_vectored(&self.conns[out.to], iov))? == 0 {
+                return Err(TcpError::Disconnected);
+            }
+        }
+        Ok(())
+    }
+
+    fn syscall_stats(&self) -> SyscallStats {
+        SyscallStats {
+            reads: self.reads.load(Ordering::Relaxed),
+            writevs: self.writevs.load(Ordering::Relaxed),
+            ..SyscallStats::default()
+        }
+    }
+}
+
+impl Drop for ThreadPerConnection {
+    /// Hang up every connection, which ends each reader's blocking `recv`,
+    /// then join the readers.
+    fn drop(&mut self) {
+        for conn in &self.conns {
+            let _ = conn.shutdown(Shutdown::Both);
+        }
+        for reader in self.readers.drain(..) {
+            if reader.join().is_err() {
+                eprintln!("net_throughput: a reader thread panicked");
+            }
+        }
+    }
 }
 
 struct BlastResult {
@@ -299,7 +440,7 @@ fn main() {
     let reports_10k = if full { 20 } else { 10 };
 
     eprintln!("net_throughput: threaded @ {conns_1k} conns ...");
-    let threaded = blast_best::<TcpCoordinatorTransport>(conns_1k, reports_1k, 2);
+    let threaded = blast_best::<ThreadPerConnection>(conns_1k, reports_1k, 2);
     eprintln!(
         "  threaded: {:.0} reports/s, {:.2} syscalls/report, {:?}",
         threaded.reports_per_sec, threaded.syscalls_per_report, threaded.elapsed

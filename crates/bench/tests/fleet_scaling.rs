@@ -13,7 +13,8 @@
 //!
 //! The protocol is deterministic, so one run is the measurement: the
 //! message and byte totals of the flat run and of both fleet tiers are
-//! pinned as exact integers. A change that moves one must say why.
+//! pinned as exact integers. A change that moves one must say why. Each
+//! run also counts a missed violation exactly when its error left ε.
 
 use std::sync::Arc;
 
@@ -23,7 +24,7 @@ use automon_data::synthetic::{InnerProductDataset, QuadraticDataset};
 use automon_data::windowed_mean_series;
 use automon_fleet::FleetConfig;
 use automon_functions::{InnerProduct, Variance};
-use automon_sim::{FleetSimulation, Simulation, Workload};
+use automon_sim::{FleetSimulation, RunStats, Simulation, Workload};
 
 const MEAN_WINDOW: usize = 20;
 const STREAMS: usize = 10_000;
@@ -74,6 +75,8 @@ fn run_case(name: &str, f: Arc<dyn MonitoredFunction>, w: &Workload) -> Volume {
     let flat = Simulation::new(f.clone(), cfg.clone()).run(w);
     let fleet = FleetSimulation::new(f, cfg, FleetConfig::new(SHARDS)).run(w);
     assert_eq!(fleet.updates, STREAMS * ROUNDS);
+    assert_breaches_counted(&format!("{name} flat"), &flat);
+    assert_breaches_counted(&format!("{name} fleet"), &fleet.stats);
     let per_update = |x: usize| x as f64 / fleet.updates as f64;
     let (flat_mpu, root_mpu) = (per_update(flat.messages), per_update(fleet.root_messages));
     assert!(
@@ -89,6 +92,17 @@ fn run_case(name: &str, f: Arc<dyn MonitoredFunction>, w: &Workload) -> Volume {
         leaf_msgs: fleet.leaf_messages,
         leaf_bytes: fleet.leaf_payload_bytes,
     }
+}
+
+/// `max_error > ε` exactly when the run counted a missed violation.
+fn assert_breaches_counted(run: &str, stats: &RunStats) {
+    assert_eq!(
+        stats.max_error > EPSILON,
+        stats.missed_violation_rounds > 0,
+        "{run}: max_error {} against {} missed rounds",
+        stats.max_error,
+        stats.missed_violation_rounds
+    );
 }
 
 #[test]

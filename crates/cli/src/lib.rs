@@ -153,10 +153,8 @@ OBSERVABILITY (simulate only):
     --serve-metrics ADDR  serve live metrics at http://ADDR/metrics
                         while the run executes (e.g. 127.0.0.1:9100)
 
-NET BACKENDS (net-smoke; DESIGN.md §3.15) — three links of the one round
+NET BACKENDS (net-smoke; DESIGN.md §3.15) — two links of the one round
 driver:
-    --net-backend threaded  real loopback sockets, blocking TCP transport
-                            (reader thread per node) at the coordinator
     --net-backend reactor   real loopback sockets, epoll event loop run
                             by the caller: inline writev, coalesced
                             reads, bounded outbound queues (default)
@@ -169,8 +167,8 @@ driver:
     --seed) and `transport` (syscalls, timing — backend-specific).
     --trace-out works on every backend and writes the standard
     telemetry trace (`trace summarize|diff` read it; fault-free, the
-    three files are equal). Only the sim backend runs frame faults (the
-    socket backends refuse a schedule that has any), and
+    two files are equal). Only the sim backend runs frame faults (the
+    reactor backend refuses a schedule that has any), and
     --max-delay-rounds requires --delay-rate. A socket failure or a
     frame missing after 20 s exits non-zero naming the stage.
 

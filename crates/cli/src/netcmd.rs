@@ -1,11 +1,9 @@
 //! `automon net-smoke` — drive the monitoring protocol over a network
 //! transport and report protocol outcome + transport cost.
 //!
-//! Three backends behind `--net-backend`, all of them links of the one
+//! Two backends behind `--net-backend`, both of them links of the one
 //! round driver (`automon_sim::Simulation`):
 //!
-//! * `threaded` — real loopback sockets, the blocking TCP transport
-//!   (reader thread per node) on the coordinator end.
 //! * `reactor`  — real loopback sockets, the epoll reactor (one event
 //!   loop on the driver's thread, coalesced reads, inline writev).
 //! * `sim`      — `Reactor<SimPoller>`: no sockets, seeded byte
@@ -14,7 +12,7 @@
 //!
 //! Output is one JSON object split into a `stats` block (the driver's
 //! `RunStats`, ledger included — identical across backends for the same
-//! workload seed; `tests/net_smoke.rs` compares it three ways) and a
+//! workload seed; `tests/net_smoke.rs` compares the two) and a
 //! `transport` block (syscalls, timing — backend-specific by design).
 //! `--trace-out` writes the standard telemetry JSONL on every backend,
 //! so `automon trace summarize|diff` read it.
@@ -23,7 +21,6 @@ use std::time::Instant;
 
 use automon_core::MonitorConfig;
 use automon_net::reactor::ReactorCoordinatorTransport;
-use automon_net::tcp::TcpCoordinatorTransport;
 use automon_net::SyscallStats;
 use automon_obs::Telemetry;
 use automon_sim::{Simulation, Workload};
@@ -85,9 +82,8 @@ pub fn run_net_smoke(args: &Args) -> Result<String, CliError> {
     let f = build_function(fname, dim, "--dim")?;
     let cfg = MonitorConfig::builder(epsilon).build();
 
-    // Telemetry goes to the driver and its protocol endpoints only: the
-    // threaded transport bumps its counters from its reader threads,
-    // which would break the trace's byte-identity across backends.
+    // Telemetry goes to the driver and its protocol endpoints only, so the
+    // trace is byte-identical across backends.
     let tel = match args.get("trace-out") {
         Some(_) => Telemetry::enabled(),
         None => Telemetry::disabled(),
@@ -98,11 +94,10 @@ pub fn run_net_smoke(args: &Args) -> Result<String, CliError> {
     }
     let sim = match backend {
         "sim" => sim.with_net_seed(seed),
-        "threaded" => sim.over_sockets::<TcpCoordinatorTransport>(),
         "reactor" => sim.over_sockets::<ReactorCoordinatorTransport>(),
         other => {
             return Err(CliError::new(format!(
-                "unknown --net-backend `{other}` (threaded | reactor | sim)"
+                "unknown --net-backend `{other}` (reactor | sim)"
             )))
         }
     };
@@ -185,17 +180,15 @@ mod tests {
 
     #[test]
     fn sockets_refuse_frame_faults_and_a_delay_bound_needs_a_rate() {
-        for backend in ["threaded", "reactor"] {
-            for flags in [
-                &["--drop-rate", "0.1"][..],
-                &["--delay-rate", "0.1", "--max-delay-rounds", "2"][..],
-            ] {
-                let err = smoke(backend, flags).unwrap_err().to_string();
-                assert_eq!(
-                    err, "the socket link does not run frame faults (it runs no faults)",
-                    "{backend} {flags:?}"
-                );
-            }
+        for flags in [
+            &["--drop-rate", "0.1"][..],
+            &["--delay-rate", "0.1", "--max-delay-rounds", "2"][..],
+        ] {
+            let err = smoke("reactor", flags).unwrap_err().to_string();
+            assert_eq!(
+                err, "the socket link does not run frame faults (it runs no faults)",
+                "{flags:?}"
+            );
         }
         // The whole fault group parses here; the link says what it runs.
         assert_eq!(

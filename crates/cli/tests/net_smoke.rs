@@ -23,7 +23,7 @@ fn every_backend_reports_the_same_stats_and_trace() {
     let dir = std::env::temp_dir().join("automon_cli_net_smoke_test");
     std::fs::create_dir_all(&dir).unwrap();
     let trace_of = |backend: &str| dir.join(format!("{backend}.jsonl")).display().to_string();
-    let reports: Vec<Value> = ["sim", "threaded", "reactor"]
+    let reports: Vec<Value> = ["sim", "reactor"]
         .iter()
         .map(|backend| {
             let out = net_smoke(backend, &["--trace-out", &trace_of(backend)]);
@@ -35,7 +35,7 @@ fn every_backend_reports_the_same_stats_and_trace() {
         matches!(field(&sim_stats, "lazy_syncs"), Value::UInt(n) if n > 0),
         "{sim_stats:?}"
     );
-    for (report, backend) in reports[1..].iter().zip(["threaded", "reactor"]) {
+    for (report, backend) in reports[1..].iter().zip(["reactor"]) {
         assert_eq!(field(report, "stats"), sim_stats, "{backend} vs sim");
         let transport = field(report, "transport");
         assert_eq!(field(&transport, "backend"), Value::Str(backend.into()));

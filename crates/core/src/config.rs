@@ -151,6 +151,20 @@ impl MonitorConfig {
         self.neighborhood = self.neighborhood.with_r(r);
         self
     }
+
+    /// The thresholds `[L, U]` around `f0 = f(x0)` (paper §2): the band
+    /// the coordinator installs on a full sync, and the one a truth
+    /// outside of counts as a missed violation.
+    pub fn thresholds(&self, f0: f64) -> (f64, f64) {
+        match self.approximation {
+            ApproximationKind::Additive => (f0 - self.epsilon, f0 + self.epsilon),
+            ApproximationKind::Multiplicative => {
+                let a = (1.0 - self.epsilon) * f0;
+                let b = (1.0 + self.epsilon) * f0;
+                (a.min(b), a.max(b))
+            }
+        }
+    }
 }
 
 /// Builder for [`MonitorConfig`].
@@ -282,6 +296,20 @@ mod tests {
         assert!(!cfg.enable_lazy_sync);
         assert!(cfg.disable_adcd);
         assert_eq!(cfg.eigen_margin, 1.5);
+    }
+
+    #[test]
+    fn thresholds_additive_and_multiplicative() {
+        let cfg = MonitorConfig::builder(0.1).build();
+        assert_eq!(cfg.thresholds(2.0), (1.9, 2.1));
+        let cfg = MonitorConfig::builder(0.1).multiplicative().build();
+        let (l, u) = cfg.thresholds(2.0);
+        assert!((l - 1.8).abs() < 1e-12);
+        assert!((u - 2.2).abs() < 1e-12);
+        // Negative f(x0): bounds stay ordered.
+        let (l, u) = cfg.thresholds(-2.0);
+        assert!(l < u);
+        assert!((l + 2.2).abs() < 1e-12);
     }
 
     /// The inert field keeps its default, and a struct update (how the

@@ -7,7 +7,7 @@ use automon_linalg::vector;
 use automon_obs::{Counter, Gauge, Telemetry, TraceCtx};
 
 use crate::adcd::{self, AdcdKind};
-use crate::config::{ApproximationKind, MonitorConfig};
+use crate::config::MonitorConfig;
 use crate::id_set::IdSet;
 use crate::ledger::CommCause;
 use crate::messages::{CoordinatorMessage, Epoch, NodeId, NodeMessage, Outbound};
@@ -145,9 +145,6 @@ struct CoordTel {
     evictions: Counter,
     rejoins: Counter,
     slack_updates: Counter,
-    /// Lazy-sync growth picks that had to fall back to a backpressured
-    /// node because no unpressured candidate existed.
-    backpressure_fallbacks: Counter,
     snap_taken: Counter,
     snap_deferred: Counter,
     epoch: Gauge,
@@ -201,10 +198,6 @@ impl CoordTel {
             slack_updates: tel.counter(
                 "automon_coord_slack_updates_total",
                 "Slack vectors redistributed by lazy syncs",
-            ),
-            backpressure_fallbacks: tel.counter(
-                "automon_coord_backpressure_fallbacks_total",
-                "Lazy-sync growth picks forced onto a backpressured node",
             ),
             snap_taken: tel.counter(
                 "automon_coord_snapshot_taken_total",
@@ -283,12 +276,6 @@ pub struct Coordinator {
     /// Constraint epoch; bumped on every completed full sync. Stamped on
     /// every outgoing message so stale frames are recognizable.
     epoch: Epoch,
-    /// Transport backpressure flags (reactor backend): flagged nodes
-    /// are deprioritized when growing a lazy-sync balancing set, since
-    /// pulling from a node whose outbound queue is jammed adds latency
-    /// to the whole resolution. Not journaled — purely transient
-    /// transport state, reset to all-clear on restore.
-    backpressured: Vec<bool>,
     /// Durability sink (no-op until `set_journal`): every state
     /// transition that a restore must reproduce is recorded here.
     journal: Option<Box<dyn crate::journal::Journal>>,
@@ -326,7 +313,6 @@ impl Coordinator {
             node_has_curvature: vec![false; n],
             consecutive_neighborhood: 0,
             epoch: 0,
-            backpressured: vec![false; n],
             journal: None,
             snapshot_deferred: false,
             tel: CoordTel::new(Telemetry::disabled()),
@@ -467,20 +453,6 @@ impl Coordinator {
     /// Number of non-evicted nodes. O(1).
     pub fn alive_count(&self) -> usize {
         self.lru.len()
-    }
-
-    /// Flag (or clear) transport backpressure on `node`. Backpressured
-    /// nodes are passed over when a lazy sync grows its balancing set,
-    /// as long as an unpressured candidate exists; with no flags set the
-    /// growth order is plain LRU. Drive this from the reactor
-    /// transport's `backpressured_nodes()` between rounds.
-    pub fn set_backpressured(&mut self, node: NodeId, on: bool) {
-        self.backpressured[node] = on;
-    }
-
-    /// `true` while `node` is flagged as backpressured.
-    pub fn is_backpressured(&self, node: NodeId) -> bool {
-        self.backpressured[node]
     }
 
     /// `true` while a violation resolution (lazy or full sync) is in
@@ -765,7 +737,6 @@ impl Coordinator {
             node_has_curvature,
             consecutive_neighborhood: snap.consecutive_neighborhood,
             epoch: snap.epoch,
-            backpressured: vec![false; snap.n],
             journal: None,
             snapshot_deferred: false,
             tel: CoordTel::new(Telemetry::disabled()),
@@ -1046,20 +1017,8 @@ impl Coordinator {
             return self.begin_full_sync(set);
         }
         // Grow S with the least-recently-used node outside it (the LRU
-        // order only ever contains alive nodes). Nodes under transport
-        // backpressure are passed over when any unpressured candidate
-        // exists — identical to plain LRU when no flags are set.
-        let next = self
-            .lru
-            .iter()
-            .find(|&i| !set.contains(i) && !self.backpressured[i])
-            .or_else(|| self.lru.iter().find(|&i| !set.contains(i)));
-        if let Some(p) = next {
-            if self.backpressured[p] {
-                self.tel.backpressure_fallbacks.inc();
-            }
-        }
-        match next {
+        // order only ever contains alive nodes).
+        match self.lru.iter().find(|&i| !set.contains(i)) {
             Some(p) => {
                 self.touch_lru(p);
                 self.state = SyncState::Lazy {
@@ -1154,7 +1113,7 @@ impl Coordinator {
             *v *= inv;
         }
         let (f0, grad0) = self.f.eval_grad(&x0);
-        let (l, u) = self.thresholds(f0);
+        let (l, u) = self.cfg.thresholds(f0);
 
         let old = self.zone.take();
         let (dc, curvature, neighborhood) = if self.cfg.disable_adcd {
@@ -1252,18 +1211,6 @@ impl Coordinator {
         // forcing syncs still triggers adaptive growth.
         self.state = SyncState::Monitoring;
         out
-    }
-
-    /// Thresholds from `f(x0)` (paper §2).
-    fn thresholds(&self, f0: f64) -> (f64, f64) {
-        match self.cfg.approximation {
-            ApproximationKind::Additive => (f0 - self.cfg.epsilon, f0 + self.cfg.epsilon),
-            ApproximationKind::Multiplicative => {
-                let a = (1.0 - self.cfg.epsilon) * f0;
-                let b = (1.0 + self.cfg.epsilon) * f0;
-                (a.min(b), a.max(b))
-            }
-        }
     }
 }
 
@@ -1420,20 +1367,6 @@ mod tests {
         assert_eq!(coord.stats().lazy_syncs, 0);
         // New reference: mean([5,0],[0,0]) = [2.5, 0] → f = 2.5.
         assert_eq!(coord.current_value(), Some(2.5));
-    }
-
-    #[test]
-    fn thresholds_additive_and_multiplicative() {
-        let (coord, _) = setup(1, MonitorConfig::builder(0.1).build());
-        assert_eq!(coord.thresholds(2.0), (1.9, 2.1));
-        let (coord, _) = setup(1, MonitorConfig::builder(0.1).multiplicative().build());
-        let (l, u) = coord.thresholds(2.0);
-        assert!((l - 1.8).abs() < 1e-12);
-        assert!((u - 2.2).abs() < 1e-12);
-        // Negative f(x0): bounds stay ordered.
-        let (l, u) = coord.thresholds(-2.0);
-        assert!(l < u);
-        assert!((l + 2.2).abs() < 1e-12);
     }
 
     /// Register all nodes at the given vectors and run the initial sync.

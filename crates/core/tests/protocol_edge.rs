@@ -356,56 +356,6 @@ fn constant_hessian_syncs_reuse_curvature_after_first() {
 }
 
 #[test]
-fn lazy_growth_prefers_unpressured_nodes() {
-    use automon_core::CoordinatorMessage;
-
-    // The first outbound after an unbalanceable violation is the
-    // RequestLocalVector to the lazy-sync growth pick, so it exposes
-    // the growth policy directly.
-    let first_pick = |flag: &dyn Fn(&mut Coordinator)| -> usize {
-        let f = mean1();
-        let n = 4;
-        let mut coord = Coordinator::new(f.clone(), n, MonitorConfig::builder(0.1).build());
-        let mut nodes: Vec<Node> = (0..n).map(|i| Node::new(i, f.clone())).collect();
-        init(&mut coord, &mut nodes, 0.0);
-        flag(&mut coord);
-        let m = nodes[3].update_data(vec![0.5]).expect("violation");
-        let outs = coord.handle(m);
-        assert!(
-            matches!(outs[0].msg, CoordinatorMessage::RequestLocalVector { .. }),
-            "expected a lazy pull, got {:?}",
-            outs[0].msg
-        );
-        outs[0].to
-    };
-
-    // Baseline: plain LRU pick with no flags set.
-    let baseline = first_pick(&|_| {});
-    assert_ne!(baseline, 3, "reporter is already in the set");
-
-    // Flag the baseline pick: growth must route around it.
-    let rerouted = first_pick(&|c: &mut Coordinator| c.set_backpressured(baseline, true));
-    assert_ne!(rerouted, baseline, "backpressured node must be passed over");
-    assert_ne!(rerouted, 3);
-
-    // Flag every candidate: growth falls back to plain LRU rather than
-    // stalling the sync.
-    let cornered = first_pick(&|c: &mut Coordinator| {
-        for i in 0..3 {
-            c.set_backpressured(i, true);
-        }
-    });
-    assert_eq!(cornered, baseline, "all-pressured falls back to LRU order");
-
-    // Clearing the flag restores the baseline order.
-    let cleared = first_pick(&|c: &mut Coordinator| {
-        c.set_backpressured(baseline, true);
-        c.set_backpressured(baseline, false);
-    });
-    assert_eq!(cleared, baseline);
-}
-
-#[test]
 fn a_wrong_length_vector_is_refused_and_resynced() {
     let f = mean1();
     let cfg = MonitorConfig::builder(0.1).without_lazy_sync().build();

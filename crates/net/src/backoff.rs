@@ -1,8 +1,6 @@
-//! Deterministic jittered backoff, shared by both transport backends.
+//! Deterministic jittered backoff for a node's connect retries.
 //!
-//! The transport used to sleep hardcoded `2ms`/`5ms`/`10ms` literals in
-//! its accept-poll and reconnect loops. Those magic numbers are now one
-//! policy: an exponential schedule with *seeded* jitter, so two runs
+//! One policy: an exponential schedule with *seeded* jitter, so two runs
 //! with the same seed sleep the same sequence of durations — chaos and
 //! determinism smokes stay byte-identical while still avoiding the
 //! thundering-herd resonance that un-jittered retry loops produce.
@@ -42,12 +40,6 @@ impl Backoff {
         }
     }
 
-    /// The accept/poll idle schedule used by the transports: 1ms..10ms.
-    /// `seed` is typically a stable endpoint identity (node id, port).
-    pub fn accept_poll(seed: u64) -> Self {
-        Self::new(Duration::from_millis(1), Duration::from_millis(10), seed)
-    }
-
     /// Next delay in the schedule; advances the exponent and the jitter
     /// chain.
     pub fn next_delay(&mut self) -> Duration {
@@ -61,11 +53,6 @@ impl Backoff {
         let frac = (u >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
         let nanos = exp.as_nanos() as f64 * (0.5 + frac * 0.5);
         Duration::from_nanos(nanos as u64)
-    }
-
-    /// Sleep for the next delay in the schedule.
-    pub fn sleep(&mut self) {
-        std::thread::sleep(self.next_delay());
     }
 
     /// Rewind the exponent after a success; the jitter chain advances

@@ -5,10 +5,10 @@
 //! buffer and feeds it to a [`FrameAssembler`], which peels off *every*
 //! complete length-prefixed frame — frame coalescing: many frames per
 //! `read` syscall, with partial frames (even a split length prefix)
-//! carried over to the next chunk byte-for-byte. The blocking transport
-//! ([`crate::tcp`]) reads straight into the assembler's own buffer
-//! (`FrameAssembler::recv_buf`, crate-private) and borrows each frame
-//! out of it ([`FrameAssembler::next_frame_ref`]).
+//! carried over to the next chunk byte-for-byte. The node's blocking
+//! transport ([`crate::tcp`]) reads straight into the assembler's own
+//! buffer ([`FrameAssembler::recv_buf`]) and borrows each frame out of
+//! it ([`FrameAssembler::next_frame_ref`]).
 //!
 //! The write side mirrors it: [`OutQueue`] takes ownership of the
 //! `Vec<u8>` frames the [`crate::wire`] encoders return, keeps their
@@ -17,7 +17,7 @@
 //! syscall, zero copies into a staging buffer, and the iovec storage is
 //! reused across rounds so steady-state flushing does not allocate per
 //! frame.
-//! The blocking transport sends each frame through the same queue, so
+//! The node transport sends each frame through the same queue, so
 //! prefix and payload leave in one segment there too.
 
 use std::collections::VecDeque;
@@ -69,7 +69,7 @@ impl FrameAssembler {
     /// frame completes in one more read, and never less than a 4 KiB
     /// floor; the capacity, never zeroed, stays at the largest frame
     /// seen. Callers only append.
-    pub(crate) fn recv_buf(&mut self) -> &mut Vec<u8> {
+    pub fn recv_buf(&mut self) -> &mut Vec<u8> {
         self.compact();
         let rest = self.prefix().map_or(0, |len| {
             (4 + len as usize).saturating_sub(self.pending_bytes())

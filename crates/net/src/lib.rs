@@ -13,12 +13,12 @@
 //!   estimated) and hands the message itself on, accumulating per-direction message and byte counts plus a
 //!   configurable per-message transport overhead — reproducing the
 //!   payload-vs-traffic split of Figure 10.
-//! * [`tcp`] — the protocol over real `std::net` sockets with
-//!   length-prefixed frames: the dependency-free ZeroMQ replacement for
-//!   actual multi-process deployments. One reader thread per
-//!   connection; the baseline (`--net-backend threaded`). Its coordinator
-//!   end and the reactor's share the [`CoordinatorTransport`] trait.
-//! * [`reactor`] — the nonblocking runtime (`--net-backend reactor`):
+//! * [`tcp`] — the node end of the protocol over real `std::net`
+//!   sockets with length-prefixed frames: the dependency-free ZeroMQ
+//!   replacement for actual multi-process deployments, and the
+//!   [`CoordinatorTransport`] seam the round driver runs a coordinator
+//!   end through.
+//! * [`reactor`] — the one coordinator end (`--net-backend reactor`):
 //!   an edge-triggered epoll event loop ([`poller`]) over a slab of
 //!   per-connection state machines, with frame coalescing and `writev`
 //!   scatter-gather batching ([`frame`]), and bounded outbound queues
@@ -28,8 +28,8 @@
 //!   byte-identical replay (DESIGN.md §3.15). It injects no faults:
 //!   `automon-sim`'s reactor link applies a fault plan to the frames the
 //!   reactor hands it.
-//! * [`backoff`] — the one seeded, jittered retry/poll schedule both
-//!   backends sleep on.
+//! * [`backoff`] — the seeded, jittered schedule a node's connect
+//!   retries sleep on.
 //!
 //! For the hierarchical fleet (DESIGN.md §3.14), [`ShardedFabric`]
 //! composes one `CountingFabric` per leaf shard with a cause-mapped

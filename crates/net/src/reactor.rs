@@ -1,11 +1,9 @@
 //! The nonblocking reactor: one event loop, run by its caller, instead
 //! of a thread per node.
 //!
-//! The blocking transport ([`crate::tcp`]) spawns a reader thread per
-//! connection and issues two syscalls per frame in each direction. That
-//! is fine for the paper's 10-node experiments and fatal for the
-//! 10k-stream fleets the ROADMAP targets. [`Reactor`] replaces it with
-//! a slab of per-connection state machines driven by edge-triggered
+//! A reader thread per connection pays a wakeup and at least one `recv`
+//! per frame, and a 10k-stream fleet would need 10k of them. [`Reactor`]
+//! is a slab of per-connection state machines driven by edge-triggered
 //! readiness behind the [`Poller`] seam:
 //!
 //! * **Frame coalescing** — a readable connection is drained to
@@ -16,9 +14,10 @@
 //!   rounds, so steady-state flushing allocates nothing per frame.
 //! * **Bounded queues with backpressure** — each node's outbound queue
 //!   is capped; a send over the cap fails with
-//!   [`TcpError::Backpressured`] instead of buffering without bound,
-//!   and the node is flagged so the coordinator can degrade it to
-//!   lazy-sync participation (surfaced as `automon_net_backpressure_*`).
+//!   [`TcpError::Backpressured`] instead of buffering without bound, and
+//!   the caller holds the frame and retries it. A queue that crossed the
+//!   cap is in backpressure until it drains to half of it (surfaced as
+//!   `automon_net_backpressure_*`); the protocol never reads that state.
 //!
 //! The reactor injects no faults: every decoded frame is queued for
 //! `pop_inbound` in decode order. The simulated link (`automon-sim`)
@@ -33,9 +32,9 @@
 //! threads — which is what lets [`crate::sim_poller::SimPoller`] drive
 //! it deterministically. [`ReactorCoordinatorTransport`] is the same
 //! core over epoll behind a lock, driven by whoever calls it (`send`
-//! writes inline, `recv*` runs the readiness rounds), with the same API
-//! as [`crate::tcp::TcpCoordinatorTransport`]; `--net-backend
-//! {threaded,reactor}` picks between them at runtime.
+//! writes inline, `recv*` runs the readiness rounds, and admits a node
+//! that dials back in): the one coordinator end of a socket deployment,
+//! talking to [`crate::tcp::TcpNodeTransport`] nodes.
 
 use std::collections::VecDeque;
 use std::io;
@@ -280,16 +279,6 @@ impl<P: Poller> Reactor<P> {
         self.node_slot.iter().filter(|s| s.is_some()).count()
     }
 
-    /// `true` while `node`'s outbound queue is in the backpressure band.
-    pub fn node_backpressured(&self, node: NodeId) -> bool {
-        self.backpressured.get(node).copied().unwrap_or(false)
-    }
-
-    /// Nodes currently under backpressure.
-    pub fn backpressured_nodes(&self) -> Vec<NodeId> {
-        (0..self.cfg.n).filter(|&i| self.backpressured[i]).collect()
-    }
-
     /// Traffic counters (frames/bytes moved).
     pub fn traffic(&self) -> ReactorTraffic {
         self.traffic
@@ -530,8 +519,8 @@ impl<P: Poller> Reactor<P> {
 // Caller-driven wrapper over the epoll reactor
 // ---------------------------------------------------------------------
 
-/// Coordinator transport over the epoll reactor: same API surface as
-/// [`crate::tcp::TcpCoordinatorTransport`], no thread of its own.
+/// Coordinator transport over the epoll reactor, with no thread of its
+/// own.
 ///
 /// **Service contract.** The sockets are serviced while the caller is
 /// inside [`send`](Self::send) or a `recv*` method, and only then:
@@ -539,7 +528,8 @@ impl<P: Poller> Reactor<P> {
 /// `writev`s on the caller's thread, `recv*` runs the readiness rounds.
 /// Between calls inbound bytes wait in the kernel's socket buffers,
 /// where TCP flow control bounds them, and frames a short write left
-/// queued wait for the next call. `Coordinator::handle` is
+/// queued wait for the next call; a node that dials back in is admitted
+/// during the next `recv*` call. `Coordinator::handle` is
 /// single-threaded, so a frame decoded any earlier would only have
 /// waited in a queue. One driver thread is the intended use; the
 /// methods take `&self` and lock the core, so a `send` from a second
@@ -657,8 +647,8 @@ impl ReactorCoordinatorTransport {
     /// Fails synchronously: [`TcpError::NotConnected`] without a live
     /// connection (or when this write found it dead),
     /// [`TcpError::Backpressured`] when the node's queue is full — the
-    /// signal to degrade that node to lazy-sync participation instead of
-    /// letting its queue grow without bound.
+    /// frame was not queued, and the caller retries it once the queue
+    /// drains instead of letting it grow without bound.
     pub fn send(&self, out: &Outbound) -> Result<(), TcpError> {
         self.core().enqueue(out)
     }
@@ -666,18 +656,6 @@ impl ReactorCoordinatorTransport {
     /// `true` while a live connection to `node` exists.
     pub fn is_connected(&self, node: NodeId) -> bool {
         self.core().is_connected(node)
-    }
-
-    /// `true` while `node` is under outbound backpressure.
-    pub fn is_backpressured(&self, node: NodeId) -> bool {
-        self.core().node_backpressured(node)
-    }
-
-    /// Nodes currently under backpressure — feed to
-    /// `Coordinator::set_backpressured` so lazy-sync growth prefers
-    /// responsive nodes.
-    pub fn backpressured_nodes(&self) -> Vec<NodeId> {
-        self.core().backpressured_nodes()
     }
 
     /// Syscalls issued on the reactor's behalf so far.
@@ -805,18 +783,17 @@ mod tests {
             }
         }
         assert!(refused > 0, "bounded queue must refuse past the cap");
-        assert!(reactor.node_backpressured(0));
-        assert_eq!(reactor.backpressured_nodes(), vec![0]);
+        assert!(reactor.backpressured[0]);
 
         // The client drains; flushes resume; pressure relieves.
         for _ in 0..200 {
             let _ = client.recv_frames();
             reactor.poll_once(Some(Duration::ZERO)).unwrap();
-            if !reactor.node_backpressured(0) {
+            if !reactor.backpressured[0] {
                 break;
             }
         }
-        assert!(!reactor.node_backpressured(0), "drain must relieve");
+        assert!(!reactor.backpressured[0], "drain must relieve");
         assert!(reactor.enqueue(&out).is_ok());
     }
 
@@ -949,8 +926,8 @@ mod tests {
 
     #[test]
     fn real_sockets_end_to_end_with_tcp_node_transport() {
-        // The reactor speaks the same wire protocol as the blocking
-        // transport: an unmodified TcpNodeTransport talks to it.
+        // The reactor speaks the node transport's wire protocol: an
+        // unmodified TcpNodeTransport talks to it.
         let (tp, mut nodes, _) = loopback(2, Telemetry::disabled());
         assert!(tp.is_connected(0) && tp.is_connected(1));
 
@@ -1077,8 +1054,7 @@ mod tests {
         }
         assert_eq!(queued(&tp), cap);
         assert!(accepted > cap as u64, "the kernel buffered some too");
-        assert!(tp.is_backpressured(0));
-        assert_eq!(tp.backpressured_nodes(), vec![0]);
+        assert!(tp.core().backpressured[0]);
         assert_eq!(tp.traffic().frames_out, accepted, "refused frames not counted");
 
         // The node drains; each time the caller re-enters `recv_timeout`
@@ -1088,7 +1064,8 @@ mod tests {
         let mut got = 0u64;
         while got < accepted {
             assert!(tp.recv_timeout(Duration::ZERO).is_none());
-            assert_eq!(tp.is_backpressured(0), queued(&tp) > cap / 2);
+            let engaged = tp.core().backpressured[0];
+            assert_eq!(engaged, queued(&tp) > cap / 2);
             if let Some((span, msg)) = nodes[0]
                 .recv_timeout_traced(Duration::from_millis(10))
                 .expect("node read")
@@ -1100,7 +1077,7 @@ mod tests {
             assert!(Instant::now() < deadline, "drain stalled at {got}/{accepted}");
         }
         assert_eq!(queued(&tp), 0);
-        assert!(!tp.is_backpressured(0));
+        assert!(!tp.core().backpressured[0]);
         assert!(nodes[0].try_recv().expect("node read").is_none(), "nothing twice");
         tp.send(&pull(0)).expect("accepted again");
         assert_eq!(nodes[0].recv().unwrap(), pull(0).msg);

@@ -9,25 +9,21 @@
 //! failed sends, and this module keeps no clock of when a node was last
 //! heard from.
 //!
-//! Concurrency model: the coordinator accepts the initial `n` node
-//! connections, then keeps accepting in a background thread so a crashed
-//! node can reconnect; a reader thread per connection decodes frames into
-//! one mpsc channel, and replies are written to per-node writer slots. A
-//! slot empties when its connection dies and refills when the node dials
-//! back in. Nodes read their single connection blocking, polling or up
-//! to a deadline, and dial with bounded retry (see [`RetryPolicy`]); a
-//! crashed node rejoins by connecting again.
+//! This module holds the node end, [`TcpNodeTransport`], and the
+//! [`CoordinatorTransport`] seam. The one coordinator end is the reactor
+//! ([`crate::reactor::ReactorCoordinatorTransport`]): an event loop run by
+//! its caller, which admits a node that dials back in (a crashed node
+//! rejoins by connecting again) during its next `recv*` call. Nodes read
+//! their single connection blocking, polling or up to a deadline, and
+//! dial with bounded retry (see [`RetryPolicy`]).
 //!
-//! Framing is [`crate::frame`]'s, the same code the reactor runs: every
-//! read side is a `FrameReader` (one buffered `recv` yields every
+//! Framing is [`crate::frame`]'s, the same code the reactor runs: the
+//! node's read side is a `FrameReader` (one buffered `recv` yields every
 //! frame it carried; a poll that finds nothing costs one
-//! `recv(MSG_DONTWAIT)` and arms no timer), every send is one `writev`
+//! `recv(MSG_DONTWAIT)` and arms no timer), and every send is one `writev`
 //! of prefix and payload through an [`OutQueue`] (`FrameWriter`).
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use automon_core::{CoordinatorMessage, NodeId, NodeMessage, Outbound};
@@ -47,8 +43,6 @@ pub enum TcpError {
     Wire(wire::WireError),
     /// Peer closed the connection.
     Disconnected,
-    /// A hello frame carried an id outside `0..n`.
-    UnknownNode(NodeId),
     /// The accept deadline expired before every node said hello; carries
     /// the ids that never arrived.
     HelloTimeout(Vec<NodeId>),
@@ -56,9 +50,9 @@ pub enum TcpError {
     NotConnected(NodeId),
     /// Connect retries exhausted without reaching the coordinator.
     ConnectExhausted(NodeId),
-    /// The node's bounded outbound queue is full; the caller should
-    /// degrade this node (e.g. prefer others for lazy-sync growth)
-    /// rather than buffer without bound. Reactor backend only.
+    /// The node's bounded outbound queue is full: the frame was not
+    /// queued, and the caller holds it and retries once the queue drains
+    /// rather than buffer without bound.
     Backpressured(NodeId),
 }
 
@@ -74,7 +68,6 @@ impl std::fmt::Display for TcpError {
             TcpError::Io(e) => write!(f, "io: {e}"),
             TcpError::Wire(e) => write!(f, "wire: {e}"),
             TcpError::Disconnected => write!(f, "peer disconnected"),
-            TcpError::UnknownNode(id) => write!(f, "hello from unknown node {id}"),
             TcpError::HelloTimeout(missing) => {
                 write!(f, "nodes {missing:?} never said hello")
             }
@@ -248,54 +241,8 @@ fn frame_bytes(frame_len: usize) -> u64 {
     frame_len as u64 + 4
 }
 
-/// Coordinator-side transport counters. Reader threads and the send path
-/// touch these concurrently, so they are commutative counters only —
-/// never trace events (see the contract in [`automon_obs::trace`]).
-/// Default is all-disabled handles: zero-cost until a telemetry-carrying
-/// constructor is used.
-#[derive(Default)]
-struct CoordNetTel {
-    frames_in: Counter,
-    bytes_in: Counter,
-    frames_out: Counter,
-    bytes_out: Counter,
-    accepts: Counter,
-    send_failures: Counter,
-}
-
-impl CoordNetTel {
-    fn new(tel: &Telemetry) -> Self {
-        Self {
-            frames_in: tel.counter(
-                "automon_net_frames_total{dir=\"in\"}",
-                "Frames moved over the transport, by direction",
-            ),
-            bytes_in: tel.counter(
-                "automon_net_bytes_total{dir=\"in\"}",
-                "Wire bytes moved (payload + length prefix), by direction",
-            ),
-            frames_out: tel.counter(
-                "automon_net_frames_total{dir=\"out\"}",
-                "Frames moved over the transport, by direction",
-            ),
-            bytes_out: tel.counter(
-                "automon_net_bytes_total{dir=\"out\"}",
-                "Wire bytes moved (payload + length prefix), by direction",
-            ),
-            accepts: tel.counter(
-                "automon_net_accepts_total",
-                "Node connections admitted (initial + rejoins)",
-            ),
-            send_failures: tel.counter(
-                "automon_net_send_failures_total",
-                "Coordinator sends that failed (dead connection)",
-            ),
-        }
-    }
-}
-
-/// Node-side transport counters; same commutative-only discipline as
-/// [`CoordNetTel`].
+/// Node-side transport counters. Commutative counters only, never trace
+/// events (see the contract in [`automon_obs::trace`]).
 #[derive(Default)]
 struct NodeNetTel {
     connect_attempts: Counter,
@@ -342,301 +289,10 @@ impl NodeNetTel {
     }
 }
 
-/// One node's write side. The generation lets a reader thread that dies
-/// late avoid clearing a slot a reconnect already refilled.
-struct WriterSlot {
-    stream: Option<TcpStream>,
-    writer: FrameWriter,
-    generation: u64,
-}
-
-/// State shared between the transport handle, the acceptor, and the
-/// per-connection reader threads.
-struct Shared {
-    writers: Vec<Mutex<WriterSlot>>,
-    shutdown: AtomicBool,
-    /// `recv` calls by the reader threads and `writev` calls by
-    /// [`TcpCoordinatorTransport::send`].
-    reads: AtomicU64,
-    writes: AtomicU64,
-    tel: CoordNetTel,
-}
-
-/// Lock that shrugs off poisoning: a panicked writer holds no invariant
-/// worth propagating here (the slot is just a socket handle).
-fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Admit one freshly accepted connection: read its hello, install the
-/// writer, spawn the reader. Returns the node id on success.
-fn admit(
-    shared: &Arc<Shared>,
-    tx: &Sender<(SpanId, NodeMessage)>,
-    stream: TcpStream,
-    n: usize,
-) -> Result<NodeId, TcpError> {
-    stream.set_nonblocking(false)?;
-    stream.set_nodelay(true)?;
-    let mut reader = FrameReader::default();
-    // A connection that never completes its hello must not wedge accepts.
-    let hello = reader
-        .read(
-            &stream,
-            Wait::Until(Instant::now() + Duration::from_secs(2)),
-        )?
-        .ok_or_else(|| std::io::Error::from(std::io::ErrorKind::TimedOut))?;
-    let msg = wire::decode_node_message(hello).map_err(TcpError::Wire)?;
-    shared
-        .reads
-        .fetch_add(std::mem::take(&mut reader.reads), Ordering::Relaxed);
-    let id = msg.sender();
-    if id >= n {
-        return Err(TcpError::UnknownNode(id));
-    }
-    let writer = stream.try_clone()?;
-    let generation = {
-        let mut slot = lock_clean(&shared.writers[id]);
-        slot.generation += 1;
-        slot.stream = Some(writer);
-        slot.writer = FrameWriter::new();
-        slot.generation
-    };
-    shared.tel.accepts.inc();
-    let shared = shared.clone();
-    let tx = tx.clone();
-    std::thread::spawn(move || {
-        // `reader` comes along: it may already hold frames that arrived
-        // behind the hello.
-        loop {
-            if shared.shutdown.load(Ordering::Relaxed) {
-                break;
-            }
-            let Ok(Some(frame)) = reader.read(&stream, Wait::Forever) else {
-                break;
-            };
-            let len = frame.len();
-            let decoded = wire::decode_node_message_ctx(frame);
-            // Counted before the frame is handed over, so a caller that
-            // has the frame also sees the reads that fetched it.
-            shared
-                .reads
-                .fetch_add(std::mem::take(&mut reader.reads), Ordering::Relaxed);
-            shared.tel.frames_in.inc();
-            shared.tel.bytes_in.add(frame_bytes(len));
-            // Framing is byte-synchronized; a corrupt frame, an empty one
-            // included, means the stream can no longer be trusted, and so
-            // does a frame naming a sender other than the hello's. Drop
-            // the connection and let the node reconnect.
-            let Ok((span, msg)) = decoded else { break };
-            if msg.sender() != id {
-                break;
-            }
-            if tx.send((span, msg)).is_err() {
-                break;
-            }
-        }
-        let mut slot = lock_clean(&shared.writers[id]);
-        if slot.generation == generation {
-            slot.stream = None;
-        }
-    });
-    Ok(id)
-}
-
-/// Coordinator side of the TCP transport.
-pub struct TcpCoordinatorTransport {
-    rx: Receiver<(SpanId, NodeMessage)>,
-    shared: Arc<Shared>,
-}
-
-impl TcpCoordinatorTransport {
-    /// Bind `addr`, accept `n` node connections (each must send a hello
-    /// [`NodeMessage::LocalVector`]-shaped frame carrying its id), and
-    /// start the reader threads plus a background acceptor that admits
-    /// reconnecting nodes for the transport's lifetime.
-    ///
-    /// Blocks until every node said hello; use
-    /// [`TcpCoordinatorTransport::bind_with_timeout`] to bound the wait.
-    pub fn bind(addr: SocketAddr, n: usize) -> Result<(Self, SocketAddr), TcpError> {
-        Self::bind_with_timeout(addr, n, None)
-    }
-
-    /// Like [`TcpCoordinatorTransport::bind`], but gives up with
-    /// [`TcpError::HelloTimeout`] when not every node said hello within
-    /// `hello_timeout`. Connections with malformed or out-of-range
-    /// hellos are dropped and accepting continues.
-    pub fn bind_with_timeout(
-        addr: SocketAddr,
-        n: usize,
-        hello_timeout: Option<Duration>,
-    ) -> Result<(Self, SocketAddr), TcpError> {
-        Self::bind_with_telemetry(addr, n, hello_timeout, Telemetry::disabled())
-    }
-
-    /// Like [`TcpCoordinatorTransport::bind_with_timeout`], with transport
-    /// counters (frames, bytes, accepts, send failures)
-    /// registered on `tel`. Pass [`Telemetry::disabled`] to opt out.
-    pub fn bind_with_telemetry(
-        addr: SocketAddr,
-        n: usize,
-        hello_timeout: Option<Duration>,
-        tel: Telemetry,
-    ) -> Result<(Self, SocketAddr), TcpError> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let (tx, rx) = channel::<(SpanId, NodeMessage)>();
-        let shared = Arc::new(Shared {
-            writers: (0..n)
-                .map(|_| {
-                    Mutex::new(WriterSlot {
-                        stream: None,
-                        writer: FrameWriter::new(),
-                        generation: 0,
-                    })
-                })
-                .collect(),
-            shutdown: AtomicBool::new(false),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            tel: CoordNetTel::new(&tel),
-        });
-        let deadline = hello_timeout.map(|t| Instant::now() + t);
-        listener.set_nonblocking(true)?;
-
-        let mut greeted = vec![false; n];
-        // Idle-poll schedule seeded by the bound port: deterministic
-        // per endpoint, reset whenever an accept makes progress.
-        let mut poll = Backoff::accept_poll(local.port() as u64);
-        while !greeted.iter().all(|&g| g) {
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                let missing = (0..n).filter(|&i| !greeted[i]).collect();
-                return Err(TcpError::HelloTimeout(missing));
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    // A bad hello only costs that connection.
-                    if let Ok(id) = admit(&shared, &tx, stream, n) {
-                        greeted[id] = true;
-                    }
-                    poll.reset();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    poll.sleep();
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-
-        // Keep admitting rejoining nodes until the transport drops.
-        let bg_shared = shared.clone();
-        let mut bg_poll = Backoff::accept_poll(local.port() as u64 ^ 0xACCE);
-        std::thread::spawn(move || loop {
-            if bg_shared.shutdown.load(Ordering::Relaxed) {
-                break;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = admit(&bg_shared, &tx, stream, n);
-                    bg_poll.reset();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    bg_poll.sleep();
-                }
-                Err(_) => break,
-            }
-        });
-
-        Ok((Self { rx, shared }, local))
-    }
-
-    /// Blocking receive of the next node message; `None` when every node
-    /// hung up and the acceptor stopped.
-    pub fn recv(&self) -> Option<NodeMessage> {
-        self.recv_traced().map(|(_, m)| m)
-    }
-
-    /// Like [`TcpCoordinatorTransport::recv`], also yielding the span the
-    /// node propagated in the frame header — feed it (with the message's
-    /// epoch) to `Coordinator::handle_with_context` so coordinator-side
-    /// spans parent on the node-side span that caused them.
-    pub fn recv_traced(&self) -> Option<(SpanId, NodeMessage)> {
-        self.rx.recv().ok()
-    }
-
-    /// Receive with a timeout.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<NodeMessage> {
-        self.recv_timeout_traced(timeout).map(|(_, m)| m)
-    }
-
-    /// [`TcpCoordinatorTransport::recv_traced`] with a timeout.
-    pub fn recv_timeout_traced(&self, timeout: Duration) -> Option<(SpanId, NodeMessage)> {
-        self.rx.recv_timeout(timeout).ok()
-    }
-
-    /// Send one outbound message to its node; the outbound's span rides
-    /// the frame header as trace context.
-    ///
-    /// [`TcpError::NotConnected`] when the node's connection is down
-    /// (crashed or not yet rejoined); the caller decides whether to
-    /// retransmit later or evict.
-    pub fn send(&self, out: &Outbound) -> Result<(), TcpError> {
-        let frame = wire::encode_coordinator_message_ctx(&out.msg, out.span);
-        let len = frame.len();
-        let mut guard = lock_clean(&self.shared.writers[out.to]);
-        let slot = &mut *guard;
-        let Some(stream) = slot.stream.as_ref() else {
-            return Err(TcpError::NotConnected(out.to));
-        };
-        let sent = slot.writer.write(stream, frame);
-        self.shared
-            .writes
-            .fetch_add(std::mem::take(&mut slot.writer.writes), Ordering::Relaxed);
-        match sent {
-            Ok(()) => {
-                self.shared.tel.frames_out.inc();
-                self.shared.tel.bytes_out.add(frame_bytes(len));
-                Ok(())
-            }
-            Err(e) => {
-                // A failed write means the connection is gone; free the
-                // slot so a reconnect can claim it.
-                slot.stream = None;
-                self.shared.tel.send_failures.inc();
-                Err(e)
-            }
-        }
-    }
-
-    /// Frame I/O syscalls so far — the reader threads' `recv`s and this
-    /// handle's `writev`s — the comparison point for the reactor's
-    /// [`crate::reactor::ReactorCoordinatorTransport::syscall_stats`].
-    pub fn syscall_stats(&self) -> SyscallStats {
-        SyscallStats {
-            waits: 0,
-            reads: self.shared.reads.load(Ordering::Relaxed),
-            writevs: self.shared.writes.load(Ordering::Relaxed),
-            accepts: 0,
-        }
-    }
-
-    /// `true` while a live connection to `node` exists.
-    pub fn is_connected(&self, node: NodeId) -> bool {
-        lock_clean(&self.shared.writers[node]).stream.is_some()
-    }
-}
-
-impl Drop for TcpCoordinatorTransport {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
-    }
-}
-
-/// The coordinator end of a socket transport, as a driver that serves
-/// both backends sees it: [`TcpCoordinatorTransport`] and
-/// [`crate::reactor::ReactorCoordinatorTransport`] forward to their
-/// inherent methods of the same names, and a test substitutes an end that
-/// never delivers.
+/// The coordinator end of a socket transport, as the round driver sees
+/// it: [`crate::reactor::ReactorCoordinatorTransport`] forwards to its
+/// inherent methods of the same names, and a test or a bench substitutes
+/// an end of its own (one that never delivers, a baseline to race).
 pub trait CoordinatorTransport: Sized + Send {
     /// Bind `addr` and block until `n` nodes said hello, or
     /// [`TcpError::HelloTimeout`] once `hello_timeout` has passed.
@@ -650,20 +306,10 @@ pub trait CoordinatorTransport: Sized + Send {
     fn syscall_stats(&self) -> SyscallStats;
 }
 
-impl CoordinatorTransport for TcpCoordinatorTransport {
-    fn bind(addr: SocketAddr, n: usize, hello_timeout: Option<Duration>) -> Result<Self, TcpError> {
-        Self::bind_with_timeout(addr, n, hello_timeout).map(|(tp, _)| tp)
-    }
-    fn recv_timeout_traced(&self, timeout: Duration) -> Option<(SpanId, NodeMessage)> {
-        TcpCoordinatorTransport::recv_timeout_traced(self, timeout)
-    }
-    fn send(&self, out: &Outbound) -> Result<(), TcpError> {
-        TcpCoordinatorTransport::send(self, out)
-    }
-    fn syscall_stats(&self) -> SyscallStats {
-        TcpCoordinatorTransport::syscall_stats(self)
-    }
-}
+/// The name the retired thread-per-connection coordinator went by. The
+/// frozen benchmark package still names it (ROADMAP 1(c)); it is the
+/// reactor, and nothing else should use it.
+pub type TcpCoordinatorTransport = crate::reactor::ReactorCoordinatorTransport;
 
 /// Node side of the TCP transport.
 pub struct TcpNodeTransport {
@@ -855,8 +501,11 @@ impl TcpNodeTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reactor::ReactorCoordinatorTransport;
     use automon_autodiff::{AutoDiffFn, Scalar, ScalarFn};
     use automon_core::{Coordinator, MonitorConfig, MonitoredFunction, Node};
+    use std::net::TcpListener;
+    use std::sync::Arc;
 
     struct Mean1;
     impl ScalarFn for Mean1 {
@@ -868,6 +517,35 @@ mod tests {
         }
     }
 
+    /// A loopback address nothing listens on yet.
+    fn free_addr() -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.local_addr().unwrap()
+    }
+
+    /// A coordinator end over `addr` with nodes `0..n` connected; `bind`
+    /// returns only after every hello, so it runs on a helper thread while
+    /// this one dials.
+    fn bound(addr: SocketAddr, n: usize) -> (ReactorCoordinatorTransport, Vec<TcpNodeTransport>) {
+        let binder =
+            std::thread::spawn(move || ReactorCoordinatorTransport::bind(addr, n).expect("bind"));
+        let nodes = (0..n)
+            .map(|i| TcpNodeTransport::connect(addr, i).expect("connect"))
+            .collect();
+        (binder.join().unwrap().0, nodes)
+    }
+
+    /// Serve `coord_tp` until `node`'s connection is closed; no frame may
+    /// surface meanwhile. The reactor notices a close while the caller is
+    /// inside `recv*`.
+    fn until_closed(coord_tp: &ReactorCoordinatorTransport, node: NodeId, why: &str) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while coord_tp.is_connected(node) {
+            assert!(Instant::now() < deadline, "{why}");
+            assert_eq!(coord_tp.recv_timeout(Duration::from_millis(1)), None);
+        }
+    }
+
     #[test]
     fn full_monitoring_session_over_tcp() {
         let f: Arc<dyn MonitoredFunction> = Arc::new(AutoDiffFn::new(Mean1));
@@ -875,16 +553,12 @@ mod tests {
 
         // The coordinator must accept while nodes connect: bind the
         // listener in a thread and hand back the transport.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        drop(listener); // free the port for the real bind below
+        let addr = free_addr();
         let coord_thread = {
             let f = f.clone();
             std::thread::spawn(move || {
-                let (tp, _) =
-                    TcpCoordinatorTransport::bind(addr, n).expect("bind and accept");
-                let mut coord =
-                    Coordinator::new(f, n, MonitorConfig::builder(0.5).build());
+                let (tp, _) = ReactorCoordinatorTransport::bind(addr, n).expect("bind and accept");
+                let mut coord = Coordinator::new(f, n, MonitorConfig::builder(0.5).build());
                 // Serve until both nodes finish (they close; recv drains).
                 let mut served = 0usize;
                 while let Some(msg) = tp.recv_timeout(Duration::from_secs(5)) {
@@ -942,14 +616,11 @@ mod tests {
 
     #[test]
     fn connect_retries_until_listener_appears() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        drop(listener);
-
+        let addr = free_addr();
         // Bind only after the node has started dialing.
         let binder = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(50));
-            TcpCoordinatorTransport::bind(addr, 1).expect("bind")
+            ReactorCoordinatorTransport::bind(addr, 1).expect("bind")
         });
         let tp = TcpNodeTransport::connect(addr, 0).expect("retry until bound");
         assert_eq!(tp.id(), 0);
@@ -959,9 +630,7 @@ mod tests {
 
     #[test]
     fn connect_exhaustion_is_an_error_not_a_hang() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        drop(listener);
+        let addr = free_addr();
         let policy = RetryPolicy {
             attempts: 2,
             initial_backoff: Duration::from_millis(1),
@@ -976,12 +645,9 @@ mod tests {
 
     #[test]
     fn bind_timeout_reports_missing_nodes() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        drop(listener);
         // Nobody connects: bind must give up instead of panicking.
-        match TcpCoordinatorTransport::bind_with_timeout(
-            addr,
+        match ReactorCoordinatorTransport::bind_with_timeout(
+            free_addr(),
             2,
             Some(Duration::from_millis(50)),
         ) {
@@ -992,16 +658,11 @@ mod tests {
 
     #[test]
     fn send_to_crashed_node_errs_then_rejoin_heals() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        drop(listener);
-        let binder =
-            std::thread::spawn(move || TcpCoordinatorTransport::bind(addr, 1).expect("bind"));
-        let tp = TcpNodeTransport::connect(addr, 0).expect("connect");
-        let (coord_tp, _) = binder.join().unwrap();
+        let addr = free_addr();
+        let (coord_tp, nodes) = bound(addr, 1);
 
         // Crash the node: its connection drops and sends start failing.
-        drop(tp);
+        drop(nodes);
         let out = Outbound::new(
             0,
             CoordinatorMessage::RequestLocalVector { epoch: 0 },
@@ -1014,39 +675,30 @@ mod tests {
                     saw_down = true;
                     break;
                 }
-                // The reader may not have noticed the close yet, or the
-                // first write after close fails with Io; both settle to
-                // NotConnected.
+                // The kernel may take the first write after the close
+                // (and answer with a reset); the write it rejects fails.
                 Ok(()) | Err(_) => std::thread::sleep(Duration::from_millis(5)),
             }
         }
         assert!(saw_down, "crash never surfaced as NotConnected");
 
-        // The node dials back in; the background acceptor admits it and
-        // sends flow again.
+        // The node dials back in. The coordinator end admits it while its
+        // caller is inside a `recv*` call, so poll before sending.
         let mut tp = TcpNodeTransport::connect(addr, 0).expect("rejoin");
-        let mut ok = false;
-        for _ in 0..100 {
-            if coord_tp.send(&out).is_ok() {
-                ok = true;
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !coord_tp.is_connected(0) {
+            assert!(Instant::now() < deadline, "rejoin never admitted");
+            assert_eq!(coord_tp.recv_timeout(Duration::from_millis(5)), None);
         }
-        assert!(ok, "send never recovered after rejoin");
+        coord_tp.send(&out).expect("send after rejoin");
         let msg = tp.recv().expect("delivered after rejoin");
         assert_eq!(msg, CoordinatorMessage::RequestLocalVector { epoch: 0 });
     }
 
     #[test]
     fn trace_context_propagates_over_tcp_in_both_directions() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        drop(listener);
-        let binder =
-            std::thread::spawn(move || TcpCoordinatorTransport::bind(addr, 1).expect("bind"));
-        let mut tp = TcpNodeTransport::connect(addr, 0).expect("connect");
-        let (coord_tp, _) = binder.join().unwrap();
+        let (coord_tp, mut nodes) = bound(free_addr(), 1);
+        let tp = &mut nodes[0];
 
         // Node → coordinator: the violation span rides the header.
         let report = NodeMessage::Violation {
@@ -1089,7 +741,7 @@ mod tests {
             .expect("timed receive");
         assert_eq!(timed, Some((SpanId(7), out.msg.clone())));
 
-        // The plain hello path still decodes as span NONE on the reader.
+        // A plain send decodes as span NONE on the coordinator end.
         tp.send(&report).expect("untraced send");
         let (span, _) = coord_tp
             .recv_timeout_traced(Duration::from_secs(5))
@@ -1099,13 +751,8 @@ mod tests {
 
     #[test]
     fn an_empty_frame_closes_its_connection() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        drop(listener);
-        let binder =
-            std::thread::spawn(move || TcpCoordinatorTransport::bind(addr, 1).expect("bind"));
-        let mut tp = TcpNodeTransport::connect(addr, 0).expect("connect");
-        let (coord_tp, _) = binder.join().unwrap();
+        let (coord_tp, mut nodes) = bound(free_addr(), 1);
+        let tp = &mut nodes[0];
 
         let report = NodeMessage::LocalVector {
             node: 0,
@@ -1113,16 +760,14 @@ mod tests {
             epoch: 0,
         };
         tp.send(&report).expect("send");
-        // A zero-length frame decodes as nothing: the reader drops the
-        // connection, as it does for any corrupt frame.
-        tp.writer.write(&tp.stream, Vec::new()).expect("empty frame");
+        // A zero-length frame decodes as nothing: the coordinator end
+        // drops the connection, as it does for any corrupt frame.
+        tp.writer
+            .write(&tp.stream, Vec::new())
+            .expect("empty frame");
         let got = coord_tp.recv_timeout(Duration::from_secs(5));
         assert_eq!(got, Some(report), "the report ahead of it is delivered");
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while coord_tp.is_connected(0) {
-            assert!(Instant::now() < deadline, "empty frame left the connection open");
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        until_closed(&coord_tp, 0, "empty frame left the connection open");
     }
 
     #[test]
@@ -1131,15 +776,8 @@ mod tests {
         // 1 (a member) or node 7 (no such node). Neither spoof reaches the
         // coordinator, and each closes node 0's connection.
         for spoof in [1, 7] {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap();
-            drop(listener);
-            let binder =
-                std::thread::spawn(move || TcpCoordinatorTransport::bind(addr, 2).expect("bind"));
-            let mut tp = TcpNodeTransport::connect(addr, 0).expect("connect");
-            let other = TcpNodeTransport::connect(addr, 1).expect("connect");
-            let (coord_tp, _) = binder.join().unwrap();
-
+            let (coord_tp, mut nodes) = bound(free_addr(), 2);
+            let tp = &mut nodes[0];
             let report = |node| NodeMessage::LocalVector {
                 node,
                 vector: vec![1.0],
@@ -1151,14 +789,12 @@ mod tests {
                 .expect("spoofed frame");
             let got = coord_tp.recv_timeout(Duration::from_secs(5));
             assert_eq!(got, Some(report(0)), "the report ahead of it is delivered");
-            let deadline = Instant::now() + Duration::from_secs(5);
-            while coord_tp.is_connected(0) {
-                assert!(Instant::now() < deadline, "spoof {spoof} left the connection open");
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            until_closed(&coord_tp, 0, "a spoof left the connection open");
             assert_eq!(coord_tp.recv_timeout(Duration::from_millis(50)), None);
-            assert!(coord_tp.is_connected(1), "the spoofed node keeps its own connection");
-            drop(other);
+            assert!(
+                coord_tp.is_connected(1),
+                "the spoofed node keeps its own connection"
+            );
         }
     }
 }

@@ -8,7 +8,7 @@
 //! The determinism contract has one rule for writers: **trace events may
 //! only be emitted from sequential control flow** (the coordinator's
 //! handler path, full-sync/ADCD, the chaos fabric, the sim round loop).
-//! Parallel contexts — node batch handlers, net reader threads — must
+//! Parallel contexts — node batch handlers in a deployment — must
 //! stick to commutative counters. The sequence number below is an atomic
 //! only so the `Tracer` is `Sync`; correctness of the byte-identical
 //! guarantee rests on that single-writer discipline.

@@ -44,7 +44,9 @@ pub struct FleetReport {
     pub leaf_crashes: u64,
     /// Flat run surface: errors, grand totals (`messages`,
     /// `payload_bytes` = both tiers), coordinator counters summed over
-    /// every leaf, and the *combined* two-tier per-cause ledger.
+    /// every leaf, and the *combined* two-tier per-cause ledger. A
+    /// missed-violation round is one whose truth fell outside
+    /// [`MonitorConfig::thresholds`] around the root's estimate.
     pub stats: RunStats,
 }
 
@@ -135,6 +137,7 @@ impl FleetSimulation {
 
         let mut current: Vec<Option<Vec<f64>>> = vec![None; n];
         let mut errors = Vec::new();
+        let mut missed = 0usize;
         let mut updates = 0usize;
 
         for t in 0..workload.rounds() {
@@ -151,10 +154,18 @@ impl FleetSimulation {
 
             let (estimate, truth) = (fleet.estimate(), self.canonical_truth(&fleet, &current));
             if let (Some(est), Some(truth)) = (estimate, truth) {
-                errors.push((est - truth).abs());
+                let err = (est - truth).abs();
+                // The contract is the whole ε around the root's estimate,
+                // however it is split between the tiers. A non-finite
+                // error is counted by `set_errors`.
+                let (l, u) = self.cfg.thresholds(est);
+                if err.is_finite() && !(l..=u).contains(&truth) {
+                    missed += 1;
+                }
+                errors.push(err);
                 g_estimate.set(est);
                 g_truth.set(truth);
-                h_error.observe((est - truth).abs());
+                h_error.observe(err);
                 if self.telemetry.is_enabled() {
                     self.telemetry.event(
                         "round",
@@ -197,6 +208,7 @@ impl FleetSimulation {
         let mut stats = RunStats {
             messages: total.total_msgs(),
             payload_bytes: total.total_payload(),
+            missed_violation_rounds: missed,
             neighborhood_violations: st.neighborhood_violations,
             safezone_violations: st.safezone_violations,
             faulty_reports: st.faulty_reports,

@@ -25,7 +25,7 @@
 //! [`wire::coordinator_message_len`], which the wire proptests pin to the
 //! encoders' output.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::TcpListener;
 use std::time::Duration;
 
@@ -174,8 +174,9 @@ pub(crate) type NetOptions = (u64, usize, usize);
 /// Idle pump iterations that count as in-exchange quiescence.
 const IDLE_ITERS: usize = 4;
 
-/// A decoded node frame and the span on its header.
-type Frame = (SpanId, NodeMessage);
+/// A decoded node frame, the span on its header and the cause it was sent
+/// under: a duplicate's copy is charged to the same cause.
+type Frame = (SpanId, NodeMessage, CommCause);
 
 /// The reactor transport as a [`Link`]: one simulated connection per node
 /// into a `Reactor<SimPoller>`. Every report is encoded to wire bytes, pushed
@@ -205,11 +206,12 @@ pub(crate) struct ReactorLink {
     /// direction is reliable and ordered but the cause is not on the wire; a
     /// node's reply is charged to the frame that elicited it.
     down_causes: Vec<VecDeque<CommCause>>,
-    /// Cause each up frame was sent under, by encoded frame. The gate may
-    /// drop, duplicate or hold a frame between send and delivery, so the tag
-    /// is looked up (never consumed) at delivery; a byte-identical re-send
-    /// overwrites it.
-    up_causes: BTreeMap<Vec<u8>, CommCause>,
+    /// Causes of the frames each node's client accepted and the reactor has
+    /// not yet handed out, in wire order. A connection decodes in send order
+    /// and this link sends only frames that decode, so a frame leaving
+    /// `pop_inbound` takes the front cause of its sender; from there the
+    /// cause rides the frame through the fault queue.
+    up_causes: Vec<VecDeque<CommCause>>,
 }
 
 impl ReactorLink {
@@ -253,7 +255,7 @@ impl ReactorLink {
             queue: FaultQueue::default(),
             pending_out: VecDeque::new(),
             down_causes: vec![VecDeque::new(); n],
-            up_causes: BTreeMap::new(),
+            up_causes: vec![VecDeque::new(); n],
         }
     }
 
@@ -263,7 +265,7 @@ impl ReactorLink {
     fn send_up(&mut self, msg: &NodeMessage, cause: CommCause, span: SpanId) {
         let frame = wire::encode_node_message_ctx(msg, span);
         if self.clients[msg.sender()].send_frame(&frame) {
-            self.up_causes.insert(frame, cause);
+            self.up_causes[msg.sender()].push_back(cause);
         }
     }
 
@@ -294,15 +296,13 @@ impl ReactorLink {
             self.reactor
                 .poll_once(Some(Duration::ZERO))
                 .expect("sim poll never fails");
-            while let Some(frame) = self.reactor.pop_inbound() {
-                self.queue.push(frame);
+            while let Some((span, msg)) = self.reactor.pop_inbound() {
+                let cause = self.up_causes[msg.sender()]
+                    .pop_front()
+                    .expect("decoded ⇒ sent");
+                self.queue.push((span, msg, cause));
             }
             let mut progress = false;
-            // Mirror transport backpressure into the protocol layer so
-            // lazy-sync growth prefers responsive nodes.
-            for i in 0..nodes.len() {
-                coord.set_backpressured(i, self.reactor.node_backpressured(i));
-            }
             for _ in 0..self.pending_out.len() {
                 let out = self.pending_out.pop_front().expect("len checked");
                 progress |= self.send_down(out);
@@ -313,15 +313,12 @@ impl ReactorLink {
                 } else {
                     GateVerdict::Deliver
                 };
-                let Some((span, msg)) = self.queue.settle(frame, verdict) else {
+                let Some((span, msg, cause)) = self.queue.settle(frame, verdict) else {
                     continue;
                 };
                 progress = true;
-                let frame = wire::encode_node_message_ctx(&msg, span);
-                let sent_as = self.up_causes.get(&frame[..]).copied();
-                let cause = sent_as.unwrap_or_else(|| CommCause::of_node_message(&msg));
-                self.fabric
-                    .account_up(msg.sender(), cause, frame.len(), span);
+                let len = wire::node_message_len(&msg);
+                self.fabric.account_up(msg.sender(), cause, len, span);
                 let ctx = TraceCtx::new(span, msg.epoch());
                 for out in coord.handle_with_context(msg, ctx) {
                     self.send_down(out);
@@ -519,5 +516,50 @@ impl<T: CoordinatorTransport> Link for SocketLink<T> {
             syscalls: coord_end.syscall_stats(),
             ..TransportReport::default()
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use automon_autodiff::AutoDiffFn;
+    use automon_core::{MonitorConfig, MonitoredFunction};
+    use automon_functions::InnerProduct;
+    use std::sync::Arc;
+
+    /// Every frame a node's client accepted leaves `pop_inbound` exactly
+    /// once, so a reactor link that has delivered everything, duplicates
+    /// and matured delays included, holds no cause in either direction.
+    #[test]
+    fn a_quiesced_reactor_link_keeps_no_cause() {
+        let n = 4;
+        let f: Arc<dyn MonitoredFunction> = Arc::new(AutoDiffFn::new(InnerProduct::new(2)));
+        let plan = FaultPlan::seeded(5)
+            .with_duplicate_rate(0.2)
+            .with_delay(0.2, 3);
+        let mut link = ReactorLink::new(CountingFabric::new(), &plan, (1, 97, 1 << 14), n);
+        let mut peers = Peers {
+            coord: Coordinator::new(f.clone(), n, MonitorConfig::builder(0.1).build()),
+            nodes: (0..n).map(|i| Node::new(i, f.clone())).collect(),
+        };
+        let mut round = 0;
+        while round < 60 || link.frames_in_flight() > 0 {
+            assert!(round < 100, "delayed frames never matured");
+            link.begin_round(round);
+            link.release_matured(&mut peers);
+            for i in (0..n).filter(|_| round < 60) {
+                let t = round as f64 * 0.3 + i as f64;
+                let x = [t.sin(), 0.5 * t.cos()];
+                if let Some(msg) = peers.nodes[i].update_data(x) {
+                    let cause = CommCause::of_node_message(&msg);
+                    link.report(&mut peers, msg, cause, SpanId::NONE);
+                }
+            }
+            round += 1;
+        }
+        let faults = link.ladder.counts();
+        assert!(faults.duplicates > 0 && faults.delays > 0, "{faults:?}");
+        assert!(link.up_causes.iter().all(VecDeque::is_empty));
+        assert!(link.down_causes.iter().all(VecDeque::is_empty));
     }
 }

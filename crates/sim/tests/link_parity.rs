@@ -1,8 +1,8 @@
 //! Link parity: the round driver must not be able to tell its transports
 //! apart when nothing goes wrong. The same workload over the bare fabric,
 //! the fault-injecting fabric under `FaultPlan::none()`, the fault-free
-//! reactor link, and real loopback sockets behind either coordinator
-//! transport must produce the *whole* `RunStats` (traffic totals and the
+//! reactor link, and real loopback sockets behind the reactor's
+//! coordinator transport must produce the *whole* `RunStats` (traffic totals and the
 //! per-cause ledger included) and a byte-identical telemetry trace.
 //! Every link charges delivered frames through the same
 //! `account_up`/`account_down`, so a link that counts a frame twice, or
@@ -21,7 +21,7 @@ use automon_data::synthetic::InnerProductDataset;
 use automon_data::windowed_mean_series;
 use automon_functions::InnerProduct;
 use automon_net::reactor::ReactorCoordinatorTransport;
-use automon_net::tcp::{TcpCoordinatorTransport, TcpError};
+use automon_net::tcp::TcpError;
 use automon_net::{CoordinatorTransport, SyscallStats};
 use automon_obs::{SpanId, Telemetry};
 use automon_sim::{RunReport, Simulation, Workload};
@@ -74,16 +74,13 @@ fn cases() -> Vec<Case> {
 
 type OnLink = fn(Simulation) -> Simulation;
 
-/// The five links, by what the caller supplies to select them.
-const LINKS: [(&str, OnLink); 5] = [
+/// The four links, by what the caller supplies to select them.
+const LINKS: [(&str, OnLink); 4] = [
     ("bare fabric", |sim| sim),
     ("none-plan chaos fabric", |sim| {
         sim.with_plan(FaultPlan::none())
     }),
     ("fault-free reactor", |sim| sim.with_net_seed(3)),
-    ("threaded sockets", |sim| {
-        sim.over_sockets::<TcpCoordinatorTransport>()
-    }),
     ("reactor sockets", |sim| {
         sim.over_sockets::<ReactorCoordinatorTransport>()
     }),

@@ -11,7 +11,7 @@ use automon_chaos::{FaultPlan, PlanPart};
 use automon_core::{MonitorConfig, MonitoredFunction};
 use automon_fleet::FleetConfig;
 use automon_functions::InnerProduct;
-use automon_net::tcp::TcpCoordinatorTransport;
+use automon_net::ReactorCoordinatorTransport;
 use automon_sim::{FleetSimulation, Simulation, Workload};
 
 const NODES: usize = 4;
@@ -81,7 +81,7 @@ const EXECUTORS: [(&str, &str, Attempt); 4] = [
     }),
     ("socket link", "no faults", |plan| {
         let sim = Simulation::new(f(), MonitorConfig::builder(0.3).build());
-        flat(sim.with_plan(plan).over_sockets::<TcpCoordinatorTransport>())
+        flat(sim.with_plan(plan).over_sockets::<ReactorCoordinatorTransport>())
     }),
     ("fleet", "node crashes, leaf crashes", |plan| {
         let cfg = MonitorConfig::builder(0.3).build();

@@ -2,7 +2,8 @@
 //! equivalent of the paper's ZeroMQ deployment (§4.7), with every frame
 //! crossing an actual socket through the binary wire codec.
 //!
-//! The coordinator thread owns a `TcpCoordinatorTransport`; each node
+//! The coordinator thread owns a `ReactorCoordinatorTransport` (an epoll
+//! event loop it runs itself, inside `recv_timeout` and `send`); each node
 //! thread dials in with a `TcpNodeTransport`, monitors a drifting local
 //! vector, and serves sync traffic. Swap the localhost address for a
 //! real one and the same code runs across machines.
@@ -15,7 +16,8 @@
 //!
 //! Run with: `cargo run --release --example tcp_deployment`
 
-use automon::net::tcp::{TcpCoordinatorTransport, TcpNodeTransport};
+use automon::net::reactor::ReactorCoordinatorTransport;
+use automon::net::tcp::TcpNodeTransport;
 use automon::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -64,7 +66,7 @@ fn main() {
 
     let coord_f = f.clone();
     let coordinator = std::thread::spawn(move || {
-        let (tp, _) = TcpCoordinatorTransport::bind(addr, n).expect("bind");
+        let (tp, _) = ReactorCoordinatorTransport::bind(addr, n).expect("bind");
         let mut coord = Coordinator::new(coord_f, n, MonitorConfig::builder(0.05).build());
         let mut upstream = 0usize;
         while let Some(msg) = tp.recv_timeout(Duration::from_secs(3)) {
