@@ -155,6 +155,7 @@ mod tests {
             "--decomp-cache-warm",
             "--parallelism",
             "--spectral-backend",
+            "--leaf-epsilon-frac",
         ] {
             let err = Args::parse_known(&sv(&[retired, "2"]), allowed).unwrap_err();
             assert!(err.to_string().contains(&format!("unknown flag `{retired}`")), "{err}");

@@ -118,9 +118,12 @@ DURABILITY (simulate only; docs/DURABILITY.md):
     --wal-dir DIR           persist the store in real files under DIR
                             (default: deterministic in-memory backend;
                             both replay bit-identically under a seed)
-    --snapshot-every N      checkpoint cadence in rounds (default 16);
-                            mid-sync requests defer to the next quiescent
-                            round instead of being skipped
+    --snapshot-every N      checkpoint cadence in rounds (default 16); a
+                            checkpoint due mid-sync lands at the first
+                            quiescent round instead of being skipped
+    Every record is synced as it is written. A store error (a failed
+    journal append, checkpoint or recovery scan) ends the run: exit 2,
+    naming --wal-dir and the stage.
 
 FLEET (simulate only; two-tier sharded hierarchy, DESIGN.md §3.14):
     --fleet                 shard the streams over leaf coordinators and
@@ -130,8 +133,6 @@ FLEET (simulate only; two-tier sharded hierarchy, DESIGN.md §3.14):
                             violations resolve intra-shard and reach the
                             root only when the shard aggregate moves
     --shards S              leaf coordinators (default 8); requires --fleet
-    --leaf-epsilon-frac F   fraction of ε given to the leaf tier, in
-                            (0, 1) (default 0.5); the root gets the rest
     --crash-node SPEC       `node:at[:restart]`, repeatable — here the
                             node is a global stream id
     --crash-leaf SPEC       `leaf:at`, repeatable — permanently crash a
@@ -283,6 +284,7 @@ mod tests {
                 &["--decomp-cache-warm"],
                 &["--parallelism", "2"],
                 &["--spectral-backend", "ql"],
+                &["--leaf-epsilon-frac", "0.5"],
             ] {
                 let err = cli(&with(&with(&[subcommand], base), retired)).unwrap_err();
                 assert!(err.to_string().contains(&format!("unknown flag `{}`", retired[0])), "{err}");

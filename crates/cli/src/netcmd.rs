@@ -112,7 +112,7 @@ pub fn run_net_smoke(args: &Args) -> Result<String, CliError> {
         tel.write_trace(std::path::Path::new(path))
             .map_err(|e| CliError::new(format!("writing {path}: {e}")))?;
     }
-    if let Some(stage) = &report.transport_failure {
+    if let Some(stage) = &report.failure {
         return Err(CliError::new(format!(
             "{backend} transport failed at {stage}"
         )));

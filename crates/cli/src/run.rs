@@ -196,10 +196,8 @@ pub(crate) fn fault_plan(args: &Args, default_seed: u64) -> Result<Option<FaultP
 /// plan they build is refused by the executor that cannot run it.)
 fn parse_fleet(args: &Args, streams: usize) -> Result<Option<FleetConfig>, CliError> {
     if !args.flag("fleet") {
-        for key in ["shards", "leaf-epsilon-frac"] {
-            if args.get(key).is_some() {
-                return Err(CliError::new(format!("--{key} requires --fleet")));
-            }
+        if args.get("shards").is_some() {
+            return Err(CliError::new("--shards requires --fleet"));
         }
         return Ok(None);
     }
@@ -220,13 +218,7 @@ fn parse_fleet(args: &Args, streams: usize) -> Result<Option<FleetConfig>, CliEr
             "--fleet needs at least one stream per shard ({streams} nodes < {shards} shards)"
         )));
     }
-    let frac = args.num("leaf-epsilon-frac", 0.5f64)?;
-    if !(frac > 0.0 && frac < 1.0) {
-        return Err(CliError::new("--leaf-epsilon-frac must be in (0, 1)"));
-    }
-    let mut fleet_cfg = FleetConfig::new(shards);
-    fleet_cfg.leaf_epsilon_frac = frac;
-    Ok(Some(fleet_cfg))
+    Ok(Some(FleetConfig::new(shards)))
 }
 
 /// The observability sinks a run was asked for: an enabled [`Telemetry`]
@@ -427,7 +419,7 @@ pub(crate) const SIMULATE_FLAGS: &[Flag] = &[
     ("function", "<NAME>"), ("epsilon", "E"), ("nodes", "N"), ("rounds", "R"), ("dim", "D"),
     ("seed", "S"), ("baseline", "SPEC"), ("wal-dir", "DIR"), ("snapshot-every", "N"), ("json", ""),
     ("metrics-out", "FILE"), ("trace-out", "FILE"), ("serve-metrics", "ADDR"), ("fleet", ""),
-    ("shards", "S"), ("leaf-epsilon-frac", "F"),
+    ("shards", "S"),
 ];
 
 /// `automon simulate …`
@@ -454,6 +446,8 @@ pub fn run_simulate(args: &Args) -> Result<String, CliError> {
     // The fault flags mean the same on every path; what each runner can
     // execute of the plan is its own `check_plan`.
     let plan = fault_plan(args, 1)?;
+    // The stage at which the flat run's coordinator store failed.
+    let mut failure = None;
     let mut out = if let Some(fleet_cfg) = parse_fleet(args, nodes)? {
         let shards = fleet_cfg.shards;
         let plan = plan.unwrap_or_else(FaultPlan::none);
@@ -551,6 +545,7 @@ pub fn run_simulate(args: &Args) -> Result<String, CliError> {
             sim = sim.with_store(|| Box::new(MemDisk::new()) as DynDisk, snapshot_every);
         }
         let report = sim.run_report(&workload);
+        failure = report.failure.clone();
         let s = &report.stats;
         let mut out = format!(
             "function {function} (d = {dim}), {nodes} nodes, {} rounds, ε = {epsilon}\n",
@@ -603,8 +598,17 @@ pub fn run_simulate(args: &Args) -> Result<String, CliError> {
     };
 
     // One epilogue for every path: flush the sinks; their notes join the
-    // text report, while `--json` keeps stdout pure JSON.
+    // text report, while `--json` keeps stdout pure JSON. A run the store
+    // ended still writes its sinks, then fails.
     let notes = sinks.finish(args)?;
+    if let Some(stage) = failure {
+        return Err(CliError::new(match args.get("wal-dir") {
+            Some(dir) => {
+                format!("flag `--wal-dir`: the coordinator store in `{dir}` failed at {stage}")
+            }
+            None => format!("the coordinator store failed at {stage}"),
+        }));
+    }
     if !json {
         for note in notes {
             out.push_str(&note);
@@ -952,10 +956,8 @@ mod tests {
         let base = ["simulate", "--function", "inner-product", "--rounds", "40", "--nodes", "12"];
         let run = |extra: &[&str]| cli(&with(&base, extra));
         // Fleet-only flags without --fleet.
-        for flags in [&["--shards", "4"][..], &["--leaf-epsilon-frac", "0.5"][..]] {
-            let err = run(flags).unwrap_err();
-            assert!(err.to_string().contains("requires --fleet"), "{flags:?}: {err}");
-        }
+        let err = run(&["--shards", "4"]).unwrap_err();
+        assert!(err.to_string().contains("requires --fleet"), "{err}");
         // Flat-runner features with --fleet.
         for flags in [
             &["--fleet", "--wal-dir", "/tmp/x"][..],
@@ -984,7 +986,6 @@ mod tests {
         // Malformed fleet values.
         assert!(run(&["--fleet", "--shards", "0"]).is_err());
         assert!(run(&["--fleet", "--shards", "20"]).is_err(), "12 < 20");
-        assert!(run(&["--fleet", "--leaf-epsilon-frac", "1.5"]).is_err());
         assert!(run(&["--fleet", "--crash-leaf", "9:10"]).is_err(), "leaf range");
         assert!(run(&["--fleet", "--crash-leaf", "nonsense"]).is_err());
         assert!(run(&["--fleet", "--crash-node", "3:10:5"]).is_err(), "restart < crash");
@@ -1040,6 +1041,22 @@ mod tests {
             assert!(msg.starts_with("flag `--wal-dir`: cannot open directory"), "{msg}");
         }
         std::fs::remove_file(&file).ok();
+    }
+
+    #[test]
+    fn a_store_that_cannot_write_its_wal_ends_the_run_naming_the_flag() {
+        // A directory where the first WAL segment goes: the directory opens
+        // and the checkpoint lands, but the first journal append cannot.
+        let dir = std::env::temp_dir().join(format!("automon_cli_wal_bad_{}", std::process::id()));
+        std::fs::create_dir_all(dir.join("wal-00000000.log")).unwrap();
+        let argv = [
+            "simulate", "--function", "inner-product", "--dim", "4", "--rounds", "20", "--nodes",
+            "3", "--wal-dir", &dir.display().to_string(),
+        ];
+        let err = cli(&argv).unwrap_err().to_string();
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(err.starts_with("flag `--wal-dir`: the coordinator store in"), "{err}");
+        assert!(err.contains("failed at store journal append"), "{err}");
     }
 
     #[test]

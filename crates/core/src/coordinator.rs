@@ -145,8 +145,6 @@ struct CoordTel {
     evictions: Counter,
     rejoins: Counter,
     slack_updates: Counter,
-    snap_taken: Counter,
-    snap_deferred: Counter,
     epoch: Gauge,
     radius: Gauge,
     alive: Gauge,
@@ -198,14 +196,6 @@ impl CoordTel {
             slack_updates: tel.counter(
                 "automon_coord_slack_updates_total",
                 "Slack vectors redistributed by lazy syncs",
-            ),
-            snap_taken: tel.counter(
-                "automon_coord_snapshot_taken_total",
-                "Durable snapshots captured (including retried deferrals)",
-            ),
-            snap_deferred: tel.counter(
-                "automon_coord_snapshot_deferred_total",
-                "Snapshot requests deferred because a sync was in flight",
             ),
             epoch: tel.gauge("automon_coord_epoch", "Constraint epoch in force"),
             radius: tel.gauge(
@@ -279,9 +269,6 @@ pub struct Coordinator {
     /// Durability sink (no-op until `set_journal`): every state
     /// transition that a restore must reproduce is recorded here.
     journal: Option<Box<dyn crate::journal::Journal>>,
-    /// A snapshot was requested mid-sync and must be retried at the
-    /// next quiescent point (see `request_snapshot`).
-    snapshot_deferred: bool,
     /// Observability handles (no-op until `set_telemetry`).
     tel: CoordTel,
 }
@@ -314,7 +301,6 @@ impl Coordinator {
             consecutive_neighborhood: 0,
             epoch: 0,
             journal: None,
-            snapshot_deferred: false,
             tel: CoordTel::new(Telemetry::disabled()),
         }
     }
@@ -579,7 +565,9 @@ impl Coordinator {
     ///
     /// Only available while no violation resolution is in flight
     /// (`None` otherwise): a mid-sync snapshot would strand the pending
-    /// pulls. Pair with [`Coordinator::restore`] and
+    /// pulls. When to persist one is the deployment's decision: the
+    /// simulator's round driver keeps a checkpoint due until this returns
+    /// `Some`. Pair with [`Coordinator::restore`] and
     /// [`Coordinator::resync_messages`] for coordinator failover.
     pub fn snapshot(&self) -> Option<CoordinatorSnapshot> {
         match self.state {
@@ -600,43 +588,6 @@ impl Coordinator {
             }),
             _ => None,
         }
-    }
-
-    /// [`Coordinator::snapshot`] with deferral tracking: a request that
-    /// lands mid-sync is remembered and retried via
-    /// [`Coordinator::take_deferred_snapshot`] at the next quiescent
-    /// point, instead of being silently skipped. Counted in
-    /// `automon_coord_snapshot_{taken,deferred}_total`.
-    pub fn request_snapshot(&mut self) -> Option<CoordinatorSnapshot> {
-        match self.snapshot() {
-            Some(s) => {
-                self.snapshot_deferred = false;
-                self.tel.snap_taken.inc();
-                Some(s)
-            }
-            None => {
-                self.snapshot_deferred = true;
-                self.tel.snap_deferred.inc();
-                None
-            }
-        }
-    }
-
-    /// Retry a deferred snapshot request. `Some` only when a request
-    /// was deferred and the coordinator is now quiescent.
-    pub fn take_deferred_snapshot(&mut self) -> Option<CoordinatorSnapshot> {
-        if !self.snapshot_deferred {
-            return None;
-        }
-        let snap = self.snapshot()?;
-        self.snapshot_deferred = false;
-        self.tel.snap_taken.inc();
-        Some(snap)
-    }
-
-    /// `true` while a deferred snapshot request is outstanding.
-    pub fn snapshot_pending(&self) -> bool {
-        self.snapshot_deferred
     }
 
     /// Start the post-recovery resynchronization: pull fresh vectors
@@ -738,7 +689,6 @@ impl Coordinator {
             consecutive_neighborhood: snap.consecutive_neighborhood,
             epoch: snap.epoch,
             journal: None,
-            snapshot_deferred: false,
             tel: CoordTel::new(Telemetry::disabled()),
         }
     }

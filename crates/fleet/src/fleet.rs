@@ -28,23 +28,23 @@ use automon_obs::{Counter, Gauge, SpanId, Telemetry};
 
 use crate::shard::ShardMap;
 
+/// Fraction of `ε` given to the leaf tier; the root gets the rest.
+/// Not a knob: DESIGN.md §3.14's bound on the split does not hold, and
+/// ROADMAP item 19(b) replaces the split altogether.
+const LEAF_EPSILON_FRAC: f64 = 0.5;
+
 /// Fleet-level configuration on top of the per-coordinator
 /// [`MonitorConfig`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// Number of shards (leaf coordinators).
     pub shards: usize,
-    /// Fraction of `ε` given to the leaf tier; the root gets the rest.
-    pub leaf_epsilon_frac: f64,
 }
 
 impl FleetConfig {
-    /// Defaults: an even ε split.
+    /// A fleet of `shards` leaf coordinators.
     pub fn new(shards: usize) -> Self {
-        Self {
-            shards,
-            leaf_epsilon_frac: 0.5,
-        }
+        Self { shards }
     }
 }
 
@@ -122,8 +122,8 @@ pub struct Fleet {
 
 impl Fleet {
     /// Build a fleet of `fc.shards` leaves over `streams` streams
-    /// monitoring `f`. `cfg.epsilon` is split between the tiers per
-    /// `fc.leaf_epsilon_frac`; every other knob applies to both tiers.
+    /// monitoring `f`. `cfg.epsilon` is split evenly between the tiers;
+    /// every other knob applies to both tiers.
     /// Streams are assigned to shards round-robin
     /// ([`ShardMap::round_robin`]).
     pub fn new(
@@ -132,16 +132,12 @@ impl Fleet {
         cfg: MonitorConfig,
         fc: FleetConfig,
     ) -> Self {
-        assert!(
-            fc.leaf_epsilon_frac > 0.0 && fc.leaf_epsilon_frac < 1.0,
-            "leaf_epsilon_frac must be in (0, 1)"
-        );
         let shards = fc.shards;
         let map = ShardMap::round_robin(streams, shards);
         let mut leaf_cfg = cfg.clone();
-        leaf_cfg.epsilon = cfg.epsilon * fc.leaf_epsilon_frac;
+        leaf_cfg.epsilon = cfg.epsilon * LEAF_EPSILON_FRAC;
         let mut root_cfg = cfg.clone();
-        root_cfg.epsilon = cfg.epsilon * (1.0 - fc.leaf_epsilon_frac);
+        root_cfg.epsilon = cfg.epsilon * (1.0 - LEAF_EPSILON_FRAC);
         let leaves: Vec<Leaf> = (0..shards)
             .map(|s| {
                 let k = map.members(s).len();

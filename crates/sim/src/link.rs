@@ -69,18 +69,13 @@ pub(crate) trait Link {
     /// Advance to `round`: fire its timed faults and return the nodes
     /// restarted, which the driver must replace with fresh processes before
     /// anything else is delivered. Links without timed faults or held
-    /// frames have nothing to do. The reactor link also releases the
-    /// frames whose delay matured by `round` here, so the round's first
-    /// exchange (a coordinator recovery's push, a rejoin) delivers them
-    /// first.
+    /// frames have nothing to do. Nothing is delivered here.
     fn begin_round(&mut self, _round: usize) -> Vec<NodeId> {
         Vec::new()
     }
-    /// Called after the round's coordinator recovery and rejoins: deliver
-    /// outbounds held back by backpressure and frames whose delay matured
-    /// by the current round. The chaos fabric releases its matured frames
-    /// only here, after that recovery traffic; the reactor link released
-    /// its own in [`begin_round`](Self::begin_round).
+    /// Called after the round's coordinator recovery and rejoins, on every
+    /// link alike: deliver outbounds held back by backpressure and frames
+    /// whose delay matured by the current round.
     fn release_matured(&mut self, _peers: &mut Peers) {}
     /// Send one node report, charged to `cause` with `span` riding its
     /// header, and cascade every reply.
@@ -190,7 +185,8 @@ type Frame = (SpanId, NodeMessage, CommCause);
 /// onto a [`FaultQueue`], fresh, and the ladder draws once per fresh frame
 /// as the handle loop pops it, in decode order: a frame delivered twice
 /// or reordered goes (again) behind that poll's frames, and a delayed one
-/// is parked until its round begins.
+/// is parked until the round it matures in releases it, after that round's
+/// coordinator recovery and rejoins, as on the chaos fabric.
 pub(crate) struct ReactorLink {
     reactor: Reactor<SimPoller>,
     clients: Vec<SimClient>,
@@ -344,10 +340,10 @@ impl ReactorLink {
 impl Link for ReactorLink {
     fn begin_round(&mut self, round: usize) -> Vec<NodeId> {
         self.queue.begin_round(round);
-        self.queue.release_matured();
         Vec::new()
     }
     fn release_matured(&mut self, peers: &mut Peers) {
+        self.queue.release_matured();
         self.pump(peers);
     }
     fn report(&mut self, peers: &mut Peers, msg: NodeMessage, cause: CommCause, span: SpanId) {

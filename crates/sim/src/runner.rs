@@ -9,6 +9,13 @@
 //! workload the driver keeps stepping (the *recovery drain*) until the
 //! protocol quiesces — no outstanding report, no unresolved sync, no frame in
 //! flight — or the round cap trips, which the tests treat as a deadlock.
+//!
+//! The driver alone decides when the coordinator's state is persisted: a
+//! checkpoint falls due at each snapshot interval and after a coordinator
+//! recovery, and lands at the first round the coordinator can give one. A
+//! store error (opening, a journal append, a checkpoint, a recovery scan)
+//! ends the run the way a broken socket does, named in
+//! [`RunReport::failure`].
 
 use std::sync::Arc;
 
@@ -19,7 +26,7 @@ use automon_core::tuning::{tune_neighborhood_size, ReplayCounts, TuningResult};
 use automon_core::{CommCause, Coordinator, MonitorConfig, MonitoredFunction, Node, NodeMessage};
 use automon_linalg::vector;
 use automon_net::{CoordinatorTransport, CountingFabric};
-use automon_obs::{SpanId, Telemetry};
+use automon_obs::{Counter, SpanId, Telemetry};
 use automon_store::{DiskManager, DynDisk, MemDisk, SharedStore, StoreOptions};
 
 use crate::hybrid::HybridPolicy;
@@ -59,10 +66,12 @@ pub struct RunReport {
     pub quiesced: bool,
     /// Syscall, frame and fault counts of the reactor or socket transport.
     pub transport: Option<TransportReport>,
-    /// The stage at which a socket transport broke (a refused connect, a
-    /// dead connection, a frame that missed its deadline). The run ended
-    /// there: `stats` cover what was delivered before it.
-    pub transport_failure: Option<String>,
+    /// The stage at which the run broke: a socket transport's (a refused
+    /// connect, a dead connection, a frame that missed its deadline) or
+    /// the coordinator store's (`store open`, `store journal append`,
+    /// `store checkpoint`, `store recovery scan`). The run ended there:
+    /// `stats` cover what was delivered before it.
+    pub failure: Option<String>,
 }
 
 /// A configured AutoMon simulation (paper §4.1's harness).
@@ -133,6 +142,50 @@ impl Backoff {
     fn fast_retry(&mut self, t: usize) {
         self.interval = self.base;
         self.retry_at = self.retry_at.min(t + 1 + self.base);
+    }
+}
+
+/// The run's coordinator store and its checkpoint schedule.
+struct Durability {
+    store: SharedStore,
+    /// Rounds between due checkpoints.
+    interval: usize,
+    /// A checkpoint fell due and has not landed: the coordinator was
+    /// resolving a violation each time it was offered.
+    due: bool,
+    taken: Counter,
+    deferred: Counter,
+}
+
+impl Durability {
+    /// Checkpoint when one is due and the coordinator can give a snapshot;
+    /// `request` makes one due. A request that must wait is counted as
+    /// deferred; requests that wait together land as one checkpoint.
+    fn checkpoint(&mut self, coord: &Coordinator, request: bool) -> Result<(), String> {
+        self.due |= request;
+        if !self.due {
+            return Ok(());
+        }
+        let Some(snap) = coord.snapshot() else {
+            if request {
+                self.deferred.inc();
+            }
+            return Ok(());
+        };
+        self.store
+            .lock()
+            .write_snapshot(&snap)
+            .map_err(|e| format!("store checkpoint: {e}"))?;
+        self.taken.inc();
+        self.due = false;
+        Ok(())
+    }
+
+    /// The journal append that failed, if one did: the coordinator's
+    /// journal cannot fail mid-handle, so the store keeps the error.
+    fn journal_failure(&self) -> Option<String> {
+        let error = self.store.lock().take_io_error()?;
+        Some(format!("store journal append: {error}"))
     }
 }
 
@@ -235,7 +288,7 @@ impl Simulation {
     /// `TcpNodeTransport` per node, one frame in flight. Sockets have no
     /// simulated network: a run panics on reactor-transport options rather
     /// than ignore them. A transport failure ends the run and is reported
-    /// in [`RunReport::transport_failure`].
+    /// in [`RunReport::failure`].
     pub fn over_sockets<T: CoordinatorTransport + 'static>(mut self) -> Self {
         self.sockets = Some(|fabric, n| Box::new(SocketLink::<T>::open(fabric, n)));
         self
@@ -243,8 +296,10 @@ impl Simulation {
 
     /// Persist the coordinator through `make_disk`'s backend (WAL +
     /// snapshots, DESIGN.md §3.13), checkpointing every `snapshot_interval`
-    /// rounds. A plan with `coordinator_crashes` but no store gets a
-    /// deterministic in-memory backend automatically.
+    /// rounds, or at the first quiescent round after that when a sync is
+    /// in flight. A plan with `coordinator_crashes` but no store gets a
+    /// deterministic in-memory backend automatically. A store error ends
+    /// the run, named in [`RunReport::failure`].
     pub fn with_store<F>(mut self, make_disk: F, snapshot_interval: usize) -> Self
     where
         F: Fn() -> DynDisk + 'static,
@@ -326,33 +381,58 @@ impl Simulation {
     }
 
     /// The `with_store` backend, or an in-memory one when the plan
-    /// schedules a coordinator crash without it.
-    fn open_store(&self, crashes: &[usize]) -> Option<SharedStore> {
-        let mut disk: DynDisk = match &self.durability {
-            Some((make_disk, _)) => make_disk(),
-            None if crashes.is_empty() => return None,
-            None => Box::new(MemDisk::new()),
+    /// schedules a coordinator crash without it, journaling `coord` and
+    /// holding its baseline checkpoint, which gives recovery a base to fold
+    /// the WAL into; `Err` names the failed stage.
+    fn open_store(
+        &self,
+        crashes: &[usize],
+        coord: &mut Coordinator,
+    ) -> Result<Option<Durability>, String> {
+        let (mut disk, interval): (DynDisk, usize) = match &self.durability {
+            Some((make_disk, interval)) => (make_disk(), *interval),
+            None if crashes.is_empty() => return Ok(None),
+            None => (Box::new(MemDisk::new()), DEFAULT_SNAPSHOT_INTERVAL),
         };
+        let failed = |e| format!("store open: {e}");
         // A reused directory must not leak a previous run's state.
-        for file in disk.list().expect("store: list backend") {
-            disk.remove(&file).expect("store: clear backend");
+        for file in disk.list().map_err(failed)? {
+            disk.remove(&file).map_err(failed)?;
         }
-        let (shared, _) =
-            SharedStore::open(disk, StoreOptions::default()).expect("store: open failed");
-        Some(shared)
+        let (store, _) = SharedStore::open(disk, StoreOptions::default()).map_err(failed)?;
+        coord.set_journal(store.journal());
+        let tel = &self.telemetry;
+        let mut durable = Durability {
+            store,
+            interval,
+            due: false,
+            taken: tel.counter(
+                "automon_coord_snapshot_taken_total",
+                "Durable snapshots captured (including retried deferrals)",
+            ),
+            deferred: tel.counter(
+                "automon_coord_snapshot_deferred_total",
+                "Snapshot requests deferred because a sync was in flight",
+            ),
+        };
+        durable.checkpoint(coord, true)?;
+        Ok(Some(durable))
     }
 
     /// Rebuild a crashed coordinator: everything unsynced is lost; recovery
     /// folds the valid WAL prefix onto the newest decodable checkpoint.
-    fn recover_coordinator(&self, store: &SharedStore) -> Coordinator {
+    /// The rebuilt coordinator is checkpointed at once: the next crash
+    /// must not depend on pre-crash segments beyond what retention keeps.
+    fn recover_coordinator(&self, durable: &mut Durability) -> Result<Coordinator, String> {
+        let store = &durable.store;
         let recovered = {
             let mut s = store.lock();
             s.crash();
-            s.recover().expect("store: recovery scan failed")
+            s.recover().map_err(|e| format!("store recovery scan: {e}"))?
         };
         let snap = recovered
             .snapshot
-            .expect("baseline checkpoint always exists");
+            .ok_or("store recovery scan: no decodable checkpoint")?;
         let mut coord = Coordinator::restore(self.f.clone(), self.cfg.clone(), snap);
         coord.set_telemetry(self.telemetry.clone());
         coord.set_journal(store.journal());
@@ -363,7 +443,8 @@ impl Simulation {
                 ("replayed", recovered.report.records_replayed.into()),
             ],
         );
-        coord
+        durable.checkpoint(&coord, true)?;
+        Ok(coord)
     }
 
     /// The round loop. `policy` is the hybrid hook: it may silence the nodes
@@ -391,30 +472,11 @@ impl Simulation {
             recovery.retransmit_after = REACTOR_RETRANSMIT_AFTER;
         }
 
-        // The baseline checkpoint gives recovery a base to fold the WAL into.
-        let snapshot_interval = self
-            .durability
-            .as_ref()
-            .map_or(DEFAULT_SNAPSHOT_INTERVAL, |d| d.1);
-        let store = self.open_store(&plan.coordinator_crashes);
-        let checkpoint = |snap| {
-            let store = store
-                .as_ref()
-                .expect("snapshots come from a journaled coordinator");
-            store
-                .lock()
-                .write_snapshot(&snap)
-                .expect("store: checkpoint");
-        };
-        if let Some(store) = &store {
-            w.peers.coord.set_journal(store.journal());
-            checkpoint(
-                w.peers
-                    .coord
-                    .request_snapshot()
-                    .expect("fresh coordinator is quiescent"),
-            );
-        }
+        let (mut durable, mut failure) =
+            match self.open_store(&plan.coordinator_crashes, &mut w.peers.coord) {
+                Ok(durable) => (durable, None),
+                Err(stage) => (None, Some(stage)),
+            };
         let mut coordinator_recoveries = 0usize;
 
         let g_round = tel.gauge("automon_sim_round", "Current workload round");
@@ -450,7 +512,7 @@ impl Simulation {
         let mut recovery_rounds = 0usize;
         let mut t = 0usize;
         let quiesced = loop {
-            if w.link.failure().is_some() {
+            if failure.is_some() || w.link.failure().is_some() {
                 break false;
             }
             if t >= total {
@@ -472,14 +534,15 @@ impl Simulation {
             let restarted = w.link.begin_round(t);
             // The coordinator's crash comes first in `timed_at`'s order.
             if plan.timed_at(t).next() == Some(TimedFault::CoordinatorCrash) {
-                let store = store.as_ref().expect("coordinator crash requires a store");
-                w.peers.coord = self.recover_coordinator(store);
-                coordinator_recoveries += 1;
-                // Re-checkpoint at once: the next crash must not depend on
-                // pre-crash segments beyond what retention keeps.
-                if let Some(snap) = w.peers.coord.request_snapshot() {
-                    checkpoint(snap);
+                let d = durable.as_mut().expect("coordinator crash requires a store");
+                match self.recover_coordinator(d) {
+                    Ok(coord) => w.peers.coord = coord,
+                    Err(stage) => {
+                        failure = Some(stage);
+                        continue;
+                    }
                 }
+                coordinator_recoveries += 1;
                 // Resync the fleet; pulls and their replies are charged to
                 // `recovery`, the closing installs keep their own cause.
                 let outs = w.peers.coord.begin_recovery_sync();
@@ -629,17 +692,13 @@ impl Simulation {
                 }
             }
 
-            // 6. Checkpoint; a request that lands mid-sync is deferred and
-            //    retried here at the next quiescent round.
-            if store.is_some() {
-                let snap = if (t + 1).is_multiple_of(snapshot_interval) {
-                    w.peers.coord.request_snapshot()
-                } else {
-                    w.peers.coord.take_deferred_snapshot()
-                };
-                if let Some(snap) = snap {
-                    checkpoint(snap);
-                }
+            // 6. A failed journal append ends the run; otherwise checkpoint
+            //    when one is due, deferred while a sync is in flight.
+            if let Some(d) = &mut durable {
+                let tick = (t + 1).is_multiple_of(d.interval);
+                failure = d
+                    .journal_failure()
+                    .or_else(|| d.checkpoint(&w.peers.coord, tick).err());
             }
             t += 1;
         };
@@ -664,7 +723,7 @@ impl Simulation {
             "ledger must conserve traffic totals"
         );
         let transport = w.link.transport();
-        let transport_failure = w.link.failure().map(str::to_string);
+        let failure = failure.or_else(|| w.link.failure().map(str::to_string));
         let fault_trace = w.link.fault_trace().to_vec();
         let mut stats = RunStats {
             messages: traffic.total_msgs(),
@@ -692,7 +751,7 @@ impl Simulation {
             fault_trace,
             quiesced,
             transport,
-            transport_failure,
+            failure,
         }
     }
 }

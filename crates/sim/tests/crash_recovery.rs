@@ -5,9 +5,11 @@
 //! converge within ε — all of it deterministically: same seed, same
 //! crash schedule ⇒ byte-identical stats, fault trace, ledger, and
 //! telemetry trace, on the in-memory and the real-file disk backend
-//! alike.
+//! alike. A store error ends the run, named; when a due checkpoint lands
+//! is checked in `snapshot_deferred.rs`.
 
-use std::sync::Arc;
+use std::io;
+use std::sync::{Arc, Mutex};
 
 use automon_autodiff::AutoDiffFn;
 use automon_chaos::{FaultPlan, RecoveryConfig};
@@ -17,7 +19,7 @@ use automon_data::windowed_mean_series;
 use automon_functions::InnerProduct;
 use automon_obs::Telemetry;
 use automon_sim::{Simulation, Workload};
-use automon_store::{DynDisk, FileDisk, MemDisk};
+use automon_store::{DiskManager, DynDisk, FileDisk, MemDisk};
 
 const EPSILON: f64 = 0.25;
 
@@ -156,4 +158,141 @@ fn crashes_compose_with_node_faults() {
     assert_eq!(a.stats.coordinator_recoveries, 1);
     assert_eq!(a.stats, b.stats, "composite runs stay deterministic");
     assert_eq!(a.fault_trace, b.fault_trace);
+}
+
+/// What a [`Probe`] saw, in order: each WAL append (`false`) and each
+/// checkpoint written (`true`), with its round on the telemetry clock.
+type ProbeLog = Vec<(u64, bool)>;
+
+/// A [`MemDisk`] that logs into a shared [`ProbeLog`] and fails its
+/// `fail_sync`-th `sync` (1-based; `usize::MAX` never fails).
+struct Probe {
+    disk: MemDisk,
+    clock: Telemetry,
+    fail_sync: usize,
+    syncs: usize,
+    log: Arc<Mutex<ProbeLog>>,
+}
+
+impl DiskManager for Probe {
+    fn append(&mut self, file: &str, data: &[u8]) -> io::Result<()> {
+        let round = self.clock.round();
+        self.log.lock().unwrap().push((round, file.starts_with("snap-")));
+        self.disk.append(file, data)
+    }
+    fn sync(&mut self, file: &str) -> io::Result<()> {
+        self.syncs += 1;
+        if self.syncs == self.fail_sync {
+            return Err(io::Error::other("injected sync failure"));
+        }
+        self.disk.sync(file)
+    }
+    fn read(&self, file: &str) -> io::Result<Vec<u8>> {
+        self.disk.read(file)
+    }
+    fn list(&self) -> io::Result<Vec<String>> {
+        self.disk.list()
+    }
+    fn remove(&mut self, file: &str) -> io::Result<()> {
+        self.disk.remove(file)
+    }
+    fn crash(&mut self) {
+        self.disk.crash()
+    }
+}
+
+/// Attach a [`Probe`] store checkpointing every `interval` rounds; the
+/// log it fills.
+fn probed(
+    sim: Simulation,
+    tel: &Telemetry,
+    fail_sync: usize,
+    interval: usize,
+) -> (Simulation, Arc<Mutex<ProbeLog>>) {
+    let log = Arc::new(Mutex::new(ProbeLog::default()));
+    let (clock, shared) = (tel.clone(), log.clone());
+    let sim = sim.with_telemetry(tel.clone()).with_store(
+        move || {
+            Box::new(Probe {
+                disk: MemDisk::new(),
+                clock: clock.clone(),
+                fail_sync,
+                syncs: 0,
+                log: shared.clone(),
+            }) as DynDisk
+        },
+        interval,
+    );
+    (sim, log)
+}
+
+#[test]
+fn a_failed_wal_sync_ends_the_run_naming_the_store() {
+    let (f, cfg, w) = setup(11);
+    let run = |fail_sync| {
+        let plain = Simulation::new(f.clone(), cfg.clone());
+        let (sim, log) = probed(plain, &Telemetry::disabled(), fail_sync, 16);
+        let report = sim.run_report(&w);
+        let appends = log.lock().unwrap().iter().filter(|(_, snap)| !snap).count();
+        (report, appends)
+    };
+    let (healthy, all) = run(usize::MAX);
+    assert!(healthy.quiesced);
+    assert_eq!(healthy.failure, None);
+    assert_eq!(all, 171);
+    // Syncs 1 and 2 are the baseline checkpoint's; the 21st is the 19th
+    // record's. Nothing is journaled after it, so the run must stop.
+    let (failed, appended) = run(21);
+    assert_eq!(appended, 19);
+    assert!(!failed.quiesced);
+    let stage = failed.failure.as_deref().expect("a store error ends the run");
+    assert_eq!(stage, "store journal append: injected sync failure");
+    assert!(failed.stats.messages < healthy.stats.messages);
+}
+
+#[test]
+fn a_failed_checkpoint_or_recovery_scan_ends_the_run_naming_the_store() {
+    let (f, cfg, w) = setup(11);
+    // The baseline checkpoint's file sync.
+    let plain = Simulation::new(f.clone(), cfg.clone());
+    let (probe, _) = probed(plain, &Telemetry::disabled(), 2, 16);
+    let report = probe.run_report(&w);
+    assert_eq!(report.failure.as_deref(), Some("store checkpoint: injected sync failure"));
+    assert_eq!(report.stats.messages, 0, "the run ends before round 0");
+    // A recovery scan that finds no checkpoint: the crash at round 30
+    // meets a store whose files were all lost.
+    let plan = FaultPlan::seeded(7).with_coordinator_crash(30);
+    let report = sim(f, cfg, plan)
+        .with_store(|| Box::new(Forgetful(MemDisk::new())) as DynDisk, 16)
+        .run_report(&w);
+    assert_eq!(
+        report.failure.as_deref(),
+        Some("store recovery scan: no decodable checkpoint")
+    );
+    assert_eq!(report.stats.coordinator_recoveries, 0);
+    assert!(!report.quiesced);
+}
+
+/// A [`MemDisk`] that never makes anything durable: a crash loses it all.
+struct Forgetful(MemDisk);
+
+impl DiskManager for Forgetful {
+    fn append(&mut self, file: &str, data: &[u8]) -> io::Result<()> {
+        self.0.append(file, data)
+    }
+    fn sync(&mut self, _: &str) -> io::Result<()> {
+        Ok(())
+    }
+    fn read(&self, file: &str) -> io::Result<Vec<u8>> {
+        self.0.read(file)
+    }
+    fn list(&self) -> io::Result<Vec<String>> {
+        self.0.list()
+    }
+    fn remove(&mut self, file: &str) -> io::Result<()> {
+        self.0.remove(file)
+    }
+    fn crash(&mut self) {
+        self.0.crash()
+    }
 }

@@ -116,7 +116,7 @@ fn every_link_gives_the_same_stats_ledger_and_trace() {
             let tel = Telemetry::enabled();
             let got = run(&case, on_link, tel.clone());
             let at = format!("{name} over {link}");
-            assert_eq!(got.transport_failure, None, "{at}");
+            assert_eq!(got.failure, None, "{at}");
             assert!(got.quiesced, "{at}");
             assert!(got.fault_trace.is_empty(), "{at}");
             assert_eq!(got.stats, reference.stats, "{at}: RunStats diverged");
@@ -185,7 +185,7 @@ fn a_missed_deadline_ends_the_run_with_the_stage_named() {
         |sim| sim.over_sockets::<Deaf>(),
         Telemetry::disabled(),
     );
-    let failure = got.transport_failure.as_deref().expect("the link latched");
+    let failure = got.failure.as_deref().expect("the link latched");
     assert!(
         failure.contains("coordinator receive") && failure.contains("node 0"),
         "{failure}"

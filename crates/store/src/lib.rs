@@ -31,29 +31,19 @@ pub use disk::{DiskManager, FileDisk, MemDisk};
 pub use record::{decode_stream, encode_record};
 pub use snapshot::StoredSnapshot;
 
-/// When appended records become durable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SyncPolicy {
-    /// Sync after every record (default; one record is the most a
-    /// crash can lose, and with [`MemDisk`] it costs a length update).
-    EveryRecord,
-    /// Sync every `n` records; a crash loses at most `n - 1`.
-    EveryN(u32),
-    /// Only sync at snapshots, rotations, and explicit [`CoordinatorStore::sync`].
-    Manual,
-}
-
-/// Store tuning knobs.
+/// Store tuning knobs. There is no sync knob: every appended record is
+/// synced before [`CoordinatorStore::append`] returns, so a crash loses
+/// at most the record being written (with [`MemDisk`] a sync costs a
+/// length update).
 #[derive(Clone, Copy, Debug)]
 pub struct StoreOptions {
     /// Rotate the active segment once it would exceed this many bytes.
     pub segment_bytes: u64,
-    pub sync: SyncPolicy,
 }
 
 impl Default for StoreOptions {
     fn default() -> Self {
-        StoreOptions { segment_bytes: 64 * 1024, sync: SyncPolicy::EveryRecord }
+        StoreOptions { segment_bytes: 64 * 1024 }
     }
 }
 
@@ -90,8 +80,6 @@ pub struct CoordinatorStore<D: DiskManager> {
     /// Index of the active (append) segment.
     active: u64,
     active_bytes: u64,
-    /// Records appended since the last sync (for `SyncPolicy::EveryN`).
-    unsynced: u32,
     /// Highest record seq per segment, for coverage-based compaction.
     seg_max: BTreeMap<u64, u64>,
     /// `covered_seq` of checkpoints currently on disk, ascending.
@@ -110,7 +98,6 @@ impl<D: DiskManager> CoordinatorStore<D> {
             next_seq: 0,
             active: 0,
             active_bytes: 0,
-            unsynced: 0,
             seg_max: BTreeMap::new(),
             checkpoints: Vec::new(),
             io_error: None,
@@ -127,7 +114,6 @@ impl<D: DiskManager> CoordinatorStore<D> {
     pub fn recover(&mut self) -> io::Result<RecoveredState> {
         self.seg_max.clear();
         self.checkpoints.clear();
-        self.unsynced = 0;
         self.io_error = None;
 
         let mut segments: Vec<u64> = Vec::new();
@@ -292,7 +278,6 @@ impl<D: DiskManager> CoordinatorStore<D> {
             // Seal the active segment (durable up to its last record)
             // and rotate.
             self.disk.sync(&segment::segment_name(self.active))?;
-            self.unsynced = 0;
             self.active += 1;
             self.active_bytes = 0;
         }
@@ -302,25 +287,14 @@ impl<D: DiskManager> CoordinatorStore<D> {
         let max = self.seg_max.entry(self.active).or_insert(seq);
         *max = (*max).max(seq);
         self.next_seq = seq + 1;
-        match self.opts.sync {
-            SyncPolicy::EveryRecord => self.disk.sync(&name)?,
-            SyncPolicy::EveryN(n) => {
-                self.unsynced += 1;
-                if self.unsynced >= n {
-                    self.disk.sync(&name)?;
-                    self.unsynced = 0;
-                }
-            }
-            SyncPolicy::Manual => {}
-        }
+        self.disk.sync(&name)?;
         Ok(seq)
     }
 
-    /// Force the active segment durable (a manual sync point).
+    /// Force the active segment durable. After an `Ok` append it already
+    /// is: every record is synced as it is written.
     pub fn sync(&mut self) -> io::Result<()> {
-        self.disk.sync(&segment::segment_name(self.active))?;
-        self.unsynced = 0;
-        Ok(())
+        self.disk.sync(&segment::segment_name(self.active))
     }
 
     /// Checkpoint `snap` and compact.
@@ -393,7 +367,9 @@ impl<D: DiskManager> CoordinatorStore<D> {
         }
     }
 
-    /// Take the first journaling error, if any occurred.
+    /// Take the first journaling error, if any occurred. Records after
+    /// it were not written; the simulator's round driver reads this after
+    /// every round and ends the run on `Some`.
     pub fn take_io_error(&mut self) -> Option<io::Error> {
         self.io_error.take()
     }
@@ -500,22 +476,8 @@ mod tests {
     }
 
     #[test]
-    fn crash_loses_only_unsynced_records() {
-        let mut store = mem_store(StoreOptions { sync: SyncPolicy::EveryN(2), ..Default::default() });
-        store.write_snapshot(&base_snap(2)).unwrap();
-        store.append(&node_rec(0, 1.0)).unwrap();
-        store.append(&node_rec(1, 2.0)).unwrap(); // 2nd record triggers sync
-        store.append(&node_rec(0, 9.0)).unwrap(); // unsynced, lost
-        store.crash();
-        let rec = store.recover().unwrap();
-        let snap = rec.snapshot.unwrap();
-        assert_eq!(snap.known_x[0], Some(vec![1.0, 1.0]), "unsynced overwrite lost");
-        assert_eq!(rec.report.records_replayed, 2);
-    }
-
-    #[test]
     fn segment_rotation_and_fresh_active_after_recovery() {
-        let mut store = mem_store(StoreOptions { segment_bytes: 128, ..Default::default() });
+        let mut store = mem_store(StoreOptions { segment_bytes: 128 });
         store.write_snapshot(&base_snap(2)).unwrap();
         for i in 0..20 {
             store.append(&node_rec(i % 2, i as f64)).unwrap();
@@ -538,7 +500,7 @@ mod tests {
 
     #[test]
     fn compaction_keeps_two_checkpoints_and_covered_segments() {
-        let mut store = mem_store(StoreOptions { segment_bytes: 128, ..Default::default() });
+        let mut store = mem_store(StoreOptions { segment_bytes: 128 });
         store.write_snapshot(&base_snap(2)).unwrap();
         for round in 0..4u64 {
             for i in 0..10u64 {

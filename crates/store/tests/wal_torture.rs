@@ -8,7 +8,7 @@ use automon_core::journal::Transition;
 use automon_core::{CoordinatorSnapshot, CoordinatorStats};
 use automon_store::record;
 use automon_store::segment;
-use automon_store::{CoordinatorStore, DiskManager, FileDisk, MemDisk, StoreOptions, SyncPolicy};
+use automon_store::{CoordinatorStore, DiskManager, FileDisk, MemDisk, StoreOptions};
 
 fn base_snap(n: usize) -> CoordinatorSnapshot {
     CoordinatorSnapshot {
@@ -90,7 +90,7 @@ fn bit_flipped_checksum_is_detected_and_prefix_kept() {
 #[test]
 fn duplicated_segment_breaks_the_sequence_and_stops_the_scan() {
     // Tiny segments so the log spans several files.
-    let opts = StoreOptions { segment_bytes: 128, sync: SyncPolicy::EveryRecord };
+    let opts = StoreOptions { segment_bytes: 128 };
     let mut store = seed_store(opts, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
     let segs: Vec<String> = store
         .disk_mut()
@@ -120,7 +120,7 @@ fn duplicated_segment_breaks_the_sequence_and_stops_the_scan() {
 
 #[test]
 fn corruption_invalidates_all_later_segments() {
-    let opts = StoreOptions { segment_bytes: 128, sync: SyncPolicy::EveryRecord };
+    let opts = StoreOptions { segment_bytes: 128 };
     let mut store = seed_store(opts, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
     let segs: Vec<String> = store
         .disk_mut()
@@ -217,7 +217,7 @@ fn garbage_and_foreign_files_are_ignored() {
 fn compaction_then_torture_still_recovers() {
     // After compaction has deleted old segments/checkpoints, tail
     // corruption must still fall back cleanly.
-    let opts = StoreOptions { segment_bytes: 256, sync: SyncPolicy::EveryRecord };
+    let opts = StoreOptions { segment_bytes: 256 };
     let mut store = mem_store(opts);
     for round in 0..5u64 {
         for i in 0..6u64 {
@@ -277,7 +277,7 @@ fn corrupt_tail_is_quarantined_so_later_appends_survive_rerecovery() {
     assert!(rec.report.corruption.is_some());
     assert_eq!(rec.snapshot.unwrap().known_x[0], Some(vec![1.0, 1.0]));
 
-    store.append(&node_rec(1, 7.0)).unwrap(); // SyncPolicy::EveryRecord ⇒ synced
+    store.append(&node_rec(1, 7.0)).unwrap(); // every record is synced
     store.crash();
     let rec2 = store.recover().unwrap();
     assert!(rec2.report.corruption.is_none(), "{:?}", rec2.report.corruption);

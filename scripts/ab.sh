@@ -27,8 +27,9 @@
 # `@DIR@` (e.g. `--wal-dir @DIR@`): each run gets a fresh, empty directory
 # of its own there, and what the run leaves in it (WAL segments,
 # snapshots) must be `diff -r` identical between the sides too.
-# On any difference, or a line that exits non-zero, the script names it
-# and exits 1 before the benchmark starts.
+# On any difference, or a line that exits non-zero, the script names it,
+# still runs the benchmark half (a change that moves some lines by design
+# gets its pairs too), names it again at the end and exits 1.
 #
 # The benchmark half: a run is the BENCHMARK.json command, unmodified,
 # executed from its side's checkout with `--workload W --seed S
@@ -43,7 +44,7 @@
 # metrics (`msgs_per_update`, `bytes_per_update`) whether every run of
 # both sides read the same bits; then `correct` and `failed` over every
 # run. Exits non-zero on any count difference, any `correct: false` or
-# any `failed > 0`.
+# any `failed > 0`, and on any argv difference.
 set -euo pipefail
 
 BASE_REV=${1:?usage: scripts/ab.sh <base-rev>}
@@ -98,30 +99,30 @@ for side in base change; do
         if [ "$status" != 0 ]; then echo "exit status $status" >> "$out/$k.summary"; fi
     done
 done
-differ=0
+differences=()
 for k in "${!ARGV[@]}"; do
     for f in "$k.off.out" "$k.on.out" "$k.jsonl" "$k.summary"; do
         if ! cmp -s "$AB_DIR/argv/base/$f" "$AB_DIR/argv/change/$f"; then
-            echo "argv $k ($f) differs: ${ARGV[$k]}"
-            differ=$((differ + 1))
+            differences+=("argv $k ($f) differs: ${ARGV[$k]}")
         fi
     done
     for mode in off on; do
         d="$k.$mode.dir"
         if [ -e "$AB_DIR/argv/base/$d" ] || [ -e "$AB_DIR/argv/change/$d" ]; then
             if ! diff -r -q "$AB_DIR/argv/base/$d" "$AB_DIR/argv/change/$d" > /dev/null 2>&1; then
-                echo "argv $k ($d) differs: ${ARGV[$k]}"
-                differ=$((differ + 1))
+                differences+=("argv $k ($d) differs: ${ARGV[$k]}")
             fi
         fi
     done
     if grep -q '^exit status' "$AB_DIR/argv/change/$k".{off.out,on.out,summary}; then
-        echo "argv $k exits non-zero: ${ARGV[$k]}"
-        differ=$((differ + 1))
+        differences+=("argv $k exits non-zero: ${ARGV[$k]}")
     fi
 done
-echo "argv ${#ARGV[@]} lines, telemetry off and on: $differ difference(s) in stdout, --trace-out, trace summarize, @DIR@ contents or exit status"
-if [ "$differ" != 0 ]; then exit 1; fi
+argv_summary() {
+    if [ "${#differences[@]}" != 0 ]; then printf '%s\n' "${differences[@]}"; fi
+    echo "argv ${#ARGV[@]} lines, telemetry off and on: ${#differences[@]} difference(s) in stdout, --trace-out, trace summarize, @DIR@ contents or exit status"
+}
+argv_summary
 
 one_run() { # side workload seed pair
     local out="$AB_DIR/runs/$2.$3.$4.$1.json"
@@ -139,7 +140,8 @@ for w in $AB_WORKLOADS; do
     done
 done
 
-python3 - "$SPEC" "$AB_DIR/runs" "$AB_WORKLOADS" "$AB_SEEDS" "$AB_PAIRS" <<'PY'
+status=0
+python3 - "$SPEC" "$AB_DIR/runs" "$AB_WORKLOADS" "$AB_SEEDS" "$AB_PAIRS" <<'PY' || status=$?
 import json, statistics, sys
 
 spec, runs, workloads, seeds, pairs = sys.argv[1:]
@@ -197,3 +199,7 @@ for w in workloads.split():
 print(f"runs {runs_total}: correct {correct}, failed {failed}")
 sys.exit(1 if bad else 0)
 PY
+
+argv_summary
+if [ "${#differences[@]}" != 0 ]; then exit 1; fi
+exit "$status"
