@@ -1,12 +1,11 @@
 //! The seeded fault ladder, shared by every link that injects frame
 //! faults.
 //!
-//! [`ChaosFabric`](crate::ChaosFabric) applies its probabilistic fault
-//! ladder to every frame crossing the in-process fabric; `automon-sim`'s
-//! reactor link applies it to every node frame the reactor decodes. Both
-//! ask [`LadderGate::gate`] for the verdict of each fresh frame they pop
-//! from their [`FaultQueue`](crate::FaultQueue), which carries it out. So
-//! both paths share one implementation and, more importantly, one *draw
+//! `automon-sim`'s chaos link applies the probabilistic fault ladder to
+//! every frame crossing the in-process fabric, and its reactor link to
+//! every node frame the reactor decodes. Both ask [`LadderGate::gate`]
+//! for the verdict of each fresh frame they pop from their
+//! [`FaultQueue`](crate::FaultQueue), which carries it out. So both paths share one implementation and, more importantly, one *draw
 //! sequence*: exactly one uniform draw per fresh frame (plus one bounded
 //! draw per delay), whichever link asks.
 
@@ -71,9 +70,9 @@ pub struct LadderGate {
 }
 
 impl LadderGate {
-    /// The ladder of `plan`, seeded from `plan.seed` exactly as
-    /// [`ChaosFabric`](crate::ChaosFabric) seeds its own. The plan's rates
-    /// are taken as given: the executor installing the gate has
+    /// The ladder of `plan`, seeded from `plan.seed`: every link that
+    /// gates with it draws the same sequence. The plan's rates are taken
+    /// as given: the executor installing the gate has
     /// [admitted](crate::Executor::admit) the plan.
     pub fn new(plan: &FaultPlan) -> Self {
         Self {

@@ -7,11 +7,9 @@
 //! workspace: the flat driver's links and the fleet runner all take one,
 //! each running the [`PlanPart`]s its [`Executor`] constant names and
 //! refusing, with one message, a plan that uses any other. The same plan
-//! and seed always produce the same injected-fault sequence (see
-//! `ChaosFabric`), which is what makes a chaos failure reproducible from
-//! its trace.
+//! and seed always produce the same injected-fault sequence, which is
+//! what makes a chaos failure reproducible from its trace.
 
-use automon_core::NodeId;
 use serde::{Deserialize, Serialize};
 
 /// A timed node crash, with an optional restart. Under the fleet `node`
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NodeCrash {
     /// The node that dies.
-    pub node: NodeId,
+    pub node: usize,
     /// Round at which it dies (messages to/from it fail from this round).
     pub at: usize,
     /// Round at which a fresh process comes back up, if any. The
@@ -44,7 +42,7 @@ pub struct LeafCrash {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Partition {
     /// Nodes cut off from the coordinator.
-    pub nodes: Vec<NodeId>,
+    pub nodes: Vec<usize>,
     /// First round of the partition (inclusive).
     pub from: usize,
     /// First round after the partition heals (exclusive).
@@ -53,7 +51,7 @@ pub struct Partition {
 
 impl Partition {
     /// `true` when `node` is unreachable at `round`.
-    pub fn cuts(&self, node: NodeId, round: usize) -> bool {
+    pub fn cuts(&self, node: usize, round: usize) -> bool {
         round >= self.from && round < self.until && self.nodes.contains(&node)
     }
 }
@@ -64,9 +62,9 @@ pub enum TimedFault {
     /// The coordinator dies and is rebuilt from its durable store.
     CoordinatorCrash,
     /// This node's (stream's) process dies.
-    NodeCrash(NodeId),
+    NodeCrash(usize),
     /// This node's (stream's) process comes back, state-less.
-    NodeRestart(NodeId),
+    NodeRestart(usize),
     /// This leaf coordinator dies for good.
     LeafCrash(usize),
 }
@@ -222,7 +220,7 @@ impl FaultPlan {
     }
 
     /// Schedule a crash (and optional restart) for `node`.
-    pub fn with_crash(mut self, node: NodeId, at: usize, restart: Option<usize>) -> Self {
+    pub fn with_crash(mut self, node: usize, at: usize, restart: Option<usize>) -> Self {
         self.crashes.push(NodeCrash { node, at, restart });
         self
     }
@@ -241,7 +239,7 @@ impl FaultPlan {
     }
 
     /// Schedule a partition cutting `nodes` off during `[from, until)`.
-    pub fn with_partition(mut self, nodes: Vec<NodeId>, from: usize, until: usize) -> Self {
+    pub fn with_partition(mut self, nodes: Vec<usize>, from: usize, until: usize) -> Self {
         self.partitions.push(Partition { nodes, from, until });
         self
     }
@@ -288,7 +286,7 @@ impl FaultPlan {
     }
 
     /// `true` when `node` is partitioned from the coordinator at `round`.
-    pub fn partitioned(&self, node: NodeId, round: usize) -> bool {
+    pub fn partitioned(&self, node: usize, round: usize) -> bool {
         self.partitions.iter().any(|p| p.cuts(node, round))
     }
 
@@ -322,7 +320,7 @@ impl FaultPlan {
         if self.delay_rate > 0.0 && self.max_delay_rounds == 0 {
             return Err("a delay rate needs a delay bound of at least 1 round".into());
         }
-        let node_in_range = |node: NodeId| {
+        let node_in_range = |node: usize| {
             if node < nodes {
                 Ok(())
             } else {
@@ -353,28 +351,6 @@ impl FaultPlan {
             }
         }
         Ok(())
-    }
-}
-
-/// Recovery policy for a chaos run: how patiently the endpoints wait
-/// before retransmitting, and how many dead-connection failures the
-/// coordinator tolerates before evicting a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RecoveryConfig {
-    /// Rounds a report/pull stays unanswered before the first
-    /// retransmission; subsequent waits double (exponential backoff).
-    pub retransmit_after: usize,
-    /// Consecutive dead-connection failures before the coordinator
-    /// declares the node dead and redistributes its slack.
-    pub evict_after: usize,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        Self {
-            retransmit_after: 4,
-            evict_after: 8,
-        }
     }
 }
 

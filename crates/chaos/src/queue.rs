@@ -1,8 +1,7 @@
 //! The fault queue: the one place a ladder verdict moves a frame.
 //!
-//! [`ChaosFabric`](crate::ChaosFabric) and `automon-sim`'s reactor link
-//! keep their frames in a [`FaultQueue`] and gate each when they pop it.
-//! Only a fresh frame (one the link pushed) is offered for a verdict; a
+//! `automon-sim`'s chaos and reactor links keep their frames in a
+//! [`FaultQueue`] and gate each when they pop it. Only a fresh frame (one the link pushed) is offered for a verdict; a
 //! frame the queue re-injects — a duplicate's copy, a reordered frame, a
 //! matured delayed one — is immune and delivers untouched, so nothing is
 //! re-duplicated forever and the ladder's draws depend only on fresh
@@ -11,10 +10,9 @@
 //! today) is the run's single choice point for frame faults.
 //!
 //! [`begin_round`](FaultQueue::begin_round) and
-//! [`release_matured`](FaultQueue::release_matured) are apart because the
-//! links release matured frames at different points of a round: the
-//! reactor link as the round begins, the fabric after the round's
-//! coordinator recovery and rejoins.
+//! [`release_matured`](FaultQueue::release_matured) are apart because a
+//! round's coordinator recovery and rejoins run between them, so matured
+//! frames reach the rebuilt coordinator and the restarted nodes.
 
 use std::collections::{BTreeMap, VecDeque};
 

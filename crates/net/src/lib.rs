@@ -10,9 +10,9 @@
 //!   deterministic, which is what the §4.7 bandwidth experiments measure.
 //! * [`CountingFabric`] — an in-process fabric that charges every
 //!   message the codec's exact frame length (so the bytes are real, not
-//!   estimated) and hands the message itself on, accumulating per-direction message and byte counts plus a
-//!   configurable per-message transport overhead — reproducing the
-//!   payload-vs-traffic split of Figure 10.
+//!   estimated) and hands the message itself on, accumulating
+//!   per-direction message and byte counts (the messages and payload of
+//!   Figure 10).
 //! * [`tcp`] — the node end of the protocol over real `std::net`
 //!   sockets with length-prefixed frames: the dependency-free ZeroMQ
 //!   replacement for actual multi-process deployments, and the

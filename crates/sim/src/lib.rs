@@ -29,13 +29,17 @@
 //!   coordinator fleet (DESIGN.md §3.14), reporting the per-tier
 //!   message split and the combined leaf+root ledger.
 //!
-//! Faults are one `automon_chaos::FaultPlan` for both runners. Each
-//! transport of [`Simulation`] and the fleet runner executes the plan
-//! parts its `Executor` constant names and refuses a plan using any
-//! other — [`Simulation::check_plan`] / [`FleetSimulation::check_plan`]
+//! Faults are one `automon_chaos::FaultPlan` for both runners; the code
+//! that executes it lives here, the chaos crate holding only the
+//! schedule. Each link of [`Simulation`] and the fleet runner executes
+//! the plan parts its `Executor` constant names and refuses a plan using
+//! any other — [`Simulation::check_plan`] / [`FleetSimulation::check_plan`]
 //! as an error, a run as a panic with the same message (DESIGN.md §3.8).
+//! How the driver recovers from what the plan breaks is its
+//! [`RecoveryConfig`].
 
 pub mod baselines;
+mod fabric;
 mod fleet_runner;
 pub mod hybrid;
 mod link;
@@ -47,6 +51,6 @@ pub use baselines::{run_centralization, run_convex_bound, run_periodic};
 pub use fleet_runner::{FleetReport, FleetSimulation};
 pub use hybrid::{HybridConfig, HybridStats};
 pub use link::TransportReport;
-pub use runner::{RunReport, Simulation};
+pub use runner::{RecoveryConfig, RunReport, Simulation};
 pub use stats::{RunStats, TracePoint};
 pub use workload::Workload;

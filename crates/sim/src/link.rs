@@ -5,7 +5,7 @@
 //! the driver's recovery phases are no-ops over it, with one exception: on
 //! an event stream a node that registered early stays `is_pending()` until
 //! the last node registers, and the retransmit phase re-sends its
-//! registration, +3 messages at n = 6), [`ChaosFabric`]
+//! registration, +3 messages at n = 6), [`ChaosLink`](crate::fabric::ChaosLink)
 //! (the same fabric behind a seeded fault plan), [`ReactorLink`] (the
 //! real transport state machines over a simulated poller, with the plan's
 //! fault ladder applied to every node frame the reactor decodes), and
@@ -30,8 +30,7 @@ use std::net::TcpListener;
 use std::time::Duration;
 
 use automon_chaos::{
-    ChaosFabric, DeliveryFailure, Executor, FaultEvent, FaultPlan, FaultQueue, GateCounts,
-    GateVerdict, LadderGate, PlanPart,
+    Executor, FaultEvent, FaultPlan, FaultQueue, GateCounts, GateVerdict, LadderGate, PlanPart,
 };
 use automon_core::{CommCause, CommLedger, Coordinator, Node, NodeId, NodeMessage, Outbound};
 use automon_net::reactor::{Reactor, ReactorConfig, ReactorTraffic};
@@ -39,6 +38,8 @@ use automon_net::sim_poller::{SimClient, SimNet, SimPoller};
 use automon_net::tcp::{TcpError, TcpNodeTransport};
 use automon_net::{wire, CoordinatorTransport, CountingFabric, SyscallStats, TrafficStats};
 use automon_obs::{SpanId, TraceCtx};
+
+use crate::fabric::DeliveryFailure;
 
 /// The protocol endpoints a link delivers to. The driver swaps the
 /// coordinator on a crash/recover and a node on a restart, so links borrow
@@ -129,39 +130,6 @@ impl Link for CountingFabric {
     }
 }
 
-impl Link for ChaosFabric {
-    fn begin_round(&mut self, round: usize) -> Vec<NodeId> {
-        ChaosFabric::begin_round(self, round)
-    }
-    fn release_matured(&mut self, p: &mut Peers) {
-        self.release_delayed(&mut p.coord, &mut p.nodes);
-    }
-    fn report(&mut self, p: &mut Peers, msg: NodeMessage, cause: CommCause, span: SpanId) {
-        self.route_as(&mut p.coord, &mut p.nodes, msg, cause, span);
-    }
-    fn push(&mut self, p: &mut Peers, outs: Vec<Outbound>, cause: CommCause) {
-        self.route_outbounds_as(&mut p.coord, &mut p.nodes, outs, cause);
-    }
-    fn node_down(&self, node: NodeId) -> bool {
-        self.is_crashed(node)
-    }
-    fn frames_in_flight(&self) -> usize {
-        self.delayed_frames()
-    }
-    fn take_delivery_failures(&mut self) -> Vec<DeliveryFailure> {
-        ChaosFabric::take_delivery_failures(self)
-    }
-    fn stats(&self) -> &TrafficStats {
-        ChaosFabric::stats(self)
-    }
-    fn ledger(&self) -> &CommLedger {
-        ChaosFabric::ledger(self)
-    }
-    fn fault_trace(&self) -> &[FaultEvent] {
-        self.trace()
-    }
-}
-
 /// The reactor transport's knobs: chunking seed, largest simulated read,
 /// client buffer capacity.
 pub(crate) type NetOptions = (u64, usize, usize);
@@ -186,7 +154,7 @@ type Frame = (SpanId, NodeMessage, CommCause);
 /// as the handle loop pops it, in decode order: a frame delivered twice
 /// or reordered goes (again) behind that poll's frames, and a delayed one
 /// is parked until the round it matures in releases it, after that round's
-/// coordinator recovery and rejoins, as on the chaos fabric.
+/// coordinator recovery and rejoins, as on the chaos link.
 pub(crate) struct ReactorLink {
     reactor: Reactor<SimPoller>,
     clients: Vec<SimClient>,

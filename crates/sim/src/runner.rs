@@ -19,16 +19,16 @@
 
 use std::sync::Arc;
 
-use automon_chaos::{
-    ChaosFabric, Direction, Executor, FaultEvent, FaultPlan, RecoveryConfig, TimedFault,
-};
+use automon_chaos::{Direction, Executor, FaultEvent, FaultPlan, TimedFault};
 use automon_core::tuning::{tune_neighborhood_size, ReplayCounts, TuningResult};
 use automon_core::{CommCause, Coordinator, MonitorConfig, MonitoredFunction, Node, NodeMessage};
 use automon_linalg::vector;
 use automon_net::{CoordinatorTransport, CountingFabric};
 use automon_obs::{Counter, SpanId, Telemetry};
 use automon_store::{DiskManager, DynDisk, MemDisk, SharedStore, StoreOptions};
+use serde::{Deserialize, Serialize};
 
+use crate::fabric::ChaosLink;
 use crate::hybrid::HybridPolicy;
 use crate::link::{Link, NetOptions, Peers, ReactorLink, SocketLink, TransportReport, SOCKETS};
 use crate::stats::{RunStats, TracePoint};
@@ -101,6 +101,28 @@ pub struct Simulation {
 /// [`Simulation::over_sockets`] was given; the fabric does its accounting.
 type OpenSockets = fn(CountingFabric, usize) -> Box<dyn Link>;
 
+/// The driver's recovery policy: how patiently the endpoints wait before
+/// retransmitting, and how many dead-connection failures the coordinator
+/// tolerates before evicting a node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct RecoveryConfig {
+    /// Rounds a report/pull stays unanswered before the first
+    /// retransmission; subsequent waits double (exponential backoff).
+    pub retransmit_after: usize,
+    /// Consecutive dead-connection failures before the coordinator
+    /// declares the node dead and redistributes its slack.
+    pub evict_after: usize,
+}
+
+impl Default for RecoveryConfig {
+    fn default() -> Self {
+        Self {
+            retransmit_after: 4,
+            evict_after: 8,
+        }
+    }
+}
+
 /// Exponential retransmit backoff for one endpoint, in rounds: wait `base`,
 /// then 2×, 4×, … that, up to [`MAX_BACKOFF`].
 struct Backoff {
@@ -172,11 +194,14 @@ impl Durability {
             }
             return Ok(());
         };
-        self.store
+        let written = self
+            .store
             .lock()
             .write_snapshot(&snap)
             .map_err(|e| format!("store checkpoint: {e}"))?;
-        self.taken.inc();
+        if written.is_some() {
+            self.taken.inc();
+        }
         self.due = false;
         Ok(())
     }
@@ -264,7 +289,7 @@ impl Simulation {
         let executor: &Executor = match (self.sockets, self.net) {
             (Some(_), _) => &SOCKETS,
             (None, Some(_)) => &ReactorLink::EXECUTOR,
-            (None, None) => &ChaosFabric::EXECUTOR,
+            (None, None) => &ChaosLink::EXECUTOR,
         };
         executor.admit(plan, nodes, 0)
     }
@@ -371,11 +396,12 @@ impl Simulation {
                 let plan = plan.clone().unwrap_or_else(FaultPlan::none);
                 Box::new(ReactorLink::new(fabric, &plan, net, n))
             }
-            (None, Some(plan)) => {
-                let mut chaos = ChaosFabric::new(fabric, plan.clone(), n);
-                chaos.set_telemetry(self.telemetry.clone());
-                Box::new(chaos)
-            }
+            (None, Some(plan)) => Box::new(ChaosLink::new(
+                fabric,
+                plan.clone(),
+                n,
+                self.telemetry.clone(),
+            )),
             (None, None) => Box::new(fabric),
         }
     }
@@ -408,7 +434,7 @@ impl Simulation {
             due: false,
             taken: tel.counter(
                 "automon_coord_snapshot_taken_total",
-                "Durable snapshots captured (including retried deferrals)",
+                "Durable checkpoints written (including retried deferrals)",
             ),
             deferred: tel.counter(
                 "automon_coord_snapshot_deferred_total",

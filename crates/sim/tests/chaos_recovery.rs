@@ -7,12 +7,12 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use automon_autodiff::{AutoDiffFn, Scalar, ScalarFn};
-use automon_chaos::{FaultEvent, FaultKind, FaultPlan, RecoveryConfig};
+use automon_chaos::{FaultEvent, FaultKind, FaultPlan};
 use automon_core::{MonitorConfig, MonitoredFunction};
 use automon_data::synthetic::InnerProductDataset;
 use automon_data::windowed_mean_series;
 use automon_functions::InnerProduct;
-use automon_sim::{RunReport, Simulation, Workload};
+use automon_sim::{RecoveryConfig, RunReport, Simulation, Workload};
 
 /// Linear mean of a 2-vector: ADCD-E is exact, so the ε-guarantee is
 /// tight at quiescence — the right probe for recovery correctness.

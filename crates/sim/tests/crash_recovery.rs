@@ -12,13 +12,13 @@ use std::io;
 use std::sync::{Arc, Mutex};
 
 use automon_autodiff::AutoDiffFn;
-use automon_chaos::{FaultPlan, RecoveryConfig};
+use automon_chaos::FaultPlan;
 use automon_core::{MonitorConfig, MonitoredFunction};
 use automon_data::synthetic::InnerProductDataset;
 use automon_data::windowed_mean_series;
 use automon_functions::InnerProduct;
 use automon_obs::Telemetry;
-use automon_sim::{Simulation, Workload};
+use automon_sim::{RecoveryConfig, Simulation, Workload};
 use automon_store::{DiskManager, DynDisk, FileDisk, MemDisk};
 
 const EPSILON: f64 = 0.25;

@@ -8,12 +8,12 @@
 use std::sync::Arc;
 
 use automon_autodiff::AutoDiffFn;
-use automon_chaos::{FaultPlan, RecoveryConfig};
+use automon_chaos::FaultPlan;
 use automon_core::{MonitorConfig, MonitoredFunction};
 use automon_data::synthetic::InnerProductDataset;
 use automon_data::windowed_mean_series;
 use automon_functions::InnerProduct;
-use automon_sim::{RunStats, Simulation, Workload};
+use automon_sim::{RecoveryConfig, RunStats, Simulation, Workload};
 use proptest::prelude::*;
 
 fn setup(seed: u64) -> (Arc<dyn MonitoredFunction>, Workload) {

@@ -3,12 +3,12 @@
 //! must not be silently skipped — it waits and lands at the first round
 //! that ends quiescent, due ticks that wait together land as one, and
 //! the `automon_coord_snapshot_{taken,deferred}_total` counter pair
-//! accounts for both outcomes.
+//! accounts for the checkpoints written and the requests that waited.
 //!
 //! A logging disk shows which ticks waited: a checkpoint lands unwritten
 //! when nothing was journaled since the last one (the state is
-//! unchanged, so the coordinator is still quiescent), and written when
-//! something was. So between two written checkpoints, every tick from
+//! unchanged, so the coordinator is still quiescent; `taken` does not
+//! count it), and written when something was. So between two written checkpoints, every tick from
 //! the round of the first record after the earlier one waited. The
 //! oracle for "the first quiescent round" is the same run checkpointing
 //! every round (the cadence does not change the run): it writes a
@@ -19,13 +19,13 @@ use std::io;
 use std::sync::{Arc, Mutex};
 
 use automon_autodiff::AutoDiffFn;
-use automon_chaos::{FaultPlan, RecoveryConfig};
+use automon_chaos::FaultPlan;
 use automon_core::{MonitorConfig, MonitoredFunction};
 use automon_data::synthetic::InnerProductDataset;
 use automon_data::windowed_mean_series;
 use automon_functions::InnerProduct;
 use automon_obs::{parse_prometheus, value_of, Telemetry};
-use automon_sim::{RunReport, Simulation, Workload};
+use automon_sim::{RecoveryConfig, RunReport, Simulation, Workload};
 use automon_store::{DiskManager, DynDisk, MemDisk};
 
 /// Checkpoint interval of the runs under test.
@@ -154,7 +154,7 @@ fn mid_sync_snapshot_defers_then_lands_at_quiescence() {
     let oracle: Vec<u64> = every.log.iter().filter(|e| e.1).map(|e| e.0).collect();
     let Run { report, taken, deferred, log, .. } = run(K as usize);
     assert_eq!(report.stats, every.report.stats, "the cadence must not change the run");
-    assert_eq!((taken, deferred), (21, 4));
+    assert_eq!((taken, deferred), (6, 4));
 
     let mut late = 0;
     for landing in landings(&log).iter().filter(|l| !is_tick(l.at)) {
@@ -184,9 +184,18 @@ fn repeated_mid_sync_requests_coalesce() {
     assert_eq!(waited, deferred, "{log:?}");
     let coalesced: Vec<usize> = landings.iter().map(Landing::waited).filter(|&n| n > 1).collect();
     assert!(!coalesced.is_empty(), "no two ticks waited together: {log:?}");
-    // So `taken` counts landings, not ticks: the baseline plus one per
-    // due tick, less the ticks absorbed by a coalesced landing.
+    // `taken` counts the checkpoints the disk was given.
+    assert_eq!(taken, log.iter().filter(|e| e.1).count(), "{log:?}");
+    // A due tick that did not wait landed at once, written only when
+    // something was journaled since the last written checkpoint. So
+    // `taken` is the baseline plus one per due tick, less the ticks
+    // absorbed by a coalesced landing and those that landed unwritten.
     let ticks = (0..rounds).filter(|&t| is_tick(t)).count();
     let absorbed: usize = coalesced.iter().map(|n| n - 1).sum();
-    assert_eq!(taken, 1 + ticks - absorbed, "{log:?}");
+    let unwritten = (0..rounds)
+        .filter(|&t| is_tick(t))
+        .filter(|&t| !landings.iter().any(|l| (l.from..l.at).contains(&t)))
+        .filter(|&t| log.iter().rev().find(|e| e.0 <= t).is_some_and(|e| e.1 && e.0 < t))
+        .count();
+    assert_eq!(taken, 1 + ticks - absorbed - unwritten, "{log:?}");
 }

@@ -6,12 +6,15 @@
 //! table is rebuilt from the trace alone. Its per-cause rollup must equal
 //! the run's `RunStats.ledger` exactly: on a seeded flat run under
 //! faults and on a two-tier fleet run with membership faults.
+//!
+//! The same holds for faults: every injected fault emits one `fault`
+//! event, so the fault trace is rebuilt from the telemetry alone.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use automon_autodiff::AutoDiffFn;
-use automon_chaos::FaultPlan;
+use automon_chaos::{Direction, FaultKind, FaultPlan};
 use automon_core::{MonitorConfig, MonitoredFunction};
 use automon_data::synthetic::InnerProductDataset;
 use automon_data::windowed_mean_series;
@@ -121,4 +124,65 @@ fn fleet_run_trace_rebuilds_the_combined_ledger() {
     for tier in ["leaf_report", "root_sync", "shard_rebalance"] {
         assert!(causes.contains(tier), "{tier} missing from {causes:?}");
     }
+}
+
+/// One injected fault as the telemetry carries it: round, node,
+/// direction, kind and, for a delay, its rounds.
+type FaultRow = (u64, u64, &'static str, &'static str, Option<u64>);
+
+#[test]
+fn fault_events_mirror_the_fault_trace() {
+    let (f, w) = setup(6, 5);
+    let plan = FaultPlan::seeded(2)
+        .with_drop_rate(0.05)
+        .with_duplicate_rate(0.08)
+        .with_reorder_rate(0.1)
+        .with_delay(0.2, 3)
+        .with_crash(2, 15, Some(30))
+        .with_partition(vec![1], 5, 12)
+        .with_coordinator_crash(20)
+        .with_coordinator_crash(40);
+    let tel = Telemetry::enabled();
+    let report = Simulation::new(f, MonitorConfig::builder(0.2).build())
+        .with_plan(plan)
+        .with_telemetry(tel.clone())
+        .run_report(&w);
+    let want: Vec<FaultRow> = report
+        .fault_trace
+        .iter()
+        .map(|e| {
+            let dir = match e.dir {
+                Direction::NodeToCoord => "node_to_coord",
+                Direction::CoordToNode => "coord_to_node",
+            };
+            let (fault, delay) = match e.kind {
+                FaultKind::Drop => ("drop", None),
+                FaultKind::Duplicate => ("duplicate", None),
+                FaultKind::Reorder => ("reorder", None),
+                FaultKind::Delay { rounds } => ("delay", Some(rounds as u64)),
+                FaultKind::NodeDown => ("node_down", None),
+                FaultKind::PartitionDrop => ("partition_drop", None),
+                FaultKind::Crash => ("crash", None),
+                FaultKind::Restart => ("restart", None),
+                FaultKind::CoordinatorCrash => ("coordinator_crash", None),
+            };
+            (e.round as u64, e.node as u64, dir, fault, delay)
+        })
+        .collect();
+    let events = parse_trace(&tel.trace_jsonl()).expect("trace parses");
+    let got: Vec<(u64, u64, &str, &str, Option<u64>)> = events
+        .iter()
+        .filter(|e| e.kind == "fault")
+        .map(|e| {
+            let field = |k| e.str(k).expect("fault event field");
+            let node = e.u64("node").expect("fault event names its node");
+            (e.round, node, field("dir"), field("fault"), e.u64("delay_rounds"))
+        })
+        .collect();
+    assert_eq!(got.len(), want.len(), "one event per injected fault");
+    for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(got, want, "fault {i}");
+    }
+    let kinds: BTreeSet<&str> = want.iter().map(|row| row.3).collect();
+    assert_eq!(kinds.len(), 9, "every fault kind fires: {kinds:?}");
 }

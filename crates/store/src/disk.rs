@@ -107,14 +107,21 @@ impl DiskManager for FileDisk {
     }
 
     fn sync(&mut self, file: &str) -> io::Result<()> {
-        let Some(buf) = self.buffers.remove(file) else { return Ok(()) };
+        let Some(buf) = self.buffers.get(file) else { return Ok(()) };
         if buf.is_empty() {
+            self.buffers.remove(file);
             return Ok(());
         }
         let created = !self.path(file).exists();
         let mut f = fs::OpenOptions::new().create(true).append(true).open(self.path(file))?;
-        f.write_all(&buf)?;
-        f.sync_all()?;
+        let durable = f.metadata()?.len();
+        if let Err(e) = f.write_all(buf).and_then(|()| f.sync_all()) {
+            // The buffer stays, and the file at its durable length, so a
+            // retry writes the bytes exactly once.
+            let _ = f.set_len(durable);
+            return Err(e);
+        }
+        self.buffers.remove(file);
         if created {
             self.sync_root()?;
         }
@@ -281,5 +288,32 @@ mod tests {
         d.remove("w.log").unwrap();
         assert!(d.list().unwrap().is_empty());
         let _ = fs::remove_dir_all(&root);
+    }
+
+    /// A sync that fails keeps the bytes it could not write: a retry that
+    /// succeeds makes them durable. `MemDisk` keeps unsynced bytes alike.
+    #[test]
+    fn a_failed_sync_keeps_the_unsynced_bytes() {
+        let root = std::env::temp_dir()
+            .join(format!("automon-store-test-{}-{}", std::process::id(), "failed_sync"));
+        let _ = fs::remove_dir_all(&root);
+        let mut d = FileDisk::open(&root).unwrap();
+        d.append("w.log", b"alpha").unwrap();
+        // A directory squatting on the file name fails the write.
+        fs::create_dir(root.join("w.log")).unwrap();
+        assert!(d.sync("w.log").is_err());
+        fs::remove_dir(root.join("w.log")).unwrap();
+        assert_eq!(d.read("w.log").unwrap(), b"alpha", "still buffered");
+        d.sync("w.log").unwrap();
+        d.crash();
+        assert_eq!(d.read("w.log").unwrap(), b"alpha", "durable after the retry");
+        let _ = fs::remove_dir_all(&root);
+
+        let mut m = MemDisk::new();
+        m.append("w.log", b"alpha").unwrap();
+        assert_eq!(m.read("w.log").unwrap(), b"alpha", "still unsynced");
+        m.sync("w.log").unwrap();
+        m.crash();
+        assert_eq!(m.read("w.log").unwrap(), b"alpha");
     }
 }

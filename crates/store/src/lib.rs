@@ -297,7 +297,9 @@ impl<D: DiskManager> CoordinatorStore<D> {
         self.disk.sync(&segment::segment_name(self.active))
     }
 
-    /// Checkpoint `snap` and compact.
+    /// Checkpoint `snap` and compact; the sequence number the new
+    /// checkpoint covers, or `None` when the newest one already covers
+    /// this state and nothing was written.
     ///
     /// The checkpoint covers every record appended so far (they are
     /// synced first). Compaction keeps TWO checkpoints — the new one
@@ -305,7 +307,7 @@ impl<D: DiskManager> CoordinatorStore<D> {
     /// the *predecessor*, so if the newest checkpoint file is later
     /// found corrupt, recovery can still load the previous one and
     /// roll forward through the retained segments.
-    pub fn write_snapshot(&mut self, snap: &CoordinatorSnapshot) -> io::Result<u64> {
+    pub fn write_snapshot(&mut self, snap: &CoordinatorSnapshot) -> io::Result<Option<u64>> {
         self.sync()?;
         let covered = self.next_seq;
         // No records since the newest checkpoint: it already covers
@@ -315,7 +317,7 @@ impl<D: DiskManager> CoordinatorStore<D> {
         // and make it undecodable — a checkpoint is one frame by
         // contract.
         if self.checkpoints.last() == Some(&covered) {
-            return Ok(covered);
+            return Ok(None);
         }
         let stored = StoredSnapshot { covered_seq: covered, snapshot: snap.clone() };
         let name = segment::snapshot_name(covered);
@@ -346,7 +348,7 @@ impl<D: DiskManager> CoordinatorStore<D> {
                 self.seg_max.remove(&seg);
             }
         }
-        Ok(covered)
+        Ok(Some(covered))
     }
 
     /// Simulate a crash at this instant: all unsynced appends are lost.

@@ -86,6 +86,7 @@ for side in base change; do
             extra=()
             if [ "$mode" = on ]; then extra=(--trace-out "$out/$k.jsonl"); fi
             dir="$out/$k.$mode.dir"
+            if [[ "${ARGV[$k]}" == *@DIR@* ]]; then mkdir -p "$dir"; fi
             run_argv=("${argv[@]//@DIR@/$dir}")
             status=0
             "$AB_DIR/cli-$side/release/automon" "${run_argv[@]}" "${extra[@]}" > "$out/$k.$mode.out" || status=$?
